@@ -447,6 +447,61 @@ func coreSpillJoin(b *testing.B, budget int64) {
 func BenchmarkSpillJoinInMemory(b *testing.B) { coreSpillJoin(b, 0) }
 func BenchmarkSpillJoinBudgeted(b *testing.B) { coreSpillJoin(b, 64<<10) }
 
+// --- Load benches ------------------------------------------------------------
+
+// liveHeap is the heap still reachable after two collections.
+func liveHeap() float64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
+}
+
+// benchLoad times load (which returns what it built, to be kept alive, and
+// how many tuples that holds) and reports, next to allocs/op, the resident
+// bytes per tuple of the last database built: what bench/'s setup_s and
+// setup_heap_mb are made of, visible to `go test -bench`.
+func benchLoad(b *testing.B, load func() (any, int)) {
+	b.Helper()
+	base := liveHeap()
+	var built any
+	var tuples int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		built, tuples = load()
+	}
+	b.StopTimer()
+	b.ReportMetric((liveHeap()-base)/float64(tuples), "B/tuple")
+	runtime.KeepAlive(built)
+}
+
+// BenchmarkLoadJoinDB builds engine-skew's database: 3-column tuples, B
+// placed twice (B and Br share tuples, so they count once).
+func BenchmarkLoadJoinDB(b *testing.B) {
+	benchLoad(b, func() (any, int) {
+		db, err := workload.NewJoinDB(100_000, 10_240, 64, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return db, db.ACard + db.BCard
+	})
+}
+
+// BenchmarkLoadWisconsin generates and hash-partitions a 16-column Wisconsin
+// relation through the facade.
+func BenchmarkLoadWisconsin(b *testing.B) {
+	const card = 20_000
+	benchLoad(b, func() (any, int) {
+		db := dbs3.New()
+		if err := db.CreateWisconsin("wisc", card, 16, "unique2", 42); err != nil {
+			b.Fatal(err)
+		}
+		return db, card
+	})
+}
+
 // --- Concurrent runtime benches --------------------------------------------
 
 func concurrentDB(b *testing.B) *dbs3.Database {

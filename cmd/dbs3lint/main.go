@@ -112,7 +112,7 @@ func standalone() int {
 func printAnalyzers(w io.Writer) {
 	for _, a := range analysis.All() {
 		doc, _, _ := strings.Cut(a.Doc, "\n")
-		fmt.Fprintf(w, "  %-12s %s\n", a.Name, doc)
+		fmt.Fprintf(w, "  %-13s %s\n", a.Name, doc)
 	}
 }
 

@@ -207,6 +207,9 @@ func TestCtxFlowFixture(t *testing.T)      { runFixture(t, CtxFlow, filepath.Joi
 func TestCtxFlowMainPackage(t *testing.T)  { runFixture(t, CtxFlow, filepath.Join("ctxflow", "mainpkg")) }
 func TestCancelClassFixture(t *testing.T)  { runFixture(t, CancelClass, filepath.Join("cancelclass", "a")) }
 func TestAtomicFieldFixture(t *testing.T)  { runFixture(t, AtomicField, filepath.Join("atomicfield", "a")) }
+func TestUnsafeConfineFixture(t *testing.T) {
+	runFixture(t, UnsafeConfine, filepath.Join("unsafeconfine", "internal", "relation"))
+}
 
 // TestLockIOScratchSeed is the acceptance check in executable form:
 // seeding the known-bad pattern — a mutex held across os.File.Read — into

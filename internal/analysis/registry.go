@@ -2,7 +2,7 @@ package analysis
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{AtomicField, CancelClass, CtxFlow, LockIO}
+	return []*Analyzer{AtomicField, CancelClass, CtxFlow, LockIO, UnsafeConfine}
 }
 
 // ByName resolves a comma-separated analyzer selection; nil input means

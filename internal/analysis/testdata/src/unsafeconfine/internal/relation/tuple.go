@@ -1,0 +1,10 @@
+package relation
+
+import (
+	"sync"
+	u "unsafe" // want `import of unsafe outside internal/relation/value\.go`
+)
+
+var mu sync.Mutex
+
+const wordSize = u.Sizeof(uintptr(0))

@@ -82,36 +82,13 @@ type BatchOperator interface {
 type batchScratch struct {
 	keys []uint64
 	sel  relation.Selection
-	// arena backs batch-built result tuples (join concatenations): values
-	// accumulate into one chunk that is handed out as capped sub-slices, so
-	// a run of results costs one allocation per ~chunk instead of one per
-	// tuple. Emitted tuples keep their chunk alive; the scratch only ever
-	// appends past them, never rewrites.
-	arena []relation.Value
+	// slab backs batch-built result tuples (join concatenations). Emitted
+	// tuples keep their chunk alive after the scratch returns to the pool;
+	// the slab only ever hands out space past them.
+	slab relation.Slab
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// arenaChunk is the value capacity of one concat arena chunk.
-const arenaChunk = 4096
-
-// concat builds b ++ t in the scratch arena. The returned tuple is capped to
-// its own span — later appends can never write into it — and remains valid
-// after the scratch returns to the pool.
-func (sc *batchScratch) concat(b, t relation.Tuple) relation.Tuple {
-	need := len(b) + len(t)
-	if cap(sc.arena)-len(sc.arena) < need {
-		size := arenaChunk
-		if need > size {
-			size = need
-		}
-		sc.arena = make([]relation.Value, 0, size)
-	}
-	off := len(sc.arena)
-	sc.arena = append(sc.arena, b...)
-	sc.arena = append(sc.arena, t...)
-	return relation.Tuple(sc.arena[off:len(sc.arena):len(sc.arena)])
-}
 
 // nopClose is embedded by operators with nothing to flush.
 type nopClose struct{}
@@ -627,7 +604,7 @@ func (j *Join) OnBatch(ctx *Context, ts []relation.Tuple, emit Emit) error {
 			for e := idx.slots[k&idx.mask]; e != 0; e = idx.next[e-1] {
 				if idx.keys[e-1] == k {
 					if b := idx.build[e-1]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
-						emit(sc.concat(b, t))
+						emit(sc.slab.Concat(b, t))
 					}
 				}
 			}
@@ -644,7 +621,7 @@ func (j *Join) OnBatch(ctx *Context, ts []relation.Tuple, emit Emit) error {
 			m := sort.Search(len(sorted), func(n int) bool { return sorted[n] >= k })
 			for ; m < len(sorted) && sorted[m] == k; m++ {
 				if b := idx.sorted[m]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
-					emit(sc.concat(b, t))
+					emit(sc.slab.Concat(b, t))
 				}
 			}
 		}

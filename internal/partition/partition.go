@@ -78,13 +78,10 @@ func (h *Hash) FragmentOf(t relation.Tuple) int {
 	return int(t.HashOn(h.cols) % uint64(h.degree))
 }
 
-// FragmentOfKey implements Func.
+// FragmentOfKey implements Func. Tuple.Hash folds the key values exactly as
+// HashOn folds the key columns, so it agrees with FragmentOfCols.
 func (h *Hash) FragmentOfKey(key []relation.Value) int {
-	idx := make([]int, len(key))
-	for i := range idx {
-		idx[i] = i
-	}
-	return int(relation.Tuple(key).HashOn(idx) % uint64(h.degree))
+	return int(relation.Tuple(key).Hash() % uint64(h.degree))
 }
 
 // FragmentOfCols implements Func.

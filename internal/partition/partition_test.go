@@ -114,6 +114,49 @@ func TestPartitionLossless(t *testing.T) {
 	}
 }
 
+// countingFunc wraps a Func and records how often FragmentOf was asked.
+type countingFunc struct {
+	Func
+	calls int
+}
+
+func (c *countingFunc) FragmentOf(t relation.Tuple) int {
+	c.calls++
+	return c.Func.FragmentOf(t)
+}
+
+// TestPartitionCallsFuncOncePerTuple: the two-pass partition must not ask a
+// stateful function twice — round-robin placement is tuple i -> fragment
+// i mod d, in relation order — and its fragments are exactly sized and
+// capped, so growing one never overwrites the next.
+func TestPartitionCallsFuncOncePerTuple(t *testing.T) {
+	r := relation.Wisconsin("A", 103, 3)
+	rr, _ := NewRoundRobin(4)
+	f := &countingFunc{Func: rr}
+	p, err := Partition(r, f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.calls != len(r.Tuples) {
+		t.Fatalf("FragmentOf called %d times for %d tuples", f.calls, len(r.Tuples))
+	}
+	for i, tup := range r.Tuples {
+		if got := p.Fragments[i%4][i/4]; !got.Equal(tup) {
+			t.Fatalf("tuple %d is not at fragment %d position %d", i, i%4, i/4)
+		}
+	}
+	for i, frag := range p.Fragments {
+		if cap(frag) != len(frag) {
+			t.Errorf("fragment %d: len %d cap %d, want exactly sized", i, len(frag), cap(frag))
+		}
+	}
+	first := p.Fragments[1][0]
+	_ = append(p.Fragments[0], relation.Tuple{relation.Int(-1)})
+	if !p.Fragments[1][0].Equal(first) {
+		t.Error("append on fragment 0 wrote into fragment 1")
+	}
+}
+
 func TestPartitionDiskPlacementRoundRobin(t *testing.T) {
 	r := relation.Wisconsin("A", 100, 3)
 	h, _ := NewHash(r.Schema, []string{"unique2"}, 10)
@@ -211,6 +254,20 @@ func TestFragmentOfKeyMatchesFragmentOf(t *testing.T) {
 		if byTuple != byKey {
 			t.Fatalf("hash: FragmentOf=%d FragmentOfKey=%d", byTuple, byKey)
 		}
+	}
+	// A composite INT+STRING key: the extracted key routes like the key
+	// columns in place, and extracting nothing allocates nothing.
+	h2, _ := NewHash(r.Schema, []string{"ten", "stringu1"}, 13)
+	cols := []int{r.Schema.MustIndex("ten"), r.Schema.MustIndex("stringu1")}
+	key := make([]relation.Value, len(cols))
+	for _, tup := range r.Tuples {
+		key[0], key[1] = tup[cols[0]], tup[cols[1]]
+		if byKey, byCols := h2.FragmentOfKey(key), h2.FragmentOfCols(tup, cols); byKey != byCols || byKey != h2.FragmentOf(tup) {
+			t.Fatalf("hash: FragmentOfKey=%d FragmentOfCols=%d FragmentOf=%d", byKey, byCols, h2.FragmentOf(tup))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { h2.FragmentOfKey(key) }); n != 0 {
+		t.Errorf("Hash.FragmentOfKey allocates %v times per call, want 0", n)
 	}
 	m, _ := NewMod(r.Schema, "unique2", 32)
 	for _, tup := range r.Tuples {

@@ -22,7 +22,12 @@ type Partitioned struct {
 
 // Partition splits r into fragments with f and places them on numDisks disks
 // round-robin, mirroring the paper's storage model ("relation fragments are
-// distributed onto disks in a round-robin fashion").
+// distributed onto disks in a round-robin fashion"). It is a two-pass
+// counting partition: f is called exactly once per tuple, in relation order
+// (a stateful Func like RoundRobin depends on that), its answers are kept in
+// an []int32, and the fragments are then carved exactly-sized out of one
+// []Tuple — O(fragments) allocations and no append slack. Each fragment is
+// capped, so appending to one reallocates it rather than overwrite the next.
 func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error) {
 	if numDisks <= 0 {
 		return nil, fmt.Errorf("partition: need at least one disk, got %d", numDisks)
@@ -38,12 +43,24 @@ func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error)
 	for i := 0; i < d; i++ {
 		p.Disk[i] = i % numDisks
 	}
-	for _, t := range r.Tuples {
+	dest := make([]int32, len(r.Tuples))
+	sizes := make([]int, d)
+	for i, t := range r.Tuples {
 		fr := f.FragmentOf(t)
 		if fr < 0 || fr >= d {
 			return nil, fmt.Errorf("partition: function returned fragment %d outside [0,%d)", fr, d)
 		}
-		p.Fragments[fr] = append(p.Fragments[fr], t)
+		dest[i] = int32(fr)
+		sizes[fr]++
+	}
+	all := make([]relation.Tuple, len(r.Tuples))
+	off := 0
+	for i, n := range sizes {
+		p.Fragments[i] = all[off : off : off+n]
+		off += n
+	}
+	for i, t := range r.Tuples {
+		p.Fragments[dest[i]] = append(p.Fragments[dest[i]], t)
 	}
 	return p, nil
 }

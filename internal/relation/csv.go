@@ -65,6 +65,7 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 		return nil, err
 	}
 	r := New(name, schema)
+	var slab Slab
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -73,7 +74,7 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("relation: csv line %d: %w", line, err)
 		}
-		t := make(Tuple, len(cols))
+		t := slab.New(len(cols))
 		for i, field := range rec {
 			if cols[i].Type == TInt {
 				v, err := strconv.ParseInt(field, 10, 64)

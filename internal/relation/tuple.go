@@ -39,6 +39,17 @@ func (t Tuple) HashOn(cols []int) uint64 {
 	return h
 }
 
+// Hash is HashOn over every column in order, without the index slice; hash
+// partitioners route an already-extracted key with it.
+func (t Tuple) Hash() uint64 {
+	h := uint64(fnvOffset64)
+	for _, v := range t {
+		h ^= v.Hash()
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // Compare orders two tuples of the same schema value-by-value (shorter
 // tuples order first on a shared prefix). Deterministic result emission
 // (aggregate close) sorts with it instead of rendering canonical string

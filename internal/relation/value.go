@@ -6,6 +6,8 @@ package relation
 import (
 	"fmt"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // Type enumerates the value types supported by the engine. The Wisconsin
@@ -32,79 +34,95 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a single typed attribute value. The zero Value is the integer 0.
-// Values are immutable once constructed.
+// Value is a single typed attribute value in two words. The zero Value is
+// the integer 0. Values are immutable once constructed.
+//
+// Layout invariants (the only unsafe code in the module lives in this file):
+//   - p == nil: an integer, n is its payload.
+//   - p != nil: a string, p points at its first byte and n is its length;
+//     the empty string points at the package-level emptyString sentinel so
+//     it stays distinguishable from an integer. p keeps the string's backing
+//     bytes alive exactly as a string header would.
+//
+// A Value is deliberately not comparable: == would compare the byte
+// pointers of two strings, not their text, and silently miss join matches
+// between equal strings with distinct backings. The zero-size func array
+// makes any == (and any use as a map key) a compile error; use Equal.
 type Value struct {
-	kind Type
-	i    int64
-	s    string
+	_ [0]func()
+	p unsafe.Pointer
+	n int64
 }
 
-// Int returns an integer Value.
-func Int(v int64) Value { return Value{kind: TInt, i: v} }
+// emptyString is what Str("") points at.
+var emptyString byte
 
-// Str returns a string Value.
-func Str(v string) Value { return Value{kind: TString, s: v} }
+// Int returns an integer Value.
+func Int(v int64) Value { return Value{n: v} }
+
+// Str returns a string Value sharing v's backing bytes.
+func Str(v string) Value {
+	if len(v) == 0 {
+		return Value{p: unsafe.Pointer(&emptyString)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: int64(len(v))}
+}
+
+// str rebuilds the string header; the caller has checked p != nil.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.n)) }
 
 // Kind reports the type of the value.
-func (v Value) Kind() Type { return v.kind }
+func (v Value) Kind() Type {
+	if v.p == nil {
+		return TInt
+	}
+	return TString
+}
 
 // AsInt returns the integer payload. It panics if the value is not an
 // integer; engine code always checks schemas before extracting payloads.
 func (v Value) AsInt() int64 {
-	if v.kind != TInt {
+	if v.p != nil {
 		panic("relation: AsInt on non-integer value")
 	}
-	return v.i
+	return v.n
 }
 
 // AsString returns the string payload. It panics if the value is not a
 // string.
 func (v Value) AsString() string {
-	if v.kind != TString {
+	if v.p == nil {
 		panic("relation: AsString on non-string value")
 	}
-	return v.s
+	return v.str()
 }
 
 // Equal reports whether two values have the same type and payload.
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
+	if v.n != o.n || (v.p == nil) != (o.p == nil) {
 		return false
 	}
-	if v.kind == TInt {
-		return v.i == o.i
-	}
-	return v.s == o.s
+	return v.p == nil || v.str() == o.str()
 }
 
 // Compare orders values of the same type: -1 if v < o, 0 if equal, +1 if
 // v > o. Comparing values of different types panics; plans are type-checked
 // before execution.
 func (v Value) Compare(o Value) int {
-	if v.kind != o.kind {
+	if (v.p == nil) != (o.p == nil) {
 		panic("relation: comparing values of different types")
 	}
-	switch v.kind {
-	case TInt:
+	if v.p == nil {
 		switch {
-		case v.i < o.i:
+		case v.n < o.n:
 			return -1
-		case v.i > o.i:
-			return 1
-		default:
-			return 0
-		}
-	default:
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
+		case v.n > o.n:
 			return 1
 		default:
 			return 0
 		}
 	}
+	return strings.Compare(v.str(), o.str())
 }
 
 // FNV-1a constants (hash/fnv), inlined so hashing never allocates: the
@@ -122,15 +140,16 @@ const (
 // and the computation is allocation-free.
 func (v Value) Hash() uint64 {
 	h := uint64(fnvOffset64)
-	if v.kind == TInt {
-		u := uint64(v.i)
+	if v.p == nil {
+		u := uint64(v.n)
 		for k := 0; k < 8; k++ {
 			h ^= uint64(byte(u >> (8 * k)))
 			h *= fnvPrime64
 		}
 	} else {
-		for i := 0; i < len(v.s); i++ {
-			h ^= uint64(v.s[i])
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
 			h *= fnvPrime64
 		}
 	}
@@ -139,8 +158,8 @@ func (v Value) Hash() uint64 {
 
 // String renders the value for debugging and CLI output.
 func (v Value) String() string {
-	if v.kind == TInt {
-		return strconv.FormatInt(v.i, 10)
+	if v.p == nil {
+		return strconv.FormatInt(v.n, 10)
 	}
-	return v.s
+	return v.str()
 }

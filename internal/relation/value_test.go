@@ -1,6 +1,10 @@
 package relation
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -49,42 +53,85 @@ func TestValueAccessorPanics(t *testing.T) {
 	mustPanic(t, func() { Int(1).Compare(Str("x")) })
 }
 
-func TestValueEqual(t *testing.T) {
+// TestValueLayout pins the two-word layout and what it must not cost: the
+// zero Value is still Int(0), the empty string is still a string, and ==
+// (which would compare string pointers) does not compile.
+func TestValueLayout(t *testing.T) {
+	typ := reflect.TypeOf(Value{})
+	if typ.Size() != 16 {
+		t.Errorf("Value is %d bytes, want 16", typ.Size())
+	}
+	if typ.Comparable() {
+		t.Error("Value is comparable: == would compare string pointers, not text")
+	}
+	var zero Value
+	if zero.Kind() != TInt || zero.AsInt() != 0 || !zero.Equal(Int(0)) || zero.String() != "0" {
+		t.Errorf("zero Value = %v (%v), want Int(0)", zero, zero.Kind())
+	}
+	empty := Str("")
+	if empty.Kind() != TString || empty.AsString() != "" || empty.String() != "" {
+		t.Errorf("Str(\"\") = %q (%v), want the empty string", empty, empty.Kind())
+	}
+	if !empty.Equal(Str("")) || empty.Equal(zero) || zero.Equal(empty) {
+		t.Error("Str(\"\") must equal itself and differ from Int(0)")
+	}
+	mustPanic(t, func() { empty.AsInt() })
+	mustPanic(t, func() { empty.Compare(zero) })
+}
+
+// TestValueEqualCompareHash: Equal, Compare and Hash agree with each other
+// over ints, empty and non-empty strings, and equal text in distinct
+// backings; Hash is hash/fnv's FNV-1a over the little-endian integer or the
+// string bytes.
+func TestValueEqualCompareHash(t *testing.T) {
+	text := []byte("paris")
+	backingA, backingB := string(text), string(text) // two allocations, same text
+	fnv1a := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	intHash := func(v int64) uint64 { return fnv1a(binary.LittleEndian.AppendUint64(nil, uint64(v))) }
 	cases := []struct {
 		a, b Value
-		want bool
+		cmp  int // a.Compare(b)
+		hash uint64
 	}{
-		{Int(1), Int(1), true},
-		{Int(1), Int(2), false},
-		{Str("a"), Str("a"), true},
-		{Str("a"), Str("b"), false},
-		{Int(1), Str("1"), false},
+		{Int(1), Int(1), 0, intHash(1)},
+		{Int(1), Int(2), -1, intHash(1)},
+		{Int(0), Int(math.MinInt64), 1, intHash(0)},
+		{Int(-1), Int(math.MaxInt64), -1, intHash(-1)},
+		{Str(""), Str(""), 0, fnv1a(nil)},
+		{Str(""), Str("a"), -1, fnv1a(nil)},
+		{Str("a"), Str("a"), 0, fnv1a([]byte("a"))},
+		{Str("a"), Str("b"), -1, fnv1a([]byte("a"))},
+		{Str("ab"), Str("a"), 1, fnv1a([]byte("ab"))},
+		{Str(backingA), Str(backingB), 0, fnv1a(text)},
+		{Str(backingA[:3]), Str(backingB), -1, fnv1a(text[:3])},
 	}
 	for _, c := range cases {
-		if got := c.a.Equal(c.b); got != c.want {
-			t.Errorf("Equal(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
+		if got := c.a.Compare(c.b); got != c.cmp {
+			t.Errorf("Compare(%q,%q) = %d, want %d", c.a, c.b, got, c.cmp)
+		}
+		if got := c.b.Compare(c.a); got != -c.cmp {
+			t.Errorf("Compare(%q,%q) = %d, want %d", c.b, c.a, got, -c.cmp)
+		}
+		if got := c.a.Equal(c.b); got != (c.cmp == 0) {
+			t.Errorf("Equal(%q,%q) = %v", c.a, c.b, got)
+		}
+		if got := c.a.Hash(); got != c.hash {
+			t.Errorf("Hash(%q) = %#x, want hash/fnv's %#x", c.a, got, c.hash)
+		}
+		if c.cmp == 0 && c.a.Hash() != c.b.Hash() {
+			t.Errorf("equal values %q hash differently", c.a)
 		}
 	}
-}
-
-func TestValueCompare(t *testing.T) {
-	if Int(1).Compare(Int(2)) != -1 || Int(2).Compare(Int(1)) != 1 || Int(2).Compare(Int(2)) != 0 {
-		t.Error("integer comparison wrong")
-	}
-	if Str("a").Compare(Str("b")) != -1 || Str("b").Compare(Str("a")) != 1 || Str("a").Compare(Str("a")) != 0 {
-		t.Error("string comparison wrong")
-	}
-}
-
-func TestValueHashStable(t *testing.T) {
-	if Int(7).Hash() != Int(7).Hash() {
-		t.Error("int hash not stable")
-	}
-	if Str("x").Hash() != Str("x").Hash() {
-		t.Error("string hash not stable")
-	}
-	if Int(7).Hash() == Int(8).Hash() {
-		t.Error("distinct ints should almost surely hash differently")
+	// Across types Equal is false (Compare panics, see above), even where
+	// the payload words coincide: Int(1) vs a 1-byte string, Int(0) vs "".
+	for _, pair := range [][2]Value{{Int(1), Str("1")}, {Int(0), Str("")}, {Int(5), Str("paris")}} {
+		if pair[0].Equal(pair[1]) || pair[1].Equal(pair[0]) {
+			t.Errorf("Equal(%q,%q) across types", pair[0], pair[1])
+		}
 	}
 }
 

@@ -45,6 +45,8 @@ func Wisconsin(name string, n int, seed int64) *Relation {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(n)
 	r := &Relation{Name: name, Schema: WisconsinSchema, Tuples: make([]Tuple, 0, n)}
+	var slab Slab
+	slab.Reserve(n * WisconsinSchema.Len())
 	for u2 := 0; u2 < n; u2++ {
 		u1 := int64(perm[u2])
 		t := Tuple{
@@ -65,7 +67,7 @@ func Wisconsin(name string, n int, seed int64) *Relation {
 			Str(wisconsinString(int64(u2))),
 			Str(string4Cycle[u2%len(string4Cycle)]),
 		}
-		r.Tuples = append(r.Tuples, t)
+		r.Tuples = append(r.Tuples, slab.Copy(t))
 	}
 	return r
 }
@@ -74,17 +76,15 @@ func Wisconsin(name string, n int, seed int64) *Relation {
 // string format: a 7-letter base-26 prefix padded with 'x'. Only the prefix
 // varies, as in the original generator.
 func wisconsinString(v int64) string {
-	var prefix [7]byte
+	var b [52]byte
 	for i := 6; i >= 0; i-- {
-		prefix[i] = byte('A' + v%26)
+		b[i] = byte('A' + v%26)
 		v /= 26
 	}
-	b := make([]byte, 52)
-	copy(b, prefix[:])
-	for i := 7; i < 52; i++ {
+	for i := 7; i < len(b); i++ {
 		b[i] = 'x'
 	}
-	return string(b)
+	return string(b[:])
 }
 
 // DewittA generates the 200K-tuple "DewittA" relation used in §5.2 for the

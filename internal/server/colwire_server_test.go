@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,8 @@ func TestServeColumnarEndToEnd(t *testing.T) {
 		if err := stream.Err(); err != nil {
 			t.Fatal(err)
 		}
+		// Parallel execution may reorder rows between runs; unique1 is a key.
+		sort.Slice(rows, func(i, j int) bool { return rows[i][0].(int64) < rows[j][0].(int64) })
 		return rows, stream.Footer()
 	}
 

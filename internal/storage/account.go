@@ -7,9 +7,15 @@ import (
 )
 
 // tupleOverhead approximates the in-memory cost of a resident tuple beyond
-// its encoded payload: the slice header, the Value boxes, and the pointers
-// an operator's index keeps per entry. The accountant charges encoded size
-// plus this constant, so the grant governs real footprint, not wire bytes.
+// its encoded payload: the 24-byte slice header, what the 16-byte Values
+// take beyond their encoding, and the pointers an operator's index keeps per
+// entry. The accountant charges encoded size plus this constant, so the
+// grant governs real footprint, not wire bytes. It is a flat per-tuple
+// figure (about right for a three-column tuple: 24 + 3×16 resident against
+// 26 encoded; low for wide ones), and it was deliberately not retuned when
+// the Value shrank from 32 to 16 bytes: grants, and with them which queries
+// spill and how often, are priced in these units, and a layout change must
+// not move scheduling decisions.
 const tupleOverhead = 48
 
 // TupleFootprint estimates the resident bytes a tuple costs a blocking

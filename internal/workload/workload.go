@@ -64,13 +64,16 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	db.AKeyPart = modK
 
 	// B partitioned on k: fragment i holds keys {i + j*d : j in [0,bPerFrag)}.
+	// One slab holds every B tuple (Br shares them), one holds A's.
+	var slab relation.Slab
+	slab.Reserve(bCard * JoinSchema.Len())
 	bFrags := make([][]relation.Tuple, d)
 	id := int64(0)
 	for i := 0; i < d; i++ {
 		frag := make([]relation.Tuple, 0, bPerFrag)
 		for j := 0; j < bPerFrag; j++ {
 			k := int64(i + j*d)
-			frag = append(frag, relation.NewTuple(relation.Int(k), relation.Int(id), relation.Str("b")))
+			frag = append(frag, slab.Copy(relation.Tuple{relation.Int(k), relation.Int(id), relation.Str("b")}))
 			id++
 		}
 		bFrags[i] = frag
@@ -85,7 +88,12 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// ids are 0..bCard-1 and d divides bCard, so every Br fragment holds
+	// exactly bPerFrag tuples.
 	brFrags := make([][]relation.Tuple, d)
+	for i := range brFrags {
+		brFrags[i] = make([]relation.Tuple, 0, bPerFrag)
+	}
 	for _, frag := range bFrags {
 		for _, t := range frag {
 			fi := modID.FragmentOf(t)
@@ -101,13 +109,14 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	// i's B keys, so each A tuple matches exactly one B tuple and lands in
 	// fragment i under k mod d (tuple placement skew via cardinality).
 	sizes := zipf.Sizes(aCard, d, theta)
+	slab.Reserve(aCard * JoinSchema.Len())
 	aFrags := make([][]relation.Tuple, d)
 	aid := int64(0)
 	for i := 0; i < d; i++ {
 		frag := make([]relation.Tuple, 0, sizes[i])
 		for j := 0; j < sizes[i]; j++ {
 			k := int64(i + (j%bPerFrag)*d)
-			frag = append(frag, relation.NewTuple(relation.Int(k), relation.Int(aid), relation.Str("a")))
+			frag = append(frag, slab.Copy(relation.Tuple{relation.Int(k), relation.Int(aid), relation.Str("a")}))
 			aid++
 		}
 		aFrags[i] = frag
@@ -188,7 +197,7 @@ func (db *JoinDB) VerifyJoinResult(res *partition.Partitioned) error {
 		bk = schema.MustIndex("probe.k")
 	}
 	seen := make(map[int64]bool, db.ACard)
-	for fi, frag := range res.Fragments {
+	for _, frag := range res.Fragments {
 		for _, t := range frag {
 			if t[ak].AsInt() != t[bk].AsInt() {
 				return fmt.Errorf("workload: joined tuple %v has mismatched keys", t)
@@ -198,7 +207,6 @@ func (db *JoinDB) VerifyJoinResult(res *partition.Partitioned) error {
 				return fmt.Errorf("workload: A id %d joined twice", id)
 			}
 			seen[id] = true
-			_ = fi
 		}
 	}
 	return nil

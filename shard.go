@@ -40,13 +40,30 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	if err != nil {
 		return err
 	}
-	kept := make([][]relation.Tuple, len(p.Fragments))
-	for i, frag := range p.Fragments {
+	// Most of the relation is dropped here, and a slab tuple pins its whole
+	// chunk: the kept tuples are copied into a fresh exactly-sized slab (and
+	// one exactly-sized []Tuple) so the full relation can be reclaimed.
+	tuples, values := 0, 0
+	for _, frag := range p.Fragments {
 		for _, t := range frag {
 			if h.FragmentOf(t) == shard {
-				kept[i] = append(kept[i], t)
+				tuples++
+				values += len(t)
 			}
 		}
+	}
+	var slab relation.Slab
+	slab.Reserve(values)
+	all := make([]relation.Tuple, 0, tuples)
+	kept := make([][]relation.Tuple, len(p.Fragments))
+	for i, frag := range p.Fragments {
+		start := len(all)
+		for _, t := range frag {
+			if h.FragmentOf(t) == shard {
+				all = append(all, slab.Copy(t))
+			}
+		}
+		kept[i] = all[start:len(all):len(all)]
 	}
 	shardP := &partition.Partitioned{
 		Name:      p.Name,

@@ -2,8 +2,13 @@ package dbs3
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
+
+	"dbs3/internal/partition"
+	"dbs3/internal/relation"
 )
 
 // shardedCopies builds shards identical databases (same creation seeds) and
@@ -159,5 +164,75 @@ func TestShardRelationBounds(t *testing.T) {
 		if call() == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// liveHeap is the heap still reachable after two collections (the second
+// frees what the first one's finalizers released).
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestShardRelationReleasesDroppedTuples: base relations live in slabs, and
+// a slab tuple pins its whole chunk, so a shard that merely kept its third
+// of the tuples would keep all of the memory. A database sharded 1-of-3
+// must weigh what a database built from just that third weighs.
+func TestShardRelationReleasesDroppedTuples(t *testing.T) {
+	before := liveHeap()
+	db := New()
+	if err := db.CreateWisconsin("wisc", 30_000, 8, "unique2", 42); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateJoinPair("", 60_000, 6_000, 8, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	for rel, col := range map[string]string{"wisc": "unique2", "A": "k", "B": "k", "Br": "k"} {
+		if err := db.ShardRelation(rel, col, 1, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sharded := liveHeap() - before
+
+	// The reference: the same tuples allocated afresh, strings included,
+	// registered in a database of their own.
+	ref := New()
+	var slab relation.Slab
+	for name, p := range db.rels {
+		frags := make([][]relation.Tuple, len(p.Fragments))
+		for i, frag := range p.Fragments {
+			frags[i] = make([]relation.Tuple, len(frag))
+			for j, tup := range frag {
+				c := slab.Copy(tup)
+				for k, v := range c {
+					if v.Kind() == relation.TString {
+						c[k] = relation.Str(strings.Clone(v.AsString()))
+					}
+				}
+				frags[i][j] = c
+			}
+		}
+		fresh, err := partition.FromFragments(name, p.Schema, p.Key, frags, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.register(fresh, db.resolver[name].Part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := liveHeap() - before - sharded
+	runtime.KeepAlive(db)
+	runtime.KeepAlive(ref)
+
+	if n, _ := db.Cardinality("wisc"); n < 9_000 || n > 11_000 {
+		t.Fatalf("shard holds %d of 30000 wisc tuples, want about a third", n)
+	}
+	if diff := float64(sharded-built) / float64(built); diff > 0.15 || diff < -0.15 {
+		t.Errorf("sharded database holds %d live bytes, one built from its tuples %d (%+.0f%%): want within 15%%", sharded, built, 100*diff)
+	} else {
+		t.Logf("sharded %d B, built %d B (%+.1f%%)", sharded, built, 100*diff)
 	}
 }
