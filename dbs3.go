@@ -266,12 +266,15 @@ func (db *Database) snapshotResolver() lera.MapResolver {
 // CreateWisconsin generates a Wisconsin benchmark relation [Bitton83] of the
 // given cardinality, hash-partitioned on key into degree fragments.
 func (db *Database) CreateWisconsin(name string, cardinality, degree int, key string, seed int64) error {
-	r := relation.Wisconsin(name, cardinality, seed)
-	h, err := partition.NewHash(r.Schema, []string{key}, degree)
+	schema := relation.WisconsinSchema
+	h, err := partition.NewHash(schema, []string{key}, degree)
 	if err != nil {
 		return err
 	}
-	p, err := partition.Partition(r, h, 1)
+	rows := relation.NewWisconsinRows(cardinality, seed)
+	keyCol := schema.MustIndex(key)
+	p, err := partition.Generate(name, schema, h, 1, cardinality, cardinality*relation.WisconsinRowStringBytes,
+		func(i int) relation.Value { return rows.Value(keyCol, i) }, rows.Row)
 	if err != nil {
 		return err
 	}

@@ -284,10 +284,22 @@ func (p *Proxy) Close() error {
 	return err
 }
 
-func (p *Proxy) track(c net.Conn) {
+// track registers a live connection so Sever and Close can reach it. Once
+// the proxy is closed it refuses, closes c itself and reports false: Close
+// sets closed before it snapshots live, so a connection that was accepted or
+// dialled just before is either in the snapshot or turned away here — never
+// left open behind Close's wg.Wait.
+func (p *Proxy) track(c net.Conn) bool {
 	p.mu.Lock()
-	p.live[c] = struct{}{}
+	closed := p.closed.Load()
+	if !closed {
+		p.live[c] = struct{}{}
+	}
 	p.mu.Unlock()
+	if closed {
+		c.Close()
+	}
+	return !closed
 }
 
 func (p *Proxy) untrack(c net.Conn) {
@@ -332,7 +344,9 @@ func hardClose(c net.Conn) {
 // serve applies one connection's fault.
 func (p *Proxy) serve(client net.Conn, f Fault) {
 	defer p.wg.Done()
-	p.track(client)
+	if !p.track(client) {
+		return
+	}
 	defer p.untrack(client)
 
 	switch f.Kind {
@@ -354,7 +368,10 @@ func (p *Proxy) serve(client net.Conn, f Fault) {
 		hardClose(client)
 		return
 	}
-	p.track(upstream)
+	if !p.track(upstream) {
+		client.Close()
+		return
+	}
 	defer p.untrack(upstream)
 
 	// Request direction: forward untouched. When the response side decides

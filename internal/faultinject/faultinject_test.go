@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -291,5 +292,84 @@ func TestCloseSeversLiveConnections(t *testing.T) {
 	case <-errc:
 	case <-time.After(5 * time.Second):
 		t.Fatal("severed client still blocked after Close")
+	}
+}
+
+// TestCloseRacesAccept: Close must return while connections are still being
+// accepted and dialled. The backend accepts and then says nothing, so a
+// forwarded connection that Close does not reach stays wedged in its handler
+// and Close's wait for the handlers never ends — which is what happened to a
+// connection that was accepted (or whose upstream was dialled) just before
+// Close snapshotted the live set and registered just after. Run with
+// -count=50 -cpu 1,2 to give the race room.
+func TestCloseRacesAccept(t *testing.T) {
+	backend, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		held []net.Conn
+	)
+	hold := func(c net.Conn) {
+		mu.Lock()
+		held = append(held, c)
+		mu.Unlock()
+	}
+	go func() {
+		for {
+			c, err := backend.Accept()
+			if err != nil {
+				return
+			}
+			hold(c)
+		}
+	}()
+	t.Cleanup(func() {
+		backend.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+
+	for round := 0; round < 10; round++ {
+		p, err := New(backend.Addr().String(), Script(nil), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dialers sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				for i := 0; i < 8; i++ {
+					c, err := net.Dial("tcp", p.Addr())
+					if err != nil {
+						return // the listener is gone
+					}
+					hold(c)
+				}
+			}()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for p.Conns() < 4 {
+			if time.Now().After(deadline) {
+				t.Fatal("no connection reached the proxy")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		closed := make(chan struct{})
+		go func() {
+			p.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close hung behind a connection it never closed", round)
+		}
+		dialers.Wait()
 	}
 }

@@ -82,9 +82,11 @@ type BatchOperator interface {
 type batchScratch struct {
 	keys []uint64
 	sel  relation.Selection
-	// slab backs batch-built result tuples (join concatenations). Emitted
-	// tuples keep their chunk alive after the scratch returns to the pool;
-	// the slab only ever hands out space past them.
+	// slab is where operators' result tuples are born (join concatenations,
+	// projections, aggregate outputs). Emitted tuples keep their chunk alive
+	// after the scratch returns to the pool; the slab only ever hands out
+	// space past them. State an operator keeps (group keys) does not belong
+	// here: it would pin chunks otherwise full of short-lived results.
 	slab relation.Slab
 }
 
@@ -190,16 +192,18 @@ type Map struct {
 func (m *Map) OnTrigger(*Context, Emit) error { return errNoTrigger("map") }
 
 // OnTuple implements Operator.
-func (m *Map) OnTuple(_ *Context, t relation.Tuple, emit Emit) error {
-	emit(t.Project(m.Cols))
-	return nil
+func (m *Map) OnTuple(ctx *Context, t relation.Tuple, emit Emit) error {
+	one := [1]relation.Tuple{t}
+	return m.OnBatch(ctx, one[:], emit)
 }
 
 // OnBatch implements BatchOperator.
 func (m *Map) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
+	sc := scratchPool.Get().(*batchScratch)
 	for _, t := range ts {
-		emit(t.Project(m.Cols))
+		emit(sc.slab.Project(t, m.Cols))
 	}
+	scratchPool.Put(sc)
 	return nil
 }
 
@@ -410,7 +414,7 @@ func hashKeys(ts []relation.Tuple, cols []int, dst []uint64) []uint64 {
 type buildIndex struct {
 	// HashJoin: a flat chained hash table over build-key hashes. slots maps
 	// hash&mask to a 1-based entry index; entries with colliding slots chain
-	// through next. Four flat allocations total (no per-bucket slices), and
+	// through next. Three flat allocations total (no per-bucket slices), and
 	// probing is two array loads per visited entry — the probe verifies each
 	// hash-equal entry against the real key columns.
 	mask  uint64
@@ -473,10 +477,11 @@ func (j *Join) buildState(ctx *Context) error {
 		for size < 2*n {
 			size *= 2
 		}
+		links := make([]int32, size+n) // slots and next, one allocation
 		idx := &buildIndex{
 			mask:  uint64(size - 1),
-			slots: make([]int32, size),
-			next:  make([]int32, n),
+			slots: links[:size:size],
+			next:  links[size:],
 			keys:  make([]uint64, n),
 			build: ctx.Build,
 		}
@@ -513,33 +518,49 @@ func (j *Join) buildState(ctx *Context) error {
 	return nil
 }
 
-// probe emits build⨝probe concatenations for one probe tuple.
-func (j *Join) probe(ctx *Context, t relation.Tuple, emit Emit) {
+// probeRun emits the build⨝probe concatenations of a run of probe tuples
+// against the instance's in-memory build structure — the one probe path of
+// triggers, pipelined tuples and batches, and of Grace partition pairs.
+// Hash and temp-index joins key-hash the whole run in one pass (one
+// bounds-checked loop over the key columns, no per-call overhead interleaved
+// with probing) and then probe hash-first, verifying each hash-equal
+// candidate against the real key columns; nested loop has no key structure
+// to amortize and scans the build fragment per probe tuple. Result tuples
+// are carved from sc's slab.
+func (j *Join) probeRun(ctx *Context, sc *batchScratch, ts []relation.Tuple, emit Emit) {
 	switch j.Algo {
 	case lera.NestedLoop:
-		for _, b := range ctx.Build {
-			if joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
-				emit(b.Concat(t))
+		for _, t := range ts {
+			for _, b := range ctx.Build {
+				if joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
+					emit(sc.slab.Concat(b, t))
+				}
 			}
 		}
 	case lera.HashJoin:
 		idx := ctx.State.(*buildIndex)
-		k := hashKey(t, j.ProbeKey)
-		for e := idx.slots[k&idx.mask]; e != 0; e = idx.next[e-1] {
-			if idx.keys[e-1] == k {
-				if b := idx.build[e-1]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
-					emit(b.Concat(t))
+		sc.keys = hashKeys(ts, j.ProbeKey, sc.keys[:0])
+		for i, t := range ts {
+			k := sc.keys[i]
+			for e := idx.slots[k&idx.mask]; e != 0; e = idx.next[e-1] {
+				if idx.keys[e-1] == k {
+					if b := idx.build[e-1]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
+						emit(sc.slab.Concat(b, t))
+					}
 				}
 			}
 		}
 	case lera.TempIndex:
 		idx := ctx.State.(*buildIndex)
-		k := hashKey(t, j.ProbeKey)
-		keys := idx.sortedKeys
-		i := sort.Search(len(keys), func(m int) bool { return keys[m] >= k })
-		for ; i < len(keys) && keys[i] == k; i++ {
-			if b := idx.sorted[i]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
-				emit(b.Concat(t))
+		sc.keys = hashKeys(ts, j.ProbeKey, sc.keys[:0])
+		sorted := idx.sortedKeys
+		for i, t := range ts {
+			k := sc.keys[i]
+			m := sort.Search(len(sorted), func(n int) bool { return sorted[n] >= k })
+			for ; m < len(sorted) && sorted[m] == k; m++ {
+				if b := idx.sorted[m]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
+					emit(sc.slab.Concat(b, t))
+				}
 			}
 		}
 	}
@@ -554,26 +575,35 @@ func joinKeysEqual(b, p relation.Tuple, bk, pk []int) bool {
 	return true
 }
 
+// triggerRun is how many tuples of its bound probe fragment a triggered join
+// hands to probeRun at a time: the engine's default batch grain times four,
+// long enough to amortize the key-hash pass and short enough that the
+// scratch key vector stays in cache and does not grow to the size of the
+// largest fragment ever probed.
+const triggerRun = 256
+
 // OnTrigger implements Operator: the triggered join processes its whole
-// bound probe fragment as one sequential unit of work.
+// bound probe fragment as one sequential unit of work, in runs through the
+// same batch path pipelined probes take.
 func (j *Join) OnTrigger(ctx *Context, emit Emit) error {
 	if g, ok := ctx.State.(*graceState); ok {
 		return g.addProbeBatch(j, ctx.Probe)
 	}
-	for _, t := range ctx.Probe {
-		j.probe(ctx, t, emit)
+	sc := scratchPool.Get().(*batchScratch)
+	for ts := ctx.Probe; len(ts) > 0; {
+		n := min(len(ts), triggerRun)
+		j.probeRun(ctx, sc, ts[:n], emit)
+		ts = ts[n:]
 	}
+	scratchPool.Put(sc)
 	return nil
 }
 
 // OnTuple implements Operator: the pipelined join probes one redistributed
 // tuple (a fine-grain unit of work).
 func (j *Join) OnTuple(ctx *Context, t relation.Tuple, emit Emit) error {
-	if g, ok := ctx.State.(*graceState); ok {
-		return g.addProbe(j, t)
-	}
-	j.probe(ctx, t, emit)
-	return nil
+	one := [1]relation.Tuple{t}
+	return j.OnBatch(ctx, one[:], emit)
 }
 
 // OnClose implements Operator: an instance that went to disk joins its
@@ -585,53 +615,14 @@ func (j *Join) OnClose(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnBatch implements BatchOperator: the whole probe run is key-hashed in one
-// pass (one bounds-checked loop over the key columns, no per-call overhead
-// interleaved with probing), then probed against the build structure hash-
-// first. Nested loop has no key structure to amortize; it scans per tuple
-// exactly like the per-tuple path.
+// OnBatch implements BatchOperator.
 func (j *Join) OnBatch(ctx *Context, ts []relation.Tuple, emit Emit) error {
 	if g, ok := ctx.State.(*graceState); ok {
 		return g.addProbeBatch(j, ts)
 	}
-	switch j.Algo {
-	case lera.HashJoin:
-		idx := ctx.State.(*buildIndex)
-		sc := scratchPool.Get().(*batchScratch)
-		keys := hashKeys(ts, j.ProbeKey, sc.keys[:0])
-		for i, t := range ts {
-			k := keys[i]
-			for e := idx.slots[k&idx.mask]; e != 0; e = idx.next[e-1] {
-				if idx.keys[e-1] == k {
-					if b := idx.build[e-1]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
-						emit(sc.slab.Concat(b, t))
-					}
-				}
-			}
-		}
-		sc.keys = keys
-		scratchPool.Put(sc)
-	case lera.TempIndex:
-		idx := ctx.State.(*buildIndex)
-		sc := scratchPool.Get().(*batchScratch)
-		keys := hashKeys(ts, j.ProbeKey, sc.keys[:0])
-		sorted := idx.sortedKeys
-		for i, t := range ts {
-			k := keys[i]
-			m := sort.Search(len(sorted), func(n int) bool { return sorted[n] >= k })
-			for ; m < len(sorted) && sorted[m] == k; m++ {
-				if b := idx.sorted[m]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
-					emit(sc.slab.Concat(b, t))
-				}
-			}
-		}
-		sc.keys = keys
-		scratchPool.Put(sc)
-	default:
-		for _, t := range ts {
-			j.probe(ctx, t, emit)
-		}
-	}
+	sc := scratchPool.Get().(*batchScratch)
+	j.probeRun(ctx, sc, ts, emit)
+	scratchPool.Put(sc)
 	return nil
 }
 
@@ -663,8 +654,22 @@ type Aggregate struct {
 // any spilled runs. All fields are guarded by ctx.Mu.
 type aggInst struct {
 	groups map[uint64][]*aggState
-	bytes  int64 // accounted resident bytes of groups
-	runs   []storage.Run
+	// slab owns what the table keeps of its input: group keys and MIN/MAX
+	// strings are re-homed into it, because a group outlives nearly every
+	// tuple that fed it and must not pin their chunks and arenas (spill
+	// read-back slabs above all). It is dropped with the table on a spill.
+	slab  relation.Slab
+	bytes int64 // accounted resident bytes of groups
+	runs  []storage.Run
+}
+
+// newGroup starts the accumulator of the group t belongs to.
+func (inst *aggInst) newGroup(t relation.Tuple, cols []int) *aggState {
+	g := inst.slab.New(len(cols))
+	for i, c := range cols {
+		g[i] = inst.slab.RehomeValue(t[c])
+	}
+	return &aggState{group: g}
 }
 
 // groupMatches reports whether tuple t belongs to the group keyed by g: g
@@ -691,7 +696,7 @@ func (a *Aggregate) OnTrigger(*Context, Emit) error { return errNoTrigger("aggre
 func (a *Aggregate) OnTuple(ctx *Context, t relation.Tuple, _ Emit) error {
 	// Group lookup by key-column hash with chained collision buckets: the
 	// per-tuple fast path hashes in place and allocates nothing; only a
-	// group's first tuple materializes the group key (Project).
+	// group's first tuple materializes the group key.
 	key := hashKey(t, a.GroupBy)
 	ctx.Mu.Lock()
 	defer ctx.Mu.Unlock()
@@ -731,7 +736,7 @@ func (a *Aggregate) accumulateLocked(inst *aggInst, key uint64, t relation.Tuple
 		}
 	}
 	if st == nil {
-		st = &aggState{group: t.Project(a.GroupBy)}
+		st = inst.newGroup(t, a.GroupBy)
 		inst.groups[key] = append(inst.groups[key], st)
 		add := storage.TupleFootprint(st.group) + aggStateOverhead
 		inst.bytes += add
@@ -741,7 +746,7 @@ func (a *Aggregate) accumulateLocked(inst *aggInst, key uint64, t relation.Tuple
 			}
 			// The just-created group spilled with the rest; re-create it so
 			// this tuple has somewhere to accumulate.
-			st = &aggState{group: t.Project(a.GroupBy)}
+			st = inst.newGroup(t, a.GroupBy)
 			inst.groups[key] = append(inst.groups[key], st)
 			inst.bytes += add
 			a.Spill.Mem.Reserve(add)
@@ -755,11 +760,11 @@ func (a *Aggregate) accumulateLocked(inst *aggInst, key uint64, t relation.Tuple
 			st.sum += v.AsInt()
 		case lera.AggMin:
 			if !st.seen || v.Compare(st.min) < 0 {
-				st.min = v
+				st.min = inst.slab.RehomeValue(v)
 			}
 		case lera.AggMax:
 			if !st.seen || v.Compare(st.max) > 0 {
-				st.max = v
+				st.max = inst.slab.RehomeValue(v)
 			}
 		}
 		st.seen = true
@@ -767,8 +772,8 @@ func (a *Aggregate) accumulateLocked(inst *aggInst, key uint64, t relation.Tuple
 	return nil
 }
 
-// final renders one group's result tuple.
-func (a *Aggregate) final(st *aggState) relation.Tuple {
+// final renders one group's result tuple in slab.
+func (a *Aggregate) final(slab *relation.Slab, st *aggState) relation.Tuple {
 	var v relation.Value
 	switch a.Kind {
 	case lera.AggCount:
@@ -780,23 +785,25 @@ func (a *Aggregate) final(st *aggState) relation.Tuple {
 	case lera.AggMax:
 		v = st.max
 	}
-	return st.group.Concat(relation.Tuple{v})
+	return slab.Concat(st.group, relation.Tuple{v})
 }
 
 // OnClose implements Operator: emits one tuple per group, merging spilled
 // runs with the in-memory table when the instance overflowed.
 func (a *Aggregate) OnClose(ctx *Context, emit Emit) error {
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
 	ctx.Mu.Lock()
 	inst := ctx.State.(*aggInst)
 	if len(inst.runs) > 0 {
-		err := a.mergeRunsLocked(inst, emit)
+		err := a.mergeRunsLocked(inst, &sc.slab, emit)
 		ctx.Mu.Unlock()
 		return err
 	}
 	out := make([]relation.Tuple, 0, len(inst.groups))
 	for _, bucket := range inst.groups {
 		for _, st := range bucket {
-			out = append(out, a.final(st))
+			out = append(out, a.final(&sc.slab, st))
 		}
 	}
 	ctx.Mu.Unlock()

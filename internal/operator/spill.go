@@ -122,13 +122,6 @@ func (j *Join) newGraceState(build []relation.Tuple, salt uint64) (*graceState, 
 	return g, nil
 }
 
-// addProbe routes one probe tuple to its partition.
-func (g *graceState) addProbe(j *Join, t relation.Tuple) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.addProbeLocked(j, t)
-}
-
 // addProbeBatch routes a run of probe tuples under one lock epoch.
 func (g *graceState) addProbeBatch(j *Join, ts []relation.Tuple) error {
 	g.mu.Lock()
@@ -193,10 +186,13 @@ func (j *Join) joinPart(p *gracePart, emit Emit, salt uint64, depth int) error {
 		j.Spill.Mem.Release(need)
 		return err
 	}
+	sc := scratchPool.Get().(*batchScratch)
 	err = probeRun.Each(func(t relation.Tuple) error {
-		j.probe(ctx, t, emit)
+		one := [1]relation.Tuple{t}
+		j.probeRun(ctx, sc, one[:], emit)
 		return nil
 	})
+	scratchPool.Put(sc)
 	j.Spill.Mem.Release(need)
 	return err
 }
@@ -225,8 +221,10 @@ func (j *Join) repartition(build []relation.Tuple, probeRun storage.Run, emit Em
 // can stream-merge them.
 const aggSuffix = 5
 
-// encodeAgg renders an accumulator as a spillable tuple.
-func encodeAgg(st *aggState) relation.Tuple {
+// encodeAgg renders an accumulator as a spillable tuple in row, which it
+// returns regrown: the run writer encodes the tuple at once, so one buffer
+// serves a whole run.
+func encodeAgg(row relation.Tuple, st *aggState) relation.Tuple {
 	min, max := st.min, st.max
 	if !st.seen {
 		min, max = relation.Int(0), relation.Int(0)
@@ -235,9 +233,8 @@ func encodeAgg(st *aggState) relation.Tuple {
 	if st.seen {
 		seen = 1
 	}
-	return st.group.Concat(relation.Tuple{
-		relation.Int(st.count), relation.Int(st.sum), relation.Int(seen), min, max,
-	})
+	row = append(row[:0], st.group...)
+	return append(row, relation.Int(st.count), relation.Int(st.sum), relation.Int(seen), min, max)
 }
 
 // decodeAgg rebuilds an accumulator from its spilled form.
@@ -288,8 +285,10 @@ func (a *Aggregate) spillLocked(inst *aggInst) error {
 		return nil
 	}
 	w := a.Spill.NewRun()
+	var row relation.Tuple
 	for _, st := range states {
-		if err := w.Add(encodeAgg(st)); err != nil {
+		row = encodeAgg(row, st)
+		if err := w.Add(row); err != nil {
 			return err
 		}
 	}
@@ -302,6 +301,7 @@ func (a *Aggregate) spillLocked(inst *aggInst) error {
 	a.Spill.Mem.Release(inst.bytes)
 	inst.bytes = 0
 	inst.groups = make(map[uint64][]*aggState)
+	inst.slab = relation.Slab{}
 	return nil
 }
 
@@ -339,7 +339,7 @@ func (s *aggSource) advance() error {
 // mergeRunsLocked k-way merges the spilled runs with the in-memory table,
 // combining accumulators for equal groups and emitting results in group
 // order; the caller holds ctx.Mu.
-func (a *Aggregate) mergeRunsLocked(inst *aggInst, emit Emit) error {
+func (a *Aggregate) mergeRunsLocked(inst *aggInst, slab *relation.Slab, emit Emit) error {
 	sources := make([]*aggSource, 0, len(inst.runs)+1)
 	for _, r := range inst.runs {
 		sources = append(sources, &aggSource{cursor: r.Cursor()})
@@ -369,6 +369,6 @@ func (a *Aggregate) mergeRunsLocked(inst *aggInst, emit Emit) error {
 				}
 			}
 		}
-		emit(a.final(merged))
+		emit(a.final(slab, merged))
 	}
 }

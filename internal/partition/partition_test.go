@@ -157,6 +157,45 @@ func TestPartitionCallsFuncOncePerTuple(t *testing.T) {
 	}
 }
 
+// TestGenerateEqualsPartition: generating a relation fragment by fragment
+// from a row source builds the very fragments Partition builds from the
+// materialized relation — same tuples, same order, exactly sized — for hash
+// placement on an integer and on a string attribute, and for modulo.
+func TestGenerateEqualsPartition(t *testing.T) {
+	const n, seed = 1000, 5
+	r := relation.Wisconsin("A", n, seed)
+	hashInt, _ := NewHash(r.Schema, []string{"unique1"}, 7)
+	hashStr, _ := NewHash(r.Schema, []string{"stringu1"}, 5)
+	mod, _ := NewMod(r.Schema, "unique2", 8)
+	for _, f := range []Func{hashInt, hashStr, mod} {
+		want, err := Partition(r, f, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := relation.NewWisconsinRows(n, seed)
+		col := r.Schema.MustIndex(f.Key()[0])
+		got, err := Generate("A", r.Schema, f, 3, n, n*relation.WisconsinRowStringBytes,
+			func(i int) relation.Value { return rows.Value(col, i) }, rows.Row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != want.Name || got.Degree() != want.Degree() || len(got.Key) != 1 || got.Key[0] != want.Key[0] {
+			t.Fatalf("%s: generated %v, partitioned %v", f.Signature(), got, want)
+		}
+		for i, frag := range want.Fragments {
+			if len(got.Fragments[i]) != len(frag) || cap(got.Fragments[i]) != len(frag) || got.Disk[i] != want.Disk[i] {
+				t.Fatalf("%s fragment %d: %d tuples (cap %d) on disk %d, want %d on disk %d", f.Signature(), i,
+					len(got.Fragments[i]), cap(got.Fragments[i]), got.Disk[i], len(frag), want.Disk[i])
+			}
+			for j, tup := range frag {
+				if !got.Fragments[i][j].Equal(tup) {
+					t.Fatalf("%s fragment %d position %d: %v, want %v", f.Signature(), i, j, got.Fragments[i][j], tup)
+				}
+			}
+		}
+	}
+}
+
 func TestPartitionDiskPlacementRoundRobin(t *testing.T) {
 	r := relation.Wisconsin("A", 100, 3)
 	h, _ := NewHash(r.Schema, []string{"unique2"}, 10)

@@ -25,44 +25,103 @@ type Partitioned struct {
 // distributed onto disks in a round-robin fashion"). It is a two-pass
 // counting partition: f is called exactly once per tuple, in relation order
 // (a stateful Func like RoundRobin depends on that), its answers are kept in
-// an []int32, and the fragments are then carved exactly-sized out of one
-// []Tuple — O(fragments) allocations and no append slack. Each fragment is
-// capped, so appending to one reallocates it rather than overwrite the next.
+// an []int32, and the fragments are then Carved exactly-sized.
 func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error) {
 	if numDisks <= 0 {
 		return nil, fmt.Errorf("partition: need at least one disk, got %d", numDisks)
 	}
 	d := f.Degree()
 	p := &Partitioned{
-		Name:      r.Name,
-		Schema:    r.Schema,
-		Key:       f.Key(),
-		Fragments: make([][]relation.Tuple, d),
-		Disk:      make([]int, d),
+		Name:   r.Name,
+		Schema: r.Schema,
+		Key:    f.Key(),
+		Disk:   make([]int, d),
 	}
 	for i := 0; i < d; i++ {
 		p.Disk[i] = i % numDisks
 	}
-	dest := make([]int32, len(r.Tuples))
-	sizes := make([]int, d)
-	for i, t := range r.Tuples {
-		fr := f.FragmentOf(t)
-		if fr < 0 || fr >= d {
-			return nil, fmt.Errorf("partition: function returned fragment %d outside [0,%d)", fr, d)
-		}
-		dest[i] = int32(fr)
-		sizes[fr]++
+	dest, sizes, err := destinations(len(r.Tuples), d, func(i int) int { return f.FragmentOf(r.Tuples[i]) })
+	if err != nil {
+		return nil, err
 	}
-	all := make([]relation.Tuple, len(r.Tuples))
-	off := 0
-	for i, n := range sizes {
-		p.Fragments[i] = all[off : off : off+n]
-		off += n
-	}
+	p.Fragments = Carve(sizes)
 	for i, t := range r.Tuples {
 		p.Fragments[dest[i]] = append(p.Fragments[dest[i]], t)
 	}
 	return p, nil
+}
+
+// Generate builds a partitioned relation of n rows straight from a row
+// generator, with no intermediate Relation. keyOf(i) is row i's value of f's
+// single partitioning attribute, which places the row before it exists; the
+// rows are then generated fragment by fragment into one slab (arenaBytes is
+// what their strings will take of its arena in total), so each fragment's
+// tuples, values and strings lie contiguous in memory and a scan of a
+// fragment is a sequential read. Within a fragment rows keep their generation
+// order, so the fragments are exactly those Partition would have built.
+func Generate(name string, schema *relation.Schema, f Func, numDisks, n, arenaBytes int,
+	keyOf func(i int) relation.Value, row func(slab *relation.Slab, i int) relation.Tuple) (*Partitioned, error) {
+	d := f.Degree()
+	key := make([]relation.Value, 1)
+	dest, sizes, err := destinations(n, d, func(i int) int {
+		key[0] = keyOf(i)
+		return f.FragmentOfKey(key)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Stable counting sort of the row numbers by fragment.
+	next := make([]int, d)
+	for i := 1; i < d; i++ {
+		next[i] = next[i-1] + sizes[i-1]
+	}
+	order := make([]int32, n)
+	for i, fr := range dest {
+		order[next[fr]] = int32(i)
+		next[fr]++
+	}
+	var slab relation.Slab
+	slab.Reserve(n*schema.Len(), arenaBytes)
+	frags := Carve(sizes)
+	for _, i := range order {
+		frags[dest[i]] = append(frags[dest[i]], row(&slab, int(i)))
+	}
+	return FromFragments(name, schema, f.Key(), frags, numDisks)
+}
+
+// destinations asks place for the fragment of each of n rows — once each, in
+// row order — and returns the answers with the fragment sizes they add up to.
+func destinations(n, d int, place func(i int) int) (dest []int32, sizes []int, err error) {
+	dest = make([]int32, n)
+	sizes = make([]int, d)
+	for i := range dest {
+		fr := place(i)
+		if fr < 0 || fr >= d {
+			return nil, nil, fmt.Errorf("partition: function returned fragment %d outside [0,%d)", fr, d)
+		}
+		dest[i] = int32(fr)
+		sizes[fr]++
+	}
+	return dest, sizes, nil
+}
+
+// Carve returns one empty fragment per entry of sizes with exactly that
+// capacity, all cut from a single []Tuple: two allocations however many
+// fragments, and no append slack. Each fragment is capped, so appending past
+// its size reallocates it rather than overwrite the next.
+func Carve(sizes []int) [][]relation.Tuple {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	all := make([]relation.Tuple, total)
+	frags := make([][]relation.Tuple, len(sizes))
+	off := 0
+	for i, n := range sizes {
+		frags[i] = all[off : off : off+n]
+		off += n
+	}
+	return frags
 }
 
 // FromFragments builds a Partitioned directly from pre-split fragments; the

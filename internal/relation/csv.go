@@ -39,6 +39,11 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 // ReadCSV parses a relation from CSV with a typed header row.
 func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	cr := csv.NewReader(rd)
+	// The reader's record slice is reused from row to row and every kept
+	// string field is copied into the slab's arena, so no tuple pins a CSV
+	// line (integer columns and all); what is left per row is the one line
+	// string encoding/csv itself allocates. The header's strings are cut
+	// and kept, so it is read before reuse is switched on.
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading csv header: %w", err)
@@ -65,6 +70,7 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 		return nil, err
 	}
 	r := New(name, schema)
+	cr.ReuseRecord = true
 	var slab Slab
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
@@ -83,7 +89,7 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 				}
 				t[i] = Int(v)
 			} else {
-				t[i] = Str(field)
+				t[i] = slab.Str(field)
 			}
 		}
 		r.Tuples = append(r.Tuples, t)

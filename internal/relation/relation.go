@@ -61,8 +61,9 @@ func (r *Relation) EqualMultiset(o *Relation) bool {
 		counts[t.Key()]++
 	}
 	for _, t := range o.Tuples {
-		counts[t.Key()]--
-		if counts[t.Key()] < 0 {
+		k := t.Key()
+		counts[k]--
+		if counts[k] < 0 {
 			return false
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"dbs3/internal/relation"
@@ -117,5 +118,52 @@ func TestValuesSurviveEveryEncoding(t *testing.T) {
 			stream.Close()
 		}
 		srv.Close()
+	}
+}
+
+// TestDecodeTupleIntoRoundTrip is the same property for the slab form of the
+// spill decoder, which is what reads pages back: random tuples, plus the
+// empty string, a string longer than an arena chunk and two backings of one
+// text, encoded back to back and decoded into one slab, come back value for
+// value, consume exactly their encoded size, and keep nothing of the buffer
+// they were decoded from.
+func TestDecodeTupleIntoRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	long := strings.Repeat("longer than a chunk ", 5000)
+	text := "one text"
+	special := []relation.Tuple{
+		{relation.Str("")},
+		{relation.Str(long), relation.Int(-1), relation.Str("")},
+		{relation.Str(text), relation.Str(string([]byte(text)))},
+	}
+	for round := 0; round < 20; round++ {
+		_, tuples := randomRelation(rng, 1+rng.Intn(200))
+		tuples = append(tuples, special...)
+		var buf []byte
+		for _, tup := range tuples {
+			buf = storage.EncodeTuple(buf, tup)
+		}
+		var slab relation.Slab
+		got := make([]relation.Tuple, len(tuples))
+		off := 0
+		for i, tup := range tuples {
+			back, n, err := storage.DecodeTupleInto(&slab, buf[off:])
+			if err != nil || n != storage.EncodedSize(tup) {
+				t.Fatalf("tuple %d: consumed %d bytes of %d, err %v", i, n, storage.EncodedSize(tup), err)
+			}
+			got[i] = back
+			off += n
+		}
+		if off != len(buf) {
+			t.Fatalf("decoded %d of %d bytes", off, len(buf))
+		}
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		for i, tup := range tuples {
+			if !got[i].Equal(tup) {
+				t.Fatalf("tuple %d: %v came back as %v", i, tup, got[i])
+			}
+		}
 	}
 }

@@ -1,33 +1,68 @@
 package relation
 
-// slabChunk is the value capacity of a chunk a Slab allocates when it was not
-// told how much is coming.
-const slabChunk = 4096
+import "strings"
 
-// Slab allocates tuples as capped sub-slices of shared []Value chunks, so a
-// run of tuples costs one allocation per chunk instead of one per tuple. It
-// is the one bulk-load path of base data (generators, CSV import, shard
-// compaction) and the join operators' result arena. The zero Slab is ready
-// to use; a Slab is not safe for concurrent use.
+// A Slab grows by chunks that double from the minimum to the maximum size
+// below, so a slab that ends up holding three tuples costs a kilobyte and one
+// that holds a relation costs an allocation per 64 KiB. Both limits are the
+// same number of bytes for values (16 bytes each) and for string bytes.
+const (
+	slabChunk    = 4096 // values
+	slabChunkMin = 64
+	arenaChunk   = slabChunk * 16 // bytes
+	arenaMin     = slabChunkMin * 16
+)
+
+// Slab is where tuples are born. It allocates tuples as capped sub-slices of
+// shared []Value chunks and the bytes of their strings out of shared arena
+// chunks, so a run of tuples costs one allocation per chunk instead of
+// one per tuple and one per string. Every producer goes through it: the
+// generators and the CSV import fill New tuples in place, shard compaction
+// re-homes its survivors, joins, projections and aggregates carve their
+// results with Concat and Project, and spill read-back decodes pages into
+// one. The zero Slab is ready to use; a Slab is not safe for concurrent use.
 //
 // Ownership: a slab tuple is an ordinary immutable Tuple and may be retained
-// by anyone, but it keeps its whole chunk alive. A holder that discards most
-// of a slab's tuples and keeps the rest for long must copy the survivors
-// into a fresh slab (Database.ShardRelation does) or the discarded ones are
-// never reclaimed. The Slab itself only ever hands out space past the tuples
-// it already returned and never rewrites one, so it may be dropped, pooled
-// or reused while its tuples live on.
+// by anyone, but one survivor pins its whole value chunk, and one arena
+// string pins its whole arena chunk. Concat and Project are shallow —
+// the new tuple's strings stay where the source's were — which is right for
+// results that live no longer than their inputs or that all live equally
+// long. A holder that keeps a minority of a slab's tuples for long while the
+// rest die (Database.ShardRelation keeps one shard of a relation, an
+// aggregate keeps one group key of many input tuples) must Rehome what it
+// keeps into a slab of its own, or the discarded tuples and strings are
+// never reclaimed. The Slab itself only ever hands out space past what it
+// already returned and never rewrites it, so it may be dropped, pooled or
+// reused while its tuples live on.
 type Slab struct {
-	free []Value // unused tail of the current chunk
+	free []Value // unused tail of the current value chunk
+	// arena is the current string-byte chunk: what has been written to it
+	// is handed out, the rest of its capacity is free. A strings.Builder
+	// because bytes written to one are immutable from then on, its String
+	// shares them without a copy, and it allocates without zeroing.
+	arena strings.Builder
+	// sizes of the last chunks the slab sized itself; the next ones double.
+	lastValues, lastBytes int
 }
 
-// Reserve starts one exactly-sized chunk unless the current one still has
-// room for that many values: for loaders that know their cardinality up
-// front and want one allocation and no tail slack.
-func (s *Slab) Reserve(values int) {
+// Reserve starts one exactly-sized value chunk and one exactly-sized arena
+// chunk, each unless the current one still has that much room: for loaders
+// that know their cardinality and string bytes up front and want one
+// allocation each and no tail slack.
+func (s *Slab) Reserve(values, bytes int) {
 	if len(s.free) < values {
 		s.free = make([]Value, values)
 	}
+	if s.arena.Cap()-s.arena.Len() < bytes {
+		s.startArena(bytes)
+	}
+}
+
+// startArena abandons what is left of the current arena chunk for a new one
+// of n bytes.
+func (s *Slab) startArena(n int) {
+	s.arena = strings.Builder{}
+	s.arena.Grow(n)
 }
 
 // New returns a tuple of n zero values (Int(0)) for the caller to fill. Its
@@ -35,15 +70,51 @@ func (s *Slab) Reserve(values int) {
 // into the neighbouring tuple.
 func (s *Slab) New(n int) Tuple {
 	if len(s.free) < n {
-		s.free = make([]Value, max(n, slabChunk))
+		s.lastValues = min(max(2*s.lastValues, slabChunkMin), slabChunk)
+		s.free = make([]Value, max(n, s.lastValues))
 	}
 	t := s.free[:n:n]
 	s.free = s.free[n:]
 	return Tuple(t)
 }
 
-// Concat returns a ++ b as a slab tuple: the slab form of Tuple.Concat, used
-// by join operators to build result tuples.
+// setInt stores Int(v) in t[i], whose pointer word must still be nil as New
+// left it. Only the integer word is written, which spares a write barrier
+// per value when a collection is marking — it usually is while a loader
+// allocates by the megabyte.
+func (t Tuple) setInt(i int, v int64) { t[i].n = v }
+
+// room makes sure the current arena chunk can take n more bytes.
+func (s *Slab) room(n int) {
+	if s.arena.Cap()-s.arena.Len() < n {
+		s.lastBytes = min(max(2*s.lastBytes, arenaMin), arenaChunk)
+		s.startArena(max(n, s.lastBytes))
+	}
+}
+
+// written returns what was written to the arena from offset off on as a
+// string Value sharing those bytes.
+func (s *Slab) written(off int) Value { return Str(s.arena.String()[off:]) }
+
+// Str returns a string Value whose bytes are a copy of text in the slab's
+// arena.
+func (s *Slab) Str(text string) Value {
+	s.room(len(text))
+	off := s.arena.Len()
+	s.arena.WriteString(text)
+	return s.written(off)
+}
+
+// StrBytes is Str for text held as bytes (a decoder's input buffer).
+func (s *Slab) StrBytes(text []byte) Value {
+	s.room(len(text))
+	off := s.arena.Len()
+	s.arena.Write(text)
+	return s.written(off)
+}
+
+// Concat returns a ++ b as a slab tuple sharing their strings: how join
+// operators build result tuples.
 func (s *Slab) Concat(a, b Tuple) Tuple {
 	t := s.New(len(a) + len(b))
 	copy(t, a)
@@ -51,5 +122,36 @@ func (s *Slab) Concat(a, b Tuple) Tuple {
 	return t
 }
 
-// Copy returns a slab copy of t.
-func (s *Slab) Copy(t Tuple) Tuple { return s.Concat(t, nil) }
+// Project returns the given column positions of t as a slab tuple sharing
+// t's strings.
+func (s *Slab) Project(t Tuple, cols []int) Tuple {
+	out := s.New(len(cols))
+	for i, c := range cols {
+		out[i] = t[c]
+	}
+	return out
+}
+
+// RehomeValue returns v with its string bytes, if it has any, copied into
+// the slab's arena, so that keeping it pins nothing of where it came from.
+func (s *Slab) RehomeValue(v Value) Value {
+	if v.p == nil {
+		return v
+	}
+	return s.Str(v.str())
+}
+
+// Rehome returns a deep copy of t: values and string bytes both live in this
+// slab afterwards and t's chunk and arena can be reclaimed. See the
+// ownership rule above for who must call it.
+func (s *Slab) Rehome(t Tuple) Tuple {
+	out := s.New(len(t))
+	for i, v := range t {
+		if v.p == nil {
+			out.setInt(i, v.n)
+		} else {
+			out[i] = s.Str(v.str())
+		}
+	}
+	return out
+}

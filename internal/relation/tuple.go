@@ -74,7 +74,9 @@ func (t Tuple) Compare(o Tuple) int {
 	}
 }
 
-// Project returns a new tuple containing only the given column positions.
+// Project returns a new, individually allocated tuple containing only the
+// given column positions. Operators use Slab.Project; this one remains as the
+// reference in tests.
 func (t Tuple) Project(cols []int) Tuple {
 	out := make(Tuple, len(cols))
 	for i, c := range cols {
@@ -83,19 +85,13 @@ func (t Tuple) Project(cols []int) Tuple {
 	return out
 }
 
-// Concat returns a new tuple with the values of t followed by those of o;
-// used by join operators to build result tuples.
+// Concat returns a new, individually allocated tuple with the values of t
+// followed by those of o. Operators use Slab.Concat; this one remains for
+// the frozen baselines and as the reference in tests.
 func (t Tuple) Concat(o Tuple) Tuple {
 	out := make(Tuple, 0, len(t)+len(o))
 	out = append(out, t...)
 	out = append(out, o...)
-	return out
-}
-
-// Clone returns a copy of the tuple sharing no backing storage with t.
-func (t Tuple) Clone() Tuple {
-	out := make(Tuple, len(t))
-	copy(out, t)
 	return out
 }
 

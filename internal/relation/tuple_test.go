@@ -57,15 +57,6 @@ func TestTupleConcat(t *testing.T) {
 	}
 }
 
-func TestTupleClone(t *testing.T) {
-	a := NewTuple(Int(1), Int(2))
-	c := a.Clone()
-	c[0] = Int(99)
-	if a[0].AsInt() != 1 {
-		t.Error("Clone shares storage")
-	}
-}
-
 func TestTupleString(t *testing.T) {
 	a := NewTuple(Int(1), Str("x"))
 	if a.String() != "[1 x]" {

@@ -102,8 +102,9 @@ func TestWisconsinStrings(t *testing.T) {
 
 func TestWisconsinStringEncodingInjective(t *testing.T) {
 	seen := make(map[string]int64)
+	var slab Slab
 	for v := int64(0); v < 10000; v++ {
-		s := wisconsinString(v)
+		s := slab.wisconsinString(v).AsString()
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("wisconsinString collision: %d and %d -> %q", prev, v, s)
 		}
@@ -141,5 +142,25 @@ func TestDewittACardinality(t *testing.T) {
 	r := DewittA(1)
 	if r.Cardinality() != 200_000 {
 		t.Fatalf("DewittA cardinality = %d", r.Cardinality())
+	}
+}
+
+// TestWisconsinRowsAgreeWithRelation: the row source is the relation — row
+// by row, and value by value for loaders that ask for one column before the
+// row exists.
+func TestWisconsinRowsAgreeWithRelation(t *testing.T) {
+	const n = 300
+	r := Wisconsin("A", n, 9)
+	rows := NewWisconsinRows(n, 9)
+	var slab Slab
+	for u2 := n - 1; u2 >= 0; u2-- { // any order
+		if row := rows.Row(&slab, u2); !row.Equal(r.Tuples[u2]) {
+			t.Fatalf("row %d = %v, relation has %v", u2, row, r.Tuples[u2])
+		}
+		for c := 0; c < WisconsinSchema.Len(); c++ {
+			if v := rows.Value(c, u2); !v.Equal(r.Tuples[u2][c]) {
+				t.Fatalf("Value(%d, %d) = %v, relation has %v", c, u2, v, r.Tuples[u2][c])
+			}
+		}
 	}
 }

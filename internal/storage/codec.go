@@ -50,42 +50,75 @@ func EncodeTuple(dst []byte, t relation.Tuple) []byte {
 	return dst
 }
 
-// DecodeTuple parses one tuple from buf, returning the tuple and the number
-// of bytes consumed.
-func DecodeTuple(buf []byte) (relation.Tuple, int, error) {
+// encodedLen walks the wire form of one tuple at the start of buf and
+// returns how many bytes it occupies, without decoding or allocating
+// anything. It is the codec's one validator: every bound DecodeTupleInto
+// relies on is checked here.
+func encodedLen(buf []byte) (int, error) {
 	if len(buf) < 2 {
-		return nil, 0, fmt.Errorf("storage: truncated tuple header")
+		return 0, fmt.Errorf("storage: truncated tuple header")
 	}
 	n := int(binary.LittleEndian.Uint16(buf))
 	off := 2
-	t := make(relation.Tuple, 0, n)
 	for i := 0; i < n; i++ {
 		if off >= len(buf) {
-			return nil, 0, fmt.Errorf("storage: truncated tuple at column %d", i)
+			return 0, fmt.Errorf("storage: truncated tuple at column %d", i)
 		}
 		tag := buf[off]
 		off++
 		switch tag {
 		case tagInt:
 			if off+8 > len(buf) {
-				return nil, 0, fmt.Errorf("storage: truncated int at column %d", i)
+				return 0, fmt.Errorf("storage: truncated int at column %d", i)
 			}
-			t = append(t, relation.Int(int64(binary.LittleEndian.Uint64(buf[off:]))))
 			off += 8
 		case tagString:
 			if off+4 > len(buf) {
-				return nil, 0, fmt.Errorf("storage: truncated string length at column %d", i)
+				return 0, fmt.Errorf("storage: truncated string length at column %d", i)
 			}
 			l := int(binary.LittleEndian.Uint32(buf[off:]))
 			off += 4
-			if off+l > len(buf) {
-				return nil, 0, fmt.Errorf("storage: truncated string at column %d", i)
+			if l > len(buf)-off {
+				return 0, fmt.Errorf("storage: truncated string at column %d", i)
 			}
-			t = append(t, relation.Str(string(buf[off:off+l])))
 			off += l
 		default:
-			return nil, 0, fmt.Errorf("storage: unknown value tag %d at column %d", tag, i)
+			return 0, fmt.Errorf("storage: unknown value tag %d at column %d", tag, i)
 		}
 	}
-	return t, off, nil
+	return off, nil
+}
+
+// DecodeTupleInto parses one tuple from the start of buf into slab — its
+// values carved from the slab's chunk, its string bytes copied into the
+// slab's arena, so nothing of buf is retained — and returns the tuple and
+// the number of bytes consumed.
+func DecodeTupleInto(slab *relation.Slab, buf []byte) (relation.Tuple, int, error) {
+	end, err := encodedLen(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	t := slab.New(int(binary.LittleEndian.Uint16(buf)))
+	off := 2
+	for i := range t {
+		tag := buf[off]
+		off++
+		if tag == tagInt {
+			t[i] = relation.Int(int64(binary.LittleEndian.Uint64(buf[off:])))
+			off += 8
+		} else {
+			l := int(binary.LittleEndian.Uint32(buf[off:]))
+			off += 4
+			t[i] = slab.StrBytes(buf[off : off+l])
+			off += l
+		}
+	}
+	return t, end, nil
+}
+
+// DecodeTuple is DecodeTupleInto a slab of the tuple's own. Readers of more
+// than one tuple share a slab instead; this form remains for tests.
+func DecodeTuple(buf []byte) (relation.Tuple, int, error) {
+	var slab relation.Slab
+	return DecodeTupleInto(&slab, buf)
 }

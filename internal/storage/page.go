@@ -53,27 +53,41 @@ func (p *Page) Insert(t relation.Tuple) bool {
 	return true
 }
 
-// Tuple decodes the i-th tuple on the page.
+// Tuple decodes the i-th tuple on the page into a slab of its own.
 func (p *Page) Tuple(i int) (relation.Tuple, error) {
 	if i < 0 || i >= p.Count() {
 		return nil, fmt.Errorf("storage: slot %d out of range (page has %d)", i, p.Count())
 	}
+	var slab relation.Slab
+	return p.decode(&slab, i)
+}
+
+// decode decodes slot i, which the caller has checked, into slab.
+func (p *Page) decode(slab *relation.Slab, i int) (relation.Tuple, error) {
 	off := int(binary.LittleEndian.Uint16(p.buf[p.slotOffset(i):]))
-	t, _, err := DecodeTuple(p.buf[off:])
+	t, _, err := DecodeTupleInto(slab, p.buf[off:])
 	return t, err
 }
 
-// Tuples decodes every tuple on the page in slot order.
+// Tuples decodes every tuple on the page in slot order into one slab.
 func (p *Page) Tuples() ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, 0, p.Count())
-	for i := 0; i < p.Count(); i++ {
-		t, err := p.Tuple(i)
+	var slab relation.Slab
+	return p.AppendTuples(&slab, make([]relation.Tuple, 0, p.Count()))
+}
+
+// AppendTuples decodes every tuple on the page in slot order into slab and
+// appends them to dst: readers of many pages share one slab (and one dst)
+// across them, so a page costs no allocation of its own beyond the chunks
+// the slab grows by.
+func (p *Page) AppendTuples(slab *relation.Slab, dst []relation.Tuple) ([]relation.Tuple, error) {
+	for i, n := 0, p.Count(); i < n; i++ {
+		t, err := p.decode(slab, i)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, t)
+		dst = append(dst, t)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Bytes exposes the raw page image (for the disk layer). Callers must not
@@ -86,19 +100,25 @@ func PageFromBytes(b []byte) (*Page, error) {
 		return nil, fmt.Errorf("storage: page image is %d bytes, want %d", len(b), PageSize)
 	}
 	p := &Page{buf: b}
+	n := p.Count()
+	dir := PageSize - 2*n // where the slot directory starts; payloads end below it
+	if dir < 2 {
+		return nil, fmt.Errorf("storage: corrupt page: a directory of %d slots does not fit", n)
+	}
 	// Recompute the free pointer: past the end of the highest payload.
+	// Only the encoded lengths are walked; nothing is decoded or allocated.
 	p.free = 2
-	for i := 0; i < p.Count(); i++ {
+	for i := 0; i < n; i++ {
 		off := int(binary.LittleEndian.Uint16(p.buf[p.slotOffset(i):]))
-		if off >= PageSize {
+		if off < 2 || off >= dir {
 			return nil, fmt.Errorf("storage: corrupt slot %d offset %d", i, off)
 		}
-		_, n, err := DecodeTuple(p.buf[off:])
+		l, err := encodedLen(p.buf[off:dir])
 		if err != nil {
 			return nil, err
 		}
-		if off+n > p.free {
-			p.free = off + n
+		if off+l > p.free {
+			p.free = off + l
 		}
 	}
 	return p, nil

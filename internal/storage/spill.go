@@ -331,33 +331,47 @@ func (r Run) Len() int { return r.tuples }
 // Bytes returns the run's on-disk size.
 func (r Run) Bytes() int64 { return int64(r.pages) * PageSize }
 
-// Each calls f for every tuple in write order, reading pages through the
-// env's buffer pool.
-func (r Run) Each(f func(t relation.Tuple) error) error {
+// eachPage calls f for every page of the run in write order, reading
+// through the env's buffer pool.
+func (r Run) eachPage(f func(p *Page) error) error {
 	for slot := 0; slot < r.pages; slot++ {
 		p, err := r.env.Pool.Get(PageID{Disk: r.disk, Slot: slot})
 		if err != nil {
 			return err
 		}
-		for i := 0; i < p.Count(); i++ {
-			t, err := p.Tuple(i)
-			if err != nil {
-				return err
-			}
-			if err := f(t); err != nil {
-				return err
-			}
+		if err := f(p); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// All reads the whole run back into memory.
-func (r Run) All() ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, 0, r.tuples)
-	err := r.Each(func(t relation.Tuple) error {
-		out = append(out, t)
+// Each calls f for every tuple in write order. The tuples are decoded into
+// one slab for the whole run and f may keep them; like any slab tuple, one
+// that is kept pins the chunk and arena it shares with its neighbours.
+func (r Run) Each(f func(t relation.Tuple) error) error {
+	var slab relation.Slab
+	var page []relation.Tuple
+	return r.eachPage(func(p *Page) (err error) {
+		if page, err = p.AppendTuples(&slab, page[:0]); err != nil {
+			return err
+		}
+		for _, t := range page {
+			if err := f(t); err != nil {
+				return err
+			}
+		}
 		return nil
+	})
+}
+
+// All reads the whole run back into memory, into one slab.
+func (r Run) All() ([]relation.Tuple, error) {
+	var slab relation.Slab
+	out := make([]relation.Tuple, 0, r.tuples)
+	err := r.eachPage(func(p *Page) (err error) {
+		out, err = p.AppendTuples(&slab, out)
+		return err
 	})
 	return out, err
 }
@@ -365,13 +379,13 @@ func (r Run) All() ([]relation.Tuple, error) {
 // Cursor returns a streaming reader over the run for k-way merges.
 func (r Run) Cursor() *RunCursor { return &RunCursor{run: r} }
 
-// RunCursor streams a run one page at a time.
+// RunCursor streams a run one page at a time, decoding into one slab.
 type RunCursor struct {
 	run    Run
 	slot   int
+	slab   relation.Slab
 	tuples []relation.Tuple
 	pos    int
-	cur    relation.Tuple
 }
 
 // Next advances to the next tuple, reporting false at the end of the run or
@@ -386,8 +400,7 @@ func (c *RunCursor) Next() (relation.Tuple, bool, error) {
 			return nil, false, err
 		}
 		c.slot++
-		c.tuples, err = p.Tuples()
-		if err != nil {
+		if c.tuples, err = p.AppendTuples(&c.slab, c.tuples[:0]); err != nil {
 			return nil, false, err
 		}
 		c.pos = 0

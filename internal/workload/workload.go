@@ -63,20 +63,30 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	}
 	db.AKeyPart = modK
 
-	// B partitioned on k: fragment i holds keys {i + j*d : j in [0,bPerFrag)}.
-	// One slab holds every B tuple (Br shares them), one holds A's.
+	// Every tuple is filled in place in one slab chunk per relation (Br
+	// shares B's tuples); the pads are two shared constants, so the arena
+	// stays empty; each relation's fragments are carved from one []Tuple.
 	var slab relation.Slab
-	slab.Reserve(bCard * JoinSchema.Len())
-	bFrags := make([][]relation.Tuple, d)
+	row := func(k, id int64, pad relation.Value) relation.Tuple {
+		t := slab.New(JoinSchema.Len())
+		t[0], t[1], t[2] = relation.Int(k), relation.Int(id), pad
+		return t
+	}
+	uniform := make([]int, d)
+	for i := range uniform {
+		uniform[i] = bPerFrag
+	}
+
+	// B partitioned on k: fragment i holds keys {i + j*d : j in [0,bPerFrag)}.
+	slab.Reserve(bCard*JoinSchema.Len(), 0)
+	padB := relation.Str("b")
+	bFrags := partition.Carve(uniform)
 	id := int64(0)
-	for i := 0; i < d; i++ {
-		frag := make([]relation.Tuple, 0, bPerFrag)
+	for i := range bFrags {
 		for j := 0; j < bPerFrag; j++ {
-			k := int64(i + j*d)
-			frag = append(frag, slab.Copy(relation.Tuple{relation.Int(k), relation.Int(id), relation.Str("b")}))
+			bFrags[i] = append(bFrags[i], row(int64(i+j*d), id, padB))
 			id++
 		}
-		bFrags[i] = frag
 	}
 	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, bFrags, 1)
 	if err != nil {
@@ -90,10 +100,7 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	}
 	// ids are 0..bCard-1 and d divides bCard, so every Br fragment holds
 	// exactly bPerFrag tuples.
-	brFrags := make([][]relation.Tuple, d)
-	for i := range brFrags {
-		brFrags[i] = make([]relation.Tuple, 0, bPerFrag)
-	}
+	brFrags := partition.Carve(uniform)
 	for _, frag := range bFrags {
 		for _, t := range frag {
 			fi := modID.FragmentOf(t)
@@ -109,17 +116,15 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	// i's B keys, so each A tuple matches exactly one B tuple and lands in
 	// fragment i under k mod d (tuple placement skew via cardinality).
 	sizes := zipf.Sizes(aCard, d, theta)
-	slab.Reserve(aCard * JoinSchema.Len())
-	aFrags := make([][]relation.Tuple, d)
+	slab.Reserve(aCard*JoinSchema.Len(), 0)
+	padA := relation.Str("a")
+	aFrags := partition.Carve(sizes)
 	aid := int64(0)
-	for i := 0; i < d; i++ {
-		frag := make([]relation.Tuple, 0, sizes[i])
+	for i := range aFrags {
 		for j := 0; j < sizes[i]; j++ {
-			k := int64(i + (j%bPerFrag)*d)
-			frag = append(frag, slab.Copy(relation.Tuple{relation.Int(k), relation.Int(aid), relation.Str("a")}))
+			aFrags[i] = append(aFrags[i], row(int64(i+(j%bPerFrag)*d), aid, padA))
 			aid++
 		}
-		aFrags[i] = frag
 	}
 	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, aFrags, 1)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"dbs3/internal/lera"
 	"dbs3/internal/partition"
+	"dbs3/internal/race"
 	"dbs3/internal/relation"
 	"dbs3/internal/zipf"
 )
@@ -192,3 +193,22 @@ func TestVerifyJoinResultDetectsErrors(t *testing.T) {
 }
 
 var _ = lera.NestedLoop
+
+// TestNewJoinDBAllocatesPerRelation: three relations filled in place in two
+// value chunks with their fragments carved from one tuple slice each — the
+// allocations do not grow with the cardinalities.
+func TestNewJoinDBAllocatesPerRelation(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	for _, size := range [][2]int{{10_000, 1_024}, {100_000, 10_240}} {
+		got := testing.AllocsPerRun(3, func() {
+			if _, err := NewJoinDB(size[0], size[1], 64, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 32 {
+			t.Errorf("NewJoinDB(%d, %d, 64): %v allocations, want at most 32", size[0], size[1], got)
+		}
+	}
+}

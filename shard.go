@@ -40,30 +40,44 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	if err != nil {
 		return err
 	}
-	// Most of the relation is dropped here, and a slab tuple pins its whole
-	// chunk: the kept tuples are copied into a fresh exactly-sized slab (and
-	// one exactly-sized []Tuple) so the full relation can be reclaimed.
-	tuples, values := 0, 0
-	for _, frag := range p.Fragments {
+	// Most of the relation is dropped here, and one surviving tuple pins its
+	// whole value chunk, one surviving string its whole arena: the kept
+	// tuples are re-homed, strings included, into a fresh exactly-sized slab
+	// so the full relation can be reclaimed. Each tuple is hashed once; the
+	// second pass reads the answers back from keep.
+	var strCols []int
+	for c := 0; c < p.Schema.Len(); c++ {
+		if p.Schema.Column(c).Type == relation.TString {
+			strCols = append(strCols, c)
+		}
+	}
+	keep := make([]bool, p.Cardinality())
+	sizes := make([]int, len(p.Fragments))
+	values, strBytes, n := 0, 0, 0
+	for i, frag := range p.Fragments {
 		for _, t := range frag {
 			if h.FragmentOf(t) == shard {
-				tuples++
+				keep[n] = true
+				sizes[i]++
 				values += len(t)
+				for _, c := range strCols {
+					strBytes += len(t[c].AsString())
+				}
 			}
+			n++
 		}
 	}
 	var slab relation.Slab
-	slab.Reserve(values)
-	all := make([]relation.Tuple, 0, tuples)
-	kept := make([][]relation.Tuple, len(p.Fragments))
+	slab.Reserve(values, strBytes)
+	kept := partition.Carve(sizes)
+	n = 0
 	for i, frag := range p.Fragments {
-		start := len(all)
 		for _, t := range frag {
-			if h.FragmentOf(t) == shard {
-				all = append(all, slab.Copy(t))
+			if keep[n] {
+				kept[i] = append(kept[i], slab.Rehome(t))
 			}
+			n++
 		}
-		kept[i] = all[start:len(all):len(all)]
 	}
 	shardP := &partition.Partitioned{
 		Name:      p.Name,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dbs3/internal/partition"
+	"dbs3/internal/race"
 	"dbs3/internal/relation"
 )
 
@@ -177,10 +178,23 @@ func liveHeap() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// TestShardRelationReleasesDroppedTuples: base relations live in slabs, and
-// a slab tuple pins its whole chunk, so a shard that merely kept its third
-// of the tuples would keep all of the memory. A database sharded 1-of-3
-// must weigh what a database built from just that third weighs.
+// notesCSV is a string-heavy relation: n rows of an integer key and two
+// strings of 40 to 160 bytes.
+func notesCSV(n int) string {
+	var b strings.Builder
+	b.WriteString("id:INT,title:STRING,body:STRING\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%d,%s,%s\n", i, strings.Repeat("t", 40+i%17), strings.Repeat("b", 90+i%71))
+	}
+	return b.String()
+}
+
+// TestShardRelationReleasesDroppedTuples: base relations live in slabs, one
+// surviving tuple pins its whole value chunk and one surviving string its
+// whole arena, so a shard that merely kept its third of the tuples — or
+// re-homed their values and left the strings where they were — would keep
+// most of the memory. A database sharded 1-of-3 must weigh what a database
+// built from just that third weighs.
 func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 	before := liveHeap()
 	db := New()
@@ -190,29 +204,37 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 	if err := db.CreateJoinPair("", 60_000, 6_000, 8, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	for rel, col := range map[string]string{"wisc": "unique2", "A": "k", "B": "k", "Br": "k"} {
+	if err := db.LoadCSV("notes", strings.NewReader(notesCSV(20_000)), "id", 8); err != nil {
+		t.Fatal(err)
+	}
+	for rel, col := range map[string]string{"wisc": "unique2", "A": "k", "B": "k", "Br": "k", "notes": "id"} {
 		if err := db.ShardRelation(rel, col, 1, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sharded := liveHeap() - before
 
-	// The reference: the same tuples allocated afresh, strings included,
-	// registered in a database of their own.
+	// The reference: the same tuples born afresh, strings included, in
+	// slabs sized for them, registered in a database of their own.
 	ref := New()
-	var slab relation.Slab
 	for name, p := range db.rels {
-		frags := make([][]relation.Tuple, len(p.Fragments))
-		for i, frag := range p.Fragments {
-			frags[i] = make([]relation.Tuple, len(frag))
-			for j, tup := range frag {
-				c := slab.Copy(tup)
-				for k, v := range c {
+		values, strBytes := 0, 0
+		for _, frag := range p.Fragments {
+			for _, tup := range frag {
+				values += len(tup)
+				for _, v := range tup {
 					if v.Kind() == relation.TString {
-						c[k] = relation.Str(strings.Clone(v.AsString()))
+						strBytes += len(v.AsString())
 					}
 				}
-				frags[i][j] = c
+			}
+		}
+		var slab relation.Slab
+		slab.Reserve(values, strBytes)
+		frags := partition.Carve(p.FragmentSizes())
+		for i, frag := range p.Fragments {
+			for _, tup := range frag {
+				frags[i] = append(frags[i], slab.Rehome(tup))
 			}
 		}
 		fresh, err := partition.FromFragments(name, p.Schema, p.Key, frags, 1)
@@ -230,9 +252,42 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 	if n, _ := db.Cardinality("wisc"); n < 9_000 || n > 11_000 {
 		t.Fatalf("shard holds %d of 30000 wisc tuples, want about a third", n)
 	}
-	if diff := float64(sharded-built) / float64(built); diff > 0.15 || diff < -0.15 {
-		t.Errorf("sharded database holds %d live bytes, one built from its tuples %d (%+.0f%%): want within 15%%", sharded, built, 100*diff)
+	if n, _ := db.Cardinality("notes"); n < 6_000 || n > 7_400 {
+		t.Fatalf("shard holds %d of 20000 notes tuples, want about a third", n)
+	}
+	if diff := float64(sharded-built) / float64(built); diff > 0.05 || diff < -0.05 {
+		t.Errorf("sharded database holds %d live bytes, one built from its tuples %d (%+.1f%%): want within 5%%", sharded, built, 100*diff)
 	} else {
 		t.Logf("sharded %d B, built %d B (%+.1f%%)", sharded, built, 100*diff)
+	}
+}
+
+// TestShardRelationAllocatesPerRelation: a compaction is a keep bitmap, one
+// value chunk, one arena and one tuple slice, whatever the cardinality.
+func TestShardRelationAllocatesPerRelation(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	for _, n := range []int{3_000, 30_000} {
+		var db *Database
+		shard := func() {
+			if err := db.ShardRelation("wisc", "unique2", 1, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// AllocsPerRun calls once to warm up, then runs times: each call
+		// needs an unsharded relation, so the loads are counted and
+		// subtracted.
+		load := func() {
+			db = New()
+			if err := db.CreateWisconsin("wisc", n, 8, "unique2", 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loads := testing.AllocsPerRun(3, load)
+		both := testing.AllocsPerRun(3, func() { load(); shard() })
+		if got := both - loads; got > 16 {
+			t.Errorf("ShardRelation of %d tuples: %v allocations, want at most 16", n, got)
+		}
 	}
 }
