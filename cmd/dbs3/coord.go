@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -90,19 +89,7 @@ func coordMain(args []string) {
 	fmt.Printf("dbs3: coordinating %d nodes on http://%s (%s)\n",
 		len(nodeList), ln.Addr(), strings.Join(nodeList, ", "))
 
-	httpSrv := &http.Server{Handler: coord.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		fatal(err)
-	case <-ctx.Done():
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil {
-		httpSrv.Close()
-	}
+	serveHTTP(ctx, ln, coord.Handler())
 	st := coord.Stats()
 	fmt.Printf("dbs3: coordinated %d queries (%d failed, %d failovers, %d whole-query retries, %d statement re-prepares), %d/%d replicas healthy at exit\n",
 		st.Queries, st.Failures, st.Failovers, st.WholeQueryRetries, st.Repreparations, st.Healthy, len(st.Nodes))

@@ -48,11 +48,6 @@
 //	    nodes' measured load into every fan-out subquery's utilization,
 //	    extending the [Rahm93] feedback loop across machines.
 //
-//	dbs3 bench-serve -nodes 3 -rate 300 -duration 10s -o BENCH_serve.json
-//	    Boot an in-process sharded cluster and drive its coordinator with
-//	    an open-loop Zipf-skewed arrival stream; report latency
-//	    percentiles and throughput as JSON.
-//
 //	dbs3 dump -rel wisc -o wisc.csv
 //	    Write a demo relation as typed CSV — the format -csv loads back.
 package main
@@ -78,9 +73,6 @@ func main() {
 			return
 		case "coord":
 			coordMain(os.Args[2:])
-			return
-		case "bench-serve":
-			benchServeMain(os.Args[2:])
 			return
 		case "dump":
 			dumpMain(os.Args[2:])
@@ -113,7 +105,6 @@ func main() {
 		fmt.Fprintf(out, "  dbs3 -q <statement> [flags]   run statements against the demo database\n")
 		fmt.Fprintf(out, "  dbs3 serve [flags]            serve the database over HTTP (see 'dbs3 serve -h')\n")
 		fmt.Fprintf(out, "  dbs3 coord [flags]            scatter-gather coordinator over serve nodes (see 'dbs3 coord -h')\n")
-		fmt.Fprintf(out, "  dbs3 bench-serve [flags]      open-loop load test of an in-process cluster (see 'dbs3 bench-serve -h')\n")
 		fmt.Fprintf(out, "  dbs3 dump [flags]             write a demo relation as typed CSV (see 'dbs3 dump -h')\n\nFlags:\n")
 		flag.PrintDefaults()
 	}

@@ -113,9 +113,20 @@ func serveMain(args []string) {
 	fmt.Printf("dbs3: serving %s on http://%s (budget %d threads%s)\n",
 		strings.Join(db.Relations(), ", "), ln.Addr(), m.Budget(), shardNote)
 
-	httpSrv := &http.Server{Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	serveHTTP(ctx, ln, handler)
+	st := m.Stats()
+	fmt.Printf("dbs3: served %d queries (%d completed, %d cancelled, %d failed, %d shed), peak threads %d/%d\n",
+		st.Admitted, st.Completed, st.Cancelled, st.Failed, st.Rejected, st.PeakThreads, m.Budget())
+}
+
+// serveHTTP serves h on ln until ctx is cancelled (SIGINT/SIGTERM for both
+// subcommands that host a front end), then drains gracefully: in-flight
+// streams get a grace period; their request contexts cancel on shutdown
+// timeout, which aborts the queries and returns their threads.
+func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler) {
+	httpSrv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
@@ -123,17 +134,12 @@ func serveMain(args []string) {
 		fatal(err)
 	case <-ctx.Done():
 	}
-	// Graceful drain: in-flight streams get a grace period; their request
-	// contexts cancel on shutdown timeout, which aborts the queries and
-	// returns their threads.
-	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	// ctx is already dead; the drain gets its own deadline.
+	shCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shCtx); err != nil {
 		httpSrv.Close()
 	}
-	st := m.Stats()
-	fmt.Printf("dbs3: served %d queries (%d completed, %d cancelled, %d failed, %d shed), peak threads %d/%d\n",
-		st.Admitted, st.Completed, st.Cancelled, st.Failed, st.Rejected, st.PeakThreads, m.Budget())
 }
 
 // dumpMain is the `dbs3 dump` subcommand: it generates the demo database

@@ -191,7 +191,7 @@ func TestChaosReplicatedCluster(t *testing.T) {
 					rows, err = coord.Query(ctx, aggSQL, nil, nil)
 				default:
 					kind = "exec"
-					rows, err = coord.Exec(ctx, pr.ID, []any{int64(600)}, nil)
+					rows, err = pr.Exec(ctx, []any{int64(600)}, nil)
 				}
 				res := queryResult{kind: kind}
 				if err == nil {

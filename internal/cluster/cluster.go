@@ -57,9 +57,6 @@ const (
 	defaultRetries = 3
 	// defaultPollInterval is the cadence of the health/utilization exchange.
 	defaultPollInterval = 2 * time.Second
-	// defaultMaxStatements caps the coordinator's prepared-statement
-	// registry, mirroring the serve-side cap.
-	defaultMaxStatements = 1024
 	// defaultBreakerThreshold opens a replica's breaker after this many
 	// consecutive probe/query failures.
 	defaultBreakerThreshold = 3
@@ -94,8 +91,8 @@ type Config struct {
 	// negative disables the background poller — Poll can still be called
 	// explicitly).
 	PollInterval time.Duration
-	// MaxStatements caps the coordinator-side prepared-statement registry
-	// (0 = 1024).
+	// MaxStatements caps the prepared-statement registry of the
+	// coordinator's HTTP front end (0 = the serve default, 1024).
 	MaxStatements int
 	// RetryWholeQuery restarts a query once from the coordinator when a
 	// replica fails after rows were already merged — provided nothing was
@@ -115,13 +112,9 @@ type Config struct {
 // per cluster and Close it to stop the background poller.
 type Coordinator struct {
 	shards     []*shard
-	token      string
-	maxStmt    int
+	token      string // also guards Handler's front end
+	maxStmt    int    // Handler's registry cap
 	retryWhole bool
-
-	mu     sync.Mutex
-	stmts  map[string]*coordStmt
-	nextID atomic.Int64
 
 	// Lifetime counters, surfaced on Stats and the /stats endpoint.
 	queries           atomic.Int64
@@ -198,10 +191,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		token:      cfg.Token,
 		maxStmt:    cfg.MaxStatements,
 		retryWhole: cfg.RetryWholeQuery,
-		stmts:      make(map[string]*coordStmt),
-	}
-	if c.maxStmt <= 0 {
-		c.maxStmt = defaultMaxStatements
 	}
 	for si, group := range cfg.Nodes {
 		sh := &shard{index: si}
@@ -250,20 +239,6 @@ func (c *Coordinator) Close() {
 		<-c.pollDone
 		c.stopPoll = nil
 	}
-}
-
-// Nodes returns the configured worker base URLs per shard, replicas joined
-// with "|", in fan-out order.
-func (c *Coordinator) Nodes() []string {
-	out := make([]string, len(c.shards))
-	for i, sh := range c.shards {
-		names := make([]string, len(sh.replicas))
-		for j, r := range sh.replicas {
-			names[j] = r.name
-		}
-		out[i] = strings.Join(names, "|")
-	}
-	return out
 }
 
 // replicas walks every replica of every shard, in shard then replica order.
@@ -486,7 +461,9 @@ type Stats struct {
 	// query restarts under RetryWholeQuery.
 	Failovers         int64 `json:"failovers"`
 	WholeQueryRetries int64 `json:"wholeQueryRetries"`
-	// Statements is the number of open coordinator-side prepared statements.
+	// Statements is the number of open prepared statements in the HTTP
+	// front end's registry; zero on a snapshot taken through Stats, which
+	// has no registry behind it.
 	Statements int `json:"statements"`
 }
 
@@ -515,9 +492,6 @@ func (c *Coordinator) Stats() Stats {
 	st.Repreparations = c.repreparations.Load()
 	st.Failovers = c.failovers.Load()
 	st.WholeQueryRetries = c.wholeQueryRetries.Load()
-	c.mu.Lock()
-	st.Statements = len(c.stmts)
-	c.mu.Unlock()
 	return st
 }
 

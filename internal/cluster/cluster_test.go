@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"sort"
@@ -212,19 +212,19 @@ func TestScatterArgCountChecked(t *testing.T) {
 func TestPrepareExecLifecycle(t *testing.T) {
 	tc := newTestCluster(t, "")
 	ctx := context.Background()
-	pr, err := tc.coord.Prepare(ctx, "SELECT two, COUNT(*) FROM wisc WHERE unique1 < ? GROUP BY two", nil)
+	stmt, err := tc.coord.Prepare(ctx, "SELECT two, COUNT(*) FROM wisc WHERE unique1 < ? GROUP BY two", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.Params != 1 {
-		t.Fatalf("prepared params = %d, want 1", pr.Params)
+	if info := stmt.Info(); info.Params != 1 {
+		t.Fatalf("prepared params = %d, want 1", info.Params)
 	}
 	for _, limit := range []int64{100, 600, 1200} {
 		want, err := tc.ref.QueryAll("SELECT two, COUNT(*) FROM wisc WHERE unique1 < ? GROUP BY two", nil, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := tc.coord.Exec(ctx, pr.ID, []any{limit}, nil)
+		rows, err := stmt.Exec(ctx, []any{limit}, nil)
 		if err != nil {
 			t.Fatalf("exec limit=%d: %v", limit, err)
 		}
@@ -239,11 +239,9 @@ func TestPrepareExecLifecycle(t *testing.T) {
 			}
 		}
 	}
-	if err := tc.coord.CloseStmt(ctx, pr.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tc.coord.Exec(ctx, pr.ID, []any{int64(5)}, nil); err == nil {
-		t.Fatal("exec of a closed statement succeeded")
+	stmt.Close(ctx)
+	if _, err := stmt.Exec(ctx, []any{int64(5)}, nil); !errors.Is(err, server.ErrNoStatement) {
+		t.Fatalf("exec of a closed statement: %v, want ErrNoStatement", err)
 	}
 	// Every worker's half is gone too.
 	for i := range tc.urls {
@@ -252,7 +250,7 @@ func TestPrepareExecLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Statements != 0 {
-			t.Errorf("node %d still holds %d statements after CloseStmt", i, st.Statements)
+			t.Errorf("node %d still holds %d statements after Close", i, st.Statements)
 		}
 	}
 }
@@ -263,21 +261,19 @@ func TestPrepareExecLifecycle(t *testing.T) {
 func TestExecRepreparesExpiredNodeStatement(t *testing.T) {
 	tc := newTestCluster(t, "")
 	ctx := context.Background()
-	pr, err := tc.coord.Prepare(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
+	stmt, err := tc.coord.Prepare(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Forget node 0's half behind the coordinator's back.
-	tc.coord.mu.Lock()
-	nodeID, ok := tc.coord.stmts[pr.ID].id(tc.coord.shards[0].replicas[0])
-	tc.coord.mu.Unlock()
+	nodeID, ok := stmt.id(tc.coord.shards[0].replicas[0])
 	if !ok {
 		t.Fatal("shard 0's replica holds no statement id after Prepare")
 	}
 	if err := (&server.Client{Base: tc.urls[0]}).CloseStmt(ctx, nodeID); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tc.coord.Exec(ctx, pr.ID, nil, nil)
+	rows, err := stmt.Exec(ctx, nil, nil)
 	if err != nil {
 		t.Fatalf("exec after node-side expiry: %v", err)
 	}
@@ -368,124 +364,5 @@ func TestClusterPollAndStats(t *testing.T) {
 		if !nh.Healthy || nh.Breaker != "closed" {
 			t.Errorf("replica %s: healthy=%v breaker=%s, want healthy/closed", nh.Node, nh.Healthy, nh.Breaker)
 		}
-	}
-}
-
-// TestClusterAuth: the coordinator presents its bearer token to workers and
-// enforces the same token on its own front end; a tokenless client gets 401
-// from both tiers.
-func TestClusterAuth(t *testing.T) {
-	tc := newTestCluster(t, "cluster-secret")
-	ctx := context.Background()
-
-	// Coordinator→worker links carry the token: queries work end to end.
-	rows, err := tc.coord.Query(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil, nil)
-	if err != nil {
-		t.Fatalf("authorized scatter failed: %v", err)
-	}
-	got, _ := drain(t, rows)
-	if len(got) != 10 {
-		t.Fatalf("authorized scatter returned %d groups, want 10", len(got))
-	}
-
-	// The coordinator's own front end rejects a tokenless client…
-	front := httptest.NewServer(tc.coord.Handler())
-	defer front.Close()
-	defer front.Client().CloseIdleConnections()
-	bare := &server.Client{Base: front.URL}
-	if err := bare.Health(ctx); err == nil {
-		t.Fatal("tokenless client passed coordinator auth")
-	} else if se := err.(*server.StatusError); se.Code != 401 {
-		t.Fatalf("tokenless client got %d, want 401", se.Code)
-	}
-	// …and serves one presenting the right token.
-	authed := &server.Client{Base: front.URL, Token: "cluster-secret"}
-	if err := authed.Health(ctx); err != nil {
-		t.Fatalf("authorized client rejected: %v", err)
-	}
-}
-
-// TestHandlerRoundTrip drives the coordinator's HTTP front end with the
-// ordinary server.Client — the full client→coordinator→workers→client path,
-// in both wire encodings.
-func TestHandlerRoundTrip(t *testing.T) {
-	tc := newTestCluster(t, "")
-	front := httptest.NewServer(tc.coord.Handler())
-	defer front.Close()
-	defer front.Client().CloseIdleConnections()
-	ctx := context.Background()
-	for _, columnar := range []bool{false, true} {
-		client := &server.Client{Base: front.URL, Columnar: columnar}
-		name := "ndjson"
-		if columnar {
-			name = "columnar"
-		}
-		t.Run(name, func(t *testing.T) {
-			// Ad-hoc aggregate with a parameter.
-			stream, err := client.Query(ctx, "SELECT two, SUM(unique1) FROM wisc WHERE unique1 < ? GROUP BY two", []any{800}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := tc.ref.QueryAll("SELECT two, SUM(unique1) FROM wisc WHERE unique1 < ? GROUP BY two", nil, int64(800))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got [][]any
-			for stream.Next() {
-				got = append(got, stream.Row())
-			}
-			if err := stream.Err(); err != nil {
-				t.Fatal(err)
-			}
-			gotC, wantC := canon(got), canon(want.Data)
-			if len(gotC) != len(wantC) {
-				t.Fatalf("%d rows, want %d", len(gotC), len(wantC))
-			}
-			for i := range gotC {
-				if gotC[i] != wantC[i] {
-					t.Fatalf("row %d: got %s want %s", i, gotC[i], wantC[i])
-				}
-			}
-			if f := stream.Footer(); f == nil || f.RowCount != int64(len(got)) {
-				t.Errorf("wire footer %+v, want rowCount %d", f, len(got))
-			}
-
-			// Prepared lifecycle over the wire.
-			pr, err := client.Prepare(ctx, "SELECT unique1 FROM wisc WHERE unique2 < ?", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exec, err := client.Exec(ctx, pr.ID, []any{50}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 0
-			for exec.Next() {
-				n++
-			}
-			if err := exec.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if n != 50 {
-				t.Errorf("prepared exec streamed %d rows, want 50", n)
-			}
-			if err := client.CloseStmt(ctx, pr.ID); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	// The front end's /stats is the cluster view: per-node health plus the
-	// coordinator's counters.
-	resp, err := front.Client().Get(front.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Healthy != testShards || st.Queries == 0 {
-		t.Errorf("cluster /stats healthy=%d queries=%d, want %d healthy and >0 queries", st.Healthy, st.Queries, testShards)
 	}
 }

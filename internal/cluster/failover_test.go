@@ -170,15 +170,12 @@ func TestExecFailoverRepreparesOnSibling(t *testing.T) {
 	coord := newFailoverCoord(t, Config{Nodes: []string{proxy.URL() + "|" + urlB}})
 	repA, repB := coord.shards[0].replicas[0], coord.shards[0].replicas[1]
 
-	pr, err := coord.Prepare(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
+	stmt, err := coord.Prepare(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Expire the sibling's half behind the coordinator's back, so the
 	// failover must re-prepare there.
-	coord.mu.Lock()
-	stmt := coord.stmts[pr.ID]
-	coord.mu.Unlock()
 	idB, ok := stmt.id(repB)
 	if !ok {
 		t.Fatal("sibling holds no statement id after Prepare")
@@ -192,7 +189,7 @@ func TestExecFailoverRepreparesOnSibling(t *testing.T) {
 	proxy.Sever()
 	proxy.SetDown(true)
 
-	rows, err := coord.Exec(ctx, pr.ID, nil, nil)
+	rows, err := stmt.Exec(ctx, nil, nil)
 	if err != nil {
 		t.Fatalf("exec with the preferred replica dead: %v", err)
 	}

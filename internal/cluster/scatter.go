@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -595,11 +594,4 @@ func (r *Rows) finish() {
 func (r *Rows) Close() error {
 	r.finish()
 	return nil
-}
-
-// errIsStmtGone reports a worker-side 404: the node's prepared statement
-// expired (idle TTL) or the node restarted since prepare time.
-func errIsStmtGone(err error) bool {
-	var se *server.StatusError
-	return errors.As(err, &se) && se.Code == 404
 }

@@ -2,63 +2,60 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"dbs3/internal/esql"
 	"dbs3/internal/server"
 )
 
-// coordStmt is one coordinator-side prepared statement: the original SQL
-// (kept for re-preparing), the merge shape compiled once at prepare time,
-// the result metadata, and each replica's server-side statement id. A
-// replica missing from ids (down at prepare time, or it expired its half)
-// is re-prepared lazily the first time a subquery lands on it.
-type coordStmt struct {
+// Stmt is one coordinator-side prepared statement: the original SQL (kept
+// for re-preparing), the merge shape compiled once at prepare time, the
+// result metadata, and each replica's server-side statement id. A replica
+// missing from ids (down at prepare time, or it expired its half) is
+// re-prepared lazily the first time a subquery lands on it.
+type Stmt struct {
+	c    *Coordinator
 	sql  string
 	spec *esql.ScatterSpec
-	info server.PrepareResponse // coordinator-facing metadata (coord id)
+	info server.PrepareResponse
 
 	mu  sync.Mutex
-	ids map[*replica]string
+	ids map[*replica]string // nil once closed
 }
 
 // id returns a replica's server-side statement id, if it holds one.
-func (s *coordStmt) id(r *replica) (string, bool) {
+func (s *Stmt) id(r *replica) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id, ok := s.ids[r]
 	return id, ok
 }
 
-func (s *coordStmt) setID(r *replica, id string) {
+// setID records a replica's half; a statement closed meanwhile keeps none
+// (the replica's own idle TTL reclaims the stray half).
+func (s *Stmt) setID(r *replica, id string) {
 	s.mu.Lock()
-	s.ids[r] = id
+	if s.ids != nil {
+		s.ids[r] = id
+	}
 	s.mu.Unlock()
 }
 
 // Prepare compiles a statement once cluster-wide: the coordinator derives
 // the merge shape, prepares the statement on every replica of every shard
-// in parallel, and registers the bundle under one coordinator id.
-// Executions then skip both the coordinator-side parse and the workers'
-// parse/compile (their plan caches hold the compiled plan against each
+// in parallel, and returns the bundle as one handle. Executions then skip
+// both the coordinator-side parse and the workers' parse/compile (their plan caches hold the compiled plan against each
 // shard). A replica that is down may miss the prepare — tolerated as long
 // as at least one replica per shard holds the statement; the missing half
 // is re-prepared lazily if a subquery ever fails over onto it.
-func (c *Coordinator) Prepare(ctx context.Context, sql string, opt *server.Options) (*server.PrepareResponse, error) {
+func (c *Coordinator) Prepare(ctx context.Context, sql string, opt *server.Options) (*Stmt, error) {
 	spec, err := esql.ScatterPlan(sql)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if len(c.stmts) >= c.maxStmt {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: prepared-statement registry full (%d open)", c.maxStmt)
-	}
-	c.mu.Unlock()
-
-	stmt := &coordStmt{sql: sql, spec: spec, ids: make(map[*replica]string)}
+	stmt := &Stmt{c: c, sql: sql, spec: spec, ids: make(map[*replica]string)}
 	var reps []*replica
 	c.replicas(func(r *replica) { reps = append(reps, r) })
 	prs := make([]*server.PrepareResponse, len(reps))
@@ -127,32 +124,17 @@ func (c *Coordinator) Prepare(ctx context.Context, sql string, opt *server.Optio
 		}
 	}
 
-	id := "c" + strconv.FormatInt(c.nextID.Add(1), 10)
 	stmt.info = server.PrepareResponse{
-		ID:      id,
 		SQL:     sql,
 		Columns: first.Columns,
 		Types:   first.Types,
 		Params:  spec.Params,
 	}
-	c.mu.Lock()
-	c.stmts[id] = stmt
-	c.mu.Unlock()
-	out := stmt.info
-	return &out, nil
+	return stmt, nil
 }
 
-// Stmt returns a prepared statement's metadata.
-func (c *Coordinator) Stmt(id string) (*server.PrepareResponse, bool) {
-	c.mu.Lock()
-	stmt, ok := c.stmts[id]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	out := stmt.info
-	return &out, true
-}
+// Info returns the statement's metadata (the id is the registry's to set).
+func (s *Stmt) Info() server.PrepareResponse { return s.info }
 
 // Exec scatter-gathers one execution of a prepared statement. A replica
 // whose server-side statement vanished (expired by its idle-TTL sweep, a
@@ -160,55 +142,45 @@ func (c *Coordinator) Stmt(id string) (*server.PrepareResponse, bool) {
 // it) is transparently re-prepared once and retried; a second miss fails
 // that replica's attempt, at which point the ordinary failover machinery
 // tries a sibling.
-func (c *Coordinator) Exec(ctx context.Context, id string, args []any, opt *server.Options) (*Rows, error) {
-	c.mu.Lock()
-	stmt, ok := c.stmts[id]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("cluster: no prepared statement %q", id)
+func (s *Stmt) Exec(ctx context.Context, args []any, opt *server.Options) (*Rows, error) {
+	c := s.c
+	s.mu.Lock()
+	closed := s.ids == nil
+	s.mu.Unlock()
+	if closed {
+		return nil, fmt.Errorf("cluster: statement closed: %w", server.ErrNoStatement)
 	}
-	if len(args) != stmt.spec.Params {
-		return nil, fmt.Errorf("cluster: statement %s has %d parameters, got %d arguments", id, stmt.spec.Params, len(args))
+	if len(args) != s.spec.Params {
+		return nil, fmt.Errorf("cluster: statement has %d parameters, got %d arguments", s.spec.Params, len(args))
 	}
-	return c.scatter(ctx, stmt.spec, func(ctx context.Context, rep *replica) (*server.RowStream, error) {
+	return c.scatter(ctx, s.spec, func(ctx context.Context, rep *replica) (*server.RowStream, error) {
 		opts := c.shardOptions(c.shards[rep.shard], opt)
-		if nodeID, ok := stmt.id(rep); ok {
+		if nodeID, ok := s.id(rep); ok {
 			st, err := rep.client.Exec(ctx, nodeID, args, opts)
-			if err == nil || !errIsStmtGone(err) {
+			if !errors.Is(err, server.ErrNoStatement) {
 				return st, err
 			}
 		}
 		// The replica holds no (live) half of the statement; re-prepare it
 		// there and retry once.
-		pr, perr := rep.client.Prepare(ctx, stmt.sql, nil)
+		pr, perr := rep.client.Prepare(ctx, s.sql, nil)
 		if perr != nil {
 			return nil, fmt.Errorf("re-preparing expired statement: %w", perr)
 		}
-		stmt.setID(rep, pr.ID)
+		s.setID(rep, pr.ID)
 		c.repreparations.Add(1)
 		return rep.client.Exec(ctx, pr.ID, args, opts)
 	})
 }
 
-// CloseStmt discards a coordinator-side prepared statement and best-effort
-// closes each replica's half (a replica that already expired it returns
-// 404, which is the desired end state anyway).
-func (c *Coordinator) CloseStmt(ctx context.Context, id string) error {
-	c.mu.Lock()
-	stmt, ok := c.stmts[id]
-	if ok {
-		delete(c.stmts, id)
-	}
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: no prepared statement %q", id)
-	}
-	stmt.mu.Lock()
-	ids := make(map[*replica]string, len(stmt.ids))
-	for r, nodeID := range stmt.ids {
-		ids[r] = nodeID
-	}
-	stmt.mu.Unlock()
+// Close best-effort closes each replica's half (a replica that already
+// expired it returns 404, which is the desired end state anyway); later
+// executions fail with server.ErrNoStatement.
+func (s *Stmt) Close(ctx context.Context) {
+	s.mu.Lock()
+	ids := s.ids
+	s.ids = nil
+	s.mu.Unlock()
 	var wg sync.WaitGroup
 	for r, nodeID := range ids {
 		wg.Add(1)
@@ -218,5 +190,4 @@ func (c *Coordinator) CloseStmt(ctx context.Context, id string) error {
 		}(r, nodeID)
 	}
 	wg.Wait()
-	return nil
 }

@@ -78,7 +78,10 @@ func TestValuesSurviveEveryEncoding(t *testing.T) {
 			}
 		}
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ct, _ := server.NegotiateWire(r, nil)
+			ct := "application/x-ndjson"
+			if r.Header.Get("Accept") == server.ContentTypeColumnar {
+				ct = server.ContentTypeColumnar
+			}
 			w.Header().Set("Content-Type", ct)
 			enc := server.NewStreamEncoder(w, ct, types)
 			for _, err := range []error{

@@ -25,53 +25,6 @@ func newAuthServer(t *testing.T, token string) string {
 	return ts.URL
 }
 
-// TestAuthRejectsWithoutToken: with AuthToken configured, every endpoint —
-// healthz included — 401s a request with a missing or wrong credential, and
-// serves one carrying the right token.
-func TestAuthRejectsWithoutToken(t *testing.T) {
-	url := newAuthServer(t, "s3cret")
-	ctx := context.Background()
-
-	for name, client := range map[string]*Client{
-		"no token":    {Base: url},
-		"wrong token": {Base: url, Token: "wrong"},
-	} {
-		if err := client.Health(ctx); err == nil {
-			t.Errorf("%s: healthz served", name)
-		} else if se, ok := err.(*StatusError); !ok || se.Code != http.StatusUnauthorized {
-			t.Errorf("%s: healthz error %v, want 401", name, err)
-		}
-		if _, err := client.Stats(ctx); err == nil {
-			t.Errorf("%s: stats served", name)
-		}
-		if _, err := client.Query(ctx, "SELECT * FROM wisc WHERE unique1 < 5", nil, nil); err == nil {
-			t.Errorf("%s: query served", name)
-		}
-		if _, err := client.Prepare(ctx, "SELECT * FROM wisc", nil); err == nil {
-			t.Errorf("%s: prepare served", name)
-		}
-	}
-
-	authed := &Client{Base: url, Token: "s3cret"}
-	if err := authed.Health(ctx); err != nil {
-		t.Fatalf("authorized healthz rejected: %v", err)
-	}
-	stream, err := authed.Query(ctx, "SELECT * FROM wisc WHERE unique1 < 5", nil, nil)
-	if err != nil {
-		t.Fatalf("authorized query rejected: %v", err)
-	}
-	n := 0
-	for stream.Next() {
-		n++
-	}
-	if err := stream.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Errorf("authorized query streamed %d rows, want 5", n)
-	}
-}
-
 // TestAuthDisabledWhenTokenEmpty: no configured token means no auth — the
 // pre-cluster behavior is unchanged.
 func TestAuthDisabledWhenTokenEmpty(t *testing.T) {

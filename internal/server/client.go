@@ -237,8 +237,8 @@ func (c *Client) post(ctx context.Context, path string, body any) (*http.Respons
 }
 
 // StatusError is a non-200 response surfaced as an error. Callers can branch
-// on the code — the cluster coordinator re-prepares and retries on a 404
-// from an expired server-side statement.
+// on the code; a 404 matches ErrNoStatement under errors.Is — the cluster
+// coordinator re-prepares and retries on it.
 type StatusError struct {
 	Code int
 	Msg  string
@@ -246,6 +246,12 @@ type StatusError struct {
 
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("server: %d %s: %s", e.Code, http.StatusText(e.Code), e.Msg)
+}
+
+// Is matches the one status the protocol gives a typed meaning: every 404
+// the front end's routes produce is a statement id it does not hold.
+func (e *StatusError) Is(target error) bool {
+	return target == ErrNoStatement && e.Code == http.StatusNotFound
 }
 
 // errorFrom drains a non-200 response into a *StatusError.

@@ -353,58 +353,41 @@ func (fr *colFrameReader) readFrame() (byte, []byte, error) {
 	return kind, payload, nil
 }
 
-// resultEncoder is the server half of one streamed result: the stream
-// machinery (buffering, flush cadence, cancellation) is shared, only the
-// byte encoding differs. Implementations write to the stream's buffered
-// writer and are serialized by the stream's write mutex.
-type resultEncoder interface {
-	header(h *Header) error
-	rows(chunk [][]any) error
-	done(f *Footer) error
-	// fail writes the terminal error message. Encoders must always get it
+// StreamEncoder is the byte encoding of one streamed result — one Header,
+// any number of row chunks, one terminal Done or Fail. The front end's
+// stream writes every response through one (buffering, flush cadence and
+// cancellation are the stream's; only the bytes differ), and tests and
+// benchmarks use one to produce wire bytes without a server. Calls must be
+// serialized by the caller.
+type StreamEncoder interface {
+	Header(h *Header) error
+	Rows(chunk [][]any) error
+	Done(f *Footer) error
+	// Fail writes the terminal error message. Encoders must always get it
 	// on the wire if at all possible — it is the client's only signal that
 	// the stream is truncated deliberately rather than cut.
-	fail(msg string) error
+	Fail(msg string) error
 }
 
-// StreamEncoder is the exported face of a result-stream encoder, for
-// front ends outside this package (the cluster coordinator) that speak the
-// same wire protocol: one Header, any number of row chunks, one terminal
-// Done or Fail. Calls must be serialized by the caller.
-type StreamEncoder struct{ enc resultEncoder }
-
-// NewStreamEncoder builds an encoder for the negotiated Content-Type (from
-// NegotiateWire): the NDJSON message stream or the binary columnar frame
-// stream. types aligns with the result columns and is required for columnar
-// encoding.
-func NewStreamEncoder(w io.Writer, contentType string, types []string) *StreamEncoder {
+// NewStreamEncoder builds the encoder for a negotiated Content-Type: the
+// NDJSON message stream or the binary columnar frame stream. types aligns
+// with the result columns and is required for columnar encoding.
+func NewStreamEncoder(w io.Writer, contentType string, types []string) StreamEncoder {
 	if contentType == ContentTypeColumnar {
-		return &StreamEncoder{enc: &columnarEncoder{w: w, types: types}}
+		return &columnarEncoder{w: w, types: types}
 	}
-	return &StreamEncoder{enc: &ndjsonEncoder{enc: json.NewEncoder(w)}}
+	return &ndjsonEncoder{enc: json.NewEncoder(w)}
 }
-
-// Header opens the stream.
-func (s *StreamEncoder) Header(h *Header) error { return s.enc.header(h) }
-
-// Rows writes one row chunk.
-func (s *StreamEncoder) Rows(chunk [][]any) error { return s.enc.rows(chunk) }
-
-// Done closes a complete stream.
-func (s *StreamEncoder) Done(f *Footer) error { return s.enc.done(f) }
-
-// Fail closes the stream with an in-band error.
-func (s *StreamEncoder) Fail(msg string) error { return s.enc.fail(msg) }
 
 // ndjsonEncoder is the default JSON-lines encoding (see Message).
 type ndjsonEncoder struct {
 	enc *json.Encoder
 }
 
-func (e *ndjsonEncoder) header(h *Header) error   { return e.enc.Encode(Message{Header: h}) }
-func (e *ndjsonEncoder) rows(chunk [][]any) error { return e.enc.Encode(Message{Rows: chunk}) }
-func (e *ndjsonEncoder) done(f *Footer) error     { return e.enc.Encode(Message{Done: f}) }
-func (e *ndjsonEncoder) fail(msg string) error    { return e.enc.Encode(Message{Error: msg}) }
+func (e *ndjsonEncoder) Header(h *Header) error   { return e.enc.Encode(Message{Header: h}) }
+func (e *ndjsonEncoder) Rows(chunk [][]any) error { return e.enc.Encode(Message{Rows: chunk}) }
+func (e *ndjsonEncoder) Done(f *Footer) error     { return e.enc.Encode(Message{Done: f}) }
+func (e *ndjsonEncoder) Fail(msg string) error    { return e.enc.Encode(Message{Error: msg}) }
 
 // columnarEncoder writes the length-prefixed binary frame stream.
 type columnarEncoder struct {
@@ -413,7 +396,7 @@ type columnarEncoder struct {
 	buf   []byte // payload scratch, reused across chunks
 }
 
-func (e *columnarEncoder) header(h *Header) error {
+func (e *columnarEncoder) Header(h *Header) error {
 	payload, err := json.Marshal(h)
 	if err != nil {
 		return err
@@ -421,7 +404,7 @@ func (e *columnarEncoder) header(h *Header) error {
 	return writeFrame(e.w, frameHeader, payload)
 }
 
-func (e *columnarEncoder) rows(chunk [][]any) error {
+func (e *columnarEncoder) Rows(chunk [][]any) error {
 	payload, err := appendColChunk(e.buf[:0], e.types, chunk)
 	if err != nil {
 		return err
@@ -430,7 +413,7 @@ func (e *columnarEncoder) rows(chunk [][]any) error {
 	return writeFrame(e.w, frameRows, payload)
 }
 
-func (e *columnarEncoder) done(f *Footer) error {
+func (e *columnarEncoder) Done(f *Footer) error {
 	payload, err := json.Marshal(f)
 	if err != nil {
 		return err
@@ -438,6 +421,6 @@ func (e *columnarEncoder) done(f *Footer) error {
 	return writeFrame(e.w, frameDone, payload)
 }
 
-func (e *columnarEncoder) fail(msg string) error {
+func (e *columnarEncoder) Fail(msg string) error {
 	return writeFrame(e.w, frameError, []byte(msg))
 }

@@ -109,76 +109,6 @@ func TestServeColumnarContentType(t *testing.T) {
 	}
 }
 
-// TestServeUnknownWireRejected: an unknown encoding name is the client's
-// error, reported before any query work happens.
-func TestServeUnknownWireRejected(t *testing.T) {
-	client, _ := newTestServer(t, 100)
-	_, err := client.Query(context.Background(), "SELECT unique2 FROM wisc WHERE unique1 < 1", nil,
-		&Options{Wire: "protobuf"})
-	if err == nil || !strings.Contains(err.Error(), "unknown wire encoding") {
-		t.Fatalf("err = %v, want unknown wire encoding", err)
-	}
-}
-
-// TestServeStreamCounters: /stats exposes lifetime bytesWritten and
-// rowsStreamed, and the columnar encoding demonstrably spends fewer bytes
-// per row than NDJSON on the same result.
-func TestServeStreamCounters(t *testing.T) {
-	client, _ := newTestServer(t, 5_000)
-	const sql = "SELECT * FROM wisc WHERE unique1 < ?"
-
-	drain := func(columnar bool) (rows int64) {
-		t.Helper()
-		c := *client
-		c.Columnar = columnar
-		stream, err := c.Query(context.Background(), sql, []any{1000}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer stream.Close()
-		for stream.Next() {
-			rows++
-		}
-		if err := stream.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	counters := func() (bytes, rows int64) {
-		t.Helper()
-		st, err := client.Stats(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.BytesWritten, st.RowsStreamed
-	}
-
-	b0, r0 := counters()
-	n := drain(false)
-	b1, r1 := counters()
-	if got := r1 - r0; got != n {
-		t.Errorf("ndjson stream added %d to rowsStreamed, want %d", got, n)
-	}
-	ndBytes := b1 - b0
-	if ndBytes <= 0 {
-		t.Fatalf("ndjson stream added %d to bytesWritten", ndBytes)
-	}
-
-	if got := drain(true); got != n {
-		t.Fatalf("columnar stream returned %d rows, ndjson %d", got, n)
-	}
-	b2, r2 := counters()
-	if got := r2 - r1; got != n {
-		t.Errorf("columnar stream added %d to rowsStreamed, want %d", got, n)
-	}
-	colBytes := b2 - b1
-	if colBytes <= 0 || colBytes >= ndBytes {
-		t.Errorf("columnar stream wrote %d bytes, ndjson %d — columnar should be smaller", colBytes, ndBytes)
-	}
-	t.Logf("bytes/row: ndjson %.1f, columnar %.1f (%.1fx)",
-		float64(ndBytes)/float64(n), float64(colBytes)/float64(n), float64(ndBytes)/float64(colBytes))
-}
-
 // TestServeColumnarPreparedExec: the encoding negotiates per execution on
 // the prepared-statement path too.
 func TestServeColumnarPreparedExec(t *testing.T) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -41,7 +42,7 @@ func newGCServer(t *testing.T, ttl time.Duration) (*Client, *fakeClock) {
 	m := db.Manager(dbs3.ManagerConfig{Budget: testBudget})
 	srv := New(db, m, Config{StmtTTL: ttl})
 	clock := &fakeClock{t: time.Unix(1_000_000, 0)}
-	srv.now = clock.now
+	srv.stmts.now = clock.now
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { ts.Client().CloseIdleConnections() })
@@ -98,29 +99,6 @@ func TestStatementGCExpiresIdle(t *testing.T) {
 	}
 }
 
-// TestStatementGCLookupEnforcesTTL: expiry holds at the moment of use, not
-// just at sweep points — an exec after the idle deadline 404s even when no
-// sweep ran in between, and counts as expired.
-func TestStatementGCLookupEnforcesTTL(t *testing.T) {
-	client, clock := newGCServer(t, time.Minute)
-	ctx := context.Background()
-	prep, err := client.Prepare(ctx, "SELECT unique1 FROM wisc WHERE unique2 < 10", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock.advance(2 * time.Minute)
-	if _, err := client.Exec(ctx, prep.ID, nil, nil); err == nil {
-		t.Fatal("exec past the TTL succeeded")
-	}
-	st, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Statements != 0 || st.StatementsExpired != 1 {
-		t.Errorf("statements=%d expired=%d, want 0/1", st.Statements, st.StatementsExpired)
-	}
-}
-
 // TestStatementGCFreesCapForNewClients is the ROADMAP scenario: abandoned
 // statements filling the registry to its cap no longer lock new clients out
 // once their TTL passes — prepare sweeps before it checks the cap.
@@ -132,7 +110,7 @@ func TestStatementGCFreesCapForNewClients(t *testing.T) {
 	m := db.Manager(dbs3.ManagerConfig{Budget: testBudget})
 	srv := New(db, m, Config{StmtTTL: time.Minute, MaxStatements: 2})
 	clock := &fakeClock{t: time.Unix(1_000_000, 0)}
-	srv.now = clock.now
+	srv.stmts.now = clock.now
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { ts.Client().CloseIdleConnections() })
@@ -193,5 +171,24 @@ func TestStatementGCDisabled(t *testing.T) {
 	}
 	if st.Statements != 1 || st.StatementsExpired != 0 {
 		t.Errorf("statements=%d expired=%d, want 1/0", st.Statements, st.StatementsExpired)
+	}
+}
+
+// TestNoStatementIsTyped: a missing statement is recognised by type on both
+// sides of the wire — the registry's error wraps ErrNoStatement, and the 404
+// it becomes matches ErrNoStatement again in the client, which is what the
+// cluster coordinator's re-prepare keys on. Other client errors do not.
+func TestNoStatementIsTyped(t *testing.T) {
+	client, _ := newGCServer(t, time.Minute)
+	ctx := context.Background()
+	_, err := client.Exec(ctx, "s404", nil, nil)
+	if !errors.Is(err, ErrNoStatement) {
+		t.Errorf("exec of an unknown id: %v, want ErrNoStatement", err)
+	}
+	if err := client.CloseStmt(ctx, "s404"); !errors.Is(err, ErrNoStatement) {
+		t.Errorf("close of an unknown id: %v, want ErrNoStatement", err)
+	}
+	if _, err := client.Query(ctx, "SELECT nope FROM wisc", nil, nil); err == nil || errors.Is(err, ErrNoStatement) {
+		t.Errorf("a 400 must not match ErrNoStatement: %v", err)
 	}
 }

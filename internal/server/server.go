@@ -1,15 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,34 +14,12 @@ import (
 	dbruntime "dbs3/internal/runtime"
 )
 
-// defaultChunkRows is how many rows the server batches per NDJSON message.
-// Small enough that the first chunk leaves while a big query is still
-// producing, large enough that encoding overhead amortizes.
-const defaultChunkRows = 64
-
-// defaultWriteBuffer sizes the bufio.Writer that coalesces NDJSON frames:
-// a wide streamed result pays one Write to the connection per buffer fill,
-// not one per 64-row chunk.
-const defaultWriteBuffer = 32 << 10
-
-// streamFlushInterval bounds how stale buffered rows may get on a slowly
-// producing query: a chunk emitted at least this long after the last flush
-// forces the buffer (and the HTTP flusher) out, so coalescing never turns a
-// trickle of rows into a stalled client.
-const streamFlushInterval = 100 * time.Millisecond
-
-// defaultStmtTTL is the idle lifetime of a server-side prepared statement
-// when Config.StmtTTL is zero: long enough for any interactive pause, short
-// enough that abandoned clients cannot pin the capped registry forever.
-const defaultStmtTTL = 15 * time.Minute
-
 // Config tunes a Server.
 type Config struct {
-	// DefaultOptions seeds every request's execution options; request
-	// bodies and the X-DBS3-Priority header override per field.
+	// DefaultOptions seeds every request's execution options on the local
+	// backend (New); request bodies and the X-DBS3-Priority header override
+	// per field.
 	DefaultOptions dbs3.Options
-	// ChunkRows batches streamed rows per NDJSON message (0 = 64).
-	ChunkRows int
 	// MaxStatements bounds the server-side prepared-statement registry
 	// (0 = 1024); beyond it /prepare rejects with 429 so a client leak
 	// cannot grow server memory unboundedly.
@@ -55,9 +30,6 @@ type Config struct {
 	// registry at its limit (0 = 15 minutes; negative disables expiry).
 	// Expired statements count on /stats as statementsExpired.
 	StmtTTL time.Duration
-	// WriteBuffer sizes the per-response bufio.Writer coalescing NDJSON
-	// frames before they hit the connection (0 = 32 KiB).
-	WriteBuffer int
 	// AuthToken, when non-empty, locks every endpoint behind bearer-token
 	// auth: requests must carry "Authorization: Bearer <token>" or they are
 	// rejected with 401 before any handler runs. Serve nodes joined into a
@@ -66,46 +38,21 @@ type Config struct {
 	AuthToken string
 }
 
-// Server is the HTTP front end over a Database and its QueryManager. It is
-// an http.Handler; wire it to a listener with http.Server or httptest.
+// Server is the HTTP front end over a Backend. It is an http.Handler; wire
+// it to a listener with http.Server or httptest.
 type Server struct {
-	db       *dbs3.Database
-	manager  *dbruntime.Manager
-	opts     dbs3.Options
-	chunk    int
-	maxStmt  int
-	stmtTTL  time.Duration
-	writeBuf int
-	token    string
+	backend Backend
+	stmts   *registry
+	token   string
 
-	mu     sync.Mutex
-	stmts  map[string]*stmtEntry
-	nextID atomic.Int64
-	// expired counts statements removed by the idle-TTL sweep (lifetime).
-	expired atomic.Int64
 	// bytesWritten and rowsStreamed are lifetime result-stream counters
 	// (bytes on the wire after encoding, rows across all streams): together
 	// they put a number on what an encoding costs per row, which is how the
 	// NDJSON-vs-columnar tradeoff is observed on a live server.
 	bytesWritten atomic.Int64
 	rowsStreamed atomic.Int64
-	// now is the clock, a test seam for the TTL sweep.
-	now func() time.Time
 
 	mux *http.ServeMux
-}
-
-// stmtEntry is one server-side prepared statement: the compiled handle plus
-// the options it was prepared with, kept as the baseline for per-execution
-// overrides (an exec with different options re-resolves through the plan
-// cache, so the compile work is still amortized).
-type stmtEntry struct {
-	stmt *dbs3.Stmt
-	opt  dbs3.Options
-	info PrepareResponse
-	// lastUsed is the statement's last prepare/inspect/exec time, guarded
-	// by Server.mu; the idle-TTL sweep expires on it.
-	lastUsed time.Time
 }
 
 // New builds a Server over db. The manager must be the one installed on db
@@ -115,30 +62,17 @@ func New(db *dbs3.Database, manager *dbruntime.Manager, cfg Config) *Server {
 	if manager == nil {
 		panic("server: nil manager (install one with Database.Manager)")
 	}
+	return NewFrontEnd(&local{db: db, manager: manager, opts: cfg.DefaultOptions}, cfg)
+}
+
+// NewFrontEnd builds a Server over any Backend; cfg.DefaultOptions is the
+// local backend's and ignored here.
+func NewFrontEnd(b Backend, cfg Config) *Server {
 	s := &Server{
-		db:       db,
-		manager:  manager,
-		opts:     cfg.DefaultOptions,
-		chunk:    cfg.ChunkRows,
-		maxStmt:  cfg.MaxStatements,
-		stmtTTL:  cfg.StmtTTL,
-		writeBuf: cfg.WriteBuffer,
-		token:    cfg.AuthToken,
-		stmts:    make(map[string]*stmtEntry),
-		now:      time.Now,
-		mux:      http.NewServeMux(),
-	}
-	if s.chunk <= 0 {
-		s.chunk = defaultChunkRows
-	}
-	if s.maxStmt <= 0 {
-		s.maxStmt = 1024
-	}
-	if s.stmtTTL == 0 {
-		s.stmtTTL = defaultStmtTTL
-	}
-	if s.writeBuf <= 0 {
-		s.writeBuf = defaultWriteBuffer
+		backend: b,
+		stmts:   newRegistry(cfg.MaxStatements, cfg.StmtTTL),
+		token:   cfg.AuthToken,
+		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /prepare", s.handlePrepare)
@@ -157,7 +91,7 @@ func New(db *dbs3.Database, manager *dbruntime.Manager, cfg Config) *Server {
 // request — including /healthz, so an unauthenticated prober learns nothing —
 // must present it as a bearer credential.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !Authorized(r, s.token) {
+	if !authorized(r, s.token) {
 		w.Header().Set("WWW-Authenticate", `Bearer realm="dbs3"`)
 		http.Error(w, "server: missing or wrong bearer token", http.StatusUnauthorized)
 		return
@@ -165,11 +99,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Authorized reports whether r carries the bearer token (an empty token
+// authorized reports whether r carries the bearer token (an empty token
 // disables auth). Comparison is constant-time so the check does not leak
-// prefix lengths. Shared by the serve front end and the cluster coordinator,
-// which enforces the same scheme on its own endpoints.
-func Authorized(r *http.Request, token string) bool {
+// prefix lengths.
+func authorized(r *http.Request, token string) bool {
 	if token == "" {
 		return true
 	}
@@ -181,54 +114,14 @@ func Authorized(r *http.Request, token string) bool {
 	return subtle.ConstantTimeCompare([]byte(auth[len(scheme):]), []byte(token)) == 1
 }
 
-// requestOptions resolves one request's execution options: server defaults,
-// overridden by the per-connection priority header, overridden by the
-// request body's options.
-func (s *Server) requestOptions(r *http.Request, wire *Options) dbs3.Options {
-	return overlayOptions(s.opts, r, wire)
-}
-
-// overlayOptions applies the priority header and per-request wire options
-// on top of a baseline.
-func overlayOptions(base dbs3.Options, r *http.Request, wire *Options) dbs3.Options {
-	opt := base
-	if h := r.Header.Get("X-DBS3-Priority"); h != "" {
-		opt.Priority = h
+// fail answers a request that produced no stream: ErrNoStatement is a 404,
+// anything else is the backend's to classify.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	status := http.StatusNotFound
+	if !errors.Is(err, ErrNoStatement) {
+		status = s.backend.ErrorStatus(err)
 	}
-	if wire == nil {
-		return opt
-	}
-	if wire.Threads != 0 {
-		opt.Threads = wire.Threads
-	}
-	if wire.Strategy != "" {
-		opt.Strategy = wire.Strategy
-	}
-	if wire.JoinAlgo != "" {
-		opt.JoinAlgo = wire.JoinAlgo
-	}
-	if wire.Grain != 0 {
-		opt.Grain = wire.Grain
-	}
-	if wire.Priority != "" {
-		opt.Priority = wire.Priority
-	}
-	if wire.StreamBuffer != 0 {
-		opt.StreamBuffer = wire.StreamBuffer
-	}
-	if wire.BatchGrain != 0 {
-		opt.BatchGrain = wire.BatchGrain
-	}
-	if wire.Materialize {
-		opt.Materialize = true
-	}
-	if wire.Utilization != 0 {
-		opt.Utilization = wire.Utilization
-	}
-	if wire.MemoryBudget != 0 {
-		opt.MemoryBudget = wire.MemoryBudget
-	}
-	return opt
+	http.Error(w, err.Error(), status)
 }
 
 // decodeBody parses a JSON request body with UseNumber so integer arguments
@@ -243,247 +136,39 @@ func decodeBody(r *http.Request, into any) error {
 	return nil
 }
 
-// errorStatus maps an error from the facade to an HTTP status: full
-// admission queue is load shedding (503), a closed manager means shutdown
-// (503), everything else from prepare/bind is the client's statement (400).
-func errorStatus(err error) int {
-	switch {
-	case errors.Is(err, dbruntime.ErrQueueFull), errors.Is(err, dbruntime.ErrClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// handleQuery runs one ad-hoc statement and streams its result. The plan
-// cache makes repeated SQL cheap; `?` placeholders bind from args.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// decodeStatement parses the body of /query and /prepare; an error is the
+// client's (400).
+func decodeStatement(r *http.Request) (*QueryRequest, error) {
 	var req QueryRequest
 	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
 	if strings.TrimSpace(req.SQL) == "" {
-		http.Error(w, "server: empty sql", http.StatusBadRequest)
-		return
+		return nil, errors.New("server: empty sql")
 	}
-	args, err := decodeArgs(req.Args)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	enc, err := negotiateWire(r, req.Options)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	opt := s.requestOptions(r, req.Options)
-	stmt, err := s.db.Prepare(req.SQL, &opt)
-	if err != nil {
-		http.Error(w, err.Error(), errorStatus(err))
-		return
-	}
-	s.stream(w, r, stmt, args, enc)
+	return &req, nil
 }
 
-// handlePrepare compiles a statement server-side and registers it under an
-// id for compile-once / execute-many clients.
-func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+// withPriority folds the per-connection X-DBS3-Priority header into a
+// request's options: it overrides the backend's default and yields to the
+// body's own priority field.
+func withPriority(r *http.Request, wire *Options) *Options {
+	h := r.Header.Get("X-DBS3-Priority")
+	if h == "" || (wire != nil && wire.Priority != "") {
+		return wire
 	}
-	if strings.TrimSpace(req.SQL) == "" {
-		http.Error(w, "server: empty sql", http.StatusBadRequest)
-		return
+	var o Options
+	if wire != nil {
+		o = *wire
 	}
-	opt := s.requestOptions(r, req.Options)
-	stmt, err := s.db.Prepare(req.SQL, &opt)
-	if err != nil {
-		http.Error(w, err.Error(), errorStatus(err))
-		return
-	}
-	entry := &stmtEntry{stmt: stmt, opt: opt, lastUsed: s.now()}
-	s.mu.Lock()
-	// Expire idle statements before the cap check: abandoned clients must
-	// not be the reason a live one is turned away.
-	s.sweepLocked(entry.lastUsed)
-	if len(s.stmts) >= s.maxStmt {
-		s.mu.Unlock()
-		http.Error(w, fmt.Sprintf("server: %d prepared statements open; close some", s.maxStmt), http.StatusTooManyRequests)
-		return
-	}
-	id := fmt.Sprintf("s%d", s.nextID.Add(1))
-	entry.info = PrepareResponse{
-		ID:      id,
-		SQL:     req.SQL,
-		Columns: stmt.Columns(),
-		Types:   stmt.ColumnTypes(),
-		Params:  stmt.NumParams(),
-	}
-	s.stmts[id] = entry
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, entry.info)
+	o.Priority = h
+	return &o
 }
 
-// lookup resolves a {id} path segment to a registered statement, enforcing
-// the idle TTL (an expired id is gone, exactly as if it was never prepared)
-// and touching the entry's idle clock on success.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*stmtEntry, bool) {
-	id := r.PathValue("id")
-	now := s.now()
-	s.mu.Lock()
-	entry, ok := s.stmts[id]
-	if ok && s.expiredLocked(entry, now) {
-		delete(s.stmts, id)
-		s.expired.Add(1)
-		ok = false
-	}
-	if ok {
-		entry.lastUsed = now
-	}
-	s.mu.Unlock()
-	if !ok {
-		http.Error(w, fmt.Sprintf("server: no prepared statement %q", id), http.StatusNotFound)
-		return nil, false
-	}
-	return entry, true
-}
-
-// expiredLocked reports whether an entry's idle time exceeds the TTL.
-func (s *Server) expiredLocked(e *stmtEntry, now time.Time) bool {
-	return s.stmtTTL > 0 && now.Sub(e.lastUsed) > s.stmtTTL
-}
-
-// sweepLocked removes every statement idle beyond the TTL. Callers hold
-// s.mu; the sweep is O(open statements), bounded by MaxStatements.
-func (s *Server) sweepLocked(now time.Time) {
-	if s.stmtTTL <= 0 {
-		return
-	}
-	for id, e := range s.stmts {
-		if s.expiredLocked(e, now) {
-			delete(s.stmts, id)
-			s.expired.Add(1)
-		}
-	}
-}
-
-// handleStmtInfo returns a prepared statement's metadata.
-func (s *Server) handleStmtInfo(w http.ResponseWriter, r *http.Request) {
-	entry, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, entry.info)
-}
-
-// handleExec executes a prepared statement with per-execution arguments.
-// The statement's prepare-time options are the baseline; the priority
-// header and the request's options override per execution, re-resolving
-// the statement through the plan cache (a hit unless the join algorithm
-// changed, which genuinely needs a different plan).
-func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	entry, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	var req ExecRequest
-	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	args, err := decodeArgs(req.Args)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	enc, err := negotiateWire(r, req.Options)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	stmt := entry.stmt
-	if opt := overlayOptions(entry.opt, r, req.Options); opt != entry.opt {
-		fresh, err := s.db.Prepare(entry.info.SQL, &opt)
-		if err != nil {
-			http.Error(w, err.Error(), errorStatus(err))
-			return
-		}
-		stmt = fresh
-	}
-	s.stream(w, r, stmt, args, enc)
-}
-
-// handleStmtClose discards a prepared statement.
-func (s *Server) handleStmtClose(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	entry, ok := s.stmts[id]
-	delete(s.stmts, id)
-	s.mu.Unlock()
-	if !ok {
-		http.Error(w, fmt.Sprintf("server: no prepared statement %q", id), http.StatusNotFound)
-		return
-	}
-	entry.stmt.Close()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleStats snapshots the manager and plan-cache counters.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.manager.Stats()
-	hits, misses := s.db.PlanCacheStats()
-	poolHits, poolMisses, poolResident := s.db.BufferPoolStats()
-	s.mu.Lock()
-	s.sweepLocked(s.now())
-	open := len(s.stmts)
-	s.mu.Unlock()
-	expired := s.expired.Load()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Budget:                s.manager.Budget(),
-		ActiveThreads:         st.ThreadsInFlight,
-		PeakThreads:           st.PeakThreads,
-		Active:                st.Active,
-		Queued:                st.Queued,
-		Admitted:              st.Admitted,
-		Completed:             st.Completed,
-		Failed:                st.Failed,
-		Cancelled:             st.Cancelled,
-		Rejected:              st.Rejected,
-		Readmissions:          st.Readmissions,
-		ThreadsReturnedEarly:  st.ThreadsReturnedEarly,
-		ThreadsGrownMidFlight: st.ThreadsGrownMidFlight,
-		SmoothedUtilization:   st.SmoothedUtilization,
-		MemBudget:             st.MemBudget,
-		MemInFlight:           st.MemInFlight,
-		PeakMem:               st.PeakMem,
-		SpilledBytes:          st.SpilledBytes,
-		SpillPasses:           st.SpillPasses,
-		BufferPoolHits:        poolHits,
-		BufferPoolMisses:      poolMisses,
-		BufferPoolResident:    poolResident,
-		PlanCacheHits:         hits,
-		PlanCacheMisses:       misses,
-		Statements:            open,
-		StatementsExpired:     expired,
-		BytesWritten:          s.bytesWritten.Load(),
-		RowsStreamed:          s.rowsStreamed.Load(),
-		Relations:             s.db.Relations(),
-	})
-}
-
-// NegotiateWire picks the result-stream encoding for one request: the wire
+// negotiateWire picks the result-stream encoding for one request: the wire
 // Options field wins, then the Accept header, then the NDJSON default. The
 // returned string is the Content-Type to declare (and to hand to
-// NewStreamEncoder). An unknown wire name is the client's error. Exported
-// for the cluster coordinator, whose front end negotiates identically.
-func NegotiateWire(r *http.Request, wire *Options) (string, error) {
-	return negotiateWire(r, wire)
-}
-
-// negotiateWire implements NegotiateWire.
+// NewStreamEncoder). An unknown wire name is the client's error.
 func negotiateWire(r *http.Request, wire *Options) (string, error) {
 	if wire != nil && wire.Wire != "" {
 		switch wire.Wire {
@@ -501,164 +186,115 @@ func negotiateWire(r *http.Request, wire *Options) (string, error) {
 	return contentTypeNDJSON, nil
 }
 
-// countingWriter counts the encoded bytes a stream puts on the wire (it sits
-// under the bufio.Writer, so it sees coalesced writes, not per-frame ones)
-// and feeds the server's lifetime counter as they happen — a stats poll
-// during a long stream sees its progress, not zero.
-type countingWriter struct {
-	w     io.Writer
-	total *atomic.Int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.total.Add(int64(n))
-	return n, err
-}
-
-// stream executes stmt under the request's context and writes the result
-// stream in the negotiated encoding (contentType: NDJSON or binary
-// columnar; see colwire.go). The request context is the cancellation path:
-// a client that disconnects mid-stream cancels the query, the engine
-// unwinds, and Admission.Finish returns its threads to the shared budget —
-// the deferred Close is a no-op by then.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, stmt *dbs3.Stmt, args []any, contentType string) {
-	rows, err := stmt.QueryContext(r.Context(), args...)
+// execute is the shared tail of /query and /stmt/{id}/exec: decode the
+// placeholder arguments, negotiate the encoding, run, stream. Nothing
+// reaches the backend unless the whole request is well-formed.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, rawArgs []any, wire *Options,
+	run func(args []any, opt *Options) (Result, error)) {
+	args, err := decodeArgs(rawArgs)
 	if err != nil {
-		http.Error(w, err.Error(), errorStatus(err))
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	defer rows.Close()
-
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not re-buffer the stream
-
-	// Frames coalesce in a sized bufio.Writer: a wide streamed result pays
-	// one connection Write per buffer fill instead of one per 64-row
-	// chunk. Streaming latency stays bounded: the header, the first row
-	// chunk and the terminal message flush immediately, and a background
-	// ticker flushes anything buffered at least every streamFlushInterval —
-	// so a slowly producing query can never strand rows in the buffer while
-	// it blocks for the next chunk. wmu serializes the handler's writes with
-	// the ticker's flushes (neither bufio.Writer nor http.ResponseWriter is
-	// concurrency-safe).
-	bw := bufio.NewWriterSize(&countingWriter{w: w, total: &s.bytesWritten}, s.writeBuf)
-	var enc resultEncoder
-	if contentType == ContentTypeColumnar {
-		enc = &columnarEncoder{w: bw, types: rows.ColumnTypes()}
-	} else {
-		enc = &ndjsonEncoder{enc: json.NewEncoder(bw)}
-	}
-	flusher, _ := w.(http.Flusher)
-	var wmu sync.Mutex
-	dirty := false // buffered bytes not yet flushed; guarded by wmu
-	flushLocked := func() {
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-		dirty = false
-	}
-	stopFlush := make(chan struct{})
-	flushDone := make(chan struct{})
-	go func() {
-		defer close(flushDone)
-		ticker := time.NewTicker(streamFlushInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				wmu.Lock()
-				if dirty {
-					flushLocked()
-				}
-				wmu.Unlock()
-			case <-stopFlush:
-				return
-			}
-		}
-	}()
-	defer func() {
-		close(stopFlush)
-		<-flushDone
-		// Final drain for the error-return paths; success paths flushed.
-		wmu.Lock()
-		flushLocked()
-		wmu.Unlock()
-	}()
-	// write runs one encoder call under the write mutex; flush forces its
-	// bytes (and anything buffered) out. Without flush the bytes leave when
-	// the buffer fills or the ticker fires.
-	write := func(fn func() error, flush bool) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		err := fn()
-		if flush {
-			flushLocked()
-		} else {
-			dirty = true
-		}
-		return err
-	}
-
-	cols := rows.Columns()
-	hdr := &Header{
-		Columns:     cols,
-		Types:       rows.ColumnTypes(),
-		Threads:     rows.Threads(),
-		Utilization: rows.Utilization(),
-	}
-	if err := write(func() error { return enc.header(hdr) }, true); err != nil {
+	contentType, err := negotiateWire(r, wire)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-
-	var count int64
-	defer func() { s.rowsStreamed.Add(count) }()
-	firstChunk := true
-	chunk := make([][]any, 0, s.chunk)
-	emit := func() bool {
-		if len(chunk) == 0 {
-			return true
-		}
-		err := write(func() error { return enc.rows(chunk) }, firstChunk)
-		firstChunk = false
-		chunk = chunk[:0]
-		return err == nil
-	}
-	for rows.Next() {
-		row := make([]any, len(cols))
-		ptrs := make([]any, len(cols))
-		for i := range row {
-			ptrs[i] = &row[i]
-		}
-		if err := rows.Scan(ptrs...); err != nil {
-			write(func() error { return enc.fail(err.Error()) }, true)
-			return
-		}
-		chunk = append(chunk, row)
-		count++
-		if len(chunk) >= s.chunk && !emit() {
-			return
-		}
-	}
-	if err := rows.Err(); err != nil {
-		// The header is already on the wire, so the failure travels in-band;
-		// the missing done message tells a half-read client the stream is
-		// truncated, not complete.
-		write(func() error { return enc.fail(err.Error()) }, true)
+	res, err := run(args, withPriority(r, wire))
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
-	if !emit() {
-		return
-	}
-	foot := &Footer{RowCount: count, Threads: rows.Threads(), ChainThreads: rows.ChainThreads(), Operators: rows.Operators()}
-	foot.SpilledBytes, foot.SpillPasses = rows.SpillStats()
-	write(func() error { return enc.done(foot) }, true)
+	s.stream(w, res, contentType)
 }
 
-// writeJSON writes one JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// handleQuery runs one ad-hoc statement and streams its result; `?`
+// placeholders bind from args. The request context is the cancellation
+// path: a client that disconnects mid-stream cancels the query.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeStatement(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	s.execute(w, r, req.Args, req.Options, func(args []any, opt *Options) (Result, error) {
+		return s.backend.Query(r.Context(), req.SQL, args, opt)
+	})
+}
+
+// handlePrepare compiles a statement on the backend and registers it under
+// an id for compile-once / execute-many clients.
+func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeStatement(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	stmt, err := s.backend.Prepare(r.Context(), req.SQL, withPriority(r, req.Options))
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	info, err := s.stmts.add(r.Context(), stmt)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusTooManyRequests)
+		return
+	}
+	writeJSON(w, info)
+}
+
+// handleStmtInfo returns a prepared statement's metadata.
+func (s *Server) handleStmtInfo(w http.ResponseWriter, r *http.Request) {
+	entry, err := s.stmts.get(r.Context(), r.PathValue("id"))
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	writeJSON(w, entry.info)
+}
+
+// handleExec executes a prepared statement with per-execution arguments.
+// The statement's prepare-time options are the baseline; the priority
+// header and the request's options override per execution.
+func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
+	entry, err := s.stmts.get(r.Context(), r.PathValue("id"))
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	var req ExecRequest
+	if err := decodeBody(r, &req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	s.execute(w, r, req.Args, req.Options, func(args []any, opt *Options) (Result, error) {
+		return entry.stmt.Exec(r.Context(), args, opt)
+	})
+}
+
+// handleStmtClose discards a prepared statement.
+func (s *Server) handleStmtClose(w http.ResponseWriter, r *http.Request) {
+	if err := s.stmts.remove(r.Context(), r.PathValue("id")); err != nil {
+		s.fail(w, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleStats returns the backend's counters joined with the front end's.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	open, expired := s.stmts.counts(r.Context())
+	writeJSON(w, s.backend.Stats(r.Context(), FrontEndStats{
+		Statements:   open,
+		Expired:      expired,
+		BytesWritten: s.bytesWritten.Load(),
+		RowsStreamed: s.rowsStreamed.Load(),
+	}))
+}
+
+// writeJSON writes one 200 JSON response.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -192,33 +191,6 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeStreamsBeforeCompletion: the first rows of a large result arrive
-// over the wire while the query is demonstrably still executing — /stats
-// reports it active and holding threads.
-func TestServeStreamsBeforeCompletion(t *testing.T) {
-	client, _ := newTestServer(t, 100_000)
-	stream, err := client.Query(context.Background(), "SELECT * FROM wisc", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-	if !stream.Next() {
-		t.Fatalf("no first row: %v", stream.Err())
-	}
-	st, err := client.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The bounded sink (64 rows) cannot hold 100k tuples, so a first row
-	// with the query still active proves streaming, not buffering.
-	if st.Active != 1 || st.ActiveThreads < 1 {
-		t.Errorf("query not active after first row: %+v", st)
-	}
-	if h := stream.Header(); len(h.Columns) == 0 || len(h.Types) != len(h.Columns) {
-		t.Errorf("bad header %+v", h)
-	}
-}
-
 // TestServeDisconnectReleasesThreads: a client that vanishes mid-stream
 // must not pin its query's threads. The request context cancels, the
 // engine unwinds, the admission returns its reservation, and no goroutine
@@ -377,52 +349,6 @@ func TestServePreparedStatements(t *testing.T) {
 	}
 	if st.Statements != 1 { // the literal statement is still open
 		t.Errorf("open statements = %d, want 1", st.Statements)
-	}
-}
-
-// TestServeRequestValidation: malformed requests and bad options map to
-// client errors, not stream corruption or 500s.
-func TestServeRequestValidation(t *testing.T) {
-	client, _ := newTestServer(t, 200)
-	ctx := context.Background()
-
-	if _, err := client.Query(ctx, "", nil, nil); err == nil || !strings.Contains(err.Error(), "empty sql") {
-		t.Errorf("empty sql: %v", err)
-	}
-	if _, err := client.Query(ctx, "SELECT nope FROM wisc", nil, nil); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Errorf("bad column: %v", err)
-	}
-	if _, err := client.Query(ctx, "SELECT * FROM wisc", nil, &Options{Priority: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown priority") {
-		t.Errorf("bad priority option: %v", err)
-	}
-	if _, err := client.Query(ctx, "SELECT * FROM wisc", nil, &Options{Strategy: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
-		t.Errorf("bad strategy: %v", err)
-	}
-	if _, err := client.Exec(ctx, "s999", []any{1}, nil); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("unknown stmt: %v", err)
-	}
-
-	// The priority header is honored — and validated — per request.
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, client.Base+"/query",
-		strings.NewReader(`{"sql":"SELECT * FROM wisc"}`))
-	req.Header.Set("X-DBS3-Priority", "bogus")
-	resp, err := client.HTTP.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus priority header: status %d", resp.StatusCode)
-	}
-
-	// healthz answers.
-	hresp, err := client.HTTP.Get(client.Base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		t.Errorf("healthz status %d", hresp.StatusCode)
 	}
 }
 

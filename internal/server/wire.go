@@ -2,7 +2,8 @@
 // behind it — over HTTP, so independent network clients drive the
 // QueryManager the way the paper's multi-user experiments do: many
 // concurrent statements sharing one thread budget, with per-query adaptive
-// parallelism.
+// parallelism. The front end is written against a Backend, of which the
+// database is one and the cluster coordinator the other (see backend.go).
 //
 // The wire protocol is JSON. Query results stream as NDJSON (one JSON
 // message per line) so rows reach the client as the engine produces them:

@@ -6,18 +6,23 @@ import (
 	"sync"
 )
 
-// PageReader is a source of page images addressed by PageID. *Array (the
-// simulated disk array) and *SpillSet (a query's temp files) both satisfy
-// it, so one buffer pool serves the paper's memory-resident experiments and
-// spill read-back alike.
+// PageID addresses a page: which disk (for a SpillSet, which temp file) and
+// which slot on it.
+type PageID struct {
+	Disk int
+	Slot int
+}
+
+// String renders the page id as "d<disk>:p<slot>".
+func (id PageID) String() string { return fmt.Sprintf("d%d:p%d", id.Disk, id.Slot) }
+
+// PageReader is a source of page images addressed by PageID: *SpillSet (a
+// query's temp files) in the engine, an in-memory fake in the pool's tests.
 type PageReader interface {
 	Read(id PageID) ([]byte, error)
 }
 
-// BufferPool caches decoded pages with LRU replacement. The paper's
-// experiments run with "relations cached in main memory"; a warmed pool
-// reproduces exactly that regime while the pool's miss path exercises the
-// disk substrate.
+// BufferPool caches decoded pages with LRU replacement.
 //
 // A miss releases the pool mutex during the read and decode, holding only a
 // per-page in-flight latch: concurrent hits proceed while a page is being

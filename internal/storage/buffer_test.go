@@ -19,10 +19,29 @@ func pageWith(t *testing.T, v int64) []byte {
 	return p.Bytes()
 }
 
+// memReader is an in-memory PageReader that counts its reads.
+type memReader struct {
+	pages [][]byte
+	reads int
+}
+
+func (r *memReader) write(img []byte) PageID {
+	r.pages = append(r.pages, img)
+	return PageID{Slot: len(r.pages) - 1}
+}
+
+func (r *memReader) Read(id PageID) ([]byte, error) {
+	if id.Disk != 0 || id.Slot < 0 || id.Slot >= len(r.pages) {
+		return nil, fmt.Errorf("memReader: no page %v", id)
+	}
+	r.reads++
+	return r.pages[id.Slot], nil
+}
+
 func TestBufferPoolHitMiss(t *testing.T) {
-	a, _ := NewArray(1)
-	id0, _ := a.Write(0, pageWith(t, 10))
-	id1, _ := a.Write(0, pageWith(t, 20))
+	a := &memReader{}
+	id0 := a.write(pageWith(t, 10))
+	id1 := a.write(pageWith(t, 20))
 	b, err := NewBufferPool(a, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -46,22 +65,21 @@ func TestBufferPoolHitMiss(t *testing.T) {
 }
 
 func TestBufferPoolEvictsLRU(t *testing.T) {
-	a, _ := NewArray(1)
+	a := &memReader{}
 	ids := make([]PageID, 3)
 	for i := range ids {
-		ids[i], _ = a.Write(0, pageWith(t, int64(i)))
+		ids[i] = a.write(pageWith(t, int64(i)))
 	}
 	b, _ := NewBufferPool(a, 2)
 	b.Get(ids[0])
 	b.Get(ids[1])
 	b.Get(ids[0]) // 0 now MRU, 1 is LRU
 	b.Get(ids[2]) // must evict 1
-	reads0, _ := a.Disk(0).Stats()
+	reads0 := a.reads
 	b.Get(ids[0]) // hit
 	b.Get(ids[1]) // miss: was evicted
-	reads1, _ := a.Disk(0).Stats()
-	if reads1 != reads0+1 {
-		t.Errorf("expected exactly one extra disk read, got %d", reads1-reads0)
+	if a.reads != reads0+1 {
+		t.Errorf("expected exactly one extra source read, got %d", a.reads-reads0)
 	}
 	if b.Resident() != 2 {
 		t.Errorf("Resident = %d, want capacity 2", b.Resident())
@@ -69,8 +87,8 @@ func TestBufferPoolEvictsLRU(t *testing.T) {
 }
 
 func TestBufferPoolContentCorrect(t *testing.T) {
-	a, _ := NewArray(2)
-	id, _ := a.Write(1, pageWith(t, 77))
+	a := &memReader{}
+	id := a.write(pageWith(t, 77))
 	b, _ := NewBufferPool(a, 1)
 	p, err := b.Get(id)
 	if err != nil {
@@ -187,7 +205,7 @@ func TestBufferPoolHitDuringMiss(t *testing.T) {
 }
 
 func TestBufferPoolErrors(t *testing.T) {
-	a, _ := NewArray(1)
+	a := &memReader{}
 	if _, err := NewBufferPool(a, 0); err == nil {
 		t.Error("zero capacity accepted")
 	}

@@ -1,9 +1,8 @@
-// Package storage provides the disk substrate under DBS3's parallel storage
-// model: a tuple codec, slotted pages, simulated disks with I/O accounting,
-// an LRU buffer pool, and a catalog of partitioned relations. The paper ran
-// with relations cached in memory (its KSR1 had one disk), but the storage
-// model — fragments placed round-robin on disks — is part of the system, so
-// we implement it fully and let experiments warm the cache first.
+// Package storage is the disk substrate of larger-than-memory execution: a
+// tuple codec, slotted pages, spill files, an LRU buffer pool for read-back,
+// and the memory accountant that decides when an operator spills. Base
+// relations stay memory-resident, as in the paper's experiments (its KSR1
+// had one disk).
 package storage
 
 import (

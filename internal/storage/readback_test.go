@@ -140,6 +140,57 @@ func TestReadBackAllocatesPerPage(t *testing.T) {
 	}
 }
 
+// TestReadBackThroughSmallAndWarmPools: a relation read back through a pool
+// far smaller than it (every page evicted before it could be reused) comes
+// back as the same multiset, and a second read through a pool that holds it
+// all is served without one new miss.
+func TestReadBackThroughSmallAndWarmPools(t *testing.T) {
+	rel := relation.Wisconsin("w", 3_000, 5)
+	for name, poolPages := range map[string]int{"small": 3, "warm": 1024} {
+		env, err := NewSpillEnv(t.TempDir(), 0, poolPages, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		w := env.NewRun()
+		for _, tup := range rel.Tuples {
+			if err := w.Add(tup); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := int(run.Bytes() / PageSize)
+		if pages <= 3 {
+			t.Fatalf("the run is only %d pages: it must outgrow the small pool", pages)
+		}
+		first, err := run.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (&relation.Relation{Schema: rel.Schema, Tuples: first}); !got.EqualMultiset(rel) {
+			t.Errorf("%s pool: the relation read back differs from the one written", name)
+		}
+		hits0, misses0 := env.Pool.Stats()
+		if misses0 < pages {
+			t.Errorf("%s pool: %d misses reading %d cold pages", name, misses0, pages)
+		}
+		if _, err := run.All(); err != nil {
+			t.Fatal(err)
+		}
+		hits1, misses1 := env.Pool.Stats()
+		if name == "small" {
+			if misses1-misses0 < pages {
+				t.Errorf("small pool: re-reading %d pages through %d missed only %d times", pages, poolPages, misses1-misses0)
+			}
+		} else if misses1 != misses0 || hits1-hits0 < pages {
+			t.Errorf("warm pool: re-read took %d new misses and %d hits over %d pages", misses1-misses0, hits1-hits0, pages)
+		}
+	}
+}
+
 // FuzzDecodeTupleInto feeds arbitrary bytes to the read-back path, both as
 // one encoded tuple and as a page image: whatever they hold, the decoders
 // return an error or tuples that re-encode to the bytes they consumed —

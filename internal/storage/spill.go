@@ -11,9 +11,8 @@ import (
 // Larger-than-memory execution: when a blocking operator exceeds its memory
 // grant it writes state to spill files — real OS temp files of PageSize
 // slotted pages — and reads it back through a BufferPool. A query's spill
-// files form a SpillSet addressed exactly like the simulated disk Array
-// (PageID.Disk = file index, PageID.Slot = page within the file), so the
-// pool, page, and codec layers serve both regimes unchanged.
+// files form a SpillSet addressed by PageID (Disk = file index, Slot = page
+// within the file).
 
 // SpillFile is one append-only temp file of PageSize pages. It is removed
 // from the filesystem on Close; Close is idempotent and safe on the

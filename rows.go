@@ -93,6 +93,13 @@ func (r *Rows) Next() bool {
 	return true
 }
 
+// Row returns the current row — one int64 or string per column — without
+// copying; nil before the first successful Next and after the last. Every
+// row is its own slice (the cursor never reuses one), so a caller may keep
+// it past the next Next — the serve front end batches rows into wire chunks
+// this way instead of paying a per-row Scan.
+func (r *Rows) Row() []any { return r.cur }
+
 // Scan copies the current row into dest, one pointer per column: *int64,
 // *int, *string or *any.
 func (r *Rows) Scan(dest ...any) error {
