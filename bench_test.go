@@ -20,6 +20,7 @@ import (
 	"dbs3/internal/core"
 	"dbs3/internal/experiments"
 	"dbs3/internal/lera"
+	"dbs3/internal/race"
 	"dbs3/internal/sim"
 	"dbs3/internal/workload"
 	"dbs3/internal/zipf"
@@ -306,24 +307,17 @@ func BenchmarkAblationQueueAffinity(b *testing.B) {
 	b.ReportMetric(float64(picks), "secondary_picks")
 }
 
-// --- Batch-at-a-time hot-path benches (BENCH_core.json) ---------------------
+// --- Batch-at-a-time hot-path benches ----------------------------------------
 
-// The CoreHotPath pair measures the batched, vectorized data plane against
-// the per-tuple protocol (BatchGrain 1 + NoVectorize: one queue push per
-// tuple, one OnTuple call per activation — the paper's original execution
-// model) on the same plan: same operators, same allocation, only transport
-// and processing grain differ. scripts/bench_core.sh runs them with
-// -benchmem, archives BENCH_core.json, and gates CI on the batched
-// pipeline's allocs/op and on the vectorized-over-per-tuple speedup floor.
+// The CoreHotPath benches run the batched, vectorized data plane on a
+// pipelined join and a GROUP BY. What the batching buys over the per-tuple
+// protocol is bench/'s core.grain1_slowdown and core.novectorize_slowdown;
+// what it must not cost is TestPipelinedJoinAllocationCeiling below.
 //
 // GC is excluded from the timed region (disabled during iterations, with a
-// full collection between them, identically for both variants): collection
-// cost scales with the materialized result and the generated database — the
-// same work in both configurations — and on small heaps its scheduling noise
-// swamps the protocol difference the pair exists to measure. The GC-pressure
-// difference between the paths is still gated, just directly: via allocs/op
-// (the vectorized pipeline allocates ~5x fewer objects than the per-tuple
-// one; see MAX_PIPELINED_JOIN_ALLOCS in scripts/bench_core.sh).
+// full collection between them): collection cost scales with the
+// materialized result and the generated database, and on small heaps its
+// scheduling noise swamps the data-plane cost the benches exist to show.
 
 // runGCExcluded disables the collector for the benchmark loop, collecting
 // manually outside the timer before each iteration.
@@ -339,54 +333,59 @@ func runGCExcluded(b *testing.B, iter func()) {
 	}
 }
 
-func coreHotPathPipelinedJoin(b *testing.B, grain int, noVec bool) {
-	b.Helper()
-	// Probe-stream heavy shape: a small build side and a 40k-tuple
-	// redistributed probe stream keep the queue protocol — the thing the
-	// two variants differ in — the dominant cost. Degree 8 keeps the
-	// per-destination route buffers actually filling to the grain (at high
-	// degrees the stream spreads so thin that most flushes are partial).
+// pipelinedJoin returns one execution of the probe-stream-heavy AssocJoin: a
+// small build side and a 40k-tuple redistributed probe stream keep the queue
+// protocol the dominant cost. Degree 8 keeps the per-destination route
+// buffers actually filling to the grain (at high degrees the stream spreads
+// so thin that most flushes are partial).
+func pipelinedJoin(tb testing.TB) func() {
+	tb.Helper()
 	db, err := workload.NewJoinDB(2_000, 40_000, 8, 0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	plan, err := db.AssocJoinPlan(lera.HashJoin)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rels := db.Relations()
-	opts := core.Options{Threads: 4, BatchGrain: grain, NoVectorize: noVec}
-	b.ReportAllocs()
-	runGCExcluded(b, func() {
-		res, err := core.Execute(plan, rels, opts)
+	return func() {
+		res, err := core.Execute(plan, rels, core.Options{Threads: 4})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if res.Outputs["Res"].Cardinality() != db.ExpectedJoinCount() {
-			b.Fatal("wrong result")
+			tb.Fatal("wrong result")
 		}
-	})
+	}
 }
 
 func BenchmarkCoreHotPathPipelinedJoinBatched(b *testing.B) {
-	coreHotPathPipelinedJoin(b, 0, false)
+	run := pipelinedJoin(b)
+	b.ReportAllocs()
+	runGCExcluded(b, run)
 }
 
-// Grain1 is the per-tuple baseline the speedup gate divides by: one queue
-// push per tuple and per-tuple OnTuple processing (NoVectorize — without it
-// the consumer side would still hand popped multi-tuple runs to OnBatch even
-// at transport grain 1).
-func BenchmarkCoreHotPathPipelinedJoinGrain1(b *testing.B) {
-	coreHotPathPipelinedJoin(b, 1, true)
+// TestPipelinedJoinAllocationCeiling: one execution of the batched pipelined
+// join measures ~480 allocations (run-batched emission, flat join index,
+// slab-carved results); 700 leaves headroom for Go-runtime drift while still
+// catching any per-tuple allocation creeping back into the probe or routing
+// path — each one adds 40 000 to this count.
+func TestPipelinedJoinAllocationCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	if got := testing.AllocsPerRun(5, pipelinedJoin(t)); got > 700 {
+		t.Errorf("batched pipelined join: %v allocations per execution, want at most 700", got)
+	}
 }
 
-func coreHotPathAggregate(b *testing.B, grain int, noVec bool) {
-	b.Helper()
+func BenchmarkCoreHotPathAggregateBatched(b *testing.B) {
 	db := dbs3.New()
 	if err := db.CreateWisconsin("wisc", 50_000, 16, "unique2", 42); err != nil {
 		b.Fatal(err)
 	}
-	opt := &dbs3.Options{Threads: 4, BatchGrain: grain, NoVectorize: noVec}
+	opt := &dbs3.Options{Threads: 4}
 	b.ReportAllocs()
 	runGCExcluded(b, func() {
 		res, err := db.QueryAll("SELECT ten, SUM(unique1) FROM wisc GROUP BY ten", opt)
@@ -399,16 +398,13 @@ func coreHotPathAggregate(b *testing.B, grain int, noVec bool) {
 	})
 }
 
-func BenchmarkCoreHotPathAggregateBatched(b *testing.B) { coreHotPathAggregate(b, 0, false) }
-func BenchmarkCoreHotPathAggregateGrain1(b *testing.B)  { coreHotPathAggregate(b, 1, true) }
-
 // --- Spill benches ---------------------------------------------------------
 
 // coreSpillJoin runs the same build-heavy hash join with and without a
 // working-memory budget. Budget 0 is the in-memory reference; a tiny budget
 // forces the build side through Grace partitioning on disk, and the spilled
-// byte/pass totals are attached as custom metrics so bench_spill.sh can
-// report the cost of degrading to disk next to the slowdown it buys.
+// byte/pass totals are attached as custom metrics: the cost of degrading to
+// disk next to the slowdown it buys.
 func coreSpillJoin(b *testing.B, budget int64) {
 	b.Helper()
 	db, err := workload.NewJoinDB(20_000, 10_000, 8, 0)

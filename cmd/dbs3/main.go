@@ -86,7 +86,6 @@ func main() {
 		joinAlgo    = flag.String("join", "hash", "join algorithm: hash, nested-loop, temp-index")
 		priority    = flag.String("priority", "interactive", "admission class under the manager: interactive, batch")
 		materialize = flag.Bool("materialize", false, "insert a materialization point before aggregation/projection (two chains; the manager renegotiates threads at the boundary)")
-		batchGrain  = flag.Int("batchgrain", 0, "tuples per queue push on the pipelined data plane (0 = engine default, 1 = per-tuple pushes)")
 		explain     = flag.Bool("explain", false, "print the parallel plan (DOT) instead of executing")
 		limit       = flag.Int("limit", 20, "maximum rows to print (the rest are drained and counted, not shown)")
 		wisc        = flag.Int("wisc", 10_000, "wisconsin relation cardinality")
@@ -113,9 +112,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *batchGrain < 0 {
-		fatal(fmt.Errorf("-batchgrain %d is negative (0 = engine default, 1 = per-tuple pushes)", *batchGrain))
-	}
 	if *mem < 0 {
 		fatal(fmt.Errorf("-mem %d is negative (0 = unlimited)", *mem))
 	}
@@ -128,7 +124,7 @@ func main() {
 		fatal(err)
 	}
 
-	opt := &dbs3.Options{Threads: *threads, Strategy: *strategy, JoinAlgo: *joinAlgo, Priority: *priority, Materialize: *materialize, BatchGrain: *batchGrain}
+	opt := &dbs3.Options{Threads: *threads, Strategy: *strategy, JoinAlgo: *joinAlgo, Priority: *priority, Materialize: *materialize}
 	if *concurrency <= 1 {
 		// Single-statement mode: -mem bounds this query directly. Batch mode
 		// instead hands it to the manager as the machine-wide budget, and

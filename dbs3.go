@@ -357,20 +357,6 @@ type Options struct {
 	// memory tighter and apply backpressure sooner; larger values decouple
 	// producer and consumer more.
 	StreamBuffer int
-	// BatchGrain is the producer-side batch size of the engine's pipelined
-	// data plane: pool threads deliver emitted tuples to downstream
-	// activation queues in lumps of this many (one lock acquire and one
-	// consumer wake per lump) instead of one queue operation per tuple.
-	// 0 = the engine default (core.DefaultBatchGrain); 1 disables batching,
-	// restoring the per-tuple protocol. Batching changes only the transport:
-	// every tuple still arrives as its own activation, so per-operator
-	// activation counts, consumption strategies and the paper's skew
-	// overhead formula are unaffected (see DESIGN.md, "Batch grain vs
-	// activation grain").
-	//
-	// Negative values are rejected at Prepare with an error — there is no
-	// sensible meaning to clamp them to silently.
-	BatchGrain int
 	// MemoryBudget caps the query's blocking-operator working memory in
 	// bytes: join build sides, aggregate group tables and stage stores
 	// share the budget through an accountant and spill to disk (Grace
@@ -384,13 +370,6 @@ type Options struct {
 	// Files are created unlinked-on-close and removed on every exit path,
 	// including cancellation.
 	SpillDir string
-	// NoVectorize forces the per-tuple operator path: activation batches
-	// are unpacked into individual OnTuple calls even for operators with a
-	// vectorized OnBatch implementation — the paper's original processing
-	// model, kept as an ablation/debugging switch (the Grain1 hot-path
-	// benchmarks use it as the per-tuple baseline). Results and per-operator
-	// statistics are identical either way; only throughput differs.
-	NoVectorize bool
 }
 
 // validate rejects option values with no meaningful interpretation. Named
@@ -399,9 +378,6 @@ type Options struct {
 func (o *Options) validate() error {
 	if o == nil {
 		return nil
-	}
-	if o.BatchGrain < 0 {
-		return fmt.Errorf("dbs3: BatchGrain %d is negative (0 = engine default, 1 = per-tuple pushes)", o.BatchGrain)
 	}
 	if o.MemoryBudget < 0 {
 		return fmt.Errorf("dbs3: MemoryBudget %d is negative (0 = unlimited)", o.MemoryBudget)

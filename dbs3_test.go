@@ -1,9 +1,6 @@
 package dbs3
 
 import (
-	"fmt"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -250,40 +247,6 @@ func TestFacadeGrainOption(t *testing.T) {
 	}
 	if acts(fine) <= acts(whole) {
 		t.Errorf("finer grain should multiply activations: %d vs %d", acts(fine), acts(whole))
-	}
-}
-
-func TestFacadeBatchGrainOption(t *testing.T) {
-	db := facadeDB(t)
-	sortRows := func(r *Result) []string {
-		out := make([]string, len(r.Data))
-		for i, row := range r.Data {
-			out[i] = fmt.Sprint(row...)
-		}
-		sort.Strings(out)
-		return out
-	}
-	for _, sql := range []string{
-		"SELECT * FROM A JOIN Br ON A.k = Br.k", // repartitioned: the pipelined path
-		"SELECT k, COUNT(*) FROM A GROUP BY k",
-	} {
-		perTuple, err := db.QueryAll(sql, &Options{Threads: 4, BatchGrain: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched, err := db.QueryAll(sql, &Options{Threads: 4, BatchGrain: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sortRows(batched), sortRows(perTuple)) {
-			t.Errorf("%s: batch grain changed the result", sql)
-		}
-		// The transport batches; activation accounting must not.
-		for i, op := range perTuple.Operators {
-			if got := batched.Operators[i].Activations; got != op.Activations {
-				t.Errorf("%s: %s activations %d batched vs %d per-tuple", sql, op.Name, got, op.Activations)
-			}
-		}
 	}
 }
 

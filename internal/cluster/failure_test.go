@@ -10,24 +10,26 @@ import (
 	"time"
 
 	"dbs3"
+	"dbs3/internal/faultinject"
 	"dbs3/internal/server"
 )
 
 // failureCluster is a cluster whose httptest servers stay addressable, so a
-// test can sever a worker's connections mid-stream. All traffic runs over
-// one dedicated http.Client, so the goroutine-leak check can distinguish
-// leaked readers from idle keep-alive connections.
+// test can kill a worker and ask the survivors for their ledgers. All traffic
+// runs over one dedicated http.Client, so the goroutine-leak check can
+// distinguish leaked readers from idle keep-alive connections.
 type failureCluster struct {
 	coord *Coordinator
 	ts    []*httptest.Server
-	urls  []string
+	urls  []string // the workers themselves, not what may front them
 	httpc *http.Client
 }
 
-// newFailureCluster builds workers with a wide Wisconsin relation — wide
-// enough that a full scan is still streaming when the test pulls a node's
-// plug.
-func newFailureCluster(t *testing.T) *failureCluster {
+// newFailureCluster builds workers with a wide Wisconsin relation — a full
+// scan streams megabytes per node. The coordinator reaches node 1 through a
+// fault-injection proxy playing node1Faults, one fault per connection it
+// opens there (nil forwards everything untouched).
+func newFailureCluster(t *testing.T, node1Faults faultinject.Script) *failureCluster {
 	t.Helper()
 	fc := &failureCluster{httpc: &http.Client{}}
 	t.Cleanup(fc.httpc.CloseIdleConnections)
@@ -46,7 +48,9 @@ func newFailureCluster(t *testing.T) *failureCluster {
 		fc.ts = append(fc.ts, ts)
 		fc.urls = append(fc.urls, ts.URL)
 	}
-	coord, err := New(context.Background(), Config{Nodes: fc.urls, HTTP: fc.httpc, PollInterval: -1, Retries: -1})
+	nodes := append([]string(nil), fc.urls...)
+	nodes[1] = newChaosProxy(t, fc.urls[1], node1Faults).URL()
+	coord, err := New(context.Background(), Config{Nodes: nodes, HTTP: fc.httpc, PollInterval: -1, Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,22 +80,20 @@ func (fc *failureCluster) waitThreadsDrained(t *testing.T, url string) {
 	}
 }
 
-// TestNodeDeathMidStream is the partial-failure contract: killing one
-// worker's connections while a scatter is streaming surfaces exactly one
-// error naming a node, cancels the sibling streams so every worker's
-// threads return to its budget, and leaks no coordinator goroutines.
+// TestNodeDeathMidStream is the partial-failure contract: one worker's
+// connection dying while a scatter is streaming surfaces exactly one error
+// naming a node, cancels the sibling streams so every worker's threads
+// return to its budget, and leaks no coordinator goroutines.
 func TestNodeDeathMidStream(t *testing.T) {
-	fc := newFailureCluster(t)
+	// Node 1's stream is reset 64 KiB in: past the header (the scatter
+	// opens) and a few hundred of its 10 000 rows, however fast anyone
+	// reads — the death is mid-stream by byte count, not by timing.
+	fc := newFailureCluster(t, faultinject.Script{{Kind: faultinject.Reset, After: 64 << 10}})
 	before := runtime.NumGoroutine()
 	rows, err := fc.coord.Query(context.Background(), "SELECT * FROM wisc", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pull a few rows so every stream is established and mid-flight…
-	for i := 0; i < 10 && rows.Next(); i++ {
-	}
-	// …then sever node 1's connections: its stream dies under the reader.
-	fc.ts[1].CloseClientConnections()
 	for rows.Next() {
 	}
 	err = rows.Err()
@@ -130,7 +132,7 @@ func TestNodeDeathMidStream(t *testing.T) {
 // fails the fan-out at the header barrier — one clean error, nothing half
 // streamed, surviving workers drained.
 func TestDeadNodeFailsQueryAtOpen(t *testing.T) {
-	fc := newFailureCluster(t)
+	fc := newFailureCluster(t, nil)
 	fc.ts[2].Close()
 	_, err := fc.coord.Query(context.Background(), "SELECT * FROM wisc WHERE unique1 < 100", nil, nil)
 	if err == nil {
@@ -151,7 +153,7 @@ func TestDeadNodeFailsQueryAtOpen(t *testing.T) {
 // scatter is the same cleanup path — Close cancels every worker request and
 // the workers' budgets refill.
 func TestCloseMidStreamCancelsWorkers(t *testing.T) {
-	fc := newFailureCluster(t)
+	fc := newFailureCluster(t, nil)
 	rows, err := fc.coord.Query(context.Background(), "SELECT * FROM wisc", nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,28 +1,32 @@
 package core
 
-// Batch-at-a-time data plane tests: Queue.PushBatch unit semantics, and the
+// Batch-at-a-time data plane tests: Queue.PushBatch unit semantics, the one
+// operator contract (every operator, whatever run lengths OnBatch is handed,
+// emits the same multiset and accounts the same activations), and the
 // equivalence property the whole design rests on — a batched, vectorized
-// execution (BatchGrain > 1, operators running OnBatch) is indistinguishable
-// from the per-tuple protocol (BatchGrain = 1 with NoVectorize, every tuple
-// through OnTuple) in everything but speed: identical result multisets,
-// identical per-operator activation/emission accounting (tuples, never
-// batches), identical per-worker activation counts when the allocation is
-// deterministic, and identical cancellation behavior mid-batch. The join
-// matrix also covers the fallback seam: NestedLoop joins have no OnBatch,
-// so their runs take the per-tuple dispatch path while the filters, stores
-// and transmits around them vectorize.
+// execution (BatchGrain > 1, whole popped runs per OnBatch) is
+// indistinguishable from the per-tuple protocol (BatchGrain = 1 with
+// NoVectorize: one queue push and one OnBatch call per tuple) in everything
+// but speed: identical result multisets, identical per-operator
+// activation/emission accounting (tuples, never batches), identical
+// per-worker activation counts when the allocation is deterministic, and
+// identical cancellation behavior mid-batch.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dbs3/internal/esql"
 	"dbs3/internal/lera"
+	"dbs3/internal/operator"
 	"dbs3/internal/partition"
 	"dbs3/internal/relation"
 	"dbs3/internal/workload"
@@ -147,13 +151,184 @@ func TestBatchGrainDefaultsAndClamp(t *testing.T) {
 	if o := (Options{BatchGrain: -3}).withDefaults(); o.BatchGrain != 1 {
 		t.Errorf("negative grain = %d, want 1", o.BatchGrain)
 	}
-	// The grain is a per-destination buffer capacity reachable from wire
-	// options; it must clamp to the queue capacity, not be trusted.
+	// The grain is a per-destination buffer capacity; it must clamp to the
+	// queue capacity, not be trusted.
 	if o := (Options{BatchGrain: 1 << 30}).withDefaults(); o.BatchGrain != o.QueueCap {
 		t.Errorf("huge grain = %d, want clamp to queue cap %d", o.BatchGrain, o.QueueCap)
 	}
 	if o := (Options{BatchGrain: 1 << 30, QueueCap: 8}).withDefaults(); o.BatchGrain != 8 {
 		t.Errorf("grain = %d, want clamp to explicit queue cap 8", o.BatchGrain)
+	}
+}
+
+// --- The one operator contract ----------------------------------------------
+
+// contractInstances is the degree of the operations the contract table runs;
+// a tuple with key k belongs to instance k % contractInstances, which is also
+// where its join partners and its group live.
+const contractInstances = 3
+
+// contractInput is the pipelined stream fed to every operator: (k, id, pad)
+// tuples over 40 keys.
+func contractInput() []relation.Tuple {
+	in := make([]relation.Tuple, 600)
+	for i := range in {
+		in[i] = relation.NewTuple(relation.Int(int64(i%40)), relation.Int(int64(i)), relation.Str(fmt.Sprintf("pad-%d", i%7)))
+	}
+	return in
+}
+
+var contractSchema = relation.MustSchema(
+	relation.Column{Name: "k", Type: relation.TInt},
+	relation.Column{Name: "id", Type: relation.TInt},
+	relation.Column{Name: "pad", Type: relation.TString},
+)
+
+// sortedKeys renders a tuple multiset in canonical order.
+func sortedKeys(ts []relation.Tuple) []string {
+	out := make([]string, len(ts))
+	for i, t := range ts {
+		out[i] = t.Key()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestOperatorContract runs every operator as a pipelined operation fed the
+// same tuple activations, cutting the OnBatch runs at length 1, 7 and 64 (the
+// internal cache size bounds a run) with and without NoVectorize (runs of one
+// whatever the cache size). What comes out — emissions plus, for the
+// chain-terminating operators, what they stored or pushed — must be the same
+// multiset every way, and so must OpStats.Activations and Emitted. The
+// PerTuple-adapted row holds third-party and test-double operators to the
+// same table.
+func TestOperatorContract(t *testing.T) {
+	pred, err := (lera.ColConst{Col: "k", Op: lera.LT, Val: relation.Int(17)}).Bind(contractSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each case builds a fresh operator; consumed, when non-nil, reads back
+	// what a chain-terminating operator took in instead of emitting.
+	type built struct {
+		op       operator.Operator
+		consumed func() ([]relation.Tuple, error)
+	}
+	join := func(algo lera.JoinAlgo) func() built {
+		return func() built {
+			return built{op: &operator.Join{Algo: algo, BuildKey: []int{0}, ProbeKey: []int{0}}}
+		}
+	}
+	cases := []struct {
+		name  string
+		build func() built
+	}{
+		{"filter", func() built { return built{op: &operator.Filter{Pred: pred}} }},
+		{"transmit", func() built { return built{op: &operator.Transmit{}} }},
+		{"map", func() built { return built{op: &operator.Map{Cols: []int{2, 0}}} }},
+		{"store", func() built {
+			s := operator.NewStore(contractInstances)
+			return built{op: s, consumed: func() ([]relation.Tuple, error) {
+				frags, err := s.Results()
+				var all []relation.Tuple
+				for _, f := range frags {
+					all = append(all, f...)
+				}
+				return all, err
+			}}
+		}},
+		{"sink/push", func() built {
+			var got collectSink
+			return built{op: &operator.Sink{Push: got.Push}, consumed: func() ([]relation.Tuple, error) { return got.tuples, nil }}
+		}},
+		{"sink/pushbatch", func() built {
+			var got collectSink
+			sink := &operator.Sink{PushBatch: func(ts []relation.Tuple) error {
+				for _, t := range ts {
+					got.Push(t)
+				}
+				return nil
+			}}
+			return built{op: sink, consumed: func() ([]relation.Tuple, error) { return got.tuples, nil }}
+		}},
+		{"join/hash", join(lera.HashJoin)},
+		{"join/temp-index", join(lera.TempIndex)},
+		{"join/nested-loop", join(lera.NestedLoop)},
+		{"aggregate", func() built {
+			return built{op: &operator.Aggregate{GroupBy: []int{0}, Kind: lera.AggSum, AggCol: 1}}
+		}},
+		{"per-tuple adapter", func() built {
+			return built{op: operator.PerTuple(func(_ *operator.Context, t relation.Tuple, emit operator.Emit) error {
+				if t[1].AsInt()%3 == 0 {
+					emit(t)
+					emit(t)
+				}
+				return nil
+			})}
+		}},
+	}
+
+	input := contractInput()
+	run := func(b built, runLen int, noVec bool) (out []string, activations, emitted int64) {
+		ctxs := make([]*operator.Context, contractInstances)
+		for i := range ctxs {
+			ctxs[i] = &operator.Context{Instance: i}
+			// Two build tuples per key of this instance, for the join rows.
+			for k := i; k < 40; k += contractInstances {
+				for c := 0; c < 2; c++ {
+					ctxs[i].Build = append(ctxs[i].Build, relation.NewTuple(relation.Int(int64(k)), relation.Int(int64(c)), relation.Str("build")))
+				}
+			}
+		}
+		// The queues hold an instance's whole input, fed before the pool
+		// starts, so every drain is a full cache: runs really are runLen long.
+		o := newOperation("contract", 0, b.op, ctxs, len(input), 2, runLen, StrategyRandom, 1, false)
+		o.noVectorize = noVec
+		var sunk collectSink
+		o.emit = func(_ int, t relation.Tuple) { sunk.Push(t) }
+		for _, tup := range input {
+			o.Queues[int(tup[0].AsInt())%contractInstances].Push(Activation{Tuple: tup})
+		}
+		for _, q := range o.Queues {
+			q.Close()
+		}
+		var wg sync.WaitGroup
+		o.run(&wg)
+		wg.Wait()
+		if err := o.Err(); err != nil {
+			t.Fatal(err)
+		}
+		all := sunk.tuples
+		if b.consumed != nil {
+			ts, err := b.consumed()
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, ts...)
+		}
+		return sortedKeys(all), o.Stats().Activations.Load(), o.Stats().Emitted.Load()
+	}
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ref, refActs, refEmitted := run(c.build(), 1, true)
+			if len(ref) == 0 {
+				t.Fatal("reference run produced nothing")
+			}
+			if refActs != int64(len(input)) {
+				t.Fatalf("reference processed %d activations, want %d", refActs, len(input))
+			}
+			for _, runLen := range []int{1, 7, 64} {
+				for _, noVec := range []bool{true, false} {
+					got, acts, emitted := run(c.build(), runLen, noVec)
+					if !slices.Equal(got, ref) {
+						t.Errorf("run length %d, NoVectorize %v: %d tuples out, differing from the %d of the runs-of-one reference", runLen, noVec, len(got), len(ref))
+					}
+					if acts != refActs || emitted != refEmitted {
+						t.Errorf("run length %d, NoVectorize %v: activations/emitted %d/%d, want %d/%d", runLen, noVec, acts, emitted, refActs, refEmitted)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -189,7 +364,7 @@ func TestBatchGrainEquivalenceJoins(t *testing.T) {
 				for _, trigGrain := range []int{0, 3} { // whole-fragment and partial triggers
 					name := fmt.Sprintf("theta=%v/algo=%v/assoc=%v/grain=%d", theta, algo, assoc, trigGrain)
 					// Reference: the strict per-tuple protocol — grain 1 AND
-					// vectorization off, so every tuple goes through OnTuple.
+					// vectorization off, so every tuple is its own OnBatch run.
 					base := Options{Threads: 4, TriggerGrain: trigGrain, BatchGrain: 1, NoVectorize: true}
 					ref := executeJoin(t, db, assoc, algo, base)
 					refRel, err := ref.Relation("Res")
@@ -238,8 +413,9 @@ func statsEqual(a, b map[int][3]int64) bool {
 // wisconsinPlan compiles an ESQL statement against a generated Wisconsin
 // relation partitioned on the given key — hash-partitioning on a
 // low-cardinality column like "four" leaves most fragments empty, the
-// placement-skew shape the consumption strategies exist for.
-func wisconsinPlan(t *testing.T, sql, partKey string, card, degree int) (*lera.Plan, DB) {
+// placement-skew shape the consumption strategies exist for. materialize
+// splits the plan into two chains at a store before the aggregation.
+func wisconsinPlan(t *testing.T, sql, partKey string, card, degree int, materialize bool) (*lera.Plan, DB) {
 	t.Helper()
 	r := relation.Wisconsin("wisc", card, 42)
 	h, err := partition.NewHash(r.Schema, []string{partKey}, degree)
@@ -251,7 +427,7 @@ func wisconsinPlan(t *testing.T, sql, partKey string, card, degree int) (*lera.P
 		t.Fatal(err)
 	}
 	resolver := lera.MapResolver{"wisc": {Schema: p.Schema, Degree: degree, FragSizes: p.FragmentSizes(), Part: h}}
-	c := &esql.Compiler{Resolver: resolver, JoinAlgo: lera.HashJoin}
+	c := &esql.Compiler{Resolver: resolver, JoinAlgo: lera.HashJoin, Materialize: materialize}
 	plan, _, err := c.Compile(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -261,34 +437,40 @@ func wisconsinPlan(t *testing.T, sql, partKey string, card, degree int) (*lera.P
 
 func TestBatchGrainEquivalenceAggregate(t *testing.T) {
 	for _, partKey := range []string{"unique2", "four"} { // flat and skewed placement
-		for _, sql := range []string{
-			"SELECT ten, COUNT(*) FROM wisc GROUP BY ten",
-			"SELECT four, SUM(unique1) FROM wisc GROUP BY four",
-			"SELECT onePercent, MAX(unique2) FROM wisc WHERE unique1 < 3000 GROUP BY onePercent",
-		} {
-			plan, db := wisconsinPlan(t, sql, partKey, 4000, 8)
-			run := func(bg int, noVec bool) (*relation.Relation, map[int][3]int64) {
-				res, err := Execute(plan, db, Options{Threads: 4, BatchGrain: bg, NoVectorize: noVec})
-				if err != nil {
-					t.Fatalf("part=%s sql=%q grain=%d: %v", partKey, sql, bg, err)
+		for _, materialize := range []bool{false, true} { // one chain, and two around a store
+			for _, sql := range []string{
+				"SELECT ten, COUNT(*) FROM wisc GROUP BY ten",
+				"SELECT four, SUM(unique1) FROM wisc GROUP BY four",
+				"SELECT onePercent, MAX(unique2) FROM wisc WHERE unique1 < 3000 GROUP BY onePercent",
+			} {
+				name := fmt.Sprintf("part=%s materialize=%v sql=%q", partKey, materialize, sql)
+				plan, db := wisconsinPlan(t, sql, partKey, 4000, 8, materialize)
+				if chains := len(plan.Chains); materialize && chains != 2 {
+					t.Fatalf("%s: %d chains, want 2", name, chains)
 				}
-				rel, err := res.Relation(esql.OutputName)
-				if err != nil {
-					t.Fatal(err)
+				run := func(bg int, noVec bool) (*relation.Relation, map[int][3]int64) {
+					res, err := Execute(plan, db, Options{Threads: 4, BatchGrain: bg, NoVectorize: noVec})
+					if err != nil {
+						t.Fatalf("%s grain=%d: %v", name, bg, err)
+					}
+					rel, err := res.Relation(esql.OutputName)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rel, statsSnapshot(res)
 				}
-				return rel, statsSnapshot(res)
-			}
-			refRel, refStats := run(1, true) // strict per-tuple reference
-			if refRel.Cardinality() == 0 {
-				t.Fatalf("part=%s sql=%q: empty reference result", partKey, sql)
-			}
-			for _, bg := range vectorGrains {
-				gotRel, gotStats := run(bg, false)
-				if !gotRel.EqualMultiset(refRel) {
-					t.Errorf("part=%s sql=%q: vectorized grain %d result differs from per-tuple reference", partKey, sql, bg)
+				refRel, refStats := run(1, true) // strict per-tuple reference
+				if refRel.Cardinality() == 0 {
+					t.Fatalf("%s: empty reference result", name)
 				}
-				if !statsEqual(gotStats, refStats) {
-					t.Errorf("part=%s sql=%q: vectorized grain %d accounting %v, per-tuple %v", partKey, sql, bg, gotStats, refStats)
+				for _, bg := range vectorGrains {
+					gotRel, gotStats := run(bg, false)
+					if !gotRel.EqualMultiset(refRel) {
+						t.Errorf("%s: vectorized grain %d result differs from per-tuple reference", name, bg)
+					}
+					if !statsEqual(gotStats, refStats) {
+						t.Errorf("%s: vectorized grain %d accounting %v, per-tuple %v", name, bg, gotStats, refStats)
+					}
 				}
 			}
 		}

@@ -43,13 +43,14 @@ type Options struct {
 	// each still arrives as its own activation, so activation counts,
 	// consumption strategies and the skew formula's a are untouched.
 	BatchGrain int
-	// NoVectorize forces the per-tuple operator path: batches popped from
-	// the activation queues are unpacked into individual OnTuple calls even
-	// for operators with a vectorized OnBatch implementation — the paper's
-	// original processing model. Off (the default) lets such operators
-	// process each popped run in one call, vectorized inside. Either way the
+	// NoVectorize hands operators runs of one: every pipelined tuple popped
+	// from an activation queue gets its own OnBatch call — the paper's
+	// original processing model. Off (the default) hands over each popped
+	// run whole, for the operator to vectorize inside. Either way the
 	// observable execution is identical: same activation counts, same
-	// emitted multisets, same per-node OpStats.
+	// emitted multisets, same per-node OpStats. With BatchGrain 1 this is
+	// the per-tuple protocol bench/ measures the batched data plane against;
+	// neither switch is exposed above this package.
 	NoVectorize bool
 	// QueueCap is each activation queue's capacity; default 256.
 	QueueCap int
@@ -165,8 +166,7 @@ func (o Options) withDefaults() Options {
 	}
 	// A route buffer deeper than the destination queue amortizes nothing
 	// (PushBatch splits at queue capacity anyway), and the grain is also a
-	// per-destination buffer *capacity* reachable from untrusted wire
-	// options — so clamp it instead of trusting it.
+	// per-destination buffer *capacity*: clamp it.
 	if o.BatchGrain > o.QueueCap {
 		o.BatchGrain = o.QueueCap
 	}

@@ -84,14 +84,12 @@ type routeTarget struct {
 	routeBatch func(ts []relation.Tuple, dst []int32) []int32
 }
 
-// emitter is the per-worker emission path. emit hands one produced tuple to
-// the routing layer, emitRun a whole run of them; flush forces any buffered
-// tuples into their destination queues. Workers flush after every processed
-// activation batch and after instance closes, so buffered tuples are always
-// downstream before an operation can report completion (and close its
-// consumers' queues).
+// emitter is the per-worker emission path. emitRun hands a run of produced
+// tuples to the routing layer; flush forces any buffered tuples into their
+// destination queues. Workers flush after every processed activation batch
+// and after instance closes, so buffered tuples are always downstream before
+// an operation can report completion (and close its consumers' queues).
 type emitter interface {
-	emit(inst int, t relation.Tuple)
 	emitRun(inst int, ts []relation.Tuple)
 	flush()
 }
@@ -99,7 +97,6 @@ type emitter interface {
 // funcEmitter adapts the emitFunc test seam: unbuffered, flush is a no-op.
 type funcEmitter emitFunc
 
-func (f funcEmitter) emit(inst int, t relation.Tuple) { f(inst, t) }
 func (f funcEmitter) emitRun(inst int, ts []relation.Tuple) {
 	for _, t := range ts {
 		f(inst, t)
@@ -110,16 +107,17 @@ func (funcEmitter) flush() {}
 // workerEmit is one worker's reusable emission closure: the operator-facing
 // Emit callback plus the state it needs (current queue index, tuples emitted
 // since last publish). Allocated once per worker instead of one closure per
-// processed batch — the per-batch cost is two field writes, not two heap
-// allocations.
+// processed batch or instance close — the per-use cost is two field writes,
+// not two heap allocations.
 type workerEmit struct {
 	em      emitter
 	qi      int
 	emitted int64
 	// run gathers emitted tuples so the routing layer sees whole runs
 	// (emitRun hoists the per-target and per-destination bookkeeping out of
-	// the per-tuple path). Flushed when full and at the end of every
-	// processed activation batch — the worker-loop flush contract above.
+	// the per-tuple path). Flushed when full, at the end of every processed
+	// activation batch and after every instance close — the worker-loop
+	// flush contract above.
 	run []relation.Tuple
 	fn  operator.Emit
 }
@@ -172,23 +170,6 @@ func newRouteEmitter(targets []routeTarget, grain int) *routeEmitter {
 		e.bufs[i] = make([][]Activation, len(tg.op.Queues))
 	}
 	return e
-}
-
-func (e *routeEmitter) emit(inst int, t relation.Tuple) {
-	for ti := range e.targets {
-		tg := &e.targets[ti]
-		dst := tg.route(inst, t)
-		buf := e.bufs[ti][dst]
-		if buf == nil {
-			buf = make([]Activation, 0, e.grain)
-		}
-		buf = append(buf, Activation{Tuple: t})
-		if len(buf) >= e.grain {
-			tg.op.Queues[dst].PushBatch(buf)
-			buf = buf[:0]
-		}
-		e.bufs[ti][dst] = buf
-	}
 }
 
 // emitRun routes a whole run of tuples emitted by one instance: the
@@ -274,11 +255,8 @@ type Operation struct {
 
 	op   operator.Operator
 	ctxs []*operator.Context
-	// batchOp is op's vectorized face, non-nil when the operator implements
-	// BatchOperator: process hands it whole runs of pipelined tuples instead
-	// of unpacking them into per-tuple OnTuple calls. Cleared by noVectorize
-	// (Options.NoVectorize) to force the per-tuple path.
-	batchOp     operator.BatchOperator
+	// noVectorize (Options.NoVectorize) cuts the runs of pipelined tuples
+	// handed to OnBatch down to one tuple each.
 	noVectorize bool
 	setups      []sync.Once
 	emit        emitFunc // test seam; production routing uses targets
@@ -333,9 +311,6 @@ func newOperation(name string, nodeID int, op operator.Operator, ctxs []*operato
 		triggered:  triggered,
 		inflight:   make([]int, len(ctxs)),
 		closeBegun: make([]bool, len(ctxs)),
-	}
-	if bo, ok := op.(operator.BatchOperator); ok {
-		o.batchOp = bo
 	}
 	o.cond = sync.NewCond(&o.mu)
 	for i := range o.Queues {
@@ -405,15 +380,12 @@ func (o *Operation) worker(w int) {
 	cache := make([]Activation, 0, o.CacheSize)
 	em := o.newEmitter()
 	we := newWorkerEmit(em, o.CacheSize)
-	// Worker-private tuple scratch for the vectorized path: runs of pipelined
-	// activations are gathered here and handed to OnBatch in one call.
-	var tup []relation.Tuple
-	if o.batchOp != nil && !o.noVectorize {
-		tup = make([]relation.Tuple, 0, o.CacheSize)
-	}
+	// Worker-private tuple scratch: runs of pipelined activations are
+	// gathered here and handed to OnBatch in one call.
+	tup := make([]relation.Tuple, 0, o.CacheSize)
 
 	for {
-		batch, qi, ok := o.acquire(strat, main, mainIdx, cache, em)
+		batch, qi, ok := o.acquire(strat, main, mainIdx, cache, we)
 		if !ok {
 			return
 		}
@@ -427,7 +399,7 @@ func (o *Operation) worker(w int) {
 		// retired — an operation can never complete (and close its consumers'
 		// queues) with tuples still parked in a route buffer.
 		em.flush()
-		o.finishBatch(qi, len(batch), em)
+		o.finishBatch(qi, len(batch), we)
 		cache = batch[:0]
 	}
 }
@@ -444,7 +416,7 @@ func (o *Operation) newEmitter() emitter {
 // acquire picks a queue and drains a batch into cache. ok=false means the
 // operation is fully drained and the worker should exit (after the instance
 // close sweep).
-func (o *Operation) acquire(strat strategy, main []*Queue, mainIdx []int, cache []Activation, em emitter) ([]Activation, int, bool) {
+func (o *Operation) acquire(strat strategy, main []*Queue, mainIdx []int, cache []Activation, we *workerEmit) ([]Activation, int, bool) {
 	o.mu.Lock()
 	for {
 		if o.aborted {
@@ -473,7 +445,7 @@ func (o *Operation) acquire(strat strategy, main []*Queue, mainIdx []int, cache 
 		if o.allDrainedLocked() {
 			sweep := o.claimClosesLocked()
 			o.mu.Unlock()
-			o.runCloses(sweep, em)
+			o.runCloses(sweep, we)
 			return nil, -1, false
 		}
 		o.cond.Wait()
@@ -506,14 +478,14 @@ func (o *Operation) claimClosesLocked() []int {
 // process runs the operator on a batch. Panics inside operators are engine
 // bugs and propagate; data errors are recorded and stop further emission.
 //
-// When the operator vectorizes (batchOp set and NoVectorize off), runs of
-// consecutive pipelined tuple activations are gathered into the worker's tup
-// scratch and handed to OnBatch in one call; triggers still dispatch
-// individually. The emitted counter is accumulated locally and published
-// once per batch — one atomic add instead of one per tuple — and the abort
-// flag is polled once per run, so cancellation latency stays bounded by one
-// internal-cache batch either way. Activation counts are untouched: each
-// tuple was already counted when its activation was acquired.
+// Runs of consecutive pipelined tuple activations are gathered into the
+// worker's tup scratch and handed to OnBatch in one call (runs of one under
+// NoVectorize); triggers dispatch individually. The emitted counter is
+// accumulated locally and published once per batch — one atomic add instead
+// of one per tuple — and the abort flag is polled once per run, so
+// cancellation latency stays bounded by one internal-cache batch either way.
+// Activation counts are untouched: each tuple was already counted when its
+// activation was acquired.
 func (o *Operation) process(qi int, batch []Activation, we *workerEmit, tup []relation.Tuple) {
 	ctx := o.ctxs[qi]
 	o.setups[qi].Do(func() {
@@ -530,14 +502,10 @@ func (o *Operation) process(qi int, batch []Activation, we *workerEmit, tup []re
 	}
 }
 
-// dispatch walks one activation batch, handing runs of pipelined tuples to
-// the vectorized path and everything else to the scalar one. Errors are
-// recorded via fail and stop the batch.
+// dispatch walks one activation batch, handing triggers to OnTrigger and
+// runs of pipelined tuples to OnBatch. Errors are recorded via fail and stop
+// the batch.
 func (o *Operation) dispatch(ctx *operator.Context, batch []Activation, emit operator.Emit, tup []relation.Tuple) {
-	bo := o.batchOp
-	if o.noVectorize {
-		bo = nil
-	}
 	for i := 0; i < len(batch); {
 		if o.abortFlag.Load() {
 			return
@@ -557,23 +525,15 @@ func (o *Operation) dispatch(ctx *operator.Context, batch []Activation, emit ope
 			i++
 			continue
 		}
-		if bo == nil {
-			if err := o.op.OnTuple(ctx, a.Tuple, emit); err != nil {
-				o.fail(err)
-				return
-			}
-			i++
-			continue
-		}
 		j := i + 1
-		for j < len(batch) && batch[j].Tuple != nil {
+		for !o.noVectorize && j < len(batch) && batch[j].Tuple != nil {
 			j++
 		}
 		tup = tup[:0]
 		for _, b := range batch[i:j] {
 			tup = append(tup, b.Tuple)
 		}
-		if err := bo.OnBatch(ctx, tup, emit); err != nil {
+		if err := o.op.OnBatch(ctx, tup, emit); err != nil {
 			o.fail(err)
 			return
 		}
@@ -626,7 +586,7 @@ func (o *Operation) InjectTriggers(grain int) {
 
 // finishBatch retires in-flight activations and runs the instance close when
 // the instance drained.
-func (o *Operation) finishBatch(qi, n int, em emitter) {
+func (o *Operation) finishBatch(qi, n int, we *workerEmit) {
 	o.mu.Lock()
 	o.inflight[qi] -= n
 	var toClose []int
@@ -635,14 +595,14 @@ func (o *Operation) finishBatch(qi, n int, em emitter) {
 		toClose = append(toClose, qi)
 	}
 	o.mu.Unlock()
-	o.runCloses(toClose, em)
+	o.runCloses(toClose, we)
 }
 
 // runCloses executes OnClose for the claimed instances and fires the
 // operation-complete callback after the last one. OnClose output (buffered
 // aggregate state) is flushed downstream before the completion accounting, so
 // the callback — which closes consumer queues — never races a pending buffer.
-func (o *Operation) runCloses(instances []int, em emitter) {
+func (o *Operation) runCloses(instances []int, we *workerEmit) {
 	for _, qi := range instances {
 		ctx := o.ctxs[qi]
 		o.setups[qi].Do(func() {
@@ -651,22 +611,19 @@ func (o *Operation) runCloses(instances []int, em emitter) {
 				o.fail(err)
 			}
 		})
-		var emitted int64
-		emit := func(t relation.Tuple) {
-			emitted++
-			em.emit(qi, t)
-		}
-		if err := o.op.OnClose(ctx, emit); err != nil {
+		we.qi, we.emitted = qi, 0
+		if err := o.op.OnClose(ctx, we.fn); err != nil {
 			o.fail(err)
 		}
-		if emitted > 0 {
-			o.stats.Emitted.Add(emitted)
+		we.flushRun()
+		if we.emitted > 0 {
+			o.stats.Emitted.Add(we.emitted)
 		}
 	}
 	if len(instances) == 0 {
 		return
 	}
-	em.flush()
+	we.em.flush()
 	o.mu.Lock()
 	o.doneCount += len(instances)
 	complete := o.doneCount == len(o.Queues) && !o.completed

@@ -37,9 +37,9 @@ func (s *stubOperator) OnTrigger(ctx *operator.Context, emit operator.Emit) erro
 	return nil
 }
 
-func (s *stubOperator) OnTuple(ctx *operator.Context, t relation.Tuple, emit operator.Emit) error {
+func (s *stubOperator) OnBatch(ctx *operator.Context, ts []relation.Tuple, emit operator.Emit) error {
 	s.mu.Lock()
-	s.tuples++
+	s.tuples += len(ts)
 	s.mu.Unlock()
 	return s.failTuple
 }

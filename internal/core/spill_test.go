@@ -116,7 +116,7 @@ func TestSpillEquivalenceAggregates(t *testing.T) {
 	}
 	for _, partKey := range []string{"unique2", "four"} {
 		for _, tc := range cases {
-			plan, db := wisconsinPlan(t, tc.sql, partKey, 4000, 8)
+			plan, db := wisconsinPlan(t, tc.sql, partKey, 4000, 8, false)
 			run := func(budget int64, dir string, bg int, noVec bool) (*Result, map[int][3]int64) {
 				res, err := Execute(plan, db, Options{
 					Threads: 4, BatchGrain: bg, NoVectorize: noVec,

@@ -11,8 +11,8 @@ import (
 )
 
 // TestResultTuplesComeFromTheScratchSlab: whatever path a probe tuple takes
-// into a join — a trigger over the bound fragment, one pipelined tuple, a
-// batch — and whichever algorithm joins it, the result tuples are carved
+// into a join — a trigger over the bound fragment, a run of one, a run of
+// 64 — and whichever algorithm joins it, the result tuples are carved
 // from the pooled scratch slab, so a run's allocations are the slab's chunks
 // (one per 4096 values) and do not grow with the tuples joined. The same for
 // Map's projections and an aggregate's outputs.
@@ -53,8 +53,8 @@ func TestResultTuplesComeFromTheScratchSlab(t *testing.T) {
 					}
 				},
 				"tuple": func() {
-					for _, tup := range p {
-						j.OnTuple(ctx, tup, emit)
+					for i := range p {
+						j.OnBatch(ctx, p[i:i+1], emit)
 					}
 				},
 			} {
@@ -75,8 +75,8 @@ func TestResultTuplesComeFromTheScratchSlab(t *testing.T) {
 		m := &Map{Cols: []int{1, 0}}
 		got := testing.AllocsPerRun(5, func() {
 			m.OnBatch(nil, p, emit)
-			for _, tup := range p[:100] {
-				m.OnTuple(nil, tup, emit)
+			for i := range p[:100] {
+				m.OnBatch(nil, p[i:i+1], emit)
 			}
 		})
 		if limit := chunks(n+100, 2); got > limit {
@@ -102,8 +102,8 @@ func TestAggregateOwnsItsGroupKeys(t *testing.T) {
 		if err := a.OnBatch(ctx, batch[:20], nil); err != nil {
 			t.Fatal(err)
 		}
-		for _, tup := range batch[20:] {
-			if err := a.OnTuple(ctx, tup, nil); err != nil {
+		for i := 20; i < len(batch); i++ {
+			if err := a.OnBatch(ctx, batch[i:i+1], nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,10 +1,7 @@
 package operator
 
-// Hot-path microbenchmarks for the allocation-free join/aggregate keys.
-// The *StringKey benchmarks freeze the pre-change probe path — projected
-// tuple + canonical string per probed/grouped tuple — as the measuring
-// stick for the allocs/op reduction archived in BENCH_core.json; they are
-// baselines, not live code.
+// Hot-path microbenchmarks for the allocation-free join/aggregate keys: one
+// probed or grouped tuple per iteration, handed over as a run of one.
 
 import (
 	"fmt"
@@ -39,7 +36,8 @@ func benchmarkJoinProbe(b *testing.B, algo lera.JoinAlgo) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := j.OnTuple(ctx, probes[i%len(probes)], emit); err != nil {
+		k := i % len(probes)
+		if err := j.OnBatch(ctx, probes[k:k+1], emit); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,39 +49,6 @@ func benchmarkJoinProbe(b *testing.B, algo lera.JoinAlgo) {
 func BenchmarkJoinProbeHashKey(b *testing.B)      { benchmarkJoinProbe(b, lera.HashJoin) }
 func BenchmarkJoinProbeTempIndexKey(b *testing.B) { benchmarkJoinProbe(b, lera.TempIndex) }
 
-// stringKeyOf is the pre-change key rendering: project the key columns into
-// a fresh tuple and render it as a canonical string.
-func stringKeyOf(t relation.Tuple, cols []int) string {
-	return t.Project(cols).Key()
-}
-
-// BenchmarkJoinProbeStringKey replays the old HashJoin probe byte-for-byte:
-// a string-keyed map probed with a per-tuple projected, rendered key.
-func BenchmarkJoinProbeStringKey(b *testing.B) {
-	buildKey := []int{0}
-	probeKey := []int{0}
-	build := benchFragment(10_000, 10_000)
-	hash := make(map[string][]relation.Tuple, len(build))
-	for _, t := range build {
-		k := stringKeyOf(t, buildKey)
-		hash[k] = append(hash[k], t)
-	}
-	probes := benchFragment(1024, 10_000)
-	matched := 0
-	emit := func(relation.Tuple) { matched++ }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := probes[i%len(probes)]
-		for _, bt := range hash[stringKeyOf(t, probeKey)] {
-			emit(bt.Concat(t))
-		}
-	}
-	if matched == 0 {
-		b.Fatal("probe never matched")
-	}
-}
-
 func BenchmarkAggregateTupleHashKey(b *testing.B) {
 	a := &Aggregate{GroupBy: []int{0}, Kind: lera.AggSum, AggCol: 1}
 	ctx := &Context{Instance: 0}
@@ -94,32 +59,9 @@ func BenchmarkAggregateTupleHashKey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.OnTuple(ctx, tuples[i%len(tuples)], nil); err != nil {
+		k := i % len(tuples)
+		if err := a.OnBatch(ctx, tuples[k:k+1], nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAggregateTupleStringKey replays the old group lookup: string map
-// key rendered per tuple.
-func BenchmarkAggregateTupleStringKey(b *testing.B) {
-	groupBy := []int{0}
-	type aggAcc struct {
-		group relation.Tuple
-		sum   int64
-	}
-	groups := make(map[string]*aggAcc)
-	tuples := benchFragment(1024, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := tuples[i%len(tuples)]
-		key := stringKeyOf(t, groupBy)
-		st, ok := groups[key]
-		if !ok {
-			st = &aggAcc{group: t.Project(groupBy)}
-			groups[key] = st
-		}
-		st.sum += t[1].AsInt()
 	}
 }

@@ -1,7 +1,7 @@
 // Package operator implements the sequential relational operators that
 // Lera-par nodes execute. Each operator processes *activations* — a trigger
-// (process my bound fragment) or a tuple (process one pipelined tuple) — and
-// emits result tuples downstream. The execution engine (package core) owns
+// (process my bound fragment) or a run of pipelined tuples — and emits result
+// tuples downstream. The execution engine (package core) owns
 // queues, threads and routing; operators only see their instance context and
 // an emit callback, which is what makes any pool thread able to execute any
 // instance's activation (§3).
@@ -47,33 +47,48 @@ type Operator interface {
 	Setup(ctx *Context) error
 	// OnTrigger processes a control activation (triggered operations).
 	OnTrigger(ctx *Context, emit Emit) error
-	// OnTuple processes one pipelined tuple (pipelined operations).
-	OnTuple(ctx *Context, t relation.Tuple, emit Emit) error
+	// OnBatch processes a run of pipelined tuple activations (pipelined
+	// operations): as many consecutive tuples of one popped activation batch
+	// as the engine chose to hand over — up to the internal cache size, or
+	// exactly one under core.Options.NoVectorize. Implementations amortize
+	// across the run (selection vectors, one key-hash pass, one lock epoch)
+	// but the result must not depend on where the runs were cut: the emitted
+	// multiset is that of processing the tuples one at a time, in order.
+	// emit may block on backpressure. An error stops the run (tuples before
+	// the failure may already have emitted). The slice is worker-owned
+	// scratch and must not be retained after return; the Tuples inside it
+	// are immutable and may be kept.
+	OnBatch(ctx *Context, tuples []relation.Tuple, emit Emit) error
 	// OnClose runs after the instance's last activation completed (the
 	// engine guarantees exactly-once, after-everything ordering). Operators
 	// with buffered state (aggregates) emit it here.
 	OnClose(ctx *Context, emit Emit) error
 }
 
-// BatchOperator is an optional extension of Operator: the engine hands
-// operators implementing it whole runs of pipelined tuple activations in one
-// call (bounded by the internal cache size), instead of unpacking the batch
-// into per-tuple OnTuple calls. Implementations process the batch
-// vectorized — selection vectors, one key-hash pass, one lock epoch — but
-// must stay observably equivalent to the per-tuple path: same emitted
-// multiset, same emission semantics (emit may block on backpressure), and no
-// retention of the tuples slice after return (it is worker-owned scratch;
-// the Tuples inside it are immutable and may be kept).
-//
-// Operators that do not implement BatchOperator keep working unchanged: the
-// engine falls back to the per-tuple OnTuple loop.
-type BatchOperator interface {
-	Operator
-	// OnBatch processes a run of pipelined tuples. Equivalent to calling
-	// OnTuple for each tuple in order; an error stops the batch (tuples
-	// before the failure may already have emitted).
-	OnBatch(ctx *Context, tuples []relation.Tuple, emit Emit) error
+// PerTuple adapts a one-tuple-at-a-time body to Operator, for pipelined
+// operators with nothing to amortize across a run (and test doubles): OnBatch
+// calls the function once per tuple, in order, and stops at its first error.
+// It has no per-instance state, nothing to flush, and takes no triggers.
+type PerTuple func(ctx *Context, t relation.Tuple, emit Emit) error
+
+// Setup implements Operator.
+func (PerTuple) Setup(*Context) error { return nil }
+
+// OnTrigger implements Operator.
+func (PerTuple) OnTrigger(*Context, Emit) error { return errNoTrigger("per-tuple operator") }
+
+// OnBatch implements Operator.
+func (f PerTuple) OnBatch(ctx *Context, ts []relation.Tuple, emit Emit) error {
+	for _, t := range ts {
+		if err := f(ctx, t, emit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
+
+// OnClose implements Operator.
+func (PerTuple) OnClose(*Context, Emit) error { return nil }
 
 // batchScratch holds the per-batch working buffers of vectorized operators
 // (key hashes, selection vectors). Pooled so the hot path allocates nothing
@@ -127,19 +142,11 @@ func (f *Filter) OnTrigger(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnTuple implements Operator: a pipelined filter applies the predicate to
-// the redistributed stream (used for residual predicates after joins).
-func (f *Filter) OnTuple(_ *Context, t relation.Tuple, emit Emit) error {
-	if f.Pred.Eval(t) {
-		emit(t)
-	}
-	return nil
-}
-
-// OnBatch implements BatchOperator: the predicate is evaluated over the
-// whole batch into a selection vector (column index and comparison hoisted
-// out of the loop, conjunctions narrowing progressively), then only the
-// survivors are emitted.
+// OnBatch implements Operator: a pipelined filter applies the predicate to
+// the redistributed stream (used for residual predicates after joins). The
+// predicate is evaluated over the whole run into a selection vector (column
+// index and comparison hoisted out of the loop, conjunctions narrowing
+// progressively), then only the survivors are emitted.
 func (f *Filter) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 	sc := scratchPool.Get().(*batchScratch)
 	sel := lera.EvalBatch(f.Pred, ts, sc.sel)
@@ -167,13 +174,7 @@ func (tr *Transmit) OnTrigger(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnTuple implements Operator.
-func (tr *Transmit) OnTuple(_ *Context, t relation.Tuple, emit Emit) error {
-	emit(t)
-	return nil
-}
-
-// OnBatch implements BatchOperator.
+// OnBatch implements Operator.
 func (tr *Transmit) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 	for _, t := range ts {
 		emit(t)
@@ -191,13 +192,7 @@ type Map struct {
 // OnTrigger implements Operator.
 func (m *Map) OnTrigger(*Context, Emit) error { return errNoTrigger("map") }
 
-// OnTuple implements Operator.
-func (m *Map) OnTuple(ctx *Context, t relation.Tuple, emit Emit) error {
-	one := [1]relation.Tuple{t}
-	return m.OnBatch(ctx, one[:], emit)
-}
-
-// OnBatch implements BatchOperator.
+// OnBatch implements Operator.
 func (m *Map) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 	sc := scratchPool.Get().(*batchScratch)
 	for _, t := range ts {
@@ -238,16 +233,7 @@ func NewStore(degree int) *Store {
 // OnTrigger implements Operator.
 func (s *Store) OnTrigger(*Context, Emit) error { return errNoTrigger("store") }
 
-// OnTuple implements Operator.
-func (s *Store) OnTuple(ctx *Context, t relation.Tuple, _ Emit) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := ctx.Instance
-	s.results[i] = append(s.results[i], t)
-	return s.chargeLocked(i, storage.TupleFootprint(t))
-}
-
-// OnBatch implements BatchOperator: one lock acquire appends the whole run
+// OnBatch implements Operator: one lock acquire appends the whole run
 // (the batch slice is scratch; the appended Tuples are immutable and safely
 // retained).
 func (s *Store) OnBatch(ctx *Context, ts []relation.Tuple, _ Emit) error {
@@ -334,20 +320,15 @@ type Sink struct {
 	Push func(t relation.Tuple) error
 	// PushBatch, when set, delivers a whole run of tuples in one call (one
 	// sink synchronization per batch instead of per tuple). Same contract as
-	// Push plus BatchOperator's: the slice is scratch and must not be
-	// retained after return.
+	// Push plus OnBatch's: the slice is scratch and must not be retained
+	// after return.
 	PushBatch func(ts []relation.Tuple) error
 }
 
 // OnTrigger implements Operator.
 func (s *Sink) OnTrigger(*Context, Emit) error { return errNoTrigger("sink") }
 
-// OnTuple implements Operator.
-func (s *Sink) OnTuple(_ *Context, t relation.Tuple, _ Emit) error {
-	return s.Push(t)
-}
-
-// OnBatch implements BatchOperator.
+// OnBatch implements Operator.
 func (s *Sink) OnBatch(_ *Context, ts []relation.Tuple, _ Emit) error {
 	if s.PushBatch != nil {
 		return s.PushBatch(ts)
@@ -370,7 +351,7 @@ func (s *Sink) OnBatch(_ *Context, ts []relation.Tuple, _ Emit) error {
 // vs probe, accumulate vs lookup) — it never has to match the partitioning
 // hash — so the hot single-int-key case uses a 3-round multiply/xorshift
 // mixer instead of byte-at-a-time FNV (relation.Tuple.HashOn), which the
-// scalar and batch paths below both go through.
+// build-side (hashKey) and probe-run (hashKeys) forms below both go through.
 
 // mix64 is the splitmix64 finalizer: full avalanche over a 64-bit key in six
 // data-independent-latency ops.
@@ -599,13 +580,6 @@ func (j *Join) OnTrigger(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnTuple implements Operator: the pipelined join probes one redistributed
-// tuple (a fine-grain unit of work).
-func (j *Join) OnTuple(ctx *Context, t relation.Tuple, emit Emit) error {
-	one := [1]relation.Tuple{t}
-	return j.OnBatch(ctx, one[:], emit)
-}
-
 // OnClose implements Operator: an instance that went to disk joins its
 // partition pairs here, after the last probe activation.
 func (j *Join) OnClose(ctx *Context, emit Emit) error {
@@ -615,7 +589,8 @@ func (j *Join) OnClose(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnBatch implements BatchOperator.
+// OnBatch implements Operator: the pipelined join probes a run of
+// redistributed tuples (each one a fine-grain unit of work).
 func (j *Join) OnBatch(ctx *Context, ts []relation.Tuple, emit Emit) error {
 	if g, ok := ctx.State.(*graceState); ok {
 		return g.addProbeBatch(j, ts)
@@ -692,22 +667,11 @@ func (a *Aggregate) Setup(ctx *Context) error {
 // OnTrigger implements Operator.
 func (a *Aggregate) OnTrigger(*Context, Emit) error { return errNoTrigger("aggregate") }
 
-// OnTuple implements Operator.
-func (a *Aggregate) OnTuple(ctx *Context, t relation.Tuple, _ Emit) error {
-	// Group lookup by key-column hash with chained collision buckets: the
-	// per-tuple fast path hashes in place and allocates nothing; only a
-	// group's first tuple materializes the group key.
-	key := hashKey(t, a.GroupBy)
-	ctx.Mu.Lock()
-	defer ctx.Mu.Unlock()
-	return a.accumulateLocked(ctx.State.(*aggInst), key, t)
-}
-
-// OnBatch implements BatchOperator: the whole run is group-hashed outside
-// the instance lock, then accumulated under a single lock epoch — one
-// acquire per batch where the per-tuple path pays one per tuple, which is
-// the contention the execution model's any-thread-any-instance rule creates
-// on aggregates.
+// OnBatch implements Operator: the whole run is group-hashed outside the
+// instance lock (in place, allocating nothing — only a group's first tuple
+// materializes the group key), then accumulated under a single lock epoch:
+// one acquire per run, not per tuple, which is the contention the execution
+// model's any-thread-any-instance rule creates on aggregates.
 func (a *Aggregate) OnBatch(ctx *Context, ts []relation.Tuple, _ Emit) error {
 	sc := scratchPool.Get().(*batchScratch)
 	keys := hashKeys(ts, a.GroupBy, sc.keys[:0])

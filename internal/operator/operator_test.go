@@ -51,8 +51,7 @@ func TestFilterPipelined(t *testing.T) {
 	}
 	f := &Filter{Pred: pred}
 	emit, out := collect()
-	f.OnTuple(&Context{}, kv(1, "a"), emit)
-	f.OnTuple(&Context{}, kv(5, "b"), emit)
+	f.OnBatch(&Context{}, []relation.Tuple{kv(1, "a"), kv(5, "b")}, emit)
 	if len(*out) != 1 || (*out)[0][0].AsInt() != 1 {
 		t.Errorf("pipelined filter output = %v", *out)
 	}
@@ -66,7 +65,7 @@ func TestTransmitBothModes(t *testing.T) {
 	if len(*out) != 2 {
 		t.Errorf("triggered transmit emitted %d", len(*out))
 	}
-	tr.OnTuple(ctx, kv(3, "c"), emit)
+	tr.OnBatch(ctx, []relation.Tuple{kv(3, "c")}, emit)
 	if len(*out) != 3 {
 		t.Errorf("pipelined transmit emitted %d", len(*out))
 	}
@@ -75,7 +74,7 @@ func TestTransmitBothModes(t *testing.T) {
 func TestMapProjects(t *testing.T) {
 	m := &Map{Cols: []int{1}}
 	emit, out := collect()
-	m.OnTuple(&Context{}, kv(5, "x"), emit)
+	m.OnBatch(&Context{}, []relation.Tuple{kv(5, "x")}, emit)
 	if len(*out) != 1 || len((*out)[0]) != 1 || (*out)[0][0].AsString() != "x" {
 		t.Errorf("map output = %v", *out)
 	}
@@ -90,9 +89,8 @@ func TestMapProjects(t *testing.T) {
 func TestStoreAccumulatesPerInstance(t *testing.T) {
 	s := NewStore(3)
 	emit := func(relation.Tuple) { t.Error("store must not emit") }
-	s.OnTuple(&Context{Instance: 1}, kv(1, "a"), emit)
-	s.OnTuple(&Context{Instance: 1}, kv(2, "b"), emit)
-	s.OnTuple(&Context{Instance: 2}, kv(3, "c"), emit)
+	s.OnBatch(&Context{Instance: 1}, []relation.Tuple{kv(1, "a"), kv(2, "b")}, emit)
+	s.OnBatch(&Context{Instance: 2}, []relation.Tuple{kv(3, "c")}, emit)
 	res, err := s.Results()
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +124,8 @@ func runJoin(t *testing.T, algo lera.JoinAlgo, pipelined bool) []relation.Tuple 
 	if pipelined {
 		probes := ctx.Probe
 		ctx.Probe = nil
-		for _, p := range probes {
-			if err := j.OnTuple(ctx, p, emit); err != nil {
-				t.Fatal(err)
-			}
+		if err := j.OnBatch(ctx, probes, emit); err != nil {
+			t.Fatal(err)
 		}
 	} else {
 		if err := j.OnTrigger(ctx, emit); err != nil {
@@ -211,9 +207,7 @@ func TestAggregateCount(t *testing.T) {
 	ctx := &Context{}
 	a.Setup(ctx)
 	emit, out := collect()
-	for _, tup := range []relation.Tuple{kv(1, "x"), kv(2, "x"), kv(3, "y")} {
-		a.OnTuple(ctx, tup, emit)
-	}
+	a.OnBatch(ctx, []relation.Tuple{kv(1, "x"), kv(2, "x"), kv(3, "y")}, emit)
 	if len(*out) != 0 {
 		t.Fatal("aggregate must not emit before close")
 	}
@@ -241,9 +235,7 @@ func TestAggregateSumMinMax(t *testing.T) {
 		ctx := &Context{}
 		a.Setup(ctx)
 		emit, out := collect()
-		for _, tup := range tuples {
-			a.OnTuple(ctx, tup, emit)
-		}
+		a.OnBatch(ctx, tuples, emit)
 		a.OnClose(ctx, emit)
 		if len(*out) != 1 || (*out)[0][1].AsInt() != c.want {
 			t.Errorf("%v = %v, want %d", c.kind, *out, c.want)

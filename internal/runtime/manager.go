@@ -962,41 +962,99 @@ func (m *Manager) Admit(ctx context.Context, plan *lera.Plan, db core.DB, opts *
 	}, nil
 }
 
-// Execute admits one query and runs it under the shared budget: Admit +
-// core.ExecuteAllocated + Finish in one call, for callers that do not stream
-// results. The query is queued as PriorityInteractive. Multi-chain queries
+// Run is one query between admission and Finish — the managed-execution
+// protocol, written once for the streaming facade and Manager.Execute. Begin
+// admits the query, takes ownership of its spill environment and wires the
+// chain-boundary renegotiation; Execute runs it and settles every ledger.
+type Run struct {
+	adm   *Admission        // nil without a manager
+	env   *storage.SpillEnv // nil without a memory budget
+	plan  *lera.Plan
+	db    core.DB
+	opts  core.Options
+	alloc core.Allocation
+}
+
+// Begin admits one query under m's budget, or — m nil, no manager installed
+// — only plans its allocation. A begun Run holds its reservation until
+// Execute returns, so every successful Begin must be followed by Execute.
+//
+// The Run owns the spill environment (rather than letting the engine create
+// one) so that chain-boundary renegotiation can retarget the accountant, the
+// spill totals land in the manager's ledgers, and pool, when non-nil, sees
+// the read-back traffic. With memory admission on, Admit has by then
+// rewritten opts.MemoryBudget to the granted bytes.
+func Begin(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts core.Options, pri Priority, pool *storage.PoolMetrics) (*Run, error) {
+	r := &Run{plan: plan, db: db}
+	var err error
+	if m != nil {
+		if r.adm, err = m.Admit(ctx, plan, db, &opts, pri); err != nil {
+			return nil, err
+		}
+		r.alloc = r.adm.Alloc()
+	} else if r.alloc, err = core.PlanAllocation(plan, db, opts); err != nil {
+		return nil, err
+	}
+	if opts.Spill == nil && opts.MemoryBudget > 0 {
+		r.env, err = storage.NewSpillEnv(opts.SpillDir, opts.MemoryBudget, storage.PoolPagesFor(opts.MemoryBudget), pool)
+		if err != nil {
+			if r.adm != nil {
+				r.adm.Finish(err)
+			}
+			return nil, err
+		}
+		opts.Spill = r.env
+	}
+	if adm, env := r.adm, r.env; adm != nil {
+		// At each chain boundary the engine renegotiates the reservation:
+		// surplus threads return to the shared budget between chains instead
+		// of at Finish. The accountant follows the memory reservation only
+		// when there is one — with memory admission off the query's own
+		// MemoryBudget stays its grant (a grant of 0 would read as unlimited).
+		opts.Readmit = func(chain, want, min int) int {
+			grant := m.ReadmitAt(adm, chain, want, min)
+			if env != nil && adm.MemoryGrant() > 0 {
+				env.Mem.SetGrant(adm.MemoryHeld())
+			}
+			return grant
+		}
+	}
+	r.opts = opts
+	return r, nil
+}
+
+// Granted reports what admission decided: the threads reserved and the
+// processor utilization fed to the query's scheduler (the caller's, raised
+// to the manager's measurement when one admitted it).
+func (r *Run) Granted() (threads int, utilization float64) {
+	return r.alloc.Total, r.opts.Utilization
+}
+
+// Execute runs the query to completion (or to ctx's cancellation), removes
+// its spill files on every exit path, records what it spilled and hands the
+// reservation back — threads are in the budget again before Execute returns.
+// The QueryStats are the admission's, or just the allocation and spill
+// totals of an unmanaged run.
+func (r *Run) Execute(ctx context.Context) (*core.Result, QueryStats, error) {
+	res, err := core.ExecuteAllocated(ctx, r.plan, r.db, r.opts, r.alloc)
+	bytes, passes := r.env.Spilled()
+	r.env.Close()
+	if r.adm == nil {
+		return res, QueryStats{Utilization: r.opts.Utilization, Threads: r.alloc.Total, SpilledBytes: bytes, SpillPasses: passes}, err
+	}
+	r.adm.NoteSpill(bytes, passes)
+	r.adm.Finish(err)
+	return res, r.adm.Stats, err
+}
+
+// Execute admits one query as PriorityInteractive and runs it under the
+// shared budget, for callers that do not stream results. Multi-chain queries
 // renegotiate their reservation at each materialization point (Readmit);
 // the per-chain grants come back in QueryStats.ChainThreads.
 func (m *Manager) Execute(ctx context.Context, plan *lera.Plan, db core.DB, opts core.Options) (*core.Result, QueryStats, error) {
-	adm, err := m.Admit(ctx, plan, db, &opts, PriorityInteractive)
+	r, err := Begin(ctx, m, plan, db, opts, PriorityInteractive, nil)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	// Own the spill environment (rather than letting the engine create one)
-	// so chain-boundary renegotiation can retarget the accountant to the
-	// shrunk reservation, and the query's spill totals land in the manager
-	// ledgers at the end.
-	var env *storage.SpillEnv
-	if opts.Spill == nil && opts.MemoryBudget > 0 {
-		env, err = storage.NewSpillEnv(opts.SpillDir, opts.MemoryBudget, storage.PoolPagesFor(opts.MemoryBudget), nil)
-		if err != nil {
-			adm.Finish(err)
-			return nil, adm.Stats, err
-		}
-		opts.Spill = env
-	}
-	opts.Readmit = func(chain, want, min int) int {
-		grant := m.ReadmitAt(adm, chain, want, min)
-		if env != nil {
-			env.Mem.SetGrant(adm.MemoryHeld())
-		}
-		return grant
-	}
-	res, err := core.ExecuteAllocated(ctx, plan, db, opts, adm.Alloc())
-	if env != nil {
-		adm.NoteSpill(env.Spilled())
-		env.Close()
-	}
-	adm.Finish(err)
-	return res, adm.Stats, err
+	return r.Execute(ctx)
 }

@@ -299,3 +299,40 @@ func TestMemoryBudgetNeverExceeded(t *testing.T) {
 		t.Fatalf("drain state: in flight %d, peak %d (budget %d)", st.MemInFlight, st.PeakMem, budget)
 	}
 }
+
+// TestExecuteKeepsPerQueryBudgetAcrossChains: with the manager's memory
+// admission off there is no memory reservation to renegotiate, so a chain
+// boundary must leave a query's own MemoryBudget in force. (Retargeting the
+// spill accountant to the zero bytes "held" would read as unlimited, and the
+// query would silently stop spilling.) The second chain's join, whose build
+// side is many times the budget, still goes to disk — with the right answer.
+func TestExecuteKeepsPerQueryBudgetAcrossChains(t *testing.T) {
+	plan, db := twoChainPlan(t)
+	want, _, err := NewManager(Config{Budget: 4}).Execute(context.Background(), plan, db, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewManager(Config{Budget: 4}) // no Config.MemoryBudget
+	res, qs, err := m.Execute(context.Background(), plan, db, core.Options{MemoryBudget: 64 << 10, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qs.ChainThreads) != 2 {
+		t.Fatalf("ChainThreads = %v: the plan did not renegotiate at its chain boundary", qs.ChainThreads)
+	}
+	if qs.MemoryGrant != 0 {
+		t.Fatalf("memory admission is off, yet the query was granted %d bytes", qs.MemoryGrant)
+	}
+	for id, n := range plan.Nodes {
+		if n.Node.Name == "j" && res.Stats[id].SpilledBytes.Load() == 0 {
+			t.Error("the second chain's join spilled nothing under a 64 KiB budget")
+		}
+	}
+	if qs.SpilledBytes == 0 || m.Stats().SpilledBytes != qs.SpilledBytes {
+		t.Errorf("spill ledgers: query %d bytes, manager %d", qs.SpilledBytes, m.Stats().SpilledBytes)
+	}
+	if got, ref := res.Outputs["Res"], want.Outputs["Res"]; got.Cardinality() != ref.Cardinality() {
+		t.Errorf("spilled run returned %d rows, in-memory run %d", got.Cardinality(), ref.Cardinality())
+	}
+}

@@ -308,6 +308,7 @@ func TestFrontEndConformance(t *testing.T) {
 		{"empty sql on prepare", func(t *testing.T, fe *frontEnd) reply { return fe.call(t, "POST", "/prepare", `{"sql":""}`) },
 			400, plainText, "server: empty sql", false},
 		{"unknown field", q(`{"sql":"SELECT * FROM wisc","limit":5}`), 400, plainText, `unknown field "limit"`, false},
+		{"unknown option", q(`{"sql":"SELECT * FROM wisc","options":{"batchGrain":1}}`), 400, plainText, `unknown field "batchGrain"`, false},
 		{"body is not JSON", q(`SELECT 1`), 400, plainText, "server: bad request body", false},
 		{"float argument", q(`{"sql":"` + oneParam + `","args":[1.5]}`), 400, plainText, "is not a 64-bit integer", false},
 		{"boolean argument", q(`{"sql":"` + oneParam + `","args":[true]}`), 400, plainText, "unsupported type bool", false},

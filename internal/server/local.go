@@ -41,9 +41,6 @@ func overlayOptions(opt dbs3.Options, wire *Options) dbs3.Options {
 	if wire.StreamBuffer != 0 {
 		opt.StreamBuffer = wire.StreamBuffer
 	}
-	if wire.BatchGrain != 0 {
-		opt.BatchGrain = wire.BatchGrain
-	}
 	if wire.Materialize {
 		opt.Materialize = true
 	}

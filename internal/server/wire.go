@@ -60,9 +60,6 @@ type Options struct {
 	Priority string `json:"priority,omitempty"`
 	// StreamBuffer is the bounded row-sink capacity between engine and wire.
 	StreamBuffer int `json:"streamBuffer,omitempty"`
-	// BatchGrain is the engine's producer-side tuple batch size on the
-	// pipelined data plane (0 = engine default, 1 = per-tuple pushes).
-	BatchGrain int `json:"batchGrain,omitempty"`
 	// Materialize splits the plan at a materialization point before
 	// aggregation/projection, letting the manager renegotiate the query's
 	// thread reservation between the two chains (see dbs3.Options).

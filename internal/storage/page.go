@@ -53,35 +53,14 @@ func (p *Page) Insert(t relation.Tuple) bool {
 	return true
 }
 
-// Tuple decodes the i-th tuple on the page into a slab of its own.
-func (p *Page) Tuple(i int) (relation.Tuple, error) {
-	if i < 0 || i >= p.Count() {
-		return nil, fmt.Errorf("storage: slot %d out of range (page has %d)", i, p.Count())
-	}
-	var slab relation.Slab
-	return p.decode(&slab, i)
-}
-
-// decode decodes slot i, which the caller has checked, into slab.
-func (p *Page) decode(slab *relation.Slab, i int) (relation.Tuple, error) {
-	off := int(binary.LittleEndian.Uint16(p.buf[p.slotOffset(i):]))
-	t, _, err := DecodeTupleInto(slab, p.buf[off:])
-	return t, err
-}
-
-// Tuples decodes every tuple on the page in slot order into one slab.
-func (p *Page) Tuples() ([]relation.Tuple, error) {
-	var slab relation.Slab
-	return p.AppendTuples(&slab, make([]relation.Tuple, 0, p.Count()))
-}
-
 // AppendTuples decodes every tuple on the page in slot order into slab and
 // appends them to dst: readers of many pages share one slab (and one dst)
 // across them, so a page costs no allocation of its own beyond the chunks
 // the slab grows by.
 func (p *Page) AppendTuples(slab *relation.Slab, dst []relation.Tuple) ([]relation.Tuple, error) {
 	for i, n := 0, p.Count(); i < n; i++ {
-		t, err := p.decode(slab, i)
+		off := int(binary.LittleEndian.Uint16(p.buf[p.slotOffset(i):]))
+		t, _, err := DecodeTupleInto(slab, p.buf[off:])
 		if err != nil {
 			return nil, err
 		}

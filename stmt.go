@@ -13,7 +13,6 @@ import (
 	"dbs3/internal/lera"
 	"dbs3/internal/relation"
 	dbruntime "dbs3/internal/runtime"
-	"dbs3/internal/storage"
 )
 
 // planCacheCap bounds the per-database LRU plan cache. Serving workloads
@@ -331,8 +330,6 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 		Threads:      s.opt.Threads,
 		Strategy:     s.strat,
 		TriggerGrain: s.opt.Grain,
-		BatchGrain:   s.opt.BatchGrain,
-		NoVectorize:  s.opt.NoVectorize,
 		Utilization:  s.opt.Utilization,
 		MemoryBudget: s.opt.MemoryBudget,
 		SpillDir:     s.opt.SpillDir,
@@ -340,58 +337,19 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 		Sink:         &rowSink{ctx: qctx, ch: ch},
 	}
 
-	var adm *dbruntime.Admission
-	var alloc core.Allocation
-	var env *storage.SpillEnv
-	utilization := s.opt.Utilization
-	if manager != nil {
-		adm, err = manager.Admit(qctx, execPlan, rels, &copts, s.pri)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		// Mid-flight re-admission: at each chain boundary of a multi-chain
-		// plan the engine renegotiates the reservation — surplus threads
-		// return to the shared budget between chains instead of at Finish —
-		// and the spill accountant is retargeted to the shrunk memory
-		// reservation (env is assigned below, before any chain runs).
-		copts.Readmit = func(chain, want, min int) int {
-			grant := manager.ReadmitAt(adm, chain, want, min)
-			if env != nil && adm.MemoryGrant() > 0 {
-				env.Mem.SetGrant(adm.MemoryHeld())
-			}
-			return grant
-		}
-		alloc = adm.Alloc()
-		utilization = adm.Stats.Utilization
-	} else {
-		alloc, err = core.PlanAllocation(execPlan, rels, copts)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-	}
-	// Larger-than-memory execution: own the spill environment (instead of
-	// letting the engine create one) so the admission grant can be
-	// renegotiated mid-query and the database-wide buffer-pool metrics see
-	// this query's read-back traffic. Admit rewrote copts.MemoryBudget to
-	// the granted bytes when the manager runs memory admission.
-	if copts.MemoryBudget > 0 {
-		env, err = storage.NewSpillEnv(copts.SpillDir, copts.MemoryBudget, storage.PoolPagesFor(copts.MemoryBudget), &s.db.poolMetrics)
-		if err != nil {
-			if adm != nil {
-				adm.Finish(err)
-			}
-			cancel()
-			return nil, err
-		}
-		copts.Spill = env
+	// Begin admits the query under the manager, if one is installed, and
+	// owns its spill environment; run.Execute below settles both.
+	run, err := dbruntime.Begin(qctx, manager, execPlan, rels, copts, s.pri, &s.db.poolMetrics)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
 
+	threads, utilization := run.Granted()
 	r := &Rows{
 		cols:        prep.cols,
 		types:       prep.types,
-		threads:     alloc.Total,
+		threads:     threads,
 		utilization: utilization,
 		ch:          ch,
 		done:        make(chan struct{}),
@@ -399,22 +357,12 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 		parent:      ctx,
 	}
 	go func() {
-		res, execErr := core.ExecuteAllocated(qctx, execPlan, rels, copts, alloc)
-		if env != nil {
-			// Spill totals settle when the engine returns; Close removes the
-			// temp files on every exit path, including cancellation.
-			r.spilledBytes, r.spillPasses = env.Spilled()
-			if adm != nil {
-				adm.NoteSpill(r.spilledBytes, r.spillPasses)
-			}
-			env.Close()
-		}
-		if adm != nil {
-			// Threads are back in the budget before the cursor observes the
-			// end of the stream — Close-mid-result frees them immediately.
-			adm.Finish(execErr)
-			r.chainThreads = adm.ChainTrace()
-		}
+		// Threads are back in the budget and the spill files gone before the
+		// cursor observes the end of the stream — Close-mid-result frees them
+		// immediately.
+		res, stats, execErr := run.Execute(qctx)
+		r.spilledBytes, r.spillPasses = stats.SpilledBytes, stats.SpillPasses
+		r.chainThreads = stats.ChainThreads
 		r.execErr = execErr
 		if execErr == nil && res != nil {
 			r.operators = operatorStats(execPlan, res)
