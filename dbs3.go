@@ -123,26 +123,10 @@ func New() *Database {
 	}
 }
 
-// ManagerConfig sizes the query manager installed by Database.Manager.
-type ManagerConfig struct {
-	// Budget is the machine-wide thread budget shared by all concurrent
-	// queries; 0 defaults to GOMAXPROCS.
-	Budget int
-	// MaxQueued bounds the admission queue; 0 defaults to 4*Budget.
-	MaxQueued int
-	// BatchAging bounds batch starvation: after this many consecutive
-	// interactive admissions while a batch query waited, the batch head
-	// is served next as soon as its threads fit the free budget — and
-	// after twice this many, unconditionally. 0 defaults to 4.
-	BatchAging int
-	// MemoryBudget is the machine-wide working-memory budget in bytes,
-	// reserved next to threads at admission: each query is granted
-	// min(cost-model estimate, Options.MemoryBudget ceiling, free budget),
-	// blocking operators spill to disk beyond the grant, and a query whose
-	// minimum grant does not fit waits in the queue instead of OOMing the
-	// process. 0 disables memory admission.
-	MemoryBudget int64
-}
+// ManagerConfig sizes the query manager installed by Database.Manager:
+// the thread budget, the admission-queue bound and the working-memory
+// budget, documented on the runtime's Config.
+type ManagerConfig = dbruntime.Config
 
 // Manager installs a QueryManager sized by cfg and returns it. Once
 // installed, Query and QueryContext are admitted through it: concurrent
@@ -150,7 +134,7 @@ type ManagerConfig struct {
 // utilization measured from the others' allocated threads. Installing a
 // new manager replaces the previous one for future queries.
 func (db *Database) Manager(cfg ManagerConfig) *dbruntime.Manager {
-	m := dbruntime.NewManager(dbruntime.Config{Budget: cfg.Budget, MaxQueued: cfg.MaxQueued, BatchAging: cfg.BatchAging, MemoryBudget: cfg.MemoryBudget})
+	m := dbruntime.NewManager(cfg)
 	db.mu.Lock()
 	db.manager = m
 	db.mu.Unlock()

@@ -220,20 +220,61 @@ func ExecuteContext(ctx context.Context, plan *lera.Plan, db DB, opts Options) (
 
 // PlanAllocation verifies the database against the plan and runs the
 // four-step scheduler, returning the thread allocation ExecuteAllocated
-// would use. Splitting allocation from execution lets an admission
-// controller (internal/runtime.QueryManager) reserve the chosen thread
-// count against a machine-wide budget before the query starts.
+// would use. It is EstimatePlan followed by Estimate.Allocate; an admission
+// controller (internal/runtime.Manager) makes the two calls itself, the
+// first before the query queues and the second at its admission point.
 func PlanAllocation(plan *lera.Plan, db DB, opts Options) (Allocation, error) {
-	opts = opts.withDefaults()
-	if err := checkDB(plan, db); err != nil {
+	est, err := EstimatePlan(plan, db, opts)
+	if err != nil {
 		return Allocation{}, err
+	}
+	return est.Allocate(opts), nil
+}
+
+// Estimate is everything allocation planning derives from the plan and the
+// data alone — nothing in it depends on how busy the machine is, so it can
+// be computed before a query waits for admission and stays valid however
+// long the wait lasts.
+type Estimate struct {
+	// Mem is the estimated peak working-set bytes of the plan's blocking
+	// operators and ChainMem its per-chain split; Allocate copies them into
+	// Allocation.MemEstimate and Allocation.ChainMem.
+	Mem      int64
+	ChainMem []int64
+
+	plan  *lera.Plan
+	costs *lera.Costs
+	skew  []float64 // by node id: see Allocate
+}
+
+// EstimatePlan verifies the database against the plan and costs it: plan
+// complexities, each triggered node's instance-cost skew, the memory
+// estimate. Of opts it reads only CostModel and StreamOutput.
+func EstimatePlan(plan *lera.Plan, db DB, opts Options) (Estimate, error) {
+	if err := checkDB(plan, db); err != nil {
+		return Estimate{}, err
 	}
 	cm := lera.DefaultCostModel()
 	if opts.CostModel != nil {
 		cm = *opts.CostModel
 	}
-	costs := lera.Estimate(plan, cm)
-	alloc := Allocate(plan, costs, func(id int) []float64 { return instanceCosts(plan, db, id) }, SchedulerOptions{
+	e := Estimate{plan: plan, costs: lera.Estimate(plan, cm), skew: make([]float64, len(plan.Nodes))}
+	for _, id := range plan.Order {
+		if plan.Graph.Triggered(id) {
+			e.skew[id] = coefficientOfVariation(instanceCosts(plan, db, id))
+		}
+	}
+	e.ChainMem, e.Mem = estimateMemory(plan, e.costs, opts)
+	return e, nil
+}
+
+// Allocate is the load-dependent half: the four-step scheduler over the
+// estimate, under the utilization and processor headroom opts carries now.
+// It is arithmetic over the plan's nodes — no I/O, no locks — which is why
+// an admission controller may run it inside its critical section.
+func (e Estimate) Allocate(opts Options) Allocation {
+	opts = opts.withDefaults()
+	alloc := Allocate(e.plan, e.costs, e.skew, SchedulerOptions{
 		Threads:          opts.Threads,
 		Processors:       opts.Processors,
 		StartupCost:      opts.StartupCost,
@@ -243,8 +284,8 @@ func PlanAllocation(plan *lera.Plan, db DB, opts Options) (Allocation, error) {
 		ConcurrentChains: opts.ConcurrentChains,
 		Machine:          opts.Machine,
 	})
-	alloc.ChainMem, alloc.MemEstimate = estimateMemory(plan, costs, opts)
-	return alloc, nil
+	alloc.ChainMem, alloc.MemEstimate = e.ChainMem, e.Mem
+	return alloc
 }
 
 // ExecuteAllocated runs a plan with a precomputed thread allocation (from

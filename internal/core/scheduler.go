@@ -156,10 +156,10 @@ func (a *Allocation) ResizeChain(ci int, chain []int, threads int) {
 	}
 }
 
-// Allocate runs the four steps. instCosts gives the per-instance cost
-// estimates of a node (used for skew detection in step 4); it may return nil
-// when unknown.
-func Allocate(plan *lera.Plan, costs *lera.Costs, instCosts func(nodeID int) []float64, o SchedulerOptions) Allocation {
+// Allocate runs the four steps. skew[id] is the coefficient of variation of
+// node id's per-instance cost estimates (step 4's skew detection); nil, or 0
+// for a node, when unknown.
+func Allocate(plan *lera.Plan, costs *lera.Costs, skew []float64, o SchedulerOptions) Allocation {
 	o = o.withDefaults()
 
 	// Step 1: number of threads for the whole query.
@@ -239,10 +239,8 @@ func Allocate(plan *lera.Plan, costs *lera.Costs, instCosts func(nodeID int) []f
 			continue
 		}
 		st := StrategyRandom
-		if plan.Graph.Triggered(id) && instCosts != nil {
-			if cv := coefficientOfVariation(instCosts(id)); cv > o.SkewThreshold {
-				st = StrategyLPT
-			}
+		if plan.Graph.Triggered(id) && id < len(skew) && skew[id] > o.SkewThreshold {
+			st = StrategyLPT
 		}
 		alloc.Strategy[id] = st
 	}

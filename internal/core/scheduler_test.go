@@ -120,17 +120,15 @@ func TestAllocateStep4AutoStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := lera.Estimate(plan, lera.DefaultCostModel())
-	inst := func(id int) []float64 {
-		if id == 0 { // join node: cost ~ |A_i| * |B_i|
-			sizes := db.A.FragmentSizes()
-			out := make([]float64, len(sizes))
-			for i, s := range sizes {
-				out[i] = float64(s) * 50
-			}
-			return out
+	// Node 0 is the join: its instance cost ~ |A_i| * |B_i|.
+	fragCV := func(sizes []int) float64 {
+		out := make([]float64, len(sizes))
+		for i, s := range sizes {
+			out[i] = float64(s) * 50
 		}
-		return nil
+		return coefficientOfVariation(out)
 	}
+	inst := []float64{fragCV(db.A.FragmentSizes())}
 	a := Allocate(plan, costs, inst, SchedulerOptions{Threads: 8, Processors: 8})
 	if a.Strategy[0] != StrategyLPT {
 		t.Errorf("skewed triggered join should get LPT, got %v", a.Strategy[0])
@@ -142,17 +140,7 @@ func TestAllocateStep4AutoStrategies(t *testing.T) {
 	db0, _ := workload.NewJoinDB(10000, 1000, 20, 0)
 	plan0, _ := db0.IdealJoinPlan(lera.NestedLoop)
 	costs0 := lera.Estimate(plan0, lera.DefaultCostModel())
-	inst0 := func(id int) []float64 {
-		if id == 0 {
-			sizes := db0.A.FragmentSizes()
-			out := make([]float64, len(sizes))
-			for i, s := range sizes {
-				out[i] = float64(s)
-			}
-			return out
-		}
-		return nil
-	}
+	inst0 := []float64{fragCV(db0.A.FragmentSizes())}
 	a0 := Allocate(plan0, costs0, inst0, SchedulerOptions{Threads: 8, Processors: 8})
 	if a0.Strategy[0] != StrategyRandom {
 		t.Errorf("unskewed triggered join should get Random, got %v", a0.Strategy[0])

@@ -1,29 +1,39 @@
 // Package runtime turns the single-shot execution engine into a concurrent
-// query runtime. Its QueryManager owns a machine-wide thread budget shared by
-// every concurrently executing query, admits queries through a bounded queue,
-// and closes the paper's [Rahm93] feedback loop: the Utilization that step 1
-// of the Figure 5 scheduler uses to shrink a query's degree of parallelism
-// "to increase the multi-user throughput" is no longer a hand-set constant
-// but is measured from the threads currently allocated to other queries at
-// admission time, smoothed by an EWMA over recently completed queries so the
-// signal stays informative between bursts.
+// query runtime. Its Manager owns a machine-wide budget of threads and
+// working-memory bytes shared by every concurrently executing query, admits
+// queries through a bounded two-class queue, and closes the paper's [Rahm93]
+// feedback loop: the Utilization that step 1 of the Figure 5 scheduler uses
+// to shrink a query's degree of parallelism "to increase the multi-user
+// throughput" is no longer a hand-set constant but is measured from the
+// threads currently allocated to other queries at admission time, smoothed
+// by an EWMA over recently completed queries so the signal stays informative
+// between bursts.
 //
-// Admission is split into two halves so callers can stream results: Admit
-// reserves the query's thread allocation against the budget and returns an
-// Admission; the caller runs core.ExecuteAllocated at its leisure (possibly
-// feeding a row cursor) and calls Admission.Finish when the execution ends —
-// including when a client closes its cursor mid-result, which is how
-// streaming queries hand threads back early. Execute remains the one-call
-// convenience wrapper.
+// Admission is estimate, then ticket, then one critical section. The plan is
+// costed before the query queues, with no lock held (core.EstimatePlan:
+// everything that does not depend on load). The query then waits in its line
+// and — without the manager's mutex ever being released between the wait
+// and the reservation — measures utilization, runs the scheduler's
+// load-dependent half (core.Estimate.Allocate, microseconds of arithmetic)
+// and reserves. Threads and bytes are one reservation value with one fit,
+// take, give and resize; only the sizing policies differ per resource.
+//
+// Admission is split from execution so callers can stream results: Admit
+// returns an Admission holding the reservation; the caller runs
+// core.ExecuteAllocated at its leisure (possibly feeding a row cursor) and
+// calls Admission.Finish when the execution ends — including when a client
+// closes its cursor mid-result, which is how streaming queries hand threads
+// back early. Begin/Run.Execute wrap that protocol; Manager.Execute is the
+// one-call convenience.
 //
 // Reservations are renegotiable mid-flight: at each chain boundary of a
 // multi-chain query — the paper's materialization points — the engine calls
 // Manager.Readmit with the next chain's desired thread count, and the
-// manager returns the finished chain's surplus to the budget or grows the
-// allocation into freed headroom, re-running the scheduler's utilization
-// throttle with a fresh measurement. A long batch query thus stops pinning
-// its admission-time thread count through chains that need fewer, and can
-// expand into budget released by completed peers.
+// manager returns the finished chain's surplus threads and bytes to the
+// budget or grows the thread hold into freed headroom, re-running the
+// scheduler's utilization throttle with a fresh measurement. A long batch
+// query thus stops pinning its admission-time reservation through chains
+// that need less, and can expand into budget released by completed peers.
 package runtime
 
 import (
@@ -31,6 +41,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"dbs3/internal/core"
@@ -48,7 +59,7 @@ var ErrClosed = errors.New("runtime: manager closed")
 
 // Priority is a query's admission class. Interactive queries are served
 // ahead of batch queries at the ticket line; aging guarantees batch is never
-// starved (see Config.BatchAging).
+// starved: a batch query bypassed four times in a row is promoted.
 type Priority int
 
 const (
@@ -86,19 +97,14 @@ type Config struct {
 	// queries are rejected earlier so a batch flood cannot shed the
 	// latency-sensitive class. 0 defaults to 4*Budget.
 	MaxQueued int
-	// BatchAging bounds batch starvation: after this many consecutive
-	// interactive admissions while a batch query waited, the batch head is
-	// served next as soon as its threads fit the free budget; after twice
-	// this many, it is served next unconditionally — blocking the line
-	// until its threads accumulate. 0 defaults to 4.
-	BatchAging int
 	// MemoryBudget is the machine-wide working-memory budget in bytes shared
 	// by all concurrent queries, reserved next to threads: at admission each
 	// query is granted min(its cost-model memory estimate, its caller
-	// ceiling, the free budget) and a query whose minimum grant does not fit
-	// waits in its line instead of OOMing the process. 0 disables memory
-	// admission — queries run with whatever per-query ceiling the caller
-	// set, unmanaged.
+	// ceiling, the free budget), blocking operators spill to disk beyond
+	// the grant, and a query whose minimum grant does not fit waits in its
+	// line instead of OOMing the process (a query whose estimate is zero
+	// holds no memory and waits for none). 0 disables memory admission —
+	// queries run with whatever per-query ceiling the caller set, unmanaged.
 	MemoryBudget int64
 }
 
@@ -202,10 +208,31 @@ const (
 // minMemGrant is the smallest working-memory grant a query with any memory
 // need waits for (1 MiB, clamped to the budget when the budget is smaller).
 // Admission never hands out a zero grant to a query that needs memory — a
-// zero grant would read as "unlimited" to the spill accountant — so a query
-// arriving while the budget is exhausted queues until at least this much
-// frees up, rather than OOMing or running unbounded.
+// zero grant would read as "unlimited" to the spill accountant — so such a
+// query arriving while the budget is exhausted queues until at least this
+// much frees up, rather than OOMing or running unbounded. A query whose
+// estimate is zero needs no grant and does not wait for one.
 const minMemGrant = 1 << 20
+
+// batchAging bounds batch starvation: after this many consecutive
+// interactive admissions while a batch query waited, the batch head is
+// served next as soon as its need fits the free budget; after twice this
+// many, it is served next unconditionally — blocking the line until its
+// threads accumulate.
+const batchAging = 4
+
+// reservation is an amount of the two admitted resources. It is the type of
+// the budget, of the in-flight total and its peak, of a waiter's need and of
+// an admission's hold, so each verb on the ledger — fit, take, give, resize
+// — is written once for both resources. With memory admission off the byte
+// budget is 0 and so is every need and hold: the byte half of each verb then
+// does nothing, without a branch. What differs per resource is policy — how
+// Admit sizes a grant and how Readmit picks a target — and that stays with
+// the caller.
+type reservation struct {
+	threads int
+	bytes   int64
+}
 
 // Manager is the concurrent query runtime: a machine-wide thread budget, a
 // bounded two-class admission queue, and measured-utilization feedback into
@@ -218,27 +245,22 @@ const minMemGrant = 1 << 20
 // fairness). Across classes, interactive is served before batch, with aging
 // so batch is never starved.
 type Manager struct {
-	budget     int
-	maxQueued  int
-	batchAging int
-	memBudget  int64 // working-memory budget in bytes; 0 = memory admission off
+	budget    reservation // bytes 0 = memory admission off
+	maxQueued int
 
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	allocated    int   // threads reserved by in-flight queries
-	memAllocated int64 // working-memory bytes reserved by in-flight queries
-	queued       [priorityCount]int
-	active       int
-	closed       bool
+	inFlight reservation // held by admissions and Reserve calls
+	peak     reservation // per-resource high-water mark of inFlight
+	active   int
+	closed   bool
 
-	// Two FIFO ticket lines, one per priority class. headLocked picks the
-	// single ticket allowed to admit next; admitting pins it so the choice
-	// cannot flip while that ticket plans its allocation outside the lock.
+	// Two FIFO ticket lines, one per priority class; headLocked picks the
+	// single ticket allowed to admit next.
 	nextTicket  int64
 	lines       [priorityCount][]waiter
-	admitting   int64 // ticket currently mid-admission, -1 if none
-	iStreak     int   // consecutive interactive admissions while batch waited
+	iStreak     int // consecutive interactive admissions while batch waited
 	ewma        float64
 	ewmaSet     bool
 	cacheHits   int64
@@ -255,14 +277,7 @@ type Manager struct {
 	memReturned     int64
 	spilledBytes    int64
 	spillPasses     int64
-	peak            int
-	peakMem         int64
 }
-
-// planAllocation is the out-of-lock allocation-planning step of Admit,
-// swappable in tests to interpose exactly between a ticket passing its wait
-// and the reservation (the cancel/Close-during-planning races).
-var planAllocation = core.PlanAllocation
 
 // NewManager creates a manager with the given configuration.
 func NewManager(cfg Config) *Manager {
@@ -272,76 +287,84 @@ func NewManager(cfg Config) *Manager {
 	if cfg.MaxQueued <= 0 {
 		cfg.MaxQueued = 4 * cfg.Budget
 	}
-	if cfg.BatchAging <= 0 {
-		cfg.BatchAging = 4
-	}
-	if cfg.MemoryBudget < 0 {
-		cfg.MemoryBudget = 0
-	}
-	m := &Manager{budget: cfg.Budget, maxQueued: cfg.MaxQueued, batchAging: cfg.BatchAging, memBudget: cfg.MemoryBudget, admitting: -1}
+	m := &Manager{budget: reservation{cfg.Budget, max(cfg.MemoryBudget, 0)}, maxQueued: cfg.MaxQueued}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
-// waiter is one queued admission: its line ticket plus the thread count and
-// working-memory bytes it must see free before it can take its turn (used by
-// awaitTurnLocked and headLocked's aging fit-check).
-type waiter struct {
-	ticket  int64
-	need    int
-	memNeed int64
+// fitsLocked reports whether need fits the free budget.
+func (m *Manager) fitsLocked(need reservation) bool {
+	return need.threads <= m.budget.threads-m.inFlight.threads && need.bytes <= m.budget.bytes-m.inFlight.bytes
 }
 
-// takeTicketLocked joins the FIFO line of the given class.
-func (m *Manager) takeTicketLocked(pri Priority, need int, memNeed int64) int64 {
-	t := m.nextTicket
-	m.nextTicket++
-	m.lines[pri] = append(m.lines[pri], waiter{ticket: t, need: need, memNeed: memNeed})
-	return t
+// takeLocked moves r from the free budget into flight.
+func (m *Manager) takeLocked(r reservation) {
+	m.inFlight.threads += r.threads
+	m.inFlight.bytes += r.bytes
+	m.peak.threads = max(m.peak.threads, m.inFlight.threads)
+	m.peak.bytes = max(m.peak.bytes, m.inFlight.bytes)
 }
 
-// memFitsLocked reports whether need bytes fit the free memory budget (true
-// whenever memory admission is off).
-func (m *Manager) memFitsLocked(need int64) bool {
-	return m.memBudget <= 0 || m.memBudget-m.memAllocated >= need
-}
-
-// headLocked returns the ticket allowed to admit next. A ticket that already
-// passed its wait and is planning its allocation outside the lock stays head
-// until it reserves or leaves, so headroom measured at its admission point
-// cannot be claimed by anyone else meanwhile.
-func (m *Manager) headLocked() (int64, bool) {
-	if m.admitting >= 0 {
-		return m.admitting, true
+// giveLocked returns r to the free budget and wakes the line to look at the
+// new headroom (giving nothing wakes no one).
+func (m *Manager) giveLocked(r reservation) {
+	if r == (reservation{}) {
+		return
 	}
+	m.inFlight.threads -= r.threads
+	m.inFlight.bytes -= r.bytes
+	m.cond.Broadcast()
+}
+
+// resizeLocked moves an admission's hold to the given amounts: what grows is
+// taken, what shrinks is given, and the renegotiation counters record both.
+// The caller has already capped growth at the free budget.
+func (m *Manager) resizeLocked(a *Admission, to reservation) {
+	grow := reservation{max(to.threads-a.held.threads, 0), max(to.bytes-a.held.bytes, 0)}
+	shrink := reservation{max(a.held.threads-to.threads, 0), max(a.held.bytes-to.bytes, 0)}
+	m.takeLocked(grow)
+	m.giveLocked(shrink)
+	m.threadsGrown += int64(grow.threads)
+	m.threadsReturned += int64(shrink.threads)
+	m.memReturned += shrink.bytes
+	a.held = to
+}
+
+// waiter is one queued ticket and what it must see free before its turn.
+type waiter struct {
+	ticket int64
+	need   reservation
+}
+
+// headLocked returns the ticket allowed to admit next, -1 when nobody waits.
+func (m *Manager) headLocked() int64 {
 	iLine, bLine := m.lines[PriorityInteractive], m.lines[PriorityBatch]
 	switch {
-	case len(iLine) > 0 && len(bLine) > 0:
-		// Aging is soft at first: the batch head is promoted once the
-		// streak trips, but only when its threads actually fit the current
-		// headroom — a batch query too big to run must not stall
-		// interactive admissions that would fit. Past twice the aging
-		// bound the promotion turns hard (head regardless of fit), so a
-		// big batch query still gets the head-of-line blocking it needs to
-		// ever accumulate its threads.
-		if m.iStreak >= m.batchAging {
-			if m.iStreak >= 2*m.batchAging || (m.budget-m.allocated >= bLine[0].need && m.memFitsLocked(bLine[0].memNeed)) {
-				return bLine[0].ticket, true
-			}
-		}
-		return iLine[0].ticket, true
-	case len(iLine) > 0:
-		return iLine[0].ticket, true
-	case len(bLine) > 0:
-		return bLine[0].ticket, true
+	case len(iLine) == 0 && len(bLine) == 0:
+		return -1
+	case len(bLine) == 0:
+		return iLine[0].ticket
+	case len(iLine) == 0:
+		return bLine[0].ticket
 	}
-	return 0, false
+	// Both classes wait. Aging is soft at first: the batch head is promoted
+	// once the streak trips, but only when its need actually fits the
+	// current headroom — a batch query too big to run must not stall
+	// interactive admissions that would fit. Past twice the aging bound the
+	// promotion turns hard (head regardless of fit), so a big batch query
+	// still gets the head-of-line blocking it needs to ever accumulate its
+	// threads.
+	if m.iStreak >= 2*batchAging || m.iStreak >= batchAging && m.fitsLocked(bLine[0].need) {
+		return bLine[0].ticket
+	}
+	return iLine[0].ticket
 }
 
-// removeLocked takes a ticket out of its line. The aging streak only
-// measures bypasses of the batch queries currently waiting: when the last
-// one leaves (admitted or abandoned), the streak resets so a later batch
-// arrival starts aging from zero instead of inheriting instant promotion.
+// removeLocked takes a ticket out of its line — admitted or abandoned — and
+// wakes the line so the next head can look. The aging streak only measures
+// bypasses of the batch queries currently waiting: when the last one leaves,
+// the streak resets so a later batch arrival starts aging from zero instead
+// of inheriting instant promotion.
 func (m *Manager) removeLocked(pri Priority, ticket int64) {
 	line := m.lines[pri]
 	for i, w := range line {
@@ -353,84 +376,80 @@ func (m *Manager) removeLocked(pri Priority, ticket int64) {
 	if pri == PriorityBatch && len(m.lines[PriorityBatch]) == 0 {
 		m.iStreak = 0
 	}
-}
-
-// leaveLocked abandons a ticket (cancellation, close, planning error) and
-// wakes the line so the next head can proceed.
-func (m *Manager) leaveLocked(pri Priority, ticket int64) {
-	m.removeLocked(pri, ticket)
-	if m.admitting == ticket {
-		m.admitting = -1
-	}
 	m.cond.Broadcast()
 }
 
-// awaitTurnLocked blocks until the ticket is the head of the line with need
-// threads and memNeed working-memory bytes available, or the manager closes
-// / ctx is cancelled. On success the ticket is pinned as the admitting
-// ticket. The memory fit is what makes a query arriving into an exhausted
-// memory budget queue instead of OOM: it waits here, like a query whose
-// threads do not fit, until peers finish (or renegotiate down) and free
-// enough bytes for its minimum grant.
-func (m *Manager) awaitTurnLocked(ctx context.Context, pri Priority, ticket int64, need int, memNeed int64) error {
+// wake makes every waiter re-check its context; it runs when one is
+// cancelled.
+func (m *Manager) wake() {
+	m.mu.Lock()
+	m.cond.Broadcast()
+	m.mu.Unlock()
+}
+
+// awaitTurnLocked is the one way into the budget: it joins pri's line —
+// unless the manager is closed or the line is at its bound — and blocks
+// until the ticket heads the line with need free, or the manager closes or
+// ctx is cancelled. m.mu is held on return either way. On success the caller
+// measures what it needs to and calls reserveLocked with the ticket before
+// unlocking: because the lock is never released in between, the headroom
+// measured after the wait is the headroom reserved from. The fit is what
+// makes a query arriving into an exhausted budget queue instead of
+// overcommitting: it waits here until peers finish (or renegotiate down).
+func (m *Manager) awaitTurnLocked(ctx context.Context, pri Priority, need reservation) (ticket int64, err error) {
+	if m.closed {
+		return 0, ErrClosed
+	}
+	// Batch arrivals stop short of the full queue bound so a batch flood
+	// cannot shed the latency-sensitive class — the reserved slots are
+	// usable by interactive arrivals only.
+	limit := m.maxQueued
+	if pri == PriorityBatch {
+		limit -= m.maxQueued / 4
+	}
+	if len(m.lines[PriorityInteractive])+len(m.lines[PriorityBatch]) >= limit {
+		m.rejected++
+		return 0, ErrQueueFull
+	}
+	ticket = m.nextTicket
+	m.nextTicket++
+	m.lines[pri] = append(m.lines[pri], waiter{ticket, need})
+	waiting := false
 	for {
+		err = ctx.Err()
 		if m.closed {
-			m.leaveLocked(pri, ticket)
-			return ErrClosed
+			err = ErrClosed
 		}
-		if err := ctx.Err(); err != nil {
-			m.leaveLocked(pri, ticket)
-			return err
+		if err != nil {
+			m.removeLocked(pri, ticket)
+			return 0, err
 		}
-		if head, ok := m.headLocked(); ok && head == ticket && m.budget-m.allocated >= need && m.memFitsLocked(memNeed) {
-			m.admitting = ticket
-			return nil
+		if m.headLocked() == ticket && m.fitsLocked(need) {
+			return ticket, nil
+		}
+		if !waiting {
+			// Only a ticket that actually sleeps needs waking on cancel.
+			waiting = true
+			defer context.AfterFunc(ctx, m.wake)()
 		}
 		m.cond.Wait()
 	}
 }
 
-// reserveLocked finalizes an admission: takes n threads and mem bytes out of
-// the budgets, retires the ticket, and updates the cross-class aging streak.
-func (m *Manager) reserveLocked(pri Priority, ticket int64, n int, mem int64) {
-	m.allocated += n
-	if m.allocated > m.peak {
-		m.peak = m.allocated
-	}
-	m.memAllocated += mem
-	if m.memAllocated > m.peakMem {
-		m.peakMem = m.memAllocated
-	}
+// reserveLocked ends a successful awaitTurnLocked: the ticket leaves its
+// line, hold leaves the free budget, and the cross-class aging streak moves.
+func (m *Manager) reserveLocked(pri Priority, ticket int64, hold reservation) {
 	m.removeLocked(pri, ticket)
-	m.admitting = -1
-	if pri == PriorityBatch {
-		m.iStreak = 0
-	} else if len(m.lines[PriorityBatch]) > 0 {
+	m.takeLocked(hold)
+	if pri == PriorityInteractive && len(m.lines[PriorityBatch]) > 0 {
 		m.iStreak++
 	} else {
 		m.iStreak = 0
 	}
-	m.cond.Broadcast()
 }
 
 // Budget returns the machine-wide thread budget.
-func (m *Manager) Budget() int { return m.budget }
-
-// Utilization returns the current measured utilization: allocated threads
-// over budget, in [0, 1].
-func (m *Manager) Utilization() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return float64(m.allocated) / float64(m.budget)
-}
-
-// SmoothedUtilization returns the EWMA over recently completed queries'
-// leftover utilization (0 until the first completion).
-func (m *Manager) SmoothedUtilization() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ewma
-}
+func (m *Manager) Budget() int { return m.budget.threads }
 
 // NotePlanCache records one facade plan-cache outcome, surfaced in Stats.
 func (m *Manager) NotePlanCache(hit bool) {
@@ -447,21 +466,22 @@ func (m *Manager) NotePlanCache(hit bool) {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	qi, qb := len(m.lines[PriorityInteractive]), len(m.lines[PriorityBatch])
 	return Stats{
 		Admitted:              m.admitted,
 		Completed:             m.completed,
 		Failed:                m.failed,
 		Cancelled:             m.cancelled,
 		Rejected:              m.rejected,
-		Queued:                m.queued[PriorityInteractive] + m.queued[PriorityBatch],
-		QueuedInteractive:     m.queued[PriorityInteractive],
-		QueuedBatch:           m.queued[PriorityBatch],
+		Queued:                qi + qb,
+		QueuedInteractive:     qi,
+		QueuedBatch:           qb,
 		Active:                m.active,
-		ThreadsInFlight:       m.allocated,
-		PeakThreads:           m.peak,
-		MemBudget:             m.memBudget,
-		MemInFlight:           m.memAllocated,
-		PeakMem:               m.peakMem,
+		ThreadsInFlight:       m.inFlight.threads,
+		PeakThreads:           m.peak.threads,
+		MemBudget:             m.budget.bytes,
+		MemInFlight:           m.inFlight.bytes,
+		PeakMem:               m.peak.bytes,
 		SpilledBytes:          m.spilledBytes,
 		SpillPasses:           m.spillPasses,
 		MemReturnedEarly:      m.memReturned,
@@ -481,147 +501,71 @@ func (m *Manager) Stats() Stats {
 // chain-boundary renegotiation so the two throttles cannot drift apart.
 func (m *Manager) blendLocked(u float64) float64 {
 	if m.ewmaSet {
-		if blended := ewmaBlend*u + (1-ewmaBlend)*m.ewma; blended > u {
-			u = blended
-		}
+		u = max(u, ewmaBlend*u+(1-ewmaBlend)*m.ewma)
 	}
 	return u
 }
 
-// Readmit renegotiates an in-flight admission's thread reservation at a
-// chain boundary — the paper's materialization points, where a plan-based
-// re-optimization is safe because no operator is mid-pipeline. want is the
-// next chain's desired thread count (Allocation.ChainWant) and min its node
-// count — the floor the chain actually runs with, since every node pool
-// needs at least one thread. Readmit re-runs the Figure 5 step-1 throttle
-// against utilization measured freshly from the threads other queries hold
-// right now (blended, like the admission sample, with the completion EWMA
-// so a momentary trough reads as busy), then:
+// Readmit renegotiates an in-flight admission's reservation at a chain
+// boundary — the paper's materialization points, where a plan-based
+// re-optimization is safe because no operator is mid-pipeline. chain is the
+// index of the chain about to start, want its desired thread count
+// (Allocation.ChainWant) and floor its node count — what the chain actually
+// runs with at least, since every node pool needs one thread. Each resource
+// gets its target by its own policy, then one resize moves the hold:
 //
-//   - shrinks the reservation when the chain needs less than is held,
-//     returning the surplus to the budget immediately (queued admissions
-//     are woken), or
-//   - grows it into free headroom when the chain wants more — never
-//     blocking: the grant is capped at held + free, because a mid-flight
-//     query that waited for threads while holding threads could deadlock
-//     against the admission line.
+//   - Threads re-run the Figure 5 step-1 throttle against utilization
+//     measured freshly from the threads other queries hold right now
+//     (blended, like the admission sample, with the completion EWMA so a
+//     momentary trough reads as busy), never below floor — a smaller grant
+//     could not be honored and would overstate the threads returned — and
+//     never above held + free. A surplus returns to the budget immediately
+//     (queued admissions are woken); a chain that wants more grows into free
+//     headroom without ever blocking, because a mid-flight query that waited
+//     for threads while holding threads could deadlock against the line.
+//     When the free headroom is below floor the grant lands under it — the
+//     same nominal-ledger mismatch an admission into a squeezed budget has,
+//     never an overcommit.
+//   - Bytes only shrink, to the peak estimate of the chains still to run
+//     (Allocation.ChainMem[chain:]), floored at the minimum grant so the
+//     accountant is never retargeted to zero (zero reads as "unlimited").
+//     Growth would reintroduce hold-and-wait; a chain that turns out to need
+//     more than the shrunk hold degrades by spilling. The estimate ledger is
+//     approximate (an intermediate is priced into the chain that wrote it);
+//     the spill accountant, retargeted by the caller, is the enforcement
+//     boundary. chain out of range skips the memory step.
 //
-// The granted total (>= 1) is returned; the engine redistributes the
-// chain's node threads over it (core.Options.Readmit). When growth is
-// unavailable (planning window, or free headroom below min) the grant can
-// still land under min — the same nominal-ledger mismatch an admission
-// into a squeezed budget has, never an overcommit. Releases do not feed
+// The granted thread total (>= 1) is returned; the engine redistributes the
+// chain's node threads over it (core.Options.Readmit). Releases do not feed
 // the utilization EWMA — only Finish samples it, once per query. Calling
-// Readmit on a finished admission is a harmless no-op.
-func (m *Manager) Readmit(a *Admission, want, min int) int {
-	return m.ReadmitAt(a, -1, want, min)
-}
-
-// ReadmitAt is Readmit with the chain boundary made explicit: chain is the
-// index of the chain about to start, and alongside the thread renegotiation
-// the query's working-memory reservation is shrunk to the peak estimate of
-// the remaining chains (Allocation.ChainMem[chain:]), capped at the original
-// grant. Memory renegotiation is shrink-only and never blocks — growth would
-// reintroduce hold-and-wait against the admission line, and a chain that
-// turns out to need more than the shrunk grant degrades by spilling, not by
-// waiting. Returned bytes wake queued admissions immediately, so a long
-// multi-chain query stops pinning its peak-chain memory through cheap tail
-// chains. The estimate ledger is approximate (materialized intermediates
-// from earlier chains are priced into the chain that wrote them); the spill
-// accountant, retargeted to the shrunk grant by the caller, is the
-// enforcement boundary. chain < 0 (or out of range) skips the memory step.
-func (m *Manager) ReadmitAt(a *Admission, chain, want, min int) int {
-	if min < 1 {
-		min = 1
-	}
-	if min > m.budget {
-		min = m.budget
-	}
-	if want < min {
-		want = min
-	}
+// Readmit on a finished admission renegotiates nothing and hands the request
+// back.
+func (m *Manager) Readmit(a *Admission, chain, want, floor int) int {
+	floor = min(max(floor, 1), m.budget.threads)
+	want = max(want, floor)
 	if a == nil || a.m != m {
 		return want
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if a.finished {
-		return a.held
+		return want
 	}
-	// Fresh utilization from the other queries' threads: the same throttle
-	// step 1 applied at admission, re-measured at the boundary.
-	others := m.allocated - a.held
-	if others < 0 {
-		others = 0
+	to := a.held
+	others := m.inFlight.threads - a.held.threads
+	to.threads = want
+	if u := m.blendLocked(float64(others) / float64(m.budget.threads)); u > 0 && u < 1 {
+		to.threads = int(math.Round(float64(want) * (1 - u)))
 	}
-	u := m.blendLocked(float64(others) / float64(m.budget))
-	grant := want
-	if u > 0 && u < 1 {
-		grant = int(math.Round(float64(want) * (1 - u)))
+	to.threads = min(max(to.threads, floor), m.budget.threads-others) // held + free = budget - others
+	if a.held.bytes > 0 && chain >= 0 && chain < len(a.alloc.ChainMem) {
+		remain := max(slices.Max(a.alloc.ChainMem[chain:]), min(a.Stats.MemoryGrant, minMemGrant))
+		to.bytes = min(remain, a.held.bytes)
 	}
-	// The throttle never cuts below the chain's node count: a smaller
-	// grant could not be honored (every pool runs >= 1 thread) and would
-	// overstate the threads returned to the budget.
-	if grant < min {
-		grant = min
-	}
-	if grant > a.held {
-		// Growth takes free budget — but never while an admission is
-		// planning its allocation outside the lock: the pinned admitting
-		// ticket measured the headroom it will reserve from, and growing
-		// under it would overcommit the budget when it reserves. (A shrink
-		// during the window is always safe — it only adds headroom beyond
-		// what the ticket measured.) Declining growth keeps Readmit
-		// non-blocking; the chain simply runs with what it holds.
-		if m.admitting >= 0 {
-			grant = a.held
-		} else if free := m.budget - m.allocated; grant > a.held+free {
-			grant = a.held + free
-		}
-	}
-	switch {
-	case grant < a.held:
-		m.allocated -= a.held - grant
-		m.threadsReturned += int64(a.held - grant)
-		m.cond.Broadcast()
-	case grant > a.held:
-		m.allocated += grant - a.held
-		m.threadsGrown += int64(grant - a.held)
-		if m.allocated > m.peak {
-			m.peak = m.allocated
-		}
-	}
-	a.held = grant
-	a.trace = append(a.trace, grant)
+	m.resizeLocked(a, to)
+	a.trace = append(a.trace, to.threads)
 	m.readmissions++
-	// Memory renegotiation: shrink the reservation to the peak estimate of
-	// the chains still to run, floored so the accountant never retargets to
-	// zero (zero reads as "unlimited") while the query holds a grant.
-	if m.memBudget > 0 && a.memHeld > 0 && chain >= 0 && chain < len(a.alloc.ChainMem) {
-		var remain int64
-		for _, n := range a.alloc.ChainMem[chain:] {
-			if n > remain {
-				remain = n
-			}
-		}
-		floor := a.memGrant
-		if floor > minMemGrant {
-			floor = minMemGrant
-		}
-		if remain < floor {
-			remain = floor
-		}
-		if remain > a.memGrant {
-			remain = a.memGrant
-		}
-		if remain < a.memHeld {
-			m.memAllocated -= a.memHeld - remain
-			m.memReturned += a.memHeld - remain
-			a.memHeld = remain
-			m.cond.Broadcast()
-		}
-	}
-	return grant
+	return to.threads
 }
 
 // Close rejects all future submissions and wakes queued queries, which
@@ -642,46 +586,21 @@ func (m *Manager) Close() {
 // idempotent. Releases do not feed the utilization EWMA — that signal
 // samples query completions only (Admission.Finish).
 func (m *Manager) Reserve(ctx context.Context, n int) (release func(), err error) {
-	if n < 0 {
-		n = 0
-	}
-	if n > m.budget {
-		n = m.budget
-	}
-	stop := context.AfterFunc(ctx, func() {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer stop()
-
+	hold := reservation{threads: min(max(n, 0), m.budget.threads)}
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
+	ticket, err := m.awaitTurnLocked(ctx, PriorityInteractive, hold)
+	if err == nil {
+		m.reserveLocked(PriorityInteractive, ticket, hold)
 	}
-	if m.queued[PriorityInteractive]+m.queued[PriorityBatch] >= m.maxQueued {
-		m.rejected++
-		m.mu.Unlock()
-		return nil, ErrQueueFull
-	}
-	m.queued[PriorityInteractive]++
-	ticket := m.takeTicketLocked(PriorityInteractive, n, 0)
-	err = m.awaitTurnLocked(ctx, PriorityInteractive, ticket, n, 0)
-	m.queued[PriorityInteractive]--
+	m.mu.Unlock()
 	if err != nil {
-		m.mu.Unlock()
 		return nil, err
 	}
-	m.reserveLocked(PriorityInteractive, ticket, n, 0)
-	m.mu.Unlock()
-
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			m.mu.Lock()
-			m.allocated -= n
-			m.cond.Broadcast()
+			m.giveLocked(hold)
 			m.mu.Unlock()
 		})
 	}, nil
@@ -691,27 +610,23 @@ func (m *Manager) Reserve(ctx context.Context, n int) (release func(), err error
 // caller owns the reserved threads until Finish returns them; Stats and
 // Alloc describe what the admission decided. Between chains of a
 // multi-chain query the reservation is renegotiable: Manager.Readmit
-// adjusts the held thread count at each materialization point.
+// adjusts the hold at each materialization point.
 type Admission struct {
 	m     *Manager
 	alloc core.Allocation
 	// Stats is the per-query feedback record (effective utilization fed to
-	// the scheduler, reserved threads, admission class). ChainThreads is
-	// filled in at Finish; reading Stats while the query still executes
-	// races with renegotiation.
+	// the scheduler, reserved threads, memory grant, admission class).
+	// ChainThreads is filled in at Finish; reading Stats while the query
+	// still executes races with renegotiation.
 	Stats QueryStats
 
 	once sync.Once
 
-	// held is the thread count currently reserved (starts at alloc.Total,
-	// renegotiated by Readmit); trace records each renegotiated grant;
-	// finished blocks late Readmit calls. memGrant is the working-memory
-	// bytes granted at admission (immutable); memHeld is the bytes
-	// currently reserved (shrunk by ReadmitAt). All but memGrant guarded
-	// by m.mu.
-	held     int
-	memGrant int64
-	memHeld  int64
+	// held is what the admission currently reserves (starts at the
+	// admission-time grant, renegotiated by Readmit, zero after Finish);
+	// trace records each renegotiated thread grant; finished blocks late
+	// Readmit calls. All guarded by m.mu.
+	held     reservation
 	finished bool
 	trace    []int
 }
@@ -720,25 +635,17 @@ type Admission struct {
 // core.ExecuteAllocated together with the Options Admit adjusted.
 func (a *Admission) Alloc() core.Allocation { return a.alloc }
 
-// ChainTrace returns the per-chain thread grants renegotiated so far (one
-// entry per Manager.Readmit call, in chain order).
-func (a *Admission) ChainTrace() []int {
-	a.m.mu.Lock()
-	defer a.m.mu.Unlock()
-	return append([]int(nil), a.trace...)
-}
-
 // MemoryGrant returns the working-memory bytes granted at admission (0 when
 // memory admission is off or the plan estimates no blocking-operator state).
 // This is the grant a query's spill accountant starts from.
-func (a *Admission) MemoryGrant() int64 { return a.memGrant }
+func (a *Admission) MemoryGrant() int64 { return a.Stats.MemoryGrant }
 
 // MemoryHeld returns the working-memory bytes currently reserved — the
 // admission grant, minus what chain-boundary renegotiations handed back.
 func (a *Admission) MemoryHeld() int64 {
 	a.m.mu.Lock()
 	defer a.m.mu.Unlock()
-	return a.memHeld
+	return a.held.bytes
 }
 
 // NoteSpill records a query's larger-than-memory activity — bytes written
@@ -769,11 +676,11 @@ func (a *Admission) Finish(err error) {
 	a.once.Do(func() {
 		m := a.m
 		m.mu.Lock()
+		defer m.mu.Unlock()
 		a.finished = true
 		a.Stats.ChainThreads = append([]int(nil), a.trace...)
-		m.allocated -= a.held
-		m.memAllocated -= a.memHeld
-		a.memHeld = 0
+		m.giveLocked(a.held)
+		a.held = reservation{}
 		m.active--
 		switch {
 		case err == nil:
@@ -788,176 +695,118 @@ func (a *Admission) Finish(err error) {
 		// a query arriving in a momentary trough is still throttled; a
 		// machine running one query at a time samples zero and keeps
 		// single-user parallelism.
-		sample := float64(m.allocated) / float64(m.budget)
+		sample := float64(m.inFlight.threads) / float64(m.budget.threads)
 		if m.ewmaSet {
 			m.ewma = ewmaAlpha*sample + (1-ewmaAlpha)*m.ewma
 		} else {
 			m.ewma = sample
 			m.ewmaSet = true
 		}
-		m.cond.Broadcast()
-		m.mu.Unlock()
 	})
 }
 
-// Admit reserves one query's thread allocation against the shared budget.
+// Admit reserves one query's threads and working memory against the shared
+// budget, in three steps.
 //
-// The query waits in its class line (bounded by MaxQueued across classes)
-// until the budget has headroom — one thread for auto-threaded queries, the
-// full explicit opts.Threads otherwise (clamped to the budget). On admission
-// the manager measures utilization from the threads other queries hold,
-// blends it with the completion EWMA, caps the query's usable processors at
-// the remaining headroom, runs the Figure 5 scheduler, and reserves the
-// chosen thread count before returning — so the sum of reserved threads
-// never exceeds the budget. opts is adjusted in place (Utilization,
-// Processors) and must be the Options later passed to ExecuteAllocated.
+// Estimate, no lock held: the plan is checked against db and costed
+// (core.EstimatePlan). A plan that cannot be costed fails here — counted in
+// Stats.Failed, never queued — and the memory estimate is known before the
+// wait, so a query that needs no memory does not wait for any.
+//
+// Ticket: the query joins its class line (bounded by MaxQueued across
+// classes) and waits until the budget has its need free — one thread for
+// auto-threaded queries, the full explicit opts.Threads otherwise (clamped
+// to the budget), plus the minimum memory grant when its estimate is
+// non-zero.
+//
+// Reserve, in the critical section the wait returned in: the manager
+// measures utilization from the threads other queries hold, blends it with
+// the completion EWMA, caps the query's usable processors at the remaining
+// headroom, runs the Figure 5 scheduler (core.Estimate.Allocate) and takes
+// the chosen thread count and the memory grant — so nothing can claim the
+// measured headroom before it is reserved, and the reserved totals never
+// exceed the budget. opts is adjusted in place (Utilization, Processors,
+// Machine, MemoryBudget) and must be the Options later passed to
+// ExecuteAllocated.
 //
 // The caller must call Finish on the returned Admission exactly when the
 // execution ends — normal completion, failure, or a streaming client closing
-// its cursor mid-result — to hand the threads back.
+// its cursor mid-result — to hand the reservation back.
 func (m *Manager) Admit(ctx context.Context, plan *lera.Plan, db core.DB, opts *core.Options, pri Priority) (*Admission, error) {
+	est, err := core.EstimatePlan(plan, db, *opts)
+	if err != nil {
+		m.mu.Lock()
+		m.failed++
+		m.mu.Unlock()
+		return nil, err
+	}
+	return m.admit(ctx, est, opts, pri)
+}
+
+// admit is Admit's ticket and reserve steps, for an estimate already made.
+func (m *Manager) admit(ctx context.Context, est core.Estimate, opts *core.Options, pri Priority) (*Admission, error) {
 	if pri < 0 || pri >= priorityCount {
 		pri = PriorityInteractive
 	}
-	if opts.Threads > m.budget {
-		opts.Threads = m.budget
+	opts.Threads = min(opts.Threads, m.budget.threads)
+	need := reservation{threads: max(opts.Threads, 1)}
+	if est.Mem > 0 {
+		need.bytes = min(minMemGrant, m.budget.bytes)
 	}
-	need := 1
-	if opts.Threads > 0 {
-		need = opts.Threads
-	}
-	// With memory admission on, every query waits for at least the minimum
-	// grant — its true estimate is not known until the plan is costed, which
-	// happens after the wait. The pinned admitting ticket keeps the free
-	// memory measured here stable through planning, so the post-planning
-	// grant never overcommits the budget.
-	var memNeed int64
-	if m.memBudget > 0 {
-		memNeed = minMemGrant
-		if memNeed > m.memBudget {
-			memNeed = m.memBudget
-		}
-	}
-
-	stop := context.AfterFunc(ctx, func() {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer stop()
 
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
-	}
-	// Batch admissions stop short of the full queue bound so a batch flood
-	// cannot shed the latency-sensitive class — the reserved slots are
-	// usable by interactive arrivals only.
-	limit := m.maxQueued
-	if pri == PriorityBatch {
-		limit -= m.maxQueued / 4
-	}
-	if m.queued[PriorityInteractive]+m.queued[PriorityBatch] >= limit {
-		m.rejected++
-		m.mu.Unlock()
-		return nil, ErrQueueFull
-	}
-	m.queued[pri]++
-	ticket := m.takeTicketLocked(pri, need, memNeed)
-	if err := m.awaitTurnLocked(ctx, pri, ticket, need, memNeed); err != nil {
-		m.queued[pri]--
-		if err != ErrClosed {
+	defer m.mu.Unlock()
+	ticket, err := m.awaitTurnLocked(ctx, pri, need)
+	if err != nil {
+		if err != ErrClosed && err != ErrQueueFull {
 			m.cancelled++
 		}
-		m.mu.Unlock()
 		return nil, err
 	}
 
 	// Admission point: measure concurrent load and feed it to the
-	// scheduler. Cost estimation runs outside the lock — the pinned
-	// admitting ticket guarantees no other query can reserve threads
-	// meanwhile (completions only grow the headroom), so the allocation
-	// stays within budget.
-	available := m.budget - m.allocated
-	measured := float64(m.allocated) / float64(m.budget)
+	// scheduler. Processors is squeezed to the instantaneous headroom so the
+	// initial allocation fits; Machine keeps the whole budget in view so a
+	// chain-boundary renegotiation can grow into budget freed later.
+	available := m.budget.threads - m.inFlight.threads
+	measured := float64(m.inFlight.threads) / float64(m.budget.threads)
 	smoothed := m.blendLocked(measured)
-	m.mu.Unlock()
-	if smoothed > opts.Utilization {
-		opts.Utilization = smoothed
-	}
+	opts.Utilization = max(opts.Utilization, smoothed)
 	if opts.Processors <= 0 || opts.Processors > available {
 		opts.Processors = available
 	}
-	// Processors is squeezed to the instantaneous headroom so the initial
-	// allocation fits; Machine keeps the whole budget in view so a
-	// chain-boundary renegotiation can grow into budget freed later.
-	opts.Machine = m.budget
-	alloc, planErr := planAllocation(plan, db, *opts)
-	m.mu.Lock()
-	m.queued[pri]--
-	if planErr != nil {
-		m.failed++
-		m.leaveLocked(pri, ticket)
-		m.mu.Unlock()
-		return nil, planErr
-	}
-	// Allocation planning ran outside the lock: the query may have died —
-	// or the manager closed — meanwhile. Reserving anyway would launch an
-	// execution that instantly aborts while its threads sit out the abort
-	// in the budget; re-check before committing.
-	if m.closed {
-		m.leaveLocked(pri, ticket)
-		m.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		m.cancelled++
-		m.leaveLocked(pri, ticket)
-		m.mu.Unlock()
-		return nil, err
-	}
+	opts.Machine = m.budget.threads
+	alloc := est.Allocate(*opts)
+
 	// Memory grant: the cost-model estimate, capped by the caller's
-	// per-query ceiling and the free budget, floored (when the query needs
-	// any memory at all) so the spill accountant never starts from zero.
-	// The wait guaranteed minMemGrant free, and nothing could take memory
-	// during planning (the pinned ticket blocks reservations; renegotiation
-	// only shrinks), so the grant always fits the budget.
-	var memGrant int64
-	if m.memBudget > 0 && alloc.MemEstimate > 0 {
-		memGrant = alloc.MemEstimate
-		if opts.MemoryBudget > 0 && memGrant > opts.MemoryBudget {
-			memGrant = opts.MemoryBudget
+	// per-query ceiling and the free budget, floored at what the query
+	// waited for so the spill accountant never starts from zero. It becomes
+	// the query's enforcement ceiling: the engine builds its spill
+	// accountant from opts.MemoryBudget.
+	hold := reservation{threads: alloc.Total}
+	if need.bytes > 0 {
+		hold.bytes = est.Mem
+		if opts.MemoryBudget > 0 {
+			hold.bytes = min(hold.bytes, opts.MemoryBudget)
 		}
-		if free := m.memBudget - m.memAllocated; memGrant > free {
-			memGrant = free
-		}
-		if memGrant < memNeed {
-			memGrant = memNeed
-		}
-		// The grant becomes the query's enforcement ceiling: the engine
-		// builds its spill accountant from opts.MemoryBudget.
-		opts.MemoryBudget = memGrant
+		hold.bytes = max(min(hold.bytes, m.budget.bytes-m.inFlight.bytes), need.bytes)
+		opts.MemoryBudget = hold.bytes
 	}
-	m.reserveLocked(pri, ticket, alloc.Total, memGrant)
+	m.reserveLocked(pri, ticket, hold)
 	m.admitted++
 	m.active++
-	m.mu.Unlock()
-
 	return &Admission{
-		m:        m,
-		alloc:    alloc,
-		held:     alloc.Total,
-		memGrant: memGrant,
-		memHeld:  memGrant,
+		m:     m,
+		alloc: alloc,
+		held:  hold,
 		Stats: QueryStats{
 			Utilization: opts.Utilization,
 			Measured:    measured,
 			Smoothed:    smoothed,
-			Threads:     alloc.Total,
+			Threads:     hold.threads,
 			Available:   available,
 			Priority:    pri,
-			MemoryGrant: memGrant,
+			MemoryGrant: hold.bytes,
 		},
 	}, nil
 }
@@ -1011,8 +860,8 @@ func Begin(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts co
 		// of at Finish. The accountant follows the memory reservation only
 		// when there is one — with memory admission off the query's own
 		// MemoryBudget stays its grant (a grant of 0 would read as unlimited).
-		opts.Readmit = func(chain, want, min int) int {
-			grant := m.ReadmitAt(adm, chain, want, min)
+		opts.Readmit = func(chain, want, floor int) int {
+			grant := m.Readmit(adm, chain, want, floor)
 			if env != nil && adm.MemoryGrant() > 0 {
 				env.Mem.SetGrant(adm.MemoryHeld())
 			}

@@ -78,8 +78,8 @@ func TestManagerMeasuredUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Utilization(); got != 0.75 {
-		t.Errorf("Utilization() = %v, want 0.75", got)
+	if st := m.Stats(); st.ThreadsInFlight != 6 {
+		t.Errorf("ThreadsInFlight = %d, want the 6 reserved", st.ThreadsInFlight)
 	}
 	_, qs, err = m.Execute(context.Background(), plan, db, core.Options{})
 	if err != nil {
@@ -277,18 +277,49 @@ func TestManagerAbandonedTicketSkipped(t *testing.T) {
 	}
 }
 
-// TestManagerFailedQueryCounted: execution errors land in Failed, not
-// Completed.
+// TestManagerFailedQueryCounted: a plan that cannot be costed lands in
+// Failed without ever taking a ticket — not Admitted, not Queued, and not
+// Rejected even when it arrives at a full queue (the planning error wins
+// over ErrQueueFull).
 func TestManagerFailedQueryCounted(t *testing.T) {
 	plan, db := joinPlan(t)
-	m := NewManager(Config{Budget: 4})
+	m := NewManager(Config{Budget: 4, MaxQueued: 1})
 	if _, _, err := m.Execute(context.Background(), plan, core.DB{}, core.Options{}); err == nil {
 		t.Fatal("empty database accepted")
 	}
 	st := m.Stats()
-	if st.Failed != 1 || st.Completed != 0 {
-		t.Errorf("Failed/Completed = %d/%d, want 1/0", st.Failed, st.Completed)
+	if st.Failed != 1 || st.Completed != 0 || st.Admitted != 0 {
+		t.Errorf("Failed/Completed/Admitted = %d/%d/%d, want 1/0/0", st.Failed, st.Completed, st.Admitted)
 	}
+
+	// Fill the queue: the budget is held and one query waits.
+	release, err := m.Reserve(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := m.Execute(ctx, plan, db, core.Options{})
+		waiter <- err
+	}()
+	for m.Stats().Queued == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, err := m.Execute(context.Background(), plan, db, core.Options{}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("good plan at a full queue: err = %v, want ErrQueueFull", err)
+	}
+	if _, _, err := m.Execute(context.Background(), plan, core.DB{}, core.Options{}); err == nil || errors.Is(err, ErrQueueFull) {
+		t.Fatalf("bad plan at a full queue: err = %v, want the planning error", err)
+	}
+	if st := m.Stats(); st.Failed != 2 || st.Rejected != 1 || st.Queued != 1 || st.Admitted != 0 {
+		t.Errorf("Failed/Rejected/Queued/Admitted = %d/%d/%d/%d, want 2/1/1/0", st.Failed, st.Rejected, st.Queued, st.Admitted)
+	}
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter err = %v", err)
+	}
+	release()
 	if _, _, err := m.Execute(context.Background(), plan, db, core.Options{}); err != nil {
 		t.Fatal(err)
 	}

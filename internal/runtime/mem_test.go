@@ -3,9 +3,9 @@ package runtime
 // Memory as a scheduled resource: admission reserves a working-memory grant
 // next to the thread reservation, a query that does not fit queues instead
 // of overcommitting, the chain-boundary renegotiation returns surplus early,
-// and the spill ledgers aggregate per-query disk traffic. These tests drive
-// the ledger through the planAllocation seam with fabricated estimates so
-// grant arithmetic is exact.
+// and the spill ledgers aggregate per-query disk traffic. These tests admit
+// real estimates whose memory side is overwritten (admitMem), so grant
+// arithmetic is exact.
 
 import (
 	"context"
@@ -16,24 +16,20 @@ import (
 
 	"dbs3/internal/core"
 	"dbs3/internal/lera"
+	"dbs3/internal/relation"
+	"dbs3/internal/workload"
 )
 
-// fabricateMem wraps the real allocation planner and overrides the memory
-// estimate, so thread-side behaviour stays realistic while the memory side
-// is deterministic. Restores the seam on test cleanup.
-func fabricateMem(t *testing.T, est int64, chainMem []int64) {
-	t.Helper()
-	old := planAllocation
-	planAllocation = func(p *lera.Plan, d core.DB, o core.Options) (core.Allocation, error) {
-		alloc, err := core.PlanAllocation(p, d, o)
-		if err != nil {
-			return alloc, err
-		}
-		alloc.MemEstimate = est
-		alloc.ChainMem = chainMem
-		return alloc, nil
+// admitMem admits the plan on its real estimate with the memory side
+// overwritten, so thread-side behaviour stays realistic while the memory side
+// is deterministic.
+func admitMem(m *Manager, plan *lera.Plan, db core.DB, opts *core.Options, mem int64, chainMem ...int64) (*Admission, error) {
+	est, err := core.EstimatePlan(plan, db, *opts)
+	if err != nil {
+		return nil, err
 	}
-	t.Cleanup(func() { planAllocation = old })
+	est.Mem, est.ChainMem = mem, chainMem
+	return m.admit(context.Background(), est, opts, PriorityInteractive)
 }
 
 // TestMemoryGrantArithmetic: the grant is min(estimate, per-query ceiling,
@@ -43,7 +39,6 @@ func fabricateMem(t *testing.T, est int64, chainMem []int64) {
 func TestMemoryGrantArithmetic(t *testing.T) {
 	plan, db := joinPlan(t)
 	const budget = 64 << 20
-	fabricateMem(t, 10<<20, []int64{10 << 20})
 
 	m := NewManager(Config{Budget: 8, MemoryBudget: budget})
 	if st := m.Stats(); st.MemBudget != budget {
@@ -52,7 +47,7 @@ func TestMemoryGrantArithmetic(t *testing.T) {
 
 	// Estimate below budget and ceiling: granted in full.
 	opts := core.Options{}
-	adm, err := m.Admit(context.Background(), plan, db, &opts, PriorityInteractive)
+	adm, err := admitMem(m, plan, db, &opts, 10<<20, 10<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +63,7 @@ func TestMemoryGrantArithmetic(t *testing.T) {
 
 	// A per-query ceiling caps the grant below the estimate.
 	opts2 := core.Options{MemoryBudget: 4 << 20}
-	adm2, err := m.Admit(context.Background(), plan, db, &opts2, PriorityInteractive)
+	adm2, err := admitMem(m, plan, db, &opts2, 10<<20, 10<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +73,8 @@ func TestMemoryGrantArithmetic(t *testing.T) {
 
 	// Free headroom caps the grant below the estimate: 64-10-4 = 50 MiB
 	// free, estimate asks for 60.
-	fabricateMem(t, 60<<20, []int64{60 << 20})
 	opts3 := core.Options{}
-	adm3, err := m.Admit(context.Background(), plan, db, &opts3, PriorityInteractive)
+	adm3, err := admitMem(m, plan, db, &opts3, 60<<20, 60<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +104,10 @@ func TestMemoryGrantArithmetic(t *testing.T) {
 func TestMemoryStarvedQueryQueues(t *testing.T) {
 	plan, db := joinPlan(t)
 	const budget = 8 << 20
-	fabricateMem(t, budget, []int64{budget})
 
 	m := NewManager(Config{Budget: 16, MemoryBudget: budget})
 	opts := core.Options{Threads: 2}
-	hog, err := m.Admit(context.Background(), plan, db, &opts, PriorityInteractive)
+	hog, err := admitMem(m, plan, db, &opts, budget, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +115,11 @@ func TestMemoryStarvedQueryQueues(t *testing.T) {
 		t.Fatalf("hog grant = %d, want full budget", hog.MemoryGrant())
 	}
 
-	fabricateMem(t, 2<<20, []int64{2 << 20})
 	admitted := make(chan *Admission, 1)
 	errc := make(chan error, 1)
 	go func() {
 		opts2 := core.Options{Threads: 2}
-		adm, err := m.Admit(context.Background(), plan, db, &opts2, PriorityInteractive)
+		adm, err := admitMem(m, plan, db, &opts2, 2<<20, 2<<20)
 		if err != nil {
 			errc <- err
 			return
@@ -177,11 +169,10 @@ func TestMemoryStarvedQueryQueues(t *testing.T) {
 func TestReadmitShrinksMemory(t *testing.T) {
 	plan, db := joinPlan(t)
 	const budget = 64 << 20
-	fabricateMem(t, 24<<20, []int64{24 << 20, 6 << 20, 512 << 10})
 
 	m := NewManager(Config{Budget: 8, MemoryBudget: budget})
 	opts := core.Options{}
-	adm, err := m.Admit(context.Background(), plan, db, &opts, PriorityInteractive)
+	adm, err := admitMem(m, plan, db, &opts, 24<<20, 24<<20, 6<<20, 512<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +181,7 @@ func TestReadmitShrinksMemory(t *testing.T) {
 	}
 
 	// Entering chain 1: only chains 1.. matter, max(6MiB, 512KiB) = 6MiB.
-	m.ReadmitAt(adm, 1, adm.Alloc().Want(1), 1)
+	m.Readmit(adm, 1, adm.Alloc().Want(1), 1)
 	if held := adm.MemoryHeld(); held != 6<<20 {
 		t.Fatalf("held = %d after chain-1 readmit, want %d", held, int64(6<<20))
 	}
@@ -202,7 +193,7 @@ func TestReadmitShrinksMemory(t *testing.T) {
 	// Entering chain 2: the remaining need (512KiB) is below the minimum
 	// grant, so the hold floors there instead of shrinking to a value the
 	// accountant would read as unlimited.
-	m.ReadmitAt(adm, 2, adm.Alloc().Want(2), 1)
+	m.Readmit(adm, 2, adm.Alloc().Want(2), 1)
 	if held := adm.MemoryHeld(); held != minMemGrant {
 		t.Fatalf("held = %d after chain-2 readmit, want floor %d", held, int64(minMemGrant))
 	}
@@ -221,10 +212,9 @@ func TestReadmitShrinksMemory(t *testing.T) {
 // on both the query's stats and the manager's machine-wide counters.
 func TestNoteSpillLedgers(t *testing.T) {
 	plan, db := joinPlan(t)
-	fabricateMem(t, 4<<20, []int64{4 << 20})
 	m := NewManager(Config{Budget: 8, MemoryBudget: 16 << 20})
 	opts := core.Options{}
-	adm, err := m.Admit(context.Background(), plan, db, &opts, PriorityInteractive)
+	adm, err := admitMem(m, plan, db, &opts, 4<<20, 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +238,6 @@ func TestNoteSpillLedgers(t *testing.T) {
 func TestMemoryBudgetNeverExceeded(t *testing.T) {
 	plan, db := joinPlan(t)
 	const budget = 16 << 20
-	fabricateMem(t, 5<<20, []int64{5 << 20})
 	m := NewManager(Config{Budget: 64, MemoryBudget: budget})
 
 	var exceeded atomic.Bool
@@ -277,7 +266,7 @@ func TestMemoryBudgetNeverExceeded(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
 				opts := core.Options{Threads: 2}
-				adm, err := m.Admit(context.Background(), plan, db, &opts, PriorityInteractive)
+				adm, err := admitMem(m, plan, db, &opts, 5<<20, 5<<20)
 				if err != nil {
 					t.Error(err)
 					return
@@ -334,5 +323,44 @@ func TestExecuteKeepsPerQueryBudgetAcrossChains(t *testing.T) {
 	}
 	if got, ref := res.Outputs["Res"], want.Outputs["Res"]; got.Cardinality() != ref.Cardinality() {
 		t.Errorf("spilled run returned %d rows, in-memory run %d", got.Cardinality(), ref.Cardinality())
+	}
+}
+
+// TestNoMemoryNeedSkipsMemoryWait: a query whose estimate is zero holds no
+// memory, so it must not wait for any — a streamed point filter admits at
+// once while a join holds the whole memory budget.
+func TestNoMemoryNeedSkipsMemoryWait(t *testing.T) {
+	plan, db := joinPlan(t)
+	const budget = 4 << 10 // far below the join's estimate: the hog gets all of it
+	m := NewManager(Config{Budget: 8, MemoryBudget: budget})
+	opts := core.Options{Threads: 1}
+	hog, err := m.Admit(context.Background(), plan, db, &opts, PriorityInteractive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hog.Finish(nil)
+	if st := m.Stats(); st.MemInFlight != budget {
+		t.Fatalf("hog holds %d of %d bytes, want all", st.MemInFlight, budget)
+	}
+
+	g := lera.NewGraph()
+	g.ConnectSame(g.Filter("f", "A", lera.ColConst{Col: "k", Op: lera.EQ, Val: relation.Int(7)}), g.Store("s", "Out"))
+	filter, err := lera.Bind(g, lera.MapResolver{"A": {Schema: workload.JoinSchema, Degree: db["A"].Degree()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	fopts := core.Options{Threads: 1, StreamOutput: "Out"} // streamed store: nothing accumulates
+	adm, err := m.Admit(ctx, filter, db, &fopts, PriorityInteractive)
+	if err != nil {
+		t.Fatalf("filter-only query waited for memory it will never hold: %v", err)
+	}
+	defer adm.Finish(nil)
+	if adm.MemoryGrant() != 0 || fopts.MemoryBudget != 0 {
+		t.Errorf("grant = %d, opts.MemoryBudget = %d, want 0/0", adm.MemoryGrant(), fopts.MemoryBudget)
+	}
+	if st := m.Stats(); st.MemInFlight != budget || st.ThreadsInFlight != 2 {
+		t.Errorf("MemInFlight/ThreadsInFlight = %d/%d, want %d/2", st.MemInFlight, st.ThreadsInFlight, budget)
 	}
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -53,18 +54,18 @@ func TestManagerInteractiveBeforeBatch(t *testing.T) {
 	}
 }
 
-// TestManagerBatchAging: after BatchAging consecutive interactive
+// TestManagerBatchAging: after batchAging consecutive interactive
 // admissions bypass a waiting batch query, the batch head is served next
 // even though interactive queries are still queued — batch is never starved.
 func TestManagerBatchAging(t *testing.T) {
 	plan, db := joinPlan(t)
-	m := NewManager(Config{Budget: 4, BatchAging: 1})
+	m := NewManager(Config{Budget: 4})
 	release, err := m.Reserve(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	order := make(chan string, 3)
+	order := make(chan string, batchAging+2)
 	exec := func(name string, pri Priority) {
 		opts := core.Options{Threads: 4}
 		adm, err := m.Admit(context.Background(), plan, db, &opts, pri)
@@ -79,27 +80,30 @@ func TestManagerBatchAging(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	// Queue: batch B, then interactive I1, then interactive I2. With
-	// BatchAging=1, service order must be I1 (streak 0→1), B (aged), I2.
+	// Queue: batch B, then batchAging+1 interactive queries in order. Service
+	// order must be batchAging interactive ones (the streak climbs to the
+	// bound), then B (aged), then the last interactive.
 	go exec("B", PriorityBatch)
 	for m.Stats().QueuedBatch < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	go exec("I1", PriorityInteractive)
-	for m.Stats().QueuedInteractive < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	go exec("I2", PriorityInteractive)
-	for m.Stats().QueuedInteractive < 2 {
-		time.Sleep(time.Millisecond)
+	var want []string
+	for i := 1; i <= batchAging+1; i++ {
+		if i == batchAging+1 {
+			want = append(want, "B")
+		}
+		name := fmt.Sprint("I", i)
+		want = append(want, name)
+		go exec(name, PriorityInteractive)
+		for m.Stats().QueuedInteractive < i {
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	release()
-	got := []string{<-order, <-order, <-order}
-	want := []string{"I1", "B", "I2"}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("service order = %v, want %v", got, want)
+		if got := <-order; got != want[i] {
+			t.Fatalf("service %d = %s, want order %v", i, got, want)
 		}
 	}
 }
@@ -110,7 +114,7 @@ func TestManagerBatchAging(t *testing.T) {
 // guarantees the batch query eventually blocks the line and runs.
 func TestManagerAgingFitCheck(t *testing.T) {
 	plan, db := joinPlan(t)
-	m := NewManager(Config{Budget: 4, BatchAging: 2})
+	m := NewManager(Config{Budget: 4})
 	// Pin half the budget: the full-budget batch query cannot fit until
 	// this releases, but 1-thread interactive queries can.
 	release, err := m.Reserve(context.Background(), 2)
@@ -118,7 +122,7 @@ func TestManagerAgingFitCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := make(chan string, 8)
+	done := make(chan string, 2*batchAging)
 	exec := func(name string, pri Priority, threads int) {
 		opts := core.Options{Threads: threads}
 		adm, err := m.Admit(context.Background(), plan, db, &opts, pri)
@@ -138,12 +142,14 @@ func TestManagerAgingFitCheck(t *testing.T) {
 	for m.Stats().QueuedBatch < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	// Interactive queries beyond the aging streak still get served while
-	// the batch head cannot fit (2 of 4 threads pinned).
-	for i := 0; i < 3; i++ {
+	// Interactive queries beyond the aging streak (but short of the hard
+	// bound at twice it) still get served while the batch head cannot fit
+	// (2 of 4 threads pinned).
+	const beyond = batchAging + 2
+	for i := 0; i < beyond; i++ {
 		go exec("I", PriorityInteractive, 1)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < beyond; i++ {
 		select {
 		case name := <-done:
 			if name != "I" {
@@ -229,9 +235,6 @@ func TestManagerSmoothedUtilization(t *testing.T) {
 		t.Fatal(err)
 	}
 	release()
-	if got := m.SmoothedUtilization(); got != 0.5 {
-		t.Fatalf("EWMA after completion = %v, want 0.5", got)
-	}
 	if got := m.Stats().SmoothedUtilization; got != 0.5 {
 		t.Fatalf("Stats.SmoothedUtilization = %v, want 0.5", got)
 	}

@@ -52,7 +52,7 @@ func TestReadmitReleasesSurplus(t *testing.T) {
 		t.Fatalf("after Admit: %+v", st)
 	}
 
-	if grant := m.Readmit(adm, 2, 1); grant != 2 {
+	if grant := m.Readmit(adm, -1, 2, 1); grant != 2 {
 		t.Fatalf("shrink grant = %d, want 2", grant)
 	}
 	st := m.Stats()
@@ -68,7 +68,7 @@ func TestReadmitReleasesSurplus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant := m.Readmit(adm, 8, 1)
+	grant := m.Readmit(adm, -1, 8, 1)
 	// others = 4 of 8 -> utilization 0.5 -> effective want 4; free = 2, so
 	// the grant lands at min(4, 2+2) = 4.
 	if grant != 4 {
@@ -124,7 +124,7 @@ func TestReadmitAdmitsWaiterMidFlight(t *testing.T) {
 
 	// The boundary: query 1's next chain needs one thread; the surplus
 	// admits query 2 while query 1 is still mid-flight.
-	if grant := m.Readmit(adm1, 1, 1); grant != 1 {
+	if grant := m.Readmit(adm1, -1, 1, 1); grant != 1 {
 		t.Fatalf("grant = %d, want 1", grant)
 	}
 	var adm2 *Admission
@@ -179,63 +179,6 @@ func TestExecuteRenegotiatesChains(t *testing.T) {
 	}
 	if st.ThreadsInFlight != 0 || st.Active != 0 {
 		t.Errorf("not drained: %+v", st)
-	}
-}
-
-// TestAdmitCancelDuringPlanning: a query whose context dies while its
-// allocation is planned outside the lock must not reserve threads, count as
-// admitted, or launch.
-func TestAdmitCancelDuringPlanning(t *testing.T) {
-	plan, db := joinPlan(t)
-	m := NewManager(Config{Budget: 4})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	old := planAllocation
-	planAllocation = func(p *lera.Plan, d core.DB, o core.Options) (core.Allocation, error) {
-		cancel() // the caller gives up exactly while we plan
-		return core.PlanAllocation(p, d, o)
-	}
-	defer func() { planAllocation = old }()
-
-	opts := core.Options{}
-	if _, err := m.Admit(ctx, plan, db, &opts, PriorityInteractive); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	st := m.Stats()
-	if st.ThreadsInFlight != 0 || st.Active != 0 || st.Queued != 0 {
-		t.Fatalf("dead query left a reservation: %+v", st)
-	}
-	if st.Admitted != 0 || st.Cancelled != 1 {
-		t.Fatalf("Admitted/Cancelled = %d/%d, want 0/1", st.Admitted, st.Cancelled)
-	}
-	// The budget is intact: a full-budget query still fits.
-	opts2 := core.Options{Threads: 4}
-	adm, err := m.Admit(context.Background(), plan, db, &opts2, PriorityInteractive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adm.Finish(nil)
-}
-
-// TestAdmitCloseDuringPlanning: a manager closed while a query plans its
-// allocation must reject the query without reserving threads.
-func TestAdmitCloseDuringPlanning(t *testing.T) {
-	plan, db := joinPlan(t)
-	m := NewManager(Config{Budget: 4})
-	old := planAllocation
-	planAllocation = func(p *lera.Plan, d core.DB, o core.Options) (core.Allocation, error) {
-		m.Close()
-		return core.PlanAllocation(p, d, o)
-	}
-	defer func() { planAllocation = old }()
-
-	opts := core.Options{}
-	if _, err := m.Admit(context.Background(), plan, db, &opts, PriorityInteractive); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-	st := m.Stats()
-	if st.ThreadsInFlight != 0 || st.Active != 0 || st.Admitted != 0 {
-		t.Fatalf("closed manager reserved threads: %+v", st)
 	}
 }
 
@@ -352,7 +295,7 @@ func TestReadmitBlendsEWMA(t *testing.T) {
 	}
 	adm.Finish(nil)
 	release()
-	if got := m.SmoothedUtilization(); got != 0.5 {
+	if got := m.Stats().SmoothedUtilization; got != 0.5 {
 		t.Fatalf("EWMA = %v, want 0.5", got)
 	}
 
@@ -363,67 +306,13 @@ func TestReadmitBlendsEWMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grant := m.Readmit(adm2, 8, 1); grant != 6 {
+	if grant := m.Readmit(adm2, -1, 8, 1); grant != 6 {
 		t.Fatalf("trough grant = %d, want 6 (throttled by the 0.25 blend)", grant)
 	}
 	if st := m.Stats(); st.ThreadsReturnedEarly != 2 {
 		t.Fatalf("ThreadsReturnedEarly = %d, want 2", st.ThreadsReturnedEarly)
 	}
 	adm2.Finish(nil)
-}
-
-// TestReadmitGrowthYieldsToPlanningAdmission: growing at a boundary must
-// not take headroom a pinned admitting ticket already measured — the ticket
-// plans its allocation outside the lock and reserves blindly, so a
-// concurrent grow would overcommit the budget.
-func TestReadmitGrowthYieldsToPlanningAdmission(t *testing.T) {
-	plan, db := twoChainPlan(t)
-	m := NewManager(Config{Budget: 8})
-
-	// Query A holds 2 threads.
-	optsA := core.Options{Threads: 2}
-	admA, err := m.Admit(context.Background(), plan, db, &optsA, PriorityInteractive)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Query B passes its wait and pauses mid-planning, outside the lock.
-	planning := make(chan struct{})
-	resume := make(chan struct{})
-	old := planAllocation
-	planAllocation = func(p *lera.Plan, d core.DB, o core.Options) (core.Allocation, error) {
-		close(planning)
-		<-resume
-		return core.PlanAllocation(p, d, o)
-	}
-	defer func() { planAllocation = old }()
-	admitted := make(chan *Admission, 1)
-	go func() {
-		optsB := core.Options{Threads: 6}
-		admB, err := m.Admit(context.Background(), plan, db, &optsB, PriorityInteractive)
-		if err != nil {
-			t.Error(err)
-		}
-		admitted <- admB
-	}()
-	<-planning
-
-	// A's boundary hits inside B's planning window: growth must be
-	// declined (B measured 6 free and will reserve exactly that).
-	if grant := m.Readmit(admA, 8, 1); grant != 2 {
-		t.Fatalf("grant = %d during an admission's planning window, want the held 2", grant)
-	}
-	close(resume)
-	admB := <-admitted
-	st := m.Stats()
-	if st.ThreadsInFlight != 8 || st.PeakThreads > 8 {
-		t.Fatalf("budget overcommitted: %+v", st)
-	}
-	admA.Finish(nil)
-	admB.Finish(nil)
-	if st := m.Stats(); st.ThreadsInFlight != 0 {
-		t.Fatalf("not drained: %+v", st)
-	}
 }
 
 // TestReadmitFloorsAtChainNodeCount: the throttle never grants below the
@@ -438,7 +327,7 @@ func TestReadmitFloorsAtChainNodeCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The chain wants 1 thread but has 3 nodes: the grant floors at 3.
-	if grant := m.Readmit(adm, 1, 3); grant != 3 {
+	if grant := m.Readmit(adm, -1, 1, 3); grant != 3 {
 		t.Fatalf("grant = %d, want the 3-node floor", grant)
 	}
 	if st := m.Stats(); st.ThreadsReturnedEarly != 3 {
