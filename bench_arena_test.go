@@ -24,10 +24,12 @@ import (
 // loads run outside the timer.
 func BenchmarkShardRelation(b *testing.B) {
 	dist := [][2]string{{"wisc", "unique2"}, {"A", "k"}, {"B", "k"}, {"Br", "k"}}
+	live, scan := resident()
+	var db *dbs3.Database
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		db := dbs3.New()
+		db = dbs3.New()
 		if err := db.CreateWisconsin("wisc", 20_000, 16, "unique2", 42); err != nil {
 			b.Fatal(err)
 		}
@@ -41,6 +43,16 @@ func BenchmarkShardRelation(b *testing.B) {
 			}
 		}
 	}
+	b.StopTimer()
+	tuples := 0
+	for _, d := range dist {
+		n, err := db.Cardinality(d[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		tuples += n
+	}
+	reportResident(b, live, scan, tuples, db)
 }
 
 // BenchmarkLoadCSV imports a 20 000-row Wisconsin dump through the facade.

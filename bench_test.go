@@ -12,6 +12,7 @@ package dbs3_test
 import (
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"testing"
 
@@ -445,22 +446,38 @@ func BenchmarkSpillJoinBudgeted(b *testing.B) { coreSpillJoin(b, 64<<10) }
 
 // --- Load benches ------------------------------------------------------------
 
-// liveHeap is the heap still reachable after two collections.
-func liveHeap() float64 {
+// resident is the heap still reachable after two collections and the part of
+// it the collector has to scan for pointers (runtime/metrics'
+// /gc/scan/heap:bytes, which is as of the last collection).
+func resident() (live, scan float64) {
 	runtime.GC()
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	return float64(m.HeapAlloc)
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return float64(m.HeapAlloc), float64(s[0].Value.Uint64())
+}
+
+// reportResident reports what was built since base was taken, per tuple: the
+// bytes that stay resident and how many of them every later collection has
+// to scan. kept is what was built; it is live until here.
+func reportResident(b *testing.B, baseLive, baseScan float64, tuples int, kept any) {
+	b.Helper()
+	live, scan := resident()
+	b.ReportMetric((live-baseLive)/float64(tuples), "B/tuple")
+	b.ReportMetric(max(scan-baseScan, 0)/float64(tuples), "scan-B/tuple")
+	runtime.KeepAlive(kept)
 }
 
 // benchLoad times load (which returns what it built, to be kept alive, and
 // how many tuples that holds) and reports, next to allocs/op, the resident
-// bytes per tuple of the last database built: what bench/'s setup_s and
-// setup_heap_mb are made of, visible to `go test -bench`.
+// and the scannable bytes per tuple of the last database built: what bench/'s
+// setup_s and setup_heap_mb are made of, and what the collector pays for it
+// in every cycle afterwards, visible to `go test -bench`.
 func benchLoad(b *testing.B, load func() (any, int)) {
 	b.Helper()
-	base := liveHeap()
+	live, scan := resident()
 	var built any
 	var tuples int
 	b.ReportAllocs()
@@ -469,8 +486,7 @@ func benchLoad(b *testing.B, load func() (any, int)) {
 		built, tuples = load()
 	}
 	b.StopTimer()
-	b.ReportMetric((liveHeap()-base)/float64(tuples), "B/tuple")
-	runtime.KeepAlive(built)
+	reportResident(b, live, scan, tuples, built)
 }
 
 // BenchmarkLoadJoinDB builds engine-skew's database: 3-column tuples, B

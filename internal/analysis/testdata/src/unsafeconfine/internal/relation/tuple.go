@@ -2,7 +2,7 @@ package relation
 
 import (
 	"sync"
-	u "unsafe" // want `import of unsafe outside internal/relation/value\.go`
+	u "unsafe" // want `import of unsafe outside internal/relation/value\.go and region\.go`
 )
 
 var mu sync.Mutex

@@ -1,5 +1,5 @@
 // Package relation is the unsafeconfine fixture: its directory ends in
-// internal/relation, so value.go is the one file that may import unsafe.
+// internal/relation, so value.go and region.go are the two files that may import unsafe.
 package relation
 
 import "unsafe"

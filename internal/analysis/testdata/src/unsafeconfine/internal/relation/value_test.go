@@ -1,6 +1,6 @@
 package relation
 
-import "unsafe" // want `import of unsafe outside internal/relation/value\.go`
+import "unsafe" // want `import of unsafe outside internal/relation/value\.go and region\.go`
 
 // Test files get no exemption: a test could forge a value the invariants
 // forbid and "prove" a bug that cannot occur.

@@ -196,6 +196,30 @@ func TestGenerateEqualsPartition(t *testing.T) {
 	}
 }
 
+// TestGenerateRegionChecks: what Generate fills holds no pointer out of
+// itself, whichever attribute places the rows.
+func TestGenerateRegionChecks(t *testing.T) {
+	const n, seed = 1000, 5
+	schema := relation.WisconsinSchema
+	hashStr, _ := NewHash(schema, []string{"stringu1"}, 5)
+	mod, _ := NewMod(schema, "unique2", 8)
+	for _, f := range []Func{hashStr, mod} {
+		rows := relation.NewWisconsinRows(n, seed)
+		col := schema.MustIndex(f.Key()[0])
+		p, region, err := generate("A", schema, f, 3, n, n*relation.WisconsinRowStringBytes,
+			func(i int) relation.Value { return rows.Value(col, i) }, rows.Row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := region.Check(); err != nil {
+			t.Errorf("%s: %v", f.Signature(), err)
+		}
+		if got := len(region.Tuples()); got != n || p.Cardinality() != n {
+			t.Errorf("%s: region holds %d tuples, fragments %d, want %d", f.Signature(), got, p.Cardinality(), n)
+		}
+	}
+}
+
 func TestPartitionDiskPlacementRoundRobin(t *testing.T) {
 	r := relation.Wisconsin("A", 100, 3)
 	h, _ := NewHash(r.Schema, []string{"unique2"}, 10)

@@ -25,7 +25,8 @@ type Partitioned struct {
 // distributed onto disks in a round-robin fashion"). It is a two-pass
 // counting partition: f is called exactly once per tuple, in relation order
 // (a stateful Func like RoundRobin depends on that), its answers are kept in
-// an []int32, and the fragments are then Carved exactly-sized.
+// an []int32, and the tuples are then placed in one exactly-sized []Tuple
+// the fragments are Cut from.
 func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error) {
 	if numDisks <= 0 {
 		return nil, fmt.Errorf("partition: need at least one disk, got %d", numDisks)
@@ -44,23 +45,34 @@ func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error)
 	if err != nil {
 		return nil, err
 	}
-	p.Fragments = Carve(sizes)
+	all := make([]relation.Tuple, len(r.Tuples))
+	next := starts(sizes)
 	for i, t := range r.Tuples {
-		p.Fragments[dest[i]] = append(p.Fragments[dest[i]], t)
+		all[next[dest[i]]] = t
+		next[dest[i]]++
 	}
+	p.Fragments = Cut(all, sizes)
 	return p, nil
 }
 
 // Generate builds a partitioned relation of n rows straight from a row
 // generator, with no intermediate Relation. keyOf(i) is row i's value of f's
 // single partitioning attribute, which places the row before it exists; the
-// rows are then generated fragment by fragment into one slab (arenaBytes is
-// what their strings will take of its arena in total), so each fragment's
-// tuples, values and strings lie contiguous in memory and a scan of a
-// fragment is a sequential read. Within a fragment rows keep their generation
-// order, so the fragments are exactly those Partition would have built.
-func Generate(name string, schema *relation.Schema, f Func, numDisks, n, arenaBytes int,
-	keyOf func(i int) relation.Value, row func(slab *relation.Slab, i int) relation.Tuple) (*Partitioned, error) {
+// rows are then generated fragment by fragment into one region (strBytes is
+// what their strings will take of it in total; row(region, i) appends row i),
+// so each fragment's tuples, values and strings lie contiguous in memory, a
+// scan of a fragment is a sequential read, and the collector has nothing to
+// scan. Within a fragment rows keep their generation order, so the fragments
+// are exactly those Partition would have built.
+func Generate(name string, schema *relation.Schema, f Func, numDisks, n, strBytes int,
+	keyOf func(i int) relation.Value, row func(region *relation.Region, i int)) (*Partitioned, error) {
+	p, _, err := generate(name, schema, f, numDisks, n, strBytes, keyOf, row)
+	return p, err
+}
+
+// generate is Generate; it also returns the region, for tests to Check.
+func generate(name string, schema *relation.Schema, f Func, numDisks, n, strBytes int,
+	keyOf func(i int) relation.Value, row func(region *relation.Region, i int)) (*Partitioned, *relation.Region, error) {
 	d := f.Degree()
 	key := make([]relation.Value, 1)
 	dest, sizes, err := destinations(n, d, func(i int) int {
@@ -68,25 +80,21 @@ func Generate(name string, schema *relation.Schema, f Func, numDisks, n, arenaBy
 		return f.FragmentOfKey(key)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Stable counting sort of the row numbers by fragment.
-	next := make([]int, d)
-	for i := 1; i < d; i++ {
-		next[i] = next[i-1] + sizes[i-1]
-	}
+	next := starts(sizes)
 	order := make([]int32, n)
 	for i, fr := range dest {
 		order[next[fr]] = int32(i)
 		next[fr]++
 	}
-	var slab relation.Slab
-	slab.Reserve(n*schema.Len(), arenaBytes)
-	frags := Carve(sizes)
+	region := relation.NewRegion(n, n*schema.Len(), strBytes)
 	for _, i := range order {
-		frags[dest[i]] = append(frags[dest[i]], row(&slab, int(i)))
+		row(region, int(i))
 	}
-	return FromFragments(name, schema, f.Key(), frags, numDisks)
+	p, err := FromFragments(name, schema, f.Key(), Cut(region.Tuples(), sizes), numDisks)
+	return p, region, err
 }
 
 // destinations asks place for the fragment of each of n rows — once each, in
@@ -105,20 +113,26 @@ func destinations(n, d int, place func(i int) int) (dest []int32, sizes []int, e
 	return dest, sizes, nil
 }
 
-// Carve returns one empty fragment per entry of sizes with exactly that
-// capacity, all cut from a single []Tuple: two allocations however many
-// fragments, and no append slack. Each fragment is capped, so appending past
-// its size reallocates it rather than overwrite the next.
-func Carve(sizes []int) [][]relation.Tuple {
-	total := 0
-	for _, n := range sizes {
-		total += n
+// starts returns where each fragment begins when fragments of the given
+// sizes are laid out one after the other.
+func starts(sizes []int) []int {
+	next := make([]int, len(sizes))
+	for i := 1; i < len(sizes); i++ {
+		next[i] = next[i-1] + sizes[i-1]
 	}
-	all := make([]relation.Tuple, total)
+	return next
+}
+
+// Cut splits all, a relation's tuples in fragment-major order, into
+// consecutive fragments of the given sizes: one allocation however many
+// fragments, and no append slack. Each fragment is capped, so appending to it
+// reallocates it rather than overwrite the next. The loaders that fill a
+// relation.Region cut its Tuples with it.
+func Cut(all []relation.Tuple, sizes []int) [][]relation.Tuple {
 	frags := make([][]relation.Tuple, len(sizes))
 	off := 0
 	for i, n := range sizes {
-		frags[i] = all[off : off : off+n]
+		frags[i] = all[off : off+n : off+n]
 		off += n
 	}
 	return frags

@@ -13,27 +13,29 @@ const (
 	arenaMin     = slabChunkMin * 16
 )
 
-// Slab is where tuples are born. It allocates tuples as capped sub-slices of
-// shared []Value chunks and the bytes of their strings out of shared arena
-// chunks, so a run of tuples costs one allocation per chunk instead of
-// one per tuple and one per string. Every producer goes through it: the
-// generators and the CSV import fill New tuples in place, shard compaction
-// re-homes its survivors, joins, projections and aggregates carve their
-// results with Concat and Project, and spill read-back decodes pages into
-// one. The zero Slab is ready to use; a Slab is not safe for concurrent use.
+// Slab is where the tuples a query makes are born. It allocates tuples as
+// capped sub-slices of shared []Value chunks and the bytes of their strings
+// out of shared arena chunks, so a run of tuples costs one allocation per
+// chunk instead of one per tuple and one per string. Joins, projections and
+// aggregates carve their results with Concat and Project, spill read-back
+// decodes pages into one, and the CSV import, which cannot size a Region
+// because it learns its row count only at the end, fills New tuples in
+// place. Base relations of known size are born in a Region instead. The zero
+// Slab is ready to use; a Slab is not safe for concurrent use.
 //
 // Ownership: a slab tuple is an ordinary immutable Tuple and may be retained
 // by anyone, but one survivor pins its whole value chunk, and one arena
 // string pins its whole arena chunk. Concat and Project are shallow —
-// the new tuple's strings stay where the source's were — which is right for
-// results that live no longer than their inputs or that all live equally
-// long. A holder that keeps a minority of a slab's tuples for long while the
-// rest die (Database.ShardRelation keeps one shard of a relation, an
-// aggregate keeps one group key of many input tuples) must Rehome what it
-// keeps into a slab of its own, or the discarded tuples and strings are
-// never reclaimed. The Slab itself only ever hands out space past what it
-// already returned and never rewrites it, so it may be dropped, pooled or
-// reused while its tuples live on.
+// the new tuple's strings stay where the source's were, and a string copied
+// out of a region tuple pins that whole region — which is right for results
+// that live no longer than their inputs or that all live equally long. A
+// holder that keeps a minority of what it reads for long while the rest dies
+// must copy what it keeps: an aggregate keeps one group key of many input
+// tuples and takes it with RehomeValue, Database.ShardRelation keeps one
+// shard of a relation and re-homes it into a Region of its own; otherwise
+// the discarded tuples and strings are never reclaimed. The Slab itself only
+// ever hands out space past what it already returned and never rewrites it,
+// so it may be dropped, pooled or reused while its tuples live on.
 type Slab struct {
 	free []Value // unused tail of the current value chunk
 	// arena is the current string-byte chunk: what has been written to it
@@ -43,26 +45,6 @@ type Slab struct {
 	arena strings.Builder
 	// sizes of the last chunks the slab sized itself; the next ones double.
 	lastValues, lastBytes int
-}
-
-// Reserve starts one exactly-sized value chunk and one exactly-sized arena
-// chunk, each unless the current one still has that much room: for loaders
-// that know their cardinality and string bytes up front and want one
-// allocation each and no tail slack.
-func (s *Slab) Reserve(values, bytes int) {
-	if len(s.free) < values {
-		s.free = make([]Value, values)
-	}
-	if s.arena.Cap()-s.arena.Len() < bytes {
-		s.startArena(bytes)
-	}
-}
-
-// startArena abandons what is left of the current arena chunk for a new one
-// of n bytes.
-func (s *Slab) startArena(n int) {
-	s.arena = strings.Builder{}
-	s.arena.Grow(n)
 }
 
 // New returns a tuple of n zero values (Int(0)) for the caller to fill. Its
@@ -78,17 +60,13 @@ func (s *Slab) New(n int) Tuple {
 	return Tuple(t)
 }
 
-// setInt stores Int(v) in t[i], whose pointer word must still be nil as New
-// left it. Only the integer word is written, which spares a write barrier
-// per value when a collection is marking — it usually is while a loader
-// allocates by the megabyte.
-func (t Tuple) setInt(i int, v int64) { t[i].n = v }
-
-// room makes sure the current arena chunk can take n more bytes.
+// room makes sure the current arena chunk can take n more bytes, abandoning
+// what is left of it for a new one if it cannot.
 func (s *Slab) room(n int) {
 	if s.arena.Cap()-s.arena.Len() < n {
 		s.lastBytes = min(max(2*s.lastBytes, arenaMin), arenaChunk)
-		s.startArena(max(n, s.lastBytes))
+		s.arena = strings.Builder{}
+		s.arena.Grow(max(n, s.lastBytes))
 	}
 }
 
@@ -139,19 +117,4 @@ func (s *Slab) RehomeValue(v Value) Value {
 		return v
 	}
 	return s.Str(v.str())
-}
-
-// Rehome returns a deep copy of t: values and string bytes both live in this
-// slab afterwards and t's chunk and arena can be reclaimed. See the
-// ownership rule above for who must call it.
-func (s *Slab) Rehome(t Tuple) Tuple {
-	out := s.New(len(t))
-	for i, v := range t {
-		if v.p == nil {
-			out.setInt(i, v.n)
-		} else {
-			out[i] = s.Str(v.str())
-		}
-	}
-	return out
 }

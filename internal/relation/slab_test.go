@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -13,7 +12,6 @@ import (
 // never writes into its neighbour.
 func TestSlabTuplesAreCapped(t *testing.T) {
 	var s Slab
-	s.Reserve(6, 0)
 	a := s.Concat(Tuple{Int(1), Str("a")}, nil)
 	b := s.Concat(Tuple{Int(2)}, Tuple{Str("b")})
 	c := s.New(2)
@@ -32,34 +30,32 @@ func TestSlabTuplesAreCapped(t *testing.T) {
 	if !c.Equal(Tuple{Int(0), Int(0)}) {
 		t.Errorf("New returned %v, want zero values", c)
 	}
-	// Past a reservation, and for tuples wider than a chunk, the slab
-	// starts a new chunk instead of failing.
+	// For tuples wider than a chunk the slab starts a new chunk instead of
+	// failing.
 	wide := s.New(slabChunk + 1)
 	if len(wide) != slabChunk+1 || !s.New(1).Equal(Tuple{Int(0)}) {
 		t.Error("slab did not grow past its chunk")
 	}
 }
 
-// TestSlabAllocations: a reserved slab fills without allocating, an
-// unreserved one allocates once per chunk rather than once per tuple.
+// TestSlabAllocations: a slab allocates once per chunk rather than once per
+// tuple or per string.
 func TestSlabAllocations(t *testing.T) {
 	src := Tuple{Int(1), Int(2), Str("x"), Str("a string of some length")}
-	var s Slab
-	const runs = 100
-	s.Reserve((runs+1)*len(src), (runs+1)*len("xa string of some length"))
-	if n := testing.AllocsPerRun(runs, func() { s.Rehome(src) }); n != 0 {
-		t.Errorf("reserved slab: %v allocs per re-homed tuple, want 0", n)
-	}
 	// AllocsPerRun rounds the average down: one allocation per chunk reads
 	// 0, one per tuple would read 1.
-	var chunked Slab
-	if n := testing.AllocsPerRun(4*slabChunk, func() { chunked.Rehome(src) }); n != 0 {
-		t.Errorf("chunked slab: %v allocs per tuple, want one per chunk", n)
+	var s Slab
+	n := testing.AllocsPerRun(4*slabChunk, func() {
+		out := s.Concat(src[:2], nil)
+		out[0], out[1] = s.RehomeValue(src[2]), s.RehomeValue(src[3])
+	})
+	if n != 0 {
+		t.Errorf("%v allocs per tuple, want one per chunk", n)
 	}
 }
 
 // TestSlabShallowAndDeep: Concat and Project share the source's
-// strings; Str, StrBytes, RehomeValue and Rehome copy them into the arena.
+// strings; Str, StrBytes and RehomeValue copy them into the arena.
 // Either way the values are equal, the empty string stays a string, and a
 // string longer than an arena chunk gets a chunk of its own.
 func TestSlabShallowAndDeep(t *testing.T) {
@@ -80,9 +76,12 @@ func TestSlabShallowAndDeep(t *testing.T) {
 			t.Errorf("shallow copy %v does not share the strings of %v", c, src)
 		}
 	}
-	deep := s.Rehome(src)
+	deep := s.New(len(src))
+	for i, v := range src {
+		deep[i] = s.RehomeValue(v)
+	}
 	if !deep.Equal(src) || same(deep[1], src[1]) || same(deep[3], src[3]) {
-		t.Errorf("Rehome left strings where they were")
+		t.Errorf("RehomeValue left strings where they were")
 	}
 	if deep[2].Kind() != TString || deep[2].AsString() != "" {
 		t.Errorf("re-homed empty string is %v", deep[2])
@@ -100,57 +99,6 @@ func TestSlabShallowAndDeep(t *testing.T) {
 	}
 }
 
-// TestSlabRehomeDropsSourceArena is the pin-by-one-survivor rule from the
-// survivors' side: one tuple in ten of a string-heavy slab is re-homed, the
-// source is dropped, and what stays live is about the survivors — not the
-// source's chunks and arenas, which a shallow copy would have pinned whole.
-func TestSlabRehomeDropsSourceArena(t *testing.T) {
-	const n, keepEvery = 20_000, 10
-	pad := strings.Repeat("p", 100)
-	live := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	}
-	build := func(deep bool) (kept []Tuple, grew int64) {
-		before := live()
-		var src Slab
-		all := make([]Tuple, n)
-		for i := range all {
-			tup := src.New(3)
-			tup[0], tup[1], tup[2] = Int(int64(i)), src.Str(pad), src.Str(pad)
-			all[i] = tup
-		}
-		var dst Slab
-		dst.Reserve(n/keepEvery*3, n/keepEvery*2*len(pad))
-		kept = make([]Tuple, 0, n/keepEvery)
-		for i := 0; i < n; i += keepEvery {
-			if deep {
-				kept = append(kept, dst.Rehome(all[i]))
-			} else {
-				kept = append(kept, dst.Concat(all[i], nil))
-			}
-		}
-		all = nil
-		src = Slab{}
-		return kept, live() - before
-	}
-	survivors := int64(n / keepEvery * (3*16 + 2*len(pad) + 24))
-	kept, grew := build(true)
-	if grew > survivors*5/4 {
-		t.Errorf("%d tuples of %d re-homed: %d bytes live, the survivors weigh %d", len(kept), n, grew, survivors)
-	}
-	runtime.KeepAlive(kept)
-	kept, pinned := build(false)
-	if pinned < 5*survivors {
-		t.Errorf("a shallow copy kept only %d bytes live: this test no longer shows what Rehome is for", pinned)
-	}
-	runtime.KeepAlive(kept)
-	t.Logf("survivors %d B: re-homed %d B live, shallow-copied %d B live", survivors, grew, pinned)
-}
-
 // TestLoadersAllocatePerRelation: the generators and the CSV import cost a
 // number of allocations that does not grow with the rows (the CSV reader
 // itself allocates one string per record; nothing is added to that).
@@ -159,8 +107,8 @@ func TestLoadersAllocatePerRelation(t *testing.T) {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	for _, n := range []int{2_000, 20_000} {
-		if got := testing.AllocsPerRun(3, func() { Wisconsin("w", n, 1) }); got > 12 {
-			t.Errorf("Wisconsin(%d): %v allocations, want at most 12", n, got)
+		if got := testing.AllocsPerRun(3, func() { Wisconsin("w", n, 1) }); got > 8 {
+			t.Errorf("Wisconsin(%d): %v allocations, want at most 8", n, got)
 		}
 		var dump strings.Builder
 		if err := Wisconsin("w", n, 1).WriteCSV(&dump); err != nil {

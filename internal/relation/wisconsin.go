@@ -39,24 +39,27 @@ var string4Cycle = []string{"AAAAxxxx", "HHHHxxxx", "OOOOxxxx", "VVVVxxxx"}
 // pseudo-random permutation for unique1 seeded by seed. The same (n, seed)
 // always yields the same relation, which keeps every experiment repeatable.
 func Wisconsin(name string, n int, seed int64) *Relation {
+	return &Relation{Name: name, Schema: WisconsinSchema, Tuples: wisconsinRegion(n, seed).Tuples()}
+}
+
+// wisconsinRegion generates Wisconsin(n, seed) in unique2 order into one
+// region.
+func wisconsinRegion(n int, seed int64) *Region {
 	rows := NewWisconsinRows(n, seed)
-	r := &Relation{Name: name, Schema: WisconsinSchema, Tuples: make([]Tuple, n)}
-	// One value chunk and one arena for the whole relation.
-	var slab Slab
-	slab.Reserve(n*WisconsinSchema.Len(), n*WisconsinRowStringBytes)
-	for u2 := range r.Tuples {
-		r.Tuples[u2] = rows.Row(&slab, u2)
+	region := NewRegion(n, n*WisconsinSchema.Len(), n*WisconsinRowStringBytes)
+	for u2 := 0; u2 < n; u2++ {
+		rows.Row(region, u2)
 	}
-	return r
+	return region
 }
 
 // WisconsinRows is a Wisconsin relation as a row source: row u2 of
 // Wisconsin(n, seed), or any one value of it, on demand. Loaders that lay
 // rows out in an order of their own (fragment by fragment) generate from it
-// instead of materializing the relation first. Not safe for concurrent use.
+// instead of materializing the relation first. It is read-only once built,
+// so any number of goroutines may read rows from it.
 type WisconsinRows struct {
-	perm    []int
-	scratch Tuple // Value's row of integer columns
+	perm []int
 }
 
 // NewWisconsinRows prepares the row source of Wisconsin(n, seed).
@@ -65,53 +68,70 @@ func NewWisconsinRows(n int, seed int64) *WisconsinRows {
 		panic(fmt.Sprintf("relation: Wisconsin cardinality must be positive, got %d", n))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	return &WisconsinRows{perm: rng.Perm(n), scratch: make(Tuple, WisconsinSchema.Len())}
+	return &WisconsinRows{perm: rng.Perm(n)}
 }
 
-// WisconsinRowStringBytes is the arena a row takes: stringu1 and stringu2
-// are written into it, string4 shares its four constants.
+// WisconsinRowStringBytes is what a row takes of a region's string bytes:
+// stringu1 and stringu2 are written into them, string4 shares its four
+// constants.
 const WisconsinRowStringBytes = 2 * wisconsinStringLen
 
-// ints fills the integer columns of row u2 into t, a tuple fresh from
-// Slab.New (setInt's condition).
-func (w *WisconsinRows) ints(t Tuple, u2 int) {
+// Row appends row u2 to region, its two generated strings written straight
+// into the region's string bytes.
+func (w *WisconsinRows) Row(region *Region, u2 int) {
 	u1 := int64(w.perm[u2])
-	t.setInt(0, u1)
-	t.setInt(1, int64(u2))
-	t.setInt(2, u1%2)
-	t.setInt(3, u1%4)
-	t.setInt(4, u1%10)
-	t.setInt(5, u1%20)
-	t.setInt(6, u1%100)
-	t.setInt(7, u1%10)
-	t.setInt(8, u1%5)
-	t.setInt(9, u1%2)
-	t.setInt(10, u1)
-	t.setInt(11, (u1%100)*2)
-	t.setInt(12, (u1%100)*2+1)
+	region.Begin(WisconsinSchema.Len())
+	region.Int(u1)
+	region.Int(int64(u2))
+	region.Int(u1 % 2)
+	region.Int(u1 % 4)
+	region.Int(u1 % 10)
+	region.Int(u1 % 20)
+	region.Int(u1 % 100)
+	region.Int(u1 % 10)
+	region.Int(u1 % 5)
+	region.Int(u1 % 2)
+	region.Int(u1)
+	region.Int((u1 % 100) * 2)
+	region.Int((u1%100)*2 + 1)
+	region.wisconsinString(u1)
+	region.wisconsinString(int64(u2))
+	region.Shared(string4Cycle[u2%len(string4Cycle)])
 }
 
-// Row builds row u2 in slab, its two generated strings written straight
-// into the arena.
-func (w *WisconsinRows) Row(slab *Slab, u2 int) Tuple {
-	t := slab.New(WisconsinSchema.Len())
-	w.ints(t, u2)
-	t[13] = slab.wisconsinString(int64(w.perm[u2]))
-	t[14] = slab.wisconsinString(int64(u2))
-	t[15] = Str(string4Cycle[u2%len(string4Cycle)])
-	return t
-}
-
-// Value returns column col of row u2 without building the row (for an
-// integer column; a string column costs a row of its own): what a
+// Value returns column col of row u2 without building the row: what a
 // partitioning function needs to place a row before it exists.
 func (w *WisconsinRows) Value(col, u2 int) Value {
-	if WisconsinSchema.Column(col).Type == TInt {
-		w.ints(w.scratch, u2)
-		return w.scratch[col]
+	u1 := int64(w.perm[u2])
+	switch col {
+	case 0, 10:
+		return Int(u1)
+	case 1:
+		return Int(int64(u2))
+	case 2, 9:
+		return Int(u1 % 2)
+	case 3:
+		return Int(u1 % 4)
+	case 4, 7:
+		return Int(u1 % 10)
+	case 5:
+		return Int(u1 % 20)
+	case 6:
+		return Int(u1 % 100)
+	case 8:
+		return Int(u1 % 5)
+	case 11:
+		return Int((u1 % 100) * 2)
+	case 12:
+		return Int((u1%100)*2 + 1)
+	case 13:
+		return Str(wisconsinText(u1))
+	case 14:
+		return Str(wisconsinText(int64(u2)))
+	case 15:
+		return Str(string4Cycle[u2%len(string4Cycle)])
 	}
-	var slab Slab
-	return w.Row(&slab, u2)[col]
+	panic(fmt.Sprintf("relation: Wisconsin has no column %d", col))
 }
 
 // The benchmark's strings are 52 characters: a 7-letter base-26 rendering of
@@ -123,19 +143,28 @@ const (
 	wisconsinPad       = "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
 )
 
-// wisconsinString writes v in the benchmark's string format straight into
-// the arena.
-func (s *Slab) wisconsinString(v int64) Value {
-	var prefix [wisconsinPrefixLen]byte
-	for i := len(prefix) - 1; i >= 0; i-- {
-		prefix[i] = byte('A' + v%26)
+// putWisconsinString writes v in the benchmark's string format over text,
+// which is wisconsinStringLen bytes long.
+func putWisconsinString(text []byte, v int64) {
+	for i := wisconsinPrefixLen - 1; i >= 0; i-- {
+		text[i] = byte('A' + v%26)
 		v /= 26
 	}
-	s.room(wisconsinStringLen)
-	off := s.arena.Len()
-	s.arena.Write(prefix[:])
-	s.arena.WriteString(wisconsinPad)
-	return s.written(off)
+	copy(text[wisconsinPrefixLen:], wisconsinPad)
+}
+
+// wisconsinText returns v in the benchmark's string format.
+func wisconsinText(v int64) string {
+	text := make([]byte, wisconsinStringLen)
+	putWisconsinString(text, v)
+	return string(text)
+}
+
+// wisconsinString stores v in the benchmark's string format as the next
+// value, written straight into the region's string bytes.
+func (r *Region) wisconsinString(v int64) {
+	r.ref(r.bytes(wisconsinStringLen), wisconsinStringLen)
+	putWisconsinString(r.str[r.ns-wisconsinStringLen:r.ns], v)
 }
 
 // DewittA generates the 200K-tuple "DewittA" relation used in §5.2 for the

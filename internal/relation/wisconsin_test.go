@@ -102,9 +102,12 @@ func TestWisconsinStrings(t *testing.T) {
 
 func TestWisconsinStringEncodingInjective(t *testing.T) {
 	seen := make(map[string]int64)
-	var slab Slab
-	for v := int64(0); v < 10000; v++ {
-		s := slab.wisconsinString(v).AsString()
+	const n = 10000
+	region := NewRegion(n, n, n*wisconsinStringLen)
+	for v := int64(0); v < n; v++ {
+		region.Begin(1)
+		region.wisconsinString(v)
+		s := region.Tuples()[v][0].AsString()
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("wisconsinString collision: %d and %d -> %q", prev, v, s)
 		}
@@ -152,9 +155,10 @@ func TestWisconsinRowsAgreeWithRelation(t *testing.T) {
 	const n = 300
 	r := Wisconsin("A", n, 9)
 	rows := NewWisconsinRows(n, 9)
-	var slab Slab
+	region := NewRegion(n, n*WisconsinSchema.Len(), n*WisconsinRowStringBytes)
 	for u2 := n - 1; u2 >= 0; u2-- { // any order
-		if row := rows.Row(&slab, u2); !row.Equal(r.Tuples[u2]) {
+		rows.Row(region, u2)
+		if row := region.Tuples()[n-1-u2]; !row.Equal(r.Tuples[u2]) {
 			t.Fatalf("row %d = %v, relation has %v", u2, row, r.Tuples[u2])
 		}
 		for c := 0; c < WisconsinSchema.Len(); c++ {

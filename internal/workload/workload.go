@@ -44,14 +44,21 @@ type JoinDB struct {
 // every fragment of B holds the same number of keys (the paper's unskewed
 // operand); ACard is free.
 func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
+	db, _, err := newJoinDB(aCard, bCard, d, theta)
+	return db, err
+}
+
+// newJoinDB is NewJoinDB; it also returns the two regions the relations live
+// in (B and Br share the first, A has the second), for tests to Check.
+func newJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, []*relation.Region, error) {
 	if d <= 0 {
-		return nil, fmt.Errorf("workload: degree must be positive, got %d", d)
+		return nil, nil, fmt.Errorf("workload: degree must be positive, got %d", d)
 	}
 	if bCard%d != 0 {
-		return nil, fmt.Errorf("workload: BCard %d must be a multiple of the degree %d", bCard, d)
+		return nil, nil, fmt.Errorf("workload: BCard %d must be a multiple of the degree %d", bCard, d)
 	}
 	if bCard <= 0 || aCard <= 0 {
-		return nil, fmt.Errorf("workload: cardinalities must be positive")
+		return nil, nil, fmt.Errorf("workload: cardinalities must be positive")
 	}
 	bPerFrag := bCard / d
 
@@ -59,18 +66,19 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 
 	modK, err := partition.NewMod(JoinSchema, "k", d)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	db.AKeyPart = modK
 
-	// Every tuple is filled in place in one slab chunk per relation (Br
-	// shares B's tuples); the pads are two shared constants, so the arena
-	// stays empty; each relation's fragments are carved from one []Tuple.
-	var slab relation.Slab
-	row := func(k, id int64, pad relation.Value) relation.Tuple {
-		t := slab.New(JoinSchema.Len())
-		t[0], t[1], t[2] = relation.Int(k), relation.Int(id), pad
-		return t
+	// Each relation is filled fragment by fragment into one region its
+	// fragments are then cut from; the pad is one constant per relation,
+	// copied into the region once.
+	const padA, padB = "a", "b"
+	row := func(region *relation.Region, k, id int64, pad string) {
+		region.Begin(JoinSchema.Len())
+		region.Int(k)
+		region.Int(id)
+		region.Shared(pad)
 	}
 	uniform := make([]int, d)
 	for i := range uniform {
@@ -78,59 +86,52 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	}
 
 	// B partitioned on k: fragment i holds keys {i + j*d : j in [0,bPerFrag)}.
-	slab.Reserve(bCard*JoinSchema.Len(), 0)
-	padB := relation.Str("b")
-	bFrags := partition.Carve(uniform)
+	// Its region has room for every tuple's header twice: Br is B's tuples
+	// under a second header each.
+	rb := relation.NewRegion(2*bCard, bCard*JoinSchema.Len(), len(padB))
 	id := int64(0)
-	for i := range bFrags {
+	for i := 0; i < d; i++ {
 		for j := 0; j < bPerFrag; j++ {
-			bFrags[i] = append(bFrags[i], row(int64(i+j*d), id, padB))
+			row(rb, int64(i+j*d), id, padB)
 			id++
 		}
 	}
-	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, bFrags, 1)
-	if err != nil {
-		return nil, err
-	}
-
 	// Br: the same tuples placed by id (id mod d), i.e. NOT on the join key.
-	modID, err := partition.NewMod(JoinSchema, "id", d)
-	if err != nil {
-		return nil, err
-	}
-	// ids are 0..bCard-1 and d divides bCard, so every Br fragment holds
-	// exactly bPerFrag tuples.
-	brFrags := partition.Carve(uniform)
-	for _, frag := range bFrags {
-		for _, t := range frag {
-			fi := modID.FragmentOf(t)
-			brFrags[fi] = append(brFrags[fi], t)
+	// ids are 0..bCard-1 in B's order and d divides bCard, so Br's fragment
+	// f holds B's tuples f, f+d, f+2d, ... — exactly bPerFrag of them.
+	b := rb.Tuples()
+	for f := 0; f < d; f++ {
+		for j := 0; j < bPerFrag; j++ {
+			rb.Alias(b[f+j*d])
 		}
 	}
-	db.Br, err = partition.FromFragments("Br", JoinSchema, []string{"id"}, brFrags, 1)
+	both := rb.Tuples()
+	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, partition.Cut(both[:bCard], uniform), 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	db.Br, err = partition.FromFragments("Br", JoinSchema, []string{"id"}, partition.Cut(both[bCard:], uniform), 1)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// A: fragment i holds sizes[i] tuples whose keys cycle over fragment
 	// i's B keys, so each A tuple matches exactly one B tuple and lands in
 	// fragment i under k mod d (tuple placement skew via cardinality).
 	sizes := zipf.Sizes(aCard, d, theta)
-	slab.Reserve(aCard*JoinSchema.Len(), 0)
-	padA := relation.Str("a")
-	aFrags := partition.Carve(sizes)
+	ra := relation.NewRegion(aCard, aCard*JoinSchema.Len(), len(padA))
 	aid := int64(0)
-	for i := range aFrags {
+	for i := 0; i < d; i++ {
 		for j := 0; j < sizes[i]; j++ {
-			aFrags[i] = append(aFrags[i], row(int64(i+(j%bPerFrag)*d), aid, padA))
+			row(ra, int64(i+(j%bPerFrag)*d), aid, padA)
 			aid++
 		}
 	}
-	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, aFrags, 1)
+	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, partition.Cut(ra.Tuples(), sizes), 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return db, nil
+	return db, []*relation.Region{rb, ra}, nil
 }
 
 // Resolver returns plan-binding metadata for the database.

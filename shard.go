@@ -24,27 +24,34 @@ import (
 // For grouped aggregates any distribution column is correct: the coordinator
 // re-merges partial groups across nodes.
 func (db *Database) ShardRelation(name, col string, shard, shards int) error {
+	_, err := db.shardRelation(name, col, shard, shards)
+	return err
+}
+
+// shardRelation is ShardRelation; it also returns the region the shard lives
+// in, for tests to Check.
+func (db *Database) shardRelation(name, col string, shard, shards int) (*relation.Region, error) {
 	if shards <= 0 {
-		return fmt.Errorf("dbs3: shards must be positive, got %d", shards)
+		return nil, fmt.Errorf("dbs3: shards must be positive, got %d", shards)
 	}
 	if shard < 0 || shard >= shards {
-		return fmt.Errorf("dbs3: shard %d outside [0,%d)", shard, shards)
+		return nil, fmt.Errorf("dbs3: shard %d outside [0,%d)", shard, shards)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	p, ok := db.rels[name]
 	if !ok {
-		return fmt.Errorf("dbs3: no relation %q", name)
+		return nil, fmt.Errorf("dbs3: no relation %q", name)
 	}
 	h, err := partition.NewHash(p.Schema, []string{col}, shards)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Most of the relation is dropped here, and one surviving tuple pins its
-	// whole value chunk, one surviving string its whole arena: the kept
-	// tuples are re-homed, strings included, into a fresh exactly-sized slab
-	// so the full relation can be reclaimed. Each tuple is hashed once; the
-	// second pass reads the answers back from keep.
+	// Most of the relation is dropped here, and one surviving tuple or
+	// string pins the whole region it was loaded into: the kept tuples are
+	// re-homed, strings included, into a fresh exactly-sized region so the
+	// full relation can be reclaimed. Each tuple is hashed once; the second
+	// pass reads the answers back from keep.
 	var strCols []int
 	for c := 0; c < p.Schema.Len(); c++ {
 		if p.Schema.Column(c).Type == relation.TString {
@@ -53,12 +60,13 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	}
 	keep := make([]bool, p.Cardinality())
 	sizes := make([]int, len(p.Fragments))
-	values, strBytes, n := 0, 0, 0
+	tuples, values, strBytes, n := 0, 0, 0, 0
 	for i, frag := range p.Fragments {
 		for _, t := range frag {
 			if h.FragmentOf(t) == shard {
 				keep[n] = true
 				sizes[i]++
+				tuples++
 				values += len(t)
 				for _, c := range strCols {
 					strBytes += len(t[c].AsString())
@@ -67,14 +75,12 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 			n++
 		}
 	}
-	var slab relation.Slab
-	slab.Reserve(values, strBytes)
-	kept := partition.Carve(sizes)
+	region := relation.NewRegion(tuples, values, strBytes)
 	n = 0
-	for i, frag := range p.Fragments {
+	for _, frag := range p.Fragments {
 		for _, t := range frag {
 			if keep[n] {
-				kept[i] = append(kept[i], slab.Rehome(t))
+				region.Rehome(t)
 			}
 			n++
 		}
@@ -83,7 +89,7 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 		Name:      p.Name,
 		Schema:    p.Schema,
 		Key:       p.Key,
-		Fragments: kept,
+		Fragments: partition.Cut(region.Tuples(), sizes),
 		Disk:      p.Disk,
 	}
 	db.rels[name] = shardP
@@ -92,5 +98,5 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	db.resolver[name] = ri
 	// Sharding is DDL: any cached plan was costed against the full relation.
 	db.epoch.Add(1)
-	return nil
+	return region, nil
 }

@@ -215,7 +215,7 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 	sharded := liveHeap() - before
 
 	// The reference: the same tuples born afresh, strings included, in
-	// slabs sized for them, registered in a database of their own.
+	// regions sized for them, registered in a database of their own.
 	ref := New()
 	for name, p := range db.rels {
 		values, strBytes := 0, 0
@@ -229,14 +229,13 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 				}
 			}
 		}
-		var slab relation.Slab
-		slab.Reserve(values, strBytes)
-		frags := partition.Carve(p.FragmentSizes())
-		for i, frag := range p.Fragments {
+		region := relation.NewRegion(p.Cardinality(), values, strBytes)
+		for _, frag := range p.Fragments {
 			for _, tup := range frag {
-				frags[i] = append(frags[i], slab.Rehome(tup))
+				region.Rehome(tup)
 			}
 		}
+		frags := partition.Cut(region.Tuples(), p.FragmentSizes())
 		fresh, err := partition.FromFragments(name, p.Schema, p.Key, frags, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +262,7 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 }
 
 // TestShardRelationAllocatesPerRelation: a compaction is a keep bitmap, one
-// value chunk, one arena and one tuple slice, whatever the cardinality.
+// region and one fragment table, whatever the cardinality.
 func TestShardRelationAllocatesPerRelation(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -286,8 +285,8 @@ func TestShardRelationAllocatesPerRelation(t *testing.T) {
 		}
 		loads := testing.AllocsPerRun(3, load)
 		both := testing.AllocsPerRun(3, func() { load(); shard() })
-		if got := both - loads; got > 16 {
-			t.Errorf("ShardRelation of %d tuples: %v allocations, want at most 16", n, got)
+		if got := both - loads; got > 14 {
+			t.Errorf("ShardRelation of %d tuples: %v allocations, want at most 14", n, got)
 		}
 	}
 }
