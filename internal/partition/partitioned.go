@@ -60,10 +60,12 @@ func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error)
 // single partitioning attribute, which places the row before it exists; the
 // rows are then generated fragment by fragment into one region (strBytes is
 // what their strings will take of it in total; row(region, i) appends row i),
-// so each fragment's tuples, values and strings lie contiguous in memory, a
-// scan of a fragment is a sequential read, and the collector has nothing to
-// scan. Within a fragment rows keep their generation order, so the fragments
-// are exactly those Partition would have built.
+// so each fragment's tuples and values lie contiguous in memory and the
+// collector has nothing to scan. Where the strings lie is the generator's
+// choice: Wisconsin rows refer to one text table in value order, which a
+// fragment's rows read from scattered places. Within a fragment rows keep
+// their generation order, so the fragments are exactly those Partition would
+// have built.
 func Generate(name string, schema *relation.Schema, f Func, numDisks, n, strBytes int,
 	keyOf func(i int) relation.Value, row func(region *relation.Region, i int)) (*Partitioned, error) {
 	p, _, err := generate(name, schema, f, numDisks, n, strBytes, keyOf, row)

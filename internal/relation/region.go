@@ -52,6 +52,10 @@ type Region struct {
 
 	shared    []sharedString
 	sharedBuf [4]sharedString
+
+	// texts is the address of the Wisconsin text table once the region's
+	// first WisconsinRows.Row has rendered it into the string bytes, else 0.
+	texts uintptr
 }
 
 // sharedString is a constant Shared has copied in: the caller's string and
@@ -208,7 +212,8 @@ func (r *Region) Tuples() []Tuple {
 
 // Check verifies the region's invariant word by word: every tuple header
 // addresses values of this region, every string value bytes of this region,
-// each with its whole extent. Loaders' tests call it; a violation is a bug in
+// each with its whole extent. Two values may share bytes (Shared, the
+// Wisconsin text table). Loaders' tests call it; a violation is a bug in
 // package relation, the only code that can store a pointer word.
 func (r *Region) Check() error {
 	for i := 0; i < r.nt; i++ {

@@ -141,15 +141,32 @@ func TestRegionCheckCatchesForeignPointers(t *testing.T) {
 	}
 }
 
-// TestWisconsinRegionChecks: the generator's region holds nothing but
-// pointers into itself, string4's four constants included.
-func TestWisconsinRegionChecks(t *testing.T) {
-	r := wisconsinRegion(2000, 3)
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if want := 2000*WisconsinRowStringBytes + 4*len(string4Cycle[0]); r.ns != want {
-		t.Errorf("%d string bytes, want %d: the rows' own and string4's four constants once", r.ns, want)
+// TestWisconsinTextsStoredOnce: the generator's region holds each of the n
+// texts once and string4's constants once — stringu1 of row u2 is the very
+// bytes of stringu2 of row unique1 — and nothing but pointers into itself.
+// The cardinalities straddle the 26-letter alphabet of the rendering.
+func TestWisconsinTextsStoredOnce(t *testing.T) {
+	const seed = 3
+	for _, n := range []int{1, 25, 26, 27, 2000} {
+		r := wisconsinRegion(n, seed)
+		if err := r.Check(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if want := n*wisconsinStringLen + min(n, len(string4Cycle))*len(string4Cycle[0]); r.ns != want {
+			t.Errorf("n=%d: %d string bytes, want %d: each text and each string4 constant once", n, r.ns, want)
+		}
+		rows := NewWisconsinRows(n, seed)
+		all := r.Tuples()
+		for u2, tup := range all {
+			for _, c := range []int{13, 14} {
+				if !tup[c].Equal(rows.Value(c, u2)) {
+					t.Fatalf("n=%d: row %d column %d = %q, want %q", n, u2, c, tup[c], rows.Value(c, u2))
+				}
+			}
+			if u1 := tup[0].AsInt(); tup[13].p != all[u1][14].p {
+				t.Fatalf("n=%d: stringu1 of row %d is a second copy of stringu2 of row %d", n, u2, u1)
+			}
+		}
 	}
 }
 

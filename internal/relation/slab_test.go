@@ -115,8 +115,10 @@ func TestLoadersAllocatePerRelation(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Unknown cardinality: value chunks, arena chunks and the tuple
-		// slice grow as the rows come, by doubling up to 64 KiB chunks.
-		growth := float64(80 + n*WisconsinSchema.Len()/slabChunk + n*WisconsinRowStringBytes/arenaChunk)
+		// slice grow as the rows come, by doubling up to 64 KiB chunks. A
+		// CSV row copies all three of its strings into the arena.
+		rowStrBytes := 2*wisconsinStringLen + len(string4Cycle[0])
+		growth := float64(80 + n*WisconsinSchema.Len()/slabChunk + n*rowStrBytes/arenaChunk)
 		got := testing.AllocsPerRun(3, func() {
 			if _, err := ReadCSV("w", strings.NewReader(dump.String())); err != nil {
 				t.Fatal(err)

@@ -43,7 +43,7 @@ func Wisconsin(name string, n int, seed int64) *Relation {
 }
 
 // wisconsinRegion generates Wisconsin(n, seed) in unique2 order into one
-// region.
+// region: its text table, then the rows.
 func wisconsinRegion(n int, seed int64) *Region {
 	rows := NewWisconsinRows(n, seed)
 	region := NewRegion(n, n*WisconsinSchema.Len(), n*WisconsinRowStringBytes)
@@ -71,14 +71,19 @@ func NewWisconsinRows(n int, seed int64) *WisconsinRows {
 	return &WisconsinRows{perm: rng.Perm(n)}
 }
 
-// WisconsinRowStringBytes is what a row takes of a region's string bytes:
-// stringu1 and stringu2 are written into them, string4 shares its four
-// constants.
-const WisconsinRowStringBytes = 2 * wisconsinStringLen
+// WisconsinRowStringBytes is what a row takes of a region's string bytes: its
+// share of the region's text table. unique1 is a permutation of unique2's
+// 0..n-1, so stringu1 and stringu2 render the same n texts, and both refer to
+// the one copy of each in the table; string4 shares its four constants.
+const WisconsinRowStringBytes = wisconsinStringLen
 
-// Row appends row u2 to region, its two generated strings written straight
-// into the region's string bytes.
+// Row appends row u2 to region. The first row appended to a region renders
+// the relation's text table into it; stringu1 and stringu2 refer to their
+// texts there.
 func (w *WisconsinRows) Row(region *Region, u2 int) {
+	if region.texts == 0 {
+		region.texts = wisconsinTexts(region, len(w.perm))
+	}
 	u1 := int64(w.perm[u2])
 	region.Begin(WisconsinSchema.Len())
 	region.Int(u1)
@@ -94,8 +99,8 @@ func (w *WisconsinRows) Row(region *Region, u2 int) {
 	region.Int(u1)
 	region.Int((u1 % 100) * 2)
 	region.Int((u1%100)*2 + 1)
-	region.wisconsinString(u1)
-	region.wisconsinString(int64(u2))
+	region.ref(region.texts+uintptr(u1)*wisconsinStringLen, wisconsinStringLen)
+	region.ref(region.texts+uintptr(u2)*wisconsinStringLen, wisconsinStringLen)
 	region.Shared(string4Cycle[u2%len(string4Cycle)])
 }
 
@@ -160,13 +165,14 @@ func wisconsinText(v int64) string {
 	return string(text)
 }
 
-// wisconsinString stores v in the benchmark's string format as the next
-// value, written straight into the region's string bytes.
-func (r *Region) wisconsinString(v int64) {
-	r.ref(r.bytes(wisconsinStringLen), wisconsinStringLen)
-	putWisconsinString(r.str[r.ns-wisconsinStringLen:r.ns], v)
+// wisconsinTexts renders the texts of 0..n-1 into the next n·52 of region's
+// string bytes, in value order, and returns the table's address: text v lies
+// 52·v bytes past it.
+func wisconsinTexts(region *Region, n int) uintptr {
+	table := region.bytes(n * wisconsinStringLen)
+	text := region.str[region.ns-n*wisconsinStringLen : region.ns]
+	for v := 0; v < n; v++ {
+		putWisconsinString(text[v*wisconsinStringLen:][:wisconsinStringLen], int64(v))
+	}
+	return table
 }
-
-// DewittA generates the 200K-tuple "DewittA" relation used in §5.2 for the
-// Allcache remote-vs-local selection experiment.
-func DewittA(seed int64) *Relation { return Wisconsin("DewittA", 200_000, seed) }

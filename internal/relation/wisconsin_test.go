@@ -100,16 +100,22 @@ func TestWisconsinStrings(t *testing.T) {
 	}
 }
 
+// TestWisconsinStringEncodingInjective: the text table holds one distinct
+// text per value, text v at 52·v, each what wisconsinText renders for v.
 func TestWisconsinStringEncodingInjective(t *testing.T) {
-	seen := make(map[string]int64)
+	seen := make(map[string]int)
 	const n = 10000
-	region := NewRegion(n, n, n*wisconsinStringLen)
-	for v := int64(0); v < n; v++ {
-		region.Begin(1)
-		region.wisconsinString(v)
-		s := region.Tuples()[v][0].AsString()
+	region := NewRegion(0, 0, n*wisconsinStringLen)
+	if table := wisconsinTexts(region, n); table != region.strAddr || region.ns != n*wisconsinStringLen {
+		t.Fatalf("table at %#x using %d bytes, want %#x and %d", table, region.ns, region.strAddr, n*wisconsinStringLen)
+	}
+	for v := 0; v < n; v++ {
+		s := string(region.str[v*wisconsinStringLen:][:wisconsinStringLen])
+		if s != wisconsinText(int64(v)) {
+			t.Fatalf("text %d = %q, want %q", v, s, wisconsinText(int64(v)))
+		}
 		if prev, dup := seen[s]; dup {
-			t.Fatalf("wisconsinString collision: %d and %d -> %q", prev, v, s)
+			t.Fatalf("text table collision: %d and %d -> %q", prev, v, s)
 		}
 		seen[s] = v
 	}
@@ -135,16 +141,6 @@ func TestWisconsinPermutationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDewittACardinality(t *testing.T) {
-	if testing.Short() {
-		t.Skip("200K generation in -short mode")
-	}
-	r := DewittA(1)
-	if r.Cardinality() != 200_000 {
-		t.Fatalf("DewittA cardinality = %d", r.Cardinality())
 	}
 }
 

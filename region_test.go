@@ -45,10 +45,7 @@ func TestLoadedRelationsAreNotScanned(t *testing.T) {
 		}},
 		{name: "CreateWisconsin(20000, 16)", load: func() error { return db.CreateWisconsin("wisc", 20_000, 16, "unique2", 42) }},
 		{name: "ShardRelation 1 of 3", load: func() error { return db.ShardRelation("shard", "unique2", 1, 3) },
-			loaded: func() int64 {
-				n, _ := db.Cardinality("shard")
-				return int64(n * (24 + 16*16 + relation.WisconsinRowStringBytes))
-			}},
+			loaded: func() int64 { return rehomedBytes(db.rels["shard"]) }},
 	} {
 		heap, scan := liveHeap(), scannableHeap()
 		if err := l.load(); err != nil {
@@ -69,6 +66,42 @@ func TestLoadedRelationsAreNotScanned(t *testing.T) {
 	}
 	runtime.KeepAlive(db)
 	runtime.KeepAlive(jdb)
+}
+
+// rehomedBytes is what p weighs once re-homed into a region: per tuple a
+// header and its values, and a copy of every string it holds.
+func rehomedBytes(p *partition.Partitioned) int64 {
+	var n int64
+	for _, frag := range p.Fragments {
+		for _, tup := range frag {
+			n += int64(24 + 16*len(tup))
+			for _, v := range tup {
+				if v.Kind() == relation.TString {
+					n += int64(len(v.AsString()))
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestCreateWisconsinBytesPerRow: a generated Wisconsin row weighs its header,
+// its sixteen values and one 52-byte text — 332 bytes — because stringu1 and
+// stringu2 share the relation's text table. Two copies per row would be 384.
+func TestCreateWisconsinBytesPerRow(t *testing.T) {
+	const card = 20_000
+	db := New()
+	before := liveHeap()
+	if err := db.CreateWisconsin("wisc", card, 16, "unique2", 42); err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(liveHeap()-before) / card
+	if perRow > 340 {
+		t.Errorf("CreateWisconsin(%d, 16): %.1f live bytes per row, want at most 340", card, perRow)
+	} else {
+		t.Logf("CreateWisconsin(%d, 16): %.1f live bytes per row", card, perRow)
+	}
+	runtime.KeepAlive(db)
 }
 
 // TestShardRelationRegionChecks: the region a shard is re-homed into holds

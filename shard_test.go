@@ -79,6 +79,52 @@ func TestShardRelationUnionIsWholeRelation(t *testing.T) {
 	}
 }
 
+// TestShardRelationWisconsinMatchesUnsharded: a shard of a generated
+// Wisconsin relation, whose stringu1 and stringu2 share one text table,
+// holds exactly the unsharded rows whose key hashes into it — in fragment
+// order, value for value and string for string — in a region of its own.
+func TestShardRelationWisconsinMatchesUnsharded(t *testing.T) {
+	const card, degree, shard, shards = 3_000, 8, 1, 3
+	full, db := New(), New()
+	for _, d := range []*Database{full, db} {
+		if err := d.CreateWisconsin("wisc", card, degree, "unique2", 42); err != nil {
+			t.Fatal(err)
+		}
+	}
+	region, err := db.shardRelation("wisc", "unique2", shard, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := region.Check(); err != nil {
+		t.Fatal(err)
+	}
+	whole := full.rels["wisc"]
+	h, err := partition.NewHash(whole.Schema, []string{"unique2"}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := db.rels["wisc"]
+	for f, frag := range whole.Fragments {
+		var want []relation.Tuple
+		for _, tup := range frag {
+			if h.FragmentOf(tup) == shard {
+				want = append(want, tup)
+			}
+		}
+		got := kept.Fragments[f]
+		if len(got) != len(want) {
+			t.Fatalf("fragment %d: shard holds %d rows, %d of the unsharded fragment hash into it", f, len(got), len(want))
+		}
+		for i, tup := range got {
+			for c, v := range tup {
+				if !v.Equal(want[i][c]) {
+					t.Fatalf("fragment %d row %d column %s = %q, unsharded %q", f, i, whole.Schema.Column(c).Name, v, want[i][c])
+				}
+			}
+		}
+	}
+}
+
 // TestShardRelationKeepsFragmentStructure: sharding thins fragments but
 // never changes the degree of partitioning — the local parallel plan shape
 // survives.
