@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"dbs3/internal/lera"
 	"dbs3/internal/operator"
@@ -62,25 +61,22 @@ type Options struct {
 	// grain multiplies the activation count of triggered operations, which
 	// defeats skew without raising the degree of partitioning.
 	TriggerGrain int
-	// ConcurrentChains runs subquery chains "in a parallel but dependent
-	// fashion" (§3): every chain starts as soon as its materialized inputs
-	// exist, and step 2 of the scheduler shares the thread budget across
-	// chains. False (default) runs chains sequentially in dependency order,
-	// each with the full budget.
-	ConcurrentChains bool
-	// StartupCost, SkewThreshold and Utilization feed the scheduler; see
-	// SchedulerOptions. Utilization throttles auto-chosen parallelism for
-	// multi-user throughput [Rahm93].
-	StartupCost   float64
-	SkewThreshold float64
-	Utilization   float64
-	// Machine is the hardware (or budget) processor ceiling for per-chain
-	// desired thread counts; see SchedulerOptions.Machine. 0 = Processors.
+	// Utilization is the average processor utilization by other queries, in
+	// [0, 1). Step 1 reduces the auto-chosen thread count by this factor
+	// "in order to increase the multi-user throughput" [Rahm93]. Explicit
+	// Threads settings are not reduced.
+	Utilization float64
+	// Machine is the hardware (or budget) processor ceiling used for the
+	// per-chain desired thread counts (Allocation.ChainWant); 0 = Processors.
+	// An admission controller sets Processors to the instantaneous budget
+	// headroom so the initial allocation fits what is free right now, but
+	// Machine to the whole budget, so a chain-boundary renegotiation can
+	// still grow into budget freed after admission.
 	Machine int
 	// Readmit, when set, renegotiates the query's thread reservation at
-	// the materialization points of a sequential multi-chain execution:
-	// before each chain starts, the engine calls Readmit with the chain
-	// index, the chain's desired thread count (Allocation.ChainWant) and
+	// the materialization points of a multi-chain execution: before each
+	// chain starts, the engine calls Readmit with the chain index, the
+	// chain's desired thread count (Allocation.ChainWant) and
 	// the chain's node count (min — every node pool runs at least one
 	// thread, so a grant below it cannot actually be honored), and
 	// receives the granted total; the chain's per-node threads are
@@ -89,11 +85,9 @@ type Options struct {
 	// threads — or hand out freed budget — between chains
 	// (runtime.Manager.Readmit). Readmit must never block on the budget:
 	// a grant below the request is the correct answer when the machine is
-	// busy. Ignored for single-chain plans, with ConcurrentChains, and
-	// when Threads is set explicitly (explicit requests are not adapted).
+	// busy. Ignored for single-chain plans and when Threads is set
+	// explicitly (explicit requests are not adapted).
 	Readmit func(chain, want, min int) int
-	// CostModel weighs plan complexity estimation; zero value = defaults.
-	CostModel *lera.CostModel
 	// MemoryBudget is the query's memory grant in bytes for blocking
 	// operator state (join build sides, aggregate group tables, stage
 	// stores). Exceeding it makes those operators spill to temp files under
@@ -249,16 +243,12 @@ type Estimate struct {
 
 // EstimatePlan verifies the database against the plan and costs it: plan
 // complexities, each triggered node's instance-cost skew, the memory
-// estimate. Of opts it reads only CostModel and StreamOutput.
+// estimate. Of opts it reads only StreamOutput.
 func EstimatePlan(plan *lera.Plan, db DB, opts Options) (Estimate, error) {
 	if err := checkDB(plan, db); err != nil {
 		return Estimate{}, err
 	}
-	cm := lera.DefaultCostModel()
-	if opts.CostModel != nil {
-		cm = *opts.CostModel
-	}
-	e := Estimate{plan: plan, costs: lera.Estimate(plan, cm), skew: make([]float64, len(plan.Nodes))}
+	e := Estimate{plan: plan, costs: lera.Estimate(plan, lera.DefaultCostModel()), skew: make([]float64, len(plan.Nodes))}
 	for _, id := range plan.Order {
 		if plan.Graph.Triggered(id) {
 			e.skew[id] = coefficientOfVariation(instanceCosts(plan, db, id))
@@ -273,17 +263,7 @@ func EstimatePlan(plan *lera.Plan, db DB, opts Options) (Estimate, error) {
 // It is arithmetic over the plan's nodes — no I/O, no locks — which is why
 // an admission controller may run it inside its critical section.
 func (e Estimate) Allocate(opts Options) Allocation {
-	opts = opts.withDefaults()
-	alloc := Allocate(e.plan, e.costs, e.skew, SchedulerOptions{
-		Threads:          opts.Threads,
-		Processors:       opts.Processors,
-		StartupCost:      opts.StartupCost,
-		Strategy:         opts.Strategy,
-		SkewThreshold:    opts.SkewThreshold,
-		Utilization:      opts.Utilization,
-		ConcurrentChains: opts.ConcurrentChains,
-		Machine:          opts.Machine,
-	})
+	alloc := Allocate(e.plan, e.costs, e.skew, opts)
 	alloc.ChainMem, alloc.MemEstimate = e.ChainMem, e.Mem
 	return alloc
 }
@@ -322,116 +302,35 @@ func ExecuteAllocated(ctx context.Context, plan *lera.Plan, db DB, opts Options,
 		Stats:   make(map[int]*OpStats),
 		Alloc:   alloc,
 	}
-	var mu sync.Mutex // guards work and res across concurrently running chains
-	if !opts.ConcurrentChains {
-		// Mid-flight re-admission: at each materialization point of a
-		// multi-chain plan, renegotiate the thread reservation for the
-		// chain about to start and redistribute its node threads over the
-		// grant. Explicit thread counts are never adapted.
-		readmit := opts.Readmit
-		if opts.Threads > 0 || len(plan.Chains) < 2 {
-			readmit = nil
-		}
+	// Chains run one at a time in dependency order (the paper's
+	// materialization points), each with the full thread count while it
+	// runs. Mid-flight re-admission: before each chain of a multi-chain
+	// plan, renegotiate the thread reservation for it and redistribute its
+	// node threads over the grant. Explicit thread counts are never adapted.
+	readmit := opts.Readmit
+	if opts.Threads > 0 || len(plan.Chains) < 2 {
+		readmit = nil
+	}
+	if readmit != nil {
+		alloc = alloc.clone()
+		res.Alloc = alloc
+	}
+	for ci, chain := range plan.Chains {
 		if readmit != nil {
-			alloc = alloc.clone()
-			res.Alloc = alloc
-		}
-		for ci, chain := range plan.Chains {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if readmit != nil {
-				if grant := readmit(ci, alloc.Want(ci), len(chain)); grant != alloc.Chain[ci] {
-					alloc.ResizeChain(ci, chain, grant)
-				}
-			}
-			if err := runChain(ctx, plan, chain, work, alloc, opts, res, &mu); err != nil {
-				return nil, err
+			if grant := readmit(ci, alloc.Want(ci), len(chain)); grant != alloc.Chain[ci] {
+				alloc.ResizeChain(ci, chain, grant)
 			}
 		}
-		return res, nil
-	}
-
-	// Dependent-parallel chains: each chain starts once the materializations
-	// it reads exist. A failed producer still closes its readiness channels
-	// so consumers unblock; the failure flag makes them abort.
-	ready := make(map[string]chan struct{}, len(plan.Outputs))
-	for name := range plan.Outputs {
-		ready[name] = make(chan struct{})
-	}
-	var failed atomic.Bool
-	errCh := make(chan error, len(plan.Chains))
-	for _, chain := range plan.Chains {
-		chain := chain
-		go func() {
-			outputs := chainOutputs(plan, chain)
-			defer func() {
-				for _, name := range outputs {
-					close(ready[name])
-				}
-			}()
-			for _, dep := range chainDeps(plan, chain) {
-				select {
-				case <-ready[dep]:
-				case <-ctx.Done():
-					errCh <- ctx.Err()
-					return
-				}
-			}
-			if failed.Load() || ctx.Err() != nil {
-				errCh <- ctx.Err() // first error already captured
-				return
-			}
-			if err := runChain(ctx, plan, chain, work, alloc, opts, res, &mu); err != nil {
-				failed.Store(true)
-				errCh <- err
-				return
-			}
-			errCh <- nil
-		}()
-	}
-	var firstErr error
-	for range plan.Chains {
-		if err := <-errCh; err != nil && firstErr == nil {
-			firstErr = err
+		// Checked after Readmit so a cancel that lands at the boundary
+		// stops the query before any of the chain's operations exist.
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		if err := runChain(ctx, plan, chain, work, alloc, opts, res); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
-}
-
-// chainOutputs lists the store-output names a chain produces.
-func chainOutputs(plan *lera.Plan, chain []int) []string {
-	var out []string
-	for _, id := range chain {
-		n := plan.Graph.Nodes[id]
-		if n.Kind == lera.OpStore {
-			out = append(out, n.As)
-		}
-	}
-	return out
-}
-
-// chainDeps lists the materialized relations a chain reads from other
-// chains (the binder rejects reads of a chain's own outputs).
-func chainDeps(plan *lera.Plan, chain []int) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, id := range chain {
-		n := plan.Graph.Nodes[id]
-		for _, rel := range []string{n.Rel, n.BuildRel, n.ProbeRel} {
-			if rel == "" || seen[rel] {
-				continue
-			}
-			if _, isOutput := plan.Outputs[rel]; isOutput {
-				seen[rel] = true
-				out = append(out, rel)
-			}
-		}
-	}
-	return out
 }
 
 // checkStream validates the streaming options: the streamed output must be a
@@ -535,24 +434,22 @@ func instanceCosts(plan *lera.Plan, db DB, id int) []float64 {
 	}
 }
 
-// runChain executes one pipeline chain to completion. mu serializes access
-// to the shared database map and result structures when chains run
-// concurrently. Cancelling ctx aborts every operation in the chain: workers
-// and blocked producers drain and the chain returns ctx.Err().
-func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Allocation, opts Options, res *Result, mu *sync.Mutex) error {
+// runChain executes one pipeline chain to completion, reading its inputs
+// from db and adding its materializations to db and res. Cancelling ctx
+// aborts every operation in the chain: workers and blocked producers drain
+// and the chain returns ctx.Err().
+func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Allocation, opts Options, res *Result) error {
 	inChain := make(map[int]bool, len(chain))
 	for _, id := range chain {
 		inChain[id] = true
 	}
 
-	// Build operations (reads the shared database map).
-	mu.Lock()
+	// Build operations.
 	ops := make(map[int]*Operation, len(chain))
 	stores := make(map[int]*operator.Store)
 	for _, id := range chain {
 		op, store, err := buildOperation(plan, id, db, alloc, opts)
 		if err != nil {
-			mu.Unlock()
 			return err
 		}
 		ops[id] = op
@@ -561,7 +458,6 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 		}
 		res.Stats[id] = op.Stats()
 	}
-	mu.Unlock()
 
 	// Wire emission routing and producer-completion countdowns. Routing is
 	// declarative — a target list per producer — so each pool thread can put
@@ -677,8 +573,6 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 	}
 
 	// Collect materializations into the working database.
-	mu.Lock()
-	defer mu.Unlock()
 	for id, store := range stores {
 		n := plan.Graph.Nodes[id]
 		bn := plan.Nodes[id]

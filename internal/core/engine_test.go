@@ -480,83 +480,6 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// Dependent-parallel chains (§3): the consumer chain starts only after its
-// producer's materialization; results are identical to sequential mode.
-func TestConcurrentChainsCorrect(t *testing.T) {
-	db, err := workload.NewJoinDB(1000, 100, 10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := lera.NewGraph()
-	f := g.Filter("f", "Br", nil)
-	s1 := g.Store("s1", "T1")
-	g.ConnectSame(f, s1)
-	tr := g.Transmit("t", "T1")
-	j := g.JoinPipelined("j", "A", []string{"k"}, []string{"k"}, lera.HashJoin)
-	s2 := g.Store("s2", "Res")
-	g.ConnectHash(tr, j, []string{"k"})
-	g.ConnectSame(j, s2)
-	plan, err := lera.Bind(g, db.Resolver())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Execute(plan, db.Relations(), Options{Threads: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	con, err := Execute(plan, db.Relations(), Options{Threads: 6, ConcurrentChains: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range []*Result{seq, con} {
-		if err := db.VerifyJoinResult(res.Outputs["Res"]); err != nil {
-			t.Error(err)
-		}
-	}
-	a, _ := seq.Relation("Res")
-	b, _ := con.Relation("Res")
-	if !a.EqualMultiset(b) {
-		t.Error("concurrent chains changed the result")
-	}
-	// Step 2 shares the budget in concurrent mode.
-	total := 0
-	for _, c := range con.Alloc.Chain {
-		total += c
-	}
-	if con.Alloc.Chain[len(con.Alloc.Chain)-1] != 6 {
-		t.Errorf("root chain should hold the full budget: %v", con.Alloc.Chain)
-	}
-}
-
-// Three dependent chains in a diamond-ish shape under concurrent mode.
-func TestConcurrentChainsDeepDependency(t *testing.T) {
-	db, err := workload.NewJoinDB(500, 100, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := lera.NewGraph()
-	// Chain 1: copy Br -> T1. Chain 2: copy T1 -> T2. Chain 3: join T2 x A.
-	f1 := g.Filter("f1", "Br", nil)
-	g.ConnectSame(f1, g.Store("s1", "T1"))
-	f2 := g.Filter("f2", "T1", nil)
-	g.ConnectSame(f2, g.Store("s2", "T2"))
-	tr := g.Transmit("t", "T2")
-	j := g.JoinPipelined("j", "A", []string{"k"}, []string{"k"}, lera.HashJoin)
-	g.ConnectHash(tr, j, []string{"k"})
-	g.ConnectSame(j, g.Store("s3", "Res"))
-	plan, err := lera.Bind(g, db.Resolver())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 4, ConcurrentChains: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.VerifyJoinResult(res.Outputs["Res"]); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: for random (cardinality, degree, skew, threads, algorithm,
 // strategy, grain) configurations, the engine always returns exactly the
 // oracle join result.

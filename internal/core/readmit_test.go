@@ -165,8 +165,7 @@ func TestEngineReadmitAtChainBoundaries(t *testing.T) {
 	}
 }
 
-// Explicit thread counts, single-chain plans and concurrent chains never
-// renegotiate.
+// Explicit thread counts and single-chain plans never renegotiate.
 func TestEngineReadmitSkipped(t *testing.T) {
 	called := 0
 	hook := func(chain, want, min int) int { called++; return 1 }
@@ -179,15 +178,6 @@ func TestEngineReadmitSkipped(t *testing.T) {
 	}
 	if called != 0 {
 		t.Errorf("Readmit called %d times for an explicit-thread query", called)
-	}
-
-	// Concurrent chains.
-	opts = Options{ConcurrentChains: true, Readmit: hook}
-	if _, err := ExecuteContext(t.Context(), plan, db, opts); err != nil {
-		t.Fatal(err)
-	}
-	if called != 0 {
-		t.Errorf("Readmit called %d times with ConcurrentChains", called)
 	}
 
 	// Single chain.

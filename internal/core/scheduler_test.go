@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dbs3/internal/lera"
@@ -22,23 +24,26 @@ func boundIdealJoin(t *testing.T, d int) (*lera.Plan, *lera.Costs) {
 }
 
 func TestAllocateStep1SqrtRule(t *testing.T) {
-	plan, costs := boundIdealJoin(t, 10)
+	plan, costs := boundIdealJoin(t, 100)
 	// W/n + s*n minimized at n = sqrt(W/s).
-	a := Allocate(plan, costs, nil, SchedulerOptions{Processors: 1000, StartupCost: 1})
-	want := int(math.Round(math.Sqrt(costs.Total)))
+	a := Allocate(plan, costs, nil, Options{Processors: 1000})
+	want := int(math.Round(math.Sqrt(costs.Total / startupCost)))
+	if want < 2 {
+		t.Fatalf("W=%v too small to exercise step 1", costs.Total)
+	}
 	if a.Total != want {
 		t.Errorf("Total = %d, want %d (W=%v)", a.Total, want, costs.Total)
 	}
 }
 
 func TestAllocateStep1Caps(t *testing.T) {
-	plan, costs := boundIdealJoin(t, 10)
-	a := Allocate(plan, costs, nil, SchedulerOptions{Processors: 4, StartupCost: 1})
+	plan, costs := boundIdealJoin(t, 100)
+	a := Allocate(plan, costs, nil, Options{Processors: 4})
 	if a.Total != 4 {
 		t.Errorf("Total = %d, want processor cap 4", a.Total)
 	}
 	// Explicit thread count wins over the cap.
-	b := Allocate(plan, costs, nil, SchedulerOptions{Threads: 32, Processors: 4})
+	b := Allocate(plan, costs, nil, Options{Threads: 32, Processors: 4})
 	if b.Total != 32 {
 		t.Errorf("Total = %d, want explicit 32", b.Total)
 	}
@@ -46,7 +51,7 @@ func TestAllocateStep1Caps(t *testing.T) {
 
 func TestAllocateStep3Proportional(t *testing.T) {
 	plan, costs := boundIdealJoin(t, 10)
-	a := Allocate(plan, costs, nil, SchedulerOptions{Threads: 10, Processors: 10})
+	a := Allocate(plan, costs, nil, Options{Threads: 10, Processors: 10})
 	// Join dwarfs store in nested-loop cost; join should get most threads.
 	joinID, storeID := 0, 1
 	if a.Node[joinID] <= a.Node[storeID] {
@@ -81,30 +86,11 @@ func TestAllocateStep2MultiChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := lera.Estimate(plan, lera.DefaultCostModel())
-	// Dependent-parallel chains: the paper's equation system applies.
-	a := Allocate(plan, costs, nil, SchedulerOptions{Threads: 16, Processors: 16, ConcurrentChains: true})
-	if len(a.Chain) != 2 {
-		t.Fatalf("chains = %v", a.Chain)
-	}
-	// The root chain (the one containing the join, i.e. the one nobody
-	// depends on) gets all N; its child gets a proportional share <= N.
-	rootChain := -1
-	for ci, chain := range plan.Chains {
-		for _, id := range chain {
-			if id == j.ID {
-				rootChain = ci
-			}
-		}
-	}
-	if a.Chain[rootChain] != 16 {
-		t.Errorf("root chain threads = %d, want 16", a.Chain[rootChain])
-	}
-	child := 1 - rootChain
-	if a.Chain[child] < 1 || a.Chain[child] > 16 {
-		t.Errorf("child chain threads = %d", a.Chain[child])
-	}
 	// Sequential chains: every chain has the whole machine while active.
-	s := Allocate(plan, costs, nil, SchedulerOptions{Threads: 16, Processors: 16})
+	s := Allocate(plan, costs, nil, Options{Threads: 16, Processors: 16})
+	if len(s.Chain) != 2 {
+		t.Fatalf("chains = %v", s.Chain)
+	}
 	if s.Chain[0] != 16 || s.Chain[1] != 16 {
 		t.Errorf("sequential chains = %v, want all 16", s.Chain)
 	}
@@ -129,7 +115,7 @@ func TestAllocateStep4AutoStrategies(t *testing.T) {
 		return coefficientOfVariation(out)
 	}
 	inst := []float64{fragCV(db.A.FragmentSizes())}
-	a := Allocate(plan, costs, inst, SchedulerOptions{Threads: 8, Processors: 8})
+	a := Allocate(plan, costs, inst, Options{Threads: 8, Processors: 8})
 	if a.Strategy[0] != StrategyLPT {
 		t.Errorf("skewed triggered join should get LPT, got %v", a.Strategy[0])
 	}
@@ -141,19 +127,19 @@ func TestAllocateStep4AutoStrategies(t *testing.T) {
 	plan0, _ := db0.IdealJoinPlan(lera.NestedLoop)
 	costs0 := lera.Estimate(plan0, lera.DefaultCostModel())
 	inst0 := []float64{fragCV(db0.A.FragmentSizes())}
-	a0 := Allocate(plan0, costs0, inst0, SchedulerOptions{Threads: 8, Processors: 8})
+	a0 := Allocate(plan0, costs0, inst0, Options{Threads: 8, Processors: 8})
 	if a0.Strategy[0] != StrategyRandom {
 		t.Errorf("unskewed triggered join should get Random, got %v", a0.Strategy[0])
 	}
 	// Forced override wins.
-	af := Allocate(plan0, costs0, inst0, SchedulerOptions{Threads: 8, Processors: 8, Strategy: StrategyLPT})
+	af := Allocate(plan0, costs0, inst0, Options{Threads: 8, Processors: 8, Strategy: StrategyLPT})
 	if af.Strategy[0] != StrategyLPT || af.Strategy[1] != StrategyLPT {
 		t.Error("explicit strategy not applied to all nodes")
 	}
 }
 
 func TestProportionalInvariants(t *testing.T) {
-	shares := proportional(10, []float64{1, 1, 1, 1}, 4)
+	shares := Proportional(10, []float64{1, 1, 1, 1})
 	sum := 0
 	for _, s := range shares {
 		if s < 1 {
@@ -165,21 +151,29 @@ func TestProportionalInvariants(t *testing.T) {
 		t.Errorf("shares sum to %d, want 10", sum)
 	}
 	// Fewer threads than entries: everyone still gets 1.
-	tight := proportional(2, []float64{5, 5, 5}, 15)
+	tight := Proportional(2, []float64{5, 5, 5})
 	for _, s := range tight {
 		if s < 1 {
 			t.Fatalf("tight share < 1: %v", tight)
 		}
 	}
-	// Zero weights fall back to an even split.
-	zero := proportional(4, []float64{0, 0}, 0)
-	if zero[0] < 1 || zero[1] < 1 {
-		t.Errorf("zero-weight shares = %v", zero)
-	}
-	// Proportionality: weight 3 vs 1 with 8 threads -> 6 and 2.
-	p := proportional(8, []float64{3, 1}, 4)
-	if p[0] != 6 || p[1] != 2 {
-		t.Errorf("proportional(8, 3:1) = %v", p)
+	for _, c := range []struct {
+		n       int
+		weights []float64
+		want    []int
+	}{
+		// Proportionality: weight 3 vs 1 with 8 threads -> 6 and 2.
+		{8, []float64{3, 1}, []int{6, 2}},
+		{10, []float64{1, 9}, []int{1, 9}},
+		// Leftover threads go to the largest remainder, not the first index.
+		{20, []float64{0.07, 0.93}, []int{1, 19}},
+		{5, []float64{2, 1}, []int{3, 2}},
+		// Zero weights split evenly and leave no thread unused.
+		{4, []float64{0, 0}, []int{2, 2}},
+	} {
+		if got := Proportional(c.n, c.weights); !slices.Equal(got, c.want) {
+			t.Errorf("Proportional(%d, %v) = %v, want %v", c.n, c.weights, got, c.want)
+		}
 	}
 }
 
@@ -203,8 +197,8 @@ func TestCoefficientOfVariation(t *testing.T) {
 }
 
 func TestSchedulerDefaults(t *testing.T) {
-	o := SchedulerOptions{}.withDefaults()
-	if o.Processors != 1 || o.StartupCost != 1000 || o.SkewThreshold != 0.25 {
+	o := Options{}.withDefaults()
+	if o.Processors != runtime.GOMAXPROCS(0) || o.CacheSize != 64 || o.QueueCap != 256 || o.BatchGrain != DefaultBatchGrain || o.Seed != 1 {
 		t.Errorf("defaults = %+v", o)
 	}
 }
@@ -212,9 +206,9 @@ func TestSchedulerDefaults(t *testing.T) {
 // Rahm93: step 1 throttles auto-chosen parallelism by the processors'
 // current utilization, raising multi-user throughput.
 func TestAllocateUtilizationThrottle(t *testing.T) {
-	plan, costs := boundIdealJoin(t, 10)
-	idle := Allocate(plan, costs, nil, SchedulerOptions{Processors: 1000, StartupCost: 1})
-	busy := Allocate(plan, costs, nil, SchedulerOptions{Processors: 1000, StartupCost: 1, Utilization: 0.75})
+	plan, costs := boundIdealJoin(t, 100)
+	idle := Allocate(plan, costs, nil, Options{Processors: 1000})
+	busy := Allocate(plan, costs, nil, Options{Processors: 1000, Utilization: 0.75})
 	if busy.Total >= idle.Total {
 		t.Errorf("75%% utilization should shrink the allocation: %d vs %d", busy.Total, idle.Total)
 	}
@@ -226,7 +220,7 @@ func TestAllocateUtilizationThrottle(t *testing.T) {
 		t.Errorf("busy allocation = %d, want %d", busy.Total, want)
 	}
 	// Explicit thread counts are never throttled.
-	explicit := Allocate(plan, costs, nil, SchedulerOptions{Threads: 16, Utilization: 0.9})
+	explicit := Allocate(plan, costs, nil, Options{Threads: 16, Utilization: 0.9})
 	if explicit.Total != 16 {
 		t.Errorf("explicit threads throttled to %d", explicit.Total)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"dbs3/internal/analytic"
+	"dbs3/internal/core"
 	"dbs3/internal/sim"
 	"dbs3/internal/zipf"
 )
@@ -45,7 +46,7 @@ func assocSpec(theta float64, threads int) (sim.PipelineSpec, sim.Config) {
 			consWork += per[tgt]
 		}
 	}
-	split := sim.SplitThreads(threads, []float64{prodWork, consWork})
+	split := core.Proportional(threads, []float64{prodWork, consWork})
 	return sim.PipelineSpec{
 		ProducerCosts: prod, Emissions: emis, ConsumerPerTuple: per,
 		ProducerThreads: split[0], ConsumerThreads: split[1],

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"dbs3/internal/analytic"
+	"dbs3/internal/core"
 	"dbs3/internal/sim"
 	"dbs3/internal/zipf"
 )
@@ -67,7 +68,7 @@ func assocTimeAt(aCard, bCard, d int, theta float64, index bool) float64 {
 			consWork += per[tgt]
 		}
 	}
-	split := sim.SplitThreads(partThreads, []float64{prodWork, consWork})
+	split := core.Proportional(partThreads, []float64{prodWork, consWork})
 	return sim.Pipeline(sim.PipelineSpec{
 		ProducerCosts: prod, Emissions: emis, ConsumerPerTuple: per,
 		ProducerThreads: split[0], ConsumerThreads: split[1],

@@ -7,43 +7,6 @@ import (
 	"dbs3/internal/relation"
 )
 
-// TestColParamJSONRoundTrip: placeholder predicates are part of the plan
-// graph's wire form and round-trip canonically like the other predicate
-// kinds.
-func TestColParamJSONRoundTrip(t *testing.T) {
-	g := NewGraph()
-	f := g.Filter("f", "A", And{Terms: []Predicate{
-		ColParam{Col: "unique1", Op: LT, Index: 0},
-		Not{Term: ColParam{Col: "stringu1", Op: EQ, Index: 1}},
-	}})
-	s := g.Store("s", "Res")
-	g.ConnectSame(f, s)
-
-	data, err := MarshalGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalGraph(data)
-	if err != nil {
-		t.Fatalf("unmarshal: %v\n%s", err, data)
-	}
-	data2, err := MarshalGraph(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Errorf("round trip not canonical:\n%s\nvs\n%s", data, data2)
-	}
-	pred, ok := back.Nodes[0].Pred.(And)
-	if !ok || len(pred.Terms) != 2 {
-		t.Fatalf("predicate came back as %#v", back.Nodes[0].Pred)
-	}
-	cp, ok := pred.Terms[0].(ColParam)
-	if !ok || cp.Col != "unique1" || cp.Op != LT || cp.Index != 0 {
-		t.Errorf("first term came back as %#v", pred.Terms[0])
-	}
-}
-
 // TestColParamContracts: the display form is 1-based, Eval before
 // substitution is a hard bug (panic, not a wrong answer), and Bind resolves
 // and type-records the column.

@@ -103,53 +103,6 @@ func Triggered(spec TriggeredSpec, cfg Config) Result {
 	remaining := a
 	res := Result{}
 
-	pick := func(w int) int {
-		// Main queues first: instance i is main for thread i % n.
-		best := -1
-		switch spec.Strategy {
-		case LPT:
-			bestEst := -1.0
-			for i := w; i < a; i += n {
-				if !taken[i] && est[i] > bestEst {
-					best, bestEst = i, est[i]
-				}
-			}
-			if best >= 0 {
-				return best
-			}
-			for i := 0; i < a; i++ {
-				if !taken[i] && est[i] > bestEst {
-					best, bestEst = i, est[i]
-				}
-			}
-			if best >= 0 {
-				res.SecondaryPicks++
-			}
-			return best
-		default:
-			var mains []int
-			for i := w; i < a; i += n {
-				if !taken[i] {
-					mains = append(mains, i)
-				}
-			}
-			if len(mains) > 0 {
-				return mains[rng.Intn(len(mains))]
-			}
-			var all []int
-			for i := 0; i < a; i++ {
-				if !taken[i] {
-					all = append(all, i)
-				}
-			}
-			if len(all) == 0 {
-				return -1
-			}
-			res.SecondaryPicks++
-			return all[rng.Intn(len(all))]
-		}
-	}
-
 	for remaining > 0 {
 		// Thread that frees earliest takes the next activation.
 		w := 0
@@ -158,7 +111,7 @@ func Triggered(spec TriggeredSpec, cfg Config) Result {
 				w = i
 			}
 		}
-		qi := pick(w)
+		qi := pickTriggered(spec.Strategy, rng, taken, est, w, n, &res)
 		if qi < 0 {
 			break
 		}
@@ -438,41 +391,4 @@ func sortArrivals(a []arrival) {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
-}
-
-// SplitThreads divides n threads over stages proportionally to their work
-// (scheduler step 3), each stage getting at least one.
-func SplitThreads(n int, weights []float64) []int {
-	k := len(weights)
-	out := make([]int, k)
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	if sum <= 0 {
-		for i := range out {
-			out[i] = 1
-		}
-		return out
-	}
-	assigned := 0
-	type frac struct {
-		i int
-		f float64
-	}
-	fr := make([]frac, k)
-	for i, w := range weights {
-		exact := float64(n) * w / sum
-		out[i] = int(math.Floor(exact))
-		if out[i] < 1 {
-			out[i] = 1
-		}
-		assigned += out[i]
-		fr[i] = frac{i, exact - math.Floor(exact)}
-	}
-	for j := 0; assigned < n; j = (j + 1) % k {
-		out[fr[j].i]++
-		assigned++
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dbs3/internal/analytic"
+	"dbs3/internal/core"
 	"dbs3/internal/zipf"
 )
 
@@ -210,20 +211,22 @@ func TestPipelineAbsorbsSkew(t *testing.T) {
 	}
 }
 
+// The producer/consumer thread split that the pipeline experiments feed to
+// Pipeline is the engine's step-3 rule, core.Proportional.
 func TestSplitThreads(t *testing.T) {
-	s := SplitThreads(10, []float64{1, 9})
+	s := core.Proportional(10, []float64{1, 9})
 	if s[0] < 1 || s[0]+s[1] != 10 || s[1] <= s[0] {
 		t.Errorf("split = %v", s)
 	}
-	s = SplitThreads(2, []float64{5, 5, 5})
+	s = core.Proportional(2, []float64{5, 5, 5})
 	for _, v := range s {
 		if v < 1 {
 			t.Fatalf("split starves a stage: %v", s)
 		}
 	}
-	s = SplitThreads(4, []float64{0, 0})
-	if s[0] != 1 || s[1] != 1 {
-		t.Errorf("zero-weight split = %v", s)
+	s = core.Proportional(4, []float64{0, 0})
+	if s[0] != 2 || s[1] != 2 {
+		t.Errorf("zero-weight split = %v, want [2 2]", s)
 	}
 }
 

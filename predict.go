@@ -3,6 +3,7 @@ package dbs3
 import (
 	"fmt"
 
+	"dbs3/internal/core"
 	"dbs3/internal/sim"
 	"dbs3/internal/zipf"
 )
@@ -88,7 +89,7 @@ func PredictAssocJoin(aCard, bCard, d, threads int, theta float64, strategy stri
 	if threads == 1 {
 		return sim.PipelineSequential(spec, cfg), nil
 	}
-	split := sim.SplitThreads(threads, []float64{prodWork, consWork})
+	split := core.Proportional(threads, []float64{prodWork, consWork})
 	spec.ProducerThreads, spec.ConsumerThreads = split[0], split[1]
 	return sim.Pipeline(spec, cfg).Time, nil
 }

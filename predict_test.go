@@ -25,6 +25,43 @@ func TestPredictIdealJoinShapes(t *testing.T) {
 	}
 }
 
+// TestPredictIdealJoinGolden pins the triggered simulator's schedule: any
+// change to its pick order, random stream or charging shows up as a value
+// that is no longer bit-identical.
+func TestPredictIdealJoinGolden(t *testing.T) {
+	for _, c := range []struct {
+		strategy string
+		theta    float64
+		threads  int
+		want     float64
+	}{
+		{"random", 0, 1, 239.60499999999936},
+		{"random", 0, 2, 119.8700000000002},
+		{"random", 0, 8, 30.14750000000002},
+		{"random", 0, 70, 4.7325},
+		{"random", 1, 1, 239.60500000000002},
+		{"random", 1, 2, 120.32179000000001},
+		{"random", 1, 8, 51.47954000000001},
+		{"random", 1, 70, 42.37728},
+		{"lpt", 0, 1, 239.60499999999936},
+		{"lpt", 0, 2, 119.8700000000002},
+		{"lpt", 0, 8, 30.14750000000002},
+		{"lpt", 0, 70, 4.7325},
+		{"lpt", 1, 1, 239.605},
+		{"lpt", 1, 2, 119.97217000000002},
+		{"lpt", 1, 8, 40.87118},
+		{"lpt", 1, 70, 41.80118},
+	} {
+		got, err := PredictIdealJoin(100_000, 10_000, 200, c.threads, c.theta, c.strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("PredictIdealJoin(%s, theta %v, %d threads) = %v, want %v", c.strategy, c.theta, c.threads, got, c.want)
+		}
+	}
+}
+
 func TestPredictAssocJoinInsensitiveToSkew(t *testing.T) {
 	flat, err := PredictAssocJoin(100_000, 10_000, 200, 10, 0, "random")
 	if err != nil {
