@@ -1,6 +1,7 @@
 package dbs3
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -16,11 +17,11 @@ func TestMaterializeQueryAdaptsMidFlight(t *testing.T) {
 	}
 	m := db.Manager(ManagerConfig{Budget: 6})
 
-	plain, err := db.QueryAll("SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
+	plain, err := db.QueryAllContext(context.Background(), "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryAll("SELECT ten, COUNT(*) FROM wisc GROUP BY ten", &Options{Materialize: true})
+	res, err := db.QueryAllContext(context.Background(), "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", &Options{Materialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestMaterializeQueryAdaptsMidFlight(t *testing.T) {
 	}
 
 	// Unmanaged and single-chain cursors report no trace.
-	rows, err := db.Query("SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
+	rows, err := db.QueryContext(context.Background(), "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestExplainChainSplit(t *testing.T) {
 	}
 	db.Manager(ManagerConfig{Budget: 8})
 
-	dot, err := db.Explain("SELECT ten, COUNT(*) FROM wisc GROUP BY ten", &Options{Materialize: true})
+	dot, err := db.ExplainContext(context.Background(), "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", &Options{Materialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestExplainChainSplit(t *testing.T) {
 			t.Errorf("EXPLAIN missing %q:\n%s", want, dot)
 		}
 	}
-	single, err := db.Explain("SELECT unique2 FROM wisc WHERE unique1 < 10", nil)
+	single, err := db.ExplainContext(context.Background(), "SELECT unique2 FROM wisc WHERE unique1 < 10", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package dbs3_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -46,11 +47,13 @@ func BenchmarkShardRelation(b *testing.B) {
 	b.StopTimer()
 	tuples := 0
 	for _, d := range dist {
-		n, err := db.Cardinality(d[0])
+		sizes, err := db.FragmentSizes(d[0])
 		if err != nil {
 			b.Fatal(err)
 		}
-		tuples += n
+		for _, n := range sizes {
+			tuples += n
+		}
 	}
 	reportResident(b, live, scan, tuples, db)
 }
@@ -88,7 +91,7 @@ func BenchmarkIdealJoinTriggered(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Execute(plan, rels, core.Options{Threads: threads})
+				res, err := core.ExecuteContext(context.Background(), plan, rels, core.Options{Threads: threads})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,6 +10,7 @@ package dbs3_test
 // and print the full figure tables with cmd/dbs3-bench.
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
@@ -180,7 +181,7 @@ func engineJoinBench(b *testing.B, assoc bool, algo lera.JoinAlgo, opts core.Opt
 	rels := db.Relations()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Execute(plan, rels, opts)
+		res, err := core.ExecuteContext(context.Background(), plan, rels, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +300,7 @@ func BenchmarkAblationQueueAffinity(b *testing.B) {
 	var picks int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Execute(plan, rels, core.Options{Threads: 4})
+		res, err := core.ExecuteContext(context.Background(), plan, rels, core.Options{Threads: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,7 +352,7 @@ func pipelinedJoin(tb testing.TB) func() {
 	}
 	rels := db.Relations()
 	return func() {
-		res, err := core.Execute(plan, rels, core.Options{Threads: 4})
+		res, err := core.ExecuteContext(context.Background(), plan, rels, core.Options{Threads: 4})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -389,7 +390,7 @@ func BenchmarkCoreHotPathAggregateBatched(b *testing.B) {
 	opt := &dbs3.Options{Threads: 4}
 	b.ReportAllocs()
 	runGCExcluded(b, func() {
-		res, err := db.QueryAll("SELECT ten, SUM(unique1) FROM wisc GROUP BY ten", opt)
+		res, err := db.QueryAllContext(context.Background(), "SELECT ten, SUM(unique1) FROM wisc GROUP BY ten", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,7 +422,7 @@ func coreSpillJoin(b *testing.B, budget int64) {
 	var spilledBytes, spillPasses int64
 	b.ReportAllocs()
 	runGCExcluded(b, func() {
-		res, err := core.Execute(plan, rels, opts)
+		res, err := core.ExecuteContext(context.Background(), plan, rels, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -544,7 +545,7 @@ func managedThroughput(b *testing.B, clients int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				stmt := stmts[(c+i)%len(stmts)]
-				if _, err := db.QueryAll(stmt, nil); err != nil {
+				if _, err := db.QueryAllContext(context.Background(), stmt, nil); err != nil {
 					b.Error(err)
 					return
 				}
@@ -582,7 +583,7 @@ func BenchmarkUnmanagedThroughput8Clients(b *testing.B) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				stmt := stmts[(c+i)%len(stmts)]
-				if _, err := db.QueryAll(stmt, nil); err != nil {
+				if _, err := db.QueryAllContext(context.Background(), stmt, nil); err != nil {
 					b.Error(err)
 					return
 				}
@@ -610,7 +611,7 @@ func BenchmarkManagedAdaptiveMultiChain(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := db.QueryAll("SELECT ten, COUNT(*) FROM wisc GROUP BY ten", opt); err != nil {
+				if _, err := db.QueryAllContext(context.Background(), "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", opt); err != nil {
 					b.Error(err)
 					return
 				}

@@ -30,9 +30,7 @@ func coordMain(args []string) {
 		timeout = fs.Duration("timeout", 10*time.Second, "per-worker-request header timeout")
 		retries = fs.Int("retries", 3, "connect retries per worker request (negative = off)")
 
-		retryWhole   = fs.Bool("retry-whole-query", false, "restart a query once when a replica dies after rows merged (only if nothing was delivered yet)")
-		brkThreshold = fs.Int("breaker-threshold", 3, "consecutive probe/query failures that open a replica's circuit breaker")
-		brkCooloff   = fs.Duration("breaker-cooloff", 5*time.Second, "how long an open breaker withholds traffic before half-opening")
+		retryWhole = fs.Bool("retry-whole-query", false, "restart a query once when a replica dies after rows merged (only if nothing was delivered yet)")
 	)
 	fs.Parse(args)
 
@@ -53,15 +51,13 @@ func coordMain(args []string) {
 	defer stop()
 
 	coord, err := cluster.New(ctx, cluster.Config{
-		Nodes:            nodeList,
-		Token:            *token,
-		Wire:             *wire,
-		Timeout:          *timeout,
-		Retries:          *retries,
-		PollInterval:     *poll,
-		RetryWholeQuery:  *retryWhole,
-		BreakerThreshold: *brkThreshold,
-		BreakerCooloff:   *brkCooloff,
+		Nodes:           nodeList,
+		Token:           *token,
+		Wire:            *wire,
+		Timeout:         *timeout,
+		Retries:         *retries,
+		PollInterval:    *poll,
+		RetryWholeQuery: *retryWhole,
 	})
 	if err != nil {
 		fatal(err)

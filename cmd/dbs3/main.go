@@ -53,6 +53,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -135,7 +136,7 @@ func main() {
 		if *concurrency > 1 {
 			fatal(fmt.Errorf("-explain and -concurrency are mutually exclusive"))
 		}
-		dot, err := db.Explain(*query, opt)
+		dot, err := db.ExplainContext(context.Background(), *query, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -158,7 +159,7 @@ func runStreaming(db *dbs3.Database, query string, opt *dbs3.Options, limit int)
 	if err != nil {
 		fatal(err)
 	}
-	rows, err := stmt.Query()
+	rows, err := stmt.QueryContext(context.Background())
 	if err != nil {
 		fatal(err)
 	}
@@ -234,7 +235,7 @@ func runBatch(db *dbs3.Database, query string, opt *dbs3.Options, workers, repea
 			defer wg.Done()
 			for i := 0; i < repeat*len(stmts); i++ {
 				stmt := stmts[(w+i)%len(stmts)]
-				rows, err := stmt.Query()
+				rows, err := stmt.QueryContext(context.Background())
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "dbs3: worker %d: %v\n", w, err)
 					failures.Add(1)

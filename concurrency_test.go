@@ -33,28 +33,28 @@ func TestQueryErrorPaths(t *testing.T) {
 	if err := db.CreateWisconsin("wisc", 200, 4, "unique2", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("SELECT * FROM wisc", nil); err != nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM wisc", nil); err != nil {
 		t.Errorf("nil Options rejected: %v", err)
 	}
-	if _, err := db.Query("SELECT * FROM wisc", &Options{}); err != nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM wisc", &Options{}); err != nil {
 		t.Errorf("zero Options rejected: %v", err)
 	}
-	if _, err := db.Query("SELECT * FROM wisc", &Options{Strategy: "lifo"}); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM wisc", &Options{Strategy: "lifo"}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if _, err := db.Query("SELECT * FROM wisc", &Options{JoinAlgo: "sort-merge"}); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM wisc", &Options{JoinAlgo: "sort-merge"}); err == nil {
 		t.Error("unknown join algorithm accepted")
 	}
-	if _, err := db.Query("SELECT * FROM nope", nil); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM nope", nil); err == nil {
 		t.Error("unknown relation accepted")
 	}
-	if _, err := db.Explain("SELECT * FROM wisc", nil); err != nil {
+	if _, err := db.ExplainContext(context.Background(), "SELECT * FROM wisc", nil); err != nil {
 		t.Errorf("Explain with nil Options rejected: %v", err)
 	}
-	if _, err := db.Explain("SELECT * FROM wisc", &Options{JoinAlgo: "sort-merge"}); err == nil {
+	if _, err := db.ExplainContext(context.Background(), "SELECT * FROM wisc", &Options{JoinAlgo: "sort-merge"}); err == nil {
 		t.Error("Explain accepted unknown join algorithm")
 	}
-	if _, err := db.Explain("SELECT * FROM nope", nil); err == nil {
+	if _, err := db.ExplainContext(context.Background(), "SELECT * FROM nope", nil); err == nil {
 		t.Error("Explain accepted unknown relation")
 	}
 }
@@ -119,7 +119,7 @@ func TestManagerFeedbackLoop(t *testing.T) {
 	probe := "SELECT unique2 FROM wisc WHERE unique1 < 10000"
 
 	// Baseline: the probe alone on an idle manager.
-	alone, err := db.QueryAll(probe, nil)
+	alone, err := db.QueryAllContext(context.Background(), probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestManagerFeedbackLoop(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = db.QueryAll(probe, nil)
+			results[i], errs[i] = db.QueryAllContext(context.Background(), probe, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -220,7 +220,7 @@ func TestConcurrentQueryCreateStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				rows, err := db.QueryAll("SELECT two, COUNT(*) FROM wisc WHERE two = 0 GROUP BY two", nil)
+				rows, err := db.QueryAllContext(context.Background(), "SELECT two, COUNT(*) FROM wisc WHERE two = 0 GROUP BY two", nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -1,6 +1,7 @@
 package dbs3
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -19,10 +20,10 @@ func TestLoadCSVAndQuery(t *testing.T) {
 	if err := db.LoadCSV("orders", strings.NewReader(ordersCSV), "order", 3); err != nil {
 		t.Fatal(err)
 	}
-	if card, _ := db.Cardinality("orders"); card != 6 {
+	if card := db.rels["orders"].Cardinality(); card != 6 {
 		t.Fatalf("cardinality = %d", card)
 	}
-	rows, err := db.QueryAll("SELECT customer, SUM(amount) FROM orders GROUP BY customer", nil)
+	rows, err := db.QueryAllContext(context.Background(), "SELECT customer, SUM(amount) FROM orders GROUP BY customer", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestDumpCSVRoundTrip(t *testing.T) {
 	if err := db2.LoadCSV("orders", strings.NewReader(buf.String()), "order", 4); err != nil {
 		t.Fatal(err)
 	}
-	if card, _ := db2.Cardinality("orders"); card != 6 {
+	if card := db2.rels["orders"].Cardinality(); card != 6 {
 		t.Errorf("round trip cardinality = %d", card)
 	}
 	if err := db.DumpCSV("absent", &buf); err == nil {
@@ -74,7 +75,7 @@ func TestResultString(t *testing.T) {
 	if err := db.LoadCSV("orders", strings.NewReader(ordersCSV), "order", 2); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.QueryAll("SELECT customer, amount FROM orders WHERE amount > 60", &Options{Threads: 2})
+	rows, err := db.QueryAllContext(context.Background(), "SELECT customer, amount FROM orders WHERE amount > 60", &Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@
 //
 //	db := dbs3.New()
 //	db.CreateWisconsin("wisc", 10000, 16, "unique2", 42)
-//	rows, err := db.Query("SELECT unique2 FROM wisc WHERE unique1 < 100", nil)
+//	rows, err := db.QueryContext(ctx, "SELECT unique2 FROM wisc WHERE unique1 < ?", nil, 100)
 //	defer rows.Close()
 //	for rows.Next() {
 //		var u int64
@@ -33,17 +33,18 @@
 // *Stmt holding the bound parallel plan; Stmt.QueryContext reuses it against
 // the current catalog, skipping lexing, parsing and planning entirely.
 // WHERE comparisons accept `?` placeholders bound per execution
-// (stmt.Query(42)), type-checked against the compared column, so one
-// compiled plan serves a whole family of predicates. Ad-hoc
-// Query/QueryContext calls hit an internal LRU plan cache keyed on
-// SQL text + join algorithm, so a serving workload that repeats statements
-// gets the same amortization transparently (PlanCacheStats, and the
-// manager's Stats, expose the hit/miss counters).
+// (stmt.QueryContext(ctx, 42)), type-checked against the compared column,
+// so one compiled plan serves a whole family of predicates. Ad-hoc
+// QueryContext calls hit an internal LRU plan cache keyed on SQL text + join
+// algorithm, so a serving workload that repeats statements gets the same
+// amortization transparently (PlanCacheStats, and the manager's Stats,
+// expose the hit/miss counters).
 //
 // Results stream: QueryContext returns a *Rows cursor whose rows arrive as
 // the engine's final store node produces them, through a bounded sink that
 // applies backpressure to the producing threads. Rows.All materializes the
-// remainder for callers that want the whole table (see also QueryAll).
+// remainder for callers that want the whole table (see also
+// QueryAllContext).
 //
 // # Concurrency & the QueryManager
 //
@@ -129,10 +130,10 @@ func New() *Database {
 type ManagerConfig = dbruntime.Config
 
 // Manager installs a QueryManager sized by cfg and returns it. Once
-// installed, Query and QueryContext are admitted through it: concurrent
-// queries share its thread budget and each one's scheduler sees the
-// utilization measured from the others' allocated threads. Installing a
-// new manager replaces the previous one for future queries.
+// installed, queries are admitted through it: concurrent queries share its
+// thread budget and each one's scheduler sees the utilization measured from
+// the others' allocated threads. Installing a new manager replaces the
+// previous one for future queries.
 func (db *Database) Manager(cfg ManagerConfig) *dbruntime.Manager {
 	m := dbruntime.NewManager(cfg)
 	db.mu.Lock()
@@ -159,28 +160,6 @@ func (db *Database) Relations() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Cardinality returns a relation's tuple count.
-func (db *Database) Cardinality(name string) (int, error) {
-	db.mu.RLock()
-	p, ok := db.rels[name]
-	db.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("dbs3: no relation %q", name)
-	}
-	return p.Cardinality(), nil
-}
-
-// Degree returns a relation's degree of partitioning.
-func (db *Database) Degree(name string) (int, error) {
-	db.mu.RLock()
-	p, ok := db.rels[name]
-	db.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("dbs3: no relation %q", name)
-	}
-	return p.Degree(), nil
 }
 
 // FragmentSizes returns a relation's per-fragment cardinalities — the
@@ -336,11 +315,6 @@ type Options struct {
 	// in Rows.ChainThreads. Plans with an explicit Threads setting keep
 	// their allocation through both chains.
 	Materialize bool
-	// StreamBuffer is the bounded row-sink capacity between the engine and
-	// the Rows cursor (0 = a small default). Smaller values bound result
-	// memory tighter and apply backpressure sooner; larger values decouple
-	// producer and consumer more.
-	StreamBuffer int
 	// MemoryBudget caps the query's blocking-operator working memory in
 	// bytes: join build sides, aggregate group tables and stage stores
 	// share the budget through an accountant and spill to disk (Grace
@@ -439,38 +413,28 @@ type OperatorStats struct {
 	SpillPasses  int64 `json:"spillPasses,omitempty"`
 }
 
-// Query compiles (or reuses a cached plan for) and executes one ESQL
-// statement with a background context, returning a streaming cursor. The
-// supported subset:
+// QueryContext compiles (or reuses a cached plan for) and executes one ESQL
+// statement under a context, returning a streaming cursor. The supported
+// subset:
 //
 //	SELECT */cols/agg FROM rel
 //	  [JOIN rel2 ON rel.col = rel2.col]
 //	  [WHERE predicate]
 //	  [GROUP BY cols]
 //
-// WHERE comparisons may use `?` placeholders instead of literals; args
-// supplies their values in order (integers or strings, type-checked against
-// the compared column). Close the returned cursor (or drain it) — an
-// abandoned open cursor pins its query's threads on sink backpressure.
-func (db *Database) Query(sql string, opt *Options, args ...any) (*Rows, error) {
-	//dbs3lint:ignore ctxflow documented ctx-less convenience shim over QueryContext
-	return db.QueryContext(context.Background(), sql, opt, args...)
-}
-
-// QueryContext executes one ESQL statement under a context and returns a
-// streaming cursor: rows arrive through Rows.Next as the engine produces
-// them, before the result is complete. Cancelling ctx — or closing the
-// cursor — aborts the running operations, which drain and free their
-// threads promptly. When a QueryManager is installed the query is admitted
-// through it (under Options.Priority) and executes under the shared thread
-// budget; the reservation returns to the budget the moment the execution
-// ends, including a mid-result Close.
+// WHERE comparisons may use `?` placeholders; args supplies their values in
+// order (integers or strings, type-checked against the compared column).
+// Rows arrive through Rows.Next before the result is complete: drain or
+// Close the cursor, since an abandoned one pins its query's threads on sink
+// backpressure. Cancelling ctx or closing the cursor aborts the running
+// operations, which free their threads promptly. Under a QueryManager the
+// query is admitted through it (under Options.Priority) and its reservation
+// returns to the budget the moment the execution ends.
 //
 // Compilation goes through the database's LRU plan cache, so a repeated
 // statement (same SQL and join algorithm) skips lexing, parsing and
-// planning; use Prepare to hold the compiled plan explicitly. Placeholder
-// statements cache once and re-bind per call: "... WHERE a < ?" executed
-// with different args is one cached plan, not many.
+// planning; use Prepare to hold the compiled plan. A placeholder statement
+// is one cached plan however its arguments vary.
 func (db *Database) QueryContext(ctx context.Context, sql string, opt *Options, args ...any) (*Rows, error) {
 	stmt, err := db.Prepare(sql, opt)
 	if err != nil {
@@ -479,15 +443,9 @@ func (db *Database) QueryContext(ctx context.Context, sql string, opt *Options, 
 	return stmt.QueryContext(ctx, args...)
 }
 
-// QueryAll is the materialized convenience path — the pre-cursor API shape:
-// it runs QueryContext and drains the cursor into a Result. Prefer the
-// cursor for large results; QueryAll holds the whole table in memory.
-func (db *Database) QueryAll(sql string, opt *Options, args ...any) (*Result, error) {
-	//dbs3lint:ignore ctxflow documented ctx-less convenience shim over QueryAllContext
-	return db.QueryAllContext(context.Background(), sql, opt, args...)
-}
-
-// QueryAllContext is QueryAll under a context.
+// QueryAllContext is the materialized convenience path: it runs
+// QueryContext and drains the cursor into a Result. Prefer the cursor for
+// large results; QueryAllContext holds the whole table in memory.
 func (db *Database) QueryAllContext(ctx context.Context, sql string, opt *Options, args ...any) (*Result, error) {
 	rows, err := db.QueryContext(ctx, sql, opt, args...)
 	if err != nil {
@@ -496,19 +454,13 @@ func (db *Database) QueryAllContext(ctx context.Context, sql string, opt *Option
 	return rows.All()
 }
 
-// Explain compiles a statement and returns its parallel plan in Graphviz DOT
-// form (the Lera-par "simple view" of Figure 1), footed by the per-chain
-// allocation split: each pipeline chain's nodes, its planned thread total
-// and the desired total it renegotiates for at its materialization point
-// under a QueryManager.
-func (db *Database) Explain(sql string, opt *Options) (string, error) {
-	//dbs3lint:ignore ctxflow documented ctx-less convenience shim over ExplainContext
-	return db.ExplainContext(context.Background(), sql, opt)
-}
-
-// ExplainContext is Explain under a context (compilation is quick; the
-// context is checked once for early cancellation). It shares the plan cache
-// with Query and Prepare.
+// ExplainContext compiles a statement and returns its parallel plan in
+// Graphviz DOT form (the Lera-par "simple view" of Figure 1), footed by the
+// per-chain allocation split: each pipeline chain's nodes, its planned
+// thread total and the desired total it renegotiates for at its
+// materialization point under a QueryManager. Compilation is quick, so the
+// context is checked once for early cancellation. It shares the plan cache
+// with QueryContext and Prepare.
 func (db *Database) ExplainContext(ctx context.Context, sql string, opt *Options) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err

@@ -1,6 +1,7 @@
 package dbs3
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -23,13 +24,13 @@ func TestFacadeCatalog(t *testing.T) {
 	if len(names) != 4 {
 		t.Fatalf("relations = %v", names)
 	}
-	card, err := db.Cardinality("wisc")
-	if err != nil || card != 2000 {
-		t.Errorf("Cardinality = %d, %v", card, err)
+	wisc, err := db.FragmentSizes("wisc")
+	card := 0
+	for _, n := range wisc {
+		card += n
 	}
-	deg, err := db.Degree("A")
-	if err != nil || deg != 10 {
-		t.Errorf("Degree = %d, %v", deg, err)
+	if err != nil || len(wisc) != 8 || card != 2000 {
+		t.Errorf("wisc FragmentSizes = %v, %v; want 8 fragments of 2000 tuples", wisc, err)
 	}
 	sizes, err := db.FragmentSizes("A")
 	if err != nil || len(sizes) != 10 {
@@ -37,12 +38,6 @@ func TestFacadeCatalog(t *testing.T) {
 	}
 	if sizes[0] <= sizes[9] {
 		t.Error("Zipf 0.5 fragment sizes should be skewed")
-	}
-	if _, err := db.Cardinality("nope"); err == nil {
-		t.Error("missing relation accepted")
-	}
-	if _, err := db.Degree("nope"); err == nil {
-		t.Error("missing relation accepted")
 	}
 	if _, err := db.FragmentSizes("nope"); err == nil {
 		t.Error("missing relation accepted")
@@ -71,7 +66,7 @@ func TestFacadeCreateErrors(t *testing.T) {
 
 func TestFacadeSelection(t *testing.T) {
 	db := facadeDB(t)
-	rows, err := db.QueryAll("SELECT unique2 FROM wisc WHERE unique1 < 100", nil)
+	rows, err := db.QueryAllContext(context.Background(), "SELECT unique2 FROM wisc WHERE unique1 < 100", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +95,7 @@ func TestFacadeJoin(t *testing.T) {
 		{Threads: 8, Strategy: "lpt", JoinAlgo: "nested-loop"},
 		{JoinAlgo: "temp-index"},
 	} {
-		rows, err := db.QueryAll("SELECT * FROM A JOIN B ON A.k = B.k", opt)
+		rows, err := db.QueryAllContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k", opt)
 		if err != nil {
 			t.Fatalf("opt=%+v: %v", opt, err)
 		}
@@ -112,7 +107,7 @@ func TestFacadeJoin(t *testing.T) {
 
 func TestFacadeRepartitionedJoin(t *testing.T) {
 	db := facadeDB(t)
-	rows, err := db.QueryAll("SELECT A.id FROM A JOIN Br ON A.k = Br.k WHERE Br.id < 50", &Options{Threads: 4})
+	rows, err := db.QueryAllContext(context.Background(), "SELECT A.id FROM A JOIN Br ON A.k = Br.k WHERE Br.id < 50", &Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +128,7 @@ func TestFacadeRepartitionedJoin(t *testing.T) {
 
 func TestFacadeGroupBy(t *testing.T) {
 	db := facadeDB(t)
-	rows, err := db.QueryAll("SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
+	rows, err := db.QueryAllContext(context.Background(), "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +146,7 @@ func TestFacadeGroupBy(t *testing.T) {
 
 func TestFacadeStrings(t *testing.T) {
 	db := facadeDB(t)
-	rows, err := db.QueryAll("SELECT string4 FROM wisc WHERE string4 = 'AAAAxxxx'", nil)
+	rows, err := db.QueryAllContext(context.Background(), "SELECT string4 FROM wisc WHERE string4 = 'AAAAxxxx'", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,20 +160,20 @@ func TestFacadeStrings(t *testing.T) {
 
 func TestFacadeOptionValidation(t *testing.T) {
 	db := facadeDB(t)
-	if _, err := db.QueryAll("SELECT * FROM A", &Options{Strategy: "bogus"}); err == nil {
+	if _, err := db.QueryAllContext(context.Background(), "SELECT * FROM A", &Options{Strategy: "bogus"}); err == nil {
 		t.Error("bad strategy accepted")
 	}
-	if _, err := db.QueryAll("SELECT * FROM A", &Options{JoinAlgo: "bogus"}); err == nil {
+	if _, err := db.QueryAllContext(context.Background(), "SELECT * FROM A", &Options{JoinAlgo: "bogus"}); err == nil {
 		t.Error("bad join algorithm accepted")
 	}
-	if _, err := db.QueryAll("SELEKT", nil); err == nil {
+	if _, err := db.QueryAllContext(context.Background(), "SELEKT", nil); err == nil {
 		t.Error("bad SQL accepted")
 	}
 }
 
 func TestFacadeExplain(t *testing.T) {
 	db := facadeDB(t)
-	dot, err := db.Explain("SELECT * FROM A JOIN Br ON A.k = Br.k", nil)
+	dot, err := db.ExplainContext(context.Background(), "SELECT * FROM A JOIN Br ON A.k = Br.k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +182,10 @@ func TestFacadeExplain(t *testing.T) {
 			t.Errorf("explain output missing %q", want)
 		}
 	}
-	if _, err := db.Explain("SELEKT", nil); err == nil {
+	if _, err := db.ExplainContext(context.Background(), "SELEKT", nil); err == nil {
 		t.Error("bad SQL accepted")
 	}
-	if _, err := db.Explain("SELECT * FROM A", &Options{JoinAlgo: "bogus"}); err == nil {
+	if _, err := db.ExplainContext(context.Background(), "SELECT * FROM A", &Options{JoinAlgo: "bogus"}); err == nil {
 		t.Error("bad join algorithm accepted")
 	}
 }
@@ -202,11 +197,11 @@ func TestFacadeStrategiesAgree(t *testing.T) {
 	if err := db.CreateJoinPair("s", 2000, 200, 20, 1); err != nil {
 		t.Fatal(err)
 	}
-	random, err := db.QueryAll("SELECT sA.id FROM sA JOIN sB ON sA.k = sB.k", &Options{Threads: 6, Strategy: "random"})
+	random, err := db.QueryAllContext(context.Background(), "SELECT sA.id FROM sA JOIN sB ON sA.k = sB.k", &Options{Threads: 6, Strategy: "random"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpt, err := db.QueryAll("SELECT sA.id FROM sA JOIN sB ON sA.k = sB.k", &Options{Threads: 6, Strategy: "lpt"})
+	lpt, err := db.QueryAllContext(context.Background(), "SELECT sA.id FROM sA JOIN sB ON sA.k = sB.k", &Options{Threads: 6, Strategy: "lpt"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +221,11 @@ func TestFacadeStrategiesAgree(t *testing.T) {
 
 func TestFacadeGrainOption(t *testing.T) {
 	db := facadeDB(t)
-	whole, err := db.QueryAll("SELECT * FROM A JOIN B ON A.k = B.k", &Options{Threads: 4, JoinAlgo: "nested-loop"})
+	whole, err := db.QueryAllContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k", &Options{Threads: 4, JoinAlgo: "nested-loop"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := db.QueryAll("SELECT * FROM A JOIN B ON A.k = B.k", &Options{Threads: 4, JoinAlgo: "nested-loop", Grain: 3})
+	fine, err := db.QueryAllContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k", &Options{Threads: 4, JoinAlgo: "nested-loop", Grain: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +247,11 @@ func TestFacadeGrainOption(t *testing.T) {
 
 func TestFacadeUtilizationOption(t *testing.T) {
 	db := facadeDB(t)
-	idle, err := db.QueryAll("SELECT * FROM A JOIN B ON A.k = B.k", &Options{JoinAlgo: "nested-loop"})
+	idle, err := db.QueryAllContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k", &Options{JoinAlgo: "nested-loop"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	busy, err := db.QueryAll("SELECT * FROM A JOIN B ON A.k = B.k", &Options{JoinAlgo: "nested-loop", Utilization: 0.9})
+	busy, err := db.QueryAllContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k", &Options{JoinAlgo: "nested-loop", Utilization: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	db := dbs3.New()
 	if err := db.CreateJoinPair("", 5_000, 500, 10, 0.3); err != nil {
 		log.Fatal(err)
@@ -20,7 +22,7 @@ func main() {
 
 	// B is co-partitioned with A on k: IdealJoin (no transmit).
 	ideal := "SELECT A.id, B.id FROM A JOIN B ON A.k = B.k WHERE A.id < 10"
-	dot, err := db.Explain(ideal, nil)
+	dot, err := db.ExplainContext(ctx, ideal, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func main() {
 	// Br is placed on id: the compiler inserts a transmit that redistributes
 	// Br's tuples on k into a pipelined join against A's fragments.
 	assoc := "SELECT A.id, Br.id FROM A JOIN Br ON A.k = Br.k WHERE A.id < 10"
-	dot, err = db.Explain(assoc, nil)
+	dot, err = db.ExplainContext(ctx, assoc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func main() {
 	fmt.Print(dot)
 
 	for _, sql := range []string{ideal, assoc} {
-		res, err := db.QueryAll(sql, &dbs3.Options{Threads: 4})
+		res, err := db.QueryAllContext(ctx, sql, &dbs3.Options{Threads: 4})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 		}
 		// The cursor streams the join result; we only need the row count,
 		// so drain it without materializing.
-		rows, err := db.Query("SELECT * FROM A JOIN B ON A.k = B.k",
+		rows, err := db.QueryContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k",
 			&dbs3.Options{Threads: 6, Strategy: "lpt", JoinAlgo: "nested-loop"})
 		if err != nil {
 			log.Fatal(err)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	db := dbs3.New()
 
 	// A 10K-tuple Wisconsin relation, hash-partitioned on unique2 into 16
@@ -30,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, err := stmt.Query()
+	rows, err := stmt.QueryContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 	// 2. A co-partitioned join: the compiler recognizes that A and B are
 	// both partitioned on k and emits the triggered IdealJoin plan. All()
 	// materializes the stream for callers that want the whole table.
-	res, err := db.QueryAll("SELECT * FROM A JOIN B ON A.k = B.k", &dbs3.Options{Threads: 8})
+	res, err := db.QueryAllContext(ctx, "SELECT * FROM A JOIN B ON A.k = B.k", &dbs3.Options{Threads: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 
 	// 3. A grouped aggregate (pipelined, redistributed on the group key),
 	// again through the cursor.
-	rows, err = db.Query("SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
+	rows, err = db.QueryContext(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

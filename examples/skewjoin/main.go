@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,7 @@ func main() {
 	} {
 		// Stream the result and count: the cursor never holds the 20K join
 		// rows in memory at once.
-		rows, err := db.Query(cfg.sql, cfg.opt)
+		rows, err := db.QueryContext(context.Background(), cfg.sql, cfg.opt)
 		if err != nil {
 			log.Fatal(err)
 		}

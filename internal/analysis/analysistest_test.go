@@ -202,11 +202,17 @@ func runFixture(t *testing.T, a *Analyzer, rel string) {
 	}
 }
 
-func TestLockIOFixture(t *testing.T)       { runFixture(t, LockIO, filepath.Join("lockio", "a")) }
-func TestCtxFlowFixture(t *testing.T)      { runFixture(t, CtxFlow, filepath.Join("ctxflow", "a")) }
-func TestCtxFlowMainPackage(t *testing.T)  { runFixture(t, CtxFlow, filepath.Join("ctxflow", "mainpkg")) }
-func TestCancelClassFixture(t *testing.T)  { runFixture(t, CancelClass, filepath.Join("cancelclass", "a")) }
-func TestAtomicFieldFixture(t *testing.T)  { runFixture(t, AtomicField, filepath.Join("atomicfield", "a")) }
+func TestLockIOFixture(t *testing.T)  { runFixture(t, LockIO, filepath.Join("lockio", "a")) }
+func TestCtxFlowFixture(t *testing.T) { runFixture(t, CtxFlow, filepath.Join("ctxflow", "a")) }
+func TestCtxFlowMainPackage(t *testing.T) {
+	runFixture(t, CtxFlow, filepath.Join("ctxflow", "mainpkg"))
+}
+func TestCancelClassFixture(t *testing.T) {
+	runFixture(t, CancelClass, filepath.Join("cancelclass", "a"))
+}
+func TestAtomicFieldFixture(t *testing.T) {
+	runFixture(t, AtomicField, filepath.Join("atomicfield", "a"))
+}
 func TestUnsafeConfineFixture(t *testing.T) {
 	runFixture(t, UnsafeConfine, filepath.Join("unsafeconfine", "internal", "relation"))
 }

@@ -14,9 +14,9 @@ import (
 //     cancellation chain for everything downstream.
 //  2. Library packages (anything that is not package main) must not call
 //     context.Background()/TODO() at all: a library cannot know its
-//     caller's lifecycle, so it has to be handed one. Deliberate API
-//     shims (Query delegating to QueryContext) carry a
-//     //dbs3lint:ignore ctxflow directive documenting the exception.
+//     caller's lifecycle, so it has to be handed one. A deliberate
+//     exception carries a //dbs3lint:ignore ctxflow directive documenting
+//     it.
 //
 // Historical bug: internal/cluster's coordinator poll loop ran
 // Poll(context.Background()) from its ticker goroutine, so closing the

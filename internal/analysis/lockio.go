@@ -52,21 +52,21 @@ var blockingCalls = map[string]string{
 	"os.ReadFile":         "reads a file",
 	"os.WriteFile":        "writes a file",
 
-	"io.Copy":       "copies a stream",
-	"io.CopyN":      "copies a stream",
-	"io.CopyBuffer": "copies a stream",
-	"io.ReadAll":    "reads a stream",
-	"io.ReadFull":   "reads a stream",
+	"io.Copy":        "copies a stream",
+	"io.CopyN":       "copies a stream",
+	"io.CopyBuffer":  "copies a stream",
+	"io.ReadAll":     "reads a stream",
+	"io.ReadFull":    "reads a stream",
 	"io.ReadAtLeast": "reads a stream",
 	"io.WriteString": "writes a stream",
 
-	"bufio.Reader.Read":       "reads a buffered stream",
-	"bufio.Reader.ReadByte":   "reads a buffered stream",
-	"bufio.Reader.ReadBytes":  "reads a buffered stream",
-	"bufio.Reader.ReadLine":   "reads a buffered stream",
-	"bufio.Reader.ReadRune":   "reads a buffered stream",
-	"bufio.Reader.ReadString": "reads a buffered stream",
-	"bufio.Reader.Peek":       "reads a buffered stream",
+	"bufio.Reader.Read":        "reads a buffered stream",
+	"bufio.Reader.ReadByte":    "reads a buffered stream",
+	"bufio.Reader.ReadBytes":   "reads a buffered stream",
+	"bufio.Reader.ReadLine":    "reads a buffered stream",
+	"bufio.Reader.ReadRune":    "reads a buffered stream",
+	"bufio.Reader.ReadString":  "reads a buffered stream",
+	"bufio.Reader.Peek":        "reads a buffered stream",
 	"bufio.Writer.Write":       "writes a buffered stream",
 	"bufio.Writer.WriteString": "writes a buffered stream",
 	"bufio.Writer.Flush":       "flushes a buffered stream",

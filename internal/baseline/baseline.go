@@ -31,7 +31,7 @@ func joinFragments(build, probe []relation.Tuple, buildKey, probeKey int, out *[
 	for _, p := range probe {
 		for _, b := range build {
 			if b[buildKey].Equal(p[probeKey]) {
-				*out = append(*out, b.Concat(p))
+				*out = append(*out, append(append(make(relation.Tuple, 0, len(b)+len(p)), b...), p...))
 			}
 		}
 	}
@@ -220,7 +220,7 @@ func (dj DynamicJoin) Run(build, probe *relation.Relation, buildKey, probeKey st
 					matches := sh.m[k]
 					sh.mu.Unlock()
 					for _, b := range matches {
-						results[w] = append(results[w], b.Concat(t))
+						results[w] = append(results[w], append(append(make(relation.Tuple, 0, len(b)+len(t)), b...), t...))
 					}
 				}
 			}

@@ -19,6 +19,15 @@ const (
 	breakerOpen
 )
 
+const (
+	// breakerThreshold opens a replica's breaker after this many consecutive
+	// probe/query failures.
+	breakerThreshold = 3
+	// breakerCooloff is how long an open breaker withholds traffic before
+	// half-opening to probe the replica again.
+	breakerCooloff = 5 * time.Second
+)
+
 func (s breakerState) String() string {
 	switch s {
 	case breakerClosed:
@@ -31,9 +40,10 @@ func (s breakerState) String() string {
 }
 
 // breaker is a per-replica circuit breaker fed by both the health poll and
-// query outcomes. closed → open after threshold consecutive failures;
-// open → half-open once cooloff passes since the last failure; any success
-// (a poll probe answering, a subquery completing) closes it from any state.
+// query outcomes. closed → open after breakerThreshold consecutive
+// failures; open → half-open once breakerCooloff passes since the last
+// failure; any success (a poll probe answering, a subquery completing)
+// closes it from any state.
 //
 // Half-open deliberately tracks no single-trial token: replica ordering
 // consults allow() for candidates it may never use, and a trial token
@@ -41,9 +51,7 @@ func (s breakerState) String() string {
 // simpler and converges the same way — the first failure re-opens, the
 // first success closes.
 type breaker struct {
-	threshold int
-	cooloff   time.Duration
-	now       func() time.Time // test seam
+	now func() time.Time // test seam
 
 	mu       sync.Mutex
 	state    breakerState
@@ -51,8 +59,8 @@ type breaker struct {
 	openedAt time.Time
 }
 
-func newBreaker(threshold int, cooloff time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooloff: cooloff, now: time.Now}
+func newBreaker() *breaker {
+	return &breaker{now: time.Now}
 }
 
 // allow reports whether the replica may receive traffic, transitioning
@@ -61,7 +69,7 @@ func (b *breaker) allow() bool {
 	now := b.now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == breakerOpen && now.Sub(b.openedAt) >= b.cooloff {
+	if b.state == breakerOpen && now.Sub(b.openedAt) >= breakerCooloff {
 		b.state = breakerHalfOpen
 	}
 	return b.state != breakerOpen
@@ -85,7 +93,7 @@ func (b *breaker) failure() {
 	switch b.state {
 	case breakerClosed:
 		b.fails++
-		if b.fails >= b.threshold {
+		if b.fails >= breakerThreshold {
 			b.state = breakerOpen
 			b.openedAt = now
 		}

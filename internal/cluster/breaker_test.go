@@ -10,44 +10,52 @@ type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newTestBreaker(threshold int, cooloff time.Duration) (*breaker, *fakeClock) {
+func newTestBreaker() (*breaker, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := newBreaker(threshold, cooloff)
+	b := newBreaker()
 	b.now = clk.now
 	return b, clk
+}
+
+// trip fails b breakerThreshold times in a row, which opens a closed breaker.
+func trip(b *breaker) {
+	for i := 0; i < breakerThreshold; i++ {
+		b.failure()
+	}
 }
 
 // TestBreakerOpensAtThreshold: consecutive failures open the breaker, and a
 // success anywhere in the streak resets the count.
 func TestBreakerOpensAtThreshold(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Second)
-	b.failure()
-	b.failure()
+	b, _ := newTestBreaker()
+	for i := 1; i < breakerThreshold; i++ {
+		b.failure()
+	}
 	if !b.allow() || b.current() != breakerClosed {
 		t.Fatalf("breaker opened below the threshold (state %v)", b.current())
 	}
 	b.success() // streak broken
-	b.failure()
-	b.failure()
+	for i := 1; i < breakerThreshold; i++ {
+		b.failure()
+	}
 	if b.current() != breakerClosed {
 		t.Fatal("success did not reset the failure streak")
 	}
 	b.failure()
 	if b.allow() || b.current() != breakerOpen {
-		t.Fatalf("3 consecutive failures left the breaker %v", b.current())
+		t.Fatalf("%d consecutive failures left the breaker %v", breakerThreshold, b.current())
 	}
 }
 
 // TestBreakerHalfOpenProbe: after the cooloff the breaker half-opens; a
 // failure during the probe re-opens it, a success closes it.
 func TestBreakerHalfOpenProbe(t *testing.T) {
-	b, clk := newTestBreaker(2, 10*time.Second)
-	b.failure()
-	b.failure()
+	b, clk := newTestBreaker()
+	trip(b)
 	if b.allow() {
 		t.Fatal("open breaker admitted traffic before the cooloff")
 	}
-	clk.advance(9 * time.Second)
+	clk.advance(breakerCooloff - time.Second)
 	if b.allow() {
 		t.Fatal("breaker half-opened before the cooloff elapsed")
 	}
@@ -60,7 +68,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if b.allow() || b.current() != breakerOpen {
 		t.Fatalf("half-open failure left the breaker %v", b.current())
 	}
-	clk.advance(10 * time.Second)
+	clk.advance(breakerCooloff)
 	if !b.allow() {
 		t.Fatal("re-opened breaker never half-opened again")
 	}
@@ -79,15 +87,15 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 // still probing a dead node) push the half-open horizon out — the breaker
 // only probes after a quiet cooloff.
 func TestBreakerOpenFailuresRefreshCooloff(t *testing.T) {
-	b, clk := newTestBreaker(1, 10*time.Second)
-	b.failure()
-	clk.advance(8 * time.Second)
-	b.failure() // still dead at the 8s probe
-	clk.advance(8 * time.Second)
+	b, clk := newTestBreaker()
+	trip(b)
+	clk.advance(breakerCooloff - time.Second)
+	b.failure() // still dead at the next probe
+	clk.advance(breakerCooloff - time.Second)
 	if b.allow() {
-		t.Fatal("breaker half-opened 8s after its latest failure (cooloff is 10s)")
+		t.Fatalf("breaker half-opened %v after its latest failure (cooloff is %v)", breakerCooloff-time.Second, breakerCooloff)
 	}
-	clk.advance(2 * time.Second)
+	clk.advance(time.Second)
 	if !b.allow() {
 		t.Fatal("breaker never half-opened after a full quiet cooloff")
 	}
@@ -97,8 +105,8 @@ func TestBreakerOpenFailuresRefreshCooloff(t *testing.T) {
 // answering during the cooloff) closes the breaker immediately — the
 // rejoin path does not wait out the cooloff.
 func TestBreakerSuccessClosesFromOpen(t *testing.T) {
-	b, _ := newTestBreaker(1, time.Hour)
-	b.failure()
+	b, _ := newTestBreaker()
+	trip(b)
 	if b.allow() {
 		t.Fatal("breaker open")
 	}

@@ -129,7 +129,7 @@ func TestChaosReplicatedCluster(t *testing.T) {
 		"agg":    {aggSQL, nil},
 		"exec":   {execSQL, []any{int64(600)}},
 	} {
-		res, err := ref.QueryAll(q.sql, nil, q.args...)
+		res, err := ref.QueryAllContext(context.Background(), q.sql, nil, q.args...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,11 +245,11 @@ func TestChaosReplicatedCluster(t *testing.T) {
 	// failed probes open the breaker.
 	flapProxy.Sever()
 	flapProxy.SetDown(true)
-	for i := 0; i < defaultBreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		coord.Poll(ctx)
 	}
 	if st := flapRep.brk.current(); st != breakerOpen {
-		t.Fatalf("breaker is %v after %d failed probes, want open", st, defaultBreakerThreshold)
+		t.Fatalf("breaker is %v after %d failed probes, want open", st, breakerThreshold)
 	}
 	stats := coord.Stats()
 	var flapStatus *NodeStatus

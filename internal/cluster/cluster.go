@@ -57,12 +57,6 @@ const (
 	defaultRetries = 3
 	// defaultPollInterval is the cadence of the health/utilization exchange.
 	defaultPollInterval = 2 * time.Second
-	// defaultBreakerThreshold opens a replica's breaker after this many
-	// consecutive probe/query failures.
-	defaultBreakerThreshold = 3
-	// defaultBreakerCooloff is how long an open breaker blocks traffic
-	// before half-opening to probe the replica again.
-	defaultBreakerCooloff = 5 * time.Second
 )
 
 // Config assembles a Coordinator.
@@ -99,12 +93,6 @@ type Config struct {
 	// delivered to the consumer yet. Off, such failures keep
 	// first-error-wins.
 	RetryWholeQuery bool
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// replica's circuit breaker (0 = 3).
-	BreakerThreshold int
-	// BreakerCooloff is how long an open breaker withholds traffic before
-	// half-opening (0 = 5s).
-	BreakerCooloff time.Duration
 }
 
 // Coordinator fans queries out over a fixed registry of worker shards and
@@ -179,14 +167,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown worker wire encoding %q (want columnar or ndjson)", cfg.Wire)
 	}
-	threshold := cfg.BreakerThreshold
-	if threshold <= 0 {
-		threshold = defaultBreakerThreshold
-	}
-	cooloff := cfg.BreakerCooloff
-	if cooloff <= 0 {
-		cooloff = defaultBreakerCooloff
-	}
 	c := &Coordinator{
 		token:      cfg.Token,
 		maxStmt:    cfg.MaxStatements,
@@ -202,7 +182,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 			sh.replicas = append(sh.replicas, &replica{
 				shard: si,
 				name:  base,
-				brk:   newBreaker(threshold, cooloff),
+				brk:   newBreaker(),
 				client: &server.Client{
 					Base:     base,
 					HTTP:     cfg.HTTP,

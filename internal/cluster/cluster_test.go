@@ -144,7 +144,7 @@ func TestScatterGatherMatchesSingleNode(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.sql, func(t *testing.T) {
-			want, err := tc.ref.QueryAll(c.sql, nil, c.args...)
+			want, err := tc.ref.QueryAllContext(context.Background(), c.sql, nil, c.args...)
 			if err != nil {
 				t.Fatalf("single-node reference: %v", err)
 			}
@@ -220,7 +220,7 @@ func TestPrepareExecLifecycle(t *testing.T) {
 		t.Fatalf("prepared params = %d, want 1", info.Params)
 	}
 	for _, limit := range []int64{100, 600, 1200} {
-		want, err := tc.ref.QueryAll("SELECT two, COUNT(*) FROM wisc WHERE unique1 < ? GROUP BY two", nil, limit)
+		want, err := tc.ref.QueryAllContext(context.Background(), "SELECT two, COUNT(*) FROM wisc WHERE unique1 < ? GROUP BY two", nil, limit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,7 +126,7 @@ func TestMidStreamFailoverBeforeFirstRow(t *testing.T) {
 
 	ref := dbs3.New()
 	populate(t, ref)
-	want, err := ref.QueryAll(sql, nil)
+	want, err := ref.QueryAllContext(context.Background(), sql, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestStackedCoordinators(t *testing.T) {
 	}
 	same := func(sql string, got [][]any, args ...any) {
 		t.Helper()
-		want, err := ref.QueryAll(sql, nil, args...)
+		want, err := ref.QueryAllContext(context.Background(), sql, nil, args...)
 		if err != nil {
 			t.Fatal(err)
 		}

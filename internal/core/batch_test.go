@@ -449,7 +449,7 @@ func TestBatchGrainEquivalenceAggregate(t *testing.T) {
 					t.Fatalf("%s: %d chains, want 2", name, chains)
 				}
 				run := func(bg int, noVec bool) (*relation.Relation, map[int][3]int64) {
-					res, err := Execute(plan, db, Options{Threads: 4, BatchGrain: bg, NoVectorize: noVec})
+					res, err := execute(plan, db, Options{Threads: 4, BatchGrain: bg, NoVectorize: noVec})
 					if err != nil {
 						t.Fatalf("%s grain=%d: %v", name, bg, err)
 					}
@@ -493,7 +493,7 @@ func TestBatchGrainPerWorkerActivationCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(bg int) (map[int][]int64, Allocation) {
-		res, err := Execute(plan, db.Relations(), Options{Threads: len(plan.Nodes), BatchGrain: bg})
+		res, err := execute(plan, db.Relations(), Options{Threads: len(plan.Nodes), BatchGrain: bg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,15 +189,6 @@ func (r *Result) Relation(name string) (*relation.Relation, error) {
 	return p.Union(), nil
 }
 
-// Execute runs a bound plan against a database. Chains (subqueries) run
-// sequentially in dependency order — the paper's materialization points —
-// with full pipelining inside each chain. It is a thin wrapper over
-// ExecuteContext with a background context.
-func Execute(plan *lera.Plan, db DB, opts Options) (*Result, error) {
-	//dbs3lint:ignore ctxflow documented ctx-less convenience shim over ExecuteContext
-	return ExecuteContext(context.Background(), plan, db, opts)
-}
-
 // ExecuteContext runs a bound plan against a database under a context. When
 // ctx is cancelled mid-execution the engine aborts every running operation:
 // workers exit at their next acquire, producers blocked on full-queue
@@ -478,23 +469,14 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 		switch e.Route {
 		case lera.RouteSame:
 			tg.same = true
-			tg.route = func(inst int, _ relation.Tuple) int { return inst }
 		case lera.RouteHash:
 			cols := be.RouteColsIdx
 			if router := plan.Nodes[e.To].Router; router != nil {
-				tg.route = func(_ int, t relation.Tuple) int {
-					return router.FragmentOfCols(t, cols)
-				}
-				if br, ok := router.(partition.BatchFunc); ok {
-					tg.routeBatch = func(ts []relation.Tuple, dst []int32) []int32 {
-						return br.FragmentsOfCols(ts, cols, dst)
-					}
+				tg.routeBatch = func(ts []relation.Tuple, dst []int32) []int32 {
+					return router.FragmentsOfCols(ts, cols, dst)
 				}
 			} else {
 				degree := uint64(consumer.Degree())
-				tg.route = func(_ int, t relation.Tuple) int {
-					return int(t.HashOn(cols) % degree)
-				}
 				tg.routeBatch = func(ts []relation.Tuple, dst []int32) []int32 {
 					for _, t := range ts {
 						dst = append(dst, int32(t.HashOn(cols)%degree))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,11 @@ import (
 	"dbs3/internal/relation"
 	"dbs3/internal/workload"
 )
+
+// execute runs a plan under a background context.
+func execute(plan *lera.Plan, db DB, opts Options) (*Result, error) {
+	return ExecuteContext(context.Background(), plan, db, opts)
+}
 
 func executeJoin(t *testing.T, db *workload.JoinDB, assoc bool, algo lera.JoinAlgo, opts Options) *Result {
 	t.Helper()
@@ -21,7 +27,7 @@ func executeJoin(t *testing.T, db *workload.JoinDB, assoc bool, algo lera.JoinAl
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, db.Relations(), opts)
+	res, err := execute(plan, db.Relations(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +177,7 @@ func TestMultiChainPlanExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 6})
+	res, err := execute(plan, db.Relations(), Options{Threads: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +201,7 @@ func TestFilterPlanSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 4})
+	res, err := execute(plan, db.Relations(), Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +235,7 @@ func TestAggregatePlanCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 5})
+	res, err := execute(plan, db.Relations(), Options{Threads: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +278,7 @@ func TestMapPlanProjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 3})
+	res, err := execute(plan, db.Relations(), Options{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +307,14 @@ func TestExecuteChecksDatabase(t *testing.T) {
 	// Missing relation.
 	rels := db.Relations()
 	delete(rels, "B")
-	if _, err := Execute(plan, rels, Options{Threads: 2}); err == nil {
+	if _, err := execute(plan, rels, Options{Threads: 2}); err == nil {
 		t.Error("missing relation accepted")
 	}
 	// Degree mismatch.
 	db8, _ := workload.NewJoinDB(100, 24, 8, 0)
 	rels = db.Relations()
 	rels["B"] = db8.B
-	if _, err := Execute(plan, rels, Options{Threads: 2}); err == nil {
+	if _, err := execute(plan, rels, Options{Threads: 2}); err == nil {
 		t.Error("degree mismatch accepted")
 	}
 }
@@ -330,7 +336,7 @@ func TestAutoThreadSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, db.Relations(), Options{}) // Threads = 0: scheduler decides
+	res, err := execute(plan, db.Relations(), Options{}) // Threads = 0: scheduler decides
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +376,7 @@ func TestTriggerGrainCorrectAndMoreActivations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Whole-fragment triggers: 20 activations on the join.
-	whole, err := Execute(plan, db.Relations(), Options{Threads: 4})
+	whole, err := execute(plan, db.Relations(), Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +388,7 @@ func TestTriggerGrainCorrectAndMoreActivations(t *testing.T) {
 	}
 	// Grain 3 over the probe side (10 tuples per B fragment): ceil(10/3) =
 	// 4 partial triggers per instance.
-	fine, err := Execute(plan, db.Relations(), Options{Threads: 4, TriggerGrain: 3})
+	fine, err := execute(plan, db.Relations(), Options{Threads: 4, TriggerGrain: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +418,7 @@ func TestTriggerGrainOnFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 3, TriggerGrain: 7})
+	res, err := execute(plan, db.Relations(), Options{Threads: 3, TriggerGrain: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +440,7 @@ func TestTriggerGrainLargerThanFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 2, TriggerGrain: 10_000})
+	res, err := execute(plan, db.Relations(), Options{Threads: 2, TriggerGrain: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +471,7 @@ func TestConcurrentQueries(t *testing.T) {
 				errs <- err
 				return
 			}
-			res, err := Execute(plan, rels, Options{Utilization: 0.5, Seed: int64(u + 1)})
+			res, err := execute(plan, rels, Options{Utilization: 0.5, Seed: int64(u + 1)})
 			if err != nil {
 				errs <- err
 				return
@@ -507,7 +513,7 @@ func TestEngineJoinProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Execute(plan, db.Relations(), Options{Threads: threads, Strategy: strat, TriggerGrain: grain, Seed: int64(aRaw) + 1})
+		res, err := execute(plan, db.Relations(), Options{Threads: threads, Strategy: strat, TriggerGrain: grain, Seed: int64(aRaw) + 1})
 		if err != nil {
 			return false
 		}

@@ -71,15 +71,12 @@ func (s *OpStats) BalanceRatio() float64 {
 // through targets and per-worker route buffers instead (see routeEmitter).
 type emitFunc func(inst int, t relation.Tuple)
 
-// routeTarget is one downstream consumer of an operation's output: the
-// consuming operation plus the routing function that maps an emitted tuple
-// (and the emitting instance) to a destination queue index. same marks
-// instance-aligned (RouteSame) targets, whose destination is constant for a
-// whole emitted run; routeBatch, when non-nil, routes a whole run in one
-// call (hash-partitioned edges whose partitioner vectorizes).
+// routeTarget is one downstream consumer of an operation's output. same marks
+// instance-aligned (RouteSame) targets: every tuple goes to the emitting
+// instance's own queue. Otherwise the edge is hash-partitioned and
+// routeBatch appends one destination queue index per tuple of a run to dst.
 type routeTarget struct {
 	op         *Operation
-	route      func(inst int, t relation.Tuple) int
 	same       bool
 	routeBatch func(ts []relation.Tuple, dst []int32) []int32
 }
@@ -173,9 +170,8 @@ func newRouteEmitter(targets []routeTarget, grain int) *routeEmitter {
 }
 
 // emitRun routes a whole run of tuples emitted by one instance: the
-// per-target loop, buffer lookups and — on instance-aligned or batch-routable
-// edges — the routing decisions are amortized over the run instead of paid
-// per tuple.
+// per-target loop, buffer lookups and the routing decisions are amortized
+// over the run instead of paid per tuple.
 func (e *routeEmitter) emitRun(inst int, ts []relation.Tuple) {
 	for ti := range e.targets {
 		tg := &e.targets[ti]
@@ -195,25 +191,11 @@ func (e *routeEmitter) emitRun(inst int, ts []relation.Tuple) {
 				}
 			}
 			bufs[inst] = buf
-		case tg.routeBatch != nil:
-			// Vectorized routing: all destinations computed in one call.
+		default:
+			// Hash routing: all destinations computed in one call.
 			e.dsts = tg.routeBatch(ts, e.dsts[:0])
 			for k, t := range ts {
 				dst := e.dsts[k]
-				buf := bufs[dst]
-				if buf == nil {
-					buf = make([]Activation, 0, e.grain)
-				}
-				buf = append(buf, Activation{Tuple: t})
-				if len(buf) >= e.grain {
-					tg.op.Queues[dst].PushBatch(buf)
-					buf = buf[:0]
-				}
-				bufs[dst] = buf
-			}
-		default:
-			for _, t := range ts {
-				dst := tg.route(inst, t)
 				buf := bufs[dst]
 				if buf == nil {
 					buf = make([]Activation, 0, e.grain)

@@ -33,9 +33,6 @@ type Activation struct {
 	Lo, Hi int32
 }
 
-// IsTrigger reports whether the activation is a control activation.
-func (a Activation) IsTrigger() bool { return a.Tuple == nil }
-
 // IsPartial reports whether a trigger covers only a slice of the operand.
 func (a Activation) IsPartial() bool { return a.Tuple == nil && a.Hi > 0 }
 

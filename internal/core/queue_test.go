@@ -39,10 +39,10 @@ func TestQueueTriggerActivation(t *testing.T) {
 	q := NewQueue(1)
 	q.Push(Activation{})
 	batch := q.popBatch(4, nil)
-	if len(batch) != 1 || !batch[0].IsTrigger() {
+	if len(batch) != 1 || batch[0].Tuple != nil {
 		t.Fatalf("batch = %v", batch)
 	}
-	if tupleAct(1).IsTrigger() {
+	if tupleAct(1).Tuple == nil {
 		t.Error("tuple activation claims to be trigger")
 	}
 }

@@ -118,7 +118,7 @@ func TestSpillEquivalenceAggregates(t *testing.T) {
 		for _, tc := range cases {
 			plan, db := wisconsinPlan(t, tc.sql, partKey, 4000, 8, false)
 			run := func(budget int64, dir string, bg int, noVec bool) (*Result, map[int][3]int64) {
-				res, err := Execute(plan, db, Options{
+				res, err := execute(plan, db, Options{
 					Threads: 4, BatchGrain: bg, NoVectorize: noVec,
 					MemoryBudget: budget, SpillDir: dir,
 				})
@@ -229,7 +229,7 @@ func TestSpillAccountingDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 4, MemoryBudget: spillBudget, SpillDir: t.TempDir()})
+	res, err := execute(plan, db.Relations(), Options{Threads: 4, MemoryBudget: spillBudget, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestStreamSinkMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Execute(plan, db.Relations(), Options{Threads: 4})
+	ref, err := execute(plan, db.Relations(), Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestStreamSinkMatchesMaterialized(t *testing.T) {
 	}
 
 	sink := &collectSink{}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 4, StreamOutput: "Res", Sink: sink})
+	res, err := execute(plan, db.Relations(), Options{Threads: 4, StreamOutput: "Res", Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestStreamIntermediateStillMaterializes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &collectSink{}
-	res, err := Execute(plan, db.Relations(), Options{Threads: 4, StreamOutput: "Res", Sink: sink})
+	res, err := execute(plan, db.Relations(), Options{Threads: 4, StreamOutput: "Res", Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +116,10 @@ func TestStreamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(plan, db.Relations(), Options{StreamOutput: "Res"}); err == nil {
+	if _, err := execute(plan, db.Relations(), Options{StreamOutput: "Res"}); err == nil {
 		t.Error("StreamOutput without Sink accepted")
 	}
-	if _, err := Execute(plan, db.Relations(), Options{StreamOutput: "nope", Sink: &collectSink{}}); err == nil {
+	if _, err := execute(plan, db.Relations(), Options{StreamOutput: "nope", Sink: &collectSink{}}); err == nil {
 		t.Error("unknown StreamOutput accepted")
 	}
 
@@ -137,7 +137,7 @@ func TestStreamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(mplan, db.Relations(), Options{StreamOutput: "T1", Sink: &collectSink{}}); err == nil {
+	if _, err := execute(mplan, db.Relations(), Options{StreamOutput: "T1", Sink: &collectSink{}}); err == nil {
 		t.Error("streaming an output read by a later chain accepted")
 	}
 }

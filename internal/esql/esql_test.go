@@ -1,6 +1,7 @@
 package esql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func run(t *testing.T, db *workload.JoinDB, sql string) *core.Result {
 	if err != nil {
 		t.Fatalf("compile %q: %v", sql, err)
 	}
-	res, err := core.Execute(plan, db.Relations(), core.Options{Threads: 4})
+	res, err := core.ExecuteContext(context.Background(), plan, db.Relations(), core.Options{Threads: 4})
 	if err != nil {
 		t.Fatalf("execute %q: %v", sql, err)
 	}
@@ -508,7 +509,7 @@ func TestCompileMaterialize(t *testing.T) {
 		if _, ok := plan.Outputs[StageName]; !ok {
 			t.Errorf("%q has no stage output: %v", sql, plan.Outputs)
 		}
-		res, err := core.Execute(plan, db.Relations(), core.Options{Threads: 4})
+		res, err := core.ExecuteContext(context.Background(), plan, db.Relations(), core.Options{Threads: 4})
 		if err != nil {
 			t.Fatalf("execute %q: %v", sql, err)
 		}

@@ -1,6 +1,7 @@
 package esql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestCompileAndBindParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Execute(bound, db.Relations(), core.Options{Threads: 4})
+		res, err := core.ExecuteContext(context.Background(), bound, db.Relations(), core.Options{Threads: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

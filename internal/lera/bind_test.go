@@ -222,7 +222,7 @@ func TestBindErrors(t *testing.T) {
 			f := g.Filter("f", "A", nil)
 			st := g.Store("s", "out")
 			g.ConnectSame(f, st)
-			g.ConnectSame(st, g.TransmitPipelined("t"))
+			g.ConnectSame(st, g.FilterPipelined("t", nil))
 			return g
 		}},
 		{"map without input", func() *Graph {

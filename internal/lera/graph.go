@@ -215,12 +215,6 @@ func (g *Graph) Transmit(name, rel string) *Node {
 	return g.add(&Node{Name: name, Kind: OpTransmit, Rel: rel})
 }
 
-// TransmitPipelined adds a transmit node with pipelined input (re-routing a
-// stream, e.g. after a filter).
-func (g *Graph) TransmitPipelined(name string) *Node {
-	return g.add(&Node{Name: name, Kind: OpTransmit})
-}
-
 // JoinBound adds a triggered join of two bound, co-partitioned relations
 // (the paper's IdealJoin shape).
 func (g *Graph) JoinBound(name, buildRel, probeRel string, buildKey, probeKey []string, algo JoinAlgo) *Node {

@@ -84,8 +84,8 @@ func TestTopoOrder(t *testing.T) {
 
 func TestTopoOrderCycle(t *testing.T) {
 	g := NewGraph()
-	a := g.TransmitPipelined("a")
-	b := g.TransmitPipelined("b")
+	a := g.FilterPipelined("a", nil)
+	b := g.FilterPipelined("b", nil)
 	g.ConnectSame(a, b)
 	g.ConnectSame(b, a)
 	if _, err := g.TopoOrder(); err == nil {

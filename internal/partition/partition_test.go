@@ -12,7 +12,7 @@ func intRel(t *testing.T, name string, keys ...int64) *relation.Relation {
 	s := relation.MustSchema(relation.Column{Name: "k", Type: relation.TInt}, relation.Column{Name: "pay", Type: relation.TString})
 	r := relation.New(name, s)
 	for _, k := range keys {
-		r.MustAppend(relation.NewTuple(relation.Int(k), relation.Str("p")))
+		r.Tuples = append(r.Tuples, relation.NewTuple(relation.Int(k), relation.Str("p")))
 	}
 	return r
 }
@@ -76,26 +76,6 @@ func TestNewModValidation(t *testing.T) {
 	}
 }
 
-func TestRoundRobinCycles(t *testing.T) {
-	rr, err := NewRoundRobin(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := []int{rr.FragmentOf(nil), rr.FragmentOf(nil), rr.FragmentOf(nil), rr.FragmentOf(nil)}
-	want := []int{0, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("round robin sequence = %v, want %v", got, want)
-		}
-	}
-	if rr.Key() != nil {
-		t.Error("round robin should have no key")
-	}
-	if _, err := NewRoundRobin(0); err == nil {
-		t.Error("degree 0 accepted")
-	}
-}
-
 func TestPartitionLossless(t *testing.T) {
 	r := relation.Wisconsin("A", 2000, 3)
 	h, err := NewHash(r.Schema, []string{"unique2"}, 16)
@@ -114,25 +94,29 @@ func TestPartitionLossless(t *testing.T) {
 	}
 }
 
-// countingFunc wraps a Func and records how often FragmentOf was asked.
+// countingFunc places the i-th tuple it is asked about in fragment i mod
+// degree, so its placement shows both how often and in what order Partition
+// asked. Only FragmentOf is meant to be reached.
 type countingFunc struct {
 	Func
-	calls int
+	degree, calls int
 }
 
-func (c *countingFunc) FragmentOf(t relation.Tuple) int {
+func (c *countingFunc) Degree() int   { return c.degree }
+func (c *countingFunc) Key() []string { return nil }
+
+func (c *countingFunc) FragmentOf(relation.Tuple) int {
 	c.calls++
-	return c.Func.FragmentOf(t)
+	return (c.calls - 1) % c.degree
 }
 
-// TestPartitionCallsFuncOncePerTuple: the two-pass partition must not ask a
-// stateful function twice — round-robin placement is tuple i -> fragment
-// i mod d, in relation order — and its fragments are exactly sized and
-// capped, so growing one never overwrites the next.
+// TestPartitionCallsFuncOncePerTuple: the two-pass partition asks the
+// function once per tuple, in relation order — tuple i lands in fragment
+// i mod d — and its fragments are exactly sized and capped, so growing one
+// never overwrites the next.
 func TestPartitionCallsFuncOncePerTuple(t *testing.T) {
 	r := relation.Wisconsin("A", 103, 3)
-	rr, _ := NewRoundRobin(4)
-	f := &countingFunc{Func: rr}
+	f := &countingFunc{degree: 4}
 	p, err := Partition(r, f, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -307,35 +291,50 @@ func TestPartitionedString(t *testing.T) {
 	}
 }
 
+// TestFragmentOfKeyMatchesFragmentOf: the three ways of asking a function
+// for a fragment agree — by tuple, by extracted key, and by key columns over
+// a whole run, which is how the engine routes — for hash on one and on two
+// key columns and for modulo at a power-of-two degree (the mask path) and at
+// another (the divide path), over negative keys too. Neither keyed form
+// allocates.
 func TestFragmentOfKeyMatchesFragmentOf(t *testing.T) {
-	r := relation.Wisconsin("A", 500, 3)
-	h, _ := NewHash(r.Schema, []string{"unique2"}, 32)
-	u2 := r.Schema.MustIndex("unique2")
-	for _, tup := range r.Tuples {
-		byTuple := h.FragmentOf(tup)
-		byKey := h.FragmentOfKey([]relation.Value{tup[u2]})
-		if byTuple != byKey {
-			t.Fatalf("hash: FragmentOf=%d FragmentOfKey=%d", byTuple, byKey)
+	wisc := relation.Wisconsin("A", 500, 3)
+	keys := make([]int64, 0, 600)
+	for k := int64(-300); k < 300; k++ {
+		keys = append(keys, k)
+	}
+	signed := intRel(t, "s", keys...)
+	hash1, _ := NewHash(wisc.Schema, []string{"unique2"}, 32)
+	hash2, _ := NewHash(wisc.Schema, []string{"ten", "stringu1"}, 13)
+	mod8, _ := NewMod(signed.Schema, "k", 8)
+	mod7, _ := NewMod(signed.Schema, "k", 7)
+	for _, c := range []struct {
+		f Func
+		r *relation.Relation
+	}{{hash1, wisc}, {hash2, wisc}, {mod8, signed}, {mod7, signed}} {
+		cols := make([]int, len(c.f.Key()))
+		for i, name := range c.f.Key() {
+			cols[i] = c.r.Schema.MustIndex(name)
 		}
-	}
-	// A composite INT+STRING key: the extracted key routes like the key
-	// columns in place, and extracting nothing allocates nothing.
-	h2, _ := NewHash(r.Schema, []string{"ten", "stringu1"}, 13)
-	cols := []int{r.Schema.MustIndex("ten"), r.Schema.MustIndex("stringu1")}
-	key := make([]relation.Value, len(cols))
-	for _, tup := range r.Tuples {
-		key[0], key[1] = tup[cols[0]], tup[cols[1]]
-		if byKey, byCols := h2.FragmentOfKey(key), h2.FragmentOfCols(tup, cols); byKey != byCols || byKey != h2.FragmentOf(tup) {
-			t.Fatalf("hash: FragmentOfKey=%d FragmentOfCols=%d FragmentOf=%d", byKey, byCols, h2.FragmentOf(tup))
+		// FragmentsOfCols appends after what dst already holds.
+		dst := c.f.FragmentsOfCols(c.r.Tuples, cols, []int32{-1})
+		if len(dst) != 1+len(c.r.Tuples) || dst[0] != -1 {
+			t.Fatalf("%s: FragmentsOfCols returned %d destinations (first %d) for %d tuples after one held", c.f.Signature(), len(dst), dst[0], len(c.r.Tuples))
 		}
-	}
-	if n := testing.AllocsPerRun(100, func() { h2.FragmentOfKey(key) }); n != 0 {
-		t.Errorf("Hash.FragmentOfKey allocates %v times per call, want 0", n)
-	}
-	m, _ := NewMod(r.Schema, "unique2", 32)
-	for _, tup := range r.Tuples {
-		if m.FragmentOf(tup) != m.FragmentOfKey([]relation.Value{tup[u2]}) {
-			t.Fatal("mod: FragmentOf and FragmentOfKey disagree")
+		key := make([]relation.Value, len(cols))
+		for i, tup := range c.r.Tuples {
+			for j, col := range cols {
+				key[j] = tup[col]
+			}
+			if byTuple, byKey, byCols := c.f.FragmentOf(tup), c.f.FragmentOfKey(key), int(dst[1+i]); byTuple != byKey || byTuple != byCols {
+				t.Fatalf("%s %v: FragmentOf=%d FragmentOfKey=%d FragmentsOfCols=%d", c.f.Signature(), tup, byTuple, byKey, byCols)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { c.f.FragmentOfKey(key) }); n != 0 {
+			t.Errorf("%s: FragmentOfKey allocates %v times per call, want 0", c.f.Signature(), n)
+		}
+		if n := testing.AllocsPerRun(100, func() { dst = c.f.FragmentsOfCols(c.r.Tuples, cols, dst[:0]) }); n != 0 {
+			t.Errorf("%s: FragmentsOfCols into a large enough dst allocates %v times per run, want 0", c.f.Signature(), n)
 		}
 	}
 }
@@ -344,23 +343,12 @@ func TestSignatures(t *testing.T) {
 	r := relation.Wisconsin("A", 10, 3)
 	h, _ := NewHash(r.Schema, []string{"unique2"}, 7)
 	m, _ := NewMod(r.Schema, "unique2", 7)
-	rr, _ := NewRoundRobin(7)
-	if h.Signature() != "hash/7" || m.Signature() != "mod/7" || rr.Signature() != "rr/7" {
-		t.Errorf("signatures = %q %q %q", h.Signature(), m.Signature(), rr.Signature())
+	if h.Signature() != "hash/7" || m.Signature() != "mod/7" {
+		t.Errorf("signatures = %q %q", h.Signature(), m.Signature())
 	}
 	if h.Signature() == m.Signature() {
 		t.Error("hash and mod must not share a signature")
 	}
-}
-
-func TestRoundRobinKeyRoutingPanics(t *testing.T) {
-	rr, _ := NewRoundRobin(3)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	rr.FragmentOfKey(nil)
 }
 
 func TestModFragmentOfKeyArity(t *testing.T) {
@@ -372,99 +360,4 @@ func TestModFragmentOfKeyArity(t *testing.T) {
 		}
 	}()
 	m.FragmentOfKey([]relation.Value{relation.Int(1), relation.Int(2)})
-}
-
-func TestRangePartitioner(t *testing.T) {
-	r := intRel(t, "r", -5, 0, 9, 10, 11, 99, 100, 1000)
-	rp, err := NewRange(r.Schema, "k", []int64{10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Degree() != 3 {
-		t.Fatalf("Degree = %d", rp.Degree())
-	}
-	want := []int{0, 0, 0, 1, 1, 1, 2, 2} // <10 | [10,100) | >=100
-	for i, tup := range r.Tuples {
-		if got := rp.FragmentOf(tup); got != want[i] {
-			t.Errorf("FragmentOf(k=%v) = %d, want %d", tup[0], got, want[i])
-		}
-	}
-	if k := rp.Key(); len(k) != 1 || k[0] != "k" {
-		t.Errorf("Key = %v", k)
-	}
-	if rp.Signature() != "range[10 100]" {
-		t.Errorf("Signature = %q", rp.Signature())
-	}
-	// FragmentOfKey agrees with FragmentOf.
-	for _, tup := range r.Tuples {
-		if rp.FragmentOf(tup) != rp.FragmentOfKey([]relation.Value{tup[0]}) {
-			t.Fatal("FragmentOf and FragmentOfKey disagree")
-		}
-	}
-}
-
-func TestNewRangeValidation(t *testing.T) {
-	s := relation.MustSchema(
-		relation.Column{Name: "k", Type: relation.TInt},
-		relation.Column{Name: "s", Type: relation.TString},
-	)
-	if _, err := NewRange(s, "k", nil); err == nil {
-		t.Error("empty bounds accepted")
-	}
-	if _, err := NewRange(s, "k", []int64{5, 5}); err == nil {
-		t.Error("non-ascending bounds accepted")
-	}
-	if _, err := NewRange(s, "s", []int64{1}); err == nil {
-		t.Error("string column accepted")
-	}
-	if _, err := NewRange(s, "absent", []int64{1}); err == nil {
-		t.Error("unknown column accepted")
-	}
-}
-
-func TestRangePartitionLossless(t *testing.T) {
-	r := relation.Wisconsin("A", 1000, 3)
-	rp, err := NewRange(r.Schema, "unique2", []int64{250, 500, 750})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Partition(r, rp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Degree() != 4 || !p.Union().EqualMultiset(r) {
-		t.Error("range partition lost tuples")
-	}
-	// unique2 is sequential 0..999: exactly 250 per fragment.
-	for i, sz := range p.FragmentSizes() {
-		if sz != 250 {
-			t.Errorf("fragment %d = %d tuples", i, sz)
-		}
-	}
-	// Order property: every key in fragment i is below every key in i+1.
-	u2 := r.Schema.MustIndex("unique2")
-	for i := 0; i+1 < p.Degree(); i++ {
-		maxI := int64(-1 << 62)
-		for _, tup := range p.Fragments[i] {
-			if v := tup[u2].AsInt(); v > maxI {
-				maxI = v
-			}
-		}
-		for _, tup := range p.Fragments[i+1] {
-			if tup[u2].AsInt() <= maxI {
-				t.Fatalf("range order violated between fragments %d and %d", i, i+1)
-			}
-		}
-	}
-}
-
-func TestRangeKeyArityPanics(t *testing.T) {
-	s := relation.MustSchema(relation.Column{Name: "k", Type: relation.TInt})
-	rp, _ := NewRange(s, "k", []int64{10})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for wrong key arity")
-		}
-	}()
-	rp.FragmentOfKey(nil)
 }

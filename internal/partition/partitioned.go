@@ -11,8 +11,9 @@ import (
 type Partitioned struct {
 	Name   string
 	Schema *relation.Schema
-	// Key holds the partitioning attribute names; empty means the placement
-	// does not co-locate keys (round-robin).
+	// Key holds the partitioning attribute names; empty for a
+	// materialization fed by instance-aligned edges, whose placement
+	// follows its producer's fragments rather than a key.
 	Key []string
 	// Fragments holds the tuples of each fragment.
 	Fragments [][]relation.Tuple
@@ -23,10 +24,9 @@ type Partitioned struct {
 // Partition splits r into fragments with f and places them on numDisks disks
 // round-robin, mirroring the paper's storage model ("relation fragments are
 // distributed onto disks in a round-robin fashion"). It is a two-pass
-// counting partition: f is called exactly once per tuple, in relation order
-// (a stateful Func like RoundRobin depends on that), its answers are kept in
-// an []int32, and the tuples are then placed in one exactly-sized []Tuple
-// the fragments are Cut from.
+// counting partition: f is called exactly once per tuple, in relation order,
+// its answers are kept in an []int32, and the tuples are then placed in one
+// exactly-sized []Tuple the fragments are Cut from.
 func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error) {
 	if numDisks <= 0 {
 		return nil, fmt.Errorf("partition: need at least one disk, got %d", numDisks)

@@ -10,7 +10,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		Column{Name: "id", Type: TInt},
 		Column{Name: "name", Type: TString},
 	))
-	r.MustAppend(
+	r.Tuples = append(r.Tuples,
 		NewTuple(Int(1), Str("ann")),
 		NewTuple(Int(-2), Str("with,comma")),
 		NewTuple(Int(3), Str(`with "quotes"`)),

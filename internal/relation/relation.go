@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Relation is an in-memory relation: a named schema plus a tuple slice. The
 // paper runs every experiment with relations cached in main memory (the KSR1
@@ -33,21 +30,8 @@ func (r *Relation) Append(ts ...Tuple) error {
 	return nil
 }
 
-// MustAppend is Append that panics on arity mismatch.
-func (r *Relation) MustAppend(ts ...Tuple) {
-	if err := r.Append(ts...); err != nil {
-		panic(err)
-	}
-}
-
 // Cardinality returns the number of tuples.
 func (r *Relation) Cardinality() int { return len(r.Tuples) }
-
-// Clone returns a deep-enough copy: the tuple slice is copied but the
-// (immutable) tuples and schema are shared.
-func (r *Relation) Clone() *Relation {
-	return &Relation{Name: r.Name, Schema: r.Schema, Tuples: append([]Tuple(nil), r.Tuples...)}
-}
 
 // EqualMultiset reports whether two relations contain the same tuples with
 // the same multiplicities, regardless of order. Parallel execution is
@@ -68,12 +52,6 @@ func (r *Relation) EqualMultiset(o *Relation) bool {
 		}
 	}
 	return true
-}
-
-// SortByKey sorts tuples by their canonical key; handy for deterministic
-// output in examples and golden tests.
-func (r *Relation) SortByKey() {
-	sort.Slice(r.Tuples, func(i, j int) bool { return r.Tuples[i].Key() < r.Tuples[j].Key() })
 }
 
 // String summarizes the relation.

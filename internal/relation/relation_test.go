@@ -6,11 +6,13 @@ func smallRel(t *testing.T) *Relation {
 	t.Helper()
 	s := MustSchema(Column{"id", TInt}, Column{"name", TString})
 	r := New("people", s)
-	r.MustAppend(
+	if err := r.Append(
 		NewTuple(Int(1), Str("ann")),
 		NewTuple(Int(2), Str("bob")),
 		NewTuple(Int(3), Str("eve")),
-	)
+	); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 
@@ -19,24 +21,14 @@ func TestRelationAppendArity(t *testing.T) {
 	if err := r.Append(NewTuple(Int(4))); err == nil {
 		t.Error("arity mismatch accepted")
 	}
-	mustPanic(t, func() { r.MustAppend(NewTuple(Int(4))) })
 	if r.Cardinality() != 3 {
 		t.Errorf("Cardinality = %d, want 3", r.Cardinality())
 	}
 }
 
-func TestRelationClone(t *testing.T) {
-	r := smallRel(t)
-	c := r.Clone()
-	c.MustAppend(NewTuple(Int(4), Str("dan")))
-	if r.Cardinality() != 3 || c.Cardinality() != 4 {
-		t.Error("Clone shares tuple slice")
-	}
-}
-
 func TestEqualMultiset(t *testing.T) {
 	r := smallRel(t)
-	o := r.Clone()
+	o := &Relation{Name: r.Name, Schema: r.Schema, Tuples: append([]Tuple(nil), r.Tuples...)}
 	// Reorder o.
 	o.Tuples[0], o.Tuples[2] = o.Tuples[2], o.Tuples[0]
 	if !r.EqualMultiset(o) {
@@ -55,22 +47,11 @@ func TestEqualMultiset(t *testing.T) {
 func TestEqualMultisetDuplicates(t *testing.T) {
 	s := MustSchema(Column{"x", TInt})
 	a := New("a", s)
-	a.MustAppend(NewTuple(Int(1)), NewTuple(Int(1)), NewTuple(Int(2)))
+	a.Tuples = append(a.Tuples, NewTuple(Int(1)), NewTuple(Int(1)), NewTuple(Int(2)))
 	b := New("b", s)
-	b.MustAppend(NewTuple(Int(1)), NewTuple(Int(2)), NewTuple(Int(2)))
+	b.Tuples = append(b.Tuples, NewTuple(Int(1)), NewTuple(Int(2)), NewTuple(Int(2)))
 	if a.EqualMultiset(b) {
 		t.Error("multiplicity mismatch reported equal")
-	}
-}
-
-func TestSortByKey(t *testing.T) {
-	s := MustSchema(Column{"x", TInt})
-	r := New("r", s)
-	r.MustAppend(NewTuple(Int(3)), NewTuple(Int(1)), NewTuple(Int(2)))
-	r.SortByKey()
-	// Keys sort lexically; 1 < 2 < 3 as strings here.
-	if r.Tuples[0][0].AsInt() != 1 || r.Tuples[2][0].AsInt() != 3 {
-		t.Errorf("SortByKey order = %v", r.Tuples)
 	}
 }
 

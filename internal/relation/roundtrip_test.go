@@ -57,7 +57,8 @@ func TestValuesSurviveEveryEncoding(t *testing.T) {
 
 		for _, tup := range tuples {
 			buf := storage.EncodeTuple(nil, tup)
-			got, n, err := storage.DecodeTuple(buf)
+			var slab relation.Slab
+			got, n, err := storage.DecodeTupleInto(&slab, buf)
 			if err != nil || n != len(buf) || n != storage.EncodedSize(tup) {
 				t.Fatalf("storage codec: %d of %d bytes (sized %d), err %v", n, len(buf), storage.EncodedSize(tup), err)
 			}

@@ -74,27 +74,6 @@ func (t Tuple) Compare(o Tuple) int {
 	}
 }
 
-// Project returns a new, individually allocated tuple containing only the
-// given column positions. Operators use Slab.Project; this one remains as the
-// reference in tests.
-func (t Tuple) Project(cols []int) Tuple {
-	out := make(Tuple, len(cols))
-	for i, c := range cols {
-		out[i] = t[c]
-	}
-	return out
-}
-
-// Concat returns a new, individually allocated tuple with the values of t
-// followed by those of o. Operators use Slab.Concat; this one remains for
-// the frozen baselines and as the reference in tests.
-func (t Tuple) Concat(o Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(o))
-	out = append(out, t...)
-	out = append(out, o...)
-	return out
-}
-
 // String renders the tuple as "[v1 v2 ...]".
 func (t Tuple) String() string {
 	parts := make([]string, len(t))

@@ -36,27 +36,6 @@ func TestTupleHashOnOrderMatters(t *testing.T) {
 	}
 }
 
-func TestTupleProject(t *testing.T) {
-	a := NewTuple(Int(1), Str("x"), Int(3))
-	p := a.Project([]int{2, 0})
-	if len(p) != 2 || p[0].AsInt() != 3 || p[1].AsInt() != 1 {
-		t.Errorf("Project = %v", p)
-	}
-}
-
-func TestTupleConcat(t *testing.T) {
-	a := NewTuple(Int(1))
-	b := NewTuple(Str("x"), Int(2))
-	c := a.Concat(b)
-	if len(c) != 3 || c[0].AsInt() != 1 || c[1].AsString() != "x" || c[2].AsInt() != 2 {
-		t.Errorf("Concat = %v", c)
-	}
-	// Concat must not alias a's storage.
-	if &c[0] == &a[0] {
-		t.Error("Concat aliases input")
-	}
-}
-
 func TestTupleString(t *testing.T) {
 	a := NewTuple(Int(1), Str("x"))
 	if a.String() != "[1 x]" {

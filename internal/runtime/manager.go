@@ -23,8 +23,7 @@
 // core.ExecuteAllocated at its leisure (possibly feeding a row cursor) and
 // calls Admission.Finish when the execution ends — including when a client
 // closes its cursor mid-result, which is how streaming queries hand threads
-// back early. Begin/Run.Execute wrap that protocol; Manager.Execute is the
-// one-call convenience.
+// back early. Begin/Run.Execute wrap that protocol.
 //
 // Reservations are renegotiable mid-flight: at each chain boundary of a
 // multi-chain query — the paper's materialization points — the engine calls
@@ -812,9 +811,9 @@ func (m *Manager) admit(ctx context.Context, est core.Estimate, opts *core.Optio
 }
 
 // Run is one query between admission and Finish — the managed-execution
-// protocol, written once for the streaming facade and Manager.Execute. Begin
-// admits the query, takes ownership of its spill environment and wires the
-// chain-boundary renegotiation; Execute runs it and settles every ledger.
+// protocol, written once for the streaming facade. Begin admits the query,
+// takes ownership of its spill environment and wires the chain-boundary
+// renegotiation; Execute runs it and settles every ledger.
 type Run struct {
 	adm   *Admission        // nil without a manager
 	env   *storage.SpillEnv // nil without a memory budget
@@ -894,16 +893,4 @@ func (r *Run) Execute(ctx context.Context) (*core.Result, QueryStats, error) {
 	r.adm.NoteSpill(bytes, passes)
 	r.adm.Finish(err)
 	return res, r.adm.Stats, err
-}
-
-// Execute admits one query as PriorityInteractive and runs it under the
-// shared budget, for callers that do not stream results. Multi-chain queries
-// renegotiate their reservation at each materialization point (Readmit);
-// the per-chain grants come back in QueryStats.ChainThreads.
-func (m *Manager) Execute(ctx context.Context, plan *lera.Plan, db core.DB, opts core.Options) (*core.Result, QueryStats, error) {
-	r, err := Begin(ctx, m, plan, db, opts, PriorityInteractive, nil)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return r.Execute(ctx)
 }

@@ -13,6 +13,16 @@ import (
 	"dbs3/internal/workload"
 )
 
+// execute admits one query as PriorityInteractive and runs it to completion
+// under m's budget, the way Stmt.QueryContext does minus the streaming.
+func execute(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts core.Options) (*core.Result, QueryStats, error) {
+	r, err := Begin(ctx, m, plan, db, opts, PriorityInteractive, nil)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	return r.Execute(ctx)
+}
+
 func joinPlan(t *testing.T) (*lera.Plan, core.DB) {
 	t.Helper()
 	db, err := workload.NewJoinDB(2_000, 200, 10, 0)
@@ -35,7 +45,7 @@ func TestManagerBudgetNeverExceeded(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				_, qs, err := m.Execute(context.Background(), plan, db, core.Options{})
+				_, qs, err := execute(context.Background(), m, plan, db, core.Options{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -64,7 +74,7 @@ func TestManagerMeasuredUtilization(t *testing.T) {
 	m := NewManager(Config{Budget: 8})
 
 	// Idle: no concurrent load measured.
-	_, qs, err := m.Execute(context.Background(), plan, db, core.Options{})
+	_, qs, err := execute(context.Background(), m, plan, db, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +91,7 @@ func TestManagerMeasuredUtilization(t *testing.T) {
 	if st := m.Stats(); st.ThreadsInFlight != 6 {
 		t.Errorf("ThreadsInFlight = %d, want the 6 reserved", st.ThreadsInFlight)
 	}
-	_, qs, err = m.Execute(context.Background(), plan, db, core.Options{})
+	_, qs, err = execute(context.Background(), m, plan, db, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +120,7 @@ func TestManagerExplicitThreadsWaitForBudget(t *testing.T) {
 	var admitted atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		_, qs, err := m.Execute(context.Background(), plan, db, core.Options{Threads: 3})
+		_, qs, err := execute(context.Background(), m, plan, db, core.Options{Threads: 3})
 		admitted.Store(true)
 		if err == nil && qs.Threads != 3 {
 			err = errors.New("explicit thread request not honored")
@@ -150,14 +160,14 @@ func TestManagerQueueFull(t *testing.T) {
 	defer cancel()
 	go func() {
 		close(firstQueued)
-		m.Execute(ctx, plan, db, core.Options{})
+		execute(ctx, m, plan, db, core.Options{})
 	}()
 	<-firstQueued
 	for m.Stats().Queued == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	// ...the next is shed.
-	if _, _, err := m.Execute(context.Background(), plan, db, core.Options{}); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := execute(context.Background(), m, plan, db, core.Options{}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if st := m.Stats(); st.Rejected != 1 {
@@ -177,7 +187,7 @@ func TestManagerCancelWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := m.Execute(ctx, plan, db, core.Options{})
+		_, _, err := execute(ctx, m, plan, db, core.Options{})
 		done <- err
 	}()
 	for m.Stats().Queued == 0 {
@@ -209,7 +219,7 @@ func TestManagerFIFOFairness(t *testing.T) {
 
 	order := make(chan string, 2)
 	go func() {
-		if _, _, err := m.Execute(context.Background(), plan, db, core.Options{Threads: 4}); err != nil {
+		if _, _, err := execute(context.Background(), m, plan, db, core.Options{Threads: 4}); err != nil {
 			t.Error(err)
 		}
 		order <- "big"
@@ -218,7 +228,7 @@ func TestManagerFIFOFairness(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	go func() {
-		if _, _, err := m.Execute(context.Background(), plan, db, core.Options{}); err != nil {
+		if _, _, err := execute(context.Background(), m, plan, db, core.Options{}); err != nil {
 			t.Error(err)
 		}
 		order <- "small"
@@ -247,7 +257,7 @@ func TestManagerAbandonedTicketSkipped(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiting := make(chan error, 1)
 	go func() {
-		_, _, err := m.Execute(ctx, plan, db, core.Options{})
+		_, _, err := execute(ctx, m, plan, db, core.Options{})
 		waiting <- err
 	}()
 	for m.Stats().Queued < 1 {
@@ -255,7 +265,7 @@ func TestManagerAbandonedTicketSkipped(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := m.Execute(context.Background(), plan, db, core.Options{})
+		_, _, err := execute(context.Background(), m, plan, db, core.Options{})
 		done <- err
 	}()
 	for m.Stats().Queued < 2 {
@@ -284,7 +294,7 @@ func TestManagerAbandonedTicketSkipped(t *testing.T) {
 func TestManagerFailedQueryCounted(t *testing.T) {
 	plan, db := joinPlan(t)
 	m := NewManager(Config{Budget: 4, MaxQueued: 1})
-	if _, _, err := m.Execute(context.Background(), plan, core.DB{}, core.Options{}); err == nil {
+	if _, _, err := execute(context.Background(), m, plan, core.DB{}, core.Options{}); err == nil {
 		t.Fatal("empty database accepted")
 	}
 	st := m.Stats()
@@ -300,16 +310,16 @@ func TestManagerFailedQueryCounted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error, 1)
 	go func() {
-		_, _, err := m.Execute(ctx, plan, db, core.Options{})
+		_, _, err := execute(ctx, m, plan, db, core.Options{})
 		waiter <- err
 	}()
 	for m.Stats().Queued == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := m.Execute(context.Background(), plan, db, core.Options{}); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := execute(context.Background(), m, plan, db, core.Options{}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("good plan at a full queue: err = %v, want ErrQueueFull", err)
 	}
-	if _, _, err := m.Execute(context.Background(), plan, core.DB{}, core.Options{}); err == nil || errors.Is(err, ErrQueueFull) {
+	if _, _, err := execute(context.Background(), m, plan, core.DB{}, core.Options{}); err == nil || errors.Is(err, ErrQueueFull) {
 		t.Fatalf("bad plan at a full queue: err = %v, want the planning error", err)
 	}
 	if st := m.Stats(); st.Failed != 2 || st.Rejected != 1 || st.Queued != 1 || st.Admitted != 0 {
@@ -320,7 +330,7 @@ func TestManagerFailedQueryCounted(t *testing.T) {
 		t.Fatalf("waiter err = %v", err)
 	}
 	release()
-	if _, _, err := m.Execute(context.Background(), plan, db, core.Options{}); err != nil {
+	if _, _, err := execute(context.Background(), m, plan, db, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.Completed != 1 {
@@ -332,7 +342,7 @@ func TestManagerClose(t *testing.T) {
 	plan, db := joinPlan(t)
 	m := NewManager(Config{Budget: 2})
 	m.Close()
-	if _, _, err := m.Execute(context.Background(), plan, db, core.Options{}); !errors.Is(err, ErrClosed) {
+	if _, _, err := execute(context.Background(), m, plan, db, core.Options{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	if _, err := m.Reserve(context.Background(), 1); !errors.Is(err, ErrClosed) {

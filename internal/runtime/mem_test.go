@@ -297,13 +297,13 @@ func TestMemoryBudgetNeverExceeded(t *testing.T) {
 // side is many times the budget, still goes to disk — with the right answer.
 func TestExecuteKeepsPerQueryBudgetAcrossChains(t *testing.T) {
 	plan, db := twoChainPlan(t)
-	want, _, err := NewManager(Config{Budget: 4}).Execute(context.Background(), plan, db, core.Options{})
+	want, _, err := execute(context.Background(), NewManager(Config{Budget: 4}), plan, db, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	m := NewManager(Config{Budget: 4}) // no Config.MemoryBudget
-	res, qs, err := m.Execute(context.Background(), plan, db, core.Options{MemoryBudget: 64 << 10, SpillDir: t.TempDir()})
+	res, qs, err := execute(context.Background(), m, plan, db, core.Options{MemoryBudget: 64 << 10, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

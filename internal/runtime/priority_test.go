@@ -231,7 +231,7 @@ func TestManagerSmoothedUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Execute(context.Background(), plan, db, core.Options{Threads: 1}); err != nil {
+	if _, _, err := execute(context.Background(), m, plan, db, core.Options{Threads: 1}); err != nil {
 		t.Fatal(err)
 	}
 	release()
@@ -241,7 +241,7 @@ func TestManagerSmoothedUtilization(t *testing.T) {
 
 	// The budget is idle now, but the burst just ended: the blend keeps the
 	// feedback above the instantaneous zero.
-	_, qs, err := m.Execute(context.Background(), plan, db, core.Options{})
+	_, qs, err := execute(context.Background(), m, plan, db, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestManagerSmoothedUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, qs, err = m.Execute(context.Background(), plan, db, core.Options{})
+	_, qs, err = execute(context.Background(), m, plan, db, core.Options{})
 	release2()
 	if err != nil {
 		t.Fatal(err)

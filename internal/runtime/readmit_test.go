@@ -155,7 +155,7 @@ func TestReadmitAdmitsWaiterMidFlight(t *testing.T) {
 func TestExecuteRenegotiatesChains(t *testing.T) {
 	plan, db := twoChainPlan(t)
 	m := NewManager(Config{Budget: 6})
-	res, qs, err := m.Execute(context.Background(), plan, db, core.Options{})
+	res, qs, err := execute(context.Background(), m, plan, db, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestClientRetriesConnectRefused(t *testing.T) {
 	}()
 	t.Cleanup(func() { srv.Close() })
 
-	client := &Client{Base: "http://" + addr, Retries: 8, RetryBackoff: 20 * time.Millisecond}
+	client := &Client{Base: "http://" + addr, Retries: 8}
 	if err := client.Health(context.Background()); err != nil {
 		t.Fatalf("health with retries against a late-binding server: %v", err)
 	}

@@ -15,17 +15,21 @@ import (
 	"time"
 )
 
-// defaultRetryBackoff seeds the retry backoff ladder when the client sets
-// Retries but no RetryBackoff: long enough that a worker mid-restart gets a
-// real chance to bind its listener, short enough that a coordinator fan-out
-// barely notices a retried connect.
-const defaultRetryBackoff = 50 * time.Millisecond
+// retryBackoff is the base of the retry backoff ladder: long enough that a
+// worker mid-restart gets a real chance to bind its listener, short enough
+// that a coordinator fan-out barely notices a retried connect. Retry i
+// sleeps a full-jitter backoff, uniform in [0, retryBackoff<<i), so a fleet
+// of clients that all lost the same worker spreads its reconnects out
+// instead of thundering-herding the restart in lockstep.
+const retryBackoff = 50 * time.Millisecond
 
-// defaultBackoffBudget caps the cumulative backoff slept across one
-// request's retries when the client sets no BackoffBudget: a fan-out should
-// give up on a worker that stayed unreachable for this long rather than
-// keep a query pinned behind an ever-growing ladder.
-const defaultBackoffBudget = 2 * time.Second
+// backoffBudget caps the cumulative backoff slept across one request's
+// retries: a fan-out should give up on a worker that stayed unreachable for
+// this long rather than keep a query pinned behind an ever-growing ladder.
+// Every sleep is clamped to the remaining budget, and once it is spent the
+// remaining Retries are forfeited, so the total stall a dead worker can
+// inflict per request is bounded however high Retries is set.
+const backoffBudget = 2 * time.Second
 
 // Client is a minimal Go client for the wire protocol — the reference
 // consumer the end-to-end tests, the cluster coordinator and the serve
@@ -55,18 +59,8 @@ type Client struct {
 	// connect failure (connection refused/reset before any response —
 	// e.g. fanning out to a worker that is still starting). Retries are
 	// safe there because the server never saw the request. 0 disables.
+	// The waits between attempts follow retryBackoff and backoffBudget.
 	Retries int
-	// RetryBackoff is the base of the retry backoff ladder (0 = 50ms).
-	// Retry i sleeps a full-jitter backoff: uniform in [0, RetryBackoff<<i),
-	// so a fleet of clients that all lost the same worker spreads its
-	// reconnects out instead of thundering-herding the restart in lockstep.
-	RetryBackoff time.Duration
-	// BackoffBudget caps the cumulative backoff slept across one request's
-	// retries (0 = 2s). Every sleep is clamped to the remaining budget, and
-	// once the budget is spent the remaining Retries are forfeited — the
-	// total stall a dead worker can inflict per request is bounded no
-	// matter how high Retries is set.
-	BackoffBudget time.Duration
 
 	// sleep and jitter are test seams: sleep replaces the context-aware
 	// backoff wait, jitter the uniform draw in [0, 1). Nil means real.
@@ -98,14 +92,7 @@ func transientConnect(err error) bool {
 // cancel releases the request's context and MUST be called once the
 // response is consumed (RowStream.finish does it for streamed bodies).
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, context.CancelFunc, error) {
-	base := c.RetryBackoff
-	if base <= 0 {
-		base = defaultRetryBackoff
-	}
-	budget := c.BackoffBudget
-	if budget <= 0 {
-		budget = defaultBackoffBudget
-	}
+	budget := backoffBudget
 	for attempt := 0; ; attempt++ {
 		resp, cancel, err := c.attempt(ctx, method, path, body)
 		if err == nil {
@@ -115,11 +102,11 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 			return nil, nil, err
 		}
 		// Full jitter over the doubling envelope, clamped to what is left
-		// of the budget: envelope_i = min(base<<i, remaining budget),
+		// of the budget: envelope_i = min(retryBackoff<<i, remaining budget),
 		// sleep_i uniform in [0, envelope_i).
 		envelope := budget
 		if attempt < 20 { // beyond 2^20 the shift alone exceeds any sane budget
-			if e := base << attempt; e < envelope {
+			if e := retryBackoff << attempt; e < envelope {
 				envelope = e
 			}
 		}

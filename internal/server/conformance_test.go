@@ -309,6 +309,7 @@ func TestFrontEndConformance(t *testing.T) {
 			400, plainText, "server: empty sql", false},
 		{"unknown field", q(`{"sql":"SELECT * FROM wisc","limit":5}`), 400, plainText, `unknown field "limit"`, false},
 		{"unknown option", q(`{"sql":"SELECT * FROM wisc","options":{"batchGrain":1}}`), 400, plainText, `unknown field "batchGrain"`, false},
+		{"stream buffer option", q(`{"sql":"SELECT * FROM wisc","options":{"streamBuffer":8}}`), 400, plainText, `unknown field "streamBuffer"`, false},
 		{"body is not JSON", q(`SELECT 1`), 400, plainText, "server: bad request body", false},
 		{"float argument", q(`{"sql":"` + oneParam + `","args":[1.5]}`), 400, plainText, "is not a 64-bit integer", false},
 		{"boolean argument", q(`{"sql":"` + oneParam + `","args":[true]}`), 400, plainText, "unsupported type bool", false},
@@ -388,6 +389,21 @@ func TestFrontEndConformance(t *testing.T) {
 			}
 			// The expiry closed the backend's handle: a coordinator's
 			// replicas hold no half of it any more.
+			if n := fe.workerStatements(t); n != 0 {
+				t.Errorf("%s: workers hold %d statements after expiry", fe.name, n)
+			}
+			r.Body = strings.Replace(r.Body, id, "?", 1)
+			return r
+		}, 404, plainText, `server: no prepared statement "?"`, false},
+		{"close of an expired id", func(t *testing.T, fe *frontEnd) reply {
+			id := fe.prepare(t, oneParam)
+			before := fe.srv.Counters(context.Background()).Expired
+			fe.advance(time.Hour)
+			r := fe.call(t, "DELETE", "/stmt/"+id, "")
+			c := fe.srv.Counters(context.Background())
+			if c.Expired != before+1 || c.Statements != 0 {
+				t.Errorf("%s: after expiry %d expired (was %d), %d open", fe.name, c.Expired, before, c.Statements)
+			}
 			if n := fe.workerStatements(t); n != 0 {
 				t.Errorf("%s: workers hold %d statements after expiry", fe.name, n)
 			}

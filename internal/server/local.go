@@ -38,9 +38,6 @@ func overlayOptions(opt dbs3.Options, wire *Options) dbs3.Options {
 	if wire.Priority != "" {
 		opt.Priority = wire.Priority
 	}
-	if wire.StreamBuffer != 0 {
-		opt.StreamBuffer = wire.StreamBuffer
-	}
 	if wire.Materialize {
 		opt.Materialize = true
 	}

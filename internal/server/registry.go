@@ -98,17 +98,38 @@ func (g *registry) add(ctx context.Context, stmt Prepared) (PrepareResponse, err
 	return info, nil
 }
 
-// get resolves an id and touches its idle clock. A statement past its TTL
-// is gone exactly as if it had never been prepared: ErrNoStatement.
+// get resolves an id and touches its idle clock.
 func (g *registry) get(ctx context.Context, id string) (*stmtEntry, error) {
+	return g.lookup(ctx, id, false)
+}
+
+// remove closes and forgets a statement.
+func (g *registry) remove(ctx context.Context, id string) error {
+	e, err := g.lookup(ctx, id, true)
+	if err != nil {
+		return err
+	}
+	e.stmt.Close(ctx)
+	return nil
+}
+
+// lookup resolves an id for get (drop false: the idle clock is touched) or
+// remove (drop true: the entry leaves the registry, for the caller to close).
+// A statement past its TTL is gone exactly as if it had never been prepared,
+// whichever the caller: it is expired — counted and closed — and the answer
+// is ErrNoStatement.
+func (g *registry) lookup(ctx context.Context, id string, drop bool) (*stmtEntry, error) {
 	now := g.now()
 	g.mu.Lock()
 	e, ok := g.stmts[id]
 	expired := ok && g.idle(e, now)
-	if expired {
+	switch {
+	case expired:
 		delete(g.stmts, id)
 		g.expired++
-	} else if ok {
+	case ok && drop:
+		delete(g.stmts, id)
+	case ok:
 		e.lastUsed = now
 	}
 	g.mu.Unlock()
@@ -119,19 +140,6 @@ func (g *registry) get(ctx context.Context, id string) (*stmtEntry, error) {
 		return nil, fmt.Errorf("%w %q", ErrNoStatement, id)
 	}
 	return e, nil
-}
-
-// remove closes and forgets a statement.
-func (g *registry) remove(ctx context.Context, id string) error {
-	g.mu.Lock()
-	e, ok := g.stmts[id]
-	delete(g.stmts, id)
-	g.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w %q", ErrNoStatement, id)
-	}
-	e.stmt.Close(ctx)
-	return nil
 }
 
 // counts sweeps and reports the open and lifetime-expired statements.

@@ -23,13 +23,11 @@ func deadAddr(t *testing.T) string {
 
 // retryClient builds a client against a dead address with a fake sleeper
 // recording the backoff schedule and a deterministic jitter draw.
-func retryClient(t *testing.T, retries int, base, budget time.Duration, jitter float64, sleeps *[]time.Duration) *Client {
+func retryClient(t *testing.T, retries int, jitter float64, sleeps *[]time.Duration) *Client {
 	t.Helper()
 	return &Client{
-		Base:          "http://" + deadAddr(t),
-		Retries:       retries,
-		RetryBackoff:  base,
-		BackoffBudget: budget,
+		Base:    "http://" + deadAddr(t),
+		Retries: retries,
 		sleep: func(_ context.Context, d time.Duration) error {
 			*sleeps = append(*sleeps, d)
 			return nil
@@ -43,11 +41,11 @@ func retryClient(t *testing.T, retries int, base, budget time.Duration, jitter f
 // per retry.
 func TestRetryBackoffDoublingEnvelope(t *testing.T) {
 	var sleeps []time.Duration
-	c := retryClient(t, 4, 10*time.Millisecond, time.Hour, 1.0, &sleeps)
+	c := retryClient(t, 4, 1.0, &sleeps)
 	if err := c.Health(context.Background()); err == nil {
 		t.Fatal("health against a dead address succeeded")
 	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond}
+	want := []time.Duration{retryBackoff, 2 * retryBackoff, 4 * retryBackoff, 8 * retryBackoff}
 	if len(sleeps) != len(want) {
 		t.Fatalf("slept %d times (%v), want %d", len(sleeps), sleeps, len(want))
 	}
@@ -63,12 +61,12 @@ func TestRetryBackoffDoublingEnvelope(t *testing.T) {
 // which is the whole thundering-herd point.
 func TestRetryBackoffFullJitter(t *testing.T) {
 	var half, tenth []time.Duration
-	ch := retryClient(t, 3, 10*time.Millisecond, time.Hour, 0.5, &half)
-	ct := retryClient(t, 3, 10*time.Millisecond, time.Hour, 0.1, &tenth)
+	ch := retryClient(t, 3, 0.5, &half)
+	ct := retryClient(t, 3, 0.1, &tenth)
 	ch.Health(context.Background())
 	ct.Health(context.Background())
-	wantHalf := []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
-	wantTenth := []time.Duration{1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
+	wantHalf := []time.Duration{retryBackoff / 2, retryBackoff, 2 * retryBackoff}
+	wantTenth := []time.Duration{retryBackoff / 10, 2 * retryBackoff / 10, 4 * retryBackoff / 10}
 	for i := range wantHalf {
 		if half[i] != wantHalf[i] {
 			t.Errorf("jitter 0.5 retry %d slept %v, want %v", i, half[i], wantHalf[i])
@@ -83,13 +81,20 @@ func TestRetryBackoffFullJitter(t *testing.T) {
 // budget and retries stop once it is spent, even with Retries to spare.
 func TestRetryBackoffBudgetCapsTotal(t *testing.T) {
 	var sleeps []time.Duration
-	c := retryClient(t, 100, 10*time.Millisecond, 25*time.Millisecond, 1.0, &sleeps)
+	c := retryClient(t, 100, 1.0, &sleeps)
 	if err := c.Health(context.Background()); err == nil {
 		t.Fatal("health against a dead address succeeded")
 	}
-	// Envelope 10ms, then min(20ms, remaining 15ms) = 15ms; budget now 0,
-	// so the remaining 98 retries are forfeited.
-	want := []time.Duration{10 * time.Millisecond, 15 * time.Millisecond}
+	// The doubling envelope while it fits, then whatever is left of the
+	// budget; the budget is then spent, so the remaining retries are
+	// forfeited.
+	var want []time.Duration
+	left := backoffBudget
+	for e := retryBackoff; e < left; e *= 2 {
+		want = append(want, e)
+		left -= e
+	}
+	want = append(want, left)
 	if len(sleeps) != len(want) {
 		t.Fatalf("slept %d times (%v), want %d — budget did not cap the ladder", len(sleeps), sleeps, len(want))
 	}
@@ -100,8 +105,8 @@ func TestRetryBackoffBudgetCapsTotal(t *testing.T) {
 		}
 		total += sleeps[i]
 	}
-	if total > 25*time.Millisecond {
-		t.Errorf("total backoff %v exceeds the 25ms budget", total)
+	if total > backoffBudget {
+		t.Errorf("total backoff %v exceeds the %v budget", total, backoffBudget)
 	}
 }
 
@@ -110,7 +115,7 @@ func TestRetryBackoffBudgetCapsTotal(t *testing.T) {
 func TestRetryBackoffCancelAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var sleeps []time.Duration
-	c := retryClient(t, 10, 10*time.Millisecond, time.Hour, 1.0, &sleeps)
+	c := retryClient(t, 10, 1.0, &sleeps)
 	c.sleep = func(ctx context.Context, d time.Duration) error {
 		sleeps = append(sleeps, d)
 		cancel()
@@ -127,14 +132,15 @@ func TestRetryBackoffCancelAborts(t *testing.T) {
 
 // TestRetryBackoffDefaultJitterInEnvelope: without seams, real sleeps stay
 // within the envelope (smoke for the production rand path — the dead dial
-// itself is fast, so tiny real sleeps keep this test quick).
+// itself is fast, so two short real sleeps keep this test quick).
 func TestRetryBackoffDefaultJitterInEnvelope(t *testing.T) {
-	c := &Client{Base: "http://" + deadAddr(t), Retries: 2, RetryBackoff: time.Millisecond}
+	c := &Client{Base: "http://" + deadAddr(t), Retries: 2}
 	start := time.Now()
 	if err := c.Health(context.Background()); err == nil {
 		t.Fatal("health against a dead address succeeded")
 	}
-	// Envelope total = 1ms + 2ms; generous slack for scheduler noise.
+	// Envelope total = retryBackoff + 2×retryBackoff; generous slack for
+	// scheduler noise.
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("2 jittered retries took %v", elapsed)
 	}

@@ -58,8 +58,6 @@ type Options struct {
 	// X-DBS3-Priority request header sets a per-connection default; this
 	// field overrides it per request.
 	Priority string `json:"priority,omitempty"`
-	// StreamBuffer is the bounded row-sink capacity between engine and wire.
-	StreamBuffer int `json:"streamBuffer,omitempty"`
 	// Materialize splits the plan at a materialization point before
 	// aggregation/projection, letting the manager renegotiate the query's
 	// thread reservation between the two chains (see dbs3.Options).

@@ -87,14 +87,6 @@ func (a *Accountant) Release(n int64) {
 	}
 }
 
-// Used returns the currently charged bytes.
-func (a *Accountant) Used() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.used.Load()
-}
-
 // NoteSpill records bytes written to spill storage.
 func (a *Accountant) NoteSpill(bytes int64) {
 	if a != nil {

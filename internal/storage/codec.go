@@ -114,10 +114,3 @@ func DecodeTupleInto(slab *relation.Slab, buf []byte) (relation.Tuple, int, erro
 	}
 	return t, end, nil
 }
-
-// DecodeTuple is DecodeTupleInto a slab of the tuple's own. Readers of more
-// than one tuple share a slab instead; this form remains for tests.
-func DecodeTuple(buf []byte) (relation.Tuple, int, error) {
-	var slab relation.Slab
-	return DecodeTupleInto(&slab, buf)
-}

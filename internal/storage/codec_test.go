@@ -7,6 +7,12 @@ import (
 	"dbs3/internal/relation"
 )
 
+// decodeTuple decodes one tuple into a slab of its own.
+func decodeTuple(buf []byte) (relation.Tuple, int, error) {
+	var slab relation.Slab
+	return DecodeTupleInto(&slab, buf)
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []relation.Tuple{
 		{},
@@ -20,7 +26,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if len(buf) != EncodedSize(in) {
 			t.Errorf("EncodedSize(%v) = %d, encoded %d bytes", in, EncodedSize(in), len(buf))
 		}
-		out, n, err := DecodeTuple(buf)
+		out, n, err := decodeTuple(buf)
 		if err != nil {
 			t.Fatalf("decode %v: %v", in, err)
 		}
@@ -35,28 +41,28 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	// Truncated header.
-	if _, _, err := DecodeTuple([]byte{1}); err == nil {
+	if _, _, err := decodeTuple([]byte{1}); err == nil {
 		t.Error("truncated header accepted")
 	}
 	// Claims one column, no payload.
-	if _, _, err := DecodeTuple([]byte{1, 0}); err == nil {
+	if _, _, err := decodeTuple([]byte{1, 0}); err == nil {
 		t.Error("missing column accepted")
 	}
 	// Unknown tag.
-	if _, _, err := DecodeTuple([]byte{1, 0, 99}); err == nil {
+	if _, _, err := decodeTuple([]byte{1, 0, 99}); err == nil {
 		t.Error("unknown tag accepted")
 	}
 	// Truncated int payload.
-	if _, _, err := DecodeTuple([]byte{1, 0, tagInt, 1, 2}); err == nil {
+	if _, _, err := decodeTuple([]byte{1, 0, tagInt, 1, 2}); err == nil {
 		t.Error("truncated int accepted")
 	}
 	// Truncated string length.
-	if _, _, err := DecodeTuple([]byte{1, 0, tagString, 5}); err == nil {
+	if _, _, err := decodeTuple([]byte{1, 0, tagString, 5}); err == nil {
 		t.Error("truncated string length accepted")
 	}
 	// String length exceeding buffer.
 	buf := EncodeTuple(nil, relation.NewTuple(relation.Str("abcdef")))
-	if _, _, err := DecodeTuple(buf[:len(buf)-2]); err == nil {
+	if _, _, err := decodeTuple(buf[:len(buf)-2]); err == nil {
 		t.Error("truncated string body accepted")
 	}
 }
@@ -65,7 +71,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(a int64, s string, b int64) bool {
 		in := relation.NewTuple(relation.Int(a), relation.Str(s), relation.Int(b))
-		out, n, err := DecodeTuple(EncodeTuple(nil, in))
+		out, n, err := decodeTuple(EncodeTuple(nil, in))
 		return err == nil && n == EncodedSize(in) && in.Equal(out)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -86,7 +92,7 @@ func TestEncodeAppendsProperty(t *testing.T) {
 				return false
 			}
 		}
-		dec, _, err := DecodeTuple(out[len(prefix):])
+		dec, _, err := decodeTuple(out[len(prefix):])
 		return err == nil && dec.Equal(in)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -115,7 +115,6 @@ type SpillSet struct {
 	mu     sync.Mutex
 	files  []*SpillFile
 	closed bool
-	bytes  int64 // page bytes written across all files
 }
 
 // NewSpillSet creates an empty set writing temp files under dir ("" =
@@ -148,20 +147,6 @@ func (s *SpillSet) Read(id PageID) ([]byte, error) {
 	f := s.files[id.Disk]
 	s.mu.Unlock()
 	return f.Read(id.Slot)
-}
-
-// Bytes returns the total page bytes written to the set.
-func (s *SpillSet) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// Files returns the number of spill files opened.
-func (s *SpillSet) Files() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.files)
 }
 
 // Close closes and removes every spill file. Idempotent; called on query
@@ -287,9 +272,6 @@ func (w *RunWriter) flush() error {
 	if _, err := w.file.Append(w.page.Bytes()); err != nil {
 		return err
 	}
-	w.env.Set.mu.Lock()
-	w.env.Set.bytes += PageSize
-	w.env.Set.mu.Unlock()
 	w.env.Mem.NoteSpill(PageSize)
 	w.page = NewPage()
 	return nil
@@ -308,9 +290,6 @@ func (w *RunWriter) Finish() (Run, error) {
 	}
 	return r, nil
 }
-
-// Tuples returns the number of tuples added so far.
-func (w *RunWriter) Tuples() int { return w.tuples }
 
 // Run is a finished sequence of spilled tuples, readable in write order
 // through the env's buffer pool.

@@ -123,12 +123,12 @@ func TestAccountantSemantics(t *testing.T) {
 		t.Error("120 of 100 must not fit")
 	}
 	// The charge sticks either way — the caller spills and releases.
-	if a.Used() != 120 {
-		t.Errorf("used = %d, want 120 (charge sticks)", a.Used())
+	if a.used.Load() != 120 {
+		t.Errorf("used = %d, want 120 (charge sticks)", a.used.Load())
 	}
 	a.Release(120)
-	if a.Used() != 0 {
-		t.Errorf("used = %d after release, want 0", a.Used())
+	if a.used.Load() != 0 {
+		t.Errorf("used = %d after release, want 0", a.used.Load())
 	}
 	// Grant <= 0 is unlimited.
 	a.SetGrant(0)

@@ -184,7 +184,7 @@ func TestVerifyJoinResultDetectsErrors(t *testing.T) {
 	}
 	for _, frag := range db.A.Fragments {
 		for _, a := range frag {
-			good = append(good, a.Concat(bByKey[a[kIdx].AsInt()]))
+			good = append(good, append(a[:len(a):len(a)], bByKey[a[kIdx].AsInt()]...))
 		}
 	}
 	if err := db.VerifyJoinResult(build(good...)); err != nil {

@@ -8,7 +8,6 @@ package zipf
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -82,39 +81,4 @@ func Sizes(total, n int, theta float64) []int {
 // ("With Zipf = 1 and a = 200 buckets, we have Pmax = 34 P").
 func SkewRatio(n int, theta float64) float64 {
 	return float64(n) * Weights(n, theta)[0]
-}
-
-// Sampler draws rank values 1..n with Zipf(theta) probabilities via inverse
-// CDF lookup. It is used to generate attribute-value skew (AVS) datasets.
-type Sampler struct {
-	cdf []float64
-	rng *rand.Rand
-}
-
-// NewSampler builds a sampler over ranks 1..n with the given skew and seed.
-func NewSampler(n int, theta float64, seed int64) *Sampler {
-	w := Weights(n, theta)
-	cdf := make([]float64, n)
-	var acc float64
-	for i, p := range w {
-		acc += p
-		cdf[i] = acc
-	}
-	cdf[n-1] = 1 // guard against floating point shortfall
-	return &Sampler{cdf: cdf, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next returns a rank in [1, n]; rank 1 is the most popular.
-func (s *Sampler) Next() int {
-	u := s.rng.Float64()
-	lo, hi := 0, len(s.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }

@@ -133,33 +133,3 @@ func TestSizesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSamplerDeterministicAndInRange(t *testing.T) {
-	a := NewSampler(100, 0.8, 42)
-	b := NewSampler(100, 0.8, 42)
-	for i := 0; i < 1000; i++ {
-		va, vb := a.Next(), b.Next()
-		if va != vb {
-			t.Fatalf("draw %d: %d != %d with same seed", i, va, vb)
-		}
-		if va < 1 || va > 100 {
-			t.Fatalf("draw out of range: %d", va)
-		}
-	}
-}
-
-func TestSamplerSkewsTowardLowRanks(t *testing.T) {
-	s := NewSampler(100, 1, 7)
-	counts := make([]int, 101)
-	for i := 0; i < 20000; i++ {
-		counts[s.Next()]++
-	}
-	if counts[1] <= counts[100] {
-		t.Errorf("rank 1 drawn %d times, rank 100 %d times; expected heavy head", counts[1], counts[100])
-	}
-	// p_1 should be near 1/H_100(1) ~ 0.192.
-	p1 := float64(counts[1]) / 20000
-	if math.Abs(p1-0.192) > 0.03 {
-		t.Errorf("empirical p1 = %v, want ~0.192", p1)
-	}
-}

@@ -1,6 +1,7 @@
 package dbs3
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ func TestStmtPlaceholderBinding(t *testing.T) {
 	}
 	for _, limit := range []int{10, 250, 0} {
 		res, err := func() (*Result, error) {
-			rows, err := stmt.Query(limit)
+			rows, err := stmt.QueryContext(context.Background(), limit)
 			if err != nil {
 				return nil, err
 			}
@@ -42,7 +43,7 @@ func TestStmtPlaceholderBinding(t *testing.T) {
 		t.Errorf("cache hits/misses = %d/%d, want 0/1", hits, misses)
 	}
 	// Ad-hoc placeholder queries share that plan too.
-	res, err := db.QueryAll("SELECT unique2 FROM wisc WHERE unique1 < ?", nil, 5)
+	res, err := db.QueryAllContext(context.Background(), "SELECT unique2 FROM wisc WHERE unique1 < ?", nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,21 +55,21 @@ func TestStmtPlaceholderBinding(t *testing.T) {
 	}
 
 	// Argument errors are caught before admission.
-	if _, err := stmt.Query(); err == nil || !strings.Contains(err.Error(), "1 argument") {
+	if _, err := stmt.QueryContext(context.Background()); err == nil || !strings.Contains(err.Error(), "1 argument") {
 		t.Errorf("missing argument: %v", err)
 	}
-	if _, err := stmt.Query(1, 2); err == nil || !strings.Contains(err.Error(), "1 argument") {
+	if _, err := stmt.QueryContext(context.Background(), 1, 2); err == nil || !strings.Contains(err.Error(), "1 argument") {
 		t.Errorf("extra argument: %v", err)
 	}
-	if _, err := stmt.Query("ten"); err == nil || !strings.Contains(err.Error(), "wants INT") {
+	if _, err := stmt.QueryContext(context.Background(), "ten"); err == nil || !strings.Contains(err.Error(), "wants INT") {
 		t.Errorf("type mismatch: %v", err)
 	}
-	if _, err := stmt.Query(3.14); err == nil || !strings.Contains(err.Error(), "unsupported argument") {
+	if _, err := stmt.QueryContext(context.Background(), 3.14); err == nil || !strings.Contains(err.Error(), "unsupported argument") {
 		t.Errorf("unsupported kind: %v", err)
 	}
 
 	// String placeholders bind string arguments.
-	srows, err := db.Query("SELECT unique1 FROM wisc WHERE stringu1 = ?", nil, "AAAAAAA")
+	srows, err := db.QueryContext(context.Background(), "SELECT unique1 FROM wisc WHERE stringu1 = ?", nil, "AAAAAAA")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestStmtConcurrentDistinctBindings(t *testing.T) {
 		go func(limit int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				rows, err := stmt.Query(limit)
+				rows, err := stmt.QueryContext(context.Background(), limit)
 				if err != nil {
 					t.Error(err)
 					return

@@ -119,7 +119,7 @@ func TestShardRelationRegionChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rel, col := range map[string]string{"wisc": "stringu1", "A": "k", "Br": "k", "notes": "id"} {
-		whole, _ := db.Cardinality(rel)
+		whole := db.rels[rel].Cardinality()
 		region, err := db.shardRelation(rel, col, 1, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +127,7 @@ func TestShardRelationRegionChecks(t *testing.T) {
 		if err := region.Check(); err != nil {
 			t.Errorf("%s: %v", rel, err)
 		}
-		kept, _ := db.Cardinality(rel)
+		kept := db.rels[rel].Cardinality()
 		if len(region.Tuples()) != kept || kept == 0 || kept >= whole {
 			t.Errorf("%s: shard keeps %d of %d tuples, its region holds %d", rel, kept, whole, len(region.Tuples()))
 		}

@@ -244,9 +244,9 @@ func (r *Rows) All() (*Result, error) {
 }
 
 // Result is a fully materialized query result: plain Go values plus
-// execution statistics. Produced by Rows.All and Database.QueryAll for
-// callers (tests, examples, small interactive answers) that want the whole
-// table at once.
+// execution statistics. Produced by Rows.All and Database.QueryAllContext
+// for callers (tests, examples, small interactive answers) that want the
+// whole table at once.
 type Result struct {
 	// Columns names the result columns.
 	Columns []string

@@ -1,6 +1,7 @@
 package dbs3
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -41,15 +42,12 @@ func TestShardRelationUnionIsWholeRelation(t *testing.T) {
 	var total int
 	seen := make(map[string]int)
 	for i, db := range dbs {
-		n, err := db.Cardinality("wisc")
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := db.rels["wisc"].Cardinality()
 		if n == 0 || n == card {
 			t.Errorf("shard %d holds %d of %d tuples; hash split degenerate", i, n, card)
 		}
 		total += n
-		rows, err := db.QueryAll("SELECT unique1, unique2 FROM wisc", nil)
+		rows, err := db.QueryAllContext(context.Background(), "SELECT unique1, unique2 FROM wisc", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +63,7 @@ func TestShardRelationUnionIsWholeRelation(t *testing.T) {
 	if err := full.CreateWisconsin("wisc", card, 4, "unique2", 42); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := full.QueryAll("SELECT unique1, unique2 FROM wisc", nil)
+	rows, err := full.QueryAllContext(context.Background(), "SELECT unique1, unique2 FROM wisc", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,17 +131,11 @@ func TestShardRelationKeepsFragmentStructure(t *testing.T) {
 	if err := db.CreateWisconsin("wisc", 600, 4, "unique2", 42); err != nil {
 		t.Fatal(err)
 	}
-	before, err := db.Degree("wisc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := db.rels["wisc"].Degree()
 	if err := db.ShardRelation("wisc", "unique2", 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	after, err := db.Degree("wisc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := db.rels["wisc"].Degree()
 	if after != before {
 		t.Errorf("degree changed %d -> %d across sharding", before, after)
 	}
@@ -158,7 +150,7 @@ func TestShardRelationKeepsFragmentStructure(t *testing.T) {
 	for _, s := range sizes {
 		sum += s
 	}
-	card, _ := db.Cardinality("wisc")
+	card := db.rels["wisc"].Cardinality()
 	if sum != card {
 		t.Errorf("fragment sizes sum to %d, cardinality says %d", sum, card)
 	}
@@ -173,7 +165,7 @@ func TestShardRelationQueriesSeeOnlyTheShard(t *testing.T) {
 
 	merged := make(map[int64]int64)
 	for _, db := range dbs {
-		rows, err := db.QueryAll("SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
+		rows, err := db.QueryAllContext(context.Background(), "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,10 +286,10 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 	runtime.KeepAlive(db)
 	runtime.KeepAlive(ref)
 
-	if n, _ := db.Cardinality("wisc"); n < 9_000 || n > 11_000 {
+	if n := db.rels["wisc"].Cardinality(); n < 9_000 || n > 11_000 {
 		t.Fatalf("shard holds %d of 30000 wisc tuples, want about a third", n)
 	}
-	if n, _ := db.Cardinality("notes"); n < 6_000 || n > 7_400 {
+	if n := db.rels["notes"].Cardinality(); n < 6_000 || n > 7_400 {
 		t.Fatalf("shard holds %d of 20000 notes tuples, want about a third", n)
 	}
 	if diff := float64(sharded-built) / float64(built); diff > 0.05 || diff < -0.05 {

@@ -20,9 +20,11 @@ import (
 // is far beyond what one front end issues.
 const planCacheCap = 128
 
-// defaultStreamBuffer is the bounded row-sink capacity between the engine's
-// final store node and a Rows cursor when Options.StreamBuffer is zero.
-const defaultStreamBuffer = 64
+// streamBuffer is the bounded row-sink capacity, in rows, between the
+// engine's final store node and a Rows cursor: enough to decouple producer
+// and consumer across a batch, small enough that a slow reader applies
+// backpressure to the producing threads before result memory grows.
+const streamBuffer = 64
 
 // preparedPlan is one compiled statement: the bound Lera-par plan, the graph
 // for EXPLAIN, the result column names and types (known statically from the
@@ -273,13 +275,6 @@ func (s *Stmt) NumParams() int { return s.prep.Load().params }
 // forward compatibility.
 func (s *Stmt) Close() error { return nil }
 
-// Query executes the prepared statement with a background context, binding
-// args to the statement's `?` placeholders in order.
-func (s *Stmt) Query(args ...any) (*Rows, error) {
-	//dbs3lint:ignore ctxflow documented ctx-less convenience shim over QueryContext
-	return s.QueryContext(context.Background(), args...)
-}
-
 // QueryContext executes the prepared statement against the current catalog
 // snapshot and returns a streaming cursor. Compilation is skipped entirely —
 // the bound plan is reused; args are substituted into the plan's placeholder
@@ -320,12 +315,8 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 	}
 	rels, manager := s.db.snapshotRels()
 
-	buf := s.opt.StreamBuffer
-	if buf <= 0 {
-		buf = defaultStreamBuffer
-	}
 	qctx, cancel := context.WithCancel(ctx)
-	ch := make(chan []any, buf)
+	ch := make(chan []any, streamBuffer)
 	copts := core.Options{
 		Threads:      s.opt.Threads,
 		Strategy:     s.strat,

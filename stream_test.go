@@ -31,7 +31,7 @@ func TestPreparedStatementReuse(t *testing.T) {
 		t.Fatalf("after Prepare: hits/misses = %d/%d, want 0/1", hits0, misses0)
 	}
 	for i := 0; i < 3; i++ {
-		rows, err := stmt.Query()
+		rows, err := stmt.QueryContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestPreparedStatementReuse(t *testing.T) {
 
 	// An ad-hoc query for the same SQL + join algo hits the cached plan —
 	// the repeated statement skips recompilation, observably.
-	if _, err := db.QueryAll("SELECT unique2 FROM wisc WHERE unique1 < 100", nil); err != nil {
+	if _, err := db.QueryAllContext(context.Background(), "SELECT unique2 FROM wisc WHERE unique1 < 100", nil); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := db.PlanCacheStats()
@@ -62,7 +62,7 @@ func TestPreparedStatementReuse(t *testing.T) {
 	}
 
 	// A different join algorithm compiles a different plan.
-	if _, err := db.QueryAll("SELECT unique2 FROM wisc WHERE unique1 < 100", &Options{JoinAlgo: "nested-loop"}); err != nil {
+	if _, err := db.QueryAllContext(context.Background(), "SELECT unique2 FROM wisc WHERE unique1 < 100", &Options{JoinAlgo: "nested-loop"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := db.PlanCacheStats(); misses != 2 {
@@ -78,10 +78,10 @@ func TestPlanCacheInvalidationAfterDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := "SELECT unique2 FROM wisc WHERE unique1 < 10"
-	if _, err := db.QueryAll(sql, nil); err != nil {
+	if _, err := db.QueryAllContext(context.Background(), sql, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.QueryAll(sql, nil); err != nil {
+	if _, err := db.QueryAllContext(context.Background(), sql, nil); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := db.PlanCacheStats()
@@ -93,13 +93,13 @@ func TestPlanCacheInvalidationAfterDDL(t *testing.T) {
 	if err := db.CreateWisconsin("other", 500, 4, "unique2", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.QueryAll(sql, nil); err != nil {
+	if _, err := db.QueryAllContext(context.Background(), sql, nil); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses = db.PlanCacheStats(); hits != 1 || misses != 2 {
 		t.Fatalf("post-DDL: hits/misses = %d/%d, want 1/2", hits, misses)
 	}
-	if _, err := db.QueryAll(sql, nil); err != nil {
+	if _, err := db.QueryAllContext(context.Background(), sql, nil); err != nil {
 		t.Fatal(err)
 	}
 	if hits, _ = db.PlanCacheStats(); hits != 2 {
@@ -124,7 +124,7 @@ func TestStmtRevalidatesAfterDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, misses0 := db.PlanCacheStats()
-	rows, err := stmt.Query()
+	rows, err := stmt.QueryContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStmtRevalidatesAfterDDL(t *testing.T) {
 		t.Errorf("post-DDL execution should re-resolve with a miss: misses %d -> %d", misses0, misses1)
 	}
 	// Revalidated: further executions skip the cache again.
-	rows2, err := stmt.Query()
+	rows2, err := stmt.QueryContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestStmtConcurrentReuse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				rows, err := stmt.Query()
+				rows, err := stmt.QueryContext(context.Background())
 				if err != nil {
 					t.Error(err)
 					return
@@ -247,7 +247,7 @@ func TestStreamFirstRowBeforeMaterialization(t *testing.T) {
 	}
 
 	// The budget is immediately reusable.
-	res, err := db.QueryAll("SELECT unique2 FROM big WHERE unique1 < 5", nil)
+	res, err := db.QueryAllContext(context.Background(), "SELECT unique2 FROM big WHERE unique1 < 5", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestRowsScanAndColumns(t *testing.T) {
 	if err := db.CreateWisconsin("wisc", 500, 4, "unique2", 3); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Query("SELECT unique1, stringu1 FROM wisc WHERE unique1 < 3", nil)
+	rows, err := db.QueryContext(context.Background(), "SELECT unique1, stringu1 FROM wisc WHERE unique1 < 3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestRowsScanAndColumns(t *testing.T) {
 
 	// A drained cursor likewise rejects Scan instead of re-reading the
 	// final row.
-	drained, err := db.Query("SELECT unique1 FROM wisc WHERE unique1 < 3", nil)
+	drained, err := db.QueryContext(context.Background(), "SELECT unique1 FROM wisc WHERE unique1 < 3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestRowsScanAndColumns(t *testing.T) {
 
 	// Unmanaged mid-stream Close also unwinds cleanly, and All on a cursor
 	// closed before exhaustion is an error, not an empty result.
-	rows2, err := db.Query("SELECT * FROM wisc", nil)
+	rows2, err := db.QueryContext(context.Background(), "SELECT * FROM wisc", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,11 +416,11 @@ func TestOptionsPriorityValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Manager(ManagerConfig{Budget: 4})
-	if _, err := db.Query("SELECT * FROM wisc", &Options{Priority: "background"}); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM wisc", &Options{Priority: "background"}); err == nil {
 		t.Error("unknown priority accepted")
 	}
 	for _, pri := range []string{"", "interactive", "batch"} {
-		res, err := db.QueryAll("SELECT * FROM wisc", &Options{Priority: pri})
+		res, err := db.QueryAllContext(context.Background(), "SELECT * FROM wisc", &Options{Priority: pri})
 		if err != nil {
 			t.Fatalf("priority %q: %v", pri, err)
 		}
@@ -437,11 +437,11 @@ func TestQueryAllMatchesCursor(t *testing.T) {
 	if err := db.CreateJoinPair("", 1000, 100, 10, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryAll("SELECT * FROM A JOIN B ON A.k = B.k", nil)
+	res, err := db.QueryAllContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Query("SELECT * FROM A JOIN B ON A.k = B.k", nil)
+	rows, err := db.QueryContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
