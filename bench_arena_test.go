@@ -1,10 +1,9 @@
 package dbs3_test
 
 // Benchmarks of the tuple producers: what one shard compaction, one CSV
-// import, one triggered IdealJoin and one spilled-run read-back cost in time
-// and in allocator entries. Together with BenchmarkLoadWisconsin and
-// BenchmarkLoadJoinDB they are the `go test -bench` view of bench/'s setup_s
-// and bench.allocs_per_op.
+// import and one triggered IdealJoin cost in time and in allocator entries.
+// Together with BenchmarkLoadWisconsin and BenchmarkLoadJoinDB they are the
+// `go test -bench` view of bench/'s setup_s and bench.allocs_per_op.
 
 import (
 	"bytes"
@@ -16,7 +15,6 @@ import (
 	"dbs3/internal/core"
 	"dbs3/internal/lera"
 	"dbs3/internal/relation"
-	"dbs3/internal/storage"
 	"dbs3/internal/workload"
 )
 
@@ -101,57 +99,6 @@ func BenchmarkIdealJoinTriggered(b *testing.B) {
 					}
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkRunReadBack writes 20 000 tuples with string columns to one spill
-// run and times reading it back through a buffer pool too small to hold it,
-// so every page is a miss: Wisconsin tuples (three strings, 246 bytes
-// encoded, 33 to a page) and join-pair tuples (one string, 26 bytes, 314 to a
-// page). What is left per tuple is the buffer pool's per-page bookkeeping.
-func BenchmarkRunReadBack(b *testing.B) {
-	jdb, err := workload.NewJoinDB(20_000, 64, 1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shape := range []struct {
-		name   string
-		tuples []relation.Tuple
-	}{
-		{"wisconsin", relation.Wisconsin("w", 20_000, 42).Tuples},
-		{"joinpair", jdb.A.Fragments[0]},
-	} {
-		b.Run(shape.name, func(b *testing.B) {
-			env, err := storage.NewSpillEnv(b.TempDir(), 1<<20, 8, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			w := env.NewRun()
-			for _, t := range shape.tuples {
-				if err := w.Add(t); err != nil {
-					b.Fatal(err)
-				}
-			}
-			run, err := w.Finish()
-			if err != nil {
-				b.Fatal(err)
-			}
-			read := func() {
-				n := 0
-				if err := run.Each(func(relation.Tuple) error { n++; return nil }); err != nil || n != run.Len() {
-					b.Fatalf("read back %d of %d tuples: %v", n, run.Len(), err)
-				}
-			}
-			b.SetBytes(run.Bytes())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				read()
-			}
-			b.StopTimer()
-			b.ReportMetric(testing.AllocsPerRun(1, read)/float64(run.Len()), "allocs/tuple")
 		})
 	}
 }

@@ -400,51 +400,6 @@ func BenchmarkCoreHotPathAggregateBatched(b *testing.B) {
 	})
 }
 
-// --- Spill benches ---------------------------------------------------------
-
-// coreSpillJoin runs the same build-heavy hash join with and without a
-// working-memory budget. Budget 0 is the in-memory reference; a tiny budget
-// forces the build side through Grace partitioning on disk, and the spilled
-// byte/pass totals are attached as custom metrics: the cost of degrading to
-// disk next to the slowdown it buys.
-func coreSpillJoin(b *testing.B, budget int64) {
-	b.Helper()
-	db, err := workload.NewJoinDB(20_000, 10_000, 8, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := db.AssocJoinPlan(lera.HashJoin)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rels := db.Relations()
-	opts := core.Options{Threads: 4, MemoryBudget: budget, SpillDir: b.TempDir()}
-	var spilledBytes, spillPasses int64
-	b.ReportAllocs()
-	runGCExcluded(b, func() {
-		res, err := core.ExecuteContext(context.Background(), plan, rels, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Outputs["Res"].Cardinality() != db.ExpectedJoinCount() {
-			b.Fatal("wrong result")
-		}
-		spilledBytes, spillPasses = 0, 0
-		for _, st := range res.Stats {
-			spilledBytes += st.SpilledBytes.Load()
-			spillPasses += st.SpillPasses.Load()
-		}
-	})
-	if budget > 0 && spilledBytes == 0 {
-		b.Fatal("budgeted run did not spill")
-	}
-	b.ReportMetric(float64(spilledBytes), "spilledB/op")
-	b.ReportMetric(float64(spillPasses), "spillpasses/op")
-}
-
-func BenchmarkSpillJoinInMemory(b *testing.B) { coreSpillJoin(b, 0) }
-func BenchmarkSpillJoinBudgeted(b *testing.B) { coreSpillJoin(b, 64<<10) }
-
 // --- Load benches ------------------------------------------------------------
 
 // resident is the heap still reachable after two collections and the part of

@@ -92,7 +92,6 @@ import (
 	"dbs3/internal/partition"
 	"dbs3/internal/relation"
 	dbruntime "dbs3/internal/runtime"
-	"dbs3/internal/storage"
 	"dbs3/internal/workload"
 )
 
@@ -109,10 +108,6 @@ type Database struct {
 	// is the catalog version, bumped on DDL so stale plans miss.
 	cache *planCache
 	epoch atomic.Uint64
-
-	// poolMetrics aggregates spill buffer-pool hit/miss/resident counters
-	// across every query the facade runs (see BufferPoolStats).
-	poolMetrics storage.PoolMetrics
 }
 
 // New creates an empty database.
@@ -142,12 +137,12 @@ func (db *Database) Manager(cfg ManagerConfig) *dbruntime.Manager {
 	return m
 }
 
-// BufferPoolStats reports the spill buffer-pool counters aggregated across
-// every query this database ran under a memory budget: read-back page hits
-// (including waits on a fetch already in flight), misses that went to disk,
-// and the pages currently resident. All zero until a query spills.
+// BufferPoolStats returns zeros. Spill runs are read once, in order,
+// straight from their files, so there is no read-back page cache to count;
+// the method stays because the benchmark module under bench/ is built
+// against it.
 func (db *Database) BufferPoolStats() (hits, misses, resident int64) {
-	return db.poolMetrics.Snapshot()
+	return 0, 0, 0
 }
 
 // Relations returns the registered relation names, sorted.

@@ -100,8 +100,8 @@ type Options struct {
 	// SpillDir is where spill temp files are created ("" = os.TempDir()).
 	SpillDir string
 	// Spill, when set, is the query's externally owned spill environment —
-	// the facade creates one so it can share a process-wide buffer-pool
-	// metrics sink and renegotiate the grant mid-query. The engine then
+	// the facade's runtime.Begin creates one so it can renegotiate the
+	// grant mid-query and report the spill totals. The engine then
 	// ignores MemoryBudget/SpillDir and does NOT close the env. When nil
 	// and MemoryBudget > 0 the engine creates and cleans up its own.
 	Spill *storage.SpillEnv
@@ -275,10 +275,7 @@ func ExecuteAllocated(ctx context.Context, plan *lera.Plan, db DB, opts Options,
 	// Close covers every exit path — success, error, cancellation — so an
 	// aborted query never leaves spill temp files or open descriptors.
 	if opts.Spill == nil && opts.MemoryBudget > 0 {
-		env, err := storage.NewSpillEnv(opts.SpillDir, opts.MemoryBudget, storage.PoolPagesFor(opts.MemoryBudget), nil)
-		if err != nil {
-			return nil, err
-		}
+		env, _ := storage.NewSpillEnv(opts.SpillDir, opts.MemoryBudget, 0, nil) // never fails
 		defer env.Close()
 		opts.Spill = env
 	}

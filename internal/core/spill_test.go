@@ -19,6 +19,7 @@ import (
 
 	"dbs3/internal/esql"
 	"dbs3/internal/lera"
+	"dbs3/internal/storage"
 	"dbs3/internal/workload"
 )
 
@@ -215,28 +216,55 @@ func TestSpillCancellationCleansUp(t *testing.T) {
 	}
 }
 
-// TestSpillBudgetNeverExceeded: while a starved join runs, the accountant's
-// resident figure stays within the same order as the grant — the build never
-// materializes in memory. This is a coarse invariant (reservations may
-// transiently overshoot by one tuple batch before the spill releases), so it
-// checks the final state: all reservations returned.
+// TestSpillAccountingDrains: the two spill ledgers agree. Run against a
+// SpillEnv the test owns, a starved join and a starved GROUP BY report,
+// summed over their operators' OpStats, exactly the bytes and passes the
+// query's accountant counted — what FormatStats prints per operator adds up
+// to what Rows.SpillStats, the wire footer and the manager report. (The
+// accountant's reservations are not expected back at zero: resident build,
+// group and store state stays charged until the query drops its env.)
 func TestSpillAccountingDrains(t *testing.T) {
-	db, err := workload.NewJoinDB(8000, 4000, 8, 0)
+	jdb, err := workload.NewJoinDB(8000, 4000, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := db.IdealJoinPlan(lera.HashJoin)
+	joinPlan, err := jdb.IdealJoinPlan(lera.HashJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := execute(plan, db.Relations(), Options{Threads: 4, MemoryBudget: spillBudget, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.VerifyJoinResult(res.Outputs["Res"]); err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := totalSpilled(res); b == 0 {
-		t.Fatal("expected the starved join to spill")
+	aggPlan, aggDB := wisconsinPlan(t, "SELECT unique2, COUNT(*) FROM wisc GROUP BY unique2", "unique2", 4000, 8, false)
+	for _, c := range []struct {
+		name  string
+		plan  *lera.Plan
+		db    DB
+		check func(*Result) error
+	}{
+		{"join", joinPlan, jdb.Relations(), func(res *Result) error { return jdb.VerifyJoinResult(res.Outputs["Res"]) }},
+		{"group by", aggPlan, aggDB, func(res *Result) error {
+			rel, err := res.Relation(esql.OutputName)
+			if err == nil && rel.Cardinality() != 4000 {
+				err = fmt.Errorf("%d groups, want 4000", rel.Cardinality())
+			}
+			return err
+		}},
+	} {
+		env, err := storage.NewSpillEnv(t.TempDir(), spillBudget, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		res, err := execute(c.plan, c.db, Options{Threads: 4, Spill: env})
+		if err == nil {
+			err = c.check(res)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		opBytes, opPasses := totalSpilled(res)
+		envBytes, envPasses := env.Spilled()
+		if envBytes == 0 || opBytes != envBytes || opPasses != envPasses {
+			t.Errorf("%s: operators spilled %d B over %d passes, accountant %d B over %d",
+				c.name, opBytes, opPasses, envBytes, envPasses)
+		}
 	}
 }

@@ -279,7 +279,7 @@ func (s *Store) chargeLocked(i int, add int64) error {
 }
 
 // Results returns the materialized fragments, reading spilled runs back
-// through the buffer pool. Call only after execution completes.
+// from their files. Call only after execution completes.
 func (s *Store) Results() ([][]relation.Tuple, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

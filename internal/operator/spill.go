@@ -11,9 +11,9 @@ import (
 
 // Larger-than-memory execution for the blocking operators. Each spilling
 // operator shares the query's storage.SpillEnv: one accountant enforcing the
-// admission-granted memory budget, one temp-file set, one read-back buffer
-// pool. The accountant never blocks — exceeding the grant means "go to
-// disk", so memory pressure cannot deadlock against the thread scheduler.
+// admission-granted memory budget and one set of temp files. The accountant
+// never blocks — exceeding the grant means "go to disk", so memory pressure
+// cannot deadlock against the thread scheduler.
 
 // spillCounters is embedded by spilling operators and exposes per-operator
 // spill totals to the engine's OpStats harvest.
@@ -152,24 +152,32 @@ func (j *Join) closeGrace(g *graceState, emit Emit, depth int) error {
 	return nil
 }
 
-// joinPart loads one partition's build side; if it fits the grant (or
+// finishPart completes one side of a partition. A side no tuple reached has
+// no writer and an empty run.
+func finishPart(w *storage.RunWriter) (storage.Run, error) {
+	if w == nil {
+		return storage.Run{}, nil
+	}
+	return w.Finish()
+}
+
+// joinPart finishes one partition's runs and counts their bytes — both
+// sides, even when the other is empty, since the accountant counted every
+// page either wrote — then loads its build side; if it fits the grant (or
 // recursion bottomed out) it builds the in-memory structure and streams the
 // probe run through it, otherwise it repartitions both runs one level down.
 func (j *Join) joinPart(p *gracePart, emit Emit, salt uint64, depth int) error {
-	if p.build == nil || p.probe == nil {
-		return nil // an empty side of an equi-join produces nothing
-	}
-	buildRun, err := p.build.Finish()
+	buildRun, err := finishPart(p.build)
 	if err != nil {
 		return err
 	}
-	probeRun, err := p.probe.Finish()
+	probeRun, err := finishPart(p.probe)
 	if err != nil {
 		return err
 	}
 	j.spilledBytes.Add(buildRun.Bytes() + probeRun.Bytes())
 	if buildRun.Empty() || probeRun.Empty() {
-		return nil
+		return nil // an empty side of an equi-join produces nothing
 	}
 	build, err := buildRun.All()
 	if err != nil {

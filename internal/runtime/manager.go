@@ -828,11 +828,10 @@ type Run struct {
 // Execute returns, so every successful Begin must be followed by Execute.
 //
 // The Run owns the spill environment (rather than letting the engine create
-// one) so that chain-boundary renegotiation can retarget the accountant, the
-// spill totals land in the manager's ledgers, and pool, when non-nil, sees
-// the read-back traffic. With memory admission on, Admit has by then
-// rewritten opts.MemoryBudget to the granted bytes.
-func Begin(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts core.Options, pri Priority, pool *storage.PoolMetrics) (*Run, error) {
+// one) so that chain-boundary renegotiation can retarget the accountant and
+// the spill totals land in the manager's ledgers. With memory admission on,
+// Admit has by then rewritten opts.MemoryBudget to the granted bytes.
+func Begin(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts core.Options, pri Priority) (*Run, error) {
 	r := &Run{plan: plan, db: db}
 	var err error
 	if m != nil {
@@ -844,13 +843,7 @@ func Begin(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts co
 		return nil, err
 	}
 	if opts.Spill == nil && opts.MemoryBudget > 0 {
-		r.env, err = storage.NewSpillEnv(opts.SpillDir, opts.MemoryBudget, storage.PoolPagesFor(opts.MemoryBudget), pool)
-		if err != nil {
-			if r.adm != nil {
-				r.adm.Finish(err)
-			}
-			return nil, err
-		}
+		r.env, _ = storage.NewSpillEnv(opts.SpillDir, opts.MemoryBudget, 0, nil) // never fails
 		opts.Spill = r.env
 	}
 	if adm, env := r.adm, r.env; adm != nil {

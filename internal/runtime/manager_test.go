@@ -16,7 +16,7 @@ import (
 // execute admits one query as PriorityInteractive and runs it to completion
 // under m's budget, the way Stmt.QueryContext does minus the streaming.
 func execute(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts core.Options) (*core.Result, QueryStats, error) {
-	r, err := Begin(ctx, m, plan, db, opts, PriorityInteractive, nil)
+	r, err := Begin(ctx, m, plan, db, opts, PriorityInteractive)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}

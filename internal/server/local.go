@@ -81,11 +81,10 @@ func (b *local) ErrorStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// Stats snapshots the manager, plan-cache and buffer-pool counters.
+// Stats snapshots the manager and plan-cache counters.
 func (b *local) Stats(_ context.Context, front FrontEndStats) any {
 	st := b.manager.Stats()
 	hits, misses := b.db.PlanCacheStats()
-	poolHits, poolMisses, poolResident := b.db.BufferPoolStats()
 	return StatsResponse{
 		Budget:                b.manager.Budget(),
 		ActiveThreads:         st.ThreadsInFlight,
@@ -106,9 +105,6 @@ func (b *local) Stats(_ context.Context, front FrontEndStats) any {
 		PeakMem:               st.PeakMem,
 		SpilledBytes:          st.SpilledBytes,
 		SpillPasses:           st.SpillPasses,
-		BufferPoolHits:        poolHits,
-		BufferPoolMisses:      poolMisses,
-		BufferPoolResident:    poolResident,
 		PlanCacheHits:         hits,
 		PlanCacheMisses:       misses,
 		Statements:            front.Statements,

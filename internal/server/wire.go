@@ -173,11 +173,6 @@ type StatsResponse struct {
 	PeakMem      int64 `json:"peakMem,omitempty"`
 	SpilledBytes int64 `json:"spilledBytes,omitempty"`
 	SpillPasses  int64 `json:"spillPasses,omitempty"`
-	// Spill buffer-pool counters aggregated across queries: read-back page
-	// hits, misses that went to disk, and pages currently resident.
-	BufferPoolHits     int64 `json:"bufferPoolHits,omitempty"`
-	BufferPoolMisses   int64 `json:"bufferPoolMisses,omitempty"`
-	BufferPoolResident int64 `json:"bufferPoolResident,omitempty"`
 	// Plan-cache amortization counters.
 	PlanCacheHits   int64 `json:"planCacheHits"`
 	PlanCacheMisses int64 `json:"planCacheMisses"`

@@ -109,38 +109,3 @@ func (a *Accountant) Spilled() (bytes, passes int64) {
 	}
 	return a.spilledBytes.Load(), a.spillPasses.Load()
 }
-
-// PoolMetrics aggregates buffer-pool counters across pools — one per
-// spilling query — into process-lifetime figures a /stats endpoint can
-// report. All fields are atomics; a nil receiver is a no-op sink.
-type PoolMetrics struct {
-	Hits     atomic.Int64
-	Misses   atomic.Int64
-	Resident atomic.Int64
-}
-
-func (m *PoolMetrics) hit() {
-	if m != nil {
-		m.Hits.Add(1)
-	}
-}
-
-func (m *PoolMetrics) miss() {
-	if m != nil {
-		m.Misses.Add(1)
-	}
-}
-
-func (m *PoolMetrics) resident(delta int64) {
-	if m != nil {
-		m.Resident.Add(delta)
-	}
-}
-
-// Snapshot returns (hits, misses, resident).
-func (m *PoolMetrics) Snapshot() (hits, misses, resident int64) {
-	if m == nil {
-		return 0, 0, 0
-	}
-	return m.Hits.Load(), m.Misses.Load(), m.Resident.Load()
-}

@@ -1,8 +1,8 @@
 // Package storage is the disk substrate of larger-than-memory execution: a
-// tuple codec, slotted pages, spill files, an LRU buffer pool for read-back,
-// and the memory accountant that decides when an operator spills. Base
-// relations stay memory-resident, as in the paper's experiments (its KSR1
-// had one disk).
+// tuple codec, slotted pages, spill runs written to temp files and read back
+// once, in order, straight from them, and the memory accountant that decides
+// when an operator spills. Base relations stay memory-resident, as in the
+// paper's experiments (its KSR1 had one disk).
 package storage
 
 import (

@@ -79,26 +79,35 @@ func PageFromBytes(b []byte) (*Page, error) {
 		return nil, fmt.Errorf("storage: page image is %d bytes, want %d", len(b), PageSize)
 	}
 	p := &Page{buf: b}
+	if err := p.adopt(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// adopt validates the PageSize image in p.buf — every slot offset and every
+// encoded length — and recomputes the free pointer past the end of the
+// highest payload. Only the encoded lengths are walked; nothing is decoded
+// or allocated.
+func (p *Page) adopt() error {
 	n := p.Count()
 	dir := PageSize - 2*n // where the slot directory starts; payloads end below it
 	if dir < 2 {
-		return nil, fmt.Errorf("storage: corrupt page: a directory of %d slots does not fit", n)
+		return fmt.Errorf("storage: corrupt page: a directory of %d slots does not fit", n)
 	}
-	// Recompute the free pointer: past the end of the highest payload.
-	// Only the encoded lengths are walked; nothing is decoded or allocated.
 	p.free = 2
 	for i := 0; i < n; i++ {
 		off := int(binary.LittleEndian.Uint16(p.buf[p.slotOffset(i):]))
 		if off < 2 || off >= dir {
-			return nil, fmt.Errorf("storage: corrupt slot %d offset %d", i, off)
+			return fmt.Errorf("storage: corrupt slot %d offset %d", i, off)
 		}
 		l, err := encodedLen(p.buf[off:dir])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if off+l > p.free {
 			p.free = off + l
 		}
 	}
-	return p, nil
+	return nil
 }

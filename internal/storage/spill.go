@@ -9,10 +9,12 @@ import (
 )
 
 // Larger-than-memory execution: when a blocking operator exceeds its memory
-// grant it writes state to spill files — real OS temp files of PageSize
-// slotted pages — and reads it back through a BufferPool. A query's spill
-// files form a SpillSet addressed by PageID (Disk = file index, Slot = page
-// within the file).
+// grant it writes state to spill runs — each run one real OS temp file of
+// PageSize slotted pages — and reads every run back exactly once, front to
+// back, straight from its file: a Grace partition pair is joined once, an
+// aggregate's merge cursor passes over its run once, a store's runs are
+// harvested once. No page is read twice, so no page cache is kept: it would
+// never hit, and the pages it held would sit outside the accountant.
 
 // SpillFile is one append-only temp file of PageSize pages. It is removed
 // from the filesystem on Close; Close is idempotent and safe on the
@@ -40,10 +42,9 @@ func (s *SpillFile) Append(img []byte) (int, error) {
 	}
 	// Reserve the slot under the lock; write outside it. Holding the
 	// mutex across WriteAt would convoy concurrent readers of other
-	// slots behind this write's disk latency (the BufferPool.Get bug
-	// class). WriteAt on distinct offsets is safe concurrently, and a
-	// failed write just leaves a hole the caller never hands out —
-	// spill errors abandon the whole SpillSet.
+	// slots behind this write's disk latency. WriteAt on distinct offsets
+	// is safe concurrently, and a failed write just leaves a hole the
+	// caller never hands out — spill errors abandon the whole SpillEnv.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -59,29 +60,31 @@ func (s *SpillFile) Append(img []byte) (int, error) {
 	return slot, nil
 }
 
-// Read returns the page image at slot. The bounds check happens under the
-// lock, the disk read outside it, so concurrent readers never serialize
-// behind one another's I/O. A Close racing the read surfaces as a read
-// error (closed descriptor), which only happens on the cancel/error path
-// where the result is already discarded.
-func (s *SpillFile) Read(slot int) ([]byte, error) {
+// Read fills buf, which must be PageSize bytes, with the page image at slot.
+// The bounds check happens under the lock, the disk read outside it, so
+// concurrent readers never serialize behind one another's I/O. A Close
+// racing the read surfaces as a read error (closed descriptor), which only
+// happens on the cancel/error path where the result is already discarded.
+func (s *SpillFile) Read(slot int, buf []byte) error {
+	if len(buf) != PageSize {
+		return fmt.Errorf("storage: spill page buffer is %d bytes, want %d", len(buf), PageSize)
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("storage: read of closed spill file %s", s.name)
+		return fmt.Errorf("storage: read of closed spill file %s", s.name)
 	}
 	if slot < 0 || slot >= s.pages {
 		pages := s.pages
 		s.mu.Unlock()
-		return nil, fmt.Errorf("storage: read of slot %d in spill file with %d pages", slot, pages)
+		return fmt.Errorf("storage: read of slot %d in spill file with %d pages", slot, pages)
 	}
 	f := s.f
 	s.mu.Unlock()
-	img := make([]byte, PageSize)
-	if _, err := f.ReadAt(img, int64(slot)*PageSize); err != nil {
-		return nil, fmt.Errorf("storage: reading spill page: %w", err)
+	if _, err := f.ReadAt(buf, int64(slot)*PageSize); err != nil {
+		return fmt.Errorf("storage: reading spill page: %w", err)
 	}
-	return img, nil
+	return nil
 }
 
 // Pages returns the number of pages written.
@@ -106,58 +109,63 @@ func (s *SpillFile) Close() error {
 	return err
 }
 
-// SpillSet is a query's collection of spill files, addressed like a disk
-// array: PageID.Disk indexes the file, PageID.Slot the page within it. It
-// satisfies PageReader so a BufferPool can cache read-back.
-type SpillSet struct {
-	dir string
+// SpillEnv is a query's larger-than-memory state: the accountant enforcing
+// its memory grant and the temp files its runs are written to. The engine
+// threads one env through every blocking operator of a query; Close on any
+// exit path (success, error, cancel) removes every spill file.
+type SpillEnv struct {
+	Mem *Accountant
 
+	dir    string
 	mu     sync.Mutex
 	files  []*SpillFile
 	closed bool
 }
 
-// NewSpillSet creates an empty set writing temp files under dir ("" =
-// os.TempDir()).
-func NewSpillSet(dir string) *SpillSet { return &SpillSet{dir: dir} }
+// PoolPagesFor returns 0. It sized the read-back page cache runs no longer
+// go through; it stays, with NewSpillEnv's matching argument, because the
+// benchmark module under bench/ is built against this signature.
+func PoolPagesFor(grant int64) int { return 0 }
 
-// newFile opens a fresh spill file and returns it with its disk index.
-func (s *SpillSet) newFile() (*SpillFile, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, fmt.Errorf("storage: spill set already closed")
-	}
-	f, err := newSpillFile(s.dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.files = append(s.files, f)
-	return f, len(s.files) - 1, nil
+// PoolMetrics is empty: it carried the read-back page cache's counters. It
+// stays as NewSpillEnv's fourth parameter type for the same reason as
+// PoolPagesFor.
+type PoolMetrics struct{}
+
+// NewSpillEnv creates an env with the given memory grant (bytes) writing
+// temp files under dir ("" = os.TempDir()). poolPages and metrics are
+// ignored (see PoolPagesFor), and the error is always nil.
+func NewSpillEnv(dir string, grant int64, poolPages int, metrics *PoolMetrics) (*SpillEnv, error) {
+	return &SpillEnv{Mem: NewAccountant(grant), dir: dir}, nil
 }
 
-// Read fetches the page image at id, satisfying PageReader.
-func (s *SpillSet) Read(id PageID) ([]byte, error) {
-	s.mu.Lock()
-	if id.Disk < 0 || id.Disk >= len(s.files) {
-		n := len(s.files)
-		s.mu.Unlock()
-		return nil, fmt.Errorf("storage: spill file %d out of range [0,%d)", id.Disk, n)
+// newFile opens a fresh spill file owned by the env.
+func (e *SpillEnv) newFile() (*SpillFile, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil, fmt.Errorf("storage: spill env already closed")
 	}
-	f := s.files[id.Disk]
-	s.mu.Unlock()
-	return f.Read(id.Slot)
+	f, err := newSpillFile(e.dir)
+	if err != nil {
+		return nil, err
+	}
+	e.files = append(e.files, f)
+	return f, nil
 }
 
 // Close closes and removes every spill file. Idempotent; called on query
 // completion, error, and cancellation alike, so a query aborted mid-spill
 // leaves no temp files or descriptors behind.
-func (s *SpillSet) Close() error {
-	s.mu.Lock()
-	files := s.files
-	s.files = nil
-	s.closed = true
-	s.mu.Unlock()
+func (e *SpillEnv) Close() error {
+	if e == nil {
+		return nil
+	}
+	e.mu.Lock()
+	files := e.files
+	e.files = nil
+	e.closed = true
+	e.mu.Unlock()
 	var first error
 	for _, f := range files {
 		if err := f.Close(); err != nil && first == nil {
@@ -165,57 +173,6 @@ func (s *SpillSet) Close() error {
 		}
 	}
 	return first
-}
-
-// SpillEnv bundles a query's larger-than-memory resources: the accountant
-// enforcing its memory grant, the temp-file set, and a buffer pool for
-// read-back. The engine threads one env through every blocking operator of
-// a query; Close on any exit path (success, error, cancel) removes all
-// spill state.
-type SpillEnv struct {
-	Mem  *Accountant
-	Set  *SpillSet
-	Pool *BufferPool
-}
-
-// PoolPagesFor sizes a query's read-back buffer pool from its memory grant:
-// a quarter of the grant in pages, within [8, 256] — the pool caches spilled
-// pages, so it must stay small next to the grant itself.
-func PoolPagesFor(grant int64) int {
-	p := int(grant / PageSize / 4)
-	if p < 8 {
-		p = 8
-	}
-	if p > 256 {
-		p = 256
-	}
-	return p
-}
-
-// NewSpillEnv creates an env with the given memory grant (bytes), temp dir
-// ("" = os.TempDir()), and read-back pool capacity in pages (<= 0 picks a
-// small default).
-func NewSpillEnv(dir string, grant int64, poolPages int, metrics *PoolMetrics) (*SpillEnv, error) {
-	if poolPages <= 0 {
-		poolPages = 16
-	}
-	set := NewSpillSet(dir)
-	pool, err := NewBufferPool(set, poolPages)
-	if err != nil {
-		return nil, err
-	}
-	pool.SetMetrics(metrics)
-	return &SpillEnv{Mem: NewAccountant(grant), Set: set, Pool: pool}, nil
-}
-
-// Close tears down the env: drops cached pages and removes every spill
-// file. Idempotent.
-func (e *SpillEnv) Close() error {
-	if e == nil {
-		return nil
-	}
-	e.Pool.Close()
-	return e.Set.Close()
 }
 
 // Spilled returns the query's cumulative (bytes, passes).
@@ -226,7 +183,7 @@ func (e *SpillEnv) Spilled() (bytes, passes int64) {
 	return e.Mem.Spilled()
 }
 
-// NewRun starts a run writer in the env's set.
+// NewRun starts a run writer in the env.
 func (e *SpillEnv) NewRun() *RunWriter { return &RunWriter{env: e} }
 
 // RunWriter packs tuples into slotted pages appended to one spill file (one
@@ -236,7 +193,6 @@ func (e *SpillEnv) NewRun() *RunWriter { return &RunWriter{env: e} }
 type RunWriter struct {
 	env    *SpillEnv
 	file   *SpillFile
-	disk   int
 	page   *Page
 	tuples int
 }
@@ -244,11 +200,11 @@ type RunWriter struct {
 // Add appends a tuple to the run.
 func (w *RunWriter) Add(t relation.Tuple) error {
 	if w.file == nil {
-		f, disk, err := w.env.Set.newFile()
+		f, err := w.env.newFile()
 		if err != nil {
 			return err
 		}
-		w.file, w.disk = f, disk
+		w.file = f
 	}
 	if w.page == nil {
 		w.page = NewPage()
@@ -284,18 +240,17 @@ func (w *RunWriter) Finish() (Run, error) {
 			return Run{}, err
 		}
 	}
-	r := Run{env: w.env, disk: w.disk, tuples: w.tuples}
+	r := Run{file: w.file, tuples: w.tuples}
 	if w.file != nil {
 		r.pages = w.file.Pages()
 	}
 	return r, nil
 }
 
-// Run is a finished sequence of spilled tuples, readable in write order
-// through the env's buffer pool.
+// Run is a finished sequence of spilled tuples, read back in write order
+// from its file.
 type Run struct {
-	env    *SpillEnv
-	disk   int
+	file   *SpillFile
 	pages  int
 	tuples int
 }
@@ -309,76 +264,65 @@ func (r Run) Len() int { return r.tuples }
 // Bytes returns the run's on-disk size.
 func (r Run) Bytes() int64 { return int64(r.pages) * PageSize }
 
-// eachPage calls f for every page of the run in write order, reading
-// through the env's buffer pool.
-func (r Run) eachPage(f func(p *Page) error) error {
-	for slot := 0; slot < r.pages; slot++ {
-		p, err := r.env.Pool.Get(PageID{Disk: r.disk, Slot: slot})
-		if err != nil {
-			return err
-		}
-		if err := f(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Each calls f for every tuple in write order. The tuples are decoded into
 // one slab for the whole run and f may keep them; like any slab tuple, one
 // that is kept pins the chunk and arena it shares with its neighbours.
 func (r Run) Each(f func(t relation.Tuple) error) error {
-	var slab relation.Slab
-	var page []relation.Tuple
-	return r.eachPage(func(p *Page) (err error) {
-		if page, err = p.AppendTuples(&slab, page[:0]); err != nil {
+	c := r.Cursor()
+	for {
+		t, ok, err := c.Next()
+		if err != nil || !ok {
 			return err
 		}
-		for _, t := range page {
-			if err := f(t); err != nil {
-				return err
-			}
+		if err := f(t); err != nil {
+			return err
 		}
-		return nil
-	})
+	}
 }
 
 // All reads the whole run back into memory, into one slab.
 func (r Run) All() ([]relation.Tuple, error) {
-	var slab relation.Slab
 	out := make([]relation.Tuple, 0, r.tuples)
-	err := r.eachPage(func(p *Page) (err error) {
-		out, err = p.AppendTuples(&slab, out)
-		return err
+	err := r.Each(func(t relation.Tuple) error {
+		out = append(out, t)
+		return nil
 	})
 	return out, err
 }
 
-// Cursor returns a streaming reader over the run for k-way merges.
+// Cursor returns a streaming reader over the run.
 func (r Run) Cursor() *RunCursor { return &RunCursor{run: r} }
 
-// RunCursor streams a run one page at a time, decoding into one slab.
+// RunCursor streams a run one page at a time: it reads pages 0..n-1 in
+// order into one page buffer, validates each, and decodes its tuples into
+// one slab.
 type RunCursor struct {
 	run    Run
 	slot   int
+	page   Page
 	slab   relation.Slab
 	tuples []relation.Tuple
 	pos    int
 }
 
-// Next advances to the next tuple, reporting false at the end of the run or
-// on error (check Err).
+// Next advances to the next tuple, reporting false at the end of the run.
 func (c *RunCursor) Next() (relation.Tuple, bool, error) {
 	for c.pos >= len(c.tuples) {
 		if c.slot >= c.run.pages {
 			return nil, false, nil
 		}
-		p, err := c.run.env.Pool.Get(PageID{Disk: c.run.disk, Slot: c.slot})
-		if err != nil {
+		if c.page.buf == nil {
+			c.page.buf = make([]byte, PageSize)
+		}
+		if err := c.run.file.Read(c.slot, c.page.buf); err != nil {
 			return nil, false, err
 		}
 		c.slot++
-		if c.tuples, err = p.AppendTuples(&c.slab, c.tuples[:0]); err != nil {
+		err := c.page.adopt()
+		if err == nil {
+			c.tuples, err = c.page.AppendTuples(&c.slab, c.tuples[:0])
+		}
+		if err != nil {
 			return nil, false, err
 		}
 		c.pos = 0

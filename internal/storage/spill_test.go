@@ -12,7 +12,7 @@ func spillTuple(k int64) relation.Tuple {
 }
 
 func TestRunWriterRoundTrip(t *testing.T) {
-	env, err := NewSpillEnv(t.TempDir(), 0, 4, nil)
+	env, err := NewSpillEnv(t.TempDir(), 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRunWriterRoundTrip(t *testing.T) {
 
 func TestSpillEnvCloseRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	env, err := NewSpillEnv(dir, 0, 4, nil)
+	env, err := NewSpillEnv(dir, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +105,39 @@ func TestSpillEnvCloseRemovesFiles(t *testing.T) {
 	}
 	if err := env.Close(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+}
+
+// TestSpillFileReadErrors: a read outside the pages written, into a buffer
+// that is not one page, or of a closed file is an error, never a short or
+// stale page.
+func TestSpillFileReadErrors(t *testing.T) {
+	f, err := newSpillFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Append(NewPage().Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	if err := f.Read(0, buf); err != nil {
+		t.Fatalf("reading the one page written: %v", err)
+	}
+	for name, read := range map[string]func() error{
+		"slot past the end": func() error { return f.Read(99, buf) },
+		"negative slot":     func() error { return f.Read(-1, buf) },
+		"short buffer":      func() error { return f.Read(0, buf[:100]) },
+	} {
+		if read() == nil {
+			t.Errorf("%s: read accepted", name)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Read(0, buf) == nil {
+		t.Error("read of a closed file accepted")
 	}
 }
 

@@ -330,7 +330,7 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 
 	// Begin admits the query under the manager, if one is installed, and
 	// owns its spill environment; run.Execute below settles both.
-	run, err := dbruntime.Begin(qctx, manager, execPlan, rels, copts, s.pri, &s.db.poolMetrics)
+	run, err := dbruntime.Begin(qctx, manager, execPlan, rels, copts, s.pri)
 	if err != nil {
 		cancel()
 		return nil, err
