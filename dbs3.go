@@ -224,6 +224,9 @@ func (db *Database) snapshotResolver() lera.MapResolver {
 // CreateWisconsin generates a Wisconsin benchmark relation [Bitton83] of the
 // given cardinality, hash-partitioned on key into degree fragments.
 func (db *Database) CreateWisconsin(name string, cardinality, degree int, key string, seed int64) error {
+	if cardinality <= 0 {
+		return fmt.Errorf("dbs3: Wisconsin cardinality must be positive, got %d", cardinality)
+	}
 	schema := relation.WisconsinSchema
 	h, err := partition.NewHash(schema, []string{key}, degree)
 	if err != nil {

@@ -64,6 +64,20 @@ func TestFacadeCreateErrors(t *testing.T) {
 	}
 }
 
+// TestFacadeCreateWisconsinRejectsEmpty: a cardinality of zero or less is an
+// error, as it is for CreateJoinPair, not a panic, and registers nothing.
+func TestFacadeCreateWisconsinRejectsEmpty(t *testing.T) {
+	db := New()
+	for _, card := range []int{0, -1} {
+		if err := db.CreateWisconsin("w", card, 4, "unique2", 1); err == nil {
+			t.Errorf("cardinality %d accepted", card)
+		}
+	}
+	if names := db.Relations(); len(names) != 0 {
+		t.Errorf("relations after rejected creates = %v", names)
+	}
+}
+
 func TestFacadeSelection(t *testing.T) {
 	db := facadeDB(t)
 	rows, err := db.QueryAllContext(context.Background(), "SELECT unique2 FROM wisc WHERE unique1 < 100", nil)

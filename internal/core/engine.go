@@ -467,20 +467,7 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 		case lera.RouteSame:
 			tg.same = true
 		case lera.RouteHash:
-			cols := be.RouteColsIdx
-			if router := plan.Nodes[e.To].Router; router != nil {
-				tg.routeBatch = func(ts []relation.Tuple, dst []int32) []int32 {
-					return router.FragmentsOfCols(ts, cols, dst)
-				}
-			} else {
-				degree := uint64(consumer.Degree())
-				tg.routeBatch = func(ts []relation.Tuple, dst []int32) []int32 {
-					for _, t := range ts {
-						dst = append(dst, int32(t.HashOn(cols)%degree))
-					}
-					return dst
-				}
-			}
+			tg.router, tg.cols = plan.Nodes[e.To].Router, be.RouteColsIdx
 		}
 		targetsOf[e.From] = append(targetsOf[e.From], tg)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"dbs3/internal/operator"
+	"dbs3/internal/partition"
 	"dbs3/internal/relation"
 )
 
@@ -73,12 +74,13 @@ type emitFunc func(inst int, t relation.Tuple)
 
 // routeTarget is one downstream consumer of an operation's output. same marks
 // instance-aligned (RouteSame) targets: every tuple goes to the emitting
-// instance's own queue. Otherwise the edge is hash-partitioned and
-// routeBatch appends one destination queue index per tuple of a run to dst.
+// instance's own queue. Otherwise the edge is hash-partitioned: the
+// consumer's router places each tuple of a run by its key at cols.
 type routeTarget struct {
-	op         *Operation
-	same       bool
-	routeBatch func(ts []relation.Tuple, dst []int32) []int32
+	op     *Operation
+	same   bool
+	router partition.Func
+	cols   []int
 }
 
 // emitter is the per-worker emission path. emitRun hands a run of produced
@@ -155,7 +157,7 @@ type routeEmitter struct {
 	targets []routeTarget
 	grain   int
 	bufs    [][][]Activation // [target][destination queue] -> pending tuples
-	dsts    []int32          // routeBatch scratch: destinations for one run
+	dsts    []int32          // router scratch: destinations for one run
 }
 
 func newRouteEmitter(targets []routeTarget, grain int) *routeEmitter {
@@ -193,7 +195,7 @@ func (e *routeEmitter) emitRun(inst int, ts []relation.Tuple) {
 			bufs[inst] = buf
 		default:
 			// Hash routing: all destinations computed in one call.
-			e.dsts = tg.routeBatch(ts, e.dsts[:0])
+			e.dsts = tg.router.FragmentsOfCols(ts, tg.cols, e.dsts[:0])
 			for k, t := range ts {
 				dst := e.dsts[k]
 				buf := bufs[dst]

@@ -1,9 +1,8 @@
 // Package experiments regenerates every measured figure of the paper's
 // evaluation (§5) on the virtual-time simulator with the calibrated KSR1
-// cost model. Each FigNN function returns the figure's data series; the
-// bench harness (bench_test.go, cmd/dbs3-bench) prints them, and the package
-// tests assert the paper's shape claims (who wins, by how much, where the
-// crossovers fall).
+// cost model. Each FigNN function returns the figure's data series;
+// cmd/dbs3-bench prints them, and the package tests assert the paper's shape
+// claims (who wins, by how much, where the crossovers fall).
 package experiments
 
 import (

@@ -27,9 +27,10 @@ type BoundNode struct {
 	// BuildKeyIdx/ProbeKeyIdx are join key positions. ProbeKeyIdx indexes
 	// either ProbeRel's schema (triggered join) or InSchema (pipelined).
 	BuildKeyIdx, ProbeKeyIdx []int
-	// Router routes redistributed tuples into this join node's instances:
-	// the build relation's own partitioning function, so probe tuples land
-	// with their matching build fragment. Nil for non-join nodes.
+	// Router routes hash-redistributed tuples into this node's instances. A
+	// pipelined join's is the build relation's own partitioning function, so
+	// probe tuples land with their matching build fragment; any other node's
+	// is a hash at its degree. Nil for nodes with no hash-routed input.
 	Router partition.Func
 	// ColsIdx are projection positions (map nodes).
 	ColsIdx []int
@@ -117,11 +118,12 @@ func Bind(g *Graph, res Resolver) (*Plan, error) {
 	// The placeholder count is fixed once every predicate is bound; cache it
 	// so the per-execution BindParams arity check costs nothing.
 	p.params = countParams(p)
-	// Bind edge routing columns against producer output schemas.
+	// Bind edge routing columns against producer output schemas, and give
+	// every consumer of a hash edge its router.
 	for i, e := range g.Edges {
 		be := &BoundEdge{Edge: e}
 		if e.Route == RouteHash {
-			from := p.Nodes[e.From]
+			from, to := p.Nodes[e.From], p.Nodes[e.To]
 			if from.OutSchema == nil {
 				return nil, fmt.Errorf("lera: edge from store node %s", g.Nodes[e.From].Name)
 			}
@@ -132,6 +134,13 @@ func Bind(g *Graph, res Resolver) (*Plan, error) {
 					return nil, fmt.Errorf("lera: routing column %q not produced by %s %s", c, g.Nodes[e.From].Name, from.OutSchema)
 				}
 				be.RouteColsIdx[j] = idx
+			}
+			if to.Router == nil {
+				router, err := partition.NewHash(from.OutSchema, e.RouteCols, to.Degree)
+				if err != nil {
+					return nil, fmt.Errorf("lera: edge %s->%s: %w", g.Nodes[e.From].Name, g.Nodes[e.To].Name, err)
+				}
+				to.Router = router
 			}
 		}
 		p.Edges[i] = be

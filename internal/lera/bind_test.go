@@ -281,6 +281,12 @@ func TestBindErrors(t *testing.T) {
 			g.ConnectSame(a, g.Store("s", "out"))
 			return g
 		}},
+		{"hash edge routing on no columns", func() *Graph {
+			g := NewGraph()
+			f := g.Filter("f", "A", nil)
+			g.ConnectHash(f, g.Store("s", "out"), nil)
+			return g
+		}},
 		{"duplicate store output", func() *Graph {
 			g := NewGraph()
 			f1 := g.Filter("f1", "A", nil)
@@ -410,5 +416,13 @@ func TestBindDegreeOverrideWithHashRoute(t *testing.T) {
 	}
 	if p.Nodes[st.ID].Degree != 2 {
 		t.Errorf("store degree = %d, want 2", p.Nodes[st.ID].Degree)
+	}
+	// A hash edge into a non-join node routes with a hash at the consumer's
+	// degree; a node with no hash-routed input has no router.
+	if r := p.Nodes[st.ID].Router; r == nil || r.Signature() != "hash/2" {
+		t.Errorf("store router = %v, want hash/2", r)
+	}
+	if r := p.Nodes[f.ID].Router; r != nil {
+		t.Errorf("filter router = %v, want none", r)
 	}
 }

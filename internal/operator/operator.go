@@ -388,7 +388,10 @@ func hashKeys(ts []relation.Tuple, cols []int, dst []uint64) []uint64 {
 		}
 		return dst
 	}
-	return relation.HashTuplesOn(ts, cols, dst)
+	for _, t := range ts {
+		dst = append(dst, t.HashOn(cols))
+	}
+	return dst
 }
 
 // buildIndex is the per-instance state of hash and temp-index joins.

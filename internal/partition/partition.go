@@ -13,23 +13,19 @@ import (
 	"dbs3/internal/relation"
 )
 
-// Func maps a tuple to its fragment index in [0, Degree).
+// Func places tuples in fragments [0, Degree). It has one placement method,
+// over a run of tuples, and every placement goes through it: Partition and
+// Generate when a loader partitions a relation, ShardRelation when a node
+// keeps its shard, and the engine's routing of every hash-redistributed run.
+// A pipelined join routes its probe tuples with the build relation's own
+// function, so they land on the co-located instance.
 type Func interface {
 	// Degree returns the number of fragments the function produces.
 	Degree() int
-	// FragmentOf returns the fragment index for the tuple.
-	FragmentOf(t relation.Tuple) int
-	// FragmentOfKey returns the fragment index for an extracted key (the
-	// partitioning attribute values in Key() order). Dynamic redistribution
-	// uses it to route probe tuples to the fragment that holds matching
-	// build tuples: co-location requires routing with the build relation's
-	// own partitioning function, not an arbitrary hash.
-	FragmentOfKey(key []relation.Value) int
 	// FragmentsOfCols appends to dst the fragment index of each tuple of ts,
-	// for the key found at the given column positions (in Key() order). It
-	// is FragmentOfKey without the projection, over a whole run: the
-	// engine's pipelined routing calls it once per emitted run of
-	// redistributed tuples, so it must not allocate beyond growing dst.
+	// for the key found at the given column positions (in Key() order). The
+	// engine calls it once per emitted run of redistributed tuples, so it must
+	// not allocate beyond growing dst.
 	FragmentsOfCols(ts []relation.Tuple, cols []int, dst []int32) []int32
 	// Key returns the partitioning attribute names.
 	Key() []string
@@ -43,7 +39,6 @@ type Func interface {
 // Hash partitions by hashing one or more attributes, the paper's storage
 // model ("Relations are partitioned by hashing on one or more attributes").
 type Hash struct {
-	cols   []int
 	names  []string
 	degree int
 }
@@ -56,15 +51,12 @@ func NewHash(schema *relation.Schema, key []string, degree int) (*Hash, error) {
 	if len(key) == 0 {
 		return nil, fmt.Errorf("partition: hash partitioning needs at least one key column")
 	}
-	cols := make([]int, len(key))
-	for i, name := range key {
-		c, ok := schema.Index(name)
-		if !ok {
+	for _, name := range key {
+		if _, ok := schema.Index(name); !ok {
 			return nil, fmt.Errorf("partition: key column %q not in schema %s", name, schema)
 		}
-		cols[i] = c
 	}
-	return &Hash{cols: cols, names: append([]string(nil), key...), degree: degree}, nil
+	return &Hash{names: append([]string(nil), key...), degree: degree}, nil
 }
 
 // Degree implements Func.
@@ -72,17 +64,6 @@ func (h *Hash) Degree() int { return h.degree }
 
 // Key implements Func.
 func (h *Hash) Key() []string { return append([]string(nil), h.names...) }
-
-// FragmentOf implements Func.
-func (h *Hash) FragmentOf(t relation.Tuple) int {
-	return int(t.HashOn(h.cols) % uint64(h.degree))
-}
-
-// FragmentOfKey implements Func. Tuple.Hash folds the key values exactly as
-// HashOn folds the key columns, so it agrees with FragmentsOfCols.
-func (h *Hash) FragmentOfKey(key []relation.Value) int {
-	return int(relation.Tuple(key).Hash() % uint64(h.degree))
-}
 
 // FragmentsOfCols implements Func.
 func (h *Hash) FragmentsOfCols(ts []relation.Tuple, cols []int, dst []int32) []int32 {
@@ -101,7 +82,6 @@ func (h *Hash) Signature() string { return fmt.Sprintf("hash/%d", h.degree) }
 // skewed-database generators exploit to place a chosen number of tuples in
 // each fragment (tuple placement skew, TPS).
 type Mod struct {
-	col    int
 	name   string
 	degree int
 	// mask is degree-1 when degree is a power of two, else 0. k&mask equals
@@ -122,7 +102,7 @@ func NewMod(schema *relation.Schema, key string, degree int) (*Mod, error) {
 	if schema.Column(c).Type != relation.TInt {
 		return nil, fmt.Errorf("partition: modulo partitioning needs an integer column, %q is %s", key, schema.Column(c).Type)
 	}
-	m := &Mod{col: c, name: key, degree: degree}
+	m := &Mod{name: key, degree: degree}
 	if degree&(degree-1) == 0 {
 		m.mask = int64(degree - 1)
 	}
@@ -134,30 +114,6 @@ func (m *Mod) Degree() int { return m.degree }
 
 // Key implements Func.
 func (m *Mod) Key() []string { return []string{m.name} }
-
-// FragmentOf implements Func.
-func (m *Mod) FragmentOf(t relation.Tuple) int {
-	return m.fragmentOfInt(t[m.col].AsInt())
-}
-
-// FragmentOfKey implements Func.
-func (m *Mod) FragmentOfKey(key []relation.Value) int {
-	if len(key) != 1 {
-		panic(fmt.Sprintf("partition: modulo partitioning takes one key value, got %d", len(key)))
-	}
-	return m.fragmentOfInt(key[0].AsInt())
-}
-
-func (m *Mod) fragmentOfInt(k int64) int {
-	if m.mask != 0 {
-		return int(k & m.mask)
-	}
-	v := k % int64(m.degree)
-	if v < 0 {
-		v += int64(m.degree)
-	}
-	return int(v)
-}
 
 // FragmentsOfCols implements Func.
 func (m *Mod) FragmentsOfCols(ts []relation.Tuple, cols []int, dst []int32) []int32 {

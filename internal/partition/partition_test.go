@@ -36,8 +36,9 @@ func TestHashCoLocatesEqualKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dest := h.FragmentsOfCols(r.Tuples, []int{0}, nil)
 	for i := 0; i < len(r.Tuples); i += 2 {
-		if h.FragmentOf(r.Tuples[i]) != h.FragmentOf(r.Tuples[i+1]) {
+		if dest[i] != dest[i+1] {
 			t.Fatalf("equal keys landed in different fragments")
 		}
 	}
@@ -55,10 +56,10 @@ func TestModPartitioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 1, 2, 0, 1, 2} // -1 mod 3 must be non-negative 2
-	for i, tup := range r.Tuples {
-		if got := m.FragmentOf(tup); got != want[i] {
-			t.Errorf("FragmentOf(k=%v) = %d, want %d", tup[0], got, want[i])
+	want := []int32{0, 1, 2, 0, 1, 2} // -1 mod 3 must be non-negative 2
+	for i, got := range m.FragmentsOfCols(r.Tuples, []int{0}, nil) {
+		if got != want[i] {
+			t.Errorf("fragment of k=%v is %d, want %d", r.Tuples[i][0], got, want[i])
 		}
 	}
 }
@@ -94,26 +95,33 @@ func TestPartitionLossless(t *testing.T) {
 	}
 }
 
-// countingFunc places the i-th tuple it is asked about in fragment i mod
-// degree, so its placement shows both how often and in what order Partition
-// asked. Only FragmentOf is meant to be reached.
+// countingFunc places the i-th tuple of a run in fragment i mod degree, so
+// its placement shows in what order Partition handed the tuples over, and it
+// records each call's run length and key columns.
 type countingFunc struct {
-	Func
-	degree, calls int
+	degree int
+	runs   []int
+	cols   [][]int
 }
 
-func (c *countingFunc) Degree() int   { return c.degree }
-func (c *countingFunc) Key() []string { return nil }
+func (c *countingFunc) Degree() int       { return c.degree }
+func (c *countingFunc) Key() []string     { return []string{"unique2"} }
+func (c *countingFunc) Signature() string { return "counting" }
 
-func (c *countingFunc) FragmentOf(relation.Tuple) int {
-	c.calls++
-	return (c.calls - 1) % c.degree
+func (c *countingFunc) FragmentsOfCols(ts []relation.Tuple, cols []int, dst []int32) []int32 {
+	c.runs = append(c.runs, len(ts))
+	c.cols = append(c.cols, cols)
+	for i := range ts {
+		dst = append(dst, int32(i%c.degree))
+	}
+	return dst
 }
 
 // TestPartitionCallsFuncOncePerTuple: the two-pass partition asks the
-// function once per tuple, in relation order — tuple i lands in fragment
-// i mod d — and its fragments are exactly sized and capped, so growing one
-// never overwrites the next.
+// function about every tuple in one FragmentsOfCols call, in relation order
+// and at the position of its key column — tuple i lands in fragment i mod d —
+// and its fragments are exactly sized and capped, so growing one never
+// overwrites the next.
 func TestPartitionCallsFuncOncePerTuple(t *testing.T) {
 	r := relation.Wisconsin("A", 103, 3)
 	f := &countingFunc{degree: 4}
@@ -121,8 +129,11 @@ func TestPartitionCallsFuncOncePerTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.calls != len(r.Tuples) {
-		t.Fatalf("FragmentOf called %d times for %d tuples", f.calls, len(r.Tuples))
+	if len(f.runs) != 1 || f.runs[0] != len(r.Tuples) {
+		t.Fatalf("FragmentsOfCols called with runs %v for %d tuples, want one run of all", f.runs, len(r.Tuples))
+	}
+	if key := r.Schema.MustIndex("unique2"); len(f.cols[0]) != 1 || f.cols[0][0] != key {
+		t.Fatalf("routed at columns %v, want [%d]", f.cols[0], key)
 	}
 	for i, tup := range r.Tuples {
 		if got := p.Fragments[i%4][i/4]; !got.Equal(tup) {
@@ -291,13 +302,13 @@ func TestPartitionedString(t *testing.T) {
 	}
 }
 
-// TestFragmentOfKeyMatchesFragmentOf: the three ways of asking a function
-// for a fragment agree — by tuple, by extracted key, and by key columns over
-// a whole run, which is how the engine routes — for hash on one and on two
-// key columns and for modulo at a power-of-two degree (the mask path) and at
-// another (the divide path), over negative keys too. Neither keyed form
-// allocates.
-func TestFragmentOfKeyMatchesFragmentOf(t *testing.T) {
+// TestFragmentsOfColsPlacesByKey: each function places a run by its key at
+// the given columns — hash as HashOn modulo the degree, on one and on two key
+// columns; modulo as the non-negative remainder at a power-of-two degree (the
+// mask path) and at another (the divide path), over negative keys too —
+// appending after what dst already holds, and without allocating once dst is
+// large enough.
+func TestFragmentsOfColsPlacesByKey(t *testing.T) {
 	wisc := relation.Wisconsin("A", 500, 3)
 	keys := make([]int64, 0, 600)
 	for k := int64(-300); k < 300; k++ {
@@ -316,22 +327,21 @@ func TestFragmentOfKeyMatchesFragmentOf(t *testing.T) {
 		for i, name := range c.f.Key() {
 			cols[i] = c.r.Schema.MustIndex(name)
 		}
-		// FragmentsOfCols appends after what dst already holds.
 		dst := c.f.FragmentsOfCols(c.r.Tuples, cols, []int32{-1})
 		if len(dst) != 1+len(c.r.Tuples) || dst[0] != -1 {
 			t.Fatalf("%s: FragmentsOfCols returned %d destinations (first %d) for %d tuples after one held", c.f.Signature(), len(dst), dst[0], len(c.r.Tuples))
 		}
-		key := make([]relation.Value, len(cols))
+		d := int64(c.f.Degree())
 		for i, tup := range c.r.Tuples {
-			for j, col := range cols {
-				key[j] = tup[col]
+			var want int64
+			if _, ok := c.f.(*Hash); ok {
+				want = int64(tup.HashOn(cols) % uint64(d))
+			} else {
+				want = (tup[cols[0]].AsInt()%d + d) % d
 			}
-			if byTuple, byKey, byCols := c.f.FragmentOf(tup), c.f.FragmentOfKey(key), int(dst[1+i]); byTuple != byKey || byTuple != byCols {
-				t.Fatalf("%s %v: FragmentOf=%d FragmentOfKey=%d FragmentsOfCols=%d", c.f.Signature(), tup, byTuple, byKey, byCols)
+			if got := int64(dst[1+i]); got != want {
+				t.Fatalf("%s %v: fragment %d, want %d", c.f.Signature(), tup, got, want)
 			}
-		}
-		if n := testing.AllocsPerRun(100, func() { c.f.FragmentOfKey(key) }); n != 0 {
-			t.Errorf("%s: FragmentOfKey allocates %v times per call, want 0", c.f.Signature(), n)
 		}
 		if n := testing.AllocsPerRun(100, func() { dst = c.f.FragmentsOfCols(c.r.Tuples, cols, dst[:0]) }); n != 0 {
 			t.Errorf("%s: FragmentsOfCols into a large enough dst allocates %v times per run, want 0", c.f.Signature(), n)
@@ -351,7 +361,7 @@ func TestSignatures(t *testing.T) {
 	}
 }
 
-func TestModFragmentOfKeyArity(t *testing.T) {
+func TestModFragmentsOfColsArity(t *testing.T) {
 	r := relation.Wisconsin("A", 10, 3)
 	m, _ := NewMod(r.Schema, "unique2", 7)
 	defer func() {
@@ -359,5 +369,5 @@ func TestModFragmentOfKeyArity(t *testing.T) {
 			t.Error("expected panic for wrong key arity")
 		}
 	}()
-	m.FragmentOfKey([]relation.Value{relation.Int(1), relation.Int(2)})
+	m.FragmentsOfCols(r.Tuples, []int{0, 1}, nil)
 }

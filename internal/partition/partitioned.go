@@ -24,8 +24,8 @@ type Partitioned struct {
 // Partition splits r into fragments with f and places them on numDisks disks
 // round-robin, mirroring the paper's storage model ("relation fragments are
 // distributed onto disks in a round-robin fashion"). It is a two-pass
-// counting partition: f is called exactly once per tuple, in relation order,
-// its answers are kept in an []int32, and the tuples are then placed in one
+// counting partition: one FragmentsOfCols call routes every tuple at the
+// column positions of f's key, and the tuples are then placed in one
 // exactly-sized []Tuple the fragments are Cut from.
 func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error) {
 	if numDisks <= 0 {
@@ -41,7 +41,16 @@ func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error)
 	for i := 0; i < d; i++ {
 		p.Disk[i] = i % numDisks
 	}
-	dest, sizes, err := destinations(len(r.Tuples), d, func(i int) int { return f.FragmentOf(r.Tuples[i]) })
+	cols := make([]int, len(p.Key))
+	for i, name := range p.Key {
+		c, ok := r.Schema.Index(name)
+		if !ok {
+			return nil, fmt.Errorf("partition: key column %q not in schema %s", name, r.Schema)
+		}
+		cols[i] = c
+	}
+	dest := f.FragmentsOfCols(r.Tuples, cols, make([]int32, 0, len(r.Tuples)))
+	sizes, err := fragmentSizes(dest, d)
 	if err != nil {
 		return nil, err
 	}
@@ -72,15 +81,30 @@ func Generate(name string, schema *relation.Schema, f Func, numDisks, n, strByte
 	return p, err
 }
 
+// generateChunk is how many keys Generate routes per FragmentsOfCols call.
+const generateChunk = 256
+
 // generate is Generate; it also returns the region, for tests to Check.
 func generate(name string, schema *relation.Schema, f Func, numDisks, n, strBytes int,
 	keyOf func(i int) relation.Value, row func(region *relation.Region, i int)) (*Partitioned, *relation.Region, error) {
 	d := f.Degree()
-	key := make([]relation.Value, 1)
-	dest, sizes, err := destinations(n, d, func(i int) int {
-		key[0] = keyOf(i)
-		return f.FragmentOfKey(key)
-	})
+	// The keys are routed as one-value tuples, a chunk at a time, through
+	// buffers that do not grow with n.
+	var keys [generateChunk]relation.Value
+	var run [generateChunk]relation.Tuple
+	for j := range run {
+		run[j] = keys[j : j+1 : j+1]
+	}
+	cols := []int{0}
+	dest := make([]int32, 0, n)
+	for lo := 0; lo < n; lo += generateChunk {
+		m := min(generateChunk, n-lo)
+		for j := 0; j < m; j++ {
+			keys[j] = keyOf(lo + j)
+		}
+		dest = f.FragmentsOfCols(run[:m], cols, dest)
+	}
+	sizes, err := fragmentSizes(dest, d)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -99,20 +123,17 @@ func generate(name string, schema *relation.Schema, f Func, numDisks, n, strByte
 	return p, region, err
 }
 
-// destinations asks place for the fragment of each of n rows — once each, in
-// row order — and returns the answers with the fragment sizes they add up to.
-func destinations(n, d int, place func(i int) int) (dest []int32, sizes []int, err error) {
-	dest = make([]int32, n)
-	sizes = make([]int, d)
-	for i := range dest {
-		fr := place(i)
-		if fr < 0 || fr >= d {
-			return nil, nil, fmt.Errorf("partition: function returned fragment %d outside [0,%d)", fr, d)
+// fragmentSizes checks that a function's answers are fragments in [0,d), and
+// counts the rows it placed in each.
+func fragmentSizes(dest []int32, d int) ([]int, error) {
+	sizes := make([]int, d)
+	for _, fr := range dest {
+		if fr < 0 || int(fr) >= d {
+			return nil, fmt.Errorf("partition: function returned fragment %d outside [0,%d)", fr, d)
 		}
-		dest[i] = int32(fr)
 		sizes[fr]++
 	}
-	return dest, sizes, nil
+	return sizes, nil
 }
 
 // starts returns where each fragment begins when fragments of the given

@@ -18,24 +18,3 @@ func SelectAll(sel Selection, n int) Selection {
 	}
 	return sel
 }
-
-// HashTuplesOn appends the HashOn key hash of each tuple to dst — the batch
-// form of Tuple.HashOn, used by vectorized joins and aggregates to hash a
-// whole probe/group batch before touching any shared state. The hashes are
-// bit-identical to per-tuple HashOn, so batch and per-tuple paths key the
-// same hash tables.
-func HashTuplesOn(ts []Tuple, cols []int, dst []uint64) []uint64 {
-	if len(cols) == 1 {
-		c := cols[0]
-		const prime = 1099511628211
-		for _, t := range ts {
-			h := uint64(14695981039346656037) ^ t[c].Hash()
-			dst = append(dst, h*prime)
-		}
-		return dst
-	}
-	for _, t := range ts {
-		dst = append(dst, t.HashOn(cols))
-	}
-	return dst
-}

@@ -30,21 +30,9 @@ func (t Tuple) Equal(o Tuple) bool {
 func (t Tuple) HashOn(cols []int) uint64 {
 	// Combine per-column hashes with the FNV-1a folding constant so that
 	// multi-attribute keys mix well.
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset64)
 	for _, c := range cols {
 		h ^= t[c].Hash()
-		h *= prime
-	}
-	return h
-}
-
-// Hash is HashOn over every column in order, without the index slice; hash
-// partitioners route an already-extracted key with it.
-func (t Tuple) Hash() uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range t {
-		h ^= v.Hash()
 		h *= fnvPrime64
 	}
 	return h

@@ -19,6 +19,8 @@ const wideRows = 5000
 
 // wideRowServer serves a 20 000-row Wisconsin relation through the full HTTP
 // stack; stream runs the wide query once in the given encoding and drains it.
+// What the two encodings cost per row in time is bench/'s
+// server.encode_ns_per_row.* on serve-wide.
 func wideRowServer(tb testing.TB, columnar bool) (srv *Server, stream func()) {
 	tb.Helper()
 	db := dbs3.New()
@@ -48,24 +50,6 @@ func wideRowServer(tb testing.TB, columnar bool) (srv *Server, stream func()) {
 		}
 	}
 }
-
-// benchmarkServeWideRow reports, next to time and allocations, the encoded
-// bytes per row (measured beneath the response buffer, where /stats counts
-// them).
-func benchmarkServeWideRow(b *testing.B, columnar bool) {
-	srv, stream := wideRowServer(b, columnar)
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := srv.bytesWritten.Load()
-	for i := 0; i < b.N; i++ {
-		stream()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(srv.bytesWritten.Load()-start)/float64(b.N*wideRows), "bytes/row")
-}
-
-func BenchmarkServeWideRowNDJSON(b *testing.B)   { benchmarkServeWideRow(b, false) }
-func BenchmarkServeWideRowColumnar(b *testing.B) { benchmarkServeWideRow(b, true) }
 
 // TestColumnarIsDenserOnWideRows: the columnar encoding must stay at least
 // 3x denser than NDJSON on the 13-integer-column result (it measures 3.8x:

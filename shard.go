@@ -50,21 +50,24 @@ func (db *Database) shardRelation(name, col string, shard, shards int) (*relatio
 	// Most of the relation is dropped here, and one surviving tuple or
 	// string pins the whole region it was loaded into: the kept tuples are
 	// re-homed, strings included, into a fresh exactly-sized region so the
-	// full relation can be reclaimed. Each tuple is hashed once; the second
-	// pass reads the answers back from keep.
+	// full relation can be reclaimed. The relation is routed fragment by
+	// fragment into one dest; the second pass reads the answers back from it.
 	var strCols []int
 	for c := 0; c < p.Schema.Len(); c++ {
 		if p.Schema.Column(c).Type == relation.TString {
 			strCols = append(strCols, c)
 		}
 	}
-	keep := make([]bool, p.Cardinality())
+	cols := []int{p.Schema.MustIndex(col)}
+	dest := make([]int32, 0, p.Cardinality())
 	sizes := make([]int, len(p.Fragments))
-	tuples, values, strBytes, n := 0, 0, 0, 0
+	tuples, values, strBytes := 0, 0, 0
 	for i, frag := range p.Fragments {
-		for _, t := range frag {
-			if h.FragmentOf(t) == shard {
-				keep[n] = true
+		from := len(dest)
+		dest = h.FragmentsOfCols(frag, cols, dest)
+		for j, fr := range dest[from:] {
+			if int(fr) == shard {
+				t := frag[j]
 				sizes[i]++
 				tuples++
 				values += len(t)
@@ -72,14 +75,13 @@ func (db *Database) shardRelation(name, col string, shard, shards int) (*relatio
 					strBytes += len(t[c].AsString())
 				}
 			}
-			n++
 		}
 	}
 	region := relation.NewRegion(tuples, values, strBytes)
-	n = 0
+	n := 0
 	for _, frag := range p.Fragments {
 		for _, t := range frag {
-			if keep[n] {
+			if int(dest[n]) == shard {
 				region.Rehome(t)
 			}
 			n++
