@@ -1,9 +1,10 @@
 package dbs3_test
 
 // The in-package benchmarks are the few measurements bench/ and the tests do
-// not already make: the nested-loop join, the activation-cache and
-// static-model ablations, multi-chain readmission under a manager, the
-// unmanaged throughput baseline and the CSV loader. Run them with:
+// not already make: the nested-loop join, the activation-cache ablation,
+// multi-chain readmission under a manager and the unmanaged throughput
+// baseline. BenchmarkLoadCSV sits next to the heap probes it reads, in
+// region_test.go. Run them with:
 //
 //	go test -bench=. -benchmem
 //
@@ -12,19 +13,14 @@ package dbs3_test
 // bench/'s metrics (bench/README.md).
 
 import (
-	"bytes"
 	"context"
-	"runtime"
-	"runtime/metrics"
 	"sync"
 	"testing"
 
 	"dbs3"
-	"dbs3/internal/baseline"
 	"dbs3/internal/core"
 	"dbs3/internal/lera"
 	"dbs3/internal/race"
-	"dbs3/internal/relation"
 	"dbs3/internal/workload"
 )
 
@@ -62,7 +58,7 @@ func BenchmarkEngineIdealJoinNestedLoop(b *testing.B) {
 	engineJoinBench(b, false, lera.NestedLoop, core.Options{Threads: 4}, 0)
 }
 
-// --- Ablation benches (DESIGN.md §6) ---------------------------------------
+// --- Activation-cache ablation (DESIGN.md, Engine internals) -------------
 
 // Internal activation cache: batch size 1 (per-activation locking) vs the
 // default 16 vs 64 on a pipelined join.
@@ -76,43 +72,6 @@ func BenchmarkAblationCacheSize16(b *testing.B) {
 
 func BenchmarkAblationCacheSize64(b *testing.B) {
 	engineJoinBench(b, true, lera.HashJoin, core.Options{Threads: 4, CacheSize: 64}, 0)
-}
-
-// Static thread-per-instance baseline vs the DBS3 pool, real execution.
-func BenchmarkAblationThreadPerInstance(b *testing.B) {
-	db, err := workload.NewJoinDB(20_000, 2_000, 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := baseline.ThreadPerInstanceJoin(db.A, db.B, "k", "k")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Cardinality() != db.ExpectedJoinCount() {
-			b.Fatal("wrong result")
-		}
-	}
-}
-
-// Dynamic page-based model (XPRS style) on the same join.
-func BenchmarkAblationDynamicPages(b *testing.B) {
-	db, err := workload.NewJoinDB(20_000, 2_000, 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buildRel, probeRel := db.A.Union(), db.B.Union()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := baseline.DynamicJoin{Threads: 4}.Run(buildRel, probeRel, "k", "k")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Cardinality() != db.ExpectedJoinCount() {
-			b.Fatal("wrong result")
-		}
-	}
 }
 
 // --- Allocation ceiling of the batched data plane ----------------------------
@@ -157,49 +116,6 @@ func TestPipelinedJoinAllocationCeiling(t *testing.T) {
 	if got := testing.AllocsPerRun(5, pipelinedJoin(t)); got > 700 {
 		t.Errorf("batched pipelined join: %v allocations per execution, want at most 700", got)
 	}
-}
-
-// --- Load bench ----------------------------------------------------------------
-
-// resident is the heap still reachable after two collections and the part of
-// it the collector has to scan for pointers (runtime/metrics'
-// /gc/scan/heap:bytes, which is as of the last collection).
-func resident() (live, scan float64) {
-	runtime.GC()
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
-	metrics.Read(s)
-	return float64(m.HeapAlloc), float64(s[0].Value.Uint64())
-}
-
-// BenchmarkLoadCSV imports a 20 000-row Wisconsin dump through the facade and
-// reports, next to allocs/op, the resident and the scannable bytes per tuple
-// of the last database built. A CSV relation lives in a slab, not in a
-// region, so unlike the generated and sharded relations it has pointers for
-// every later collection to scan.
-func BenchmarkLoadCSV(b *testing.B) {
-	const card = 20_000
-	var dump bytes.Buffer
-	if err := relation.Wisconsin("w", card, 42).WriteCSV(&dump); err != nil {
-		b.Fatal(err)
-	}
-	baseLive, baseScan := resident()
-	var db *dbs3.Database
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db = dbs3.New()
-		if err := db.LoadCSV("w", bytes.NewReader(dump.Bytes()), "unique2", 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	live, scan := resident()
-	b.ReportMetric((live-baseLive)/card, "B/tuple")
-	b.ReportMetric(max(scan-baseScan, 0)/card, "scan-B/tuple")
-	runtime.KeepAlive(db)
 }
 
 // --- Concurrent runtime benches --------------------------------------------

@@ -12,9 +12,10 @@
 // This package is the public facade: an in-memory database of partitioned
 // relations, an ESQL-subset query interface, and execution knobs (threads,
 // strategy, join algorithm). The building blocks live under internal/: the
-// Lera-par plan layer, the parallel engine, the storage substrate, the
-// analytical model and the virtual-time simulator that regenerates the
-// paper's figures. DESIGN.md documents the layering and lifecycles.
+// Lera-par plan layer, the parallel engine, the storage substrate, and the
+// model of the paper (machine, cost model, analytical bounds and the
+// virtual-time simulator that regenerates the figures). DESIGN.md documents
+// the layering and lifecycles.
 //
 // Quickstart:
 //

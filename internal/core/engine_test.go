@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dbs3/internal/lera"
 	"dbs3/internal/relation"
@@ -363,6 +364,35 @@ func TestSecondaryPicksUnderSkew(t *testing.T) {
 	total := res.Stats[1].SecondaryPicks.Load() + res.Stats[0].SecondaryPicks.Load()
 	if total == 0 {
 		t.Log("no secondary picks observed (acceptable on fast machines, but unusual)")
+	}
+}
+
+// Empty build fragments give a pipelined nested-loop join probe queues of
+// per-tuple cost 0, so their LPT score is 0. Once such a queue is the last
+// non-empty one, every strategy must still pick it; a pick that only takes
+// scores above 0 leaves the workers parked on a queue nobody drains.
+func TestStrategyDrainsZeroScoreQueues(t *testing.T) {
+	db, err := workload.NewJoinDB(6, 64, 8, 1) // A fragments [2 1 1 1 1 0 0 0]
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []lera.JoinAlgo{lera.NestedLoop, lera.HashJoin} {
+		plan, err := db.AssocJoinPlan(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range []StrategyKind{StrategyRandom, StrategyLPT} {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			res, err := ExecuteContext(ctx, plan, db.Relations(), Options{Threads: 2, Strategy: strat})
+			cancel()
+			if err != nil {
+				t.Errorf("algo=%v strat=%v: %v", algo, strat, err)
+				continue
+			}
+			if err := db.VerifyJoinResult(res.Outputs["Res"]); err != nil {
+				t.Errorf("algo=%v strat=%v: %v", algo, strat, err)
+			}
+		}
 	}
 }
 

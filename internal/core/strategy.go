@@ -65,12 +65,16 @@ func (r *randomStrategy) pick(queues []*Queue) int {
 // lptStrategy picks the non-empty queue with the highest remaining cost.
 // The paper implements LPT without estimating each activation's execution
 // time: operation instances are ranked by static fragment-size information,
-// which is exactly what Queue.lptScore exposes.
+// which is exactly what Queue.lptScore exposes. A non-empty queue scoring 0
+// (per-tuple cost 0) still has to be picked, so the scan starts below 0.
 type lptStrategy struct{}
 
 func (lptStrategy) pick(queues []*Queue) int {
-	best, bestScore := -1, 0.0
+	best, bestScore := -1, -1.0
 	for i, q := range queues {
+		if q.Len() == 0 {
+			continue
+		}
 		if s := q.lptScore(); s > bestScore {
 			best, bestScore = i, s
 		}

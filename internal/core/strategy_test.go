@@ -75,6 +75,16 @@ func TestLPTAllEmpty(t *testing.T) {
 	}
 }
 
+// A non-empty queue whose score is 0 (per-tuple cost 0: a probe queue of an
+// empty build fragment) is still work: LPT must pick it, not report -1.
+func TestLPTPicksZeroScoreQueue(t *testing.T) {
+	qs := queuesWithLens(0, 2, 0)
+	qs[1].SetPerTupleCost(0)
+	if k := (lptStrategy{}).pick(qs); k != 1 {
+		t.Errorf("LPT picked %d, want 1", k)
+	}
+}
+
 func TestLPTDynamicPipelinedScore(t *testing.T) {
 	qs := queuesWithLens(3, 1)
 	qs[0].SetPerTupleCost(1)

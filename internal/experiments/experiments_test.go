@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -323,6 +327,35 @@ func TestAllAndByID(t *testing.T) {
 	if _, err := ByID("99"); err == nil {
 		t.Error("unknown figure accepted")
 	}
+	if got := figureDigest(figs); got != figureDigestWant {
+		t.Errorf("figure digest = %s, want %s: a figure value moved", got, figureDigestWant)
+	}
+}
+
+// figureDigestWant pins every point of every figure bit for bit. The shape
+// tests above check who wins and where curves cross; this catches a
+// refactor that moves any number at all. Update it only with a change that
+// means to move a figure, and say which one.
+const figureDigestWant = "19b86d18306f7c7b5cc2bbe17e1be119c7cadb317ef309dbddbeef0b856f9b01"
+
+// figureDigest hashes every figure's id, series names and the exact bits of
+// every point.
+func figureDigest(figs []*Figure) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, f := range figs {
+		io.WriteString(h, f.ID)
+		for _, s := range f.Series {
+			io.WriteString(h, s.Name)
+			for _, p := range s.Points {
+				for _, v := range [2]float64{p.X, p.Y} {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+					h.Write(buf[:])
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestSeriesHelpers(t *testing.T) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"dbs3/internal/analytic"
 	"dbs3/internal/core"
 	"dbs3/internal/sim"
 	"dbs3/internal/zipf"
@@ -88,7 +87,7 @@ func Fig12() *Figure {
 		// Analytical worst case (equations 1-3) on the pipelined join: a =
 		// 10K activations, skew factor from the Zipf fragment sizes.
 		fixed := cfg.Startup(skewThreads, float64(skewDegree)*(m.TriggeredQueueOverhead+m.PipelinedQueueOverhead))
-		v := analytic.VBound(zipf.SkewRatio(skewDegree, theta), spec.ConsumerThreads, skewBCard)
+		v := sim.VBound(zipf.SkewRatio(skewDegree, theta), spec.ConsumerThreads, skewBCard)
 		f.Series[1].Points = append(f.Series[1].Points, Point{theta, fixed + (1+v)*(base-fixed)})
 	}
 	return f
@@ -122,7 +121,7 @@ func Fig13() *Figure {
 		rand := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: skewThreads, Strategy: sim.Random, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
 		lpt := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: skewThreads, Strategy: sim.LPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
 		fixed := cfg.Startup(skewThreads, float64(skewDegree)*m.TriggeredQueueOverhead)
-		v := analytic.VBound(zipf.SkewRatio(skewDegree, theta), skewThreads, skewDegree)
+		v := sim.VBound(zipf.SkewRatio(skewDegree, theta), skewThreads, skewDegree)
 		tworst := fixed + (1+v)*sum/float64(skewThreads)
 		f.Series[0].Points = append(f.Series[0].Points, Point{theta, rand.Time})
 		f.Series[1].Points = append(f.Series[1].Points, Point{theta, lpt.Time})

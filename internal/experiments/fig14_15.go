@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"dbs3/internal/analytic"
 	"dbs3/internal/core"
 	"dbs3/internal/sim"
 	"dbs3/internal/zipf"
@@ -78,7 +77,7 @@ func Fig14() *Figure {
 		}
 	}
 	for _, n := range spdThreads {
-		f.Series[2].Points = append(f.Series[2].Points, Point{float64(n), analytic.SpeedupBound(n, calibrated.Machine.UsableProcessors, 1e18)})
+		f.Series[2].Points = append(f.Series[2].Points, Point{float64(n), sim.SpeedupBound(n, calibrated.Machine.UsableProcessors, 1e18)})
 	}
 	return f
 }
@@ -113,7 +112,7 @@ func Fig15() *Figure {
 		}
 	}
 	for _, n := range spdThreads {
-		f.Series[4].Points = append(f.Series[4].Points, Point{float64(n), analytic.SpeedupBound(n, m.Machine.UsableProcessors, 1e18)})
+		f.Series[4].Points = append(f.Series[4].Points, Point{float64(n), sim.SpeedupBound(n, m.Machine.UsableProcessors, 1e18)})
 	}
 	return f
 }

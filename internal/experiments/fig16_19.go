@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"dbs3/internal/analytic"
 	"dbs3/internal/core"
 	"dbs3/internal/sim"
 	"dbs3/internal/zipf"
@@ -150,9 +149,9 @@ func Fig18() *Figure {
 		nl6 := idealTimeAt(skewACard, skewBCard, d, 0.6, false, sim.LPT)
 		ix0 := idealTimeAt(500_000, 50_000, d, 0, true, sim.LPT)
 		ix6 := idealTimeAt(500_000, 50_000, d, 0.6, true, sim.LPT)
-		f.Series[0].Points = append(f.Series[0].Points, Point{float64(d), analytic.VFromTimes(nl6, nl0)})
-		f.Series[1].Points = append(f.Series[1].Points, Point{float64(d), analytic.VFromTimes(ix6, ix0)})
-		f.Series[2].Points = append(f.Series[2].Points, Point{float64(d), analytic.VBound(zipf.SkewRatio(d, 0.6), partThreads, d)})
+		f.Series[0].Points = append(f.Series[0].Points, Point{float64(d), sim.VFromTimes(nl6, nl0)})
+		f.Series[1].Points = append(f.Series[1].Points, Point{float64(d), sim.VFromTimes(ix6, ix0)})
+		f.Series[2].Points = append(f.Series[2].Points, Point{float64(d), sim.VBound(zipf.SkewRatio(d, 0.6), partThreads, d)})
 	}
 	return f
 }

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math"
-
-	"dbs3/internal/ksr"
-)
+import "math"
 
 // CostModel holds the virtual-time cost constants, calibrated against the
 // paper's reported anchors (internal/experiments records paper-vs-measured anchors):
@@ -24,7 +20,7 @@ import (
 //     near the paper's (d ~ 1000 for AssocJoin, ~ 1400 for IdealJoin, times
 //     in the 4-12 s band at 20 threads on the 500K/50K database).
 type CostModel struct {
-	Machine ksr.Machine
+	Machine Machine
 
 	// SelectTuple is the per-tuple cost of a selection predicate.
 	SelectTuple float64
@@ -37,7 +33,7 @@ type CostModel struct {
 
 	// Temp-index join: build costs IdxBuildTuple + IdxBuildLog*log2(|A_i|)
 	// per build tuple; probes cost IdxProbeTuple + IdxProbeLog*log2(|A_i|)
-	// per probe. CacheMissTouch adds Machine.LocalityPenalty(fragment
+	// per probe. CacheMissTouch adds Machine.localityPenalty(fragment
 	// bytes) * CacheMissTouch per touched tuple — the Allcache locality
 	// effect that keeps high degrees of partitioning profitable (§5.2).
 	IdxBuildTuple  float64
@@ -59,7 +55,7 @@ type CostModel struct {
 // Calibrated returns the KSR1-calibrated cost model.
 func Calibrated() CostModel {
 	return CostModel{
-		Machine:                ksr.KSR1(),
+		Machine:                KSR1(),
 		SelectTuple:            137e-6,
 		TransmitTuple:          1.2e-3,
 		NLPair:                 47.8e-6,
@@ -137,7 +133,7 @@ func (m CostModel) IndexTriggerCosts(aSizes, bSizes, matches []int) []float64 {
 	for i := range out {
 		a, b := aSizes[i], bSizes[i]
 		lg := log2Frag(a)
-		miss := m.Machine.LocalityPenalty(int64(a) * int64(m.TupleBytes))
+		miss := m.Machine.localityPenalty(int64(a) * int64(m.TupleBytes))
 		build := float64(a) * (m.IdxBuildTuple + m.IdxBuildLog*lg + m.CacheMissTouch*miss)
 		probe := float64(b) * (m.IdxProbeTuple + m.IdxProbeLog*lg + m.CacheMissTouch*miss)
 		out[i] = build + probe + float64(matches[i])*m.StoreTuple
@@ -172,7 +168,7 @@ func (m CostModel) IndexProbeCosts(aSizes, probesPerInstance []int) []float64 {
 	out := make([]float64, len(aSizes))
 	for i, a := range aSizes {
 		lg := log2Frag(a)
-		miss := m.Machine.LocalityPenalty(int64(a) * int64(m.TupleBytes))
+		miss := m.Machine.localityPenalty(int64(a) * int64(m.TupleBytes))
 		build := float64(a) * (m.IdxBuildTuple + m.IdxBuildLog*lg + m.CacheMissTouch*miss)
 		perProbe := m.IdxProbeTuple + m.IdxProbeLog*lg + m.CacheMissTouch*miss + m.StoreTuple
 		probes := probesPerInstance[i]
@@ -197,10 +193,10 @@ func (m CostModel) SelectionCosts(sizes []int, remote bool, threads int) []float
 	if threads < 1 {
 		threads = 1
 	}
-	forcedRemote := !m.Machine.LocalResident(totalBytes / int64(threads))
+	forcedRemote := !m.Machine.localResident(totalBytes / int64(threads))
 	per := m.SelectTuple
 	if remote || forcedRemote {
-		per += m.Machine.RemoteExtra(m.TupleBytes)
+		per += m.Machine.remoteExtra(m.TupleBytes)
 	}
 	out := make([]float64, len(sizes))
 	for i, s := range sizes {

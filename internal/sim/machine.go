@@ -1,26 +1,17 @@
-// Package ksr models the Kendall Square Research KSR1, the 72-processor
-// machine of the paper's experiments (§5.1-5.2). The KSR1's Allcache system
-// is a hardware-managed COMA: memory is physically distributed in 32 MB
-// per-processor "local caches" and virtually shared — touching a remote item
-// migrates its cache line, at roughly 6x the cost of a local access. Each
-// processor also has a small fast subcache; a fragment must be "relatively
-// small compared to the size of a local cache" to benefit from caching.
-//
-// The real machine is a substitution target: this package supplies the cost
-// constants the virtual-time simulator (package sim) charges for memory
-// behaviour, calibrated against the measurements the paper reports (Figures
-// 8 and 9, and the §5.2 "~4% remote overhead" observation).
-package ksr
+package sim
 
-// Machine describes the memory system and processor complement.
+// Machine describes the memory system and processor complement the cost
+// model charges for. KSR1 is the paper's machine (§5.1-5.2): 72 processors,
+// of which 70 could be reserved for experiments, each with a 32 MB Allcache
+// local cache. The Allcache system is a hardware-managed COMA: memory is
+// physically distributed over the local caches and virtually shared, and
+// touching a remote item migrates its cache line at roughly 6x the cost of a
+// local access. Each processor also has a small fast subcache; a fragment
+// must be "relatively small compared to the size of a local cache" to
+// benefit from caching.
 type Machine struct {
-	// Processors is the machine size; the paper's configuration has 72, of
-	// which 70 could be reserved for experiments.
-	Processors int
-	// UsableProcessors is the number actually reservable.
+	// UsableProcessors is the number of processors actually reservable.
 	UsableProcessors int
-	// LocalCacheBytes is each processor's Allcache local cache (32 MB).
-	LocalCacheBytes int64
 	// EffectiveLocalBytes is the portion of the local cache realistically
 	// available to one thread's working set; below this the paper observed
 	// that "a local execution cannot be obtained" (under 5 threads for the
@@ -45,9 +36,7 @@ type Machine struct {
 // overhead.
 func KSR1() Machine {
 	return Machine{
-		Processors:          72,
 		UsableProcessors:    70,
-		LocalCacheBytes:     32 << 20,
 		EffectiveLocalBytes: 8 << 20,
 		SubcacheBytes:       100 << 10,
 		CacheLineBytes:      128,
@@ -56,36 +45,36 @@ func KSR1() Machine {
 	}
 }
 
-// LinesFor returns the number of cache lines covering n bytes.
-func (m Machine) LinesFor(bytes int) int {
+// linesFor returns the number of cache lines covering n bytes.
+func (m Machine) linesFor(bytes int) int {
 	if bytes <= 0 {
 		return 0
 	}
 	return (bytes + m.CacheLineBytes - 1) / m.CacheLineBytes
 }
 
-// RemoteExtra is the extra virtual time paid when a tuple of tupleBytes must
+// remoteExtra is the extra virtual time paid when a tuple of tupleBytes must
 // be shipped from a remote local cache instead of being resident: (factor-1)
 // times the local line cost, per line.
-func (m Machine) RemoteExtra(tupleBytes int) float64 {
-	return float64(m.LinesFor(tupleBytes)) * m.LocalLineAccess * (m.RemoteFactor - 1)
+func (m Machine) remoteExtra(tupleBytes int) float64 {
+	return float64(m.linesFor(tupleBytes)) * m.LocalLineAccess * (m.RemoteFactor - 1)
 }
 
-// LocalResident reports whether a per-thread working set of the given size
+// localResident reports whether a per-thread working set of the given size
 // can stay in the thread's local cache, i.e. whether a "local execution" is
 // obtainable (§5.2: below 5 threads the 200K selection could not run local).
-func (m Machine) LocalResident(workingSetBytes int64) bool {
+func (m Machine) localResident(workingSetBytes int64) bool {
 	return workingSetBytes <= m.EffectiveLocalBytes
 }
 
-// LocalityPenalty returns the fraction of probe accesses that miss the fast
+// localityPenalty returns the fraction of probe accesses that miss the fast
 // subcache when randomly touching a fragment of fragBytes: 0 when the
 // fragment fits the subcache, approaching 1 as the fragment grows. This is
 // the §5.2 observation that "each bucket of a relation must be relatively
 // small compared to the size of a local cache in order to benefit from
 // caching" — the mechanism that keeps raising the useful degree of
 // partitioning in Figure 17.
-func (m Machine) LocalityPenalty(fragBytes int64) float64 {
+func (m Machine) localityPenalty(fragBytes int64) float64 {
 	if fragBytes <= m.SubcacheBytes {
 		return 0
 	}

@@ -1,4 +1,4 @@
-package ksr
+package sim
 
 import (
 	"math"
@@ -7,11 +7,8 @@ import (
 
 func TestKSR1Constants(t *testing.T) {
 	m := KSR1()
-	if m.Processors != 72 || m.UsableProcessors != 70 {
-		t.Errorf("processors = %d/%d, paper has 72 with 70 reservable", m.Processors, m.UsableProcessors)
-	}
-	if m.LocalCacheBytes != 32<<20 {
-		t.Errorf("local cache = %d, paper says 32 MB", m.LocalCacheBytes)
+	if m.UsableProcessors != 70 {
+		t.Errorf("usable processors = %d, paper reserves 70 of 72", m.UsableProcessors)
 	}
 	if m.RemoteFactor != 6 {
 		t.Errorf("remote factor = %v, paper says 6x", m.RemoteFactor)
@@ -24,21 +21,21 @@ func TestLinesFor(t *testing.T) {
 		{0, 0}, {-1, 0}, {1, 1}, {128, 1}, {129, 2}, {208, 2}, {256, 2}, {257, 3},
 	}
 	for _, c := range cases {
-		if got := m.LinesFor(c.bytes); got != c.want {
-			t.Errorf("LinesFor(%d) = %d, want %d", c.bytes, got, c.want)
+		if got := m.linesFor(c.bytes); got != c.want {
+			t.Errorf("linesFor(%d) = %d, want %d", c.bytes, got, c.want)
 		}
 	}
 }
 
 func TestRemoteExtraScalesWithFactor(t *testing.T) {
 	m := KSR1()
-	base := m.RemoteExtra(208) // a Wisconsin tuple spans 2 lines
+	base := m.remoteExtra(208) // a Wisconsin tuple spans 2 lines
 	want := 2 * m.LocalLineAccess * 5
 	if math.Abs(base-want) > 1e-12 {
-		t.Errorf("RemoteExtra(208) = %v, want %v", base, want)
+		t.Errorf("remoteExtra(208) = %v, want %v", base, want)
 	}
 	m.RemoteFactor = 1 // no remote penalty
-	if m.RemoteExtra(208) != 0 {
+	if m.remoteExtra(208) != 0 {
 		t.Error("factor 1 should cost nothing extra")
 	}
 }
@@ -49,7 +46,7 @@ func TestLocalResidentThreshold(t *testing.T) {
 	// execution obtainable from 5 threads up, not with fewer.
 	relBytes := int64(200_000 * 208)
 	for n := int64(1); n <= 30; n++ {
-		resident := m.LocalResident(relBytes / n)
+		resident := m.localResident(relBytes / n)
 		if n < 5 && resident {
 			t.Errorf("n=%d: unexpectedly local-resident", n)
 		}
@@ -61,11 +58,11 @@ func TestLocalResidentThreshold(t *testing.T) {
 
 func TestLocalityPenaltyMonotone(t *testing.T) {
 	m := KSR1()
-	if p := m.LocalityPenalty(50 << 10); p != 0 {
+	if p := m.localityPenalty(50 << 10); p != 0 {
 		t.Errorf("small fragment penalty = %v", p)
 	}
-	small := m.LocalityPenalty(200 << 10)
-	big := m.LocalityPenalty(2 << 20)
+	small := m.localityPenalty(200 << 10)
+	big := m.localityPenalty(2 << 20)
 	if !(small > 0 && big > small && big < 1) {
 		t.Errorf("penalties: 200KB=%v 2MB=%v; want increasing in (0,1)", small, big)
 	}

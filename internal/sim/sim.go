@@ -1,11 +1,14 @@
-// Package sim is a virtual-time discrete-event simulator of DBS3's parallel
-// execution model. It reproduces the scheduling semantics of the real engine
-// (package core) — per-instance activation queues, thread pools with main
-// and secondary queues, Random and LPT consumption — on a virtual clock with
-// per-activation costs from a calibrated KSR1 cost model. The paper's
-// figures need up to 100 threads on 70 processors; the simulator makes those
-// experiments reproducible on any host, which is the substitution documented
-// in DESIGN.md.
+// Package sim is the one model of the paper: the machine, the cost model,
+// the closed-form bounds and a virtual-time discrete-event simulator of
+// DBS3's parallel execution model. The simulator reproduces the scheduling
+// semantics of the real engine (package core) — per-instance activation
+// queues, thread pools with main and secondary queues, Random and LPT
+// consumption — on a virtual clock with per-activation costs from the cost
+// model calibrated on the KSR1 (Machine, CostModel). The §4.1 equations and
+// the static models' makespans (bounds.go) are the references the
+// simulator is tested against. The paper's figures need up to 100 threads on
+// 70 processors; the simulator makes those experiments reproducible on any
+// host, which is the substitution documented in DESIGN.md.
 package sim
 
 import (
@@ -270,8 +273,7 @@ func PipelineSequential(spec PipelineSpec, cfg Config) float64 {
 	for _, c := range spec.ProducerCosts {
 		work += c
 	}
-	for i, q := range spec.Emissions {
-		_ = i
+	for _, q := range spec.Emissions {
 		for _, target := range q {
 			work += spec.ConsumerPerTuple[target]
 		}
@@ -339,7 +341,8 @@ func pickPipelined(kind Kind, rng *rand.Rand, queues [][]arrival, head []int, pe
 			}
 			return float64(released) * perTuple[q]
 		}
-		best, bestScore := -1, 0.0
+		// Start below 0: a released queue of per-tuple cost 0 is still work.
+		best, bestScore := -1, -1.0
 		for q := w; q < len(queues); q += n {
 			if available(q) {
 				if s := score(q); s > bestScore {

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
-	"dbs3/internal/analytic"
 	"dbs3/internal/core"
 	"dbs3/internal/zipf"
 )
@@ -30,7 +30,7 @@ func TestTriggeredUniformNearIdeal(t *testing.T) {
 	}
 	for _, n := range []int{2, 5, 10, 50} {
 		r := Triggered(TriggeredSpec{Costs: costs, Threads: n}, flatCfg())
-		ideal := 200.0 / float64(n)
+		ideal := tideal(len(costs), 1, n)
 		if r.Makespan < ideal-1e-9 {
 			t.Fatalf("n=%d: makespan %v below ideal %v", n, r.Makespan, ideal)
 		}
@@ -40,8 +40,9 @@ func TestTriggeredUniformNearIdeal(t *testing.T) {
 	}
 }
 
-// Any list schedule respects the paper's equation (2):
-// T <= (sum - Pmax)/n + Pmax.
+// Any list schedule respects the paper's equation (2), Tworst, and so the
+// overhead bound of equation (3); it never beats Tideal or the longest
+// activation.
 func TestTriggeredRespectsTworstBound(t *testing.T) {
 	for _, theta := range []float64{0, 0.4, 0.8, 1} {
 		sizes := zipf.Sizes(100000, 200, theta)
@@ -54,14 +55,18 @@ func TestTriggeredRespectsTworstBound(t *testing.T) {
 				pmax = costs[i]
 			}
 		}
+		a, p := len(costs), sum/float64(len(costs))
 		for _, n := range []int{5, 10, 20} {
 			for _, k := range []Kind{Random, LPT} {
 				r := Triggered(TriggeredSpec{Costs: costs, Threads: n, Strategy: k}, flatCfg())
-				bound := (sum-pmax)/float64(n) + pmax
-				if r.Makespan > bound+1e-6 {
+				if bound := tworst(a, p, n, pmax); r.Makespan > bound+1e-6 {
 					t.Errorf("theta=%v n=%d %v: makespan %v > Tworst %v", theta, n, k, r.Makespan, bound)
 				}
-				if r.Makespan < sum/float64(n)-1e-6 {
+				ideal := tideal(a, p, n)
+				if v, bound := VFromTimes(r.Makespan, ideal), VBound(pmax/p, n, a); v > bound+1e-9 {
+					t.Errorf("theta=%v n=%d %v: overhead %v > VBound %v", theta, n, k, v, bound)
+				}
+				if r.Makespan < ideal-1e-6 {
 					t.Errorf("theta=%v n=%d %v: makespan %v below ideal", theta, n, k, r.Makespan)
 				}
 				if r.Makespan < pmax-1e-6 {
@@ -206,7 +211,7 @@ func TestPipelineAbsorbsSkew(t *testing.T) {
 	// Per-stage pools: the bottleneck stage's ideal time floors the
 	// makespan. Even at Zipf 1 the pipelined join stays near it.
 	ideal := math.Max(prodWork/float64(np), consWork/float64(nc))
-	if v := r.Makespan/ideal - 1; v > 0.30 {
+	if v := VFromTimes(r.Makespan, ideal); v > 0.30 {
 		t.Errorf("pipelined skew overhead v = %v, expected well under the triggered case", v)
 	}
 }
@@ -230,8 +235,8 @@ func TestSplitThreads(t *testing.T) {
 	}
 }
 
-// Property: makespan of a triggered op never falls below max(sum/n, Pmax)
-// and never exceeds the Graham bound, for random cost vectors.
+// Property: makespan of a triggered op never falls below the LPT floor
+// max(sum/n, Pmax) and never exceeds Tworst, for random cost vectors.
 func TestTriggeredBoundsProperty(t *testing.T) {
 	f := func(raw []uint16, nRaw uint8) bool {
 		if len(raw) == 0 {
@@ -250,10 +255,10 @@ func TestTriggeredBoundsProperty(t *testing.T) {
 				pmax = costs[i]
 			}
 		}
+		lower := triggeredTimeLPT(costs, n)
+		upper := tworst(len(costs), sum/float64(len(costs)), n, pmax)
 		for _, k := range []Kind{Random, LPT} {
 			r := Triggered(TriggeredSpec{Costs: costs, Threads: n, Strategy: k}, flatCfg())
-			lower := math.Max(sum/float64(n), pmax)
-			upper := (sum-pmax)/float64(n) + pmax
 			if r.Makespan < lower-1e-6 || r.Makespan > upper+1e-6 {
 				return false
 			}
@@ -309,8 +314,12 @@ func TestCalibrationSpeedupAnchor(t *testing.T) {
 	costs := m.NestedLoopTriggerCosts(UniformSizes(200_000, d), UniformSizes(20_000, d), UniformSizes(20_000, d))
 	seq := Triggered(TriggeredSpec{Costs: costs, Threads: 1, QueueOverhead: m.TriggeredQueueOverhead}, cfg).Time
 	par := Triggered(TriggeredSpec{Costs: costs, Threads: 70, QueueOverhead: m.TriggeredQueueOverhead}, cfg).Time
-	if s := seq / par; s < 60 {
+	s := seq / par
+	if s < 60 {
 		t.Errorf("speed-up at 70 threads = %v, paper reports > 60", s)
+	}
+	if bound := SpeedupBound(70, m.Machine.UsableProcessors, math.Inf(1)); s > bound {
+		t.Errorf("speed-up at 70 threads = %v exceeds its bound %v", s, bound)
 	}
 }
 
@@ -327,12 +336,12 @@ func TestCalibrationNmaxCeiling(t *testing.T) {
 	for _, n := range []int{20, 70} {
 		par := Triggered(TriggeredSpec{Costs: costs, Threads: n, Strategy: LPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg).Time
 		s := seq / par
-		nmax := analytic.NmaxZipf(d, 1)
-		if s > nmax+0.5 {
-			t.Errorf("n=%d: speed-up %v exceeds nmax %v", n, s, nmax)
+		bound := SpeedupBound(n, m.Machine.UsableProcessors, nmaxZipf(d, 1))
+		if s > bound+0.5 {
+			t.Errorf("n=%d: speed-up %v exceeds nmax %v", n, s, bound)
 		}
-		if s < nmax-1.5 {
-			t.Errorf("n=%d: speed-up %v far below nmax %v", n, s, nmax)
+		if s < bound-1.5 {
+			t.Errorf("n=%d: speed-up %v far below nmax %v", n, s, bound)
 		}
 	}
 }
@@ -394,6 +403,31 @@ func TestPipelineWithLPTAndMultipleProducers(t *testing.T) {
 		if r.Makespan <= 0 || r.Time < r.Makespan {
 			t.Errorf("inconsistent result %+v", r)
 		}
+	}
+}
+
+// A consumer queue of per-tuple cost 0 (the probe queue of an empty build
+// fragment) scores 0 under LPT. It is still work: the simulation must drain
+// it and return, not idle forever on a tuple that has already arrived.
+func TestPipelineLPTDrainsZeroCostQueue(t *testing.T) {
+	spec := PipelineSpec{
+		ProducerCosts:    []float64{2},
+		Emissions:        [][]int{{0, 1, 0, 1}}, // released at 0.5, 1, 1.5, 2
+		ConsumerPerTuple: []float64{0, 1},
+		ProducerThreads:  1,
+		ConsumerThreads:  1,
+		Strategy:         LPT,
+	}
+	done := make(chan Result, 1)
+	go func() { done <- Pipeline(spec, flatCfg()) }()
+	select {
+	case r := <-done:
+		// Queue 1's tuples run 1-2 and 2-3; queue 0's cost nothing.
+		if r.Makespan != 3 || r.BusyTime != 4 {
+			t.Errorf("makespan %v busy %v, want 3 and 4", r.Makespan, r.BusyTime)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Pipeline did not return with a zero-cost consumer queue")
 	}
 }
 

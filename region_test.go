@@ -1,6 +1,7 @@
 package dbs3
 
 import (
+	"bytes"
 	"runtime"
 	"runtime/metrics"
 	"strings"
@@ -101,6 +102,34 @@ func TestCreateWisconsinBytesPerRow(t *testing.T) {
 	} else {
 		t.Logf("CreateWisconsin(%d, 16): %.1f live bytes per row", card, perRow)
 	}
+	runtime.KeepAlive(db)
+}
+
+// BenchmarkLoadCSV imports a 20 000-row Wisconsin dump through the facade and
+// reports, next to allocs/op, the live and the scannable bytes per tuple of
+// the last database built. A CSV relation lives in a slab, not in a region,
+// so unlike the generated and sharded relations it has pointers for every
+// later collection to scan.
+func BenchmarkLoadCSV(b *testing.B) {
+	const card = 20_000
+	var dump bytes.Buffer
+	if err := relation.Wisconsin("w", card, 42).WriteCSV(&dump); err != nil {
+		b.Fatal(err)
+	}
+	heap, scan := liveHeap(), scannableHeap()
+	var db *Database
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db = New()
+		if err := db.LoadCSV("w", bytes.NewReader(dump.Bytes()), "unique2", 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	heap, scan = liveHeap()-heap, scannableHeap()-scan
+	b.ReportMetric(float64(heap)/card, "B/tuple")
+	b.ReportMetric(float64(max(scan, 0))/card, "scan-B/tuple")
 	runtime.KeepAlive(db)
 }
 
