@@ -12,7 +12,8 @@ import (
 // LoadCSV reads a relation from CSV (header row of "name:TYPE" column specs,
 // TYPE = INT or STRING) and registers it hash-partitioned on key into degree
 // fragments. User data enters the engine exactly like the generated
-// benchmarks: statically partitioned, ready for parallel plans.
+// benchmarks: statically partitioned into a region of its own, ready for
+// parallel plans; nothing of what the file was read into stays live.
 func (db *Database) LoadCSV(name string, r io.Reader, key string, degree int) error {
 	rel, err := relation.ReadCSV(name, r)
 	if err != nil {
@@ -26,7 +27,7 @@ func (db *Database) LoadCSV(name string, r io.Reader, key string, degree int) er
 	if err != nil {
 		return err
 	}
-	return db.register(p, h)
+	return db.register(placed{p, h})
 }
 
 // DumpCSV writes a registered relation as CSV.

@@ -49,6 +49,28 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestLoadCSVHeaderOnly: a file with a header and no rows loads into an empty
+// region, answers a query with no rows, and shards.
+func TestLoadCSVHeaderOnly(t *testing.T) {
+	db := New()
+	if err := db.LoadCSV("empty", strings.NewReader("k:INT,s:STRING\n"), "k", 4); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.QueryAllContext(context.Background(), "SELECT k, s FROM empty", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.Data) != 0 {
+		t.Errorf("SELECT over an empty import returned %d rows", len(rows.Data))
+	}
+	if err := db.ShardRelation("empty", "k", 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if sizes, err := db.FragmentSizes("empty"); err != nil || len(sizes) != 4 {
+		t.Errorf("empty shard FragmentSizes = %v, %v; want 4 empty fragments", sizes, err)
+	}
+}
+
 func TestDumpCSVRoundTrip(t *testing.T) {
 	db := New()
 	if err := db.LoadCSV("orders", strings.NewReader(ordersCSV), "order", 2); err != nil {

@@ -170,18 +170,30 @@ func (db *Database) FragmentSizes(name string) ([]int, error) {
 	return p.FragmentSizes(), nil
 }
 
-func (db *Database) register(p *partition.Partitioned, part partition.Func) error {
+// placed is a relation ready to register and the function that placed it.
+type placed struct {
+	p    *partition.Partitioned
+	part partition.Func
+}
+
+// register adds relations to the catalog all at once or, if any name is
+// taken, not at all.
+func (db *Database) register(rels ...placed) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, dup := db.rels[p.Name]; dup {
-		return fmt.Errorf("dbs3: relation %q already exists", p.Name)
+	for _, r := range rels {
+		if _, dup := db.rels[r.p.Name]; dup {
+			return fmt.Errorf("dbs3: relation %q already exists", r.p.Name)
+		}
 	}
-	db.rels[p.Name] = p
-	db.resolver[p.Name] = lera.RelInfo{
-		Schema:    p.Schema,
-		Degree:    p.Degree(),
-		FragSizes: p.FragmentSizes(),
-		Part:      part,
+	for _, r := range rels {
+		db.rels[r.p.Name] = r.p
+		db.resolver[r.p.Name] = lera.RelInfo{
+			Schema:    r.p.Schema,
+			Degree:    r.p.Degree(),
+			FragSizes: r.p.FragmentSizes(),
+			Part:      r.part,
+		}
 	}
 	// DDL invalidates cached plans: they were bound against the old catalog.
 	db.epoch.Add(1)
@@ -235,12 +247,12 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 	}
 	rows := relation.NewWisconsinRows(cardinality, seed)
 	keyCol := schema.MustIndex(key)
-	p, err := partition.Generate(name, schema, h, 1, cardinality, cardinality*relation.WisconsinRowStringBytes,
+	p, err := partition.Generate(name, schema, h, cardinality, cardinality*relation.WisconsinRowStringBytes,
 		func(i int) relation.Value { return rows.Value(keyCol, i) }, rows.Row)
 	if err != nil {
 		return err
 	}
-	return db.register(p, h)
+	return db.register(placed{p, h})
 }
 
 // CreateJoinPair generates the paper's experimental database (§5.4): three
@@ -249,33 +261,19 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 // following Zipf(theta); B holds bCard tuples, uniform, co-partitioned with
 // A on k; Br holds B's tuples placed on id instead, so joining it with A
 // forces a run-time redistribution (the AssocJoin shape). bCard must be a
-// multiple of degree.
+// multiple of degree. If any of the three names is taken, none is
+// registered.
 func (db *Database) CreateJoinPair(prefix string, aCard, bCard, degree int, theta float64) error {
 	jdb, err := workload.NewJoinDB(aCard, bCard, degree, theta)
 	if err != nil {
 		return err
 	}
 	res := jdb.Resolver()
-	for _, item := range []struct {
-		suffix string
-		p      *partition.Partitioned
-		orig   string
-	}{
-		{"A", jdb.A, "A"},
-		{"B", jdb.B, "B"},
-		{"Br", jdb.Br, "Br"},
-	} {
-		ri, err := res.RelInfo(item.orig)
-		if err != nil {
-			return err
-		}
-		p := item.p
-		p.Name = prefix + item.suffix
-		if err := db.register(p, ri.Part); err != nil {
-			return err
-		}
+	rels := []placed{{jdb.A, res["A"].Part}, {jdb.B, res["B"].Part}, {jdb.Br, res["Br"].Part}}
+	for _, r := range rels {
+		r.p.Name = prefix + r.p.Name
 	}
-	return nil
+	return db.register(rels...)
 }
 
 // Options tune one query execution. The zero value lets the scheduler pick

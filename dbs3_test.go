@@ -54,6 +54,26 @@ func TestFacadeDuplicateNames(t *testing.T) {
 	}
 }
 
+// TestCreateJoinPairRegistersAllOrNothing: a join pair whose second name is
+// taken registers none of its three relations and leaves the catalog's epoch
+// where it was, so no cached plan is invalidated for nothing.
+func TestCreateJoinPairRegistersAllOrNothing(t *testing.T) {
+	db := New()
+	if err := db.LoadCSV("B", strings.NewReader(ordersCSV), "order", 2); err != nil {
+		t.Fatal(err)
+	}
+	epoch := db.epoch.Load()
+	if err := db.CreateJoinPair("", 100, 16, 4, 0); err == nil || !strings.Contains(err.Error(), `"B" already exists`) {
+		t.Fatalf("CreateJoinPair over a taken B: %v", err)
+	}
+	if names := db.Relations(); len(names) != 1 || names[0] != "B" {
+		t.Errorf("relations after the rejected join pair = %v, want [B]", names)
+	}
+	if got := db.epoch.Load(); got != epoch {
+		t.Errorf("epoch moved %d -> %d on a rejected join pair", epoch, got)
+	}
+}
+
 func TestFacadeCreateErrors(t *testing.T) {
 	db := New()
 	if err := db.CreateWisconsin("w", 100, 4, "nope", 1); err == nil {

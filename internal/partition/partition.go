@@ -1,10 +1,8 @@
 // Package partition implements the static data partitioning side of DBS3's
 // hybrid execution model. Relations are horizontally partitioned by a
-// partitioning function into d fragments (the degree of partitioning) and
-// fragments are placed on disks round-robin, so d can exceed the number of
-// disks (§2: "the degree of partitioning can be independent of the number of
-// disks"). The dynamic side — allocating threads independently of d — lives
-// in the core package.
+// partitioning function into d fragments (the degree of partitioning), each
+// relation's fragments cut from one region of its own. The dynamic side —
+// allocating threads independently of d — lives in the core package.
 package partition
 
 import (

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,7 +170,7 @@ func TestGenerateEqualsPartition(t *testing.T) {
 		}
 		rows := relation.NewWisconsinRows(n, seed)
 		col := r.Schema.MustIndex(f.Key()[0])
-		got, err := Generate("A", r.Schema, f, 3, n, n*relation.WisconsinRowStringBytes,
+		got, err := Generate("A", r.Schema, f, n, n*relation.WisconsinRowStringBytes,
 			func(i int) relation.Value { return rows.Value(col, i) }, rows.Row)
 		if err != nil {
 			t.Fatal(err)
@@ -178,9 +179,9 @@ func TestGenerateEqualsPartition(t *testing.T) {
 			t.Fatalf("%s: generated %v, partitioned %v", f.Signature(), got, want)
 		}
 		for i, frag := range want.Fragments {
-			if len(got.Fragments[i]) != len(frag) || cap(got.Fragments[i]) != len(frag) || got.Disk[i] != want.Disk[i] {
-				t.Fatalf("%s fragment %d: %d tuples (cap %d) on disk %d, want %d on disk %d", f.Signature(), i,
-					len(got.Fragments[i]), cap(got.Fragments[i]), got.Disk[i], len(frag), want.Disk[i])
+			if len(got.Fragments[i]) != len(frag) || cap(got.Fragments[i]) != len(frag) {
+				t.Fatalf("%s fragment %d: %d tuples (cap %d), want %d", f.Signature(), i,
+					len(got.Fragments[i]), cap(got.Fragments[i]), len(frag))
 			}
 			for j, tup := range frag {
 				if !got.Fragments[i][j].Equal(tup) {
@@ -191,44 +192,46 @@ func TestGenerateEqualsPartition(t *testing.T) {
 	}
 }
 
-// TestGenerateRegionChecks: what Generate fills holds no pointer out of
-// itself, whichever attribute places the rows.
+// TestGenerateRegionChecks: what Generate fills, and what Partition copies a
+// CSV import into, holds no pointer out of itself, whichever attribute places
+// the rows.
 func TestGenerateRegionChecks(t *testing.T) {
 	const n, seed = 1000, 5
 	schema := relation.WisconsinSchema
 	hashStr, _ := NewHash(schema, []string{"stringu1"}, 5)
 	mod, _ := NewMod(schema, "unique2", 8)
-	for _, f := range []Func{hashStr, mod} {
-		rows := relation.NewWisconsinRows(n, seed)
-		col := schema.MustIndex(f.Key()[0])
-		p, region, err := generate("A", schema, f, 3, n, n*relation.WisconsinRowStringBytes,
-			func(i int) relation.Value { return rows.Value(col, i) }, rows.Row)
+	var dump strings.Builder
+	if err := relation.Wisconsin("A", n, seed).WriteCSV(&dump); err != nil {
+		t.Fatal(err)
+	}
+	imported, err := relation.ReadCSV("A", strings.NewReader(dump.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type load func() (*Partitioned, *relation.Region, error)
+	generated := func(f Func) load {
+		return func() (*Partitioned, *relation.Region, error) {
+			rows := relation.NewWisconsinRows(n, seed)
+			col := schema.MustIndex(f.Key()[0])
+			return generate("A", schema, f, n, n*relation.WisconsinRowStringBytes,
+				func(i int) relation.Value { return rows.Value(col, i) }, rows.Row)
+		}
+	}
+	for name, l := range map[string]load{
+		"Generate on stringu1":      generated(hashStr),
+		"Generate on unique2":       generated(mod),
+		"Partition of a CSV import": func() (*Partitioned, *relation.Region, error) { return partition(imported, hashStr) },
+	} {
+		p, region, err := l()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := region.Check(); err != nil {
-			t.Errorf("%s: %v", f.Signature(), err)
+			t.Errorf("%s: %v", name, err)
 		}
 		if got := len(region.Tuples()); got != n || p.Cardinality() != n {
-			t.Errorf("%s: region holds %d tuples, fragments %d, want %d", f.Signature(), got, p.Cardinality(), n)
+			t.Errorf("%s: region holds %d tuples, fragments %d, want %d", name, got, p.Cardinality(), n)
 		}
-	}
-}
-
-func TestPartitionDiskPlacementRoundRobin(t *testing.T) {
-	r := relation.Wisconsin("A", 100, 3)
-	h, _ := NewHash(r.Schema, []string{"unique2"}, 10)
-	p, err := Partition(r, h, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range p.Disk {
-		if d != i%4 {
-			t.Fatalf("fragment %d on disk %d, want %d", i, d, i%4)
-		}
-	}
-	if _, err := Partition(r, h, 0); err == nil {
-		t.Error("zero disks accepted")
 	}
 }
 
@@ -265,9 +268,6 @@ func TestFromFragments(t *testing.T) {
 	}
 	if _, err := FromFragments("f", s, nil, nil, 1); err == nil {
 		t.Error("empty fragments accepted")
-	}
-	if _, err := FromFragments("f", s, nil, frags, 0); err == nil {
-		t.Error("zero disks accepted")
 	}
 }
 

@@ -17,42 +17,36 @@ type Partitioned struct {
 	Key []string
 	// Fragments holds the tuples of each fragment.
 	Fragments [][]relation.Tuple
-	// Disk[i] is the disk holding fragment i (round-robin placement).
-	Disk []int
 }
 
-// Partition splits r into fragments with f and places them on numDisks disks
-// round-robin, mirroring the paper's storage model ("relation fragments are
-// distributed onto disks in a round-robin fashion"). It is a two-pass
-// counting partition: one FragmentsOfCols call routes every tuple at the
-// column positions of f's key, and the tuples are then placed in one
-// exactly-sized []Tuple the fragments are Cut from.
+// Partition splits r into fragments with f, the paper's storage model: a
+// base relation is hash-partitioned once, before any query runs. It is a
+// two-pass counting partition: one FragmentsOfCols call routes every tuple at
+// the column positions of f's key, the tuples are placed fragment-major, and
+// Rehome then copies them, strings included, into one exactly sized region
+// the fragments are cut from, so nothing of r stays reachable through them.
+// numDisks is accepted and ignored: nothing maps fragments to disks, and the
+// benchmark module under bench/ still passes it.
 func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error) {
-	if numDisks <= 0 {
-		return nil, fmt.Errorf("partition: need at least one disk, got %d", numDisks)
-	}
-	d := f.Degree()
-	p := &Partitioned{
-		Name:   r.Name,
-		Schema: r.Schema,
-		Key:    f.Key(),
-		Disk:   make([]int, d),
-	}
-	for i := 0; i < d; i++ {
-		p.Disk[i] = i % numDisks
-	}
-	cols := make([]int, len(p.Key))
-	for i, name := range p.Key {
+	p, _, err := partition(r, f)
+	return p, err
+}
+
+// partition is Partition; it also returns the region, for tests to Check.
+func partition(r *relation.Relation, f Func) (*Partitioned, *relation.Region, error) {
+	key := f.Key()
+	cols := make([]int, len(key))
+	for i, name := range key {
 		c, ok := r.Schema.Index(name)
 		if !ok {
-			return nil, fmt.Errorf("partition: key column %q not in schema %s", name, r.Schema)
+			return nil, nil, fmt.Errorf("partition: key column %q not in schema %s", name, r.Schema)
 		}
 		cols[i] = c
 	}
 	dest := f.FragmentsOfCols(r.Tuples, cols, make([]int32, 0, len(r.Tuples)))
-	sizes, err := fragmentSizes(dest, d)
+	sizes, err := fragmentSizes(dest, f.Degree())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	all := make([]relation.Tuple, len(r.Tuples))
 	next := starts(sizes)
@@ -60,8 +54,52 @@ func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error)
 		all[next[dest[i]]] = t
 		next[dest[i]]++
 	}
-	p.Fragments = Cut(all, sizes)
-	return p, nil
+	placed := &Partitioned{Name: r.Name, Schema: r.Schema, Key: key, Fragments: Cut(all, sizes)}
+	p, region := placed.Rehome(nil, 0)
+	return p, region, nil
+}
+
+// Rehome returns p with the tuples it keeps copied, fragment by fragment and
+// strings included, into one exactly sized region, and its fragments cut from
+// it: nothing of where the tuples lived stays reachable through the result.
+// Every base relation a loader registers is cut from such a region (see
+// relation.Region), and this is the one loop that copies into one. A nil
+// route keeps every tuple; otherwise route holds one entry per tuple of p in
+// fragment-major order, and only the tuples whose entry is want are kept, in
+// the fragment they were in, so the degree never changes. p is not modified.
+func (p *Partitioned) Rehome(route []int32, want int32) (*Partitioned, *relation.Region) {
+	var strCols []int
+	for c := 0; c < p.Schema.Len(); c++ {
+		if p.Schema.Column(c).Type == relation.TString {
+			strCols = append(strCols, c)
+		}
+	}
+	sizes := make([]int, len(p.Fragments))
+	tuples, strBytes, n := 0, 0, 0
+	for i, frag := range p.Fragments {
+		for _, t := range frag {
+			if route == nil || route[n] == want {
+				sizes[i]++
+				for _, c := range strCols {
+					strBytes += len(t[c].AsString())
+				}
+			}
+			n++
+		}
+		tuples += sizes[i]
+	}
+	region := relation.NewRegion(tuples, tuples*p.Schema.Len(), strBytes)
+	n = 0
+	for _, frag := range p.Fragments {
+		for _, t := range frag {
+			if route == nil || route[n] == want {
+				region.Rehome(t)
+			}
+			n++
+		}
+	}
+	kept := &Partitioned{Name: p.Name, Schema: p.Schema, Key: p.Key, Fragments: Cut(region.Tuples(), sizes)}
+	return kept, region
 }
 
 // Generate builds a partitioned relation of n rows straight from a row
@@ -75,9 +113,9 @@ func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error)
 // fragment's rows read from scattered places. Within a fragment rows keep
 // their generation order, so the fragments are exactly those Partition would
 // have built.
-func Generate(name string, schema *relation.Schema, f Func, numDisks, n, strBytes int,
+func Generate(name string, schema *relation.Schema, f Func, n, strBytes int,
 	keyOf func(i int) relation.Value, row func(region *relation.Region, i int)) (*Partitioned, error) {
-	p, _, err := generate(name, schema, f, numDisks, n, strBytes, keyOf, row)
+	p, _, err := generate(name, schema, f, n, strBytes, keyOf, row)
 	return p, err
 }
 
@@ -85,7 +123,7 @@ func Generate(name string, schema *relation.Schema, f Func, numDisks, n, strByte
 const generateChunk = 256
 
 // generate is Generate; it also returns the region, for tests to Check.
-func generate(name string, schema *relation.Schema, f Func, numDisks, n, strBytes int,
+func generate(name string, schema *relation.Schema, f Func, n, strBytes int,
 	keyOf func(i int) relation.Value, row func(region *relation.Region, i int)) (*Partitioned, *relation.Region, error) {
 	d := f.Degree()
 	// The keys are routed as one-value tuples, a chunk at a time, through
@@ -119,8 +157,8 @@ func generate(name string, schema *relation.Schema, f Func, numDisks, n, strByte
 	for _, i := range order {
 		row(region, int(i))
 	}
-	p, err := FromFragments(name, schema, f.Key(), Cut(region.Tuples(), sizes), numDisks)
-	return p, region, err
+	p := &Partitioned{Name: name, Schema: schema, Key: f.Key(), Fragments: Cut(region.Tuples(), sizes)}
+	return p, region, nil
 }
 
 // fragmentSizes checks that a function's answers are fragments in [0,d), and
@@ -163,18 +201,12 @@ func Cut(all []relation.Tuple, sizes []int) [][]relation.Tuple {
 
 // FromFragments builds a Partitioned directly from pre-split fragments; the
 // skewed database generators use it to impose exact fragment cardinalities.
+// numDisks is accepted and ignored, as by Partition.
 func FromFragments(name string, schema *relation.Schema, key []string, fragments [][]relation.Tuple, numDisks int) (*Partitioned, error) {
-	if numDisks <= 0 {
-		return nil, fmt.Errorf("partition: need at least one disk, got %d", numDisks)
-	}
 	if len(fragments) == 0 {
 		return nil, fmt.Errorf("partition: need at least one fragment")
 	}
-	p := &Partitioned{Name: name, Schema: schema, Key: append([]string(nil), key...), Fragments: fragments, Disk: make([]int, len(fragments))}
-	for i := range fragments {
-		p.Disk[i] = i % numDisks
-	}
-	return p, nil
+	return &Partitioned{Name: name, Schema: schema, Key: append([]string(nil), key...), Fragments: fragments}, nil
 }
 
 // Degree returns the degree of partitioning.

@@ -43,7 +43,9 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	// string field is copied into the slab's arena, so no tuple pins a CSV
 	// line (integer columns and all); what is left per row is the one line
 	// string encoding/csv itself allocates. The header's strings are cut
-	// and kept, so it is read before reuse is switched on.
+	// and kept, so it is read before reuse is switched on. The slab is
+	// garbage once the loader has placed the rows into a region
+	// (partition.Partition).
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading csv header: %w", err)
@@ -72,19 +74,22 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	r := New(name, schema)
 	cr.ReuseRecord = true
 	var slab Slab
-	for line := 2; ; line++ {
+	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			return r, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("relation: csv line %d: %w", line, err)
+			return nil, fmt.Errorf("relation: reading csv: %w", err)
 		}
 		t := slab.New(len(cols))
 		for i, field := range rec {
 			if cols[i].Type == TInt {
 				v, err := strconv.ParseInt(field, 10, 64)
 				if err != nil {
+					// A quoted field may span lines, so the record's
+					// number is not its line's.
+					line, _ := cr.FieldPos(i)
 					return nil, fmt.Errorf("relation: csv line %d column %q: %w", line, cols[i].Name, err)
 				}
 				t[i] = Int(v)

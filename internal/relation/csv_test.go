@@ -53,18 +53,22 @@ func TestCSVWisconsinRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCSVErrors: each malformed input fails with an error that says why
+// and, for a bad field, on which line — counted in lines of the file, which a
+// quoted field spanning two of them sets apart from records.
 func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",                      // no header
-		"id\n1",                 // header without type
-		"id:FLOAT\n1",           // unknown type
-		"id:INT\nnot-a-number",  // bad int
-		"id:INT,id:INT\n1,2",    // duplicate column
-		"id:INT,name:STRING\n1", // arity mismatch (csv reader catches)
-	}
-	for _, c := range cases {
-		if _, err := ReadCSV("x", strings.NewReader(c)); err == nil {
-			t.Errorf("ReadCSV(%q) should fail", c)
+	for in, want := range map[string]string{
+		"":                      "reading csv header",
+		"id\n1":                 "name:TYPE",
+		"id:FLOAT\n1":           "unknown column type",
+		"id:INT\nnot-a-number":  `csv line 2 column "id"`,
+		"id:INT,id:INT\n1,2":    "duplicate column",
+		"id:INT,name:STRING\n1": "wrong number of fields",
+		"k:INT,s:STRING\n1,\"two\nlines\"\nbad,z\n": `csv line 4 column "k"`,
+	} {
+		_, err := ReadCSV("x", strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadCSV(%q) = %v, want an error containing %q", in, err, want)
 		}
 	}
 }

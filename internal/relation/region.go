@@ -35,9 +35,10 @@ const regionShared = 64
 // its loader returned; a pointer to anything outside it would be invisible to
 // the collector.
 //
-// Operators, aggregates, the CSV import (whose row count is unknown while it
-// streams) and spill read-back build their tuples in a Slab instead. A
-// Region is not safe for concurrent use.
+// Every base relation a loader registers lives in one: generators fill theirs
+// row by row, and partition.Partitioned.Rehome copies any other (a CSV
+// import, a shard) into one. Operators, aggregates and spill read-back build
+// their tuples in a Slab instead. A Region is not safe for concurrent use.
 type Region struct {
 	hdr []uint64 // three words per tuple
 	val []uint64 // two words per value
@@ -174,8 +175,7 @@ func (r *Region) Shared(s string) {
 
 // Rehome stores a deep copy of t as the next tuple: values and string bytes
 // both live in this region afterwards and nothing of where t came from is
-// pinned. Whoever keeps a minority of a relation for long while the rest
-// dies (Database.ShardRelation keeps one shard) re-homes what it keeps.
+// pinned. partition.Partitioned.Rehome is the one loop that calls it.
 func (r *Region) Rehome(t Tuple) {
 	r.Begin(len(t))
 	for _, v := range t {

@@ -18,10 +18,10 @@ const (
 // out of shared arena chunks, so a run of tuples costs one allocation per
 // chunk instead of one per tuple and one per string. Joins, projections and
 // aggregates carve their results with Concat and Project, spill read-back
-// decodes pages into one, and the CSV import, which cannot size a Region
-// because it learns its row count only at the end, fills New tuples in
-// place. Base relations of known size are born in a Region instead. The zero
-// Slab is ready to use; a Slab is not safe for concurrent use.
+// decodes pages into one, and the CSV reader, which learns its row count only
+// at the end, streams into one that its loader then copies into a Region.
+// Every base relation lives in a Region. The zero Slab is ready to use; a
+// Slab is not safe for concurrent use.
 //
 // Ownership: a slab tuple is an ordinary immutable Tuple and may be retained
 // by anyone, but one survivor pins its whole value chunk, and one arena
@@ -30,12 +30,11 @@ const (
 // out of a region tuple pins that whole region — which is right for results
 // that live no longer than their inputs or that all live equally long. A
 // holder that keeps a minority of what it reads for long while the rest dies
-// must copy what it keeps: an aggregate keeps one group key of many input
-// tuples and takes it with RehomeValue, Database.ShardRelation keeps one
-// shard of a relation and re-homes it into a Region of its own; otherwise
-// the discarded tuples and strings are never reclaimed. The Slab itself only
-// ever hands out space past what it already returned and never rewrites it,
-// so it may be dropped, pooled or reused while its tuples live on.
+// must copy what it keeps, as an aggregate keeps one group key of many input
+// tuples and takes it with RehomeValue; otherwise the discarded tuples and
+// strings are never reclaimed. The Slab itself only ever hands out space past
+// what it already returned and never rewrites it, so it may be dropped,
+// pooled or reused while its tuples live on.
 type Slab struct {
 	free []Value // unused tail of the current value chunk
 	// arena is the current string-byte chunk: what has been written to it

@@ -48,52 +48,16 @@ func (db *Database) shardRelation(name, col string, shard, shards int) (*relatio
 		return nil, err
 	}
 	// Most of the relation is dropped here, and one surviving tuple or
-	// string pins the whole region it was loaded into: the kept tuples are
-	// re-homed, strings included, into a fresh exactly-sized region so the
-	// full relation can be reclaimed. The relation is routed fragment by
-	// fragment into one dest; the second pass reads the answers back from it.
-	var strCols []int
-	for c := 0; c < p.Schema.Len(); c++ {
-		if p.Schema.Column(c).Type == relation.TString {
-			strCols = append(strCols, c)
-		}
-	}
+	// string pins the whole region it was loaded into, so the kept tuples are
+	// re-homed into a region of their own and the full relation can be
+	// reclaimed. The relation is routed fragment by fragment into one dest,
+	// which Rehome reads back as its keep mask.
 	cols := []int{p.Schema.MustIndex(col)}
 	dest := make([]int32, 0, p.Cardinality())
-	sizes := make([]int, len(p.Fragments))
-	tuples, values, strBytes := 0, 0, 0
-	for i, frag := range p.Fragments {
-		from := len(dest)
-		dest = h.FragmentsOfCols(frag, cols, dest)
-		for j, fr := range dest[from:] {
-			if int(fr) == shard {
-				t := frag[j]
-				sizes[i]++
-				tuples++
-				values += len(t)
-				for _, c := range strCols {
-					strBytes += len(t[c].AsString())
-				}
-			}
-		}
-	}
-	region := relation.NewRegion(tuples, values, strBytes)
-	n := 0
 	for _, frag := range p.Fragments {
-		for _, t := range frag {
-			if int(dest[n]) == shard {
-				region.Rehome(t)
-			}
-			n++
-		}
+		dest = h.FragmentsOfCols(frag, cols, dest)
 	}
-	shardP := &partition.Partitioned{
-		Name:      p.Name,
-		Schema:    p.Schema,
-		Key:       p.Key,
-		Fragments: partition.Cut(region.Tuples(), sizes),
-		Disk:      p.Disk,
-	}
+	shardP, region := p.Rehome(dest, int32(shard))
 	db.rels[name] = shardP
 	ri := db.resolver[name]
 	ri.FragSizes = shardP.FragmentSizes()

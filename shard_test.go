@@ -228,12 +228,11 @@ func notesCSV(n int) string {
 	return b.String()
 }
 
-// TestShardRelationReleasesDroppedTuples: base relations live in slabs, one
-// surviving tuple pins its whole value chunk and one surviving string its
-// whole arena, so a shard that merely kept its third of the tuples — or
-// re-homed their values and left the strings where they were — would keep
-// most of the memory. A database sharded 1-of-3 must weigh what a database
-// built from just that third weighs.
+// TestShardRelationReleasesDroppedTuples: base relations live in regions, and
+// one surviving tuple or string pins its whole region, so a shard that merely
+// kept its third of the tuples — or re-homed their values and left the
+// strings where they were — would keep most of the memory. A database sharded
+// 1-of-3 must weigh what a database built from just that third weighs.
 func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 	before := liveHeap()
 	db := New()
@@ -253,33 +252,12 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 	}
 	sharded := liveHeap() - before
 
-	// The reference: the same tuples born afresh, strings included, in
+	// The reference: the same tuples copied afresh, strings included, into
 	// regions sized for them, registered in a database of their own.
 	ref := New()
 	for name, p := range db.rels {
-		values, strBytes := 0, 0
-		for _, frag := range p.Fragments {
-			for _, tup := range frag {
-				values += len(tup)
-				for _, v := range tup {
-					if v.Kind() == relation.TString {
-						strBytes += len(v.AsString())
-					}
-				}
-			}
-		}
-		region := relation.NewRegion(p.Cardinality(), values, strBytes)
-		for _, frag := range p.Fragments {
-			for _, tup := range frag {
-				region.Rehome(tup)
-			}
-		}
-		frags := partition.Cut(region.Tuples(), p.FragmentSizes())
-		fresh, err := partition.FromFragments(name, p.Schema, p.Key, frags, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.register(fresh, db.resolver[name].Part); err != nil {
+		fresh, _ := p.Rehome(nil, 0)
+		if err := ref.register(placed{fresh, db.resolver[name].Part}); err != nil {
 			t.Fatal(err)
 		}
 	}
