@@ -2,6 +2,7 @@ package dbs3
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,14 @@ func TestFacadeCreateErrors(t *testing.T) {
 	}
 	if err := db.CreateJoinPair("x", 100, 15, 10, 0); err == nil {
 		t.Error("BCard not multiple of degree accepted")
+	}
+	for _, theta := range []float64{-1, math.NaN()} {
+		if err := db.CreateJoinPair("y", 1000, 100, 10, theta); err == nil {
+			t.Errorf("skew factor %v accepted", theta)
+		}
+	}
+	if names := db.Relations(); len(names) != 0 {
+		t.Errorf("relations after rejected creates = %v", names)
 	}
 }
 

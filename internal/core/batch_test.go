@@ -46,7 +46,7 @@ func TestQueuePushBatchFIFOAndReuse(t *testing.T) {
 	for i := range batch {
 		batch[i] = tupleAct(99)
 	}
-	got := q.popBatch(10, nil)
+	got := q.PopBatch(10, nil)
 	if len(got) != 5 {
 		t.Fatalf("popped %d, want 5", len(got))
 	}
@@ -74,7 +74,7 @@ func TestQueuePushBatchLargerThanCapacity(t *testing.T) {
 	next := int64(0)
 	deadline := time.After(5 * time.Second)
 	for next < n {
-		for _, a := range q.popBatch(3, nil) {
+		for _, a := range q.PopBatch(3, nil) {
 			if a.Tuple[0].AsInt() != next {
 				t.Errorf("out of order: got %v, want %d", a.Tuple, next)
 			}
@@ -106,7 +106,7 @@ func TestQueuePushBatchNotifiesBeforeBlocking(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("no consumer wake for the delivered part of a blocked batch")
 	}
-	if got := q.popBatch(10, nil); len(got) != 2 {
+	if got := q.PopBatch(10, nil); len(got) != 2 {
 		t.Fatalf("delivered part = %d activations, want 2", len(got))
 	}
 }

@@ -640,30 +640,17 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 	o := newOperation(n.Name, id, op, ctxs, opts.QueueCap, alloc.Node[id], opts.CacheSize, alloc.Strategy[id], opts.Seed+int64(id)*7919, plan.Graph.Triggered(id))
 	o.noVectorize = opts.NoVectorize
 
-	// LPT cost estimates per queue.
+	// LPT cost estimates per queue: a triggered queue is ranked by the
+	// instance costs step 4 read for skew; a pipelined nested-loop probe's
+	// per-tuple cost scales with its build fragment (a scan per probe).
 	switch {
 	case plan.Graph.Triggered(id):
-		for i, q := range o.Queues {
-			var est float64
-			switch n.Kind {
-			case lera.OpFilter, lera.OpTransmit:
-				est = float64(len(ctxs[i].Input))
-			case lera.OpJoin:
-				if n.Algo == lera.NestedLoop {
-					est = float64(len(ctxs[i].Build)) * float64(len(ctxs[i].Probe))
-				} else {
-					est = float64(len(ctxs[i].Build)) + float64(len(ctxs[i].Probe))
-				}
-			}
-			q.SetEstimate(est)
+		for i, est := range instanceCosts(plan, db, id) {
+			o.Queues[i].SetEstimate(est)
 		}
-	case n.Kind == lera.OpJoin:
-		// Pipelined probe: per-tuple cost scales with the build fragment
-		// for nested loop (scan per probe), constant otherwise.
+	case n.Kind == lera.OpJoin && n.Algo == lera.NestedLoop:
 		for i, q := range o.Queues {
-			if n.Algo == lera.NestedLoop {
-				q.SetPerTupleCost(float64(len(ctxs[i].Build)))
-			}
+			q.SetPerTupleCost(float64(len(ctxs[i].Build)))
 		}
 	}
 	return o, store, nil

@@ -350,17 +350,8 @@ func (o *Operation) run(wg *sync.WaitGroup) {
 // run instance closes when an instance drains; exit when the operation is
 // drained.
 func (o *Operation) worker(w int) {
-	// Main queues: queue i is main for worker i % Workers, so every queue
-	// is the main queue of exactly one thread but a thread may own several
-	// (§3: "each queue is the main queue of only one thread but each thread
-	// can have several main queues").
-	var main []*Queue
-	var mainIdx []int
-	for i := w; i < len(o.Queues); i += o.Workers {
-		main = append(main, o.Queues[i])
-		mainIdx = append(mainIdx, i)
-	}
-	strat := newStrategy(o.Strat, o.seed+int64(w))
+	main, mainIdx := MainQueues(o.Queues, w, o.Workers)
+	strat := NewStrategy(o.Strat, o.seed+int64(w))
 	cache := make([]Activation, 0, o.CacheSize)
 	em := o.newEmitter()
 	we := newWorkerEmit(em, o.CacheSize)
@@ -400,22 +391,19 @@ func (o *Operation) newEmitter() emitter {
 // acquire picks a queue and drains a batch into cache. ok=false means the
 // operation is fully drained and the worker should exit (after the instance
 // close sweep).
-func (o *Operation) acquire(strat strategy, main []*Queue, mainIdx []int, cache []Activation, we *workerEmit) ([]Activation, int, bool) {
+func (o *Operation) acquire(strat Strategy, main []*Queue, mainIdx []int, cache []Activation, we *workerEmit) ([]Activation, int, bool) {
 	o.mu.Lock()
 	for {
 		if o.aborted {
 			o.mu.Unlock()
 			return nil, -1, false
 		}
-		qi := -1
-		if k := strat.pick(main); k >= 0 {
-			qi = mainIdx[k]
-		} else if k := strat.pick(o.Queues); k >= 0 {
-			qi = k
+		qi, secondary := Pick(strat, main, mainIdx, o.Queues)
+		if secondary {
 			o.stats.SecondaryPicks.Add(1)
 		}
 		if qi >= 0 {
-			batch := o.Queues[qi].popBatch(o.CacheSize, cache)
+			batch := o.Queues[qi].PopBatch(o.CacheSize, cache)
 			if len(batch) > 0 {
 				o.inflight[qi] += len(batch)
 				o.mu.Unlock()

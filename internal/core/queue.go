@@ -205,8 +205,9 @@ func (q *Queue) PushBatch(as []Activation) {
 	}
 }
 
-// popBatch removes up to max activations. It never blocks.
-func (q *Queue) popBatch(max int, dst []Activation) []Activation {
+// PopBatch removes up to max activations, appending them to dst. It never
+// blocks.
+func (q *Queue) PopBatch(max int, dst []Activation) []Activation {
 	q.mu.Lock()
 	n := q.count
 	if n > max {
@@ -276,12 +277,11 @@ func (q *Queue) Drained() bool {
 	return q.closed && q.count == 0
 }
 
-// lptScore is the LPT priority: remaining estimated work. For triggered
+// lptScore is the LPT priority of the queue holding n activations (the
+// caller's Len, read once per pick): remaining estimated work. For triggered
 // queues the static estimate dominates; for pipelined queues the score is
-// queue length times the per-tuple cost. Lock-free like Len, for the same
-// reason.
-func (q *Queue) lptScore() float64 {
-	n := q.length.Load()
+// queue length times the per-tuple cost.
+func (q *Queue) lptScore(n int) float64 {
 	if n == 0 {
 		return 0
 	}

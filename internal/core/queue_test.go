@@ -20,7 +20,7 @@ func TestQueueFIFO(t *testing.T) {
 	if q.Len() != 5 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	batch := q.popBatch(3, nil)
+	batch := q.PopBatch(3, nil)
 	if len(batch) != 3 {
 		t.Fatalf("batch = %d", len(batch))
 	}
@@ -29,7 +29,7 @@ func TestQueueFIFO(t *testing.T) {
 			t.Fatalf("order violated: %v", a.Tuple)
 		}
 	}
-	rest := q.popBatch(10, nil)
+	rest := q.PopBatch(10, nil)
 	if len(rest) != 2 || rest[0].Tuple[0].AsInt() != 3 {
 		t.Fatalf("rest = %v", rest)
 	}
@@ -38,7 +38,7 @@ func TestQueueFIFO(t *testing.T) {
 func TestQueueTriggerActivation(t *testing.T) {
 	q := NewQueue(1)
 	q.Push(Activation{})
-	batch := q.popBatch(4, nil)
+	batch := q.PopBatch(4, nil)
 	if len(batch) != 1 || batch[0].Tuple != nil {
 		t.Fatalf("batch = %v", batch)
 	}
@@ -61,7 +61,7 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatal("push to full queue did not block")
 	case <-time.After(20 * time.Millisecond):
 	}
-	q.popBatch(1, nil)
+	q.PopBatch(1, nil)
 	select {
 	case <-done:
 	case <-time.After(time.Second):
@@ -75,7 +75,7 @@ func TestQueueWrapAround(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		q.Push(tupleAct(next))
 		q.Push(tupleAct(next + 1))
-		b := q.popBatch(2, nil)
+		b := q.PopBatch(2, nil)
 		if len(b) != 2 || b[0].Tuple[0].AsInt() != next || b[1].Tuple[0].AsInt() != next+1 {
 			t.Fatalf("round %d: %v", round, b)
 		}
@@ -90,7 +90,7 @@ func TestQueueCloseSemantics(t *testing.T) {
 	if q.Drained() {
 		t.Error("closed but non-empty queue reported drained")
 	}
-	q.popBatch(1, nil)
+	q.PopBatch(1, nil)
 	if !q.Drained() {
 		t.Error("closed empty queue not drained")
 	}
@@ -124,24 +124,24 @@ func TestQueueCloseReleasesBlockedProducer(t *testing.T) {
 
 func TestQueueLPTScore(t *testing.T) {
 	q := NewQueue(8)
-	if q.lptScore() != 0 {
+	if q.lptScore(q.Len()) != 0 {
 		t.Error("empty queue should score 0")
 	}
 	q.SetEstimate(100)
-	if q.lptScore() != 0 {
+	if q.lptScore(q.Len()) != 0 {
 		t.Error("empty queue with estimate should still score 0")
 	}
 	q.Push(Activation{})
-	if q.lptScore() != 100 {
-		t.Errorf("triggered score = %v", q.lptScore())
+	if q.lptScore(q.Len()) != 100 {
+		t.Errorf("triggered score = %v", q.lptScore(q.Len()))
 	}
 	// Pipelined scoring: no static estimate, per-tuple cost * length.
 	p := NewQueue(8)
 	p.SetPerTupleCost(5)
 	p.Push(tupleAct(1))
 	p.Push(tupleAct(2))
-	if p.lptScore() != 10 {
-		t.Errorf("pipelined score = %v", p.lptScore())
+	if p.lptScore(p.Len()) != 10 {
+		t.Errorf("pipelined score = %v", p.lptScore(p.Len()))
 	}
 }
 
@@ -167,7 +167,7 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer cwg.Done()
 			for {
-				b := q.popBatch(8, nil)
+				b := q.PopBatch(8, nil)
 				mu.Lock()
 				for _, a := range b {
 					seen[a.Tuple[0].AsInt()] = true

@@ -33,9 +33,11 @@ func (s StrategyKind) String() string {
 	}
 }
 
-// strategy picks a queue index among the non-empty ones; -1 when all empty.
-// Implementations need not be goroutine-safe: each worker owns one.
-type strategy interface {
+// Strategy picks a queue index among the non-empty ones; -1 when all empty.
+// Implementations need not be goroutine-safe: each engine worker owns one,
+// and the simulator (package sim) shares one per run on its single
+// goroutine.
+type Strategy interface {
 	pick(queues []*Queue) int
 }
 
@@ -72,19 +74,51 @@ type lptStrategy struct{}
 func (lptStrategy) pick(queues []*Queue) int {
 	best, bestScore := -1, -1.0
 	for i, q := range queues {
-		if q.Len() == 0 {
+		n := q.Len()
+		if n == 0 {
 			continue
 		}
-		if s := q.lptScore(); s > bestScore {
+		if s := q.lptScore(n); s > bestScore {
 			best, bestScore = i, s
 		}
 	}
 	return best
 }
 
-func newStrategy(kind StrategyKind, seed int64) strategy {
+// NewStrategy builds the strategy of the given kind; StrategyAuto, resolved
+// per operation by the scheduler, falls back to Random here. seed drives the
+// Random strategy.
+func NewStrategy(kind StrategyKind, seed int64) Strategy {
 	if kind == StrategyLPT {
 		return lptStrategy{}
 	}
 	return newRandomStrategy(seed)
+}
+
+// MainQueues returns thread w's main queues and their indices in all: queue
+// i is main for thread i % threads, so every queue is the main queue of
+// exactly one thread but a thread may own several, or none when threads
+// outnumber queues (§3: "each queue is the main queue of only one thread but
+// each thread can have several main queues").
+func MainQueues(all []*Queue, w, threads int) (main []*Queue, mainIdx []int) {
+	for i := w; i < len(all); i += threads {
+		main = append(main, all[i])
+		mainIdx = append(mainIdx, i)
+	}
+	return main, mainIdx
+}
+
+// Pick is the §3 consumption rule, shared by the engine's workers and the
+// simulator: a non-empty main queue first, chosen by s; otherwise s chooses
+// among all non-empty queues and secondary reports the load redistribution.
+// A main pick returns its mainIdx entry, a secondary pick its index in all;
+// qi is -1 when every queue is empty.
+func Pick(s Strategy, main []*Queue, mainIdx []int, all []*Queue) (qi int, secondary bool) {
+	if k := s.pick(main); k >= 0 {
+		return mainIdx[k], false
+	}
+	if k := s.pick(all); k >= 0 {
+		return k, true
+	}
+	return -1, false
 }

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func queuesWithLens(lens ...int) []*Queue {
 	qs := make([]*Queue, len(lens))
@@ -62,7 +65,7 @@ func TestLPTPicksMostExpensive(t *testing.T) {
 		t.Errorf("LPT picked %d, want 1", k)
 	}
 	// Drain queue 1; next pick is queue 2.
-	qs[1].popBatch(1, nil)
+	qs[1].PopBatch(1, nil)
 	if k := (lptStrategy{}).pick(qs); k != 2 {
 		t.Errorf("LPT picked %d, want 2", k)
 	}
@@ -95,14 +98,54 @@ func TestLPTDynamicPipelinedScore(t *testing.T) {
 }
 
 func TestNewStrategyFactory(t *testing.T) {
-	if _, ok := newStrategy(StrategyLPT, 1).(lptStrategy); !ok {
+	if _, ok := NewStrategy(StrategyLPT, 1).(lptStrategy); !ok {
 		t.Error("StrategyLPT should build lptStrategy")
 	}
-	if _, ok := newStrategy(StrategyRandom, 1).(*randomStrategy); !ok {
+	if _, ok := NewStrategy(StrategyRandom, 1).(*randomStrategy); !ok {
 		t.Error("StrategyRandom should build randomStrategy")
 	}
-	if _, ok := newStrategy(StrategyAuto, 1).(*randomStrategy); !ok {
+	if _, ok := NewStrategy(StrategyAuto, 1).(*randomStrategy); !ok {
 		t.Error("StrategyAuto should default to randomStrategy at pool level")
+	}
+}
+
+// TestPickMainThenSecondary is the §3 consumption rule both the engine's
+// workers and the simulator apply: a thread's own non-empty queue first, any
+// other non-empty queue as a counted secondary pick, -1 when all are empty.
+func TestPickMainThenSecondary(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		lens          []int
+		w, threads    int
+		mains         []int // thread w's main queues
+		wantQi        []int // any of these
+		wantSecondary bool
+	}{
+		{"main wins over a longer secondary", []int{9, 1, 9, 0}, 1, 2, []int{1, 3}, []int{1}, false},
+		{"either main queue", []int{1, 0, 1, 0, 1}, 0, 2, []int{0, 2, 4}, []int{0, 2, 4}, false},
+		{"secondary when the mains are empty", []int{0, 3, 0, 0}, 0, 2, []int{0, 2}, []int{1}, true},
+		{"all empty", []int{0, 0, 0}, 2, 3, []int{2}, []int{-1}, false},
+		{"a thread beyond the queues owns no main", []int{2, 0}, 3, 4, nil, []int{0}, true},
+	} {
+		for _, kind := range []StrategyKind{StrategyRandom, StrategyLPT} {
+			qs := queuesWithLens(c.lens...)
+			main, mainIdx := MainQueues(qs, c.w, c.threads)
+			if !slices.Equal(mainIdx, c.mains) {
+				t.Fatalf("%s: MainQueues(w=%d, threads=%d) = %v, want %v", c.name, c.w, c.threads, mainIdx, c.mains)
+			}
+			for k, i := range mainIdx {
+				if main[k] != qs[i] {
+					t.Fatalf("%s: main queue %d is not queue %d", c.name, k, i)
+				}
+			}
+			s := NewStrategy(kind, 5)
+			for range 20 {
+				qi, secondary := Pick(s, main, mainIdx, qs)
+				if !slices.Contains(c.wantQi, qi) || secondary != c.wantSecondary {
+					t.Errorf("%s, %v: Pick = (%d, %v), want one of %v and secondary %v", c.name, kind, qi, secondary, c.wantQi, c.wantSecondary)
+				}
+			}
+		}
 	}
 }
 

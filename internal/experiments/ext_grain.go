@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"dbs3/internal/core"
 	"dbs3/internal/sim"
 	"dbs3/internal/zipf"
 )
@@ -33,7 +34,7 @@ func ExtGrain() *Figure {
 		costs := m.ChunkedNestedLoopTriggerCosts(aSizes, bSizes, grain)
 		seq := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: 1, QueueOverhead: m.TriggeredQueueOverhead}, cfg).Time
 		for _, n := range spdThreads {
-			r := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: n, Strategy: sim.LPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
+			r := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: n, Strategy: core.StrategyLPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
 			f.Series[si].Points = append(f.Series[si].Points, Point{float64(n), seq / r.Time})
 		}
 	}

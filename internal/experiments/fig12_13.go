@@ -21,39 +21,6 @@ const (
 
 var skewThetas = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
 
-// assocSpec builds the AssocJoin pipeline for one skew level: transmit reads
-// B' (placed off the join key) and redistributes its tuples into the
-// pipelined nested-loop join against A.
-func assocSpec(theta float64, threads int) (sim.PipelineSpec, sim.Config) {
-	m := calibrated
-	aSizes := zipf.Sizes(skewACard, skewDegree, theta)
-	bSizes := sim.UniformSizes(skewBCard, skewDegree)
-	prod := m.TransmitTriggerCosts(bSizes)
-	per := m.NestedLoopProbeCosts(aSizes)
-	emis := make([][]int, skewDegree)
-	for i := 0; i < skewDegree; i++ {
-		for j := 0; j < bSizes[i]; j++ {
-			// B' fragment i (placed by id) holds keys spread uniformly over
-			// the key residues, so redistribution targets cycle.
-			emis[i] = append(emis[i], (i+j)%skewDegree)
-		}
-	}
-	var prodWork, consWork float64
-	for i := range prod {
-		prodWork += prod[i]
-		for _, tgt := range emis[i] {
-			consWork += per[tgt]
-		}
-	}
-	split := core.Proportional(threads, []float64{prodWork, consWork})
-	return sim.PipelineSpec{
-		ProducerCosts: prod, Emissions: emis, ConsumerPerTuple: per,
-		ProducerThreads: split[0], ConsumerThreads: split[1],
-		QueueOverheadProducer: m.TriggeredQueueOverhead,
-		QueueOverheadConsumer: m.PipelinedQueueOverhead,
-	}, m.Config(1)
-}
-
 // idealCosts builds the IdealJoin triggered activation costs for one skew
 // level (nested loop: |A_i| x |B_i| pairs).
 func idealCosts(theta float64) []float64 {
@@ -76,9 +43,10 @@ func Fig12() *Figure {
 		Series: []Series{{Name: "Measured execution time (Random)"}, {Name: "Tworst"}},
 	}
 	m := calibrated
+	cfg := m.Config(1)
 	var base float64
 	for _, theta := range skewThetas {
-		spec, cfg := assocSpec(theta, skewThreads)
+		spec := m.AssocJoin(zipf.Sizes(skewACard, skewDegree, theta), sim.UniformSizes(skewBCard, skewDegree), false, skewThreads)
 		r := sim.Pipeline(spec, cfg)
 		f.Series[0].Points = append(f.Series[0].Points, Point{theta, r.Time})
 		if theta == 0 {
@@ -118,8 +86,8 @@ func Fig13() *Figure {
 		for _, c := range costs {
 			sum += c
 		}
-		rand := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: skewThreads, Strategy: sim.Random, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
-		lpt := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: skewThreads, Strategy: sim.LPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
+		rand := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: skewThreads, Strategy: core.StrategyRandom, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
+		lpt := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: skewThreads, Strategy: core.StrategyLPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
 		fixed := cfg.Startup(skewThreads, float64(skewDegree)*m.TriggeredQueueOverhead)
 		v := sim.VBound(zipf.SkewRatio(skewDegree, theta), skewThreads, skewDegree)
 		tworst := fixed + (1+v)*sum/float64(skewThreads)

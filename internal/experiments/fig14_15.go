@@ -17,35 +17,6 @@ const (
 
 var spdThreads = []int{1, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 
-// assocSpeedupSpec builds the AssocJoin pipeline of the speed-up experiment.
-func assocSpeedupSpec(theta float64, threads int) (sim.PipelineSpec, sim.Config) {
-	m := calibrated
-	aSizes := zipf.Sizes(spdACard, spdDegree, theta)
-	bSizes := sim.UniformSizes(spdBCard, spdDegree)
-	prod := m.TransmitTriggerCosts(bSizes)
-	per := m.NestedLoopProbeCosts(aSizes)
-	emis := make([][]int, spdDegree)
-	for i := 0; i < spdDegree; i++ {
-		for j := 0; j < bSizes[i]; j++ {
-			emis[i] = append(emis[i], (i+j)%spdDegree)
-		}
-	}
-	var prodWork, consWork float64
-	for i := range prod {
-		prodWork += prod[i]
-		for _, tgt := range emis[i] {
-			consWork += per[tgt]
-		}
-	}
-	split := core.Proportional(threads, []float64{prodWork, consWork})
-	return sim.PipelineSpec{
-		ProducerCosts: prod, Emissions: emis, ConsumerPerTuple: per,
-		ProducerThreads: split[0], ConsumerThreads: split[1],
-		QueueOverheadProducer: m.TriggeredQueueOverhead,
-		QueueOverheadConsumer: m.PipelinedQueueOverhead,
-	}, m.Config(1)
-}
-
 // Fig14 reproduces Figure 14: AssocJoin speed-up for unskewed and fully
 // skewed (Zipf 1) data, with the theoretical linear speed-up (capped by the
 // 70 processors). The pipelined operation's 20K activations absorb even full
@@ -62,16 +33,15 @@ func Fig14() *Figure {
 			{Name: "Theoretical speed-up"},
 		},
 	}
+	cfg := calibrated.Config(1)
+	bSizes := sim.UniformSizes(spdBCard, spdDegree)
 	for si, theta := range []float64{0, 1} {
-		spec1, cfg := assocSpeedupSpec(theta, 1)
-		seq := sim.PipelineSequential(spec1, cfg)
+		aSizes := zipf.Sizes(spdACard, spdDegree, theta)
+		seq := sim.PipelineSequential(calibrated.AssocJoin(aSizes, bSizes, false, 1), cfg)
 		for _, n := range spdThreads {
-			var t float64
-			if n == 1 {
-				t = seq
-			} else {
-				spec, cfg := assocSpeedupSpec(theta, n)
-				t = sim.Pipeline(spec, cfg).Time
+			t := seq
+			if n > 1 {
+				t = sim.Pipeline(calibrated.AssocJoin(aSizes, bSizes, false, n), cfg).Time
 			}
 			f.Series[si].Points = append(f.Series[si].Points, Point{float64(n), seq / t})
 		}
@@ -107,7 +77,7 @@ func Fig15() *Figure {
 		costs := m.NestedLoopTriggerCosts(aSizes, bSizes, bSizes)
 		seq := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: 1, QueueOverhead: m.TriggeredQueueOverhead}, cfg).Time
 		for _, n := range spdThreads {
-			r := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: n, Strategy: sim.LPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
+			r := sim.Triggered(sim.TriggeredSpec{Costs: costs, Threads: n, Strategy: core.StrategyLPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg)
 			f.Series[si].Points = append(f.Series[si].Points, Point{float64(n), seq / r.Time})
 		}
 	}

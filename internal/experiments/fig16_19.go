@@ -16,7 +16,7 @@ var partDegrees = []int{20, 100, 250, 500, 750, 1000, 1250, 1400, 1500}
 const partThreads = 20
 
 // idealTimeAt runs the triggered IdealJoin at one (d, theta) configuration.
-func idealTimeAt(aCard, bCard, d int, theta float64, index bool, strat sim.Kind) float64 {
+func idealTimeAt(aCard, bCard, d int, theta float64, index bool, strat core.StrategyKind) float64 {
 	m := calibrated
 	cfg := m.Config(1)
 	aSizes := zipf.Sizes(aCard, d, theta)
@@ -35,45 +35,8 @@ func idealTimeAt(aCard, bCard, d int, theta float64, index bool, strat sim.Kind)
 
 // assocTimeAt runs the pipelined AssocJoin at one (d, theta) configuration.
 func assocTimeAt(aCard, bCard, d int, theta float64, index bool) float64 {
-	m := calibrated
-	cfg := m.Config(1)
-	aSizes := zipf.Sizes(aCard, d, theta)
-	bSizes := sim.UniformSizes(bCard, d)
-	prod := m.TransmitTriggerCosts(bSizes)
-	var per []float64
-	if index {
-		probes := make([]int, d)
-		emisCount := make([]int, d)
-		for i := 0; i < d; i++ {
-			for j := 0; j < bSizes[i]; j++ {
-				emisCount[(i+j)%d]++
-			}
-		}
-		copy(probes, emisCount)
-		per = m.IndexProbeCosts(aSizes, probes)
-	} else {
-		per = m.NestedLoopProbeCosts(aSizes)
-	}
-	emis := make([][]int, d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < bSizes[i]; j++ {
-			emis[i] = append(emis[i], (i+j)%d)
-		}
-	}
-	var prodWork, consWork float64
-	for i := range prod {
-		prodWork += prod[i]
-		for _, tgt := range emis[i] {
-			consWork += per[tgt]
-		}
-	}
-	split := core.Proportional(partThreads, []float64{prodWork, consWork})
-	return sim.Pipeline(sim.PipelineSpec{
-		ProducerCosts: prod, Emissions: emis, ConsumerPerTuple: per,
-		ProducerThreads: split[0], ConsumerThreads: split[1],
-		QueueOverheadProducer: m.TriggeredQueueOverhead,
-		QueueOverheadConsumer: m.PipelinedQueueOverhead,
-	}, cfg).Time
+	spec := calibrated.AssocJoin(zipf.Sizes(aCard, d, theta), sim.UniformSizes(bCard, d), index, partThreads)
+	return sim.Pipeline(spec, calibrated.Config(1)).Time
 }
 
 // Fig16 reproduces Figure 16: the partitioning overhead of IdealJoin and
@@ -90,7 +53,7 @@ func Fig16() *Figure {
 		YLabel: "measured overhead (s)",
 		Series: []Series{{Name: "Overhead for AssocJoin"}, {Name: "Overhead for IdealJoin"}},
 	}
-	idealT20 := idealTimeAt(skewACard, skewBCard, 20, 0, false, sim.Random)
+	idealT20 := idealTimeAt(skewACard, skewBCard, 20, 0, false, core.StrategyRandom)
 	assocT20 := assocTimeAt(skewACard, skewBCard, 20, 0, false)
 	for _, d := range partDegrees {
 		// The paper's method (footnote of §5.6.1): theoretical time for
@@ -98,7 +61,7 @@ func Fig16() *Figure {
 		// work scaling, Td = T20 * 20/d; the overhead is measured - Td.
 		theoIdeal := idealT20 * 20 / float64(d)
 		theoAssoc := assocT20 * 20 / float64(d)
-		mi := idealTimeAt(skewACard, skewBCard, d, 0, false, sim.Random)
+		mi := idealTimeAt(skewACard, skewBCard, d, 0, false, core.StrategyRandom)
 		ma := assocTimeAt(skewACard, skewBCard, d, 0, false)
 		f.Series[0].Points = append(f.Series[0].Points, Point{float64(d), ma - theoAssoc})
 		f.Series[1].Points = append(f.Series[1].Points, Point{float64(d), mi - theoIdeal})
@@ -121,7 +84,7 @@ func Fig17() *Figure {
 	}
 	for _, d := range partDegrees {
 		f.Series[0].Points = append(f.Series[0].Points, Point{float64(d), assocTimeAt(500_000, 50_000, d, 0, true)})
-		f.Series[1].Points = append(f.Series[1].Points, Point{float64(d), idealTimeAt(500_000, 50_000, d, 0, true, sim.Random)})
+		f.Series[1].Points = append(f.Series[1].Points, Point{float64(d), idealTimeAt(500_000, 50_000, d, 0, true, core.StrategyRandom)})
 	}
 	return f
 }
@@ -145,10 +108,10 @@ func Fig18() *Figure {
 		},
 	}
 	for _, d := range partDegrees {
-		nl0 := idealTimeAt(skewACard, skewBCard, d, 0, false, sim.LPT)
-		nl6 := idealTimeAt(skewACard, skewBCard, d, 0.6, false, sim.LPT)
-		ix0 := idealTimeAt(500_000, 50_000, d, 0, true, sim.LPT)
-		ix6 := idealTimeAt(500_000, 50_000, d, 0.6, true, sim.LPT)
+		nl0 := idealTimeAt(skewACard, skewBCard, d, 0, false, core.StrategyLPT)
+		nl6 := idealTimeAt(skewACard, skewBCard, d, 0.6, false, core.StrategyLPT)
+		ix0 := idealTimeAt(500_000, 50_000, d, 0, true, core.StrategyLPT)
+		ix6 := idealTimeAt(500_000, 50_000, d, 0.6, true, core.StrategyLPT)
 		f.Series[0].Points = append(f.Series[0].Points, Point{float64(d), sim.VFromTimes(nl6, nl0)})
 		f.Series[1].Points = append(f.Series[1].Points, Point{float64(d), sim.VFromTimes(ix6, ix0)})
 		f.Series[2].Points = append(f.Series[2].Points, Point{float64(d), sim.VBound(zipf.SkewRatio(d, 0.6), partThreads, d)})
@@ -171,14 +134,14 @@ func Fig19() *Figure {
 	// paper's plotted range) whose skew penalty the higher degrees claw
 	// back.
 	const baseDegree = 100
-	base := idealTimeAt(500_000, 50_000, baseDegree, 0.6, true, sim.LPT)
+	base := idealTimeAt(500_000, 50_000, baseDegree, 0.6, true, core.StrategyLPT)
 	// T0 reference: the unskewed time in the flat region of Figure 17.
-	t0 := idealTimeAt(500_000, 50_000, 500, 0, true, sim.LPT)
+	t0 := idealTimeAt(500_000, 50_000, 500, 0, true, core.StrategyLPT)
 	for _, d := range partDegrees {
 		if d < baseDegree {
 			continue
 		}
-		saved := base - idealTimeAt(500_000, 50_000, d, 0.6, true, sim.LPT)
+		saved := base - idealTimeAt(500_000, 50_000, d, 0.6, true, core.StrategyLPT)
 		f.Series[0].Points = append(f.Series[0].Points, Point{float64(d), saved})
 		f.Series[1].Points = append(f.Series[1].Points, Point{float64(d), t0})
 	}

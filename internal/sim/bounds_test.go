@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dbs3/internal/core"
 	"dbs3/internal/zipf"
 )
 
@@ -184,7 +185,7 @@ func TestDBS3BeatsStaticModelUnderSkew(t *testing.T) {
 		costs[i] = float64(s)
 	}
 	static := staticMakespan(costs, processors)
-	pool := Triggered(TriggeredSpec{Costs: costs, Threads: processors, Strategy: LPT}, Config{Processors: processors})
+	pool := Triggered(TriggeredSpec{Costs: costs, Threads: processors, Strategy: core.StrategyLPT}, Config{Processors: processors})
 	if pool.Makespan >= static {
 		t.Errorf("DBS3 pool (%v) should beat static model (%v) under skew", pool.Makespan, static)
 	}
@@ -231,7 +232,7 @@ func TestFirstFitDecreasing(t *testing.T) {
 	// And DBS3's dynamic LPT pool matches FFD with exact costs (both are
 	// LPT schedules) — the difference in practice is robustness to
 	// estimation error, which static assignment lacks.
-	pool := Triggered(TriggeredSpec{Costs: costs, Threads: 20, Strategy: LPT}, Config{Processors: 20})
+	pool := Triggered(TriggeredSpec{Costs: costs, Threads: 20, Strategy: core.StrategyLPT}, Config{Processors: 20})
 	if pool.Makespan > ffd*1.01 {
 		t.Errorf("pool LPT (%v) should match FFD (%v) under exact costs", pool.Makespan, ffd)
 	}

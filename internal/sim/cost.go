@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"dbs3/internal/core"
+)
 
 // CostModel holds the virtual-time cost constants, calibrated against the
 // paper's reported anchors (internal/experiments records paper-vs-measured anchors):
@@ -178,6 +182,45 @@ func (m CostModel) IndexProbeCosts(aSizes, probesPerInstance []int) []float64 {
 		out[i] = perProbe
 	}
 	return out
+}
+
+// AssocJoin builds the paper's AssocJoin pipeline over fragments of A and B:
+// a transmit reads B and redistributes the j-th tuple of fragment i to join
+// instance (i+j) mod d — B is placed off the join key, so its keys cycle
+// over the residues — where a nested-loop join (with index, a temp-index
+// join) probes A's fragment. The threads are split between the two stages
+// by the engine's step-3 rule, core.Proportional; the strategy is left to
+// the caller.
+func (m CostModel) AssocJoin(aSizes, bSizes []int, index bool, threads int) PipelineSpec {
+	d := len(aSizes)
+	emis := make([][]int, d)
+	probes := make([]int, d)
+	for i := range emis {
+		emis[i] = make([]int, bSizes[i])
+		for j := range emis[i] {
+			emis[i][j] = (i + j) % d
+			probes[emis[i][j]]++
+		}
+	}
+	per := m.NestedLoopProbeCosts(aSizes)
+	if index {
+		per = m.IndexProbeCosts(aSizes, probes)
+	}
+	prod := m.TransmitTriggerCosts(bSizes)
+	var prodWork, consWork float64
+	for i := range prod {
+		prodWork += prod[i]
+		for _, tgt := range emis[i] {
+			consWork += per[tgt]
+		}
+	}
+	split := core.Proportional(threads, []float64{prodWork, consWork})
+	return PipelineSpec{
+		ProducerCosts: prod, Emissions: emis, ConsumerPerTuple: per,
+		ProducerThreads: split[0], ConsumerThreads: split[1],
+		QueueOverheadProducer: m.TriggeredQueueOverhead,
+		QueueOverheadConsumer: m.PipelinedQueueOverhead,
+	}
 }
 
 // SelectionCosts returns per-instance costs of a triggered selection over

@@ -1,10 +1,12 @@
 // Package sim is the one model of the paper: the machine, the cost model,
 // the closed-form bounds and a virtual-time discrete-event simulator of
-// DBS3's parallel execution model. The simulator reproduces the scheduling
-// semantics of the real engine (package core) — per-instance activation
-// queues, thread pools with main and secondary queues, Random and LPT
-// consumption — on a virtual clock with per-activation costs from the cost
-// model calibrated on the KSR1 (Machine, CostModel). The §4.1 equations and
+// DBS3's parallel execution model. The simulator schedules with the real
+// engine's own code (package core): activations sit in per-instance
+// core.Queues and every virtual thread of a pool chooses among its main and
+// secondary queues with core.Pick under core's Random or LPT strategy — only
+// the clock is virtual, with per-activation costs from the cost model
+// calibrated on the KSR1 (Machine, CostModel; CostModel.AssocJoin builds the
+// AssocJoin pipeline every caller runs). The §4.1 equations and
 // the static models' makespans (bounds.go) are the references the
 // simulator is tested against. The paper's figures need up to 100 threads on
 // 70 processors; the simulator makes those experiments reproducible on any
@@ -12,18 +14,10 @@
 package sim
 
 import (
-	"math"
-	"math/rand"
-)
+	"cmp"
+	"slices"
 
-// Kind selects the consumption strategy, mirroring core.StrategyKind.
-type Kind int
-
-const (
-	// Random picks a random non-empty queue (the engine default).
-	Random Kind = iota
-	// LPT picks the non-empty queue with the most remaining estimated work.
-	LPT
+	"dbs3/internal/core"
 )
 
 // Config holds machine-level simulation parameters.
@@ -75,61 +69,21 @@ type TriggeredSpec struct {
 	Costs []float64
 	// Threads is the pool size.
 	Threads int
-	// Strategy picks among secondary queues.
-	Strategy Kind
+	// Strategy picks among secondary queues; StrategyAuto runs Random.
+	Strategy core.StrategyKind
 	// QueueOverhead is the per-queue creation/management cost charged to
 	// sequential startup (0.45 ms/queue for triggered queues, Figure 16).
 	QueueOverhead float64
-	// Estimates overrides the LPT per-queue cost estimates; defaults to
-	// Costs (the engine estimates from fragment sizes, which here are the
-	// costs themselves).
-	Estimates []float64
 }
 
 // Triggered simulates a triggered operation: greedy list scheduling with the
 // engine's main-queue preference.
 func Triggered(spec TriggeredSpec, cfg Config) Result {
-	n := spec.Threads
-	if n < 1 {
-		n = 1
-	}
-	a := len(spec.Costs)
-	est := spec.Estimates
-	if est == nil {
-		est = spec.Costs
-	}
-	dil := cfg.dilation(n)
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-
-	free := make([]float64, n)
-	taken := make([]bool, a)
-	remaining := a
+	n := max(spec.Threads, 1)
 	res := Result{}
-
-	for remaining > 0 {
-		// Thread that frees earliest takes the next activation.
-		w := 0
-		for i := 1; i < n; i++ {
-			if free[i] < free[w] {
-				w = i
-			}
-		}
-		qi := pickTriggered(spec.Strategy, rng, taken, est, w, n, &res)
-		if qi < 0 {
-			break
-		}
-		taken[qi] = true
-		remaining--
-		d := spec.Costs[qi] * dil
-		free[w] += d
-		res.BusyTime += d
-	}
-	for _, f := range free {
-		if f > res.Makespan {
-			res.Makespan = f
-		}
-	}
-	res.Time = cfg.Startup(n, float64(a)*spec.QueueOverhead) + res.Makespan
+	s := core.NewStrategy(spec.Strategy, cfg.Seed+1)
+	res.Makespan = listSchedule(spec.Costs, n, s, cfg.dilation(n), &res, nil)
+	res.Time = cfg.Startup(n, float64(len(spec.Costs))*spec.QueueOverhead) + res.Makespan
 	return res
 }
 
@@ -149,8 +103,9 @@ type PipelineSpec struct {
 	ConsumerPerTuple []float64
 	// ProducerThreads and ConsumerThreads size the two pools.
 	ProducerThreads, ConsumerThreads int
-	// Strategy picks among secondary queues (both pools).
-	Strategy Kind
+	// Strategy picks among secondary queues (both pools); StrategyAuto runs
+	// Random.
+	Strategy core.StrategyKind
 	// QueueOverheadProducer/Consumer are the per-queue costs charged to
 	// startup (0.45 ms triggered, ~3.55 ms pipelined; together the 4
 	// ms/degree of Figure 16).
@@ -167,101 +122,59 @@ type arrival struct {
 // separate pools (the engine's per-operation thread pools), so the producer
 // schedule is computed first and its emission times drive the consumer DES.
 func Pipeline(spec PipelineSpec, cfg Config) Result {
-	np, nc := spec.ProducerThreads, spec.ConsumerThreads
-	if np < 1 {
-		np = 1
-	}
-	if nc < 1 {
-		nc = 1
-	}
+	np, nc := max(spec.ProducerThreads, 1), max(spec.ConsumerThreads, 1)
 	total := np + nc
 	dil := cfg.dilation(total)
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
+	s := core.NewStrategy(spec.Strategy, cfg.Seed+2)
 	res := Result{}
 
 	// Stage 1: producers via list scheduling, recording emission times.
-	d := len(spec.ProducerCosts)
-	prodFree := make([]float64, np)
-	taken := make([]bool, d)
-	nq := len(spec.ConsumerPerTuple)
-	queues := make([][]arrival, nq)
-	prodMakespan := 0.0
-	for done := 0; done < d; done++ {
-		w := 0
-		for i := 1; i < np; i++ {
-			if prodFree[i] < prodFree[w] {
-				w = i
-			}
-		}
-		qi := pickTriggered(spec.Strategy, rng, taken, spec.ProducerCosts, w, np, &res)
-		if qi < 0 {
-			break
-		}
-		taken[qi] = true
-		start := prodFree[w]
-		cost := spec.ProducerCosts[qi] * dil
-		m := len(spec.Emissions[qi])
-		perTuple := 0.0
-		if m > 0 {
-			perTuple = cost / float64(m)
-		}
+	var arrivals []arrival
+	prodMakespan := listSchedule(spec.ProducerCosts, np, s, dil, &res, func(qi int, start, cost float64) {
+		perTuple := cost / float64(len(spec.Emissions[qi])) // unread if it emits nothing
 		for j, target := range spec.Emissions[qi] {
-			queues[target] = append(queues[target], arrival{at: start + float64(j+1)*perTuple, target: target})
+			arrivals = append(arrivals, arrival{at: start + float64(j+1)*perTuple, target: target})
 		}
-		prodFree[w] = start + cost
-		res.BusyTime += cost
-		if prodFree[w] > prodMakespan {
-			prodMakespan = prodFree[w]
-		}
-	}
-	// FIFO order within each queue by arrival time.
-	for _, q := range queues {
-		sortArrivals(q)
-	}
+	})
 
-	// Stage 2: consumer DES.
-	head := make([]int, nq)
-	consFree := make([]float64, nc)
-	remaining := 0
-	for _, q := range queues {
-		remaining += len(q)
+	// Stage 2: the consumer pool. The earliest-free thread's clock never
+	// decreases, so one sweep over the arrivals sorted by release time
+	// pushes each into its queue once that clock has passed it.
+	slices.SortStableFunc(arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
+	nq := len(spec.ConsumerPerTuple)
+	counts := make([]int, nq)
+	for _, a := range arrivals {
+		counts[a.target]++
 	}
-	for remaining > 0 {
-		w := 0
-		for i := 1; i < nc; i++ {
-			if consFree[i] < consFree[w] {
-				w = i
-			}
+	queues := make([]*core.Queue, nq)
+	for q := range queues {
+		// Sized to every arrival it receives: Push never blocks this
+		// single-goroutine loop.
+		queues[q] = core.NewQueue(counts[q])
+		queues[q].SetPerTupleCost(spec.ConsumerPerTuple[q])
+	}
+	cons := newPool(queues, nc)
+	next := 0
+	for done := 0; done < len(arrivals); {
+		w := cons.earliest()
+		t := cons.free[w]
+		for ; next < len(arrivals) && arrivals[next].at <= t; next++ {
+			cons.push(arrivals[next].target)
 		}
-		t := consFree[w]
-		qi := pickPipelined(spec.Strategy, rng, queues, head, spec.ConsumerPerTuple, w, nc, t, &res)
+		qi := cons.pick(s, w, &res)
 		if qi < 0 {
-			// Nothing released yet: idle until the earliest future arrival.
-			next := math.Inf(1)
-			for q := range queues {
-				if head[q] < len(queues[q]) && queues[q][head[q]].at < next {
-					next = queues[q][head[q]].at
-				}
-			}
-			if math.IsInf(next, 1) {
-				break
-			}
-			consFree[w] = next
+			// Nothing released yet: idle until the next arrival.
+			cons.free[w] = arrivals[next].at
 			continue
 		}
-		head[qi]++
-		remaining--
+		cons.pop(qi)
+		done++
 		cost := spec.ConsumerPerTuple[qi] * dil
-		consFree[w] = t + cost
+		cons.free[w] = t + cost
 		res.BusyTime += cost
 	}
-	res.Makespan = prodMakespan
-	for _, f := range consFree {
-		if f > res.Makespan {
-			res.Makespan = f
-		}
-	}
-	overheads := float64(d)*spec.QueueOverheadProducer + float64(nq)*spec.QueueOverheadConsumer
+	res.Makespan = max(prodMakespan, slices.Max(cons.free))
+	overheads := float64(len(spec.ProducerCosts))*spec.QueueOverheadProducer + float64(nq)*spec.QueueOverheadConsumer
 	res.Time = cfg.Startup(total, overheads) + res.Makespan
 	return res
 }
@@ -282,116 +195,121 @@ func PipelineSequential(spec PipelineSpec, cfg Config) float64 {
 	return cfg.Startup(1, overheads) + work
 }
 
-// pickTriggered chooses an untaken triggered activation for thread w (main
-// instances first, then strategy over the rest).
-func pickTriggered(kind Kind, rng *rand.Rand, taken []bool, est []float64, w, n int, res *Result) int {
-	a := len(taken)
-	if kind == LPT {
-		best, bestEst := -1, -1.0
-		for i := w; i < a; i += n {
-			if !taken[i] && est[i] > bestEst {
-				best, bestEst = i, est[i]
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-		for i := 0; i < a; i++ {
-			if !taken[i] && est[i] > bestEst {
-				best, bestEst = i, est[i]
-			}
-		}
-		if best >= 0 {
-			res.SecondaryPicks++
-		}
-		return best
+// listSchedule runs a triggered stage — one activation per queue, all
+// released at time zero — on n threads: the earliest-free thread takes the
+// queue core.Pick chooses. LPT ranks queue i by costs[i], as the engine
+// ranks a triggered queue by its instance cost. visit, when non-nil, sees
+// each activation's queue, start time and dilated cost. It returns the
+// stage's makespan.
+func listSchedule(costs []float64, n int, s core.Strategy, dil float64, res *Result, visit func(qi int, start, cost float64)) float64 {
+	queues := make([]*core.Queue, len(costs))
+	for i := range queues {
+		queues[i] = core.NewQueue(1)
+		queues[i].SetEstimate(costs[i])
 	}
-	var mains, all []int
-	for i := w; i < a; i += n {
-		if !taken[i] {
-			mains = append(mains, i)
+	p := newPool(queues, n)
+	for i := range queues {
+		p.push(i)
+	}
+	for range queues {
+		w := p.earliest()
+		qi := p.pick(s, w, res)
+		p.pop(qi)
+		cost := costs[qi] * dil
+		if visit != nil {
+			visit(qi, p.free[w], cost)
 		}
+		p.free[w] += cost
+		res.BusyTime += cost
 	}
-	if len(mains) > 0 {
-		return mains[rng.Intn(len(mains))]
-	}
-	for i := 0; i < a; i++ {
-		if !taken[i] {
-			all = append(all, i)
-		}
-	}
-	if len(all) == 0 {
-		return -1
-	}
-	res.SecondaryPicks++
-	return all[rng.Intn(len(all))]
+	return slices.Max(p.free)
 }
 
-// pickPipelined chooses a consumer queue with a released activation for
-// thread w at time t.
-func pickPipelined(kind Kind, rng *rand.Rand, queues [][]arrival, head []int, perTuple []float64, w, n int, t float64, res *Result) int {
-	available := func(q int) bool {
-		return head[q] < len(queues[q]) && queues[q][head[q]].at <= t
-	}
-	if kind == LPT {
-		score := func(q int) float64 {
-			released := 0
-			for k := head[q]; k < len(queues[q]) && queues[q][k].at <= t; k++ {
-				released++
-			}
-			return float64(released) * perTuple[q]
-		}
-		// Start below 0: a released queue of per-tuple cost 0 is still work.
-		best, bestScore := -1, -1.0
-		for q := w; q < len(queues); q += n {
-			if available(q) {
-				if s := score(q); s > bestScore {
-					best, bestScore = q, s
-				}
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-		for q := 0; q < len(queues); q++ {
-			if available(q) {
-				if s := score(q); s > bestScore {
-					best, bestScore = q, s
-				}
-			}
-		}
-		if best >= 0 {
-			res.SecondaryPicks++
-		}
-		return best
-	}
-	var mains, all []int
-	for q := w; q < len(queues); q += n {
-		if available(q) {
-			mains = append(mains, q)
-		}
-	}
-	if len(mains) > 0 {
-		return mains[rng.Intn(len(mains))]
-	}
-	for q := 0; q < len(queues); q++ {
-		if available(q) {
-			all = append(all, q)
-		}
-	}
-	if len(all) == 0 {
-		return -1
-	}
-	res.SecondaryPicks++
-	return all[rng.Intn(len(all))]
+// pool is one operation's thread pool on the virtual clock, over the
+// operation's queues (initially empty): each thread's free time, and the
+// lists core.Pick scans. Those hold only the non-empty queues — all of them,
+// and each thread's main ones. The strategies skip empty queues and draw by
+// position among the rest, so leaving the empty ones out changes no pick; it
+// only saves the scan.
+type pool struct {
+	queues []*core.Queue
+	owner  []int // owner[i] is the thread whose main queue instance i is
+	free   []float64
+	all    queueList
+	main   []queueList
+	buf    []core.Activation
 }
 
-// sortArrivals sorts in place by release time (insertion sort: queues are
-// nearly sorted already since producers emit in order).
-func sortArrivals(a []arrival) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j].at < a[j-1].at; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+func newPool(queues []*core.Queue, threads int) *pool {
+	p := &pool{queues: queues, owner: make([]int, len(queues)), free: make([]float64, threads), main: make([]queueList, threads)}
+	for w := range threads {
+		_, mainIdx := core.MainQueues(queues, w, threads)
+		for _, i := range mainIdx {
+			p.owner[i] = w
 		}
 	}
+	return p
+}
+
+// push adds one activation to instance qi's queue, listing the queue if it
+// was empty.
+func (p *pool) push(qi int) {
+	if p.queues[qi].Len() == 0 {
+		p.list(qi, true)
+	}
+	p.queues[qi].Push(core.Activation{})
+}
+
+// pop takes one activation from instance qi's queue, unlisting the queue if
+// that empties it.
+func (p *pool) pop(qi int) {
+	p.buf = p.queues[qi].PopBatch(1, p.buf[:0])
+	if p.queues[qi].Len() == 0 {
+		p.list(qi, false)
+	}
+}
+
+func (p *pool) list(qi int, listed bool) {
+	p.all.set(p.queues[qi], qi, listed)
+	p.main[p.owner[qi]].set(p.queues[qi], qi, listed)
+}
+
+// queueList is a list of queues in instance order; idx[k] is qs[k]'s
+// instance.
+type queueList struct {
+	qs  []*core.Queue
+	idx []int
+}
+
+// set lists or unlists queue q of instance qi, keeping the order.
+func (l *queueList) set(q *core.Queue, qi int, listed bool) {
+	k, _ := slices.BinarySearch(l.idx, qi)
+	if listed {
+		l.qs, l.idx = slices.Insert(l.qs, k, q), slices.Insert(l.idx, k, qi)
+	} else {
+		l.qs, l.idx = slices.Delete(l.qs, k, k+1), slices.Delete(l.idx, k, k+1)
+	}
+}
+
+// earliest is the thread that frees first (the lowest index on ties): it
+// takes the next activation.
+func (p *pool) earliest() int {
+	w := 0
+	for i := 1; i < len(p.free); i++ {
+		if p.free[i] < p.free[w] {
+			w = i
+		}
+	}
+	return w
+}
+
+// pick is core.Pick for thread w, counting secondary picks in res: the
+// instance whose queue to pop, -1 when every queue is empty.
+func (p *pool) pick(s core.Strategy, w int, res *Result) int {
+	qi, secondary := core.Pick(s, p.main[w].qs, p.main[w].idx, p.all.qs)
+	if secondary {
+		res.SecondaryPicks++
+		qi = p.all.idx[qi]
+	}
+	return qi
 }

@@ -57,7 +57,7 @@ func TestTriggeredRespectsTworstBound(t *testing.T) {
 		}
 		a, p := len(costs), sum/float64(len(costs))
 		for _, n := range []int{5, 10, 20} {
-			for _, k := range []Kind{Random, LPT} {
+			for _, k := range []core.StrategyKind{core.StrategyRandom, core.StrategyLPT} {
 				r := Triggered(TriggeredSpec{Costs: costs, Threads: n, Strategy: k}, flatCfg())
 				if bound := tworst(a, p, n, pmax); r.Makespan > bound+1e-6 {
 					t.Errorf("theta=%v n=%d %v: makespan %v > Tworst %v", theta, n, k, r.Makespan, bound)
@@ -85,12 +85,12 @@ func TestLPTBeatsRandomUnderSkew(t *testing.T) {
 	for i, s := range sizes {
 		costs[i] = float64(s)
 	}
-	lpt := Triggered(TriggeredSpec{Costs: costs, Threads: 10, Strategy: LPT}, flatCfg())
+	lpt := Triggered(TriggeredSpec{Costs: costs, Threads: 10, Strategy: core.StrategyLPT}, flatCfg())
 	worst := 0.0
 	for seed := int64(0); seed < 5; seed++ {
 		cfg := flatCfg()
 		cfg.Seed = seed
-		r := Triggered(TriggeredSpec{Costs: costs, Threads: 10, Strategy: Random}, cfg)
+		r := Triggered(TriggeredSpec{Costs: costs, Threads: 10, Strategy: core.StrategyRandom}, cfg)
 		if r.Makespan > worst {
 			worst = r.Makespan
 		}
@@ -257,7 +257,7 @@ func TestTriggeredBoundsProperty(t *testing.T) {
 		}
 		lower := triggeredTimeLPT(costs, n)
 		upper := tworst(len(costs), sum/float64(len(costs)), n, pmax)
-		for _, k := range []Kind{Random, LPT} {
+		for _, k := range []core.StrategyKind{core.StrategyRandom, core.StrategyLPT} {
 			r := Triggered(TriggeredSpec{Costs: costs, Threads: n, Strategy: k}, flatCfg())
 			if r.Makespan < lower-1e-6 || r.Makespan > upper+1e-6 {
 				return false
@@ -285,18 +285,7 @@ func TestCalibrationSequentialAnchors(t *testing.T) {
 		t.Errorf("IdealJoin Tseq = %v, paper 956 s (off %.1f%%)", r.Time, rel*100)
 	}
 	// AssocJoin: Tseq = 1048 s.
-	prod := m.TransmitTriggerCosts(bSizes)
-	per := m.NestedLoopProbeCosts(aSizes)
-	emis := make([][]int, d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < bSizes[i]; j++ {
-			emis[i] = append(emis[i], (i+j)%d)
-		}
-	}
-	seq := PipelineSequential(PipelineSpec{
-		ProducerCosts: prod, Emissions: emis, ConsumerPerTuple: per,
-		QueueOverheadProducer: m.TriggeredQueueOverhead, QueueOverheadConsumer: m.PipelinedQueueOverhead,
-	}, cfg)
+	seq := PipelineSequential(m.AssocJoin(aSizes, bSizes, false, 1), cfg)
 	// The 92 s gap between the paper's two sequential times cannot be fully
 	// attributed to transmit CPU without breaking the Figure 17 shape, so
 	// the transmit calibration favours the shape and
@@ -334,7 +323,7 @@ func TestCalibrationNmaxCeiling(t *testing.T) {
 	costs := m.NestedLoopTriggerCosts(aSizes, bSizes, bSizes)
 	seq := Triggered(TriggeredSpec{Costs: costs, Threads: 1, QueueOverhead: m.TriggeredQueueOverhead}, cfg).Time
 	for _, n := range []int{20, 70} {
-		par := Triggered(TriggeredSpec{Costs: costs, Threads: n, Strategy: LPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg).Time
+		par := Triggered(TriggeredSpec{Costs: costs, Threads: n, Strategy: core.StrategyLPT, QueueOverhead: m.TriggeredQueueOverhead}, cfg).Time
 		s := seq / par
 		bound := SpeedupBound(n, m.Machine.UsableProcessors, nmaxZipf(d, 1))
 		if s > bound+0.5 {
@@ -380,20 +369,10 @@ func TestPipelineWithLPTAndMultipleProducers(t *testing.T) {
 	m := Calibrated()
 	aSizes := zipf.Sizes(20_000, d, 0.9)
 	bSizes := UniformSizes(2_000, d)
-	prod := m.TransmitTriggerCosts(bSizes)
-	per := m.NestedLoopProbeCosts(aSizes)
-	emis := make([][]int, d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < bSizes[i]; j++ {
-			emis[i] = append(emis[i], (i+j)%d)
-		}
-	}
-	spec := PipelineSpec{
-		ProducerCosts: prod, Emissions: emis, ConsumerPerTuple: per,
-		ProducerThreads: 3, ConsumerThreads: 5, Strategy: LPT,
-	}
+	spec := m.AssocJoin(aSizes, bSizes, false, 8)
+	spec.ProducerThreads, spec.ConsumerThreads, spec.Strategy = 3, 5, core.StrategyLPT
 	lpt := Pipeline(spec, flatCfg())
-	spec.Strategy = Random
+	spec.Strategy = core.StrategyRandom
 	random := Pipeline(spec, flatCfg())
 	// Both must account the same busy time (same work, different order).
 	if math.Abs(lpt.BusyTime-random.BusyTime) > 1e-6 {
@@ -416,7 +395,7 @@ func TestPipelineLPTDrainsZeroCostQueue(t *testing.T) {
 		ConsumerPerTuple: []float64{0, 1},
 		ProducerThreads:  1,
 		ConsumerThreads:  1,
-		Strategy:         LPT,
+		Strategy:         core.StrategyLPT,
 	}
 	done := make(chan Result, 1)
 	go func() { done <- Pipeline(spec, flatCfg()) }()
@@ -512,7 +491,7 @@ func TestTriggeredLPTSecondaryPicks(t *testing.T) {
 	// More threads than activations per main set forces secondary picks
 	// under LPT too.
 	costs := []float64{5, 1, 1, 1, 1, 1, 1, 1}
-	r := Triggered(TriggeredSpec{Costs: costs, Threads: 3, Strategy: LPT}, flatCfg())
+	r := Triggered(TriggeredSpec{Costs: costs, Threads: 3, Strategy: core.StrategyLPT}, flatCfg())
 	if r.SecondaryPicks == 0 {
 		t.Log("no secondary picks; acceptable but unusual for this shape")
 	}

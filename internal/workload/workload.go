@@ -60,6 +60,9 @@ func newJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, []*relation.Region,
 	if bCard <= 0 || aCard <= 0 {
 		return nil, nil, fmt.Errorf("workload: cardinalities must be positive")
 	}
+	if !(theta >= 0) {
+		return nil, nil, fmt.Errorf("workload: skew factor must be non-negative, got %v", theta)
+	}
 	bPerFrag := bCard / d
 
 	db := &JoinDB{ACard: aCard, BCard: bCard, D: d, Theta: theta}

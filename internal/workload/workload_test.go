@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"dbs3/internal/lera"
@@ -11,14 +12,28 @@ import (
 )
 
 func TestNewJoinDBValidation(t *testing.T) {
-	if _, err := NewJoinDB(100, 10, 0, 0); err == nil {
-		t.Error("degree 0 accepted")
+	for _, c := range []struct {
+		name            string
+		aCard, bCard, d int
+		theta           float64
+	}{
+		{"degree 0", 100, 10, 0, 0},
+		{"BCard not multiple of d", 100, 15, 10, 0},
+		{"zero ACard", 0, 10, 10, 0},
+		{"negative theta", 100, 10, 10, -1},
+		{"NaN theta", 100, 10, 10, math.NaN()},
+	} {
+		if _, err := NewJoinDB(c.aCard, c.bCard, c.d, c.theta); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := NewJoinDB(100, 15, 10, 0); err == nil {
-		t.Error("BCard not multiple of d accepted")
+	// Infinite skew is valid: every A tuple lands in fragment 0.
+	db, err := NewJoinDB(100, 10, 10, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewJoinDB(0, 10, 10, 0); err == nil {
-		t.Error("zero ACard accepted")
+	if sizes := db.A.FragmentSizes(); sizes[0] != 100 {
+		t.Errorf("theta +Inf fragment sizes = %v, want all 100 in fragment 0", sizes)
 	}
 }
 

@@ -16,15 +16,16 @@ import (
 // figure harness (internal/experiments, cmd/dbs3-bench) regenerates the
 // paper's results; DESIGN.md sketches the simulator column.
 
-func simStrategy(strategy string) (sim.Kind, error) {
-	switch strategy {
-	case "", "auto", "random":
-		return sim.Random, nil
-	case "lpt":
-		return sim.LPT, nil
-	default:
-		return 0, fmt.Errorf("dbs3: unknown strategy %q (random, lpt)", strategy)
+// predictInputs validates a predictor's arguments and parses its strategy
+// ("auto" runs Random in the model).
+func predictInputs(aCard, bCard, d, threads int, theta float64, strategy string) (core.StrategyKind, error) {
+	if d <= 0 || aCard <= 0 || bCard <= 0 || threads <= 0 {
+		return 0, fmt.Errorf("dbs3: cardinalities, degree and threads must be positive")
 	}
+	if !(theta >= 0) {
+		return 0, fmt.Errorf("dbs3: skew factor must be non-negative, got %v", theta)
+	}
+	return (&Options{Strategy: strategy}).strategy()
 }
 
 // PredictIdealJoin returns the simulated response time (in KSR1 seconds) of
@@ -32,10 +33,7 @@ func simStrategy(strategy string) (sim.Kind, error) {
 // in d fragments, A's fragment sizes following Zipf(theta), executed by
 // `threads` threads under the given strategy.
 func PredictIdealJoin(aCard, bCard, d, threads int, theta float64, strategy string) (float64, error) {
-	if d <= 0 || aCard <= 0 || bCard <= 0 || threads <= 0 {
-		return 0, fmt.Errorf("dbs3: cardinalities, degree and threads must be positive")
-	}
-	strat, err := simStrategy(strategy)
+	strat, err := predictInputs(aCard, bCard, d, threads, theta, strategy)
 	if err != nil {
 		return 0, err
 	}
@@ -54,42 +52,15 @@ func PredictIdealJoin(aCard, bCard, d, threads int, theta float64, strategy stri
 // the pipelined AssocJoin: B is redistributed at run time into a nested-loop
 // join against A's fragments.
 func PredictAssocJoin(aCard, bCard, d, threads int, theta float64, strategy string) (float64, error) {
-	if d <= 0 || aCard <= 0 || bCard <= 0 || threads <= 0 {
-		return 0, fmt.Errorf("dbs3: cardinalities, degree and threads must be positive")
-	}
-	strat, err := simStrategy(strategy)
+	strat, err := predictInputs(aCard, bCard, d, threads, theta, strategy)
 	if err != nil {
 		return 0, err
 	}
 	m := sim.Calibrated()
-	cfg := m.Config(1)
-	aSizes := zipf.Sizes(aCard, d, theta)
-	bSizes := sim.UniformSizes(bCard, d)
-	prod := m.TransmitTriggerCosts(bSizes)
-	per := m.NestedLoopProbeCosts(aSizes)
-	emis := make([][]int, d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < bSizes[i]; j++ {
-			emis[i] = append(emis[i], (i+j)%d)
-		}
-	}
-	var prodWork, consWork float64
-	for i := range prod {
-		prodWork += prod[i]
-		for _, tgt := range emis[i] {
-			consWork += per[tgt]
-		}
-	}
-	spec := sim.PipelineSpec{
-		ProducerCosts: prod, Emissions: emis, ConsumerPerTuple: per,
-		Strategy:              strat,
-		QueueOverheadProducer: m.TriggeredQueueOverhead,
-		QueueOverheadConsumer: m.PipelinedQueueOverhead,
-	}
+	spec := m.AssocJoin(zipf.Sizes(aCard, d, theta), sim.UniformSizes(bCard, d), false, threads)
+	spec.Strategy = strat
 	if threads == 1 {
-		return sim.PipelineSequential(spec, cfg), nil
+		return sim.PipelineSequential(spec, m.Config(1)), nil
 	}
-	split := core.Proportional(threads, []float64{prodWork, consWork})
-	spec.ProducerThreads, spec.ConsumerThreads = split[0], split[1]
-	return sim.Pipeline(spec, cfg).Time, nil
+	return sim.Pipeline(spec, m.Config(1)).Time, nil
 }

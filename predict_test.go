@@ -1,6 +1,9 @@
 package dbs3
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestPredictIdealJoinShapes(t *testing.T) {
 	// Skew hurts Random on the triggered join.
@@ -62,6 +65,42 @@ func TestPredictIdealJoinGolden(t *testing.T) {
 	}
 }
 
+// TestPredictAssocJoinGolden pins the pipelined simulator's schedule the same
+// way, LPT included: no figure runs a pipeline under LPT.
+func TestPredictAssocJoinGolden(t *testing.T) {
+	for _, c := range []struct {
+		strategy string
+		theta    float64
+		threads  int
+		want     float64
+	}{
+		{"random", 0, 1, 252.3150000000658},
+		{"random", 0, 2, 240.33120000005894},
+		{"random", 0, 8, 35.14934999999922},
+		{"random", 0, 70, 5.893950000000004},
+		{"random", 1, 1, 252.31500000000213},
+		{"random", 1, 2, 240.331200000004},
+		{"random", 1, 8, 35.46802979999997},
+		{"random", 1, 70, 6.5033334000000025},
+		{"lpt", 0, 1, 252.3150000000658},
+		{"lpt", 0, 2, 240.33120000005894},
+		{"lpt", 0, 8, 35.14934999999922},
+		{"lpt", 0, 70, 5.893950000000004},
+		{"lpt", 1, 1, 252.31500000000213},
+		{"lpt", 1, 2, 240.3312000000109},
+		{"lpt", 1, 8, 35.141162},
+		{"lpt", 1, 70, 7.788779000000002},
+	} {
+		got, err := PredictAssocJoin(100_000, 10_000, 200, c.threads, c.theta, c.strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("PredictAssocJoin(%s, theta %v, %d threads) = %v, want %v", c.strategy, c.theta, c.threads, got, c.want)
+		}
+	}
+}
+
 func TestPredictAssocJoinInsensitiveToSkew(t *testing.T) {
 	flat, err := PredictAssocJoin(100_000, 10_000, 200, 10, 0, "random")
 	if err != nil {
@@ -91,16 +130,25 @@ func TestPredictSpeedup(t *testing.T) {
 }
 
 func TestPredictValidation(t *testing.T) {
-	if _, err := PredictIdealJoin(0, 1, 1, 1, 0, "random"); err == nil {
-		t.Error("zero cardinality accepted")
+	predictors := map[string]func(aCard, bCard, d, threads int, theta float64, strategy string) (float64, error){
+		"PredictIdealJoin": PredictIdealJoin, "PredictAssocJoin": PredictAssocJoin,
 	}
-	if _, err := PredictIdealJoin(10, 10, 2, 1, 0, "bogus"); err == nil {
-		t.Error("bad strategy accepted")
-	}
-	if _, err := PredictAssocJoin(10, 10, 2, 0, 0, "random"); err == nil {
-		t.Error("zero threads accepted")
-	}
-	if _, err := PredictAssocJoin(10, 10, 2, 1, 0, "bogus"); err == nil {
-		t.Error("bad strategy accepted")
+	for _, c := range []struct {
+		name                     string
+		aCard, bCard, d, threads int
+		theta                    float64
+		strategy                 string
+	}{
+		{"zero cardinality", 0, 1, 1, 1, 0, "random"},
+		{"zero threads", 10, 10, 2, 0, 0, "random"},
+		{"bad strategy", 10, 10, 2, 1, 0, "bogus"},
+		{"negative theta", 1000, 100, 10, 2, -1, "random"},
+		{"NaN theta", 1000, 100, 10, 2, math.NaN(), "random"},
+	} {
+		for name, predict := range predictors {
+			if _, err := predict(c.aCard, c.bCard, c.d, c.threads, c.theta, c.strategy); err == nil {
+				t.Errorf("%s: %s accepted", name, c.name)
+			}
+		}
 	}
 }
