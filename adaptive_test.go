@@ -2,8 +2,12 @@ package dbs3
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"dbs3/internal/core"
+	"dbs3/internal/esql"
 )
 
 // TestMaterializeQueryAdaptsMidFlight: a Materialize statement under a
@@ -89,5 +93,46 @@ func TestExplainChainSplit(t *testing.T) {
 	}
 	if !strings.Contains(single, "// chain 0:") || strings.Contains(single, "// chain 1:") {
 		t.Errorf("single-chain EXPLAIN footer wrong:\n%s", single)
+	}
+}
+
+// TestExplainPricesTheExecution: EXPLAIN's footer is the allocation the
+// execution plans — with the final store streamed, not materialized, so a
+// plain scan reserves no memory and a GROUP BY only its group table.
+func TestExplainPricesTheExecution(t *testing.T) {
+	db := New()
+	if err := db.CreateWisconsin("wisc", 10000, 8, "unique2", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT * FROM wisc WHERE unique1 < 100",
+		"SELECT ten, COUNT(*) FROM wisc GROUP BY ten",
+	} {
+		dot, err := db.ExplainContext(context.Background(), sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := db.prepare(sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels, _ := db.snapshotRels()
+		alloc, err := core.PlanAllocation(prep.plan, rels, core.Options{StreamOutput: esql.OutputName})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{fmt.Sprintf("// allocation: %d threads over 1 chain(s)\n", alloc.Total)}
+		if alloc.MemEstimate > 0 {
+			want = append(want, fmt.Sprintf("// memory estimate: %d bytes peak (per chain: %v);", alloc.MemEstimate, alloc.ChainMem))
+		}
+		footer := dot[strings.Index(dot, "// allocation:"):]
+		for _, w := range want {
+			if !strings.Contains(footer, w) {
+				t.Errorf("%s: EXPLAIN footer lacks %q:\n%s", sql, w, footer)
+			}
+		}
+		if alloc.MemEstimate == 0 && strings.Contains(footer, "memory estimate") {
+			t.Errorf("%s: EXPLAIN prices memory the execution does not reserve:\n%s", sql, footer)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"dbs3/internal/core"
 )
 
 const ordersCSV = `order:INT,customer:STRING,amount:INT
@@ -68,6 +70,27 @@ func TestLoadCSVHeaderOnly(t *testing.T) {
 	}
 	if sizes, err := db.FragmentSizes("empty"); err != nil || len(sizes) != 4 {
 		t.Errorf("empty shard FragmentSizes = %v, %v; want 4 empty fragments", sizes, err)
+	}
+}
+
+// TestEmptyImportGetsOneThread: a header-only import is an empty relation,
+// and scanning it is worth one thread however many fragments it has.
+func TestEmptyImportGetsOneThread(t *testing.T) {
+	db := New()
+	if err := db.LoadCSV("empty", strings.NewReader("k:INT,s:STRING\n"), "k", 8); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := db.prepare("SELECT k, s FROM empty WHERE k > 0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels, _ := db.snapshotRels()
+	alloc, err := core.PlanAllocation(prep.plan, rels, core.Options{Processors: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc.Total != 1 {
+		t.Errorf("empty relation planned %d threads, want 1", alloc.Total)
 	}
 }
 

@@ -457,30 +457,28 @@ func (db *Database) QueryAllContext(ctx context.Context, sql string, opt *Option
 // thread total and the desired total it renegotiates for at its
 // materialization point under a QueryManager. Compilation is quick, so the
 // context is checked once for early cancellation. It shares the plan cache
-// with QueryContext and Prepare.
+// and the option checks with QueryContext and Prepare, and prices the plan
+// under the options the statement would execute with.
 func (db *Database) ExplainContext(ctx context.Context, sql string, opt *Options) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	prep, err := db.prepare(sql, opt)
+	stmt, err := db.Prepare(sql, opt)
 	if err != nil {
 		return "", err
 	}
-	return prep.graph.Dot() + db.explainChains(prep.plan, opt), nil
+	prep := stmt.prep.Load()
+	return prep.graph.Dot() + db.explainChains(prep.plan, stmt.engineOptions()), nil
 }
 
 // explainChains renders the per-chain allocation split as DOT comment lines:
-// what the scheduler would allocate against the current catalog, and — for
-// multi-chain plans — the per-chain desired totals a manager renegotiates at
-// each materialization point. Allocation is advisory here; a plan that
-// cannot be costed (for example against a relation dropped since compile)
-// yields no footer rather than an error.
-func (db *Database) explainChains(plan *lera.Plan, opt *Options) string {
-	copts := core.Options{}
-	if opt != nil {
-		copts.Threads = opt.Threads
-		copts.Utilization = opt.Utilization
-	}
+// what the scheduler would allocate against the current catalog under the
+// statement's execution options, and — for multi-chain plans — the
+// per-chain desired totals a manager renegotiates at each materialization
+// point. Allocation is advisory here; a plan that cannot be costed (for
+// example against a relation dropped since compile) yields no footer rather
+// than an error.
+func (db *Database) explainChains(plan *lera.Plan, copts core.Options) string {
 	rels, manager := db.snapshotRels()
 	if manager != nil {
 		copts.Processors = manager.Budget()

@@ -232,9 +232,10 @@ type Estimate struct {
 	skew  []float64 // by node id: see Allocate
 }
 
-// EstimatePlan verifies the database against the plan and costs it: plan
-// complexities, each triggered node's instance-cost skew, the memory
-// estimate. Of opts it reads only StreamOutput.
+// EstimatePlan verifies the database against the plan and costs it
+// (lera.Estimate): plan complexities, each triggered node's instance-cost
+// skew, and the per-chain byte roll-up. A streamed store accumulates
+// nothing, so of opts it reads only StreamOutput.
 func EstimatePlan(plan *lera.Plan, db DB, opts Options) (Estimate, error) {
 	if err := checkDB(plan, db); err != nil {
 		return Estimate{}, err
@@ -245,7 +246,17 @@ func EstimatePlan(plan *lera.Plan, db DB, opts Options) (Estimate, error) {
 			e.skew[id] = coefficientOfVariation(instanceCosts(plan, db, id))
 		}
 	}
-	e.ChainMem, e.Mem = estimateMemory(plan, e.costs, opts)
+	// Chains run one at a time, so the peak is the largest chain; a chain's
+	// materialized output is priced into the chain that writes it.
+	e.ChainMem = make([]int64, len(plan.Chains))
+	for ci, chain := range plan.Chains {
+		for _, id := range chain {
+			if n := plan.Nodes[id].Node; n.Kind != lera.OpStore || n.As != opts.StreamOutput {
+				e.ChainMem[ci] += e.costs.Bytes[id]
+			}
+		}
+		e.Mem = max(e.Mem, e.ChainMem[ci])
+	}
 	return e, nil
 }
 
@@ -376,50 +387,18 @@ func checkDB(plan *lera.Plan, db DB) error {
 	return nil
 }
 
-// instanceCosts estimates per-instance sequential costs for skew detection
-// and LPT ordering.
+// instanceCosts prices node id's instances (lera.BoundNode.InstanceCosts)
+// from the fragment sizes db holds: before execution, those of the base
+// relations — an earlier chain's output is not there yet.
 func instanceCosts(plan *lera.Plan, db DB, id int) []float64 {
-	bn := plan.Nodes[id]
-	n := bn.Node
-	frag := func(rel string) []int {
+	sizes := func(rel string) []int {
 		if p, ok := db[rel]; ok {
 			return p.FragmentSizes()
 		}
 		return nil
 	}
-	switch n.Kind {
-	case lera.OpFilter, lera.OpTransmit:
-		sizes := frag(n.Rel)
-		out := make([]float64, len(sizes))
-		for i, s := range sizes {
-			out[i] = float64(s)
-		}
-		return out
-	case lera.OpJoin:
-		build := frag(n.BuildRel)
-		if build == nil {
-			return nil
-		}
-		out := make([]float64, len(build))
-		if n.ProbeRel != "" {
-			probe := frag(n.ProbeRel)
-			for i := range out {
-				switch n.Algo {
-				case lera.NestedLoop:
-					out[i] = float64(build[i]) * float64(probe[i])
-				default:
-					out[i] = float64(build[i]) + float64(probe[i])
-				}
-			}
-		} else {
-			for i := range out {
-				out[i] = float64(build[i])
-			}
-		}
-		return out
-	default:
-		return nil
-	}
+	n := plan.Nodes[id].Node
+	return plan.Nodes[id].InstanceCosts(sizes(n.Rel), sizes(n.BuildRel), sizes(n.ProbeRel))
 }
 
 // runChain executes one pipeline chain to completion, reading its inputs
@@ -608,7 +587,9 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 		return nil, nil, fmt.Errorf("core: unsupported node kind %v", n.Kind)
 	}
 
-	// Bind fragments into the instance contexts.
+	// Bind fragments into the instance contexts, keeping each operand's
+	// fragment sizes for the LPT estimates below.
+	var relSizes, buildSizes, probeSizes []int
 	if n.Rel != "" {
 		p := db[n.Rel]
 		if p == nil {
@@ -617,6 +598,7 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 		for i := range ctxs {
 			ctxs[i].Input = p.Fragments[i]
 		}
+		relSizes = p.FragmentSizes()
 	}
 	if n.BuildRel != "" {
 		p := db[n.BuildRel]
@@ -626,6 +608,7 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 		for i := range ctxs {
 			ctxs[i].Build = p.Fragments[i]
 		}
+		buildSizes = p.FragmentSizes()
 	}
 	if n.ProbeRel != "" {
 		p := db[n.ProbeRel]
@@ -635,22 +618,21 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 		for i := range ctxs {
 			ctxs[i].Probe = p.Fragments[i]
 		}
+		probeSizes = p.FragmentSizes()
 	}
 
 	o := newOperation(n.Name, id, op, ctxs, opts.QueueCap, alloc.Node[id], opts.CacheSize, alloc.Strategy[id], opts.Seed+int64(id)*7919, plan.Graph.Triggered(id))
 	o.noVectorize = opts.NoVectorize
 
-	// LPT cost estimates per queue: a triggered queue is ranked by the
-	// instance costs step 4 read for skew; a pipelined nested-loop probe's
-	// per-tuple cost scales with its build fragment (a scan per probe).
-	switch {
-	case plan.Graph.Triggered(id):
-		for i, est := range instanceCosts(plan, db, id) {
-			o.Queues[i].SetEstimate(est)
-		}
-	case n.Kind == lera.OpJoin && n.Algo == lera.NestedLoop:
-		for i, q := range o.Queues {
-			q.SetPerTupleCost(float64(len(ctxs[i].Build)))
+	// LPT cost estimates per queue: a triggered queue is ranked by its
+	// instance's cost; a pipelined nested-loop probe's per-tuple cost is its
+	// build fragment (a scan per probe).
+	for i, c := range bn.InstanceCosts(relSizes, buildSizes, probeSizes) {
+		switch {
+		case plan.Graph.Triggered(id):
+			o.Queues[i].SetEstimate(c)
+		case n.Kind == lera.OpJoin && n.Algo == lera.NestedLoop:
+			o.Queues[i].SetPerTupleCost(c)
 		}
 	}
 	return o, store, nil

@@ -190,6 +190,32 @@ func TestMultiChainPlanExecutes(t *testing.T) {
 	}
 }
 
+// TestTriggeredJoinOverChainOutput: a triggered join may probe an earlier
+// chain's output. Planning knows no sizes for it yet, so the join's skew
+// is unknown rather than a lookup past an empty slice; its queues are
+// ranked once the output exists.
+func TestTriggeredJoinOverChainOutput(t *testing.T) {
+	db, err := workload.NewJoinDB(1000, 100, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := lera.NewGraph()
+	g.ConnectSame(g.Filter("f", "A", nil), g.Store("s1", "S"))
+	j := g.JoinBound("j", "B", "S", []string{"k"}, []string{"k"}, lera.HashJoin)
+	g.ConnectSame(j, g.Store("s2", "Res"))
+	plan, err := lera.Bind(g, db.Resolver())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := execute(plan, db.Relations(), Options{Processors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Outputs["Res"].Cardinality(); got != 1000 {
+		t.Errorf("join over S = %d tuples, want 1000", got)
+	}
+}
+
 func TestFilterPlanSelectivity(t *testing.T) {
 	db, err := workload.NewJoinDB(1000, 100, 10, 0)
 	if err != nil {

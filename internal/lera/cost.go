@@ -1,9 +1,14 @@
 package lera
 
+import "dbs3/internal/relation"
+
 // Cost estimation for the scheduler's thread-allocation steps (§3, Figure
 // 5): step 1 needs the query's total sequential complexity, steps 2-3 need
-// per-chain and per-operation complexities. Units are abstract "work units"
-// (roughly tuples touched); only ratios matter for allocation.
+// per-chain and per-operation complexities, step 4 and LPT need per-instance
+// costs (BoundNode.InstanceCosts). Units are abstract "work units" (roughly
+// tuples touched); only ratios matter for allocation. The same cardinalities
+// price the blocking operators' working sets in bytes, the figure memory
+// admission reserves next to the thread count.
 
 // NodeCost estimates the sequential complexity of each node, and CostModel
 // parameterizes the per-operation weights.
@@ -48,19 +53,26 @@ type Costs struct {
 	Node []float64
 	// OutCard[i] is node i's estimated output cardinality.
 	OutCard []float64
+	// Bytes[i] is node i's estimated resident working set: a hash or
+	// temp-index join's build index, an aggregate's group table, a store's
+	// materialization; 0 for the streaming operators. It is a planning
+	// figure — enforcement is the spill accountant, which makes operators
+	// degrade to disk at whatever grant admission gave.
+	Bytes []int64
 	// Chain[c] is the total complexity of plan chain c.
 	Chain []float64
 	// Total is the whole query's complexity.
 	Total float64
 }
 
-// Estimate computes complexities for every node of a bound plan. Cardinality
-// estimates flow along the topological order; bound relations contribute
-// their true cardinalities (the engine knows fragment sizes at bind time).
+// Estimate computes complexities and working-set bytes for every node of a
+// bound plan. Cardinality estimates flow along the topological order; bound
+// relations contribute their true cardinalities (RelInfo.Card).
 func Estimate(p *Plan, m CostModel) *Costs {
 	c := &Costs{
 		Node:    make([]float64, len(p.Nodes)),
 		OutCard: make([]float64, len(p.Nodes)),
+		Bytes:   make([]int64, len(p.Nodes)),
 		Chain:   make([]float64, len(p.Chains)),
 	}
 	for _, id := range p.Order {
@@ -71,7 +83,7 @@ func Estimate(p *Plan, m CostModel) *Costs {
 		}
 		switch bn.Node.Kind {
 		case OpFilter:
-			card := relCard(bn.Rel)
+			card := bn.Rel.Card()
 			c.Node[id] = card * m.FilterTuple
 			sel := m.DefaultSelectivity
 			if _, isTrue := bn.Pred.(True); isTrue {
@@ -81,15 +93,15 @@ func Estimate(p *Plan, m CostModel) *Costs {
 		case OpTransmit:
 			card := inCard
 			if bn.Node.Rel != "" {
-				card = relCard(bn.Rel)
+				card = bn.Rel.Card()
 			}
 			c.Node[id] = card * m.TransmitTuple
 			c.OutCard[id] = card
 		case OpJoin:
-			build := relCard(bn.Build)
+			build := bn.Build.Card()
 			probe := inCard
 			if bn.Node.ProbeRel != "" {
-				probe = relCard(bn.Probe)
+				probe = bn.Probe.Card()
 			}
 			d := float64(bn.Degree)
 			switch bn.Node.Algo {
@@ -99,6 +111,7 @@ func Estimate(p *Plan, m CostModel) *Costs {
 				c.Node[id] = (build / d) * (probe / d) * d * m.NestedLoopPair
 			case HashJoin, TempIndex:
 				c.Node[id] = build*m.HashBuildTuple + probe*m.HashProbeTuple
+				c.Bytes[id] = int64(build * float64(tupleBytes(bn.Build.Schema)+indexEntryBytes))
 			}
 			// Keyed equijoin on a (near-)unique build key: out ~ probe.
 			c.OutCard[id] = probe
@@ -108,9 +121,11 @@ func Estimate(p *Plan, m CostModel) *Costs {
 		case OpAggregate:
 			c.Node[id] = inCard * m.AggTuple
 			c.OutCard[id] = inCard * m.DefaultSelectivity
+			c.Bytes[id] = int64(c.OutCard[id] * float64(tupleBytes(bn.InSchema)+aggStateBytes))
 		case OpStore:
 			c.Node[id] = inCard * m.StoreTuple
 			c.OutCard[id] = 0
+			c.Bytes[id] = int64(inCard * float64(tupleBytes(bn.InSchema)))
 		}
 	}
 	for ci, chain := range p.Chains {
@@ -122,14 +137,77 @@ func Estimate(p *Plan, m CostModel) *Costs {
 	return c
 }
 
-func relCard(ri RelInfo) float64 {
+// Card is the relation's cardinality: the sum of its fragment sizes, or a
+// nominal 1000 tuples per fragment when FragSizes is nil — an earlier
+// chain's output, whose size is known only once it runs. Empty fragments
+// are an empty relation, not missing statistics.
+func (ri RelInfo) Card() float64 {
+	if ri.FragSizes == nil {
+		return float64(ri.Degree) * 1000
+	}
 	n := 0
 	for _, s := range ri.FragSizes {
 		n += s
 	}
-	if n == 0 && ri.Degree > 0 {
-		// No statistics: assume a nominal fragment of 1000 tuples.
-		return float64(ri.Degree) * 1000
-	}
 	return float64(n)
+}
+
+// InstanceCosts is the per-instance sequential cost of the node's work,
+// from the fragment sizes of the relations it reads: rel for a filter or
+// transmit, build and probe for a join (a pipelined join's probe is
+// ignored). Step 4 measures a triggered node's skew on it and LPT ranks its
+// queues by it; for a pipelined join it is the build fragment each probe
+// tuple meets, the per-tuple cost of a nested-loop probe. Nil when an
+// operand's sizes are unknown or the node reads no relation.
+func (bn *BoundNode) InstanceCosts(rel, build, probe []int) []float64 {
+	n := bn.Node
+	switch {
+	case n.Kind == OpFilter || n.Kind == OpTransmit:
+		build, probe = rel, nil
+	case n.Kind != OpJoin:
+		return nil
+	case n.ProbeRel == "":
+		probe = nil
+	case len(probe) != len(build):
+		return nil
+	}
+	if len(build) == 0 {
+		return nil
+	}
+	out := make([]float64, len(build))
+	for i, b := range build {
+		switch {
+		case probe == nil:
+			out[i] = float64(b)
+		case n.Algo == NestedLoop:
+			out[i] = float64(b) * float64(probe[i])
+		default:
+			out[i] = float64(b) + float64(probe[i])
+		}
+	}
+	return out
+}
+
+// Per-entry overheads mirroring the operator-side accounting: a resident
+// tuple beyond its encoded bytes, a join index entry, an aggregate
+// accumulator.
+const (
+	tupleOverheadBytes = 48
+	indexEntryBytes    = 24
+	aggStateBytes      = 96
+)
+
+// tupleBytes prices one resident tuple of the schema: encoded width
+// (strings assumed short) plus the in-memory overhead. Every schema it is
+// given was bound, so none is nil.
+func tupleBytes(s *relation.Schema) int64 {
+	n := int64(2)
+	for _, c := range s.Columns() {
+		if c.Type == relation.TInt {
+			n += 9
+		} else {
+			n += 5 + 12
+		}
+	}
+	return n + tupleOverheadBytes
 }

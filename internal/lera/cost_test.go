@@ -135,6 +135,26 @@ func TestEstimateWithoutStatistics(t *testing.T) {
 	}
 }
 
+// TestEstimateEmptyRelation: all-zero fragment sizes are an empty relation,
+// not missing statistics — it costs nothing and yields nothing.
+func TestEstimateEmptyRelation(t *testing.T) {
+	res := wiscResolver(t, 8)
+	a := res["A"]
+	a.FragSizes = make([]int, 8)
+	res["A"] = a
+	g := NewGraph()
+	f := g.Filter("f", "A", ColConst{Col: "two", Op: EQ, Val: relation.Int(0)})
+	g.ConnectSame(f, g.Store("s", "out"))
+	p, err := Bind(g, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Estimate(p, DefaultCostModel())
+	if c.OutCard[f.ID] != 0 || c.Node[f.ID] != 0 {
+		t.Errorf("empty relation: OutCard %v, Node %v; want 0 and 0", c.OutCard[f.ID], c.Node[f.ID])
+	}
+}
+
 func TestEstimateMapAggregate(t *testing.T) {
 	g := NewGraph()
 	f := g.Filter("f", "A", nil)

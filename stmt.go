@@ -275,6 +275,21 @@ func (s *Stmt) NumParams() int { return s.prep.Load().params }
 // forward compatibility.
 func (s *Stmt) Close() error { return nil }
 
+// engineOptions is what the engine executes the statement under, less the
+// sink a cursor adds: EXPLAIN prices the plan with the same options, so it
+// too sees the final store streamed.
+func (s *Stmt) engineOptions() core.Options {
+	return core.Options{
+		Threads:      s.opt.Threads,
+		Strategy:     s.strat,
+		TriggerGrain: s.opt.Grain,
+		Utilization:  s.opt.Utilization,
+		MemoryBudget: s.opt.MemoryBudget,
+		SpillDir:     s.opt.SpillDir,
+		StreamOutput: esql.OutputName,
+	}
+}
+
 // QueryContext executes the prepared statement against the current catalog
 // snapshot and returns a streaming cursor. Compilation is skipped entirely —
 // the bound plan is reused; args are substituted into the plan's placeholder
@@ -317,16 +332,8 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 
 	qctx, cancel := context.WithCancel(ctx)
 	ch := make(chan []any, streamBuffer)
-	copts := core.Options{
-		Threads:      s.opt.Threads,
-		Strategy:     s.strat,
-		TriggerGrain: s.opt.Grain,
-		Utilization:  s.opt.Utilization,
-		MemoryBudget: s.opt.MemoryBudget,
-		SpillDir:     s.opt.SpillDir,
-		StreamOutput: esql.OutputName,
-		Sink:         &rowSink{ctx: qctx, ch: ch},
-	}
+	copts := s.engineOptions()
+	copts.Sink = &rowSink{ctx: qctx, ch: ch}
 
 	// Begin admits the query under the manager, if one is installed, and
 	// owns its spill environment; run.Execute below settles both.
