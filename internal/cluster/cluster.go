@@ -3,9 +3,10 @@
 // shard-restricted subqueries to N worker shards over the existing wire
 // protocol (server-side prepared statements, `?` binding, binary columnar
 // streams), streams the partial results back concurrently, and re-aggregates
-// locally — union-merge for plain selections and joins, group-wise merge
-// aggregation for GROUP BY queries (partial aggregates are pushed down for
-// free: each worker's aggregate runs over only its shard).
+// locally — union-merge for plain selections and joins, and for GROUP BY
+// queries one operator.Aggregate instance that folds the shards' partial
+// groups (partial aggregates are pushed down for free: each worker's
+// aggregate runs over only its shard).
 //
 // The tier is shared-nothing in the sense of the paper's degree-of-
 // partitioning model lifted one level: a relation's fragments live across

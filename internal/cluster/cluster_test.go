@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"dbs3"
+	"dbs3/internal/esql"
+	"dbs3/internal/lera"
 	"dbs3/internal/server"
 )
 
@@ -172,6 +174,48 @@ func TestScatterGatherMatchesSingleNode(t *testing.T) {
 				t.Errorf("footer has %d node entries, want %d", len(foot.Nodes), testShards)
 			}
 		})
+	}
+}
+
+// feedGather returns a gather whose fan-in channel holds rows and is closed.
+func feedGather(rows [][]any) *gather {
+	g := &gather{rowc: make(chan []any, len(rows))}
+	for _, r := range rows {
+		g.rowc <- r
+	}
+	close(g.rowc)
+	return g
+}
+
+// TestMergeGroups: partials fold group-wise and come back in group-key
+// order (numeric for INT keys), and malformed partials are an error, not a
+// panic.
+func TestMergeGroups(t *testing.T) {
+	sum := &esql.ScatterSpec{HasAgg: true, Merge: lera.AggSum, GroupCols: 1}
+	ints := &server.Header{Columns: []string{"k", "v"}, Types: []string{"INT", "INT"}}
+	got, err := mergeGroups(feedGather([][]any{
+		{int64(10), int64(1)}, {int64(9), int64(2)}, {int64(10), int64(3)}, {int64(2), int64(4)},
+	}), sum, ints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[[2 4] [9 2] [10 4]]"; fmt.Sprint(got) != want {
+		t.Errorf("merged %v, want %s", got, want)
+	}
+
+	bad := []struct {
+		name   string
+		header *server.Header
+		rows   [][]any
+	}{
+		{"row of the wrong width", ints, [][]any{{int64(1), int64(2)}, {int64(1), int64(2), int64(3)}}},
+		{"STRING value under SUM", &server.Header{Columns: []string{"k", "v"}, Types: []string{"INT", "STRING"}},
+			[][]any{{int64(1), "a"}, {int64(1), "b"}}},
+	}
+	for _, c := range bad {
+		if _, err := mergeGroups(feedGather(c.rows), sum, c.header); err == nil {
+			t.Errorf("%s: merged without an error", c.name)
+		}
 	}
 }
 

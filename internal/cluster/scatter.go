@@ -3,13 +3,13 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 
 	"dbs3/internal/esql"
 	"dbs3/internal/lera"
+	"dbs3/internal/operator"
+	"dbs3/internal/relation"
 	"dbs3/internal/server"
 )
 
@@ -44,9 +44,9 @@ type Footer struct {
 // Rows iterates a scatter-gather result with the same cursor shape as
 // server.RowStream: Next/Row/Err/Footer/Close. For plain selections and
 // joins rows stream as workers produce them (interleaved across shards, no
-// global order); for aggregates the coordinator has already drained and
-// merged the partials by the time Rows is returned, and iteration walks the
-// merged groups in group-key order.
+// global order); for aggregates the coordinator has already drained the
+// partials through operator.Aggregate by the time Rows is returned, and
+// iteration walks the merged groups in group-key (Tuple.Compare) order.
 type Rows struct {
 	header *server.Header
 	g      *gather
@@ -184,7 +184,7 @@ func (c *Coordinator) openOnShard(ctx context.Context, sh *shard, exclude *repli
 		}
 		if want != nil {
 			h := st.Header()
-			if !equalStrings(h.Columns, want.Columns) || !equalStrings(h.Types, want.Types) {
+			if !slices.Equal(h.Columns, want.Columns) || !slices.Equal(h.Types, want.Types) {
 				st.Close()
 				return nil, false, &NodeError{Node: rep.name,
 					Err: fmt.Errorf("failover result shape %v %v disagrees with the cluster header %v %v (diverged catalogs?)",
@@ -253,7 +253,7 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 	}
 	for _, sub := range subs {
 		h := sub.st.Header()
-		if !equalStrings(h.Columns, head.Columns) || !equalStrings(h.Types, head.Types) {
+		if !slices.Equal(h.Columns, head.Columns) || !slices.Equal(h.Types, head.Types) {
 			return abort(fmt.Errorf("cluster: node %s result shape %v %v disagrees with node %s %v %v (diverged catalogs?)",
 				sub.rep.name, h.Columns, h.Types, subs[0].rep.name, head.Columns, head.Types))
 		}
@@ -288,10 +288,9 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 		rows.stream = true
 		return rows, nil
 	}
-	// Grouped merge: drain every partial stream, fold group-wise with the
-	// merge aggregate, and hand back the groups in key order — the same
-	// sorted output a single node's Aggregate operator emits.
-	merged, err := mergeGroups(g, spec)
+	// Grouped merge: drain every partial stream through the engine's
+	// aggregate and hand back the groups in key order.
+	merged, err := mergeGroups(g, spec, cluster)
 	if err != nil {
 		cancel()
 		<-g.closed
@@ -354,135 +353,43 @@ func (c *Coordinator) readSubquery(ctx context.Context, g *gather, i int, sub *s
 	}
 }
 
-// mergeGroups drains the fan-in channel into a group table keyed by the
-// leading GroupCols columns, folding the partial aggregate value (the
-// single trailing column) with the merge aggregate.
-func mergeGroups(g *gather, spec *esql.ScatterSpec) ([][]any, error) {
-	groups := make(map[string][]any)
+// mergeGroups drains the fan-in channel through one instance of the
+// engine's grouped aggregate: the leading GroupCols columns are the group
+// key, the single trailing column the partial value, and spec.Merge folds
+// the partials. The groups come back in group-key order.
+func mergeGroups(g *gather, spec *esql.ScatterSpec, header *server.Header) ([][]any, error) {
+	if len(header.Types) != spec.GroupCols+1 {
+		return nil, fmt.Errorf("cluster: aggregate result types %v, want %d group + 1 value", header.Types, spec.GroupCols)
+	}
+	if spec.Merge == lera.AggSum && header.Types[spec.GroupCols] != relation.TInt.String() {
+		return nil, fmt.Errorf("cluster: SUM merge over a %s partial column", header.Types[spec.GroupCols])
+	}
+	agg := &operator.Aggregate{GroupBy: make([]int, spec.GroupCols), Kind: spec.Merge, AggCol: spec.GroupCols}
+	for i := range agg.GroupBy {
+		agg.GroupBy[i] = i
+	}
+	ctx := &operator.Context{}
+	if err := agg.Setup(ctx); err != nil {
+		return nil, err
+	}
 	for row := range g.rowc {
 		if len(row) != spec.GroupCols+1 {
 			return nil, fmt.Errorf("cluster: aggregate partial row has %d columns, want %d group + 1 value", len(row), spec.GroupCols)
 		}
-		key := groupKey(row[:spec.GroupCols])
-		if acc, ok := groups[key]; ok {
-			v, err := foldValue(spec.Merge, acc[spec.GroupCols], row[spec.GroupCols])
-			if err != nil {
-				return nil, err
-			}
-			acc[spec.GroupCols] = v
-		} else {
-			groups[key] = row
+		t, err := relation.TupleOf(row)
+		if err != nil {
+			return nil, err
+		}
+		if err := agg.OnBatch(ctx, []relation.Tuple{t}, nil); err != nil {
+			return nil, err
 		}
 	}
 	if err := g.firstErr(); err != nil {
 		return nil, err
 	}
-	out := make([][]any, 0, len(groups))
-	for _, row := range groups {
-		out = append(out, row)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return compareRows(out[i], out[j], spec.GroupCols) < 0
-	})
-	return out, nil
-}
-
-// groupKey canonicalizes a group key for the merge table: type-tagged,
-// length-delimited, so ("1","2") and (12,) can never collide.
-func groupKey(cols []any) string {
-	var b strings.Builder
-	for _, v := range cols {
-		switch t := v.(type) {
-		case int64:
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(t, 10))
-		case string:
-			b.WriteByte('s')
-			b.WriteString(strconv.Itoa(len(t)))
-			b.WriteByte(':')
-			b.WriteString(t)
-		default:
-			// Streams only carry int64 and string; anything else would have
-			// failed wire decoding already.
-			b.WriteString(fmt.Sprintf("?%v", t))
-		}
-		b.WriteByte('\x1f')
-	}
-	return b.String()
-}
-
-// foldValue merges two partial aggregate values.
-func foldValue(kind lera.AggKind, a, b any) (any, error) {
-	switch kind {
-	case lera.AggSum:
-		ai, aok := a.(int64)
-		bi, bok := b.(int64)
-		if !aok || !bok {
-			return nil, fmt.Errorf("cluster: SUM merge over non-integer partials (%T, %T)", a, b)
-		}
-		return ai + bi, nil
-	case lera.AggMin, lera.AggMax:
-		less, err := lessValue(a, b)
-		if err != nil {
-			return nil, err
-		}
-		if less == (kind == lera.AggMin) {
-			return a, nil
-		}
-		return b, nil
-	default:
-		return nil, fmt.Errorf("cluster: aggregate %v has no merge", kind)
-	}
-}
-
-// lessValue orders two same-typed engine values (int64 numerically, string
-// lexically), mirroring relation.Tuple.Compare.
-func lessValue(a, b any) (bool, error) {
-	switch av := a.(type) {
-	case int64:
-		bv, ok := b.(int64)
-		if !ok {
-			return false, fmt.Errorf("cluster: comparing %T with %T", a, b)
-		}
-		return av < bv, nil
-	case string:
-		bv, ok := b.(string)
-		if !ok {
-			return false, fmt.Errorf("cluster: comparing %T with %T", a, b)
-		}
-		return av < bv, nil
-	default:
-		return false, fmt.Errorf("cluster: unordered value type %T", a)
-	}
-}
-
-// compareRows orders rows by their first n columns, for the merged-group
-// sort. Values inside one column are homogeneous; a type mismatch would
-// have failed the fold already, so it sorts arbitrarily-but-stably here.
-func compareRows(a, b []any, n int) int {
-	for i := 0; i < n && i < len(a) && i < len(b); i++ {
-		if less, err := lessValue(a[i], b[i]); err == nil {
-			if less {
-				return -1
-			}
-			if l2, _ := lessValue(b[i], a[i]); l2 {
-				return 1
-			}
-		}
-	}
-	return 0
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	var out [][]any
+	err := agg.OnClose(ctx, func(t relation.Tuple) { out = append(out, relation.RowOf(t)) })
+	return out, err
 }
 
 // Header returns the cluster-level stream header: the (validated-identical)

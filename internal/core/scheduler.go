@@ -216,7 +216,7 @@ func Proportional(n int, weights []float64) []int {
 	}
 	if sum <= 0 {
 		for i := range out {
-			out[i] = maxInt(1, n/k)
+			out[i] = max(1, n/k)
 		}
 		return out
 	}
@@ -263,11 +263,4 @@ func coefficientOfVariation(xs []float64) float64 {
 		varsum += d * d
 	}
 	return math.Sqrt(varsum/float64(len(xs))) / mean
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,7 +8,7 @@ import (
 func queuesWithLens(lens ...int) []*Queue {
 	qs := make([]*Queue, len(lens))
 	for i, n := range lens {
-		qs[i] = NewQueue(maxInt(n, 1))
+		qs[i] = NewQueue(max(n, 1))
 		for j := 0; j < n; j++ {
 			qs[i].Push(tupleAct(int64(j)))
 		}

@@ -292,6 +292,9 @@ func TestCompileErrors(t *testing.T) {
 		"SELECT * FROM Br JOIN Br2 ON Br.k = Br2.k",
 		"SELECT * FROM A JOIN B ON A.nope = B.k",
 		"SELECT k FROM A JOIN B ON A.k = B.k", // ambiguous k after join
+		// Plain select-list columns of an aggregate must be grouping columns.
+		"SELECT nosuch, COUNT(*) FROM A GROUP BY k",
+		"SELECT A.id, COUNT(*) FROM A JOIN B ON A.k = B.k GROUP BY A.k",
 	}
 	for _, sql := range bad {
 		if _, _, err := c.Compile(sql); err == nil {

@@ -2,6 +2,7 @@ package esql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dbs3/internal/lera"
@@ -201,6 +202,16 @@ func (c *Compiler) finish(g *lera.Graph, head *lera.Node, schema *relation.Schem
 				return nil, err
 			}
 			groupBy[i] = r
+		}
+		// The output is the group key followed by the aggregate, so a plain
+		// select-list column must name a grouping column: resolved, or by the
+		// bare name of a qualified one (SELECT k ... GROUP BY A.k).
+		for _, col := range q.Cols {
+			if !slices.ContainsFunc(q.GroupBy, func(g string) bool { return g[strings.LastIndexByte(g, '.')+1:] == col }) {
+				if r, err := resolve(col); err != nil || !slices.Contains(groupBy, r) {
+					return nil, fmt.Errorf("esql: column %q is not a GROUP BY column", col)
+				}
+			}
 		}
 		aggCol := ""
 		if q.Agg.Col != "" {

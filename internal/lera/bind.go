@@ -2,6 +2,7 @@ package lera
 
 import (
 	"fmt"
+	"slices"
 
 	"dbs3/internal/partition"
 	"dbs3/internal/relation"
@@ -260,7 +261,7 @@ func bindNode(g *Graph, p *Plan, n *Node, lookup func(string) (RelInfo, error)) 
 				}
 				if len(e.RouteCols) == 0 {
 					e.RouteCols = append([]string(nil), n.ProbeKey...)
-				} else if !sameStrings(e.RouteCols, n.ProbeKey) {
+				} else if !slices.Equal(e.RouteCols, n.ProbeKey) {
 					return nil, fmt.Errorf("lera: join %s: probe edge routes on %v, join expects %v", n.Name, e.RouteCols, n.ProbeKey)
 				}
 			}
@@ -345,7 +346,7 @@ func bindNode(g *Graph, p *Plan, n *Node, lookup func(string) (RelInfo, error)) 
 		// Redistributed group-by: hash-routed edges must route on the group
 		// key so each group lands on exactly one instance.
 		for _, e := range in {
-			if e.Route == RouteHash && !sameStrings(e.RouteCols, n.GroupBy) {
+			if e.Route == RouteHash && !slices.Equal(e.RouteCols, n.GroupBy) {
 				return nil, fmt.Errorf("lera: aggregate %s: input routes on %v, groups on %v", n.Name, e.RouteCols, n.GroupBy)
 			}
 		}
@@ -400,10 +401,10 @@ func inheritDegree(g *Graph, p *Plan, n *Node, in []*Edge) int {
 // partitioning keys match the join keys (the caller vouches for placement).
 func checkCoPartitioning(n *Node, build, probe RelInfo) error {
 	// If either side declares a partitioning key, it must be the join key.
-	if build.Part != nil && !sameStrings(build.Part.Key(), n.BuildKey) {
+	if build.Part != nil && !slices.Equal(build.Part.Key(), n.BuildKey) {
 		return fmt.Errorf("lera: join %s: build relation partitioned on %v, join key is %v", n.Name, build.Part.Key(), n.BuildKey)
 	}
-	if probe.Part != nil && !sameStrings(probe.Part.Key(), n.ProbeKey) {
+	if probe.Part != nil && !slices.Equal(probe.Part.Key(), n.ProbeKey) {
 		return fmt.Errorf("lera: join %s: probe relation partitioned on %v, join key is %v", n.Name, probe.Part.Key(), n.ProbeKey)
 	}
 	if build.Part != nil && probe.Part != nil && build.Part.Signature() != probe.Part.Signature() {
@@ -417,7 +418,7 @@ func checkCoPartitioning(n *Node, build, probe RelInfo) error {
 // default hash with the same degree when the metadata carries none.
 func buildRouter(n *Node, build RelInfo) (partition.Func, error) {
 	if build.Part != nil {
-		if !sameStrings(build.Part.Key(), n.BuildKey) {
+		if !slices.Equal(build.Part.Key(), n.BuildKey) {
 			return nil, fmt.Errorf("lera: join %s: build relation partitioned on %v, join key is %v", n.Name, build.Part.Key(), n.BuildKey)
 		}
 		return build.Part, nil
@@ -514,16 +515,4 @@ func chainOrder(g *Graph) ([][]int, error) {
 		}
 	}
 	return ordered, nil
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -755,29 +755,13 @@ func (a *Aggregate) final(slab *relation.Slab, st *aggState) relation.Tuple {
 	return slab.Concat(st.group, relation.Tuple{v})
 }
 
-// OnClose implements Operator: emits one tuple per group, merging spilled
-// runs with the in-memory table when the instance overflowed.
+// OnClose implements Operator: emits one tuple per group in group-key
+// order through the k-way merge of the spilled runs with the in-memory
+// table, which is the merge's only source when nothing spilled.
 func (a *Aggregate) OnClose(ctx *Context, emit Emit) error {
 	sc := scratchPool.Get().(*batchScratch)
 	defer scratchPool.Put(sc)
 	ctx.Mu.Lock()
-	inst := ctx.State.(*aggInst)
-	if len(inst.runs) > 0 {
-		err := a.mergeRunsLocked(inst, &sc.slab, emit)
-		ctx.Mu.Unlock()
-		return err
-	}
-	out := make([]relation.Tuple, 0, len(inst.groups))
-	for _, bucket := range inst.groups {
-		for _, st := range bucket {
-			out = append(out, a.final(&sc.slab, st))
-		}
-	}
-	ctx.Mu.Unlock()
-	// Deterministic emission order helps tests; sort by group values.
-	sort.Slice(out, func(i, k int) bool { return out[i].Compare(out[k]) < 0 })
-	for _, t := range out {
-		emit(t)
-	}
-	return nil
+	defer ctx.Mu.Unlock()
+	return a.mergeRunsLocked(ctx.State.(*aggInst), &sc.slab, emit)
 }

@@ -344,9 +344,9 @@ func (s *aggSource) advance() error {
 	return nil
 }
 
-// mergeRunsLocked k-way merges the spilled runs with the in-memory table,
-// combining accumulators for equal groups and emitting results in group
-// order; the caller holds ctx.Mu.
+// mergeRunsLocked k-way merges the spilled runs (if any) with the in-memory
+// table, combining accumulators for equal groups and emitting results in
+// group order; the caller holds ctx.Mu.
 func (a *Aggregate) mergeRunsLocked(inst *aggInst, slab *relation.Slab, emit Emit) error {
 	sources := make([]*aggSource, 0, len(inst.runs)+1)
 	for _, r := range inst.runs {
@@ -368,7 +368,7 @@ func (a *Aggregate) mergeRunsLocked(inst *aggInst, slab *relation.Slab, emit Emi
 		if lead == nil {
 			return nil
 		}
-		merged := &aggState{group: lead.cur.group}
+		merged := aggState{group: lead.cur.group}
 		for _, s := range sources {
 			for s.cur != nil && s.cur.group.Compare(merged.group) == 0 {
 				merged.combine(s.cur)
@@ -377,6 +377,6 @@ func (a *Aggregate) mergeRunsLocked(inst *aggInst, slab *relation.Slab, emit Emi
 				}
 			}
 		}
-		emit(a.final(slab, merged))
+		emit(a.final(slab, &merged))
 	}
 }

@@ -48,3 +48,67 @@ func TestGraceOneSidedPartitionsCountTheirBytes(t *testing.T) {
 		})
 	}
 }
+
+// TestAggregateEmissionOrderIgnoresSpill: OnClose emits the same sequence of
+// groups, in group-key order, whether the table stayed in memory or went to
+// disk many times under a tiny grant.
+func TestAggregateEmissionOrderIgnoresSpill(t *testing.T) {
+	in := relation.Wisconsin("w", 2000, 1).Tuples
+	col := relation.WisconsinSchema.MustIndex
+	cases := []struct {
+		name    string
+		groupBy []int
+		kind    lera.AggKind
+		aggCol  int
+	}{
+		{"count", []int{col("onePercent")}, lera.AggCount, -1},
+		{"sum", []int{col("onePercent")}, lera.AggSum, col("unique1")},
+		{"min", []int{col("onePercent")}, lera.AggMin, col("unique2")},
+		{"max", []int{col("onePercent")}, lera.AggMax, col("unique2")},
+		{"min-string", []int{col("onePercent")}, lera.AggMin, col("stringu1")},
+		{"max-string", []int{col("onePercent")}, lera.AggMax, col("stringu2")},
+		{"two-column", []int{col("string4"), col("onePercent")}, lera.AggMax, col("unique1")},
+	}
+	run := func(a *Aggregate) []relation.Tuple {
+		ctx := &Context{}
+		if err := a.Setup(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for ts := in; len(ts) > 0; ts = ts[min(len(ts), 64):] {
+			if err := a.OnBatch(ctx, ts[:min(len(ts), 64)], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		emit, out := collect()
+		if err := a.OnClose(ctx, emit); err != nil {
+			t.Fatal(err)
+		}
+		return *out
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env, err := storage.NewSpillEnv(t.TempDir(), 2<<10, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			mem := run(&Aggregate{GroupBy: c.groupBy, Kind: c.kind, AggCol: c.aggCol})
+			spilled := &Aggregate{GroupBy: c.groupBy, Kind: c.kind, AggCol: c.aggCol, Spill: env}
+			disk := run(spilled)
+			if _, passes := spilled.SpillStats(); passes < 2 {
+				t.Fatalf("%d spill passes under a 2 KiB grant, want several", passes)
+			}
+			if len(mem) != len(disk) {
+				t.Fatalf("%d groups in memory, %d with spill", len(mem), len(disk))
+			}
+			for i := range mem {
+				if !mem[i].Equal(disk[i]) {
+					t.Fatalf("row %d: %v in memory, %v with spill", i, mem[i], disk[i])
+				}
+				if i > 0 && mem[i-1].Compare(mem[i]) >= 0 {
+					t.Fatalf("rows %d and %d out of group order: %v, %v", i-1, i, mem[i-1], mem[i])
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,9 @@
 package relation
 
-import "strings"
+import (
+	"fmt"
+	"strings"
+)
 
 // Tuple is one row: a flat slice of values positionally matching a schema.
 // Tuples are treated as immutable by the engine; operators build new tuples
@@ -60,6 +63,37 @@ func (t Tuple) Compare(o Tuple) int {
 	default:
 		return 0
 	}
+}
+
+// RowOf converts a tuple to the plain-Go row form cursors and the wire
+// carry: one int64 or string per column.
+func RowOf(t Tuple) []any {
+	row := make([]any, len(t))
+	for i, v := range t {
+		if v.Kind() == TInt {
+			row[i] = v.AsInt()
+		} else {
+			row[i] = v.AsString()
+		}
+	}
+	return row
+}
+
+// TupleOf is the inverse of RowOf. The tuple shares the row's strings; any
+// Go type other than int64 and string is an error.
+func TupleOf(row []any) (Tuple, error) {
+	t := make(Tuple, len(row))
+	for i, x := range row {
+		switch v := x.(type) {
+		case int64:
+			t[i] = Int(v)
+		case string:
+			t[i] = Str(v)
+		default:
+			return nil, fmt.Errorf("relation: column %d is %T, want int64 or string", i, x)
+		}
+	}
+	return t, nil
 }
 
 // String renders the tuple as "[v1 v2 ...]".

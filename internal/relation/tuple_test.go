@@ -75,3 +75,16 @@ func TestTupleHashOnProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRowRoundTrip: RowOf and TupleOf invert each other, and TupleOf
+// rejects Go types the engine has no value for.
+func TestRowRoundTrip(t *testing.T) {
+	tup := NewTuple(Int(-7), Str(""), Str("abc"))
+	back, err := TupleOf(RowOf(tup))
+	if err != nil || !back.Equal(tup) {
+		t.Fatalf("round trip of %v gave %v, %v", tup, back, err)
+	}
+	if _, err := TupleOf([]any{int64(1), 2.5}); err == nil {
+		t.Error("TupleOf accepted a float64")
+	}
+}

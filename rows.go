@@ -306,7 +306,7 @@ type rowSink struct {
 
 func (s *rowSink) Push(t relation.Tuple) error {
 	select {
-	case s.ch <- rowOf(t):
+	case s.ch <- relation.RowOf(t):
 		return nil
 	case <-s.ctx.Done():
 		return s.ctx.Err()
@@ -321,25 +321,12 @@ func (s *rowSink) Push(t relation.Tuple) error {
 func (s *rowSink) PushBatch(ts []relation.Tuple) error {
 	for _, t := range ts {
 		select {
-		case s.ch <- rowOf(t):
+		case s.ch <- relation.RowOf(t):
 		case <-s.ctx.Done():
 			return s.ctx.Err()
 		}
 	}
 	return nil
-}
-
-// rowOf converts one tuple to the cursor's plain-Go row form.
-func rowOf(t relation.Tuple) []any {
-	row := make([]any, len(t))
-	for i, v := range t {
-		if v.Kind() == relation.TInt {
-			row[i] = v.AsInt()
-		} else {
-			row[i] = v.AsString()
-		}
-	}
-	return row
 }
 
 // operatorStats snapshots per-operator counters after an execution settled.
