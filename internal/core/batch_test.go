@@ -284,7 +284,7 @@ func TestOperatorContract(t *testing.T) {
 		o := newOperation("contract", 0, b.op, ctxs, len(input), 2, runLen, StrategyRandom, 1, false)
 		o.noVectorize = noVec
 		var sunk collectSink
-		o.emit = func(_ int, t relation.Tuple) { sunk.Push(t) }
+		sinkTo(o, &sunk)
 		for _, tup := range input {
 			o.Queues[int(tup[0].AsInt())%contractInstances].Push(Activation{Tuple: tup})
 		}

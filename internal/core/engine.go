@@ -77,10 +77,10 @@ type Options struct {
 	// the materialization points of a multi-chain execution: before each
 	// chain starts, the engine calls Readmit with the chain index, the
 	// chain's desired thread count (Allocation.ChainWant) and
-	// the chain's node count (min — every node pool runs at least one
-	// thread, so a grant below it cannot actually be honored), and
-	// receives the granted total; the chain's per-node threads are
-	// redistributed over the grant (Allocation.ResizeChain). An admission
+	// the chain's pooled-node count (min — every pool runs at least one
+	// thread and a store or sink none, so a grant below it cannot actually
+	// be honored), and receives the granted total; the chain's pools are
+	// resized over the grant (Allocation.ResizeChain). An admission
 	// controller uses the hook to take back a finished chain's surplus
 	// threads — or hand out freed budget — between chains
 	// (runtime.Manager.Readmit). Readmit must never block on the budget:
@@ -316,8 +316,8 @@ func ExecuteAllocated(ctx context.Context, plan *lera.Plan, db DB, opts Options,
 	}
 	for ci, chain := range plan.Chains {
 		if readmit != nil {
-			if grant := readmit(ci, alloc.Want(ci), len(chain)); grant != alloc.Chain[ci] {
-				alloc.ResizeChain(ci, chain, grant)
+			if grant := readmit(ci, alloc.Want(ci), len(alloc.pools[ci])); grant != alloc.Chain[ci] {
+				alloc.ResizeChain(ci, grant)
 			}
 		}
 		// Checked after Readmit so a cancel that lands at the boundary
@@ -406,23 +406,21 @@ func instanceCosts(plan *lera.Plan, db DB, id int) []float64 {
 // aborts every operation in the chain: workers and blocked producers drain
 // and the chain returns ctx.Err().
 func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Allocation, opts Options, res *Result) error {
-	inChain := make(map[int]bool, len(chain))
-	for _, id := range chain {
-		inChain[id] = true
-	}
-
-	// Build operations.
+	var pools []*Operation
 	ops := make(map[int]*Operation, len(chain))
-	stores := make(map[int]*operator.Store)
+	terms := make(map[int]*terminal)
 	for _, id := range chain {
-		op, store, err := buildOperation(plan, id, db, alloc, opts)
+		op, term, err := buildOperation(plan, id, db, alloc, opts)
 		if err != nil {
 			return err
 		}
-		ops[id] = op
-		if store != nil {
-			stores[id] = store
+		if term != nil {
+			terms[id] = term
+			res.Stats[id] = term.stats
+			continue
 		}
+		pools = append(pools, op)
+		ops[id] = op
 		res.Stats[id] = op.Stats()
 	}
 
@@ -436,12 +434,11 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 	targetsOf := make(map[int][]routeTarget, len(chain))
 	for ei, be := range plan.Edges {
 		e := plan.Graph.Edges[ei]
-		if !inChain[e.From] {
-			continue
+		if ops[e.From] == nil {
+			continue // another chain's edge
 		}
-		consumer := ops[e.To]
 		producers[e.To]++
-		tg := routeTarget{op: consumer}
+		tg := routeTarget{op: ops[e.To], term: terms[e.To], degree: plan.Nodes[e.To].Degree}
 		switch e.Route {
 		case lera.RouteSame:
 			tg.same = true
@@ -450,18 +447,17 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 		}
 		targetsOf[e.From] = append(targetsOf[e.From], tg)
 	}
-	for _, id := range chain {
-		op := ops[id]
-		op.targets = targetsOf[id]
+	for _, op := range pools {
+		op.targets = targetsOf[op.NodeID]
 		op.batchGrain = opts.BatchGrain
-		outs := plan.Graph.Out(id)
+		outs := plan.Graph.Out(op.NodeID)
 		op.onComplete = func() {
 			wireMu.Lock()
 			var toClose []*Operation
 			for _, e := range outs {
 				producers[e.To]--
-				if producers[e.To] == 0 {
-					toClose = append(toClose, ops[e.To])
+				if c := ops[e.To]; c != nil && producers[e.To] == 0 {
+					toClose = append(toClose, c)
 				}
 			}
 			wireMu.Unlock()
@@ -481,20 +477,20 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 		go func() {
 			select {
 			case <-ctx.Done():
-				for _, id := range chain {
-					ops[id].abort()
+				for _, op := range pools {
+					op.abort()
 				}
 			case <-watchDone:
 			}
 		}()
 	}
 	var wg sync.WaitGroup
-	for _, id := range chain {
-		ops[id].run(&wg)
+	for _, op := range pools {
+		op.run(&wg)
 	}
-	for _, id := range chain {
-		if plan.Graph.Triggered(id) {
-			ops[id].InjectTriggers(opts.TriggerGrain)
+	for _, op := range pools {
+		if op.triggered {
+			op.InjectTriggers(opts.TriggerGrain)
 		}
 	}
 	wg.Wait()
@@ -503,30 +499,33 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for _, id := range chain {
-		if err := ops[id].Err(); err != nil {
+	for _, op := range pools {
+		if err := op.Err(); err != nil {
 			return err
 		}
 	}
 
 	// Harvest spill counters into the per-node stats.
-	for _, id := range chain {
-		if bytes, passes := ops[id].SpillStats(); bytes != 0 || passes != 0 {
-			res.Stats[id].SpilledBytes.Store(bytes)
-			res.Stats[id].SpillPasses.Store(passes)
-		}
+	for _, op := range pools {
+		op.stats.noteSpill(op.op)
+	}
+	for _, term := range terms {
+		term.stats.noteSpill(term.op)
 	}
 
-	// Collect materializations into the working database.
-	for id, store := range stores {
+	// Collect materializations into the working database (a sink's tuples
+	// went to Options.Sink).
+	for id, term := range terms {
+		store, ok := term.op.(*operator.Store)
+		if !ok {
+			continue
+		}
 		n := plan.Graph.Nodes[id]
-		bn := plan.Nodes[id]
-		key := storeKey(plan, id)
 		frags, err := store.Results()
 		if err != nil {
 			return err
 		}
-		p, err := partition.FromFragments(n.As, bn.InSchema, key, frags, 1)
+		p, err := partition.FromFragments(n.As, plan.Nodes[id].InSchema, storeKey(plan, id), frags, 1)
 		if err != nil {
 			return err
 		}
@@ -548,8 +547,9 @@ func storeKey(plan *lera.Plan, id int) []string {
 }
 
 // buildOperation constructs the runtime operation of one node, including its
-// operator, per-instance contexts and LPT estimates.
-func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Options) (*Operation, *operator.Store, error) {
+// operator, per-instance contexts and LPT estimates — or for a store or sink
+// the terminal its producers run.
+func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Options) (*Operation, *terminal, error) {
 	bn := plan.Nodes[id]
 	n := bn.Node
 	degree := bn.Degree
@@ -559,7 +559,6 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 	}
 
 	var op operator.Operator
-	var store *operator.Store
 	switch n.Kind {
 	case lera.OpFilter:
 		op = &operator.Filter{Pred: bn.Pred}
@@ -577,12 +576,11 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 			if bs, ok := opts.Sink.(RowBatchSink); ok {
 				sink.PushBatch = bs.PushBatch
 			}
-			op = sink
-		} else {
-			store = operator.NewStore(degree)
-			store.Spill = opts.Spill
-			op = store
+			return nil, newTerminal(sink, ctxs), nil
 		}
+		store := operator.NewStore(degree)
+		store.Spill = opts.Spill
+		return nil, newTerminal(store, ctxs), nil
 	default:
 		return nil, nil, fmt.Errorf("core: unsupported node kind %v", n.Kind)
 	}
@@ -635,5 +633,5 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 			o.Queues[i].SetPerTupleCost(c)
 		}
 	}
-	return o, store, nil
+	return o, nil, nil
 }

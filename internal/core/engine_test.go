@@ -131,9 +131,13 @@ func TestTriggeredActivationCounts(t *testing.T) {
 	if got := res.Stats[0].Activations.Load(); got != 10 {
 		t.Errorf("join activations = %d, want 10", got)
 	}
-	// Store receives one activation per result tuple.
-	if got := res.Stats[1].Activations.Load(); got != 500 {
-		t.Errorf("store activations = %d, want 500", got)
+	// The store runs inside the join's workers: no activations of its own,
+	// every result tuple stored.
+	if got := res.Stats[1].Activations.Load(); got != 0 {
+		t.Errorf("store activations = %d, want 0", got)
+	}
+	if got := res.Stats[1].Emitted.Load(); got != 500 {
+		t.Errorf("store emitted = %d, want 500", got)
 	}
 	if got := res.Stats[0].Setups.Load(); got != 10 {
 		t.Errorf("join setups = %d, want one per instance", got)

@@ -18,7 +18,7 @@ type OpStats struct {
 	// Batches is the number of queue drains; Activations/Batches is the
 	// internal-cache effectiveness.
 	Batches atomic.Int64
-	// Emitted is the number of tuples sent downstream.
+	// Emitted is the number of tuples sent downstream, or stored or pushed.
 	Emitted atomic.Int64
 	// SecondaryPicks counts consumptions from non-main queues — the load
 	// redistribution the shared queues exist for. Zero under perfect
@@ -68,40 +68,44 @@ func (s *OpStats) BalanceRatio() float64 {
 	return float64(max) / mean
 }
 
-// emitFunc routes one emitted tuple; a test seam — the engine wires routing
-// through targets and per-worker route buffers instead (see routeEmitter).
-type emitFunc func(inst int, t relation.Tuple)
-
-// routeTarget is one downstream consumer of an operation's output. same marks
+// routeTarget is one downstream consumer of an operation's output, of degree
+// instances: a pooled operation (op) or a terminal (term). same marks
 // instance-aligned (RouteSame) targets: every tuple goes to the emitting
-// instance's own queue. Otherwise the edge is hash-partitioned: the
-// consumer's router places each tuple of a run by its key at cols.
+// instance's own. Otherwise the edge is hash-partitioned: the consumer's
+// router places each tuple of a run by its key at cols.
 type routeTarget struct {
 	op     *Operation
+	term   *terminal
+	degree int
 	same   bool
 	router partition.Func
 	cols   []int
 }
 
-// emitter is the per-worker emission path. emitRun hands a run of produced
-// tuples to the routing layer; flush forces any buffered tuples into their
-// destination queues. Workers flush after every processed activation batch
-// and after instance closes, so buffered tuples are always downstream before
-// an operation can report completion (and close its consumers' queues).
-type emitter interface {
-	emitRun(inst int, ts []relation.Tuple)
-	flush()
+// terminal is a store or sink run by the workers feeding it, with no queues
+// and no pool: materialization costs the threads that produce the tuples, as
+// in the paper's cost model. Its OpStats count no activations; Emitted counts
+// the tuples stored or pushed.
+type terminal struct {
+	op    operator.Operator // *operator.Store or *operator.Sink
+	ctxs  []*operator.Context
+	stats *OpStats
 }
 
-// funcEmitter adapts the emitFunc test seam: unbuffered, flush is a no-op.
-type funcEmitter emitFunc
+func newTerminal(op operator.Operator, ctxs []*operator.Context) *terminal {
+	return &terminal{op: op, ctxs: ctxs, stats: &OpStats{}}
+}
 
-func (f funcEmitter) emitRun(inst int, ts []relation.Tuple) {
-	for _, t := range ts {
-		f(inst, t)
+// deliver stores or pushes one run bound for instance inst (a store's append
+// under its lock, with its spill charge; a sink's PushBatch or Push loop). An
+// error fails the emitting operation.
+func (t *terminal) deliver(inst int, ts []relation.Tuple, fail func(error)) {
+	if err := t.op.OnBatch(t.ctxs[inst], ts, nil); err != nil {
+		fail(err)
+		return
 	}
+	t.stats.Emitted.Add(int64(len(ts)))
 }
-func (funcEmitter) flush() {}
 
 // workerEmit is one worker's reusable emission closure: the operator-facing
 // Emit callback plus the state it needs (current queue index, tuples emitted
@@ -109,7 +113,7 @@ func (funcEmitter) flush() {}
 // processed batch or instance close — the per-use cost is two field writes,
 // not two heap allocations.
 type workerEmit struct {
-	em      emitter
+	em      *routeEmitter
 	qi      int
 	emitted int64
 	// run gathers emitted tuples so the routing layer sees whole runs
@@ -121,7 +125,7 @@ type workerEmit struct {
 	fn  operator.Emit
 }
 
-func newWorkerEmit(em emitter, cap int) *workerEmit {
+func newWorkerEmit(em *routeEmitter, cap int) *workerEmit {
 	if cap < 1 {
 		cap = 1
 	}
@@ -148,25 +152,26 @@ func (w *workerEmit) flushRun() {
 }
 
 // routeEmitter is one worker's batch-at-a-time routing state: a small buffer
-// per destination queue, flushed into the queue with a single PushBatch (one
-// lock, one wake) when it reaches the batch grain — and by flush at the
-// activation-batch boundaries above. Buffers are worker-private, so emission
-// needs no extra synchronization; they are allocated lazily (first tuple to a
-// destination) and reused across flushes.
+// per destination, handed on (one PushBatch into a queue: one lock, one wake;
+// or one deliver) when it reaches the batch grain — and by flush at the
+// activation-batch boundaries, so buffered tuples are always downstream
+// before an operation can report completion (and close its consumers'
+// queues). An instance-aligned terminal takes each run unbuffered. Buffers
+// are worker-private, so emission needs no extra synchronization; they are
+// allocated lazily (first tuple to a destination) and reused across flushes.
 type routeEmitter struct {
 	targets []routeTarget
 	grain   int
-	bufs    [][][]Activation // [target][destination queue] -> pending tuples
+	fail    func(error)
+	bufs    [][][]Activation // [target][destination] -> pending tuples
 	dsts    []int32          // router scratch: destinations for one run
+	tup     []relation.Tuple // terminal scratch: a buffer's tuples
 }
 
-func newRouteEmitter(targets []routeTarget, grain int) *routeEmitter {
-	if grain < 1 {
-		grain = 1
-	}
-	e := &routeEmitter{targets: targets, grain: grain, bufs: make([][][]Activation, len(targets))}
-	for i, tg := range targets {
-		e.bufs[i] = make([][]Activation, len(tg.op.Queues))
+func newRouteEmitter(o *Operation) *routeEmitter {
+	e := &routeEmitter{targets: o.targets, grain: max(o.batchGrain, 1), fail: o.fail, bufs: make([][][]Activation, len(o.targets))}
+	for i, tg := range e.targets {
+		e.bufs[i] = make([][]Activation, tg.degree)
 	}
 	return e
 }
@@ -179,6 +184,8 @@ func (e *routeEmitter) emitRun(inst int, ts []relation.Tuple) {
 		tg := &e.targets[ti]
 		bufs := e.bufs[ti]
 		switch {
+		case tg.same && tg.term != nil:
+			tg.term.deliver(inst, ts, e.fail)
 		case tg.same:
 			// One destination for the whole run.
 			buf := bufs[inst]
@@ -188,7 +195,7 @@ func (e *routeEmitter) emitRun(inst int, ts []relation.Tuple) {
 			for _, t := range ts {
 				buf = append(buf, Activation{Tuple: t})
 				if len(buf) >= e.grain {
-					tg.op.Queues[inst].PushBatch(buf)
+					e.push(tg, inst, buf)
 					buf = buf[:0]
 				}
 			}
@@ -197,14 +204,14 @@ func (e *routeEmitter) emitRun(inst int, ts []relation.Tuple) {
 			// Hash routing: all destinations computed in one call.
 			e.dsts = tg.router.FragmentsOfCols(ts, tg.cols, e.dsts[:0])
 			for k, t := range ts {
-				dst := e.dsts[k]
+				dst := int(e.dsts[k])
 				buf := bufs[dst]
 				if buf == nil {
 					buf = make([]Activation, 0, e.grain)
 				}
 				buf = append(buf, Activation{Tuple: t})
 				if len(buf) >= e.grain {
-					tg.op.Queues[dst].PushBatch(buf)
+					e.push(tg, dst, buf)
 					buf = buf[:0]
 				}
 				bufs[dst] = buf
@@ -213,12 +220,24 @@ func (e *routeEmitter) emitRun(inst int, ts []relation.Tuple) {
 	}
 }
 
+// push hands one destination's buffer to its consumer.
+func (e *routeEmitter) push(tg *routeTarget, dst int, buf []Activation) {
+	if tg.term == nil {
+		tg.op.Queues[dst].PushBatch(buf)
+		return
+	}
+	e.tup = e.tup[:0]
+	for _, a := range buf {
+		e.tup = append(e.tup, a.Tuple)
+	}
+	tg.term.deliver(dst, e.tup, e.fail)
+}
+
 func (e *routeEmitter) flush() {
 	for ti := range e.targets {
-		qs := e.targets[ti].op.Queues
 		for dst, buf := range e.bufs[ti] {
 			if len(buf) > 0 {
-				qs[dst].PushBatch(buf)
+				e.push(&e.targets[ti], dst, buf)
 				e.bufs[ti][dst] = buf[:0]
 			}
 		}
@@ -243,7 +262,6 @@ type Operation struct {
 	// handed to OnBatch down to one tuple each.
 	noVectorize bool
 	setups      []sync.Once
-	emit        emitFunc // test seam; production routing uses targets
 	seed        int64
 	stats       *OpStats
 	triggered   bool
@@ -322,17 +340,15 @@ type spiller interface {
 	SpillStats() (bytes, passes int64)
 }
 
-// SpillStats reports the operator's spill counters; (0, 0) for operators
-// that never spill.
-func (o *Operation) SpillStats() (bytes, passes int64) {
-	if sp, ok := o.op.(spiller); ok {
-		return sp.SpillStats()
+// noteSpill copies op's spill counters into s; operators that never spill
+// leave them at zero.
+func (s *OpStats) noteSpill(op operator.Operator) {
+	if sp, ok := op.(spiller); ok {
+		bytes, passes := sp.SpillStats()
+		s.SpilledBytes.Store(bytes)
+		s.SpillPasses.Store(passes)
 	}
-	return 0, 0
 }
-
-// Degree returns the instance count.
-func (o *Operation) Degree() int { return len(o.Queues) }
 
 // run starts the worker pool; the WaitGroup is released as workers exit.
 func (o *Operation) run(wg *sync.WaitGroup) {
@@ -353,7 +369,7 @@ func (o *Operation) worker(w int) {
 	main, mainIdx := MainQueues(o.Queues, w, o.Workers)
 	strat := NewStrategy(o.Strat, o.seed+int64(w))
 	cache := make([]Activation, 0, o.CacheSize)
-	em := o.newEmitter()
+	em := newRouteEmitter(o)
 	we := newWorkerEmit(em, o.CacheSize)
 	// Worker-private tuple scratch: runs of pipelined activations are
 	// gathered here and handed to OnBatch in one call.
@@ -377,15 +393,6 @@ func (o *Operation) worker(w int) {
 		o.finishBatch(qi, len(batch), we)
 		cache = batch[:0]
 	}
-}
-
-// newEmitter builds this worker's emission path: the engine-wired route
-// buffers, or the unbuffered test seam when emit is set directly.
-func (o *Operation) newEmitter() emitter {
-	if o.emit != nil {
-		return funcEmitter(o.emit)
-	}
-	return newRouteEmitter(o.targets, o.batchGrain)
 }
 
 // acquire picks a queue and drains a batch into cache. ok=false means the

@@ -60,8 +60,14 @@ func newTestOperation(op operator.Operator, instances, workers int) *Operation {
 		ctxs[i] = &operator.Context{Instance: i}
 	}
 	o := newOperation("test", 0, op, ctxs, 16, workers, 4, StrategyRandom, 1, false)
-	o.emit = func(int, relation.Tuple) {}
+	sinkTo(o, &collectSink{})
 	return o
+}
+
+// sinkTo routes o's output into sink through a terminal target, the way the
+// engine wires a chain's streamed result.
+func sinkTo(o *Operation, sink *collectSink) {
+	o.targets = []routeTarget{{term: newTerminal(&operator.Sink{Push: sink.Push}, o.ctxs), degree: len(o.ctxs), same: true}}
 }
 
 func runOperation(t *testing.T, o *Operation, feed func(*Operation)) {
@@ -140,14 +146,14 @@ func TestOperationCompleteCallbackFiresOnce(t *testing.T) {
 func TestOperationOnCloseMayEmit(t *testing.T) {
 	stub := &stubOperator{emitOnClose: true}
 	o := newTestOperation(stub, 3, 2)
-	var emitted atomic.Int32
-	o.emit = func(int, relation.Tuple) { emitted.Add(1) }
+	var sink collectSink
+	sinkTo(o, &sink)
 	runOperation(t, o, func(o *Operation) {
 		for _, q := range o.Queues {
 			q.Close()
 		}
 	})
-	if got := emitted.Load(); got != 3 {
+	if got := len(sink.tuples); got != 3 {
 		t.Errorf("OnClose emissions = %d, want 3", got)
 	}
 	if got := o.Stats().Emitted.Load(); got != 3 {
@@ -268,8 +274,8 @@ func TestOperationDegreeAndClamps(t *testing.T) {
 	if o.Workers != 1 || o.CacheSize != 1 {
 		t.Errorf("clamps: workers=%d cache=%d", o.Workers, o.CacheSize)
 	}
-	if o.Degree() != 1 {
-		t.Errorf("Degree = %d", o.Degree())
+	if len(o.Queues) != 1 {
+		t.Errorf("degree = %d", len(o.Queues))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -85,37 +86,32 @@ func TestResizeChainRedistributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinChain := plan.Chains[1]
-	alloc.ResizeChain(1, joinChain, 3)
-	if alloc.Chain[1] != 3 {
-		t.Errorf("Chain[1] = %d, want 3", alloc.Chain[1])
-	}
-	sum := 0
-	for _, id := range joinChain {
-		if alloc.Node[id] < 1 {
-			t.Errorf("node %d resized to %d threads", id, alloc.Node[id])
+	// Every pool keeps at least one thread, stores none, and a chain's total
+	// is what its pools run.
+	check := func(ci, want int) {
+		t.Helper()
+		sum := 0
+		for _, id := range plan.Chains[ci] {
+			n := alloc.Node[id]
+			if store := plan.Nodes[id].Node.Kind == lera.OpStore; store && n != 0 || !store && n < 1 {
+				t.Errorf("chain %d node %d has %d threads", ci, id, n)
+			}
+			sum += n
 		}
-		sum += alloc.Node[id]
+		if sum != want || alloc.Chain[ci] != want {
+			t.Errorf("chain %d: nodes sum to %d, Chain = %d, want %d", ci, sum, alloc.Chain[ci], want)
+		}
 	}
-	if sum < 3 {
-		t.Errorf("resized node threads sum to %d < chain total 3", sum)
-	}
+	alloc.ResizeChain(1, 3)
+	check(1, 3)
 	// Chain 0 keeps its allocation.
-	if alloc.Chain[0] != 8 {
-		t.Errorf("Chain[0] = %d, want the untouched 8", alloc.Chain[0])
-	}
-	for _, id := range plan.Chains[0] {
-		if alloc.Node[id] < 1 {
-			t.Errorf("chain 0 node %d lost its threads", id)
-		}
-	}
-	// Growing back redistributes again without leaving zeros.
-	alloc.ResizeChain(1, joinChain, 8)
-	for _, id := range joinChain {
-		if alloc.Node[id] < 1 {
-			t.Errorf("regrown node %d has %d threads", id, alloc.Node[id])
-		}
-	}
+	check(0, 8)
+	// Growing back redistributes again; a grant under the pool count is
+	// lifted to one thread per pool.
+	alloc.ResizeChain(1, 8)
+	check(1, 8)
+	alloc.ResizeChain(1, 1)
+	check(1, 2)
 }
 
 // The engine calls Readmit once per chain of a sequential multi-chain plan,
@@ -149,8 +145,8 @@ func TestEngineReadmitAtChainBoundaries(t *testing.T) {
 		if c[1] != alloc.Want(ci) {
 			t.Errorf("call %d asked for %d threads, want ChainWant %d", ci, c[1], alloc.Want(ci))
 		}
-		if c[2] != len(plan.Chains[ci]) {
-			t.Errorf("call %d passed min %d, want the chain's %d nodes", ci, c[2], len(plan.Chains[ci]))
+		if c[2] != len(plan.Chains[ci])-1 {
+			t.Errorf("call %d passed min %d, want the chain's %d pooled nodes", ci, c[2], len(plan.Chains[ci])-1)
 		}
 	}
 	if res.Alloc.Chain[0] != 2 || res.Alloc.Chain[1] != 2 {
@@ -162,6 +158,33 @@ func TestEngineReadmitAtChainBoundaries(t *testing.T) {
 	}
 	if res.Outputs["Res"] == nil || res.Outputs["Res"].Cardinality() == 0 {
 		t.Fatal("renegotiated execution produced no result")
+	}
+}
+
+// The Readmit floor is the chain's pool count: on the two-chain plan the
+// filter chain runs one pool (its store runs in the filter's workers) and
+// the join chain two (transmit and join).
+func TestReadmitFloorIsPoolCount(t *testing.T) {
+	var floors []int
+	for _, c := range estimateCases(t) {
+		if c.Name != "two-chain opts=0" {
+			continue
+		}
+		plan, err := lera.Bind(c.Graph, c.DB.Resolver())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := c.Opts
+		opts.Readmit = func(_, want, floor int) int {
+			floors = append(floors, floor)
+			return want
+		}
+		if _, err := ExecuteContext(t.Context(), plan, c.DB.Relations(), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(floors, []int{1, 2}) {
+		t.Errorf("Readmit floors = %v, want [1 2]", floors)
 	}
 }
 

@@ -18,11 +18,14 @@ const (
 )
 
 // Allocation is the scheduler's output: threads per chain and per node, and
-// the consumption strategy per node.
+// the consumption strategy per node. Thread counts are goroutines that run: a
+// store or sink runs inside its producer's pool (terminal) and counts 0.
 type Allocation struct {
-	// Total is the query's thread count N (step 1).
+	// Total is the most threads any chain runs (chains run one at a time):
+	// step 1's N, or more where one thread per pool lifts a chain above it.
 	Total int
-	// Chain[c] is chain c's thread count (step 2).
+	// Chain[c] is the threads chain c runs: step 2's N split by step 3, the
+	// sum of Node over the chain's pooled nodes.
 	Chain []int
 	// ChainWant[c] is chain c's desired thread count considered in
 	// isolation: the step-1 square-root rule applied to the chain's own
@@ -34,7 +37,8 @@ type Allocation struct {
 	// measurement. An explicit Threads setting fixes every entry to N
 	// (explicit requests are never adapted).
 	ChainWant []int
-	// Node[id] is node id's thread count within its chain (step 3).
+	// Node[id] is node id's pool size within its chain (step 3); 0 for a
+	// store or sink.
 	Node map[int]int
 	// Strategy[id] is node id's consumption strategy (step 4).
 	Strategy map[int]StrategyKind
@@ -49,15 +53,16 @@ type Allocation struct {
 	MemEstimate int64
 	ChainMem    []int64
 
-	// nodeCost[id] is the complexity estimate step 3 distributed threads
-	// by, kept so ResizeChain can re-run the distribution for a
-	// renegotiated chain total.
-	nodeCost []float64
+	// pools[c] lists chain c's pooled nodes and weight[id] the complexity
+	// step 3 splits threads by (with that of the store or sink the node
+	// feeds), kept so ResizeChain can re-run step 3.
+	pools  [][]int
+	weight []float64
 }
 
 // clone copies the mutable layers of an Allocation (Chain and Node) so a
 // renegotiating execution can resize chains without mutating the allocation
-// its admission reserved. ChainWant, Strategy and the cost estimates are
+// its admission reserved. ChainWant, Strategy and the step-3 inputs are
 // read-only and stay shared.
 func (a Allocation) clone() Allocation {
 	a.Chain = append([]int(nil), a.Chain...)
@@ -81,36 +86,20 @@ func (a Allocation) Want(ci int) int {
 	return a.Total
 }
 
-// ResizeChain re-runs step 3 for one chain with a renegotiated thread total:
-// the chain's node thread counts are redistributed proportionally to the
-// same complexity estimates the original allocation used. chain lists the
-// chain's node ids (plan.Chains[ci]). Called at a materialization point when
-// an admission controller granted a different thread count than the plan
-// assumed.
-func (a *Allocation) ResizeChain(ci int, chain []int, threads int) {
-	if ci < 0 || ci >= len(a.Chain) || len(chain) == 0 {
-		return
+// ResizeChain is step 3 for one chain: threads are split over the chain's
+// pools by weight, each keeping at least one, and Chain[ci] becomes what the
+// split runs. Allocate calls it with N, the engine again at a
+// materialization point where an admission controller granted another total.
+func (a *Allocation) ResizeChain(ci, threads int) {
+	pools := a.pools[ci]
+	weights := make([]float64, len(pools))
+	for i, id := range pools {
+		weights[i] = a.weight[id]
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	a.Chain[ci] = threads
-	weights := make([]float64, len(chain))
-	for i, id := range chain {
-		w := 0.0
-		if id >= 0 && id < len(a.nodeCost) {
-			w = a.nodeCost[id]
-		}
-		if w <= 0 {
-			// No estimate (hand-built allocation): weigh by the current
-			// shares so the resize preserves the existing proportions.
-			w = float64(a.Node[id])
-		}
-		weights[i] = w
-	}
-	shares := Proportional(threads, weights)
-	for i, id := range chain {
-		a.Node[id] = shares[i]
+	a.Chain[ci] = 0
+	for i, n := range Proportional(max(threads, 1), weights) {
+		a.Node[pools[i]] = n
+		a.Chain[ci] += n
 	}
 }
 
@@ -136,11 +125,6 @@ func Allocate(plan *lera.Plan, costs *lera.Costs, skew []float64, o Options) All
 		n = o.Processors
 	}
 
-	// Step 2: chains run sequentially, each with the whole N while active.
-	chainThreads := make([]int, len(plan.Chains))
-	for i := range chainThreads {
-		chainThreads[i] = n
-	}
 	// Per-chain desired totals for chain-boundary renegotiation: the step-1
 	// rule on each chain's own complexity, capped by the machine but not by
 	// the moment's utilization (the renegotiator re-measures that).
@@ -164,25 +148,33 @@ func Allocate(plan *lera.Plan, costs *lera.Costs, skew []float64, o Options) All
 		chainWant[ci] = w
 	}
 	alloc := Allocation{
-		Total:     n,
-		Chain:     chainThreads,
+		Chain:     make([]int, len(plan.Chains)),
 		ChainWant: chainWant,
 		Node:      make(map[int]int, len(plan.Nodes)),
 		Strategy:  make(map[int]StrategyKind, len(plan.Nodes)),
-		nodeCost:  append([]float64(nil), costs.Node...),
+		pools:     make([][]int, len(plan.Chains)),
+		weight:    append([]float64(nil), costs.Node...),
 	}
 
-	// Step 3: distribute each chain's threads over its operations using the
-	// complexity ratio NbThreads(Op) = NbThreads(Chain) * C(Op)/C(Chain).
+	// Step 2: chains run sequentially, each with the whole N while active.
+	// Step 3: each chain's N is split over its pooled operations by the
+	// complexity ratio NbThreads(Op) = NbThreads(Chain) * C(Op)/C(Chain). A
+	// store or sink gets no pool: it runs inside the operations feeding it,
+	// so its cost joins theirs.
 	for ci, chain := range plan.Chains {
-		nodeCosts := make([]float64, len(chain))
-		for i, id := range chain {
-			nodeCosts[i] = costs.Node[id]
+		for _, id := range chain {
+			if plan.Nodes[id].Node.Kind != lera.OpStore {
+				alloc.pools[ci] = append(alloc.pools[ci], id)
+				continue
+			}
+			in := plan.Graph.In(id)
+			for _, e := range in {
+				alloc.weight[e.From] += costs.Node[id] / float64(len(in))
+			}
+			alloc.Node[id] = 0
 		}
-		shares := Proportional(alloc.Chain[ci], nodeCosts)
-		for i, id := range chain {
-			alloc.Node[id] = shares[i]
-		}
+		alloc.ResizeChain(ci, n)
+		alloc.Total = max(alloc.Total, alloc.Chain[ci])
 	}
 
 	// Step 4: consumption strategy per operation.

@@ -52,17 +52,14 @@ func TestAllocateStep1Caps(t *testing.T) {
 func TestAllocateStep3Proportional(t *testing.T) {
 	plan, costs := boundIdealJoin(t, 10)
 	a := Allocate(plan, costs, nil, Options{Threads: 10, Processors: 10})
-	// Join dwarfs store in nested-loop cost; join should get most threads.
+	// The store runs inside the join: it gets no pool, and its cost is the
+	// join's, so the join's pool takes the whole chain.
 	joinID, storeID := 0, 1
-	if a.Node[joinID] <= a.Node[storeID] {
-		t.Errorf("join=%d store=%d; join should dominate", a.Node[joinID], a.Node[storeID])
+	if a.Node[storeID] != 0 {
+		t.Errorf("store pool = %d threads, want 0", a.Node[storeID])
 	}
-	if a.Node[storeID] < 1 {
-		t.Error("every operation needs at least one thread")
-	}
-	sum := a.Node[joinID] + a.Node[storeID]
-	if sum < 10 {
-		t.Errorf("threads assigned %d < chain total 10", sum)
+	if a.Node[joinID] != 10 || a.Chain[0] != 10 || a.Total != 10 {
+		t.Errorf("join=%d chain=%d total=%d; want the join to run all 10", a.Node[joinID], a.Chain[0], a.Total)
 	}
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dbs3/internal/lera"
@@ -185,5 +187,71 @@ func TestStreamBackpressureCancel(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// errSink returns err from every Push after the first after ones.
+type errSink struct {
+	n     atomic.Int64
+	after int64
+	err   error
+}
+
+func (s *errSink) Push(relation.Tuple) error {
+	if s.n.Add(1) > s.after {
+		return s.err
+	}
+	return nil
+}
+
+// TestSinkErrorFailsProducer: a sink runs inside the operation feeding it,
+// so a Push error fails that operation and the execution.
+func TestSinkErrorFailsProducer(t *testing.T) {
+	db, err := workload.NewJoinDB(2000, 200, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := db.IdealJoinPlan(lera.HashJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("client gone")
+	_, err = execute(plan, db.Relations(), Options{Threads: 2, StreamOutput: "Res", Sink: &errSink{after: 10, err: boom}})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "operation join") {
+		t.Fatalf("err = %v, want the sink's error failing the join", err)
+	}
+}
+
+// TestHashFedStore: a store fed over a hash edge takes each tuple into the
+// instance its router names, through the producer's per-destination buffers
+// (flushed at the grain and at every batch boundary).
+func TestHashFedStore(t *testing.T) {
+	db, err := workload.NewJoinDB(2000, 200, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := lera.NewGraph()
+	s := g.Store("s", "Res")
+	g.ConnectHash(g.Filter("f", "Br", nil), s, []string{"k"})
+	plan, err := lera.Bind(g, db.Resolver())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, grain := range []int{1, 7, DefaultBatchGrain} {
+		res, err := execute(plan, db.Relations(), Options{Threads: 2, BatchGrain: grain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := res.Outputs["Res"]
+		if out.Cardinality() != 200 {
+			t.Fatalf("grain %d: stored %d tuples, want 200", grain, out.Cardinality())
+		}
+		for i, frag := range out.Fragments {
+			for _, dst := range plan.Nodes[s.ID].Router.FragmentsOfCols(frag, []int{0}, nil) {
+				if int(dst) != i {
+					t.Fatalf("grain %d: a tuple routed to %d stored in fragment %d", grain, dst, i)
+				}
+			}
+		}
 	}
 }

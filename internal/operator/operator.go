@@ -203,7 +203,7 @@ func (m *Map) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 }
 
 // Store materializes its input: tuples accumulate per instance and the
-// engine collects Results when the operation completes. Store terminates a
+// engine collects Results when the chain completes. Store terminates a
 // pipeline chain (a materialization point between subqueries). With a Spill
 // env, an instance whose accumulation exceeds the query's memory grant
 // flushes its buffered tuples to a spill run and keeps going; Results reads
@@ -310,8 +310,8 @@ func (s *Store) Results() ([][]relation.Tuple, error) {
 // external consumer as it arrives instead of accumulating fragments — the
 // engine-side half of a streaming row cursor. Push may block (bounded-buffer
 // backpressure propagates into the producing pool threads) and its error
-// aborts the operation, which is how closing a cursor mid-result unwinds the
-// execution.
+// fails the producing operation, which is how closing a cursor mid-result
+// unwinds the execution.
 type Sink struct {
 	nopSetup
 	nopClose

@@ -26,6 +26,9 @@ import (
 )
 
 const (
+	// ledgerPools is the fewest threads twoChainPlan runs: its join chain
+	// has a transmit pool and a join pool.
+	ledgerPools     = 2
 	ledgerBudget    = 6
 	ledgerMemBudget = 8 << 20
 	ledgerMaxQueued = 5
@@ -194,9 +197,9 @@ func (d *ledgerDriver) launchAdmit() {
 func (op *ledgerOp) grantError(ceiling int64) error {
 	floor := min(int64(minMemGrant), ledgerMemBudget)
 	switch {
-	case op.threads < 1:
-		return fmt.Errorf("admitted with %d threads", op.threads)
-	case op.opts.Threads > 0 && op.threads != op.opts.Threads:
+	case op.threads < ledgerPools:
+		return fmt.Errorf("admitted with %d threads, under one per pool", op.threads)
+	case op.opts.Threads > 0 && op.threads != max(op.opts.Threads, ledgerPools):
 		return fmt.Errorf("explicit %d threads, granted %d", op.opts.Threads, op.threads)
 	case op.mem == 0 && op.bytes != 0:
 		return fmt.Errorf("granted %d bytes for a zero estimate", op.bytes)

@@ -509,8 +509,8 @@ func (m *Manager) blendLocked(u float64) float64 {
 // boundary — the paper's materialization points, where a plan-based
 // re-optimization is safe because no operator is mid-pipeline. chain is the
 // index of the chain about to start, want its desired thread count
-// (Allocation.ChainWant) and floor its node count — what the chain actually
-// runs with at least, since every node pool needs one thread. Each resource
+// (Allocation.ChainWant) and floor its pool count — what the chain actually
+// runs with at least, since every pool needs one thread. Each resource
 // gets its target by its own policy, then one resize moves the hold:
 //
 //   - Threads re-run the Figure 5 step-1 throttle against utilization
@@ -713,10 +713,9 @@ func (a *Admission) Finish(err error) {
 // wait, so a query that needs no memory does not wait for any.
 //
 // Ticket: the query joins its class line (bounded by MaxQueued across
-// classes) and waits until the budget has its need free — one thread for
-// auto-threaded queries, the full explicit opts.Threads otherwise (clamped
-// to the budget), plus the minimum memory grant when its estimate is
-// non-zero.
+// classes) and waits until the budget has its need free — the threads its
+// allocation runs at one thread, or at an explicit opts.Threads (clamped to
+// the budget), plus the minimum memory grant when its estimate is non-zero.
 //
 // Reserve, in the critical section the wait returned in: the manager
 // measures utilization from the threads other queries hold, blends it with
@@ -748,7 +747,7 @@ func (m *Manager) admit(ctx context.Context, est core.Estimate, opts *core.Optio
 		pri = PriorityInteractive
 	}
 	opts.Threads = min(opts.Threads, m.budget.threads)
-	need := reservation{threads: max(opts.Threads, 1)}
+	need := reservation{threads: min(est.Allocate(core.Options{Threads: max(opts.Threads, 1)}).Total, m.budget.threads)}
 	if est.Mem > 0 {
 		need.bytes = min(minMemGrant, m.budget.bytes)
 	}
@@ -781,8 +780,10 @@ func (m *Manager) admit(ctx context.Context, est core.Estimate, opts *core.Optio
 	// per-query ceiling and the free budget, floored at what the query
 	// waited for so the spill accountant never starts from zero. It becomes
 	// the query's enforcement ceiling: the engine builds its spill
-	// accountant from opts.MemoryBudget.
-	hold := reservation{threads: alloc.Total}
+	// accountant from opts.MemoryBudget. The threads are what the widest
+	// chain runs, free after the wait unless the budget is below the
+	// query's pools: then the hold lands under them, never an overcommit.
+	hold := reservation{threads: min(alloc.Total, available)}
 	if need.bytes > 0 {
 		hold.bytes = est.Mem
 		if opts.MemoryBudget > 0 {
