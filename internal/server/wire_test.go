@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -112,5 +115,71 @@ break"
 	}
 	if n != len(want) {
 		t.Errorf("%d rows, want %d", n, len(want))
+	}
+}
+
+// TestFooterGolden pins the terminal message of a single-node stream byte
+// for byte, in both encodings: the NDJSON done line and the columnar 'D'
+// payload. Every pool runs one worker (Threads: 1), so the per-operator
+// counters are deterministic. The spilling join also pins the spill totals,
+// and the materialized aggregate a two-chain plan.
+func TestFooterGolden(t *testing.T) {
+	db := dbs3.New()
+	if err := db.CreateWisconsin("wisc", 2000, 4, "unique2", 42); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateJoinPair("", 2000, 400, 8, 0); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db, db.Manager(dbs3.ManagerConfig{Budget: 4}), Config{}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(ts.Client().CloseIdleConnections)
+
+	cases := []struct{ body, want string }{
+		{`{"sql":"SELECT * FROM wisc WHERE unique1 < 100","options":{"threads":1}}`,
+			`{"rowCount":100,"threads":1,"operators":[{"name":"filter","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":100,"secondaryPicks":0},{"name":"store","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":100,"secondaryPicks":0}]}`},
+		{`{"sql":"SELECT * FROM A JOIN B ON A.k = B.k","options":{"threads":1,"memoryBudget":16384}}`,
+			`{"rowCount":2000,"threads":1,"operators":[{"name":"join","threads":1,"strategy":"random","instances":8,"activations":8,"emitted":2000,"secondaryPicks":0,"spilledBytes":524288,"spillPasses":8},{"name":"store","threads":0,"strategy":"random","instances":8,"activations":0,"emitted":2000,"secondaryPicks":0}],"spilledBytes":524288,"spillPasses":8}`},
+		{`{"sql":"SELECT ten, COUNT(*) FROM wisc GROUP BY ten","options":{"threads":1,"materialize":true}}`,
+			`{"rowCount":10,"threads":2,"operators":[{"name":"filter","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":2000,"secondaryPicks":0},{"name":"scan","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":2000,"secondaryPicks":0},{"name":"stage","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":2000,"secondaryPicks":0},{"name":"aggregate","threads":1,"strategy":"random","instances":4,"activations":2000,"emitted":10,"secondaryPicks":0},{"name":"store","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":10,"secondaryPicks":0}]}`},
+	}
+	for _, tc := range cases {
+		for _, contentType := range []string{"application/x-ndjson", ContentTypeColumnar} {
+			req, err := http.NewRequest("POST", ts.URL+"/query", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Accept", contentType)
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, want := "", tc.want
+			if contentType == ContentTypeColumnar {
+				fr := newColFrameReader(bytes.NewReader(raw))
+				for {
+					kind, payload, err := fr.readFrame()
+					if err != nil {
+						t.Fatalf("%s: no done frame: %v", tc.body, err)
+					}
+					if kind == frameDone {
+						done = string(payload)
+						break
+					}
+				}
+			} else {
+				lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+				done = lines[len(lines)-1]
+				want = `{"done":` + tc.want + `}`
+			}
+			if done != want {
+				t.Errorf("%s as %s: footer\n%s\nwant\n%s", tc.body, contentType, done, want)
+			}
+		}
 	}
 }
