@@ -64,7 +64,7 @@ func TestMaterializeQueryAdaptsMidFlight(t *testing.T) {
 	if _, err := rows.All(); err != nil {
 		t.Fatal(err)
 	}
-	if ct := rows.ChainThreads(); len(ct) != 0 {
+	if ct := rows.Footer().ChainThreads; len(ct) != 0 {
 		t.Errorf("single-chain trace = %v, want empty", ct)
 	}
 }

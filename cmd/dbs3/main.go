@@ -194,7 +194,7 @@ func runStreaming(db *dbs3.Database, query string, opt *dbs3.Options, limit int)
 	if total > printed {
 		fmt.Printf("... (%d rows not shown)\n", total-printed)
 	}
-	fmt.Print(dbs3.FormatStats(total, rows.Threads(), rows.ChainThreads(), rows.Operators()))
+	fmt.Print(rows.Footer())
 }
 
 // runBatch is the concurrent driver: workers prepare the ';'-separated

@@ -42,7 +42,7 @@ func (db *Database) DumpCSV(name string, w io.Writer) error {
 }
 
 // String renders the materialized result as an aligned text table with the
-// FormatStats footer of scheduling statistics.
+// Footer's statistics below it.
 func (r *Result) String() string {
 	var b strings.Builder
 	widths := make([]int, len(r.Columns))
@@ -73,6 +73,6 @@ func (r *Result) String() string {
 	for _, row := range cells {
 		writeRow(row)
 	}
-	b.WriteString(FormatStats(len(r.Data), r.Threads, r.ChainThreads, r.Operators))
+	b.WriteString(r.Footer.String())
 	return b.String()
 }

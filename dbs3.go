@@ -72,7 +72,7 @@
 // multi-chain plan (Options.Materialize compiles one), the reservation is
 // renegotiated against freshly measured load — a finished chain's surplus
 // threads return to the budget mid-flight, and a later chain can grow into
-// budget freed by completed peers (Rows.ChainThreads traces the grants).
+// budget freed by completed peers (Footer.ChainThreads traces the grants).
 //
 // The serve-mode front end (internal/server, `dbs3 serve`) exposes all of
 // the above over HTTP: streamed NDJSON results, server-side prepared
@@ -309,7 +309,7 @@ type Options struct {
 	// return to the shared budget before the second chain starts (or the
 	// second grows into freed budget), visible as Readmissions /
 	// ThreadsReturnedEarly in the manager Stats and as the per-chain trace
-	// in Rows.ChainThreads. Plans with an explicit Threads setting keep
+	// in Footer.ChainThreads. Plans with an explicit Threads setting keep
 	// their allocation through both chains.
 	Materialize bool
 	// MemoryBudget caps the query's blocking-operator working memory in
@@ -408,6 +408,68 @@ type OperatorStats struct {
 	// operators that fit their grant.
 	SpilledBytes int64 `json:"spilledBytes,omitempty"`
 	SpillPasses  int64 `json:"spillPasses,omitempty"`
+}
+
+// Footer is a query's execution record: what the scheduler decided and what
+// each operator did. One type serves every hop — a cursor's Footer, a
+// Result, the serve-mode wire footer (the JSON tags) and a cluster
+// coordinator's footer, which nests each shard's record under Nodes.
+type Footer struct {
+	// RowCount is the number of rows the result delivered.
+	RowCount int64 `json:"rowCount"`
+	// Threads is the total degree of parallelism: the goroutines the
+	// scheduler allocated, or for a coordinator the sum over Nodes.
+	Threads int `json:"threads"`
+	// ChainThreads is the per-chain renegotiated thread trace of a managed
+	// multi-chain query: the totals granted at each materialization point,
+	// in chain order (see Options.Materialize). Empty for single-chain
+	// statements, explicit-thread executions and unmanaged databases.
+	ChainThreads []int           `json:"chainThreads,omitempty"`
+	Operators    []OperatorStats `json:"operators,omitempty"`
+	// SpilledBytes and SpillPasses total the query's larger-than-memory
+	// activity under a memory budget (for a coordinator, the sums over
+	// Nodes); zero, and absent on the wire, when nothing spilled.
+	SpilledBytes int64 `json:"spilledBytes,omitempty"`
+	SpillPasses  int64 `json:"spillPasses,omitempty"`
+	// Nodes holds a coordinator's per-shard records in fan-out order; a
+	// stacked coordinator's shards carry their own Nodes.
+	Nodes []NodeFooter `json:"nodes,omitempty"`
+}
+
+// NodeFooter is one shard's record in a coordinator's Footer, as the shard
+// reported it.
+type NodeFooter struct {
+	// Node is the replica that completed the shard's subquery — after a
+	// mid-stream failover, the sibling that finished, not the one that died.
+	Node string `json:"node"`
+	Footer
+	// Rows is RowCount (the shard's pre-merge row count) in a footer the
+	// coordinator built; it does not travel on the wire. It stays because
+	// the benchmark module reads it.
+	Rows int64 `json:"-"`
+}
+
+// String renders the row-count/thread line, the per-chain renegotiated
+// thread trace of a multi-chain query, the per-operator scheduling counters
+// and the spill totals — the footer cmd/dbs3 and Result.String print.
+func (f Footer) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "(%d rows, %d threads)\n", f.RowCount, f.Threads)
+	if len(f.ChainThreads) > 1 {
+		fmt.Fprintf(&b, "  chain threads (readmitted at each boundary): %v\n", f.ChainThreads)
+	}
+	for _, op := range f.Operators {
+		fmt.Fprintf(&b, "  %-12s threads=%-3d strategy=%-6s instances=%-5d activations=%-8d emitted=%-8d secondary=%d",
+			op.Name, op.Threads, op.Strategy, op.Instances, op.Activations, op.Emitted, op.SecondaryPicks)
+		if op.SpilledBytes > 0 || op.SpillPasses > 0 {
+			fmt.Fprintf(&b, " spilled=%dB passes=%d", op.SpilledBytes, op.SpillPasses)
+		}
+		b.WriteByte('\n')
+	}
+	if f.SpilledBytes > 0 || f.SpillPasses > 0 {
+		fmt.Fprintf(&b, "  spill: %d bytes over %d pass(es) — working memory exceeded the grant; results are unaffected\n", f.SpilledBytes, f.SpillPasses)
+	}
+	return b.String()
 }
 
 // QueryContext compiles (or reuses a cached plan for) and executes one ESQL

@@ -48,19 +48,18 @@ func main() {
 			log.Fatal(err)
 		}
 		// The cursor streams the join result; we only need the row count,
-		// so drain it without materializing.
+		// so drain it without materializing and read the footer.
 		rows, err := db.QueryContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k",
 			&dbs3.Options{Threads: 6, Strategy: "lpt", JoinAlgo: "nested-loop"})
 		if err != nil {
 			log.Fatal(err)
 		}
-		n := 0
 		for rows.Next() {
-			n++
 		}
 		if err := rows.Err(); err != nil {
 			log.Fatal(err)
 		}
+		foot := rows.Footer()
 		sizes, _ := db.FragmentSizes("A")
 		maxFrag := 0
 		for _, s := range sizes {
@@ -69,12 +68,12 @@ func main() {
 			}
 		}
 		var join dbs3.OperatorStats
-		for _, op := range rows.Operators() {
+		for _, op := range foot.Operators {
 			if op.Name == "join" {
 				join = op
 			}
 		}
 		fmt.Printf("  d=%3d: %d rows, join pool=%d threads over %d instances, largest fragment=%d tuples\n",
-			d, n, join.Threads, join.Instances, maxFrag)
+			d, foot.RowCount, join.Threads, join.Instances, maxFrag)
 	}
 }

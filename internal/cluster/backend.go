@@ -18,8 +18,8 @@ func (c *Coordinator) Handler() http.Handler {
 	return server.NewFrontEnd(backend{c}, server.Config{MaxStatements: c.maxStmt, AuthToken: c.token})
 }
 
-// backend adapts the coordinator's Go API, whose cursors carry per-shard
-// footers, to server.Backend.
+// backend adapts the coordinator's Go API to server.Backend; its cursors
+// are server.Results as they are.
 type backend struct{ c *Coordinator }
 
 func (b backend) Query(ctx context.Context, sql string, args []any, opt *server.Options) (server.Result, error) {
@@ -27,7 +27,7 @@ func (b backend) Query(ctx context.Context, sql string, args []any, opt *server.
 	if err != nil {
 		return nil, err
 	}
-	return result{rows}, nil
+	return rows, nil
 }
 
 func (b backend) Prepare(ctx context.Context, sql string, opt *server.Options) (server.Prepared, error) {
@@ -70,14 +70,5 @@ func (p prepared) Exec(ctx context.Context, args []any, opt *server.Options) (se
 	if err != nil {
 		return nil, err
 	}
-	return result{rows}, nil
-}
-
-// result narrows the cluster footer to the wire footer: the per-shard
-// breakdown is the Go API's, not the protocol's.
-type result struct{ *Rows }
-
-func (r result) Footer() *server.Footer {
-	f := r.Rows.Footer()
-	return &server.Footer{RowCount: f.RowCount, Threads: f.Threads}
+	return rows, nil
 }

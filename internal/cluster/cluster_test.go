@@ -87,7 +87,7 @@ func newTestCluster(t *testing.T, token string) *testCluster {
 }
 
 // drain collects a scatter-gather result into a row multiset.
-func drain(t *testing.T, rows *Rows) ([][]any, *Footer) {
+func drain(t *testing.T, rows *Rows) ([][]any, *server.Footer) {
 	t.Helper()
 	defer rows.Close()
 	var out [][]any

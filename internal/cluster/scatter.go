@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"dbs3"
 	"dbs3/internal/esql"
 	"dbs3/internal/lera"
 	"dbs3/internal/operator"
@@ -17,29 +18,6 @@ import (
 // stream keeps decoding while the consumer is busy with another shard's
 // chunk, small enough that backpressure still reaches slow consumers.
 const rowChanDepth = 256
-
-// NodeFooter is one shard's contribution to a scatter-gather result.
-type NodeFooter struct {
-	// Node is the replica that completed the shard's subquery — after a
-	// mid-stream failover, the sibling that finished, not the one that died.
-	Node string `json:"node"`
-	// Rows is the shard's partial row count (pre-merge for aggregates).
-	Rows int64 `json:"rows"`
-	// Threads is what the replica's scheduler granted the subquery.
-	Threads int `json:"threads"`
-}
-
-// Footer closes a complete scatter-gather result.
-type Footer struct {
-	// RowCount is the number of rows the coordinator delivered (post-merge
-	// for aggregates).
-	RowCount int64 `json:"rowCount"`
-	// Threads is the cluster-wide thread total: the sum of every shard's
-	// grant.
-	Threads int `json:"threads"`
-	// Nodes holds the per-shard footers, in fan-out order.
-	Nodes []NodeFooter `json:"nodes"`
-}
 
 // Rows iterates a scatter-gather result with the same cursor shape as
 // server.RowStream: Next/Row/Err/Footer/Close. For plain selections and
@@ -54,7 +32,7 @@ type Rows struct {
 	buf    [][]any // merged aggregate rows
 	cur    []any
 	count  int64
-	footer *Footer
+	footer *server.Footer
 	err    error
 	done   bool
 	// onFail is the coordinator's client-visible failure accounting, fired
@@ -76,7 +54,7 @@ type gather struct {
 
 	mu      sync.Mutex
 	err     error
-	footers []NodeFooter
+	footers []dbs3.NodeFooter
 }
 
 // fail records the first stream error and cancels the siblings. Later
@@ -267,7 +245,7 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 		cancel:  cancel,
 		rowc:    make(chan []any, rowChanDepth),
 		closed:  make(chan struct{}),
-		footers: make([]NodeFooter, len(c.shards)),
+		footers: make([]dbs3.NodeFooter, len(c.shards)),
 	}
 	var readers sync.WaitGroup
 	for i, sub := range subs {
@@ -326,7 +304,7 @@ func (c *Coordinator) readSubquery(ctx context.Context, g *gather, i int, sub *s
 			rep.brk.success()
 			if f := st.Footer(); f != nil {
 				g.mu.Lock()
-				g.footers[i] = NodeFooter{Node: rep.name, Rows: f.RowCount, Threads: f.Threads}
+				g.footers[i] = dbs3.NodeFooter{Node: rep.name, Footer: *f, Rows: f.RowCount}
 				g.mu.Unlock()
 			}
 			st.Close()
@@ -461,8 +439,11 @@ func (r *Rows) Row() []any { return r.cur }
 // Err returns the error that terminated the result, if any.
 func (r *Rows) Err() error { return r.err }
 
-// Footer returns the cluster footer — set only after a complete iteration.
-func (r *Rows) Footer() *Footer { return r.footer }
+// Footer returns the cluster footer — set only after a complete iteration:
+// the rows this cursor delivered (post-merge for aggregates), each shard's
+// record as it arrived under Nodes, and Threads and the spill totals summed
+// over them.
+func (r *Rows) Footer() *server.Footer { return r.footer }
 
 func (r *Rows) fail(err error) {
 	r.err = err
@@ -475,12 +456,14 @@ func (r *Rows) fail(err error) {
 
 // complete builds the cluster footer from the per-shard footers.
 func (r *Rows) complete() {
-	f := &Footer{RowCount: r.count}
+	f := &server.Footer{RowCount: r.count}
 	r.g.mu.Lock()
 	f.Nodes = append(f.Nodes, r.g.footers...)
 	r.g.mu.Unlock()
 	for _, nf := range f.Nodes {
 		f.Threads += nf.Threads
+		f.SpilledBytes += nf.SpilledBytes
+		f.SpillPasses += nf.SpillPasses
 	}
 	r.footer = f
 	r.finish()

@@ -88,13 +88,41 @@ func TestStackedCoordinators(t *testing.T) {
 			}
 		}
 	}
-	for _, sql := range []string{
+	for i, sql := range []string{
 		"SELECT unique1, stringu1 FROM wisc WHERE unique2 < 300",
 		"SELECT * FROM A JOIN B ON A.k = B.k",
 		"SELECT ten, COUNT(*) FROM wisc GROUP BY ten",
 		"SELECT two, four, MAX(unique1) FROM wisc GROUP BY two, four",
 	} {
-		same(sql, collect(client.Query(ctx, sql, nil, nil)))
+		s, err := client.Query(ctx, sql, nil, nil)
+		same(sql, collect(s, err))
+		if i > 0 {
+			continue
+		}
+		// The union's footer nests two levels: each middle coordinator's
+		// record holds its two leaves' records, and the top totals are the
+		// leaves' sums.
+		top := s.Footer()
+		if top == nil || len(top.Nodes) != 2 {
+			t.Fatalf("%s: top footer %+v, want 2 nodes", sql, top)
+		}
+		var threads int
+		var rows int64
+		for _, mid := range top.Nodes {
+			if len(mid.Nodes) != 2 {
+				t.Fatalf("%s: node %s has %d nodes, want 2", sql, mid.Node, len(mid.Nodes))
+			}
+			for _, leaf := range mid.Nodes {
+				if len(leaf.Operators) == 0 {
+					t.Errorf("%s: leaf %s reports no operators", sql, leaf.Node)
+				}
+				threads += leaf.Threads
+				rows += leaf.RowCount
+			}
+		}
+		if top.Threads != threads || top.RowCount != rows {
+			t.Errorf("%s: top footer %d threads %d rows, the leaves sum to %d and %d", sql, top.Threads, top.RowCount, threads, rows)
+		}
 	}
 
 	const prepared = "SELECT two, SUM(unique1) FROM wisc WHERE unique1 < ? GROUP BY two"

@@ -261,7 +261,7 @@ type Operation struct {
 	// noVectorize (Options.NoVectorize) cuts the runs of pipelined tuples
 	// handed to OnBatch down to one tuple each.
 	noVectorize bool
-	setups      []sync.Once
+	setups      []instanceSetup
 	seed        int64
 	stats       *OpStats
 	triggered   bool
@@ -307,7 +307,7 @@ func newOperation(name string, nodeID int, op operator.Operator, ctxs []*operato
 		Strat:      strat,
 		op:         op,
 		ctxs:       ctxs,
-		setups:     make([]sync.Once, len(ctxs)),
+		setups:     make([]instanceSetup, len(ctxs)),
 		seed:       seed,
 		stats:      &OpStats{perWorker: make([]atomic.Int64, workers)},
 		triggered:  triggered,
@@ -466,19 +466,37 @@ func (o *Operation) claimClosesLocked() []int {
 // Activation counts are untouched: each tuple was already counted when its
 // activation was acquired.
 func (o *Operation) process(qi int, batch []Activation, we *workerEmit, tup []relation.Tuple) {
-	ctx := o.ctxs[qi]
-	o.setups[qi].Do(func() {
-		o.stats.Setups.Add(1)
-		if err := o.op.Setup(ctx); err != nil {
-			o.fail(err)
-		}
-	})
+	if !o.setup(qi) {
+		return
+	}
 	we.qi, we.emitted = qi, 0
-	o.dispatch(ctx, batch, we.fn, tup)
+	o.dispatch(o.ctxs[qi], batch, we.fn, tup)
 	we.flushRun()
 	if we.emitted > 0 {
 		o.stats.Emitted.Add(we.emitted)
 	}
+}
+
+// setup runs instance qi's Setup once and reports whether it succeeded. An
+// instance whose Setup failed has no state to run on: the error is
+// recorded, and its activations and close are skipped.
+func (o *Operation) setup(qi int) bool {
+	s := &o.setups[qi]
+	s.Do(func() {
+		o.stats.Setups.Add(1)
+		if err := o.op.Setup(o.ctxs[qi]); err != nil {
+			o.fail(err)
+			s.failed = true
+		}
+	})
+	return !s.failed
+}
+
+// instanceSetup runs one instance's Setup once; failed is written inside
+// Do and read after it.
+type instanceSetup struct {
+	sync.Once
+	failed bool
 }
 
 // dispatch walks one activation batch, handing triggers to OnTrigger and
@@ -583,15 +601,11 @@ func (o *Operation) finishBatch(qi, n int, we *workerEmit) {
 // the callback — which closes consumer queues — never races a pending buffer.
 func (o *Operation) runCloses(instances []int, we *workerEmit) {
 	for _, qi := range instances {
-		ctx := o.ctxs[qi]
-		o.setups[qi].Do(func() {
-			o.stats.Setups.Add(1)
-			if err := o.op.Setup(ctx); err != nil {
-				o.fail(err)
-			}
-		})
+		if !o.setup(qi) {
+			continue
+		}
 		we.qi, we.emitted = qi, 0
-		if err := o.op.OnClose(ctx, we.fn); err != nil {
+		if err := o.op.OnClose(o.ctxs[qi], we.fn); err != nil {
 			o.fail(err)
 		}
 		we.flushRun()

@@ -219,8 +219,8 @@ func TestSpillCancellationCleansUp(t *testing.T) {
 // TestSpillAccountingDrains: the two spill ledgers agree. Run against a
 // SpillEnv the test owns, a starved join and a starved GROUP BY report,
 // summed over their operators' OpStats, exactly the bytes and passes the
-// query's accountant counted — what FormatStats prints per operator adds up
-// to what Rows.SpillStats, the wire footer and the manager report. (The
+// query's accountant counted — the per-operator figures of a dbs3.Footer add
+// up to its spill totals, which the manager reports too. (The
 // accountant's reservations are not expected back at zero: resident build,
 // group and store state stays charged until the query drops its env.)
 func TestSpillAccountingDrains(t *testing.T) {

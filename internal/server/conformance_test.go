@@ -481,7 +481,9 @@ func TestFrontEndConformance(t *testing.T) {
 	})
 
 	// A coordinator's own payloads keep exactly the keys they had before it
-	// moved behind the shared front end (captured at the parent commit).
+	// moved behind the shared front end, except that its footer nests each
+	// shard's record under "nodes"; each of those records carries the same
+	// per-operator fields a node's own footer does.
 	t.Run("coordinator payload keys", func(t *testing.T) {
 		fe := fes[1]
 		keys := func(raw json.RawMessage) string {
@@ -511,16 +513,49 @@ func TestFrontEndConformance(t *testing.T) {
 		if got, want := keys(parsed.Nodes[0]), "alive breaker lastPoll node shard stats"; got != want {
 			t.Errorf("/stats node keys %q, want %q", got, want)
 		}
-		for _, sql := range []string{"SELECT unique1 FROM wisc WHERE unique2 < 5", "SELECT ten, COUNT(*) FROM wisc GROUP BY ten"} {
+		// stream returns the first and the last line of a query's NDJSON stream.
+		stream := func(fe *frontEnd, sql string) (first, last map[string]json.RawMessage) {
 			lines := strings.Split(fe.call(t, "POST", "/query", `{"sql":"`+sql+`"}`).Body, "\n")
-			var first, last map[string]json.RawMessage
 			json.Unmarshal([]byte(lines[0]), &first)
 			json.Unmarshal([]byte(lines[len(lines)-1]), &last)
+			return first, last
+		}
+		// opKeys lists the distinct key sets of a footer's operators.
+		opKeys := func(ops []json.RawMessage) string {
+			set := map[string]bool{}
+			for _, op := range ops {
+				set[keys(op)] = true
+			}
+			var ks []string
+			for k := range set {
+				ks = append(ks, k)
+			}
+			sort.Strings(ks)
+			return strings.Join(ks, " | ")
+		}
+		for _, sql := range []string{"SELECT unique1 FROM wisc WHERE unique2 < 5", "SELECT ten, COUNT(*) FROM wisc GROUP BY ten"} {
+			first, last := stream(fe, sql)
 			if got, want := keys(first["header"]), "columns threads types utilization"; got != want {
 				t.Errorf("header keys %q, want %q", got, want)
 			}
-			if got, want := keys(last["done"]), "rowCount threads"; got != want {
+			if got, want := keys(last["done"]), "nodes rowCount threads"; got != want {
 				t.Errorf("footer keys %q, want %q", got, want)
+			}
+			var coord struct {
+				Nodes []struct{ Operators []json.RawMessage }
+			}
+			json.Unmarshal(last["done"], &coord)
+			_, localLast := stream(fes[0], sql)
+			var local struct{ Operators []json.RawMessage }
+			json.Unmarshal(localLast["done"], &local)
+			want := opKeys(local.Operators)
+			if len(coord.Nodes) != confShards || want == "" {
+				t.Fatalf("%s: coordinator footer has %d nodes, local operator keys %q", sql, len(coord.Nodes), want)
+			}
+			for i, n := range coord.Nodes {
+				if got := opKeys(n.Operators); got != want {
+					t.Errorf("%s: node %d operator keys %q, a local footer's %q", sql, i, got, want)
+				}
 			}
 		}
 	})

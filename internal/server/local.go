@@ -155,8 +155,8 @@ func (s *localStmt) Exec(ctx context.Context, args []any, wire *Options) (Result
 
 func (s *localStmt) Close(context.Context) { s.stmt.Close() }
 
-// localResult adapts the facade's cursor: Next, Row, Err and Close are its
-// own.
+// localResult adapts the facade's cursor: Next, Row, Err, Footer and Close
+// are its own.
 type localResult struct{ *dbs3.Rows }
 
 func (r localResult) Header() *Header {
@@ -166,10 +166,4 @@ func (r localResult) Header() *Header {
 		Threads:     r.Threads(),
 		Utilization: r.Utilization(),
 	}
-}
-
-func (r localResult) Footer() *Footer {
-	f := &Footer{Threads: r.Threads(), ChainThreads: r.ChainThreads(), Operators: r.Operators()}
-	f.SpilledBytes, f.SpillPasses = r.SpillStats()
-	return f
 }

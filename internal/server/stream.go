@@ -120,7 +120,6 @@ func (s *Server) stream(w http.ResponseWriter, res Result, contentType string) {
 		return
 	}
 
-	var count int64
 	firstChunk := true
 	chunk := make([][]any, 0, chunkRows)
 	emit := func() bool {
@@ -129,7 +128,6 @@ func (s *Server) stream(w http.ResponseWriter, res Result, contentType string) {
 		}
 		// Counted as they leave, like the bytes: a stats poll during a long
 		// stream sees its progress, and one right after it sees it all.
-		count += int64(len(chunk))
 		s.rowsStreamed.Add(int64(len(chunk)))
 		err := write(func() error { return enc.Rows(chunk) }, firstChunk)
 		firstChunk = false
@@ -152,9 +150,5 @@ func (s *Server) stream(w http.ResponseWriter, res Result, contentType string) {
 	if !emit() {
 		return
 	}
-	// The footer is the backend's, except the count: that is what this
-	// stream put on the wire.
-	foot := *res.Footer()
-	foot.RowCount = count
-	write(func() error { return enc.Done(&foot) }, true)
+	write(func() error { return enc.Done(res.Footer()) }, true)
 }

@@ -117,20 +117,9 @@ type Header struct {
 	Utilization float64  `json:"utilization"`
 }
 
-// Footer closes a successfully streamed result.
-type Footer struct {
-	RowCount int64 `json:"rowCount"`
-	Threads  int   `json:"threads"`
-	// ChainThreads is the per-chain renegotiated thread trace of a managed
-	// multi-chain query (one grant per chain, in order); absent for
-	// single-chain statements.
-	ChainThreads []int                `json:"chainThreads,omitempty"`
-	Operators    []dbs3.OperatorStats `json:"operators,omitempty"`
-	// SpilledBytes and SpillPasses total the query's larger-than-memory
-	// activity under a memory budget; absent when nothing spilled.
-	SpilledBytes int64 `json:"spilledBytes,omitempty"`
-	SpillPasses  int64 `json:"spillPasses,omitempty"`
-}
+// Footer closes a successfully streamed result: the query's execution
+// record, which a coordinator's footer nests per shard.
+type Footer = dbs3.Footer
 
 // Message is one NDJSON line of a streamed result: exactly one field is set.
 type Message struct {

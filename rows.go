@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"dbs3/internal/core"
@@ -35,7 +34,6 @@ import (
 type Rows struct {
 	cols        []string
 	types       []string
-	threads     int
 	utilization float64
 
 	ch     chan []any
@@ -44,17 +42,17 @@ type Rows struct {
 	parent context.Context // the caller's context, to tell its cancellation from Close's
 
 	cur       []any
+	count     int64 // rows delivered
 	err       error
 	closed    bool
 	exhausted bool
 	once      sync.Once
+	footer    *Footer // &rec once the result completed
 
-	// Written by the execution goroutine before close(done).
-	execErr      error
-	operators    []OperatorStats
-	chainThreads []int
-	spilledBytes int64
-	spillPasses  int64
+	// rec.Threads is set at admission; the execution goroutine writes
+	// execErr and the rest of rec, except RowCount, before close(done).
+	execErr error
+	rec     Footer
 }
 
 // Columns names the result columns, known from the prepared plan before the
@@ -66,7 +64,7 @@ func (r *Rows) Columns() []string { return append([]string(nil), r.cols...) }
 func (r *Rows) ColumnTypes() []string { return append([]string(nil), r.types...) }
 
 // Threads is the total degree of parallelism the scheduler allocated.
-func (r *Rows) Threads() int { return r.threads }
+func (r *Rows) Threads() int { return r.rec.Threads }
 
 // Utilization is the processor utilization the scheduler saw: the Options
 // value, or — when a QueryManager is installed — the smoothed measured load
@@ -86,10 +84,15 @@ func (r *Rows) Next() bool {
 		r.err = r.execErr
 		r.exhausted = true
 		r.cur = nil // Scan after the last row is an error, not a stale re-read
+		if r.err == nil {
+			r.rec.RowCount = r.count
+			r.footer = &r.rec
+		}
 		r.release()
 		return false
 	}
 	r.cur = row
+	r.count++
 	return true
 }
 
@@ -182,43 +185,19 @@ func (r *Rows) release() {
 	})
 }
 
-// Operators reports per-operator scheduling statistics. The counters are
-// complete once iteration ended normally (Next returned false with a nil
-// Err); an aborted or failed query reports none.
-func (r *Rows) Operators() []OperatorStats {
-	select {
-	case <-r.done:
-		return append([]OperatorStats(nil), r.operators...)
-	default:
-		return nil
-	}
-}
+// Footer is the query's execution record. It is set only once Next
+// returned false with a nil Err, and its RowCount is the number of rows this
+// cursor delivered; before that, after an early Close and after a failure it
+// is nil.
+func (r *Rows) Footer() *Footer { return r.footer }
 
-// ChainThreads is the per-chain thread trace of a managed multi-chain query:
-// the totals granted at each materialization-point renegotiation, in chain
-// order (see Options.Materialize). Empty for single-chain statements,
-// explicit-thread executions and unmanaged databases; available once the
-// execution settled.
-func (r *Rows) ChainThreads() []int {
-	select {
-	case <-r.done:
-		return append([]int(nil), r.chainThreads...)
-	default:
-		return nil
-	}
-}
-
-// SpillStats reports the query's larger-than-memory activity under a memory
-// budget: bytes written to spill runs and partition/merge passes taken
-// across all operators. Both zero when the query fit its grant (or ran
-// unbounded); available once the execution settled.
+// SpillStats is Footer's spill totals, zero while Footer is nil. It stays
+// because the benchmark module reads it.
 func (r *Rows) SpillStats() (bytes, passes int64) {
-	select {
-	case <-r.done:
-		return r.spilledBytes, r.spillPasses
-	default:
-		return 0, 0
+	if f := r.Footer(); f != nil {
+		return f.SpilledBytes, f.SpillPasses
 	}
+	return 0, 0
 }
 
 // All drains the remaining rows into a materialized Result — the pre-cursor
@@ -230,16 +209,14 @@ func (r *Rows) All() (*Result, error) {
 	if r.closed && !r.exhausted {
 		return nil, fmt.Errorf("dbs3: All called on a closed cursor")
 	}
-	res := &Result{Columns: r.Columns(), Threads: r.threads, Utilization: r.utilization}
+	res := &Result{Columns: r.Columns(), Utilization: r.utilization}
 	for r.Next() {
 		res.Data = append(res.Data, r.cur)
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	res.Operators = r.Operators()
-	res.ChainThreads = r.ChainThreads()
-	res.SpilledBytes, res.SpillPasses = r.SpillStats()
+	res.Footer = *r.Footer()
 	return res, nil
 }
 
@@ -252,46 +229,13 @@ type Result struct {
 	Columns []string
 	// Data holds one row per slice; values are int64 or string.
 	Data [][]any
-	// Threads is the total degree of parallelism used.
-	Threads int
 	// Utilization is the processor utilization the scheduler saw.
 	Utilization float64
-	// Operators reports per-operator scheduling statistics.
-	Operators []OperatorStats
-	// ChainThreads is the per-chain renegotiated thread trace of a managed
-	// multi-chain query (see Rows.ChainThreads).
-	ChainThreads []int
-	// SpilledBytes and SpillPasses total the query's larger-than-memory
-	// activity under a memory budget (see Rows.SpillStats).
-	SpilledBytes int64
-	SpillPasses  int64
-}
-
-// FormatStats renders the row-count/thread line, the per-chain renegotiated
-// thread trace of a multi-chain query, and the per-operator scheduling
-// counters that footer a query answer — shared by Result.String and
-// streaming printers (cmd/dbs3) that count rows as they drain a cursor.
-func FormatStats(rowCount, threads int, chainThreads []int, ops []OperatorStats) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "(%d rows, %d threads)\n", rowCount, threads)
-	if len(chainThreads) > 1 {
-		fmt.Fprintf(&b, "  chain threads (readmitted at each boundary): %v\n", chainThreads)
-	}
-	var spilled, passes int64
-	for _, op := range ops {
-		fmt.Fprintf(&b, "  %-12s threads=%-3d strategy=%-6s instances=%-5d activations=%-8d emitted=%-8d secondary=%d",
-			op.Name, op.Threads, op.Strategy, op.Instances, op.Activations, op.Emitted, op.SecondaryPicks)
-		if op.SpilledBytes > 0 || op.SpillPasses > 0 {
-			fmt.Fprintf(&b, " spilled=%dB passes=%d", op.SpilledBytes, op.SpillPasses)
-		}
-		b.WriteByte('\n')
-		spilled += op.SpilledBytes
-		passes += op.SpillPasses
-	}
-	if spilled > 0 || passes > 0 {
-		fmt.Fprintf(&b, "  spill: %d bytes over %d pass(es) — working memory exceeded the grant; results are unaffected\n", spilled, passes)
-	}
-	return b.String()
+	// Footer is the execution record: threads, per-operator statistics,
+	// chain trace and spill totals. Its RowCount counts every row the
+	// cursor delivered, which exceeds len(Data) when rows were read before
+	// All.
+	Footer
 }
 
 // rowSink adapts the engine's tuple stream to the cursor channel, converting

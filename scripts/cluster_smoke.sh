@@ -59,14 +59,17 @@ out=$(curl -fsS -H "$AUTH" -X POST "http://$COORD/query" \
   -d '{"sql":"SELECT unique2 FROM wisc WHERE unique1 < ?","args":[25]}')
 echo "$out" | grep -q '"header"' || { echo "missing header: $out"; exit 1; }
 echo "$out" | grep -q '"rows"' || { echo "missing rows: $out"; exit 1; }
-echo "$out" | grep -q '"rowCount":25,' || { echo "bad scatter union footer: $out"; exit 1; }
+echo "$out" | grep -q '"done":{"rowCount":25,' || { echo "bad scatter union footer: $out"; exit 1; }
+# The coordinator's footer nests each shard's record, operators included.
+shards=$(echo "$out" | tail -n 1 | awk -F'"node":' '{ok = NF - 1; for (i = 2; i <= NF; i++) if (!index($i, "\"operators\":[")) ok = -1; print ok}')
+[ "$shards" = "3" ] || { echo "union footer does not nest 3 shard records with operators: $out"; exit 1; }
 
 # Grouped aggregate: COUNT partials from three shards merge to the global
 # counts — ten groups, and the sum of the per-group counts is the full
 # relation.
 agg=$(curl -fsS -H "$AUTH" -X POST "http://$COORD/query" \
   -d '{"sql":"SELECT ten, COUNT(*) FROM wisc GROUP BY ten"}')
-echo "$agg" | grep -q '"rowCount":10,' || { echo "bad merged aggregate: $agg"; exit 1; }
+echo "$agg" | grep -q '"done":{"rowCount":10,' || { echo "bad merged aggregate: $agg"; exit 1; }
 total=$(echo "$agg" | sed -n 's/.*"rows":\[\(.*\)\].*/\1/p' \
   | tr '[]' '\n' | awk -F, 'NF==2 {s+=$2} END {print s}')
 [ "$total" = "$WISC" ] || { echo "merged COUNTs sum to $total, want $WISC"; exit 1; }
@@ -79,7 +82,7 @@ id=$(echo "$stmt" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 curl -fsS -H "$AUTH" -X POST "http://$COORD/stmt/$id/exec" -d '{"args":[100]}' \
   | grep -q '"done"' || { echo "exec 1 did not complete"; exit 1; }
 curl -fsS -H "$AUTH" -X POST "http://$COORD/stmt/$id/exec" -d '{"args":[3000]}' \
-  | grep -q '"rowCount":2,' || { echo "exec 2 bad merged result"; exit 1; }
+  | grep -q '"done":{"rowCount":2,' || { echo "exec 2 bad merged result"; exit 1; }
 curl -fsS -H "$AUTH" -X DELETE "http://$COORD/stmt/$id" -o /dev/null
 
 # Cluster ledger: every node healthy, queries counted, none failed.
@@ -136,7 +139,7 @@ curl -fsS -H "$AUTH" "http://$COORD2/healthz" >/dev/null
 # A healthy replicated run first…
 out=$(curl -fsS -H "$AUTH" -X POST "http://$COORD2/query" \
   -d '{"sql":"SELECT unique2 FROM wisc WHERE unique1 < ?","args":[25]}')
-echo "$out" | grep -q '"rowCount":25,' || { echo "replicated cluster bad result: $out"; exit 1; }
+echo "$out" | grep -q '"done":{"rowCount":25,' || { echo "replicated cluster bad result: $out"; exit 1; }
 
 # …then kill shard 0's second replica and keep querying. Placement rotates
 # between equally loaded siblings, so several of these land on the dead
@@ -146,7 +149,7 @@ wait "${rpids[1]}" 2>/dev/null || true
 for _ in $(seq 1 8); do
   out=$(curl -fsS -H "$AUTH" -X POST "http://$COORD2/query" \
     -d '{"sql":"SELECT unique2 FROM wisc WHERE unique1 < ?","args":[25]}')
-  echo "$out" | grep -q '"rowCount":25,' || { echo "query failed after replica kill: $out"; exit 1; }
+  echo "$out" | grep -q '"done":{"rowCount":25,' || { echo "query failed after replica kill: $out"; exit 1; }
 done
 
 # The ledger: transparent failovers happened, the dead replica's breaker

@@ -33,7 +33,7 @@ out=$(curl -fsS -X POST "http://$ADDR/query" \
   -d '{"sql":"SELECT unique2 FROM wisc WHERE unique1 < ?","args":[25]}')
 echo "$out" | grep -q '"header"' || { echo "missing header: $out"; exit 1; }
 echo "$out" | grep -q '"rows"' || { echo "missing (empty?) rows: $out"; exit 1; }
-echo "$out" | grep -q '"rowCount":25,' || { echo "bad footer: $out"; exit 1; }
+echo "$out" | grep -q '"done":{"rowCount":25,' || { echo "bad footer: $out"; exit 1; }
 
 # Compile once, execute twice with different bindings.
 stmt=$(curl -fsS -X POST "http://$ADDR/prepare" \
@@ -43,7 +43,7 @@ id=$(echo "$stmt" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 curl -fsS -X POST "http://$ADDR/stmt/$id/exec" -d '{"args":[100]}' \
   | grep -q '"done"' || { echo "exec 1 did not complete"; exit 1; }
 curl -fsS -X POST "http://$ADDR/stmt/$id/exec" -d '{"args":[2000]}' \
-  | grep -q '"rowCount":2,' || { echo "exec 2 bad result"; exit 1; }
+  | grep -q '"done":{"rowCount":2,' || { echo "exec 2 bad result"; exit 1; }
 curl -fsS -X DELETE "http://$ADDR/stmt/$id" -o /dev/null
 
 # The ledger balances: 3 completed queries, nothing failed, stuck or shed.

@@ -347,8 +347,8 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 	r := &Rows{
 		cols:        prep.cols,
 		types:       prep.types,
-		threads:     threads,
 		utilization: utilization,
+		rec:         Footer{Threads: threads},
 		ch:          ch,
 		done:        make(chan struct{}),
 		cancel:      cancel,
@@ -359,11 +359,11 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 		// cursor observes the end of the stream — Close-mid-result frees them
 		// immediately.
 		res, stats, execErr := run.Execute(qctx)
-		r.spilledBytes, r.spillPasses = stats.SpilledBytes, stats.SpillPasses
-		r.chainThreads = stats.ChainThreads
+		r.rec.SpilledBytes, r.rec.SpillPasses = stats.SpilledBytes, stats.SpillPasses
+		r.rec.ChainThreads = stats.ChainThreads
 		r.execErr = execErr
 		if execErr == nil && res != nil {
-			r.operators = operatorStats(execPlan, res)
+			r.rec.Operators = operatorStats(execPlan, res)
 		}
 		close(r.done)
 		close(ch)

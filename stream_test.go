@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -431,22 +432,27 @@ func TestOptionsPriorityValidation(t *testing.T) {
 }
 
 // TestQueryAllMatchesCursor: the materialized shim and a manual cursor
-// drain agree.
+// drain agree, and the cursor's Footer exists only after a complete drain.
 func TestQueryAllMatchesCursor(t *testing.T) {
+	const join = "SELECT * FROM A JOIN B ON A.k = B.k"
+	ctx := context.Background()
 	db := New()
 	if err := db.CreateJoinPair("", 1000, 100, 10, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryAllContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k", nil)
+	res, err := db.QueryAllContext(ctx, join, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.QueryContext(context.Background(), "SELECT * FROM A JOIN B ON A.k = B.k", nil)
+	rows, err := db.QueryContext(ctx, join, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
 	for rows.Next() {
+		if rows.Footer() != nil {
+			t.Fatalf("footer %+v mid-stream", rows.Footer())
+		}
 		n++
 	}
 	if err := rows.Err(); err != nil {
@@ -455,7 +461,39 @@ func TestQueryAllMatchesCursor(t *testing.T) {
 	if n != len(res.Data) || n != 1000 {
 		t.Errorf("cursor drained %d rows, QueryAll %d, want 1000", n, len(res.Data))
 	}
-	if len(res.Operators) == 0 || len(rows.Operators()) == 0 {
-		t.Error("missing operator stats after drain")
+	f := rows.Footer()
+	if f == nil || f.RowCount != int64(n) || res.RowCount != int64(n) {
+		t.Fatalf("footer %+v and QueryAll's row count %d after %d rows", f, res.RowCount, n)
+	}
+	if len(f.Operators) == 0 || len(f.Operators) != len(res.Operators) {
+		t.Fatalf("operators %+v, QueryAll's %+v", f.Operators, res.Operators)
+	}
+	for i, op := range f.Operators {
+		if want := res.Operators[i]; op.Name != want.Name || op.Instances != want.Instances {
+			t.Errorf("operator %d is %s×%d, QueryAll's %s×%d", i, op.Name, op.Instances, want.Name, want.Instances)
+		}
+	}
+
+	// An early Close leaves no footer.
+	rows, err = db.QueryContext(ctx, join, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	if err := rows.Close(); err != nil || rows.Footer() != nil {
+		t.Errorf("Close = %v, footer %+v after an early Close", err, rows.Footer())
+	}
+
+	// Neither does an operator error: the join cannot create its spill file.
+	rows, err = db.QueryContext(ctx, join, &Options{MemoryBudget: 1 << 10, SpillDir: filepath.Join(t.TempDir(), "missing")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if rows.Err() == nil || rows.Footer() != nil {
+		t.Errorf("Err = %v, footer %+v after a failed spill", rows.Err(), rows.Footer())
 	}
 }
