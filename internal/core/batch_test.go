@@ -200,8 +200,10 @@ func sortedKeys(ts []relation.Tuple) []string {
 // whatever the cache size). What comes out — emissions plus, for the
 // chain-terminating operators, what they stored or pushed — must be the same
 // multiset every way, and so must OpStats.Activations and Emitted. The
-// PerTuple-adapted row holds third-party and test-double operators to the
-// same table.
+// operators that run triggered (filter, transmit, the joins) also run with
+// each instance's share of the input bound as its Input and fed through
+// InjectTriggers, as whole-fragment triggers and as partial triggers of 7
+// tuples: the same multiset and Emitted again, one activation per trigger.
 func TestOperatorContract(t *testing.T) {
 	pred, err := (lera.ColConst{Col: "k", Op: lera.LT, Val: relation.Int(17)}).Bind(contractSchema)
 	if err != nil {
@@ -219,12 +221,13 @@ func TestOperatorContract(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name  string
-		build func() built
+		name      string
+		build     func() built
+		triggered bool
 	}{
-		{"filter", func() built { return built{op: &operator.Filter{Pred: pred}} }},
-		{"transmit", func() built { return built{op: &operator.Transmit{}} }},
-		{"map", func() built { return built{op: &operator.Map{Cols: []int{2, 0}}} }},
+		{"filter", func() built { return built{op: &operator.Filter{Pred: pred}} }, true},
+		{"transmit", func() built { return built{op: &operator.Transmit{}} }, true},
+		{"map", func() built { return built{op: &operator.Map{Cols: []int{2, 0}}} }, false},
 		{"store", func() built {
 			s := operator.NewStore(contractInstances)
 			return built{op: s, consumed: func() ([]relation.Tuple, error) {
@@ -235,11 +238,11 @@ func TestOperatorContract(t *testing.T) {
 				}
 				return all, err
 			}}
-		}},
+		}, false},
 		{"sink/push", func() built {
 			var got collectSink
 			return built{op: &operator.Sink{Push: got.Push}, consumed: func() ([]relation.Tuple, error) { return got.tuples, nil }}
-		}},
+		}, false},
 		{"sink/pushbatch", func() built {
 			var got collectSink
 			sink := &operator.Sink{PushBatch: func(ts []relation.Tuple) error {
@@ -249,26 +252,19 @@ func TestOperatorContract(t *testing.T) {
 				return nil
 			}}
 			return built{op: sink, consumed: func() ([]relation.Tuple, error) { return got.tuples, nil }}
-		}},
-		{"join/hash", join(lera.HashJoin)},
-		{"join/temp-index", join(lera.TempIndex)},
-		{"join/nested-loop", join(lera.NestedLoop)},
+		}, false},
+		{"join/hash", join(lera.HashJoin), true},
+		{"join/temp-index", join(lera.TempIndex), true},
+		{"join/nested-loop", join(lera.NestedLoop), true},
 		{"aggregate", func() built {
 			return built{op: &operator.Aggregate{GroupBy: []int{0}, Kind: lera.AggSum, AggCol: 1}}
-		}},
-		{"per-tuple adapter", func() built {
-			return built{op: operator.PerTuple(func(_ *operator.Context, t relation.Tuple, emit operator.Emit) error {
-				if t[1].AsInt()%3 == 0 {
-					emit(t)
-					emit(t)
-				}
-				return nil
-			})}
-		}},
+		}, false},
 	}
 
 	input := contractInput()
-	run := func(b built, runLen int, noVec bool) (out []string, activations, emitted int64) {
+	// run executes b over the input, pipelined in runs of runLen, or — when
+	// trigGrain is non-negative — triggered at that grain.
+	run := func(b built, runLen int, noVec bool, trigGrain int) (out []string, activations, emitted int64) {
 		ctxs := make([]*operator.Context, contractInstances)
 		for i := range ctxs {
 			ctxs[i] = &operator.Context{Instance: i}
@@ -281,15 +277,24 @@ func TestOperatorContract(t *testing.T) {
 		}
 		// The queues hold an instance's whole input, fed before the pool
 		// starts, so every drain is a full cache: runs really are runLen long.
-		o := newOperation("contract", 0, b.op, ctxs, len(input), 2, runLen, StrategyRandom, 1, false)
+		o := newOperation("contract", 0, b.op, ctxs, len(input), 2, runLen, StrategyRandom, 1, trigGrain >= 0)
 		o.noVectorize = noVec
 		var sunk collectSink
 		sinkTo(o, &sunk)
 		for _, tup := range input {
-			o.Queues[int(tup[0].AsInt())%contractInstances].Push(Activation{Tuple: tup})
+			i := int(tup[0].AsInt()) % contractInstances
+			if trigGrain >= 0 {
+				ctxs[i].Input = append(ctxs[i].Input, tup)
+			} else {
+				o.Queues[i].Push(Activation{Tuple: tup})
+			}
 		}
-		for _, q := range o.Queues {
-			q.Close()
+		if trigGrain >= 0 {
+			o.InjectTriggers(trigGrain)
+		} else {
+			for _, q := range o.Queues {
+				q.Close()
+			}
 		}
 		var wg sync.WaitGroup
 		o.run(&wg)
@@ -310,7 +315,7 @@ func TestOperatorContract(t *testing.T) {
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ref, refActs, refEmitted := run(c.build(), 1, true)
+			ref, refActs, refEmitted := run(c.build(), 1, true, -1)
 			if len(ref) == 0 {
 				t.Fatal("reference run produced nothing")
 			}
@@ -319,13 +324,36 @@ func TestOperatorContract(t *testing.T) {
 			}
 			for _, runLen := range []int{1, 7, 64} {
 				for _, noVec := range []bool{true, false} {
-					got, acts, emitted := run(c.build(), runLen, noVec)
+					got, acts, emitted := run(c.build(), runLen, noVec, -1)
 					if !slices.Equal(got, ref) {
 						t.Errorf("run length %d, NoVectorize %v: %d tuples out, differing from the %d of the runs-of-one reference", runLen, noVec, len(got), len(ref))
 					}
 					if acts != refActs || emitted != refEmitted {
 						t.Errorf("run length %d, NoVectorize %v: activations/emitted %d/%d, want %d/%d", runLen, noVec, acts, emitted, refActs, refEmitted)
 					}
+				}
+			}
+			if !c.triggered {
+				return
+			}
+			var spans [contractInstances]int
+			for _, tup := range input {
+				spans[int(tup[0].AsInt())%contractInstances]++
+			}
+			for _, grain := range []int{0, 7} {
+				got, acts, emitted := run(c.build(), 64, false, grain)
+				if !slices.Equal(got, ref) {
+					t.Errorf("trigger grain %d: %d tuples out, differing from the %d of the pipelined reference", grain, len(got), len(ref))
+				}
+				want := int64(contractInstances)
+				if grain > 0 {
+					want = 0
+					for _, n := range spans {
+						want += int64((n + grain - 1) / grain)
+					}
+				}
+				if acts != want || emitted != refEmitted {
+					t.Errorf("trigger grain %d: activations/emitted %d/%d, want %d/%d", grain, acts, emitted, want, refEmitted)
 				}
 			}
 		})

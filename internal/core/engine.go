@@ -614,7 +614,7 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 			return nil, nil, fmt.Errorf("core: relation %q not materialized before node %s", n.ProbeRel, n.Name)
 		}
 		for i := range ctxs {
-			ctxs[i].Probe = p.Fragments[i]
+			ctxs[i].Input = p.Fragments[i]
 		}
 		probeSizes = p.FragmentSizes()
 	}

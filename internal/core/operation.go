@@ -281,10 +281,10 @@ type Operation struct {
 	completed  bool
 	aborted    bool
 	onComplete func()
-	// abortFlag mirrors aborted for cheap lock-free polling between
-	// activations: cancellation latency is bounded by one activation's
-	// work, not a whole batch (and TriggerGrain shrinks the activations
-	// themselves).
+	// abortFlag mirrors aborted for cheap lock-free polling before every
+	// run dispatch hands to OnBatch: cancellation latency is bounded by one
+	// run's work — at most CacheSize pipelined tuples, or triggerRun tuples
+	// of a trigger's operand — not a whole batch or fragment.
 	abortFlag atomic.Bool
 
 	firstErr error
@@ -454,16 +454,11 @@ func (o *Operation) claimClosesLocked() []int {
 	return out
 }
 
-// process runs the operator on a batch. Panics inside operators are engine
-// bugs and propagate; data errors are recorded and stop further emission.
-//
-// Runs of consecutive pipelined tuple activations are gathered into the
-// worker's tup scratch and handed to OnBatch in one call (runs of one under
-// NoVectorize); triggers dispatch individually. The emitted counter is
-// accumulated locally and published once per batch — one atomic add instead
-// of one per tuple — and the abort flag is polled once per run, so
-// cancellation latency stays bounded by one internal-cache batch either way.
-// Activation counts are untouched: each tuple was already counted when its
+// process runs the operator on a batch through dispatch. Panics inside
+// operators are engine bugs and propagate; data errors are recorded and stop
+// further emission. The emitted counter is accumulated locally and published
+// once per batch — one atomic add instead of one per tuple. Activation counts
+// are untouched: each tuple and trigger was already counted when its
 // activation was acquired.
 func (o *Operation) process(qi int, batch []Activation, we *workerEmit, tup []relation.Tuple) {
 	if !o.setup(qi) {
@@ -499,25 +494,32 @@ type instanceSetup struct {
 	failed bool
 }
 
-// dispatch walks one activation batch, handing triggers to OnTrigger and
-// runs of pipelined tuples to OnBatch. Errors are recorded via fail and stop
-// the batch.
+// triggerRun is how many tuples of its operand a trigger hands to OnBatch
+// at a time: the default batch grain times four, long enough to amortize an
+// operator's per-run work (a key-hash pass, a selection vector) and short
+// enough that its scratch vectors stay in cache and an abort is noticed
+// within one run.
+const triggerRun = 256
+
+// dispatch walks one activation batch, handing everything to OnBatch in
+// runs: consecutive pipelined tuples are gathered into the worker's tup
+// scratch (runs of one under NoVectorize), and a trigger's operand — the
+// instance's bound Input, or its [Lo, Hi) slice — is cut into runs of
+// triggerRun. The abort flag is polled before every run; an error is
+// recorded via fail and stops the batch.
 func (o *Operation) dispatch(ctx *operator.Context, batch []Activation, emit operator.Emit, tup []relation.Tuple) {
 	for i := 0; i < len(batch); {
-		if o.abortFlag.Load() {
-			return
-		}
-		a := batch[i]
-		if a.Tuple == nil {
-			var err error
-			if a.IsPartial() {
-				err = o.op.OnTrigger(chunkView(ctx, int(a.Lo), int(a.Hi)), emit)
-			} else {
-				err = o.op.OnTrigger(ctx, emit)
+		if a := batch[i]; a.Tuple == nil {
+			operand := ctx.Input
+			if a.Hi > 0 {
+				operand = operand[a.Lo:a.Hi]
 			}
-			if err != nil {
-				o.fail(err)
-				return
+			for len(operand) > 0 {
+				n := min(len(operand), triggerRun)
+				if !o.onBatch(ctx, operand[:n], emit) {
+					return
+				}
+				operand = operand[n:]
 			}
 			i++
 			continue
@@ -530,40 +532,35 @@ func (o *Operation) dispatch(ctx *operator.Context, batch []Activation, emit ope
 		for _, b := range batch[i:j] {
 			tup = append(tup, b.Tuple)
 		}
-		if err := o.op.OnBatch(ctx, tup, emit); err != nil {
-			o.fail(err)
+		if !o.onBatch(ctx, tup, emit) {
 			return
 		}
 		i = j
 	}
 }
 
-// chunkView builds a context restricted to the [lo, hi) slice of the
-// instance's triggered operand (Input for filter/transmit, Probe for joins).
-// Build state is shared: partial triggers only split the scan side, and the
-// per-instance State set by Setup is read-only during triggers.
-func chunkView(ctx *operator.Context, lo, hi int) *operator.Context {
-	view := &operator.Context{Instance: ctx.Instance, Build: ctx.Build, State: ctx.State}
-	if ctx.Input != nil {
-		view.Input = ctx.Input[lo:hi]
+// onBatch hands one run to the operator unless the operation was aborted,
+// and reports whether dispatch should go on.
+func (o *Operation) onBatch(ctx *operator.Context, ts []relation.Tuple, emit operator.Emit) bool {
+	if o.abortFlag.Load() {
+		return false
 	}
-	if ctx.Probe != nil {
-		view.Probe = ctx.Probe[lo:hi]
+	if err := o.op.OnBatch(ctx, ts, emit); err != nil {
+		o.fail(err)
+		return false
 	}
-	return view
+	return true
 }
 
 // InjectTriggers pushes the control activations of a triggered operation and
 // closes its queues. grain 0 sends one whole-fragment trigger per instance
-// (the paper's model); grain g > 0 splits each instance's triggered operand
-// into ceil(span/g) partial triggers of at most g tuples (§6 future work).
+// (the paper's model); grain g > 0 splits each instance's triggered operand,
+// its Input, into ceil(span/g) partial triggers of at most g tuples (§6
+// future work).
 func (o *Operation) InjectTriggers(grain int) {
 	var batch []Activation // reused across queues; PushBatch copies
 	for i, q := range o.Queues {
 		span := len(o.ctxs[i].Input)
-		if span == 0 {
-			span = len(o.ctxs[i].Probe)
-		}
 		if grain <= 0 || span == 0 {
 			q.Push(Activation{})
 		} else {

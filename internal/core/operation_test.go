@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,17 +11,18 @@ import (
 	"dbs3/internal/relation"
 )
 
-// stubOperator records calls and can be told to fail.
+// stubOperator records calls and can be told to fail; onBatch, when set,
+// sees every run handed to OnBatch.
 type stubOperator struct {
 	mu          sync.Mutex
 	setups      int
-	triggers    int
 	tuples      int
 	closes      []int
 	failSetup   error
 	failTuple   error
 	failClose   error
 	emitOnClose bool
+	onBatch     func(ts []relation.Tuple)
 }
 
 func (s *stubOperator) Setup(ctx *operator.Context) error {
@@ -30,17 +32,13 @@ func (s *stubOperator) Setup(ctx *operator.Context) error {
 	return s.failSetup
 }
 
-func (s *stubOperator) OnTrigger(ctx *operator.Context, emit operator.Emit) error {
-	s.mu.Lock()
-	s.triggers++
-	s.mu.Unlock()
-	return nil
-}
-
 func (s *stubOperator) OnBatch(ctx *operator.Context, ts []relation.Tuple, emit operator.Emit) error {
 	s.mu.Lock()
 	s.tuples += len(ts)
 	s.mu.Unlock()
+	if s.onBatch != nil {
+		s.onBatch(ts)
+	}
 	return s.failTuple
 }
 
@@ -218,17 +216,88 @@ func TestOperationFirstErrorWins(t *testing.T) {
 	}
 }
 
+// fragment returns n one-column tuples numbered from 0.
+func fragment(n int) []relation.Tuple {
+	ts := make([]relation.Tuple, n)
+	for i := range ts {
+		ts[i] = relation.NewTuple(relation.Int(int64(i)))
+	}
+	return ts
+}
+
+// TestOperationTriggerDispatch: a whole-fragment trigger delivers its
+// instance's bound Input to OnBatch, every tuple once, and an instance with
+// nothing bound delivers nothing.
 func TestOperationTriggerDispatch(t *testing.T) {
 	stub := &stubOperator{}
 	o := newTestOperation(stub, 3, 2)
+	o.ctxs[0].Input = fragment(2*triggerRun + 5)
+	o.ctxs[1].Input = fragment(7)
 	runOperation(t, o, func(o *Operation) {
 		for _, q := range o.Queues {
 			q.Push(Activation{}) // trigger
 			q.Close()
 		}
 	})
-	if stub.triggers != 3 || stub.tuples != 0 {
-		t.Errorf("triggers=%d tuples=%d", stub.triggers, stub.tuples)
+	if want := 2*triggerRun + 5 + 7; stub.tuples != want {
+		t.Errorf("triggers delivered %d tuples, want %d", stub.tuples, want)
+	}
+	if got := o.Stats().Activations.Load(); got != 3 {
+		t.Errorf("stats activations = %d, want one per trigger", got)
+	}
+}
+
+// TestTriggerAbortStopsAfterOneRun: a trigger reaches OnBatch as runs of
+// triggerRun tuples with the abort flag polled before each, so an operator
+// that cancels the operation during its first run sees no second, however
+// large the fragment.
+func TestTriggerAbortStopsAfterOneRun(t *testing.T) {
+	stub := &stubOperator{}
+	o := newTestOperation(stub, 1, 1)
+	o.ctxs[0].Input = fragment(10 * triggerRun)
+	var runs []int
+	stub.onBatch = func(ts []relation.Tuple) {
+		runs = append(runs, len(ts))
+		o.abort()
+	}
+	runOperation(t, o, func(o *Operation) {
+		o.Queues[0].Push(Activation{})
+		o.Queues[0].Close()
+	})
+	if !slices.Equal(runs, []int{triggerRun}) {
+		t.Errorf("OnBatch runs after an abort in the first: %v, want [%d]", runs, triggerRun)
+	}
+}
+
+// TestPartialTriggerRuns: a partial trigger hands OnBatch exactly its
+// [Lo, Hi) slice of the bound Input, in order, cut into runs of at most
+// triggerRun.
+func TestPartialTriggerRuns(t *testing.T) {
+	stub := &stubOperator{}
+	o := newTestOperation(stub, 1, 1)
+	o.ctxs[0].Input = fragment(10 * triggerRun)
+	var runs []int
+	var got []int64
+	stub.onBatch = func(ts []relation.Tuple) {
+		runs = append(runs, len(ts))
+		for _, t := range ts {
+			got = append(got, t[0].AsInt())
+		}
+	}
+	runOperation(t, o, func(o *Operation) {
+		o.Queues[0].Push(Activation{Lo: 3, Hi: 300})
+		o.Queues[0].Close()
+	})
+	if want := []int{triggerRun, 300 - 3 - triggerRun}; !slices.Equal(runs, want) {
+		t.Errorf("run lengths %v, want %v", runs, want)
+	}
+	for i, k := range got {
+		if k != int64(3+i) {
+			t.Fatalf("tuple %d of the runs is %d, want %d", i, k, 3+i)
+		}
+	}
+	if len(got) != 300-3 {
+		t.Errorf("partial trigger delivered %d tuples, want %d", len(got), 300-3)
 	}
 }
 

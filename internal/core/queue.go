@@ -33,9 +33,6 @@ type Activation struct {
 	Lo, Hi int32
 }
 
-// IsPartial reports whether a trigger covers only a slice of the operand.
-func (a Activation) IsPartial() bool { return a.Tuple == nil && a.Hi > 0 }
-
 // Queue is the FIFO activation queue of one operator instance (paper Figure
 // 4: a buffer protected by a mutex with producer/consumer conditions). A
 // triggered queue receives exactly one activation; a pipelined queue

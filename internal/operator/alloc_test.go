@@ -10,11 +10,11 @@ import (
 	"dbs3/internal/relation"
 )
 
-// TestResultTuplesComeFromTheScratchSlab: whatever path a probe tuple takes
-// into a join — a trigger over the bound fragment, a run of one, a run of
-// 64 — and whichever algorithm joins it, the result tuples are carved
-// from the pooled scratch slab, so a run's allocations are the slab's chunks
-// (one per 4096 values) and do not grow with the tuples joined. The same for
+// TestResultTuplesComeFromTheScratchSlab: whatever run a probe tuple comes
+// in — the whole bound fragment at once, a run of one, a run of 64 — and
+// whichever algorithm joins it, the result tuples are carved from the pooled
+// scratch slab, so a run's allocations are the slab's chunks (one per 4096
+// values) and do not grow with the tuples joined. The same for
 // Map's projections and an aggregate's outputs.
 func TestResultTuplesComeFromTheScratchSlab(t *testing.T) {
 	if race.Enabled {
@@ -41,12 +41,12 @@ func TestResultTuplesComeFromTheScratchSlab(t *testing.T) {
 		for _, n := range []int{500, 5_000} {
 			b, p := probeOf(n)
 			j := &Join{Algo: algo, BuildKey: []int{0}, ProbeKey: []int{0}}
-			ctx := &Context{Build: b, Probe: p}
+			ctx := &Context{Build: b, Input: p}
 			if err := j.Setup(ctx); err != nil {
 				t.Fatal(err)
 			}
 			for name, run := range map[string]func(){
-				"trigger": func() { j.OnTrigger(ctx, emit) },
+				"fragment": func() { j.OnBatch(ctx, ctx.Input, emit) },
 				"batch": func() {
 					for lo := 0; lo < n; lo += 64 {
 						j.OnBatch(ctx, p[lo:min(lo+64, n)], emit)

@@ -1,10 +1,11 @@
 // Package operator implements the sequential relational operators that
-// Lera-par nodes execute. Each operator processes *activations* — a trigger
-// (process my bound fragment) or a run of pipelined tuples — and emits result
-// tuples downstream. The execution engine (package core) owns
-// queues, threads and routing; operators only see their instance context and
-// an emit callback, which is what makes any pool thread able to execute any
-// instance's activation (§3).
+// Lera-par nodes execute. An operator has one entry point for work, OnBatch,
+// which takes a run of tuples and emits result tuples downstream: a run of
+// pipelined tuple activations, or — for a trigger — a run cut from the
+// instance's bound operand. The execution engine (package core) owns
+// queues, threads, routing and the cutting of triggers into runs; operators
+// only see their instance context and an emit callback, which is what makes
+// any pool thread able to execute any instance's activation (§3).
 package operator
 
 import (
@@ -27,11 +28,13 @@ type Emit func(t relation.Tuple)
 type Context struct {
 	// Instance is the operator instance index (= fragment index).
 	Instance int
-	// Input is the bound fragment of filter/transmit instances.
+	// Input is the triggered operand: the bound fragment of a filter or
+	// transmit instance, or the probe fragment of a triggered join. The
+	// engine hands it to OnBatch in runs; nil for pipelined operations.
 	Input []relation.Tuple
-	// Build and Probe are the bound fragments of join instances; Probe is
-	// nil for pipelined joins.
-	Build, Probe []relation.Tuple
+	// Build is the bound build fragment of a join instance, which Setup
+	// indexes.
+	Build []relation.Tuple
 	// State is operator-private; set by Setup.
 	State any
 	// Mu guards State for operators that mutate it per-tuple (aggregates):
@@ -45,12 +48,11 @@ type Operator interface {
 	// Setup prepares per-instance state (e.g. builds a hash table on the
 	// build fragment). Runs once per instance.
 	Setup(ctx *Context) error
-	// OnTrigger processes a control activation (triggered operations).
-	OnTrigger(ctx *Context, emit Emit) error
-	// OnBatch processes a run of pipelined tuple activations (pipelined
-	// operations): as many consecutive tuples of one popped activation batch
-	// as the engine chose to hand over — up to the internal cache size, or
-	// exactly one under core.Options.NoVectorize. Implementations amortize
+	// OnBatch processes a run of tuples: consecutive pipelined tuple
+	// activations of one popped batch — up to the internal cache size, or
+	// exactly one under core.Options.NoVectorize — or, for a trigger, a run
+	// of the instance's bound Input (the engine cuts a trigger's operand into
+	// runs so cancellation is noticed between them). Implementations amortize
 	// across the run (selection vectors, one key-hash pass, one lock epoch)
 	// but the result must not depend on where the runs were cut: the emitted
 	// multiset is that of processing the tuples one at a time, in order.
@@ -64,31 +66,6 @@ type Operator interface {
 	// with buffered state (aggregates) emit it here.
 	OnClose(ctx *Context, emit Emit) error
 }
-
-// PerTuple adapts a one-tuple-at-a-time body to Operator, for pipelined
-// operators with nothing to amortize across a run (and test doubles): OnBatch
-// calls the function once per tuple, in order, and stops at its first error.
-// It has no per-instance state, nothing to flush, and takes no triggers.
-type PerTuple func(ctx *Context, t relation.Tuple, emit Emit) error
-
-// Setup implements Operator.
-func (PerTuple) Setup(*Context) error { return nil }
-
-// OnTrigger implements Operator.
-func (PerTuple) OnTrigger(*Context, Emit) error { return errNoTrigger("per-tuple operator") }
-
-// OnBatch implements Operator.
-func (f PerTuple) OnBatch(ctx *Context, ts []relation.Tuple, emit Emit) error {
-	for _, t := range ts {
-		if err := f(ctx, t, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnClose implements Operator.
-func (PerTuple) OnClose(*Context, Emit) error { return nil }
 
 // batchScratch holds the per-batch working buffers of vectorized operators
 // (key hashes, selection vectors). Pooled so the hot path allocates nothing
@@ -117,36 +94,20 @@ type nopSetup struct{}
 
 func (nopSetup) Setup(*Context) error { return nil }
 
-// errNoTrigger panics for pipelined-only operators receiving triggers; the
-// planner prevents this, so it is an engine bug, not a user error.
-func errNoTrigger(name string) error {
-	panic("operator: " + name + " received a trigger; plan binding should have prevented this")
-}
-
-// Filter scans its bound fragment and emits tuples satisfying the bound
-// predicate. Triggered: one activation processes the whole fragment, which
-// is the paper's "coarse grain" unit of work.
+// Filter emits the tuples satisfying the bound predicate. Triggered, it
+// scans its bound fragment — one activation per fragment is the paper's
+// "coarse grain" unit of work; pipelined, it filters the redistributed
+// stream (residual predicates after joins).
 type Filter struct {
 	nopSetup
 	nopClose
 	Pred lera.Predicate
 }
 
-// OnTrigger implements Operator.
-func (f *Filter) OnTrigger(ctx *Context, emit Emit) error {
-	for _, t := range ctx.Input {
-		if f.Pred.Eval(t) {
-			emit(t)
-		}
-	}
-	return nil
-}
-
-// OnBatch implements Operator: a pipelined filter applies the predicate to
-// the redistributed stream (used for residual predicates after joins). The
-// predicate is evaluated over the whole run into a selection vector (column
-// index and comparison hoisted out of the loop, conjunctions narrowing
-// progressively), then only the survivors are emitted.
+// OnBatch implements Operator: the predicate is evaluated over the whole
+// run into a selection vector (column index and comparison hoisted out of
+// the loop, conjunctions narrowing progressively), then only the survivors
+// are emitted.
 func (f *Filter) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 	sc := scratchPool.Get().(*batchScratch)
 	sel := lera.EvalBatch(f.Pred, ts, sc.sel)
@@ -166,14 +127,6 @@ type Transmit struct {
 	nopClose
 }
 
-// OnTrigger implements Operator.
-func (tr *Transmit) OnTrigger(ctx *Context, emit Emit) error {
-	for _, t := range ctx.Input {
-		emit(t)
-	}
-	return nil
-}
-
 // OnBatch implements Operator.
 func (tr *Transmit) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 	for _, t := range ts {
@@ -188,9 +141,6 @@ type Map struct {
 	nopClose
 	Cols []int
 }
-
-// OnTrigger implements Operator.
-func (m *Map) OnTrigger(*Context, Emit) error { return errNoTrigger("map") }
 
 // OnBatch implements Operator.
 func (m *Map) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
@@ -229,9 +179,6 @@ func NewStore(degree int) *Store {
 		runs:    make([][]storage.Run, degree),
 	}
 }
-
-// OnTrigger implements Operator.
-func (s *Store) OnTrigger(*Context, Emit) error { return errNoTrigger("store") }
 
 // OnBatch implements Operator: one lock acquire appends the whole run
 // (the batch slice is scratch; the appended Tuples are immutable and safely
@@ -325,9 +272,6 @@ type Sink struct {
 	PushBatch func(ts []relation.Tuple) error
 }
 
-// OnTrigger implements Operator.
-func (s *Sink) OnTrigger(*Context, Emit) error { return errNoTrigger("sink") }
-
 // OnBatch implements Operator.
 func (s *Sink) OnBatch(_ *Context, ts []relation.Tuple, _ Emit) error {
 	if s.PushBatch != nil {
@@ -414,7 +358,7 @@ type buildIndex struct {
 }
 
 // Join implements the three join algorithms over equi-join keys. The build
-// side is always a bound fragment; the probe side is either the bound Probe
+// side is always a bound fragment; the probe side is either the bound Input
 // fragment (triggered, the paper's IdealJoin) or the pipelined input (the
 // paper's AssocJoin).
 type Join struct {
@@ -504,7 +448,7 @@ func (j *Join) buildState(ctx *Context) error {
 
 // probeRun emits the build⨝probe concatenations of a run of probe tuples
 // against the instance's in-memory build structure — the one probe path of
-// triggers, pipelined tuples and batches, and of Grace partition pairs.
+// triggered and pipelined runs alike, and of Grace partition pairs.
 // Hash and temp-index joins key-hash the whole run in one pass (one
 // bounds-checked loop over the key columns, no per-call overhead interleaved
 // with probing) and then probe hash-first, verifying each hash-equal
@@ -559,30 +503,6 @@ func joinKeysEqual(b, p relation.Tuple, bk, pk []int) bool {
 	return true
 }
 
-// triggerRun is how many tuples of its bound probe fragment a triggered join
-// hands to probeRun at a time: the engine's default batch grain times four,
-// long enough to amortize the key-hash pass and short enough that the
-// scratch key vector stays in cache and does not grow to the size of the
-// largest fragment ever probed.
-const triggerRun = 256
-
-// OnTrigger implements Operator: the triggered join processes its whole
-// bound probe fragment as one sequential unit of work, in runs through the
-// same batch path pipelined probes take.
-func (j *Join) OnTrigger(ctx *Context, emit Emit) error {
-	if g, ok := ctx.State.(*graceState); ok {
-		return g.addProbeBatch(j, ctx.Probe)
-	}
-	sc := scratchPool.Get().(*batchScratch)
-	for ts := ctx.Probe; len(ts) > 0; {
-		n := min(len(ts), triggerRun)
-		j.probeRun(ctx, sc, ts[:n], emit)
-		ts = ts[n:]
-	}
-	scratchPool.Put(sc)
-	return nil
-}
-
 // OnClose implements Operator: an instance that went to disk joins its
 // partition pairs here, after the last probe activation.
 func (j *Join) OnClose(ctx *Context, emit Emit) error {
@@ -592,8 +512,10 @@ func (j *Join) OnClose(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnBatch implements Operator: the pipelined join probes a run of
-// redistributed tuples (each one a fine-grain unit of work).
+// OnBatch implements Operator: the join probes a run of tuples — a run of
+// its bound probe fragment (triggered, the paper's IdealJoin) or of
+// redistributed tuples (pipelined, AssocJoin; each one a fine-grain unit of
+// work).
 func (j *Join) OnBatch(ctx *Context, ts []relation.Tuple, emit Emit) error {
 	if g, ok := ctx.State.(*graceState); ok {
 		return g.addProbeBatch(j, ts)
@@ -666,9 +588,6 @@ func (a *Aggregate) Setup(ctx *Context) error {
 	ctx.State = &aggInst{groups: make(map[uint64][]*aggState)}
 	return nil
 }
-
-// OnTrigger implements Operator.
-func (a *Aggregate) OnTrigger(*Context, Emit) error { return errNoTrigger("aggregate") }
 
 // OnBatch implements Operator: the whole run is group-hashed outside the
 // instance lock (in place, allocating nothing — only a group's first tuple

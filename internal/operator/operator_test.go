@@ -22,7 +22,7 @@ func collect() (Emit, *[]relation.Tuple) {
 	return func(t relation.Tuple) { out = append(out, t) }, &out
 }
 
-func TestFilterOnTrigger(t *testing.T) {
+func TestFilterTriggered(t *testing.T) {
 	pred, err := (lera.ColConst{Col: "k", Op: lera.GE, Val: relation.Int(2)}).Bind(kvSchema)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestFilterOnTrigger(t *testing.T) {
 	if err := f.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.OnTrigger(ctx, emit); err != nil {
+	if err := f.OnBatch(ctx, ctx.Input, emit); err != nil {
 		t.Fatal(err)
 	}
 	if len(*out) != 2 || (*out)[0][0].AsInt() != 2 || (*out)[1][0].AsInt() != 3 {
@@ -61,7 +61,7 @@ func TestTransmitBothModes(t *testing.T) {
 	tr := &Transmit{}
 	ctx := &Context{Input: []relation.Tuple{kv(1, "a"), kv(2, "b")}}
 	emit, out := collect()
-	tr.OnTrigger(ctx, emit)
+	tr.OnBatch(ctx, ctx.Input, emit)
 	if len(*out) != 2 {
 		t.Errorf("triggered transmit emitted %d", len(*out))
 	}
@@ -78,12 +78,6 @@ func TestMapProjects(t *testing.T) {
 	if len(*out) != 1 || len((*out)[0]) != 1 || (*out)[0][0].AsString() != "x" {
 		t.Errorf("map output = %v", *out)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("map OnTrigger should panic")
-		}
-	}()
-	m.OnTrigger(&Context{}, emit)
 }
 
 func TestStoreAccumulatesPerInstance(t *testing.T) {
@@ -98,18 +92,12 @@ func TestStoreAccumulatesPerInstance(t *testing.T) {
 	if len(res[0]) != 0 || len(res[1]) != 2 || len(res[2]) != 1 {
 		t.Errorf("results = %v", res)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("store OnTrigger should panic")
-		}
-	}()
-	s.OnTrigger(&Context{}, emit)
 }
 
 func joinFixture() *Context {
 	return &Context{
 		Build: []relation.Tuple{kv(1, "b1"), kv(2, "b2"), kv(2, "b2x"), kv(3, "b3")},
-		Probe: []relation.Tuple{kv(2, "p2"), kv(4, "p4"), kv(1, "p1")},
+		Input: []relation.Tuple{kv(2, "p2"), kv(4, "p4"), kv(1, "p1")},
 	}
 }
 
@@ -121,16 +109,12 @@ func runJoin(t *testing.T, algo lera.JoinAlgo, pipelined bool) []relation.Tuple 
 		t.Fatal(err)
 	}
 	emit, out := collect()
+	probes := ctx.Input
 	if pipelined {
-		probes := ctx.Probe
-		ctx.Probe = nil
-		if err := j.OnBatch(ctx, probes, emit); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		if err := j.OnTrigger(ctx, emit); err != nil {
-			t.Fatal(err)
-		}
+		ctx.Input = nil
+	}
+	if err := j.OnBatch(ctx, probes, emit); err != nil {
+		t.Fatal(err)
 	}
 	return *out
 }
@@ -178,17 +162,17 @@ func TestJoinAlgorithmsAgreeProperty(t *testing.T) {
 			if i >= 30 {
 				break
 			}
-			ctx.Probe = append(ctx.Probe, kv(int64(k%16), "p"))
+			ctx.Input = append(ctx.Input, kv(int64(k%16), "p"))
 		}
 		var results []*relation.Relation
 		for _, algo := range []lera.JoinAlgo{lera.NestedLoop, lera.HashJoin, lera.TempIndex} {
 			j := &Join{Algo: algo, BuildKey: []int{0}, ProbeKey: []int{0}}
-			c := &Context{Build: ctx.Build, Probe: ctx.Probe}
+			c := &Context{Build: ctx.Build, Input: ctx.Input}
 			if err := j.Setup(c); err != nil {
 				return false
 			}
 			var out []relation.Tuple
-			if err := j.OnTrigger(c, func(t relation.Tuple) { out = append(out, t) }); err != nil {
+			if err := j.OnBatch(c, c.Input, func(t relation.Tuple) { out = append(out, t) }); err != nil {
 				return false
 			}
 			r := relation.New("r", nil)
@@ -243,16 +227,6 @@ func TestAggregateSumMinMax(t *testing.T) {
 	}
 }
 
-func TestAggregateRejectsTrigger(t *testing.T) {
-	a := &Aggregate{GroupBy: []int{0}, Kind: lera.AggCount, AggCol: -1}
-	defer func() {
-		if recover() == nil {
-			t.Error("aggregate OnTrigger should panic")
-		}
-	}()
-	a.OnTrigger(&Context{}, func(relation.Tuple) {})
-}
-
 func TestJoinCompositeKey(t *testing.T) {
 	s := relation.MustSchema(
 		relation.Column{Name: "a", Type: relation.TInt},
@@ -262,12 +236,12 @@ func TestJoinCompositeKey(t *testing.T) {
 	mk := func(a, b int64) relation.Tuple { return relation.NewTuple(relation.Int(a), relation.Int(b)) }
 	ctx := &Context{
 		Build: []relation.Tuple{mk(1, 1), mk(1, 2), mk(2, 1)},
-		Probe: []relation.Tuple{mk(1, 1), mk(2, 2)},
+		Input: []relation.Tuple{mk(1, 1), mk(2, 2)},
 	}
 	j := &Join{Algo: lera.HashJoin, BuildKey: []int{0, 1}, ProbeKey: []int{0, 1}}
 	j.Setup(ctx)
 	emit, out := collect()
-	j.OnTrigger(ctx, emit)
+	j.OnBatch(ctx, ctx.Input, emit)
 	if len(*out) != 1 {
 		t.Errorf("composite key join = %v", *out)
 	}

@@ -23,7 +23,7 @@ func TestGraceOneSidedPartitionsCountTheirBytes(t *testing.T) {
 			}
 			defer env.Close()
 			j := &Join{Algo: lera.HashJoin, BuildKey: []int{0}, ProbeKey: []int{0}, Spill: env}
-			ctx := &Context{Build: build, Probe: build[:probes]}
+			ctx := &Context{Build: build, Input: build[:probes]}
 			if err := j.Setup(ctx); err != nil {
 				t.Fatal(err)
 			}
@@ -31,7 +31,7 @@ func TestGraceOneSidedPartitionsCountTheirBytes(t *testing.T) {
 				t.Fatal("the build side did not go to disk")
 			}
 			emit, out := collect()
-			if err := j.OnTrigger(ctx, emit); err != nil {
+			if err := j.OnBatch(ctx, ctx.Input, emit); err != nil {
 				t.Fatal(err)
 			}
 			if err := j.OnClose(ctx, emit); err != nil {
