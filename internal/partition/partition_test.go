@@ -208,24 +208,25 @@ func TestGenerateRegionChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type load func() (*Partitioned, *relation.Region, error)
+	type load func() (*Partitioned, error)
 	generated := func(f Func) load {
-		return func() (*Partitioned, *relation.Region, error) {
+		return func() (*Partitioned, error) {
 			rows := relation.NewWisconsinRows(n, seed)
 			col := schema.MustIndex(f.Key()[0])
-			return generate("A", schema, f, n, n*relation.WisconsinRowStringBytes,
+			return Generate("A", schema, f, n, n*relation.WisconsinRowStringBytes,
 				func(i int) relation.Value { return rows.Value(col, i) }, rows.Row)
 		}
 	}
 	for name, l := range map[string]load{
 		"Generate on stringu1":      generated(hashStr),
 		"Generate on unique2":       generated(mod),
-		"Partition of a CSV import": func() (*Partitioned, *relation.Region, error) { return partition(imported, hashStr) },
+		"Partition of a CSV import": func() (*Partitioned, error) { return Partition(imported, hashStr, 1) },
 	} {
-		p, region, err := l()
+		p, err := l()
 		if err != nil {
 			t.Fatal(err)
 		}
+		region := p.Region
 		if err := region.Check(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

@@ -17,6 +17,10 @@ type Partitioned struct {
 	Key []string
 	// Fragments holds the tuples of each fragment.
 	Fragments [][]relation.Tuple
+	// Region is the region the fragments were cut from (Generate, Rehome,
+	// the join-pair loader), or nil. Rehome reads it to keep the sharing of
+	// string bytes the region had.
+	Region *relation.Region
 }
 
 // Partition splits r into fragments with f, the paper's storage model: a
@@ -28,25 +32,19 @@ type Partitioned struct {
 // numDisks is accepted and ignored: nothing maps fragments to disks, and the
 // benchmark module under bench/ still passes it.
 func Partition(r *relation.Relation, f Func, numDisks int) (*Partitioned, error) {
-	p, _, err := partition(r, f)
-	return p, err
-}
-
-// partition is Partition; it also returns the region, for tests to Check.
-func partition(r *relation.Relation, f Func) (*Partitioned, *relation.Region, error) {
 	key := f.Key()
 	cols := make([]int, len(key))
 	for i, name := range key {
 		c, ok := r.Schema.Index(name)
 		if !ok {
-			return nil, nil, fmt.Errorf("partition: key column %q not in schema %s", name, r.Schema)
+			return nil, fmt.Errorf("partition: key column %q not in schema %s", name, r.Schema)
 		}
 		cols[i] = c
 	}
 	dest := f.FragmentsOfCols(r.Tuples, cols, make([]int32, 0, len(r.Tuples)))
 	sizes, err := fragmentSizes(dest, f.Degree())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	all := make([]relation.Tuple, len(r.Tuples))
 	next := starts(sizes)
@@ -55,52 +53,50 @@ func partition(r *relation.Relation, f Func) (*Partitioned, *relation.Region, er
 		next[dest[i]]++
 	}
 	placed := &Partitioned{Name: r.Name, Schema: r.Schema, Key: key, Fragments: Cut(all, sizes)}
-	p, region := placed.Rehome(nil, 0)
-	return p, region, nil
+	return placed.Rehome(nil), nil
 }
 
-// Rehome returns p with the tuples it keeps copied, fragment by fragment and
-// strings included, into one exactly sized region, and its fragments cut from
-// it: nothing of where the tuples lived stays reachable through the result.
-// Every base relation a loader registers is cut from such a region (see
-// relation.Region), and this is the one loop that copies into one. A nil
-// route keeps every tuple; otherwise route holds one entry per tuple of p in
-// fragment-major order, and only the tuples whose entry is want are kept, in
-// the fragment they were in, so the degree never changes. p is not modified.
-func (p *Partitioned) Rehome(route []int32, want int32) (*Partitioned, *relation.Region) {
-	var strCols []int
-	for c := 0; c < p.Schema.Len(); c++ {
-		if p.Schema.Column(c).Type == relation.TString {
-			strCols = append(strCols, c)
-		}
-	}
+// Rehome returns p with the tuples keep accepts copied, fragment by fragment
+// and strings included, into one exactly sized region, and its fragments cut
+// from it: nothing of where the tuples lived stays reachable through the
+// result. Every base relation a loader registers is cut from such a region
+// (see relation.Region), and this is the one loop that copies into one. A nil
+// keep keeps every tuple; keep is called once per tuple, in fragment order,
+// and a kept tuple stays in the fragment it was in, so the degree never
+// changes. String bytes the kept tuples shared in p.Region are copied once
+// and stay shared (see relation.Compaction); any other string is copied per
+// value. p is not modified.
+func (p *Partitioned) Rehome(keep func(relation.Tuple) bool) *Partitioned {
+	c := relation.NewCompaction(p.Region, p.Schema)
 	sizes := make([]int, len(p.Fragments))
-	tuples, strBytes, n := 0, 0, 0
+	kept := make([]bool, 0, p.Cardinality()) // per tuple, fragment-major
+	tuples := 0
 	for i, frag := range p.Fragments {
 		for _, t := range frag {
-			if route == nil || route[n] == want {
+			k := keep == nil || keep(t)
+			kept = append(kept, k)
+			if k {
 				sizes[i]++
-				for _, c := range strCols {
-					strBytes += len(t[c].AsString())
-				}
+				c.Keep(t)
 			}
-			n++
 		}
 		tuples += sizes[i]
 	}
-	region := relation.NewRegion(tuples, tuples*p.Schema.Len(), strBytes)
-	n = 0
+	region := c.Region(tuples, tuples*p.Schema.Len())
+	n := 0
 	for _, frag := range p.Fragments {
 		for _, t := range frag {
-			if route == nil || route[n] == want {
-				region.Rehome(t)
+			if kept[n] {
+				c.Rehome(t)
 			}
 			n++
 		}
 	}
-	kept := &Partitioned{Name: p.Name, Schema: p.Schema, Key: p.Key, Fragments: Cut(region.Tuples(), sizes)}
-	return kept, region
+	return &Partitioned{Name: p.Name, Schema: p.Schema, Key: p.Key, Fragments: Cut(region.Tuples(), sizes), Region: region}
 }
+
+// generateChunk is how many keys Generate routes per FragmentsOfCols call.
+const generateChunk = 256
 
 // Generate builds a partitioned relation of n rows straight from a row
 // generator, with no intermediate Relation. keyOf(i) is row i's value of f's
@@ -115,16 +111,6 @@ func (p *Partitioned) Rehome(route []int32, want int32) (*Partitioned, *relation
 // have built.
 func Generate(name string, schema *relation.Schema, f Func, n, strBytes int,
 	keyOf func(i int) relation.Value, row func(region *relation.Region, i int)) (*Partitioned, error) {
-	p, _, err := generate(name, schema, f, n, strBytes, keyOf, row)
-	return p, err
-}
-
-// generateChunk is how many keys Generate routes per FragmentsOfCols call.
-const generateChunk = 256
-
-// generate is Generate; it also returns the region, for tests to Check.
-func generate(name string, schema *relation.Schema, f Func, n, strBytes int,
-	keyOf func(i int) relation.Value, row func(region *relation.Region, i int)) (*Partitioned, *relation.Region, error) {
 	d := f.Degree()
 	// The keys are routed as one-value tuples, a chunk at a time, through
 	// buffers that do not grow with n.
@@ -144,7 +130,7 @@ func generate(name string, schema *relation.Schema, f Func, n, strBytes int,
 	}
 	sizes, err := fragmentSizes(dest, d)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Stable counting sort of the row numbers by fragment.
 	next := starts(sizes)
@@ -157,8 +143,7 @@ func generate(name string, schema *relation.Schema, f Func, n, strBytes int,
 	for _, i := range order {
 		row(region, int(i))
 	}
-	p := &Partitioned{Name: name, Schema: schema, Key: f.Key(), Fragments: Cut(region.Tuples(), sizes)}
-	return p, region, nil
+	return &Partitioned{Name: name, Schema: schema, Key: f.Key(), Fragments: Cut(region.Tuples(), sizes), Region: region}, nil
 }
 
 // fragmentSizes checks that a function's answers are fragments in [0,d), and

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"unsafe"
 )
@@ -30,15 +31,16 @@ const regionShared = 64
 // Tuple, one string Value copied out of a tuple by Slab.Concat or Project —
 // keeps all of it alive: "pin by one survivor" (see Slab) at relation
 // granularity. A region is therefore deep-only: integers, strings whose bytes
-// are copied in (Str, Shared, Rehome) and second headers for tuples it
+// are copied in (Str, Shared, a Compaction) and second headers for tuples it
 // already holds (Alias). Nothing may be stored into a tuple of a region after
 // its loader returned; a pointer to anything outside it would be invisible to
 // the collector.
 //
 // Every base relation a loader registers lives in one: generators fill theirs
 // row by row, and partition.Partitioned.Rehome copies any other (a CSV
-// import, a shard) into one. Operators, aggregates and spill read-back build
-// their tuples in a Slab instead. A Region is not safe for concurrent use.
+// import, a shard) into one through a Compaction. Operators, aggregates and
+// spill read-back build their tuples in a Slab instead. A Region is not safe
+// for concurrent use while it is filled.
 type Region struct {
 	hdr []uint64 // three words per tuple
 	val []uint64 // two words per value
@@ -104,8 +106,8 @@ func (r *Region) Begin(n int) {
 }
 
 // header stores the next tuple header: n values at address first. It is one
-// of the two functions that store a pointer word; its callers pass an address
-// inside the region.
+// of the three places that store a pointer word (with ref and
+// Compaction.Rehome); its callers pass an address inside the region.
 func (r *Region) header(first uintptr, n int) {
 	if r.nv != r.end {
 		panic("relation: region tuple begun before the last one was filled")
@@ -121,8 +123,8 @@ func (r *Region) Int(v int64) {
 	r.nv += 2
 }
 
-// ref stores a string of n bytes at address p as the next value: the other
-// function that stores a pointer word.
+// ref stores a string of n bytes at address p as the next value: another of
+// the places that store a pointer word.
 func (r *Region) ref(p uintptr, n int) {
 	r.val[r.nv], r.val[r.nv+1] = uint64(p), uint64(n)
 	r.nv += 2
@@ -173,20 +175,6 @@ func (r *Region) Shared(s string) {
 	}
 }
 
-// Rehome stores a deep copy of t as the next tuple: values and string bytes
-// both live in this region afterwards and nothing of where t came from is
-// pinned. partition.Partitioned.Rehome is the one loop that calls it.
-func (r *Region) Rehome(t Tuple) {
-	r.Begin(len(t))
-	for _, v := range t {
-		if v.p == nil {
-			r.Int(v.n)
-		} else {
-			r.Str(v.str())
-		}
-	}
-}
-
 // Alias stores a second header for t, a tuple of this region, as the next
 // tuple: both share the values. It is how one relation is placed twice (the
 // join pair's B and Br) for the price of a header per tuple.
@@ -210,10 +198,14 @@ func (r *Region) Tuples() []Tuple {
 	return unsafe.Slice((*Tuple)(unsafe.Pointer(unsafe.SliceData(r.hdr))), r.nt)
 }
 
+// StringBytes returns how many string bytes the region holds: what loaders'
+// tests weigh its strings by, as they Check it.
+func (r *Region) StringBytes() int { return r.ns }
+
 // Check verifies the region's invariant word by word: every tuple header
 // addresses values of this region, every string value bytes of this region,
 // each with its whole extent. Two values may share bytes (Shared, the
-// Wisconsin text table). Loaders' tests call it; a violation is a bug in
+// Wisconsin text table, a Compaction). Loaders' tests call it; a violation is a bug in
 // package relation, the only code that can store a pointer word.
 func (r *Region) Check() error {
 	for i := 0; i < r.nt; i++ {
@@ -232,4 +224,171 @@ func (r *Region) Check() error {
 		}
 	}
 	return nil
+}
+
+// Compaction copies some of the tuples cut from one source region into a
+// region of their own and keeps the sharing the source had: string bytes two
+// kept values shared in the source — a Wisconsin text that is one row's
+// stringu1 and another's stringu2, a Shared constant — are copied once and
+// shared again. It works in the two passes of a counting copy and hashes
+// nothing:
+//
+//   - Keep, over the tuples to keep: marks the source string bytes each one
+//     refers to, one bit per byte of the source's string bytes, and counts
+//     the bytes of strings from anywhere else;
+//   - Region: allocates the destination, exactly sized, ranks the marks (a
+//     prefix popcount gives each marked byte its offset in the destination)
+//     and copies the marked runs once, in source order;
+//   - Rehome, over the same tuples in the same order: copies the tuple's
+//     values word for word and gives each string the address of its rank
+//     in the destination, or copies it in on its own when it lies outside
+//     the source (a CSV import's slab, a hand-built tuple: every string of
+//     a compaction without a source).
+//
+// Keep reads only the schema's string columns. A string anywhere else in a
+// tuple is a bug that Rehome never turns into a pointer out of the
+// destination: it panics, or copies the string in if there is room.
+//
+// partition.Partitioned.Rehome is its one caller. Nothing of the source is
+// reachable from the destination, and the scratch (the marks and their
+// ranks) is garbage once the last tuple is rehomed.
+type Compaction struct {
+	src     *Region  // nil: no string is the source's
+	strCols []int    // the schema's string columns
+	marks   []uint64 // bit o: a kept value refers to the source's string byte o
+	rank    []int    // marked bytes before word w of marks
+	foreign int      // string bytes kept values hold outside the source
+	dst     *Region
+}
+
+// NewCompaction begins a compaction of tuples of the given schema out of src,
+// the region they were cut from, or nil when they come from none.
+func NewCompaction(src *Region, schema *Schema) Compaction {
+	c := Compaction{src: src}
+	for i, col := range schema.cols {
+		if col.Type == TString {
+			c.strCols = append(c.strCols, i)
+		}
+	}
+	if src != nil {
+		c.marks = make([]uint64, (src.ns+63)/64)
+	}
+	return c
+}
+
+// offset returns where a string of n bytes at p lies in the source's string
+// bytes, or -1 if it lies outside them.
+func (c *Compaction) offset(p unsafe.Pointer, n int64) int {
+	if c.src == nil {
+		return -1
+	}
+	a := uintptr(p)
+	if a < c.src.strAddr || a+uintptr(n) > c.src.strAddr+uintptr(c.src.ns) {
+		return -1
+	}
+	return int(a - c.src.strAddr)
+}
+
+// Keep counts t as a tuple the compaction keeps: the source string bytes the
+// values of its string columns refer to are marked, other strings counted.
+func (c *Compaction) Keep(t Tuple) {
+	for _, col := range c.strCols {
+		v := t[col]
+		if v.p == nil || v.n == 0 {
+			continue
+		}
+		o := c.offset(v.p, v.n)
+		if o < 0 {
+			c.foreign += int(v.n)
+			continue
+		}
+		end := o + int(v.n) - 1 // the string's last byte
+		first, last := o>>6, end>>6
+		lead, tail := ^uint64(0)<<(o&63), ^uint64(0)>>(63-end&63)
+		if first == last {
+			c.marks[first] |= lead & tail
+			continue
+		}
+		c.marks[first] |= lead
+		for w := first + 1; w < last; w++ {
+			c.marks[w] = ^uint64(0)
+		}
+		c.marks[last] |= tail
+	}
+}
+
+// Region allocates the destination for the tuples kept, holding the given
+// number of values over all of them, and copies the source string bytes they
+// refer to into it: what Rehome then fills.
+func (c *Compaction) Region(tuples, values int) *Region {
+	c.rank = make([]int, len(c.marks))
+	marked := 0
+	for w, m := range c.marks {
+		c.rank[w] = marked
+		marked += bits.OnesCount64(m)
+	}
+	c.dst = NewRegion(tuples, values, marked+c.foreign)
+	c.dst.bytes(marked)
+	n := 0
+	for lo := nextBit(c.marks, 0, 0); lo < 64*len(c.marks); {
+		hi := nextBit(c.marks, lo, ^uint64(0))
+		n += copy(c.dst.str[n:], c.src.str[lo:hi])
+		lo = nextBit(c.marks, hi, 0)
+	}
+	return c.dst
+}
+
+// rankOf returns the number of marked bytes before source string byte o, a
+// byte Keep marked: its offset in the destination.
+func (c *Compaction) rankOf(o int) int {
+	w, bit := o>>6, uint64(1)<<(o&63)
+	if c.marks[w]&bit == 0 {
+		panic("relation: compaction of a string Keep did not count")
+	}
+	return c.rank[w] + bits.OnesCount64(c.marks[w]&(bit-1))
+}
+
+// nextBit returns the first bit at or after i that is set in m once every
+// word is XORed with flip (0 finds a set bit, all ones a clear one), or the
+// number of bits in m if there is none.
+func nextBit(m []uint64, i int, flip uint64) int {
+	w := i >> 6
+	if w >= len(m) {
+		return 64 * len(m)
+	}
+	x := (m[w] ^ flip) >> (i & 63) << (i & 63)
+	for x == 0 {
+		if w++; w == len(m) {
+			return 64 * len(m)
+		}
+		x = m[w] ^ flip
+	}
+	return 64*w + bits.TrailingZeros64(x)
+}
+
+// Rehome stores a deep copy of t, one of the tuples Keep counted and in the
+// same order, as the next tuple of the destination: its values word for
+// word, each string's pointer word rewritten to the string's rank in the
+// destination's string bytes, or to a copy made there when it lies outside
+// the source. It is the third place a region stores pointer words (with
+// header and ref), each one into the destination's own string bytes.
+func (c *Compaction) Rehome(t Tuple) {
+	r := c.dst
+	r.Begin(len(t))
+	words := r.val[r.nv : r.nv+2*len(t)]
+	for k, v := range t {
+		words[2*k], words[2*k+1] = 0, uint64(v.n)
+		if v.p == nil {
+			continue
+		}
+		if v.n == 0 {
+			words[2*k] = uint64(r.base)
+		} else if o := c.offset(v.p, v.n); o >= 0 {
+			words[2*k] = uint64(r.strAddr + uintptr(c.rankOf(o)))
+		} else {
+			words[2*k] = uint64(r.bytes(int(v.n)))
+			copy(r.str[r.ns-int(v.n):], v.str())
+		}
+	}
+	r.nv += 2 * len(t)
 }

@@ -30,7 +30,10 @@ func TestRegionTuples(t *testing.T) {
 	r.Str("")
 	r.Shared("const")
 	r.Begin(0)
-	r.Rehome(Tuple{Int(-1), Str("other"), Int(0)})
+	r.Begin(3)
+	r.Int(-1)
+	r.Str("other")
+	r.Int(0)
 	r.Begin(2)
 	r.Shared("const")
 	r.Shared("")
@@ -190,9 +193,13 @@ func TestSlabRehomeDropsSourceArena(t *testing.T) {
 		}
 		all := src.Tuples()
 		if deep {
-			dst := NewRegion(n/keepEvery, n/keepEvery*3, n/keepEvery*2*len(pad))
+			c := NewCompaction(src, MustSchema(Column{"i", TInt}, Column{"a", TString}, Column{"b", TString}))
 			for i := 0; i < n; i += keepEvery {
-				dst.Rehome(all[i])
+				c.Keep(all[i])
+			}
+			dst := c.Region(n/keepEvery, n/keepEvery*3)
+			for i := 0; i < n; i += keepEvery {
+				c.Rehome(all[i])
 			}
 			kept = dst.Tuples()
 		} else {
@@ -222,4 +229,113 @@ func TestSlabRehomeDropsSourceArena(t *testing.T) {
 	}
 	runtime.KeepAlive(kept)
 	t.Logf("survivors %d B: re-homed %d B live, shallow-copied %d B live", survivors, grew, pinned)
+}
+
+// TestCompactionKeepsSharing: a compaction out of a Wisconsin region copies
+// each text a kept row refers to once, whether as its stringu1 or another
+// kept row's stringu2, and each string4 constant once, so two kept values
+// that shared bytes in the source share one address in the destination.
+// Strings from outside the source and the empty string are copied per value,
+// and a compaction with no source copies every string per value.
+func TestCompactionKeepsSharing(t *testing.T) {
+	const n, seed = 2_000, 5
+	src := wisconsinRegion(n, seed)
+	all := src.Tuples()
+	keep := func(u2 int) bool { return u2%3 == 1 || u2%7 == 0 }
+	foreign := append(Tuple(nil), all[0]...)
+	foreign[13], foreign[14], foreign[15] = Str("foreign"), Str("foreign"), Str("")
+
+	c := NewCompaction(src, WisconsinSchema)
+	kept, texts, string4 := 0, map[int64]bool{}, map[string]bool{}
+	for u2, tup := range all {
+		if keep(u2) {
+			c.Keep(tup)
+			kept++
+			texts[tup[0].AsInt()], texts[tup[1].AsInt()] = true, true
+			string4[tup[15].AsString()] = true
+		}
+	}
+	c.Keep(foreign)
+	r := c.Region(kept+1, (kept+1)*WisconsinSchema.Len())
+	for u2, tup := range all {
+		if keep(u2) {
+			c.Rehome(tup)
+		}
+	}
+	c.Rehome(foreign)
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
+	}
+	want := len(texts)*wisconsinStringLen + len(string4)*len(string4Cycle[0]) + 2*len("foreign")
+	if r.ns != want {
+		t.Errorf("%d string bytes, want %d: %d texts and %d string4 constants once, the foreign string twice", r.ns, want, len(texts), len(string4))
+	}
+
+	got := r.Tuples()
+	at := make(map[string]Value) // text -> the value that first held it in r
+	i := 0
+	for u2, tup := range all {
+		if !keep(u2) {
+			continue
+		}
+		if !got[i].Equal(tup) {
+			t.Fatalf("kept row %d = %v, source %v", u2, got[i], tup)
+		}
+		for _, c := range []int{13, 14, 15} {
+			v := got[i][c]
+			if first, ok := at[v.AsString()]; ok && first.p != v.p {
+				t.Fatalf("row %d column %d: %q is a second copy of a text the source held once", u2, c, v)
+			}
+			at[v.AsString()] = v
+		}
+		i++
+	}
+	last := got[len(got)-1]
+	if !last.Equal(foreign) || last[13].p == last[14].p || uintptr(last[15].p) != r.base {
+		t.Errorf("foreign tuple re-homed as %v: want its strings copied per value and its empty string at the block", last)
+	}
+
+	// Without a source every string is foreign.
+	c = NewCompaction(nil, WisconsinSchema)
+	c.Keep(all[0])
+	r = c.Region(1, WisconsinSchema.Len())
+	c.Rehome(all[0])
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2*wisconsinStringLen + len(string4Cycle[0]); r.ns != want || !r.Tuples()[0].Equal(all[0]) {
+		t.Errorf("compaction without a source: %d string bytes, want %d", r.ns, want)
+	}
+
+	// A source string in a column the schema calls an integer was never
+	// marked: Rehome refuses it instead of storing a wrong address.
+	stray := append(Tuple(nil), all[0]...)
+	stray[0] = all[1][13]
+	c = NewCompaction(src, WisconsinSchema)
+	c.Keep(stray)
+	c.Region(1, WisconsinSchema.Len())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Rehome accepted a source string Keep did not count")
+			}
+		}()
+		c.Rehome(stray)
+	}()
+}
+
+// TestNextBit: the run scanner finds set and clear bits across word
+// boundaries and stops at the end of the map.
+func TestNextBit(t *testing.T) {
+	m := []uint64{1 << 63, ^uint64(0), 0b101}
+	for _, c := range []struct{ from, set, clear int }{
+		{0, 63, 0}, {63, 63, 129}, {64, 64, 129}, {129, 130, 129}, {131, 192, 131}, {191, 192, 191},
+	} {
+		if got := nextBit(m, c.from, 0); got != c.set {
+			t.Errorf("next set bit from %d = %d, want %d", c.from, got, c.set)
+		}
+		if got := nextBit(m, c.from, ^uint64(0)); got != c.clear {
+			t.Errorf("next clear bit from %d = %d, want %d", c.from, got, c.clear)
+		}
+	}
 }

@@ -42,26 +42,20 @@ type JoinDB struct {
 
 // NewJoinDB generates a database. BCard must be a multiple of D so that
 // every fragment of B holds the same number of keys (the paper's unskewed
-// operand); ACard is free.
+// operand); ACard is free. Each relation carries the region its fragments
+// are cut from: B and Br share one, A has its own.
 func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
-	db, _, err := newJoinDB(aCard, bCard, d, theta)
-	return db, err
-}
-
-// newJoinDB is NewJoinDB; it also returns the two regions the relations live
-// in (B and Br share the first, A has the second), for tests to Check.
-func newJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, []*relation.Region, error) {
 	if d <= 0 {
-		return nil, nil, fmt.Errorf("workload: degree must be positive, got %d", d)
+		return nil, fmt.Errorf("workload: degree must be positive, got %d", d)
 	}
 	if bCard%d != 0 {
-		return nil, nil, fmt.Errorf("workload: BCard %d must be a multiple of the degree %d", bCard, d)
+		return nil, fmt.Errorf("workload: BCard %d must be a multiple of the degree %d", bCard, d)
 	}
 	if bCard <= 0 || aCard <= 0 {
-		return nil, nil, fmt.Errorf("workload: cardinalities must be positive")
+		return nil, fmt.Errorf("workload: cardinalities must be positive")
 	}
 	if !(theta >= 0) {
-		return nil, nil, fmt.Errorf("workload: skew factor must be non-negative, got %v", theta)
+		return nil, fmt.Errorf("workload: skew factor must be non-negative, got %v", theta)
 	}
 	bPerFrag := bCard / d
 
@@ -69,7 +63,7 @@ func newJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, []*relation.Region,
 
 	modK, err := partition.NewMod(JoinSchema, "k", d)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	db.AKeyPart = modK
 
@@ -111,12 +105,13 @@ func newJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, []*relation.Region,
 	both := rb.Tuples()
 	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, partition.Cut(both[:bCard], uniform), 1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	db.Br, err = partition.FromFragments("Br", JoinSchema, []string{"id"}, partition.Cut(both[bCard:], uniform), 1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	db.B.Region, db.Br.Region = rb, rb
 
 	// A: fragment i holds sizes[i] tuples whose keys cycle over fragment
 	// i's B keys, so each A tuple matches exactly one B tuple and lands in
@@ -132,9 +127,10 @@ func newJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, []*relation.Region,
 	}
 	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, partition.Cut(ra.Tuples(), sizes), 1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return db, []*relation.Region{rb, ra}, nil
+	db.A.Region = ra
+	return db, nil
 }
 
 // Resolver returns plan-binding metadata for the database.

@@ -213,10 +213,14 @@ var _ = lera.NestedLoop
 // pointer out of themselves — the pads are copied in, and Br's headers
 // address B's values.
 func TestJoinDBRegionsCheck(t *testing.T) {
-	db, regions, err := newJoinDB(5_000, 640, 64, 1)
+	db, err := NewJoinDB(5_000, 640, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if db.B.Region != db.Br.Region || db.A.Region == db.B.Region {
+		t.Fatal("B and Br do not share one region, or A does not have its own")
+	}
+	regions := []*relation.Region{db.B.Region, db.A.Region}
 	for i, r := range regions {
 		if err := r.Check(); err != nil {
 			t.Errorf("region %d: %v", i, err)

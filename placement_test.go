@@ -51,10 +51,10 @@ func TestPlacementUnchanged(t *testing.T) {
 		"w5.stringu1": "569047d4 d78d671d b1d4df9d cab0114c e9c4f375",
 		"csv.id":      "26590b38 9deed2a5 afdcaf32 3179441d 9ad05895 ebebd8f2 a6433486",
 		"csvs.name":   "f782bd13 f79c4006 cb0f7c02 642d8bfd cf2433a1 9aab5c55 fff3e423",
-		"shard.wisc":  "b053392d efb4163e bea77153 59e95cd8 ae1e6345 9caba4b3 39b8fcea 6178c5c0",
-		"shard.A":     "2778d37b 0463d03c a74a7f26 ea895391 eee7389a e3853aae 2892d807 59fc19fd",
-		"shard.B":     "2ff4fb3d 3f6c60c2 adbb2f59 92f4335e a2507a6e d76d8bd5 d8fb5b15 e4059f59",
-		"shard.Br":    "48af4d9d 58feaff3 7794c3a3 5a618407 bd4a8095 ebf961d3 8d76efac 96c10e63",
+		"shard.wisc":  "3897300e 8afb38c5 8b7cf2d6 6823b247 04731a75 35bf3139 56b5b8e6 1c9d700b",
+		"shard.A":     "a5db0907 d79b100f be96c9e7 07d5a341 d837d405 21c49aae f2c0febe c97bcc72",
+		"shard.B":     "c0bd62a6 0ce72b37 d9efe7d3 080a481d 3d16e93e 9d9afafd 88216af3 dc505971",
+		"shard.Br":    "460d57f8 49373fc1 d0f9ac7f a2e373ae fe104e1a bf14711f a56ffaa2 526bb1b5",
 	}
 	got := map[string]string{}
 

@@ -2,6 +2,7 @@ package dbs3
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"runtime/metrics"
 	"strings"
@@ -72,14 +73,17 @@ func TestLoadedRelationsAreNotScanned(t *testing.T) {
 }
 
 // rehomedBytes is what p weighs once re-homed into a region: per tuple a
-// header and its values, and a copy of every string it holds.
+// header and its values, and the bytes of each distinct string address its
+// values hold, once however many values share them.
 func rehomedBytes(p *partition.Partitioned) int64 {
 	var n int64
+	seen := make(map[uintptr]bool)
 	for _, frag := range p.Fragments {
 		for _, tup := range frag {
 			n += int64(24 + 16*len(tup))
 			for _, v := range tup {
-				if v.Kind() == relation.TString {
+				if v.Kind() == relation.TString && !seen[stringAddr(v)] {
+					seen[stringAddr(v)] = true
 					n += int64(len(v.AsString()))
 				}
 			}
@@ -87,6 +91,10 @@ func rehomedBytes(p *partition.Partitioned) int64 {
 	}
 	return n
 }
+
+// stringAddr is the address of a string value's first byte: two values
+// share their bytes when it is the same.
+func stringAddr(v relation.Value) uintptr { return reflect.ValueOf(v.AsString()).Pointer() }
 
 // TestCreateWisconsinBytesPerRow: a generated Wisconsin row weighs its header,
 // its sixteen values and one 52-byte text — 332 bytes — because stringu1 and
@@ -151,10 +159,10 @@ func TestShardRelationRegionChecks(t *testing.T) {
 	}
 	for rel, col := range map[string]string{"wisc": "stringu1", "A": "k", "Br": "k", "notes": "id"} {
 		whole := db.rels[rel].Cardinality()
-		region, err := db.shardRelation(rel, col, 1, 3)
-		if err != nil {
+		if err := db.ShardRelation(rel, col, 1, 3); err != nil {
 			t.Fatal(err)
 		}
+		region := db.rels[rel].Region
 		if err := region.Check(); err != nil {
 			t.Errorf("%s: %v", rel, err)
 		}

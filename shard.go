@@ -3,7 +3,6 @@ package dbs3
 import (
 	"fmt"
 
-	"dbs3/internal/partition"
 	"dbs3/internal/relation"
 )
 
@@ -16,6 +15,12 @@ import (
 // nodes' relations is exactly the unsharded relation and no tuple lives on
 // two nodes.
 //
+// A tuple's shard is the high word of its key's hash scaled to [0, shards)
+// by a multiply and a shift. Fragment placement takes the same hash modulo
+// the degree; were the shard the hash modulo shards, a factor the two counts
+// share would tie shard to fragment and leave some fragments of every node
+// empty.
+//
 // col is the cluster distribution key. Relations joined against each other
 // must be sharded on their join attributes (with the same shards count) so
 // matching tuples co-locate on one node — the standard shared-nothing
@@ -24,45 +29,39 @@ import (
 // For grouped aggregates any distribution column is correct: the coordinator
 // re-merges partial groups across nodes.
 func (db *Database) ShardRelation(name, col string, shard, shards int) error {
-	_, err := db.shardRelation(name, col, shard, shards)
-	return err
-}
-
-// shardRelation is ShardRelation; it also returns the region the shard lives
-// in, for tests to Check.
-func (db *Database) shardRelation(name, col string, shard, shards int) (*relation.Region, error) {
 	if shards <= 0 {
-		return nil, fmt.Errorf("dbs3: shards must be positive, got %d", shards)
+		return fmt.Errorf("dbs3: shards must be positive, got %d", shards)
 	}
 	if shard < 0 || shard >= shards {
-		return nil, fmt.Errorf("dbs3: shard %d outside [0,%d)", shard, shards)
+		return fmt.Errorf("dbs3: shard %d outside [0,%d)", shard, shards)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	p, ok := db.rels[name]
 	if !ok {
-		return nil, fmt.Errorf("dbs3: no relation %q", name)
+		return fmt.Errorf("dbs3: no relation %q", name)
 	}
-	h, err := partition.NewHash(p.Schema, []string{col}, shards)
-	if err != nil {
-		return nil, err
+	c, ok := p.Schema.Index(col)
+	if !ok {
+		return fmt.Errorf("dbs3: column %q not in schema %s", col, p.Schema)
 	}
 	// Most of the relation is dropped here, and one surviving tuple or
 	// string pins the whole region it was loaded into, so the kept tuples are
 	// re-homed into a region of their own and the full relation can be
-	// reclaimed. The relation is routed fragment by fragment into one dest,
-	// which Rehome reads back as its keep mask.
-	cols := []int{p.Schema.MustIndex(col)}
-	dest := make([]int32, 0, p.Cardinality())
-	for _, frag := range p.Fragments {
-		dest = h.FragmentsOfCols(frag, cols, dest)
-	}
-	shardP, region := p.Rehome(dest, int32(shard))
+	// reclaimed.
+	cols := []int{c}
+	shardP := p.Rehome(func(t relation.Tuple) bool { return shardOf(t, cols, shards) == shard })
 	db.rels[name] = shardP
 	ri := db.resolver[name]
 	ri.FragSizes = shardP.FragmentSizes()
 	db.resolver[name] = ri
 	// Sharding is DDL: any cached plan was costed against the full relation.
 	db.epoch.Add(1)
-	return region, nil
+	return nil
+}
+
+// shardOf is the shard of shards that t belongs to when sharded on the key
+// at cols.
+func shardOf(t relation.Tuple, cols []int, shards int) int {
+	return int(t.HashOn(cols) >> 32 * uint64(shards) >> 32)
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"dbs3/internal/partition"
 	"dbs3/internal/race"
 	"dbs3/internal/relation"
 )
@@ -89,25 +88,20 @@ func TestShardRelationWisconsinMatchesUnsharded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	region, err := db.shardRelation("wisc", "unique2", shard, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := region.Check(); err != nil {
-		t.Fatal(err)
-	}
-	whole := full.rels["wisc"]
-	h, err := partition.NewHash(whole.Schema, []string{"unique2"}, shards)
-	if err != nil {
+	if err := db.ShardRelation("wisc", "unique2", shard, shards); err != nil {
 		t.Fatal(err)
 	}
 	kept := db.rels["wisc"]
+	if err := kept.Region.Check(); err != nil {
+		t.Fatal(err)
+	}
+	whole := full.rels["wisc"]
 	cols := []int{whole.Schema.MustIndex("unique2")}
 	for f, frag := range whole.Fragments {
 		var want []relation.Tuple
-		for i, fr := range h.FragmentsOfCols(frag, cols, nil) {
-			if fr == shard {
-				want = append(want, frag[i])
+		for _, tup := range frag {
+			if shardOf(tup, cols, shards) == shard {
+				want = append(want, tup)
 			}
 		}
 		got := kept.Fragments[f]
@@ -119,6 +113,113 @@ func TestShardRelationWisconsinMatchesUnsharded(t *testing.T) {
 				if !v.Equal(want[i][c]) {
 					t.Fatalf("fragment %d row %d column %s = %q, unsharded %q", f, i, whole.Schema.Column(c).Name, v, want[i][c])
 				}
+			}
+		}
+	}
+}
+
+// TestShardRelationFillsEveryFragment: a tuple's shard comes from the high
+// word of its key's hash and its fragment from the hash modulo the degree, so
+// whatever factors the shard count and the degree share, every node keeps a
+// share of every fragment — and the shards still union to the relation, each
+// row on exactly one.
+func TestShardRelationFillsEveryFragment(t *testing.T) {
+	const card = 20_000
+	for _, degree := range []int{8, 16} {
+		for _, shards := range []int{2, 3, 4} {
+			on := make([]int, card) // shards holding row unique2
+			for shard := 0; shard < shards; shard++ {
+				db := New()
+				if err := db.CreateWisconsin("wisc", card, degree, "unique2", 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.ShardRelation("wisc", "unique2", shard, shards); err != nil {
+					t.Fatal(err)
+				}
+				for f, frag := range db.rels["wisc"].Fragments {
+					if len(frag) == 0 {
+						t.Errorf("degree %d, shard %d of %d: fragment %d is empty (sizes %v)", degree, shard, shards, f, db.rels["wisc"].FragmentSizes())
+					}
+					for _, tup := range frag {
+						on[tup[1].AsInt()]++
+					}
+				}
+			}
+			for u2, n := range on {
+				if n != 1 {
+					t.Fatalf("degree %d, %d shards: row %d is on %d shards, want exactly 1", degree, shards, u2, n)
+				}
+			}
+		}
+	}
+}
+
+// TestShardRelationStoresSharedTextsOnce: a shard keeps the sharing its
+// relation's region had. Each 1-of-3 shard of Wisconsin(20 000, seed 1) holds
+// each text its rows refer to once, whether as one row's stringu1 or another
+// row's stringu2, plus string4's constants once; a row's stringu1 is the very
+// bytes of the stringu2 of the row its unique1 names, whenever the shard keeps
+// both. Each join-pair shard holds its pad once.
+func TestShardRelationStoresSharedTextsOnce(t *testing.T) {
+	const card, degree, shards = 20_000, 8, 3
+	for shard := 0; shard < shards; shard++ {
+		db := New()
+		if err := db.CreateWisconsin("wisc", card, degree, "unique2", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateJoinPair("", 5_000, 5_000, degree, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		for rel, col := range map[string]string{"wisc": "unique2", "A": "k", "B": "k", "Br": "k"} {
+			if err := db.ShardRelation(rel, col, shard, shards); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.rels[rel].Region.Check(); err != nil {
+				t.Fatalf("shard %d of %s: %v", shard, rel, err)
+			}
+		}
+
+		wisc := db.rels["wisc"]
+		texts, string4 := make(map[int64]bool), make(map[string]bool)
+		byU2 := make(map[int64]relation.Tuple, wisc.Cardinality())
+		for _, frag := range wisc.Fragments {
+			for _, tup := range frag {
+				texts[tup[0].AsInt()], texts[tup[1].AsInt()] = true, true
+				string4[tup[15].AsString()] = true
+				byU2[tup[1].AsInt()] = tup
+			}
+		}
+		textLen := len(wisc.Fragments[0][0][13].AsString())
+		want := len(texts) * textLen
+		for s := range string4 {
+			want += len(s)
+		}
+		if got := wisc.Region.StringBytes(); got != want {
+			t.Errorf("shard %d of wisc: %d string bytes, want %d: %d distinct texts and %d string4 constants once each", shard, got, want, len(texts), len(string4))
+		}
+		shared := 0
+		for _, tup := range byU2 {
+			if named, ok := byU2[tup[0].AsInt()]; ok {
+				if stringAddr(tup[13]) != stringAddr(named[14]) {
+					t.Fatalf("shard %d: stringu1 of row %d is a second copy of stringu2 of row %d", shard, tup[1].AsInt(), tup[0].AsInt())
+				}
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("shard %d: no row's stringu1 names a kept row; nothing was shared", shard)
+		}
+
+		for _, rel := range []string{"A", "B", "Br"} {
+			p := db.rels[rel]
+			pads := make(map[uintptr]bool)
+			for _, frag := range p.Fragments {
+				for _, tup := range frag {
+					pads[stringAddr(tup[2])] = true
+				}
+			}
+			if pad := p.Fragments[0][0][2].AsString(); len(pads) != 1 || p.Region.StringBytes() != len(pad) {
+				t.Errorf("shard %d of %s: pad %q at %d addresses in %d string bytes, want once", shard, rel, pad, len(pads), p.Region.StringBytes())
 			}
 		}
 	}
@@ -256,7 +357,7 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 	// regions sized for them, registered in a database of their own.
 	ref := New()
 	for name, p := range db.rels {
-		fresh, _ := p.Rehome(nil, 0)
+		fresh := p.Rehome(nil)
 		if err := ref.register(placed{fresh, db.resolver[name].Part}); err != nil {
 			t.Fatal(err)
 		}
@@ -305,5 +406,31 @@ func TestShardRelationAllocatesPerRelation(t *testing.T) {
 		if got := both - loads; got > 14 {
 			t.Errorf("ShardRelation of %d tuples: %v allocations, want at most 14", n, got)
 		}
+	}
+}
+
+// BenchmarkShardRelation is one cluster-open node's re-homing: Wisconsin
+// 20 000 at degree 8 and a 5 000/5 000 join pair at θ 0.5, each relation
+// sharded 1 of 3 on its distribution key. Only the four ShardRelation calls
+// are timed; B/op nets the smaller regions against the compaction's scratch.
+func BenchmarkShardRelation(b *testing.B) {
+	dist := [][2]string{{"wisc", "unique2"}, {"A", "k"}, {"B", "k"}, {"Br", "k"}}
+	b.ReportAllocs()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		db := New()
+		if err := db.CreateWisconsin("wisc", 20_000, 8, "unique2", 1); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.CreateJoinPair("", 5_000, 5_000, 8, 0.5); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, d := range dist {
+			if err := db.ShardRelation(d[0], d[1], 1, 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
 	}
 }
