@@ -1,10 +1,11 @@
 package dbs3_test
 
 // The in-package benchmarks are the few measurements bench/ and the tests do
-// not already make: the nested-loop join, the activation-cache ablation,
-// multi-chain readmission under a manager and the unmanaged throughput
-// baseline. BenchmarkLoadCSV sits next to the heap probes it reads, in
-// region_test.go. Run them with:
+// not already make: the nested-loop join, the real engine's pool-size curve
+// at engine-skew's shape, the activation-cache ablation, multi-chain
+// readmission under a manager and the unmanaged throughput baseline.
+// BenchmarkLoadCSV sits next to the heap probes it reads, in region_test.go.
+// Run them with:
 //
 //	go test -bench=. -benchmem
 //
@@ -14,8 +15,12 @@ package dbs3_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"dbs3"
 	"dbs3/internal/core"
@@ -26,9 +31,22 @@ import (
 
 // --- Real-engine benches --------------------------------------------------
 
-func engineJoinBench(b *testing.B, assoc bool, algo lera.JoinAlgo, opts core.Options, theta float64) {
+// joinShape sizes a JoinDB: |A|, |B| and the degree of both.
+type joinShape struct{ a, b, degree int }
+
+var (
+	// smallJoin keeps the ablations quick.
+	smallJoin = joinShape{20_000, 2_000, 40}
+	// skewJoin is bench/'s engine-skew database, the paper's section 5.4.
+	skewJoin = joinShape{100_000, 10_240, 64}
+)
+
+// engineJoinBench times one join plan through core and reports, per
+// execution, the process CPU time over wall time, the secondary-queue picks
+// and the join's BalanceRatio.
+func engineJoinBench(b *testing.B, shape joinShape, assoc bool, algo lera.JoinAlgo, opts core.Options, theta float64) {
 	b.Helper()
-	db, err := workload.NewJoinDB(20_000, 2_000, 40, theta)
+	db, err := workload.NewJoinDB(shape.a, shape.b, shape.degree, theta)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +60,9 @@ func engineJoinBench(b *testing.B, assoc bool, algo lera.JoinAlgo, opts core.Opt
 		b.Fatal(err)
 	}
 	rels := db.Relations()
+	var secondary, balance float64
 	b.ResetTimer()
+	cpu, wall := cpuTime(), time.Now()
 	for i := 0; i < b.N; i++ {
 		res, err := core.ExecuteContext(context.Background(), plan, rels, opts)
 		if err != nil {
@@ -51,27 +71,105 @@ func engineJoinBench(b *testing.B, assoc bool, algo lera.JoinAlgo, opts core.Opt
 		if res.Outputs["Res"].Cardinality() != db.ExpectedJoinCount() {
 			b.Fatal("wrong result")
 		}
+		for id, st := range res.Stats {
+			secondary += float64(st.SecondaryPicks.Load())
+			if plan.Graph.Nodes[id].Kind == lera.OpJoin {
+				balance += st.BalanceRatio()
+			}
+		}
 	}
+	b.ReportMetric((cpuTime()-cpu).Seconds()/time.Since(wall).Seconds(), "cpu/wall")
+	b.ReportMetric(secondary/float64(b.N), "secondary/op")
+	b.ReportMetric(balance/float64(b.N), "balance")
+}
+
+// cpuTime is the process's user plus system CPU time.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func BenchmarkEngineIdealJoinNestedLoop(b *testing.B) {
-	engineJoinBench(b, false, lera.NestedLoop, core.Options{Threads: 4}, 0)
+	engineJoinBench(b, smallJoin, false, lera.NestedLoop, core.Options{Threads: 4}, 0)
 }
+
+// BenchmarkEngineJoinPools is the real engine's speed-up curve: IdealJoin
+// and AssocJoin (hash join) over engine-skew's database at theta 0 and 1,
+// at pool sizes 1 to 8, next to a pure-spin control of about the same
+// length. The control shares a fixed amount of integer work among n
+// goroutines with nothing else to contend on, so its speed-up and CPU over
+// wall are what the host gives a perfectly parallel load; a join row at
+// several threads whose CPU over wall is no better than one CPU's measures
+// where the host ran the threads, not the engine. DESIGN.md's pool-size
+// table is read from
+//
+//	go test -run '^$' -bench EngineJoinPools -benchtime 10x -count 15
+func BenchmarkEngineJoinPools(b *testing.B) {
+	pools := []int{1, 2, 4, 8}
+	for _, plan := range []string{"ideal", "assoc"} {
+		for _, theta := range []float64{0, 1} {
+			for _, threads := range pools {
+				b.Run(fmt.Sprintf("%s/theta=%v/threads=%d", plan, theta, threads), func(b *testing.B) {
+					engineJoinBench(b, skewJoin, plan == "assoc", lera.HashJoin, core.Options{Threads: threads}, theta)
+				})
+			}
+		}
+	}
+	for _, threads := range pools {
+		b.Run(fmt.Sprintf("spin/threads=%d", threads), func(b *testing.B) {
+			cpu, wall := cpuTime(), time.Now()
+			for i := 0; i < b.N; i++ {
+				spin(threads, spinWork)
+			}
+			b.ReportMetric((cpuTime()-cpu).Seconds()/time.Since(wall).Seconds(), "cpu/wall")
+		})
+	}
+}
+
+// spinWork is the control's total xorshift steps per execution: on a 2-vCPU
+// Xeon, 17 ms on one goroutine, where one IdealJoin at theta 0 and one
+// thread takes 12 ms.
+const spinWork = 5_000_000
+
+// spin runs work xorshift steps split evenly among n goroutines.
+func spin(n, work int) {
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := uint64(g + 1)
+			for i := 0; i < work/n; i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+			}
+			spinSink.Add(x)
+		}()
+	}
+	wg.Wait()
+}
+
+// spinSink keeps the control's loops from being optimized away.
+var spinSink atomic.Uint64
 
 // --- Activation-cache ablation (DESIGN.md, Engine internals) -------------
 
 // Internal activation cache: batch size 1 (per-activation locking) vs the
 // default 16 vs 64 on a pipelined join.
 func BenchmarkAblationCacheSize1(b *testing.B) {
-	engineJoinBench(b, true, lera.HashJoin, core.Options{Threads: 4, CacheSize: 1}, 0)
+	engineJoinBench(b, smallJoin, true, lera.HashJoin, core.Options{Threads: 4, CacheSize: 1}, 0)
 }
 
 func BenchmarkAblationCacheSize16(b *testing.B) {
-	engineJoinBench(b, true, lera.HashJoin, core.Options{Threads: 4, CacheSize: 16}, 0)
+	engineJoinBench(b, smallJoin, true, lera.HashJoin, core.Options{Threads: 4, CacheSize: 16}, 0)
 }
 
 func BenchmarkAblationCacheSize64(b *testing.B) {
-	engineJoinBench(b, true, lera.HashJoin, core.Options{Threads: 4, CacheSize: 64}, 0)
+	engineJoinBench(b, smallJoin, true, lera.HashJoin, core.Options{Threads: 4, CacheSize: 64}, 0)
 }
 
 // --- Allocation ceiling of the batched data plane ----------------------------

@@ -194,6 +194,17 @@ func sortedKeys(ts []relation.Tuple) []string {
 	return out
 }
 
+// batchCollectSink is a RowBatchSink: pushRuns hands its PushBatch to the
+// Sink unchanged instead of wrapping Push.
+type batchCollectSink struct{ collectSink }
+
+func (s *batchCollectSink) PushBatch(ts []relation.Tuple) error {
+	s.mu.Lock()
+	s.tuples = append(s.tuples, ts...)
+	s.mu.Unlock()
+	return nil
+}
+
 // TestOperatorContract runs every operator as a pipelined operation fed the
 // same tuple activations, cutting the OnBatch runs at length 1, 7 and 64 (the
 // internal cache size bounds a run) with and without NoVectorize (runs of one
@@ -210,10 +221,11 @@ func TestOperatorContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each case builds a fresh operator; consumed, when non-nil, reads back
-	// what a chain-terminating operator took in instead of emitting.
+	// what a chain-terminating operator's instances took in instead of
+	// emitting.
 	type built struct {
 		op       operator.Operator
-		consumed func() ([]relation.Tuple, error)
+		consumed func(ctxs []*operator.Context) ([]relation.Tuple, error)
 	}
 	join := func(algo lera.JoinAlgo) func() built {
 		return func() built {
@@ -229,9 +241,9 @@ func TestOperatorContract(t *testing.T) {
 		{"transmit", func() built { return built{op: &operator.Transmit{}} }, true},
 		{"map", func() built { return built{op: &operator.Map{Cols: []int{2, 0}}} }, false},
 		{"store", func() built {
-			s := operator.NewStore(contractInstances)
-			return built{op: s, consumed: func() ([]relation.Tuple, error) {
-				frags, err := s.Results()
+			s := &operator.Store{}
+			return built{op: s, consumed: func(ctxs []*operator.Context) ([]relation.Tuple, error) {
+				frags, err := s.Results(ctxs)
 				var all []relation.Tuple
 				for _, f := range frags {
 					all = append(all, f...)
@@ -241,17 +253,11 @@ func TestOperatorContract(t *testing.T) {
 		}, false},
 		{"sink/push", func() built {
 			var got collectSink
-			return built{op: &operator.Sink{Push: got.Push}, consumed: func() ([]relation.Tuple, error) { return got.tuples, nil }}
+			return built{op: &operator.Sink{Push: pushRuns(&got)}, consumed: func([]*operator.Context) ([]relation.Tuple, error) { return got.tuples, nil }}
 		}, false},
 		{"sink/pushbatch", func() built {
-			var got collectSink
-			sink := &operator.Sink{PushBatch: func(ts []relation.Tuple) error {
-				for _, t := range ts {
-					got.Push(t)
-				}
-				return nil
-			}}
-			return built{op: sink, consumed: func() ([]relation.Tuple, error) { return got.tuples, nil }}
+			got := &batchCollectSink{}
+			return built{op: &operator.Sink{Push: pushRuns(got)}, consumed: func([]*operator.Context) ([]relation.Tuple, error) { return got.tuples, nil }}
 		}, false},
 		{"join/hash", join(lera.HashJoin), true},
 		{"join/temp-index", join(lera.TempIndex), true},
@@ -304,7 +310,7 @@ func TestOperatorContract(t *testing.T) {
 		}
 		all := sunk.tuples
 		if b.consumed != nil {
-			ts, err := b.consumed()
+			ts, err := b.consumed(ctxs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -136,6 +136,22 @@ type RowBatchSink interface {
 	PushBatch(ts []relation.Tuple) error
 }
 
+// pushRuns returns the run-at-a-time form of s's Push: its PushBatch when it
+// is a RowBatchSink, otherwise one loop over Push.
+func pushRuns(s RowSink) func([]relation.Tuple) error {
+	if bs, ok := s.(RowBatchSink); ok {
+		return bs.PushBatch
+	}
+	return func(ts []relation.Tuple) error {
+		for _, t := range ts {
+			if err := s.Push(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // DefaultBatchGrain is the producer-side route-buffer size used when
 // Options.BatchGrain is zero: large enough to amortize the queue mutex and
 // wake across a meaningful run of tuples, small enough that a buffered tuple
@@ -521,7 +537,7 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 			continue
 		}
 		n := plan.Graph.Nodes[id]
-		frags, err := store.Results()
+		frags, err := store.Results(term.ctxs)
 		if err != nil {
 			return err
 		}
@@ -571,16 +587,12 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 	case lera.OpAggregate:
 		op = &operator.Aggregate{GroupBy: bn.GroupIdx, Kind: n.Agg, AggCol: bn.AggIdx, Spill: opts.Spill}
 	case lera.OpStore:
+		op = &operator.Store{Spill: opts.Spill}
 		if n.As == opts.StreamOutput && opts.Sink != nil {
-			sink := &operator.Sink{Push: opts.Sink.Push}
-			if bs, ok := opts.Sink.(RowBatchSink); ok {
-				sink.PushBatch = bs.PushBatch
-			}
-			return nil, newTerminal(sink, ctxs), nil
+			op = &operator.Sink{Push: pushRuns(opts.Sink)}
 		}
-		store := operator.NewStore(degree)
-		store.Spill = opts.Spill
-		return nil, newTerminal(store, ctxs), nil
+		term, err := newTerminal(op, ctxs)
+		return nil, term, err
 	default:
 		return nil, nil, fmt.Errorf("core: unsupported node kind %v", n.Kind)
 	}

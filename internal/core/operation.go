@@ -84,21 +84,29 @@ type routeTarget struct {
 
 // terminal is a store or sink run by the workers feeding it, with no queues
 // and no pool: materialization costs the threads that produce the tuples, as
-// in the paper's cost model. Its OpStats count no activations; Emitted counts
-// the tuples stored or pushed.
+// in the paper's cost model, and a store's producers meet only on an
+// instance's Context.Mu. Its OpStats count no activations or setups; Emitted
+// counts the tuples stored or pushed.
 type terminal struct {
 	op    operator.Operator // *operator.Store or *operator.Sink
 	ctxs  []*operator.Context
 	stats *OpStats
 }
 
-func newTerminal(op operator.Operator, ctxs []*operator.Context) *terminal {
-	return &terminal{op: op, ctxs: ctxs, stats: &OpStats{}}
+// newTerminal runs op's Setup on every instance up front: a terminal has no
+// pool to run it on an instance's first activation.
+func newTerminal(op operator.Operator, ctxs []*operator.Context) (*terminal, error) {
+	for _, ctx := range ctxs {
+		if err := op.Setup(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return &terminal{op: op, ctxs: ctxs, stats: &OpStats{}}, nil
 }
 
 // deliver stores or pushes one run bound for instance inst (a store's append
-// under its lock, with its spill charge; a sink's PushBatch or Push loop). An
-// error fails the emitting operation.
+// and spill charge under that instance's lock; a sink's Push). An error fails
+// the emitting operation.
 func (t *terminal) deliver(inst int, ts []relation.Tuple, fail func(error)) {
 	if err := t.op.OnBatch(t.ctxs[inst], ts, nil); err != nil {
 		fail(err)

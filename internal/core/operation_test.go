@@ -65,7 +65,11 @@ func newTestOperation(op operator.Operator, instances, workers int) *Operation {
 // sinkTo routes o's output into sink through a terminal target, the way the
 // engine wires a chain's streamed result.
 func sinkTo(o *Operation, sink *collectSink) {
-	o.targets = []routeTarget{{term: newTerminal(&operator.Sink{Push: sink.Push}, o.ctxs), degree: len(o.ctxs), same: true}}
+	term, err := newTerminal(&operator.Sink{Push: pushRuns(sink)}, o.ctxs)
+	if err != nil {
+		panic(err)
+	}
+	o.targets = []routeTarget{{term: term, degree: len(o.ctxs), same: true}}
 }
 
 func runOperation(t *testing.T, o *Operation, feed func(*Operation)) {

@@ -37,9 +37,10 @@ type Context struct {
 	Build []relation.Tuple
 	// State is operator-private; set by Setup.
 	State any
-	// Mu guards State for operators that mutate it per-tuple (aggregates):
-	// the execution model lets any pool thread process any instance's
-	// activation, so two threads can be inside the same instance at once.
+	// Mu guards State for every operator that mutates it after Setup (stores,
+	// aggregates, Grace joins): the execution model lets any pool thread
+	// process any instance's activation, so two threads can be inside the
+	// same instance at once.
 	Mu sync.Mutex
 }
 
@@ -152,63 +153,55 @@ func (m *Map) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 	return nil
 }
 
-// Store materializes its input: tuples accumulate per instance and the
-// engine collects Results when the chain completes. Store terminates a
-// pipeline chain (a materialization point between subqueries). With a Spill
-// env, an instance whose accumulation exceeds the query's memory grant
-// flushes its buffered tuples to a spill run and keeps going; Results reads
-// the runs back in.
+// Store materializes its input: each instance accumulates its tuples in its
+// Context and the engine collects Results when the chain completes. Store
+// terminates a pipeline chain (a materialization point between subqueries).
+// With a Spill env, an instance whose accumulation exceeds the query's
+// memory grant flushes its buffered tuples to a spill run and keeps going;
+// Results reads the runs back in.
 type Store struct {
-	nopSetup
 	nopClose
-	mu      sync.Mutex
-	results [][]relation.Tuple
-	bytes   []int64
-	runs    [][]storage.Run
 	// Spill enables larger-than-memory accumulation; nil stores everything
 	// in memory (the paper's regime).
 	Spill *storage.SpillEnv
 	spillCounters
 }
 
-// NewStore creates a store with the given instance count.
-func NewStore(degree int) *Store {
-	return &Store{
-		results: make([][]relation.Tuple, degree),
-		bytes:   make([]int64, degree),
-		runs:    make([][]storage.Run, degree),
-	}
+// storeInst is one store instance's buffer: the tuples held in memory, their
+// accounted bytes and the runs spilled so far. Guarded by ctx.Mu.
+type storeInst struct {
+	results []relation.Tuple
+	bytes   int64
+	runs    []storage.Run
 }
 
-// OnBatch implements Operator: one lock acquire appends the whole run
-// (the batch slice is scratch; the appended Tuples are immutable and safely
-// retained).
+// Setup implements Operator.
+func (s *Store) Setup(ctx *Context) error {
+	ctx.State = &storeInst{}
+	return nil
+}
+
+// OnBatch implements Operator: the run's footprint is summed outside the
+// instance lock, then one lock epoch appends and charges the whole run (the
+// batch slice is scratch; the appended Tuples are immutable and retained).
+// An instance past the query's grant flushes its buffer to a spill run, once
+// at least a page is buffered so overrun never degenerates into a run per
+// tuple.
 func (s *Store) OnBatch(ctx *Context, ts []relation.Tuple, _ Emit) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := ctx.Instance
-	s.results[i] = append(s.results[i], ts...)
 	var add int64
 	for _, t := range ts {
 		add += storage.TupleFootprint(t)
 	}
-	return s.chargeLocked(i, add)
-}
-
-// chargeLocked accounts freshly buffered bytes and flushes the instance to
-// a spill run when the query's grant is exceeded. Flushing waits for at
-// least a page of buffered tuples so overrun never degenerates into a run
-// per tuple; the caller holds s.mu.
-func (s *Store) chargeLocked(i int, add int64) error {
-	s.bytes[i] += add
-	if s.Spill == nil {
-		return nil
-	}
-	if s.Spill.Mem.Reserve(add) || s.bytes[i] < storage.PageSize {
+	ctx.Mu.Lock()
+	defer ctx.Mu.Unlock()
+	inst := ctx.State.(*storeInst)
+	inst.results = append(inst.results, ts...)
+	inst.bytes += add
+	if s.Spill == nil || s.Spill.Mem.Reserve(add) || inst.bytes < storage.PageSize {
 		return nil
 	}
 	w := s.Spill.NewRun()
-	for _, t := range s.results[i] {
+	for _, t := range inst.results {
 		if err := w.Add(t); err != nil {
 			return err
 		}
@@ -217,43 +210,42 @@ func (s *Store) chargeLocked(i int, add int64) error {
 	if err != nil {
 		return err
 	}
-	s.runs[i] = append(s.runs[i], run)
+	inst.runs = append(inst.runs, run)
 	s.notePass(run.Bytes(), s.Spill)
-	s.Spill.Mem.Release(s.bytes[i])
-	s.bytes[i] = 0
-	s.results[i] = nil
+	s.Spill.Mem.Release(inst.bytes)
+	inst.bytes = 0
+	inst.results = nil
 	return nil
 }
 
-// Results returns the materialized fragments, reading spilled runs back
-// from their files. Call only after execution completes.
-func (s *Store) Results() ([][]relation.Tuple, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]relation.Tuple, len(s.results))
-	for i := range s.results {
-		if len(s.runs[i]) == 0 {
-			out[i] = s.results[i]
+// Results returns the fragments the instances of ctxs materialized, reading
+// spilled runs back from their files. Call only after execution completes.
+func (s *Store) Results(ctxs []*Context) ([][]relation.Tuple, error) {
+	out := make([][]relation.Tuple, len(ctxs))
+	for i, ctx := range ctxs {
+		inst := ctx.State.(*storeInst)
+		if len(inst.runs) == 0 {
+			out[i] = inst.results
 			continue
 		}
-		n := len(s.results[i])
-		for _, r := range s.runs[i] {
+		n := len(inst.results)
+		for _, r := range inst.runs {
 			n += r.Len()
 		}
 		frag := make([]relation.Tuple, 0, n)
-		for _, r := range s.runs[i] {
+		for _, r := range inst.runs {
 			ts, err := r.All()
 			if err != nil {
 				return nil, err
 			}
 			frag = append(frag, ts...)
 		}
-		out[i] = append(frag, s.results[i]...)
+		out[i] = append(frag, inst.results...)
 	}
 	return out, nil
 }
 
-// Sink terminates a pipeline chain like Store, but hands each tuple to an
+// Sink terminates a pipeline chain like Store, but hands each run to an
 // external consumer as it arrives instead of accumulating fragments — the
 // engine-side half of a streaming row cursor. Push may block (bounded-buffer
 // backpressure propagates into the producing pool threads) and its error
@@ -262,27 +254,15 @@ func (s *Store) Results() ([][]relation.Tuple, error) {
 type Sink struct {
 	nopSetup
 	nopClose
-	// Push delivers one result tuple; it must be safe for concurrent calls
-	// (any pool thread can execute any instance's activation).
-	Push func(t relation.Tuple) error
-	// PushBatch, when set, delivers a whole run of tuples in one call (one
-	// sink synchronization per batch instead of per tuple). Same contract as
-	// Push plus OnBatch's: the slice is scratch and must not be retained
-	// after return.
-	PushBatch func(ts []relation.Tuple) error
+	// Push delivers a run of result tuples; it must be safe for concurrent
+	// calls (any pool thread can execute any instance's activation), and
+	// like OnBatch must not retain the slice after return.
+	Push func(ts []relation.Tuple) error
 }
 
 // OnBatch implements Operator.
 func (s *Sink) OnBatch(_ *Context, ts []relation.Tuple, _ Emit) error {
-	if s.PushBatch != nil {
-		return s.PushBatch(ts)
-	}
-	for _, t := range ts {
-		if err := s.Push(t); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.Push(ts)
 }
 
 // Join and group-by keys are 64-bit hashes computed directly over the key
@@ -515,10 +495,13 @@ func (j *Join) OnClose(ctx *Context, emit Emit) error {
 // OnBatch implements Operator: the join probes a run of tuples — a run of
 // its bound probe fragment (triggered, the paper's IdealJoin) or of
 // redistributed tuples (pipelined, AssocJoin; each one a fine-grain unit of
-// work).
+// work). An instance in Grace mode routes the run to its probe partitions
+// under ctx.Mu instead.
 func (j *Join) OnBatch(ctx *Context, ts []relation.Tuple, emit Emit) error {
 	if g, ok := ctx.State.(*graceState); ok {
-		return g.addProbeBatch(j, ts)
+		ctx.Mu.Lock()
+		defer ctx.Mu.Unlock()
+		return g.addProbeBatchLocked(j, ts)
 	}
 	sc := scratchPool.Get().(*batchScratch)
 	j.probeRun(ctx, sc, ts, emit)

@@ -81,11 +81,17 @@ func TestMapProjects(t *testing.T) {
 }
 
 func TestStoreAccumulatesPerInstance(t *testing.T) {
-	s := NewStore(3)
+	s := &Store{}
+	ctxs := []*Context{{Instance: 0}, {Instance: 1}, {Instance: 2}}
+	for _, ctx := range ctxs {
+		if err := s.Setup(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
 	emit := func(relation.Tuple) { t.Error("store must not emit") }
-	s.OnBatch(&Context{Instance: 1}, []relation.Tuple{kv(1, "a"), kv(2, "b")}, emit)
-	s.OnBatch(&Context{Instance: 2}, []relation.Tuple{kv(3, "c")}, emit)
-	res, err := s.Results()
+	s.OnBatch(ctxs[1], []relation.Tuple{kv(1, "a"), kv(2, "b")}, emit)
+	s.OnBatch(ctxs[2], []relation.Tuple{kv(3, "c")}, emit)
+	res, err := s.Results(ctxs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"dbs3/internal/relation"
@@ -78,9 +77,8 @@ func childSalt(salt uint64, depth int) uint64 {
 // graceState replaces the in-memory build index when the build side exceeds
 // the grant: build tuples are partitioned to disk in Setup, probe tuples
 // are routed to matching partitions as they arrive, and OnClose joins the
-// pairs partition by partition.
+// pairs partition by partition. Probe routing mutates it under ctx.Mu.
 type graceState struct {
-	mu    sync.Mutex
 	salt  uint64
 	parts []gracePart
 }
@@ -122,10 +120,8 @@ func (j *Join) newGraceState(build []relation.Tuple, salt uint64) (*graceState, 
 	return g, nil
 }
 
-// addProbeBatch routes a run of probe tuples under one lock epoch.
-func (g *graceState) addProbeBatch(j *Join, ts []relation.Tuple) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// addProbeBatchLocked routes a run of probe tuples; the caller holds ctx.Mu.
+func (g *graceState) addProbeBatchLocked(j *Join, ts []relation.Tuple) error {
 	for _, t := range ts {
 		if err := g.addProbeLocked(j, t); err != nil {
 			return err
