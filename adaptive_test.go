@@ -51,9 +51,12 @@ func TestMaterializeQueryAdaptsMidFlight(t *testing.T) {
 		t.Errorf("threads leaked: %+v", st)
 	}
 
-	// The footer renders the trace.
+	// The footer renders the trace and the admission decision.
 	if s := res.String(); !strings.Contains(s, "chain threads") {
 		t.Errorf("Result.String() missing the chain trace:\n%s", s)
+	}
+	if s := res.String(); !strings.Contains(s, "admission: interactive, utilization ") {
+		t.Errorf("Result.String() missing the admission line:\n%s", s)
 	}
 
 	// Unmanaged and single-chain cursors report no trace.

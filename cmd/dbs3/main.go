@@ -253,7 +253,7 @@ func runBatch(db *dbs3.Database, query string, opt *dbs3.Options, workers, repea
 				queries.Add(1)
 				rowsOut.Add(int64(n))
 				threadSum.Add(int64(rows.Threads()))
-				utilSum.Add(int64(rows.Utilization() * 1e6))
+				utilSum.Add(int64(rows.Footer().Admission.Utilization * 1e6))
 			}
 		}(w)
 	}

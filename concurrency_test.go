@@ -126,8 +126,8 @@ func TestManagerFeedbackLoop(t *testing.T) {
 	if alone.Threads < 2 {
 		t.Fatalf("baseline query uses %d threads; too small to observe reduction", alone.Threads)
 	}
-	if alone.Utilization != 0 {
-		t.Fatalf("idle utilization = %v, want 0", alone.Utilization)
+	if a := alone.Admission; a.Measured != 0 || a.Utilization != 0 {
+		t.Fatalf("idle utilization = %v (measured %v), want 0", a.Utilization, a.Measured)
 	}
 
 	// Background load: a heavy nested-loop join holding 2 of the 8 threads
@@ -172,8 +172,8 @@ func TestManagerFeedbackLoop(t *testing.T) {
 			t.Fatalf("probe %d: %v", i, errs[i])
 		}
 		r := results[i]
-		if r.Utilization <= 0 {
-			t.Errorf("probe %d measured utilization %v, want > 0", i, r.Utilization)
+		if a := r.Admission; a.Measured <= 0 || a.Utilization <= 0 {
+			t.Errorf("probe %d measured utilization %v (effective %v), want > 0", i, a.Measured, a.Utilization)
 		}
 		if r.Threads >= alone.Threads {
 			t.Errorf("probe %d used %d threads under load, not reduced from %d alone", i, r.Threads, alone.Threads)

@@ -125,6 +125,12 @@ func New() *Database {
 // budget, documented on the runtime's Config.
 type ManagerConfig = dbruntime.Config
 
+// Admission is what a QueryManager decided for one query — the utilization
+// fed to the scheduler with its measured and smoothed parts, the headroom
+// admitted into, the priority class and the memory grant — documented on the
+// runtime's Decision. A query's Footer carries it.
+type Admission = dbruntime.Decision
+
 // Manager installs a QueryManager sized by cfg and returns it. Once
 // installed, queries are admitted through it: concurrent queries share its
 // thread budget and each one's scheduler sees the utilization measured from
@@ -420,6 +426,10 @@ type Footer struct {
 	// Threads is the total degree of parallelism: the goroutines the
 	// scheduler allocated, or for a coordinator the sum over Nodes.
 	Threads int `json:"threads"`
+	// Admission is what the QueryManager decided when it admitted the
+	// query; nil for an unmanaged database and for a coordinator, whose
+	// Nodes carry their own.
+	Admission *Admission `json:"admission,omitempty"`
 	// ChainThreads is the per-chain renegotiated thread trace of a managed
 	// multi-chain query: the totals granted at each materialization point,
 	// in chain order (see Options.Materialize). Empty for single-chain
@@ -449,12 +459,17 @@ type NodeFooter struct {
 	Rows int64 `json:"-"`
 }
 
-// String renders the row-count/thread line, the per-chain renegotiated
-// thread trace of a multi-chain query, the per-operator scheduling counters
-// and the spill totals — the footer cmd/dbs3 and Result.String print.
+// String renders the row-count/thread line, the admission decision, the
+// per-chain renegotiated thread trace of a multi-chain query, the
+// per-operator scheduling counters and the spill totals — the footer cmd/dbs3
+// and Result.String print.
 func (f Footer) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "(%d rows, %d threads)\n", f.RowCount, f.Threads)
+	if a := f.Admission; a != nil {
+		fmt.Fprintf(&b, "  admission: %s, utilization %.2f (measured %.2f, smoothed %.2f), %d threads free, memory grant %dB\n",
+			a.Priority, a.Utilization, a.Measured, a.Smoothed, a.Available, a.MemoryGrant)
+	}
 	if len(f.ChainThreads) > 1 {
 		fmt.Fprintf(&b, "  chain threads (readmitted at each boundary): %v\n", f.ChainThreads)
 	}

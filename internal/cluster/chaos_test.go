@@ -59,7 +59,7 @@ func scheduleLog(t *testing.T) *os.File {
 //   - killing a replica and holding it down opens its breaker after the
 //     configured threshold, traffic stops reaching it, and a revival probe
 //     closes the breaker again;
-//   - every worker's ActiveThreads returns to 0 — no thread of any node's
+//   - every worker's activeThreads returns to 0 — no thread of any node's
 //     budget leaks to a query whose coordinator-side result died;
 //   - no coordinator goroutine outlives its query.
 func TestChaosReplicatedCluster(t *testing.T) {
@@ -326,14 +326,14 @@ func waitDrained(ctx context.Context, probe *server.Client) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st, err := probe.Stats(ctx)
-		if err == nil && st.ActiveThreads == 0 {
+		if err == nil && st.ThreadsInFlight == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
 			if err != nil {
 				return fmt.Errorf("stats probe: %w", err)
 			}
-			return fmt.Errorf("ActiveThreads = %d after the cluster went idle, want 0", st.ActiveThreads)
+			return fmt.Errorf("activeThreads = %d after the cluster went idle, want 0", st.ThreadsInFlight)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -304,7 +304,7 @@ func (r *replica) load() (float64, bool) {
 	}
 	l := r.stats.SmoothedUtilization
 	if r.stats.Budget > 0 {
-		if inst := float64(r.stats.ActiveThreads) / float64(r.stats.Budget); inst > l {
+		if inst := float64(r.stats.ThreadsInFlight) / float64(r.stats.Budget); inst > l {
 			l = inst
 		}
 	}

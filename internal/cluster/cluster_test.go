@@ -12,6 +12,7 @@ import (
 	"dbs3"
 	"dbs3/internal/esql"
 	"dbs3/internal/lera"
+	dbruntime "dbs3/internal/runtime"
 	"dbs3/internal/server"
 )
 
@@ -345,7 +346,7 @@ func setSnapshot(r *replica, st server.StatsResponse) {
 func TestUtilizationExchange(t *testing.T) {
 	tc := newTestCluster(t, "")
 	// Fabricate a polled snapshot: shard 0 is busy, the rest idle.
-	setSnapshot(tc.coord.shards[0].replicas[0], server.StatsResponse{SmoothedUtilization: 0.75, Budget: testBudget})
+	setSnapshot(tc.coord.shards[0].replicas[0], server.StatsResponse{Stats: dbruntime.Stats{SmoothedUtilization: 0.75}, Budget: testBudget})
 	for _, sh := range tc.coord.shards[1:] {
 		setSnapshot(sh.replicas[0], server.StatsResponse{Budget: testBudget})
 	}
@@ -364,8 +365,8 @@ func TestUtilizationExchange(t *testing.T) {
 	if opt.Utilization != 0.9 {
 		t.Errorf("fan-out utilization = %v, want caller's 0.9", opt.Utilization)
 	}
-	// ActiveThreads/Budget dominates a stale EWMA.
-	setSnapshot(tc.coord.shards[2].replicas[0], server.StatsResponse{Budget: testBudget, ActiveThreads: testBudget})
+	// activeThreads/budget dominates a stale EWMA.
+	setSnapshot(tc.coord.shards[2].replicas[0], server.StatsResponse{Stats: dbruntime.Stats{ThreadsInFlight: testBudget}, Budget: testBudget})
 	if got := tc.coord.remoteLoad(tc.coord.shards[1]); got != 1 {
 		t.Errorf("remoteLoad with a saturated shard = %v, want 1", got)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"dbs3"
 	"dbs3/internal/faultinject"
+	dbruntime "dbs3/internal/runtime"
 	"dbs3/internal/server"
 )
 
@@ -76,7 +77,7 @@ func trimScheme(url string) string {
 func prefer(first *replica, rest ...*replica) {
 	setSnapshot(first, server.StatsResponse{Budget: testBudget})
 	for _, r := range rest {
-		setSnapshot(r, server.StatsResponse{SmoothedUtilization: 0.9, Budget: testBudget})
+		setSnapshot(r, server.StatsResponse{Stats: dbruntime.Stats{SmoothedUtilization: 0.9}, Budget: testBudget})
 	}
 }
 

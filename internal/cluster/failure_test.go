@@ -67,14 +67,14 @@ func (fc *failureCluster) waitThreadsDrained(t *testing.T, url string) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st, err := client.Stats(context.Background())
-		if err == nil && st.ActiveThreads == 0 && st.Active == 0 {
+		if err == nil && st.ThreadsInFlight == 0 && st.Active == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
 			if err != nil {
 				t.Fatalf("worker %s unreachable while waiting for drain: %v", url, err)
 			}
-			t.Fatalf("worker %s still holds %d threads (%d active queries) after node failure", url, st.ActiveThreads, st.Active)
+			t.Fatalf("worker %s still holds %d threads (%d active queries) after node failure", url, st.ThreadsInFlight, st.Active)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -223,12 +223,7 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 	// Header barrier: every shard granted the subquery and declared its
 	// result shape; the shapes must agree or the catalogs have diverged.
 	head := subs[0].st.Header()
-	cluster := &server.Header{
-		Columns:     head.Columns,
-		Types:       head.Types,
-		Threads:     0,
-		Utilization: 0,
-	}
+	cluster := &server.Header{Columns: head.Columns, Types: head.Types}
 	for _, sub := range subs {
 		h := sub.st.Header()
 		if !slices.Equal(h.Columns, head.Columns) || !slices.Equal(h.Types, head.Types) {
@@ -236,9 +231,6 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 				sub.rep.name, h.Columns, h.Types, subs[0].rep.name, head.Columns, head.Types))
 		}
 		cluster.Threads += h.Threads
-		if h.Utilization > cluster.Utilization {
-			cluster.Utilization = h.Utilization
-		}
 	}
 
 	g := &gather{
@@ -371,8 +363,7 @@ func mergeGroups(g *gather, spec *esql.ScatterSpec, header *server.Header) ([][]
 }
 
 // Header returns the cluster-level stream header: the (validated-identical)
-// result shape, the sum of the shards' thread grants, and the maximum
-// utilization any shard reported.
+// result shape and the sum of the shards' thread grants.
 func (r *Rows) Header() *server.Header { return r.header }
 
 // Next advances the cursor. For streaming results it blocks on the fan-in

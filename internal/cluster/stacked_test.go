@@ -169,14 +169,14 @@ func TestStackedCoordinators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ls.ActiveThreads == 0 && ls.Active == 0 {
+			if ls.ThreadsInFlight == 0 && ls.Active == 0 {
 				if ls.Failed != 0 {
 					t.Errorf("leaf %s failed %d queries", url, ls.Failed)
 				}
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("leaf %s still holds %d threads", url, ls.ActiveThreads)
+				t.Fatalf("leaf %s still holds %d threads", url, ls.ThreadsInFlight)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

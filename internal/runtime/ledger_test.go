@@ -188,7 +188,7 @@ func (d *ledgerDriver) launchAdmit() {
 		if op.err != nil {
 			return
 		}
-		op.threads, op.bytes = op.adm.Alloc().Total, op.adm.MemoryGrant()
+		op.threads, op.bytes = op.adm.Alloc().Total, op.adm.Decision.MemoryGrant
 		op.err = op.grantError(ceiling)
 	}()
 }
@@ -242,7 +242,7 @@ func (d *ledgerDriver) readmit(op *ledgerOp) {
 	}
 	bytes := op.bytes
 	if bytes > 0 && chain >= 0 && chain < len(op.chainMem) {
-		bytes = min(bytes, max(slices.Max(op.chainMem[chain:]), min(op.adm.MemoryGrant(), minMemGrant)))
+		bytes = min(bytes, max(slices.Max(op.chainMem[chain:]), min(op.adm.Decision.MemoryGrant, minMemGrant)))
 	}
 	if held := op.adm.MemoryHeld(); held != bytes {
 		d.fatalf("Readmit(chain %d) left %d bytes held, model says %d", chain, held, bytes)

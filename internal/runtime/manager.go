@@ -107,7 +107,8 @@ type Config struct {
 	MemoryBudget int64
 }
 
-// Stats is a snapshot of the manager's aggregate counters.
+// Stats is a snapshot of the manager's aggregate counters. The JSON tags
+// are its wire form on a server's GET /stats.
 type Stats struct {
 	// Admitted, Completed, Failed, Cancelled and Rejected count queries
 	// over the manager's lifetime. Failed counts both planning errors at
@@ -117,28 +118,39 @@ type Stats struct {
 	// mid-result lands here too); Rejected counts ErrQueueFull sheds.
 	// Admitted = Completed + Failed-during-execution +
 	// Cancelled-during-execution + Active once drained.
-	Admitted, Completed, Failed, Cancelled, Rejected int64
+	Admitted  int64 `json:"admitted"`
+	Completed int64 `json:"completed"`
+	Failed    int64 `json:"failed"`
+	Cancelled int64 `json:"cancelled"`
+	Rejected  int64 `json:"rejected"`
 	// Queued and Active are the current admission-queue length and the
 	// number of queries executing right now. QueuedInteractive and
 	// QueuedBatch split Queued by priority class.
-	Queued, QueuedInteractive, QueuedBatch, Active int
+	Queued            int `json:"queued"`
+	QueuedInteractive int `json:"queuedInteractive"`
+	QueuedBatch       int `json:"queuedBatch"`
+	Active            int `json:"active"`
 	// ThreadsInFlight is the thread count currently allocated across active
 	// queries; PeakThreads is its lifetime high-water mark (always <= the
 	// budget).
-	ThreadsInFlight, PeakThreads int
+	ThreadsInFlight int `json:"activeThreads"`
+	PeakThreads     int `json:"peakThreads"`
 	// MemBudget is the configured memory budget (0 = memory admission off);
 	// MemInFlight is the byte total currently reserved by active queries and
 	// PeakMem its lifetime high-water mark (always <= MemBudget).
-	MemBudget, MemInFlight, PeakMem int64
+	MemBudget   int64 `json:"memBudget,omitempty"`
+	MemInFlight int64 `json:"memInFlight,omitempty"`
+	PeakMem     int64 `json:"peakMem,omitempty"`
 	// SpilledBytes and SpillPasses total the larger-than-memory activity of
 	// finished and in-flight queries: bytes written to spill runs and
 	// partitioning/merge passes taken, as reported by each query's spill
 	// accountant.
-	SpilledBytes, SpillPasses int64
+	SpilledBytes int64 `json:"spilledBytes,omitempty"`
+	SpillPasses  int64 `json:"spillPasses,omitempty"`
 	// MemReturnedEarly totals the bytes chain-boundary renegotiations handed
 	// back to the memory budget mid-flight (before Finish) — the memory
 	// analogue of ThreadsReturnedEarly. Memory renegotiation is shrink-only.
-	MemReturnedEarly int64
+	MemReturnedEarly int64 `json:"memReturnedEarly,omitempty"`
 	// Readmissions counts chain-boundary renegotiations: every time a
 	// multi-chain query re-ran the Figure 5 scheduler step at a
 	// materialization point (Manager.Readmit), whether or not the grant
@@ -146,54 +158,49 @@ type Stats struct {
 	// handed back to the budget mid-flight (before Finish);
 	// ThreadsGrownMidFlight totals the threads they took out of freed
 	// budget to grow a later chain.
-	Readmissions, ThreadsReturnedEarly, ThreadsGrownMidFlight int64
+	Readmissions          int64 `json:"readmissions"`
+	ThreadsReturnedEarly  int64 `json:"threadsReturnedEarly"`
+	ThreadsGrownMidFlight int64 `json:"threadsGrownMidFlight"`
 	// SmoothedUtilization is the EWMA over recently completed queries'
 	// leftover utilization — the slow half of the admission feedback
 	// signal.
-	SmoothedUtilization float64
+	SmoothedUtilization float64 `json:"smoothedUtilization"`
 	// PlanCacheHits and PlanCacheMisses count the facade's plan-cache
 	// outcomes — every statement resolution while this manager was
 	// installed, including Prepare and EXPLAIN, not just executed
 	// queries. They measure compilations avoided, so they are not
 	// comparable 1:1 with Admitted (a prepared statement resolves once
 	// and executes many times).
-	PlanCacheHits, PlanCacheMisses int64
+	PlanCacheHits   int64 `json:"planCacheHits"`
+	PlanCacheMisses int64 `json:"planCacheMisses"`
 }
 
-// QueryStats describes one admitted query's passage through the manager —
-// the per-query half of the feedback loop.
-type QueryStats struct {
+// Decision is what admission decided for one query — the per-query half of
+// the feedback loop. Admit writes it once, in the critical section that
+// reserves the query's threads and bytes; nothing changes it afterwards. The
+// JSON tags are its wire form in a query's footer.
+type Decision struct {
 	// Utilization is the effective processor utilization fed to the
 	// scheduler: the maximum of the caller's Options value and Smoothed.
-	Utilization float64
+	Utilization float64 `json:"utilization"`
 	// Measured is the raw instantaneous sample at admission: threads
 	// already allocated to other queries divided by the budget.
-	Measured float64
+	Measured float64 `json:"measured"`
 	// Smoothed blends Measured with the manager's EWMA over recently
 	// completed queries' utilization. The blend only ever raises the
 	// sample (a calm instant right after a burst is still treated as
 	// busy); a genuinely loaded instant is never watered down by a calm
 	// history.
-	Smoothed float64
-	// Threads is the thread count reserved for (and used by) the query.
-	Threads int
+	Smoothed float64 `json:"smoothed"`
 	// Available is the budget headroom the query was admitted into.
-	Available int
-	// Priority is the admission class the query was queued under.
-	Priority Priority
-	// ChainThreads is the per-chain thread trace of a multi-chain query:
-	// the totals granted at each materialization-point renegotiation, in
-	// chain order. Empty for single-chain queries, explicit-thread queries
-	// and unmanaged executions (populated at Finish).
-	ChainThreads []int
+	Available int `json:"available"`
+	// Priority names the admission class the query was queued under.
+	Priority string `json:"priority"`
 	// MemoryGrant is the working-memory byte budget reserved for the query
-	// at admission — min(cost-model estimate, caller ceiling, free budget).
-	// 0 when memory admission is off or the plan has no blocking operators.
-	MemoryGrant int64
-	// SpilledBytes and SpillPasses record the query's larger-than-memory
-	// activity: bytes written to spill runs and partition/merge passes
-	// taken. Zero for queries that fit their grant.
-	SpilledBytes, SpillPasses int64
+	// at admission — min(cost-model estimate, caller ceiling, free budget),
+	// the grant its spill accountant starts from. 0, and absent on the wire,
+	// when memory admission is off or the plan has no blocking operators.
+	MemoryGrant int64 `json:"memoryGrant,omitempty"`
 }
 
 // ewmaAlpha weighs a completed query's leftover-utilization sample into the
@@ -558,7 +565,7 @@ func (m *Manager) Readmit(a *Admission, chain, want, floor int) int {
 	}
 	to.threads = min(max(to.threads, floor), m.budget.threads-others) // held + free = budget - others
 	if a.held.bytes > 0 && chain >= 0 && chain < len(a.alloc.ChainMem) {
-		remain := max(slices.Max(a.alloc.ChainMem[chain:]), min(a.Stats.MemoryGrant, minMemGrant))
+		remain := max(slices.Max(a.alloc.ChainMem[chain:]), min(a.Decision.MemoryGrant, minMemGrant))
 		to.bytes = min(remain, a.held.bytes)
 	}
 	m.resizeLocked(a, to)
@@ -606,25 +613,23 @@ func (m *Manager) Reserve(ctx context.Context, n int) (release func(), err error
 }
 
 // Admission is one admitted query's reservation against the budget. The
-// caller owns the reserved threads until Finish returns them; Stats and
+// caller owns the reserved threads until Finish returns them; Decision and
 // Alloc describe what the admission decided. Between chains of a
 // multi-chain query the reservation is renegotiable: Manager.Readmit
 // adjusts the hold at each materialization point.
 type Admission struct {
 	m     *Manager
 	alloc core.Allocation
-	// Stats is the per-query feedback record (effective utilization fed to
-	// the scheduler, reserved threads, memory grant, admission class).
-	// ChainThreads is filled in at Finish; reading Stats while the query
-	// still executes races with renegotiation.
-	Stats QueryStats
+	// Decision is written before Admit returns and never changes.
+	Decision Decision
 
 	once sync.Once
 
 	// held is what the admission currently reserves (starts at the
 	// admission-time grant, renegotiated by Readmit, zero after Finish);
 	// trace records each renegotiated thread grant; finished blocks late
-	// Readmit calls. All guarded by m.mu.
+	// Readmit calls. All guarded by m.mu until Finish; after it, trace is
+	// final.
 	held     reservation
 	finished bool
 	trace    []int
@@ -633,11 +638,6 @@ type Admission struct {
 // Alloc is the thread allocation reserved for the query; pass it to
 // core.ExecuteAllocated together with the Options Admit adjusted.
 func (a *Admission) Alloc() core.Allocation { return a.alloc }
-
-// MemoryGrant returns the working-memory bytes granted at admission (0 when
-// memory admission is off or the plan estimates no blocking-operator state).
-// This is the grant a query's spill accountant starts from.
-func (a *Admission) MemoryGrant() int64 { return a.Stats.MemoryGrant }
 
 // MemoryHeld returns the working-memory bytes currently reserved — the
 // admission grant, minus what chain-boundary renegotiations handed back.
@@ -649,8 +649,8 @@ func (a *Admission) MemoryHeld() int64 {
 
 // NoteSpill records a query's larger-than-memory activity — bytes written
 // to spill runs and partition/merge passes — into the manager's lifetime
-// counters and the admission's QueryStats. Call it once, when the execution
-// ends and the spill accountant's totals are final (before or after Finish).
+// counters. Call it once, when the execution ends and the spill accountant's
+// totals are final (before or after Finish).
 func (a *Admission) NoteSpill(bytes, passes int64) {
 	if bytes == 0 && passes == 0 {
 		return
@@ -659,8 +659,6 @@ func (a *Admission) NoteSpill(bytes, passes int64) {
 	m.mu.Lock()
 	m.spilledBytes += bytes
 	m.spillPasses += passes
-	a.Stats.SpilledBytes += bytes
-	a.Stats.SpillPasses += passes
 	m.mu.Unlock()
 }
 
@@ -677,7 +675,6 @@ func (a *Admission) Finish(err error) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		a.finished = true
-		a.Stats.ChainThreads = append([]int(nil), a.trace...)
 		m.giveLocked(a.held)
 		a.held = reservation{}
 		m.active--
@@ -799,13 +796,12 @@ func (m *Manager) admit(ctx context.Context, est core.Estimate, opts *core.Optio
 		m:     m,
 		alloc: alloc,
 		held:  hold,
-		Stats: QueryStats{
+		Decision: Decision{
 			Utilization: opts.Utilization,
 			Measured:    measured,
 			Smoothed:    smoothed,
-			Threads:     hold.threads,
 			Available:   available,
-			Priority:    pri,
+			Priority:    pri.String(),
 			MemoryGrant: hold.bytes,
 		},
 	}, nil
@@ -855,7 +851,7 @@ func Begin(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts co
 		// MemoryBudget stays its grant (a grant of 0 would read as unlimited).
 		opts.Readmit = func(chain, want, floor int) int {
 			grant := m.Readmit(adm, chain, want, floor)
-			if env != nil && adm.MemoryGrant() > 0 {
+			if env != nil && adm.Decision.MemoryGrant > 0 {
 				env.Mem.SetGrant(adm.MemoryHeld())
 			}
 			return grant
@@ -865,26 +861,31 @@ func Begin(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts co
 	return r, nil
 }
 
-// Granted reports what admission decided: the threads reserved and the
-// processor utilization fed to the query's scheduler (the caller's, raised
-// to the manager's measurement when one admitted it).
-func (r *Run) Granted() (threads int, utilization float64) {
-	return r.alloc.Total, r.opts.Utilization
+// Threads is the thread total the query runs with.
+func (r *Run) Threads() int { return r.alloc.Total }
+
+// Decision is what the manager decided for the query; nil for an unmanaged
+// run.
+func (r *Run) Decision() *Decision {
+	if r.adm == nil {
+		return nil
+	}
+	return &r.adm.Decision
 }
 
 // Execute runs the query to completion (or to ctx's cancellation), removes
 // its spill files on every exit path, records what it spilled and hands the
 // reservation back — threads are in the budget again before Execute returns.
-// The QueryStats are the admission's, or just the allocation and spill
-// totals of an unmanaged run.
-func (r *Run) Execute(ctx context.Context) (*core.Result, QueryStats, error) {
-	res, err := core.ExecuteAllocated(ctx, r.plan, r.db, r.opts, r.alloc)
+// chainThreads is the thread total granted at each chain boundary of a
+// managed multi-chain query, in chain order; nil otherwise.
+func (r *Run) Execute(ctx context.Context) (res *core.Result, chainThreads []int, err error) {
+	res, err = core.ExecuteAllocated(ctx, r.plan, r.db, r.opts, r.alloc)
 	bytes, passes := r.env.Spilled()
 	r.env.Close()
 	if r.adm == nil {
-		return res, QueryStats{Utilization: r.opts.Utilization, Threads: r.alloc.Total, SpilledBytes: bytes, SpillPasses: passes}, err
+		return res, nil, err
 	}
 	r.adm.NoteSpill(bytes, passes)
 	r.adm.Finish(err)
-	return res, r.adm.Stats, err
+	return res, r.adm.trace, err
 }

@@ -13,14 +13,23 @@ import (
 	"dbs3/internal/workload"
 )
 
+// footer is what a query's footer shows of one managed execution: the
+// admission decision, the thread total and the chain trace.
+type footer struct {
+	Decision
+	Threads      int
+	ChainThreads []int
+}
+
 // execute admits one query as PriorityInteractive and runs it to completion
 // under m's budget, the way Stmt.QueryContext does minus the streaming.
-func execute(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts core.Options) (*core.Result, QueryStats, error) {
+func execute(ctx context.Context, m *Manager, plan *lera.Plan, db core.DB, opts core.Options) (*core.Result, footer, error) {
 	r, err := Begin(ctx, m, plan, db, opts, PriorityInteractive)
 	if err != nil {
-		return nil, QueryStats{}, err
+		return nil, footer{}, err
 	}
-	return r.Execute(ctx)
+	res, chainThreads, err := r.Execute(ctx)
+	return res, footer{*r.Decision(), r.Threads(), chainThreads}, err
 }
 
 func joinPlan(t *testing.T) (*lera.Plan, core.DB) {

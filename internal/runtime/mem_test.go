@@ -51,14 +51,14 @@ func TestMemoryGrantArithmetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adm.MemoryGrant() != 10<<20 || opts.MemoryBudget != 10<<20 {
-		t.Fatalf("grant = %d, opts.MemoryBudget = %d, want estimate %d", adm.MemoryGrant(), opts.MemoryBudget, 10<<20)
+	if adm.Decision.MemoryGrant != 10<<20 || opts.MemoryBudget != 10<<20 {
+		t.Fatalf("grant = %d, opts.MemoryBudget = %d, want estimate %d", adm.Decision.MemoryGrant, opts.MemoryBudget, 10<<20)
 	}
 	if st := m.Stats(); st.MemInFlight != 10<<20 || st.PeakMem != 10<<20 {
 		t.Fatalf("in flight = %d, peak = %d", st.MemInFlight, st.PeakMem)
 	}
-	if adm.Stats.MemoryGrant != 10<<20 {
-		t.Fatalf("QueryStats.MemoryGrant = %d", adm.Stats.MemoryGrant)
+	if adm.Decision.MemoryGrant != 10<<20 {
+		t.Fatalf("Decision.MemoryGrant = %d", adm.Decision.MemoryGrant)
 	}
 
 	// A per-query ceiling caps the grant below the estimate.
@@ -67,8 +67,8 @@ func TestMemoryGrantArithmetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adm2.MemoryGrant() != 4<<20 || opts2.MemoryBudget != 4<<20 {
-		t.Fatalf("ceiled grant = %d, opts = %d, want %d", adm2.MemoryGrant(), opts2.MemoryBudget, 4<<20)
+	if adm2.Decision.MemoryGrant != 4<<20 || opts2.MemoryBudget != 4<<20 {
+		t.Fatalf("ceiled grant = %d, opts = %d, want %d", adm2.Decision.MemoryGrant, opts2.MemoryBudget, 4<<20)
 	}
 
 	// Free headroom caps the grant below the estimate: 64-10-4 = 50 MiB
@@ -78,8 +78,8 @@ func TestMemoryGrantArithmetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adm3.MemoryGrant() != 50<<20 {
-		t.Fatalf("headroom-capped grant = %d, want %d", adm3.MemoryGrant(), int64(50<<20))
+	if adm3.Decision.MemoryGrant != 50<<20 {
+		t.Fatalf("headroom-capped grant = %d, want %d", adm3.Decision.MemoryGrant, int64(50<<20))
 	}
 	if st := m.Stats(); st.MemInFlight != budget {
 		t.Fatalf("in flight = %d, want full budget %d", st.MemInFlight, budget)
@@ -111,8 +111,8 @@ func TestMemoryStarvedQueryQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hog.MemoryGrant() != budget {
-		t.Fatalf("hog grant = %d, want full budget", hog.MemoryGrant())
+	if hog.Decision.MemoryGrant != budget {
+		t.Fatalf("hog grant = %d, want full budget", hog.Decision.MemoryGrant)
 	}
 
 	admitted := make(chan *Admission, 1)
@@ -147,8 +147,8 @@ func TestMemoryStarvedQueryQueues(t *testing.T) {
 	hog.Finish(nil)
 	select {
 	case adm := <-admitted:
-		if adm.MemoryGrant() != 2<<20 {
-			t.Fatalf("post-wait grant = %d, want estimate", adm.MemoryGrant())
+		if adm.Decision.MemoryGrant != 2<<20 {
+			t.Fatalf("post-wait grant = %d, want estimate", adm.Decision.MemoryGrant)
 		}
 		adm.Finish(nil)
 	case err := <-errc:
@@ -199,8 +199,8 @@ func TestReadmitShrinksMemory(t *testing.T) {
 	}
 
 	// The immutable grant is untouched by renegotiation.
-	if adm.MemoryGrant() != 24<<20 {
-		t.Fatalf("grant = %d, want original", adm.MemoryGrant())
+	if adm.Decision.MemoryGrant != 24<<20 {
+		t.Fatalf("grant = %d, want original", adm.Decision.MemoryGrant)
 	}
 	adm.Finish(nil)
 	if st := m.Stats(); st.MemInFlight != 0 {
@@ -208,8 +208,9 @@ func TestReadmitShrinksMemory(t *testing.T) {
 	}
 }
 
-// TestNoteSpillLedgers: per-query spill traffic reported at Finish shows up
-// on both the query's stats and the manager's machine-wide counters.
+// TestNoteSpillLedgers: per-query spill traffic reported at Finish adds up
+// on the manager's machine-wide counters, query by query. (A query's own
+// totals are its footer's, summed from its operators.)
 func TestNoteSpillLedgers(t *testing.T) {
 	plan, db := joinPlan(t)
 	m := NewManager(Config{Budget: 8, MemoryBudget: 16 << 20})
@@ -222,11 +223,18 @@ func TestNoteSpillLedgers(t *testing.T) {
 	adm.NoteSpill(512<<10, 1)
 	adm.NoteSpill(0, 0) // no-op
 	adm.Finish(nil)
-	if adm.Stats.SpilledBytes != 1<<20+512<<10 || adm.Stats.SpillPasses != 3 {
-		t.Fatalf("query spill = (%d, %d)", adm.Stats.SpilledBytes, adm.Stats.SpillPasses)
+	if st := m.Stats(); st.SpilledBytes != 1<<20+512<<10 || st.SpillPasses != 3 {
+		t.Fatalf("query spill = (%d, %d)", st.SpilledBytes, st.SpillPasses)
 	}
+	opts = core.Options{}
+	adm, err = admitMem(m, plan, db, &opts, 4<<20, 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm.NoteSpill(256<<10, 1)
+	adm.Finish(nil)
 	st := m.Stats()
-	if st.SpilledBytes != 1<<20+512<<10 || st.SpillPasses != 3 {
+	if st.SpilledBytes != 1<<20+768<<10 || st.SpillPasses != 4 {
 		t.Fatalf("manager spill = (%d, %d)", st.SpilledBytes, st.SpillPasses)
 	}
 }
@@ -271,8 +279,8 @@ func TestMemoryBudgetNeverExceeded(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if adm.MemoryGrant() > opts.MemoryBudget {
-					t.Errorf("grant %d above rewritten budget %d", adm.MemoryGrant(), opts.MemoryBudget)
+				if adm.Decision.MemoryGrant > opts.MemoryBudget {
+					t.Errorf("grant %d above rewritten budget %d", adm.Decision.MemoryGrant, opts.MemoryBudget)
 				}
 				adm.Finish(nil)
 			}
@@ -318,8 +326,12 @@ func TestExecuteKeepsPerQueryBudgetAcrossChains(t *testing.T) {
 			t.Error("the second chain's join spilled nothing under a 64 KiB budget")
 		}
 	}
-	if qs.SpilledBytes == 0 || m.Stats().SpilledBytes != qs.SpilledBytes {
-		t.Errorf("spill ledgers: query %d bytes, manager %d", qs.SpilledBytes, m.Stats().SpilledBytes)
+	var spilled int64 // the query's footer sums its operators
+	for _, st := range res.Stats {
+		spilled += st.SpilledBytes.Load()
+	}
+	if spilled == 0 || m.Stats().SpilledBytes != spilled {
+		t.Errorf("spill ledgers: query %d bytes, manager %d", spilled, m.Stats().SpilledBytes)
 	}
 	if got, ref := res.Outputs["Res"], want.Outputs["Res"]; got.Cardinality() != ref.Cardinality() {
 		t.Errorf("spilled run returned %d rows, in-memory run %d", got.Cardinality(), ref.Cardinality())
@@ -357,8 +369,8 @@ func TestNoMemoryNeedSkipsMemoryWait(t *testing.T) {
 		t.Fatalf("filter-only query waited for memory it will never hold: %v", err)
 	}
 	defer adm.Finish(nil)
-	if adm.MemoryGrant() != 0 || fopts.MemoryBudget != 0 {
-		t.Errorf("grant = %d, opts.MemoryBudget = %d, want 0/0", adm.MemoryGrant(), fopts.MemoryBudget)
+	if adm.Decision.MemoryGrant != 0 || fopts.MemoryBudget != 0 {
+		t.Errorf("grant = %d, opts.MemoryBudget = %d, want 0/0", adm.Decision.MemoryGrant, fopts.MemoryBudget)
 	}
 	if st := m.Stats(); st.MemInFlight != budget || st.ThreadsInFlight != 2 {
 		t.Errorf("MemInFlight/ThreadsInFlight = %d/%d, want %d/2", st.MemInFlight, st.ThreadsInFlight, budget)

@@ -21,7 +21,7 @@ func TestManagerInteractiveBeforeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	order := make(chan Priority, 2)
+	order := make(chan string, 2)
 	exec := func(pri Priority) {
 		opts := core.Options{Threads: 4} // serialize: each run needs the full budget
 		adm, err := m.Admit(context.Background(), plan, db, &opts, pri)
@@ -29,7 +29,7 @@ func TestManagerInteractiveBeforeBatch(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		order <- adm.Stats.Priority
+		order <- adm.Decision.Priority
 		res, err := core.ExecuteAllocated(context.Background(), plan, db, opts, adm.Alloc())
 		adm.Finish(err)
 		if err != nil || res == nil {
@@ -46,10 +46,10 @@ func TestManagerInteractiveBeforeBatch(t *testing.T) {
 	}
 
 	release()
-	if first := <-order; first != PriorityInteractive {
+	if first := <-order; first != PriorityInteractive.String() {
 		t.Errorf("first served = %v, want interactive", first)
 	}
-	if second := <-order; second != PriorityBatch {
+	if second := <-order; second != PriorityBatch.String() {
 		t.Errorf("second served = %v, want batch", second)
 	}
 }

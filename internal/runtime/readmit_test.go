@@ -87,7 +87,7 @@ func TestReadmitReleasesSurplus(t *testing.T) {
 	if st.ThreadsInFlight != 0 || st.Active != 0 || st.Completed != 1 {
 		t.Fatalf("after Finish: %+v", st)
 	}
-	if got := adm.Stats.ChainThreads; len(got) != 2 || got[0] != 2 || got[1] != 4 {
+	if got := adm.trace; len(got) != 2 || got[0] != 2 || got[1] != 4 {
 		t.Fatalf("ChainThreads trace = %v, want [2 4]", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestReadmitAdmitsWaiterMidFlight(t *testing.T) {
 
 // TestExecuteRenegotiatesChains runs a real multi-chain execution through
 // the manager end to end: the reservation is renegotiated once per chain,
-// the trace surfaces in QueryStats, and the budget holds.
+// Execute returns the trace, and the budget holds.
 func TestExecuteRenegotiatesChains(t *testing.T) {
 	plan, db := twoChainPlan(t)
 	m := NewManager(Config{Budget: 6})

@@ -121,7 +121,7 @@ func TestClientTimeoutSparesLongStreams(t *testing.T) {
 		w.Header().Set("Content-Type", contentTypeNDJSON)
 		w.WriteHeader(http.StatusOK)
 		fl, _ := w.(http.Flusher)
-		w.Write([]byte(`{"header":{"columns":["a"],"types":["INT"],"threads":1,"utilization":0}}` + "\n"))
+		w.Write([]byte(`{"header":{"columns":["a"],"types":["INT"],"threads":1}}` + "\n"))
 		if fl != nil {
 			fl.Flush()
 		}

@@ -165,7 +165,7 @@ func newFrontEnds(t *testing.T, card int) []*frontEnd {
 	localSrv, localURL, localAbort := serveNode(t, card, 0, 1, cfg)
 	local := &frontEnd{
 		name: "local", srv: localSrv, url: localURL, failBackend: localAbort,
-		activeThreads:    func(t *testing.T) int { return stats(t, localURL).ActiveThreads },
+		activeThreads:    func(t *testing.T) int { return stats(t, localURL).ThreadsInFlight },
 		workerStatements: func(*testing.T) int { return 0 },
 	}
 
@@ -195,7 +195,7 @@ func newFrontEnds(t *testing.T, card int) []*frontEnd {
 	}
 	coordinator := &frontEnd{
 		name: "coordinator", srv: coordSrv, url: coordURL, failBackend: aborts[0],
-		activeThreads:    overWorkers(func(st *server.StatsResponse) int { return st.ActiveThreads }),
+		activeThreads:    overWorkers(func(st *server.StatsResponse) int { return st.ThreadsInFlight }),
 		workerStatements: overWorkers(func(st *server.StatsResponse) int { return st.Statements }),
 	}
 
@@ -483,7 +483,7 @@ func TestFrontEndConformance(t *testing.T) {
 	// A coordinator's own payloads keep exactly the keys they had before it
 	// moved behind the shared front end, except that its footer nests each
 	// shard's record under "nodes"; each of those records carries the same
-	// per-operator fields a node's own footer does.
+	// per-operator and admission fields a node's own footer does.
 	t.Run("coordinator payload keys", func(t *testing.T) {
 		fe := fes[1]
 		keys := func(raw json.RawMessage) string {
@@ -535,26 +535,33 @@ func TestFrontEndConformance(t *testing.T) {
 		}
 		for _, sql := range []string{"SELECT unique1 FROM wisc WHERE unique2 < 5", "SELECT ten, COUNT(*) FROM wisc GROUP BY ten"} {
 			first, last := stream(fe, sql)
-			if got, want := keys(first["header"]), "columns threads types utilization"; got != want {
+			if got, want := keys(first["header"]), "columns threads types"; got != want {
 				t.Errorf("header keys %q, want %q", got, want)
 			}
 			if got, want := keys(last["done"]), "nodes rowCount threads"; got != want {
 				t.Errorf("footer keys %q, want %q", got, want)
 			}
-			var coord struct {
-				Nodes []struct{ Operators []json.RawMessage }
+			type footer struct {
+				Operators []json.RawMessage
+				Admission json.RawMessage
 			}
+			var coord struct{ Nodes []footer }
 			json.Unmarshal(last["done"], &coord)
 			_, localLast := stream(fes[0], sql)
-			var local struct{ Operators []json.RawMessage }
+			var local footer
 			json.Unmarshal(localLast["done"], &local)
-			want := opKeys(local.Operators)
-			if len(coord.Nodes) != confShards || want == "" {
-				t.Fatalf("%s: coordinator footer has %d nodes, local operator keys %q", sql, len(coord.Nodes), want)
+			want, wantAdm := opKeys(local.Operators), keys(local.Admission)
+			if len(coord.Nodes) != confShards || want == "" || wantAdm == "" {
+				t.Fatalf("%s: coordinator footer has %d nodes, local operator keys %q, admission keys %q", sql, len(coord.Nodes), want, wantAdm)
 			}
 			for i, n := range coord.Nodes {
 				if got := opKeys(n.Operators); got != want {
 					t.Errorf("%s: node %d operator keys %q, a local footer's %q", sql, i, got, want)
+				}
+				if n.Admission == nil {
+					t.Errorf("%s: node %d footer carries no admission", sql, i)
+				} else if got := keys(n.Admission); got != wantAdm {
+					t.Errorf("%s: node %d admission keys %q, a local footer's %q", sql, i, got, wantAdm)
 				}
 			}
 		}

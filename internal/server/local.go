@@ -83,35 +83,17 @@ func (b *local) ErrorStatus(err error) int {
 
 // Stats snapshots the manager and plan-cache counters.
 func (b *local) Stats(_ context.Context, front FrontEndStats) any {
-	st := b.manager.Stats()
 	hits, misses := b.db.PlanCacheStats()
 	return StatsResponse{
-		Budget:                b.manager.Budget(),
-		ActiveThreads:         st.ThreadsInFlight,
-		PeakThreads:           st.PeakThreads,
-		Active:                st.Active,
-		Queued:                st.Queued,
-		Admitted:              st.Admitted,
-		Completed:             st.Completed,
-		Failed:                st.Failed,
-		Cancelled:             st.Cancelled,
-		Rejected:              st.Rejected,
-		Readmissions:          st.Readmissions,
-		ThreadsReturnedEarly:  st.ThreadsReturnedEarly,
-		ThreadsGrownMidFlight: st.ThreadsGrownMidFlight,
-		SmoothedUtilization:   st.SmoothedUtilization,
-		MemBudget:             st.MemBudget,
-		MemInFlight:           st.MemInFlight,
-		PeakMem:               st.PeakMem,
-		SpilledBytes:          st.SpilledBytes,
-		SpillPasses:           st.SpillPasses,
-		PlanCacheHits:         hits,
-		PlanCacheMisses:       misses,
-		Statements:            front.Statements,
-		StatementsExpired:     front.Expired,
-		BytesWritten:          front.BytesWritten,
-		RowsStreamed:          front.RowsStreamed,
-		Relations:             b.db.Relations(),
+		Stats:             b.manager.Stats(),
+		Budget:            b.manager.Budget(),
+		PlanCacheHits:     hits,
+		PlanCacheMisses:   misses,
+		Statements:        front.Statements,
+		StatementsExpired: front.Expired,
+		BytesWritten:      front.BytesWritten,
+		RowsStreamed:      front.RowsStreamed,
+		Relations:         b.db.Relations(),
 	}
 }
 
@@ -160,10 +142,5 @@ func (s *localStmt) Close(context.Context) { s.stmt.Close() }
 type localResult struct{ *dbs3.Rows }
 
 func (r localResult) Header() *Header {
-	return &Header{
-		Columns:     r.Columns(),
-		Types:       r.ColumnTypes(),
-		Threads:     r.Threads(),
-		Utilization: r.Utilization(),
-	}
+	return &Header{Columns: r.Columns(), Types: r.ColumnTypes(), Threads: r.Threads()}
 }

@@ -112,8 +112,8 @@ func TestServeEndToEnd(t *testing.T) {
 			default:
 			}
 			st, err := client.Stats(context.Background())
-			if err == nil && st.ActiveThreads > st.Budget {
-				t.Errorf("ActiveThreads %d exceeds budget %d", st.ActiveThreads, st.Budget)
+			if err == nil && st.ThreadsInFlight > st.Budget {
+				t.Errorf("activeThreads %d exceeds budget %d", st.ThreadsInFlight, st.Budget)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -179,7 +179,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if st.Admitted != want || st.Completed != want || st.Failed != 0 || st.Cancelled != 0 {
 		t.Errorf("stats ledger %+v, want %d admitted = completed", st, want)
 	}
-	if st.Active != 0 || st.ActiveThreads != 0 || st.Queued != 0 {
+	if st.Active != 0 || st.ThreadsInFlight != 0 || st.Queued != 0 {
 		t.Errorf("load drained but stats show activity: %+v", st)
 	}
 	// One SQL shape across every execution: the plan compiled exactly once.
@@ -398,7 +398,7 @@ func TestServeMaterializeReadmission(t *testing.T) {
 	if st.Readmissions != m.Stats().Readmissions {
 		t.Errorf("/stats readmissions %d != manager %d", st.Readmissions, m.Stats().Readmissions)
 	}
-	if st.ActiveThreads != 0 || st.Active != 0 {
+	if st.ThreadsInFlight != 0 || st.Active != 0 {
 		t.Errorf("threads leaked: %+v", st)
 	}
 	if st.PeakThreads > testBudget {

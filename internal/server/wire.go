@@ -19,9 +19,9 @@
 // A streamed response is a header message, any number of row-chunk
 // messages, and exactly one terminal message (done or error):
 //
-//	{"header":{"columns":["a"],"types":["INT"],"threads":3,"utilization":0.5}}
+//	{"header":{"columns":["a"],"types":["INT"],"threads":3}}
 //	{"rows":[[1],[2],[3]]}
-//	{"done":{"rowCount":3,"threads":3}}
+//	{"done":{"rowCount":3,"threads":3,"admission":{"utilization":0.5,...}}}
 //
 // A client that asks for it (Accept header or options.wire: "columnar")
 // gets the same stream shape as length-prefixed binary frames with
@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 
 	"dbs3"
+	dbruntime "dbs3/internal/runtime"
 )
 
 // Options is the wire form of dbs3.Options: the per-request execution knobs
@@ -106,15 +107,15 @@ type PrepareResponse struct {
 	Params int `json:"params"`
 }
 
-// Header opens every streamed result: the static result shape plus what the
-// scheduler decided for this execution.
+// Header opens every streamed result: the static result shape plus the
+// thread count the scheduler allocated; the footer's admission record says
+// why.
 type Header struct {
 	Columns []string `json:"columns"`
 	// Types aligns with Columns ("INT" or "STRING"); clients need it to
 	// decode row values losslessly (JSON numbers are not int64).
-	Types       []string `json:"types"`
-	Threads     int      `json:"threads"`
-	Utilization float64  `json:"utilization"`
+	Types   []string `json:"types"`
+	Threads int      `json:"threads"`
 }
 
 // Footer closes a successfully streamed result: the query's execution
@@ -129,40 +130,14 @@ type Message struct {
 	Error  string  `json:"error,omitempty"`
 }
 
-// StatsResponse is the body of GET /stats.
+// StatsResponse is the body of GET /stats: the manager's counters under
+// their own JSON keys, plus what the front end and the database add.
 type StatsResponse struct {
+	dbruntime.Stats
 	// Budget is the manager's machine-wide thread budget.
 	Budget int `json:"budget"`
-	// ActiveThreads is the thread count currently allocated across running
-	// queries (never exceeds Budget); Active is the running query count.
-	ActiveThreads int `json:"activeThreads"`
-	PeakThreads   int `json:"peakThreads"`
-	Active        int `json:"active"`
-	Queued        int `json:"queued"`
-	// Lifetime query counters.
-	Admitted  int64 `json:"admitted"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Cancelled int64 `json:"cancelled"`
-	Rejected  int64 `json:"rejected"`
-	// Mid-flight adaptivity counters: chain-boundary renegotiations, the
-	// threads they returned to the budget before query completion, and the
-	// threads they grew into freed budget.
-	Readmissions          int64 `json:"readmissions"`
-	ThreadsReturnedEarly  int64 `json:"threadsReturnedEarly"`
-	ThreadsGrownMidFlight int64 `json:"threadsGrownMidFlight"`
-	// SmoothedUtilization is the admission feedback EWMA.
-	SmoothedUtilization float64 `json:"smoothedUtilization"`
-	// Memory admission counters: the machine-wide working-memory budget (0
-	// = memory admission off), the bytes reserved by running queries, the
-	// lifetime reservation high-water mark, and the lifetime spill totals
-	// (bytes written to spill runs, partition/merge passes) across queries.
-	MemBudget    int64 `json:"memBudget,omitempty"`
-	MemInFlight  int64 `json:"memInFlight,omitempty"`
-	PeakMem      int64 `json:"peakMem,omitempty"`
-	SpilledBytes int64 `json:"spilledBytes,omitempty"`
-	SpillPasses  int64 `json:"spillPasses,omitempty"`
-	// Plan-cache amortization counters.
+	// Plan-cache amortization counters: the database's, which count every
+	// resolution, not only those while the manager was installed.
 	PlanCacheHits   int64 `json:"planCacheHits"`
 	PlanCacheMisses int64 `json:"planCacheMisses"`
 	// Statements is the number of open server-side prepared statements;

@@ -121,8 +121,9 @@ break"
 // TestFooterGolden pins the terminal message of a single-node stream byte
 // for byte, in both encodings: the NDJSON done line and the columnar 'D'
 // payload. Every pool runs one worker (Threads: 1), so the per-operator
-// counters are deterministic. The spilling join also pins the spill totals,
-// and the materialized aggregate a two-chain plan.
+// counters are deterministic; the queries run one at a time, so each
+// admission record is an idle manager's. The spilling join also pins the
+// spill totals, and the materialized aggregate a two-chain plan.
 func TestFooterGolden(t *testing.T) {
 	db := dbs3.New()
 	if err := db.CreateWisconsin("wisc", 2000, 4, "unique2", 42); err != nil {
@@ -137,11 +138,11 @@ func TestFooterGolden(t *testing.T) {
 
 	cases := []struct{ body, want string }{
 		{`{"sql":"SELECT * FROM wisc WHERE unique1 < 100","options":{"threads":1}}`,
-			`{"rowCount":100,"threads":1,"operators":[{"name":"filter","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":100,"secondaryPicks":0},{"name":"store","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":100,"secondaryPicks":0}]}`},
+			`{"rowCount":100,"threads":1,"admission":{"utilization":0,"measured":0,"smoothed":0,"available":4,"priority":"interactive"},"operators":[{"name":"filter","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":100,"secondaryPicks":0},{"name":"store","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":100,"secondaryPicks":0}]}`},
 		{`{"sql":"SELECT * FROM A JOIN B ON A.k = B.k","options":{"threads":1,"memoryBudget":16384}}`,
-			`{"rowCount":2000,"threads":1,"operators":[{"name":"join","threads":1,"strategy":"random","instances":8,"activations":8,"emitted":2000,"secondaryPicks":0,"spilledBytes":524288,"spillPasses":8},{"name":"store","threads":0,"strategy":"random","instances":8,"activations":0,"emitted":2000,"secondaryPicks":0}],"spilledBytes":524288,"spillPasses":8}`},
+			`{"rowCount":2000,"threads":1,"admission":{"utilization":0,"measured":0,"smoothed":0,"available":4,"priority":"interactive"},"operators":[{"name":"join","threads":1,"strategy":"random","instances":8,"activations":8,"emitted":2000,"secondaryPicks":0,"spilledBytes":524288,"spillPasses":8},{"name":"store","threads":0,"strategy":"random","instances":8,"activations":0,"emitted":2000,"secondaryPicks":0}],"spilledBytes":524288,"spillPasses":8}`},
 		{`{"sql":"SELECT ten, COUNT(*) FROM wisc GROUP BY ten","options":{"threads":1,"materialize":true}}`,
-			`{"rowCount":10,"threads":2,"operators":[{"name":"filter","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":2000,"secondaryPicks":0},{"name":"scan","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":2000,"secondaryPicks":0},{"name":"stage","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":2000,"secondaryPicks":0},{"name":"aggregate","threads":1,"strategy":"random","instances":4,"activations":2000,"emitted":10,"secondaryPicks":0},{"name":"store","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":10,"secondaryPicks":0}]}`},
+			`{"rowCount":10,"threads":2,"admission":{"utilization":0,"measured":0,"smoothed":0,"available":4,"priority":"interactive"},"operators":[{"name":"filter","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":2000,"secondaryPicks":0},{"name":"scan","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":2000,"secondaryPicks":0},{"name":"stage","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":2000,"secondaryPicks":0},{"name":"aggregate","threads":1,"strategy":"random","instances":4,"activations":2000,"emitted":10,"secondaryPicks":0},{"name":"store","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":10,"secondaryPicks":0}]}`},
 	}
 	for _, tc := range cases {
 		for _, contentType := range []string{"application/x-ndjson", ContentTypeColumnar} {
@@ -182,4 +183,55 @@ func TestFooterGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFooterAdmission: the footer's admission record is what the manager
+// measured when it admitted the query. A neighbour holding 2 of 4 threads
+// through Reserve is seen as utilization 0.5 with 2 threads free, in both
+// encodings; the same query admitted idle sees 0 and 4. An unmanaged
+// database's footer has no record.
+func TestFooterAdmission(t *testing.T) {
+	db := dbs3.New()
+	if err := db.CreateWisconsin("wisc", 2000, 4, "unique2", 42); err != nil {
+		t.Fatal(err)
+	}
+	unmanaged, err := db.QueryAllContext(context.Background(), "SELECT unique1 FROM wisc WHERE unique2 < 5", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unmanaged.Admission != nil {
+		t.Errorf("unmanaged footer carries admission %+v", *unmanaged.Admission)
+	}
+	m := db.Manager(dbs3.ManagerConfig{Budget: 4})
+	ts := httptest.NewServer(New(db, m, Config{}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(ts.Client().CloseIdleConnections)
+
+	check := func(measured float64, available int) {
+		t.Helper()
+		for _, columnar := range []bool{false, true} {
+			c := &Client{Base: ts.URL, HTTP: ts.Client(), Columnar: columnar}
+			s, err := c.Query(context.Background(), "SELECT * FROM wisc WHERE unique1 < 100", nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s.Next() {
+			}
+			s.Close()
+			f := s.Footer()
+			if f == nil || f.Admission == nil {
+				t.Fatalf("columnar=%v: footer %+v carries no admission (err %v)", columnar, f, s.Err())
+			}
+			if a := f.Admission; a.Measured != measured || a.Utilization < measured || a.Available != available || a.Priority != "interactive" {
+				t.Errorf("columnar=%v: admission %+v, want measured %v and %d threads available", columnar, *a, measured, available)
+			}
+		}
+	}
+	check(0, 4)
+	release, err := m.Reserve(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(0.5, 2)
+	release()
 }

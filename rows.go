@@ -32,9 +32,8 @@ import (
 // concurrent use by multiple goroutines; the query execution behind it is
 // parallel regardless.
 type Rows struct {
-	cols        []string
-	types       []string
-	utilization float64
+	cols  []string
+	types []string
 
 	ch     chan []any
 	done   chan struct{} // closed by the execution goroutine when it settles
@@ -49,8 +48,9 @@ type Rows struct {
 	once      sync.Once
 	footer    *Footer // &rec once the result completed
 
-	// rec.Threads is set at admission; the execution goroutine writes
-	// execErr and the rest of rec, except RowCount, before close(done).
+	// rec.Threads and rec.Admission are set at admission; the execution
+	// goroutine writes execErr and the rest of rec, except RowCount, before
+	// close(done).
 	execErr error
 	rec     Footer
 }
@@ -65,11 +65,6 @@ func (r *Rows) ColumnTypes() []string { return append([]string(nil), r.types...)
 
 // Threads is the total degree of parallelism the scheduler allocated.
 func (r *Rows) Threads() int { return r.rec.Threads }
-
-// Utilization is the processor utilization the scheduler saw: the Options
-// value, or — when a QueryManager is installed — the smoothed measured load
-// at admission if higher.
-func (r *Rows) Utilization() float64 { return r.utilization }
 
 // Next advances to the next row, blocking until one is produced, the result
 // is exhausted, or the query fails or is cancelled. It returns false at the
@@ -209,7 +204,7 @@ func (r *Rows) All() (*Result, error) {
 	if r.closed && !r.exhausted {
 		return nil, fmt.Errorf("dbs3: All called on a closed cursor")
 	}
-	res := &Result{Columns: r.Columns(), Utilization: r.utilization}
+	res := &Result{Columns: r.Columns()}
 	for r.Next() {
 		res.Data = append(res.Data, r.cur)
 	}
@@ -229,10 +224,8 @@ type Result struct {
 	Columns []string
 	// Data holds one row per slice; values are int64 or string.
 	Data [][]any
-	// Utilization is the processor utilization the scheduler saw.
-	Utilization float64
-	// Footer is the execution record: threads, per-operator statistics,
-	// chain trace and spill totals. Its RowCount counts every row the
+	// Footer is the execution record: threads, the admission decision,
+	// per-operator statistics, chain trace and spill totals. Its RowCount counts every row the
 	// cursor delivered, which exceeds len(Data) when rows were read before
 	// All.
 	Footer

@@ -60,9 +60,10 @@ out=$(curl -fsS -H "$AUTH" -X POST "http://$COORD/query" \
 echo "$out" | grep -q '"header"' || { echo "missing header: $out"; exit 1; }
 echo "$out" | grep -q '"rows"' || { echo "missing rows: $out"; exit 1; }
 echo "$out" | grep -q '"done":{"rowCount":25,' || { echo "bad scatter union footer: $out"; exit 1; }
-# The coordinator's footer nests each shard's record, operators included.
-shards=$(echo "$out" | tail -n 1 | awk -F'"node":' '{ok = NF - 1; for (i = 2; i <= NF; i++) if (!index($i, "\"operators\":[")) ok = -1; print ok}')
-[ "$shards" = "3" ] || { echo "union footer does not nest 3 shard records with operators: $out"; exit 1; }
+# The coordinator's footer nests each shard's record, operators and
+# admission record included.
+shards=$(echo "$out" | tail -n 1 | awk -F'"node":' '{ok = NF - 1; for (i = 2; i <= NF; i++) if (!index($i, "\"operators\":[") || !index($i, "\"admission\":{")) ok = -1; print ok}')
+[ "$shards" = "3" ] || { echo "union footer does not nest 3 shard records with operators and admission: $out"; exit 1; }
 
 # Grouped aggregate: COUNT partials from three shards merge to the global
 # counts — ten groups, and the sum of the per-group counts is the full

@@ -34,6 +34,8 @@ out=$(curl -fsS -X POST "http://$ADDR/query" \
 echo "$out" | grep -q '"header"' || { echo "missing header: $out"; exit 1; }
 echo "$out" | grep -q '"rows"' || { echo "missing (empty?) rows: $out"; exit 1; }
 echo "$out" | grep -q '"done":{"rowCount":25,' || { echo "bad footer: $out"; exit 1; }
+# The done line carries what the manager decided when it admitted the query.
+echo "$out" | tail -n 1 | grep -q '"admission":{' || { echo "footer has no admission record: $out"; exit 1; }
 
 # Compile once, execute twice with different bindings.
 stmt=$(curl -fsS -X POST "http://$ADDR/prepare" \

@@ -343,27 +343,28 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 		return nil, err
 	}
 
-	threads, utilization := run.Granted()
 	r := &Rows{
-		cols:        prep.cols,
-		types:       prep.types,
-		utilization: utilization,
-		rec:         Footer{Threads: threads},
-		ch:          ch,
-		done:        make(chan struct{}),
-		cancel:      cancel,
-		parent:      ctx,
+		cols:   prep.cols,
+		types:  prep.types,
+		rec:    Footer{Threads: run.Threads(), Admission: run.Decision()},
+		ch:     ch,
+		done:   make(chan struct{}),
+		cancel: cancel,
+		parent: ctx,
 	}
 	go func() {
 		// Threads are back in the budget and the spill files gone before the
 		// cursor observes the end of the stream — Close-mid-result frees them
 		// immediately.
-		res, stats, execErr := run.Execute(qctx)
-		r.rec.SpilledBytes, r.rec.SpillPasses = stats.SpilledBytes, stats.SpillPasses
-		r.rec.ChainThreads = stats.ChainThreads
+		res, chainThreads, execErr := run.Execute(qctx)
+		r.rec.ChainThreads = chainThreads
 		r.execErr = execErr
 		if execErr == nil && res != nil {
 			r.rec.Operators = operatorStats(execPlan, res)
+			for _, op := range r.rec.Operators {
+				r.rec.SpilledBytes += op.SpilledBytes
+				r.rec.SpillPasses += op.SpillPasses
+			}
 		}
 		close(r.done)
 		close(ch)
