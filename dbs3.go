@@ -254,7 +254,7 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 	rows := relation.NewWisconsinRows(cardinality, seed)
 	keyCol := schema.MustIndex(key)
 	p, err := partition.Generate(name, schema, h, cardinality, cardinality*relation.WisconsinRowStringBytes,
-		func(i int) relation.Value { return rows.Value(keyCol, i) }, rows.Row)
+		func(i int) relation.Value { return rows.Value(keyCol, i) }, rows.Fill)
 	if err != nil {
 		return err
 	}

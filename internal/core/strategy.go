@@ -1,6 +1,9 @@
 package core
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // StrategyKind selects the consumption strategy of an operation's thread
 // pool (§3 step 4). Main queues are always preferred; the strategy decides
@@ -112,12 +115,17 @@ func MainQueues(all []*Queue, w, threads int) (main []*Queue, mainIdx []int) {
 // simulator: a non-empty main queue first, chosen by s; otherwise s chooses
 // among all non-empty queues and secondary reports the load redistribution.
 // A main pick returns its mainIdx entry, a secondary pick its index in all;
-// qi is -1 when every queue is empty.
+// qi is -1 when every queue is empty. The second scan may land on a main
+// queue a producer filled after the first one looked: that pick is still a
+// main one.
 func Pick(s Strategy, main []*Queue, mainIdx []int, all []*Queue) (qi int, secondary bool) {
 	if k := s.pick(main); k >= 0 {
 		return mainIdx[k], false
 	}
 	if k := s.pick(all); k >= 0 {
+		if j := slices.Index(main, all[k]); j >= 0 {
+			return mainIdx[j], false
+		}
 		return k, true
 	}
 	return -1, false

@@ -149,6 +149,58 @@ func TestPickMainThenSecondary(t *testing.T) {
 	}
 }
 
+// fillBetweenScans is a strategy that, after its first scan, pushes an
+// activation into a queue, as a producer can between Pick's scan of the main
+// queues and its scan of all of them.
+type fillBetweenScans struct {
+	Strategy
+	fill  *Queue
+	scans int
+}
+
+func (f *fillBetweenScans) pick(queues []*Queue) int {
+	k := f.Strategy.pick(queues)
+	if f.scans++; f.scans == 1 {
+		f.fill.Push(tupleAct(1))
+	}
+	return k
+}
+
+// TestPickMainFilledBetweenScans: a main queue that a producer fills after
+// Pick found the main queues empty is found by the second scan, and the pick
+// is a main one, not a secondary: with one worker every queue is main, and
+// no pick of it may ever count as load redistribution. The pick returns the
+// queue's mainIdx entry also when all lists the queues in another order, as
+// the simulator's list of non-empty queues does.
+func TestPickMainFilledBetweenScans(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		w, threads int
+	}{
+		{"one worker, every queue main", 0, 1},
+		{"two workers, a main among others", 1, 2},
+	} {
+		for _, kind := range []StrategyKind{StrategyRandom, StrategyLPT} {
+			for _, reversed := range []bool{false, true} {
+				qs := queuesWithLens(0, 0, 0, 0)
+				main, mainIdx := MainQueues(qs, c.w, c.threads)
+				all := slices.Clone(qs)
+				if reversed {
+					slices.Reverse(all)
+				}
+				s := &fillBetweenScans{Strategy: NewStrategy(kind, 5), fill: main[len(main)-1]}
+				qi, secondary := Pick(s, main, mainIdx, all)
+				if want := mainIdx[len(mainIdx)-1]; qi != want || secondary {
+					t.Errorf("%s, %v, all reversed %v: Pick = (%d, %v), want (%d, false)", c.name, kind, reversed, qi, secondary, want)
+				}
+				if s.scans != 2 {
+					t.Errorf("%s, %v: %d scans, want the main queues then all", c.name, kind, s.scans)
+				}
+			}
+		}
+	}
+}
+
 func TestStrategyKindString(t *testing.T) {
 	cases := map[StrategyKind]string{
 		StrategyAuto:     "auto",

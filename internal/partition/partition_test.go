@@ -171,7 +171,7 @@ func TestGenerateEqualsPartition(t *testing.T) {
 		rows := relation.NewWisconsinRows(n, seed)
 		col := r.Schema.MustIndex(f.Key()[0])
 		got, err := Generate("A", r.Schema, f, n, n*relation.WisconsinRowStringBytes,
-			func(i int) relation.Value { return rows.Value(col, i) }, rows.Row)
+			func(i int) relation.Value { return rows.Value(col, i) }, rows.Fill)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestGenerateRegionChecks(t *testing.T) {
 			rows := relation.NewWisconsinRows(n, seed)
 			col := schema.MustIndex(f.Key()[0])
 			return Generate("A", schema, f, n, n*relation.WisconsinRowStringBytes,
-				func(i int) relation.Value { return rows.Value(col, i) }, rows.Row)
+				func(i int) relation.Value { return rows.Value(col, i) }, rows.Fill)
 		}
 	}
 	for name, l := range map[string]load{

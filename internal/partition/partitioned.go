@@ -101,16 +101,17 @@ const generateChunk = 256
 // Generate builds a partitioned relation of n rows straight from a row
 // generator, with no intermediate Relation. keyOf(i) is row i's value of f's
 // single partitioning attribute, which places the row before it exists; the
-// rows are then generated fragment by fragment into one region (strBytes is
-// what their strings will take of it in total; row(region, i) appends row i),
-// so each fragment's tuples and values lie contiguous in memory and the
-// collector has nothing to scan. Where the strings lie is the generator's
-// choice: Wisconsin rows refer to one text table in value order, which a
-// fragment's rows read from scattered places. Within a fragment rows keep
-// their generation order, so the fragments are exactly those Partition would
-// have built.
+// rows are then generated fragment by fragment into one region by a single
+// call of fill (strBytes is what their strings will take of it in total;
+// fill(region, order) appends row order[0], then order[1], …), so each
+// fragment's tuples and values lie contiguous in memory and the collector
+// has nothing to scan. Where the strings lie is the generator's choice:
+// Wisconsin rows refer to one text table in value order, which a fragment's
+// rows read from scattered places. Within a fragment rows keep their
+// generation order, so the fragments are exactly those Partition would have
+// built.
 func Generate(name string, schema *relation.Schema, f Func, n, strBytes int,
-	keyOf func(i int) relation.Value, row func(region *relation.Region, i int)) (*Partitioned, error) {
+	keyOf func(i int) relation.Value, fill func(region *relation.Region, order []int32)) (*Partitioned, error) {
 	d := f.Degree()
 	// The keys are routed as one-value tuples, a chunk at a time, through
 	// buffers that do not grow with n.
@@ -140,9 +141,7 @@ func Generate(name string, schema *relation.Schema, f Func, n, strBytes int,
 		next[fr]++
 	}
 	region := relation.NewRegion(n, n*schema.Len(), strBytes)
-	for _, i := range order {
-		row(region, int(i))
-	}
+	fill(region, order)
 	return &Partitioned{Name: name, Schema: schema, Key: f.Key(), Fragments: Cut(region.Tuples(), sizes), Region: region}, nil
 }
 

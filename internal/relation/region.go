@@ -8,12 +8,13 @@ import (
 )
 
 // regionShared is the room every region sets aside, beyond the string bytes
-// its loader asked for, for the constants its tuples share (Shared).
+// its loader asked for, for the constants its rows share (Wisconsin's
+// string4, the join pads).
 const regionShared = 64
 
 // Region is where a base relation is born: one pointer-free allocation
 // holding the relation's tuple headers, its values and the bytes of its
-// strings, sized up front and filled tuple by tuple. To the collector the
+// strings, sized up front and filled by one loop. To the collector the
 // block is a single object with nothing in it to scan — a loaded relation is
 // never marked word by word and filling it raises no write barrier — because
 // every pointer in it is stored as an integer:
@@ -30,42 +31,26 @@ const regionShared = 64
 // real pointer into the block — a fragment cut from Tuples, one retained
 // Tuple, one string Value copied out of a tuple by Slab.Concat or Project —
 // keeps all of it alive: "pin by one survivor" (see Slab) at relation
-// granularity. A region is therefore deep-only: integers, strings whose bytes
-// are copied in (Str, Shared, a Compaction) and second headers for tuples it
-// already holds (Alias). Nothing may be stored into a tuple of a region after
-// its loader returned; a pointer to anything outside it would be invisible to
-// the collector.
+// granularity. A region is therefore deep-only, and its writers are few, all
+// in this package, each one loop over whole tuples: JoinRows.Fill and
+// WisconsinRows.Fill generate rows whose strings they copy in,
+// Compaction.Rehome copies tuples from anywhere (a CSV import, a shard, a
+// test's hand-built tuples) with their strings, and Alias adds a second
+// header for a tuple the region already holds. Nothing may be stored into a
+// tuple of a region after its loader returned; a pointer to anything outside
+// it would be invisible to the collector.
 //
-// Every base relation a loader registers lives in one: generators fill theirs
-// row by row, and partition.Partitioned.Rehome copies any other (a CSV
-// import, a shard) into one through a Compaction. Operators, aggregates and
-// spill read-back build their tuples in a Slab instead. A Region is not safe
-// for concurrent use while it is filled.
+// A Region is not safe for concurrent use while it is filled.
 type Region struct {
 	hdr []uint64 // three words per tuple
 	val []uint64 // two words per value
 	str []byte
 
-	nt, nv, ns int // tuples begun, value words written, string bytes written
-	end        int // nv once the tuple being filled is complete
+	nt, nv, ns int // tuples, value words and string bytes filled
 
 	// Addresses of the block and of its three parts, as integers: the block
 	// is pinned by the slices above and never moves.
 	base, valAddr, strAddr uintptr
-
-	shared    []sharedString
-	sharedBuf [4]sharedString
-
-	// texts is the address of the Wisconsin text table once the region's
-	// first WisconsinRows.Row has rendered it into the string bytes, else 0.
-	texts uintptr
-}
-
-// sharedString is a constant Shared has copied in: the caller's string and
-// the address of the region's copy.
-type sharedString struct {
-	src  string
-	addr uintptr
 }
 
 // NewRegion allocates a region for exactly the given number of tuples, of
@@ -75,12 +60,15 @@ type sharedString struct {
 // the standard library hands out as it comes (the Slab's arena relies on the
 // same), and its first byte, once written, gives the buffer's address. That
 // is sound here because the collector never reads the block and Tuples only
-// shows words that were stored — every header begun and, it checks, every
-// value of it. Against a zeroed make([]uint64, n) that then skips the pointer
-// word of integers, engine-skew's set-up (two join pairs, the fastest of 40)
-// took 2.86 ms instead of 3.55, one 100k/10 240/64 join pair 1.79 instead of
-// 2.14 and a 20 000-row Wisconsin relation at degree 16 2.21 instead of 2.85
-// (medians of three alternating runs each).
+// shows a region every header and value of which was written. Against a
+// zeroed make([]uint64, n) that then skips the pointer word of integers,
+// one 100 000/10 240/64 join pair took 1.79 ms instead of 2.14 and a
+// 20 000-row Wisconsin relation at degree 16 2.21 instead of 2.85 (medians
+// of three alternating runs each, while rows were still written value by
+// value). Writing each tuple in one loop with the cursor in local variables
+// then took that join pair from 1.34–1.87 ms to 0.87–0.99 ms and that
+// Wisconsin relation from 1.36–1.58 ms to 1.08–1.32 ms (the fastest of 48
+// and of 30 loads, three alternating runs, 2-vCPU Xeon).
 func NewRegion(tuples, values, strBytes int) *Region {
 	nh, nv := 3*tuples, 2*values
 	words := nh + nv + (strBytes+regionShared+7)/8
@@ -89,7 +77,6 @@ func NewRegion(tuples, values, strBytes int) *Region {
 	buf.WriteByte(0)
 	block := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.StringData(buf.String()))), words)
 	r := &Region{hdr: block[:nh:nh], val: block[nh : nh+nv : nh+nv]}
-	r.shared = r.sharedBuf[:0]
 	tail := block[nh+nv:]
 	r.str = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(tail))), 8*len(tail))
 	r.base = uintptr(unsafe.Pointer(unsafe.SliceData(block)))
@@ -98,42 +85,18 @@ func NewRegion(tuples, values, strBytes int) *Region {
 	return r
 }
 
-// Begin begins the next tuple, of n values: the n calls of Int, Str or
-// Shared that follow fill it in column order.
-func (r *Region) Begin(n int) {
-	r.header(r.valAddr+uintptr(8*r.nv), n)
-	r.end = r.nv + 2*n
-}
-
-// header stores the next tuple header: n values at address first. It is one
-// of the three places that store a pointer word (with ref and
-// Compaction.Rehome); its callers pass an address inside the region.
-func (r *Region) header(first uintptr, n int) {
-	if r.nv != r.end {
-		panic("relation: region tuple begun before the last one was filled")
+// next returns the header and value words of the region's next tuples
+// tuples holding values values, for a writer to fill, or panics if the
+// region has no room for them. The writer advances nt and nv once it has
+// filled them.
+func (r *Region) next(tuples, values int) (hdr, val []uint64) {
+	if tuples > len(r.hdr)/3-r.nt {
+		panic("relation: region is out of tuples")
 	}
-	h := r.hdr[3*r.nt:][:3]
-	h[0], h[1], h[2] = uint64(first), uint64(n), uint64(n)
-	r.nt++
-}
-
-// Int stores an integer as the next value.
-func (r *Region) Int(v int64) {
-	r.val[r.nv], r.val[r.nv+1] = 0, uint64(v)
-	r.nv += 2
-}
-
-// ref stores a string of n bytes at address p as the next value: another of
-// the places that store a pointer word.
-func (r *Region) ref(p uintptr, n int) {
-	r.val[r.nv], r.val[r.nv+1] = uint64(p), uint64(n)
-	r.nv += 2
-}
-
-// Str stores a string as the next value, its bytes copied into the region.
-func (r *Region) Str(s string) {
-	r.ref(r.bytes(len(s)), len(s))
-	copy(r.str[r.ns-len(s):], s)
+	if 2*values > len(r.val)-r.nv {
+		panic("relation: region is out of values")
+	}
+	return r.hdr[3*r.nt : 3*(r.nt+tuples)], r.val[r.nv : r.nv+2*values]
 }
 
 // bytes takes the next n string bytes and returns their address. The empty
@@ -150,29 +113,66 @@ func (r *Region) bytes(n int) uintptr {
 	return r.strAddr + uintptr(r.ns-n)
 }
 
-// Shared stores s as the next value like Str, but copies its bytes in only
-// the first time the region sees that text: for the handful of constants a
-// generator repeats in every row (Wisconsin's string4, the join pads), which
-// would otherwise either be copied per row or point outside the region. A
-// constant is first recognized by where the caller holds it, which costs a
-// row two compares and no call.
-func (r *Region) Shared(s string) {
-	for i := range r.shared {
-		if c := &r.shared[i]; unsafe.StringData(c.src) == unsafe.StringData(s) && len(c.src) == len(s) {
-			r.ref(c.addr, len(s))
-			return
+// constant copies s into the region's string bytes and returns its address:
+// a string every row a writer generates refers to.
+func (r *Region) constant(s string) uintptr {
+	p := r.bytes(len(s))
+	copy(r.str[p-r.strAddr:], s)
+	return p
+}
+
+// view returns the n tuples whose headers start at header word h as a slice
+// of the header block.
+func (r *Region) view(h, n int) []Tuple {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*Tuple)(unsafe.Pointer(&r.hdr[h])), n)
+}
+
+// JoinRows is one relation of the paper's join pair (§5.4) as data: rows
+// (k INT, id INT, pad STRING) laid out fragment by fragment. Fragment f
+// holds Sizes[f] rows whose keys run f, f+Stride, f+2·Stride, … and start
+// over every Cycle rows; ids count from 0 across the fragments; every row's
+// pad is Pad.
+type JoinRows struct {
+	Sizes         []int
+	Cycle, Stride int
+	Pad           string
+}
+
+// Fill appends the rows to r, the pad copied in once and shared by all of
+// them, and returns them. It is one loop over the rows that writes each
+// one's header and six value words, its cursor in local variables: the
+// pattern is data, so nothing is called per row.
+func (j JoinRows) Fill(r *Region) []Tuple {
+	rows := 0
+	for _, n := range j.Sizes {
+		rows += n
+	}
+	hdr, val := r.next(rows, 3*rows)
+	pad, padLen := uint64(r.constant(j.Pad)), uint64(len(j.Pad))
+	addr, stride, id := uint64(r.valAddr)+uint64(8*r.nv), uint64(j.Stride), uint64(0)
+	for f, n := range j.Sizes {
+		k, c := uint64(f), 0
+		for range n {
+			h, v := hdr[:3:3], val[:6:6]
+			h[0], h[1], h[2] = addr, 3, 3
+			v[0], v[1], v[2], v[3], v[4], v[5] = 0, k, 0, id, pad, padLen
+			hdr, val = hdr[3:], val[6:]
+			addr += 48
+			id++
+			if c++; c == j.Cycle {
+				k, c = uint64(f), 0
+			} else {
+				k += stride
+			}
 		}
 	}
-	for i := range r.shared {
-		if c := &r.shared[i]; c.src == s {
-			r.ref(c.addr, len(s))
-			return
-		}
-	}
-	r.Str(s)
-	if len(s) > 0 {
-		r.shared = append(r.shared, sharedString{src: s, addr: r.strAddr + uintptr(r.ns-len(s))})
-	}
+	first := 3 * r.nt
+	r.nt += rows
+	r.nv += 6 * rows
+	return r.view(first, rows)
 }
 
 // Alias stores a second header for t, a tuple of this region, as the next
@@ -183,19 +183,20 @@ func (r *Region) Alias(t Tuple) {
 	if len(t) > 0 && (first < r.valAddr || first+uintptr(16*len(t)) > r.strAddr) {
 		panic("relation: Alias of a tuple from outside the region")
 	}
-	r.header(first, len(t))
+	h, _ := r.next(1, 0)
+	h[0], h[1], h[2] = uint64(first), uint64(len(t)), uint64(len(t))
+	r.nt++
 }
 
-// Tuples returns the tuples begun so far, in the order they were, as a view
-// of the header block: the loader cuts the relation's fragments from it.
+// Tuples returns the region's tuples, in the order they were filled, as a
+// view of the header block: the loader cuts the relation's fragments from
+// it. It panics unless every tuple and value the region was sized for has
+// been filled, which is what makes showing an unzeroed block sound.
 func (r *Region) Tuples() []Tuple {
-	if r.nv != r.end {
-		panic("relation: region's last tuple was not filled")
+	if 3*r.nt != len(r.hdr) || r.nv != len(r.val) {
+		panic("relation: region's tuples were not all filled")
 	}
-	if r.nt == 0 {
-		return nil
-	}
-	return unsafe.Slice((*Tuple)(unsafe.Pointer(unsafe.SliceData(r.hdr))), r.nt)
+	return r.view(0, r.nt)
 }
 
 // StringBytes returns how many string bytes the region holds: what loaders'
@@ -204,9 +205,10 @@ func (r *Region) StringBytes() int { return r.ns }
 
 // Check verifies the region's invariant word by word: every tuple header
 // addresses values of this region, every string value bytes of this region,
-// each with its whole extent. Two values may share bytes (Shared, the
-// Wisconsin text table, a Compaction). Loaders' tests call it; a violation is a bug in
-// package relation, the only code that can store a pointer word.
+// each with its whole extent. Two values may share bytes (a constant the
+// generated rows share, the Wisconsin text table, a Compaction). Loaders'
+// tests call it; a violation is a bug in package relation, the only code that
+// can store a pointer word.
 func (r *Region) Check() error {
 	for i := 0; i < r.nt; i++ {
 		p, n, c := uintptr(r.hdr[3*i]), uintptr(r.hdr[3*i+1]), uintptr(r.hdr[3*i+2])
@@ -229,7 +231,7 @@ func (r *Region) Check() error {
 // Compaction copies some of the tuples cut from one source region into a
 // region of their own and keeps the sharing the source had: string bytes two
 // kept values shared in the source — a Wisconsin text that is one row's
-// stringu1 and another's stringu2, a Shared constant — are copied once and
+// stringu1 and another's stringu2, a generated constant — are copied once and
 // shared again. It works in the two passes of a counting copy and hashes
 // nothing:
 //
@@ -240,21 +242,26 @@ func (r *Region) Check() error {
 //     prefix popcount gives each marked byte its offset in the destination)
 //     and copies the marked runs once, in source order;
 //   - Rehome, over the same tuples in the same order: copies the tuple's
-//     values word for word and gives each string the address of its rank
-//     in the destination, or copies it in on its own when it lies outside
-//     the source (a CSV import's slab, a hand-built tuple: every string of
-//     a compaction without a source).
+//     value words as one block, then patches its string columns, each
+//     string's address rewritten to its rank in the destination, or to a
+//     copy made there when it lies outside the source (a CSV import's slab,
+//     a hand-built tuple: every string of a compaction without a source).
 //
-// Keep reads only the schema's string columns. A string anywhere else in a
-// tuple is a bug that Rehome never turns into a pointer out of the
-// destination: it panics, or copies the string in if there is room.
+// The schema's string columns are the only ones read or patched; a tuple may
+// be shorter than the schema, its columns typed by the schema's first ones,
+// which is how tests build regions of arbitrary tuples (a schema of strings
+// only, where an integer is copied as it is). A string in any other column is
+// a bug that Rehome refuses with a panic rather than copy a pointer out of
+// the destination.
 //
-// partition.Partitioned.Rehome is its one caller. Nothing of the source is
-// reachable from the destination, and the scratch (the marks and their
-// ranks) is garbage once the last tuple is rehomed.
+// partition.Partitioned.Rehome is its one caller outside tests. Nothing of
+// the source is reachable from the destination, and the scratch (the marks
+// and their ranks) is garbage once the last tuple is rehomed.
 type Compaction struct {
 	src     *Region  // nil: no string is the source's
-	strCols []int    // the schema's string columns
+	width   int      // the schema's columns
+	strCols []int    // the schema's string columns, ascending
+	intCols []int    // the others
 	marks   []uint64 // bit o: a kept value refers to the source's string byte o
 	rank    []int    // marked bytes before word w of marks
 	foreign int      // string bytes kept values hold outside the source
@@ -264,12 +271,20 @@ type Compaction struct {
 // NewCompaction begins a compaction of tuples of the given schema out of src,
 // the region they were cut from, or nil when they come from none.
 func NewCompaction(src *Region, schema *Schema) Compaction {
-	c := Compaction{src: src}
+	c := Compaction{src: src, width: schema.Len()}
+	cols := make([]int, 0, c.width) // the string columns, then the others
 	for i, col := range schema.cols {
 		if col.Type == TString {
-			c.strCols = append(c.strCols, i)
+			cols = append(cols, i)
 		}
 	}
+	ns := len(cols)
+	for i, col := range schema.cols {
+		if col.Type != TString {
+			cols = append(cols, i)
+		}
+	}
+	c.strCols, c.intCols = cols[:ns:ns], cols[ns:]
 	if src != nil {
 		c.marks = make([]uint64, (src.ns+63)/64)
 	}
@@ -293,6 +308,9 @@ func (c *Compaction) offset(p unsafe.Pointer, n int64) int {
 // values of its string columns refer to are marked, other strings counted.
 func (c *Compaction) Keep(t Tuple) {
 	for _, col := range c.strCols {
+		if col >= len(t) {
+			break
+		}
 		v := t[col]
 		if v.p == nil || v.n == 0 {
 			continue
@@ -367,28 +385,47 @@ func nextBit(m []uint64, i int, flip uint64) int {
 }
 
 // Rehome stores a deep copy of t, one of the tuples Keep counted and in the
-// same order, as the next tuple of the destination: its values word for
-// word, each string's pointer word rewritten to the string's rank in the
-// destination's string bytes, or to a copy made there when it lies outside
-// the source. It is the third place a region stores pointer words (with
-// header and ref), each one into the destination's own string bytes.
+// same order, as the next tuple of the destination: its value words copied
+// as one block, then each string column's address rewritten to the string's
+// rank in the destination's string bytes, or to a copy made there when it
+// lies outside the source. It stores pointer words only into the
+// destination's own string bytes, and nothing of t until every one of them
+// is patched.
 func (c *Compaction) Rehome(t Tuple) {
 	r := c.dst
-	r.Begin(len(t))
-	words := r.val[r.nv : r.nv+2*len(t)]
-	for k, v := range t {
-		words[2*k], words[2*k+1] = 0, uint64(v.n)
-		if v.p == nil {
-			continue
+	if len(t) > c.width {
+		panic("relation: compaction of a tuple wider than its schema")
+	}
+	hdr, words := r.next(1, len(t))
+	copy(words, unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(t))), 2*len(t)))
+	var stray uint64
+	for _, col := range c.intCols {
+		if col >= len(t) {
+			break
 		}
-		if v.n == 0 {
-			words[2*k] = uint64(r.base)
-		} else if o := c.offset(v.p, v.n); o >= 0 {
-			words[2*k] = uint64(r.strAddr + uintptr(c.rankOf(o)))
-		} else {
-			words[2*k] = uint64(r.bytes(int(v.n)))
-			copy(r.str[r.ns-int(v.n):], v.str())
+		stray |= words[2*col]
+	}
+	if stray != 0 {
+		panic("relation: compaction of a string outside the schema's string columns")
+	}
+	for _, col := range c.strCols {
+		if col >= len(t) {
+			break
+		}
+		v := t[col]
+		switch {
+		case v.p == nil:
+		case v.n == 0:
+			words[2*col] = uint64(r.base)
+		default:
+			if o := c.offset(v.p, v.n); o >= 0 {
+				words[2*col] = uint64(r.strAddr + uintptr(c.rankOf(o)))
+			} else {
+				words[2*col] = uint64(r.constant(v.str()))
+			}
 		}
 	}
+	hdr[0], hdr[1], hdr[2] = uint64(r.valAddr)+uint64(8*r.nv), uint64(len(t)), uint64(len(t))
+	r.nt++
 	r.nv += 2 * len(t)
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,28 +16,41 @@ func liveBytes() int64 {
 	return int64(m.HeapAlloc)
 }
 
+// regionOf builds a region of the given tuples the way tests build any: a
+// compaction out of src (nil: none) under a schema of strings only, so an
+// integer is copied as it is and a string keeps the sharing it had in src or,
+// from anywhere else, is copied in per value.
+func regionOf(src *Region, tuples ...Tuple) *Region {
+	width, values := 1, 0
+	for _, t := range tuples {
+		width, values = max(width, len(t)), values+len(t)
+	}
+	cols := make([]Column, width)
+	for i := range cols {
+		cols[i] = Column{fmt.Sprintf("c%d", i), TString}
+	}
+	c := NewCompaction(src, MustSchema(cols...))
+	for _, t := range tuples {
+		c.Keep(t)
+	}
+	r := c.Region(len(tuples), values)
+	for _, t := range tuples {
+		c.Rehome(t)
+	}
+	return r
+}
+
 // TestRegionTuples: what goes into a region comes back out of Tuples, value
-// for value, as ordinary capped tuples; the empty string stays a string,
-// Shared copies a constant in once, Alias shares the values of a tuple, and
-// the region passes its own Check.
+// for value, as ordinary capped tuples; the empty string stays a string, a
+// constant two values share is copied in once, Alias shares the values of a
+// tuple, and the region passes its own Check.
 func TestRegionTuples(t *testing.T) {
-	r := NewRegion(4, 9, len("keep")+len("other")+len("const"))
-	if r.Tuples() != nil {
+	if NewRegion(0, 0, 0).Tuples() != nil {
 		t.Fatal("an empty region has tuples")
 	}
-	r.Begin(4)
-	r.Int(7)
-	r.Str("keep")
-	r.Str("")
-	r.Shared("const")
-	r.Begin(0)
-	r.Begin(3)
-	r.Int(-1)
-	r.Str("other")
-	r.Int(0)
-	r.Begin(2)
-	r.Shared("const")
-	r.Shared("")
+	constant := regionOf(nil, Tuple{Str("const")})
+	c := constant.Tuples()[0][0]
+	r := regionOf(constant, Tuple{Int(7), Str("keep"), Str(""), c}, Tuple{}, Tuple{Int(-1), Str("other"), Int(0)}, Tuple{c, Str("")})
 	first := r.Tuples()
 	want := []Tuple{{Int(7), Str("keep"), Str(""), Str("const")}, {}, {Int(-1), Str("other"), Int(0)}, {Str("const"), Str("")}}
 	if len(first) != len(want) || cap(first) != len(want) {
@@ -48,7 +62,7 @@ func TestRegionTuples(t *testing.T) {
 		}
 	}
 	if first[0][3].p != first[3][0].p {
-		t.Error("Shared copied its constant in twice")
+		t.Error("the shared constant was copied in twice")
 	}
 	if r.ns != len("keep")+len("other")+len("const") {
 		t.Errorf("%d string bytes used", r.ns)
@@ -63,13 +77,11 @@ func TestRegionTuples(t *testing.T) {
 
 	// Alias: a second header over the same values, in a region with room
 	// for it.
-	r = NewRegion(2, 2, 1)
-	r.Begin(2)
-	r.Int(5)
-	r.Str("s")
-	r.Alias(r.Tuples()[0])
+	r = NewRegion(2, 3, 1)
+	filled := JoinRows{Sizes: []int{1}, Cycle: 1, Stride: 1, Pad: "s"}.Fill(r)
+	r.Alias(filled[0])
 	both := r.Tuples()
-	if len(both) != 2 || !both[1].Equal(both[0]) || &both[0][0] != &both[1][0] {
+	if len(both) != 2 || !both[0].Equal(Tuple{Int(0), Int(0), Str("s")}) || !both[1].Equal(both[0]) || &both[0][0] != &both[1][0] {
 		t.Errorf("Alias: %v", both)
 	}
 	if err := r.Check(); err != nil {
@@ -78,32 +90,42 @@ func TestRegionTuples(t *testing.T) {
 }
 
 // TestRegionRefusesMisuse: a region is exactly sized and deep-only, and says
-// so by panicking — overfilling it, leaving a tuple half filled, or aliasing
-// a tuple that lives elsewhere is a loader bug.
+// so by panicking — overfilling it with tuples, values or string bytes,
+// viewing it before it is filled, compacting a tuple its schema does not
+// describe, or aliasing a tuple that lives elsewhere is a loader bug.
 func TestRegionRefusesMisuse(t *testing.T) {
-	fresh := func() *Region {
-		r := NewRegion(1, 3, 0)
-		r.Begin(2)
-		r.Int(1)
-		return r
+	rows := func(n int, pad string) JoinRows { return JoinRows{Sizes: []int{n}, Cycle: 1, Stride: 1, Pad: pad} }
+	compaction := func(keep ...Tuple) *Compaction {
+		c := NewCompaction(nil, MustSchema(Column{"i", TInt}, Column{"s", TString}))
+		for _, tup := range keep {
+			c.Keep(tup)
+		}
+		c.Region(len(keep), 2*len(keep))
+		return &c
 	}
-	for name, misuse := range map[string]func(*Region){
-		"tuple left half filled":   func(r *Region) { r.Tuples() },
-		"next tuple begun early":   func(r *Region) { r.Begin(1) },
-		"more tuples than sized":   func(r *Region) { r.Int(2); r.Begin(0) },
-		"more values than sized":   func(r *Region) { r.Int(2); r.Int(3); r.Int(4) },
-		"more values than begun":   func(r *Region) { r.Int(2); r.Int(3); r.Tuples() },
-		"more string bytes":        func(r *Region) { r.Str(strings.Repeat("s", regionShared+8)) },
-		"alias of a foreign tuple": func(r *Region) { r.Int(2); r.Alias(Tuple{Int(1)}) },
+	tup, long := Tuple{Int(1), Str("s")}, strings.Repeat("s", regionShared+1)
+	for name, misuse := range map[string]func(){
+		"more rows than tuples":          func() { rows(2, "").Fill(NewRegion(1, 6, 0)) },
+		"more rows than values":          func() { rows(2, "").Fill(NewRegion(2, 5, 0)) },
+		"a pad past the string bytes":    func() { rows(1, long).Fill(NewRegion(1, 3, 0)) },
+		"more Wisconsin rows than sized": func() { NewWisconsinRows(2, 1).Fill(NewRegion(1, 16, 2*wisconsinStringLen), []int32{0, 1}) },
+		"Wisconsin texts past the bytes": func() { NewWisconsinRows(2, 1).Fill(NewRegion(2, 32, 0), []int32{0, 1}) },
+		"more tuples than compacted":     func() { c := compaction(tup); c.Rehome(tup); c.Rehome(tup) },
+		"a string Keep did not count":    func() { compaction(Tuple{Int(1), Str("")}).Rehome(Tuple{Int(1), Str(long)}) },
+		"a tuple wider than its schema":  func() { compaction(tup).Rehome(Tuple{Int(1), Str("s"), Int(2)}) },
+		"a string in an integer column":  func() { compaction(tup).Rehome(Tuple{Str("s"), Str("s")}) },
+		"Tuples of a short fill":         func() { r := NewRegion(2, 6, 0); rows(1, "").Fill(r); r.Tuples() },
+		"Tuples of a short compaction":   func() { c := compaction(tup, tup); c.Rehome(tup); c.dst.Tuples() },
+		"alias of a foreign tuple":       func() { r := NewRegion(2, 3, 0); rows(1, "").Fill(r); r.Alias(Tuple{Int(1)}) },
+		"alias past the tuples":          func() { r := NewRegion(1, 3, 0); r.Alias(rows(1, "").Fill(r)[0]) },
 	} {
-		r := fresh()
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s: accepted", name)
 				}
 			}()
-			misuse(r)
+			misuse()
 		}()
 	}
 }
@@ -113,13 +135,7 @@ func TestRegionRefusesMisuse(t *testing.T) {
 // word can leave the region.
 func TestRegionCheckCatchesForeignPointers(t *testing.T) {
 	build := func() *Region {
-		r := NewRegion(2, 4, 8)
-		for i := 0; i < 2; i++ {
-			r.Begin(2)
-			r.Int(int64(i))
-			r.Str("four")
-		}
-		return r
+		return regionOf(nil, Tuple{Int(0), Str("four")}, Tuple{Int(1), Str("four")})
 	}
 	if err := build().Check(); err != nil {
 		t.Fatal(err)
@@ -184,13 +200,13 @@ func TestSlabRehomeDropsSourceArena(t *testing.T) {
 	pad := strings.Repeat("p", 100)
 	build := func(deep bool) (kept []Tuple, grew int64) {
 		before := liveBytes()
-		src := NewRegion(n, 3*n, 2*n*len(pad))
-		for i := 0; i < n; i++ {
-			src.Begin(3)
-			src.Int(int64(i))
-			src.Str(pad)
-			src.Str(pad)
-		}
+		src := func() *Region {
+			rows := make([]Tuple, n)
+			for i := range rows {
+				rows[i] = Tuple{Int(int64(i)), Str(pad), Str(pad)}
+			}
+			return regionOf(nil, rows...)
+		}()
 		all := src.Tuples()
 		if deep {
 			c := NewCompaction(src, MustSchema(Column{"i", TInt}, Column{"a", TString}, Column{"b", TString}))

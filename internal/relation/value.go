@@ -139,21 +139,29 @@ const (
 // The hash is independent of process and run (it matches hash/fnv exactly),
 // and the computation is allocation-free.
 func (v Value) Hash() uint64 {
-	h := uint64(fnvOffset64)
 	if v.p == nil {
-		u := uint64(v.n)
-		for k := 0; k < 8; k++ {
-			h ^= uint64(byte(u >> (8 * k)))
-			h *= fnvPrime64
-		}
-	} else {
-		s := v.str()
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= fnvPrime64
-		}
+		return fnvInt(uint64(v.n))
+	}
+	h := uint64(fnvOffset64)
+	s := v.str()
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
 	}
 	return h
+}
+
+// fnvInt is FNV-1a over the eight bytes of u, least significant first,
+// unrolled.
+func fnvInt(u uint64) uint64 {
+	h := (fnvOffset64 ^ u&0xff) * fnvPrime64
+	h = (h ^ u>>8&0xff) * fnvPrime64
+	h = (h ^ u>>16&0xff) * fnvPrime64
+	h = (h ^ u>>24&0xff) * fnvPrime64
+	h = (h ^ u>>32&0xff) * fnvPrime64
+	h = (h ^ u>>40&0xff) * fnvPrime64
+	h = (h ^ u>>48&0xff) * fnvPrime64
+	return (h ^ u>>56) * fnvPrime64
 }
 
 // String renders the value for debugging and CLI output.

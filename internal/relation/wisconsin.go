@@ -33,7 +33,7 @@ var WisconsinSchema = MustSchema(
 )
 
 // string4Cycle is the classic cyclic pattern for the string4 attribute.
-var string4Cycle = []string{"AAAAxxxx", "HHHHxxxx", "OOOOxxxx", "VVVVxxxx"}
+var string4Cycle = [...]string{"AAAAxxxx", "HHHHxxxx", "OOOOxxxx", "VVVVxxxx"}
 
 // Wisconsin generates an n-tuple Wisconsin relation with a deterministic
 // pseudo-random permutation for unique1 seeded by seed. The same (n, seed)
@@ -46,18 +46,20 @@ func Wisconsin(name string, n int, seed int64) *Relation {
 // region: its text table, then the rows.
 func wisconsinRegion(n int, seed int64) *Region {
 	rows := NewWisconsinRows(n, seed)
-	region := NewRegion(n, n*WisconsinSchema.Len(), n*WisconsinRowStringBytes)
-	for u2 := 0; u2 < n; u2++ {
-		rows.Row(region, u2)
+	order := make([]int32, n)
+	for u2 := range order {
+		order[u2] = int32(u2)
 	}
+	region := NewRegion(n, n*WisconsinSchema.Len(), n*WisconsinRowStringBytes)
+	rows.Fill(region, order)
 	return region
 }
 
-// WisconsinRows is a Wisconsin relation as a row source: row u2 of
-// Wisconsin(n, seed), or any one value of it, on demand. Loaders that lay
-// rows out in an order of their own (fragment by fragment) generate from it
-// instead of materializing the relation first. It is read-only once built,
-// so any number of goroutines may read rows from it.
+// WisconsinRows is a Wisconsin relation as a row source: its rows in any
+// order, or any one value of a row. Loaders that lay rows out in an order of
+// their own (fragment by fragment) generate from it instead of materializing
+// the relation first. It is read-only once built, so any number of goroutines
+// may read values from it.
 type WisconsinRows struct {
 	perm []int
 }
@@ -77,31 +79,49 @@ func NewWisconsinRows(n int, seed int64) *WisconsinRows {
 // the one copy of each in the table; string4 shares its four constants.
 const WisconsinRowStringBytes = wisconsinStringLen
 
-// Row appends row u2 to region. The first row appended to a region renders
-// the relation's text table into it; stringu1 and stringu2 refer to their
-// texts there.
-func (w *WisconsinRows) Row(region *Region, u2 int) {
-	if region.texts == 0 {
-		region.texts = wisconsinTexts(region, len(w.perm))
+// Fill renders the relation's text table into region, copies in the string4
+// constants the relation's rows use, then appends row u2 for each u2 of
+// order, in that order: stringu1 and stringu2 refer to their texts in the table. It is one
+// loop over the rows that writes each one's header and 32 value words, its
+// cursor in local variables.
+func (w *WisconsinRows) Fill(region *Region, order []int32) {
+	const cols = 16 // WisconsinSchema.Len()
+	hdr, val := region.next(len(order), cols*len(order))
+	texts := uint64(wisconsinTexts(region, len(w.perm)))
+	var string4 [len(string4Cycle)]uint64
+	for i := range min(len(w.perm), len(string4)) {
+		string4[i] = uint64(region.constant(string4Cycle[i]))
 	}
-	u1 := int64(w.perm[u2])
-	region.Begin(WisconsinSchema.Len())
-	region.Int(u1)
-	region.Int(int64(u2))
-	region.Int(u1 % 2)
-	region.Int(u1 % 4)
-	region.Int(u1 % 10)
-	region.Int(u1 % 20)
-	region.Int(u1 % 100)
-	region.Int(u1 % 10)
-	region.Int(u1 % 5)
-	region.Int(u1 % 2)
-	region.Int(u1)
-	region.Int((u1 % 100) * 2)
-	region.Int((u1%100)*2 + 1)
-	region.ref(region.texts+uintptr(u1)*wisconsinStringLen, wisconsinStringLen)
-	region.ref(region.texts+uintptr(u2)*wisconsinStringLen, wisconsinStringLen)
-	region.Shared(string4Cycle[u2%len(string4Cycle)])
+	const textLen = wisconsinStringLen
+	string4Len := uint64(len(string4Cycle[0])) // all four are as long
+	addr, perm := uint64(region.valAddr)+uint64(8*region.nv), w.perm
+	for _, i := range order {
+		u2 := uint64(i)
+		u1 := uint64(perm[i])
+		h, v := hdr[:3:3], val[:2*cols:2*cols]
+		h[0], h[1], h[2] = addr, cols, cols
+		pct := u1 % 100
+		v[0], v[1] = 0, u1
+		v[2], v[3] = 0, u2
+		v[4], v[5] = 0, u1%2
+		v[6], v[7] = 0, u1%4
+		v[8], v[9] = 0, u1%10
+		v[10], v[11] = 0, u1%20
+		v[12], v[13] = 0, pct
+		v[14], v[15] = 0, u1%10
+		v[16], v[17] = 0, u1%5
+		v[18], v[19] = 0, u1%2
+		v[20], v[21] = 0, u1
+		v[22], v[23] = 0, pct*2
+		v[24], v[25] = 0, pct*2+1
+		v[26], v[27] = texts+u1*textLen, textLen
+		v[28], v[29] = texts+u2*textLen, textLen
+		v[30], v[31] = string4[u2%uint64(len(string4))], string4Len
+		hdr, val = hdr[3:], val[2*cols:]
+		addr += 16 * cols
+	}
+	region.nt += len(order)
+	region.nv += 2 * cols * len(order)
 }
 
 // Value returns column col of row u2 without building the row: what a
@@ -167,12 +187,22 @@ func wisconsinText(v int64) string {
 
 // wisconsinTexts renders the texts of 0..n-1 into the next n·52 of region's
 // string bytes, in value order, and returns the table's address: text v lies
-// 52·v bytes past it.
+// 52·v bytes past it. Text v+1 is text v with its base-26 prefix incremented,
+// carry and all, so no text costs a division.
 func wisconsinTexts(region *Region, n int) uintptr {
 	table := region.bytes(n * wisconsinStringLen)
 	text := region.str[region.ns-n*wisconsinStringLen : region.ns]
-	for v := 0; v < n; v++ {
-		putWisconsinString(text[v*wisconsinStringLen:][:wisconsinStringLen], int64(v))
+	putWisconsinString(text[:wisconsinStringLen], 0)
+	for prev := text; len(prev) >= 2*wisconsinStringLen; prev = prev[wisconsinStringLen:] {
+		next := prev[wisconsinStringLen : 2*wisconsinStringLen]
+		copy(next, prev[:wisconsinStringLen])
+		for i := wisconsinPrefixLen - 1; i >= 0; i-- {
+			if next[i] != 'Z' {
+				next[i]++
+				break
+			}
+			next[i] = 'A'
+		}
 	}
 	return table
 }

@@ -152,8 +152,15 @@ func TestWisconsinRowsAgreeWithRelation(t *testing.T) {
 	r := Wisconsin("A", n, 9)
 	rows := NewWisconsinRows(n, 9)
 	region := NewRegion(n, n*WisconsinSchema.Len(), n*WisconsinRowStringBytes)
-	for u2 := n - 1; u2 >= 0; u2-- { // any order
-		rows.Row(region, u2)
+	order := make([]int32, n)
+	for i := range order { // any order
+		order[i] = int32(n - 1 - i)
+	}
+	rows.Fill(region, order)
+	if err := region.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for u2 := n - 1; u2 >= 0; u2-- {
 		if row := region.Tuples()[n-1-u2]; !row.Equal(r.Tuples[u2]) {
 			t.Fatalf("row %d = %v, relation has %v", u2, row, r.Tuples[u2])
 		}

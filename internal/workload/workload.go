@@ -67,16 +67,10 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	}
 	db.AKeyPart = modK
 
-	// Each relation is filled fragment by fragment into one region its
-	// fragments are then cut from; the pad is one constant per relation,
-	// copied into the region once.
+	// Each relation is filled fragment by fragment, in one call, into one
+	// region its fragments are then cut from; the pad is one constant per
+	// relation, copied into the region once.
 	const padA, padB = "a", "b"
-	row := func(region *relation.Region, k, id int64, pad string) {
-		region.Begin(JoinSchema.Len())
-		region.Int(k)
-		region.Int(id)
-		region.Shared(pad)
-	}
 	uniform := make([]int, d)
 	for i := range uniform {
 		uniform[i] = bPerFrag
@@ -86,17 +80,10 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	// Its region has room for every tuple's header twice: Br is B's tuples
 	// under a second header each.
 	rb := relation.NewRegion(2*bCard, bCard*JoinSchema.Len(), len(padB))
-	id := int64(0)
-	for i := 0; i < d; i++ {
-		for j := 0; j < bPerFrag; j++ {
-			row(rb, int64(i+j*d), id, padB)
-			id++
-		}
-	}
+	b := relation.JoinRows{Sizes: uniform, Cycle: bPerFrag, Stride: d, Pad: padB}.Fill(rb)
 	// Br: the same tuples placed by id (id mod d), i.e. NOT on the join key.
 	// ids are 0..bCard-1 in B's order and d divides bCard, so Br's fragment
 	// f holds B's tuples f, f+d, f+2d, ... — exactly bPerFrag of them.
-	b := rb.Tuples()
 	for f := 0; f < d; f++ {
 		for j := 0; j < bPerFrag; j++ {
 			rb.Alias(b[f+j*d])
@@ -118,13 +105,7 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	// fragment i under k mod d (tuple placement skew via cardinality).
 	sizes := zipf.Sizes(aCard, d, theta)
 	ra := relation.NewRegion(aCard, aCard*JoinSchema.Len(), len(padA))
-	aid := int64(0)
-	for i := 0; i < d; i++ {
-		for j := 0; j < sizes[i]; j++ {
-			row(ra, int64(i+(j%bPerFrag)*d), aid, padA)
-			aid++
-		}
-	}
+	relation.JoinRows{Sizes: sizes, Cycle: bPerFrag, Stride: d, Pad: padA}.Fill(ra)
 	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, partition.Cut(ra.Tuples(), sizes), 1)
 	if err != nil {
 		return nil, err

@@ -245,6 +245,46 @@ func TestJoinDBRegionsCheck(t *testing.T) {
 	}
 }
 
+// TestNewJoinDBRows: the join pair row by row. Fragment f's j-th tuple of A
+// and of B is (f + (j mod BCard/D)·D, the relation's running id, its pad),
+// so A's keys start over every BCard/D rows of a fragment; Br's fragment f
+// holds B's tuples with ids f, f+D, f+2D, ….
+func TestNewJoinDBRows(t *testing.T) {
+	for _, theta := range []float64{0, 1} {
+		db, err := NewJoinDB(5_000, 640, 64, theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := db.BCard / db.D
+		for _, rel := range []struct {
+			p    *partition.Partitioned
+			pad  string
+			card int
+		}{{db.A, "a", db.ACard}, {db.B, "b", db.BCard}} {
+			id := 0
+			for f, frag := range rel.p.Fragments {
+				for j, tup := range frag {
+					want := relation.Tuple{relation.Int(int64(f + j%cycle*db.D)), relation.Int(int64(id)), relation.Str(rel.pad)}
+					if !tup.Equal(want) {
+						t.Fatalf("θ %v: %s fragment %d tuple %d = %v, want %v", theta, rel.p.Name, f, j, tup, want)
+					}
+					id++
+				}
+			}
+			if id != rel.card {
+				t.Errorf("θ %v: %s holds %d tuples, want %d", theta, rel.p.Name, id, rel.card)
+			}
+		}
+		for f, frag := range db.Br.Fragments {
+			for j, tup := range frag {
+				if got, want := tup[1].AsInt(), int64(f+j*db.D); got != want {
+					t.Fatalf("θ %v: Br fragment %d tuple %d has id %d, want %d", theta, f, j, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestNewJoinDBAllocatesPerRelation: three relations filled in place in two
 // regions their fragments are cut from — the allocations do not grow with the
 // cardinalities.
@@ -260,6 +300,17 @@ func TestNewJoinDBAllocatesPerRelation(t *testing.T) {
 		})
 		if got > 28 {
 			t.Errorf("NewJoinDB(%d, %d, 64): %v allocations, want at most 28", size[0], size[1], got)
+		}
+	}
+}
+
+// BenchmarkNewJoinDB is engine-skew's set-up, one of its two databases: the
+// paper's §5.4 join pair at A = 100 000, B = 10 240, degree 64, θ = 1.
+func BenchmarkNewJoinDB(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewJoinDB(100_000, 10_240, 64, 1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
