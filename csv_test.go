@@ -2,6 +2,8 @@ package dbs3
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -130,6 +132,43 @@ func TestResultString(t *testing.T) {
 	for _, want := range []string{"customer", "amount", "ann", "(3 rows, 2 threads)", "filter", "store"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTupleLargerThanBlockSpills: a memory grant changes cost, never
+// answers, whatever the tuple size. Rows of 10 KB text — each larger than a
+// spill block — answer a scan and a GROUP BY over the text under a grant
+// small enough to spill both the store and the aggregate exactly as they do
+// unbudgeted, and leave nothing in the spill directory.
+func TestTupleLargerThanBlockSpills(t *testing.T) {
+	var csv strings.Builder
+	csv.WriteString("k:INT,doc:STRING\n")
+	for i := range 200 {
+		fmt.Fprintf(&csv, "%d,%s\n", i, strings.Repeat(fmt.Sprintf("%05d", i%50), 2000))
+	}
+	db := New()
+	if err := db.LoadCSV("docs", strings.NewReader(csv.String()), "k", 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"SELECT * FROM docs", "SELECT doc, COUNT(*) FROM docs GROUP BY doc"} {
+		want, err := db.QueryAllContext(context.Background(), sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		got, err := db.QueryAllContext(context.Background(), sql, &Options{MemoryBudget: 64 << 10, Materialize: true, SpillDir: dir})
+		if err != nil {
+			t.Fatalf("%s under a 64 KiB grant: %v", sql, err)
+		}
+		if got.SpilledBytes == 0 {
+			t.Errorf("%s: nothing spilled under a 64 KiB grant", sql)
+		}
+		if rowSet(got.Data) != rowSet(want.Data) {
+			t.Errorf("%s: %d rows under the grant, %d without; the answers differ", sql, len(got.Data), len(want.Data))
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Errorf("%s: %d entries left in the spill directory (%v)", sql, len(ents), err)
 		}
 	}
 }

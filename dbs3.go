@@ -145,7 +145,7 @@ func (db *Database) Manager(cfg ManagerConfig) *dbruntime.Manager {
 }
 
 // BufferPoolStats returns zeros. Spill runs are read once, in order,
-// straight from their files, so there is no read-back page cache to count;
+// straight from their files, so there is no read-back cache to count;
 // the method stays because the benchmark module under bench/ is built
 // against it.
 func (db *Database) BufferPoolStats() (hits, misses, resident int64) {

@@ -23,13 +23,13 @@ import (
 	"dbs3/internal/workload"
 )
 
-// spillBudget is a deliberately starved grant: two pages. The join build
+// spillBudget is a deliberately starved grant: two blocks. The join build
 // sides and aggregate tables below are 4x-10x larger, so every blocking
 // operator overruns it and degrades to disk.
 const spillBudget = 16 << 10
 
 // spillGrains exercises the per-tuple and vectorized data planes against the
-// spill paths (grace probes buffer per batch; runs flush at page grain).
+// spill paths (grace probes buffer per batch; runs flush at block grain).
 var spillGrains = []int{1, 64}
 
 func totalSpilled(res *Result) (bytes, passes int64) {

@@ -30,7 +30,7 @@ func TestInstanceLockIsTheOnlyLock(t *testing.T) {
 		spills bool
 	}{
 		{"store", 0, func(*storage.SpillEnv) Operator { return &Store{} }, false},
-		{"store/spilling", storage.PageSize, func(env *storage.SpillEnv) Operator { return &Store{Spill: env} }, true},
+		{"store/spilling", storage.BlockSize, func(env *storage.SpillEnv) Operator { return &Store{Spill: env} }, true},
 		{"join/grace", 16 << 10, func(env *storage.SpillEnv) Operator {
 			return &Join{Algo: lera.HashJoin, BuildKey: key, ProbeKey: key, Spill: env}
 		}, true},

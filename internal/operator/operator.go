@@ -185,7 +185,7 @@ func (s *Store) Setup(ctx *Context) error {
 // instance lock, then one lock epoch appends and charges the whole run (the
 // batch slice is scratch; the appended Tuples are immutable and retained).
 // An instance past the query's grant flushes its buffer to a spill run, once
-// at least a page is buffered so overrun never degenerates into a run per
+// at least a block is buffered so overrun never degenerates into a run per
 // tuple.
 func (s *Store) OnBatch(ctx *Context, ts []relation.Tuple, _ Emit) error {
 	var add int64
@@ -197,7 +197,7 @@ func (s *Store) OnBatch(ctx *Context, ts []relation.Tuple, _ Emit) error {
 	inst := ctx.State.(*storeInst)
 	inst.results = append(inst.results, ts...)
 	inst.bytes += add
-	if s.Spill == nil || s.Spill.Mem.Reserve(add) || inst.bytes < storage.PageSize {
+	if s.Spill == nil || s.Spill.Mem.Reserve(add) || inst.bytes < storage.BlockSize {
 		return nil
 	}
 	w := s.Spill.NewRun()

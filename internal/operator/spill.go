@@ -59,7 +59,7 @@ func buildFootprint(build []relation.Tuple) int64 {
 const maxGraceDepth = 4
 
 // maxGraceParts caps a partitioning fan-out; each open partition holds one
-// build and one probe page buffer.
+// build and one probe block buffer.
 const maxGraceParts = 32
 
 // partIndex maps a join-key hash to its partition. The hash is remixed with
@@ -159,7 +159,7 @@ func finishPart(w *storage.RunWriter) (storage.Run, error) {
 
 // joinPart finishes one partition's runs and counts their bytes — both
 // sides, even when the other is empty, since the accountant counted every
-// page either wrote — then loads its build side; if it fits the grant (or
+// byte either wrote — then loads its build side; if it fits the grant (or
 // recursion bottomed out) it builds the in-memory structure and streams the
 // probe run through it, otherwise it repartitions both runs one level down.
 func (j *Join) joinPart(p *gracePart, emit Emit, salt uint64, depth int) error {

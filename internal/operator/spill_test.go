@@ -10,7 +10,7 @@ import (
 )
 
 // TestGraceOneSidedPartitionsCountTheirBytes: a Grace join whose build side
-// went to disk reports every page its partitions wrote, including those of
+// went to disk reports every byte its partitions wrote, including those of
 // partitions the probe side never reached, so the operator's spill counters
 // agree with the query's accountant.
 func TestGraceOneSidedPartitionsCountTheirBytes(t *testing.T) {
@@ -46,6 +46,53 @@ func TestGraceOneSidedPartitionsCountTheirBytes(t *testing.T) {
 				t.Errorf("operator spilled %d B over %d passes, accountant %d B over %d", opBytes, opPasses, envBytes, envPasses)
 			}
 		})
+	}
+}
+
+// TestStoreSpilledBytesAreItsRuns: spilled bytes are encoded bytes. A store
+// that spills many times over reports, on its own counters and on the
+// query's accountant (which a footer's spill totals read), exactly the sum
+// of its runs' Bytes, and that is the sum of EncodedSize over the tuples the
+// runs hold.
+func TestStoreSpilledBytesAreItsRuns(t *testing.T) {
+	in := relation.Wisconsin("w", 2000, 1).Tuples
+	env, err := storage.NewSpillEnv(t.TempDir(), 16<<10, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	s := &Store{Spill: env}
+	ctx := &Context{}
+	if err := s.Setup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for ts := in; len(ts) > 0; ts = ts[min(len(ts), 64):] {
+		if err := s.OnBatch(ctx, ts[:min(len(ts), 64)], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var runBytes, encoded int64
+	for _, r := range ctx.State.(*storeInst).runs {
+		runBytes += r.Bytes()
+		if err := r.Each(func(tup relation.Tuple) error {
+			encoded += int64(storage.EncodedSize(tup))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opBytes, opPasses := s.SpillStats()
+	envBytes, _ := env.Spilled()
+	if opPasses < 2 || runBytes != encoded || opBytes != runBytes || envBytes != runBytes {
+		t.Errorf("%d passes: runs hold %d B in Bytes and %d B encoded; the store counted %d B, the accountant %d B",
+			opPasses, runBytes, encoded, opBytes, envBytes)
+	}
+	res, err := s.Results([]*Context{ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res[0]) != len(in) {
+		t.Errorf("the store gave back %d of %d tuples", len(res[0]), len(in))
 	}
 }
 

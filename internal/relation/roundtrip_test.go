@@ -126,7 +126,7 @@ func TestValuesSurviveEveryEncoding(t *testing.T) {
 }
 
 // TestDecodeTupleIntoRoundTrip is the same property for the slab form of the
-// spill decoder, which is what reads pages back: random tuples, plus the
+// spill decoder, which is what reads runs back: random tuples, plus the
 // empty string, a string longer than an arena chunk and two backings of one
 // text, encoded back to back and decoded into one slab, come back value for
 // value, consume exactly their encoded size, and keep nothing of the buffer

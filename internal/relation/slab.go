@@ -18,7 +18,7 @@ const (
 // out of shared arena chunks, so a run of tuples costs one allocation per
 // chunk instead of one per tuple and one per string. Joins, projections and
 // aggregates carve their results with Concat and Project, spill read-back
-// decodes pages into one, and the CSV reader, which learns its row count only
+// decodes runs into one, and the CSV reader, which learns its row count only
 // at the end, streams into one that its loader then copies into a Region.
 // Every base relation lives in a Region. The zero Slab is ready to use; a
 // Slab is not safe for concurrent use.

@@ -140,7 +140,7 @@ func TestFooterGolden(t *testing.T) {
 		{`{"sql":"SELECT * FROM wisc WHERE unique1 < 100","options":{"threads":1}}`,
 			`{"rowCount":100,"threads":1,"admission":{"utilization":0,"measured":0,"smoothed":0,"available":4,"priority":"interactive"},"operators":[{"name":"filter","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":100,"secondaryPicks":0},{"name":"store","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":100,"secondaryPicks":0}]}`},
 		{`{"sql":"SELECT * FROM A JOIN B ON A.k = B.k","options":{"threads":1,"memoryBudget":16384}}`,
-			`{"rowCount":2000,"threads":1,"admission":{"utilization":0,"measured":0,"smoothed":0,"available":4,"priority":"interactive"},"operators":[{"name":"join","threads":1,"strategy":"random","instances":8,"activations":8,"emitted":2000,"secondaryPicks":0,"spilledBytes":524288,"spillPasses":8},{"name":"store","threads":0,"strategy":"random","instances":8,"activations":0,"emitted":2000,"secondaryPicks":0}],"spilledBytes":524288,"spillPasses":8}`},
+			`{"rowCount":2000,"threads":1,"admission":{"utilization":0,"measured":0,"smoothed":0,"available":4,"priority":"interactive"},"operators":[{"name":"join","threads":1,"strategy":"random","instances":8,"activations":8,"emitted":2000,"secondaryPicks":0,"spilledBytes":62400,"spillPasses":8},{"name":"store","threads":0,"strategy":"random","instances":8,"activations":0,"emitted":2000,"secondaryPicks":0}],"spilledBytes":62400,"spillPasses":8}`},
 		{`{"sql":"SELECT ten, COUNT(*) FROM wisc GROUP BY ten","options":{"threads":1,"materialize":true}}`,
 			`{"rowCount":10,"threads":2,"admission":{"utilization":0,"measured":0,"smoothed":0,"available":4,"priority":"interactive"},"operators":[{"name":"filter","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":2000,"secondaryPicks":0},{"name":"scan","threads":1,"strategy":"random","instances":4,"activations":4,"emitted":2000,"secondaryPicks":0},{"name":"stage","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":2000,"secondaryPicks":0},{"name":"aggregate","threads":1,"strategy":"random","instances":4,"activations":2000,"emitted":10,"secondaryPicks":0},{"name":"store","threads":0,"strategy":"random","instances":4,"activations":0,"emitted":10,"secondaryPicks":0}]}`},
 	}

@@ -1,12 +1,14 @@
 // Package storage is the disk substrate of larger-than-memory execution: a
-// tuple codec, slotted pages, spill runs written to temp files and read back
-// once, in order, straight from them, and the memory accountant that decides
-// when an operator spills. Base relations stay memory-resident, as in the
+// tuple codec, spill runs — each a temp file holding its tuples' encodings
+// back to back, written a block at a time and read back once, in order,
+// straight from it — and the memory accountant that decides when an
+// operator spills. Base relations stay memory-resident, as in the
 // paper's experiments (its KSR1 had one disk).
 package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"dbs3/internal/relation"
@@ -49,36 +51,42 @@ func EncodeTuple(dst []byte, t relation.Tuple) []byte {
 	return dst
 }
 
+// errTruncated reports a tuple whose wire form runs past the end of the
+// buffer: corrupt at the end of a run, only cut by a read inside one. It is
+// one value, so a run cursor meeting a cut tuple at every read allocates no
+// error.
+var errTruncated = errors.New("storage: truncated tuple")
+
 // encodedLen walks the wire form of one tuple at the start of buf and
 // returns how many bytes it occupies, without decoding or allocating
 // anything. It is the codec's one validator: every bound DecodeTupleInto
 // relies on is checked here.
 func encodedLen(buf []byte) (int, error) {
 	if len(buf) < 2 {
-		return 0, fmt.Errorf("storage: truncated tuple header")
+		return 0, errTruncated
 	}
 	n := int(binary.LittleEndian.Uint16(buf))
 	off := 2
 	for i := 0; i < n; i++ {
 		if off >= len(buf) {
-			return 0, fmt.Errorf("storage: truncated tuple at column %d", i)
+			return 0, errTruncated
 		}
 		tag := buf[off]
 		off++
 		switch tag {
 		case tagInt:
 			if off+8 > len(buf) {
-				return 0, fmt.Errorf("storage: truncated int at column %d", i)
+				return 0, errTruncated
 			}
 			off += 8
 		case tagString:
 			if off+4 > len(buf) {
-				return 0, fmt.Errorf("storage: truncated string length at column %d", i)
+				return 0, errTruncated
 			}
 			l := int(binary.LittleEndian.Uint32(buf[off:]))
 			off += 4
 			if l > len(buf)-off {
-				return 0, fmt.Errorf("storage: truncated string at column %d", i)
+				return 0, errTruncated
 			}
 			off += l
 		default:

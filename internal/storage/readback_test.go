@@ -9,82 +9,67 @@ import (
 	"dbs3/internal/relation"
 )
 
-// fullPage returns a page filled with Wisconsin tuples (three string columns
-// each) and the tuples that fit.
-func fullPage(t testing.TB) (*Page, []relation.Tuple) {
-	t.Helper()
-	rel := relation.Wisconsin("w", 64, 1)
-	p := NewPage()
-	n := 0
-	for n < len(rel.Tuples) && p.Insert(rel.Tuples[n]) {
-		n++
+// wisconsinRun returns the codec bytes of a run of n Wisconsin tuples
+// (thirteen integer and three string columns each), as a writer lays them
+// out, and the tuples.
+func wisconsinRun(n int) ([]byte, []relation.Tuple) {
+	rel := relation.Wisconsin("w", n, 1)
+	var data []byte
+	for _, tup := range rel.Tuples {
+		data = EncodeTuple(data, tup)
 	}
-	if n < 8 || n == len(rel.Tuples) {
-		t.Fatalf("%d tuples fit on the page: the test wants a full page of many", n)
-	}
-	return p, rel.Tuples[:n]
+	return data, rel.Tuples
 }
 
-// TestPageFromBytesWalksLengths: adopting an image decodes nothing — it
-// allocates the Page and that is all, however many tuples and strings the
-// image holds — and still leaves the free pointer where inserts can go on.
-func TestPageFromBytesWalksLengths(t *testing.T) {
-	orig, tuples := fullPage(t)
-	img := bytes.Clone(orig.Bytes())
-	var p *Page
-	if n := testing.AllocsPerRun(20, func() {
-		var err error
-		if p, err = PageFromBytes(img); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 {
-		t.Errorf("PageFromBytes of %d tuples: %v allocations, want 1", len(tuples), n)
-	}
-	got, err := p.Tuples()
-	if err != nil || len(got) != len(tuples) {
-		t.Fatalf("%d tuples, err %v", len(got), err)
-	}
-	for i := range got {
-		if !got[i].Equal(tuples[i]) {
-			t.Fatalf("slot %d: %v", i, got[i])
-		}
-	}
-	if p.free != orig.free {
-		t.Errorf("adopted page's free pointer is %d, the page was written up to %d", p.free, orig.free)
-	}
+// runOf is a run over data held in memory.
+func runOf(data []byte) Run {
+	return Run{file: bytes.NewReader(data), bytes: int64(len(data))}
 }
 
-// TestPageFromBytesRejectsCorruptImages: every way an image can lie about
-// its slots is an error, never a panic and never a read past the image.
-func TestPageFromBytesRejectsCorruptImages(t *testing.T) {
-	orig, tuples := fullPage(t)
-	good := orig.Bytes()
-	slot := func(i int) int { return PageSize - 2*(i+1) }
-	for name, corrupt := range map[string]func(img []byte){
-		"more slots than fit":       func(img []byte) { binary.LittleEndian.PutUint16(img, PageSize) },
-		"slot inside the count":     func(img []byte) { binary.LittleEndian.PutUint16(img[slot(0):], 1) },
-		"slot inside the directory": func(img []byte) { binary.LittleEndian.PutUint16(img[slot(1):], uint16(slot(2))) },
-		"slot past the page":        func(img []byte) { binary.LittleEndian.PutUint16(img[slot(0):], 0xffff) },
-		"string runs into the directory": func(img []byte) {
-			// the last tuple's first string claims to be a page long
-			off := int(binary.LittleEndian.Uint16(img[slot(len(tuples)-1):]))
-			binary.LittleEndian.PutUint32(img[off+2+13*9+1:], PageSize)
+// TestRunCursorRejectsCorruptRuns: every way a run's bytes can lie about
+// their tuples is an error, never a panic and never a read past the run.
+func TestRunCursorRejectsCorruptRuns(t *testing.T) {
+	good, tuples := wisconsinRun(100)
+	if len(good) < 2*BlockSize {
+		t.Fatalf("the run is %d bytes: the test wants tuples cut across reads", len(good))
+	}
+	if got, err := runOf(good).All(); err != nil || len(got) != len(tuples) {
+		t.Fatalf("the intact run read back %d of %d tuples: %v", len(got), len(tuples), err)
+	}
+	last := len(good) - EncodedSize(tuples[len(tuples)-1])
+	mid := 0 // where the tuple past the first block starts
+	for _, tup := range tuples {
+		if mid > BlockSize {
+			break
+		}
+		mid += EncodedSize(tup)
+	}
+	for name, corrupt := range map[string]func(run []byte) []byte{
+		"truncated inside a tuple":  func(run []byte) []byte { return run[:len(run)-7] },
+		"truncated inside a header": func(run []byte) []byte { return run[:last+1] },
+		"string length past the end": func(run []byte) []byte {
+			// the last tuple's first string claims to be a block long
+			binary.LittleEndian.PutUint32(run[last+2+13*9+1:], BlockSize)
+			return run
 		},
-		"unknown tag": func(img []byte) { img[2+2] = 9 },
+		"unknown tag": func(run []byte) []byte { run[mid+2] = 9; return run },
+		"more columns than bytes": func(run []byte) []byte {
+			binary.LittleEndian.PutUint16(run[last:], 0xffff)
+			return run
+		},
 	} {
-		img := bytes.Clone(good)
-		corrupt(img)
-		if _, err := PageFromBytes(img); err == nil {
-			t.Errorf("%s: image accepted", name)
+		run := runOf(corrupt(bytes.Clone(good)))
+		if n, err := countTuples(run); err == nil {
+			t.Errorf("%s: read back %d tuples without error", name, n)
 		}
 	}
 }
 
-// TestReadBackAllocatesPerPage pins where read-back's allocations go: a run
-// of string-carrying tuples read from its file costs one page buffer per
-// reader and a slab chunk now and then — nothing per page, not an
+// TestReadBackAllocatesPerBlock pins where read-back's allocations go: a run
+// of string-carrying tuples read from its file costs one read buffer per
+// reader and a slab chunk now and then — nothing per block read, not an
 // allocation per tuple, let alone one per string.
-func TestReadBackAllocatesPerPage(t *testing.T) {
+func TestReadBackAllocatesPerBlock(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
@@ -104,7 +89,7 @@ func TestReadBackAllocatesPerPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages := float64(run.Bytes() / PageSize)
+	blocks := float64(run.Bytes()) / BlockSize
 	for name, read := range map[string]func() (int, error){
 		"Each": func() (n int, err error) {
 			err = run.Each(func(relation.Tuple) error { n++; return nil })
@@ -130,15 +115,15 @@ func TestReadBackAllocatesPerPage(t *testing.T) {
 				t.Fatalf("%s read %d of %d tuples: %v", name, n, run.Len(), err)
 			}
 		})
-		if limit := pages / 2; allocs >= limit {
-			t.Errorf("%s: %v allocations for %d tuples on %v pages, want fewer than %v", name, allocs, run.Len(), pages, limit)
+		if limit := blocks / 3; allocs >= limit {
+			t.Errorf("%s: %v allocations for %d tuples in %.0f blocks, want fewer than %v", name, allocs, run.Len(), blocks, limit)
 		}
-		t.Logf("%s: %.3f allocations per tuple, %.2f per page", name, allocs/float64(run.Len()), allocs/pages)
+		t.Logf("%s: %.3f allocations per tuple, %.2f per block", name, allocs/float64(run.Len()), allocs/blocks)
 	}
 }
 
 // TestReadBackReturnsTheRelationWritten: a relation of wide string-carrying
-// tuples written to a run of many pages reads back as the same multiset.
+// tuples written to a run of many blocks reads back as the same multiset.
 func TestReadBackReturnsTheRelationWritten(t *testing.T) {
 	rel := relation.Wisconsin("w", 3_000, 5)
 	env, err := NewSpillEnv(t.TempDir(), 0, 0, nil)
@@ -156,8 +141,8 @@ func TestReadBackReturnsTheRelationWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pages := run.Bytes() / PageSize; pages < 8 {
-		t.Fatalf("the run is only %d pages: the test wants many", pages)
+	if blocks := run.Bytes() / BlockSize; blocks < 8 {
+		t.Fatalf("the run is only %d blocks: the test wants many", blocks)
 	}
 	back, err := run.All()
 	if err != nil {
@@ -169,17 +154,18 @@ func TestReadBackReturnsTheRelationWritten(t *testing.T) {
 }
 
 // FuzzDecodeTupleInto feeds arbitrary bytes to the read-back path, both as
-// one encoded tuple and as a page image: whatever they hold, the decoders
-// return an error or tuples that re-encode to the bytes they consumed —
-// they never panic and never read past the buffer.
+// one encoded tuple and as a whole run: whatever they hold, the decoders
+// return an error or tuples that re-encode to exactly the bytes they
+// consumed, and the cursor never panics, never reads past the run and never
+// buffers more than the run holds.
 func FuzzDecodeTupleInto(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, tagInt, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{2, 0, tagString, 3, 0, 0, 0, 'a', 'b', 'c', tagString, 0, 0, 0, 0})
 	f.Add([]byte{1, 0, tagString, 0xff, 0xff, 0xff, 0xff, 'x'})
 	f.Add([]byte{0xff, 0xff, tagInt})
-	full, _ := fullPage(f)
-	f.Add(full.Bytes())
+	run, _ := wisconsinRun(100)
+	f.Add(run)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var slab relation.Slab
 		if tup, n, err := DecodeTupleInto(&slab, data); err == nil {
@@ -187,21 +173,23 @@ func FuzzDecodeTupleInto(f *testing.F) {
 				t.Fatalf("decoded %v from %d of %d bytes, which re-encodes differently", tup, n, len(data))
 			}
 		}
-		page := make([]byte, PageSize)
-		copy(page, data)
-		if len(data) > 2 { // keep the fuzzer's tail bytes as the slot directory
-			copy(page[PageSize-len(data)/2:], data[len(data)-len(data)/2:])
+		c := runOf(data).Cursor()
+		var again []byte
+		for {
+			tup, ok, err := c.Next()
+			if len(c.buf) > len(data) {
+				t.Fatalf("the cursor buffers %d bytes of a %d-byte run", len(c.buf), len(data))
+			}
+			if err != nil {
+				return
+			}
+			if !ok {
+				break
+			}
+			again = EncodeTuple(again, tup)
 		}
-		p, err := PageFromBytes(page)
-		if err != nil {
-			return
-		}
-		tuples, err := p.AppendTuples(&slab, nil)
-		if err != nil {
-			t.Fatalf("an adopted page failed to decode: %v", err)
-		}
-		if len(tuples) != p.Count() {
-			t.Fatalf("%d tuples on a page of %d", len(tuples), p.Count())
+		if !bytes.Equal(again, data) {
+			t.Fatalf("a run of %d bytes read back as tuples that re-encode to %d", len(data), len(again))
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -9,105 +11,19 @@ import (
 )
 
 // Larger-than-memory execution: when a blocking operator exceeds its memory
-// grant it writes state to spill runs — each run one real OS temp file of
-// PageSize slotted pages — and reads every run back exactly once, front to
-// back, straight from its file: a Grace partition pair is joined once, an
-// aggregate's merge cursor passes over its run once, a store's runs are
-// harvested once. No page is read twice, so no page cache is kept: it would
-// never hit, and the pages it held would sit outside the accountant.
+// grant it writes state to spill runs — each run one real OS temp file
+// holding its tuples' codec bytes back to back — and reads every run back
+// exactly once, front to back, straight from its file: a Grace partition
+// pair is joined once, an aggregate's merge cursor passes over its run once,
+// a store's runs are harvested once. Nothing is read twice, so nothing is
+// cached: a cache would never hit, and what it held would sit outside the
+// accountant.
 
-// SpillFile is one append-only temp file of PageSize pages. It is removed
-// from the filesystem on Close; Close is idempotent and safe on the
-// error/cancel path.
-type SpillFile struct {
-	mu     sync.Mutex
-	f      *os.File
-	name   string
-	pages  int
-	closed bool
-}
-
-func newSpillFile(dir string) (*SpillFile, error) {
-	f, err := os.CreateTemp(dir, "dbs3-spill-*.pages")
-	if err != nil {
-		return nil, fmt.Errorf("storage: creating spill file: %w", err)
-	}
-	return &SpillFile{f: f, name: f.Name()}, nil
-}
-
-// Append writes a page image at the end of the file and returns its slot.
-func (s *SpillFile) Append(img []byte) (int, error) {
-	if len(img) != PageSize {
-		return 0, fmt.Errorf("storage: spill page image is %d bytes, want %d", len(img), PageSize)
-	}
-	// Reserve the slot under the lock; write outside it. Holding the
-	// mutex across WriteAt would convoy concurrent readers of other
-	// slots behind this write's disk latency. WriteAt on distinct offsets
-	// is safe concurrently, and a failed write just leaves a hole the
-	// caller never hands out — spill errors abandon the whole SpillEnv.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("storage: append to closed spill file %s", s.name)
-	}
-	slot := s.pages
-	s.pages++
-	f := s.f
-	s.mu.Unlock()
-	if _, err := f.WriteAt(img, int64(slot)*PageSize); err != nil {
-		return 0, fmt.Errorf("storage: writing spill page: %w", err)
-	}
-	return slot, nil
-}
-
-// Read fills buf, which must be PageSize bytes, with the page image at slot.
-// The bounds check happens under the lock, the disk read outside it, so
-// concurrent readers never serialize behind one another's I/O. A Close
-// racing the read surfaces as a read error (closed descriptor), which only
-// happens on the cancel/error path where the result is already discarded.
-func (s *SpillFile) Read(slot int, buf []byte) error {
-	if len(buf) != PageSize {
-		return fmt.Errorf("storage: spill page buffer is %d bytes, want %d", len(buf), PageSize)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("storage: read of closed spill file %s", s.name)
-	}
-	if slot < 0 || slot >= s.pages {
-		pages := s.pages
-		s.mu.Unlock()
-		return fmt.Errorf("storage: read of slot %d in spill file with %d pages", slot, pages)
-	}
-	f := s.f
-	s.mu.Unlock()
-	if _, err := f.ReadAt(buf, int64(slot)*PageSize); err != nil {
-		return fmt.Errorf("storage: reading spill page: %w", err)
-	}
-	return nil
-}
-
-// Pages returns the number of pages written.
-func (s *SpillFile) Pages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pages
-}
-
-// Close closes the descriptor and removes the file. Idempotent.
-func (s *SpillFile) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	err := s.f.Close()
-	if rmErr := os.Remove(s.name); err == nil {
-		err = rmErr
-	}
-	return err
-}
+// BlockSize is the unit of spill I/O: a run writer buffers this many bytes
+// of encoded tuples before it writes them, and a store buffers at least this
+// many accounted bytes before it spills. A tuple larger than a block is
+// written whole.
+const BlockSize = 8192
 
 // SpillEnv is a query's larger-than-memory state: the accountant enforcing
 // its memory grant and the temp files its runs are written to. The engine
@@ -118,16 +34,16 @@ type SpillEnv struct {
 
 	dir    string
 	mu     sync.Mutex
-	files  []*SpillFile
+	files  []*os.File
 	closed bool
 }
 
-// PoolPagesFor returns 0. It sized the read-back page cache runs no longer
+// PoolPagesFor returns 0. It sized a read-back page cache runs no longer
 // go through; it stays, with NewSpillEnv's matching argument, because the
 // benchmark module under bench/ is built against this signature.
 func PoolPagesFor(grant int64) int { return 0 }
 
-// PoolMetrics is empty: it carried the read-back page cache's counters. It
+// PoolMetrics is empty: it carried that cache's counters. It
 // stays as NewSpillEnv's fourth parameter type for the same reason as
 // PoolPagesFor.
 type PoolMetrics struct{}
@@ -140,15 +56,15 @@ func NewSpillEnv(dir string, grant int64, poolPages int, metrics *PoolMetrics) (
 }
 
 // newFile opens a fresh spill file owned by the env.
-func (e *SpillEnv) newFile() (*SpillFile, error) {
+func (e *SpillEnv) newFile() (*os.File, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, fmt.Errorf("storage: spill env already closed")
 	}
-	f, err := newSpillFile(e.dir)
+	f, err := os.CreateTemp(e.dir, "dbs3-spill-*.run")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("storage: creating spill file: %w", err)
 	}
 	e.files = append(e.files, f)
 	return f, nil
@@ -156,7 +72,8 @@ func (e *SpillEnv) newFile() (*SpillFile, error) {
 
 // Close closes and removes every spill file. Idempotent; called on query
 // completion, error, and cancellation alike, so a query aborted mid-spill
-// leaves no temp files or descriptors behind.
+// leaves no temp files or descriptors behind. A cursor still reading a run
+// of the env gets a read error.
 func (e *SpillEnv) Close() error {
 	if e == nil {
 		return nil
@@ -168,7 +85,11 @@ func (e *SpillEnv) Close() error {
 	e.mu.Unlock()
 	var first error
 	for _, f := range files {
-		if err := f.Close(); err != nil && first == nil {
+		err := f.Close()
+		if rmErr := os.Remove(f.Name()); err == nil {
+			err = rmErr
+		}
+		if err != nil && first == nil {
 			first = err
 		}
 	}
@@ -186,14 +107,14 @@ func (e *SpillEnv) Spilled() (bytes, passes int64) {
 // NewRun starts a run writer in the env.
 func (e *SpillEnv) NewRun() *RunWriter { return &RunWriter{env: e} }
 
-// RunWriter packs tuples into slotted pages appended to one spill file (one
-// file per run, so a run's pages are slots 0..Pages-1 of its file). Writers
-// are not safe for concurrent use; operators guard them with their own
-// locks.
+// RunWriter appends encoded tuples to one spill file (one file per run),
+// a block at a time. Writers are not safe for concurrent use; operators
+// guard them with their own locks.
 type RunWriter struct {
 	env    *SpillEnv
-	file   *SpillFile
-	page   *Page
+	file   *os.File
+	block  []byte
+	bytes  int64
 	tuples int
 }
 
@@ -204,54 +125,57 @@ func (w *RunWriter) Add(t relation.Tuple) error {
 		if err != nil {
 			return err
 		}
-		w.file = f
+		w.file, w.block = f, make([]byte, 0, BlockSize)
 	}
-	if w.page == nil {
-		w.page = NewPage()
-	}
-	if !w.page.Insert(t) {
-		if w.page.Count() == 0 {
-			return fmt.Errorf("storage: tuple of %d bytes exceeds spill page capacity", EncodedSize(t))
-		}
+	w.tuples++
+	if n := EncodedSize(t); len(w.block)+n > BlockSize {
 		if err := w.flush(); err != nil {
 			return err
 		}
-		if !w.page.Insert(t) {
-			return fmt.Errorf("storage: tuple of %d bytes exceeds spill page capacity", EncodedSize(t))
+		if n > BlockSize {
+			return w.write(EncodeTuple(nil, t))
 		}
 	}
-	w.tuples++
+	w.block = EncodeTuple(w.block, t)
 	return nil
 }
 
+// flush writes the block and empties it.
 func (w *RunWriter) flush() error {
-	if _, err := w.file.Append(w.page.Bytes()); err != nil {
-		return err
+	err := w.write(w.block)
+	w.block = w.block[:0]
+	return err
+}
+
+// write appends b at the file's end and counts it as spilled.
+func (w *RunWriter) write(b []byte) error {
+	if len(b) == 0 {
+		return nil
 	}
-	w.env.Mem.NoteSpill(PageSize)
-	w.page = NewPage()
+	if _, err := w.file.Write(b); err != nil {
+		return fmt.Errorf("storage: writing spill run: %w", err)
+	}
+	w.bytes += int64(len(b))
+	w.env.Mem.NoteSpill(int64(len(b)))
 	return nil
 }
 
-// Finish flushes the partial page and returns the completed run.
+// Finish writes the partial block and returns the completed run.
 func (w *RunWriter) Finish() (Run, error) {
-	if w.page != nil && w.page.Count() > 0 {
-		if err := w.flush(); err != nil {
-			return Run{}, err
-		}
+	if w.file == nil {
+		return Run{}, nil
 	}
-	r := Run{file: w.file, tuples: w.tuples}
-	if w.file != nil {
-		r.pages = w.file.Pages()
+	if err := w.flush(); err != nil {
+		return Run{}, err
 	}
-	return r, nil
+	return Run{file: w.file, bytes: w.bytes, tuples: w.tuples}, nil
 }
 
 // Run is a finished sequence of spilled tuples, read back in write order
 // from its file.
 type Run struct {
-	file   *SpillFile
-	pages  int
+	file   io.ReaderAt
+	bytes  int64
 	tuples int
 }
 
@@ -261,8 +185,8 @@ func (r Run) Empty() bool { return r.tuples == 0 }
 // Len returns the number of tuples in the run.
 func (r Run) Len() int { return r.tuples }
 
-// Bytes returns the run's on-disk size.
-func (r Run) Bytes() int64 { return int64(r.pages) * PageSize }
+// Bytes returns the run's on-disk size: the encoded sizes of its tuples.
+func (r Run) Bytes() int64 { return r.bytes }
 
 // Each calls f for every tuple in write order. The tuples are decoded into
 // one slab for the whole run and f may keep them; like any slab tuple, one
@@ -293,41 +217,56 @@ func (r Run) All() ([]relation.Tuple, error) {
 // Cursor returns a streaming reader over the run.
 func (r Run) Cursor() *RunCursor { return &RunCursor{run: r} }
 
-// RunCursor streams a run one page at a time: it reads pages 0..n-1 in
-// order into one page buffer, validates each, and decodes its tuples into
-// one slab.
+// RunCursor streams a run front to back: it reads the file into one buffer,
+// a block or more at a time, and decodes tuples out of it into one slab. A
+// tuple cut by the end of a read is carried to the front of the buffer and
+// completed by the next; the buffer grows only when one tuple does not fit
+// it, and never past the run's length.
 type RunCursor struct {
 	run    Run
-	slot   int
-	page   Page
+	off    int64 // file offset of the next read
+	buf    []byte
+	lo, hi int // buf[lo:hi] is read but not yet decoded
 	slab   relation.Slab
-	tuples []relation.Tuple
-	pos    int
 }
 
 // Next advances to the next tuple, reporting false at the end of the run.
 func (c *RunCursor) Next() (relation.Tuple, bool, error) {
-	for c.pos >= len(c.tuples) {
-		if c.slot >= c.run.pages {
+	for {
+		if c.lo < c.hi {
+			t, n, err := DecodeTupleInto(&c.slab, c.buf[c.lo:c.hi])
+			if err == nil {
+				c.lo += n
+				return t, true, nil
+			}
+			if !errors.Is(err, errTruncated) || c.off == c.run.bytes {
+				return nil, false, fmt.Errorf("storage: corrupt spill run at byte %d: %w", c.off-int64(c.hi-c.lo), err)
+			}
+		} else if c.off == c.run.bytes {
 			return nil, false, nil
 		}
-		if c.page.buf == nil {
-			c.page.buf = make([]byte, PageSize)
-		}
-		if err := c.run.file.Read(c.slot, c.page.buf); err != nil {
+		if err := c.fill(); err != nil {
 			return nil, false, err
 		}
-		c.slot++
-		err := c.page.adopt()
-		if err == nil {
-			c.tuples, err = c.page.AppendTuples(&c.slab, c.tuples[:0])
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		c.pos = 0
 	}
-	t := c.tuples[c.pos]
-	c.pos++
-	return t, true, nil
+}
+
+// fill moves the undecoded bytes to the front of the buffer — into a
+// buffer twice as large when they fill it — and reads the run's next bytes
+// behind them.
+func (c *RunCursor) fill() error {
+	n, left := c.hi-c.lo, c.run.bytes-c.off
+	buf := c.buf
+	if n == len(buf) {
+		buf = make([]byte, min(int64(max(2*n, BlockSize)), int64(n)+left))
+	}
+	copy(buf, c.buf[c.lo:c.hi])
+	c.buf = buf
+	read := buf[n:min(int64(len(buf)), int64(n)+left)]
+	if k, err := c.run.file.ReadAt(read, c.off); k < len(read) {
+		return fmt.Errorf("storage: reading spill run: %w", err)
+	}
+	c.off += int64(len(read))
+	c.lo, c.hi = 0, n+len(read)
+	return nil
 }

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"dbs3/internal/relation"
@@ -18,7 +20,7 @@ func TestRunWriterRoundTrip(t *testing.T) {
 	}
 	defer env.Close()
 	w := env.NewRun()
-	const n = 2000 // several pages worth
+	const n = 2000 // several blocks worth
 	for i := int64(0); i < n; i++ {
 		if err := w.Add(spillTuple(i)); err != nil {
 			t.Fatal(err)
@@ -31,8 +33,8 @@ func TestRunWriterRoundTrip(t *testing.T) {
 	if run.Len() != n {
 		t.Fatalf("run length = %d, want %d", run.Len(), n)
 	}
-	if run.Bytes() <= PageSize {
-		t.Fatalf("run bytes = %d, want multiple pages", run.Bytes())
+	if run.Bytes() <= BlockSize {
+		t.Fatalf("run bytes = %d, want multiple blocks", run.Bytes())
 	}
 	// Each preserves write order and content.
 	next := int64(0)
@@ -108,36 +110,177 @@ func TestSpillEnvCloseRemovesFiles(t *testing.T) {
 	}
 }
 
-// TestSpillFileReadErrors: a read outside the pages written, into a buffer
-// that is not one page, or of a closed file is an error, never a short or
-// stale page.
+// TestSpillFileReadErrors: reading a run whose spill file is shorter than
+// the run, or already closed, is an error, never a short or stale run.
 func TestSpillFileReadErrors(t *testing.T) {
-	f, err := newSpillFile(t.TempDir())
+	env, err := NewSpillEnv(t.TempDir(), 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if _, err := f.Append(NewPage().Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	if err := f.Read(0, buf); err != nil {
-		t.Fatalf("reading the one page written: %v", err)
-	}
-	for name, read := range map[string]func() error{
-		"slot past the end": func() error { return f.Read(99, buf) },
-		"negative slot":     func() error { return f.Read(-1, buf) },
-		"short buffer":      func() error { return f.Read(0, buf[:100]) },
-	} {
-		if read() == nil {
-			t.Errorf("%s: read accepted", name)
+	defer env.Close()
+	w := env.NewRun()
+	for i := int64(0); i < 500; i++ {
+		if err := w.Add(spillTuple(i)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := f.Close(); err != nil {
+	run, err := w.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Read(0, buf) == nil {
-		t.Error("read of a closed file accepted")
+	if _, err := run.All(); err != nil {
+		t.Fatalf("reading the run written: %v", err)
+	}
+	// Cut the file at a tuple boundary: the bytes left decode cleanly, so
+	// only the run's own length can tell the file is short.
+	cut := int64(100 * EncodedSize(spillTuple(0)))
+	if err := os.Truncate(run.file.(*os.File).Name(), cut); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := countTuples(run); err == nil {
+		t.Errorf("a run cut to %d of %d bytes read back %d tuples without error", cut, run.Bytes(), n)
+	}
+	if err := env.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := countTuples(run); err == nil {
+		t.Errorf("a run of a closed env read back %d tuples without error", n)
+	}
+}
+
+// TestSpillEnvCloseRacesRunReaders: a cancelled query closes its env while
+// cursors may still be reading its runs. Each reader then reads its run
+// whole or gets an error; none panics or reads a short run as complete.
+func TestSpillEnvCloseRacesRunReaders(t *testing.T) {
+	env, err := NewSpillEnv(t.TempDir(), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := env.NewRun()
+	for i := int64(0); i < 2000; i++ {
+		if err := w.Add(spillTuple(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				n, err := countTuples(run)
+				if err != nil {
+					return
+				}
+				if n != run.Len() {
+					t.Errorf("read %d of %d tuples without error", n, run.Len())
+					return
+				}
+			}
+		}()
+	}
+	if err := env.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+}
+
+// countTuples drains a run through Each.
+func countTuples(r Run) (n int, err error) {
+	err = r.Each(func(relation.Tuple) error { n++; return nil })
+	return n, err
+}
+
+// TestRunBytesAreEncodedSizes: a run is its tuples' encodings and nothing
+// else, so its Bytes and the accountant's spilled bytes are the sum of their
+// EncodedSize, however the tuples fall across blocks.
+func TestRunBytesAreEncodedSizes(t *testing.T) {
+	env, err := NewSpillEnv(t.TempDir(), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	rel := relation.Wisconsin("w", 1000, 1)
+	var want, total int64
+	for r, tuples := range [][]relation.Tuple{rel.Tuples, rel.Tuples[:1], {{}}, {relation.NewTuple(relation.Str(strings.Repeat("x", 3*BlockSize)))}} {
+		w := env.NewRun()
+		want = 0
+		for _, tup := range tuples {
+			if err := w.Add(tup); err != nil {
+				t.Fatal(err)
+			}
+			want += int64(EncodedSize(tup))
+		}
+		run, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Bytes() != want {
+			t.Errorf("run %d: Bytes() = %d, its tuples encode to %d", r, run.Bytes(), want)
+		}
+		total += want
+	}
+	if bytes, _ := env.Spilled(); bytes != total {
+		t.Errorf("the accountant counted %d spilled bytes, the runs hold %d", bytes, total)
+	}
+}
+
+// TestRunHoldsTupleLargerThanBlock: a tuple of any size spills. A run with a
+// 1 MiB string between small tuples reads back value for value through Each
+// and Cursor, and the cursor's buffer grows to that tuple, not to the run.
+func TestRunHoldsTupleLargerThanBlock(t *testing.T) {
+	env, err := NewSpillEnv(t.TempDir(), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	big := relation.NewTuple(relation.Int(-1), relation.Str(strings.Repeat("0123456789abcdef", 1<<16)))
+	var in []relation.Tuple
+	for i := int64(0); i < 300; i++ {
+		in = append(in, spillTuple(i))
+		if i == 150 {
+			in = append(in, big)
+		}
+	}
+	w := env.NewRun()
+	for _, tup := range in {
+		if err := w.Add(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if err := run.Each(func(tup relation.Tuple) error {
+		if !tup.Equal(in[i]) {
+			t.Fatalf("Each: tuple %d differs", i)
+		}
+		i++
+		return nil
+	}); err != nil || i != len(in) {
+		t.Fatalf("Each read %d of %d tuples: %v", i, len(in), err)
+	}
+	c := run.Cursor()
+	for i := range in {
+		tup, ok, err := c.Next()
+		if err != nil || !ok {
+			t.Fatalf("Cursor stopped at tuple %d: %v", i, err)
+		}
+		if !tup.Equal(in[i]) {
+			t.Fatalf("Cursor: tuple %d differs", i)
+		}
+	}
+	if _, ok, err := c.Next(); ok || err != nil {
+		t.Fatalf("Cursor past the end: %v, %v", ok, err)
+	}
+	if size, limit := len(c.buf), 2*EncodedSize(big); size > limit || int64(size) > run.Bytes() {
+		t.Errorf("the cursor's buffer grew to %d bytes for a %d-byte tuple in a %d-byte run", size, EncodedSize(big), run.Bytes())
 	}
 }
 
@@ -170,12 +313,12 @@ func TestAccountantSemantics(t *testing.T) {
 	}
 	a.Release(1 << 40)
 	// Spill counters accumulate.
-	a.NoteSpill(PageSize)
-	a.NoteSpill(PageSize)
+	a.NoteSpill(300)
+	a.NoteSpill(BlockSize)
 	a.NotePass()
 	bytes, passes := a.Spilled()
-	if bytes != 2*PageSize || passes != 1 {
-		t.Errorf("spilled = (%d, %d), want (%d, 1)", bytes, passes, 2*PageSize)
+	if bytes != 300+BlockSize || passes != 1 {
+		t.Errorf("spilled = (%d, %d), want (%d, 1)", bytes, passes, 300+BlockSize)
 	}
 }
 
