@@ -84,7 +84,7 @@ func main() {
 		query       = flag.String("q", "", "ESQL statement(s) to execute; ';' separates statements in batch mode")
 		threads     = flag.Int("threads", 0, "degree of parallelism (0 = scheduler decides)")
 		strategy    = flag.String("strategy", "auto", "consumption strategy: auto, random, lpt")
-		joinAlgo    = flag.String("join", "hash", "join algorithm: hash, nested-loop, temp-index")
+		joinAlgo    = flag.String("join", "hash", "join algorithm: hash, nested-loop, temp-index (selects the hash index)")
 		priority    = flag.String("priority", "interactive", "admission class under the manager: interactive, batch")
 		materialize = flag.Bool("materialize", false, "insert a materialization point before aggregation/projection (two chains; the manager renegotiates threads at the boundary)")
 		explain     = flag.Bool("explain", false, "print the parallel plan (DOT) instead of executing")

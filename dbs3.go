@@ -291,8 +291,9 @@ type Options struct {
 	// Strategy is the queue consumption strategy: "auto" (default),
 	// "random" or "lpt".
 	Strategy string
-	// JoinAlgo selects the join implementation: "hash" (default),
-	// "nested-loop" or "temp-index".
+	// JoinAlgo selects the join implementation: "hash" (default) or
+	// "nested-loop". "temp-index" — the paper's index built on the fly —
+	// is accepted and selects the same hash index as "hash".
 	JoinAlgo string
 	// Grain splits each triggered instance's work into partial triggers of
 	// at most this many tuples (0 = one trigger per fragment, the paper's

@@ -117,44 +117,23 @@ func (q *Queue) SetPerTupleCost(c float64) {
 	q.perTupleCost = c
 }
 
-// Push appends an activation, blocking while the queue is full. Pushing to a
-// closed queue panics: producers are wired to close queues only after their
-// last push, so this is an engine bug, not a runtime condition.
+// Push appends one activation: PushBatch of a one-element batch, under the
+// same protocol (blocks while the queue is full, drops after Abort, panics on
+// a closed queue).
 func (q *Queue) Push(a Activation) {
-	q.mu.Lock()
-	for q.count == q.capacity && !q.closed && !q.aborted {
-		q.notFull.Wait()
-	}
-	if q.aborted {
-		q.mu.Unlock()
-		return
-	}
-	if q.closed {
-		q.mu.Unlock()
-		panic("core: push to closed queue")
-	}
-	if q.count == len(q.buf) {
-		q.growLocked()
-	}
-	q.buf[(q.head+q.count)%len(q.buf)] = a
-	q.count++
-	q.length.Store(int64(q.count))
-	notify := q.onPush
-	q.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
+	q.PushBatch([]Activation{a})
 }
 
 // PushBatch appends a batch of activations under one lock acquire and one
-// consumer wake — the producer half of the batch-at-a-time data plane. The
-// per-tuple protocol of Push (blocking backpressure when the queue is full,
-// silent dropping after Abort, panic on a closed queue) is preserved: when
-// the batch does not fit, PushBatch fills the queue, wakes consumers for the
-// part already delivered, and blocks until space frees for the rest. The
-// queue stores the individual activations, so consumers — and every counter
-// and LPT estimate derived from queue contents — still see tuples, never
-// batches.
+// consumer wake — the producer half of the batch-at-a-time data plane. It
+// blocks while the queue is full (backpressure), drops silently after Abort,
+// and panics on a closed queue: producers are wired to close queues only
+// after their last push, so that is an engine bug, not a runtime condition.
+// When the batch does not fit, PushBatch fills the queue, wakes consumers
+// for the part already delivered, and blocks until space frees for the rest.
+// The queue stores the individual activations, so consumers — and every
+// counter and LPT estimate derived from queue contents — still see tuples,
+// never batches.
 //
 // The caller keeps ownership of as: activations are copied into the ring
 // buffer, so the slice may be reused as soon as PushBatch returns.

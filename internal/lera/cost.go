@@ -1,6 +1,9 @@
 package lera
 
-import "dbs3/internal/relation"
+import (
+	"dbs3/internal/relation"
+	"dbs3/internal/storage"
+)
 
 // Cost estimation for the scheduler's thread-allocation steps (§3, Figure
 // 5): step 1 needs the query's total sequential complexity, steps 2-3 need
@@ -111,7 +114,7 @@ func Estimate(p *Plan, m CostModel) *Costs {
 				c.Node[id] = (build / d) * (probe / d) * d * m.NestedLoopPair
 			case HashJoin, TempIndex:
 				c.Node[id] = build*m.HashBuildTuple + probe*m.HashProbeTuple
-				c.Bytes[id] = int64(build * float64(tupleBytes(bn.Build.Schema)+indexEntryBytes))
+				c.Bytes[id] = int64(build * float64(tupleBytes(bn.Build.Schema)+storage.IndexEntryOverhead))
 			}
 			// Keyed equijoin on a (near-)unique build key: out ~ probe.
 			c.OutCard[id] = probe
@@ -121,7 +124,7 @@ func Estimate(p *Plan, m CostModel) *Costs {
 		case OpAggregate:
 			c.Node[id] = inCard * m.AggTuple
 			c.OutCard[id] = inCard * m.DefaultSelectivity
-			c.Bytes[id] = int64(c.OutCard[id] * float64(tupleBytes(bn.InSchema)+aggStateBytes))
+			c.Bytes[id] = int64(c.OutCard[id] * float64(tupleBytes(bn.InSchema)+storage.AggStateOverhead))
 		case OpStore:
 			c.Node[id] = inCard * m.StoreTuple
 			c.OutCard[id] = 0
@@ -188,15 +191,6 @@ func (bn *BoundNode) InstanceCosts(rel, build, probe []int) []float64 {
 	return out
 }
 
-// Per-entry overheads mirroring the operator-side accounting: a resident
-// tuple beyond its encoded bytes, a join index entry, an aggregate
-// accumulator.
-const (
-	tupleOverheadBytes = 48
-	indexEntryBytes    = 24
-	aggStateBytes      = 96
-)
-
 // tupleBytes prices one resident tuple of the schema: encoded width
 // (strings assumed short) plus the in-memory overhead. Every schema it is
 // given was bound, so none is nil.
@@ -209,5 +203,5 @@ func tupleBytes(s *relation.Schema) int64 {
 			n += 5 + 12
 		}
 	}
-	return n + tupleOverheadBytes
+	return n + storage.TupleOverhead
 }

@@ -53,8 +53,11 @@ func (k OpKind) String() string {
 
 // JoinAlgo selects the join algorithm of a join node. The paper uses nested
 // loop when it wants to magnify execution time and a temporary index
-// ("build indexes on the fly") for the larger databases; we add a classic
-// hash join as well.
+// ("build indexes on the fly") for the larger databases. The engine has two
+// implementations: nested loop, and one index built on the fly per build
+// fragment — a hash table — which HashJoin and TempIndex both select; the
+// two names stay so that plans, options and the wire keep the paper's
+// vocabulary.
 type JoinAlgo int
 
 // Join algorithms.

@@ -9,7 +9,6 @@
 package operator
 
 import (
-	"sort"
 	"sync"
 
 	"dbs3/internal/lera"
@@ -318,29 +317,26 @@ func hashKeys(ts []relation.Tuple, cols []int, dst []uint64) []uint64 {
 	return dst
 }
 
-// buildIndex is the per-instance state of hash and temp-index joins.
+// buildIndex is the per-instance state of hash and temp-index joins: a flat
+// chained hash table over build-key hashes — the index DBS3 "builds on the
+// fly". slots maps hash&mask to a 1-based entry index; entries with colliding
+// slots chain through next. Three flat allocations total (no per-bucket
+// slices), and probing is two array loads per visited entry — the probe
+// verifies each hash-equal entry against the real key columns.
 type buildIndex struct {
-	// HashJoin: a flat chained hash table over build-key hashes. slots maps
-	// hash&mask to a 1-based entry index; entries with colliding slots chain
-	// through next. Three flat allocations total (no per-bucket slices), and
-	// probing is two array loads per visited entry — the probe verifies each
-	// hash-equal entry against the real key columns.
 	mask  uint64
 	slots []int32
 	next  []int32
 	keys  []uint64
 	build []relation.Tuple
-	// sorted holds build tuples ordered by key hash with a parallel hash
-	// slice for binary search (TempIndex — DBS3 "builds indexes on the
-	// fly"); probes verify the hash-equal run against the key columns.
-	sortedKeys []uint64
-	sorted     []relation.Tuple
 }
 
-// Join implements the three join algorithms over equi-join keys. The build
-// side is always a bound fragment; the probe side is either the bound Input
-// fragment (triggered, the paper's IdealJoin) or the pipelined input (the
-// paper's AssocJoin).
+// Join implements equi-joins two ways: nested loop, which scans the build
+// fragment per probe tuple, and an index built on the fly over the build
+// fragment (buildIndex), which lera.HashJoin and lera.TempIndex both select.
+// The build side is always a bound fragment; the probe side is either the
+// bound Input fragment (triggered, the paper's IdealJoin) or the pipelined
+// input (the paper's AssocJoin).
 type Join struct {
 	Algo     lera.JoinAlgo
 	BuildKey []int
@@ -379,7 +375,7 @@ func (j *Join) buildState(ctx *Context) error {
 	switch j.Algo {
 	case lera.NestedLoop:
 		// No auxiliary structure: probing scans the fragment.
-	case lera.HashJoin:
+	case lera.HashJoin, lera.TempIndex:
 		n := len(ctx.Build)
 		size := 8
 		for size < 2*n {
@@ -399,27 +395,6 @@ func (j *Join) buildState(ctx *Context) error {
 			idx.keys[i] = k
 			idx.next[i] = idx.slots[s]
 			idx.slots[s] = int32(i + 1)
-		}
-		ctx.State = idx
-	case lera.TempIndex:
-		// Each build key is hashed exactly once, then tuples are reordered
-		// by the precomputed keys — never O(n log n) key computations
-		// inside the sort comparator.
-		n := len(ctx.Build)
-		keys := make([]uint64, n)
-		order := make([]int, n)
-		for i, b := range ctx.Build {
-			keys[i] = hashKey(b, j.BuildKey)
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-		idx := &buildIndex{
-			sortedKeys: make([]uint64, n),
-			sorted:     make([]relation.Tuple, n),
-		}
-		for i, o := range order {
-			idx.sortedKeys[i] = keys[o]
-			idx.sorted[i] = ctx.Build[o]
 		}
 		ctx.State = idx
 	}
@@ -445,7 +420,7 @@ func (j *Join) probeRun(ctx *Context, sc *batchScratch, ts []relation.Tuple, emi
 				}
 			}
 		}
-	case lera.HashJoin:
+	case lera.HashJoin, lera.TempIndex:
 		idx := ctx.State.(*buildIndex)
 		sc.keys = hashKeys(ts, j.ProbeKey, sc.keys[:0])
 		for i, t := range ts {
@@ -455,19 +430,6 @@ func (j *Join) probeRun(ctx *Context, sc *batchScratch, ts []relation.Tuple, emi
 					if b := idx.build[e-1]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
 						emit(sc.slab.Concat(b, t))
 					}
-				}
-			}
-		}
-	case lera.TempIndex:
-		idx := ctx.State.(*buildIndex)
-		sc.keys = hashKeys(ts, j.ProbeKey, sc.keys[:0])
-		sorted := idx.sortedKeys
-		for i, t := range ts {
-			k := sc.keys[i]
-			m := sort.Search(len(sorted), func(n int) bool { return sorted[n] >= k })
-			for ; m < len(sorted) && sorted[m] == k; m++ {
-				if b := idx.sorted[m]; joinKeysEqual(b, t, j.BuildKey, j.ProbeKey) {
-					emit(sc.slab.Concat(b, t))
 				}
 			}
 		}
@@ -607,7 +569,7 @@ func (a *Aggregate) accumulateLocked(inst *aggInst, key uint64, t relation.Tuple
 	if st == nil {
 		st = inst.newGroup(t, a.GroupBy)
 		inst.groups[key] = append(inst.groups[key], st)
-		add := storage.TupleFootprint(st.group) + aggStateOverhead
+		add := storage.TupleFootprint(st.group) + storage.AggStateOverhead
 		inst.bytes += add
 		if a.Spill != nil && !a.Spill.Mem.Reserve(add) {
 			if err := a.spillLocked(inst); err != nil {

@@ -34,20 +34,12 @@ func (c *spillCounters) notePass(bytes int64, env *storage.SpillEnv) {
 	env.Mem.NotePass()
 }
 
-// aggStateOverhead approximates the bytes of one aggState beyond its group
-// key: the struct, the map bucket share, and the chain slice entry.
-const aggStateOverhead = 96
-
-// indexOverhead approximates the per-tuple bytes a join build structure
-// adds on top of the retained tuples: hash/key slots or the sorted arrays.
-const indexOverhead = 24
-
 // buildFootprint estimates the resident bytes of an in-memory build side:
 // the tuples plus the index built over them.
 func buildFootprint(build []relation.Tuple) int64 {
 	var n int64
 	for _, b := range build {
-		n += storage.TupleFootprint(b) + indexOverhead
+		n += storage.TupleFootprint(b) + storage.IndexEntryOverhead
 	}
 	return n
 }

@@ -200,12 +200,14 @@ func getBits(b []byte, pos, width int) uint64 {
 	return v
 }
 
-// maxChunkRows bounds one chunk's row count (2^20). A bit-packed constant
-// column costs a few bytes no matter how many rows it spans, so payload
-// size cannot bound the row count; this protocol-level cap is what keeps a
-// hostile count from driving an enormous allocation. Far above any real
-// chunk (servers default to 64 rows).
-const maxChunkRows = 1 << 20
+// maxChunkValues bounds one chunk's value count, rows × columns (2^20): the
+// decoder allocates a slot per value before it reads a column, and a
+// bit-packed constant column costs a few bytes no matter how many rows it
+// spans, so payload size cannot bound the count. This protocol-level cap is
+// what keeps a hostile row count — or a wide header — from driving an
+// enormous allocation. Far above any real chunk: servers send 64 rows, which
+// it allows up to 16 384 columns wide.
+const maxChunkValues = 1 << 20
 
 // decodeColChunk decodes one 'R' payload into rows of int64/string values.
 // It is total over arbitrary input: malformed payloads return an error.
@@ -215,11 +217,11 @@ func decodeColChunk(types []string, payload []byte) ([][]any, error) {
 		return nil, fmt.Errorf("server: columnar chunk: bad row count")
 	}
 	payload = payload[n:]
-	if nRows64 > maxChunkRows {
-		return nil, fmt.Errorf("server: columnar chunk: row count %d exceeds the %d limit", nRows64, maxChunkRows)
-	}
 	if len(types) == 0 && nRows64 > 0 {
 		return nil, fmt.Errorf("server: columnar chunk: rows without columns")
+	}
+	if len(types) > 0 && nRows64 > maxChunkValues/uint64(len(types)) {
+		return nil, fmt.Errorf("server: columnar chunk: %d rows of %d columns exceed the %d-value limit", nRows64, len(types), maxChunkValues)
 	}
 	nRows := int(nRows64)
 	rows := make([][]any, nRows)

@@ -2,9 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -98,6 +102,51 @@ func TestColChunkRejectsHostileRowCount(t *testing.T) {
 	}
 }
 
+// TestColChunkBoundsValueCount: the decoder allocates a slot per value
+// before it reads a column, so the row count is bounded against the header's
+// width, not alone. A 3-byte payload claiming 2^20 rows under a 16-column
+// header must fail naming the limit without allocating for those rows, and
+// a chunk of exactly maxChunkValues values must still round-trip.
+func TestColChunkBoundsValueCount(t *testing.T) {
+	types := slices.Repeat([]string{"INT"}, 16)
+	payload := binary.AppendUvarint(nil, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeColChunk(types, payload)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("the %d-value limit", maxChunkValues)) {
+		t.Fatalf("2^20 rows of 16 columns: got %v, want an error naming the %d-value limit", err, maxChunkValues)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting the chunk allocated %d bytes", grew)
+	}
+
+	// 64 rows, the servers' chunk, at the widest header the bound allows.
+	const nRows = 64
+	wide := slices.Repeat([]string{"INT"}, maxChunkValues/nRows)
+	rows := make([][]any, nRows)
+	for r := range rows {
+		rows[r] = make([]any, len(wide))
+		for c := range rows[r] {
+			rows[r][c] = int64(r ^ c)
+		}
+	}
+	payload, err = appendColChunk(nil, wide, rows)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	got, err := decodeColChunk(wide, payload)
+	if err != nil {
+		t.Fatalf("chunk of exactly %d values: %v", maxChunkValues, err)
+	}
+	if !reflect.DeepEqual(got, rows) {
+		t.Fatal("chunk at the bound did not round-trip")
+	}
+	if _, err := decodeColChunk(append(wide, "INT"), payload); err == nil {
+		t.Fatal("a chunk one column past the bound decoded without error")
+	}
+}
+
 // TestColFrameRoundTrip exercises the frame layer: a written sequence reads
 // back kind-for-kind, and a stream cut mid-frame surfaces an error from
 // readFrame rather than a silent end (a cut on a frame boundary is io.EOF —
@@ -173,6 +222,7 @@ func FuzzColumnarChunk(f *testing.F) {
 		{"STRING"},
 		{"INT", "STRING"},
 		{"STRING", "INT", "INT", "STRING", "INT"},
+		slices.Repeat([]string{"INT"}, 64),
 	}
 	for _, tc := range chunkCases() {
 		payload, err := appendColChunk(nil, tc.types, tc.rows)

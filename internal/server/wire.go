@@ -51,7 +51,8 @@ type Options struct {
 	Threads int `json:"threads,omitempty"`
 	// Strategy is the queue consumption strategy: auto, random, lpt.
 	Strategy string `json:"strategy,omitempty"`
-	// JoinAlgo selects the join implementation: hash, nested-loop, temp-index.
+	// JoinAlgo selects the join implementation: hash or nested-loop;
+	// temp-index is accepted and selects the hash index.
 	JoinAlgo string `json:"join,omitempty"`
 	// Grain splits triggered work into partial triggers of this many tuples.
 	Grain int `json:"grain,omitempty"`

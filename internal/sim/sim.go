@@ -82,7 +82,7 @@ func Triggered(spec TriggeredSpec, cfg Config) Result {
 	n := max(spec.Threads, 1)
 	res := Result{}
 	s := core.NewStrategy(spec.Strategy, cfg.Seed+1)
-	res.Makespan = listSchedule(spec.Costs, n, s, cfg.dilation(n), &res, nil)
+	res.Makespan = triggeredStage(spec.Costs, n, s, cfg.dilation(n), &res, nil)
 	res.Time = cfg.Startup(n, float64(len(spec.Costs))*spec.QueueOverhead) + res.Makespan
 	return res
 }
@@ -112,8 +112,9 @@ type PipelineSpec struct {
 	QueueOverheadProducer, QueueOverheadConsumer float64
 }
 
-// arrival is one pipelined activation: release time and target queue.
-type arrival struct {
+// release is one activation: the virtual time it becomes available and the
+// instance whose queue receives it.
+type release struct {
 	at     float64
 	target int
 }
@@ -128,52 +129,31 @@ func Pipeline(spec PipelineSpec, cfg Config) Result {
 	s := core.NewStrategy(spec.Strategy, cfg.Seed+2)
 	res := Result{}
 
-	// Stage 1: producers via list scheduling, recording emission times.
-	var arrivals []arrival
-	prodMakespan := listSchedule(spec.ProducerCosts, np, s, dil, &res, func(qi int, start, cost float64) {
+	// Stage 1: the producers' triggered stage, recording emission times.
+	var releases []release
+	prodMakespan := triggeredStage(spec.ProducerCosts, np, s, dil, &res, func(qi int, start, cost float64) {
 		perTuple := cost / float64(len(spec.Emissions[qi])) // unread if it emits nothing
 		for j, target := range spec.Emissions[qi] {
-			arrivals = append(arrivals, arrival{at: start + float64(j+1)*perTuple, target: target})
+			releases = append(releases, release{at: start + float64(j+1)*perTuple, target: target})
 		}
 	})
 
-	// Stage 2: the consumer pool. The earliest-free thread's clock never
-	// decreases, so one sweep over the arrivals sorted by release time
-	// pushes each into its queue once that clock has passed it.
-	slices.SortStableFunc(arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
+	// Stage 2: the consumer pool over the emissions in release order.
+	slices.SortStableFunc(releases, func(a, b release) int { return cmp.Compare(a.at, b.at) })
 	nq := len(spec.ConsumerPerTuple)
 	counts := make([]int, nq)
-	for _, a := range arrivals {
-		counts[a.target]++
+	for _, r := range releases {
+		counts[r.target]++
 	}
 	queues := make([]*core.Queue, nq)
 	for q := range queues {
-		// Sized to every arrival it receives: Push never blocks this
+		// Sized to every release it receives: Push never blocks this
 		// single-goroutine loop.
 		queues[q] = core.NewQueue(counts[q])
 		queues[q].SetPerTupleCost(spec.ConsumerPerTuple[q])
 	}
-	cons := newPool(queues, nc)
-	next := 0
-	for done := 0; done < len(arrivals); {
-		w := cons.earliest()
-		t := cons.free[w]
-		for ; next < len(arrivals) && arrivals[next].at <= t; next++ {
-			cons.push(arrivals[next].target)
-		}
-		qi := cons.pick(s, w, &res)
-		if qi < 0 {
-			// Nothing released yet: idle until the next arrival.
-			cons.free[w] = arrivals[next].at
-			continue
-		}
-		cons.pop(qi)
-		done++
-		cost := spec.ConsumerPerTuple[qi] * dil
-		cons.free[w] = t + cost
-		res.BusyTime += cost
-	}
-	res.Makespan = max(prodMakespan, slices.Max(cons.free))
+	consMakespan := newPool(queues, nc).run(releases, spec.ConsumerPerTuple, s, dil, &res, nil)
+	res.Makespan = max(prodMakespan, consMakespan)
 	overheads := float64(len(spec.ProducerCosts))*spec.QueueOverheadProducer + float64(nq)*spec.QueueOverheadConsumer
 	res.Time = cfg.Startup(total, overheads) + res.Makespan
 	return res
@@ -195,34 +175,19 @@ func PipelineSequential(spec PipelineSpec, cfg Config) float64 {
 	return cfg.Startup(1, overheads) + work
 }
 
-// listSchedule runs a triggered stage — one activation per queue, all
-// released at time zero — on n threads: the earliest-free thread takes the
-// queue core.Pick chooses. LPT ranks queue i by costs[i], as the engine
-// ranks a triggered queue by its instance cost. visit, when non-nil, sees
-// each activation's queue, start time and dilated cost. It returns the
+// triggeredStage runs a triggered stage — one activation per queue, all
+// released at time zero — on n threads. LPT ranks queue i by costs[i], as
+// the engine ranks a triggered queue by its instance cost. It returns the
 // stage's makespan.
-func listSchedule(costs []float64, n int, s core.Strategy, dil float64, res *Result, visit func(qi int, start, cost float64)) float64 {
+func triggeredStage(costs []float64, n int, s core.Strategy, dil float64, res *Result, visit func(qi int, start, cost float64)) float64 {
 	queues := make([]*core.Queue, len(costs))
+	releases := make([]release, len(costs))
 	for i := range queues {
 		queues[i] = core.NewQueue(1)
 		queues[i].SetEstimate(costs[i])
+		releases[i] = release{target: i}
 	}
-	p := newPool(queues, n)
-	for i := range queues {
-		p.push(i)
-	}
-	for range queues {
-		w := p.earliest()
-		qi := p.pick(s, w, res)
-		p.pop(qi)
-		cost := costs[qi] * dil
-		if visit != nil {
-			visit(qi, p.free[w], cost)
-		}
-		p.free[w] += cost
-		res.BusyTime += cost
-	}
-	return slices.Max(p.free)
+	return newPool(queues, n).run(releases, costs, s, dil, res, visit)
 }
 
 // pool is one operation's thread pool on the virtual clock, over the
@@ -249,6 +214,38 @@ func newPool(queues []*core.Queue, threads int) *pool {
 		}
 	}
 	return p
+}
+
+// run is the simulator's one event loop. It executes releases, sorted by
+// time, on the pool: the earliest-free thread first pushes every activation
+// released by its clock (which never decreases), then takes the queue
+// core.Pick chooses, or idles until the next release when nothing is queued.
+// An activation of instance qi costs costs[qi] dilated by dil; visit, when
+// non-nil, sees each one's queue, start time and dilated cost. It returns
+// the pool's makespan.
+func (p *pool) run(releases []release, costs []float64, s core.Strategy, dil float64, res *Result, visit func(qi int, start, cost float64)) float64 {
+	next := 0
+	for done := 0; done < len(releases); {
+		w := p.earliest()
+		t := p.free[w]
+		for ; next < len(releases) && releases[next].at <= t; next++ {
+			p.push(releases[next].target)
+		}
+		qi := p.pick(s, w, res)
+		if qi < 0 {
+			p.free[w] = releases[next].at
+			continue
+		}
+		p.pop(qi)
+		done++
+		cost := costs[qi] * dil
+		if visit != nil {
+			visit(qi, t, cost)
+		}
+		p.free[w] = t + cost
+		res.BusyTime += cost
+	}
+	return slices.Max(p.free)
 }
 
 // push adds one activation to instance qi's queue, listing the queue if it

@@ -6,22 +6,36 @@ import (
 	"dbs3/internal/relation"
 )
 
-// tupleOverhead approximates the in-memory cost of a resident tuple beyond
-// its encoded payload: the 24-byte slice header, what the 16-byte Values
-// take beyond their encoding, and the pointers an operator's index keeps per
-// entry. The accountant charges encoded size plus this constant, so the
-// grant governs real footprint, not wire bytes. It is a flat per-tuple
-// figure (about right for a three-column tuple: 24 + 3×16 resident against
-// 26 encoded; low for wide ones), and it was deliberately not retuned when
-// the Value shrank from 32 to 16 bytes: grants, and with them which queries
-// spill and how often, are priced in these units, and a layout change must
-// not move scheduling decisions.
-const tupleOverhead = 48
+// Per-entry memory prices: the one list the admission estimate
+// (lera.Estimate) and the operators' spill accounting both read, so the
+// bytes a plan is granted and the bytes its operators charge cannot drift.
+const (
+	// TupleOverhead approximates the in-memory cost of a resident tuple
+	// beyond its encoded payload: the 24-byte slice header, what the
+	// 16-byte Values take beyond their encoding, and the pointers an
+	// operator's index keeps per entry. The accountant charges encoded size
+	// plus this constant, so the grant governs real footprint, not wire
+	// bytes. It is a flat per-tuple figure (about right for a three-column
+	// tuple: 24 + 3×16 resident against 26 encoded; low for wide ones), and
+	// it was deliberately not retuned when the Value shrank from 32 to 16
+	// bytes: grants, and with them which queries spill and how often, are
+	// priced in these units, and a layout change must not move scheduling
+	// decisions.
+	TupleOverhead = 48
+	// IndexEntryOverhead approximates the per-tuple bytes a join's build
+	// index adds on top of the retained tuples: its hash, slot and chain
+	// entries.
+	IndexEntryOverhead = 24
+	// AggStateOverhead approximates the bytes of one aggregate accumulator
+	// beyond its group key: the struct, the map bucket share, and the chain
+	// slice entry.
+	AggStateOverhead = 96
+)
 
 // TupleFootprint estimates the resident bytes a tuple costs a blocking
 // operator that keeps it.
 func TupleFootprint(t relation.Tuple) int64 {
-	return int64(EncodedSize(t)) + tupleOverhead
+	return int64(EncodedSize(t)) + TupleOverhead
 }
 
 // Accountant tracks a query's working-set bytes against its memory grant.
