@@ -87,6 +87,6 @@ func coordMain(args []string) {
 
 	serveHTTP(ctx, ln, coord.Handler())
 	st := coord.Stats()
-	fmt.Printf("dbs3: coordinated %d queries (%d failed, %d failovers, %d whole-query retries, %d statement re-prepares), %d/%d replicas healthy at exit\n",
-		st.Queries, st.Failures, st.Failovers, st.WholeQueryRetries, st.Repreparations, st.Healthy, len(st.Nodes))
+	fmt.Printf("dbs3: coordinated %d queries (%d failed, %d failovers, %d whole-query retries), %d/%d replicas healthy at exit\n",
+		st.Queries, st.Failures, st.Failovers, st.WholeQueryRetries, st.Healthy, len(st.Nodes))
 }

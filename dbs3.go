@@ -284,30 +284,30 @@ func (db *Database) CreateJoinPair(prefix string, aCard, bCard, degree int, thet
 
 // Options tune one query execution. The zero value lets the scheduler pick
 // everything (step 1 of Figure 5 chooses the thread count from the query's
-// complexity).
+// complexity). The JSON names are the serve wire's request options.
 type Options struct {
 	// Threads fixes the query's total degree of parallelism (0 = auto).
-	Threads int
+	Threads int `json:"threads,omitempty"`
 	// Strategy is the queue consumption strategy: "auto" (default),
 	// "random" or "lpt".
-	Strategy string
+	Strategy string `json:"strategy,omitempty"`
 	// JoinAlgo selects the join implementation: "hash" (default) or
 	// "nested-loop". "temp-index" — the paper's index built on the fly —
 	// is accepted and selects the same hash index as "hash".
-	JoinAlgo string
+	JoinAlgo string `json:"join,omitempty"`
 	// Grain splits each triggered instance's work into partial triggers of
 	// at most this many tuples (0 = one trigger per fragment, the paper's
 	// model). Finer grains defeat skew on triggered operations — the
 	// paper's §6 future work.
-	Grain int
+	Grain int `json:"grain,omitempty"`
 	// Utilization in [0, 1) tells the scheduler how busy the processors
 	// already are; auto-chosen parallelism shrinks accordingly for
 	// multi-user throughput [Rahm93].
-	Utilization float64
+	Utilization float64 `json:"utilization,omitempty"`
 	// Priority is the admission class under a QueryManager: "interactive"
 	// (default) is served ahead of "batch" at the admission queue, with
 	// aging so batch is never starved. Ignored without a manager.
-	Priority string
+	Priority string `json:"priority,omitempty"`
 	// Materialize inserts an explicit materialization point before the
 	// aggregation/projection stage, splitting the plan into two pipeline
 	// chains. The split costs an intermediate materialization but creates
@@ -318,7 +318,7 @@ type Options struct {
 	// ThreadsReturnedEarly in the manager Stats and as the per-chain trace
 	// in Footer.ChainThreads. Plans with an explicit Threads setting keep
 	// their allocation through both chains.
-	Materialize bool
+	Materialize bool `json:"materialize,omitempty"`
 	// MemoryBudget caps the query's blocking-operator working memory in
 	// bytes: join build sides, aggregate group tables and stage stores
 	// share the budget through an accountant and spill to disk (Grace
@@ -327,11 +327,12 @@ type Options struct {
 	// QueryManager with a machine-wide MemoryBudget this is a ceiling on
 	// the admission grant; without one it bounds the query directly. 0 =
 	// unlimited (never spill); negative values are rejected.
-	MemoryBudget int64
+	MemoryBudget int64 `json:"memoryBudget,omitempty"`
 	// SpillDir is the directory for spill temp files ("" = os.TempDir()).
 	// Files are created unlinked-on-close and removed on every exit path,
-	// including cancellation.
-	SpillDir string
+	// including cancellation. It is the serving machine's to choose, so it
+	// has no wire name: a request that names it is rejected.
+	SpillDir string `json:"-"`
 }
 
 // validate rejects option values with no meaningful interpretation. Named

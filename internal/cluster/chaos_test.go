@@ -229,9 +229,9 @@ func TestChaosReplicatedCluster(t *testing.T) {
 	if n := coord.failovers.Load(); n == 0 {
 		t.Error("no failovers recorded across the chaos run")
 	}
-	t.Logf("chaos: %d/%d ok, failovers=%d wholeQueryRetries=%d repreparations=%d failures=%d",
+	t.Logf("chaos: %d/%d ok, failovers=%d wholeQueryRetries=%d failures=%d",
 		chaosQueries-failed, chaosQueries, coord.failovers.Load(),
-		coord.wholeQueryRetries.Load(), coord.repreparations.Load(), coord.failures.Load())
+		coord.wholeQueryRetries.Load(), coord.failures.Load())
 
 	// Phase 2: deterministic breaker lifecycle on the flapped replica.
 	// Revive it and probe once so its breaker starts closed with a clean

@@ -1,12 +1,12 @@
 // Package cluster is the distributed scatter-gather tier over dbs3's serve
 // nodes: a query coordinator that compiles a statement once, fans out
 // shard-restricted subqueries to N worker shards over the existing wire
-// protocol (server-side prepared statements, `?` binding, binary columnar
-// streams), streams the partial results back concurrently, and re-aggregates
-// locally — union-merge for plain selections and joins, and for GROUP BY
-// queries one operator.Aggregate instance that folds the shards' partial
-// groups (partial aggregates are pushed down for free: each worker's
-// aggregate runs over only its shard).
+// protocol (`?` binding, binary columnar streams), streams the partial
+// results back concurrently, and re-aggregates locally — union-merge for
+// plain selections and joins, and for GROUP BY queries one
+// operator.Aggregate instance that folds the shards' partial groups
+// (partial aggregates are pushed down for free: each worker's aggregate
+// runs over only its shard).
 //
 // The tier is shared-nothing in the sense of the paper's degree-of-
 // partitioning model lifted one level: a relation's fragments live across
@@ -108,7 +108,6 @@ type Coordinator struct {
 	// Lifetime counters, surfaced on Stats and the /stats endpoint.
 	queries           atomic.Int64
 	failures          atomic.Int64
-	repreparations    atomic.Int64
 	failovers         atomic.Int64
 	wholeQueryRetries atomic.Int64
 
@@ -432,10 +431,12 @@ type Stats struct {
 	// ClusterUtilization is the maximum per-shard load signal — what a
 	// fan-out lands on top of.
 	ClusterUtilization float64 `json:"clusterUtilization"`
-	// Queries/Failures count scatter-gather executions; Repreparations
-	// counts per-replica statement re-prepares after a worker-side expiry.
-	Queries        int64 `json:"queries"`
-	Failures       int64 `json:"failures"`
+	// Queries/Failures count scatter-gather executions.
+	Queries  int64 `json:"queries"`
+	Failures int64 `json:"failures"`
+	// Repreparations is always 0: workers hold no half of a coordinator's
+	// statement, so none is ever re-prepared. It stays because the
+	// benchmark module reads it.
 	Repreparations int64 `json:"repreparations"`
 	// Failovers counts subqueries re-established on a sibling replica after
 	// their first choice failed; WholeQueryRetries counts coordinator-level
@@ -470,7 +471,6 @@ func (c *Coordinator) Stats() Stats {
 	}
 	st.Queries = c.queries.Load()
 	st.Failures = c.failures.Load()
-	st.Repreparations = c.repreparations.Load()
 	st.Failovers = c.failovers.Load()
 	st.WholeQueryRetries = c.wholeQueryRetries.Load()
 	return st

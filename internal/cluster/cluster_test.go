@@ -129,6 +129,8 @@ func TestScatterGatherMatchesSingleNode(t *testing.T) {
 		// Selections and projections, with and without parameters.
 		{"SELECT * FROM wisc WHERE unique1 < 400", nil},
 		{"SELECT unique1, stringu1 FROM wisc WHERE unique2 < ?", []any{300}},
+		{"SELECT unique1, ten FROM wisc WHERE unique2 < ? AND ten = ?", []any{600, 3}},
+		{"SELECT unique1, ten FROM wisc WHERE unique2 < ? OR ten = ?", []any{100, 3}},
 		{"SELECT * FROM A", nil},
 		// Joins: the co-partitioned pair and the placed-on-id variant that
 		// forces a run-time redistribution inside each node.
@@ -225,7 +227,7 @@ func TestMergeGroups(t *testing.T) {
 // what the whole fan-out cost.
 func TestScatterHeaderAggregatesCluster(t *testing.T) {
 	tc := newTestCluster(t, "")
-	rows, err := tc.coord.Query(context.Background(), "SELECT * FROM wisc WHERE unique1 < 100", nil, &server.Options{Threads: 2})
+	rows, err := tc.coord.Query(context.Background(), "SELECT * FROM wisc WHERE unique1 < 100", nil, &server.Options{Options: dbs3.Options{Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,37 +302,6 @@ func TestPrepareExecLifecycle(t *testing.T) {
 	}
 }
 
-// TestExecRepreparesExpiredNodeStatement: a worker that forgot its half of
-// a prepared statement (restart, TTL expiry) is transparently re-prepared —
-// the execution still succeeds and the repair is counted.
-func TestExecRepreparesExpiredNodeStatement(t *testing.T) {
-	tc := newTestCluster(t, "")
-	ctx := context.Background()
-	stmt, err := tc.coord.Prepare(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Forget node 0's half behind the coordinator's back.
-	nodeID, ok := stmt.id(tc.coord.shards[0].replicas[0])
-	if !ok {
-		t.Fatal("shard 0's replica holds no statement id after Prepare")
-	}
-	if err := (&server.Client{Base: tc.urls[0]}).CloseStmt(ctx, nodeID); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := stmt.Exec(ctx, nil, nil)
-	if err != nil {
-		t.Fatalf("exec after node-side expiry: %v", err)
-	}
-	got, _ := drain(t, rows)
-	if len(got) != 10 {
-		t.Errorf("re-prepared exec returned %d groups, want 10", len(got))
-	}
-	if n := tc.coord.repreparations.Load(); n != 1 {
-		t.Errorf("repreparations = %d, want 1", n)
-	}
-}
-
 // setSnapshot fabricates one replica's polled stats snapshot.
 func setSnapshot(r *replica, st server.StatsResponse) {
 	r.mu.Lock()
@@ -356,12 +327,12 @@ func TestUtilizationExchange(t *testing.T) {
 	if got := tc.coord.remoteLoad(tc.coord.shards[0]); got != 0 {
 		t.Errorf("remoteLoad(shard0) = %v, want 0 (own load excluded)", got)
 	}
-	opt := tc.coord.shardOptions(tc.coord.shards[1], &server.Options{Utilization: 0.2})
+	opt := tc.coord.shardOptions(tc.coord.shards[1], &server.Options{Options: dbs3.Options{Utilization: 0.2}})
 	if opt.Utilization != 0.75 {
 		t.Errorf("fan-out utilization = %v, want max(caller 0.2, remote 0.75)", opt.Utilization)
 	}
 	// The caller's own higher estimate survives the fold.
-	opt = tc.coord.shardOptions(tc.coord.shards[1], &server.Options{Utilization: 0.9})
+	opt = tc.coord.shardOptions(tc.coord.shards[1], &server.Options{Options: dbs3.Options{Utilization: 0.9}})
 	if opt.Utilization != 0.9 {
 		t.Errorf("fan-out utilization = %v, want caller's 0.9", opt.Utilization)
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -159,70 +158,53 @@ func TestMidStreamFailoverBeforeFirstRow(t *testing.T) {
 	}
 }
 
-// TestExecFailoverRepreparesOnSibling: a prepared execution whose preferred
-// replica is dead fails over to the sibling; the sibling lost its half of
-// the statement, so the failover also re-prepares — both repairs counted,
-// both visible on the coordinator's /stats.
-func TestExecFailoverRepreparesOnSibling(t *testing.T) {
+// TestExecFailoverKeepsPrepareOptions: an execution that lands on a replica
+// which was down when the statement was prepared runs under the options
+// the statement was prepared with, exactly as on any other replica.
+func TestExecFailoverKeepsPrepareOptions(t *testing.T) {
 	ctx := context.Background()
-	urlA := newWorkerURL(t, 0, false)
-	urlB := newWorkerURL(t, 0, false)
-	proxy := newChaosProxy(t, urlA, faultinject.Script(nil))
-	coord := newFailoverCoord(t, Config{Nodes: []string{proxy.URL() + "|" + urlB}})
+	proxyA := newChaosProxy(t, newWorkerURL(t, 0, false), faultinject.Script(nil))
+	proxyB := newChaosProxy(t, newWorkerURL(t, 0, false), faultinject.Script(nil))
+	coord := newFailoverCoord(t, Config{Nodes: []string{proxyA.URL() + "|" + proxyB.URL()}})
 	repA, repB := coord.shards[0].replicas[0], coord.shards[0].replicas[1]
 
-	stmt, err := coord.Prepare(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
+	// A is down while the statement is prepared.
+	proxyA.SetDown(true)
+	prefer(repA, repB)
+	stmt, err := coord.Prepare(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten",
+		&server.Options{Options: dbs3.Options{Priority: "batch", Strategy: "lpt"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Expire the sibling's half behind the coordinator's back, so the
-	// failover must re-prepare there.
-	idB, ok := stmt.id(repB)
-	if !ok {
-		t.Fatal("sibling holds no statement id after Prepare")
-	}
-	if err := (&server.Client{Base: urlB}).CloseStmt(ctx, idB); err != nil {
-		t.Fatal(err)
-	}
-	// Prefer the proxied replica, then kill it: live connections reset, new
-	// ones refused.
+	// A comes back and is preferred; B is severed and stays down.
+	proxyA.SetDown(false)
+	proxyB.Sever()
+	proxyB.SetDown(true)
 	prefer(repA, repB)
-	proxy.Sever()
-	proxy.SetDown(true)
 
 	rows, err := stmt.Exec(ctx, nil, nil)
 	if err != nil {
-		t.Fatalf("exec with the preferred replica dead: %v", err)
+		t.Fatalf("exec on the replica that missed the prepare: %v", err)
 	}
-	got, _ := drain(t, rows)
+	got, foot := drain(t, rows)
 	if len(got) != 10 {
-		t.Errorf("failed-over exec returned %d groups, want 10", len(got))
+		t.Errorf("exec returned %d groups, want 10", len(got))
 	}
-	if n := coord.failovers.Load(); n != 1 {
-		t.Errorf("failovers = %d, want 1", n)
+	if len(foot.Nodes) != 1 || foot.Nodes[0].Node != repA.name {
+		t.Fatalf("footer nodes %+v, want the one shard served by %s", foot.Nodes, repA.name)
 	}
-	if n := coord.repreparations.Load(); n != 1 {
-		t.Errorf("repreparations = %d, want 1", n)
-	}
-	if n := coord.failures.Load(); n != 0 {
-		t.Errorf("failures = %d, want 0", n)
-	}
-
-	// Both repair counters travel the HTTP front end's /stats.
-	front := httptest.NewServer(coord.Handler())
-	t.Cleanup(front.Close)
-	t.Cleanup(front.Client().CloseIdleConnections)
-	resp, err := front.Client().Get(front.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Failovers != 1 || st.Repreparations != 1 {
-		t.Errorf("/stats failovers=%d repreparations=%d, want 1/1", st.Failovers, st.Repreparations)
+	for _, nf := range foot.Nodes {
+		if nf.Admission == nil || nf.Admission.Priority != "batch" {
+			t.Errorf("node %s admission %+v, want priority batch", nf.Node, nf.Admission)
+		}
+		if len(nf.Operators) == 0 {
+			t.Errorf("node %s reports no operators", nf.Node)
+		}
+		for _, op := range nf.Operators {
+			if op.Strategy != "lpt" {
+				t.Errorf("node %s operator %s ran %s, want lpt", nf.Node, op.Name, op.Strategy)
+			}
+		}
 	}
 }
 

@@ -78,8 +78,14 @@ func (g *gather) firstErr() error {
 	return g.err
 }
 
-// openFn opens one shard subquery on one concrete replica.
-type openFn func(ctx context.Context, rep *replica) (*server.RowStream, error)
+// query is one scatter-gather execution: the SQL every shard runs, its
+// merge shape, the placeholder arguments and the caller's options.
+type query struct {
+	sql  string
+	spec *esql.ScatterSpec
+	args []any
+	opt  *server.Options
+}
 
 // Query scatter-gathers one ad-hoc statement: it derives the merge shape
 // once (the coordinator-side compile), fans the unchanged SQL out to every
@@ -89,12 +95,12 @@ func (c *Coordinator) Query(ctx context.Context, sql string, args []any, opt *se
 	if err != nil {
 		return nil, err
 	}
-	if len(args) != spec.Params {
-		return nil, fmt.Errorf("cluster: statement has %d parameters, got %d arguments", spec.Params, len(args))
-	}
-	return c.scatter(ctx, spec, func(ctx context.Context, rep *replica) (*server.RowStream, error) {
-		return rep.client.Query(ctx, sql, args, c.shardOptions(c.shards[rep.shard], opt))
-	})
+	return c.scatter(ctx, &query{sql: sql, spec: spec, args: args, opt: opt})
+}
+
+// open opens q's subquery on one concrete replica.
+func (c *Coordinator) open(ctx context.Context, q *query, rep *replica) (*server.RowStream, error) {
+	return rep.client.Query(ctx, q.sql, q.args, c.shardOptions(c.shards[rep.shard], q.opt))
 }
 
 // scatter wraps runScatter with the coordinator-level retry: when
@@ -104,12 +110,15 @@ func (c *Coordinator) Query(ctx context.Context, sql string, args []any, opt *se
 // via Rows.restart for errors surfacing mid-iteration. Client-visible
 // failures are counted at the edges only, so transparent recoveries never
 // inflate the counter.
-func (c *Coordinator) scatter(ctx context.Context, spec *esql.ScatterSpec, open openFn) (*Rows, error) {
+func (c *Coordinator) scatter(ctx context.Context, q *query) (*Rows, error) {
+	if len(q.args) != q.spec.Params {
+		return nil, fmt.Errorf("cluster: statement has %d parameters, got %d arguments", q.spec.Params, len(q.args))
+	}
 	c.queries.Add(1)
-	rows, err := c.runScatter(ctx, spec, open)
+	rows, err := c.runScatter(ctx, q)
 	if err != nil && c.retryWhole && replicaFault(err) && ctx.Err() == nil {
 		c.wholeQueryRetries.Add(1)
-		rows, err = c.runScatter(ctx, spec, open)
+		rows, err = c.runScatter(ctx, q)
 	}
 	if err != nil {
 		c.failures.Add(1)
@@ -119,7 +128,7 @@ func (c *Coordinator) scatter(ctx context.Context, spec *esql.ScatterSpec, open 
 	if rows.stream && c.retryWhole {
 		rows.restart = func() (*Rows, error) {
 			c.wholeQueryRetries.Add(1)
-			return c.runScatter(ctx, spec, open)
+			return c.runScatter(ctx, q)
 		}
 	}
 	return rows, nil
@@ -139,7 +148,7 @@ type subquery struct {
 // identically everywhere. want, when non-nil, is the cluster result shape a
 // failover replacement stream must match. failedOver reports that at least
 // one candidate was skipped over a fault before one succeeded.
-func (c *Coordinator) openOnShard(ctx context.Context, sh *shard, exclude *replica, want *server.Header, open openFn) (sub *subquery, failedOver bool, err error) {
+func (c *Coordinator) openOnShard(ctx context.Context, q *query, sh *shard, exclude *replica, want *server.Header) (sub *subquery, failedOver bool, err error) {
 	var lastErr error
 	tried := 0
 	for _, rep := range sh.candidates() {
@@ -149,7 +158,7 @@ func (c *Coordinator) openOnShard(ctx context.Context, sh *shard, exclude *repli
 		if ctx.Err() != nil {
 			break
 		}
-		st, err := open(ctx, rep)
+		st, err := c.open(ctx, q, rep)
 		if err != nil {
 			ne := &NodeError{Node: rep.name, Err: err}
 			if !replicaFault(err) {
@@ -185,7 +194,7 @@ func (c *Coordinator) openOnShard(ctx context.Context, sh *shard, exclude *repli
 // wires up the merge. Any open-phase failure (after per-shard failover is
 // exhausted) tears the whole fan-out down and surfaces one error naming the
 // shard and its last replica.
-func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, open openFn) (*Rows, error) {
+func (c *Coordinator) runScatter(ctx context.Context, q *query) (*Rows, error) {
 	fanCtx, cancel := context.WithCancel(ctx)
 	subs := make([]*subquery, len(c.shards))
 	errs := make([]error, len(c.shards))
@@ -194,7 +203,7 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			sub, failedOver, err := c.openOnShard(fanCtx, sh, nil, nil, open)
+			sub, failedOver, err := c.openOnShard(fanCtx, q, sh, nil, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -244,7 +253,7 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 		readers.Add(1)
 		go func(i int, sub *subquery) {
 			defer readers.Done()
-			c.readSubquery(fanCtx, g, i, sub, cluster, open)
+			c.readSubquery(fanCtx, q, g, i, sub, cluster)
 		}(i, sub)
 	}
 	go func() {
@@ -254,13 +263,13 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 	}()
 
 	rows := &Rows{header: cluster, g: g}
-	if !spec.HasAgg {
+	if !q.spec.HasAgg {
 		rows.stream = true
 		return rows, nil
 	}
 	// Grouped merge: drain every partial stream through the engine's
 	// aggregate and hand back the groups in key order.
-	merged, err := mergeGroups(g, spec, cluster)
+	merged, err := mergeGroups(g, q.spec, cluster)
 	if err != nil {
 		cancel()
 		<-g.closed
@@ -278,7 +287,7 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 // cannot be retried shard-locally (the channel already carries a partial
 // shard) and fails the gather; scatter-level RetryWholeQuery may still
 // restart the query.
-func (c *Coordinator) readSubquery(ctx context.Context, g *gather, i int, sub *subquery, want *server.Header, open openFn) {
+func (c *Coordinator) readSubquery(ctx context.Context, q *query, g *gather, i int, sub *subquery, want *server.Header) {
 	st, rep := sub.st, sub.rep
 	var merged int64
 	for {
@@ -313,7 +322,7 @@ func (c *Coordinator) readSubquery(ctx context.Context, g *gather, i int, sub *s
 			return
 		}
 		rep.brk.failure()
-		nsub, _, oerr := c.openOnShard(ctx, sub.sh, rep, want, open)
+		nsub, _, oerr := c.openOnShard(ctx, q, sub.sh, rep, want)
 		if oerr != nil {
 			g.fail(oerr)
 			return

@@ -50,6 +50,36 @@ func TestColParamContracts(t *testing.T) {
 	if sub.Eval(relation.Tuple{relation.Int(1), relation.Str("miss")}) {
 		t.Error("substituted predicate accepted a non-matching tuple")
 	}
+	// A placeholder under And or Or substitutes in place; a term list that
+	// holds none comes back unchanged.
+	small, err := ColConst{Col: "k", Op: LT, Val: relation.Int(5)}.Bind(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		pred      Predicate
+		hit, miss relation.Tuple
+	}{
+		{"And", And{Terms: []Predicate{small, bound}},
+			relation.Tuple{relation.Int(1), relation.Str("hit")}, relation.Tuple{relation.Int(1), relation.Str("miss")}},
+		{"Or", Or{Terms: []Predicate{small, bound}},
+			relation.Tuple{relation.Int(9), relation.Str("hit")}, relation.Tuple{relation.Int(9), relation.Str("miss")}},
+	} {
+		sub, changed, err := substituteParams(c.pred, []relation.Value{relation.Str("hit")})
+		if err != nil || !changed {
+			t.Fatalf("%s: substitute: changed=%v err=%v", c.name, changed, err)
+		}
+		if !sub.Eval(c.hit) || sub.Eval(c.miss) {
+			t.Errorf("%s: substituted %s disagrees with its placeholder's binding", c.name, sub)
+		}
+		if _, changed, err := substituteParams(c.pred, nil); err == nil || changed {
+			t.Errorf("%s: substitute without its argument: changed=%v err=%v", c.name, changed, err)
+		}
+	}
+	if _, changed, err := substituteParams(And{Terms: []Predicate{small}}, nil); err != nil || changed {
+		t.Errorf("placeholder-free And: changed=%v err=%v", changed, err)
+	}
 	// Substituting an unbound placeholder is refused, not mis-evaluated.
 	if _, _, err := substituteParams(ColParam{Col: "s", Op: EQ}, []relation.Value{relation.Str("x")}); err == nil {
 		t.Error("substitute accepted an unbound placeholder")

@@ -169,7 +169,7 @@ func TestUtilizationOptionReachesScheduler(t *testing.T) {
 	for idle.Next() {
 	}
 	idle.Close()
-	busy, err := client.Query(ctx, "SELECT * FROM wisc WHERE unique1 < 50", nil, &Options{Utilization: 0.95})
+	busy, err := client.Query(ctx, "SELECT * FROM wisc WHERE unique1 < 50", nil, &Options{Options: dbs3.Options{Utilization: 0.95}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,6 @@ type FrontEndStats struct {
 
 // ErrNoStatement reports a prepared-statement id that is unknown, closed or
 // expired: a 404 on the wire, which a *StatusError carrying that code
-// matches under errors.Is — so a caller holding a statement on a remote
-// server (the cluster coordinator) re-prepares without matching message
-// text.
+// matches under errors.Is — so a client tells a statement that is gone
+// from other failures without matching message text.
 var ErrNoStatement = errors.New("server: no prepared statement")

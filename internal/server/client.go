@@ -224,8 +224,7 @@ func (c *Client) post(ctx context.Context, path string, body any) (*http.Respons
 }
 
 // StatusError is a non-200 response surfaced as an error. Callers can branch
-// on the code; a 404 matches ErrNoStatement under errors.Is — the cluster
-// coordinator re-prepares and retries on it.
+// on the code; a 404 matches ErrNoStatement under errors.Is.
 type StatusError struct {
 	Code int
 	Msg  string

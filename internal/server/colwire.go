@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -316,7 +317,8 @@ func decodeIntCol(payload []byte, c int, rows [][]any) ([]byte, error) {
 // before reading the next frame.
 type colFrameReader struct {
 	r   *bufio.Reader
-	buf []byte
+	lim io.LimitedReader
+	buf bytes.Buffer
 }
 
 func newColFrameReader(r io.Reader) *colFrameReader {
@@ -342,17 +344,18 @@ func (fr *colFrameReader) readFrame() (byte, []byte, error) {
 	if size > maxFramePayload {
 		return 0, nil, fmt.Errorf("server: columnar frame of %d bytes exceeds the %d limit", size, maxFramePayload)
 	}
-	if uint64(cap(fr.buf)) < size {
-		fr.buf = make([]byte, size)
-	}
-	payload := fr.buf[:size]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	// The buffer grows as payload bytes arrive, not to what the prefix
+	// claims: a lying prefix costs what was actually sent.
+	fr.buf.Reset()
+	fr.lim = io.LimitedReader{R: fr.r, N: int64(size)}
+	if _, err := fr.buf.ReadFrom(&fr.lim); err != nil {
 		return 0, nil, fmt.Errorf("server: columnar frame: %w", err)
 	}
-	return kind, payload, nil
+	if n := fr.buf.Len(); uint64(n) < size {
+		return 0, nil, fmt.Errorf("server: columnar frame: %w after %d of %d bytes (the limit is %d)",
+			io.ErrUnexpectedEOF, n, size, maxFramePayload)
+	}
+	return kind, fr.buf.Bytes(), nil
 }
 
 // StreamEncoder is the byte encoding of one streamed result — one Header,

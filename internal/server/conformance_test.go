@@ -310,6 +310,7 @@ func TestFrontEndConformance(t *testing.T) {
 		{"unknown field", q(`{"sql":"SELECT * FROM wisc","limit":5}`), 400, plainText, `unknown field "limit"`, false},
 		{"unknown option", q(`{"sql":"SELECT * FROM wisc","options":{"batchGrain":1}}`), 400, plainText, `unknown field "batchGrain"`, false},
 		{"stream buffer option", q(`{"sql":"SELECT * FROM wisc","options":{"streamBuffer":8}}`), 400, plainText, `unknown field "streamBuffer"`, false},
+		{"spill directory option", q(`{"sql":"SELECT * FROM wisc","options":{"spillDir":"/tmp"}}`), 400, plainText, `unknown field "spillDir"`, false},
 		{"body is not JSON", q(`SELECT 1`), 400, plainText, "server: bad request body", false},
 		{"float argument", q(`{"sql":"` + oneParam + `","args":[1.5]}`), 400, plainText, "is not a 64-bit integer", false},
 		{"boolean argument", q(`{"sql":"` + oneParam + `","args":[true]}`), 400, plainText, "unsupported type bool", false},

@@ -176,8 +176,8 @@ func TestStatementGCDisabled(t *testing.T) {
 
 // TestNoStatementIsTyped: a missing statement is recognised by type on both
 // sides of the wire — the registry's error wraps ErrNoStatement, and the 404
-// it becomes matches ErrNoStatement again in the client, which is what the
-// cluster coordinator's re-prepare keys on. Other client errors do not.
+// it becomes matches ErrNoStatement again in the client. Other client
+// errors do not.
 func TestNoStatementIsTyped(t *testing.T) {
 	client, _ := newGCServer(t, time.Minute)
 	ctx := context.Background()

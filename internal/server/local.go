@@ -18,41 +18,9 @@ type local struct {
 	opts dbs3.Options
 }
 
-// overlayOptions applies a request's wire options on top of a baseline.
-func overlayOptions(opt dbs3.Options, wire *Options) dbs3.Options {
-	if wire == nil {
-		return opt
-	}
-	if wire.Threads != 0 {
-		opt.Threads = wire.Threads
-	}
-	if wire.Strategy != "" {
-		opt.Strategy = wire.Strategy
-	}
-	if wire.JoinAlgo != "" {
-		opt.JoinAlgo = wire.JoinAlgo
-	}
-	if wire.Grain != 0 {
-		opt.Grain = wire.Grain
-	}
-	if wire.Priority != "" {
-		opt.Priority = wire.Priority
-	}
-	if wire.Materialize {
-		opt.Materialize = true
-	}
-	if wire.Utilization != 0 {
-		opt.Utilization = wire.Utilization
-	}
-	if wire.MemoryBudget != 0 {
-		opt.MemoryBudget = wire.MemoryBudget
-	}
-	return opt
-}
-
 // Query prepares through the plan cache, which makes repeated SQL cheap.
 func (b *local) Query(ctx context.Context, sql string, args []any, wire *Options) (Result, error) {
-	stmt, err := b.prepare(sql, overlayOptions(b.opts, wire))
+	stmt, err := b.prepare(sql, Overlay(b.opts, wire))
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +28,7 @@ func (b *local) Query(ctx context.Context, sql string, args []any, wire *Options
 }
 
 func (b *local) Prepare(_ context.Context, sql string, wire *Options) (Prepared, error) {
-	return b.prepare(sql, overlayOptions(b.opts, wire))
+	return b.prepare(sql, Overlay(b.opts, wire))
 }
 
 func (b *local) prepare(sql string, opt dbs3.Options) (*localStmt, error) {
@@ -121,7 +89,7 @@ func (s *localStmt) Info() PrepareResponse {
 // genuinely needs a different plan.
 func (s *localStmt) Exec(ctx context.Context, args []any, wire *Options) (Result, error) {
 	stmt := s.stmt
-	if opt := overlayOptions(s.opt, wire); opt != s.opt {
+	if opt := Overlay(s.opt, wire); opt != s.opt {
 		fresh, err := s.b.db.Prepare(s.stmt.SQL(), &opt)
 		if err != nil {
 			return nil, err

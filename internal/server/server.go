@@ -124,10 +124,15 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), status)
 }
 
-// decodeBody parses a JSON request body with UseNumber so integer arguments
-// survive undamaged.
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
+// maxRequestBody bounds a request body: a statement, its arguments and its
+// options. Reading stops there, so a client cannot make the server buffer
+// more than this.
+const maxRequestBody = 1 << 20
+
+// decodeBody parses a JSON request body of at most maxRequestBody bytes
+// with UseNumber so integer arguments survive undamaged.
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.UseNumber()
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
@@ -136,11 +141,22 @@ func decodeBody(r *http.Request, into any) error {
 	return nil
 }
 
+// badRequest answers a request whose body the front end refused: 413,
+// naming the limit, for one over maxRequestBody, 400 for anything else.
+func badRequest(w http.ResponseWriter, err error) {
+	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+		http.Error(w, fmt.Sprintf("server: request body exceeds the %d-byte limit", tooLarge.Limit),
+			http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, err.Error(), http.StatusBadRequest)
+}
+
 // decodeStatement parses the body of /query and /prepare; an error is the
-// client's (400).
-func decodeStatement(r *http.Request) (*QueryRequest, error) {
+// client's (see badRequest).
+func decodeStatement(w http.ResponseWriter, r *http.Request) (*QueryRequest, error) {
 	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		return nil, err
 	}
 	if strings.TrimSpace(req.SQL) == "" {
@@ -213,9 +229,9 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, rawArgs []any, 
 // placeholders bind from args. The request context is the cancellation
 // path: a client that disconnects mid-stream cancels the query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeStatement(r)
+	req, err := decodeStatement(w, r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		badRequest(w, err)
 		return
 	}
 	s.execute(w, r, req.Args, req.Options, func(args []any, opt *Options) (Result, error) {
@@ -226,9 +242,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handlePrepare compiles a statement on the backend and registers it under
 // an id for compile-once / execute-many clients.
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeStatement(r)
+	req, err := decodeStatement(w, r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		badRequest(w, err)
 		return
 	}
 	stmt, err := s.backend.Prepare(r.Context(), req.SQL, withPriority(r, req.Options))
@@ -264,8 +280,8 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExecRequest
-	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if err := decodeBody(w, r, &req); err != nil {
+		badRequest(w, err)
 		return
 	}
 	s.execute(w, r, req.Args, req.Options, func(args []any, opt *Options) (Result, error) {

@@ -132,7 +132,7 @@ func TestServeEndToEnd(t *testing.T) {
 				limit := (c+1)*50 + i
 				stream, err := client.Query(context.Background(),
 					"SELECT unique2 FROM wisc WHERE unique1 < ?",
-					[]any{limit}, &Options{Priority: pri})
+					[]any{limit}, &Options{Options: dbs3.Options{Priority: pri}})
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return
@@ -317,10 +317,10 @@ func TestServePreparedStatements(t *testing.T) {
 
 	// Per-execution option overrides reach admission: an invalid priority
 	// is rejected, a valid one executes against the same compiled plan.
-	if _, err := client.Exec(ctx, prep.ID, []any{1}, &Options{Priority: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown priority") {
+	if _, err := client.Exec(ctx, prep.ID, []any{1}, &Options{Options: dbs3.Options{Priority: "bogus"}}); err == nil || !strings.Contains(err.Error(), "unknown priority") {
 		t.Errorf("exec priority override not applied: %v", err)
 	}
-	bstream, err := client.Exec(ctx, prep.ID, []any{5}, &Options{Priority: "batch"})
+	bstream, err := client.Exec(ctx, prep.ID, []any{5}, &Options{Options: dbs3.Options{Priority: "batch"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestServeMaterializeReadmission(t *testing.T) {
 	client, m := newTestServer(t, 5_000)
 	ctx := context.Background()
 
-	stream, err := client.Query(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil, &Options{Materialize: true})
+	stream, err := client.Query(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil, &Options{Options: dbs3.Options{Materialize: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

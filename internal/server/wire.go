@@ -43,42 +43,54 @@ import (
 	dbruntime "dbs3/internal/runtime"
 )
 
-// Options is the wire form of dbs3.Options: the per-request execution knobs
-// a client may set. Field semantics match the facade; zero values defer to
-// the server's defaults.
+// Options is one request's options: the execution knobs of dbs3.Options
+// under their own JSON names (zero values defer to the server's defaults;
+// the priority field overrides the X-DBS3-Priority request header) plus
+// the result-stream encoding. A coordinator sets Utilization from the other
+// nodes' measured load (GET /stats smoothedUtilization), extending the
+// paper's feedback loop [Rahm93] across machines.
 type Options struct {
-	// Threads fixes the query's degree of parallelism (0 = scheduler picks).
-	Threads int `json:"threads,omitempty"`
-	// Strategy is the queue consumption strategy: auto, random, lpt.
-	Strategy string `json:"strategy,omitempty"`
-	// JoinAlgo selects the join implementation: hash or nested-loop;
-	// temp-index is accepted and selects the hash index.
-	JoinAlgo string `json:"join,omitempty"`
-	// Grain splits triggered work into partial triggers of this many tuples.
-	Grain int `json:"grain,omitempty"`
-	// Priority is the admission class: interactive or batch. The
-	// X-DBS3-Priority request header sets a per-connection default; this
-	// field overrides it per request.
-	Priority string `json:"priority,omitempty"`
-	// Materialize splits the plan at a materialization point before
-	// aggregation/projection, letting the manager renegotiate the query's
-	// thread reservation between the two chains (see dbs3.Options).
-	Materialize bool `json:"materialize,omitempty"`
-	// Utilization in [0, 1) tells this server's scheduler how busy the rest
-	// of the system already is, shrinking auto-chosen parallelism [Rahm93].
-	// A cluster coordinator sets it from the other nodes' measured load
-	// (GET /stats smoothedUtilization), extending the paper's feedback loop
-	// across machines.
-	Utilization float64 `json:"utilization,omitempty"`
-	// MemoryBudget caps the query's blocking-operator working memory in
-	// bytes; operators spill to disk beyond it. Under a manager with a
-	// machine-wide memory budget this is a ceiling on the admission grant.
-	// 0 defers to the server default.
-	MemoryBudget int64 `json:"memoryBudget,omitempty"`
+	dbs3.Options
 	// Wire selects the result-stream encoding: "ndjson" (default) or
 	// "columnar" (length-prefixed binary frames; see colwire.go). It
 	// overrides the Accept header; anything else is a 400.
 	Wire string `json:"wire,omitempty"`
+}
+
+// Overlay returns base with every execution option that wire sets
+// replacing base's: the one way a request's options, or an execution's,
+// override a baseline. Zero values defer; SpillDir never comes off the wire
+// and is kept.
+func Overlay(base dbs3.Options, wire *Options) dbs3.Options {
+	if wire == nil {
+		return base
+	}
+	o := &wire.Options
+	if o.Threads != 0 {
+		base.Threads = o.Threads
+	}
+	if o.Strategy != "" {
+		base.Strategy = o.Strategy
+	}
+	if o.JoinAlgo != "" {
+		base.JoinAlgo = o.JoinAlgo
+	}
+	if o.Grain != 0 {
+		base.Grain = o.Grain
+	}
+	if o.Priority != "" {
+		base.Priority = o.Priority
+	}
+	if o.Materialize {
+		base.Materialize = true
+	}
+	if o.Utilization != 0 {
+		base.Utilization = o.Utilization
+	}
+	if o.MemoryBudget != 0 {
+		base.MemoryBudget = o.MemoryBudget
+	}
+	return base
 }
 
 // QueryRequest is the body of POST /query and POST /prepare (args are

@@ -3,11 +3,17 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -234,4 +240,126 @@ func TestFooterAdmission(t *testing.T) {
 	}
 	check(0.5, 2)
 	release()
+}
+
+// TestOptionsOverlayCarriesEveryWireField walks dbs3.Options: every field
+// with a JSON name travels on the wire under the key clients send, and
+// Overlay carries it from a request onto a baseline; a field without one
+// (SpillDir) stays the baseline's.
+func TestOptionsOverlayCarriesEveryWireField(t *testing.T) {
+	typ := reflect.TypeOf(dbs3.Options{})
+	var wire Options
+	base := dbs3.Options{SpillDir: "/base"}
+	var keys []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		v := reflect.ValueOf(&wire.Options).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(7)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		case reflect.String:
+			v.SetString("set")
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			t.Fatalf("field %s has kind %s, which this walk does not set", f.Name, v.Kind())
+		}
+		got := reflect.ValueOf(Overlay(base, &wire)).Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "-" {
+			if !reflect.DeepEqual(got.Interface(), reflect.ValueOf(base).Field(i).Interface()) {
+				t.Errorf("Overlay carried %s, which has no wire name", f.Name)
+			}
+			continue
+		}
+		if name == "" {
+			t.Errorf("field %s has no JSON name: name it, or tag it \"-\"", f.Name)
+			continue
+		}
+		keys = append(keys, name)
+		if !reflect.DeepEqual(got.Interface(), v.Interface()) {
+			t.Errorf("Overlay dropped %s (%q): got %v, want %v", f.Name, name, got, v)
+		}
+	}
+	wire.Wire = "columnar"
+	keys = append(keys, "wire")
+	raw, err := json.Marshal(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded map[string]any
+	if err := json.Unmarshal(raw, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	var onWire []string
+	for k := range decoded {
+		onWire = append(onWire, k)
+	}
+	sort.Strings(keys)
+	sort.Strings(onWire)
+	want := []string{"grain", "join", "materialize", "memoryBudget", "priority", "strategy", "threads", "utilization", "wire"}
+	if !reflect.DeepEqual(onWire, want) || !reflect.DeepEqual(keys, want) {
+		t.Errorf("option keys on the wire %v, named %v, want %v", onWire, keys, want)
+	}
+}
+
+// TestDecodersAllocateWhatTheyRead: a length or a body that claims more
+// than the sender sends costs the receiver in proportion to what arrived,
+// and the error names the limit that applies.
+func TestDecodersAllocateWhatTheyRead(t *testing.T) {
+	client, _ := newTestServer(t, 100)
+	cases := []struct {
+		name string
+		// input is what the sender sends; decode feeds it to the decoder.
+		input  []byte
+		decode func(input []byte) error
+		want   []string
+	}{
+		{
+			name:  "R frame claiming 64 MiB",
+			input: binary.AppendUvarint([]byte{frameRows}, maxFramePayload),
+			decode: func(input []byte) error {
+				_, _, err := newColFrameReader(bytes.NewReader(input)).readFrame()
+				return err
+			},
+			want: []string{strconv.Itoa(maxFramePayload)},
+		},
+		{
+			name: "body longer than the limit",
+			input: []byte(`{"sql":"SELECT unique1 FROM wisc WHERE stringu1 = '` +
+				strings.Repeat("x", maxRequestBody) + `'"}`),
+			decode: func(input []byte) error {
+				resp, err := client.HTTP.Post(client.Base+"/query", "application/json", bytes.NewReader(input))
+				if err != nil {
+					return err
+				}
+				defer resp.Body.Close()
+				msg, _ := io.ReadAll(resp.Body)
+				return fmt.Errorf("%d %s", resp.StatusCode, msg)
+			},
+			want: []string{strconv.Itoa(http.StatusRequestEntityTooLarge), strconv.Itoa(maxRequestBody)},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.decode(c.input)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("decoded without an error")
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not name %s", err, w)
+				}
+			}
+			grown, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*len(c.input)+1<<20)
+			if grown > bound {
+				t.Errorf("decoding %d bytes allocated %d, want at most %d", len(c.input), grown, bound)
+			}
+		})
+	}
 }
