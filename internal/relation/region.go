@@ -3,7 +3,10 @@ package relation
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -36,9 +39,12 @@ const regionShared = 64
 // WisconsinRows.Fill generate rows whose strings they copy in,
 // Compaction.Rehome copies tuples from anywhere (a CSV import, a shard, a
 // test's hand-built tuples) with their strings, and Alias adds a second
-// header for a tuple the region already holds. Nothing may be stored into a
-// tuple of a region after its loader returned; a pointer to anything outside
-// it would be invisible to the collector.
+// header for a tuple the region already holds. JoinRows.Fill alone may run
+// its loop in pieces on several goroutines at once: each piece writes a
+// disjoint range of the block, and the region's cursor advances once, after
+// every piece has joined. Nothing may be stored into a tuple of a region
+// after its loader returned; a pointer to anything outside it would be
+// invisible to the collector.
 //
 // A Region is not safe for concurrent use while it is filled.
 type Region struct {
@@ -117,7 +123,9 @@ func (r *Region) bytes(n int) uintptr {
 // a string every row a writer generates refers to.
 func (r *Region) constant(s string) uintptr {
 	p := r.bytes(len(s))
-	copy(r.str[p-r.strAddr:], s)
+	if s != "" {
+		copy(r.str[p-r.strAddr:], s)
+	}
 	return p
 }
 
@@ -133,46 +141,124 @@ func (r *Region) view(h, n int) []Tuple {
 // JoinRows is one relation of the paper's join pair (§5.4) as data: rows
 // (k INT, id INT, pad STRING) laid out fragment by fragment. Fragment f
 // holds Sizes[f] rows whose keys run f, f+Stride, f+2·Stride, … and start
-// over every Cycle rows; ids count from 0 across the fragments; every row's
-// pad is Pad.
+// over every Cycle rows (Cycle > 0); ids count from 0 across the fragments;
+// every row's pad is Pad.
 type JoinRows struct {
 	Sizes         []int
 	Cycle, Stride int
 	Pad           string
 }
 
+// joinPiece is the fewest rows a piece of a split fill covers: 1 MiB of the
+// header and value words it writes, 72 bytes a row. A smaller piece would
+// cost more to start and join than it saves.
+const joinPiece = (1 << 20) / (8 * (3 + 6))
+
 // Fill appends the rows to r, the pad copied in once and shared by all of
-// them, and returns them. It is one loop over the rows that writes each
-// one's header and six value words, its cursor in local variables: the
-// pattern is data, so nothing is called per row.
+// them, and returns them. It cuts the rows into min(GOMAXPROCS, rows /
+// joinPiece) pieces of contiguous rows — rows, not fragments, since under
+// skew one fragment holds a large share of them — so a fill of fewer than
+// 2·joinPiece rows stays one loop on the caller's goroutine. Each piece
+// writes a disjoint range of the block's header and value words, all but the
+// last on a goroutine of its own, and the region's cursor advances once,
+// after every piece has joined. Like every loader, it runs outside any
+// QueryManager's thread budget.
 func (j JoinRows) Fill(r *Region) []Tuple {
+	return j.fill(r, max(1, min(runtime.GOMAXPROCS(0), j.rows()/joinPiece)))
+}
+
+// rows returns how many rows the relation holds.
+func (j JoinRows) rows() int {
 	rows := 0
 	for _, n := range j.Sizes {
 		rows += n
 	}
+	return rows
+}
+
+// fill is Fill cut into the given number of pieces: piece p writes rows
+// [p·rows/pieces, (p+1)·rows/pieces).
+func (j JoinRows) fill(r *Region, pieces int) []Tuple {
+	rows := j.rows()
 	hdr, val := r.next(rows, 3*rows)
-	pad, padLen := uint64(r.constant(j.Pad)), uint64(len(j.Pad))
-	addr, stride, id := uint64(r.valAddr)+uint64(8*r.nv), uint64(j.Stride), uint64(0)
-	for f, n := range j.Sizes {
-		k, c := uint64(f), 0
-		for range n {
+	w := joinWriter{j: j, hdr: hdr, val: val, addr: uint64(r.valAddr) + uint64(8*r.nv),
+		pad: uint64(r.constant(j.Pad)), padLen: uint64(len(j.Pad))}
+	if pieces > 1 {
+		w.split(rows, pieces)
+	} else {
+		w.write(0, rows)
+	}
+	first := 3 * r.nt
+	r.nt += rows
+	r.nv += 6 * rows
+	return r.view(first, rows)
+}
+
+// joinWriter writes a JoinRows into the header and value words a region set
+// aside for it.
+type joinWriter struct {
+	j           JoinRows
+	hdr, val    []uint64 // the words of every row
+	addr        uint64   // address of the first row's values
+	pad, padLen uint64
+}
+
+// split writes the rows in pieces contiguous ranges, all but the last on
+// goroutines of their own, and returns once every piece has written. Each
+// goroutine runs the one closure and claims its piece by number, so the
+// split costs two allocations however many pieces there are.
+func (w joinWriter) split(rows, pieces int) {
+	s := &struct {
+		joinWriter
+		claimed atomic.Int64
+		done    sync.WaitGroup
+	}{joinWriter: w}
+	piece := func() {
+		p := int(s.claimed.Add(1)) - 1
+		s.write(p*rows/pieces, (p+1)*rows/pieces)
+		s.done.Done()
+	}
+	s.done.Add(pieces - 1)
+	for range pieces - 1 {
+		go piece()
+	}
+	s.write((pieces-1)*rows/pieces, rows)
+	s.done.Wait()
+}
+
+// write fills rows [lo, hi). It works out row lo's fragment, key and place
+// in the cycle, then runs one loop over the rows that writes each one's
+// header and six value words, its cursor in local variables: the pattern is
+// data, so nothing is called per row.
+func (w *joinWriter) write(lo, hi int) {
+	if lo == hi {
+		return
+	}
+	sizes, cycle := w.j.Sizes, w.j.Cycle
+	f, at := 0, lo // row lo is row at of fragment f
+	for at >= sizes[f] {
+		at -= sizes[f]
+		f++
+	}
+	hdr, val := w.hdr[3*lo:3*hi], w.val[6*lo:6*hi]
+	addr, stride, id, pad, padLen := w.addr+48*uint64(lo), uint64(w.j.Stride), uint64(lo), w.pad, w.padLen
+	for ; len(hdr) > 0; f, at = f+1, 0 {
+		c := at % cycle
+		k := uint64(f) + uint64(c)*stride
+		for range min(sizes[f]-at, len(hdr)/3) {
 			h, v := hdr[:3:3], val[:6:6]
 			h[0], h[1], h[2] = addr, 3, 3
 			v[0], v[1], v[2], v[3], v[4], v[5] = 0, k, 0, id, pad, padLen
 			hdr, val = hdr[3:], val[6:]
 			addr += 48
 			id++
-			if c++; c == j.Cycle {
+			if c++; c == cycle {
 				k, c = uint64(f), 0
 			} else {
 				k += stride
 			}
 		}
 	}
-	first := 3 * r.nt
-	r.nt += rows
-	r.nv += 6 * rows
-	return r.view(first, rows)
 }
 
 // Alias stores a second header for t, a tuple of this region, as the next

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,6 +87,76 @@ func TestRegionTuples(t *testing.T) {
 	}
 	if err := r.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJoinRowsPieces: a join fill cut into any number of pieces writes the
+// words the one loop writes, wherever the cuts fall — after an empty
+// fragment, inside a fragment shorter than its cycle, mid-cycle, on a
+// fragment boundary, past the last row when there are more pieces than rows —
+// and the region passes its own Check.
+func TestJoinRowsPieces(t *testing.T) {
+	cases := []JoinRows{
+		{Sizes: []int{0, 7, 0, 9, 0}, Cycle: 3, Stride: 5, Pad: "p"},
+		{Sizes: []int{2, 11, 1, 6}, Cycle: 4, Stride: 4, Pad: "pad"},
+		{Sizes: []int{8, 8, 8, 8}, Cycle: 8, Stride: 4, Pad: ""},
+		{Sizes: []int{0, 0}, Cycle: 1, Stride: 2, Pad: "x"},
+	}
+	// words returns the words a region's tuples were given, every address
+	// made an offset into the block.
+	words := func(r *Region) []uint64 {
+		w := append(slices.Clone(r.hdr[:3*r.nt]), r.val[:r.nv]...)
+		for i := 0; i < 3*r.nt; i += 3 {
+			w[i] -= uint64(r.base)
+		}
+		for i := 3 * r.nt; i < len(w); i += 2 {
+			if w[i] != 0 {
+				w[i] -= uint64(r.base)
+			}
+		}
+		return w
+	}
+	var onBoundary, midCycle bool
+	for i, j := range cases {
+		rows := j.rows()
+		// fill fills j in pieces after one row already in the region, so
+		// the rows' values do not start at the block's first value.
+		fill := func(pieces int) *Region {
+			r := NewRegion(1+rows, 3*(1+rows), 1+len(j.Pad))
+			JoinRows{Sizes: []int{1}, Cycle: 1, Stride: 1, Pad: "r"}.fill(r, 1)
+			j.fill(r, pieces)
+			if err := r.Check(); err != nil {
+				t.Errorf("case %d in %d pieces: %v", i, pieces, err)
+			}
+			return r
+		}
+		want := fill(1)
+		id := 0
+		for f, n := range j.Sizes {
+			for at := range n {
+				row := Tuple{Int(int64(f + at%j.Cycle*j.Stride)), Int(int64(id)), Str(j.Pad)}
+				if got := want.Tuples()[1+id]; !got.Equal(row) {
+					t.Errorf("case %d: fragment %d row %d = %v, want %v", i, f, at, got, row)
+				}
+				id++
+			}
+		}
+		for pieces := 2; pieces <= 8; pieces++ {
+			if got := fill(pieces); !slices.Equal(words(got), words(want)) {
+				t.Errorf("case %d in %d pieces: the words differ from the one loop's", i, pieces)
+			}
+			for p := 1; p < pieces; p++ {
+				f, at := 0, p*rows/pieces // the cut is before row at of fragment f
+				for f < len(j.Sizes)-1 && at >= j.Sizes[f] {
+					at, f = at-j.Sizes[f], f+1
+				}
+				onBoundary = onBoundary || at == 0 && p*rows/pieces < rows
+				midCycle = midCycle || at%j.Cycle != 0
+			}
+		}
+	}
+	if !onBoundary || !midCycle {
+		t.Errorf("cuts fell on a fragment boundary: %v, mid-cycle: %v; want both", onBoundary, midCycle)
 	}
 }
 

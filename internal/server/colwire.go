@@ -72,9 +72,10 @@ const (
 	frameError  byte = 'E'
 )
 
-// maxFramePayload bounds a decoded frame's payload (64 MiB). Real frames
-// are a few KiB (one row chunk); the bound exists so a corrupt or hostile
-// length prefix cannot make the decoder allocate unboundedly.
+// maxFramePayload bounds a decoded frame's payload (64 MiB), and an NDJSON
+// stream's line (see ndjsonLines). Real frames and lines are a few KiB (one
+// row chunk); the bound exists so a corrupt or hostile length prefix or line
+// cannot make the decoder allocate unboundedly.
 const maxFramePayload = 64 << 20
 
 // writeFrame writes one length-prefixed frame.

@@ -306,32 +306,41 @@ func TestOptionsOverlayCarriesEveryWireField(t *testing.T) {
 }
 
 // TestDecodersAllocateWhatTheyRead: a length or a body that claims more
-// than the sender sends costs the receiver in proportion to what arrived,
-// and the error names the limit that applies.
+// than the sender sends, or a line that never ends, costs the receiver in
+// proportion to what arrived, and the error names the limit that applies.
 func TestDecodersAllocateWhatTheyRead(t *testing.T) {
 	client, _ := newTestServer(t, 100)
+	frame := binary.AppendUvarint([]byte{frameRows}, maxFramePayload)
+	body := []byte(`{"sql":"SELECT unique1 FROM wisc WHERE stringu1 = '` +
+		strings.Repeat("x", maxRequestBody) + `'"}`)
+	// An honest header line, then a row whose string runs on past the line
+	// limit, generated as it is read.
+	lines := `{"header":{"columns":["s"],"types":["STRING"]}}` + "\n" + `{"rows":[["`
 	cases := []struct {
 		name string
-		// input is what the sender sends; decode feeds it to the decoder.
-		input  []byte
-		decode func(input []byte) error
+		// input is what the sender sends, size bytes of it; decode feeds it
+		// to the decoder.
+		input  io.Reader
+		size   int
+		decode func(input io.Reader) error
 		want   []string
 	}{
 		{
 			name:  "R frame claiming 64 MiB",
-			input: binary.AppendUvarint([]byte{frameRows}, maxFramePayload),
-			decode: func(input []byte) error {
-				_, _, err := newColFrameReader(bytes.NewReader(input)).readFrame()
+			input: bytes.NewReader(frame),
+			size:  len(frame),
+			decode: func(input io.Reader) error {
+				_, _, err := newColFrameReader(input).readFrame()
 				return err
 			},
 			want: []string{strconv.Itoa(maxFramePayload)},
 		},
 		{
-			name: "body longer than the limit",
-			input: []byte(`{"sql":"SELECT unique1 FROM wisc WHERE stringu1 = '` +
-				strings.Repeat("x", maxRequestBody) + `'"}`),
-			decode: func(input []byte) error {
-				resp, err := client.HTTP.Post(client.Base+"/query", "application/json", bytes.NewReader(input))
+			name:  "body longer than the limit",
+			input: bytes.NewReader(body),
+			size:  len(body),
+			decode: func(input io.Reader) error {
+				resp, err := client.HTTP.Post(client.Base+"/query", "application/json", input)
 				if err != nil {
 					return err
 				}
@@ -340,6 +349,26 @@ func TestDecodersAllocateWhatTheyRead(t *testing.T) {
 				return fmt.Errorf("%d %s", resp.StatusCode, msg)
 			},
 			want: []string{strconv.Itoa(http.StatusRequestEntityTooLarge), strconv.Itoa(maxRequestBody)},
+		},
+		{
+			name:  "NDJSON line longer than the limit",
+			input: io.MultiReader(strings.NewReader(lines), io.LimitReader(endlessX{}, maxFramePayload)),
+			size:  len(lines) + maxFramePayload,
+			decode: func(input io.Reader) error {
+				stream, err := newRowStream(&http.Response{
+					StatusCode: http.StatusOK,
+					Header:     http.Header{"Content-Type": {contentTypeNDJSON}},
+					Body:       io.NopCloser(input),
+				}, nil)
+				if err != nil {
+					return err
+				}
+				defer stream.Close()
+				for stream.Next() {
+				}
+				return stream.Err()
+			},
+			want: []string{strconv.Itoa(maxFramePayload)},
 		},
 	}
 	for _, c := range cases {
@@ -356,10 +385,20 @@ func TestDecodersAllocateWhatTheyRead(t *testing.T) {
 					t.Errorf("error %q does not name %s", err, w)
 				}
 			}
-			grown, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*len(c.input)+1<<20)
+			grown, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*c.size+1<<20)
 			if grown > bound {
-				t.Errorf("decoding %d bytes allocated %d, want at most %d", len(c.input), grown, bound)
+				t.Errorf("decoding %d bytes allocated %d, want at most %d", c.size, grown, bound)
 			}
 		})
 	}
+}
+
+// endlessX reads as an endless run of 'x'.
+type endlessX struct{}
+
+func (endlessX) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
 }
