@@ -30,9 +30,10 @@ func (db *Database) LoadCSV(name string, r io.Reader, key string, degree int) er
 	return db.register(placed{p, h})
 }
 
-// DumpCSV writes a registered relation as CSV.
+// DumpCSV writes a registered relation as CSV. It generates every pending
+// relation first.
 func (db *Database) DumpCSV(name string, w io.Writer) error {
-	db.mu.RLock()
+	db.rlockSettled()
 	p, ok := db.rels[name]
 	db.mu.RUnlock()
 	if !ok {

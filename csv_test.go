@@ -24,7 +24,7 @@ func TestLoadCSVAndQuery(t *testing.T) {
 	if err := db.LoadCSV("orders", strings.NewReader(ordersCSV), "order", 3); err != nil {
 		t.Fatal(err)
 	}
-	if card := db.rels["orders"].Cardinality(); card != 6 {
+	if card := db.settled()["orders"].Cardinality(); card != 6 {
 		t.Fatalf("cardinality = %d", card)
 	}
 	rows, err := db.QueryAllContext(context.Background(), "SELECT customer, SUM(amount) FROM orders GROUP BY customer", nil)
@@ -111,7 +111,7 @@ func TestDumpCSVRoundTrip(t *testing.T) {
 	if err := db2.LoadCSV("orders", strings.NewReader(buf.String()), "order", 4); err != nil {
 		t.Fatal(err)
 	}
-	if card := db2.rels["orders"].Cardinality(); card != 6 {
+	if card := db2.settled()["orders"].Cardinality(); card != 6 {
 		t.Errorf("round trip cardinality = %d", card)
 	}
 	if err := db.DumpCSV("absent", &buf); err == nil {

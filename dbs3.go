@@ -83,6 +83,7 @@ package dbs3
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -99,11 +100,18 @@ import (
 // Database is an in-memory database of statically partitioned relations.
 // It is safe for concurrent use by multiple goroutines: relation creation
 // takes a write lock, queries snapshot the catalog under a read lock.
+//
+// A generated Wisconsin relation is declared before it exists: its rows are
+// generated when the database is first read (settled), or, if ShardRelation
+// comes first, only the rows of the shard are.
 type Database struct {
 	mu       sync.RWMutex
 	rels     core.DB
 	resolver lera.MapResolver
 	manager  *dbruntime.Manager
+	// pending holds the declared relations not yet generated, in
+	// declaration order; none of their names is in rels.
+	pending []wisconsinDef
 
 	// cache is the LRU plan cache behind Prepare and ad-hoc queries; epoch
 	// is the catalog version, bumped on DDL so stale plans miss.
@@ -135,10 +143,13 @@ type Admission = dbruntime.Decision
 // installed, queries are admitted through it: concurrent queries share its
 // thread budget and each one's scheduler sees the utilization measured from
 // the others' allocated threads. Installing a new manager replaces the
-// previous one for future queries.
+// previous one for future queries. It first generates every relation still
+// pending, so a served database has loaded before it takes a query and no
+// managed query pays for a load.
 func (db *Database) Manager(cfg ManagerConfig) *dbruntime.Manager {
 	m := dbruntime.NewManager(cfg)
 	db.mu.Lock()
+	db.settle()
 	db.manager = m
 	db.mu.Unlock()
 	return m
@@ -152,22 +163,27 @@ func (db *Database) BufferPoolStats() (hits, misses, resident int64) {
 	return 0, 0, 0
 }
 
-// Relations returns the registered relation names, sorted.
+// Relations returns the registered relation names, sorted, pending ones
+// included: listing them generates nothing.
 func (db *Database) Relations() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.rels))
+	out := make([]string, 0, len(db.rels)+len(db.pending))
 	for name := range db.rels {
 		out = append(out, name)
+	}
+	for _, d := range db.pending {
+		out = append(out, d.name)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // FragmentSizes returns a relation's per-fragment cardinalities — the
-// distribution the skew experiments manipulate.
+// distribution the skew experiments manipulate. It generates every pending
+// relation first.
 func (db *Database) FragmentSizes(name string) ([]int, error) {
-	db.mu.RLock()
+	db.rlockSettled()
 	p, ok := db.rels[name]
 	db.mu.RUnlock()
 	if !ok {
@@ -188,22 +204,86 @@ func (db *Database) register(rels ...placed) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, r := range rels {
-		if _, dup := db.rels[r.p.Name]; dup {
-			return fmt.Errorf("dbs3: relation %q already exists", r.p.Name)
+		if err := db.taken(r.p.Name); err != nil {
+			return err
 		}
 	}
 	for _, r := range rels {
-		db.rels[r.p.Name] = r.p
-		db.resolver[r.p.Name] = lera.RelInfo{
-			Schema:    r.p.Schema,
-			Degree:    r.p.Degree(),
-			FragSizes: r.p.FragmentSizes(),
-			Part:      r.part,
-		}
+		db.install(r.p, r.part, r.p.FragmentSizes())
 	}
 	// DDL invalidates cached plans: they were bound against the old catalog.
 	db.epoch.Add(1)
 	return nil
+}
+
+// taken fails if name is a registered or a pending relation's. db.mu must be
+// held.
+func (db *Database) taken(name string) error {
+	if _, dup := db.rels[name]; dup || db.declared(name) >= 0 {
+		return fmt.Errorf("dbs3: relation %q already exists", name)
+	}
+	return nil
+}
+
+// declared returns where the pending relation called name is in db.pending,
+// or -1. db.mu must be held.
+func (db *Database) declared(name string) int {
+	return slices.IndexFunc(db.pending, func(d wisconsinDef) bool { return d.name == name })
+}
+
+// install puts p, placed by part into fragments of the given sizes, in the
+// catalog under its name, replacing what was there. db.mu must be held for
+// writing.
+func (db *Database) install(p *partition.Partitioned, part partition.Func, sizes []int) {
+	db.rels[p.Name] = p
+	db.resolver[p.Name] = lera.RelInfo{Schema: p.Schema, Degree: p.Degree(), FragSizes: sizes, Part: part}
+}
+
+// wisconsinDef is a declared Wisconsin relation: everything its rows are
+// generated from.
+type wisconsinDef struct {
+	name        string
+	cardinality int
+	key         int // the key column
+	seed        int64
+	h           *partition.Hash
+}
+
+// generate builds the whole relation, as partition.Generate places it.
+func (d *wisconsinDef) generate() *partition.Partitioned {
+	rows := relation.NewWisconsinRows(d.cardinality, d.seed)
+	p, err := partition.Generate(d.name, relation.WisconsinSchema, d.h, d.cardinality, d.cardinality*relation.WisconsinRowStringBytes,
+		func(i int) relation.Value { return rows.Value(d.key, i) }, rows.Fill)
+	if err != nil {
+		// A Hash places every row in [0, degree).
+		panic(fmt.Sprintf("dbs3: generating %q: %v", d.name, err))
+	}
+	return p
+}
+
+// settle generates every pending relation, in declaration order, and
+// registers it. The catalog's epoch stays where the declarations left it:
+// no plan was ever compiled against a pending relation. db.mu must be held
+// for writing.
+func (db *Database) settle() {
+	for _, d := range db.pending {
+		p := d.generate()
+		db.install(p, d.h, p.FragmentSizes())
+	}
+	db.pending = nil
+}
+
+// rlockSettled takes db.mu for reading with no relation pending, generating
+// the pending ones first: every read of the catalog's rows goes through it.
+func (db *Database) rlockSettled() {
+	db.mu.RLock()
+	for len(db.pending) > 0 {
+		db.mu.RUnlock()
+		db.mu.Lock()
+		db.settle()
+		db.mu.Unlock()
+		db.mu.RLock()
+	}
 }
 
 // currentManager reads the installed manager under the read lock.
@@ -219,7 +299,7 @@ func (db *Database) currentManager() *dbruntime.Manager {
 // so it is cheap — but it is still per-execution work, which is why the
 // resolver (only needed at compile time) is snapshotted separately.
 func (db *Database) snapshotRels() (core.DB, *dbruntime.Manager) {
-	db.mu.RLock()
+	db.rlockSettled()
 	defer db.mu.RUnlock()
 	rels := make(core.DB, len(db.rels))
 	for k, v := range db.rels {
@@ -231,7 +311,7 @@ func (db *Database) snapshotRels() (core.DB, *dbruntime.Manager) {
 // snapshotResolver copies the binding resolver under the read lock for a
 // compile that must not race relation creation.
 func (db *Database) snapshotResolver() lera.MapResolver {
-	db.mu.RLock()
+	db.rlockSettled()
 	defer db.mu.RUnlock()
 	resolver := make(lera.MapResolver, len(db.resolver))
 	for k, v := range db.resolver {
@@ -240,8 +320,13 @@ func (db *Database) snapshotResolver() lera.MapResolver {
 	return resolver
 }
 
-// CreateWisconsin generates a Wisconsin benchmark relation [Bitton83] of the
-// given cardinality, hash-partitioned on key into degree fragments.
+// CreateWisconsin declares a Wisconsin benchmark relation [Bitton83] of the
+// given cardinality, hash-partitioned on key into degree fragments, and
+// generates none of it. The relation is listed by Relations at once; its
+// rows are generated when the database is next read — by Manager, a query,
+// Prepare, FragmentSizes or DumpCSV, which generate every pending relation
+// in declaration order — or, if ShardRelation comes first, only the rows of
+// the shard are.
 func (db *Database) CreateWisconsin(name string, cardinality, degree int, key string, seed int64) error {
 	if cardinality <= 0 {
 		return fmt.Errorf("dbs3: Wisconsin cardinality must be positive, got %d", cardinality)
@@ -251,14 +336,15 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 	if err != nil {
 		return err
 	}
-	rows := relation.NewWisconsinRows(cardinality, seed)
-	keyCol := schema.MustIndex(key)
-	p, err := partition.Generate(name, schema, h, cardinality, cardinality*relation.WisconsinRowStringBytes,
-		func(i int) relation.Value { return rows.Value(keyCol, i) }, rows.Fill)
-	if err != nil {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.taken(name); err != nil {
 		return err
 	}
-	return db.register(placed{p, h})
+	db.pending = append(db.pending, wisconsinDef{name: name, cardinality: cardinality, key: schema.MustIndex(key), seed: seed, h: h})
+	// Declaring is DDL, as registering is.
+	db.epoch.Add(1)
+	return nil
 }
 
 // CreateJoinPair generates the paper's experimental database (§5.4): three

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -36,9 +37,44 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a relation from CSV with a typed header row.
+// MaxLine bounds a line of text read from outside: a CSV import's, and a
+// result stream's NDJSON line, whose 64 MiB the columnar wire's frames share.
+// Real lines are a few KiB; the bound exists so a line that never ends
+// cannot make a reader buffer without limit.
+const MaxLine = 64 << 20
+
+// LineLimit passes R's bytes through as they come and fails once more than
+// MaxLine of them follow the last newline, with an error naming the limit,
+// from then on. It copies nothing and buffers nothing, so a reader behind it
+// holds at most one line of MaxLine bytes, and an honest stream costs what it
+// cost without it.
+type LineLimit struct {
+	R   io.Reader
+	run int // bytes since the last newline
+}
+
+var errLongLine = fmt.Errorf("relation: a line longer than the %d-byte limit", MaxLine)
+
+func (l *LineLimit) Read(p []byte) (int, error) {
+	if l.run > MaxLine {
+		return 0, errLongLine
+	}
+	n, err := l.R.Read(p)
+	if i := bytes.LastIndexByte(p[:n], '\n'); i >= 0 {
+		l.run = n - i - 1
+	} else {
+		l.run += n
+	}
+	if over := l.run - MaxLine; over > 0 {
+		return n - over, errLongLine
+	}
+	return n, err
+}
+
+// ReadCSV parses a relation from CSV with a typed header row. A line longer
+// than MaxLine fails the import.
 func ReadCSV(name string, rd io.Reader) (*Relation, error) {
-	cr := csv.NewReader(rd)
+	cr := csv.NewReader(&LineLimit{R: rd})
 	// The reader's record slice is reused from row to row and every kept
 	// string field is copied into the slab's arena, so no tuple pins a CSV
 	// line (integer columns and all); what is left per row is the one line

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -81,23 +82,88 @@ const WisconsinRowStringBytes = wisconsinStringLen
 
 // Fill renders the relation's text table into region, copies in the string4
 // constants the relation's rows use, then appends row u2 for each u2 of
-// order, in that order: stringu1 and stringu2 refer to their texts in the table. It is one
-// loop over the rows that writes each one's header and 32 value words, its
-// cursor in local variables.
+// order, in that order: stringu1 and stringu2 refer to their texts in the
+// table, text v at 52·v bytes past its start.
 func (w *WisconsinRows) Fill(region *Region, order []int32) {
-	const cols = 16 // WisconsinSchema.Len()
-	hdr, val := region.next(len(order), cols*len(order))
 	texts := uint64(wisconsinTexts(region, len(w.perm)))
 	var string4 [len(string4Cycle)]uint64
 	for i := range min(len(w.perm), len(string4)) {
 		string4[i] = uint64(region.constant(string4Cycle[i]))
 	}
+	w.write(region, order, texts, string4, nil, nil)
+}
+
+// Shard generates the rows of order, in that order, into a region of their
+// own, exactly sized, and returns it: a shard's rows generated without the
+// rows it drops ever existing. The region holds only the texts those rows
+// refer to, each once and in value order, then the string4 constants they
+// use, in cycle order: the string bytes a Compaction of the same rows out of
+// the region Fill writes would hold, laid out the same way.
+func (w *WisconsinRows) Shard(order []int32) *Region {
+	// One slice holds the texts' marks, a bit per text a row refers to, and
+	// each mark word's rank, the marked texts before it.
+	words := (len(w.perm) + 63) / 64
+	index := make([]uint64, 2*words)
+	marks, ranks := index[:words:words], index[words:]
+	used := uint(0) // bit c: a row uses string4Cycle[c]
+	for _, i := range order {
+		u1 := w.perm[i]
+		marks[i>>6] |= 1 << (i & 63)
+		marks[u1>>6] |= 1 << (u1 & 63)
+		used |= 1 << (i % int32(len(string4Cycle)))
+	}
+	texts := 0
+	for j, m := range marks {
+		ranks[j] = uint64(texts)
+		texts += bits.OnesCount64(m)
+	}
+	const cols = 16 // WisconsinSchema.Len()
+	region := NewRegion(len(order), cols*len(order), texts*wisconsinStringLen+bits.OnesCount(used)*len(string4Cycle[0]))
+	table := uint64(region.bytes(texts * wisconsinStringLen))
+	rendered := region.str[region.ns-texts*wisconsinStringLen : region.ns]
+	at, last := 0, -2 // where the next text goes; the value rendered before it
+	for j, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			v := 64*j + bits.TrailingZeros64(m)
+			next := rendered[at : at+wisconsinStringLen]
+			if v == last+1 {
+				nextWisconsinString(next, rendered[at-wisconsinStringLen:at])
+			} else {
+				putWisconsinString(next, int64(v))
+			}
+			at, last = at+wisconsinStringLen, v
+		}
+	}
+	var string4 [len(string4Cycle)]uint64
+	for c := range string4 {
+		if used&(1<<c) != 0 {
+			string4[c] = uint64(region.constant(string4Cycle[c]))
+		}
+	}
+	w.write(region, order, table, string4, marks, ranks)
+	return region
+}
+
+// write appends row u2 for each u2 of order, in that order, its stringu1 and
+// stringu2 referring to the text table at texts and its string4 to the
+// constants at string4. With marks nil the table holds every text, text v at
+// 52·v bytes past texts; otherwise it holds the marked texts only, text v at
+// 52 bytes times v's rank among them (Shard). It is one loop over the rows
+// that writes each one's header and 32 value words, its cursor in local
+// variables.
+func (w *WisconsinRows) write(region *Region, order []int32, texts uint64, string4 [len(string4Cycle)]uint64, marks, ranks []uint64) {
+	const cols = 16 // WisconsinSchema.Len()
+	hdr, val := region.next(len(order), cols*len(order))
 	const textLen = wisconsinStringLen
 	string4Len := uint64(len(string4Cycle[0])) // all four are as long
 	addr, perm := uint64(region.valAddr)+uint64(8*region.nv), w.perm
 	for _, i := range order {
 		u2 := uint64(i)
 		u1 := uint64(perm[i])
+		t1, t2 := u1, u2
+		if marks != nil {
+			t1, t2 = rank(marks, ranks, u1), rank(marks, ranks, u2)
+		}
 		h, v := hdr[:3:3], val[:2*cols:2*cols]
 		h[0], h[1], h[2] = addr, cols, cols
 		pct := u1 % 100
@@ -114,14 +180,21 @@ func (w *WisconsinRows) Fill(region *Region, order []int32) {
 		v[20], v[21] = 0, u1
 		v[22], v[23] = 0, pct*2
 		v[24], v[25] = 0, pct*2+1
-		v[26], v[27] = texts+u1*textLen, textLen
-		v[28], v[29] = texts+u2*textLen, textLen
+		v[26], v[27] = texts+t1*textLen, textLen
+		v[28], v[29] = texts+t2*textLen, textLen
 		v[30], v[31] = string4[u2%uint64(len(string4))], string4Len
 		hdr, val = hdr[3:], val[2*cols:]
 		addr += 16 * cols
 	}
 	region.nt += len(order)
 	region.nv += 2 * cols * len(order)
+}
+
+// rank returns how many marked texts come before text v: the marked texts
+// before v's word of marks, which ranks holds, and a popcount of those below
+// v in the word.
+func rank(marks, ranks []uint64, v uint64) uint64 {
+	return ranks[v>>6] + uint64(bits.OnesCount64(marks[v>>6]&(1<<(v&63)-1)))
 }
 
 // Value returns column col of row u2 without building the row: what a
@@ -185,24 +258,29 @@ func wisconsinText(v int64) string {
 	return string(text)
 }
 
+// nextWisconsinString writes text v+1 over next, given text v in prev: text
+// v with its base-26 prefix incremented, carry and all, so no text costs a
+// division.
+func nextWisconsinString(next, prev []byte) {
+	copy(next, prev[:wisconsinStringLen])
+	for i := wisconsinPrefixLen - 1; i >= 0; i-- {
+		if next[i] != 'Z' {
+			next[i]++
+			return
+		}
+		next[i] = 'A'
+	}
+}
+
 // wisconsinTexts renders the texts of 0..n-1 into the next n·52 of region's
 // string bytes, in value order, and returns the table's address: text v lies
-// 52·v bytes past it. Text v+1 is text v with its base-26 prefix incremented,
-// carry and all, so no text costs a division.
+// 52·v bytes past it.
 func wisconsinTexts(region *Region, n int) uintptr {
 	table := region.bytes(n * wisconsinStringLen)
 	text := region.str[region.ns-n*wisconsinStringLen : region.ns]
 	putWisconsinString(text[:wisconsinStringLen], 0)
 	for prev := text; len(prev) >= 2*wisconsinStringLen; prev = prev[wisconsinStringLen:] {
-		next := prev[wisconsinStringLen : 2*wisconsinStringLen]
-		copy(next, prev[:wisconsinStringLen])
-		for i := wisconsinPrefixLen - 1; i >= 0; i-- {
-			if next[i] != 'Z' {
-				next[i]++
-				break
-			}
-			next[i] = 'A'
-		}
+		nextWisconsinString(prev[wisconsinStringLen:2*wisconsinStringLen], prev)
 	}
 	return table
 }

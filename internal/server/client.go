@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -14,6 +13,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"dbs3/internal/relation"
 )
 
 // retryBackoff is the base of the retry backoff ladder: long enough that a
@@ -396,7 +397,7 @@ func newRowStream(resp *http.Response, cancel context.CancelFunc) (*RowStream, e
 			return abort(fmt.Errorf("server: stream did not open with a header"))
 		}
 	}
-	dec := json.NewDecoder(&ndjsonLines{r: bufio.NewReader(resp.Body)})
+	dec := json.NewDecoder(&relation.LineLimit{R: resp.Body})
 	dec.UseNumber()
 	var msg Message
 	if err := dec.Decode(&msg); err != nil {
@@ -470,51 +471,6 @@ func (s *RowStream) fetchNDJSON() bool {
 		s.buf = msg.Rows
 		return true
 	}
-}
-
-// ndjsonLines feeds a stream's NDJSON decoder whole lines, each at most
-// maxFramePayload bytes with its newline: the columnar frame's bound, so both
-// wires share one limit. A line longer than the reader's buffer is gathered
-// in a buffer that grows as its bytes arrive and is handed on only once it is
-// complete, so a longer line fails naming the limit having cost about twice
-// what arrived, and the decoder never holds more than one line.
-type ndjsonLines struct {
-	r    *bufio.Reader
-	long bytes.Buffer // the current line, when r's buffer cannot hold it
-	line []byte       // what the decoder has not read of the current line
-	err  error        // what ended the stream after line
-}
-
-func (l *ndjsonLines) Read(p []byte) (int, error) {
-	if len(l.line) == 0 {
-		if l.err != nil {
-			return 0, l.err
-		}
-		if l.line, l.err = l.next(); len(l.line) == 0 {
-			return 0, l.err
-		}
-	}
-	n := copy(p, l.line)
-	l.line = l.line[n:]
-	return n, nil
-}
-
-// next reads the next line, its newline included, and the error that ended
-// the stream before the line did.
-func (l *ndjsonLines) next() ([]byte, error) {
-	line, err := l.r.ReadSlice('\n')
-	if err != bufio.ErrBufferFull {
-		return line, err
-	}
-	l.long.Reset()
-	for err == bufio.ErrBufferFull {
-		l.long.Write(line)
-		if line, err = l.r.ReadSlice('\n'); l.long.Len()+len(line) > maxFramePayload {
-			return nil, fmt.Errorf("server: NDJSON line longer than the %d-byte limit", maxFramePayload)
-		}
-	}
-	l.long.Write(line)
-	return l.long.Bytes(), err
 }
 
 // fetchColumnar reads the next binary frame into the row buffer, with the

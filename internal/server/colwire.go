@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+
+	"dbs3/internal/relation"
 )
 
 // Binary columnar result encoding. NDJSON (the default) spends most of a
@@ -72,11 +74,12 @@ const (
 	frameError  byte = 'E'
 )
 
-// maxFramePayload bounds a decoded frame's payload (64 MiB), and an NDJSON
-// stream's line (see ndjsonLines). Real frames and lines are a few KiB (one
-// row chunk); the bound exists so a corrupt or hostile length prefix or line
-// cannot make the decoder allocate unboundedly.
-const maxFramePayload = 64 << 20
+// maxFramePayload bounds a decoded frame's payload (64 MiB): relation.MaxLine,
+// which bounds an NDJSON stream's line, so both wires share one limit. Real
+// frames and lines are a few KiB (one row chunk); the bound exists so a
+// corrupt or hostile length prefix or line cannot make the decoder allocate
+// unboundedly.
+const maxFramePayload = relation.MaxLine
 
 // writeFrame writes one length-prefixed frame.
 func writeFrame(w io.Writer, kind byte, payload []byte) error {

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"dbs3"
+	"dbs3/internal/relation"
 )
 
 // TestWireRowRoundTrip audits the JSON encoding of every column type the
@@ -316,6 +317,8 @@ func TestDecodersAllocateWhatTheyRead(t *testing.T) {
 	// An honest header line, then a row whose string runs on past the line
 	// limit, generated as it is read.
 	lines := `{"header":{"columns":["s"],"types":["STRING"]}}` + "\n" + `{"rows":[["`
+	// A CSV header, then a row that never ends.
+	csvHeader := "s:STRING\n"
 	cases := []struct {
 		name string
 		// input is what the sender sends, size bytes of it; decode feeds it
@@ -324,6 +327,8 @@ func TestDecodersAllocateWhatTheyRead(t *testing.T) {
 		size   int
 		decode func(input io.Reader) error
 		want   []string
+		// perByte is what decoding may allocate per byte sent; 0 is 4.
+		perByte int
 	}{
 		{
 			name:  "R frame claiming 64 MiB",
@@ -370,6 +375,20 @@ func TestDecodersAllocateWhatTheyRead(t *testing.T) {
 			},
 			want: []string{strconv.Itoa(maxFramePayload)},
 		},
+		{
+			name:  "CSV line longer than the limit",
+			input: io.MultiReader(strings.NewReader(csvHeader), io.LimitReader(endlessX{}, maxFramePayload+1)),
+			size:  len(csvHeader) + maxFramePayload + 1,
+			decode: func(input io.Reader) error {
+				_, err := relation.ReadCSV("s", input)
+				return err
+			},
+			want: []string{strconv.Itoa(maxFramePayload)},
+			// encoding/csv copies a line three times: into its line buffer,
+			// grown a quarter at a time (about five bytes per byte read),
+			// into its field buffer and into the field's string.
+			perByte: 8,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -385,7 +404,11 @@ func TestDecodersAllocateWhatTheyRead(t *testing.T) {
 					t.Errorf("error %q does not name %s", err, w)
 				}
 			}
-			grown, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*c.size+1<<20)
+			perByte := c.perByte
+			if perByte == 0 {
+				perByte = 4
+			}
+			grown, bound := after.TotalAlloc-before.TotalAlloc, uint64(perByte*c.size+1<<20)
 			if grown > bound {
 				t.Errorf("decoding %d bytes allocated %d, want at most %d", c.size, grown, bound)
 			}
@@ -401,4 +424,51 @@ func (endlessX) Read(p []byte) (int, error) {
 		p[i] = 'x'
 	}
 	return len(p), nil
+}
+
+// cannedNDJSON is a finished NDJSON stream of n rows of (unique2 INT,
+// stringu1 STRING), in chunkRows-row messages as the server sends them.
+func cannedNDJSON(n int) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.Encode(Message{Header: &Header{Columns: []string{"unique2", "stringu1"}, Types: []string{"INT", "STRING"}}})
+	for lo := 0; lo < n; lo += chunkRows {
+		chunk := make([][]any, 0, chunkRows)
+		for i := lo; i < min(lo+chunkRows, n); i++ {
+			chunk = append(chunk, []any{int64(i), fmt.Sprintf("%07d%s", i, strings.Repeat("x", 45))})
+		}
+		enc.Encode(Message{Rows: chunk})
+	}
+	enc.Encode(Message{Done: &Footer{RowCount: int64(n), Threads: 1}})
+	return b.Bytes()
+}
+
+// BenchmarkRowStreamNDJSON is the client's decode of a canned NDJSON stream
+// of one row and of 4 000: B/op and allocs/op are what a stream costs the
+// reader, its line bound included.
+func BenchmarkRowStreamNDJSON(b *testing.B) {
+	for _, n := range []int{1, 4_000} {
+		stream := cannedNDJSON(n)
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rs, err := newRowStream(&http.Response{
+					StatusCode: http.StatusOK,
+					Header:     http.Header{"Content-Type": {contentTypeNDJSON}},
+					Body:       io.NopCloser(bytes.NewReader(stream)),
+				}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows := 0
+				for rs.Next() {
+					rows++
+				}
+				if err := rs.Err(); err != nil || rows != n {
+					b.Fatalf("%d rows, %v", rows, err)
+				}
+				rs.Close()
+			}
+		})
+	}
 }

@@ -1,0 +1,201 @@
+package dbs3
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"strings"
+	"sync"
+	"testing"
+
+	"dbs3/internal/relation"
+)
+
+// TestPendingShardMatchesRehome: a shard generated from a declared relation
+// is the shard re-homed out of the whole relation once it is generated —
+// fragment by fragment, tuple by tuple, in string bytes — in a region that
+// holds no pointer out of itself, and the shards of every node union to the
+// whole relation, each row on exactly one. The relation is keyed on unique2
+// or unique1, at degrees 1, 8 and 16, cut into 1 to 4 shards on its key, the
+// other unique column, a ten-valued column, a two-valued one (past two
+// shards, some keep nothing) and a string column.
+func TestPendingShardMatchesRehome(t *testing.T) {
+	const card, seed = 1_500, 5
+	for _, key := range []string{"unique2", "unique1"} {
+		for _, degree := range []int{1, 8, 16} {
+			whole := New()
+			if err := whole.CreateWisconsin("w", card, degree, key, seed); err != nil {
+				t.Fatal(err)
+			}
+			settled := whole.settled()["w"]
+			for _, col := range []string{"unique2", "unique1", "ten", "two", "stringu1"} {
+				cols := []int{relation.WisconsinSchema.MustIndex(col)}
+				for shards := 1; shards <= 4; shards++ {
+					on := make([]int, card) // shards holding row unique2
+					for shard := 0; shard < shards; shard++ {
+						name := fmt.Sprintf("key %s, degree %d, on %s, shard %d of %d", key, degree, col, shard, shards)
+						db := New()
+						if err := db.CreateWisconsin("w", card, degree, key, seed); err != nil {
+							t.Fatal(err)
+						}
+						if err := db.ShardRelation("w", col, shard, shards); err != nil {
+							t.Fatal(err)
+						}
+						got := db.settled()["w"]
+						want := settled.Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, shards) == shard })
+						if err := got.Region.Check(); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if g, w := got.Region.StringBytes(), want.Region.StringBytes(); g != w {
+							t.Errorf("%s: %d string bytes, re-homed %d", name, g, w)
+						}
+						if g, w := strings.Join(got.Key, ","), strings.Join(want.Key, ","); g != w || got.Degree() != degree {
+							t.Fatalf("%s: key %s at degree %d, re-homed key %s at degree %d", name, g, got.Degree(), w, degree)
+						}
+						sizes, err := db.FragmentSizes("w")
+						if err != nil {
+							t.Fatal(err)
+						}
+						for f, frag := range want.Fragments {
+							if len(got.Fragments[f]) != len(frag) || sizes[f] != len(frag) {
+								t.Fatalf("%s: fragment %d holds %d rows (sizes say %d), re-homed %d", name, f, len(got.Fragments[f]), sizes[f], len(frag))
+							}
+							for i, tup := range frag {
+								if !got.Fragments[f][i].Equal(tup) {
+									t.Fatalf("%s: fragment %d row %d is %v, re-homed %v", name, f, i, got.Fragments[f][i], tup)
+								}
+								on[tup[1].AsInt()]++
+							}
+						}
+					}
+					for u2, n := range on {
+						if n != 1 {
+							t.Fatalf("key %s, degree %d, on %s, %d shards: row %d is on %d shards", key, degree, col, shards, u2, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPendingRelationIsCatalogued: a declared relation is listed and its
+// name is taken, though none of it exists yet.
+func TestPendingRelationIsCatalogued(t *testing.T) {
+	db := New()
+	if err := db.CreateWisconsin("w", 1_000, 4, "unique2", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateWisconsin("A", 1_000, 4, "unique2", 1); err != nil {
+		t.Fatal(err)
+	}
+	if names := db.Relations(); strings.Join(names, ",") != "A,w" {
+		t.Errorf("relations = %v, want [A w]", names)
+	}
+	if len(db.pending) != 2 || len(db.rels) != 0 {
+		t.Fatalf("listing generated relations: %d pending, %d registered", len(db.pending), len(db.rels))
+	}
+	epoch := db.epoch.Load()
+	for name, create := range map[string]func() error{
+		"CreateWisconsin": func() error { return db.CreateWisconsin("w", 10, 2, "unique2", 2) },
+		"LoadCSV":         func() error { return db.LoadCSV("w", strings.NewReader(ordersCSV), "order", 2) },
+		"CreateJoinPair":  func() error { return db.CreateJoinPair("", 100, 20, 4, 0) },
+	} {
+		if err := create(); err == nil || !strings.Contains(err.Error(), "already exists") {
+			t.Errorf("%s over a pending name: %v", name, err)
+		}
+	}
+	if got := db.epoch.Load(); got != epoch || len(db.pending) != 2 || len(db.rels) != 0 {
+		t.Errorf("rejected creations moved the epoch %d -> %d or the catalog (%d pending, %d registered)", epoch, got, len(db.pending), len(db.rels))
+	}
+}
+
+// TestPendingRelationSettlesOnRead: every read of the catalog's rows —
+// installing a manager, a query, Prepare, FragmentSizes, DumpCSV —
+// generates the declared relations, all of them, and leaves the plan cache's
+// epoch alone: no plan was compiled against a relation that did not exist.
+func TestPendingRelationSettlesOnRead(t *testing.T) {
+	ctx := context.Background()
+	for name, read := range map[string]func(db *Database) error{
+		"Manager": func(db *Database) error { db.Manager(ManagerConfig{Budget: 2}); return nil },
+		"query": func(db *Database) error {
+			res, err := db.QueryAllContext(ctx, "SELECT unique2 FROM w WHERE unique1 < 10", nil)
+			if err == nil && len(res.Data) != 10 {
+				err = fmt.Errorf("%d rows, want 10", len(res.Data))
+			}
+			return err
+		},
+		"Prepare": func(db *Database) error { _, err := db.Prepare("SELECT * FROM v", nil); return err },
+		"FragmentSizes": func(db *Database) error {
+			_, err := db.FragmentSizes("w")
+			return err
+		},
+		"DumpCSV": func(db *Database) error { return db.DumpCSV("v", io.Discard) },
+	} {
+		db := New()
+		if err := db.CreateWisconsin("w", 1_000, 4, "unique2", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateWisconsin("v", 500, 2, "unique1", 2); err != nil {
+			t.Fatal(err)
+		}
+		epoch := db.epoch.Load()
+		if err := read(db); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(db.pending) != 0 || len(db.rels) != 2 {
+			t.Errorf("%s: %d relations still pending, %d registered", name, len(db.pending), len(db.rels))
+		}
+		if got := db.epoch.Load(); got != epoch {
+			t.Errorf("%s: settling moved the epoch %d -> %d", name, epoch, got)
+		}
+		if n := db.rels["w"].Cardinality() + db.rels["v"].Cardinality(); n != 1_500 {
+			t.Errorf("%s: settled relations hold %d rows, want 1500", name, n)
+		}
+	}
+}
+
+// TestPendingRelationSettlesUnderConcurrentReads: queries that arrive
+// together at a database of declared relations all see the whole of them,
+// and nothing is left pending.
+func TestPendingRelationSettlesUnderConcurrentReads(t *testing.T) {
+	rels := []struct {
+		name string
+		card int
+	}{{"w", 2_000}, {"v", 1_000}}
+	db := New()
+	for i, r := range rels {
+		if err := db.CreateWisconsin(r.name, r.card, 8, "unique2", int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		r := rels[i%len(rels)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := db.QueryAllContext(context.Background(), "SELECT ten, COUNT(*) FROM "+r.name+" GROUP BY ten", nil)
+			if err != nil {
+				errs <- err
+				return
+			}
+			var n int64
+			for _, row := range res.Data {
+				n += row[1].(int64)
+			}
+			if n != int64(r.card) {
+				errs <- fmt.Errorf("%s: counted %d rows, want %d", r.name, n, r.card)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if len(db.pending) != 0 || len(db.rels) != len(rels) {
+		t.Errorf("%d relations still pending, %d registered", len(db.pending), len(db.rels))
+	}
+}

@@ -24,7 +24,7 @@ func placementCSV(n int) string {
 // changes fragment or position.
 func fragmentChecksums(t *testing.T, db *Database, rel, col string) string {
 	t.Helper()
-	p := db.rels[rel]
+	p := db.settled()[rel]
 	c := p.Schema.MustIndex(col)
 	sums := make([]string, len(p.Fragments))
 	for i, frag := range p.Fragments {

@@ -46,10 +46,16 @@ func TestLoadedRelationsAreNotScanned(t *testing.T) {
 			jdb, err = workload.NewJoinDB(100_000, 10_240, 64, 1)
 			return err
 		}},
-		{name: "CreateWisconsin(20000, 16)", load: func() error { return db.CreateWisconsin("wisc", 20_000, 16, "unique2", 42) }},
+		{name: "CreateWisconsin(20000, 16)", load: func() error {
+			if err := db.CreateWisconsin("wisc", 20_000, 16, "unique2", 42); err != nil {
+				return err
+			}
+			db.settled()
+			return nil
+		}},
 		{name: "LoadCSV(notesCSV(20000), 16)", load: func() error { return db.LoadCSV("notes", strings.NewReader(notes), "id", 16) }},
 		{name: "ShardRelation 1 of 3", load: func() error { return db.ShardRelation("shard", "unique2", 1, 3) },
-			loaded: func() int64 { return rehomedBytes(db.rels["shard"]) }},
+			loaded: func() int64 { return rehomedBytes(db.settled()["shard"]) }},
 	} {
 		heap, scan := liveHeap(), scannableHeap()
 		if err := l.load(); err != nil {
@@ -106,6 +112,7 @@ func TestCreateWisconsinBytesPerRow(t *testing.T) {
 	if err := db.CreateWisconsin("wisc", card, 16, "unique2", 42); err != nil {
 		t.Fatal(err)
 	}
+	db.settled()
 	perRow := float64(liveHeap()-before) / card
 	if perRow > 340 {
 		t.Errorf("CreateWisconsin(%d, 16): %.1f live bytes per row, want at most 340", card, perRow)
@@ -158,15 +165,15 @@ func TestShardRelationRegionChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rel, col := range map[string]string{"wisc": "stringu1", "A": "k", "Br": "k", "notes": "id"} {
-		whole := db.rels[rel].Cardinality()
+		whole := db.settled()[rel].Cardinality()
 		if err := db.ShardRelation(rel, col, 1, 3); err != nil {
 			t.Fatal(err)
 		}
-		region := db.rels[rel].Region
+		region := db.settled()[rel].Region
 		if err := region.Check(); err != nil {
 			t.Errorf("%s: %v", rel, err)
 		}
-		kept := db.rels[rel].Cardinality()
+		kept := db.settled()[rel].Cardinality()
 		if len(region.Tuples()) != kept || kept == 0 || kept >= whole {
 			t.Errorf("%s: shard keeps %d of %d tuples, its region holds %d", rel, kept, whole, len(region.Tuples()))
 		}
@@ -236,7 +243,7 @@ func TestRegionPinnedByOneSurvivor(t *testing.T) {
 		if err := db.CreateJoinPair("", aCard, bCard, degree, theta); err != nil {
 			t.Fatal(err)
 		}
-		return db.rels["wisc"], db.rels["A"]
+		return db.settled()["wisc"], db.settled()["A"]
 	}
 	regions := int64(card*(24+16*16+relation.WisconsinRowStringBytes) + aCard*(24+3*16))
 

@@ -2,18 +2,27 @@ package dbs3
 
 import (
 	"fmt"
+	"slices"
 
+	"dbs3/internal/partition"
 	"dbs3/internal/relation"
 )
 
-// ShardRelation restricts a registered relation to one node's shard of a
-// cluster: it keeps exactly the tuples that hash on col into shard (of
-// shards total) and drops the rest, leaving the relation's degree of
-// partitioning and local fragment placement untouched — fragments just get
-// sparser. Every node of a cluster runs the same creation calls (same seeds)
-// followed by ShardRelation with its own shard index, so the union of the
-// nodes' relations is exactly the unsharded relation and no tuple lives on
-// two nodes.
+// ShardRelation restricts a relation to one node's shard of a cluster: it
+// keeps exactly the tuples that hash on col into shard (of shards total) and
+// drops the rest, leaving the relation's degree of partitioning and local
+// fragment placement untouched — fragments just get sparser. Every node of a
+// cluster runs the same creation calls (same seeds) followed by
+// ShardRelation with its own shard index, so the union of the nodes' relations
+// is exactly the unsharded relation and no tuple lives on two nodes.
+//
+// A relation CreateWisconsin declared and nothing has generated yet is
+// generated here for the shard only: every row is placed by its key and its
+// shard before it exists, and only the kept rows, with the texts they refer
+// to, are written, into a region of their own. Any other relation — loaded,
+// generated already, a join pair's, a shard — is re-homed: its kept tuples are
+// copied into a region of their own, and the whole relation is garbage. The
+// two give the same shard, byte for byte.
 //
 // A tuple's shard is the high word of its key's hash scaled to [0, shards)
 // by a multiply and a shift. Fragment placement takes the same hash modulo
@@ -37,6 +46,18 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if i := db.declared(name); i >= 0 {
+		d := db.pending[i]
+		c, ok := relation.WisconsinSchema.Index(col)
+		if !ok {
+			return fmt.Errorf("dbs3: column %q not in schema %s", col, relation.WisconsinSchema)
+		}
+		p, sizes := d.shard(c, shard, shards)
+		db.install(p, d.h, sizes)
+		db.pending = slices.Delete(db.pending, i, i+1)
+		db.epoch.Add(1)
+		return nil
+	}
 	p, ok := db.rels[name]
 	if !ok {
 		return fmt.Errorf("dbs3: no relation %q", name)
@@ -51,13 +72,55 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	// reclaimed.
 	cols := []int{c}
 	shardP := p.Rehome(func(t relation.Tuple) bool { return shardOf(t, cols, shards) == shard })
-	db.rels[name] = shardP
-	ri := db.resolver[name]
-	ri.FragSizes = shardP.FragmentSizes()
-	db.resolver[name] = ri
+	db.install(shardP, db.resolver[name].Part, shardP.FragmentSizes())
 	// Sharding is DDL: any cached plan was costed against the full relation.
 	db.epoch.Add(1)
 	return nil
+}
+
+// shard generates shard of shards of the declared relation, sharded on
+// column col, and returns it with its fragment sizes: exactly the relation
+// Rehome keeps of the whole one, generated as partition.Generate would have
+// but for the rows the shard drops. Every row is placed before it exists, by
+// its key through the relation's Hash (its fragment) and by col through
+// shardOf (whether it is kept); the kept rows are counting-sorted by fragment,
+// generation order within each, and relation.WisconsinRows.Shard writes them.
+func (d *wisconsinDef) shard(col, shard, shards int) (*partition.Partitioned, []int) {
+	rows := relation.NewWisconsinRows(d.cardinality, d.seed)
+	degree := d.h.Degree()
+	counts := make([]int, 2*degree)
+	sizes, next := counts[:degree:degree], counts[degree:]
+	// dest[u2] is row u2's fragment, or -1 if the shard drops it.
+	dest := make([]int32, d.cardinality)
+	var key [1]relation.Value
+	run, cols := []relation.Tuple{key[:]}, []int{0}
+	kept := 0
+	for u2 := range dest {
+		key[0] = rows.Value(col, u2)
+		if shardOf(run[0], cols, shards) != shard {
+			dest[u2] = -1
+			continue
+		}
+		if col != d.key {
+			key[0] = rows.Value(d.key, u2)
+		}
+		d.h.FragmentsOfCols(run, cols, dest[u2:u2]) // appends in place: dest[u2]
+		sizes[dest[u2]]++
+		kept++
+	}
+	for f := 1; f < degree; f++ {
+		next[f] = next[f-1] + sizes[f-1]
+	}
+	order := make([]int32, kept)
+	for u2, f := range dest {
+		if f >= 0 {
+			order[next[f]] = int32(u2)
+			next[f]++
+		}
+	}
+	region := rows.Shard(order)
+	return &partition.Partitioned{Name: d.name, Schema: relation.WisconsinSchema, Key: d.h.Key(),
+		Fragments: partition.Cut(region.Tuples(), sizes), Region: region}, sizes
 }
 
 // shardOf is the shard of shards that t belongs to when sharded on the key

@@ -307,6 +307,9 @@ func TestCloseSurfacesExternalAbort(t *testing.T) {
 	if err := db.CreateWisconsin("bigB", 40_000, 16, "unique2", 8); err != nil {
 		t.Fatal(err)
 	}
+	// The relations are generated before the clock starts, so the deadline
+	// falls in the execution and not in the first read's load.
+	db.settled()
 
 	// All-rejecting predicate: the query grinds without emitting, so the
 	// deadline fires mid-execution.
