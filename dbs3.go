@@ -249,26 +249,14 @@ type wisconsinDef struct {
 	h           *partition.Hash
 }
 
-// generate builds the whole relation, as partition.Generate places it.
-func (d *wisconsinDef) generate() *partition.Partitioned {
-	rows := relation.NewWisconsinRows(d.cardinality, d.seed)
-	p, err := partition.Generate(d.name, relation.WisconsinSchema, d.h, d.cardinality, d.cardinality*relation.WisconsinRowStringBytes,
-		func(i int) relation.Value { return rows.Value(d.key, i) }, rows.Fill)
-	if err != nil {
-		// A Hash places every row in [0, degree).
-		panic(fmt.Sprintf("dbs3: generating %q: %v", d.name, err))
-	}
-	return p
-}
-
-// settle generates every pending relation, in declaration order, and
-// registers it. The catalog's epoch stays where the declarations left it:
-// no plan was ever compiled against a pending relation. db.mu must be held
-// for writing.
+// settle generates every pending relation, in declaration order, as the one
+// shard of one on its key, and registers it. The catalog's epoch stays where
+// the declarations left it: no plan was ever compiled against a pending
+// relation. db.mu must be held for writing.
 func (db *Database) settle() {
 	for _, d := range db.pending {
-		p := d.generate()
-		db.install(p, d.h, p.FragmentSizes())
+		p, sizes := d.shard(d.key, 0, 1)
+		db.install(p, d.h, sizes)
 	}
 	db.pending = nil
 }
@@ -597,6 +585,10 @@ func (f Footer) String() string {
 // statement (same SQL and join algorithm) skips lexing, parsing and
 // planning; use Prepare to hold the compiled plan. A placeholder statement
 // is one cached plan however its arguments vary.
+//
+// The first query after CreateWisconsin generates every relation still
+// declared inside this call, under ctx's deadline. A caller that times its
+// first query settles the database first, through FragmentSizes or Manager.
 func (db *Database) QueryContext(ctx context.Context, sql string, opt *Options, args ...any) (*Rows, error) {
 	stmt, err := db.Prepare(sql, opt)
 	if err != nil {
@@ -623,7 +615,9 @@ func (db *Database) QueryAllContext(ctx context.Context, sql string, opt *Option
 // materialization point under a QueryManager. Compilation is quick, so the
 // context is checked once for early cancellation. It shares the plan cache
 // and the option checks with QueryContext and Prepare, and prices the plan
-// under the options the statement would execute with.
+// under the options the statement would execute with. Like them, the first
+// call after CreateWisconsin generates every relation still declared inside
+// the call.
 func (db *Database) ExplainContext(ctx context.Context, sql string, opt *Options) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err

@@ -13,8 +13,9 @@ import (
 
 // Func places tuples in fragments [0, Degree). It has one placement method,
 // over a run of tuples, and every fragment placement goes through it:
-// Partition and Generate when a loader partitions a relation, and the
-// engine's routing of every hash-redistributed run.
+// Partition and the facade's generator of a declared relation when a loader
+// places a relation, and the engine's routing of every hash-redistributed
+// run.
 // A pipelined join routes its probe tuples with the build relation's own
 // function, so they land on the co-located instance.
 type Func interface {

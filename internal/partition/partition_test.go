@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -150,89 +149,6 @@ func TestPartitionCallsFuncOncePerTuple(t *testing.T) {
 	_ = append(p.Fragments[0], relation.Tuple{relation.Int(-1)})
 	if !p.Fragments[1][0].Equal(first) {
 		t.Error("append on fragment 0 wrote into fragment 1")
-	}
-}
-
-// TestGenerateEqualsPartition: generating a relation fragment by fragment
-// from a row source builds the very fragments Partition builds from the
-// materialized relation — same tuples, same order, exactly sized — for hash
-// placement on an integer and on a string attribute, and for modulo.
-func TestGenerateEqualsPartition(t *testing.T) {
-	const n, seed = 1000, 5
-	r := relation.Wisconsin("A", n, seed)
-	hashInt, _ := NewHash(r.Schema, []string{"unique1"}, 7)
-	hashStr, _ := NewHash(r.Schema, []string{"stringu1"}, 5)
-	mod, _ := NewMod(r.Schema, "unique2", 8)
-	for _, f := range []Func{hashInt, hashStr, mod} {
-		want, err := Partition(r, f, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := relation.NewWisconsinRows(n, seed)
-		col := r.Schema.MustIndex(f.Key()[0])
-		got, err := Generate("A", r.Schema, f, n, n*relation.WisconsinRowStringBytes,
-			func(i int) relation.Value { return rows.Value(col, i) }, rows.Fill)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Name != want.Name || got.Degree() != want.Degree() || len(got.Key) != 1 || got.Key[0] != want.Key[0] {
-			t.Fatalf("%s: generated %v, partitioned %v", f.Signature(), got, want)
-		}
-		for i, frag := range want.Fragments {
-			if len(got.Fragments[i]) != len(frag) || cap(got.Fragments[i]) != len(frag) {
-				t.Fatalf("%s fragment %d: %d tuples (cap %d), want %d", f.Signature(), i,
-					len(got.Fragments[i]), cap(got.Fragments[i]), len(frag))
-			}
-			for j, tup := range frag {
-				if !got.Fragments[i][j].Equal(tup) {
-					t.Fatalf("%s fragment %d position %d: %v, want %v", f.Signature(), i, j, got.Fragments[i][j], tup)
-				}
-			}
-		}
-	}
-}
-
-// TestGenerateRegionChecks: what Generate fills, and what Partition copies a
-// CSV import into, holds no pointer out of itself, whichever attribute places
-// the rows.
-func TestGenerateRegionChecks(t *testing.T) {
-	const n, seed = 1000, 5
-	schema := relation.WisconsinSchema
-	hashStr, _ := NewHash(schema, []string{"stringu1"}, 5)
-	mod, _ := NewMod(schema, "unique2", 8)
-	var dump strings.Builder
-	if err := relation.Wisconsin("A", n, seed).WriteCSV(&dump); err != nil {
-		t.Fatal(err)
-	}
-	imported, err := relation.ReadCSV("A", strings.NewReader(dump.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	type load func() (*Partitioned, error)
-	generated := func(f Func) load {
-		return func() (*Partitioned, error) {
-			rows := relation.NewWisconsinRows(n, seed)
-			col := schema.MustIndex(f.Key()[0])
-			return Generate("A", schema, f, n, n*relation.WisconsinRowStringBytes,
-				func(i int) relation.Value { return rows.Value(col, i) }, rows.Fill)
-		}
-	}
-	for name, l := range map[string]load{
-		"Generate on stringu1":      generated(hashStr),
-		"Generate on unique2":       generated(mod),
-		"Partition of a CSV import": func() (*Partitioned, error) { return Partition(imported, hashStr, 1) },
-	} {
-		p, err := l()
-		if err != nil {
-			t.Fatal(err)
-		}
-		region := p.Region
-		if err := region.Check(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		if got := len(region.Tuples()); got != n || p.Cardinality() != n {
-			t.Errorf("%s: region holds %d tuples, fragments %d, want %d", name, got, p.Cardinality(), n)
-		}
 	}
 }
 

@@ -17,9 +17,10 @@ type Partitioned struct {
 	Key []string
 	// Fragments holds the tuples of each fragment.
 	Fragments [][]relation.Tuple
-	// Region is the region the fragments were cut from (Generate, Rehome,
-	// the join-pair loader), or nil. Rehome reads it to keep the sharing of
-	// string bytes the region had.
+	// Region is the region the fragments were cut from (the facade's
+	// generator of a declared relation, Rehome, the join-pair loader), or
+	// nil. Rehome reads it to keep the sharing of string bytes the region
+	// had.
 	Region *relation.Region
 }
 
@@ -93,56 +94,6 @@ func (p *Partitioned) Rehome(keep func(relation.Tuple) bool) *Partitioned {
 		}
 	}
 	return &Partitioned{Name: p.Name, Schema: p.Schema, Key: p.Key, Fragments: Cut(region.Tuples(), sizes), Region: region}
-}
-
-// generateChunk is how many keys Generate routes per FragmentsOfCols call.
-const generateChunk = 256
-
-// Generate builds a partitioned relation of n rows straight from a row
-// generator, with no intermediate Relation. keyOf(i) is row i's value of f's
-// single partitioning attribute, which places the row before it exists; the
-// rows are then generated fragment by fragment into one region by a single
-// call of fill (strBytes is what their strings will take of it in total;
-// fill(region, order) appends row order[0], then order[1], …), so each
-// fragment's tuples and values lie contiguous in memory and the collector
-// has nothing to scan. Where the strings lie is the generator's choice:
-// Wisconsin rows refer to one text table in value order, which a fragment's
-// rows read from scattered places. Within a fragment rows keep their
-// generation order, so the fragments are exactly those Partition would have
-// built.
-func Generate(name string, schema *relation.Schema, f Func, n, strBytes int,
-	keyOf func(i int) relation.Value, fill func(region *relation.Region, order []int32)) (*Partitioned, error) {
-	d := f.Degree()
-	// The keys are routed as one-value tuples, a chunk at a time, through
-	// buffers that do not grow with n.
-	var keys [generateChunk]relation.Value
-	var run [generateChunk]relation.Tuple
-	for j := range run {
-		run[j] = keys[j : j+1 : j+1]
-	}
-	cols := []int{0}
-	dest := make([]int32, 0, n)
-	for lo := 0; lo < n; lo += generateChunk {
-		m := min(generateChunk, n-lo)
-		for j := 0; j < m; j++ {
-			keys[j] = keyOf(lo + j)
-		}
-		dest = f.FragmentsOfCols(run[:m], cols, dest)
-	}
-	sizes, err := fragmentSizes(dest, d)
-	if err != nil {
-		return nil, err
-	}
-	// Stable counting sort of the row numbers by fragment.
-	next := starts(sizes)
-	order := make([]int32, n)
-	for i, fr := range dest {
-		order[next[fr]] = int32(i)
-		next[fr]++
-	}
-	region := relation.NewRegion(n, n*schema.Len(), strBytes)
-	fill(region, order)
-	return &Partitioned{Name: name, Schema: schema, Key: f.Key(), Fragments: Cut(region.Tuples(), sizes), Region: region}, nil
 }
 
 // fragmentSizes checks that a function's answers are fragments in [0,d), and

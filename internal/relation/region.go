@@ -35,9 +35,9 @@ const regionShared = 64
 // Tuple, one string Value copied out of a tuple by Slab.Concat or Project —
 // keeps all of it alive: "pin by one survivor" (see Slab) at relation
 // granularity. A region is therefore deep-only, and its writers are few, all
-// in this package, each one loop over whole tuples: JoinRows.Fill,
-// WisconsinRows.Fill and WisconsinRows.Shard (the last two share their loop)
-// generate rows whose strings they copy in, Compaction.Rehome copies tuples
+// in this package, each one loop over whole tuples: JoinRows.Fill and
+// WisconsinRows.Shard (whose whole relation is one shard of one) generate
+// rows whose strings they copy in, Compaction.Rehome copies tuples
 // from anywhere (a CSV import, a shard, a test's hand-built tuples) with
 // their strings, and Alias adds a second header for a tuple the region
 // already holds. JoinRows.Fill alone may run

@@ -176,19 +176,17 @@ func TestRegionRefusesMisuse(t *testing.T) {
 	}
 	tup, long := Tuple{Int(1), Str("s")}, strings.Repeat("s", regionShared+1)
 	for name, misuse := range map[string]func(){
-		"more rows than tuples":          func() { rows(2, "").Fill(NewRegion(1, 6, 0)) },
-		"more rows than values":          func() { rows(2, "").Fill(NewRegion(2, 5, 0)) },
-		"a pad past the string bytes":    func() { rows(1, long).Fill(NewRegion(1, 3, 0)) },
-		"more Wisconsin rows than sized": func() { NewWisconsinRows(2, 1).Fill(NewRegion(1, 16, 2*wisconsinStringLen), []int32{0, 1}) },
-		"Wisconsin texts past the bytes": func() { NewWisconsinRows(2, 1).Fill(NewRegion(2, 32, 0), []int32{0, 1}) },
-		"more tuples than compacted":     func() { c := compaction(tup); c.Rehome(tup); c.Rehome(tup) },
-		"a string Keep did not count":    func() { compaction(Tuple{Int(1), Str("")}).Rehome(Tuple{Int(1), Str(long)}) },
-		"a tuple wider than its schema":  func() { compaction(tup).Rehome(Tuple{Int(1), Str("s"), Int(2)}) },
-		"a string in an integer column":  func() { compaction(tup).Rehome(Tuple{Str("s"), Str("s")}) },
-		"Tuples of a short fill":         func() { r := NewRegion(2, 6, 0); rows(1, "").Fill(r); r.Tuples() },
-		"Tuples of a short compaction":   func() { c := compaction(tup, tup); c.Rehome(tup); c.dst.Tuples() },
-		"alias of a foreign tuple":       func() { r := NewRegion(2, 3, 0); rows(1, "").Fill(r); r.Alias(Tuple{Int(1)}) },
-		"alias past the tuples":          func() { r := NewRegion(1, 3, 0); r.Alias(rows(1, "").Fill(r)[0]) },
+		"more rows than tuples":         func() { rows(2, "").Fill(NewRegion(1, 6, 0)) },
+		"more rows than values":         func() { rows(2, "").Fill(NewRegion(2, 5, 0)) },
+		"a pad past the string bytes":   func() { rows(1, long).Fill(NewRegion(1, 3, 0)) },
+		"more tuples than compacted":    func() { c := compaction(tup); c.Rehome(tup); c.Rehome(tup) },
+		"a string Keep did not count":   func() { compaction(Tuple{Int(1), Str("")}).Rehome(Tuple{Int(1), Str(long)}) },
+		"a tuple wider than its schema": func() { compaction(tup).Rehome(Tuple{Int(1), Str("s"), Int(2)}) },
+		"a string in an integer column": func() { compaction(tup).Rehome(Tuple{Str("s"), Str("s")}) },
+		"Tuples of a short fill":        func() { r := NewRegion(2, 6, 0); rows(1, "").Fill(r); r.Tuples() },
+		"Tuples of a short compaction":  func() { c := compaction(tup, tup); c.Rehome(tup); c.dst.Tuples() },
+		"alias of a foreign tuple":      func() { r := NewRegion(2, 3, 0); rows(1, "").Fill(r); r.Alias(Tuple{Int(1)}) },
+		"alias past the tuples":         func() { r := NewRegion(1, 3, 0); r.Alias(rows(1, "").Fill(r)[0]) },
 	} {
 		func() {
 			defer func() {

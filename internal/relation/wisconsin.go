@@ -46,14 +46,11 @@ func Wisconsin(name string, n int, seed int64) *Relation {
 // wisconsinRegion generates Wisconsin(n, seed) in unique2 order into one
 // region: its text table, then the rows.
 func wisconsinRegion(n int, seed int64) *Region {
-	rows := NewWisconsinRows(n, seed)
 	order := make([]int32, n)
 	for u2 := range order {
 		order[u2] = int32(u2)
 	}
-	region := NewRegion(n, n*WisconsinSchema.Len(), n*WisconsinRowStringBytes)
-	rows.Fill(region, order)
-	return region
+	return NewWisconsinRows(n, seed).Shard(order)
 }
 
 // WisconsinRows is a Wisconsin relation as a row source: its rows in any
@@ -74,62 +71,57 @@ func NewWisconsinRows(n int, seed int64) *WisconsinRows {
 	return &WisconsinRows{perm: rng.Perm(n)}
 }
 
-// WisconsinRowStringBytes is what a row takes of a region's string bytes: its
-// share of the region's text table. unique1 is a permutation of unique2's
-// 0..n-1, so stringu1 and stringu2 render the same n texts, and both refer to
-// the one copy of each in the table; string4 shares its four constants.
-const WisconsinRowStringBytes = wisconsinStringLen
-
-// Fill renders the relation's text table into region, copies in the string4
-// constants the relation's rows use, then appends row u2 for each u2 of
-// order, in that order: stringu1 and stringu2 refer to their texts in the
-// table, text v at 52·v bytes past its start.
-func (w *WisconsinRows) Fill(region *Region, order []int32) {
-	texts := uint64(wisconsinTexts(region, len(w.perm)))
-	var string4 [len(string4Cycle)]uint64
-	for i := range min(len(w.perm), len(string4)) {
-		string4[i] = uint64(region.constant(string4Cycle[i]))
-	}
-	w.write(region, order, texts, string4, nil, nil)
-}
-
 // Shard generates the rows of order, in that order, into a region of their
 // own, exactly sized, and returns it: a shard's rows generated without the
-// rows it drops ever existing. The region holds only the texts those rows
-// refer to, each once and in value order, then the string4 constants they
-// use, in cycle order: the string bytes a Compaction of the same rows out of
-// the region Fill writes would hold, laid out the same way.
+// rows it drops ever existing. order names each row at most once. The region
+// holds the texts those rows refer to, each once and in value order, then the
+// string4 constants they use, in cycle order: the string bytes a Compaction
+// of the same rows out of the whole relation's region would hold, laid out
+// the same way. When order names every row, the whole relation is one shard
+// of one: its table holds every text, text v at 52·v bytes past its start,
+// and no row's texts are looked up.
 func (w *WisconsinRows) Shard(order []int32) *Region {
-	// One slice holds the texts' marks, a bit per text a row refers to, and
-	// each mark word's rank, the marked texts before it.
-	words := (len(w.perm) + 63) / 64
-	index := make([]uint64, 2*words)
-	marks, ranks := index[:words:words], index[words:]
-	used := uint(0) // bit c: a row uses string4Cycle[c]
-	for _, i := range order {
-		u1 := w.perm[i]
-		marks[i>>6] |= 1 << (i & 63)
-		marks[u1>>6] |= 1 << (u1 & 63)
-		used |= 1 << (i % int32(len(string4Cycle)))
-	}
-	texts := 0
-	for j, m := range marks {
-		ranks[j] = uint64(texts)
-		texts += bits.OnesCount64(m)
+	n := len(w.perm)
+	words := (n + 63) / 64
+	texts, used := n, uint(1)<<min(n, len(string4Cycle))-1 // bit c: a row uses string4Cycle[c]
+	var marks, ranks []uint64
+	if len(order) < n {
+		// One slice holds the texts' marks, a bit per text a row refers
+		// to, and each mark word's rank, the marked texts before it.
+		index := make([]uint64, 2*words)
+		marks, ranks = index[:words:words], index[words:]
+		used = 0
+		for _, i := range order {
+			u1 := w.perm[i]
+			marks[i>>6] |= 1 << (i & 63)
+			marks[u1>>6] |= 1 << (u1 & 63)
+			used |= 1 << (i % int32(len(string4Cycle)))
+		}
+		texts = 0
+		for j, m := range marks {
+			ranks[j] = uint64(texts)
+			texts += bits.OnesCount64(m)
+		}
 	}
 	const cols = 16 // WisconsinSchema.Len()
 	region := NewRegion(len(order), cols*len(order), texts*wisconsinStringLen+bits.OnesCount(used)*len(string4Cycle[0]))
 	table := uint64(region.bytes(texts * wisconsinStringLen))
 	rendered := region.str[region.ns-texts*wisconsinStringLen : region.ns]
 	at, last := 0, -2 // where the next text goes; the value rendered before it
-	for j, m := range marks {
+	for j := range words {
+		m := ^uint64(0) >> max(0, 64*(j+1)-n) // every text of word j
+		if marks != nil {
+			m = marks[j]
+		}
 		for ; m != 0; m &= m - 1 {
 			v := 64*j + bits.TrailingZeros64(m)
-			next := rendered[at : at+wisconsinStringLen]
 			if v == last+1 {
-				nextWisconsinString(next, rendered[at-wisconsinStringLen:at])
+				// One slice holds both texts, so the copy is known not
+				// to overlap and compiles to a few moves.
+				pair := rendered[at-wisconsinStringLen : at+wisconsinStringLen]
+				nextWisconsinString(pair[wisconsinStringLen:2*wisconsinStringLen], pair)
 			} else {
-				putWisconsinString(next, int64(v))
+				putWisconsinString(rendered[at:at+wisconsinStringLen], int64(v))
 			}
 			at, last = at+wisconsinStringLen, v
 		}
@@ -148,7 +140,7 @@ func (w *WisconsinRows) Shard(order []int32) *Region {
 // stringu2 referring to the text table at texts and its string4 to the
 // constants at string4. With marks nil the table holds every text, text v at
 // 52·v bytes past texts; otherwise it holds the marked texts only, text v at
-// 52 bytes times v's rank among them (Shard). It is one loop over the rows
+// 52 bytes times v's rank among them. It is one loop over the rows
 // that writes each one's header and 32 value words, its cursor in local
 // variables.
 func (w *WisconsinRows) write(region *Region, order []int32, texts uint64, string4 [len(string4Cycle)]uint64, marks, ranks []uint64) {
@@ -270,17 +262,4 @@ func nextWisconsinString(next, prev []byte) {
 		}
 		next[i] = 'A'
 	}
-}
-
-// wisconsinTexts renders the texts of 0..n-1 into the next n·52 of region's
-// string bytes, in value order, and returns the table's address: text v lies
-// 52·v bytes past it.
-func wisconsinTexts(region *Region, n int) uintptr {
-	table := region.bytes(n * wisconsinStringLen)
-	text := region.str[region.ns-n*wisconsinStringLen : region.ns]
-	putWisconsinString(text[:wisconsinStringLen], 0)
-	for prev := text; len(prev) >= 2*wisconsinStringLen; prev = prev[wisconsinStringLen:] {
-		nextWisconsinString(prev[wisconsinStringLen:2*wisconsinStringLen], prev)
-	}
-	return table
 }

@@ -105,10 +105,7 @@ func TestWisconsinStrings(t *testing.T) {
 func TestWisconsinStringEncodingInjective(t *testing.T) {
 	seen := make(map[string]int)
 	const n = 10000
-	region := NewRegion(0, 0, n*wisconsinStringLen)
-	if table := wisconsinTexts(region, n); table != region.strAddr || region.ns != n*wisconsinStringLen {
-		t.Fatalf("table at %#x using %d bytes, want %#x and %d", table, region.ns, region.strAddr, n*wisconsinStringLen)
-	}
+	region := wisconsinRegion(n, 1)
 	for v := 0; v < n; v++ {
 		s := string(region.str[v*wisconsinStringLen:][:wisconsinStringLen])
 		if s != wisconsinText(int64(v)) {
@@ -151,12 +148,11 @@ func TestWisconsinRowsAgreeWithRelation(t *testing.T) {
 	const n = 300
 	r := Wisconsin("A", n, 9)
 	rows := NewWisconsinRows(n, 9)
-	region := NewRegion(n, n*WisconsinSchema.Len(), n*WisconsinRowStringBytes)
 	order := make([]int32, n)
 	for i := range order { // any order
 		order[i] = int32(n - 1 - i)
 	}
-	rows.Fill(region, order)
+	region := rows.Shard(order)
 	if err := region.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"dbs3/internal/partition"
 	"dbs3/internal/relation"
 )
 
@@ -15,66 +16,168 @@ import (
 // is the shard re-homed out of the whole relation once it is generated —
 // fragment by fragment, tuple by tuple, in string bytes — in a region that
 // holds no pointer out of itself, and the shards of every node union to the
-// whole relation, each row on exactly one. The relation is keyed on unique2
-// or unique1, at degrees 1, 8 and 16, cut into 1 to 4 shards on its key, the
-// other unique column, a ten-valued column, a two-valued one (past two
-// shards, some keep nothing) and a string column.
+// whole relation, each row on exactly one. The relation has 1, 3, 63, 65 or
+// 1 500 rows (too few to use every string4 constant, and either side of a
+// 64-text mark word), is keyed on unique2 or unique1, at degrees 1, 8 and 16,
+// and is cut into 1 to 4 shards on its key, the other unique column, a
+// ten-valued column, a two-valued one (past two shards, some keep nothing)
+// and a string column.
 func TestPendingShardMatchesRehome(t *testing.T) {
-	const card, seed = 1_500, 5
-	for _, key := range []string{"unique2", "unique1"} {
-		for _, degree := range []int{1, 8, 16} {
-			whole := New()
-			if err := whole.CreateWisconsin("w", card, degree, key, seed); err != nil {
-				t.Fatal(err)
+	const seed = 5
+	for _, card := range []int{1, 3, 63, 65, 1_500} {
+		for _, key := range []string{"unique2", "unique1"} {
+			for _, degree := range []int{1, 8, 16} {
+				testPendingShards(t, card, key, degree, seed)
 			}
-			settled := whole.settled()["w"]
-			for _, col := range []string{"unique2", "unique1", "ten", "two", "stringu1"} {
-				cols := []int{relation.WisconsinSchema.MustIndex(col)}
-				for shards := 1; shards <= 4; shards++ {
-					on := make([]int, card) // shards holding row unique2
-					for shard := 0; shard < shards; shard++ {
-						name := fmt.Sprintf("key %s, degree %d, on %s, shard %d of %d", key, degree, col, shard, shards)
-						db := New()
-						if err := db.CreateWisconsin("w", card, degree, key, seed); err != nil {
-							t.Fatal(err)
-						}
-						if err := db.ShardRelation("w", col, shard, shards); err != nil {
-							t.Fatal(err)
-						}
-						got := db.settled()["w"]
-						want := settled.Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, shards) == shard })
-						if err := got.Region.Check(); err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if g, w := got.Region.StringBytes(), want.Region.StringBytes(); g != w {
-							t.Errorf("%s: %d string bytes, re-homed %d", name, g, w)
-						}
-						if g, w := strings.Join(got.Key, ","), strings.Join(want.Key, ","); g != w || got.Degree() != degree {
-							t.Fatalf("%s: key %s at degree %d, re-homed key %s at degree %d", name, g, got.Degree(), w, degree)
-						}
-						sizes, err := db.FragmentSizes("w")
-						if err != nil {
-							t.Fatal(err)
-						}
-						for f, frag := range want.Fragments {
-							if len(got.Fragments[f]) != len(frag) || sizes[f] != len(frag) {
-								t.Fatalf("%s: fragment %d holds %d rows (sizes say %d), re-homed %d", name, f, len(got.Fragments[f]), sizes[f], len(frag))
-							}
-							for i, tup := range frag {
-								if !got.Fragments[f][i].Equal(tup) {
-									t.Fatalf("%s: fragment %d row %d is %v, re-homed %v", name, f, i, got.Fragments[f][i], tup)
-								}
-								on[tup[1].AsInt()]++
-							}
-						}
+		}
+	}
+}
+
+// testPendingShards is TestPendingShardMatchesRehome for one relation.
+func testPendingShards(t *testing.T, card int, key string, degree int, seed int64) {
+	t.Helper()
+	whole := New()
+	if err := whole.CreateWisconsin("w", card, degree, key, seed); err != nil {
+		t.Fatal(err)
+	}
+	settled := whole.settled()["w"]
+	for _, col := range []string{"unique2", "unique1", "ten", "two", "stringu1"} {
+		cols := []int{relation.WisconsinSchema.MustIndex(col)}
+		for shards := 1; shards <= 4; shards++ {
+			on := make([]int, card) // shards holding row unique2
+			for shard := 0; shard < shards; shard++ {
+				name := fmt.Sprintf("%d rows, key %s, degree %d, on %s, shard %d of %d", card, key, degree, col, shard, shards)
+				db := New()
+				if err := db.CreateWisconsin("w", card, degree, key, seed); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.ShardRelation("w", col, shard, shards); err != nil {
+					t.Fatal(err)
+				}
+				got := db.settled()["w"]
+				want := settled.Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, shards) == shard })
+				if err := got.Region.Check(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if g, w := got.Region.StringBytes(), want.Region.StringBytes(); g != w {
+					t.Errorf("%s: %d string bytes, re-homed %d", name, g, w)
+				}
+				if g, w := strings.Join(got.Key, ","), strings.Join(want.Key, ","); g != w || got.Degree() != degree {
+					t.Fatalf("%s: key %s at degree %d, re-homed key %s at degree %d", name, g, got.Degree(), w, degree)
+				}
+				sizes, err := db.FragmentSizes("w")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for f, frag := range want.Fragments {
+					if len(got.Fragments[f]) != len(frag) || sizes[f] != len(frag) {
+						t.Fatalf("%s: fragment %d holds %d rows (sizes say %d), re-homed %d", name, f, len(got.Fragments[f]), sizes[f], len(frag))
 					}
-					for u2, n := range on {
-						if n != 1 {
-							t.Fatalf("key %s, degree %d, on %s, %d shards: row %d is on %d shards", key, degree, col, shards, u2, n)
+					for i, tup := range frag {
+						if !got.Fragments[f][i].Equal(tup) {
+							t.Fatalf("%s: fragment %d row %d is %v, re-homed %v", name, f, i, got.Fragments[f][i], tup)
 						}
+						on[tup[1].AsInt()]++
 					}
 				}
 			}
+			for u2, n := range on {
+				if n != 1 {
+					t.Fatalf("%d rows, key %s, degree %d, on %s, %d shards: row %d is on %d shards", card, key, degree, col, shards, u2, n)
+				}
+			}
+		}
+	}
+}
+
+// TestCreateWisconsinEqualsPartition: a settled Wisconsin relation, the one
+// shard of one its declaration generates, is the relation Partition builds by
+// routing the tuples of the materialized relation: the same fragments, the
+// same tuples in the same order, exactly sized, for hash placement on the
+// permuted key, the sequential key and a string at several degrees.
+func TestCreateWisconsinEqualsPartition(t *testing.T) {
+	const n, seed = 1000, 5
+	r := relation.Wisconsin("A", n, seed)
+	for _, key := range []string{"unique1", "unique2", "stringu1"} {
+		for _, degree := range []int{1, 5, 7, 16} {
+			name := fmt.Sprintf("hash on %s at degree %d", key, degree)
+			h, err := partition.NewHash(r.Schema, []string{key}, degree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := partition.Partition(r, h, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := New()
+			if err := db.CreateWisconsin("A", n, degree, key, seed); err != nil {
+				t.Fatal(err)
+			}
+			got := db.settled()["A"]
+			sizes, err := db.FragmentSizes("A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Name != want.Name || got.Degree() != degree || strings.Join(got.Key, ",") != strings.Join(want.Key, ",") {
+				t.Fatalf("%s: settled %s keyed on %v at degree %d, partitioned %s keyed on %v", name, got.Name, got.Key, got.Degree(), want.Name, want.Key)
+			}
+			for i, frag := range want.Fragments {
+				if len(got.Fragments[i]) != len(frag) || cap(got.Fragments[i]) != len(frag) || sizes[i] != len(frag) {
+					t.Fatalf("%s fragment %d: %d tuples (cap %d, sizes say %d), want %d", name, i,
+						len(got.Fragments[i]), cap(got.Fragments[i]), sizes[i], len(frag))
+				}
+				for j, tup := range frag {
+					if !got.Fragments[i][j].Equal(tup) {
+						t.Fatalf("%s fragment %d position %d: %v, want %v", name, i, j, got.Fragments[i][j], tup)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCreateWisconsinRegionChecks: the region a settled Wisconsin relation is
+// cut from, and the one Partition copies a CSV import into, holds every tuple
+// and no pointer out of itself, whichever attribute places the rows.
+func TestCreateWisconsinRegionChecks(t *testing.T) {
+	const n, seed = 1000, 5
+	var dump strings.Builder
+	if err := relation.Wisconsin("A", n, seed).WriteCSV(&dump); err != nil {
+		t.Fatal(err)
+	}
+	imported, err := relation.ReadCSV("A", strings.NewReader(dump.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRegion := func(name string, p *partition.Partitioned) {
+		t.Helper()
+		if err := p.Region.Check(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if got := len(p.Region.Tuples()); got != n || p.Cardinality() != n {
+			t.Errorf("%s: region holds %d tuples, fragments %d, want %d", name, got, p.Cardinality(), n)
+		}
+	}
+	for _, key := range []string{"unique1", "unique2", "stringu1"} {
+		for _, degree := range []int{1, 5, 7, 16} {
+			name := fmt.Sprintf("hash on %s at degree %d", key, degree)
+			db := New()
+			if err := db.CreateWisconsin("A", n, degree, key, seed); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.FragmentSizes("A"); err != nil {
+				t.Fatal(err)
+			}
+			checkRegion(name, db.settled()["A"])
+			h, err := partition.NewHash(imported.Schema, []string{key}, degree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromCSV, err := partition.Partition(imported, h, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRegion(name+", Partition of a CSV import", fromCSV)
 		}
 	}
 }

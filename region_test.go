@@ -122,6 +122,25 @@ func TestCreateWisconsinBytesPerRow(t *testing.T) {
 	runtime.KeepAlive(db)
 }
 
+// BenchmarkCreateWisconsin is the load of the serve workloads' catalog:
+// Wisconsin 2 000 at degree 8 and 20 000 at degree 16 declared, then both
+// generated by the FragmentSizes call that settles them.
+func BenchmarkCreateWisconsin(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		db := New()
+		if err := db.CreateWisconsin("short", 2_000, 8, "unique2", 1); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.CreateWisconsin("wide", 20_000, 16, "unique2", 2); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.FragmentSizes("wide"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLoadCSV imports a 20 000-row Wisconsin dump through the facade and
 // reports, next to allocs/op, the live and the scannable bytes per tuple of
 // the last database built. The import streams into a slab and is then copied
@@ -245,7 +264,8 @@ func TestRegionPinnedByOneSurvivor(t *testing.T) {
 		}
 		return db.settled()["wisc"], db.settled()["A"]
 	}
-	regions := int64(card*(24+16*16+relation.WisconsinRowStringBytes) + aCard*(24+3*16))
+	// A Wisconsin row is a header, sixteen values and its one 52-byte text.
+	regions := int64(card*(24+16*16+52) + aCard*(24+3*16))
 
 	// Each survivor is a pair (one of wisc, one of A) behind an `any`, so
 	// the same code holds, checks and drops all three kinds.

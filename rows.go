@@ -241,13 +241,9 @@ type rowSink struct {
 	ch  chan<- []any
 }
 
+// Push is PushBatch of one tuple.
 func (s *rowSink) Push(t relation.Tuple) error {
-	select {
-	case s.ch <- relation.RowOf(t):
-		return nil
-	case <-s.ctx.Done():
-		return s.ctx.Err()
-	}
+	return s.PushBatch([]relation.Tuple{t})
 }
 
 // PushBatch implements core.RowBatchSink: the vectorized store path delivers

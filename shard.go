@@ -17,12 +17,13 @@ import (
 // is exactly the unsharded relation and no tuple lives on two nodes.
 //
 // A relation CreateWisconsin declared and nothing has generated yet is
-// generated here for the shard only: every row is placed by its key and its
-// shard before it exists, and only the kept rows, with the texts they refer
-// to, are written, into a region of their own. Any other relation — loaded,
-// generated already, a join pair's, a shard — is re-homed: its kept tuples are
-// copied into a region of their own, and the whole relation is garbage. The
-// two give the same shard, byte for byte.
+// generated here for the shard only, by the generator that settles a whole
+// one as the one shard of one: every row is placed by its shard and its key
+// before it exists, and only the kept rows, with the texts they refer to,
+// are written, into a region of their own. Any other relation — loaded,
+// generated already, a join pair's, a shard — is re-homed: its kept tuples
+// are copied into a region of their own, and the whole relation is garbage.
+// The two give the same shard, byte for byte.
 //
 // A tuple's shard is the high word of its key's hash scaled to [0, shards)
 // by a multiply and a shift. Fragment placement takes the same hash modulo
@@ -78,13 +79,17 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	return nil
 }
 
+// routeChunk is how many rows shard places per FragmentsOfCols call.
+const routeChunk = 256
+
 // shard generates shard of shards of the declared relation, sharded on
 // column col, and returns it with its fragment sizes: exactly the relation
-// Rehome keeps of the whole one, generated as partition.Generate would have
-// but for the rows the shard drops. Every row is placed before it exists, by
-// its key through the relation's Hash (its fragment) and by col through
-// shardOf (whether it is kept); the kept rows are counting-sorted by fragment,
-// generation order within each, and relation.WisconsinRows.Shard writes them.
+// Rehome keeps of the whole one, which is shard 0 of 1. Every row is placed
+// before it exists, by col through shardOf (whether it is kept; with one
+// shard, every row is) and by its key through the relation's Hash (its
+// fragment), a chunk of kept rows per call; the kept rows are
+// counting-sorted by fragment, generation order within each, and
+// relation.WisconsinRows.Shard writes them.
 func (d *wisconsinDef) shard(col, shard, shards int) (*partition.Partitioned, []int) {
 	rows := relation.NewWisconsinRows(d.cardinality, d.seed)
 	degree := d.h.Degree()
@@ -92,21 +97,34 @@ func (d *wisconsinDef) shard(col, shard, shards int) (*partition.Partitioned, []
 	sizes, next := counts[:degree:degree], counts[degree:]
 	// dest[u2] is row u2's fragment, or -1 if the shard drops it.
 	dest := make([]int32, d.cardinality)
-	var key [1]relation.Value
-	run, cols := []relation.Tuple{key[:]}, []int{0}
+	// A chunk's kept rows: their numbers, and their keys as one-value tuples.
+	var ids, frags [routeChunk]int32
+	var keys [routeChunk]relation.Value
+	var run [routeChunk]relation.Tuple
+	for j := range run {
+		run[j] = keys[j : j+1 : j+1]
+	}
+	cols := []int{0}
 	kept := 0
-	for u2 := range dest {
-		key[0] = rows.Value(col, u2)
-		if shardOf(run[0], cols, shards) != shard {
-			dest[u2] = -1
-			continue
+	for u2 := 0; u2 < len(dest); {
+		m := 0
+		for ; m < routeChunk && u2 < len(dest); u2++ {
+			keys[m] = rows.Value(col, u2)
+			if shards > 1 && shardOf(run[m], cols, shards) != shard {
+				dest[u2] = -1
+				continue
+			}
+			if col != d.key {
+				keys[m] = rows.Value(d.key, u2)
+			}
+			ids[m] = int32(u2)
+			m++
 		}
-		if col != d.key {
-			key[0] = rows.Value(d.key, u2)
+		for j, f := range d.h.FragmentsOfCols(run[:m], cols, frags[:0]) {
+			dest[ids[j]] = f
+			sizes[f]++
 		}
-		d.h.FragmentsOfCols(run, cols, dest[u2:u2]) // appends in place: dest[u2]
-		sizes[dest[u2]]++
-		kept++
+		kept += m
 	}
 	for f := 1; f < degree; f++ {
 		next[f] = next[f-1] + sizes[f-1]

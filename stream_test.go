@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"dbs3/internal/relation"
 )
 
 // TestPreparedStatementReuse: Prepare compiles once; repeated executions of
@@ -330,6 +333,32 @@ func TestCloseSurfacesExternalAbort(t *testing.T) {
 	}
 	if err := rows.Err(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Err after external deadline = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestRowSinkPush: a tuple pushed while the cursor channel has room arrives
+// as its row of plain values; pushed into a full channel once the query's
+// context is cancelled, it returns the context's error instead of blocking.
+func TestRowSinkPush(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	ch := make(chan []any, 1)
+	sink := &rowSink{ctx: ctx, ch: ch}
+	tup := relation.Tuple{relation.Int(7), relation.Str("seven")}
+	if err := sink.Push(tup); err != nil {
+		t.Fatalf("push with room: %v", err)
+	}
+	if got, want := <-ch, relation.RowOf(tup); !reflect.DeepEqual(got, want) {
+		t.Errorf("pushed %v, the cursor received %v", want, got)
+	}
+	if err := sink.Push(tup); err != nil {
+		t.Fatalf("push filling the channel: %v", err)
+	}
+	cancel()
+	if err := sink.Push(tup); err == nil || err != ctx.Err() {
+		t.Errorf("push into a full channel after cancellation: %v, want %v", err, ctx.Err())
+	}
+	if len(ch) != 1 {
+		t.Errorf("%d rows in the channel, want the one that fitted", len(ch))
 	}
 }
 
