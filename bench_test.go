@@ -212,7 +212,7 @@ func TestPipelinedJoinAllocationCeiling(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	if got := testing.AllocsPerRun(5, pipelinedJoin(t)); got > 410 {
+	if got := race.AllocsPerRun(5, pipelinedJoin(t)); got > 410 {
 		t.Errorf("batched pipelined join: %v allocations per execution, want at most 410", got)
 	}
 }

@@ -17,15 +17,15 @@ import (
 // coordMain is the `dbs3 coord` subcommand: the scatter-gather query
 // coordinator over a set of serve nodes. It speaks the same wire protocol
 // as a single node, so any client points at it unchanged; queries compile
-// once, fan out to every node, and the partial streams merge locally
-// (union for selections/joins, group-wise merge aggregation for GROUP BY).
+// once, fan out to every node over columnar worker links, and the partial
+// streams merge locally (union for selections/joins, group-wise merge
+// aggregation for GROUP BY).
 func coordMain(args []string) {
 	fs := flag.NewFlagSet("dbs3 coord", flag.ExitOnError)
 	var (
 		addr    = fs.String("addr", "127.0.0.1:8090", "listen address")
 		nodes   = fs.String("nodes", "", "comma-separated worker base URLs, one entry per shard; \"|\" joins a shard's replicas (e.g. http://h1:8080,http://h2a:8080|http://h2b:8080)")
 		token   = fs.String("token", "", "bearer token: presented to workers and required of clients (empty = no auth)")
-		wire    = fs.String("wire", "columnar", "worker-link result encoding: columnar, ndjson")
 		poll    = fs.Duration("poll", 2*time.Second, "health/utilization poll interval (negative = off)")
 		timeout = fs.Duration("timeout", 10*time.Second, "per-worker-request header timeout")
 		retries = fs.Int("retries", 3, "connect retries per worker request (negative = off)")
@@ -53,7 +53,6 @@ func coordMain(args []string) {
 	coord, err := cluster.New(ctx, cluster.Config{
 		Nodes:           nodeList,
 		Token:           *token,
-		Wire:            *wire,
 		Timeout:         *timeout,
 		Retries:         *retries,
 		PollInterval:    *poll,
@@ -66,17 +65,15 @@ func coordMain(args []string) {
 
 	// Surface dead replicas at startup rather than on the first query; the
 	// cluster still starts (nodes may join late), the operator just knows
-	// which shard is running without redundancy.
-	probeCtx, probeCancel := context.WithTimeout(ctx, *timeout)
-	if report, err := coord.Health(probeCtx); err != nil {
-		for _, nh := range report {
-			if !nh.Healthy {
-				fmt.Fprintf(os.Stderr, "dbs3: warning: shard %d replica %s down (breaker %s): %s\n",
-					nh.Shard, nh.Node, nh.Breaker, nh.Error)
-			}
+	// which shard is running without redundancy. The poll is bounded by
+	// each request's header timeout, which also marks a wedged replica.
+	coord.Poll(ctx)
+	for _, ns := range coord.Stats().Nodes {
+		if !ns.Alive {
+			fmt.Fprintf(os.Stderr, "dbs3: warning: shard %d replica %s down (breaker %s): %s\n",
+				ns.Shard, ns.Node, ns.Breaker, ns.Error)
 		}
 	}
-	probeCancel()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -46,7 +46,10 @@
 //	    for selections/joins, group-wise merge aggregation for GROUP BY.
 //	    The coordinator polls each node's /stats and folds the other
 //	    nodes' measured load into every fan-out subquery's utilization,
-//	    extending the [Rahm93] feedback loop across machines.
+//	    extending the [Rahm93] feedback loop across machines. The same
+//	    poll, and every query's exchanges, feed each replica's circuit
+//	    breaker; replicas the first poll finds down are printed as
+//	    warnings at start-up.
 //
 //	dbs3 dump -rel wisc -o wisc.csv
 //	    Write a demo relation as typed CSV — the format -csv loads back.

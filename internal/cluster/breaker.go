@@ -39,11 +39,11 @@ func (s breakerState) String() string {
 	}
 }
 
-// breaker is a per-replica circuit breaker fed by both the health poll and
-// query outcomes. closed → open after breakerThreshold consecutive
-// failures; open → half-open once breakerCooloff passes since the last
-// failure; any success (a poll probe answering, a subquery completing)
-// closes it from any state.
+// breaker is a per-replica circuit breaker fed by replica.note with the
+// outcome of every exchange, polls and query traffic alike. closed → open
+// after breakerThreshold consecutive failures; open → half-open once
+// breakerCooloff passes since the last failure; any success (a poll
+// answering, a subquery completing) closes it from any state.
 //
 // Half-open deliberately tracks no single-trial token: replica ordering
 // consults allow() for candidates it may never use, and a trial token

@@ -116,7 +116,8 @@ func TestBreakerSuccessClosesFromOpen(t *testing.T) {
 	}
 }
 
-// TestBreakerStateNames pins the strings surfaced on /stats and Health.
+// TestBreakerStateNames pins the strings surfaced on /stats and in dbs3
+// coord's start-up warnings.
 func TestBreakerStateNames(t *testing.T) {
 	for state, want := range map[breakerState]string{
 		breakerClosed:   "closed",

@@ -28,16 +28,17 @@
 // otherwise it keeps first-error-wins: the coordinator surfaces one error,
 // cancels the sibling streams (each worker sees its client disconnect,
 // aborts the query, and returns the threads to its local budget), and
-// releases every coordinator-side resource. The health poll feeds each
-// replica's breaker, so dead replicas stop receiving scatter traffic and
-// rejoin automatically once they answer probes again. See DESIGN.md
+// releases every coordinator-side resource. Every exchange with a replica —
+// its /stats poll, a prepare's describe, a subquery's open and stream —
+// feeds the replica's circuit breaker through one rule, replica.note, so a
+// dead or wedged replica stops receiving scatter traffic and rejoins once
+// it answers a poll again. See DESIGN.md
 // "Fault tolerance in the cluster tier" for the full failure-semantics
 // table.
 package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -74,9 +75,6 @@ type Config struct {
 	// HTTP overrides the transport used for worker links (default
 	// http.DefaultClient-like per-node clients).
 	HTTP *http.Client
-	// Wire selects the worker-link result encoding: "" or "columnar"
-	// (default — the cheaper encoding for wide fan-in), or "ndjson".
-	Wire string
 	// Timeout bounds each worker request's header phase (0 = 10s).
 	Timeout time.Duration
 	// Retries bounds connect retries per worker request (0 = 3; negative
@@ -159,14 +157,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	} else if retries < 0 {
 		retries = 0
 	}
-	columnar := true
-	switch cfg.Wire {
-	case "", "columnar":
-	case "ndjson":
-		columnar = false
-	default:
-		return nil, fmt.Errorf("cluster: unknown worker wire encoding %q (want columnar or ndjson)", cfg.Wire)
-	}
 	c := &Coordinator{
 		token:      cfg.Token,
 		maxStmt:    cfg.MaxStatements,
@@ -186,7 +176,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 				client: &server.Client{
 					Base:     base,
 					HTTP:     cfg.HTTP,
-					Columnar: columnar,
+					Columnar: true,
 					Token:    cfg.Token,
 					Timeout:  timeout,
 					Retries:  retries,
@@ -253,8 +243,8 @@ func (c *Coordinator) pollLoop(ctx context.Context, interval time.Duration) {
 // Poll refreshes every replica's health and stats snapshot concurrently:
 // one round of the cluster utilization exchange. Workers report their
 // SmoothedUtilization and held threads on /stats; a replica whose /stats
-// fails is marked down until a later round revives it. Each probe outcome
-// also feeds the replica's circuit breaker — this is how a dead replica's
+// fails is marked down until a later round revives it. Each outcome is
+// also noted on the replica's breaker — this is how a dead replica's
 // breaker opens without query traffic, and how a revived one closes it.
 func (c *Coordinator) Poll(ctx context.Context) {
 	var wg sync.WaitGroup
@@ -264,15 +254,7 @@ func (c *Coordinator) Poll(ctx context.Context) {
 			defer wg.Done()
 			st, err := r.client.Stats(ctx)
 			now := time.Now()
-			if err != nil {
-				// Cancellation is the poller shutting down, not replica
-				// health evidence.
-				if replicaFault(err) {
-					r.brk.failure()
-				}
-			} else {
-				r.brk.success()
-			}
+			r.note(err)
 			r.mu.Lock()
 			defer r.mu.Unlock()
 			r.polled = true
@@ -288,6 +270,21 @@ func (c *Coordinator) Poll(ctx context.Context) {
 		}(r)
 	})
 	wg.Wait()
+}
+
+// note feeds one exchange's outcome to the replica's breaker: a success
+// closes it, a replica fault counts toward opening it, and any other error
+// (the caller's cancellation, a 4xx) says nothing about the replica. It
+// reports whether err was a fault, that is whether a sibling may succeed.
+func (r *replica) note(err error) bool {
+	switch {
+	case err == nil:
+		r.brk.success()
+	case replicaFault(err):
+		r.brk.failure()
+		return true
+	}
+	return false
 }
 
 // load is a replica's scalar load signal: the EWMA-smoothed utilization its
@@ -474,54 +471,4 @@ func (c *Coordinator) Stats() Stats {
 	st.Failovers = c.failovers.Load()
 	st.WholeQueryRetries = c.wholeQueryRetries.Load()
 	return st
-}
-
-// NodeHealth is one replica's probe result in Health.
-type NodeHealth struct {
-	Shard int    `json:"shard"`
-	Node  string `json:"node"`
-	// Healthy is this probe's outcome; Error carries the failure.
-	Healthy bool   `json:"healthy"`
-	Error   string `json:"error,omitempty"`
-	// Breaker is the replica's circuit-breaker state after the probe.
-	Breaker string `json:"breaker"`
-}
-
-// Health probes every replica's /healthz concurrently and returns the
-// per-replica outcomes — breaker state included — plus one aggregate error
-// joining every dead replica's failure (nil when all respond). Probe
-// outcomes feed the breakers, so an explicit health check doubles as the
-// half-open recovery probe.
-func (c *Coordinator) Health(ctx context.Context) ([]NodeHealth, error) {
-	var reps []*replica
-	c.replicas(func(r *replica) { reps = append(reps, r) })
-	report := make([]NodeHealth, len(reps))
-	errs := make([]error, len(reps))
-	var wg sync.WaitGroup
-	for i, r := range reps {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			err := r.client.Health(ctx)
-			if err != nil {
-				if replicaFault(err) {
-					r.brk.failure()
-				}
-				errs[i] = &NodeError{Node: r.name, Err: err}
-			} else {
-				r.brk.success()
-			}
-			report[i] = NodeHealth{
-				Shard:   r.shard,
-				Node:    r.name,
-				Healthy: err == nil,
-				Breaker: r.brk.current().String(),
-			}
-			if err != nil {
-				report[i].Error = err.Error()
-			}
-		}(i, r)
-	}
-	wg.Wait()
-	return report, errors.Join(errs...)
 }

@@ -369,16 +369,14 @@ func TestClusterPollAndStats(t *testing.T) {
 	if st := tc.coord.Stats(); st.Queries != 1 || st.Failures != 0 {
 		t.Errorf("queries=%d failures=%d, want 1/0", st.Queries, st.Failures)
 	}
-	report, err := tc.coord.Health(ctx)
-	if err != nil {
-		t.Errorf("Health on a live cluster: %v", err)
+	tc.coord.Poll(ctx)
+	st = tc.coord.Stats()
+	if len(st.Nodes) != testShards {
+		t.Fatalf("stats has %d nodes after a query, want %d", len(st.Nodes), testShards)
 	}
-	if len(report) != testShards {
-		t.Fatalf("Health reported %d replicas, want %d", len(report), testShards)
-	}
-	for _, nh := range report {
-		if !nh.Healthy || nh.Breaker != "closed" {
-			t.Errorf("replica %s: healthy=%v breaker=%s, want healthy/closed", nh.Node, nh.Healthy, nh.Breaker)
+	for _, ns := range st.Nodes {
+		if !ns.Alive || ns.Breaker != "closed" {
+			t.Errorf("replica %s: alive=%v breaker=%s, want alive/closed", ns.Node, ns.Alive, ns.Breaker)
 		}
 	}
 }

@@ -34,13 +34,19 @@ func (e *ShardError) Unwrap() error { return e.Err }
 
 // replicaFault classifies an error as a fault of the replica that served
 // it — the signal that failing over to a sibling could succeed. Connection
-// failures, header timeouts (server.TimeoutError), truncated or reset
-// streams, and worker 5xx responses are faults; cancellation is the
-// caller's doing, and a 4xx would fail identically on every replica (bad
-// SQL, wrong arity), so neither triggers failover.
+// failures, header timeouts, truncated or reset streams, and worker 5xx
+// responses are faults; cancellation is the caller's doing, and a 4xx would
+// fail identically on every replica (bad SQL, wrong arity), so neither
+// triggers failover. A header timeout is checked first: the client enforces
+// it by cancelling the request, so a *server.TimeoutError wraps
+// context.Canceled.
 func replicaFault(err error) bool {
 	if err == nil {
 		return false
+	}
+	var te *server.TimeoutError
+	if errors.As(err, &te) {
+		return true
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false

@@ -120,7 +120,6 @@ func TestMidStreamFailoverBeforeFirstRow(t *testing.T) {
 
 	coord := newFailoverCoord(t, Config{
 		Nodes: []string{fake.URL + "|" + urls[0], urls[1], urls[2]},
-		Wire:  "ndjson",
 	})
 	prefer(coord.shards[0].replicas[0], coord.shards[0].replicas[1])
 
@@ -289,7 +288,6 @@ func TestRetryWholeQueryRestartsStreaming(t *testing.T) {
 		[][]any{{int64(1)}, {int64(2)}, {int64(3)}})
 	coord := newFailoverCoord(t, Config{
 		Nodes:           []string{fake.URL},
-		Wire:            "ndjson",
 		RetryWholeQuery: true,
 	})
 	rows, err := coord.Query(ctx, "SELECT unique1 FROM wisc", nil, nil)
@@ -326,7 +324,6 @@ func TestRetryWholeQueryRestartsAggregate(t *testing.T) {
 		[][]any{{int64(0), int64(5)}, {int64(1), int64(7)}})
 	coord := newFailoverCoord(t, Config{
 		Nodes:           []string{fake.URL},
-		Wire:            "ndjson",
 		RetryWholeQuery: true,
 	})
 	rows, err := coord.Query(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil, nil)
@@ -362,7 +359,7 @@ func TestPostMergeFailureWithoutRetryIsVisible(t *testing.T) {
 	}))
 	t.Cleanup(dead.Close)
 	t.Cleanup(func() { dead.Client().CloseIdleConnections() })
-	coord := newFailoverCoord(t, Config{Nodes: []string{dead.URL}, Wire: "ndjson"})
+	coord := newFailoverCoord(t, Config{Nodes: []string{dead.URL}})
 	if _, err := coord.Query(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil, nil); err == nil {
 		t.Fatal("aggregate over a dying single replica succeeded")
 	}

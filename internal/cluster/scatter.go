@@ -142,12 +142,13 @@ type subquery struct {
 }
 
 // openOnShard establishes a shard's subquery on the first replica (in
-// placement-preference order, minus exclude) that accepts it. Replica
-// faults move on to the next candidate and feed the breaker; a non-fault
-// error (bad SQL, cancellation) returns immediately — it would fail
-// identically everywhere. want, when non-nil, is the cluster result shape a
-// failover replacement stream must match. failedOver reports that at least
-// one candidate was skipped over a fault before one succeeded.
+// placement-preference order, minus exclude) that accepts it. Each open is
+// noted on the replica's breaker; a replica fault moves on to the next
+// candidate, and a non-fault error (bad SQL, cancellation) returns
+// immediately — it would fail identically everywhere. want, when non-nil,
+// is the cluster result shape a failover replacement stream must match.
+// failedOver reports that at least one candidate was skipped over a fault
+// before one succeeded.
 func (c *Coordinator) openOnShard(ctx context.Context, q *query, sh *shard, exclude *replica, want *server.Header) (sub *subquery, failedOver bool, err error) {
 	var lastErr error
 	tried := 0
@@ -159,12 +160,11 @@ func (c *Coordinator) openOnShard(ctx context.Context, q *query, sh *shard, excl
 			break
 		}
 		st, err := c.open(ctx, q, rep)
-		if err != nil {
+		if fault := rep.note(err); err != nil {
 			ne := &NodeError{Node: rep.name, Err: err}
-			if !replicaFault(err) {
+			if !fault {
 				return nil, false, ne
 			}
-			rep.brk.failure()
 			lastErr = ne
 			tried++
 			continue
@@ -178,7 +178,6 @@ func (c *Coordinator) openOnShard(ctx context.Context, q *query, sh *shard, excl
 						h.Columns, h.Types, want.Columns, want.Types)}
 			}
 		}
-		rep.brk.success()
 		return &subquery{sh: sh, rep: rep, st: st}, tried > 0, nil
 	}
 	if lastErr == nil {
@@ -302,7 +301,7 @@ func (c *Coordinator) readSubquery(ctx context.Context, q *query, g *gather, i i
 		}
 		err := st.Err()
 		if err == nil {
-			rep.brk.success()
+			rep.note(nil)
 			if f := st.Footer(); f != nil {
 				g.mu.Lock()
 				g.footers[i] = dbs3.NodeFooter{Node: rep.name, Footer: *f, Rows: f.RowCount}
@@ -317,11 +316,10 @@ func (c *Coordinator) readSubquery(ctx context.Context, q *query, g *gather, i i
 			// fallout is noise.
 			return
 		}
-		if !replicaFault(err) || merged > 0 {
+		if !rep.note(err) || merged > 0 {
 			g.fail(&NodeError{Node: rep.name, Err: err})
 			return
 		}
-		rep.brk.failure()
 		nsub, _, oerr := c.openOnShard(ctx, q, sub.sh, rep, want)
 		if oerr != nil {
 			g.fail(oerr)

@@ -24,10 +24,10 @@ type Stmt struct {
 
 // Prepare compiles a statement's merge shape and asks one replica to
 // describe its result: shards in order, each shard's replicas in placement
-// order, with the statement prepared there and closed again at once. A
-// replica fault moves on to the next replica; any other error (the
-// statement itself is bad) fails the prepare, since every replica would
-// reject it the same way.
+// order, with the statement prepared there and closed again at once. Each
+// outcome is noted on the replica's breaker; a replica fault moves on to
+// the next replica, and any other error (the statement itself is bad)
+// fails the prepare, since every replica would reject it the same way.
 func (c *Coordinator) Prepare(ctx context.Context, sql string, opt *server.Options) (*Stmt, error) {
 	spec, err := esql.ScatterPlan(sql)
 	if err != nil {
@@ -52,9 +52,9 @@ func (c *Coordinator) describe(ctx context.Context, sql string, opt *server.Opti
 	for _, sh := range c.shards {
 		for _, rep := range sh.candidates() {
 			pr, err := rep.client.Prepare(ctx, sql, c.shardOptions(sh, opt))
-			if err != nil {
+			if fault := rep.note(err); err != nil {
 				lastErr = &NodeError{Node: rep.name, Err: err}
-				if !replicaFault(err) {
+				if !fault {
 					return nil, lastErr
 				}
 				continue

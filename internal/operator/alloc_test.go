@@ -59,7 +59,7 @@ func TestResultTuplesComeFromTheScratchSlab(t *testing.T) {
 				},
 			} {
 				emitted = 0
-				got := testing.AllocsPerRun(5, run)
+				got := race.AllocsPerRun(5, run)
 				if emitted != 6*n {
 					t.Fatalf("%v %s: %d results from %d probes", algo, name, emitted/6, n)
 				}
@@ -73,7 +73,7 @@ func TestResultTuplesComeFromTheScratchSlab(t *testing.T) {
 	for _, n := range []int{500, 5_000} {
 		_, p := probeOf(n)
 		m := &Map{Cols: []int{1, 0}}
-		got := testing.AllocsPerRun(5, func() {
+		got := race.AllocsPerRun(5, func() {
 			m.OnBatch(nil, p, emit)
 			for i := range p[:100] {
 				m.OnBatch(nil, p[i:i+1], emit)

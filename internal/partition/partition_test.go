@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dbs3/internal/race"
 	"dbs3/internal/relation"
 )
 
@@ -260,7 +261,7 @@ func TestFragmentsOfColsPlacesByKey(t *testing.T) {
 				t.Fatalf("%s %v: fragment %d, want %d", c.f.Signature(), tup, got, want)
 			}
 		}
-		if n := testing.AllocsPerRun(100, func() { dst = c.f.FragmentsOfCols(c.r.Tuples, cols, dst[:0]) }); n != 0 {
+		if n := race.AllocsPerRun(100, func() { dst = c.f.FragmentsOfCols(c.r.Tuples, cols, dst[:0]) }); n != 0 {
 			t.Errorf("%s: FragmentsOfCols into a large enough dst allocates %v times per run, want 0", c.f.Signature(), n)
 		}
 	}

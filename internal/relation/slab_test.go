@@ -45,7 +45,7 @@ func TestSlabAllocations(t *testing.T) {
 	// AllocsPerRun rounds the average down: one allocation per chunk reads
 	// 0, one per tuple would read 1.
 	var s Slab
-	n := testing.AllocsPerRun(4*slabChunk, func() {
+	n := race.AllocsPerRun(4*slabChunk, func() {
 		out := s.Concat(src[:2], nil)
 		out[0], out[1] = s.RehomeValue(src[2]), s.RehomeValue(src[3])
 	})
@@ -107,7 +107,7 @@ func TestLoadersAllocatePerRelation(t *testing.T) {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	for _, n := range []int{2_000, 20_000} {
-		if got := testing.AllocsPerRun(3, func() { Wisconsin("w", n, 1) }); got > 8 {
+		if got := race.AllocsPerRun(3, func() { Wisconsin("w", n, 1) }); got > 8 {
 			t.Errorf("Wisconsin(%d): %v allocations, want at most 8", n, got)
 		}
 		var dump strings.Builder
@@ -119,7 +119,7 @@ func TestLoadersAllocatePerRelation(t *testing.T) {
 		// CSV row copies all three of its strings into the arena.
 		rowStrBytes := 2*wisconsinStringLen + len(string4Cycle[0])
 		growth := float64(80 + n*WisconsinSchema.Len()/slabChunk + n*rowStrBytes/arenaChunk)
-		got := testing.AllocsPerRun(3, func() {
+		got := race.AllocsPerRun(3, func() {
 			if _, err := ReadCSV("w", strings.NewReader(dump.String())); err != nil {
 				t.Fatal(err)
 			}

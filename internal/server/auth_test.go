@@ -29,7 +29,7 @@ func newAuthServer(t *testing.T, token string) string {
 // pre-cluster behavior is unchanged.
 func TestAuthDisabledWhenTokenEmpty(t *testing.T) {
 	url := newAuthServer(t, "")
-	if err := (&Client{Base: url}).Health(context.Background()); err != nil {
+	if _, err := (&Client{Base: url}).Stats(context.Background()); err != nil {
 		t.Fatalf("tokenless server rejected a bare client: %v", err)
 	}
 }
@@ -67,8 +67,8 @@ func TestClientRetriesConnectRefused(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	client := &Client{Base: "http://" + addr, Retries: 8}
-	if err := client.Health(context.Background()); err != nil {
-		t.Fatalf("health with retries against a late-binding server: %v", err)
+	if _, err := client.Stats(context.Background()); err != nil {
+		t.Fatalf("stats with retries against a late-binding server: %v", err)
 	}
 	<-started
 
@@ -80,8 +80,8 @@ func TestClientRetriesConnectRefused(t *testing.T) {
 	deadAddr := l3.Addr().String()
 	l3.Close()
 	bare := &Client{Base: "http://" + deadAddr}
-	if err := bare.Health(context.Background()); err == nil {
-		t.Fatal("health against a dead address succeeded without retries")
+	if _, err := bare.Stats(context.Background()); err == nil {
+		t.Fatal("stats against a dead address succeeded without retries")
 	}
 }
 
@@ -105,9 +105,9 @@ func TestClientHeaderTimeout(t *testing.T) {
 	}()
 	client := &Client{Base: "http://" + l.Addr().String(), Timeout: 100 * time.Millisecond}
 	start := time.Now()
-	err = client.Health(context.Background())
+	_, err = client.Stats(context.Background())
 	if err == nil {
-		t.Fatal("health against a black-hole server succeeded")
+		t.Fatal("stats against a black-hole server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v, want ~100ms", elapsed)

@@ -319,20 +319,6 @@ func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 	return &out, nil
 }
 
-// Health probes GET /healthz, reporting nil for a live, authorized server.
-func (c *Client) Health(ctx context.Context) error {
-	resp, cancel, err := c.do(ctx, http.MethodGet, "/healthz", nil)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	if resp.StatusCode != http.StatusOK {
-		return errorFrom(resp)
-	}
-	resp.Body.Close()
-	return nil
-}
-
 // RowStream iterates a streamed result, cursor-style:
 //
 //	stream, err := client.Query(ctx, sql, nil, nil)

@@ -42,8 +42,8 @@ func retryClient(t *testing.T, retries int, jitter float64, sleeps *[]time.Durat
 func TestRetryBackoffDoublingEnvelope(t *testing.T) {
 	var sleeps []time.Duration
 	c := retryClient(t, 4, 1.0, &sleeps)
-	if err := c.Health(context.Background()); err == nil {
-		t.Fatal("health against a dead address succeeded")
+	if _, err := c.Stats(context.Background()); err == nil {
+		t.Fatal("stats against a dead address succeeded")
 	}
 	want := []time.Duration{retryBackoff, 2 * retryBackoff, 4 * retryBackoff, 8 * retryBackoff}
 	if len(sleeps) != len(want) {
@@ -63,8 +63,8 @@ func TestRetryBackoffFullJitter(t *testing.T) {
 	var half, tenth []time.Duration
 	ch := retryClient(t, 3, 0.5, &half)
 	ct := retryClient(t, 3, 0.1, &tenth)
-	ch.Health(context.Background())
-	ct.Health(context.Background())
+	ch.Stats(context.Background())
+	ct.Stats(context.Background())
 	wantHalf := []time.Duration{retryBackoff / 2, retryBackoff, 2 * retryBackoff}
 	wantTenth := []time.Duration{retryBackoff / 10, 2 * retryBackoff / 10, 4 * retryBackoff / 10}
 	for i := range wantHalf {
@@ -82,8 +82,8 @@ func TestRetryBackoffFullJitter(t *testing.T) {
 func TestRetryBackoffBudgetCapsTotal(t *testing.T) {
 	var sleeps []time.Duration
 	c := retryClient(t, 100, 1.0, &sleeps)
-	if err := c.Health(context.Background()); err == nil {
-		t.Fatal("health against a dead address succeeded")
+	if _, err := c.Stats(context.Background()); err == nil {
+		t.Fatal("stats against a dead address succeeded")
 	}
 	// The doubling envelope while it fits, then whatever is left of the
 	// budget; the budget is then spent, so the remaining retries are
@@ -121,7 +121,7 @@ func TestRetryBackoffCancelAborts(t *testing.T) {
 		cancel()
 		return ctx.Err()
 	}
-	err := c.Health(ctx)
+	_, err := c.Stats(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled mid-backoff, got %v", err)
 	}
@@ -136,8 +136,8 @@ func TestRetryBackoffCancelAborts(t *testing.T) {
 func TestRetryBackoffDefaultJitterInEnvelope(t *testing.T) {
 	c := &Client{Base: "http://" + deadAddr(t), Retries: 2}
 	start := time.Now()
-	if err := c.Health(context.Background()); err == nil {
-		t.Fatal("health against a dead address succeeded")
+	if _, err := c.Stats(context.Background()); err == nil {
+		t.Fatal("stats against a dead address succeeded")
 	}
 	// Envelope total = retryBackoff + 2×retryBackoff; generous slack for
 	// scheduler noise.
@@ -165,7 +165,7 @@ func TestHeaderTimeoutIsTyped(t *testing.T) {
 		}
 	}()
 	c := &Client{Base: "http://" + l.Addr().String(), Timeout: 50 * time.Millisecond}
-	err = c.Health(context.Background())
+	_, err = c.Stats(context.Background())
 	var te *TimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("black-hole server produced %T (%v), want *TimeoutError", err, err)
@@ -176,9 +176,9 @@ func TestHeaderTimeoutIsTyped(t *testing.T) {
 
 	// A refused connection is a connect error, not a timeout.
 	dead := &Client{Base: "http://" + deadAddr(t), Timeout: time.Second}
-	err = dead.Health(context.Background())
+	_, err = dead.Stats(context.Background())
 	if err == nil {
-		t.Fatal("health against a dead address succeeded")
+		t.Fatal("stats against a dead address succeeded")
 	}
 	if errors.As(err, &te) {
 		t.Errorf("connect error classified as TimeoutError: %v", err)

@@ -110,7 +110,7 @@ func TestReadBackAllocatesPerBlock(t *testing.T) {
 			}
 		},
 	} {
-		allocs := testing.AllocsPerRun(3, func() {
+		allocs := race.AllocsPerRun(3, func() {
 			if n, err := read(); err != nil || n != run.Len() {
 				t.Fatalf("%s read %d of %d tuples: %v", name, n, run.Len(), err)
 			}

@@ -293,7 +293,7 @@ func TestNewJoinDBAllocatesPerRelation(t *testing.T) {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	for _, size := range [][2]int{{10_000, 1_024}, {100_000, 10_240}} {
-		got := testing.AllocsPerRun(3, func() {
+		got := race.AllocsPerRun(3, func() {
 			if _, err := NewJoinDB(size[0], size[1], 64, 1); err != nil {
 				t.Fatal(err)
 			}

@@ -8,8 +8,9 @@
 # --trace 0 --seconds 18 --seed i` on each copy for i = 1..pairs (default
 # 10), alternating which side goes first. It prints, for every workload and
 # every end-to-end metric BENCHMARK.json gates, the median and quartiles of
-# each side, the ratio of the medians, how many of the pairs the checkout
-# won, and the metric's bound. Nothing is written under the checkout: each
+# each side (a metric in seconds is printed in milliseconds, so a set-up of
+# a few milliseconds keeps its spread), the ratio of the medians, how many
+# of the pairs the checkout won, and the metric's bound. Nothing is written under the checkout: each
 # copy builds and writes its results in the scratch directory, which is
 # removed on exit (set KEEP=1 to keep it).
 set -euo pipefail
@@ -129,6 +130,10 @@ func main() {
 	fmt.Printf("%-13s %-14s %-4s %-27s %-27s %6s %6s %6s\n", "workload", "metric", "unit", "ref median [q1, q3]", "change median [q1, q3]", "ratio", "wins", "bound")
 	for _, w := range sp.Workloads {
 		for _, m := range sp.EndToEnd {
+			unit, scale := m.Unit, 1.0
+			if unit == "s" {
+				unit, scale = "ms", 1000
+			}
 			var ref, change []float64
 			wins, failed := 0, 0
 			for i := 1; i <= pairs; i++ {
@@ -141,7 +146,7 @@ func main() {
 				if !ra.Correct || !rb.Correct || ra.Failed+rb.Failed > 0 {
 					failed++
 				}
-				x, y := ra.EndToEnd[m.Name].Value, rb.EndToEnd[m.Name].Value
+				x, y := scale*ra.EndToEnd[m.Name].Value, scale*rb.EndToEnd[m.Name].Value
 				ref, change = append(ref, x), append(change, y)
 				if (m.Better == "lower" && y < x) || (m.Better == "higher" && y > x) {
 					wins++
@@ -158,7 +163,7 @@ func main() {
 				note = fmt.Sprintf("  (%d pairs incomplete or failed)", failed)
 			}
 			fmt.Printf("%-13s %-14s %-4s %8.3f [%7.3f, %7.3f] %8.3f [%7.3f, %7.3f] %6.3f %3d/%-2d %6.2f%s\n",
-				w.Name, m.Name, m.Unit, am, a1, a3, bm, b1, b3, bm/am, wins, len(ref), m.Bound, note)
+				w.Name, m.Name, unit, am, a1, a3, bm, b1, b3, bm/am, wins, len(ref), m.Bound, note)
 		}
 	}
 }

@@ -409,8 +409,8 @@ func TestShardRelationAllocatesPerRelation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		loads := testing.AllocsPerRun(3, load)
-		both := testing.AllocsPerRun(3, func() { load(); shard() })
+		loads := race.AllocsPerRun(3, load)
+		both := race.AllocsPerRun(3, func() { load(); shard() })
 		if got := both - loads; got > 14 {
 			t.Errorf("ShardRelation of %d tuples: %v allocations, want at most 14", n, got)
 		}
