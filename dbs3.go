@@ -101,9 +101,10 @@ import (
 // It is safe for concurrent use by multiple goroutines: relation creation
 // takes a write lock, queries snapshot the catalog under a read lock.
 //
-// A generated Wisconsin relation is declared before it exists: its rows are
-// generated when the database is first read (settled), or, if ShardRelation
-// comes first, only the rows of the shard are.
+// A generated relation — a Wisconsin relation, a join pair's — is declared
+// before it exists: its rows are generated when the database is first read
+// (settled), or, if ShardRelation comes first, only the rows of the shard
+// are.
 type Database struct {
 	mu       sync.RWMutex
 	rels     core.DB
@@ -111,7 +112,7 @@ type Database struct {
 	manager  *dbruntime.Manager
 	// pending holds the declared relations not yet generated, in
 	// declaration order; none of their names is in rels.
-	pending []wisconsinDef
+	pending []declaration
 
 	// cache is the LRU plan cache behind Prepare and ad-hoc queries; epoch
 	// is the catalog version, bumped on DDL so stale plans miss.
@@ -173,7 +174,7 @@ func (db *Database) Relations() []string {
 		out = append(out, name)
 	}
 	for _, d := range db.pending {
-		out = append(out, d.name)
+		out = append(out, d.relName())
 	}
 	sort.Strings(out)
 	return out
@@ -198,19 +199,14 @@ type placed struct {
 	part partition.Func
 }
 
-// register adds relations to the catalog all at once or, if any name is
-// taken, not at all.
-func (db *Database) register(rels ...placed) error {
+// register adds a relation to the catalog unless its name is taken.
+func (db *Database) register(r placed) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, r := range rels {
-		if err := db.taken(r.p.Name); err != nil {
-			return err
-		}
+	if err := db.taken(r.p.Name); err != nil {
+		return err
 	}
-	for _, r := range rels {
-		db.install(r.p, r.part, r.p.FragmentSizes())
-	}
+	db.install(r.p, r.part, r.p.FragmentSizes())
 	// DDL invalidates cached plans: they were bound against the old catalog.
 	db.epoch.Add(1)
 	return nil
@@ -228,7 +224,7 @@ func (db *Database) taken(name string) error {
 // declared returns where the pending relation called name is in db.pending,
 // or -1. db.mu must be held.
 func (db *Database) declared(name string) int {
-	return slices.IndexFunc(db.pending, func(d wisconsinDef) bool { return d.name == name })
+	return slices.IndexFunc(db.pending, func(d declaration) bool { return d.relName() == name })
 }
 
 // install puts p, placed by part into fragments of the given sizes, in the
@@ -239,8 +235,21 @@ func (db *Database) install(p *partition.Partitioned, part partition.Func, sizes
 	db.resolver[p.Name] = lera.RelInfo{Schema: p.Schema, Degree: p.Degree(), FragSizes: sizes, Part: part}
 }
 
-// wisconsinDef is a declared Wisconsin relation: everything its rows are
-// generated from.
+// declaration is a declared relation: everything its rows are generated
+// from, and the two ways they are.
+type declaration interface {
+	// relName is the relation's name.
+	relName() string
+	// schema is the relation's schema.
+	schema() *relation.Schema
+	// shard generates shard of shards of the relation, sharded on column
+	// col: the rows the unsharded relation's shard would keep, exactly.
+	shard(col, shard, shards int) (placed, []int)
+	// settle generates the whole relation.
+	settle() (placed, []int)
+}
+
+// wisconsinDef is a declared Wisconsin relation.
 type wisconsinDef struct {
 	name        string
 	cardinality int
@@ -249,14 +258,77 @@ type wisconsinDef struct {
 	h           *partition.Hash
 }
 
-// settle generates every pending relation, in declaration order, as the one
-// shard of one on its key, and registers it. The catalog's epoch stays where
-// the declarations left it: no plan was ever compiled against a pending
-// relation. db.mu must be held for writing.
+func (d *wisconsinDef) relName() string          { return d.name }
+func (d *wisconsinDef) schema() *relation.Schema { return relation.WisconsinSchema }
+
+// settle generates the relation as the one shard of one on its key.
+func (d *wisconsinDef) settle() (placed, []int) { return d.shard(d.key, 0, 1) }
+
+// joinPairDef is a declared join pair: three relations, <prefix>A,
+// <prefix>B and <prefix>Br, declared together and generated together or a
+// shard at a time.
+type joinPairDef struct {
+	prefix               string
+	aCard, bCard, degree int
+	theta                float64
+	onK, onID            *partition.Mod
+	// generated is the whole pair once a settle has generated it, for the
+	// settle of each member still pending.
+	generated *workload.JoinDB
+	// kept marks the integers below 64·len(kept.bits) that shard kept.shard
+	// of kept.shards keeps, for every member sharded on k or id there: A's
+	// keys are B's and B's ids Br's, so each is hashed once.
+	kept struct {
+		shard, shards int
+		bits          []uint64
+	}
+}
+
+// pairMembers names a join pair's members after its prefix.
+var pairMembers = [...]string{"A", "B", "Br"}
+
+// pairMember is one relation of a declared join pair: pairMembers[member].
+type pairMember struct {
+	pair   *joinPairDef
+	member int
+}
+
+func (m pairMember) relName() string        { return m.pair.prefix + pairMembers[m.member] }
+func (pairMember) schema() *relation.Schema { return workload.JoinSchema }
+
+// settle generates the member as workload.NewJoinDB does, with the members
+// still pending settled in the same call: the pair is generated once, and B
+// and Br share one region.
+func (m pairMember) settle() (placed, []int) {
+	p := m.pair
+	if p.generated == nil {
+		jdb, err := workload.NewJoinDB(p.aCard, p.bCard, p.degree, p.theta)
+		if err != nil {
+			panic(fmt.Sprintf("dbs3: a declared join pair does not generate: %v", err)) // CreateJoinPair checked the arguments
+		}
+		p.generated = jdb
+	}
+	rel := [...]*partition.Partitioned{p.generated.A, p.generated.B, p.generated.Br}[m.member]
+	rel.Name = m.relName()
+	return placed{rel, m.part()}, rel.FragmentSizes()
+}
+
+// part is what places the member's fragments: mod on k, or on id for Br.
+func (m pairMember) part() *partition.Mod {
+	if m.member == 2 {
+		return m.pair.onID
+	}
+	return m.pair.onK
+}
+
+// settle generates every pending relation, in declaration order, and
+// registers it. The catalog's epoch stays where the declarations left it: no
+// plan was ever compiled against a pending relation. db.mu must be held for
+// writing.
 func (db *Database) settle() {
 	for _, d := range db.pending {
-		p, sizes := d.shard(d.key, 0, 1)
-		db.install(p, d.h, sizes)
+		r, sizes := d.settle()
+		db.install(r.p, r.part, sizes)
 	}
 	db.pending = nil
 }
@@ -329,31 +401,45 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 	if err := db.taken(name); err != nil {
 		return err
 	}
-	db.pending = append(db.pending, wisconsinDef{name: name, cardinality: cardinality, key: schema.MustIndex(key), seed: seed, h: h})
+	db.pending = append(db.pending, &wisconsinDef{name: name, cardinality: cardinality, key: schema.MustIndex(key), seed: seed, h: h})
 	// Declaring is DDL, as registering is.
 	db.epoch.Add(1)
 	return nil
 }
 
-// CreateJoinPair generates the paper's experimental database (§5.4): three
-// relations named <prefix>A, <prefix>B and <prefix>Br with schema (k INT,
-// id INT, pad STRING). A holds aCard tuples with fragment cardinalities
-// following Zipf(theta); B holds bCard tuples, uniform, co-partitioned with
-// A on k; Br holds B's tuples placed on id instead, so joining it with A
-// forces a run-time redistribution (the AssocJoin shape). bCard must be a
-// multiple of degree. If any of the three names is taken, none is
-// registered.
+// CreateJoinPair declares the paper's experimental database (§5.4) and
+// generates none of it: three relations named <prefix>A, <prefix>B and
+// <prefix>Br with schema (k INT, id INT, pad STRING). A holds aCard tuples
+// with fragment cardinalities following Zipf(theta); B holds bCard tuples,
+// uniform, co-partitioned with A on k; Br holds B's tuples placed on id
+// instead, so joining it with A forces a run-time redistribution (the
+// AssocJoin shape). bCard must be a multiple of degree. If any of the three
+// names is taken, none is declared. The three are listed by Relations at
+// once; they are generated together when the database is next read, as
+// CreateWisconsin's relations are, or a member's shard alone by
+// ShardRelation.
 func (db *Database) CreateJoinPair(prefix string, aCard, bCard, degree int, theta float64) error {
-	jdb, err := workload.NewJoinDB(aCard, bCard, degree, theta)
-	if err != nil {
+	if err := workload.CheckJoinDB(aCard, bCard, degree, theta); err != nil {
 		return err
 	}
-	res := jdb.Resolver()
-	rels := []placed{{jdb.A, res["A"].Part}, {jdb.B, res["B"].Part}, {jdb.Br, res["Br"].Part}}
-	for _, r := range rels {
-		r.p.Name = prefix + r.p.Name
+	pair := &joinPairDef{prefix: prefix, aCard: aCard, bCard: bCard, degree: degree, theta: theta}
+	// Both columns are JoinSchema's integers and the degree is checked, so
+	// neither NewMod fails.
+	pair.onK, _ = partition.NewMod(workload.JoinSchema, "k", degree)
+	pair.onID, _ = partition.NewMod(workload.JoinSchema, "id", degree)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for m := range pairMembers {
+		if err := db.taken(pairMember{pair, m}.relName()); err != nil {
+			return err
+		}
 	}
-	return db.register(rels...)
+	for m := range pairMembers {
+		db.pending = append(db.pending, pairMember{pair, m})
+	}
+	// Declaring is DDL, as registering is.
+	db.epoch.Add(1)
+	return nil
 }
 
 // Options tune one query execution. The zero value lets the scheduler pick
@@ -586,9 +672,10 @@ func (f Footer) String() string {
 // planning; use Prepare to hold the compiled plan. A placeholder statement
 // is one cached plan however its arguments vary.
 //
-// The first query after CreateWisconsin generates every relation still
-// declared inside this call, under ctx's deadline. A caller that times its
-// first query settles the database first, through FragmentSizes or Manager.
+// The first query after CreateWisconsin or CreateJoinPair generates every
+// relation still declared inside this call, under ctx's deadline. A caller
+// that times its first query settles the database first, through
+// FragmentSizes or Manager.
 func (db *Database) QueryContext(ctx context.Context, sql string, opt *Options, args ...any) (*Rows, error) {
 	stmt, err := db.Prepare(sql, opt)
 	if err != nil {
@@ -616,8 +703,8 @@ func (db *Database) QueryAllContext(ctx context.Context, sql string, opt *Option
 // context is checked once for early cancellation. It shares the plan cache
 // and the option checks with QueryContext and Prepare, and prices the plan
 // under the options the statement would execute with. Like them, the first
-// call after CreateWisconsin generates every relation still declared inside
-// the call.
+// call after CreateWisconsin or CreateJoinPair generates every relation
+// still declared inside the call.
 func (db *Database) ExplainContext(ctx context.Context, sql string, opt *Options) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err

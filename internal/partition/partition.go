@@ -66,12 +66,16 @@ func (h *Hash) Key() []string { return append([]string(nil), h.names...) }
 
 // FragmentsOfCols implements Func.
 func (h *Hash) FragmentsOfCols(ts []relation.Tuple, cols []int, dst []int32) []int32 {
-	degree := uint64(h.degree)
 	for _, t := range ts {
-		dst = append(dst, int32(t.HashOn(cols)%degree))
+		dst = append(dst, h.FragmentOf(t.HashOn(cols)))
 	}
 	return dst
 }
+
+// FragmentOf returns the fragment of a tuple whose key hashes to hash: what
+// FragmentsOfCols computes for each tuple, for a loader that has the hash
+// before the tuple exists.
+func (h *Hash) FragmentOf(hash uint64) int32 { return int32(hash % uint64(h.degree)) }
 
 // Signature implements Func.
 func (h *Hash) Signature() string { return fmt.Sprintf("hash/%d", h.degree) }

@@ -35,12 +35,12 @@ const regionShared = 64
 // Tuple, one string Value copied out of a tuple by Slab.Concat or Project —
 // keeps all of it alive: "pin by one survivor" (see Slab) at relation
 // granularity. A region is therefore deep-only, and its writers are few, all
-// in this package, each one loop over whole tuples: JoinRows.Fill and
-// WisconsinRows.Shard (whose whole relation is one shard of one) generate
-// rows whose strings they copy in, Compaction.Rehome copies tuples
-// from anywhere (a CSV import, a shard, a test's hand-built tuples) with
-// their strings, and Alias adds a second header for a tuple the region
-// already holds. JoinRows.Fill alone may run
+// in this package, each one loop over whole tuples: JoinRows.Fill,
+// JoinRows.Shard and WisconsinRows.Shard (whose whole relation is one shard
+// of one) generate rows whose strings they copy in, Compaction.Rehome
+// copies tuples from anywhere (a CSV import, a shard, a test's hand-built
+// tuples) with their strings, and Alias adds a second header for a tuple
+// the region already holds. JoinRows.Fill alone may run
 // its loop in pieces on several goroutines at once: each piece writes a
 // disjoint range of the block, and the region's cursor advances once, after
 // every piece has joined. Nothing may be stored into a tuple of a region
@@ -260,6 +260,89 @@ func (w *joinWriter) write(lo, hi int) {
 			}
 		}
 	}
+}
+
+// Shard writes the rows a shard of the relation keeps into a region of their
+// own, exactly sized, the pad copied in once if any row is kept, and returns
+// it with how many rows each fragment keeps: a shard's rows generated
+// without the rows it drops ever existing. A row is kept when keep has the
+// bit of its value in column on (0, its key k, or 1, its id) set; keep has a
+// bit for every such value. The kept rows are those Fill writes, in the same
+// fragments and order, or, with byID, placed by id modulo the number of
+// fragments, each fragment in id order: how the join pair's Br places B's
+// rows. Keys and ids are below 2³¹. It is one pass over the rows that
+// records each kept row's key, with no branch on whether it is kept, and
+// one loop over the kept rows that writes each one's header and six value
+// words.
+func (j JoinRows) Shard(on int, keep []uint64, byID bool) (*Region, []int) {
+	rows, degree := j.rows(), len(j.Sizes)
+	sizes := make([]int, degree)
+	// sel[id] is row id's key if the shard keeps it, or -1.
+	sel := make([]int32, rows)
+	id, g := 0, 0 // g is id modulo the degree
+	for f, n := range j.Sizes {
+		k, c := f, 0
+		for range n {
+			v := k
+			if on == 1 {
+				v = id
+			}
+			bit := int(keep[v>>6] >> (v & 63) & 1)
+			sel[id] = int32((k+1)*bit - 1)
+			if byID {
+				sizes[g] += bit
+			} else {
+				sizes[f] += bit
+			}
+			if id, g = id+1, g+1; g == degree {
+				g = 0
+			}
+			if c++; c == j.Cycle {
+				k, c = f, 0
+			} else {
+				k += j.Stride
+			}
+		}
+	}
+	kept := 0
+	for _, n := range sizes {
+		kept += n
+	}
+	padText := ""
+	if kept > 0 {
+		padText = j.Pad
+	}
+	r := NewRegion(kept, 3*kept, len(padText))
+	pad, padLen := uint64(r.constant(padText)), uint64(len(padText))
+	hdr, val := r.next(kept, 3*kept)
+	addr := uint64(r.valAddr)
+	// Fragment f holds the kept rows of ids [lo, hi) by step: a run of
+	// Fill's rows, or every degree-th id from f.
+	lo, hi, step := 0, 0, 1
+	if byID {
+		hi, step = rows, degree
+	}
+	for f := range degree {
+		if byID {
+			lo = f
+		} else {
+			lo, hi = hi, hi+j.Sizes[f]
+		}
+		for id := lo; id < hi; id += step {
+			k := sel[id]
+			if k < 0 {
+				continue
+			}
+			h, v := hdr[:3:3], val[:6:6]
+			h[0], h[1], h[2] = addr, 3, 3
+			v[0], v[1], v[2], v[3], v[4], v[5] = 0, uint64(k), 0, uint64(id), pad, padLen
+			hdr, val = hdr[3:], val[6:]
+			addr += 48
+		}
+	}
+	r.nt += kept
+	r.nv += 6 * kept
+	return r, sizes
 }
 
 // Alias stores a second header for t, a tuple of this region, as the next

@@ -160,6 +160,83 @@ func TestJoinRowsPieces(t *testing.T) {
 	}
 }
 
+// TestJoinRowsShard: a shard of a join relation holds exactly the rows of
+// its Fill whose key or id has its bit set, in Fill's fragments and order or,
+// by id, in fragment id modulo the degree and id order within each — every
+// kept row in one exactly sized region that passes its Check, holding the
+// pad once if it holds a row at all.
+func TestJoinRowsShard(t *testing.T) {
+	cases := []JoinRows{
+		{Sizes: []int{0, 7, 0, 9, 0}, Cycle: 3, Stride: 5, Pad: "p"},
+		{Sizes: []int{2, 11, 1, 6}, Cycle: 4, Stride: 4, Pad: "pad"},
+		{Sizes: []int{8, 8, 8, 8}, Cycle: 8, Stride: 4, Pad: ""},
+		{Sizes: []int{70, 3, 66}, Cycle: 50, Stride: 3, Pad: "x"},
+		{Sizes: []int{0, 0}, Cycle: 1, Stride: 2, Pad: "x"},
+	}
+	for i, j := range cases {
+		rows := j.rows()
+		whole := NewRegion(rows, 3*rows, len(j.Pad))
+		all := j.Fill(whole)
+		for on := 0; on <= 1; on++ {
+			for _, byID := range []bool{false, true} {
+				for pattern := range 4 { // none, all, every third value, and every value but the third ones
+					name := fmt.Sprintf("case %d on column %d, by id %v, pattern %d", i, on, byID, pattern)
+					keep := make([]uint64, 8)
+					for v := range 64 * len(keep) {
+						if pattern == 1 || pattern == 2 && v%3 == 0 || pattern == 3 && v%3 != 0 {
+							keep[v>>6] |= 1 << (v & 63)
+						}
+					}
+					want := make([][]Tuple, len(j.Sizes))
+					for f, n := range j.Sizes {
+						lo := 0
+						for _, m := range j.Sizes[:f] {
+							lo += m
+						}
+						for _, row := range all[lo : lo+n] {
+							if v := row[on].AsInt(); keep[v>>6]>>(v&63)&1 == 1 {
+								place := f
+								if byID {
+									place = int(row[1].AsInt()) % len(j.Sizes)
+								}
+								want[place] = append(want[place], row)
+							}
+						}
+					}
+					if byID {
+						for _, frag := range want {
+							slices.SortFunc(frag, func(a, b Tuple) int { return int(a[1].AsInt() - b[1].AsInt()) })
+						}
+					}
+					r, sizes := j.Shard(on, keep, byID)
+					if err := r.Check(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					got := r.Tuples()
+					kept := 0
+					for f, frag := range want {
+						if sizes[f] != len(frag) {
+							t.Fatalf("%s: fragment %d holds %d rows, want %d", name, f, sizes[f], len(frag))
+						}
+						for _, row := range frag {
+							if !got[kept].Equal(row) {
+								t.Fatalf("%s: fragment %d row %d = %v, want %v", name, f, kept, got[kept], row)
+							}
+							kept++
+						}
+					}
+					if len(got) != kept {
+						t.Fatalf("%s: %d rows, want %d", name, len(got), kept)
+					}
+					if pad := min(kept, 1) * len(j.Pad); r.StringBytes() != pad {
+						t.Errorf("%s: %d string bytes, want %d", name, r.StringBytes(), pad)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRegionRefusesMisuse: a region is exactly sized and deep-only, and says
 // so by panicking — overfilling it with tuples, values or string bytes,
 // viewing it before it is filled, compacting a tuple its schema does not

@@ -107,8 +107,8 @@ func TestLoadersAllocatePerRelation(t *testing.T) {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	for _, n := range []int{2_000, 20_000} {
-		if got := race.AllocsPerRun(3, func() { Wisconsin("w", n, 1) }); got > 8 {
-			t.Errorf("Wisconsin(%d): %v allocations, want at most 8", n, got)
+		if got := race.AllocsPerRun(3, func() { Wisconsin("w", n, 1) }); got > 7 {
+			t.Errorf("Wisconsin(%d): %v allocations, want at most 7", n, got)
 		}
 		var dump strings.Builder
 		if err := Wisconsin("w", n, 1).WriteCSV(&dump); err != nil {

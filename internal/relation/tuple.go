@@ -35,8 +35,7 @@ func (t Tuple) HashOn(cols []int) uint64 {
 	// multi-attribute keys mix well.
 	h := uint64(fnvOffset64)
 	for _, c := range cols {
-		h ^= t[c].Hash()
-		h *= fnvPrime64
+		h = foldKey(h, t[c].Hash())
 	}
 	return h
 }

@@ -142,8 +142,21 @@ func (v Value) Hash() uint64 {
 	if v.p == nil {
 		return fnvInt(uint64(v.n))
 	}
+	return fnvText(v.str())
+}
+
+// KeyHash returns the hash Tuple.HashOn gives a key of v alone: where a
+// one-column key is placed, found without building the tuple.
+func (v Value) KeyHash() uint64 { return foldKey(fnvOffset64, v.Hash()) }
+
+// foldKey folds the hash of a key's next value into h, the hash of the
+// values before it: HashOn's step.
+func foldKey(h, value uint64) uint64 { return (h ^ value) * fnvPrime64 }
+
+// fnvText is FNV-1a over the bytes of s: a string value's hash, and that of
+// a text rendered into a buffer before it is a value.
+func fnvText[T string | []byte](s T) uint64 {
 	h := uint64(fnvOffset64)
-	s := v.str()
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime64

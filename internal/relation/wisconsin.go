@@ -224,6 +224,23 @@ func (w *WisconsinRows) Value(col, u2 int) Value {
 	panic(fmt.Sprintf("relation: Wisconsin has no column %d", col))
 }
 
+// KeyHash returns the hash of column col of row u2 as a one-column key,
+// Value(col, u2).KeyHash(), without building the value: a text is rendered
+// into a buffer on the stack, so placing a row before it exists allocates
+// nothing whichever column places it.
+func (w *WisconsinRows) KeyHash(col, u2 int) uint64 {
+	var text [wisconsinStringLen]byte
+	switch col {
+	case 13:
+		putWisconsinString(text[:], int64(w.perm[u2]))
+	case 14:
+		putWisconsinString(text[:], int64(u2))
+	default:
+		return w.Value(col, u2).KeyHash()
+	}
+	return foldKey(fnvOffset64, fnvText(text[:]))
+}
+
 // The benchmark's strings are 52 characters: a 7-letter base-26 rendering of
 // an integer padded with 'x'. Only the prefix varies, as in the original
 // generator.

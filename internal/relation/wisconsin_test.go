@@ -142,8 +142,8 @@ func TestWisconsinPermutationProperty(t *testing.T) {
 }
 
 // TestWisconsinRowsAgreeWithRelation: the row source is the relation — row
-// by row, and value by value for loaders that ask for one column before the
-// row exists.
+// by row, and value by value or key hash by key hash for loaders that ask
+// for one column before the row exists.
 func TestWisconsinRowsAgreeWithRelation(t *testing.T) {
 	const n = 300
 	r := Wisconsin("A", n, 9)
@@ -163,6 +163,9 @@ func TestWisconsinRowsAgreeWithRelation(t *testing.T) {
 		for c := 0; c < WisconsinSchema.Len(); c++ {
 			if v := rows.Value(c, u2); !v.Equal(r.Tuples[u2][c]) {
 				t.Fatalf("Value(%d, %d) = %v, relation has %v", c, u2, v, r.Tuples[u2][c])
+			}
+			if h, want := rows.KeyHash(c, u2), r.Tuples[u2].HashOn([]int{c}); h != want {
+				t.Fatalf("KeyHash(%d, %d) = %#x, HashOn of the row %#x", c, u2, h, want)
 			}
 		}
 	}

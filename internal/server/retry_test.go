@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -186,5 +188,31 @@ func TestHeaderTimeoutIsTyped(t *testing.T) {
 	var se *StatusError
 	if errors.As(err, &se) {
 		t.Errorf("connect error classified as StatusError: %v", err)
+	}
+}
+
+// TestTimeoutErrorWrapsItsCause: a TimeoutError names its limit and its
+// transport error, unwraps to that error for errors.Is, is found by
+// errors.As through further wrapping, and reads as a timeout to a
+// net.Error-style check.
+func TestTimeoutErrorWrapsItsCause(t *testing.T) {
+	cause := errors.New("transport closed")
+	err := fmt.Errorf("query node 2: %w", &TimeoutError{Limit: 250 * time.Millisecond, Err: cause})
+	if msg := err.Error(); !strings.Contains(msg, "250ms") || !strings.Contains(msg, cause.Error()) {
+		t.Errorf("Error() = %q, want the limit and the cause", msg)
+	}
+	if !errors.Is(err, cause) {
+		t.Errorf("errors.Is(%v, cause) = false: Unwrap lost the transport error", err)
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("errors.Is(%v, context.DeadlineExceeded) = true, want only the cause", err)
+	}
+	var te *TimeoutError
+	if !errors.As(err, &te) || te.Limit != 250*time.Millisecond || te.Err != cause {
+		t.Fatalf("errors.As found %+v, want the TimeoutError with its limit and cause", te)
+	}
+	var timeout interface{ Timeout() bool }
+	if !errors.As(err, &timeout) || !timeout.Timeout() {
+		t.Errorf("errors.As to a Timeout() bool: %v, want a timeout", timeout)
 	}
 }

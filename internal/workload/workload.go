@@ -40,27 +40,55 @@ type JoinDB struct {
 	AKeyPart *partition.Mod
 }
 
-// NewJoinDB generates a database. BCard must be a multiple of D so that
-// every fragment of B holds the same number of keys (the paper's unskewed
-// operand); ACard is free. Each relation carries the region its fragments
-// are cut from: B and Br share one, A has its own.
-func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
+// CheckJoinDB returns the error NewJoinDB returns for these arguments, or
+// nil: BCard must be a multiple of D so that every fragment of B holds the
+// same number of keys (the paper's unskewed operand), both cardinalities and
+// the degree positive, and the skew factor non-negative; ACard is free.
+func CheckJoinDB(aCard, bCard, d int, theta float64) error {
 	if d <= 0 {
-		return nil, fmt.Errorf("workload: degree must be positive, got %d", d)
+		return fmt.Errorf("workload: degree must be positive, got %d", d)
 	}
 	if bCard%d != 0 {
-		return nil, fmt.Errorf("workload: BCard %d must be a multiple of the degree %d", bCard, d)
+		return fmt.Errorf("workload: BCard %d must be a multiple of the degree %d", bCard, d)
 	}
 	if bCard <= 0 || aCard <= 0 {
-		return nil, fmt.Errorf("workload: cardinalities must be positive")
+		return fmt.Errorf("workload: cardinalities must be positive")
 	}
 	if !(theta >= 0) {
-		return nil, fmt.Errorf("workload: skew factor must be non-negative, got %v", theta)
+		return fmt.Errorf("workload: skew factor must be non-negative, got %v", theta)
 	}
+	return nil
+}
+
+// The pads of A's and of B's rows: one constant per relation, copied into
+// its region once.
+const padA, padB = "a", "b"
+
+// JoinPairRows returns the rows of A and of B as data, for arguments
+// CheckJoinDB accepts. B's fragment i holds the keys {i + j·d : j in
+// [0, BCard/d)}, each once. A's fragment i holds Zipf(theta)'s share of
+// ACard rows whose keys cycle over fragment i's B keys, so each A row
+// matches exactly one B row and lands in fragment i under k mod d (tuple
+// placement skew via cardinality). Br is B's rows placed by id mod d.
+func JoinPairRows(aCard, bCard, d int, theta float64) (a, b relation.JoinRows) {
 	bPerFrag := bCard / d
+	uniform := make([]int, d)
+	for i := range uniform {
+		uniform[i] = bPerFrag
+	}
+	a = relation.JoinRows{Sizes: zipf.Sizes(aCard, d, theta), Cycle: bPerFrag, Stride: d, Pad: padA}
+	b = relation.JoinRows{Sizes: uniform, Cycle: bPerFrag, Stride: d, Pad: padB}
+	return a, b
+}
 
+// NewJoinDB generates a database from arguments CheckJoinDB accepts. Each
+// relation carries the region its fragments are cut from: B and Br share
+// one, A has its own.
+func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
+	if err := CheckJoinDB(aCard, bCard, d, theta); err != nil {
+		return nil, err
+	}
 	db := &JoinDB{ACard: aCard, BCard: bCard, D: d, Theta: theta}
-
 	modK, err := partition.NewMod(JoinSchema, "k", d)
 	if err != nil {
 		return nil, err
@@ -68,19 +96,14 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	db.AKeyPart = modK
 
 	// Each relation is filled fragment by fragment, in one call, into one
-	// region its fragments are then cut from; the pad is one constant per
-	// relation, copied into the region once.
-	const padA, padB = "a", "b"
-	uniform := make([]int, d)
-	for i := range uniform {
-		uniform[i] = bPerFrag
-	}
+	// region its fragments are then cut from.
+	aRows, bRows := JoinPairRows(aCard, bCard, d, theta)
+	bPerFrag := bCard / d
 
-	// B partitioned on k: fragment i holds keys {i + j*d : j in [0,bPerFrag)}.
-	// Its region has room for every tuple's header twice: Br is B's tuples
+	// B's region has room for every tuple's header twice: Br is B's tuples
 	// under a second header each.
 	rb := relation.NewRegion(2*bCard, bCard*JoinSchema.Len(), len(padB))
-	b := relation.JoinRows{Sizes: uniform, Cycle: bPerFrag, Stride: d, Pad: padB}.Fill(rb)
+	b := bRows.Fill(rb)
 	// Br: the same tuples placed by id (id mod d), i.e. NOT on the join key.
 	// ids are 0..bCard-1 in B's order and d divides bCard, so Br's fragment
 	// f holds B's tuples f, f+d, f+2d, ... — exactly bPerFrag of them.
@@ -90,23 +113,19 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 		}
 	}
 	both := rb.Tuples()
-	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, partition.Cut(both[:bCard], uniform), 1)
+	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, partition.Cut(both[:bCard], bRows.Sizes), 1)
 	if err != nil {
 		return nil, err
 	}
-	db.Br, err = partition.FromFragments("Br", JoinSchema, []string{"id"}, partition.Cut(both[bCard:], uniform), 1)
+	db.Br, err = partition.FromFragments("Br", JoinSchema, []string{"id"}, partition.Cut(both[bCard:], bRows.Sizes), 1)
 	if err != nil {
 		return nil, err
 	}
 	db.B.Region, db.Br.Region = rb, rb
 
-	// A: fragment i holds sizes[i] tuples whose keys cycle over fragment
-	// i's B keys, so each A tuple matches exactly one B tuple and lands in
-	// fragment i under k mod d (tuple placement skew via cardinality).
-	sizes := zipf.Sizes(aCard, d, theta)
 	ra := relation.NewRegion(aCard, aCard*JoinSchema.Len(), len(padA))
-	relation.JoinRows{Sizes: sizes, Cycle: bPerFrag, Stride: d, Pad: padA}.Fill(ra)
-	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, partition.Cut(ra.Tuples(), sizes), 1)
+	aRows.Fill(ra)
+	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, partition.Cut(ra.Tuples(), aRows.Sizes), 1)
 	if err != nil {
 		return nil, err
 	}

@@ -302,3 +302,223 @@ func TestPendingRelationSettlesUnderConcurrentReads(t *testing.T) {
 		t.Errorf("%d relations still pending, %d registered", len(db.pending), len(db.rels))
 	}
 }
+
+// TestPendingPairShardMatchesRehome: a shard generated from a declared join
+// pair's member is the shard re-homed out of the settled member — fragment by
+// fragment, tuple by tuple, in string bytes — in a region that holds no
+// pointer out of itself, and the shards of every node union to the whole
+// member, each row on exactly one. Every member (A, B and Br) is cut into 1
+// to 4 shards on k, on id and on pad (one constant per member: some shards
+// keep all of it, the others nothing), at θ 0, 0.5 and 1, with and without a
+// prefix; sharding one member leaves the other two pending.
+func TestPendingPairShardMatchesRehome(t *testing.T) {
+	const aCard, bCard, degree = 700, 240, 8
+	for _, prefix := range []string{"", "x"} {
+		for _, theta := range []float64{0, 0.5, 1} {
+			whole := New()
+			if err := whole.CreateJoinPair(prefix, aCard, bCard, degree, theta); err != nil {
+				t.Fatal(err)
+			}
+			settled := whole.settled()
+			for _, member := range []string{"A", "B", "Br"} {
+				name := prefix + member
+				rel := settled[name]
+				for _, col := range []string{"k", "id", "pad"} {
+					cols := []int{rel.Schema.MustIndex(col)}
+					for shards := 1; shards <= 4; shards++ {
+						on := make([]int, rel.Cardinality()) // shards holding row id
+						for shard := 0; shard < shards; shard++ {
+							what := fmt.Sprintf("θ %v, %s on %s, shard %d of %d", theta, name, col, shard, shards)
+							db := New()
+							if err := db.CreateJoinPair(prefix, aCard, bCard, degree, theta); err != nil {
+								t.Fatal(err)
+							}
+							if err := db.ShardRelation(name, col, shard, shards); err != nil {
+								t.Fatal(err)
+							}
+							if len(db.pending) != 2 {
+								t.Fatalf("%s: %d relations pending, want the other two members", what, len(db.pending))
+							}
+							got := db.settled()[name]
+							want := rel.Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, shards) == shard })
+							if err := got.Region.Check(); err != nil {
+								t.Fatalf("%s: %v", what, err)
+							}
+							if g, w := got.Region.StringBytes(), want.Region.StringBytes(); g != w {
+								t.Errorf("%s: %d string bytes, re-homed %d", what, g, w)
+							}
+							if got.Name != name || strings.Join(got.Key, ",") != strings.Join(want.Key, ",") || got.Degree() != degree {
+								t.Fatalf("%s: %s keyed on %v at degree %d, re-homed keyed on %v", what, got.Name, got.Key, got.Degree(), want.Key)
+							}
+							sizes, err := db.FragmentSizes(name)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for f, frag := range want.Fragments {
+								if len(got.Fragments[f]) != len(frag) || sizes[f] != len(frag) {
+									t.Fatalf("%s: fragment %d holds %d rows (sizes say %d), re-homed %d", what, f, len(got.Fragments[f]), sizes[f], len(frag))
+								}
+								for i, tup := range frag {
+									if !got.Fragments[f][i].Equal(tup) {
+										t.Fatalf("%s: fragment %d row %d is %v, re-homed %v", what, f, i, got.Fragments[f][i], tup)
+									}
+									on[tup[1].AsInt()]++
+								}
+							}
+						}
+						for id, n := range on {
+							if n != 1 {
+								t.Fatalf("θ %v, %s on %s, %d shards: row %d is on %d shards", theta, name, col, shards, id, n)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPendingPairIsCatalogued: a declared join pair is listed and its three
+// names are taken, though none of it exists yet; a pair whose arguments
+// NewJoinDB refuses, or one of whose names is taken, declares none of its
+// members and leaves the epoch alone.
+func TestPendingPairIsCatalogued(t *testing.T) {
+	db := New()
+	if err := db.CreateJoinPair("x", 1_000, 40, 4, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if names := db.Relations(); strings.Join(names, ",") != "xA,xB,xBr" {
+		t.Errorf("relations = %v, want [xA xB xBr]", names)
+	}
+	if len(db.pending) != 3 || len(db.rels) != 0 {
+		t.Fatalf("listing generated relations: %d pending, %d registered", len(db.pending), len(db.rels))
+	}
+	if err := db.LoadCSV("B", strings.NewReader(ordersCSV), "order", 2); err != nil {
+		t.Fatal(err)
+	}
+	epoch := db.epoch.Load()
+	for name, create := range map[string]func() error{
+		"a pair over a declared member":   func() error { return db.CreateJoinPair("x", 100, 20, 4, 0) },
+		"a pair over a registered member": func() error { return db.CreateJoinPair("", 100, 20, 4, 0) },
+		"a Wisconsin relation over xBr":   func() error { return db.CreateWisconsin("xBr", 10, 2, "unique2", 2) },
+	} {
+		if err := create(); err == nil || !strings.Contains(err.Error(), "already exists") {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for name, create := range map[string]func() error{
+		"bCard not a multiple of the degree": func() error { return db.CreateJoinPair("y", 100, 21, 4, 0) },
+		"a negative skew":                    func() error { return db.CreateJoinPair("y", 100, 20, 4, -1) },
+		"no degree":                          func() error { return db.CreateJoinPair("y", 100, 20, 0, 0) },
+	} {
+		if err := create(); err == nil {
+			t.Errorf("%s: declared", name)
+		}
+	}
+	if got := db.epoch.Load(); got != epoch || len(db.pending) != 3 || len(db.rels) != 1 {
+		t.Errorf("rejected creations moved the epoch %d -> %d or the catalog (%d pending, %d registered)", epoch, got, len(db.pending), len(db.rels))
+	}
+}
+
+// TestPendingPairSettlesOnRead: every read of the catalog's rows generates a
+// declared pair, all three members from one workload.NewJoinDB — B and Br in
+// one region, A in another — and leaves the epoch alone; a join of A and B
+// then matches every A row once.
+func TestPendingPairSettlesOnRead(t *testing.T) {
+	ctx := context.Background()
+	const aCard, bCard = 1_000, 80
+	for name, read := range map[string]func(db *Database) error{
+		"Manager": func(db *Database) error { db.Manager(ManagerConfig{Budget: 2}); return nil },
+		"query": func(db *Database) error {
+			_, err := db.QueryAllContext(ctx, "SELECT id FROM B WHERE k < 10", nil)
+			return err
+		},
+		"Prepare": func(db *Database) error { _, err := db.Prepare("SELECT * FROM Br", nil); return err },
+		"FragmentSizes": func(db *Database) error {
+			_, err := db.FragmentSizes("A")
+			return err
+		},
+		"DumpCSV": func(db *Database) error { return db.DumpCSV("Br", io.Discard) },
+	} {
+		db := New()
+		if err := db.CreateJoinPair("", aCard, bCard, 4, 1); err != nil {
+			t.Fatal(err)
+		}
+		epoch := db.epoch.Load()
+		if err := read(db); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(db.pending) != 0 || len(db.rels) != 3 {
+			t.Fatalf("%s: %d relations still pending, %d registered", name, len(db.pending), len(db.rels))
+		}
+		if got := db.epoch.Load(); got != epoch {
+			t.Errorf("%s: settling moved the epoch %d -> %d", name, epoch, got)
+		}
+		checkSettledPair(t, name, db, "", aCard, bCard)
+	}
+}
+
+// TestPendingPairSettlesUnderConcurrentReads: joins that arrive together at
+// a database whose pair is declared all see the whole of it, the pair is
+// generated once, and nothing is left pending.
+func TestPendingPairSettlesUnderConcurrentReads(t *testing.T) {
+	const aCard, bCard = 2_000, 160
+	db := New()
+	if err := db.CreateJoinPair("p", aCard, bCard, 8, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		sql := "SELECT pA.id FROM pA JOIN pB ON pA.k = pB.k"
+		if i%2 == 1 {
+			sql = "SELECT pA.id FROM pA JOIN pBr ON pA.k = pBr.k"
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := db.QueryAllContext(context.Background(), sql, nil)
+			if err == nil && len(res.Data) != aCard {
+				err = fmt.Errorf("%s: %d rows, want %d", sql, len(res.Data), aCard)
+			}
+			if err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if len(db.pending) != 0 {
+		t.Errorf("%d relations still pending", len(db.pending))
+	}
+	checkSettledPair(t, "concurrent reads", db, "p", aCard, bCard)
+}
+
+// checkSettledPair checks a settled pair: each member is registered under its
+// name with the cardinality it was declared with, B and Br share one region
+// and A has its own, and each region passes its Check.
+func checkSettledPair(t *testing.T, what string, db *Database, prefix string, aCard, bCard int) {
+	t.Helper()
+	rels := db.settled()
+	a, b, br := rels[prefix+"A"], rels[prefix+"B"], rels[prefix+"Br"]
+	if a == nil || b == nil || br == nil {
+		t.Fatalf("%s: settled members A %v, B %v, Br %v", what, a != nil, b != nil, br != nil)
+	}
+	if a.Name != prefix+"A" || b.Name != prefix+"B" || br.Name != prefix+"Br" {
+		t.Errorf("%s: settled members are named %s, %s and %s", what, a.Name, b.Name, br.Name)
+	}
+	if a.Cardinality() != aCard || b.Cardinality() != bCard || br.Cardinality() != bCard {
+		t.Errorf("%s: settled members hold %d, %d and %d rows, want %d, %d and %d", what, a.Cardinality(), b.Cardinality(), br.Cardinality(), aCard, bCard, bCard)
+	}
+	if b.Region != br.Region || a.Region == b.Region {
+		t.Errorf("%s: B and Br share a region: %v; A shares B's: %v", what, b.Region == br.Region, a.Region == b.Region)
+	}
+	for _, p := range []*partition.Partitioned{a, b} {
+		if err := p.Region.Check(); err != nil {
+			t.Errorf("%s: %s: %v", what, p.Name, err)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"dbs3/internal/partition"
 	"dbs3/internal/relation"
+	"dbs3/internal/workload"
 )
 
 // ShardRelation restricts a relation to one node's shard of a cluster: it
@@ -16,14 +17,15 @@ import (
 // ShardRelation with its own shard index, so the union of the nodes' relations
 // is exactly the unsharded relation and no tuple lives on two nodes.
 //
-// A relation CreateWisconsin declared and nothing has generated yet is
-// generated here for the shard only, by the generator that settles a whole
-// one as the one shard of one: every row is placed by its shard and its key
-// before it exists, and only the kept rows, with the texts they refer to,
+// A relation CreateWisconsin or CreateJoinPair declared and nothing has
+// generated yet is generated here for the shard only, by the generator that
+// settles a whole one as the one shard of one (a join pair settles through
+// workload.NewJoinDB): every row is placed by its shard and its fragment
+// before it exists, and only the kept rows, with the strings they refer to,
 // are written, into a region of their own. Any other relation — loaded,
-// generated already, a join pair's, a shard — is re-homed: its kept tuples
-// are copied into a region of their own, and the whole relation is garbage.
-// The two give the same shard, byte for byte.
+// generated already, a shard — is re-homed: its kept tuples are copied into
+// a region of their own, and the whole relation is garbage. The two give the
+// same shard, byte for byte.
 //
 // A tuple's shard is the high word of its key's hash scaled to [0, shards)
 // by a multiply and a shift. Fragment placement takes the same hash modulo
@@ -49,12 +51,12 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	defer db.mu.Unlock()
 	if i := db.declared(name); i >= 0 {
 		d := db.pending[i]
-		c, ok := relation.WisconsinSchema.Index(col)
+		c, ok := d.schema().Index(col)
 		if !ok {
-			return fmt.Errorf("dbs3: column %q not in schema %s", col, relation.WisconsinSchema)
+			return fmt.Errorf("dbs3: column %q not in schema %s", col, d.schema())
 		}
-		p, sizes := d.shard(c, shard, shards)
-		db.install(p, d.h, sizes)
+		r, sizes := d.shard(c, shard, shards)
+		db.install(r.p, r.part, sizes)
 		db.pending = slices.Delete(db.pending, i, i+1)
 		db.epoch.Add(1)
 		return nil
@@ -79,70 +81,119 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	return nil
 }
 
-// routeChunk is how many rows shard places per FragmentsOfCols call.
-const routeChunk = 256
-
 // shard generates shard of shards of the declared relation, sharded on
-// column col, and returns it with its fragment sizes: exactly the relation
-// Rehome keeps of the whole one, which is shard 0 of 1. Every row is placed
-// before it exists, by col through shardOf (whether it is kept; with one
-// shard, every row is) and by its key through the relation's Hash (its
-// fragment), a chunk of kept rows per call; the kept rows are
-// counting-sorted by fragment, generation order within each, and
-// relation.WisconsinRows.Shard writes them.
-func (d *wisconsinDef) shard(col, shard, shards int) (*partition.Partitioned, []int) {
+// column col: exactly the relation Rehome keeps of the whole one, which is
+// shard 0 of 1. Every row is placed before it exists by the hash of col as a
+// one-column key (relation.WisconsinRows.KeyHash), which gives both its
+// shard and, when col is the relation's key, its fragment; its fragment
+// comes from a second hash only when the two columns differ. A dropped row
+// goes to a bucket past the last fragment, so placing a row takes no branch
+// on whether it is kept; the kept rows are counting-sorted by fragment,
+// generation order within each, and relation.WisconsinRows.Shard writes
+// them.
+func (d *wisconsinDef) shard(col, shard, shards int) (placed, []int) {
 	rows := relation.NewWisconsinRows(d.cardinality, d.seed)
 	degree := d.h.Degree()
-	counts := make([]int, 2*degree)
-	sizes, next := counts[:degree:degree], counts[degree:]
-	// dest[u2] is row u2's fragment, or -1 if the shard drops it.
+	// Bucket degree holds the dropped rows.
+	counts := make([]int, 2*(degree+1))
+	sizes, next := counts[:degree+1], counts[degree+1:]
 	dest := make([]int32, d.cardinality)
-	// A chunk's kept rows: their numbers, and their keys as one-value tuples.
-	var ids, frags [routeChunk]int32
-	var keys [routeChunk]relation.Value
-	var run [routeChunk]relation.Tuple
-	for j := range run {
-		run[j] = keys[j : j+1 : j+1]
-	}
-	cols := []int{0}
-	kept := 0
-	for u2 := 0; u2 < len(dest); {
-		m := 0
-		for ; m < routeChunk && u2 < len(dest); u2++ {
-			keys[m] = rows.Value(col, u2)
-			if shards > 1 && shardOf(run[m], cols, shards) != shard {
-				dest[u2] = -1
-				continue
-			}
-			if col != d.key {
-				keys[m] = rows.Value(d.key, u2)
-			}
-			ids[m] = int32(u2)
-			m++
+	for u2 := range dest {
+		h := rows.KeyHash(col, u2)
+		keep := int32(oneIf(shardOfHash(h, shards) == shard))
+		if col != d.key {
+			h = rows.KeyHash(d.key, u2)
 		}
-		for j, f := range d.h.FragmentsOfCols(run[:m], cols, frags[:0]) {
-			dest[ids[j]] = f
-			sizes[f]++
-		}
-		kept += m
+		// f is the row's fragment if kept, else degree: keep picks one of
+		// the two by arithmetic, not by a branch taken at random.
+		f := keep*d.h.FragmentOf(h) + (1-keep)*int32(degree)
+		dest[u2] = f
+		sizes[f]++
 	}
-	for f := 1; f < degree; f++ {
+	for f := 1; f <= degree; f++ {
 		next[f] = next[f-1] + sizes[f-1]
 	}
-	order := make([]int32, kept)
+	kept := next[degree]
+	// The dropped rows all land in the one slot past the kept ones.
+	order := make([]int32, kept+1)
 	for u2, f := range dest {
-		if f >= 0 {
-			order[next[f]] = int32(u2)
-			next[f]++
+		order[next[f]] = int32(u2)
+		next[f] += oneIf(f != int32(degree))
+	}
+	region := rows.Shard(order[:kept])
+	sizes = sizes[:degree:degree]
+	return placed{&partition.Partitioned{Name: d.name, Schema: relation.WisconsinSchema, Key: d.h.Key(),
+		Fragments: partition.Cut(region.Tuples(), sizes), Region: region}, d.h}, sizes
+}
+
+// shard generates shard of shards of the declared member, sharded on column
+// col (k, id or pad): exactly the member Rehome keeps of the settled pair's.
+// Sharded on k or id, a row is kept by its value's bit in the pair's
+// integers (joinPairDef.keeps); on pad, which is one constant per member,
+// every row is kept or none. relation.JoinRows.Shard writes the kept rows
+// in the member's fragments: by k for A and B, as they are generated, and
+// by id for Br.
+func (m pairMember) shard(col, shard, shards int) (placed, []int) {
+	p := m.pair
+	a, b := workload.JoinPairRows(p.aCard, p.bCard, p.degree, p.theta)
+	rows, n := b, p.bCard
+	if m.member == 0 {
+		rows, n = a, p.aCard
+	}
+	const k, id = 0, 1
+	on := col
+	var keep []uint64
+	switch col {
+	case k:
+		keep = p.keeps(p.bCard, shard, shards) // A's keys are B's
+	case id:
+		keep = p.keeps(n, shard, shards)
+	default:
+		on, keep = id, make([]uint64, (n+63)/64)
+		if shardOfHash(relation.Str(rows.Pad).KeyHash(), shards) == shard {
+			for i := range keep {
+				keep[i] = ^uint64(0)
+			}
 		}
 	}
-	region := rows.Shard(order)
-	return &partition.Partitioned{Name: d.name, Schema: relation.WisconsinSchema, Key: d.h.Key(),
-		Fragments: partition.Cut(region.Tuples(), sizes), Region: region}, sizes
+	region, sizes := rows.Shard(on, keep, m.member == 2)
+	part := m.part()
+	return placed{&partition.Partitioned{Name: m.relName(), Schema: workload.JoinSchema, Key: part.Key(),
+		Fragments: partition.Cut(region.Tuples(), sizes), Region: region}, part}, sizes
+}
+
+// keeps returns a bitmap in which bit v is set when shard of shards keeps
+// the integer v as a one-column key, for every v below n at least. It hashes
+// each integer once per shard: the members sharded there share the bitmap.
+// db.mu must be held for writing.
+func (p *joinPairDef) keeps(n, shard, shards int) []uint64 {
+	kept := &p.kept
+	if kept.shard != shard || kept.shards != shards || 64*len(kept.bits) < n {
+		kept.shard, kept.shards = shard, shards
+		kept.bits = make([]uint64, (n+63)/64)
+		for v := range 64 * len(kept.bits) {
+			kept.bits[v>>6] |= uint64(oneIf(shardOfHash(relation.Int(int64(v)).KeyHash(), shards) == shard)) << (v & 63)
+		}
+	}
+	return kept.bits
 }
 
 // shardOf is the shard of shards that t belongs to when sharded on the key
 // at cols.
 func shardOf(t relation.Tuple, cols []int, shards int) int {
-	return int(t.HashOn(cols) >> 32 * uint64(shards) >> 32)
+	return shardOfHash(t.HashOn(cols), shards)
+}
+
+// shardOfHash is the shard of shards that a tuple belongs to when its key
+// hashes to h: the hash's high word scaled to [0, shards).
+func shardOfHash(h uint64, shards int) int {
+	return int(h >> 32 * uint64(shards) >> 32)
+}
+
+// oneIf is 1 if b holds, else 0, without a branch.
+func oneIf(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -417,6 +417,47 @@ func TestShardRelationAllocatesPerRelation(t *testing.T) {
 	}
 }
 
+// TestShardRelationOnTextAllocatesAsOnInteger: a row is placed before it
+// exists by its key's hash, a text's rendered into a buffer on the stack, so
+// a Wisconsin relation keyed on stringu1, or a shard taken on it, costs the
+// allocations one keyed or sharded on unique2 does, not one per row.
+func TestShardRelationOnTextAllocatesAsOnInteger(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const n = 20_000
+	settle := func(key string) float64 {
+		return race.AllocsPerRun(3, func() {
+			db := New()
+			if err := db.CreateWisconsin("w", n, 16, key, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.FragmentSizes("w"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	shard := func(col string) float64 {
+		return race.AllocsPerRun(3, func() {
+			db := New()
+			if err := db.CreateWisconsin("w", n, 16, "unique2", 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.ShardRelation("w", col, 1, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for what, got := range map[string][2]float64{
+		"settled keyed on": {settle("stringu1"), settle("unique2")},
+		"sharded on":       {shard("stringu1"), shard("unique2")},
+	} {
+		if got[0] > got[1]+2 {
+			t.Errorf("%s stringu1: %v allocations, on unique2 %v: want at most 2 more", what, got[0], got[1])
+		}
+	}
+}
+
 // BenchmarkShardRelation is one cluster-open node's whole load: Wisconsin
 // 20 000 at degree 8 and a 5 000/5 000 join pair at θ 0.5 created, then each
 // relation sharded 1 of 3 on its distribution key. The creation calls are

@@ -141,9 +141,9 @@ type Stmt struct {
 // strategy, join algorithm, grain, priority); the join algorithm also shapes
 // the plan itself and keys the underlying plan cache. Repeated Prepare calls
 // for the same SQL and join algorithm share the compiled plan. The first
-// Prepare after CreateWisconsin generates every relation still declared
-// inside this call; a caller that times it settles the database first,
-// through FragmentSizes or Manager.
+// Prepare after CreateWisconsin or CreateJoinPair generates every relation
+// still declared inside this call; a caller that times it settles the
+// database first, through FragmentSizes or Manager.
 func (db *Database) Prepare(sql string, opt *Options) (*Stmt, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
