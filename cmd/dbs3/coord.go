@@ -28,9 +28,6 @@ func coordMain(args []string) {
 		token   = fs.String("token", "", "bearer token: presented to workers and required of clients (empty = no auth)")
 		poll    = fs.Duration("poll", 2*time.Second, "health/utilization poll interval (negative = off)")
 		timeout = fs.Duration("timeout", 10*time.Second, "per-worker-request header timeout")
-		retries = fs.Int("retries", 3, "connect retries per worker request (negative = off)")
-
-		retryWhole = fs.Bool("retry-whole-query", false, "restart a query once when a replica dies after rows merged (only if nothing was delivered yet)")
 	)
 	fs.Parse(args)
 
@@ -51,12 +48,10 @@ func coordMain(args []string) {
 	defer stop()
 
 	coord, err := cluster.New(ctx, cluster.Config{
-		Nodes:           nodeList,
-		Token:           *token,
-		Timeout:         *timeout,
-		Retries:         *retries,
-		PollInterval:    *poll,
-		RetryWholeQuery: *retryWhole,
+		Nodes:        nodeList,
+		Token:        *token,
+		Timeout:      *timeout,
+		PollInterval: *poll,
 	})
 	if err != nil {
 		fatal(err)

@@ -96,11 +96,9 @@ func TestChaosReplicatedCluster(t *testing.T) {
 		workerURLs[2][0] + "|" + flapProxy.URL(),
 	}
 	coord, err := New(ctx, Config{
-		Nodes:           nodes,
-		HTTP:            hc,
-		PollInterval:    -1, // the test drives Poll explicitly
-		Retries:         -1, // faults reach the failover machinery, not the wire client
-		RetryWholeQuery: true,
+		Nodes:        nodes,
+		HTTP:         hc,
+		PollInterval: -1, // the test drives Poll explicitly
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,19 +22,21 @@
 // the catalog ("addr1|addr2" in Config.Nodes). The coordinator picks one
 // replica per subquery — load-aware, skipping replicas whose circuit
 // breaker is open — and a subquery that fails before its first row is
-// merged is transparently re-issued on the next live replica. A failure
-// after rows merged restarts the whole query once when Config.
-// RetryWholeQuery is set and nothing was delivered to the consumer yet;
-// otherwise it keeps first-error-wins: the coordinator surfaces one error,
-// cancels the sibling streams (each worker sees its client disconnect,
-// aborts the query, and returns the threads to its local budget), and
-// releases every coordinator-side resource. Every exchange with a replica —
-// its /stats poll, a prepare's describe, a subquery's open and stream —
-// feeds the replica's circuit breaker through one rule, replica.note, so a
-// dead or wedged replica stops receiving scatter traffic and rejoins once
-// it answers a poll again. See DESIGN.md
-// "Fault tolerance in the cluster tier" for the full failure-semantics
-// table.
+// merged is transparently re-issued on the next live replica. Every request
+// to a replica is sent once, so a dead replica costs one refused connection
+// before the subquery moves on. A replica fault that failover cannot absorb
+// — a shard with no live replica left, or a death after rows merged —
+// restarts the whole query once if nothing was delivered to the consumer
+// yet; otherwise, or if the restart fails too, it keeps first-error-wins:
+// the coordinator surfaces one error, cancels the sibling streams (each
+// worker sees its client disconnect, aborts the query, and returns the
+// threads to its local budget), and releases every coordinator-side
+// resource. Every exchange
+// with a replica — its /stats poll, a prepare's describe, a subquery's open
+// and stream — feeds the replica's circuit breaker through one rule,
+// replica.note, so a dead or wedged replica stops receiving scatter traffic
+// and rejoins once it answers a poll again. See DESIGN.md "Fault tolerance
+// in the cluster tier" for the full failure-semantics table.
 package cluster
 
 import (
@@ -54,9 +56,6 @@ const (
 	// defaultTimeout bounds each coordinator→worker request's connect-and-
 	// respond phase (streamed bodies are unbounded; see server.Client).
 	defaultTimeout = 10 * time.Second
-	// defaultRetries re-sends a fan-out request after transient connect
-	// errors, covering workers that are still binding their listener.
-	defaultRetries = 3
 	// defaultPollInterval is the cadence of the health/utilization exchange.
 	defaultPollInterval = 2 * time.Second
 )
@@ -77,9 +76,6 @@ type Config struct {
 	HTTP *http.Client
 	// Timeout bounds each worker request's header phase (0 = 10s).
 	Timeout time.Duration
-	// Retries bounds connect retries per worker request (0 = 3; negative
-	// disables).
-	Retries int
 	// PollInterval is the health/utilization exchange cadence (0 = 2s;
 	// negative disables the background poller — Poll can still be called
 	// explicitly).
@@ -87,21 +83,15 @@ type Config struct {
 	// MaxStatements caps the prepared-statement registry of the
 	// coordinator's HTTP front end (0 = the serve default, 1024).
 	MaxStatements int
-	// RetryWholeQuery restarts a query once from the coordinator when a
-	// replica fails after rows were already merged — provided nothing was
-	// delivered to the consumer yet. Off, such failures keep
-	// first-error-wins.
-	RetryWholeQuery bool
 }
 
 // Coordinator fans queries out over a fixed registry of worker shards and
 // merges their result streams. It is safe for concurrent use; create one
 // per cluster and Close it to stop the background poller.
 type Coordinator struct {
-	shards     []*shard
-	token      string // also guards Handler's front end
-	maxStmt    int    // Handler's registry cap
-	retryWhole bool
+	shards  []*shard
+	token   string // also guards Handler's front end
+	maxStmt int    // Handler's registry cap
 
 	// Lifetime counters, surfaced on Stats and the /stats endpoint.
 	queries           atomic.Int64
@@ -151,17 +141,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if timeout == 0 {
 		timeout = defaultTimeout
 	}
-	retries := cfg.Retries
-	if retries == 0 {
-		retries = defaultRetries
-	} else if retries < 0 {
-		retries = 0
-	}
-	c := &Coordinator{
-		token:      cfg.Token,
-		maxStmt:    cfg.MaxStatements,
-		retryWhole: cfg.RetryWholeQuery,
-	}
+	c := &Coordinator{token: cfg.Token, maxStmt: cfg.MaxStatements}
 	for si, group := range cfg.Nodes {
 		sh := &shard{index: si}
 		for _, base := range strings.Split(group, "|") {
@@ -179,7 +159,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 					Columnar: true,
 					Token:    cfg.Token,
 					Timeout:  timeout,
-					Retries:  retries,
 				},
 			})
 		}
@@ -437,7 +416,8 @@ type Stats struct {
 	Repreparations int64 `json:"repreparations"`
 	// Failovers counts subqueries re-established on a sibling replica after
 	// their first choice failed; WholeQueryRetries counts coordinator-level
-	// query restarts under RetryWholeQuery.
+	// restarts of a whole query after a replica fault failover could not
+	// absorb (at most one per query, only while the consumer has no row).
 	Failovers         int64 `json:"failovers"`
 	WholeQueryRetries int64 `json:"wholeQueryRetries"`
 	// Statements is the number of open prepared statements in the HTTP

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -34,14 +35,11 @@ func newWorkerURL(t *testing.T, shard int, sharded bool) string {
 	return ts.URL
 }
 
-// newFailoverCoord builds a Coordinator for the failover tests: polling off
-// (tests drive Poll explicitly) and client connect-retries off, so every
-// fault reaches the failover machinery instead of being absorbed by the
-// wire client.
+// newFailoverCoord builds a Coordinator for the failover tests with polling
+// off: the tests drive Poll explicitly.
 func newFailoverCoord(t *testing.T, cfg Config) *Coordinator {
 	t.Helper()
 	cfg.PollInterval = -1
-	cfg.Retries = -1
 	coord, err := New(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -279,17 +277,13 @@ func flakyWorker(t *testing.T, columns, types []string, rows [][]any) *httptest.
 }
 
 // TestRetryWholeQueryRestartsStreaming: with a single replica there is no
-// sibling to fail over to; under RetryWholeQuery the whole scatter restarts
-// once — mid-iteration, through Rows.Next — and the consumer never sees the
-// death.
+// sibling to fail over to, so the whole scatter restarts once —
+// mid-iteration, through Rows.Next — and the consumer never sees the death.
 func TestRetryWholeQueryRestartsStreaming(t *testing.T) {
 	ctx := context.Background()
 	fake := flakyWorker(t, []string{"unique1"}, []string{"INT"},
 		[][]any{{int64(1)}, {int64(2)}, {int64(3)}})
-	coord := newFailoverCoord(t, Config{
-		Nodes:           []string{fake.URL},
-		RetryWholeQuery: true,
-	})
+	coord := newFailoverCoord(t, Config{Nodes: []string{fake.URL}})
 	rows, err := coord.Query(ctx, "SELECT unique1 FROM wisc", nil, nil)
 	if err != nil {
 		t.Fatalf("query against the flaky worker: %v", err)
@@ -322,10 +316,7 @@ func TestRetryWholeQueryRestartsAggregate(t *testing.T) {
 	ctx := context.Background()
 	fake := flakyWorker(t, []string{"ten", "count"}, []string{"INT", "INT"},
 		[][]any{{int64(0), int64(5)}, {int64(1), int64(7)}})
-	coord := newFailoverCoord(t, Config{
-		Nodes:           []string{fake.URL},
-		RetryWholeQuery: true,
-	})
+	coord := newFailoverCoord(t, Config{Nodes: []string{fake.URL}})
 	rows, err := coord.Query(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil, nil)
 	if err != nil {
 		t.Fatalf("aggregate against the flaky worker: %v", err)
@@ -342,31 +333,119 @@ func TestRetryWholeQueryRestartsAggregate(t *testing.T) {
 	}
 }
 
-// TestPostMergeFailureWithoutRetryIsVisible: the same death without
-// RetryWholeQuery keeps first-error-wins — the client sees exactly one
-// failure and the counter records it.
+// TestPostMergeFailureWithoutRetryIsVisible: a failure the one whole-query
+// restart cannot absorb keeps first-error-wins — the client sees exactly
+// one error and the counters record it. Two ways past the restart: it is
+// spent on a replica that dies again, or the consumer already holds a row.
 func TestPostMergeFailureWithoutRetryIsVisible(t *testing.T) {
 	ctx := context.Background()
-	// Always dies after the header: no recovery on any attempt.
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", ndjsonWire)
-		enc := server.NewStreamEncoder(w, ndjsonWire, []string{"INT"})
-		enc.Header(&server.Header{Columns: []string{"ten"}, Types: []string{"INT"}, Threads: 1})
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
+	// dyingWorker serves the header and the first `rows` rows of every
+	// /query, then kills the connection: no attempt ever completes.
+	dyingWorker := func(t *testing.T, rows int) (*httptest.Server, *atomic.Int64) {
+		var hits atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/query" {
+				http.NotFound(w, r)
+				return
+			}
+			hits.Add(1)
+			w.Header().Set("Content-Type", ndjsonWire)
+			enc := server.NewStreamEncoder(w, ndjsonWire, []string{"INT"})
+			enc.Header(&server.Header{Columns: []string{"ten"}, Types: []string{"INT"}, Threads: 1})
+			for i := 0; i < rows; i++ {
+				enc.Rows([][]any{{int64(i)}})
+			}
+			if f, ok := w.(http.Flusher); ok {
+				f.Flush()
+			}
+			panic(http.ErrAbortHandler)
+		}))
+		t.Cleanup(ts.Close)
+		t.Cleanup(func() { ts.Client().CloseIdleConnections() })
+		return ts, &hits
+	}
+
+	t.Run("restart-spent", func(t *testing.T) {
+		dead, hits := dyingWorker(t, 0)
+		coord := newFailoverCoord(t, Config{Nodes: []string{dead.URL}})
+		if _, err := coord.Query(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil, nil); err == nil {
+			t.Fatal("aggregate over a dying single replica succeeded")
 		}
-		panic(http.ErrAbortHandler)
-	}))
-	t.Cleanup(dead.Close)
-	t.Cleanup(func() { dead.Client().CloseIdleConnections() })
-	coord := newFailoverCoord(t, Config{Nodes: []string{dead.URL}})
-	if _, err := coord.Query(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil, nil); err == nil {
-		t.Fatal("aggregate over a dying single replica succeeded")
+		if n := hits.Load(); n != 2 {
+			t.Errorf("replica saw %d queries, want 2 (the first run and one restart)", n)
+		}
+		if n := coord.failures.Load(); n != 1 {
+			t.Errorf("failures = %d, want 1", n)
+		}
+		if n := coord.wholeQueryRetries.Load(); n != 1 {
+			t.Errorf("wholeQueryRetries = %d, want 1 (restarted exactly once)", n)
+		}
+	})
+
+	t.Run("after-first-row", func(t *testing.T) {
+		dead, hits := dyingWorker(t, 1)
+		coord := newFailoverCoord(t, Config{Nodes: []string{dead.URL}})
+		rows, err := coord.Query(ctx, "SELECT ten FROM wisc", nil, nil)
+		if err != nil {
+			t.Fatalf("open against the dying replica: %v", err)
+		}
+		defer rows.Close()
+		if !rows.Next() {
+			t.Fatalf("no first row: %v", rows.Err())
+		}
+		if rows.Next() {
+			t.Fatalf("a second row %v arrived from a replica that died after one", rows.Row())
+		}
+		if rows.Err() == nil {
+			t.Fatal("death after the first row ended the result without an error")
+		}
+		if n := hits.Load(); n != 1 {
+			t.Errorf("replica saw %d queries, want 1 (no restart once a row was delivered)", n)
+		}
+		if n := coord.failures.Load(); n != 1 {
+			t.Errorf("failures = %d, want 1", n)
+		}
+		if n := coord.wholeQueryRetries.Load(); n != 0 {
+			t.Errorf("wholeQueryRetries = %d, want 0", n)
+		}
+	})
+}
+
+// TestDownReplicaCostsOneConnection: a preferred replica that refuses every
+// connection costs the query one connection attempt before it fails over to
+// the sibling — the wire client does not re-dial it. The coordinator runs
+// with its defaults, polling apart.
+func TestDownReplicaCostsOneConnection(t *testing.T) {
+	const sql = "SELECT ten, COUNT(*) FROM wisc GROUP BY ten"
+	ctx := context.Background()
+	url := newWorkerURL(t, 0, false)
+	down := newChaosProxy(t, url, faultinject.Script(nil))
+	down.SetDown(true)
+	coord, err := New(ctx, Config{Nodes: []string{down.URL() + "|" + url}, PollInterval: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := coord.failures.Load(); n != 1 {
-		t.Errorf("failures = %d, want 1", n)
+	t.Cleanup(coord.Close)
+	prefer(coord.shards[0].replicas[0], coord.shards[0].replicas[1])
+
+	ref := dbs3.New()
+	populate(t, ref)
+	want, err := ref.QueryAllContext(ctx, sql, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := coord.wholeQueryRetries.Load(); n != 0 {
-		t.Errorf("wholeQueryRetries = %d, want 0 (RetryWholeQuery off)", n)
+	rows, err := coord.Query(ctx, sql, nil, nil)
+	if err != nil {
+		t.Fatalf("query with the preferred replica down: %v", err)
+	}
+	got, _ := drain(t, rows)
+	if gotC, wantC := canon(got), canon(want.Data); !slices.Equal(gotC, wantC) {
+		t.Errorf("failover result %v, want %v", gotC, wantC)
+	}
+	if n := coord.failovers.Load(); n != 1 {
+		t.Errorf("failovers = %d, want 1", n)
+	}
+	if n := down.Conns(); n != 1 {
+		t.Errorf("the down replica took %d connections, want 1", n)
 	}
 }

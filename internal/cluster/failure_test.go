@@ -50,7 +50,7 @@ func newFailureCluster(t *testing.T, node1Faults faultinject.Script) *failureClu
 	}
 	nodes := append([]string(nil), fc.urls...)
 	nodes[1] = newChaosProxy(t, fc.urls[1], node1Faults).URL()
-	coord, err := New(context.Background(), Config{Nodes: nodes, HTTP: fc.httpc, PollInterval: -1, Retries: -1})
+	coord, err := New(context.Background(), Config{Nodes: nodes, HTTP: fc.httpc, PollInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ func TestCloseCancelsInFlightPoll(t *testing.T) {
 		Nodes:        []string{worker.URL},
 		PollInterval: 5 * time.Millisecond,
 		Timeout:      time.Minute, // Close, not the request timeout, must end the poll
-		Retries:      -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +75,6 @@ func TestCallerContextStopsPoller(t *testing.T) {
 	coord, err := New(ctx, Config{
 		Nodes:        []string{worker.URL},
 		PollInterval: 2 * time.Millisecond,
-		Retries:      -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,8 +39,8 @@ type Rows struct {
 	// once if an error reaches the consumer. Transparent failovers and
 	// whole-query restarts never fire it.
 	onFail func()
-	// restart re-runs the whole scatter (RetryWholeQuery): armed only for
-	// streaming results, consumed on first use.
+	// restart re-runs the whole scatter: armed only for streaming results,
+	// consumed on first use.
 	restart func() (*Rows, error)
 }
 
@@ -103,20 +103,20 @@ func (c *Coordinator) open(ctx context.Context, q *query, rep *replica) (*server
 	return rep.client.Query(ctx, q.sql, q.args, c.shardOptions(c.shards[rep.shard], q.opt))
 }
 
-// scatter wraps runScatter with the coordinator-level retry: when
-// RetryWholeQuery is set, a replica fault that escapes per-subquery
-// failover (a death after rows merged) restarts the query once — here for
-// errors surfacing before Rows is returned (open phase, aggregate merge),
-// via Rows.restart for errors surfacing mid-iteration. Client-visible
-// failures are counted at the edges only, so transparent recoveries never
-// inflate the counter.
+// scatter wraps runScatter with the coordinator-level restart: a replica
+// fault that escapes per-subquery failover (no live replica left, or a
+// death after rows merged) restarts the query once — here for errors
+// surfacing before Rows is returned (open phase, aggregate merge), via
+// Rows.restart for errors surfacing mid-iteration before the consumer
+// received a row. Client-visible failures are counted at the edges only,
+// so transparent recoveries never inflate the counter.
 func (c *Coordinator) scatter(ctx context.Context, q *query) (*Rows, error) {
 	if len(q.args) != q.spec.Params {
 		return nil, fmt.Errorf("cluster: statement has %d parameters, got %d arguments", q.spec.Params, len(q.args))
 	}
 	c.queries.Add(1)
 	rows, err := c.runScatter(ctx, q)
-	if err != nil && c.retryWhole && replicaFault(err) && ctx.Err() == nil {
+	if err != nil && replicaFault(err) && ctx.Err() == nil {
 		c.wholeQueryRetries.Add(1)
 		rows, err = c.runScatter(ctx, q)
 	}
@@ -125,7 +125,7 @@ func (c *Coordinator) scatter(ctx context.Context, q *query) (*Rows, error) {
 		return nil, err
 	}
 	rows.onFail = func() { c.failures.Add(1) }
-	if rows.stream && c.retryWhole {
+	if rows.stream {
 		rows.restart = func() (*Rows, error) {
 			c.wholeQueryRetries.Add(1)
 			return c.runScatter(ctx, q)
@@ -284,8 +284,8 @@ func (c *Coordinator) runScatter(ctx context.Context, q *query) (*Rows, error) {
 // from scratch, which is exactly once from the merge's point of view since
 // nothing of this shard entered the channel yet. A fault after rows merged
 // cannot be retried shard-locally (the channel already carries a partial
-// shard) and fails the gather; scatter-level RetryWholeQuery may still
-// restart the query.
+// shard) and fails the gather; the scatter-level restart may still re-run
+// the query.
 func (c *Coordinator) readSubquery(ctx context.Context, q *query, g *gather, i int, sub *subquery, want *server.Header) {
 	st, rep := sub.st, sub.rep
 	var merged int64
@@ -408,7 +408,7 @@ func (r *Rows) Next() bool {
 	}
 }
 
-// tryRestart is the RetryWholeQuery path for a failure that escaped
+// tryRestart is the whole-query restart for a failure that escaped
 // per-subquery failover: if nothing was delivered to the consumer yet, the
 // whole scatter re-runs once and iteration resumes transparently. Returns
 // false after recording the (original or restart) error on the cursor.

@@ -34,57 +34,6 @@ func TestAuthDisabledWhenTokenEmpty(t *testing.T) {
 	}
 }
 
-// TestClientRetriesConnectRefused: a transient connect failure — the server
-// binds its listener only after the first attempts fail — is retried with
-// backoff and the request ultimately succeeds, transparently.
-func TestClientRetriesConnectRefused(t *testing.T) {
-	// Reserve an address, then free it so the first dial gets ECONNREFUSED.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-
-	db := dbs3.New()
-	if err := db.CreateWisconsin("wisc", 100, 2, "unique2", 42); err != nil {
-		t.Fatal(err)
-	}
-	m := db.Manager(dbs3.ManagerConfig{Budget: testBudget})
-	srv := &http.Server{Handler: New(db, m, Config{})}
-	started := make(chan struct{})
-	go func() {
-		// Let the client burn its first attempt against the closed port.
-		time.Sleep(50 * time.Millisecond)
-		l2, err := net.Listen("tcp", addr)
-		if err != nil {
-			close(started)
-			return
-		}
-		close(started)
-		srv.Serve(l2)
-	}()
-	t.Cleanup(func() { srv.Close() })
-
-	client := &Client{Base: "http://" + addr, Retries: 8}
-	if _, err := client.Stats(context.Background()); err != nil {
-		t.Fatalf("stats with retries against a late-binding server: %v", err)
-	}
-	<-started
-
-	// Without retries the same race is a hard error.
-	l3, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := l3.Addr().String()
-	l3.Close()
-	bare := &Client{Base: "http://" + deadAddr}
-	if _, err := bare.Stats(context.Background()); err == nil {
-		t.Fatal("stats against a dead address succeeded without retries")
-	}
-}
-
 // TestClientHeaderTimeout: a server that accepts but never responds trips
 // the header-phase timeout instead of hanging the caller forever.
 func TestClientHeaderTimeout(t *testing.T) {

@@ -7,36 +7,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"net"
 	"net/http"
 	"strings"
-	"syscall"
 	"time"
 
 	"dbs3/internal/relation"
 )
 
-// retryBackoff is the base of the retry backoff ladder: long enough that a
-// worker mid-restart gets a real chance to bind its listener, short enough
-// that a coordinator fan-out barely notices a retried connect. Retry i
-// sleeps a full-jitter backoff, uniform in [0, retryBackoff<<i), so a fleet
-// of clients that all lost the same worker spreads its reconnects out
-// instead of thundering-herding the restart in lockstep.
-const retryBackoff = 50 * time.Millisecond
-
-// backoffBudget caps the cumulative backoff slept across one request's
-// retries: a fan-out should give up on a worker that stayed unreachable for
-// this long rather than keep a query pinned behind an ever-growing ladder.
-// Every sleep is clamped to the remaining budget, and once it is spent the
-// remaining Retries are forfeited, so the total stall a dead worker can
-// inflict per request is bounded however high Retries is set.
-const backoffBudget = 2 * time.Second
-
 // Client is a minimal Go client for the wire protocol — the reference
 // consumer the end-to-end tests, the cluster coordinator and the serve
 // smoke script drive. Any HTTP client can speak the protocol; this one
-// exists so the tests exercise exactly what we document.
+// exists so the tests exercise exactly what we document. Every request is
+// sent once and a failure is returned as is: routing around a dead server
+// (a sibling replica, the circuit breaker) is the caller's concern.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -57,17 +40,6 @@ type Client struct {
 	// it runs — so the timeout catches unreachable or wedged servers
 	// without capping result size. 0 means no timeout.
 	Timeout time.Duration
-	// Retries is how many times a request is re-sent after a transient
-	// connect failure (connection refused/reset before any response —
-	// e.g. fanning out to a worker that is still starting). Retries are
-	// safe there because the server never saw the request. 0 disables.
-	// The waits between attempts follow retryBackoff and backoffBudget.
-	Retries int
-
-	// sleep and jitter are test seams: sleep replaces the context-aware
-	// backoff wait, jitter the uniform draw in [0, 1). Nil means real.
-	sleep  func(ctx context.Context, d time.Duration) error
-	jitter func() float64
 }
 
 func (c *Client) http() *http.Client {
@@ -77,78 +49,12 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// transientConnect reports whether a request failed before reaching the
-// server: a dial-phase error (refused, unreachable, no listener yet) or a
-// connection reset with no response. Only those are safe to retry blindly —
-// the server never observed the request.
-func transientConnect(err error) bool {
-	var op *net.OpError
-	if errors.As(err, &op) && op.Op == "dial" {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET)
-}
-
-// do sends one request with auth, the header-phase timeout, and bounded
-// retry-with-full-jitter-backoff on transient connect errors. The returned
-// cancel releases the request's context and MUST be called once the
-// response is consumed (RowStream.finish does it for streamed bodies).
+// do sends one request with auth and the header-phase timeout. The timeout
+// runs a timer that cancels the request context; on success the timer is
+// disarmed and the context stays alive for the body. The returned cancel
+// releases the request's context and MUST be called once the response is
+// consumed (RowStream.finish does it for streamed bodies).
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, context.CancelFunc, error) {
-	budget := backoffBudget
-	for attempt := 0; ; attempt++ {
-		resp, cancel, err := c.attempt(ctx, method, path, body)
-		if err == nil {
-			return resp, cancel, nil
-		}
-		if attempt >= c.Retries || budget <= 0 || !transientConnect(err) || ctx.Err() != nil {
-			return nil, nil, err
-		}
-		// Full jitter over the doubling envelope, clamped to what is left
-		// of the budget: envelope_i = min(retryBackoff<<i, remaining budget),
-		// sleep_i uniform in [0, envelope_i).
-		envelope := budget
-		if attempt < 20 { // beyond 2^20 the shift alone exceeds any sane budget
-			if e := retryBackoff << attempt; e < envelope {
-				envelope = e
-			}
-		}
-		d := time.Duration(c.rand01() * float64(envelope))
-		if err := c.backoffSleep(ctx, d); err != nil {
-			return nil, nil, err
-		}
-		budget -= d
-	}
-}
-
-// rand01 draws the backoff jitter in [0, 1).
-func (c *Client) rand01() float64 {
-	if c.jitter != nil {
-		return c.jitter()
-	}
-	return rand.Float64()
-}
-
-// backoffSleep waits out one backoff step, aborting early if the request's
-// context dies.
-func (c *Client) backoffSleep(ctx context.Context, d time.Duration) error {
-	if c.sleep != nil {
-		return c.sleep(ctx, d)
-	}
-	if d <= 0 {
-		return nil
-	}
-	select {
-	case <-time.After(d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// attempt issues the request once. The header-phase timeout runs a timer
-// that cancels the request context; on success the timer is disarmed and the
-// context stays alive for the body.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte) (*http.Response, context.CancelFunc, error) {
 	reqCtx, cancel := context.WithCancel(ctx)
 	var timer *time.Timer
 	if c.Timeout > 0 {

@@ -177,7 +177,7 @@ func newFrontEnds(t *testing.T, card int) []*frontEnd {
 		aborts = append(aborts, abort)
 	}
 	coord, err := cluster.New(context.Background(), cluster.Config{
-		Nodes: urls, Token: confToken, HTTP: tightClient, MaxStatements: confMaxStmt, PollInterval: -1, Retries: -1,
+		Nodes: urls, Token: confToken, HTTP: tightClient, MaxStatements: confMaxStmt, PollInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

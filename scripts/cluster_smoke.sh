@@ -128,8 +128,7 @@ for p in 4 5 6 7; do
   curl -fsS -H "$AUTH" "http://127.0.0.1:1808$p/healthz" >/dev/null
 done
 
-"$workdir/dbs3" coord -addr "$COORD2" -nodes "$rnodes" -token "$TOKEN" \
-  -poll -1s -retries -1 -retry-whole-query &
+"$workdir/dbs3" coord -addr "$COORD2" -nodes "$rnodes" -token "$TOKEN" -poll -1s &
 pids+=($!)
 for _ in $(seq 1 50); do
   curl -fsS -H "$AUTH" "http://$COORD2/healthz" >/dev/null 2>&1 && break
