@@ -407,7 +407,8 @@ type Stats struct {
 	// ClusterUtilization is the maximum per-shard load signal — what a
 	// fan-out lands on top of.
 	ClusterUtilization float64 `json:"clusterUtilization"`
-	// Queries/Failures count scatter-gather executions.
+	// Queries counts scatter-gather executions, Failures those that ended
+	// in an error the client saw: a caller's cancellation is one, Close not.
 	Queries  int64 `json:"queries"`
 	Failures int64 `json:"failures"`
 	// Repreparations is always 0: workers hold no half of a coordinator's

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"dbs3"
 	"dbs3/internal/esql"
@@ -180,14 +181,24 @@ func TestScatterGatherMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// feedGather returns a gather whose fan-in channel holds rows and is closed.
-func feedGather(rows [][]any) *gather {
-	g := &gather{rowc: make(chan []any, len(rows))}
-	for _, r := range rows {
-		g.rowc <- r
+// foldAll folds rows as the shard readers would and returns the merged
+// groups the cursor would be handed.
+func foldAll(spec *esql.ScatterSpec, header *server.Header, rows [][]any) ([][]any, error) {
+	fd, err := newFold(spec, header)
+	if err != nil {
+		return nil, err
 	}
-	close(g.rowc)
-	return g
+	for _, r := range rows {
+		if err := fd.add(r); err != nil {
+			return nil, err
+		}
+	}
+	var out [][]any
+	err = fd.emit(func(row []any) error {
+		out = append(out, row)
+		return nil
+	})
+	return out, err
 }
 
 // TestMergeGroups: partials fold group-wise and come back in group-key
@@ -196,9 +207,9 @@ func feedGather(rows [][]any) *gather {
 func TestMergeGroups(t *testing.T) {
 	sum := &esql.ScatterSpec{HasAgg: true, Merge: lera.AggSum, GroupCols: 1}
 	ints := &server.Header{Columns: []string{"k", "v"}, Types: []string{"INT", "INT"}}
-	got, err := mergeGroups(feedGather([][]any{
+	got, err := foldAll(sum, ints, [][]any{
 		{int64(10), int64(1)}, {int64(9), int64(2)}, {int64(10), int64(3)}, {int64(2), int64(4)},
-	}), sum, ints)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +227,7 @@ func TestMergeGroups(t *testing.T) {
 			[][]any{{int64(1), "a"}, {int64(1), "b"}}},
 	}
 	for _, c := range bad {
-		if _, err := mergeGroups(feedGather(c.rows), sum, c.header); err == nil {
+		if _, err := foldAll(sum, c.header, c.rows); err == nil {
 			t.Errorf("%s: merged without an error", c.name)
 		}
 	}
@@ -240,6 +251,70 @@ func TestScatterHeaderAggregatesCluster(t *testing.T) {
 		t.Errorf("malformed cluster header: %+v", h)
 	}
 	drain(t, rows)
+}
+
+// TestCallerCancelEndsInError: a caller's cancellation or deadline that
+// cuts a scatter short ends it in an error — from Query, or as Err equal to
+// the context's error with no footer — never in a short answer with a nil
+// Err. Every such error is one client-visible failure.
+func TestCallerCancelEndsInError(t *testing.T) {
+	tc := newTestCluster(t, "")
+	const wiscRows = 1200
+	// run executes sql under ctx, cancelling once the first row arrived
+	// when cancelAfterFirst is set, and reports whether it ended in error.
+	run := func(t *testing.T, ctx context.Context, cancel context.CancelFunc, sql string, cancelAfterFirst bool) bool {
+		t.Helper()
+		defer cancel()
+		rows, err := tc.coord.Query(ctx, sql, nil, nil)
+		if err != nil {
+			return true
+		}
+		defer rows.Close()
+		n := 0
+		for rows.Next() {
+			if n++; n == 1 && cancelAfterFirst {
+				cancel()
+			}
+		}
+		if err := rows.Err(); err != nil {
+			if !errors.Is(err, ctx.Err()) {
+				t.Errorf("Err = %v, want the context's error %v", err, ctx.Err())
+			}
+			if f := rows.Footer(); f != nil {
+				t.Errorf("a result that ended in %v has a footer: %+v", err, f)
+			}
+			return true
+		}
+		if n != wiscRows {
+			t.Errorf("short answer: %d of %d rows with a nil Err", n, wiscRows)
+		}
+		if f := rows.Footer(); f == nil || f.RowCount != int64(n) {
+			t.Errorf("complete answer's footer = %+v, want rowCount %d", f, n)
+		}
+		return false
+	}
+
+	before := tc.coord.failures.Load()
+	failed := int64(0)
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		if run(t, ctx, cancel, "SELECT * FROM wisc", true) {
+			failed++
+		} else {
+			t.Errorf("run %d: cancelled after the first row, yet ended without an error", i)
+		}
+	}
+	// Deadlines swept over 0–2 ms land in the open phase, in the fold and
+	// while the merged groups stream out.
+	for i := 0; i < 200; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i)*10*time.Microsecond)
+		if run(t, ctx, cancel, "SELECT unique1, COUNT(*) FROM wisc GROUP BY unique1", false) {
+			failed++
+		}
+	}
+	if got := tc.coord.failures.Load() - before; got != failed {
+		t.Errorf("failures counted %d, want %d: one per result that ended in error", got, failed)
+	}
 }
 
 // TestScatterArgCountChecked: the coordinator pre-checks parameter arity

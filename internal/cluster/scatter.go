@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dbs3"
 	"dbs3/internal/esql"
@@ -14,43 +16,31 @@ import (
 	"dbs3/internal/server"
 )
 
-// rowChanDepth buffers the shared fan-in channel: deep enough that a worker
-// stream keeps decoding while the consumer is busy with another shard's
-// chunk, small enough that backpressure still reaches slow consumers.
+// rowChanDepth is the depth of a coordinator cursor's row buffer: deep
+// enough that a worker stream keeps decoding while the consumer is busy
+// with another shard's chunk, small enough that backpressure still reaches
+// slow consumers.
 const rowChanDepth = 256
 
-// Rows iterates a scatter-gather result with the same cursor shape as
-// server.RowStream: Next/Row/Err/Footer/Close. For plain selections and
-// joins rows stream as workers produce them (interleaved across shards, no
-// global order); for aggregates the coordinator has already drained the
-// partials through operator.Aggregate by the time Rows is returned, and
-// iteration walks the merged groups in group-key (Tuple.Compare) order.
-type Rows struct {
-	header *server.Header
-	g      *gather
-	stream bool    // true: pull from g.rowc; false: walk buf
-	buf    [][]any // merged aggregate rows
-	cur    []any
-	count  int64
-	footer *server.Footer
-	err    error
-	done   bool
-	// onFail is the coordinator's client-visible failure accounting, fired
-	// once if an error reaches the consumer. Transparent failovers and
-	// whole-query restarts never fire it.
-	onFail func()
-	// restart re-runs the whole scatter: armed only for streaming results,
-	// consumed on first use.
-	restart func() (*Rows, error)
-}
+// Rows is a coordinator's result: the facade's cursor over the scatter, as
+// the serve front end streams it. For plain selections and joins rows
+// stream as workers produce them (interleaved across shards, no global
+// order); for aggregates the coordinator has already folded the partials
+// through operator.Aggregate by the time Rows is returned, and iteration
+// walks the merged groups in group-key (Tuple.Compare) order. Its Footer
+// holds each shard's record as it arrived under Nodes, and Threads and the
+// spill totals summed over them.
+type Rows = server.Rows
 
-// gather is the shared fan-in state of one scatter: the cancel that tears
-// down every worker stream, the channel the readers feed, and the first
-// error any of them hit.
+// gather is one fan-out of a scatter: the subqueries past the header
+// barrier, their streams' context and the cancel that tears them down,
+// whether any row was pushed, the first error and each shard's footer.
 type gather struct {
+	ctx    context.Context
 	cancel context.CancelFunc
-	rowc   chan []any
-	closed chan struct{} // closed once every reader exited and rowc is closed
+	subs   []*subquery
+	header *server.Header
+	pushed atomic.Bool
 
 	mu      sync.Mutex
 	err     error
@@ -70,12 +60,6 @@ func (g *gather) fail(err error) {
 	if first {
 		g.cancel()
 	}
-}
-
-func (g *gather) firstErr() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
 }
 
 // query is one scatter-gather execution: the SQL every shard runs, its
@@ -98,40 +82,100 @@ func (c *Coordinator) Query(ctx context.Context, sql string, args []any, opt *se
 	return c.scatter(ctx, &query{sql: sql, spec: spec, args: args, opt: opt})
 }
 
-// open opens q's subquery on one concrete replica.
-func (c *Coordinator) open(ctx context.Context, q *query, rep *replica) (*server.RowStream, error) {
-	return rep.client.Query(ctx, q.sql, q.args, c.shardOptions(c.shards[rep.shard], q.opt))
-}
-
-// scatter wraps runScatter with the coordinator-level restart: a replica
-// fault that escapes per-subquery failover (no live replica left, or a
-// death after rows merged) restarts the query once — here for errors
-// surfacing before Rows is returned (open phase, aggregate merge), via
-// Rows.restart for errors surfacing mid-iteration before the consumer
-// received a row. Client-visible failures are counted at the edges only,
-// so transparent recoveries never inflate the counter.
+// scatter runs one statement on every shard and returns the cursor over the
+// merge. A replica fault that escapes per-subquery failover (no live
+// replica left, or a death after the shard's rows merged) restarts the
+// whole scatter once while nothing has reached the consumer: here for the
+// open phase and the grouped fold, both over before scatter returns, and
+// in the plain producer for a fan-in that ends before its first row.
+// Client-visible failures are counted once, where they end the result; a
+// transparent recovery and the cancellation Close causes are not failures.
 func (c *Coordinator) scatter(ctx context.Context, q *query) (*Rows, error) {
 	if len(q.args) != q.spec.Params {
 		return nil, fmt.Errorf("cluster: statement has %d parameters, got %d arguments", q.spec.Params, len(q.args))
 	}
 	c.queries.Add(1)
-	rows, err := c.runScatter(ctx, q)
-	if err != nil && replicaFault(err) && ctx.Err() == nil {
-		c.wholeQueryRetries.Add(1)
-		rows, err = c.runScatter(ctx, q)
+	qctx, cancel := context.WithCancel(ctx)
+	g, fd, err := c.attempt(qctx, q)
+	restarted := err != nil && c.restart(ctx, err)
+	if restarted {
+		g, fd, err = c.attempt(qctx, q)
 	}
 	if err != nil {
+		cancel()
 		c.failures.Add(1)
 		return nil, err
 	}
-	rows.onFail = func() { c.failures.Add(1) }
-	if rows.stream {
-		rows.restart = func() (*Rows, error) {
-			c.wholeQueryRetries.Add(1)
-			return c.runScatter(ctx, q)
-		}
+	rows := dbs3.NewRows(qctx, cancel, g.header.Columns, g.header.Types, rowChanDepth, dbs3.Footer{Threads: g.header.Threads},
+		func(pctx context.Context, push func([]any) error, f *dbs3.Footer) error {
+			var err error
+			if fd != nil {
+				err = fd.emit(push)
+			} else {
+				g, err = c.stream(pctx, q, g, restarted, push)
+			}
+			// Close's own cancellation is the one error that is not a
+			// failure: the cursor does not report it either.
+			closed := errors.Is(err, context.Canceled) && pctx.Err() != nil && ctx.Err() == nil
+			if err != nil && !closed {
+				c.failures.Add(1)
+			}
+			if err == nil {
+				f.Nodes, f.Threads = g.footers, 0
+				for _, nf := range f.Nodes {
+					f.Threads += nf.Threads
+					f.SpilledBytes += nf.SpilledBytes
+					f.SpillPasses += nf.SpillPasses
+				}
+			}
+			return err
+		})
+	return &Rows{Rows: rows}, nil
+}
+
+// restart reports whether err earns the scatter its one whole-query
+// restart — a replica fault while the query is live — and counts it.
+func (c *Coordinator) restart(ctx context.Context, err error) bool {
+	if !replicaFault(err) || ctx.Err() != nil {
+		return false
 	}
-	return rows, nil
+	c.wholeQueryRetries.Add(1)
+	return true
+}
+
+// attempt opens the scatter and, for a grouped result, folds every
+// shard's partials.
+func (c *Coordinator) attempt(ctx context.Context, q *query) (*gather, *fold, error) {
+	g, err := c.fanOut(ctx, q, nil)
+	if err != nil || !q.spec.HasAgg {
+		return g, nil, err
+	}
+	fd, err := newFold(q.spec, g.header)
+	if err != nil {
+		g.abort()
+		return nil, nil, err
+	}
+	if err := c.read(q, g, fd.add); err != nil {
+		return nil, nil, err
+	}
+	return g, fd, nil
+}
+
+// stream is the plain producer: every shard's reader pushes its rows
+// straight into the cursor. A replica fault that ends the fan-in before
+// any row was pushed — so before the consumer has one, as buffered rows
+// reach it ahead of the error — restarts the whole scatter, unless the
+// open phase already spent the restart. It returns the gather that ran
+// last, whose footers are the result's.
+func (c *Coordinator) stream(ctx context.Context, q *query, g *gather, restarted bool, push func([]any) error) (*gather, error) {
+	err := c.read(q, g, push)
+	if err == nil || restarted || g.pushed.Load() || !c.restart(ctx, err) {
+		return g, err
+	}
+	if g, err = c.fanOut(ctx, q, g.header); err != nil {
+		return nil, err
+	}
+	return g, c.read(q, g, push)
 }
 
 // subquery is one shard's live stream and the replica currently serving it.
@@ -146,7 +190,7 @@ type subquery struct {
 // noted on the replica's breaker; a replica fault moves on to the next
 // candidate, and a non-fault error (bad SQL, cancellation) returns
 // immediately — it would fail identically everywhere. want, when non-nil,
-// is the cluster result shape a failover replacement stream must match.
+// is the cluster result shape a replacement stream must match.
 // failedOver reports that at least one candidate was skipped over a fault
 // before one succeeded.
 func (c *Coordinator) openOnShard(ctx context.Context, q *query, sh *shard, exclude *replica, want *server.Header) (sub *subquery, failedOver bool, err error) {
@@ -159,7 +203,7 @@ func (c *Coordinator) openOnShard(ctx context.Context, q *query, sh *shard, excl
 		if ctx.Err() != nil {
 			break
 		}
-		st, err := c.open(ctx, q, rep)
+		st, err := rep.client.Query(ctx, q.sql, q.args, c.shardOptions(sh, q.opt))
 		if fault := rep.note(err); err != nil {
 			ne := &NodeError{Node: rep.name, Err: err}
 			if !fault {
@@ -189,20 +233,26 @@ func (c *Coordinator) openOnShard(ctx context.Context, q *query, sh *shard, excl
 	return nil, false, &ShardError{Shard: sh.index, Replicas: tried, Err: lastErr}
 }
 
-// runScatter opens one subquery per shard, waits for every header, and
-// wires up the merge. Any open-phase failure (after per-shard failover is
+// fanOut opens one subquery per shard under a context of its own and waits
+// for every header. Any open-phase failure (after per-shard failover is
 // exhausted) tears the whole fan-out down and surfaces one error naming the
-// shard and its last replica.
-func (c *Coordinator) runScatter(ctx context.Context, q *query) (*Rows, error) {
+// shard and its last replica. want, when non-nil, is the result shape a
+// restarted scatter must match.
+func (c *Coordinator) fanOut(ctx context.Context, q *query, want *server.Header) (*gather, error) {
 	fanCtx, cancel := context.WithCancel(ctx)
-	subs := make([]*subquery, len(c.shards))
+	g := &gather{
+		ctx:     fanCtx,
+		cancel:  cancel,
+		subs:    make([]*subquery, len(c.shards)),
+		footers: make([]dbs3.NodeFooter, len(c.shards)),
+	}
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			sub, failedOver, err := c.openOnShard(fanCtx, q, sh, nil, nil)
+			sub, failedOver, err := c.openOnShard(fanCtx, q, sh, nil, want)
 			if err != nil {
 				errs[i] = err
 				return
@@ -210,117 +260,107 @@ func (c *Coordinator) runScatter(ctx context.Context, q *query) (*Rows, error) {
 			if failedOver {
 				c.failovers.Add(1)
 			}
-			subs[i] = sub
+			g.subs[i] = sub
 		}(i, sh)
 	}
 	wg.Wait()
-	abort := func(err error) (*Rows, error) {
-		cancel()
-		for _, sub := range subs {
-			if sub != nil {
-				sub.st.Close()
-			}
-		}
-		return nil, err
-	}
 	for _, err := range errs {
 		if err != nil {
-			return abort(err)
+			g.abort()
+			return nil, err
 		}
 	}
 	// Header barrier: every shard granted the subquery and declared its
 	// result shape; the shapes must agree or the catalogs have diverged.
-	head := subs[0].st.Header()
-	cluster := &server.Header{Columns: head.Columns, Types: head.Types}
-	for _, sub := range subs {
+	head := g.subs[0].st.Header()
+	g.header = &server.Header{Columns: head.Columns, Types: head.Types}
+	for _, sub := range g.subs {
 		h := sub.st.Header()
 		if !slices.Equal(h.Columns, head.Columns) || !slices.Equal(h.Types, head.Types) {
-			return abort(fmt.Errorf("cluster: node %s result shape %v %v disagrees with node %s %v %v (diverged catalogs?)",
-				sub.rep.name, h.Columns, h.Types, subs[0].rep.name, head.Columns, head.Types))
+			g.abort()
+			return nil, fmt.Errorf("cluster: node %s result shape %v %v disagrees with node %s %v %v (diverged catalogs?)",
+				sub.rep.name, h.Columns, h.Types, g.subs[0].rep.name, head.Columns, head.Types)
 		}
-		cluster.Threads += h.Threads
+		g.header.Threads += h.Threads
 	}
+	return g, nil
+}
 
-	g := &gather{
-		cancel:  cancel,
-		rowc:    make(chan []any, rowChanDepth),
-		closed:  make(chan struct{}),
-		footers: make([]dbs3.NodeFooter, len(c.shards)),
+// abort tears down a fan-out that will not be read.
+func (g *gather) abort() {
+	g.cancel()
+	for _, sub := range g.subs {
+		if sub != nil {
+			sub.st.Close()
+		}
 	}
+}
+
+// read runs one reader per shard, each handing its stream's rows to push,
+// and returns once every reader exited: with the first error any of them
+// hit, the caller's cancellation or deadline among them.
+func (c *Coordinator) read(q *query, g *gather, push func([]any) error) error {
 	var readers sync.WaitGroup
-	for i, sub := range subs {
+	for i, sub := range g.subs {
 		readers.Add(1)
 		go func(i int, sub *subquery) {
 			defer readers.Done()
-			c.readSubquery(fanCtx, q, g, i, sub, cluster)
+			c.readSubquery(q, g, i, sub, push)
 		}(i, sub)
 	}
-	go func() {
-		readers.Wait()
-		close(g.rowc)
-		close(g.closed)
-	}()
-
-	rows := &Rows{header: cluster, g: g}
-	if !q.spec.HasAgg {
-		rows.stream = true
-		return rows, nil
-	}
-	// Grouped merge: drain every partial stream through the engine's
-	// aggregate and hand back the groups in key order.
-	merged, err := mergeGroups(g, q.spec, cluster)
-	if err != nil {
-		cancel()
-		<-g.closed
-		return nil, err
-	}
-	rows.buf = merged
-	return rows, nil
+	readers.Wait()
+	g.cancel()
+	return g.err // every writer has exited
 }
 
-// readSubquery pumps one shard's stream into the fan-in channel. A replica
-// fault before this subquery merged any row is retried transparently on a
-// sibling replica — the replacement stream re-produces the shard's rows
-// from scratch, which is exactly once from the merge's point of view since
-// nothing of this shard entered the channel yet. A fault after rows merged
-// cannot be retried shard-locally (the channel already carries a partial
-// shard) and fails the gather; the scatter-level restart may still re-run
-// the query.
-func (c *Coordinator) readSubquery(ctx context.Context, q *query, g *gather, i int, sub *subquery, want *server.Header) {
+// readSubquery pumps one shard's stream into push. A replica fault before
+// this subquery merged any row is retried transparently on a sibling
+// replica — the replacement stream re-produces the shard's rows from
+// scratch, which is exactly once from the merge's point of view since
+// nothing of this shard was merged yet. A fault after rows merged cannot be
+// retried shard-locally and fails the gather; the scatter-level restart may
+// still re-run the query. A stream the fan-out's cancellation cut short
+// records the context's error: a sibling's failure got there first, or the
+// caller's cancellation, deadline or Close ends the result.
+func (c *Coordinator) readSubquery(q *query, g *gather, i int, sub *subquery, push func([]any) error) {
+	ctx := g.ctx
 	st, rep := sub.st, sub.rep
 	var merged int64
 	for {
-		for st.Next() {
+		cut := false
+		for !cut && st.Next() {
 			select {
-			case g.rowc <- st.Row():
-				merged++
 			case <-ctx.Done():
-				st.Close()
-				return
+				cut = true
+			default:
+				if err := push(st.Row()); err != nil {
+					st.Close()
+					g.fail(err)
+					return
+				}
+				if merged++; merged == 1 {
+					g.pushed.Store(true)
+				}
 			}
 		}
 		err := st.Err()
+		st.Close()
+		if cut || (err != nil && ctx.Err() != nil) {
+			g.fail(ctx.Err())
+			return
+		}
 		if err == nil {
 			rep.note(nil)
 			if f := st.Footer(); f != nil {
-				g.mu.Lock()
 				g.footers[i] = dbs3.NodeFooter{Node: rep.name, Footer: *f, Rows: f.RowCount}
-				g.mu.Unlock()
 			}
-			st.Close()
-			return
-		}
-		st.Close()
-		if ctx.Err() != nil {
-			// A sibling failed first or the consumer closed; our cancellation
-			// fallout is noise.
 			return
 		}
 		if !rep.note(err) || merged > 0 {
 			g.fail(&NodeError{Node: rep.name, Err: err})
 			return
 		}
-		nsub, _, oerr := c.openOnShard(ctx, q, sub.sh, rep, want)
+		nsub, _, oerr := c.openOnShard(ctx, q, sub.sh, rep, g.header)
 		if oerr != nil {
 			g.fail(oerr)
 			return
@@ -330,11 +370,17 @@ func (c *Coordinator) readSubquery(ctx context.Context, q *query, g *gather, i i
 	}
 }
 
-// mergeGroups drains the fan-in channel through one instance of the
-// engine's grouped aggregate: the leading GroupCols columns are the group
-// key, the single trailing column the partial value, and spec.Merge folds
-// the partials. The groups come back in group-key order.
-func mergeGroups(g *gather, spec *esql.ScatterSpec, header *server.Header) ([][]any, error) {
+// fold merges grouped partials through one instance of the engine's
+// aggregate: the leading GroupCols columns are the group key, the single
+// trailing column the partial value, and spec.Merge folds the partials.
+// Every shard's reader adds to it; OnBatch takes the instance lock.
+type fold struct {
+	agg   *operator.Aggregate
+	octx  *operator.Context
+	width int
+}
+
+func newFold(spec *esql.ScatterSpec, header *server.Header) (*fold, error) {
 	if len(header.Types) != spec.GroupCols+1 {
 		return nil, fmt.Errorf("cluster: aggregate result types %v, want %d group + 1 value", header.Types, spec.GroupCols)
 	}
@@ -345,141 +391,34 @@ func mergeGroups(g *gather, spec *esql.ScatterSpec, header *server.Header) ([][]
 	for i := range agg.GroupBy {
 		agg.GroupBy[i] = i
 	}
-	ctx := &operator.Context{}
-	if err := agg.Setup(ctx); err != nil {
+	octx := &operator.Context{}
+	if err := agg.Setup(octx); err != nil {
 		return nil, err
 	}
-	for row := range g.rowc {
-		if len(row) != spec.GroupCols+1 {
-			return nil, fmt.Errorf("cluster: aggregate partial row has %d columns, want %d group + 1 value", len(row), spec.GroupCols)
-		}
-		t, err := relation.TupleOf(row)
-		if err != nil {
-			return nil, err
-		}
-		if err := agg.OnBatch(ctx, []relation.Tuple{t}, nil); err != nil {
-			return nil, err
-		}
-	}
-	if err := g.firstErr(); err != nil {
-		return nil, err
-	}
-	var out [][]any
-	err := agg.OnClose(ctx, func(t relation.Tuple) { out = append(out, relation.RowOf(t)) })
-	return out, err
+	return &fold{agg: agg, octx: octx, width: spec.GroupCols + 1}, nil
 }
 
-// Header returns the cluster-level stream header: the (validated-identical)
-// result shape and the sum of the shards' thread grants.
-func (r *Rows) Header() *server.Header { return r.header }
+// add folds one partial row.
+func (f *fold) add(row []any) error {
+	if len(row) != f.width {
+		return fmt.Errorf("cluster: aggregate partial row has %d columns, want %d group + 1 value", len(row), f.width-1)
+	}
+	t, err := relation.TupleOf(row)
+	if err != nil {
+		return err
+	}
+	return f.agg.OnBatch(f.octx, []relation.Tuple{t}, nil)
+}
 
-// Next advances the cursor. For streaming results it blocks on the fan-in
-// channel; for merged aggregates it walks the buffer.
-func (r *Rows) Next() bool {
-	for {
-		if r.done {
-			return false
-		}
-		if !r.stream {
-			if len(r.buf) == 0 {
-				r.complete()
-				return false
-			}
-			r.cur = r.buf[0]
-			r.buf = r.buf[1:]
-			r.count++
-			return true
-		}
-		row, ok := <-r.g.rowc
-		if ok {
-			r.cur = row
-			r.count++
-			return true
-		}
-		err := r.g.firstErr()
+// emit pushes the merged groups in group-key order.
+func (f *fold) emit(push func([]any) error) error {
+	var err error
+	if cerr := f.agg.OnClose(f.octx, func(t relation.Tuple) {
 		if err == nil {
-			r.complete()
-			return false
+			err = push(relation.RowOf(t))
 		}
-		if !r.tryRestart(err) {
-			return false
-		}
-		// Restarted: loop and pull from the fresh gather.
+	}); cerr != nil {
+		return cerr
 	}
-}
-
-// tryRestart is the whole-query restart for a failure that escaped
-// per-subquery failover: if nothing was delivered to the consumer yet, the
-// whole scatter re-runs once and iteration resumes transparently. Returns
-// false after recording the (original or restart) error on the cursor.
-func (r *Rows) tryRestart(err error) bool {
-	if r.restart == nil || r.count != 0 || !replicaFault(err) {
-		r.fail(err)
-		return false
-	}
-	restart := r.restart
-	r.restart = nil
-	onFail := r.onFail
-	r.g.cancel() // release the dead gather's fan-out context
-	nr, rerr := restart()
-	if rerr != nil {
-		r.fail(rerr)
-		return false
-	}
-	*r = *nr
-	r.onFail = onFail
-	return true
-}
-
-// Row returns the current row: one int64 or string per header column.
-func (r *Rows) Row() []any { return r.cur }
-
-// Err returns the error that terminated the result, if any.
-func (r *Rows) Err() error { return r.err }
-
-// Footer returns the cluster footer — set only after a complete iteration:
-// the rows this cursor delivered (post-merge for aggregates), each shard's
-// record as it arrived under Nodes, and Threads and the spill totals summed
-// over them.
-func (r *Rows) Footer() *server.Footer { return r.footer }
-
-func (r *Rows) fail(err error) {
-	r.err = err
-	if r.onFail != nil {
-		r.onFail()
-		r.onFail = nil
-	}
-	r.finish()
-}
-
-// complete builds the cluster footer from the per-shard footers.
-func (r *Rows) complete() {
-	f := &server.Footer{RowCount: r.count}
-	r.g.mu.Lock()
-	f.Nodes = append(f.Nodes, r.g.footers...)
-	r.g.mu.Unlock()
-	for _, nf := range f.Nodes {
-		f.Threads += nf.Threads
-		f.SpilledBytes += nf.SpilledBytes
-		f.SpillPasses += nf.SpillPasses
-	}
-	r.footer = f
-	r.finish()
-}
-
-func (r *Rows) finish() {
-	if !r.done {
-		r.done = true
-		r.cur = nil
-		r.g.cancel()
-		<-r.g.closed // every reader exited; no goroutine outlives the result
-	}
-}
-
-// Close releases the result. Closing mid-stream cancels every worker
-// request, which aborts the subqueries and returns their threads to each
-// node's budget; Close returns only after all reader goroutines exited.
-func (r *Rows) Close() error {
-	r.finish()
-	return nil
+	return err
 }

@@ -485,21 +485,15 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 		}
 	}
 
-	// Start pools, inject triggers, wait. A watcher aborts every operation
-	// on cancellation so workers and blocked producers unwind; it exits via
-	// watchDone when the chain completes normally.
-	watchDone := make(chan struct{})
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				for _, op := range pools {
-					op.abort()
-				}
-			case <-watchDone:
-			}
-		}()
-	}
+	// Start pools, inject triggers, wait. Cancellation aborts every
+	// operation so workers and blocked producers unwind; stopping the
+	// AfterFunc once the chain completed keeps a later cancellation from
+	// touching it.
+	stop := context.AfterFunc(ctx, func() {
+		for _, op := range pools {
+			op.abort()
+		}
+	})
 	var wg sync.WaitGroup
 	for _, op := range pools {
 		op.run(&wg)
@@ -510,7 +504,7 @@ func runChain(ctx context.Context, plan *lera.Plan, chain []int, db DB, alloc Al
 		}
 	}
 	wg.Wait()
-	close(watchDone)
+	stop()
 
 	if err := ctx.Err(); err != nil {
 		return err

@@ -40,6 +40,9 @@ type Func interface {
 type Hash struct {
 	names  []string
 	degree int
+	// mask is degree-1 when degree is a power of two, else 0, as in Mod:
+	// hash&mask is hash%degree without the divide.
+	mask uint64
 }
 
 // NewHash builds a hash partitioner over the named key columns.
@@ -55,7 +58,11 @@ func NewHash(schema *relation.Schema, key []string, degree int) (*Hash, error) {
 			return nil, fmt.Errorf("partition: key column %q not in schema %s", name, schema)
 		}
 	}
-	return &Hash{names: append([]string(nil), key...), degree: degree}, nil
+	h := &Hash{names: append([]string(nil), key...), degree: degree}
+	if degree&(degree-1) == 0 {
+		h.mask = uint64(degree - 1)
+	}
+	return h, nil
 }
 
 // Degree implements Func.
@@ -75,7 +82,12 @@ func (h *Hash) FragmentsOfCols(ts []relation.Tuple, cols []int, dst []int32) []i
 // FragmentOf returns the fragment of a tuple whose key hashes to hash: what
 // FragmentsOfCols computes for each tuple, for a loader that has the hash
 // before the tuple exists.
-func (h *Hash) FragmentOf(hash uint64) int32 { return int32(hash % uint64(h.degree)) }
+func (h *Hash) FragmentOf(hash uint64) int32 {
+	if h.mask != 0 {
+		return int32(hash & h.mask)
+	}
+	return int32(hash % uint64(h.degree))
+}
 
 // Signature implements Func.
 func (h *Hash) Signature() string { return fmt.Sprintf("hash/%d", h.degree) }

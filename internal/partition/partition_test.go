@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +29,25 @@ func TestNewHashValidation(t *testing.T) {
 	}
 	if _, err := NewHash(r.Schema, []string{"absent"}, 4); err == nil {
 		t.Error("unknown key accepted")
+	}
+}
+
+// TestHashMaskMatchesModulo: at every degree from 1 to 64, power of two or
+// not, FragmentOf places a hash where the plain modulo does.
+func TestHashMaskMatchesModulo(t *testing.T) {
+	r := intRel(t, "r", 1)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for degree := 1; degree <= 64; degree++ {
+		h, err := NewHash(r.Schema, []string{"k"}, degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 1000 {
+			hash := rng.Uint64()
+			if got, want := h.FragmentOf(hash), int32(hash%uint64(degree)); got != want {
+				t.Fatalf("degree %d: FragmentOf(%#x) = %d, want %d", degree, hash, got, want)
+			}
+		}
 	}
 }
 

@@ -41,10 +41,10 @@ type Prepared interface {
 	Close(ctx context.Context)
 }
 
-// Result is the cursor the front end streams from (*RowStream is one).
-// Header is known before the first row. Row is the current row — one int64
-// or string per column — in a slice the result never reuses: the front end
-// keeps a chunk of them across Next calls. Once Next returned false, Err
+// Result is the cursor the front end streams from (*RowStream and *Rows are
+// two). Header is known before the first row. Row is the current row — one
+// int64 or string per column — in a slice the result never reuses: the front
+// end keeps a chunk of them across Next calls. Once Next returned false, Err
 // tells failure from completion and, on completion, Footer is set, its
 // RowCount the rows this result delivered. Close aborts a result that was
 // not drained; it is safe after either ending.

@@ -100,15 +100,17 @@ func (s *localStmt) Exec(ctx context.Context, args []any, wire *Options) (Result
 	if err != nil {
 		return nil, err
 	}
-	return localResult{rows}, nil
+	return &Rows{rows}, nil
 }
 
 func (s *localStmt) Close(context.Context) { s.stmt.Close() }
 
-// localResult adapts the facade's cursor: Next, Row, Err, Footer and Close
-// are its own.
-type localResult struct{ *dbs3.Rows }
+// Rows is the Result of both backends, the local database and the cluster
+// coordinator: the facade's cursor, whose Next, Row, Err, Footer and Close
+// are its own, plus the stream header read off it.
+type Rows struct{ *dbs3.Rows }
 
-func (r localResult) Header() *Header {
+// Header is the result's shape and the threads known before the first row.
+func (r *Rows) Header() *Header {
 	return &Header{Columns: r.Columns(), Types: r.ColumnTypes(), Threads: r.Threads()}
 }

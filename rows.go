@@ -11,10 +11,12 @@ import (
 	"dbs3/internal/relation"
 )
 
-// Rows is a streaming query result cursor. The engine's final store node
-// feeds rows into a bounded sink as its instances produce them, so the first
-// row is available long before the query finishes and a large result never
-// has to fit in memory at once. Iterate database/sql-style:
+// Rows is a streaming query result cursor. Its producer — the engine's
+// final store node for a statement, the shard readers or the merged groups
+// for a cluster coordinator — feeds rows into a bounded buffer as they are
+// made, so the first row is available long before the query finishes and a
+// large result never has to fit in memory at once. Iterate
+// database/sql-style:
 //
 //	rows, err := db.QueryContext(ctx, sql, nil)
 //	if err != nil { ... }
@@ -32,13 +34,14 @@ import (
 // concurrent use by multiple goroutines; the query execution behind it is
 // parallel regardless.
 type Rows struct {
-	cols  []string
-	types []string
+	cols    []string
+	types   []string
+	threads int
 
 	ch     chan []any
-	done   chan struct{} // closed by the execution goroutine when it settles
+	done   chan struct{} // closed by the producing goroutine when it settles
+	ctx    context.Context
 	cancel context.CancelFunc
-	parent context.Context // the caller's context, to tell its cancellation from Close's
 
 	cur       []any
 	count     int64 // rows delivered
@@ -48,11 +51,51 @@ type Rows struct {
 	once      sync.Once
 	footer    *Footer // &rec once the result completed
 
-	// rec.Threads and rec.Admission are set at admission; the execution
-	// goroutine writes execErr and the rest of rec, except RowCount, before
-	// close(done).
+	// The producing goroutine writes execErr and rec, except RowCount,
+	// before close(done).
 	execErr error
 	rec     Footer
+}
+
+// NewRows starts a cursor over produce, which runs on a goroutine of its
+// own and delivers each row through push; the cursor ends with produce's
+// error. ctx is the query's context, cancel its cancellation: push waits
+// on ctx when depth rows are already buffered and fails with ctx's error
+// once it is done, and Close and the end of the result call cancel.
+// A cancellation that reaches ctx before Close is an error; the one Close
+// causes is not. rec is the record known before the first row, and its
+// Threads is what Threads reports; produce may fill in the rest of it
+// except RowCount, which the cursor sets. The Footer is rec, and only
+// when produce returned nil.
+func NewRows(ctx context.Context, cancel context.CancelFunc, cols, types []string, depth int, rec Footer,
+	produce func(ctx context.Context, push func([]any) error, f *Footer) error) *Rows {
+	r := &Rows{
+		cols:    cols,
+		types:   types,
+		threads: rec.Threads,
+		rec:     rec,
+		ch:      make(chan []any, depth),
+		done:    make(chan struct{}),
+		ctx:     ctx,
+		cancel:  cancel,
+	}
+	go func() {
+		r.execErr = produce(ctx, r.push, &r.rec)
+		close(r.done)
+		close(r.ch)
+	}()
+	return r
+}
+
+// push hands one row to the consumer, waiting while the buffer is full:
+// backpressure on the producer, released by the query's cancellation.
+func (r *Rows) push(row []any) error {
+	select {
+	case r.ch <- row:
+		return nil
+	case <-r.ctx.Done():
+		return r.ctx.Err()
+	}
 }
 
 // Columns names the result columns, known from the prepared plan before the
@@ -64,7 +107,7 @@ func (r *Rows) Columns() []string { return append([]string(nil), r.cols...) }
 func (r *Rows) ColumnTypes() []string { return append([]string(nil), r.types...) }
 
 // Threads is the total degree of parallelism the scheduler allocated.
-func (r *Rows) Threads() int { return r.rec.Threads }
+func (r *Rows) Threads() int { return r.threads }
 
 // Next advances to the next row, blocking until one is produced, the result
 // is exhausted, or the query fails or is cancelled. It returns false at the
@@ -136,7 +179,7 @@ func (r *Rows) Scan(dest ...any) error {
 	return nil
 }
 
-// Err returns the error that terminated the query, if any: an operator
+// Err returns the error that terminated the query, if any: the producer's
 // error, or the context's error when the query was cancelled externally.
 // The one cancellation that is not an error is the one Close itself causes
 // — a deliberate early close of a healthy query leaves Err nil.
@@ -155,10 +198,10 @@ func (r *Rows) Close() error {
 	r.once.Do(func() {
 		r.closed = true
 		r.cur = nil
-		// Sample the caller's context before cancelling: a parent that
-		// dies while we wait for the engine to unwind did not abort the
-		// query — Close did, deliberately.
-		external := r.parent.Err() != nil
+		// Sample the query's context before cancelling: a caller whose
+		// context dies while we wait for the producer to unwind did not
+		// abort the query — Close did, deliberately.
+		external := r.ctx.Err() != nil
 		r.cancel()
 		<-r.done
 		// Close's own cancel can only ever surface as context.Canceled
@@ -231,14 +274,13 @@ type Result struct {
 	Footer
 }
 
-// rowSink adapts the engine's tuple stream to the cursor channel, converting
-// tuples to plain Go values on the producing pool threads. Push blocks on
-// the bounded channel — backpressure — and unblocks when the query context
-// is cancelled, which is what lets Close abort a query whose consumer
-// stopped reading.
+// rowSink adapts the engine's tuple stream to a cursor's push, converting
+// tuples to plain Go values on the producing pool threads. Push blocks while
+// the cursor's buffer is full — backpressure — and unblocks when the query
+// context is cancelled, which is what lets Close abort a query whose
+// consumer stopped reading.
 type rowSink struct {
-	ctx context.Context
-	ch  chan<- []any
+	push func([]any) error
 }
 
 // Push is PushBatch of one tuple.
@@ -247,16 +289,13 @@ func (s *rowSink) Push(t relation.Tuple) error {
 }
 
 // PushBatch implements core.RowBatchSink: the vectorized store path delivers
-// whole tuple runs here. Conversion happens before any channel send, so the
-// producing pool thread does its allocation work outside the backpressure
-// wait; each row still travels the bounded channel individually, keeping the
-// cursor's first-row latency and Close-abort semantics unchanged.
+// whole tuple runs here. Each row still travels to the cursor individually,
+// keeping the cursor's first-row latency and Close-abort semantics
+// unchanged.
 func (s *rowSink) PushBatch(ts []relation.Tuple) error {
 	for _, t := range ts {
-		select {
-		case s.ch <- relation.RowOf(t):
-		case <-s.ctx.Done():
-			return s.ctx.Err()
+		if err := s.push(relation.RowOf(t)); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -334,9 +334,9 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 	rels, manager := s.db.snapshotRels()
 
 	qctx, cancel := context.WithCancel(ctx)
-	ch := make(chan []any, streamBuffer)
+	sink := &rowSink{}
 	copts := s.engineOptions()
-	copts.Sink = &rowSink{ctx: qctx, ch: ch}
+	copts.Sink = sink
 
 	// Begin admits the query under the manager, if one is installed, and
 	// owns its spill environment; run.Execute below settles both.
@@ -345,32 +345,22 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 		cancel()
 		return nil, err
 	}
-
-	r := &Rows{
-		cols:   prep.cols,
-		types:  prep.types,
-		rec:    Footer{Threads: run.Threads(), Admission: run.Decision()},
-		ch:     ch,
-		done:   make(chan struct{}),
-		cancel: cancel,
-		parent: ctx,
-	}
-	go func() {
+	rec := Footer{Threads: run.Threads(), Admission: run.Decision()}
+	return NewRows(qctx, cancel, prep.cols, prep.types, streamBuffer, rec, func(ctx context.Context, push func([]any) error, f *Footer) error {
 		// Threads are back in the budget and the spill files gone before the
 		// cursor observes the end of the stream — Close-mid-result frees them
 		// immediately.
-		res, chainThreads, execErr := run.Execute(qctx)
-		r.rec.ChainThreads = chainThreads
-		r.execErr = execErr
-		if execErr == nil && res != nil {
-			r.rec.Operators = operatorStats(execPlan, res)
-			for _, op := range r.rec.Operators {
-				r.rec.SpilledBytes += op.SpilledBytes
-				r.rec.SpillPasses += op.SpillPasses
-			}
+		sink.push = push
+		res, chainThreads, err := run.Execute(ctx)
+		f.ChainThreads = chainThreads
+		if err != nil {
+			return err
 		}
-		close(r.done)
-		close(ch)
-	}()
-	return r, nil
+		f.Operators = operatorStats(execPlan, res)
+		for _, op := range f.Operators {
+			f.SpilledBytes += op.SpilledBytes
+			f.SpillPasses += op.SpillPasses
+		}
+		return nil
+	}), nil
 }

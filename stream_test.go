@@ -342,7 +342,7 @@ func TestCloseSurfacesExternalAbort(t *testing.T) {
 func TestRowSinkPush(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan []any, 1)
-	sink := &rowSink{ctx: ctx, ch: ch}
+	sink := &rowSink{push: (&Rows{ch: ch, ctx: ctx}).push}
 	tup := relation.Tuple{relation.Int(7), relation.Str("seven")}
 	if err := sink.Push(tup); err != nil {
 		t.Fatalf("push with room: %v", err)
