@@ -292,3 +292,34 @@ func BenchmarkManagedAdaptiveMultiChain(b *testing.B) {
 		b.ReportMetric(float64(st.ThreadsReturnedEarly)/float64(st.Completed), "threads_returned/query")
 	}
 }
+
+// BenchmarkPreparedPointQuery is one execution of serve-short's prepared
+// point query, SELECT * FROM short WHERE unique2 = ? over 2 000 Wisconsin
+// rows at degree 8, unmanaged and drained: a small query's cost is nearly
+// all engine start-up, so its allocations, bytes and time are start-up's.
+func BenchmarkPreparedPointQuery(b *testing.B) {
+	db := dbs3.New()
+	if err := db.CreateWisconsin("short", 2_000, 8, "unique2", 1); err != nil {
+		b.Fatal(err)
+	}
+	stmt, err := db.Prepare("SELECT * FROM short WHERE unique2 = ?", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := stmt.QueryContext(ctx, i%2_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Err(); err != nil || n != 1 {
+			b.Fatalf("%d rows, error %v", n, err)
+		}
+	}
+}

@@ -30,12 +30,10 @@ func (db *Database) LoadCSV(name string, r io.Reader, key string, degree int) er
 	return db.register(placed{p, h})
 }
 
-// DumpCSV writes a registered relation as CSV. It generates every pending
-// relation first.
+// DumpCSV writes a registered relation as CSV. It generates the relation
+// first if it is declared and not generated yet, and no other.
 func (db *Database) DumpCSV(name string, w io.Writer) error {
-	db.rlockSettled()
-	p, ok := db.rels[name]
-	db.mu.RUnlock()
+	p, _, ok := db.lookup(name)
 	if !ok {
 		return fmt.Errorf("dbs3: no relation %q", name)
 	}

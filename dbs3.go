@@ -101,10 +101,10 @@ import (
 // It is safe for concurrent use by multiple goroutines: relation creation
 // takes a write lock, queries snapshot the catalog under a read lock.
 //
-// A generated relation — a Wisconsin relation, a join pair's — is declared
-// before it exists: its rows are generated when the database is first read
-// (settled), or, if ShardRelation comes first, only the rows of the shard
-// are.
+// A generated relation — a Wisconsin relation, a join pair's member — is
+// declared before it exists: its rows are generated (it is settled) when a
+// statement first names it, or FragmentSizes or DumpCSV first reads it, and
+// no sooner; if ShardRelation comes first, only the rows of the shard are.
 type Database struct {
 	mu       sync.RWMutex
 	rels     core.DB
@@ -144,13 +144,11 @@ type Admission = dbruntime.Decision
 // installed, queries are admitted through it: concurrent queries share its
 // thread budget and each one's scheduler sees the utilization measured from
 // the others' allocated threads. Installing a new manager replaces the
-// previous one for future queries. It first generates every relation still
-// pending, so a served database has loaded before it takes a query and no
-// managed query pays for a load.
+// previous one for future queries. It generates no declared relation: each
+// is generated by the first statement that names it.
 func (db *Database) Manager(cfg ManagerConfig) *dbruntime.Manager {
 	m := dbruntime.NewManager(cfg)
 	db.mu.Lock()
-	db.settle()
 	db.manager = m
 	db.mu.Unlock()
 	return m
@@ -181,12 +179,11 @@ func (db *Database) Relations() []string {
 }
 
 // FragmentSizes returns a relation's per-fragment cardinalities — the
-// distribution the skew experiments manipulate. It generates every pending
-// relation first.
+// distribution the skew experiments manipulate. It generates the relation
+// first if it is declared and not generated yet, and no other: a caller that
+// wants a relation loaded before its first statement calls it.
 func (db *Database) FragmentSizes(name string) ([]int, error) {
-	db.rlockSettled()
-	p, ok := db.rels[name]
-	db.mu.RUnlock()
+	p, _, ok := db.lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("dbs3: no relation %q", name)
 	}
@@ -272,9 +269,9 @@ type joinPairDef struct {
 	aCard, bCard, degree int
 	theta                float64
 	onK, onID            *partition.Mod
-	// generated is the whole pair once a settle has generated it, for the
-	// settle of each member still pending.
-	generated *workload.JoinDB
+	// shared is B's region, Br's headers after B's, from when the first of
+	// the two settles until the other settles or is sharded.
+	shared *relation.Region
 	// kept marks the integers below 64·len(kept.bits) that shard kept.shard
 	// of kept.shards keeps, for every member sharded on k or id there: A's
 	// keys are B's and B's ids Br's, so each is hashed once.
@@ -296,21 +293,32 @@ type pairMember struct {
 func (m pairMember) relName() string        { return m.pair.prefix + pairMembers[m.member] }
 func (pairMember) schema() *relation.Schema { return workload.JoinSchema }
 
-// settle generates the member as workload.NewJoinDB does, with the members
-// still pending settled in the same call: the pair is generated once, and B
-// and Br share one region.
+// settle generates the member alone, by the fill workload.NewJoinDB
+// generates it with: A by FillA into a region of its own, B or Br by FillB
+// into the region the two share, B's rows and then Br's headers. The first
+// of B and Br to settle generates that region and leaves it for the other;
+// if the other was sharded, its headers there are the one thing generated
+// that no relation uses.
 func (m pairMember) settle() (placed, []int) {
 	p := m.pair
-	if p.generated == nil {
-		jdb, err := workload.NewJoinDB(p.aCard, p.bCard, p.degree, p.theta)
-		if err != nil {
-			panic(fmt.Sprintf("dbs3: a declared join pair does not generate: %v", err)) // CreateJoinPair checked the arguments
-		}
-		p.generated = jdb
+	a, b := workload.JoinPairRows(p.aCard, p.bCard, p.degree, p.theta)
+	region, sizes := p.shared, b.Sizes // Br holds B's sizes: the degree divides bCard
+	switch {
+	case m.member == 0:
+		region, sizes = workload.FillA(a), a.Sizes
+	case region == nil:
+		region = workload.FillB(b)
+		p.shared = region
+	default:
+		p.shared = nil
 	}
-	rel := [...]*partition.Partitioned{p.generated.A, p.generated.B, p.generated.Br}[m.member]
-	rel.Name = m.relName()
-	return placed{rel, m.part()}, rel.FragmentSizes()
+	tuples := region.Tuples()
+	if m.member > 0 {
+		tuples = tuples[(m.member-1)*p.bCard : m.member*p.bCard]
+	}
+	part := m.part()
+	return placed{&partition.Partitioned{Name: m.relName(), Schema: workload.JoinSchema, Key: part.Key(),
+		Fragments: partition.Cut(tuples, sizes), Region: region}, part}, sizes
 }
 
 // part is what places the member's fragments: mod on k, or on id for Br.
@@ -321,29 +329,29 @@ func (m pairMember) part() *partition.Mod {
 	return m.pair.onK
 }
 
-// settle generates every pending relation, in declaration order, and
-// registers it. The catalog's epoch stays where the declarations left it: no
-// plan was ever compiled against a pending relation. db.mu must be held for
-// writing.
-func (db *Database) settle() {
-	for _, d := range db.pending {
-		r, sizes := d.settle()
-		db.install(r.p, r.part, sizes)
-	}
-	db.pending = nil
-}
-
-// rlockSettled takes db.mu for reading with no relation pending, generating
-// the pending ones first: every read of the catalog's rows goes through it.
-func (db *Database) rlockSettled() {
+// lookup returns the relation called name and its binding metadata,
+// generating and registering it first if it is pending. The catalog's epoch
+// stays where the declaration left it: no plan was ever compiled against a
+// pending relation. It takes db.mu for writing only to settle.
+func (db *Database) lookup(name string) (*partition.Partitioned, lera.RelInfo, bool) {
 	db.mu.RLock()
-	for len(db.pending) > 0 {
-		db.mu.RUnlock()
-		db.mu.Lock()
-		db.settle()
-		db.mu.Unlock()
-		db.mu.RLock()
+	p, ok := db.rels[name]
+	ri := db.resolver[name]
+	pending := !ok && db.declared(name) >= 0
+	db.mu.RUnlock()
+	if !pending {
+		return p, ri, ok
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	// A concurrent lookup may have settled it since.
+	if i := db.declared(name); i >= 0 {
+		r, sizes := db.pending[i].settle()
+		db.install(r.p, r.part, sizes)
+		db.pending = slices.Delete(db.pending, i, i+1)
+	}
+	p, ok = db.rels[name]
+	return p, db.resolver[name], ok
 }
 
 // currentManager reads the installed manager under the read lock.
@@ -357,9 +365,11 @@ func (db *Database) currentManager() *dbruntime.Manager {
 // manager) under the read lock so an execution never races concurrent
 // relation creation. The copy shares the immutable partitioned relations,
 // so it is cheap — but it is still per-execution work, which is why the
-// resolver (only needed at compile time) is snapshotted separately.
+// resolver (only needed at compile time) is snapshotted separately. It
+// generates nothing: every relation a compiled plan names was settled by
+// its compile.
 func (db *Database) snapshotRels() (core.DB, *dbruntime.Manager) {
-	db.rlockSettled()
+	db.mu.RLock()
 	defer db.mu.RUnlock()
 	rels := make(core.DB, len(db.rels))
 	for k, v := range db.rels {
@@ -368,25 +378,43 @@ func (db *Database) snapshotRels() (core.DB, *dbruntime.Manager) {
 	return rels, db.manager
 }
 
-// snapshotResolver copies the binding resolver under the read lock for a
-// compile that must not race relation creation.
-func (db *Database) snapshotResolver() lera.MapResolver {
-	db.rlockSettled()
+// catalogResolver is what a compile binds against: a copy of the binding
+// metadata taken under the read lock, so that the compile does not race
+// relation creation, plus each relation the compile names that the copy
+// lacks, settled first if it is pending.
+type catalogResolver struct {
+	db   *Database
+	snap lera.MapResolver
+}
+
+// snapshotResolver snapshots the catalog for one compile.
+func (db *Database) snapshotResolver() catalogResolver {
+	db.mu.RLock()
 	defer db.mu.RUnlock()
-	resolver := make(lera.MapResolver, len(db.resolver))
+	snap := make(lera.MapResolver, len(db.resolver))
 	for k, v := range db.resolver {
-		resolver[k] = v
+		snap[k] = v
 	}
-	return resolver
+	return catalogResolver{db, snap}
+}
+
+// RelInfo implements lera.Resolver.
+func (r catalogResolver) RelInfo(name string) (lera.RelInfo, error) {
+	if _, ok := r.snap[name]; !ok {
+		if _, ri, ok := r.db.lookup(name); ok {
+			r.snap[name] = ri
+		}
+	}
+	return r.snap.RelInfo(name)
 }
 
 // CreateWisconsin declares a Wisconsin benchmark relation [Bitton83] of the
 // given cardinality, hash-partitioned on key into degree fragments, and
 // generates none of it. The relation is listed by Relations at once; its
-// rows are generated when the database is next read — by Manager, a query,
-// Prepare, FragmentSizes or DumpCSV, which generate every pending relation
-// in declaration order — or, if ShardRelation comes first, only the rows of
-// the shard are.
+// rows are generated when something first names it — a statement compiled
+// by Prepare, QueryContext or ExplainContext, FragmentSizes or DumpCSV,
+// each of which generates only the relations it names — or, if
+// ShardRelation comes first, only the rows of the shard are.
 func (db *Database) CreateWisconsin(name string, cardinality, degree int, key string, seed int64) error {
 	if cardinality <= 0 {
 		return fmt.Errorf("dbs3: Wisconsin cardinality must be positive, got %d", cardinality)
@@ -415,8 +443,9 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 // instead, so joining it with A forces a run-time redistribution (the
 // AssocJoin shape). bCard must be a multiple of degree. If any of the three
 // names is taken, none is declared. The three are listed by Relations at
-// once; they are generated together when the database is next read, as
-// CreateWisconsin's relations are, or a member's shard alone by
+// once; each is generated when something first names it, as
+// CreateWisconsin's relations are — A alone, B or Br with the region the
+// two share, Br's headers beside B's rows — or a member's shard alone by
 // ShardRelation.
 func (db *Database) CreateJoinPair(prefix string, aCard, bCard, degree int, theta float64) error {
 	if err := workload.CheckJoinDB(aCard, bCard, degree, theta); err != nil {
@@ -672,10 +701,10 @@ func (f Footer) String() string {
 // planning; use Prepare to hold the compiled plan. A placeholder statement
 // is one cached plan however its arguments vary.
 //
-// The first query after CreateWisconsin or CreateJoinPair generates every
-// relation still declared inside this call, under ctx's deadline. A caller
-// that times its first query settles the database first, through
-// FragmentSizes or Manager.
+// The first statement that names a relation CreateWisconsin or
+// CreateJoinPair declared generates it inside this call, under ctx's
+// deadline, once. A caller that times its first query settles the relations
+// it names first, through FragmentSizes.
 func (db *Database) QueryContext(ctx context.Context, sql string, opt *Options, args ...any) (*Rows, error) {
 	stmt, err := db.Prepare(sql, opt)
 	if err != nil {
@@ -702,9 +731,9 @@ func (db *Database) QueryAllContext(ctx context.Context, sql string, opt *Option
 // materialization point under a QueryManager. Compilation is quick, so the
 // context is checked once for early cancellation. It shares the plan cache
 // and the option checks with QueryContext and Prepare, and prices the plan
-// under the options the statement would execute with. Like them, the first
-// call after CreateWisconsin or CreateJoinPair generates every relation
-// still declared inside the call.
+// under the options the statement would execute with. Like them, it
+// generates each declared relation the statement names that nothing has
+// generated yet.
 func (db *Database) ExplainContext(ctx context.Context, sql string, opt *Options) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err

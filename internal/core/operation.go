@@ -375,7 +375,7 @@ func (o *Operation) run(wg *sync.WaitGroup) {
 // drained.
 func (o *Operation) worker(w int) {
 	main, mainIdx := MainQueues(o.Queues, w, o.Workers)
-	strat := NewStrategy(o.Strat, o.seed+int64(w))
+	strat := NewStrategy(o.Strat, newSplitMix(o.seed+int64(w)))
 	cache := make([]Activation, 0, o.CacheSize)
 	em := newRouteEmitter(o)
 	we := newWorkerEmit(em, o.CacheSize)

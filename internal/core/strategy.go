@@ -50,9 +50,24 @@ type randomStrategy struct {
 	idx []int
 }
 
-func newRandomStrategy(seed int64) *randomStrategy {
-	return &randomStrategy{rng: rand.New(rand.NewSource(seed))}
+// splitMix is the one-word splitmix64 generator [Steele14], a rand.Source64
+// for engine workers: seeding it stores a word, where rand.NewSource seeds
+// 607 of them, and every pool worker of every execution seeds one.
+type splitMix struct{ x uint64 }
+
+func newSplitMix(seed int64) *splitMix { return &splitMix{uint64(seed)} }
+
+func (s *splitMix) Seed(seed int64) { s.x = uint64(seed) }
+
+func (s *splitMix) Uint64() uint64 {
+	s.x += 0x9e3779b97f4a7c15
+	z := s.x
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
+
+func (s *splitMix) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (r *randomStrategy) pick(queues []*Queue) int {
 	r.idx = r.idx[:0]
@@ -89,13 +104,15 @@ func (lptStrategy) pick(queues []*Queue) int {
 }
 
 // NewStrategy builds the strategy of the given kind; StrategyAuto, resolved
-// per operation by the scheduler, falls back to Random here. seed drives the
-// Random strategy.
-func NewStrategy(kind StrategyKind, seed int64) Strategy {
+// per operation by the scheduler, falls back to Random here. The Random
+// strategy draws from src, which the caller supplies: the simulator a
+// rand.NewSource, whose stream the figures are computed from, and engine
+// workers a cheap splitMix; LPT ignores it.
+func NewStrategy(kind StrategyKind, src rand.Source) Strategy {
 	if kind == StrategyLPT {
 		return lptStrategy{}
 	}
-	return newRandomStrategy(seed)
+	return &randomStrategy{rng: rand.New(src)}
 }
 
 // MainQueues returns thread w's main queues and their indices in all: queue

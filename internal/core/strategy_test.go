@@ -18,7 +18,7 @@ func queuesWithLens(lens ...int) []*Queue {
 
 func TestRandomPicksOnlyNonEmpty(t *testing.T) {
 	qs := queuesWithLens(0, 3, 0, 2, 0)
-	s := newRandomStrategy(42)
+	s := NewStrategy(StrategyRandom, newSplitMix(42))
 	for i := 0; i < 100; i++ {
 		k := s.pick(qs)
 		if k != 1 && k != 3 {
@@ -29,14 +29,14 @@ func TestRandomPicksOnlyNonEmpty(t *testing.T) {
 
 func TestRandomAllEmpty(t *testing.T) {
 	qs := queuesWithLens(0, 0)
-	if k := newRandomStrategy(1).pick(qs); k != -1 {
+	if k := NewStrategy(StrategyRandom, newSplitMix(1)).pick(qs); k != -1 {
 		t.Errorf("pick = %d, want -1", k)
 	}
 }
 
 func TestRandomDeterministicWithSeed(t *testing.T) {
 	qs := queuesWithLens(1, 1, 1, 1)
-	a, b := newRandomStrategy(7), newRandomStrategy(7)
+	a, b := NewStrategy(StrategyRandom, newSplitMix(7)), NewStrategy(StrategyRandom, newSplitMix(7))
 	for i := 0; i < 50; i++ {
 		if a.pick(qs) != b.pick(qs) {
 			t.Fatal("same seed diverged")
@@ -44,9 +44,24 @@ func TestRandomDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// TestSplitMixReference: an engine worker's source is splitmix64: seeded 0,
+// it yields the reference generator's first three words, and Int63 is their
+// top 63 bits.
+func TestSplitMixReference(t *testing.T) {
+	s, s63 := newSplitMix(0), newSplitMix(0)
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := s.Uint64(); got != want {
+			t.Errorf("word %d = %#x, want %#x", i, got, want)
+		}
+		if got := s63.Int63(); got != int64(want>>1) {
+			t.Errorf("Int63 %d = %#x, want %#x", i, got, want>>1)
+		}
+	}
+}
+
 func TestRandomCoversAllNonEmpty(t *testing.T) {
 	qs := queuesWithLens(1, 1, 1)
-	s := newRandomStrategy(3)
+	s := NewStrategy(StrategyRandom, newSplitMix(3))
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
 		seen[s.pick(qs)] = true
@@ -98,13 +113,13 @@ func TestLPTDynamicPipelinedScore(t *testing.T) {
 }
 
 func TestNewStrategyFactory(t *testing.T) {
-	if _, ok := NewStrategy(StrategyLPT, 1).(lptStrategy); !ok {
+	if _, ok := NewStrategy(StrategyLPT, newSplitMix(1)).(lptStrategy); !ok {
 		t.Error("StrategyLPT should build lptStrategy")
 	}
-	if _, ok := NewStrategy(StrategyRandom, 1).(*randomStrategy); !ok {
+	if _, ok := NewStrategy(StrategyRandom, newSplitMix(1)).(*randomStrategy); !ok {
 		t.Error("StrategyRandom should build randomStrategy")
 	}
-	if _, ok := NewStrategy(StrategyAuto, 1).(*randomStrategy); !ok {
+	if _, ok := NewStrategy(StrategyAuto, newSplitMix(1)).(*randomStrategy); !ok {
 		t.Error("StrategyAuto should default to randomStrategy at pool level")
 	}
 }
@@ -138,7 +153,7 @@ func TestPickMainThenSecondary(t *testing.T) {
 					t.Fatalf("%s: main queue %d is not queue %d", c.name, k, i)
 				}
 			}
-			s := NewStrategy(kind, 5)
+			s := NewStrategy(kind, newSplitMix(5))
 			for range 20 {
 				qi, secondary := Pick(s, main, mainIdx, qs)
 				if !slices.Contains(c.wantQi, qi) || secondary != c.wantSecondary {
@@ -188,7 +203,7 @@ func TestPickMainFilledBetweenScans(t *testing.T) {
 				if reversed {
 					slices.Reverse(all)
 				}
-				s := &fillBetweenScans{Strategy: NewStrategy(kind, 5), fill: main[len(main)-1]}
+				s := &fillBetweenScans{Strategy: NewStrategy(kind, newSplitMix(5)), fill: main[len(main)-1]}
 				qi, secondary := Pick(s, main, mainIdx, all)
 				if want := mainIdx[len(mainIdx)-1]; qi != want || secondary {
 					t.Errorf("%s, %v, all reversed %v: Pick = (%d, %v), want (%d, false)", c.name, kind, reversed, qi, secondary, want)

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"cmp"
+	"math/rand"
 	"slices"
 
 	"dbs3/internal/core"
@@ -81,7 +82,7 @@ type TriggeredSpec struct {
 func Triggered(spec TriggeredSpec, cfg Config) Result {
 	n := max(spec.Threads, 1)
 	res := Result{}
-	s := core.NewStrategy(spec.Strategy, cfg.Seed+1)
+	s := core.NewStrategy(spec.Strategy, rand.NewSource(cfg.Seed+1))
 	res.Makespan = triggeredStage(spec.Costs, n, s, cfg.dilation(n), &res, nil)
 	res.Time = cfg.Startup(n, float64(len(spec.Costs))*spec.QueueOverhead) + res.Makespan
 	return res
@@ -126,7 +127,7 @@ func Pipeline(spec PipelineSpec, cfg Config) Result {
 	np, nc := max(spec.ProducerThreads, 1), max(spec.ConsumerThreads, 1)
 	total := np + nc
 	dil := cfg.dilation(total)
-	s := core.NewStrategy(spec.Strategy, cfg.Seed+2)
+	s := core.NewStrategy(spec.Strategy, rand.NewSource(cfg.Seed+2))
 	res := Result{}
 
 	// Stage 1: the producers' triggered stage, recording emission times.

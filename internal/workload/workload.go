@@ -81,9 +81,40 @@ func JoinPairRows(aCard, bCard, d int, theta float64) (a, b relation.JoinRows) {
 	return a, b
 }
 
-// NewJoinDB generates a database from arguments CheckJoinDB accepts. Each
-// relation carries the region its fragments are cut from: B and Br share
-// one, A has its own.
+// FillA generates A's rows, fragment by fragment, into a region of their
+// own.
+func FillA(a relation.JoinRows) *relation.Region {
+	n := 0
+	for _, size := range a.Sizes {
+		n += size
+	}
+	r := relation.NewRegion(n, n*JoinSchema.Len(), len(a.Pad))
+	a.Fill(r)
+	return r
+}
+
+// FillB generates B's rows, fragment by fragment, into a region with room
+// for every row's header twice, and then Br's headers: the same rows placed
+// by id (id mod d), i.e. NOT on the join key. B's rows are the region's
+// first BCard tuples and Br's the rest. The ids are 0..BCard-1 in B's order
+// and d divides BCard, so Br's fragment f holds B's rows f, f+d, f+2d, … —
+// BCard/d of them, as many as B's fragment f.
+func FillB(b relation.JoinRows) *relation.Region {
+	d := len(b.Sizes)
+	n := d * b.Sizes[0]
+	r := relation.NewRegion(2*n, n*JoinSchema.Len(), len(b.Pad))
+	rows := b.Fill(r)
+	for f := 0; f < d; f++ {
+		for id := f; id < n; id += d {
+			r.Alias(rows[id])
+		}
+	}
+	return r
+}
+
+// NewJoinDB generates a database from arguments CheckJoinDB accepts, by
+// FillA and FillB. Each relation carries the region its fragments are cut
+// from: B and Br share one, A has its own.
 func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	if err := CheckJoinDB(aCard, bCard, d, theta); err != nil {
 		return nil, err
@@ -95,23 +126,8 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	}
 	db.AKeyPart = modK
 
-	// Each relation is filled fragment by fragment, in one call, into one
-	// region its fragments are then cut from.
 	aRows, bRows := JoinPairRows(aCard, bCard, d, theta)
-	bPerFrag := bCard / d
-
-	// B's region has room for every tuple's header twice: Br is B's tuples
-	// under a second header each.
-	rb := relation.NewRegion(2*bCard, bCard*JoinSchema.Len(), len(padB))
-	b := bRows.Fill(rb)
-	// Br: the same tuples placed by id (id mod d), i.e. NOT on the join key.
-	// ids are 0..bCard-1 in B's order and d divides bCard, so Br's fragment
-	// f holds B's tuples f, f+d, f+2d, ... — exactly bPerFrag of them.
-	for f := 0; f < d; f++ {
-		for j := 0; j < bPerFrag; j++ {
-			rb.Alias(b[f+j*d])
-		}
-	}
+	rb := FillB(bRows)
 	both := rb.Tuples()
 	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, partition.Cut(both[:bCard], bRows.Sizes), 1)
 	if err != nil {
@@ -123,8 +139,7 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	}
 	db.B.Region, db.Br.Region = rb, rb
 
-	ra := relation.NewRegion(aCard, aCard*JoinSchema.Len(), len(padA))
-	aRows.Fill(ra)
+	ra := FillA(aRows)
 	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, partition.Cut(ra.Tuples(), aRows.Sizes), 1)
 	if err != nil {
 		return nil, err

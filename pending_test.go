@@ -4,6 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -213,59 +217,93 @@ func TestPendingRelationIsCatalogued(t *testing.T) {
 	}
 }
 
-// TestPendingRelationSettlesOnRead: every read of the catalog's rows —
-// installing a manager, a query, Prepare, FragmentSizes, DumpCSV —
-// generates the declared relations, all of them, and leaves the plan cache's
+// TestPendingRelationSettlesOnRead: each read of the catalog's rows — a
+// query, Prepare, ExplainContext, FragmentSizes, DumpCSV — generates the
+// declared relations it names and no other, and leaves the plan cache's
 // epoch alone: no plan was compiled against a relation that did not exist.
+// Installing a manager names none and generates none.
 func TestPendingRelationSettlesOnRead(t *testing.T) {
 	ctx := context.Background()
-	for name, read := range map[string]func(db *Database) error{
-		"Manager": func(db *Database) error { db.Manager(ManagerConfig{Budget: 2}); return nil },
-		"query": func(db *Database) error {
+	cards := map[string]int{"w": 1_000, "v": 500, "u": 300}
+	for name, tc := range map[string]struct {
+		read  func(db *Database) error
+		names string // what the read names, sorted
+	}{
+		"Manager": {func(db *Database) error { db.Manager(ManagerConfig{Budget: 2}); return nil }, ""},
+		"query": {func(db *Database) error {
 			res, err := db.QueryAllContext(ctx, "SELECT unique2 FROM w WHERE unique1 < 10", nil)
 			if err == nil && len(res.Data) != 10 {
 				err = fmt.Errorf("%d rows, want 10", len(res.Data))
 			}
 			return err
-		},
-		"Prepare": func(db *Database) error { _, err := db.Prepare("SELECT * FROM v", nil); return err },
-		"FragmentSizes": func(db *Database) error {
+		}, "w"},
+		"join": {func(db *Database) error {
+			res, err := db.QueryAllContext(ctx, "SELECT v.unique1 FROM w JOIN v ON w.unique2 = v.unique2", nil)
+			if err == nil && len(res.Data) != 500 {
+				err = fmt.Errorf("%d rows, want 500", len(res.Data))
+			}
+			return err
+		}, "v,w"},
+		"Prepare": {func(db *Database) error { _, err := db.Prepare("SELECT * FROM v", nil); return err }, "v"},
+		"ExplainContext": {func(db *Database) error {
+			_, err := db.ExplainContext(ctx, "SELECT ten, COUNT(*) FROM u GROUP BY ten", nil)
+			return err
+		}, "u"},
+		"FragmentSizes": {func(db *Database) error {
 			_, err := db.FragmentSizes("w")
 			return err
-		},
-		"DumpCSV": func(db *Database) error { return db.DumpCSV("v", io.Discard) },
+		}, "w"},
+		"DumpCSV": {func(db *Database) error { return db.DumpCSV("v", io.Discard) }, "v"},
 	} {
 		db := New()
-		if err := db.CreateWisconsin("w", 1_000, 4, "unique2", 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.CreateWisconsin("v", 500, 2, "unique1", 2); err != nil {
-			t.Fatal(err)
+		for i, rel := range []string{"w", "v", "u"} {
+			if err := db.CreateWisconsin(rel, cards[rel], 4-i, []string{"unique2", "unique1"}[i%2], int64(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		epoch := db.epoch.Load()
-		if err := read(db); err != nil {
+		if err := tc.read(db); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(db.pending) != 0 || len(db.rels) != 2 {
-			t.Errorf("%s: %d relations still pending, %d registered", name, len(db.pending), len(db.rels))
+		registered, pending := catalogState(db)
+		if registered != tc.names || pending != unnamed("u,v,w", tc.names) {
+			t.Errorf("%s: registered [%s] and pending [%s], want [%s] registered and the rest pending", name, registered, pending, tc.names)
 		}
 		if got := db.epoch.Load(); got != epoch {
 			t.Errorf("%s: settling moved the epoch %d -> %d", name, epoch, got)
 		}
-		if n := db.rels["w"].Cardinality() + db.rels["v"].Cardinality(); n != 1_500 {
-			t.Errorf("%s: settled relations hold %d rows, want 1500", name, n)
+		for rel, p := range db.rels {
+			if p.Cardinality() != cards[rel] {
+				t.Errorf("%s: settled %s holds %d rows, want %d", name, rel, p.Cardinality(), cards[rel])
+			}
 		}
 	}
 }
 
+// catalogState names the registered and the pending relations, each sorted
+// and comma-separated.
+func catalogState(db *Database) (registered, pending string) {
+	pending = strings.Join(db.Pending(), ",")
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return strings.Join(slices.Sorted(maps.Keys(db.rels)), ","), pending
+}
+
+// unnamed is the sorted, comma-separated list all less what names names.
+func unnamed(all, names string) string {
+	named := strings.Split(names, ",")
+	return strings.Join(slices.DeleteFunc(strings.Split(all, ","), func(n string) bool { return slices.Contains(named, n) }), ",")
+}
+
 // TestPendingRelationSettlesUnderConcurrentReads: queries that arrive
-// together at a database of declared relations all see the whole of them,
-// and nothing is left pending.
+// together at a database of declared relations, naming two of its three,
+// all see the whole of what they name; the two are generated, and the one
+// nothing names stays pending.
 func TestPendingRelationSettlesUnderConcurrentReads(t *testing.T) {
 	rels := []struct {
 		name string
 		card int
-	}{{"w", 2_000}, {"v", 1_000}}
+	}{{"w", 2_000}, {"v", 1_000}, {"u", 500}}
 	db := New()
 	for i, r := range rels {
 		if err := db.CreateWisconsin(r.name, r.card, 8, "unique2", int64(i)); err != nil {
@@ -275,7 +313,7 @@ func TestPendingRelationSettlesUnderConcurrentReads(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
-		r := rels[i%len(rels)]
+		r := rels[i%2]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -298,8 +336,8 @@ func TestPendingRelationSettlesUnderConcurrentReads(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if len(db.pending) != 0 || len(db.rels) != len(rels) {
-		t.Errorf("%d relations still pending, %d registered", len(db.pending), len(db.rels))
+	if registered, pending := catalogState(db); registered != "v,w" || pending != "u" {
+		t.Errorf("registered [%s] and pending [%s], want [v,w] and [u]", registered, pending)
 	}
 }
 
@@ -420,36 +458,55 @@ func TestPendingPairIsCatalogued(t *testing.T) {
 	}
 }
 
-// TestPendingPairSettlesOnRead: every read of the catalog's rows generates a
-// declared pair, all three members from one workload.NewJoinDB — B and Br in
-// one region, A in another — and leaves the epoch alone; a join of A and B
-// then matches every A row once.
+// TestPendingPairSettlesOnRead: each read of the catalog's rows generates
+// the members of a declared pair it names and no other — A into a region of
+// its own, B or Br into the region the two share — and leaves the epoch
+// alone; a join then matches every A row once, and the members nothing
+// named, settled afterwards, complete the pair: B and Br in one region, A in
+// another.
 func TestPendingPairSettlesOnRead(t *testing.T) {
 	ctx := context.Background()
 	const aCard, bCard = 1_000, 80
-	for name, read := range map[string]func(db *Database) error{
-		"Manager": func(db *Database) error { db.Manager(ManagerConfig{Budget: 2}); return nil },
-		"query": func(db *Database) error {
+	join := func(db *Database, sql string) error {
+		res, err := db.QueryAllContext(ctx, sql, nil)
+		if err == nil && len(res.Data) != aCard {
+			err = fmt.Errorf("%s: %d rows, want %d", sql, len(res.Data), aCard)
+		}
+		return err
+	}
+	for name, tc := range map[string]struct {
+		read  func(db *Database) error
+		names string // what the read names, sorted
+	}{
+		"Manager": {func(db *Database) error { db.Manager(ManagerConfig{Budget: 2}); return nil }, ""},
+		"query": {func(db *Database) error {
 			_, err := db.QueryAllContext(ctx, "SELECT id FROM B WHERE k < 10", nil)
 			return err
-		},
-		"Prepare": func(db *Database) error { _, err := db.Prepare("SELECT * FROM Br", nil); return err },
-		"FragmentSizes": func(db *Database) error {
+		}, "B"},
+		"join on B":  {func(db *Database) error { return join(db, "SELECT A.id FROM A JOIN B ON A.k = B.k") }, "A,B"},
+		"join on Br": {func(db *Database) error { return join(db, "SELECT A.id FROM A JOIN Br ON A.k = Br.k") }, "A,Br"},
+		"Prepare":    {func(db *Database) error { _, err := db.Prepare("SELECT * FROM Br", nil); return err }, "Br"},
+		"ExplainContext": {func(db *Database) error {
+			_, err := db.ExplainContext(ctx, "SELECT k, COUNT(*) FROM B GROUP BY k", nil)
+			return err
+		}, "B"},
+		"FragmentSizes": {func(db *Database) error {
 			_, err := db.FragmentSizes("A")
 			return err
-		},
-		"DumpCSV": func(db *Database) error { return db.DumpCSV("Br", io.Discard) },
+		}, "A"},
+		"DumpCSV": {func(db *Database) error { return db.DumpCSV("Br", io.Discard) }, "Br"},
 	} {
 		db := New()
 		if err := db.CreateJoinPair("", aCard, bCard, 4, 1); err != nil {
 			t.Fatal(err)
 		}
 		epoch := db.epoch.Load()
-		if err := read(db); err != nil {
+		if err := tc.read(db); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(db.pending) != 0 || len(db.rels) != 3 {
-			t.Fatalf("%s: %d relations still pending, %d registered", name, len(db.pending), len(db.rels))
+		registered, pending := catalogState(db)
+		if registered != tc.names || pending != unnamed("A,B,Br", tc.names) {
+			t.Errorf("%s: registered [%s] and pending [%s], want [%s] registered and the rest pending", name, registered, pending, tc.names)
 		}
 		if got := db.epoch.Load(); got != epoch {
 			t.Errorf("%s: settling moved the epoch %d -> %d", name, epoch, got)
@@ -458,28 +515,66 @@ func TestPendingPairSettlesOnRead(t *testing.T) {
 	}
 }
 
-// TestPendingPairSettlesUnderConcurrentReads: joins that arrive together at
-// a database whose pair is declared all see the whole of it, the pair is
-// generated once, and nothing is left pending.
+// TestPendingPairMemberSettlesAlone: once A is sharded, settling B generates
+// B's region and nothing of A: it allocates fewer bytes than A's region of
+// 72 bytes a row would take (measured with the collector paused), and leaves
+// Br pending; Br then settles into B's region.
+func TestPendingPairMemberSettlesAlone(t *testing.T) {
+	const aCard, bCard = 20_000, 400
+	db := New()
+	if err := db.CreateJoinPair("", aCard, bCard, 8, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ShardRelation("A", "k", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := db.FragmentSizes("B"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(aCard*72); n >= limit {
+		t.Errorf("settling B allocated %d bytes, A's region alone is %d", n, limit)
+	}
+	if registered, pending := catalogState(db); registered != "A,B" || pending != "Br" {
+		t.Errorf("registered [%s] and pending [%s], want [A,B] and [Br]", registered, pending)
+	}
+	rels := db.settled()
+	if b, br := rels["B"], rels["Br"]; b.Region != br.Region || br.Cardinality() != bCard {
+		t.Errorf("Br holds %d rows, want %d; shares B's region: %v", br.Cardinality(), bCard, b.Region == br.Region)
+	}
+}
+
+// TestPendingPairSettlesUnderConcurrentReads: joins and scans that arrive
+// together at a database of two declared pairs, naming every member of one
+// and nothing of the other, all see the whole of what they name: the first
+// pair is generated with B and Br in one region, and the second stays
+// pending.
 func TestPendingPairSettlesUnderConcurrentReads(t *testing.T) {
 	const aCard, bCard = 2_000, 160
 	db := New()
 	if err := db.CreateJoinPair("p", aCard, bCard, 8, 0.5); err != nil {
 		t.Fatal(err)
 	}
+	if err := db.CreateJoinPair("q", 100, 16, 4, 0); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
-		sql := "SELECT pA.id FROM pA JOIN pB ON pA.k = pB.k"
+		sql, want := "SELECT pA.id FROM pA JOIN pB ON pA.k = pB.k", aCard
 		if i%2 == 1 {
-			sql = "SELECT pA.id FROM pA JOIN pBr ON pA.k = pBr.k"
+			sql, want = "SELECT id FROM pBr WHERE k < 16", 16
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			res, err := db.QueryAllContext(context.Background(), sql, nil)
-			if err == nil && len(res.Data) != aCard {
-				err = fmt.Errorf("%s: %d rows, want %d", sql, len(res.Data), aCard)
+			if err == nil && len(res.Data) != want {
+				err = fmt.Errorf("%s: %d rows, want %d", sql, len(res.Data), want)
 			}
 			if err != nil {
 				errs <- err
@@ -491,8 +586,8 @@ func TestPendingPairSettlesUnderConcurrentReads(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if len(db.pending) != 0 {
-		t.Errorf("%d relations still pending", len(db.pending))
+	if registered, pending := catalogState(db); registered != "pA,pB,pBr" || pending != "qA,qB,qBr" {
+		t.Errorf("registered [%s] and pending [%s], want [pA,pB,pBr] and [qA,qB,qBr]", registered, pending)
 	}
 	checkSettledPair(t, "concurrent reads", db, "p", aCard, bCard)
 }

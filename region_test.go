@@ -123,8 +123,8 @@ func TestCreateWisconsinBytesPerRow(t *testing.T) {
 }
 
 // BenchmarkCreateWisconsin is the load of the serve workloads' catalog:
-// Wisconsin 2 000 at degree 8 and 20 000 at degree 16 declared, then both
-// generated by the FragmentSizes call that settles them.
+// Wisconsin 2 000 at degree 8 and 20 000 at degree 16 declared, then each
+// generated by the FragmentSizes call that names it.
 func BenchmarkCreateWisconsin(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -135,10 +135,40 @@ func BenchmarkCreateWisconsin(b *testing.B) {
 		if err := db.CreateWisconsin("wide", 20_000, 16, "unique2", 2); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := db.FragmentSizes("wide"); err != nil {
+		for _, name := range []string{"short", "wide"} {
+			if _, err := db.FragmentSizes(name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkPrepareOneOfTwo is a served node's set-up over the serve
+// workloads' catalog: Wisconsin 2 000 at degree 8 ("short") and 20 000 at
+// degree 16 ("wide") declared, a manager installed, and one Prepare naming
+// short, which generates short alone. Next to allocs/op it reports the live
+// heap, in bytes, that the last node built holds.
+func BenchmarkPrepareOneOfTwo(b *testing.B) {
+	heap := liveHeap()
+	var db *Database
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db = New()
+		if err := db.CreateWisconsin("short", 2_000, 8, "unique2", 1); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.CreateWisconsin("wide", 20_000, 16, "unique2", 2); err != nil {
+			b.Fatal(err)
+		}
+		db.Manager(ManagerConfig{Budget: 8})
+		if _, err := db.Prepare("SELECT * FROM short WHERE unique2 = ?", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(liveHeap()-heap), "live-B")
+	runtime.KeepAlive(db)
 }
 
 // BenchmarkLoadCSV imports a 20 000-row Wisconsin dump through the facade and

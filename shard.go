@@ -19,13 +19,13 @@ import (
 //
 // A relation CreateWisconsin or CreateJoinPair declared and nothing has
 // generated yet is generated here for the shard only, by the generator that
-// settles a whole one as the one shard of one (a join pair settles through
-// workload.NewJoinDB): every row is placed by its shard and its fragment
-// before it exists, and only the kept rows, with the strings they refer to,
-// are written, into a region of their own. Any other relation — loaded,
-// generated already, a shard — is re-homed: its kept tuples are copied into
-// a region of their own, and the whole relation is garbage. The two give the
-// same shard, byte for byte.
+// settles a whole one as the one shard of one (a join pair's member settles
+// by workload.FillA or FillB instead): every row is placed by its shard and
+// its fragment before it exists, and only the kept rows, with the strings
+// they refer to, are written, into a region of their own. Any other
+// relation — loaded, generated already, a shard — is re-homed: its kept
+// tuples are copied into a region of their own, and the whole relation is
+// garbage. The two give the same shard, byte for byte.
 //
 // A tuple's shard is the high word of its key's hash scaled to [0, shards)
 // by a multiply and a shift. Fragment placement takes the same hash modulo
@@ -135,6 +135,11 @@ func (d *wisconsinDef) shard(col, shard, shards int) (placed, []int) {
 // by id for Br.
 func (m pairMember) shard(col, shard, shards int) (placed, []int) {
 	p := m.pair
+	if m.member > 0 {
+		// B and Br: whichever settled first left the shared region for this
+		// one, which no longer needs it.
+		p.shared = nil
+	}
 	a, b := workload.JoinPairRows(p.aCard, p.bCard, p.degree, p.theta)
 	rows, n := b, p.bCard
 	if m.member == 0 {

@@ -309,9 +309,14 @@ func TestShardRelationBounds(t *testing.T) {
 	}
 }
 
-// settled is the catalog with every pending relation generated: the one way
-// tests read a relation's fragments and region.
+// settled is the catalog with every pending relation generated, each named
+// to FragmentSizes: the one way tests read a relation's fragments and region.
 func (db *Database) settled() core.DB {
+	for _, name := range db.Relations() {
+		if _, err := db.FragmentSizes(name); err != nil {
+			panic(err)
+		}
+	}
 	rels, _ := db.snapshotRels()
 	return rels
 }

@@ -140,10 +140,11 @@ type Stmt struct {
 // Options are captured as the statement's execution defaults (thread count,
 // strategy, join algorithm, grain, priority); the join algorithm also shapes
 // the plan itself and keys the underlying plan cache. Repeated Prepare calls
-// for the same SQL and join algorithm share the compiled plan. The first
-// Prepare after CreateWisconsin or CreateJoinPair generates every relation
-// still declared inside this call; a caller that times it settles the
-// database first, through FragmentSizes or Manager.
+// for the same SQL and join algorithm share the compiled plan. A compile
+// generates each relation the statement names that CreateWisconsin or
+// CreateJoinPair declared and nothing has generated yet, inside this call,
+// and no other; a caller that times it settles those first, through
+// FragmentSizes.
 func (db *Database) Prepare(sql string, opt *Options) (*Stmt, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
