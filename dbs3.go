@@ -145,7 +145,9 @@ type Admission = dbruntime.Decision
 // thread budget and each one's scheduler sees the utilization measured from
 // the others' allocated threads. Installing a new manager replaces the
 // previous one for future queries. It generates no declared relation: each
-// is generated by the first statement that names it.
+// is generated by the first statement that names it, under the catalog's
+// write lock, so every concurrent statement on the database waits for that
+// generation; FragmentSizes(name) generates a relation ahead of serving.
 func (db *Database) Manager(cfg ManagerConfig) *dbruntime.Manager {
 	m := dbruntime.NewManager(cfg)
 	db.mu.Lock()
@@ -293,32 +295,28 @@ type pairMember struct {
 func (m pairMember) relName() string        { return m.pair.prefix + pairMembers[m.member] }
 func (pairMember) schema() *relation.Schema { return workload.JoinSchema }
 
-// settle generates the member alone, by the fill workload.NewJoinDB
-// generates it with: A by FillA into a region of its own, B or Br by FillB
-// into the region the two share, B's rows and then Br's headers. The first
-// of B and Br to settle generates that region and leaves it for the other;
-// if the other was sharded, its headers there are the one thing generated
-// that no relation uses.
+// settle generates the member alone, as workload.NewJoinDB does: A by
+// FillA into a region of its own, B or Br by FillB into the region the two
+// share, each cut out by workload.Member. The first of B and Br to settle
+// generates that region and leaves it for the other; if the other was
+// sharded, its headers there are the one thing generated that no relation
+// uses.
 func (m pairMember) settle() (placed, []int) {
 	p := m.pair
-	a, b := workload.JoinPairRows(p.aCard, p.bCard, p.degree, p.theta)
-	region, sizes := p.shared, b.Sizes // Br holds B's sizes: the degree divides bCard
+	a, rows := workload.JoinPairRows(p.aCard, p.bCard, p.degree, p.theta)
+	region := p.shared
 	switch {
 	case m.member == 0:
-		region, sizes = workload.FillA(a), a.Sizes
+		region, rows = workload.FillA(a), a
 	case region == nil:
-		region = workload.FillB(b)
+		region = workload.FillB(rows)
 		p.shared = region
 	default:
 		p.shared = nil
 	}
-	tuples := region.Tuples()
-	if m.member > 0 {
-		tuples = tuples[(m.member-1)*p.bCard : m.member*p.bCard]
-	}
 	part := m.part()
 	return placed{&partition.Partitioned{Name: m.relName(), Schema: workload.JoinSchema, Key: part.Key(),
-		Fragments: partition.Cut(tuples, sizes), Region: region}, part}, sizes
+		Fragments: workload.Member(m.member, region, rows), Region: region}, part}, rows.Sizes
 }
 
 // part is what places the member's fragments: mod on k, or on id for Br.
@@ -332,7 +330,8 @@ func (m pairMember) part() *partition.Mod {
 // lookup returns the relation called name and its binding metadata,
 // generating and registering it first if it is pending. The catalog's epoch
 // stays where the declaration left it: no plan was ever compiled against a
-// pending relation. It takes db.mu for writing only to settle.
+// pending relation. It takes db.mu for writing only to settle, and holds it
+// for the whole generation: every concurrent compile and execution waits.
 func (db *Database) lookup(name string) (*partition.Partitioned, lera.RelInfo, bool) {
 	db.mu.RLock()
 	p, ok := db.rels[name]
@@ -364,10 +363,9 @@ func (db *Database) currentManager() *dbruntime.Manager {
 // snapshotRels copies the relation catalog (and reads the installed
 // manager) under the read lock so an execution never races concurrent
 // relation creation. The copy shares the immutable partitioned relations,
-// so it is cheap — but it is still per-execution work, which is why the
-// resolver (only needed at compile time) is snapshotted separately. It
-// generates nothing: every relation a compiled plan names was settled by
-// its compile.
+// so it is cheap — but it is still per-execution work; a compile looks up
+// only the names it binds (catalogResolver). It generates nothing: every
+// relation a compiled plan names was settled by its compile.
 func (db *Database) snapshotRels() (core.DB, *dbruntime.Manager) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -378,34 +376,19 @@ func (db *Database) snapshotRels() (core.DB, *dbruntime.Manager) {
 	return rels, db.manager
 }
 
-// catalogResolver is what a compile binds against: a copy of the binding
-// metadata taken under the read lock, so that the compile does not race
-// relation creation, plus each relation the compile names that the copy
-// lacks, settled first if it is pending.
-type catalogResolver struct {
-	db   *Database
-	snap lera.MapResolver
-}
-
-// snapshotResolver snapshots the catalog for one compile.
-func (db *Database) snapshotResolver() catalogResolver {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	snap := make(lera.MapResolver, len(db.resolver))
-	for k, v := range db.resolver {
-		snap[k] = v
-	}
-	return catalogResolver{db, snap}
-}
+// catalogResolver is what a compile binds against: each relation the
+// compile names, looked up in the catalog and settled first if it is
+// pending. It takes no snapshot: DDL that lands during a compile moves the
+// epoch prepare read before compiling, so the plan is recompiled before it
+// runs.
+type catalogResolver struct{ db *Database }
 
 // RelInfo implements lera.Resolver.
 func (r catalogResolver) RelInfo(name string) (lera.RelInfo, error) {
-	if _, ok := r.snap[name]; !ok {
-		if _, ri, ok := r.db.lookup(name); ok {
-			r.snap[name] = ri
-		}
+	if _, ri, ok := r.db.lookup(name); ok {
+		return ri, nil
 	}
-	return r.snap.RelInfo(name)
+	return lera.RelInfo{}, fmt.Errorf("dbs3: unknown relation %q", name)
 }
 
 // CreateWisconsin declares a Wisconsin benchmark relation [Bitton83] of the

@@ -112,9 +112,22 @@ func FillB(b relation.JoinRows) *relation.Region {
 	return r
 }
 
+// Member returns the fragments of the pair's member i — 0 for A, 1 for B,
+// 2 for Br — cut from the region its fill generated: FillA's for A, cut by
+// A's rows, and FillB's for B and Br, cut by B's: B's rows are the region's
+// first half and Br's headers the second.
+func Member(i int, region *relation.Region, rows relation.JoinRows) [][]relation.Tuple {
+	tuples := region.Tuples()
+	if i == 2 {
+		tuples = tuples[len(tuples)/2:]
+	}
+	return partition.Cut(tuples, rows.Sizes)
+}
+
 // NewJoinDB generates a database from arguments CheckJoinDB accepts, by
-// FillA and FillB. Each relation carries the region its fragments are cut
-// from: B and Br share one, A has its own.
+// FillA and FillB, and cuts each relation out by Member. Each relation
+// carries the region its fragments are cut from: B and Br share one, A has
+// its own.
 func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	if err := CheckJoinDB(aCard, bCard, d, theta); err != nil {
 		return nil, err
@@ -128,19 +141,18 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 
 	aRows, bRows := JoinPairRows(aCard, bCard, d, theta)
 	rb := FillB(bRows)
-	both := rb.Tuples()
-	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, partition.Cut(both[:bCard], bRows.Sizes), 1)
+	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, Member(1, rb, bRows), 1)
 	if err != nil {
 		return nil, err
 	}
-	db.Br, err = partition.FromFragments("Br", JoinSchema, []string{"id"}, partition.Cut(both[bCard:], bRows.Sizes), 1)
+	db.Br, err = partition.FromFragments("Br", JoinSchema, []string{"id"}, Member(2, rb, bRows), 1)
 	if err != nil {
 		return nil, err
 	}
 	db.B.Region, db.Br.Region = rb, rb
 
 	ra := FillA(aRows)
-	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, partition.Cut(ra.Tuples(), aRows.Sizes), 1)
+	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, Member(0, ra, aRows), 1)
 	if err != nil {
 		return nil, err
 	}

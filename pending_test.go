@@ -548,11 +548,11 @@ func TestPendingPairMemberSettlesAlone(t *testing.T) {
 	}
 }
 
-// TestPendingPairSettlesUnderConcurrentReads: joins and scans that arrive
-// together at a database of two declared pairs, naming every member of one
-// and nothing of the other, all see the whole of what they name: the first
-// pair is generated with B and Br in one region, and the second stays
-// pending.
+// TestPendingPairSettlesUnderConcurrentReads: joins of A with B and with Br,
+// and scans of Br, that arrive together at a database of two declared pairs,
+// naming every member of one and nothing of the other, all see the whole of
+// what they name: each join matches every A row once, the first pair is
+// generated with B and Br in one region, and the second stays pending.
 func TestPendingPairSettlesUnderConcurrentReads(t *testing.T) {
 	const aCard, bCard = 2_000, 160
 	db := New()
@@ -563,10 +563,13 @@ func TestPendingPairSettlesUnderConcurrentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
+	errs := make(chan error, 12)
+	for i := 0; i < 12; i++ {
 		sql, want := "SELECT pA.id FROM pA JOIN pB ON pA.k = pB.k", aCard
-		if i%2 == 1 {
+		switch i % 3 {
+		case 1:
+			sql = "SELECT pA.id FROM pA JOIN pBr ON pA.k = pBr.k"
+		case 2:
 			sql, want = "SELECT id FROM pBr WHERE k < 16", 16
 		}
 		wg.Add(1)

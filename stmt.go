@@ -185,7 +185,7 @@ func (db *Database) prepare(sql string, opt *Options) (*preparedPlan, error) {
 	if hit {
 		return prep, nil
 	}
-	c := &esql.Compiler{Resolver: db.snapshotResolver(), JoinAlgo: algo, Materialize: materialize}
+	c := &esql.Compiler{Resolver: catalogResolver{db}, JoinAlgo: algo, Materialize: materialize}
 	plan, g, err := c.Compile(sql)
 	if err != nil {
 		return nil, err
