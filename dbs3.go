@@ -83,6 +83,7 @@ package dbs3
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -392,8 +393,8 @@ func (r catalogResolver) RelInfo(name string) (lera.RelInfo, error) {
 }
 
 // CreateWisconsin declares a Wisconsin benchmark relation [Bitton83] of the
-// given cardinality, hash-partitioned on key into degree fragments, and
-// generates none of it. The relation is listed by Relations at once; its
+// given cardinality, at most math.MaxInt32, hash-partitioned on key into
+// degree fragments, and generates none of it. The relation is listed by Relations at once; its
 // rows are generated when something first names it — a statement compiled
 // by Prepare, QueryContext or ExplainContext, FragmentSizes or DumpCSV,
 // each of which generates only the relations it names — or, if
@@ -401,6 +402,9 @@ func (r catalogResolver) RelInfo(name string) (lera.RelInfo, error) {
 func (db *Database) CreateWisconsin(name string, cardinality, degree int, key string, seed int64) error {
 	if cardinality <= 0 {
 		return fmt.Errorf("dbs3: Wisconsin cardinality must be positive, got %d", cardinality)
+	}
+	if cardinality > math.MaxInt32 {
+		return fmt.Errorf("dbs3: Wisconsin cardinality must be at most %d, got %d", math.MaxInt32, cardinality)
 	}
 	schema := relation.WisconsinSchema
 	h, err := partition.NewHash(schema, []string{key}, degree)
@@ -424,7 +428,8 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 // with fragment cardinalities following Zipf(theta); B holds bCard tuples,
 // uniform, co-partitioned with A on k; Br holds B's tuples placed on id
 // instead, so joining it with A forces a run-time redistribution (the
-// AssocJoin shape). bCard must be a multiple of degree. If any of the three
+// AssocJoin shape). bCard must be a multiple of degree, and neither
+// cardinality may exceed math.MaxInt32. If any of the three
 // names is taken, none is declared. The three are listed by Relations at
 // once; each is generated when something first names it, as
 // CreateWisconsin's relations are — A alone, B or Br with the region the

@@ -83,6 +83,13 @@ func TestFacadeCreateErrors(t *testing.T) {
 	if err := db.CreateJoinPair("x", 100, 15, 10, 0); err == nil {
 		t.Error("BCard not multiple of degree accepted")
 	}
+	// The generators keep row numbers, keys and ids as int32s.
+	if err := db.CreateWisconsin("v", math.MaxInt32+1, 4, "unique2", 1); err == nil {
+		t.Error("Wisconsin cardinality past MaxInt32 accepted")
+	}
+	if err := db.CreateJoinPair("z", math.MaxInt32+1, 100, 10, 0); err == nil {
+		t.Error("ACard past MaxInt32 accepted")
+	}
 	for _, theta := range []float64{-1, math.NaN()} {
 		if err := db.CreateJoinPair("y", 1000, 100, 10, theta); err == nil {
 			t.Errorf("skew factor %v accepted", theta)

@@ -46,7 +46,7 @@ func TestRandomDeterministicWithSeed(t *testing.T) {
 
 // TestSplitMixReference: an engine worker's source is splitmix64: seeded 0,
 // it yields the reference generator's first three words, and Int63 is their
-// top 63 bits.
+// top 63 bits. Seed(s) restarts a used source at newSplitMix(s)'s first word.
 func TestSplitMixReference(t *testing.T) {
 	s, s63 := newSplitMix(0), newSplitMix(0)
 	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
@@ -55,6 +55,12 @@ func TestSplitMixReference(t *testing.T) {
 		}
 		if got := s63.Int63(); got != int64(want>>1) {
 			t.Errorf("Int63 %d = %#x, want %#x", i, got, want>>1)
+		}
+	}
+	for _, seed := range []int64{0, 7} {
+		s.Seed(seed)
+		if got, want := s.Uint64(), newSplitMix(seed).Uint64(); got != want {
+			t.Errorf("after Seed(%d): word %#x, want newSplitMix(%d)'s first %#x", seed, got, seed, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 )
@@ -54,21 +55,53 @@ func wisconsinRegion(n int, seed int64) *Region {
 }
 
 // WisconsinRows is a Wisconsin relation as a row source: its rows in any
-// order, or any one value of a row. Loaders that lay rows out in an order of
-// their own (fragment by fragment) generate from it instead of materializing
-// the relation first. It is read-only once built, so any number of goroutines
-// may read values from it.
+// order, any one value of a row, or the key hashes of a run of rows. Loaders
+// that lay rows out in an order of their own (fragment by fragment) generate
+// from it instead of materializing the relation first. It holds unique1 of
+// every row as an int32, math/rand's Perm of the seeded source (see
+// wisconsinPerm), and nothing else. It is read-only once built, so any
+// number of goroutines may read values from it.
 type WisconsinRows struct {
-	perm []int
+	perm []int32
 }
 
-// NewWisconsinRows prepares the row source of Wisconsin(n, seed).
+// NewWisconsinRows prepares the row source of Wisconsin(n, seed): it draws
+// unique1, the permutation rand.New(rand.NewSource(seed)).Perm(n) would
+// return, in one loop (wisconsinPerm). n is at most math.MaxInt32, since row
+// numbers and unique1 are kept as int32s.
 func NewWisconsinRows(n int, seed int64) *WisconsinRows {
-	if n <= 0 {
-		panic(fmt.Sprintf("relation: Wisconsin cardinality must be positive, got %d", n))
+	if n <= 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("relation: Wisconsin cardinality must be in [1, %d], got %d", math.MaxInt32, n))
 	}
-	rng := rand.New(rand.NewSource(seed))
-	return &WisconsinRows{perm: rng.Perm(n)}
+	return &WisconsinRows{perm: wisconsinPerm(n, rand.NewSource(seed))}
+}
+
+// wisconsinPerm returns rand.New(src).Perm(n) as int32s: a copy of math/rand's
+// Perm that makes the same src.Int63 draws in the same order, so it is the
+// same permutation, which Go 1 keeps stable for a seeded source
+// (TestWisconsinPermutationIsRandPerm pins the two together). n is at most
+// math.MaxInt32, so each of Perm's Intn(i+1) draws is Int31n(i+1): a draw
+// v = Int63>>32 is taken as v mod (i+1) unless it lies past Int31n's
+// threshold, 2³¹−1 − 2³¹ mod (i+1), when it is drawn again. Only the top i+1
+// values can lie past it, so the threshold, a second division, is computed
+// for those draws alone. (A power-of-two bound, which Int31n masks, has no
+// value past it, and masking and the remainder agree.)
+func wisconsinPerm(n int, src rand.Source) []int32 {
+	m := make([]int32, n)
+	for i := range m {
+		bound := uint32(i) + 1
+		v := uint32(src.Int63() >> 32)
+		if v > 1<<31-1-bound {
+			threshold := 1<<31 - 1 - (1<<31)%bound
+			for v > threshold {
+				v = uint32(src.Int63() >> 32)
+			}
+		}
+		j := v % bound
+		m[i] = m[j]
+		m[j] = int32(i)
+	}
+	return m
 }
 
 // Shard generates the rows of order, in that order, into a region of their
@@ -192,53 +225,92 @@ func rank(marks, ranks []uint64, v uint64) uint64 {
 // Value returns column col of row u2 without building the row: what a
 // partitioning function needs to place a row before it exists.
 func (w *WisconsinRows) Value(col, u2 int) Value {
-	u1 := int64(w.perm[u2])
 	switch col {
-	case 0, 10:
-		return Int(u1)
 	case 1:
 		return Int(int64(u2))
-	case 2, 9:
-		return Int(u1 % 2)
-	case 3:
-		return Int(u1 % 4)
-	case 4, 7:
-		return Int(u1 % 10)
-	case 5:
-		return Int(u1 % 20)
-	case 6:
-		return Int(u1 % 100)
-	case 8:
-		return Int(u1 % 5)
-	case 11:
-		return Int((u1 % 100) * 2)
-	case 12:
-		return Int((u1%100)*2 + 1)
 	case 13:
-		return Str(wisconsinText(u1))
+		return Str(wisconsinText(int64(w.perm[u2])))
 	case 14:
 		return Str(wisconsinText(int64(u2)))
 	case 15:
 		return Str(string4Cycle[u2%len(string4Cycle)])
 	}
+	return Int(unique1Value(col, uint64(w.perm[u2])))
+}
+
+// unique1Value returns integer column col, other than unique2, of a row
+// whose unique1 is u1: every such column is a function of unique1.
+func unique1Value(col int, u1 uint64) int64 {
+	switch col {
+	case 0, 10:
+		return int64(u1)
+	case 2, 9:
+		return int64(u1 % 2)
+	case 3:
+		return int64(u1 % 4)
+	case 4, 7:
+		return int64(u1 % 10)
+	case 5:
+		return int64(u1 % 20)
+	case 6:
+		return int64(u1 % 100)
+	case 8:
+		return int64(u1 % 5)
+	case 11:
+		return int64(u1 % 100 * 2)
+	case 12:
+		return int64(u1%100*2 + 1)
+	}
 	panic(fmt.Sprintf("relation: Wisconsin has no column %d", col))
 }
 
 // KeyHash returns the hash of column col of row u2 as a one-column key,
-// Value(col, u2).KeyHash(), without building the value: a text is rendered
-// into a buffer on the stack, so placing a row before it exists allocates
-// nothing whichever column places it.
+// Value(col, u2).KeyHash(), without building the value: KeyHashes of the one
+// row.
 func (w *WisconsinRows) KeyHash(col, u2 int) uint64 {
-	var text [wisconsinStringLen]byte
+	var h [1]uint64
+	w.KeyHashes(col, u2, h[:])
+	return h[0]
+}
+
+// KeyHashes sets hs[k] to KeyHash(col, from+k) for every k: the hashes a
+// loader places a run of rows by before they exist. It is one loop over the
+// run per kind of column, which the column picks once: unique2, the row
+// number; an integer derived from unique1; a text, rendered into a buffer on
+// the stack; string4, one of four constants. An integer, always below 2³¹,
+// is hashed in the loop by fnvUint32, which gives what Value.KeyHash's
+// fnvInt does, with no Value built, so the run allocates nothing whichever
+// column places it.
+func (w *WisconsinRows) KeyHashes(col, from int, hs []uint64) {
+	perm := w.perm[from : from+len(hs)]
 	switch col {
-	case 13:
-		putWisconsinString(text[:], int64(w.perm[u2]))
-	case 14:
-		putWisconsinString(text[:], int64(u2))
+	case 1:
+		for k := range hs {
+			hs[k] = foldKey(fnvOffset64, fnvUint32(uint32(from+k)))
+		}
+	case 13, 14:
+		var text [wisconsinStringLen]byte
+		for k, u1 := range perm {
+			v := int64(u1)
+			if col == 14 {
+				v = int64(from + k)
+			}
+			putWisconsinString(text[:], v)
+			hs[k] = foldKey(fnvOffset64, fnvText(text[:]))
+		}
+	case 15:
+		var string4 [len(string4Cycle)]uint64
+		for c, s := range string4Cycle {
+			string4[c] = Str(s).KeyHash()
+		}
+		for k := range hs {
+			hs[k] = string4[(from+k)%len(string4)]
+		}
 	default:
-		return w.Value(col, u2).KeyHash()
+		for k, u1 := range perm {
+			hs[k] = foldKey(fnvOffset64, fnvUint32(uint32(unique1Value(col, uint64(u1)))))
+		}
 	}
-	return foldKey(fnvOffset64, fnvText(text[:]))
 }
 
 // The benchmark's strings are 52 characters: a 7-letter base-26 rendering of

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -166,6 +168,90 @@ func TestWisconsinRowsAgreeWithRelation(t *testing.T) {
 			}
 			if h, want := rows.KeyHash(c, u2), r.Tuples[u2].HashOn([]int{c}); h != want {
 				t.Fatalf("KeyHash(%d, %d) = %#x, HashOn of the row %#x", c, u2, h, want)
+			}
+		}
+	}
+}
+
+// TestWisconsinPermutationIsRandPerm: unique1 is math/rand's Perm of the
+// seeded source, element for element, so the generated relations are the
+// ones Perm gave. A scripted source forces the draws Int31n rejects, which
+// real seeds never produce at these sizes: the copy must reject the same
+// draws and make as many.
+func TestWisconsinPermutationIsRandPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 64, 65, 1000, 20000} {
+		for seed := int64(0); seed < 5; seed++ {
+			want := rand.New(rand.NewSource(seed)).Perm(n)
+			if got := NewWisconsinRows(n, seed).perm; !permEqual(got, want) {
+				t.Fatalf("n %d seed %d: permutation differs from rand.Perm", n, seed)
+			}
+		}
+	}
+	const top, second = math.MaxInt32<<32 | math.MaxUint32, (math.MaxInt32 - 1) << 32 // Int31 draws 2³¹−1 and 2³¹−2
+	script := []int64{top, 12345 << 32, second, top, 0x5bd1e995<<32 | 17, top, second, 7 << 32}
+	for _, n := range []int{3, 65, 1000} {
+		a, b := &scriptedSource{script: script}, &scriptedSource{script: script}
+		want := rand.New(a).Perm(n)
+		if got := wisconsinPerm(n, b); !permEqual(got, want) {
+			t.Fatalf("n %d: permutation over the scripted source differs from rand.Perm", n)
+		}
+		if a.draws != b.draws || a.draws <= n {
+			t.Errorf("n %d: rand.Perm drew %d times, the copy %d; a rejection needs more than %d", n, a.draws, b.draws, n)
+		}
+	}
+}
+
+// scriptedSource is a rand.Source that plays its script over and over.
+type scriptedSource struct {
+	script []int64
+	draws  int
+}
+
+func (s *scriptedSource) Int63() int64 {
+	v := s.script[s.draws%len(s.script)]
+	s.draws++
+	return v
+}
+
+func (s *scriptedSource) Seed(int64) {}
+
+func permEqual(got []int32, want []int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, v := range want {
+		if int(got[i]) != v {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWisconsinKeyHashesMatchKeyHash: a run's key hashes are each row's
+// value's KeyHash, for every column, over runs that start and end anywhere,
+// and KeyHashes writes nothing outside its run.
+func TestWisconsinKeyHashesMatchKeyHash(t *testing.T) {
+	const n = 1000
+	rows := NewWisconsinRows(n, 5)
+	const sentinel = 0xdead
+	for col := 0; col < WisconsinSchema.Len(); col++ {
+		for _, run := range [][2]int{{0, n}, {37, 165}, {127, 129}, {300, 701}, {n - 1, n}, {500, 500}} {
+			buf := make([]uint64, run[1]-run[0]+2)
+			for k := range buf {
+				buf[k] = sentinel
+			}
+			rows.KeyHashes(col, run[0], buf[1:len(buf)-1])
+			if buf[0] != sentinel || buf[len(buf)-1] != sentinel {
+				t.Fatalf("column %d run %v: KeyHashes wrote outside its run", col, run)
+			}
+			for k, h := range buf[1 : len(buf)-1] {
+				u2 := run[0] + k
+				if want := rows.Value(col, u2).KeyHash(); h != want {
+					t.Fatalf("column %d run %v row %d: KeyHashes %#x, Value.KeyHash %#x", col, run, u2, h, want)
+				}
+				if want := rows.KeyHash(col, u2); h != want {
+					t.Fatalf("column %d run %v row %d: KeyHashes %#x, KeyHash %#x", col, run, u2, h, want)
+				}
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"dbs3/internal/lera"
 	"dbs3/internal/partition"
@@ -43,7 +44,9 @@ type JoinDB struct {
 // CheckJoinDB returns the error NewJoinDB returns for these arguments, or
 // nil: BCard must be a multiple of D so that every fragment of B holds the
 // same number of keys (the paper's unskewed operand), both cardinalities and
-// the degree positive, and the skew factor non-negative; ACard is free.
+// the degree positive, both cardinalities at most math.MaxInt32 (the
+// generators keep keys and ids as int32s), and the skew factor non-negative;
+// ACard is otherwise free.
 func CheckJoinDB(aCard, bCard, d int, theta float64) error {
 	if d <= 0 {
 		return fmt.Errorf("workload: degree must be positive, got %d", d)
@@ -53,6 +56,9 @@ func CheckJoinDB(aCard, bCard, d int, theta float64) error {
 	}
 	if bCard <= 0 || aCard <= 0 {
 		return fmt.Errorf("workload: cardinalities must be positive")
+	}
+	if aCard > math.MaxInt32 || bCard > math.MaxInt32 {
+		return fmt.Errorf("workload: cardinalities must be at most %d, got %d and %d", math.MaxInt32, aCard, bCard)
 	}
 	if !(theta >= 0) {
 		return fmt.Errorf("workload: skew factor must be non-negative, got %v", theta)

@@ -20,6 +20,8 @@ func TestNewJoinDBValidation(t *testing.T) {
 		{"degree 0", 100, 10, 0, 0},
 		{"BCard not multiple of d", 100, 15, 10, 0},
 		{"zero ACard", 0, 10, 10, 0},
+		{"ACard past MaxInt32", math.MaxInt32 + 1, 10, 10, 0},
+		{"BCard past MaxInt32", 100, 1 << 31, 8, 0},
 		{"negative theta", 100, 10, 10, -1},
 		{"NaN theta", 100, 10, 10, math.NaN()},
 	} {

@@ -84,13 +84,17 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 // shard generates shard of shards of the declared relation, sharded on
 // column col: exactly the relation Rehome keeps of the whole one, which is
 // shard 0 of 1. Every row is placed before it exists by the hash of col as a
-// one-column key (relation.WisconsinRows.KeyHash), which gives both its
-// shard and, when col is the relation's key, its fragment; its fragment
-// comes from a second hash only when the two columns differ. A dropped row
-// goes to a bucket past the last fragment, so placing a row takes no branch
-// on whether it is kept; the kept rows are counting-sorted by fragment,
-// generation order within each, and relation.WisconsinRows.Shard writes
-// them.
+// one-column key, which gives both its shard and, when col is the relation's
+// key, its fragment; its fragment comes from a second hash only when the two
+// columns differ. The rows are placed a chunk at a time:
+// relation.WisconsinRows.KeyHashes fills a chunk of col's hashes, and a
+// second chunk of the key's when the columns differ, in one loop each, and
+// one loop places the chunk's rows. The two chunks take 2 KiB of stack, which
+// the goroutine a settle runs on (an HTTP handler's, on a served node) has
+// room for. A dropped row goes to a bucket past the last fragment, so placing
+// a row takes no branch on whether it is kept; the kept rows are
+// counting-sorted by fragment, generation order within each, and
+// relation.WisconsinRows.Shard writes them.
 func (d *wisconsinDef) shard(col, shard, shards int) (placed, []int) {
 	rows := relation.NewWisconsinRows(d.cardinality, d.seed)
 	degree := d.h.Degree()
@@ -98,17 +102,24 @@ func (d *wisconsinDef) shard(col, shard, shards int) (placed, []int) {
 	counts := make([]int, 2*(degree+1))
 	sizes, next := counts[:degree+1], counts[degree+1:]
 	dest := make([]int32, d.cardinality)
-	for u2 := range dest {
-		h := rows.KeyHash(col, u2)
-		keep := int32(oneIf(shardOfHash(h, shards) == shard))
+	const chunk = 128
+	var colHashes, keyHashes [chunk]uint64
+	for lo := 0; lo < len(dest); lo += chunk {
+		hs := colHashes[:min(chunk, len(dest)-lo)]
+		rows.KeyHashes(col, lo, hs)
+		fs := hs
 		if col != d.key {
-			h = rows.KeyHash(d.key, u2)
+			fs = keyHashes[:len(hs)]
+			rows.KeyHashes(d.key, lo, fs)
 		}
-		// f is the row's fragment if kept, else degree: keep picks one of
-		// the two by arithmetic, not by a branch taken at random.
-		f := keep*d.h.FragmentOf(h) + (1-keep)*int32(degree)
-		dest[u2] = f
-		sizes[f]++
+		for k, h := range hs {
+			keep := int32(oneIf(shardOfHash(h, shards) == shard))
+			// f is the row's fragment if kept, else degree: keep picks one
+			// of the two by arithmetic, not by a branch taken at random.
+			f := keep*d.h.FragmentOf(fs[k]) + (1-keep)*int32(degree)
+			dest[lo+k] = f
+			sizes[f]++
+		}
 	}
 	for f := 1; f <= degree; f++ {
 		next[f] = next[f-1] + sizes[f-1]
