@@ -564,13 +564,12 @@ func (o *Operation) onBatch(ctx *operator.Context, ts []relation.Tuple, emit ope
 // closes its queues. grain 0 sends one whole-fragment trigger per instance
 // (the paper's model); grain g > 0 splits each instance's triggered operand,
 // its Input, into ceil(span/g) partial triggers of at most g tuples (§6
-// future work). Each queue's ring is sized to the triggers it receives.
+// future work).
 func (o *Operation) InjectTriggers(grain int) {
 	var batch []Activation // reused across queues; PushBatch copies
 	for i, q := range o.Queues {
 		span := len(o.ctxs[i].Input)
 		if grain <= 0 || span == 0 {
-			q.reserve(1)
 			q.Push(Activation{})
 		} else {
 			batch = batch[:0]
@@ -581,7 +580,6 @@ func (o *Operation) InjectTriggers(grain int) {
 				}
 				batch = append(batch, Activation{Lo: int32(lo), Hi: int32(hi)})
 			}
-			q.reserve(len(batch))
 			q.PushBatch(batch)
 		}
 		q.Close()

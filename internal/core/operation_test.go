@@ -392,57 +392,3 @@ func TestBalanceRatioDegenerate(t *testing.T) {
 		t.Error("zero-work stats should balance at 1")
 	}
 }
-
-// TestInjectTriggersSizesRings: a triggered queue's ring holds exactly the
-// triggers pushed into it — one at grain 0, ⌈span/grain⌉ otherwise (one for
-// an empty operand) — and the queue delivers them all.
-func TestInjectTriggersSizesRings(t *testing.T) {
-	spans := []int{0, 10, 25, 200}
-	for _, grain := range []int{0, 7, 1} {
-		ctxs := make([]*operator.Context, len(spans))
-		for i, span := range spans {
-			ctxs[i] = &operator.Context{Instance: i, Input: make([]relation.Tuple, span)}
-		}
-		o := newOperation("t", 0, &stubOperator{}, ctxs, 256, 1, 1, StrategyRandom, 1, true)
-		o.InjectTriggers(grain)
-		for i, q := range o.Queues {
-			want := 1
-			if grain > 0 && spans[i] > 0 {
-				want = (spans[i] + grain - 1) / grain
-			}
-			if len(q.buf) != want || q.Len() != want {
-				t.Errorf("grain %d span %d: ring of %d slots holding %d triggers, want %d of each", grain, spans[i], len(q.buf), q.Len(), want)
-			}
-		}
-	}
-}
-
-// TestQueueReserve: a reserved ring is the size asked for, within one slot
-// and the capacity, a later reserve leaves a ring alone, and a reserved ring
-// that fills grows to the capacity with its order kept.
-func TestQueueReserve(t *testing.T) {
-	for _, c := range []struct{ capacity, n, want int }{{8, 0, 1}, {8, 3, 3}, {8, 100, 8}} {
-		q := NewQueue(c.capacity)
-		q.reserve(c.n)
-		if len(q.buf) != c.want {
-			t.Errorf("capacity %d reserve(%d): %d slots, want %d", c.capacity, c.n, len(q.buf), c.want)
-		}
-	}
-	q := NewQueue(8)
-	q.reserve(2)
-	q.reserve(5)
-	if len(q.buf) != 2 {
-		t.Fatalf("second reserve resized the ring to %d slots", len(q.buf))
-	}
-	for i := int64(0); i < 5; i++ {
-		q.Push(tupleAct(i))
-	}
-	if len(q.buf) != 8 {
-		t.Errorf("full reserved ring grew to %d slots, want the capacity 8", len(q.buf))
-	}
-	for i, a := range q.PopBatch(8, nil) {
-		if a.Tuple[0].AsInt() != int64(i) {
-			t.Fatalf("activation %d is %v", i, a.Tuple)
-		}
-	}
-}

@@ -43,11 +43,9 @@ type Queue struct {
 	mu      sync.Mutex
 	notFull *sync.Cond
 
-	// buf is the ring storage. It is allocated at the first push, 64
-	// slots, and grows on demand to capacity — a queue's backpressure
-	// bound — so idle instances (and the many queues of a high-degree plan)
-	// never pay for their worst case. A triggered queue's is reserved at
-	// the number of its triggers instead.
+	// buf is the ring storage. It starts small and doubles on demand up to
+	// capacity — a queue's backpressure bound — so idle instances (and the
+	// many queues of a high-degree plan) never pay for their worst case.
 	buf      []Activation
 	capacity int
 	head     int
@@ -105,18 +103,6 @@ func (q *Queue) growLocked() {
 	}
 	q.buf = buf
 	q.head = 0
-}
-
-// reserve gives a queue that has no ring yet one of n slots, at most its
-// capacity, in place of the 64 its first push would give it: for a producer
-// that knows how many activations it will push, such as a triggered
-// operation's, which pushes one per trigger.
-func (q *Queue) reserve(n int) {
-	q.mu.Lock()
-	if len(q.buf) == 0 {
-		q.buf = make([]Activation, min(max(n, 1), q.capacity))
-	}
-	q.mu.Unlock()
 }
 
 // SetEstimate sets the static LPT cost estimate (triggered queues). Call

@@ -177,20 +177,6 @@ func fnvInt(u uint64) uint64 {
 	return (h ^ u>>56) * fnvPrime64
 }
 
-// fnvUint32 is fnvInt(u) for u below 2³², in four steps where fnvInt takes
-// eight: a step over a zero byte multiplies by fnvPrime64 alone, so the last
-// byte's step and those over the four zero bytes above it are one multiply
-// by fnvPrime64⁵. A Wisconsin loader hashes its integers, all below 2³¹,
-// by it.
-func fnvUint32(u uint32) uint64 {
-	const fnvPrime64To5 = fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 % (1 << 64)
-	v := uint64(u)
-	h := (fnvOffset64 ^ v&0xff) * fnvPrime64
-	h = (h ^ v>>8&0xff) * fnvPrime64
-	h = (h ^ v>>16&0xff) * fnvPrime64
-	return (h ^ v>>24) * fnvPrime64To5
-}
-
 // String renders the value for debugging and CLI output.
 func (v Value) String() string {
 	if v.p == nil {

@@ -170,16 +170,3 @@ func mustPanic(t *testing.T, f func()) {
 	}()
 	f()
 }
-
-// TestFnvUint32IsFnvInt: below 2³², the four-step hash is the eight-step
-// one, at every byte's boundaries and at random.
-func TestFnvUint32IsFnvInt(t *testing.T) {
-	for _, u := range []uint32{0, 1, 0xff, 0x100, 0xffff, 0x10000, 0xffffff, 0x1000000, math.MaxInt32, 1 << 31, math.MaxUint32} {
-		if got, want := fnvUint32(u), fnvInt(uint64(u)); got != want {
-			t.Errorf("fnvUint32(%#x) = %#x, fnvInt %#x", u, got, want)
-		}
-	}
-	if err := quick.Check(func(u uint32) bool { return fnvUint32(u) == fnvInt(uint64(u)) }, nil); err != nil {
-		t.Error(err)
-	}
-}

@@ -225,90 +225,72 @@ func rank(marks, ranks []uint64, v uint64) uint64 {
 // Value returns column col of row u2 without building the row: what a
 // partitioning function needs to place a row before it exists.
 func (w *WisconsinRows) Value(col, u2 int) Value {
+	u1 := int64(w.perm[u2])
 	switch col {
+	case 0, 10:
+		return Int(u1)
 	case 1:
 		return Int(int64(u2))
+	case 2, 9:
+		return Int(u1 % 2)
+	case 3:
+		return Int(u1 % 4)
+	case 4, 7:
+		return Int(u1 % 10)
+	case 5:
+		return Int(u1 % 20)
+	case 6:
+		return Int(u1 % 100)
+	case 8:
+		return Int(u1 % 5)
+	case 11:
+		return Int((u1 % 100) * 2)
+	case 12:
+		return Int((u1%100)*2 + 1)
 	case 13:
-		return Str(wisconsinText(int64(w.perm[u2])))
+		return Str(wisconsinText(u1))
 	case 14:
 		return Str(wisconsinText(int64(u2)))
 	case 15:
 		return Str(string4Cycle[u2%len(string4Cycle)])
 	}
-	return Int(unique1Value(col, uint64(w.perm[u2])))
-}
-
-// unique1Value returns integer column col, other than unique2, of a row
-// whose unique1 is u1: every such column is a function of unique1.
-func unique1Value(col int, u1 uint64) int64 {
-	switch col {
-	case 0, 10:
-		return int64(u1)
-	case 2, 9:
-		return int64(u1 % 2)
-	case 3:
-		return int64(u1 % 4)
-	case 4, 7:
-		return int64(u1 % 10)
-	case 5:
-		return int64(u1 % 20)
-	case 6:
-		return int64(u1 % 100)
-	case 8:
-		return int64(u1 % 5)
-	case 11:
-		return int64(u1 % 100 * 2)
-	case 12:
-		return int64(u1%100*2 + 1)
-	}
 	panic(fmt.Sprintf("relation: Wisconsin has no column %d", col))
 }
 
 // KeyHash returns the hash of column col of row u2 as a one-column key,
-// Value(col, u2).KeyHash(), without building the value: KeyHashes of the one
-// row.
+// Value(col, u2).KeyHash(): KeyHashes of the one row. No loader calls it;
+// it is the one-row form TestWisconsinRowsAgreeWithRelation checks.
 func (w *WisconsinRows) KeyHash(col, u2 int) uint64 {
 	var h [1]uint64
 	w.KeyHashes(col, u2, h[:])
 	return h[0]
 }
 
-// KeyHashes sets hs[k] to KeyHash(col, from+k) for every k: the hashes a
-// loader places a run of rows by before they exist. It is one loop over the
-// run per kind of column, which the column picks once: unique2, the row
-// number; an integer derived from unique1; a text, rendered into a buffer on
-// the stack; string4, one of four constants. An integer, always below 2³¹,
-// is hashed in the loop by fnvUint32, which gives what Value.KeyHash's
-// fnvInt does, with no Value built, so the run allocates nothing whichever
-// column places it.
+// KeyHashes sets hs[k] to Value(col, from+k).KeyHash() for every k: the
+// hashes a loader places a run of rows by before they exist. unique2, the
+// row number, is hashed in a loop of its own by fnvInt, with no Value
+// built; a text column (stringu1, stringu2) is rendered into a buffer on the
+// stack, so placing on it allocates nothing. Any other column builds each
+// row's Value, an integer or a string4 constant, neither of which allocates.
 func (w *WisconsinRows) KeyHashes(col, from int, hs []uint64) {
-	perm := w.perm[from : from+len(hs)]
 	switch col {
 	case 1:
 		for k := range hs {
-			hs[k] = foldKey(fnvOffset64, fnvUint32(uint32(from+k)))
+			hs[k] = foldKey(fnvOffset64, fnvInt(uint64(from+k)))
 		}
 	case 13, 14:
 		var text [wisconsinStringLen]byte
-		for k, u1 := range perm {
-			v := int64(u1)
-			if col == 14 {
-				v = int64(from + k)
+		for k := range hs {
+			v := int64(from + k)
+			if col == 13 {
+				v = int64(w.perm[from+k])
 			}
 			putWisconsinString(text[:], v)
 			hs[k] = foldKey(fnvOffset64, fnvText(text[:]))
 		}
-	case 15:
-		var string4 [len(string4Cycle)]uint64
-		for c, s := range string4Cycle {
-			string4[c] = Str(s).KeyHash()
-		}
-		for k := range hs {
-			hs[k] = string4[(from+k)%len(string4)]
-		}
 	default:
-		for k, u1 := range perm {
-			hs[k] = foldKey(fnvOffset64, fnvUint32(uint32(unique1Value(col, uint64(u1)))))
+		for k := range hs {
+			hs[k] = w.Value(col, from+k).KeyHash()
 		}
 	}
 }

@@ -249,9 +249,6 @@ func TestWisconsinKeyHashesMatchKeyHash(t *testing.T) {
 				if want := rows.Value(col, u2).KeyHash(); h != want {
 					t.Fatalf("column %d run %v row %d: KeyHashes %#x, Value.KeyHash %#x", col, run, u2, h, want)
 				}
-				if want := rows.KeyHash(col, u2); h != want {
-					t.Fatalf("column %d run %v row %d: KeyHashes %#x, KeyHash %#x", col, run, u2, h, want)
-				}
 			}
 		}
 	}
