@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 
+	"dbs3"
 	"dbs3/internal/server"
 )
 
@@ -19,23 +20,19 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // backend adapts the coordinator's Go API to server.Backend; its cursors
-// are server.Results as they are.
+// are the facade's, and a *Stmt is a server.Prepared as it stands.
 type backend struct{ c *Coordinator }
 
-func (b backend) Query(ctx context.Context, sql string, args []any, opt *server.Options) (server.Result, error) {
-	rows, err := b.c.Query(ctx, sql, args, opt)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+func (b backend) Query(ctx context.Context, sql string, args []any, opt *server.Options) (*dbs3.Rows, error) {
+	return b.c.Query(ctx, sql, args, opt)
 }
 
 func (b backend) Prepare(ctx context.Context, sql string, opt *server.Options) (server.Prepared, error) {
 	stmt, err := b.c.Prepare(ctx, sql, opt)
 	if err != nil {
-		return nil, err
+		return nil, err // a nil interface, not a nil *Stmt in one
 	}
-	return prepared{stmt}, nil
+	return stmt, nil
 }
 
 // Stats refreshes the node snapshots and returns the cluster view.
@@ -61,14 +58,4 @@ func (b backend) ErrorStatus(err error) int {
 		return http.StatusBadGateway
 	}
 	return http.StatusBadRequest
-}
-
-type prepared struct{ *Stmt }
-
-func (p prepared) Exec(ctx context.Context, args []any, opt *server.Options) (server.Result, error) {
-	rows, err := p.Stmt.Exec(ctx, args, opt)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

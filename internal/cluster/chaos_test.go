@@ -177,7 +177,7 @@ func TestChaosReplicatedCluster(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < chaosQueries; i += chaosWorkers {
-				var rows *Rows
+				var rows *dbs3.Rows
 				var err error
 				var kind string
 				switch i % 3 {

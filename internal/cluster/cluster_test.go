@@ -89,7 +89,7 @@ func newTestCluster(t *testing.T, token string) *testCluster {
 }
 
 // drain collects a scatter-gather result into a row multiset.
-func drain(t *testing.T, rows *Rows) ([][]any, *server.Footer) {
+func drain(t *testing.T, rows *dbs3.Rows) ([][]any, *server.Footer) {
 	t.Helper()
 	defer rows.Close()
 	var out [][]any
@@ -243,12 +243,11 @@ func TestScatterHeaderAggregatesCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rows.Close()
-	h := rows.Header()
-	if h.Threads != 2*testShards {
-		t.Errorf("cluster header threads = %d, want %d (2 per node)", h.Threads, 2*testShards)
+	if threads := rows.Threads(); threads != 2*testShards {
+		t.Errorf("cluster header threads = %d, want %d (2 per node)", threads, 2*testShards)
 	}
-	if len(h.Columns) == 0 || len(h.Columns) != len(h.Types) {
-		t.Errorf("malformed cluster header: %+v", h)
+	if cols, types := rows.Columns(), rows.ColumnTypes(); len(cols) == 0 || len(cols) != len(types) {
+		t.Errorf("malformed cluster header: columns %v, types %v", cols, types)
 	}
 	drain(t, rows)
 }

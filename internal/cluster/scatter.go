@@ -22,16 +22,6 @@ import (
 // slow consumers.
 const rowChanDepth = 256
 
-// Rows is a coordinator's result: the facade's cursor over the scatter, as
-// the serve front end streams it. For plain selections and joins rows
-// stream as workers produce them (interleaved across shards, no global
-// order); for aggregates the coordinator has already folded the partials
-// through operator.Aggregate by the time Rows is returned, and iteration
-// walks the merged groups in group-key (Tuple.Compare) order. Its Footer
-// holds each shard's record as it arrived under Nodes, and Threads and the
-// spill totals summed over them.
-type Rows = server.Rows
-
 // gather is one fan-out of a scatter: the subqueries past the header
 // barrier, their streams' context and the cancel that tears them down,
 // whether any row was pushed, the first error and each shard's footer.
@@ -74,7 +64,16 @@ type query struct {
 // Query scatter-gathers one ad-hoc statement: it derives the merge shape
 // once (the coordinator-side compile), fans the unchanged SQL out to every
 // shard with the remote-load-adjusted options, and merges the streams.
-func (c *Coordinator) Query(ctx context.Context, sql string, args []any, opt *server.Options) (*Rows, error) {
+//
+// The result is the facade's cursor over the scatter, as the serve front
+// end streams it. For plain selections and joins rows stream as workers
+// produce them (interleaved across shards, no global order); for
+// aggregates the coordinator has already folded the partials through
+// operator.Aggregate by the time the cursor is returned, and iteration
+// walks the merged groups in group-key (Tuple.Compare) order. Its Footer
+// holds each shard's record as it arrived under Nodes, and Threads and the
+// spill totals summed over them.
+func (c *Coordinator) Query(ctx context.Context, sql string, args []any, opt *server.Options) (*dbs3.Rows, error) {
 	spec, err := esql.ScatterPlan(sql)
 	if err != nil {
 		return nil, err
@@ -90,7 +89,7 @@ func (c *Coordinator) Query(ctx context.Context, sql string, args []any, opt *se
 // in the plain producer for a fan-in that ends before its first row.
 // Client-visible failures are counted once, where they end the result; a
 // transparent recovery and the cancellation Close causes are not failures.
-func (c *Coordinator) scatter(ctx context.Context, q *query) (*Rows, error) {
+func (c *Coordinator) scatter(ctx context.Context, q *query) (*dbs3.Rows, error) {
 	if len(q.args) != q.spec.Params {
 		return nil, fmt.Errorf("cluster: statement has %d parameters, got %d arguments", q.spec.Params, len(q.args))
 	}
@@ -106,7 +105,7 @@ func (c *Coordinator) scatter(ctx context.Context, q *query) (*Rows, error) {
 		c.failures.Add(1)
 		return nil, err
 	}
-	rows := dbs3.NewRows(qctx, cancel, g.header.Columns, g.header.Types, rowChanDepth, dbs3.Footer{Threads: g.header.Threads},
+	return dbs3.NewRows(qctx, cancel, g.header.Columns, g.header.Types, rowChanDepth, dbs3.Footer{Threads: g.header.Threads},
 		func(pctx context.Context, push func([]any) error, f *dbs3.Footer) error {
 			var err error
 			if fd != nil {
@@ -129,8 +128,7 @@ func (c *Coordinator) scatter(ctx context.Context, q *query) (*Rows, error) {
 				}
 			}
 			return err
-		})
-	return &Rows{Rows: rows}, nil
+		}), nil
 }
 
 // restart reports whether err earns the scatter its one whole-query

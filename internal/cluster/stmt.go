@@ -71,7 +71,7 @@ func (s *Stmt) Info() server.PrepareResponse { return s.info }
 
 // Exec scatter-gathers one execution: the statement's SQL with args, under
 // the prepare-time options overlaid by opt.
-func (s *Stmt) Exec(ctx context.Context, args []any, opt *server.Options) (*Rows, error) {
+func (s *Stmt) Exec(ctx context.Context, args []any, opt *server.Options) (*dbs3.Rows, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("cluster: statement closed: %w", server.ErrNoStatement)
 	}

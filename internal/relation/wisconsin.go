@@ -257,15 +257,6 @@ func (w *WisconsinRows) Value(col, u2 int) Value {
 	panic(fmt.Sprintf("relation: Wisconsin has no column %d", col))
 }
 
-// KeyHash returns the hash of column col of row u2 as a one-column key,
-// Value(col, u2).KeyHash(): KeyHashes of the one row. No loader calls it;
-// it is the one-row form TestWisconsinRowsAgreeWithRelation checks.
-func (w *WisconsinRows) KeyHash(col, u2 int) uint64 {
-	var h [1]uint64
-	w.KeyHashes(col, u2, h[:])
-	return h[0]
-}
-
 // KeyHashes sets hs[k] to Value(col, from+k).KeyHash() for every k: the
 // hashes a loader places a run of rows by before they exist. unique2, the
 // row number, is hashed in a loop of its own by fnvInt, with no Value

@@ -166,8 +166,10 @@ func TestWisconsinRowsAgreeWithRelation(t *testing.T) {
 			if v := rows.Value(c, u2); !v.Equal(r.Tuples[u2][c]) {
 				t.Fatalf("Value(%d, %d) = %v, relation has %v", c, u2, v, r.Tuples[u2][c])
 			}
-			if h, want := rows.KeyHash(c, u2), r.Tuples[u2].HashOn([]int{c}); h != want {
-				t.Fatalf("KeyHash(%d, %d) = %#x, HashOn of the row %#x", c, u2, h, want)
+			var h [1]uint64
+			rows.KeyHashes(c, u2, h[:1])
+			if want := r.Tuples[u2].HashOn([]int{c}); h[0] != want {
+				t.Fatalf("KeyHashes(%d, %d) = %#x, HashOn of the row %#x", c, u2, h[0], want)
 			}
 		}
 	}

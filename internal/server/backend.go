@@ -3,10 +3,13 @@ package server
 import (
 	"context"
 	"errors"
+
+	"dbs3"
 )
 
 // Backend is what the HTTP front end serves: something that runs statements
-// and streams results. Routing, auth, body and argument decoding, wire
+// and returns the facade's cursor over each result, which the front end
+// streams as it is. Routing, auth, body and argument decoding, wire
 // negotiation, the priority header, the statement registry and the result
 // stream are the front end's, so a backend never sees HTTP. Two exist: the
 // local database (New) and the cluster coordinator
@@ -17,7 +20,7 @@ import (
 // in (nil when the request set none); Options.Wire is not a backend's
 // business.
 type Backend interface {
-	Query(ctx context.Context, sql string, args []any, opt *Options) (Result, error)
+	Query(ctx context.Context, sql string, args []any, opt *Options) (*dbs3.Rows, error)
 	// Prepare compiles a statement for repeated execution; the front end
 	// registers the handle under an id and Closes it on DELETE, idle expiry
 	// or a full registry.
@@ -35,26 +38,11 @@ type Prepared interface {
 	// Info describes the statement; the front end fills in ID.
 	Info() PrepareResponse
 	// Exec runs it; opt overrides the prepare-time options for this
-	// execution only.
-	Exec(ctx context.Context, args []any, opt *Options) (Result, error)
+	// execution only. The cursor counts its own rows, so its Footer is the
+	// one the stream ends with.
+	Exec(ctx context.Context, args []any, opt *Options) (*dbs3.Rows, error)
 	// Close releases what the backend holds for the statement, best effort.
 	Close(ctx context.Context)
-}
-
-// Result is the cursor the front end streams from (*RowStream and *Rows are
-// two). Header is known before the first row. Row is the current row — one
-// int64 or string per column — in a slice the result never reuses: the front
-// end keeps a chunk of them across Next calls. Once Next returned false, Err
-// tells failure from completion and, on completion, Footer is set, its
-// RowCount the rows this result delivered. Close aborts a result that was
-// not drained; it is safe after either ending.
-type Result interface {
-	Header() *Header
-	Next() bool
-	Row() []any
-	Err() error
-	Footer() *Footer
-	Close() error
 }
 
 // FrontEndStats is the front end's share of a /stats payload: the open and

@@ -19,7 +19,7 @@ type local struct {
 }
 
 // Query prepares through the plan cache, which makes repeated SQL cheap.
-func (b *local) Query(ctx context.Context, sql string, args []any, wire *Options) (Result, error) {
+func (b *local) Query(ctx context.Context, sql string, args []any, wire *Options) (*dbs3.Rows, error) {
 	stmt, err := b.prepare(sql, Overlay(b.opts, wire))
 	if err != nil {
 		return nil, err
@@ -87,7 +87,7 @@ func (s *localStmt) Info() PrepareResponse {
 // An execution whose options differ from the prepare-time ones re-resolves
 // through the plan cache: a hit unless the join algorithm changed, which
 // genuinely needs a different plan.
-func (s *localStmt) Exec(ctx context.Context, args []any, wire *Options) (Result, error) {
+func (s *localStmt) Exec(ctx context.Context, args []any, wire *Options) (*dbs3.Rows, error) {
 	stmt := s.stmt
 	if opt := Overlay(s.opt, wire); opt != s.opt {
 		fresh, err := s.b.db.Prepare(s.stmt.SQL(), &opt)
@@ -96,21 +96,7 @@ func (s *localStmt) Exec(ctx context.Context, args []any, wire *Options) (Result
 		}
 		stmt = fresh
 	}
-	rows, err := stmt.QueryContext(ctx, args...)
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{rows}, nil
+	return stmt.QueryContext(ctx, args...)
 }
 
 func (s *localStmt) Close(context.Context) { s.stmt.Close() }
-
-// Rows is the Result of both backends, the local database and the cluster
-// coordinator: the facade's cursor, whose Next, Row, Err, Footer and Close
-// are its own, plus the stream header read off it.
-type Rows struct{ *dbs3.Rows }
-
-// Header is the result's shape and the threads known before the first row.
-func (r *Rows) Header() *Header {
-	return &Header{Columns: r.Columns(), Types: r.ColumnTypes(), Threads: r.Threads()}
-}

@@ -206,7 +206,7 @@ func negotiateWire(r *http.Request, wire *Options) (string, error) {
 // placeholder arguments, negotiate the encoding, run, stream. Nothing
 // reaches the backend unless the whole request is well-formed.
 func (s *Server) execute(w http.ResponseWriter, r *http.Request, rawArgs []any, wire *Options,
-	run func(args []any, opt *Options) (Result, error)) {
+	run func(args []any, opt *Options) (*dbs3.Rows, error)) {
 	args, err := decodeArgs(rawArgs)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -234,7 +234,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	s.execute(w, r, req.Args, req.Options, func(args []any, opt *Options) (Result, error) {
+	s.execute(w, r, req.Args, req.Options, func(args []any, opt *Options) (*dbs3.Rows, error) {
 		return s.backend.Query(r.Context(), req.SQL, args, opt)
 	})
 }
@@ -284,7 +284,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	s.execute(w, r, req.Args, req.Options, func(args []any, opt *Options) (Result, error) {
+	s.execute(w, r, req.Args, req.Options, func(args []any, opt *Options) (*dbs3.Rows, error) {
 		return entry.stmt.Exec(r.Context(), args, opt)
 	})
 }

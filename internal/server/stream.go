@@ -4,9 +4,10 @@ import (
 	"bufio"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"dbs3"
 )
 
 // chunkRows is how many rows the server batches per wire message. Small
@@ -19,10 +20,11 @@ const chunkRows = 64
 // 64-row chunk.
 const writeBuffer = 32 << 10
 
-// streamFlushInterval bounds how stale buffered rows may get on a slowly
-// producing query: a chunk emitted at least this long after the last flush
-// forces the buffer (and the HTTP flusher) out, so coalescing never turns a
-// trickle of rows into a stalled client.
+// streamFlushInterval bounds how stale a held row may get on a slowly
+// producing query: this long after the first row held since the last timer
+// flush, the partial chunk is sent and the buffer (and the HTTP flusher)
+// forced out, so coalescing never turns a trickle of rows into a stalled
+// client.
 const streamFlushInterval = 100 * time.Millisecond
 
 // countingWriter counts the encoded bytes a stream puts on the wire (it sits
@@ -43,10 +45,11 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // stream writes res onto the response in the negotiated encoding
 // (contentType: NDJSON or binary columnar; see colwire.go) and closes it.
 // Every backend's results leave through here, so they all get the same
-// write coalescing, staleness flush and byte/row accounting. A client that
-// disconnects mid-stream fails a write; the deferred Close then aborts the
-// result (for the local backend the request context already did).
-func (s *Server) stream(w http.ResponseWriter, res Result, contentType string) {
+// write coalescing, staleness flush and byte/row accounting. The header is
+// read off the cursor before the first row. A client that disconnects
+// mid-stream fails a write; the deferred Close then aborts the result (for
+// the local backend the request context already did).
+func (s *Server) stream(w http.ResponseWriter, res *dbs3.Rows, contentType string) {
 	defer res.Close()
 
 	w.Header().Set("Content-Type", contentType)
@@ -55,100 +58,83 @@ func (s *Server) stream(w http.ResponseWriter, res Result, contentType string) {
 	// Frames coalesce in a sized bufio.Writer: a wide streamed result pays
 	// one connection Write per buffer fill instead of one per 64-row
 	// chunk. Streaming latency stays bounded: the header, the first row
-	// chunk and the terminal message flush immediately, and a background
-	// ticker flushes anything buffered at least every streamFlushInterval —
-	// so a slowly producing query can never strand rows in the buffer while
-	// it blocks for the next chunk. wmu serializes the handler's writes with
-	// the ticker's flushes (neither bufio.Writer nor http.ResponseWriter is
-	// concurrency-safe).
-	hdr := res.Header()
+	// chunk and the terminal message flush at once, and the first row held
+	// since the last timer flush arms a timer of streamFlushInterval. While
+	// it is armed the loop waits for the producer only until it fires, then
+	// sends the partial chunk and flushes: no row, encoded or not, waits
+	// longer on a stalled producer.
+	types := res.ColumnTypes()
 	bw := bufio.NewWriterSize(&countingWriter{w: w, total: &s.bytesWritten}, writeBuffer)
-	enc := NewStreamEncoder(bw, contentType, hdr.Types)
+	enc := NewStreamEncoder(bw, contentType, types)
 	flusher, _ := w.(http.Flusher)
-	var wmu sync.Mutex
-	dirty := false // buffered bytes not yet flushed; guarded by wmu
-	flushLocked := func() {
-		bw.Flush()
+	flush := func() error {
+		err := bw.Flush()
 		if flusher != nil {
 			flusher.Flush()
 		}
-		dirty = false
-	}
-	stopFlush := make(chan struct{})
-	flushDone := make(chan struct{})
-	go func() {
-		defer close(flushDone)
-		ticker := time.NewTicker(streamFlushInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				wmu.Lock()
-				if dirty {
-					flushLocked()
-				}
-				wmu.Unlock()
-			case <-stopFlush:
-				return
-			}
-		}
-	}()
-	defer func() {
-		close(stopFlush)
-		<-flushDone
-		// Final drain for the error-return paths; success paths flushed.
-		wmu.Lock()
-		flushLocked()
-		wmu.Unlock()
-	}()
-	// write runs one encoder call under the write mutex; flush forces its
-	// bytes (and anything buffered) out. Without flush the bytes leave when
-	// the buffer fills or the ticker fires.
-	write := func(fn func() error, flush bool) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		err := fn()
-		if flush {
-			flushLocked()
-		} else {
-			dirty = true
-		}
 		return err
 	}
+	// The terminal message and the error-return paths flush here.
+	defer flush()
 
-	if err := write(func() error { return enc.Header(hdr) }, true); err != nil {
+	if enc.Header(&Header{Columns: res.Columns(), Types: types, Threads: res.Threads()}) != nil || flush() != nil {
 		return
 	}
 
 	firstChunk := true
 	chunk := make([][]any, 0, chunkRows)
-	emit := func() bool {
-		if len(chunk) == 0 {
-			return true
+	// emit encodes the held rows as one chunk; with force it flushes them
+	// and everything buffered before them.
+	emit := func(force bool) bool {
+		if len(chunk) > 0 {
+			// Counted as they leave, like the bytes: a stats poll during a
+			// long stream sees its progress, and one right after it sees it
+			// all.
+			s.rowsStreamed.Add(int64(len(chunk)))
+			err := enc.Rows(chunk)
+			chunk = chunk[:0]
+			if err != nil {
+				return false
+			}
 		}
-		// Counted as they leave, like the bytes: a stats poll during a long
-		// stream sees its progress, and one right after it sees it all.
-		s.rowsStreamed.Add(int64(len(chunk)))
-		err := write(func() error { return enc.Rows(chunk) }, firstChunk)
-		firstChunk = false
-		chunk = chunk[:0]
-		return err == nil
+		return !force || flush() == nil
 	}
-	for res.Next() {
+	timer := time.NewTimer(streamFlushInterval)
+	timer.Stop()
+	defer timer.Stop()
+	armed := false
+	for {
+		if armed && !res.Wait(timer.C) {
+			armed = false
+			if !emit(true) {
+				return
+			}
+			continue
+		}
+		if !res.Next() {
+			break
+		}
 		chunk = append(chunk, res.Row())
-		if len(chunk) >= chunkRows && !emit() {
-			return
+		if !armed {
+			// The timer is stopped, or fired and drained by Wait.
+			timer.Reset(streamFlushInterval)
+			armed = true
+		}
+		if len(chunk) >= chunkRows {
+			if !emit(firstChunk) {
+				return
+			}
+			firstChunk = false
 		}
 	}
 	if err := res.Err(); err != nil {
 		// The header is already on the wire, so the failure travels in-band;
 		// the missing done message tells a half-read client the stream is
 		// truncated, not complete.
-		write(func() error { return enc.Fail(err.Error()) }, true)
+		enc.Fail(err.Error())
 		return
 	}
-	if !emit() {
-		return
+	if emit(false) {
+		enc.Done(res.Footer())
 	}
-	write(func() error { return enc.Done(res.Footer()) }, true)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"dbs3/internal/core"
 	"dbs3/internal/lera"
@@ -33,6 +34,11 @@ import (
 // when the abandoned result would have finished. A Rows is not safe for
 // concurrent use by multiple goroutines; the query execution behind it is
 // parallel regardless.
+//
+// Every result has this one cursor: a statement's, a cluster coordinator's
+// (Coordinator.Query) and what either backend of the serve front end
+// streams onto the wire, which reads the header off Columns, ColumnTypes
+// and Threads and bounds how long it holds a row with Wait.
 type Rows struct {
 	cols    []string
 	types   []string
@@ -44,6 +50,8 @@ type Rows struct {
 	cancel context.CancelFunc
 
 	cur       []any
+	held      []any // the next row, received ahead by Wait when holding
+	holding   bool
 	count     int64 // rows delivered
 	err       error
 	closed    bool
@@ -109,6 +117,26 @@ func (r *Rows) ColumnTypes() []string { return append([]string(nil), r.types...)
 // Threads is the total degree of parallelism the scheduler allocated.
 func (r *Rows) Threads() int { return r.threads }
 
+// Wait reports whether Next can return without waiting for the producer:
+// a row is buffered, the result has ended or the cursor is closed. When it
+// has to block, it receives the next row ahead of time, which Next then
+// returns first, and reports true; it reports false when stop fires first.
+// The serve front end waits this way on a timer, so a row it holds leaves
+// on time however long the producer stalls.
+func (r *Rows) Wait(stop <-chan time.Time) bool {
+	if r.closed || r.holding || len(r.ch) > 0 {
+		return true
+	}
+	select {
+	case row, ok := <-r.ch:
+		// A closed channel stays closed: Next sees the end for itself.
+		r.held, r.holding = row, ok
+		return true
+	case <-stop:
+		return false
+	}
+}
+
 // Next advances to the next row, blocking until one is produced, the result
 // is exhausted, or the query fails or is cancelled. It returns false at the
 // end of the result; check Err to distinguish exhaustion from failure.
@@ -116,7 +144,12 @@ func (r *Rows) Next() bool {
 	if r.closed {
 		return false
 	}
-	row, ok := <-r.ch
+	row, ok := r.held, r.holding
+	if ok {
+		r.held, r.holding = nil, false
+	} else {
+		row, ok = <-r.ch
+	}
 	if !ok {
 		<-r.done
 		r.err = r.execErr
@@ -197,7 +230,7 @@ func (r *Rows) Err() error { return r.err }
 func (r *Rows) Close() error {
 	r.once.Do(func() {
 		r.closed = true
-		r.cur = nil
+		r.cur, r.held = nil, nil
 		// Sample the query's context before cancelling: a caller whose
 		// context dies while we wait for the producer to unwind did not
 		// abort the query — Close did, deliberately.
