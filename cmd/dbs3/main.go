@@ -283,7 +283,8 @@ func runBatch(db *dbs3.Database, query string, opt *dbs3.Options, workers, repea
 		fmt.Printf("  memory:         budget %d bytes, peak reserved %d, spilled %d bytes over %d pass(es)\n",
 			st.MemBudget, st.PeakMem, st.SpilledBytes, st.SpillPasses)
 	}
-	fmt.Printf("  plan cache:     %d hits, %d misses\n", st.PlanCacheHits, st.PlanCacheMisses)
+	hits, misses := db.PlanCacheStats()
+	fmt.Printf("  plan cache:     %d hits, %d misses\n", hits, misses)
 	if failures.Load() > 0 {
 		os.Exit(1)
 	}

@@ -114,6 +114,8 @@ type Database struct {
 	// pending holds the declared relations not yet generated, in
 	// declaration order; none of their names is in rels.
 	pending []declaration
+	// settleMu lets one settle generate at a time, outside mu.
+	settleMu sync.Mutex
 
 	// cache is the LRU plan cache behind Prepare and ad-hoc queries; epoch
 	// is the catalog version, bumped on DDL so stale plans miss.
@@ -146,8 +148,8 @@ type Admission = dbruntime.Decision
 // thread budget and each one's scheduler sees the utilization measured from
 // the others' allocated threads. Installing a new manager replaces the
 // previous one for future queries. It generates no declared relation: each
-// is generated by the first statement that names it, under the catalog's
-// write lock, so every concurrent statement on the database waits for that
+// is generated by the first statement that names it, outside the catalog's
+// lock, so only statements that name a pending relation wait for a
 // generation; FragmentSizes(name) generates a relation ahead of serving.
 func (db *Database) Manager(cfg ManagerConfig) *dbruntime.Manager {
 	m := dbruntime.NewManager(cfg)
@@ -206,7 +208,7 @@ func (db *Database) register(r placed) error {
 	if err := db.taken(r.p.Name); err != nil {
 		return err
 	}
-	db.install(r.p, r.part, r.p.FragmentSizes())
+	db.install(r)
 	// DDL invalidates cached plans: they were bound against the old catalog.
 	db.epoch.Add(1)
 	return nil
@@ -227,16 +229,16 @@ func (db *Database) declared(name string) int {
 	return slices.IndexFunc(db.pending, func(d declaration) bool { return d.relName() == name })
 }
 
-// install puts p, placed by part into fragments of the given sizes, in the
-// catalog under its name, replacing what was there. db.mu must be held for
-// writing.
-func (db *Database) install(p *partition.Partitioned, part partition.Func, sizes []int) {
-	db.rels[p.Name] = p
-	db.resolver[p.Name] = lera.RelInfo{Schema: p.Schema, Degree: p.Degree(), FragSizes: sizes, Part: part}
+// install puts r's relation in the catalog under its name, replacing what
+// was there. db.mu must be held for writing.
+func (db *Database) install(r placed) {
+	db.rels[r.p.Name] = r.p
+	db.resolver[r.p.Name] = lera.RelInfo{Schema: r.p.Schema, Degree: r.p.Degree(), FragSizes: r.p.FragmentSizes(), Part: r.part}
 }
 
 // declaration is a declared relation: everything its rows are generated
-// from, and the two ways they are.
+// from, and the two ways they are. Neither writes anything a settle reads,
+// so a settle needs no lock.
 type declaration interface {
 	// relName is the relation's name.
 	relName() string
@@ -244,9 +246,9 @@ type declaration interface {
 	schema() *relation.Schema
 	// shard generates shard of shards of the relation, sharded on column
 	// col: the rows the unsharded relation's shard would keep, exactly.
-	shard(col, shard, shards int) (placed, []int)
+	shard(col, shard, shards int) placed
 	// settle generates the whole relation.
-	settle() (placed, []int)
+	settle() placed
 }
 
 // wisconsinDef is a declared Wisconsin relation.
@@ -262,19 +264,16 @@ func (d *wisconsinDef) relName() string          { return d.name }
 func (d *wisconsinDef) schema() *relation.Schema { return relation.WisconsinSchema }
 
 // settle generates the relation as the one shard of one on its key.
-func (d *wisconsinDef) settle() (placed, []int) { return d.shard(d.key, 0, 1) }
+func (d *wisconsinDef) settle() placed { return d.shard(d.key, 0, 1) }
 
 // joinPairDef is a declared join pair: three relations, <prefix>A,
-// <prefix>B and <prefix>Br, declared together and generated together or a
-// shard at a time.
+// <prefix>B and <prefix>Br, declared together and each generated alone,
+// whole or a shard at a time.
 type joinPairDef struct {
 	prefix               string
 	aCard, bCard, degree int
 	theta                float64
 	onK, onID            *partition.Mod
-	// shared is B's region, Br's headers after B's, from when the first of
-	// the two settles until the other settles or is sharded.
-	shared *relation.Region
 	// kept marks the integers below 64·len(kept.bits) that shard kept.shard
 	// of kept.shards keeps, for every member sharded on k or id there: A's
 	// keys are B's and B's ids Br's, so each is hashed once.
@@ -296,62 +295,51 @@ type pairMember struct {
 func (m pairMember) relName() string        { return m.pair.prefix + pairMembers[m.member] }
 func (pairMember) schema() *relation.Schema { return workload.JoinSchema }
 
-// settle generates the member alone, as workload.NewJoinDB does: A by
-// FillA into a region of its own, B or Br by FillB into the region the two
-// share, each cut out by workload.Member. The first of B and Br to settle
-// generates that region and leaves it for the other; if the other was
-// sharded, its headers there are the one thing generated that no relation
-// uses.
-func (m pairMember) settle() (placed, []int) {
-	p := m.pair
-	a, rows := workload.JoinPairRows(p.aCard, p.bCard, p.degree, p.theta)
-	region := p.shared
-	switch {
-	case m.member == 0:
-		region, rows = workload.FillA(a), a
-	case region == nil:
-		region = workload.FillB(rows)
-		p.shared = region
-	default:
-		p.shared = nil
-	}
-	part := m.part()
-	return placed{&partition.Partitioned{Name: m.relName(), Schema: workload.JoinSchema, Key: part.Key(),
-		Fragments: workload.Member(m.member, region, rows), Region: region}, part}, rows.Sizes
-}
-
-// part is what places the member's fragments: mod on k, or on id for Br.
-func (m pairMember) part() *partition.Mod {
-	if m.member == 2 {
-		return m.pair.onID
-	}
-	return m.pair.onK
-}
+// settle generates the member alone, as the one shard of one, into a region
+// of its own: B's values are not shared with Br's, so B and Br both settled
+// hold them twice.
+func (m pairMember) settle() placed { return m.shard(0, 0, 1) }
 
 // lookup returns the relation called name and its binding metadata,
 // generating and registering it first if it is pending. The catalog's epoch
 // stays where the declaration left it: no plan was ever compiled against a
-// pending relation. It takes db.mu for writing only to settle, and holds it
-// for the whole generation: every concurrent compile and execution waits.
+// pending relation. It generates outside db.mu, one settle at a time under
+// settleMu, and takes db.mu only to read the catalog and to install what it
+// generated: a statement that names only settled relations never waits for
+// a settle. If ShardRelation installs the relation's shard while it
+// generates, the shard stays and the settle is dropped.
 func (db *Database) lookup(name string) (*partition.Partitioned, lera.RelInfo, bool) {
-	db.mu.RLock()
-	p, ok := db.rels[name]
-	ri := db.resolver[name]
-	pending := !ok && db.declared(name) >= 0
-	db.mu.RUnlock()
-	if !pending {
+	p, ri, ok, d := db.find(name)
+	if d == nil {
 		return p, ri, ok
 	}
+	db.settleMu.Lock()
+	defer db.settleMu.Unlock()
+	// A concurrent lookup may have settled it since.
+	if p, ri, ok, d = db.find(name); d == nil {
+		return p, ri, ok
+	}
+	r := d.settle()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// A concurrent lookup may have settled it since.
 	if i := db.declared(name); i >= 0 {
-		r, sizes := db.pending[i].settle()
-		db.install(r.p, r.part, sizes)
+		db.install(r)
 		db.pending = slices.Delete(db.pending, i, i+1)
 	}
 	p, ok = db.rels[name]
 	return p, db.resolver[name], ok
+}
+
+// find reads the catalog under the read lock: the relation called name and
+// its binding metadata, or its declaration if it is pending.
+func (db *Database) find(name string) (*partition.Partitioned, lera.RelInfo, bool, declaration) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if i := db.declared(name); i >= 0 {
+		return nil, lera.RelInfo{}, false, db.pending[i]
+	}
+	p, ok := db.rels[name]
+	return p, db.resolver[name], ok, nil
 }
 
 // currentManager reads the installed manager under the read lock.
@@ -431,9 +419,9 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 // AssocJoin shape). bCard must be a multiple of degree, and neither
 // cardinality may exceed math.MaxInt32. If any of the three
 // names is taken, none is declared. The three are listed by Relations at
-// once; each is generated when something first names it, as
-// CreateWisconsin's relations are — A alone, B or Br with the region the
-// two share, Br's headers beside B's rows — or a member's shard alone by
+// once; each is generated alone when something first names it, as
+// CreateWisconsin's relations are, into a region of its own — so B and Br,
+// both named, hold B's values twice — or a member's shard alone by
 // ShardRelation.
 func (db *Database) CreateJoinPair(prefix string, aCard, bCard, degree int, theta float64) error {
 	if err := workload.CheckJoinDB(aCard, bCard, degree, theta); err != nil {

@@ -267,15 +267,21 @@ func (w *joinWriter) write(lo, hi int) {
 // it with how many rows each fragment keeps: a shard's rows generated
 // without the rows it drops ever existing. A row is kept when keep has the
 // bit of its value in column on (0, its key k, or 1, its id) set; keep has a
-// bit for every such value. The kept rows are those Fill writes, in the same
-// fragments and order, or, with byID, placed by id modulo the number of
-// fragments, each fragment in id order: how the join pair's Br places B's
-// rows. Keys and ids are below 2³¹. It is one pass over the rows that
-// records each kept row's key, with no branch on whether it is kept, and
-// one loop over the kept rows that writes each one's header and six value
-// words.
+// bit for every such value, or is nil, which keeps every row. The kept rows
+// are those Fill writes, in the same fragments and order, or, with byID,
+// placed by id modulo the number of fragments, each fragment in id order:
+// how the join pair's Br places B's rows. Keys and ids are below 2³¹. Every
+// row kept in Fill's order is Fill's own work, split as Fill splits it, and
+// the sizes are j.Sizes. Otherwise it is one pass over the rows that records
+// each kept row's key, with no branch on whether it is kept, and one loop
+// over the kept rows that writes each one's header and six value words.
 func (j JoinRows) Shard(on int, keep []uint64, byID bool) (*Region, []int) {
 	rows, degree := j.rows(), len(j.Sizes)
+	if keep == nil && !byID && rows > 0 {
+		r := NewRegion(rows, 3*rows, len(j.Pad))
+		j.Fill(r)
+		return r, j.Sizes
+	}
 	sizes := make([]int, degree)
 	// sel[id] is row id's key if the shard keeps it, or -1.
 	sel := make([]int32, rows)
@@ -287,7 +293,10 @@ func (j JoinRows) Shard(on int, keep []uint64, byID bool) (*Region, []int) {
 			if on == 1 {
 				v = id
 			}
-			bit := int(keep[v>>6] >> (v & 63) & 1)
+			bit := 1
+			if keep != nil {
+				bit = int(keep[v>>6] >> (v & 63) & 1)
+			}
 			sel[id] = int32((k+1)*bit - 1)
 			if byID {
 				sizes[g] += bit

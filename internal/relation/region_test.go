@@ -161,7 +161,8 @@ func TestJoinRowsPieces(t *testing.T) {
 }
 
 // TestJoinRowsShard: a shard of a join relation holds exactly the rows of
-// its Fill whose key or id has its bit set, in Fill's fragments and order or,
+// its Fill whose key or id has its bit set, or every row for a nil bitmap,
+// in Fill's fragments and order or,
 // by id, in fragment id modulo the degree and id order within each — every
 // kept row in one exactly sized region that passes its Check, holding the
 // pad once if it holds a row at all.
@@ -179,11 +180,11 @@ func TestJoinRowsShard(t *testing.T) {
 		all := j.Fill(whole)
 		for on := 0; on <= 1; on++ {
 			for _, byID := range []bool{false, true} {
-				for pattern := range 4 { // none, all, every third value, and every value but the third ones
+				for pattern := range 5 { // none, all, every third value, every value but the third ones, and nil
 					name := fmt.Sprintf("case %d on column %d, by id %v, pattern %d", i, on, byID, pattern)
 					keep := make([]uint64, 8)
 					for v := range 64 * len(keep) {
-						if pattern == 1 || pattern == 2 && v%3 == 0 || pattern == 3 && v%3 != 0 {
+						if pattern == 1 || pattern == 2 && v%3 == 0 || pattern == 3 && v%3 != 0 || pattern == 4 {
 							keep[v>>6] |= 1 << (v & 63)
 						}
 					}
@@ -207,6 +208,9 @@ func TestJoinRowsShard(t *testing.T) {
 						for _, frag := range want {
 							slices.SortFunc(frag, func(a, b Tuple) int { return int(a[1].AsInt() - b[1].AsInt()) })
 						}
+					}
+					if pattern == 4 {
+						keep = nil
 					}
 					r, sizes := j.Shard(on, keep, byID)
 					if err := r.Check(); err != nil {

@@ -87,25 +87,13 @@ func JoinPairRows(aCard, bCard, d int, theta float64) (a, b relation.JoinRows) {
 	return a, b
 }
 
-// FillA generates A's rows, fragment by fragment, into a region of their
-// own.
-func FillA(a relation.JoinRows) *relation.Region {
-	n := 0
-	for _, size := range a.Sizes {
-		n += size
-	}
-	r := relation.NewRegion(n, n*JoinSchema.Len(), len(a.Pad))
-	a.Fill(r)
-	return r
-}
-
-// FillB generates B's rows, fragment by fragment, into a region with room
+// fillB generates B's rows, fragment by fragment, into a region with room
 // for every row's header twice, and then Br's headers: the same rows placed
 // by id (id mod d), i.e. NOT on the join key. B's rows are the region's
 // first BCard tuples and Br's the rest. The ids are 0..BCard-1 in B's order
 // and d divides BCard, so Br's fragment f holds B's rows f, f+d, f+2d, … —
 // BCard/d of them, as many as B's fragment f.
-func FillB(b relation.JoinRows) *relation.Region {
+func fillB(b relation.JoinRows) *relation.Region {
 	d := len(b.Sizes)
 	n := d * b.Sizes[0]
 	r := relation.NewRegion(2*n, n*JoinSchema.Len(), len(b.Pad))
@@ -118,11 +106,11 @@ func FillB(b relation.JoinRows) *relation.Region {
 	return r
 }
 
-// Member returns the fragments of the pair's member i — 0 for A, 1 for B,
-// 2 for Br — cut from the region its fill generated: FillA's for A, cut by
-// A's rows, and FillB's for B and Br, cut by B's: B's rows are the region's
-// first half and Br's headers the second.
-func Member(i int, region *relation.Region, rows relation.JoinRows) [][]relation.Tuple {
+// member returns the fragments of the pair's member i — 0 for A, 1 for B,
+// 2 for Br — cut from the region its rows were generated into: A's own, cut
+// by A's rows, and fillB's for B and Br, cut by B's: B's rows are the
+// region's first half and Br's headers the second.
+func member(i int, region *relation.Region, rows relation.JoinRows) [][]relation.Tuple {
 	tuples := region.Tuples()
 	if i == 2 {
 		tuples = tuples[len(tuples)/2:]
@@ -130,10 +118,10 @@ func Member(i int, region *relation.Region, rows relation.JoinRows) [][]relation
 	return partition.Cut(tuples, rows.Sizes)
 }
 
-// NewJoinDB generates a database from arguments CheckJoinDB accepts, by
-// FillA and FillB, and cuts each relation out by Member. Each relation
-// carries the region its fragments are cut from: B and Br share one, A has
-// its own.
+// NewJoinDB generates a database from arguments CheckJoinDB accepts — A as
+// the one shard of one of its rows, B and Br by fillB — and cuts each
+// relation out by member. Each relation carries the region its fragments are
+// cut from: B and Br share one, A has its own.
 func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	if err := CheckJoinDB(aCard, bCard, d, theta); err != nil {
 		return nil, err
@@ -146,19 +134,19 @@ func NewJoinDB(aCard, bCard, d int, theta float64) (*JoinDB, error) {
 	db.AKeyPart = modK
 
 	aRows, bRows := JoinPairRows(aCard, bCard, d, theta)
-	rb := FillB(bRows)
-	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, Member(1, rb, bRows), 1)
+	rb := fillB(bRows)
+	db.B, err = partition.FromFragments("B", JoinSchema, []string{"k"}, member(1, rb, bRows), 1)
 	if err != nil {
 		return nil, err
 	}
-	db.Br, err = partition.FromFragments("Br", JoinSchema, []string{"id"}, Member(2, rb, bRows), 1)
+	db.Br, err = partition.FromFragments("Br", JoinSchema, []string{"id"}, member(2, rb, bRows), 1)
 	if err != nil {
 		return nil, err
 	}
 	db.B.Region, db.Br.Region = rb, rb
 
-	ra := FillA(aRows)
-	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, Member(0, ra, aRows), 1)
+	ra, _ := aRows.Shard(0, nil, false)
+	db.A, err = partition.FromFragments("A", JoinSchema, []string{"k"}, member(0, ra, aRows), 1)
 	if err != nil {
 		return nil, err
 	}

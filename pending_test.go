@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dbs3/internal/partition"
 	"dbs3/internal/relation"
@@ -341,6 +342,122 @@ func TestPendingRelationSettlesUnderConcurrentReads(t *testing.T) {
 	}
 }
 
+// TestPendingSettleHeldStopsOnlyWhatItNames: while one relation's settle is
+// held open, a prepared point query over a settled relation completes, and
+// so does a ShardRelation of the held relation; two statements that name the
+// held relation complete only once the settle is released, the relation
+// generated once for both, and if the shard landed meanwhile the shard is
+// what they read and what stays installed.
+func TestPendingSettleHeldStopsOnlyWhatItNames(t *testing.T) {
+	const card, wait = 2_000, 2 * time.Second
+	ctx := context.Background()
+	within := func(what string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(wait):
+			t.Fatalf("%s: not done after %v", what, wait)
+		}
+	}
+	type counted struct {
+		n   int64
+		err error
+	}
+	for _, shardMeanwhile := range []bool{false, true} {
+		db := New()
+		for i, name := range []string{"short", "held"} {
+			if err := db.CreateWisconsin(name, card, 8, "unique2", int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.FragmentSizes("short"); err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := db.Prepare("SELECT * FROM short WHERE unique2 = ?", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := make(chan struct{})
+		var once sync.Once
+		free := func() { once.Do(func() { close(release) }) }
+		defer free()
+		held := db.holdSettle("held", release)
+		results := make(chan counted, 2)
+		for range 2 {
+			go func() {
+				res, err := db.QueryAllContext(ctx, "SELECT ten, COUNT(*) FROM held GROUP BY ten", nil)
+				var n int64
+				if err == nil {
+					for _, row := range res.Data {
+						n += row[1].(int64)
+					}
+				}
+				results <- counted{n, err}
+			}()
+		}
+		select {
+		case <-held.started:
+		case <-time.After(wait):
+			t.Fatalf("the held settle did not start within %v", wait)
+		}
+		point := make(chan error, 1)
+		go func() {
+			rows, err := stmt.QueryContext(ctx, 7)
+			if err != nil {
+				point <- err
+				return
+			}
+			n := 0
+			for rows.Next() {
+				n++
+			}
+			if err := rows.Err(); err != nil || n != 1 {
+				point <- fmt.Errorf("%d rows, error %v", n, err)
+				return
+			}
+			point <- nil
+		}()
+		within("a point query over a settled relation during a held settle", point)
+		if shardMeanwhile {
+			sharded := make(chan error, 1)
+			go func() { sharded <- db.ShardRelation("held", "unique2", 1, 3) }()
+			within("ShardRelation of the held relation", sharded)
+		}
+		select {
+		case r := <-results:
+			t.Fatalf("a statement naming the held relation completed while its settle was held (%d rows, error %v)", r.n, r.err)
+		default:
+		}
+		free()
+		want := int64(card)
+		if shardMeanwhile {
+			want = int64(db.settled()["held"].Cardinality())
+			if want == 0 || want >= card {
+				t.Errorf("the installed relation holds %d rows, want a shard of %d", want, card)
+			}
+		}
+		for range 2 {
+			select {
+			case r := <-results:
+				if r.err != nil || r.n != want {
+					t.Errorf("shard meanwhile %v: a statement naming the held relation counted %d rows, error %v; want %d", shardMeanwhile, r.n, r.err, want)
+				}
+			case <-time.After(wait):
+				t.Fatalf("a statement naming the held relation not done %v after release", wait)
+			}
+		}
+		if n := held.settles.Load(); n != 1 {
+			t.Errorf("shard meanwhile %v: the held relation settled %d times, want once", shardMeanwhile, n)
+		}
+		if registered, pending := catalogState(db); registered != "held,short" || pending != "" {
+			t.Errorf("registered [%s] and pending [%s], want [held,short] and none", registered, pending)
+		}
+	}
+}
+
 // TestPendingPairShardMatchesRehome: a shard generated from a declared join
 // pair's member is the shard re-homed out of the settled member — fragment by
 // fragment, tuple by tuple, in string bytes — in a region that holds no
@@ -459,11 +576,10 @@ func TestPendingPairIsCatalogued(t *testing.T) {
 }
 
 // TestPendingPairSettlesOnRead: each read of the catalog's rows generates
-// the members of a declared pair it names and no other — A into a region of
-// its own, B or Br into the region the two share — and leaves the epoch
-// alone; a join then matches every A row once, and the members nothing
-// named, settled afterwards, complete the pair: B and Br in one region, A in
-// another.
+// the members of a declared pair it names and no other, each into a region
+// of its own, and leaves the epoch alone; a join then matches every A row
+// once, and the members nothing named, settled afterwards, complete the
+// pair, each in a region of its own.
 func TestPendingPairSettlesOnRead(t *testing.T) {
 	ctx := context.Background()
 	const aCard, bCard = 1_000, 80
@@ -518,7 +634,7 @@ func TestPendingPairSettlesOnRead(t *testing.T) {
 // TestPendingPairMemberSettlesAlone: once A is sharded, settling B generates
 // B's region and nothing of A: it allocates fewer bytes than A's region of
 // 72 bytes a row would take (measured with the collector paused), and leaves
-// Br pending; Br then settles into B's region.
+// Br pending; Br then settles into a region of its own.
 func TestPendingPairMemberSettlesAlone(t *testing.T) {
 	const aCard, bCard = 20_000, 400
 	db := New()
@@ -543,7 +659,7 @@ func TestPendingPairMemberSettlesAlone(t *testing.T) {
 		t.Errorf("registered [%s] and pending [%s], want [A,B] and [Br]", registered, pending)
 	}
 	rels := db.settled()
-	if b, br := rels["B"], rels["Br"]; b.Region != br.Region || br.Cardinality() != bCard {
+	if b, br := rels["B"], rels["Br"]; b.Region == br.Region || br.Cardinality() != bCard {
 		t.Errorf("Br holds %d rows, want %d; shares B's region: %v", br.Cardinality(), bCard, b.Region == br.Region)
 	}
 }
@@ -552,7 +668,8 @@ func TestPendingPairMemberSettlesAlone(t *testing.T) {
 // and scans of Br, that arrive together at a database of two declared pairs,
 // naming every member of one and nothing of the other, all see the whole of
 // what they name: each join matches every A row once, the first pair is
-// generated with B and Br in one region, and the second stays pending.
+// generated with each member in a region of its own, and the second stays
+// pending.
 func TestPendingPairSettlesUnderConcurrentReads(t *testing.T) {
 	const aCard, bCard = 2_000, 160
 	db := New()
@@ -596,8 +713,8 @@ func TestPendingPairSettlesUnderConcurrentReads(t *testing.T) {
 }
 
 // checkSettledPair checks a settled pair: each member is registered under its
-// name with the cardinality it was declared with, B and Br share one region
-// and A has its own, and each region passes its Check.
+// name with the cardinality it was declared with, in a region of its own,
+// and each region passes its Check.
 func checkSettledPair(t *testing.T, what string, db *Database, prefix string, aCard, bCard int) {
 	t.Helper()
 	rels := db.settled()
@@ -611,10 +728,10 @@ func checkSettledPair(t *testing.T, what string, db *Database, prefix string, aC
 	if a.Cardinality() != aCard || b.Cardinality() != bCard || br.Cardinality() != bCard {
 		t.Errorf("%s: settled members hold %d, %d and %d rows, want %d, %d and %d", what, a.Cardinality(), b.Cardinality(), br.Cardinality(), aCard, bCard, bCard)
 	}
-	if b.Region != br.Region || a.Region == b.Region {
-		t.Errorf("%s: B and Br share a region: %v; A shares B's: %v", what, b.Region == br.Region, a.Region == b.Region)
+	if a.Region == b.Region || b.Region == br.Region || a.Region == br.Region {
+		t.Errorf("%s: members share a region: A and B %v, B and Br %v, A and Br %v", what, a.Region == b.Region, b.Region == br.Region, a.Region == br.Region)
 	}
-	for _, p := range []*partition.Partitioned{a, b} {
+	for _, p := range []*partition.Partitioned{a, b, br} {
 		if err := p.Region.Check(); err != nil {
 			t.Errorf("%s: %s: %v", what, p.Name, err)
 		}

@@ -19,10 +19,9 @@ import (
 //
 // A relation CreateWisconsin or CreateJoinPair declared and nothing has
 // generated yet is generated here for the shard only, by the generator that
-// settles a whole one as the one shard of one (a join pair's member settles
-// by workload.FillA or FillB instead): every row is placed by its shard and
-// its fragment before it exists, and only the kept rows, with the strings
-// they refer to, are written, into a region of their own. Any other
+// settles a whole one as the one shard of one: every row is placed by its
+// shard and its fragment before it exists, and only the kept rows, with the
+// strings they refer to, are written, into a region of their own. Any other
 // relation — loaded, generated already, a shard — is re-homed: its kept
 // tuples are copied into a region of their own, and the whole relation is
 // garbage. The two give the same shard, byte for byte.
@@ -55,8 +54,7 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 		if !ok {
 			return fmt.Errorf("dbs3: column %q not in schema %s", col, d.schema())
 		}
-		r, sizes := d.shard(c, shard, shards)
-		db.install(r.p, r.part, sizes)
+		db.install(d.shard(c, shard, shards))
 		db.pending = slices.Delete(db.pending, i, i+1)
 		db.epoch.Add(1)
 		return nil
@@ -75,7 +73,7 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	// reclaimed.
 	cols := []int{c}
 	shardP := p.Rehome(func(t relation.Tuple) bool { return shardOf(t, cols, shards) == shard })
-	db.install(shardP, db.resolver[name].Part, shardP.FragmentSizes())
+	db.install(placed{shardP, db.resolver[name].Part})
 	// Sharding is DDL: any cached plan was costed against the full relation.
 	db.epoch.Add(1)
 	return nil
@@ -95,13 +93,16 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 // a row takes no branch on whether it is kept; the kept rows are
 // counting-sorted by fragment, generation order within each, and
 // relation.WisconsinRows.Shard writes them.
-func (d *wisconsinDef) shard(col, shard, shards int) (placed, []int) {
+func (d *wisconsinDef) shard(col, shard, shards int) placed {
 	rows := relation.NewWisconsinRows(d.cardinality, d.seed)
 	degree := d.h.Degree()
 	// Bucket degree holds the dropped rows.
 	counts := make([]int, 2*(degree+1))
 	sizes, next := counts[:degree+1], counts[degree+1:]
-	dest := make([]int32, d.cardinality)
+	// dest holds each row's fragment and, after it, order the kept rows in
+	// fragment order: one allocation, sized as if every row were kept.
+	buf := make([]int32, 2*d.cardinality+1)
+	dest := buf[:d.cardinality]
 	const chunk = 128
 	var colHashes, keyHashes [chunk]uint64
 	for lo := 0; lo < len(dest); lo += chunk {
@@ -126,7 +127,7 @@ func (d *wisconsinDef) shard(col, shard, shards int) (placed, []int) {
 	}
 	kept := next[degree]
 	// The dropped rows all land in the one slot past the kept ones.
-	order := make([]int32, kept+1)
+	order := buf[d.cardinality : d.cardinality+kept+1]
 	for u2, f := range dest {
 		order[next[f]] = int32(u2)
 		next[f] += oneIf(f != int32(degree))
@@ -134,23 +135,19 @@ func (d *wisconsinDef) shard(col, shard, shards int) (placed, []int) {
 	region := rows.Shard(order[:kept])
 	sizes = sizes[:degree:degree]
 	return placed{&partition.Partitioned{Name: d.name, Schema: relation.WisconsinSchema, Key: d.h.Key(),
-		Fragments: partition.Cut(region.Tuples(), sizes), Region: region}, d.h}, sizes
+		Fragments: partition.Cut(region.Tuples(), sizes), Region: region}, d.h}
 }
 
 // shard generates shard of shards of the declared member, sharded on column
-// col (k, id or pad): exactly the member Rehome keeps of the settled pair's.
-// Sharded on k or id, a row is kept by its value's bit in the pair's
-// integers (joinPairDef.keeps); on pad, which is one constant per member,
-// every row is kept or none. relation.JoinRows.Shard writes the kept rows
-// in the member's fragments: by k for A and B, as they are generated, and
-// by id for Br.
-func (m pairMember) shard(col, shard, shards int) (placed, []int) {
+// col (k, id or pad): exactly the member Rehome keeps of the settled one.
+// The one shard of one keeps every row and hashes none. Otherwise, sharded
+// on k or id, a row is kept by its value's bit in the pair's integers
+// (joinPairDef.keeps); on pad, which is one constant per member, every row
+// is kept or none. relation.JoinRows.Shard writes the kept rows in the
+// member's fragments: by k for A and B, as they are generated, and by id for
+// Br.
+func (m pairMember) shard(col, shard, shards int) placed {
 	p := m.pair
-	if m.member > 0 {
-		// B and Br: whichever settled first left the shared region for this
-		// one, which no longer needs it.
-		p.shared = nil
-	}
 	a, b := workload.JoinPairRows(p.aCard, p.bCard, p.degree, p.theta)
 	rows, n := b, p.bCard
 	if m.member == 0 {
@@ -158,11 +155,12 @@ func (m pairMember) shard(col, shard, shards int) (placed, []int) {
 	}
 	const k, id = 0, 1
 	on := col
-	var keep []uint64
-	switch col {
-	case k:
+	var keep []uint64 // nil keeps every row
+	switch {
+	case shards == 1:
+	case col == k:
 		keep = p.keeps(p.bCard, shard, shards) // A's keys are B's
-	case id:
+	case col == id:
 		keep = p.keeps(n, shard, shards)
 	default:
 		on, keep = id, make([]uint64, (n+63)/64)
@@ -173,15 +171,19 @@ func (m pairMember) shard(col, shard, shards int) (placed, []int) {
 		}
 	}
 	region, sizes := rows.Shard(on, keep, m.member == 2)
-	part := m.part()
+	// A and B are placed on k, Br on id.
+	part := p.onK
+	if m.member == 2 {
+		part = p.onID
+	}
 	return placed{&partition.Partitioned{Name: m.relName(), Schema: workload.JoinSchema, Key: part.Key(),
-		Fragments: partition.Cut(region.Tuples(), sizes), Region: region}, part}, sizes
+		Fragments: partition.Cut(region.Tuples(), sizes), Region: region}, part}
 }
 
 // keeps returns a bitmap in which bit v is set when shard of shards keeps
 // the integer v as a one-column key, for every v below n at least. It hashes
 // each integer once per shard: the members sharded there share the bitmap.
-// db.mu must be held for writing.
+// db.mu must be held for writing: ShardRelation is the one caller.
 func (p *joinPairDef) keeps(n, shard, shards int) []uint64 {
 	kept := &p.kept
 	if kept.shard != shard || kept.shards != shards || 64*len(kept.bits) < n {
