@@ -77,9 +77,10 @@ func serveMain(args []string) {
 	}
 
 	// Cluster membership: keep only this node's hash shard of every
-	// relation. Demo relations distribute on their join/filter keys (wisc on
-	// unique2; A, B, Br on k, the join attribute, so joins stay node-local);
-	// CSV relations distribute on their partitioning key.
+	// relation (a demo relation's is generated when a statement names it).
+	// Demo relations distribute on their join/filter keys (wisc on unique2;
+	// A, B, Br on k, the join attribute, so joins stay node-local); CSV
+	// relations distribute on their partitioning key.
 	if *shards > 1 {
 		dist := map[string]string{"wisc": "unique2", "A": "k", "B": "k", "Br": "k"}
 		for _, rel := range db.Relations() {
@@ -126,7 +127,7 @@ func serveMain(args []string) {
 // streams get a grace period; their request contexts cancel on shutdown
 // timeout, which aborts the queries and returns their threads.
 func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler) {
-	httpSrv := &http.Server{Handler: h}
+	httpSrv := httpServer(h)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
@@ -140,6 +141,12 @@ func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler) {
 	if err := httpSrv.Shutdown(shCtx); err != nil {
 		httpSrv.Close()
 	}
+}
+
+// httpServer is serveHTTP's server: headers within 10 s, keep-alive idle up
+// to 2 min (clients drop theirs at 90 s), no write timeout (results stream).
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 }
 
 // dumpMain is the `dbs3 dump` subcommand: it generates the demo database

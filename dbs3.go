@@ -105,7 +105,7 @@ import (
 // A generated relation — a Wisconsin relation, a join pair's member — is
 // declared before it exists: its rows are generated (it is settled) when a
 // statement first names it, or FragmentSizes or DumpCSV first reads it, and
-// no sooner; if ShardRelation comes first, only the rows of the shard are.
+// no sooner; ShardRelation only records which shard of it that read makes.
 type Database struct {
 	mu       sync.RWMutex
 	rels     core.DB
@@ -113,7 +113,7 @@ type Database struct {
 	manager  *dbruntime.Manager
 	// pending holds the declared relations not yet generated, in
 	// declaration order; none of their names is in rels.
-	pending []declaration
+	pending []pendingRel
 	// settleMu lets one settle generate at a time, outside mu.
 	settleMu sync.Mutex
 
@@ -176,8 +176,8 @@ func (db *Database) Relations() []string {
 	for name := range db.rels {
 		out = append(out, name)
 	}
-	for _, d := range db.pending {
-		out = append(out, d.relName())
+	for _, e := range db.pending {
+		out = append(out, e.decl.relName())
 	}
 	sort.Strings(out)
 	return out
@@ -226,7 +226,7 @@ func (db *Database) taken(name string) error {
 // declared returns where the pending relation called name is in db.pending,
 // or -1. db.mu must be held.
 func (db *Database) declared(name string) int {
-	return slices.IndexFunc(db.pending, func(d declaration) bool { return d.relName() == name })
+	return slices.IndexFunc(db.pending, func(e pendingRel) bool { return e.decl.relName() == name })
 }
 
 // install puts r's relation in the catalog under its name, replacing what
@@ -237,18 +237,23 @@ func (db *Database) install(r placed) {
 }
 
 // declaration is a declared relation: everything its rows are generated
-// from, and the two ways they are. Neither writes anything a settle reads,
-// so a settle needs no lock.
+// from. It holds no state, so generating needs no lock.
 type declaration interface {
 	// relName is the relation's name.
 	relName() string
 	// schema is the relation's schema.
 	schema() *relation.Schema
 	// shard generates shard of shards of the relation, sharded on column
-	// col: the rows the unsharded relation's shard would keep, exactly.
+	// col: the rows the unsharded relation's shard would keep, exactly. The
+	// one shard of one, on any column, is the whole relation.
 	shard(col, shard, shards int) placed
-	// settle generates the whole relation.
-	settle() placed
+}
+
+// pendingRel is a pending relation's catalog entry: its declaration and the
+// shard of it its first read generates (0 of 1, all of it, by default).
+type pendingRel struct {
+	decl               declaration
+	col, shard, shards int
 }
 
 // wisconsinDef is a declared Wisconsin relation.
@@ -263,9 +268,6 @@ type wisconsinDef struct {
 func (d *wisconsinDef) relName() string          { return d.name }
 func (d *wisconsinDef) schema() *relation.Schema { return relation.WisconsinSchema }
 
-// settle generates the relation as the one shard of one on its key.
-func (d *wisconsinDef) settle() placed { return d.shard(d.key, 0, 1) }
-
 // joinPairDef is a declared join pair: three relations, <prefix>A,
 // <prefix>B and <prefix>Br, declared together and each generated alone,
 // whole or a shard at a time.
@@ -274,13 +276,6 @@ type joinPairDef struct {
 	aCard, bCard, degree int
 	theta                float64
 	onK, onID            *partition.Mod
-	// kept marks the integers below 64·len(kept.bits) that shard kept.shard
-	// of kept.shards keeps, for every member sharded on k or id there: A's
-	// keys are B's and B's ids Br's, so each is hashed once.
-	kept struct {
-		shard, shards int
-		bits          []uint64
-	}
 }
 
 // pairMembers names a join pair's members after its prefix.
@@ -295,51 +290,47 @@ type pairMember struct {
 func (m pairMember) relName() string        { return m.pair.prefix + pairMembers[m.member] }
 func (pairMember) schema() *relation.Schema { return workload.JoinSchema }
 
-// settle generates the member alone, as the one shard of one, into a region
-// of its own: B's values are not shared with Br's, so B and Br both settled
-// hold them twice.
-func (m pairMember) settle() placed { return m.shard(0, 0, 1) }
-
 // lookup returns the relation called name and its binding metadata,
-// generating and registering it first if it is pending. The catalog's epoch
+// generating and registering it first if it is pending: the one place a
+// declared relation is generated, as the shard its entry records. The epoch
 // stays where the declaration left it: no plan was ever compiled against a
 // pending relation. It generates outside db.mu, one settle at a time under
 // settleMu, and takes db.mu only to read the catalog and to install what it
 // generated: a statement that names only settled relations never waits for
-// a settle. If ShardRelation installs the relation's shard while it
-// generates, the shard stays and the settle is dropped.
+// a settle. A result is installed only if the pending entry is unchanged: if
+// ShardRelation recorded a shard meanwhile, it is dropped for that shard.
 func (db *Database) lookup(name string) (*partition.Partitioned, lera.RelInfo, bool) {
-	p, ri, ok, d := db.find(name)
-	if d == nil {
+	p, ri, ok, e := db.find(name)
+	if e.decl == nil {
 		return p, ri, ok
 	}
 	db.settleMu.Lock()
 	defer db.settleMu.Unlock()
-	// A concurrent lookup may have settled it since.
-	if p, ri, ok, d = db.find(name); d == nil {
-		return p, ri, ok
+	for {
+		// A concurrent lookup may have settled it since.
+		if p, ri, ok, e = db.find(name); e.decl == nil {
+			return p, ri, ok
+		}
+		r := e.decl.shard(e.col, e.shard, e.shards)
+		db.mu.Lock()
+		if i := db.declared(name); i >= 0 && db.pending[i] == e {
+			db.install(r)
+			db.pending = slices.Delete(db.pending, i, i+1)
+		}
+		db.mu.Unlock()
 	}
-	r := d.settle()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if i := db.declared(name); i >= 0 {
-		db.install(r)
-		db.pending = slices.Delete(db.pending, i, i+1)
-	}
-	p, ok = db.rels[name]
-	return p, db.resolver[name], ok
 }
 
 // find reads the catalog under the read lock: the relation called name and
-// its binding metadata, or its declaration if it is pending.
-func (db *Database) find(name string) (*partition.Partitioned, lera.RelInfo, bool, declaration) {
+// its binding metadata, or its pending entry (a nil decl if it is not one).
+func (db *Database) find(name string) (*partition.Partitioned, lera.RelInfo, bool, pendingRel) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if i := db.declared(name); i >= 0 {
 		return nil, lera.RelInfo{}, false, db.pending[i]
 	}
 	p, ok := db.rels[name]
-	return p, db.resolver[name], ok, nil
+	return p, db.resolver[name], ok, pendingRel{}
 }
 
 // currentManager reads the installed manager under the read lock.
@@ -382,11 +373,11 @@ func (r catalogResolver) RelInfo(name string) (lera.RelInfo, error) {
 
 // CreateWisconsin declares a Wisconsin benchmark relation [Bitton83] of the
 // given cardinality, at most math.MaxInt32, hash-partitioned on key into
-// degree fragments, and generates none of it. The relation is listed by Relations at once; its
-// rows are generated when something first names it — a statement compiled
-// by Prepare, QueryContext or ExplainContext, FragmentSizes or DumpCSV,
-// each of which generates only the relations it names — or, if
-// ShardRelation comes first, only the rows of the shard are.
+// degree fragments, and generates none of it. The relation is listed by
+// Relations at once; its rows are generated when something first names it —
+// a statement compiled by Prepare, QueryContext or ExplainContext,
+// FragmentSizes or DumpCSV, each of which generates only the relations it
+// names — and after ShardRelation, only the rows of the shard are.
 func (db *Database) CreateWisconsin(name string, cardinality, degree int, key string, seed int64) error {
 	if cardinality <= 0 {
 		return fmt.Errorf("dbs3: Wisconsin cardinality must be positive, got %d", cardinality)
@@ -404,7 +395,8 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 	if err := db.taken(name); err != nil {
 		return err
 	}
-	db.pending = append(db.pending, &wisconsinDef{name: name, cardinality: cardinality, key: schema.MustIndex(key), seed: seed, h: h})
+	k := schema.MustIndex(key) // on its key, a settle hashes each row once
+	db.pending = append(db.pending, pendingRel{decl: &wisconsinDef{name: name, cardinality: cardinality, key: k, seed: seed, h: h}, col: k, shards: 1})
 	// Declaring is DDL, as registering is.
 	db.epoch.Add(1)
 	return nil
@@ -421,8 +413,8 @@ func (db *Database) CreateWisconsin(name string, cardinality, degree int, key st
 // names is taken, none is declared. The three are listed by Relations at
 // once; each is generated alone when something first names it, as
 // CreateWisconsin's relations are, into a region of its own — so B and Br,
-// both named, hold B's values twice — or a member's shard alone by
-// ShardRelation.
+// both named, hold B's values twice — and a member ShardRelation sharded
+// first is generated as that shard alone.
 func (db *Database) CreateJoinPair(prefix string, aCard, bCard, degree int, theta float64) error {
 	if err := workload.CheckJoinDB(aCard, bCard, degree, theta); err != nil {
 		return err
@@ -440,7 +432,7 @@ func (db *Database) CreateJoinPair(prefix string, aCard, bCard, degree int, thet
 		}
 	}
 	for m := range pairMembers {
-		db.pending = append(db.pending, pairMember{pair, m})
+		db.pending = append(db.pending, pendingRel{decl: pairMember{pair, m}, shards: 1})
 	}
 	// Declaring is DDL, as registering is.
 	db.epoch.Add(1)

@@ -66,7 +66,8 @@ type Config struct {
 	// "|"-separated replica set serving the same shard, e.g.
 	// "http://a:8080|http://b:8080". At least one shard is required; every
 	// replica of shard i must serve the same catalog, sharded with
-	// dbs3.ShardRelation (shard i of len(Nodes)).
+	// dbs3.ShardRelation (shard i of len(Nodes)), whose shard of a declared
+	// relation a node generates at its first statement that names it.
 	Nodes []string
 	// Token is the bearer credential for coordinator→worker links; the
 	// coordinator's own HTTP front end enforces the same token.

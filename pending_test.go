@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dbs3/internal/partition"
+	"dbs3/internal/race"
 	"dbs3/internal/relation"
 )
 
@@ -59,29 +60,14 @@ func testPendingShards(t *testing.T, card int, key string, degree int, seed int6
 				if err := db.ShardRelation("w", col, shard, shards); err != nil {
 					t.Fatal(err)
 				}
-				got := db.settled()["w"]
-				want := settled.Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, shards) == shard })
-				if err := got.Region.Check(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if g, w := got.Region.StringBytes(), want.Region.StringBytes(); g != w {
-					t.Errorf("%s: %d string bytes, re-homed %d", name, g, w)
-				}
-				if g, w := strings.Join(got.Key, ","), strings.Join(want.Key, ","); g != w || got.Degree() != degree {
-					t.Fatalf("%s: key %s at degree %d, re-homed key %s at degree %d", name, g, got.Degree(), w, degree)
-				}
 				sizes, err := db.FragmentSizes("w")
 				if err != nil {
 					t.Fatal(err)
 				}
-				for f, frag := range want.Fragments {
-					if len(got.Fragments[f]) != len(frag) || sizes[f] != len(frag) {
-						t.Fatalf("%s: fragment %d holds %d rows (sizes say %d), re-homed %d", name, f, len(got.Fragments[f]), sizes[f], len(frag))
-					}
-					for i, tup := range frag {
-						if !got.Fragments[f][i].Equal(tup) {
-							t.Fatalf("%s: fragment %d row %d is %v, re-homed %v", name, f, i, got.Fragments[f][i], tup)
-						}
+				want := settled.Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, shards) == shard })
+				checkShard(t, name, db.settled()["w"], want, sizes)
+				for _, frag := range want.Fragments {
+					for _, tup := range frag {
 						on[tup[1].AsInt()]++
 					}
 				}
@@ -92,6 +78,148 @@ func testPendingShards(t *testing.T, card int, key string, degree int, seed int6
 				}
 			}
 		}
+	}
+}
+
+// checkShard checks got, a shard generated from a declaration, against want,
+// the same shard re-homed out of the settled relation: the same name, key and
+// degree, fragment by fragment and tuple by tuple, in string bytes, in a
+// region that holds no pointer out of itself. sizes is what FragmentSizes
+// read of got.
+func checkShard(t *testing.T, what string, got, want *partition.Partitioned, sizes []int) {
+	t.Helper()
+	if err := got.Region.Check(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if g, w := got.Region.StringBytes(), want.Region.StringBytes(); g != w {
+		t.Errorf("%s: %d string bytes, re-homed %d", what, g, w)
+	}
+	if got.Name != want.Name || strings.Join(got.Key, ",") != strings.Join(want.Key, ",") || got.Degree() != want.Degree() {
+		t.Fatalf("%s: %s keyed on %v at degree %d, re-homed %s keyed on %v at degree %d", what, got.Name, got.Key, got.Degree(), want.Name, want.Key, want.Degree())
+	}
+	for f, frag := range want.Fragments {
+		if len(got.Fragments[f]) != len(frag) || sizes[f] != len(frag) {
+			t.Fatalf("%s: fragment %d holds %d rows (sizes say %d), re-homed %d", what, f, len(got.Fragments[f]), sizes[f], len(frag))
+		}
+		for i, tup := range frag {
+			if !got.Fragments[f][i].Equal(tup) {
+				t.Fatalf("%s: fragment %d row %d is %v, re-homed %v", what, f, i, got.Fragments[f][i], tup)
+			}
+		}
+	}
+}
+
+// TestPendingShardRelationGeneratesNothing: ShardRelation of a declared
+// relation records the shard and generates nothing — the relation stays
+// pending, and the call allocates less than 64 KiB where a third of a
+// 1 000 000-row relation is tens of megabytes — and the first statement
+// that names the relation reads exactly the shard Rehome keeps of the whole
+// one, tuple for tuple. Under the race detector, whose shadow memory takes
+// the whole relation Rehome reads past 1.8 GB, the relation is a tenth the
+// size.
+func TestPendingShardRelationGeneratesNothing(t *testing.T) {
+	const degree, seed, shard, shards = 8, 3, 1, 3
+	card := 1_000_000
+	if race.Enabled {
+		card /= 10
+	}
+	db := New()
+	if err := db.CreateWisconsin("w", card, degree, "unique2", seed); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	gc := debug.SetGCPercent(-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := db.ShardRelation("w", "unique2", shard, shards)
+	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("ShardRelation allocated %d bytes, want under 64 KiB", n)
+	}
+	if registered, pending := catalogState(db); registered != "" || pending != "w" {
+		t.Fatalf("after ShardRelation: registered [%s] and pending [%s], want none and [w]", registered, pending)
+	}
+
+	res, err := db.QueryAllContext(context.Background(), "SELECT two, COUNT(*) FROM w GROUP BY two", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counted int64
+	for _, row := range res.Data {
+		counted += row[1].(int64)
+	}
+	whole := New()
+	if err := whole.CreateWisconsin("w", card, degree, "unique2", seed); err != nil {
+		t.Fatal(err)
+	}
+	cols := []int{relation.WisconsinSchema.MustIndex("unique2")}
+	want := whole.settled()["w"].Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, shards) == shard })
+	if counted != int64(want.Cardinality()) {
+		t.Errorf("the first statement counted %d rows, the re-homed shard holds %d", counted, want.Cardinality())
+	}
+	sizes, err := db.FragmentSizes("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShard(t, "the shard the first statement named", db.settled()["w"], want, sizes)
+}
+
+// TestPendingShardOfShardMatchesRehome: a second ShardRelation of a declared
+// relation generates the shard the first recorded and re-homes its own shard
+// out of it: the relation two Rehomes of the settled one keep, for a
+// Wisconsin relation and for each join-pair member, on the same column and
+// on another.
+func TestPendingShardOfShardMatchesRehome(t *testing.T) {
+	type cut struct {
+		col           string
+		shard, shards int
+	}
+	create := func(db *Database) error {
+		if err := db.CreateWisconsin("w", 1_500, 8, "unique2", 9); err != nil {
+			return err
+		}
+		return db.CreateJoinPair("", 700, 240, 8, 0.5)
+	}
+	whole := New()
+	if err := create(whole); err != nil {
+		t.Fatal(err)
+	}
+	settled := whole.settled()
+	for _, tc := range []struct {
+		rel           string
+		first, second cut
+	}{
+		{"w", cut{"unique2", 1, 3}, cut{"unique2", 0, 2}},
+		{"w", cut{"unique2", 2, 3}, cut{"ten", 1, 2}},
+		{"A", cut{"k", 0, 2}, cut{"id", 1, 3}},
+		{"B", cut{"k", 1, 3}, cut{"k", 1, 2}},
+		{"Br", cut{"id", 2, 4}, cut{"pad", 0, 2}},
+	} {
+		what := fmt.Sprintf("%s on %s, %d of %d, then on %s, %d of %d", tc.rel, tc.first.col, tc.first.shard, tc.first.shards, tc.second.col, tc.second.shard, tc.second.shards)
+		db := New()
+		if err := create(db); err != nil {
+			t.Fatal(err)
+		}
+		want := settled[tc.rel]
+		for _, c := range []cut{tc.first, tc.second} {
+			if err := db.ShardRelation(tc.rel, c.col, c.shard, c.shards); err != nil {
+				t.Fatal(err)
+			}
+			cols := []int{want.Schema.MustIndex(c.col)}
+			want = want.Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, c.shards) == c.shard })
+		}
+		if db.declared(tc.rel) >= 0 {
+			t.Fatalf("%s: still pending after the second ShardRelation", what)
+		}
+		sizes, err := db.FragmentSizes(tc.rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkShard(t, what, db.settled()[tc.rel], want, sizes)
 	}
 }
 
@@ -465,7 +593,8 @@ func TestPendingSettleHeldStopsOnlyWhatItNames(t *testing.T) {
 // member, each row on exactly one. Every member (A, B and Br) is cut into 1
 // to 4 shards on k, on id and on pad (one constant per member: some shards
 // keep all of it, the others nothing), at θ 0, 0.5 and 1, with and without a
-// prefix; sharding one member leaves the other two pending.
+// prefix; sharding one member leaves all three pending, and naming it then
+// generates that member alone.
 func TestPendingPairShardMatchesRehome(t *testing.T) {
 	const aCard, bCard, degree = 700, 240, 8
 	for _, prefix := range []string{"", "x"} {
@@ -491,32 +620,20 @@ func TestPendingPairShardMatchesRehome(t *testing.T) {
 							if err := db.ShardRelation(name, col, shard, shards); err != nil {
 								t.Fatal(err)
 							}
-							if len(db.pending) != 2 {
-								t.Fatalf("%s: %d relations pending, want the other two members", what, len(db.pending))
-							}
-							got := db.settled()[name]
-							want := rel.Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, shards) == shard })
-							if err := got.Region.Check(); err != nil {
-								t.Fatalf("%s: %v", what, err)
-							}
-							if g, w := got.Region.StringBytes(), want.Region.StringBytes(); g != w {
-								t.Errorf("%s: %d string bytes, re-homed %d", what, g, w)
-							}
-							if got.Name != name || strings.Join(got.Key, ",") != strings.Join(want.Key, ",") || got.Degree() != degree {
-								t.Fatalf("%s: %s keyed on %v at degree %d, re-homed keyed on %v", what, got.Name, got.Key, got.Degree(), want.Key)
+							if len(db.pending) != 3 {
+								t.Fatalf("%s: %d relations pending after ShardRelation, want all three members", what, len(db.pending))
 							}
 							sizes, err := db.FragmentSizes(name)
 							if err != nil {
 								t.Fatal(err)
 							}
-							for f, frag := range want.Fragments {
-								if len(got.Fragments[f]) != len(frag) || sizes[f] != len(frag) {
-									t.Fatalf("%s: fragment %d holds %d rows (sizes say %d), re-homed %d", what, f, len(got.Fragments[f]), sizes[f], len(frag))
-								}
-								for i, tup := range frag {
-									if !got.Fragments[f][i].Equal(tup) {
-										t.Fatalf("%s: fragment %d row %d is %v, re-homed %v", what, f, i, got.Fragments[f][i], tup)
-									}
+							if len(db.pending) != 2 || db.declared(name) >= 0 {
+								t.Fatalf("%s: naming it left %v pending, want the other two members", what, db.Pending())
+							}
+							want := rel.Rehome(func(tup relation.Tuple) bool { return shardOf(tup, cols, shards) == shard })
+							checkShard(t, what, db.settled()[name], want, sizes)
+							for _, frag := range want.Fragments {
+								for _, tup := range frag {
 									on[tup[1].AsInt()]++
 								}
 							}
@@ -631,10 +748,11 @@ func TestPendingPairSettlesOnRead(t *testing.T) {
 	}
 }
 
-// TestPendingPairMemberSettlesAlone: once A is sharded, settling B generates
-// B's region and nothing of A: it allocates fewer bytes than A's region of
-// 72 bytes a row would take (measured with the collector paused), and leaves
-// Br pending; Br then settles into a region of its own.
+// TestPendingPairMemberSettlesAlone: once A is sharded, A is still pending;
+// settling B then generates B's region and nothing of A: it allocates fewer
+// bytes than A's region of 72 bytes a row would take (measured with the
+// collector paused), and leaves A and Br pending. Naming A then generates
+// A's shard alone, and Br settles into a region of its own.
 func TestPendingPairMemberSettlesAlone(t *testing.T) {
 	const aCard, bCard = 20_000, 400
 	db := New()
@@ -643,6 +761,9 @@ func TestPendingPairMemberSettlesAlone(t *testing.T) {
 	}
 	if err := db.ShardRelation("A", "k", 0, 2); err != nil {
 		t.Fatal(err)
+	}
+	if registered, pending := catalogState(db); registered != "" || pending != "A,B,Br" {
+		t.Errorf("after sharding A: registered [%s] and pending [%s], want none and [A,B,Br]", registered, pending)
 	}
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -655,10 +776,19 @@ func TestPendingPairMemberSettlesAlone(t *testing.T) {
 	if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(aCard*72); n >= limit {
 		t.Errorf("settling B allocated %d bytes, A's region alone is %d", n, limit)
 	}
+	if registered, pending := catalogState(db); registered != "B" || pending != "A,Br" {
+		t.Errorf("registered [%s] and pending [%s], want [B] and [A,Br]", registered, pending)
+	}
+	if _, err := db.FragmentSizes("A"); err != nil {
+		t.Fatal(err)
+	}
 	if registered, pending := catalogState(db); registered != "A,B" || pending != "Br" {
 		t.Errorf("registered [%s] and pending [%s], want [A,B] and [Br]", registered, pending)
 	}
 	rels := db.settled()
+	if a := rels["A"].Cardinality(); a == 0 || a >= aCard {
+		t.Errorf("A holds %d rows, want its shard, 0 of 2, of %d", a, aCard)
+	}
 	if b, br := rels["B"], rels["Br"]; b.Region == br.Region || br.Cardinality() != bCard {
 		t.Errorf("Br holds %d rows, want %d; shares B's region: %v", br.Cardinality(), bCard, b.Region == br.Region)
 	}

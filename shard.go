@@ -2,7 +2,6 @@ package dbs3
 
 import (
 	"fmt"
-	"slices"
 
 	"dbs3/internal/partition"
 	"dbs3/internal/relation"
@@ -18,13 +17,13 @@ import (
 // is exactly the unsharded relation and no tuple lives on two nodes.
 //
 // A relation CreateWisconsin or CreateJoinPair declared and nothing has
-// generated yet is generated here for the shard only, by the generator that
-// settles a whole one as the one shard of one: every row is placed by its
-// shard and its fragment before it exists, and only the kept rows, with the
-// strings they refer to, are written, into a region of their own. Any other
-// relation — loaded, generated already, a shard — is re-homed: its kept
-// tuples are copied into a region of their own, and the whole relation is
-// garbage. The two give the same shard, byte for byte.
+// generated yet only has its shard recorded here: the first read that names
+// it generates the shard alone, every row placed by its shard and fragment
+// before it exists and only the kept rows, with the strings they refer to,
+// written into a region of their own. Any other relation — loaded, generated
+// already, a shard — is re-homed: its kept tuples are copied into a region
+// of their own, and the whole relation is garbage. The two give the same
+// shard, byte for byte.
 //
 // A tuple's shard is the high word of its key's hash scaled to [0, shards)
 // by a multiply and a shift. Fragment placement takes the same hash modulo
@@ -49,15 +48,20 @@ func (db *Database) ShardRelation(name, col string, shard, shards int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if i := db.declared(name); i >= 0 {
-		d := db.pending[i]
-		c, ok := d.schema().Index(col)
+		e := db.pending[i]
+		c, ok := e.decl.schema().Index(col)
 		if !ok {
-			return fmt.Errorf("dbs3: column %q not in schema %s", col, d.schema())
+			return fmt.Errorf("dbs3: column %q not in schema %s", col, e.decl.schema())
 		}
-		db.install(d.shard(c, shard, shards))
-		db.pending = slices.Delete(db.pending, i, i+1)
-		db.epoch.Add(1)
-		return nil
+		if e.shards == 1 {
+			db.pending[i] = pendingRel{e.decl, c, shard, shards}
+			db.epoch.Add(1)
+			return nil
+		}
+		// A shard of a recorded shard: generate that one, then re-home it.
+		db.mu.Unlock()
+		db.lookup(name)
+		db.mu.Lock()
 	}
 	p, ok := db.rels[name]
 	if !ok {
@@ -141,8 +145,8 @@ func (d *wisconsinDef) shard(col, shard, shards int) placed {
 // shard generates shard of shards of the declared member, sharded on column
 // col (k, id or pad): exactly the member Rehome keeps of the settled one.
 // The one shard of one keeps every row and hashes none. Otherwise, sharded
-// on k or id, a row is kept by its value's bit in the pair's integers
-// (joinPairDef.keeps); on pad, which is one constant per member, every row
+// on k or id, a row is kept by its value's bit in the integers the shard
+// keeps (keeps); on pad, which is one constant per member, every row
 // is kept or none. relation.JoinRows.Shard writes the kept rows in the
 // member's fragments: by k for A and B, as they are generated, and by id for
 // Br.
@@ -159,9 +163,9 @@ func (m pairMember) shard(col, shard, shards int) placed {
 	switch {
 	case shards == 1:
 	case col == k:
-		keep = p.keeps(p.bCard, shard, shards) // A's keys are B's
+		keep = keeps(p.bCard, shard, shards) // A's keys are B's
 	case col == id:
-		keep = p.keeps(n, shard, shards)
+		keep = keeps(n, shard, shards)
 	default:
 		on, keep = id, make([]uint64, (n+63)/64)
 		if shardOfHash(relation.Str(rows.Pad).KeyHash(), shards) == shard {
@@ -181,19 +185,15 @@ func (m pairMember) shard(col, shard, shards int) placed {
 }
 
 // keeps returns a bitmap in which bit v is set when shard of shards keeps
-// the integer v as a one-column key, for every v below n at least. It hashes
-// each integer once per shard: the members sharded there share the bitmap.
-// db.mu must be held for writing: ShardRelation is the one caller.
-func (p *joinPairDef) keeps(n, shard, shards int) []uint64 {
-	kept := &p.kept
-	if kept.shard != shard || kept.shards != shards || 64*len(kept.bits) < n {
-		kept.shard, kept.shards = shard, shards
-		kept.bits = make([]uint64, (n+63)/64)
-		for v := range 64 * len(kept.bits) {
-			kept.bits[v>>6] |= uint64(oneIf(shardOfHash(relation.Int(int64(v)).KeyHash(), shards) == shard)) << (v & 63)
-		}
+// the integer v as a one-column key, for every v below n at least. Each
+// member sharded on k or id hashes its own, so a node whose statements name
+// all three hashes B's keys (A's keys, Br's ids) up to three times.
+func keeps(n, shard, shards int) []uint64 {
+	bits := make([]uint64, (n+63)/64)
+	for v := range 64 * len(bits) {
+		bits[v>>6] |= uint64(oneIf(shardOfHash(relation.Int(int64(v)).KeyHash(), shards) == shard)) << (v & 63)
 	}
-	return kept.bits
+	return bits
 }
 
 // shardOf is the shard of shards that t belongs to when sharded on the key

@@ -364,6 +364,12 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A recorded shard is generated when it is first named.
+	for _, rel := range db.Relations() {
+		if _, err := db.FragmentSizes(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sharded := liveHeap() - before
 
 	// The reference: the same tuples copied afresh, strings included, into
@@ -392,18 +398,25 @@ func TestShardRelationReleasesDroppedTuples(t *testing.T) {
 	}
 }
 
-// TestShardRelationAllocatesPerRelation: a compaction is a keep bitmap, one
-// region and one fragment table, whatever the cardinality.
+// TestShardRelationAllocatesPerRelation: generating a shard — ShardRelation
+// records it, the first read generates it — is a keep bitmap, one region and
+// one fragment table, whatever the cardinality.
 func TestShardRelationAllocatesPerRelation(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	for _, n := range []int{3_000, 30_000} {
 		var db *Database
+		sizes := func() {
+			if _, err := db.FragmentSizes("wisc"); err != nil {
+				t.Fatal(err)
+			}
+		}
 		shard := func() {
 			if err := db.ShardRelation("wisc", "unique2", 1, 3); err != nil {
 				t.Fatal(err)
 			}
+			sizes()
 		}
 		// AllocsPerRun calls once to warm up, then runs times: each call
 		// needs an unsharded relation, so the loads are counted and
@@ -416,7 +429,9 @@ func TestShardRelationAllocatesPerRelation(t *testing.T) {
 		}
 		loads := race.AllocsPerRun(3, load)
 		both := race.AllocsPerRun(3, func() { load(); shard() })
-		if got := both - loads; got > 14 {
+		// FragmentSizes' result slice, read off the settled shard, is the
+		// read's own.
+		if got := both - loads - race.AllocsPerRun(3, sizes); got > 14 {
 			t.Errorf("ShardRelation of %d tuples: %v allocations, want at most 14", n, got)
 		}
 	}
@@ -424,8 +439,9 @@ func TestShardRelationAllocatesPerRelation(t *testing.T) {
 
 // TestShardRelationOnTextAllocatesAsOnInteger: a row is placed before it
 // exists by its key's hash, a text's rendered into a buffer on the stack, so
-// a Wisconsin relation keyed on stringu1, or a shard taken on it, costs the
-// allocations one keyed or sharded on unique2 does, not one per row.
+// a Wisconsin relation keyed on stringu1, or a shard taken on it (recorded by
+// ShardRelation, generated by the first read), costs the allocations one
+// keyed or sharded on unique2 does, not one per row.
 func TestShardRelationOnTextAllocatesAsOnInteger(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -442,6 +458,16 @@ func TestShardRelationOnTextAllocatesAsOnInteger(t *testing.T) {
 			}
 		})
 	}
+	// sizes is FragmentSizes' own result slice, read off a settled relation.
+	settled := New()
+	if err := settled.CreateWisconsin("w", n, 16, "unique2", 1); err != nil {
+		t.Fatal(err)
+	}
+	sizes := race.AllocsPerRun(3, func() {
+		if _, err := settled.FragmentSizes("w"); err != nil {
+			t.Fatal(err)
+		}
+	})
 	shard := func(col string) float64 {
 		return race.AllocsPerRun(3, func() {
 			db := New()
@@ -451,7 +477,10 @@ func TestShardRelationOnTextAllocatesAsOnInteger(t *testing.T) {
 			if err := db.ShardRelation("w", col, 1, 3); err != nil {
 				t.Fatal(err)
 			}
-		})
+			if _, err := db.FragmentSizes("w"); err != nil {
+				t.Fatal(err)
+			}
+		}) - sizes
 	}
 	for what, got := range map[string][2]float64{
 		"settled keyed on": {settle("stringu1"), settle("unique2")},
@@ -465,10 +494,11 @@ func TestShardRelationOnTextAllocatesAsOnInteger(t *testing.T) {
 
 // BenchmarkShardRelation is one cluster-open node's whole load: Wisconsin
 // 20 000 at degree 8 and a 5 000/5 000 join pair at θ 0.5 created, then each
-// relation sharded 1 of 3 on its distribution key. The creation calls are
-// timed with the four ShardRelation calls because a declared relation is
-// generated by its ShardRelation; B/op is everything the node allocates to
-// load.
+// relation sharded 1 of 3 on its distribution key and settled by
+// FragmentSizes. ShardRelation only records a declared relation's shard, so
+// the first read that names it generates it: the creation calls, the four
+// ShardRelation calls and the four reads are timed together, and B/op is
+// everything the node allocates to load.
 func BenchmarkShardRelation(b *testing.B) {
 	dist := [][2]string{{"wisc", "unique2"}, {"A", "k"}, {"B", "k"}, {"Br", "k"}}
 	b.ReportAllocs()
@@ -482,6 +512,11 @@ func BenchmarkShardRelation(b *testing.B) {
 		}
 		for _, d := range dist {
 			if err := db.ShardRelation(d[0], d[1], 1, 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, d := range dist {
+			if _, err := db.FragmentSizes(d[0]); err != nil {
 				b.Fatal(err)
 			}
 		}
